@@ -2,10 +2,11 @@
 //! merging, VM-vs-static kernels, and checkpointing schedules.
 
 use perforad_bench::micro::Criterion;
+use perforad_ckpt::{checkpointed_adjoint_plan, CheckpointPlan, MemStore};
 use perforad_core::{AdjointOptions, BoundaryStrategy};
-use perforad_exec::{compile_adjoint, run_serial};
+use perforad_exec::{compile_adjoint, run, ExecMode};
 use perforad_pde::kernels;
-use perforad_pde::{burgers, checkpoint, wave3d};
+use perforad_pde::{burgers, wave3d};
 
 /// A1: disjoint vs guarded vs padded boundary handling.
 fn boundary_strategy(c: &mut Criterion) {
@@ -27,7 +28,9 @@ fn boundary_strategy(c: &mut Criterion) {
             )
             .unwrap();
         let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
-        g.bench_function(label, |b| b.iter(|| run_serial(&plan, &mut ws).unwrap()));
+        g.bench_function(label, |b| {
+            b.iter(|| run(&plan, &mut ws, ExecMode::serial()).unwrap())
+        });
     }
     g.finish();
 }
@@ -47,7 +50,9 @@ fn merge_ablation(c: &mut Criterion) {
             .adjoint(&burgers::activity(), &opts)
             .unwrap();
         let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
-        g.bench_function(label, |b| b.iter(|| run_serial(&plan, &mut ws).unwrap()));
+        g.bench_function(label, |b| {
+            b.iter(|| run(&plan, &mut ws, ExecMode::serial()).unwrap())
+        });
     }
     g.finish();
 }
@@ -64,7 +69,9 @@ fn cse_ablation(c: &mut Criterion) {
             .adjoint(&burgers::activity(), &AdjointOptions::default())
             .unwrap();
         let plan = perforad_exec::compile_adjoint_opts(&adj, &ws, &bind, cse).unwrap();
-        g.bench_function(label, |b| b.iter(|| run_serial(&plan, &mut ws).unwrap()));
+        g.bench_function(label, |b| {
+            b.iter(|| run(&plan, &mut ws, ExecMode::serial()).unwrap())
+        });
     }
     g.finish();
 }
@@ -77,7 +84,7 @@ fn vm_vs_static(c: &mut Criterion) {
     let (mut ws, bind) = wave3d::workspace(n, 0.1);
     let plan = perforad_exec::compile_nest(&wave3d::nest(), &ws, &bind).unwrap();
     g.bench_function("vm_primal", |b| {
-        b.iter(|| run_serial(&plan, &mut ws).unwrap())
+        b.iter(|| run(&plan, &mut ws, ExecMode::serial()).unwrap())
     });
     let (ws2, _) = wave3d::workspace(n, 0.1);
     let dims = [n, n, n];
@@ -100,28 +107,32 @@ fn vm_vs_static(c: &mut Criterion) {
     g.finish();
 }
 
-/// A4: store-all vs recursive-bisection checkpointing on a toy recurrence.
+/// A4: store-all vs a `⌈log₂T⌉ + 1`-snapshot binomial plan on a toy
+/// recurrence — one driver, two placements.
 fn checkpoint_ablation(c: &mut Criterion) {
-    let steps = 4096;
-    let step = |x: &f64, _t: usize| x + 1e-4 * x * x;
+    let steps = 4096usize;
+    let log_budget = steps.next_power_of_two().trailing_zeros() as usize + 1;
     let mut g = c.benchmark_group("checkpoint_4096_steps");
-    g.bench_function("store_all", |b| {
-        b.iter(|| {
-            let traj = checkpoint::StoreAll::record(0.5f64, steps, step);
-            let mut lambda = 1.0;
-            traj.reverse(|x, _| lambda *= 1.0 + 2e-4 * x);
-            lambda
-        })
-    });
-    g.bench_function("bisection", |b| {
-        b.iter(|| {
-            let mut lambda = 1.0;
-            checkpoint::checkpointed_adjoint(0.5f64, steps, &mut |x, t| step(x, t), &mut |x, _| {
-                lambda *= 1.0 + 2e-4 * x
-            });
-            lambda
-        })
-    });
+    for (label, plan) in [
+        ("store_all", CheckpointPlan::store_all(steps)),
+        ("binomial", CheckpointPlan::with_budget(steps, log_budget)),
+    ] {
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                let mut lambda = 1.0;
+                checkpointed_adjoint_plan(
+                    &plan,
+                    0.5f64,
+                    &mut MemStore::new(),
+                    &mut |x, _t| x + 1e-4 * x * x,
+                    &mut |_| {},
+                    &mut |x, _t| lambda *= 1.0 + 2e-4 * x,
+                )
+                .unwrap();
+                lambda
+            })
+        });
+    }
     g.finish();
 }
 

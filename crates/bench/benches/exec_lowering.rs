@@ -8,7 +8,7 @@
 
 use perforad_bench::micro::Criterion;
 use perforad_bench::{env_size, Case};
-use perforad_exec::{run_parallel, run_parallel_rows, run_serial, run_serial_rows, ThreadPool};
+use perforad_exec::{run, ExecMode, ThreadPool};
 use perforad_sched::run_schedule;
 
 fn threads() -> usize {
@@ -28,16 +28,16 @@ fn lowering_group(c: &mut Criterion, mut case: Case) {
     g.sample_size(5);
     let plan = case.adjoint_plan.clone();
     g.bench_function("interpreter_serial", |b| {
-        b.iter(|| run_serial(&plan, &mut case.ws).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::serial()).unwrap())
     });
     g.bench_function("rows_serial", |b| {
-        b.iter(|| run_serial_rows(&plan, &mut case.ws).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::serial().rows()).unwrap())
     });
     g.bench_function("interpreter_parallel", |b| {
-        b.iter(|| run_parallel(&plan, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::parallel(&pool)).unwrap())
     });
     g.bench_function("rows_parallel", |b| {
-        b.iter(|| run_parallel_rows(&plan, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::parallel(&pool).rows()).unwrap())
     });
     let fused = case.schedule.clone();
     g.bench_function("fused_interpreter", |b| {

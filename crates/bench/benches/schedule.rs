@@ -7,7 +7,7 @@
 
 use perforad_bench::micro::Criterion;
 use perforad_bench::{env_size, Case};
-use perforad_exec::{run_parallel, run_scatter_atomic, ThreadPool};
+use perforad_exec::{run, ExecMode, ThreadPool};
 use perforad_sched::{run_schedule, SchedOptions, TilePolicy};
 
 fn threads() -> usize {
@@ -32,7 +32,7 @@ fn wave_schedule(c: &mut Criterion) {
     g.sample_size(5);
     let plan = case.adjoint_plan.clone();
     g.bench_function("unfused_parallel", |b| {
-        b.iter(|| run_parallel(&plan, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::parallel(&pool)).unwrap())
     });
     let schedule = case.schedule.clone();
     g.bench_function("fused_tiled_dynamic", |b| {
@@ -50,7 +50,7 @@ fn wave_schedule(c: &mut Criterion) {
     });
     let scatter = case.scatter_plan.clone();
     g.bench_function("scatter_atomic", |b| {
-        b.iter(|| run_scatter_atomic(&scatter, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&scatter, &mut case.ws, ExecMode::parallel_atomic(&pool)).unwrap())
     });
     g.finish();
 }
@@ -68,7 +68,7 @@ fn burgers_schedule(c: &mut Criterion) {
     g.sample_size(5);
     let plan = case.adjoint_plan.clone();
     g.bench_function("unfused_parallel", |b| {
-        b.iter(|| run_parallel(&plan, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::parallel(&pool)).unwrap())
     });
     let schedule = case.schedule.clone();
     g.bench_function("fused_tiled_dynamic", |b| {
@@ -76,7 +76,7 @@ fn burgers_schedule(c: &mut Criterion) {
     });
     let scatter = case.scatter_plan.clone();
     g.bench_function("scatter_atomic", |b| {
-        b.iter(|| run_scatter_atomic(&scatter, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&scatter, &mut case.ws, ExecMode::parallel_atomic(&pool)).unwrap())
     });
     g.finish();
 }

@@ -4,7 +4,7 @@
 
 use perforad_bench::micro::Criterion;
 use perforad_bench::Case;
-use perforad_exec::{run_parallel, run_scatter_atomic, run_serial, ThreadPool};
+use perforad_exec::{run, ExecMode, ThreadPool};
 
 fn wave_kernels(c: &mut Criterion) {
     let n = 32;
@@ -14,21 +14,21 @@ fn wave_kernels(c: &mut Criterion) {
     g.sample_size(10);
     let plan = case.primal_plan.clone();
     g.bench_function("primal_serial", |b| {
-        b.iter(|| run_serial(&plan, &mut case.ws).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::serial()).unwrap())
     });
     let plan = case.adjoint_plan.clone();
     g.bench_function("perforad_serial", |b| {
-        b.iter(|| run_serial(&plan, &mut case.ws).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::serial()).unwrap())
     });
     g.bench_function("perforad_parallel2", |b| {
-        b.iter(|| run_parallel(&plan, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::parallel(&pool)).unwrap())
     });
     let plan = case.scatter_plan.clone();
     g.bench_function("scatter_serial", |b| {
-        b.iter(|| run_serial(&plan, &mut case.ws).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::serial()).unwrap())
     });
     g.bench_function("scatter_atomic2", |b| {
-        b.iter(|| run_scatter_atomic(&plan, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::parallel_atomic(&pool)).unwrap())
     });
     g.finish();
 }
@@ -41,18 +41,18 @@ fn burgers_kernels(c: &mut Criterion) {
     g.sample_size(10);
     let plan = case.primal_plan.clone();
     g.bench_function("primal_serial", |b| {
-        b.iter(|| run_serial(&plan, &mut case.ws).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::serial()).unwrap())
     });
     let plan = case.adjoint_plan.clone();
     g.bench_function("perforad_serial", |b| {
-        b.iter(|| run_serial(&plan, &mut case.ws).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::serial()).unwrap())
     });
     g.bench_function("perforad_parallel2", |b| {
-        b.iter(|| run_parallel(&plan, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::parallel(&pool)).unwrap())
     });
     let plan = case.scatter_plan.clone();
     g.bench_function("scatter_atomic2", |b| {
-        b.iter(|| run_scatter_atomic(&plan, &mut case.ws, &pool).unwrap())
+        b.iter(|| run(&plan, &mut case.ws, ExecMode::parallel_atomic(&pool)).unwrap())
     });
     g.finish();
 }

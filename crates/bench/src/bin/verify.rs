@@ -2,8 +2,7 @@
 //! conventional scatter adjoint, (b) an independent tape-AD reference, and
 //! (c) the adjoint dot-product identity <Jv, w> = <v, J^T w>.
 use perforad_bench::Case;
-use perforad_exec::run_parallel;
-use perforad_exec::{run_serial, Grid, ThreadPool};
+use perforad_exec::{run, ExecMode, Grid, ThreadPool};
 
 fn check(case: &mut Case) -> (f64, f64) {
     // Gather adjoint (parallel) vs scatter adjoint (serial).
@@ -19,14 +18,14 @@ fn check(case: &mut Case) -> (f64, f64) {
             case.ws.grid_mut(o).fill(0.0);
         }
         let p = case.scatter_plan.clone();
-        run_serial(&p, &mut case.ws).unwrap();
+        run(&p, &mut case.ws, ExecMode::serial()).unwrap();
         outs.iter().map(|o| case.ws.grid(o).clone()).collect()
     };
     for o in &outs {
         case.ws.grid_mut(o).fill(0.0);
     }
     let p = case.adjoint_plan.clone();
-    run_parallel(&p, &mut case.ws, &pool).unwrap();
+    run(&p, &mut case.ws, ExecMode::parallel(&pool)).unwrap();
     let mut max_diff: f64 = 0.0;
     for (o, b) in outs.iter().zip(&baseline) {
         max_diff = max_diff.max(case.ws.grid(o).max_abs_diff(b));

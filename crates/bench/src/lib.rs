@@ -9,12 +9,11 @@
 //! Hardware note: the paper's Broadwell/KNL machines are substituted by
 //! (a) measured sweeps on this host and (b) model projections from
 //! `perforad-perfmodel` at paper scale. Grid sizes default small so the
-//! harness completes in CI; override with `PERFORAD_N` / `PERFORAD_STEPS`.
+//! harness completes in CI; override with `PERFORAD_N` / `PERFORAD_N_BURGERS`.
 
 use perforad_core::{ActivityMap, Adjoint, AdjointOptions, LoopNest};
 use perforad_exec::{
-    compile_adjoint, compile_nest, run_parallel, run_parallel_rows, run_scatter_atomic, run_serial,
-    run_serial_rows, Binding, Plan, ThreadPool, Workspace,
+    compile_adjoint, compile_nest, run, Binding, ExecMode, Plan, ThreadPool, Workspace,
 };
 use perforad_pde::{burgers, heat2d, wave3d};
 use perforad_perfmodel::{KernelProfile, Machine};
@@ -130,7 +129,7 @@ impl Case {
         let plan = self.primal_plan.clone();
         let ws = &mut self.ws;
         time_once(|| {
-            run_serial(&plan, ws).unwrap();
+            run(&plan, ws, ExecMode::serial()).unwrap();
         })
     }
 
@@ -138,7 +137,7 @@ impl Case {
         let plan = self.primal_plan.clone();
         let ws = &mut self.ws;
         time_once(|| {
-            run_parallel(&plan, ws, pool).unwrap();
+            run(&plan, ws, ExecMode::parallel(pool)).unwrap();
         })
     }
 
@@ -146,7 +145,7 @@ impl Case {
         let plan = self.adjoint_plan.clone();
         let ws = &mut self.ws;
         time_once(|| {
-            run_serial(&plan, ws).unwrap();
+            run(&plan, ws, ExecMode::serial()).unwrap();
         })
     }
 
@@ -154,7 +153,7 @@ impl Case {
         let plan = self.adjoint_plan.clone();
         let ws = &mut self.ws;
         time_once(|| {
-            run_parallel(&plan, ws, pool).unwrap();
+            run(&plan, ws, ExecMode::parallel(pool)).unwrap();
         })
     }
 
@@ -163,7 +162,7 @@ impl Case {
         let plan = self.adjoint_plan.clone();
         let ws = &mut self.ws;
         time_once(|| {
-            run_serial_rows(&plan, ws).unwrap();
+            run(&plan, ws, ExecMode::serial().rows()).unwrap();
         })
     }
 
@@ -172,7 +171,7 @@ impl Case {
         let plan = self.adjoint_plan.clone();
         let ws = &mut self.ws;
         time_once(|| {
-            run_parallel_rows(&plan, ws, pool).unwrap();
+            run(&plan, ws, ExecMode::parallel(pool).rows()).unwrap();
         })
     }
 
@@ -198,7 +197,7 @@ impl Case {
         let plan = self.scatter_plan.clone();
         let ws = &mut self.ws;
         time_once(|| {
-            run_serial(&plan, ws).unwrap();
+            run(&plan, ws, ExecMode::serial()).unwrap();
         })
     }
 
@@ -206,7 +205,7 @@ impl Case {
         let plan = self.scatter_plan.clone();
         let ws = &mut self.ws;
         time_once(|| {
-            run_scatter_atomic(&plan, ws, pool).unwrap();
+            run(&plan, ws, ExecMode::parallel_atomic(pool)).unwrap();
         })
     }
 
@@ -364,64 +363,27 @@ pub fn run_scaling(case: &mut Case, machine: &Machine, paper_n: i64, figure: &st
     };
     for &t in &threads {
         let pool = ThreadPool::new(t);
-        if t == 1 {
-            primal.rows.push((
-                t,
-                time_best(2, || {
-                    let p = case.primal_plan.clone();
-                    run_serial(&p, &mut case.ws).unwrap();
-                }),
-            ));
-            perforad.rows.push((
-                t,
-                time_best(2, || {
-                    let p = case.adjoint_plan.clone();
-                    run_serial(&p, &mut case.ws).unwrap();
-                }),
-            ));
-            rows_exec.rows.push((
-                t,
-                time_best(2, || {
-                    let p = case.adjoint_plan.clone();
-                    run_serial_rows(&p, &mut case.ws).unwrap();
-                }),
-            ));
-            atomics.rows.push((
-                t,
-                time_best(2, || {
-                    let p = case.scatter_plan.clone();
-                    run_scatter_atomic(&p, &mut case.ws, &pool).unwrap();
-                }),
-            ));
+        // One thread runs on the caller; the atomics baseline always pays
+        // its CAS adds on the pool, as in the paper's single-thread column.
+        let mode = if t == 1 {
+            ExecMode::serial()
         } else {
-            primal.rows.push((
-                t,
-                time_best(2, || {
-                    let p = case.primal_plan.clone();
-                    run_parallel(&p, &mut case.ws, &pool).unwrap();
-                }),
-            ));
-            perforad.rows.push((
-                t,
-                time_best(2, || {
-                    let p = case.adjoint_plan.clone();
-                    run_parallel(&p, &mut case.ws, &pool).unwrap();
-                }),
-            ));
-            rows_exec.rows.push((
-                t,
-                time_best(2, || {
-                    let p = case.adjoint_plan.clone();
-                    run_parallel_rows(&p, &mut case.ws, &pool).unwrap();
-                }),
-            ));
-            atomics.rows.push((
-                t,
-                time_best(2, || {
-                    let p = case.scatter_plan.clone();
-                    run_scatter_atomic(&p, &mut case.ws, &pool).unwrap();
-                }),
-            ));
+            ExecMode::parallel(&pool)
+        };
+        for (series, plan, mode) in [
+            (&mut primal, &case.primal_plan, mode),
+            (&mut perforad, &case.adjoint_plan, mode),
+            (&mut rows_exec, &case.adjoint_plan, mode.rows()),
+            (
+                &mut atomics,
+                &case.scatter_plan,
+                ExecMode::parallel_atomic(&pool),
+            ),
+        ] {
+            let secs = time_best(2, || {
+                run(plan, &mut case.ws, mode).unwrap();
+            });
+            series.rows.push((t, secs));
         }
         fused.rows.push((
             t,
@@ -569,7 +531,7 @@ mod tests {
         let mut c2 = Case::wave(14);
         let pool = ThreadPool::new(3);
         let plan = c1.adjoint_plan.clone();
-        run_parallel(&plan, &mut c1.ws, &pool).unwrap();
+        run(&plan, &mut c1.ws, ExecMode::parallel(&pool)).unwrap();
         let s = c2.schedule.clone();
         run_schedule(&s, &mut c2.ws, &pool).unwrap();
         for arr in ["u_1_b", "u_2_b"] {

@@ -157,7 +157,7 @@ mod tests {
     use super::*;
     use crate::store::{DiskStore, MemStore};
 
-    /// The toy nonlinear recurrence from `perforad_pde::checkpoint`:
+    /// A toy nonlinear recurrence:
     /// x_{t+1} = x_t + dt·x_t², J = x_T, λ_t = λ_{t+1}(1 + 2·dt·x_t).
     fn step(x: &f64, _t: usize) -> f64 {
         x + 0.01 * x * x
@@ -196,6 +196,7 @@ mod tests {
 
     #[test]
     fn matches_store_all_bitwise_across_budgets_and_backends() {
+        let _g = crate::store::disk_test_lock();
         let dir = std::env::temp_dir().join(format!("perforad_drv_test_{}", std::process::id()));
         for steps in [0usize, 1, 2, 3, 7, 16, 33, 100] {
             let (x_ref, l_ref) = store_all_reference(0.8, steps);

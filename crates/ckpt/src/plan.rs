@@ -433,6 +433,31 @@ mod tests {
     }
 
     #[test]
+    fn log_budget_plan_dominates_recursive_bisection() {
+        // Recompute count of the recursive-bisection scheme this crate
+        // replaced: advance to the midpoint, reverse the right half, then
+        // the left, at ⌈log₂T⌉ + 1 live snapshots.
+        fn bisection(n: usize) -> usize {
+            if n <= 1 {
+                return 0;
+            }
+            n / 2 + bisection(n - n / 2) + bisection(n / 2)
+        }
+        for steps in 1usize..=64 {
+            let budget = steps.next_power_of_two().trailing_zeros() as usize + 1;
+            let stats = validate(&CheckpointPlan::with_budget(steps, budget));
+            assert!(stats.peak_snapshots <= budget, "T={steps}: {stats:?}");
+            assert!(
+                stats.recomputed_steps <= bisection(steps),
+                "T={steps}: {stats:?} vs bisection {}",
+                bisection(steps)
+            );
+        }
+        let t64 = CheckpointPlan::with_budget(64, 7).stats();
+        assert_eq!((t64.recomputed_steps, bisection(64)), (93, 192));
+    }
+
+    #[test]
     fn ratio_decreases_monotonically_with_budget() {
         let steps = 200;
         let mut last = f64::INFINITY;

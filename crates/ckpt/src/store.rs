@@ -444,18 +444,18 @@ impl<S: Clone + Snapshot> SnapshotStore<S> for FallbackStore<S> {
     }
 }
 
+/// Fault-injection state is process-global, so every test in this crate
+/// that drives a `DiskStore` serialises here — an armed window must not
+/// leak into a neighbouring test's saves.
+#[cfg(test)]
+pub(crate) fn disk_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Fault-injection state is process-global, so every test that
-    /// drives a `DiskStore` serialises here — an armed window must not
-    /// leak into a neighbouring test's saves.
-    static STORE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        STORE_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
 
     fn grid() -> Grid {
         Grid::from_fn(&[3, 4], |ix| (ix[0] * 7 + ix[1]) as f64 * 0.1 - 1.5)
@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn disk_store_contract_and_cleanup() {
-        let _g = locked();
+        let _g = disk_test_lock();
         let dir = std::env::temp_dir().join(format!("perforad_ckpt_test_{}", std::process::id()));
         {
             let mut store = DiskStore::new(&dir).unwrap();
@@ -560,7 +560,7 @@ mod tests {
 
     #[test]
     fn fallback_store_absorbs_write_faults_bitwise() {
-        let _g = locked();
+        let _g = disk_test_lock();
         let dir = std::env::temp_dir().join(format!("perforad_ckpt_fb_{}", std::process::id()));
         let mut store = FallbackStore::new(DiskStore::new(&dir).unwrap());
         let g = grid();
@@ -595,7 +595,7 @@ mod tests {
 
     #[test]
     fn disk_read_fault_surfaces_as_store_error() {
-        let _g = locked();
+        let _g = disk_test_lock();
         let dir = std::env::temp_dir().join(format!("perforad_ckpt_rf_{}", std::process::id()));
         let mut store = DiskStore::new(&dir).unwrap();
         store.save(3, &grid()).unwrap();
@@ -613,7 +613,7 @@ mod tests {
 
     #[test]
     fn drop_sweeps_untracked_spill_files_after_a_panic() {
-        let _g = locked();
+        let _g = disk_test_lock();
         let dir = std::env::temp_dir().join(format!("perforad_ckpt_panic_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -632,7 +632,7 @@ mod tests {
 
     #[test]
     fn two_disk_stores_share_a_directory_without_collisions() {
-        let _g = locked();
+        let _g = disk_test_lock();
         let dir = std::env::temp_dir().join(format!("perforad_ckpt_shared_{}", std::process::id()));
         let mut a = DiskStore::new(&dir).unwrap();
         let mut b = DiskStore::new(&dir).unwrap();

@@ -558,7 +558,7 @@ mod tests {
 
     #[test]
     fn cse_plan_matches_plain_plan() {
-        use crate::run::run_serial;
+        use crate::run::{run, ExecMode};
         // Nonlinear body with shared subexpressions: r = sin(u[i]*u[i+1])
         //   + sin(u[i]*u[i+1]) * u[i-1].
         let i = Symbol::new("i");
@@ -584,7 +584,7 @@ mod tests {
         let bind = Binding::new().size("n", 33);
         let mut ws1 = build();
         let plain = compile_nest(&nest, &ws1, &bind).unwrap();
-        run_serial(&plain, &mut ws1).unwrap();
+        run(&plain, &mut ws1, ExecMode::serial()).unwrap();
         let mut ws2 = build();
         let cse = compile_nests_opts(
             std::slice::from_ref(&nest),
@@ -598,14 +598,14 @@ mod tests {
         .unwrap();
         // The CSE plan must actually use temporaries...
         assert!(cse.nests[0].stmts[0].prog.n_tmps() > 0);
-        run_serial(&cse, &mut ws2).unwrap();
+        run(&cse, &mut ws2, ExecMode::serial()).unwrap();
         // ...and produce identical results.
         assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
     }
 
     #[test]
     fn cse_adjoint_matches_plain_adjoint() {
-        use crate::run::run_serial;
+        use crate::run::{run, ExecMode};
         let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
         let adj = paper_nest()
             .adjoint(&act, &AdjointOptions::default())
@@ -616,9 +616,9 @@ mod tests {
         w1.insert("r_b", Grid::from_fn(&[11], |ix| ix[0] as f64));
         let mut w2 = w1.clone();
         let p1 = compile_adjoint(&adj, &w1, &bind).unwrap();
-        run_serial(&p1, &mut w1).unwrap();
+        run(&p1, &mut w1, ExecMode::serial()).unwrap();
         let p2 = compile_adjoint_opts(&adj, &w2, &bind, true).unwrap();
-        run_serial(&p2, &mut w2).unwrap();
+        run(&p2, &mut w2, ExecMode::serial()).unwrap();
         assert_eq!(w1.grid("u_b").max_abs_diff(w2.grid("u_b")), 0.0);
     }
 

@@ -12,9 +12,10 @@
 //! * [`regir`]/[`rows`] — the second lowering stage: stack programs
 //!   converted to a register-based linear IR and evaluated over whole
 //!   innermost-dimension rows in vectorizable lane chunks;
-//! * [`kernel`]/[`run`] — plans binding loop nests to storage, executed
-//!   serially, gather-parallel (race-free by construction), or
-//!   scatter-parallel with atomics (the conventional-adjoint baseline).
+//! * [`kernel`]/[`run`] — plans binding loop nests to storage, executed by
+//!   the one [`run()`] function: serially, gather-parallel (race-free by
+//!   construction), or scatter-parallel with atomics (the
+//!   conventional-adjoint baseline), as its [`ExecMode`] asks.
 //!
 //! ## The two-stage lowering pipeline
 //!
@@ -32,17 +33,16 @@
 //!    every grid point (the reference), while [`Lowering::Rows`] executes
 //!    the register IR over whole contiguous innermost-dimension runs in
 //!    fixed-width lane chunks with guards and zero-padding hoisted out of
-//!    the inner loop (see [`rows`]). Every execution surface —
-//!    [`run::run`], the `*_rows` entry points, and the tile-granular
-//!    [`TileRunner`] used by `perforad-sched` — accepts the switch; the
-//!    two lowerings produce bitwise-identical results.
+//!    the inner loop (see [`rows`]). Both execution surfaces —
+//!    [`run()`] and the tile-granular [`TileRunner`] used by
+//!    `perforad-sched` — accept the switch; the two lowerings produce
+//!    bitwise-identical results.
 //!
 //! ```
 //! use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
 //! use perforad_symbolic::{Array, Symbol, Idx, ix};
-//! use perforad_exec::{Grid, Workspace, Binding, ThreadPool};
+//! use perforad_exec::{run, Binding, ExecMode, Grid, ThreadPool, Workspace};
 //! use perforad_exec::kernel::{compile_nest, compile_adjoint};
-//! use perforad_exec::run::{run_serial, run_parallel};
 //!
 //! let (i, n) = (Symbol::new("i"), Symbol::new("n"));
 //! let (u, r) = (Array::new("u"), Array::new("r"));
@@ -59,13 +59,13 @@
 //! // Primal, in parallel.
 //! let plan = compile_nest(&nest, &ws, &bind).unwrap();
 //! let pool = ThreadPool::new(2);
-//! run_parallel(&plan, &mut ws, &pool).unwrap();
+//! run(&plan, &mut ws, ExecMode::parallel(&pool)).unwrap();
 //!
 //! // Gather adjoint, in parallel, no atomics.
 //! let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
 //! let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
 //! let aplan = compile_adjoint(&adj, &ws, &bind).unwrap();
-//! run_parallel(&aplan, &mut ws, &pool).unwrap();
+//! run(&aplan, &mut ws, ExecMode::parallel(&pool).rows()).unwrap();
 //! assert!(ws.grid("u_b").sum() > 0.0);
 //! ```
 
@@ -92,10 +92,6 @@ pub use kernel::{
 pub use native::{fnv1a64, native_lookup, register_native, NativeGroup, NativeTileFn};
 pub use pool::{default_pool, ThreadPool};
 pub use regir::RegProgram;
-pub use run::{
-    run, run_parallel, run_parallel_jit, run_parallel_rows, run_rayon, run_rayon_rows,
-    run_scatter_atomic, run_scatter_atomic_rows, run_serial, run_serial_jit, run_serial_rows,
-    ExecMode, ExecStats, Lowering, Strategy,
-};
+pub use run::{run, ExecMode, ExecStats, Lowering, Strategy};
 pub use tile::{tile_nest, Tile, TileRunner, TileScratch};
 pub use workspace::{Binding, Workspace};

@@ -1,22 +1,23 @@
-//! Plan execution: serial, pool-parallel (gather), pool-parallel with
-//! atomics (scatter), and Rayon — each available with two lowerings.
+//! Plan execution: [`run`] is the one entry point; its [`ExecMode`] picks
+//! serial, pool-parallel (gather) or pool-parallel with atomics (scatter),
+//! each with any of three lowerings.
 //!
 //! Parallelisation follows the paper's OpenMP usage: the outermost loop
 //! dimension is chunked across threads. Gather nests need no further care —
 //! every iteration writes its own centre point, and the nests of a disjoint
 //! adjoint never overlap, so all chunks of all nests go into one parallel
 //! region with no barriers (§3.3.4). Scatter nests are raced unless each
-//! update is atomic; [`run_scatter_atomic`] is the `#pragma omp atomic`
-//! equivalent whose cost the paper's "Atomics" series measures.
+//! update is atomic; [`Strategy::ParallelAtomic`] is the
+//! `#pragma omp atomic` equivalent whose cost the paper's "Atomics" series
+//! measures.
 //!
-//! Orthogonally to the parallel strategy, every entry point runs one of
-//! three lowerings ([`Lowering`]): the per-point stack interpreter (the
-//! reference implementation), the vectorized register-IR row executor
-//! ([`crate::rows`]), or JIT-compiled native code resolved through the
-//! [`crate::native`] registry (`perforad-jit` populates it; a missing
-//! entry falls back to the row executor). All are selected via
-//! [`ExecMode`] or the `*_rows` / `*_jit` variants and produce
-//! bitwise-identical results.
+//! Orthogonally to the parallel strategy, a run uses one of three
+//! lowerings ([`Lowering`]): the per-point stack interpreter (the
+//! reference every property suite compares against), the vectorized
+//! register-IR row executor ([`crate::rows`]), or JIT-compiled native
+//! code resolved through the [`crate::native`] registry (`perforad-jit`
+//! populates it; a missing entry falls back to the row executor). All
+//! produce bitwise-identical results.
 
 use crate::atomic::AtomicF64;
 use crate::bytecode::{ArrayView, PointEnv};
@@ -61,10 +62,10 @@ pub enum Strategy<'a> {
     Serial,
     /// Gather-parallel on the given pool (no atomics). Errors on scatter plans.
     Parallel(&'a ThreadPool),
-    /// Scatter-parallel: every `+=` is an atomic CAS add.
+    /// Scatter-parallel: every `+=` is an atomic CAS add
+    /// (`#pragma omp atomic`). Correct for any plan; slow under contention —
+    /// which is the point of the paper's baseline.
     ParallelAtomic(&'a ThreadPool),
-    /// Gather-parallel on a transient global-style pool.
-    Rayon,
 }
 
 /// How to run a plan: a parallel [`Strategy`] plus a [`Lowering`].
@@ -95,11 +96,6 @@ impl<'a> ExecMode<'a> {
     /// Scatter-parallel with atomic adds on `pool`.
     pub fn parallel_atomic(pool: &'a ThreadPool) -> Self {
         Strategy::ParallelAtomic(pool).into()
-    }
-
-    /// Gather-parallel on a transient global-style pool.
-    pub fn rayon() -> Self {
-        Strategy::Rayon.into()
     }
 
     /// Switch to the vectorized row executor.
@@ -434,11 +430,7 @@ pub(crate) fn max_tmps(plan: &Plan) -> usize {
         .unwrap_or(0)
 }
 
-fn run_serial_with(
-    plan: &Plan,
-    ws: &mut Workspace,
-    lowering: Lowering,
-) -> Result<ExecStats, ExecError> {
+fn run_inline(plan: &Plan, ws: &mut Workspace, lowering: Lowering) -> Result<ExecStats, ExecError> {
     let bufs = make_buffers(plan, ws)?;
     let native = resolve_native(plan, lowering, false);
     let mut scratch = JobScratch::for_run(plan, lowering, native.is_some());
@@ -461,87 +453,6 @@ fn run_serial_with(
     Ok(ExecStats {
         points: plan.points(),
     })
-}
-
-/// Run single-threaded, nests in order (per-point interpreter).
-pub fn run_serial(plan: &Plan, ws: &mut Workspace) -> Result<ExecStats, ExecError> {
-    run_serial_with(plan, ws, Lowering::PerPoint)
-}
-
-/// Run single-threaded with the vectorized row executor.
-pub fn run_serial_rows(plan: &Plan, ws: &mut Workspace) -> Result<ExecStats, ExecError> {
-    run_serial_with(plan, ws, Lowering::Rows)
-}
-
-/// Run single-threaded through JIT-compiled native code (registered via
-/// `perforad-jit`); falls back to the row executor when no native module
-/// is registered for this plan.
-pub fn run_serial_jit(plan: &Plan, ws: &mut Workspace) -> Result<ExecStats, ExecError> {
-    run_serial_with(plan, ws, Lowering::Jit)
-}
-
-/// Run gather-parallel on a pool. The plan must be gather-only; for adjoint
-/// plans produced by [`crate::kernel::compile_adjoint`] the nests are
-/// disjoint, so all chunks execute in one region without barriers.
-pub fn run_parallel(
-    plan: &Plan,
-    ws: &mut Workspace,
-    pool: &ThreadPool,
-) -> Result<ExecStats, ExecError> {
-    run_pool_gather(plan, ws, pool, Lowering::PerPoint)
-}
-
-/// [`run_parallel`] with the vectorized row executor.
-pub fn run_parallel_rows(
-    plan: &Plan,
-    ws: &mut Workspace,
-    pool: &ThreadPool,
-) -> Result<ExecStats, ExecError> {
-    run_pool_gather(plan, ws, pool, Lowering::Rows)
-}
-
-/// [`run_parallel`] through JIT-compiled native code; falls back to the
-/// row executor when no native module is registered for this plan.
-pub fn run_parallel_jit(
-    plan: &Plan,
-    ws: &mut Workspace,
-    pool: &ThreadPool,
-) -> Result<ExecStats, ExecError> {
-    run_pool_gather(plan, ws, pool, Lowering::Jit)
-}
-
-/// Run scatter-parallel: every increment is an atomic CAS add
-/// (`#pragma omp atomic`). Correct for any plan; slow under contention —
-/// which is the point of the paper's baseline.
-pub fn run_scatter_atomic(
-    plan: &Plan,
-    ws: &mut Workspace,
-    pool: &ThreadPool,
-) -> Result<ExecStats, ExecError> {
-    run_pool(plan, ws, pool, true, Lowering::PerPoint)
-}
-
-/// [`run_scatter_atomic`] with the vectorized row executor.
-pub fn run_scatter_atomic_rows(
-    plan: &Plan,
-    ws: &mut Workspace,
-    pool: &ThreadPool,
-) -> Result<ExecStats, ExecError> {
-    run_pool(plan, ws, pool, true, Lowering::Rows)
-}
-
-/// Non-atomic pool execution with the single scatter-safety check every
-/// gather entry point shares.
-fn run_pool_gather(
-    plan: &Plan,
-    ws: &mut Workspace,
-    pool: &ThreadPool,
-    lowering: Lowering,
-) -> Result<ExecStats, ExecError> {
-    if !plan.gather_only {
-        return Err(ExecError::ScatterNeedsAtomics);
-    }
-    run_pool(plan, ws, pool, false, lowering)
 }
 
 fn run_pool(
@@ -577,82 +488,20 @@ fn run_pool(
     })
 }
 
-/// Run gather-parallel on a transient global-style pool.
+/// Execute `plan` against `ws` the way `mode` asks.
 ///
-/// The seed used Rayon's global pool here; the workspace now builds
-/// std-only, so this is a `std::thread::scope` fallback with the same API
-/// and scheduling behaviour (dynamic chunk pulling over all host cores).
-/// The explicit [`ThreadPool`] is used when an exact thread count is
-/// required.
-pub fn run_rayon(plan: &Plan, ws: &mut Workspace) -> Result<ExecStats, ExecError> {
-    run_rayon_with(plan, ws, Lowering::PerPoint)
-}
-
-/// [`run_rayon`] with the vectorized row executor.
-pub fn run_rayon_rows(plan: &Plan, ws: &mut Workspace) -> Result<ExecStats, ExecError> {
-    run_rayon_with(plan, ws, Lowering::Rows)
-}
-
-fn run_rayon_with(
-    plan: &Plan,
-    ws: &mut Workspace,
-    lowering: Lowering,
-) -> Result<ExecStats, ExecError> {
-    if !plan.gather_only {
-        return Err(ExecError::ScatterNeedsAtomics);
-    }
-    let bufs = make_buffers(plan, ws)?;
-    let native = resolve_native(plan, lowering, false);
-    let threads = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(2);
-    let jobs = make_jobs(plan, threads);
-    let counter = std::sync::atomic::AtomicUsize::new(0);
-    let native = &native;
-    let work = |_tid: usize| {
-        let mut scratch = JobScratch::for_run(plan, lowering, native.as_ref().is_some());
-        loop {
-            let j = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if j >= jobs.len() {
-                break;
-            }
-            let (k, s, e) = jobs[j];
-            exec_nest_range(
-                plan,
-                k,
-                &bufs,
-                s,
-                e,
-                false,
-                lowering,
-                native.as_deref(),
-                &mut scratch,
-            );
-        }
-    };
-    if threads <= 1 || jobs.len() <= 1 {
-        work(0);
-    } else {
-        let work = &work;
-        std::thread::scope(|scope| {
-            for t in 1..threads {
-                scope.spawn(move || work(t));
-            }
-            work(0);
-        });
-    }
-    Ok(ExecStats {
-        points: plan.points(),
-    })
-}
-
-/// Dispatch on an [`ExecMode`].
+/// [`Strategy::Serial`] walks the nests in order on the calling thread.
+/// [`Strategy::Parallel`] needs a gather-only plan
+/// ([`ExecError::ScatterNeedsAtomics`] otherwise); for adjoint plans from
+/// [`crate::kernel::compile_adjoint`] the nests are disjoint, so all
+/// chunks execute in one region without barriers.
+/// [`Strategy::ParallelAtomic`] is correct for any plan.
 pub fn run(plan: &Plan, ws: &mut Workspace, mode: ExecMode<'_>) -> Result<ExecStats, ExecError> {
     match mode.strategy {
-        Strategy::Serial => run_serial_with(plan, ws, mode.lowering),
-        Strategy::Parallel(pool) => run_pool_gather(plan, ws, pool, mode.lowering),
+        Strategy::Serial => run_inline(plan, ws, mode.lowering),
+        Strategy::Parallel(_) if !plan.gather_only => Err(ExecError::ScatterNeedsAtomics),
+        Strategy::Parallel(pool) => run_pool(plan, ws, pool, false, mode.lowering),
         Strategy::ParallelAtomic(pool) => run_pool(plan, ws, pool, true, mode.lowering),
-        Strategy::Rayon => run_rayon_with(plan, ws, mode.lowering),
     }
 }
 
@@ -696,7 +545,7 @@ mod tests {
     fn primal_matches_reference() {
         let (mut ws, bind) = setup(32);
         let plan = compile_nest(&paper_nest(), &ws, &bind).unwrap();
-        let stats = run_serial(&plan, &mut ws).unwrap();
+        let stats = run(&plan, &mut ws, ExecMode::serial()).unwrap();
         assert_eq!(stats.points, 31);
         // Reference computation.
         let u = ws.grid("u").clone();
@@ -714,36 +563,28 @@ mod tests {
     fn parallel_gather_is_bitwise_deterministic() {
         let (mut ws1, bind) = setup(101);
         let plan = compile_nest(&paper_nest(), &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = setup(101);
         let pool = ThreadPool::new(4);
-        run_parallel(&plan, &mut ws2, &pool).unwrap();
+        run(&plan, &mut ws2, ExecMode::parallel(&pool)).unwrap();
         assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
-
-        let (mut ws3, _) = setup(101);
-        run_rayon(&plan, &mut ws3).unwrap();
-        assert_eq!(ws1.grid("r").max_abs_diff(ws3.grid("r")), 0.0);
     }
 
     #[test]
     fn rows_match_interpreter_bitwise_on_primal_and_adjoint() {
         let (mut ws1, bind) = setup(101);
         let plan = compile_nest(&paper_nest(), &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = setup(101);
-        run_serial_rows(&plan, &mut ws2).unwrap();
+        run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
         assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
 
         let pool = ThreadPool::new(4);
         let (mut ws3, _) = setup(101);
-        run_parallel_rows(&plan, &mut ws3, &pool).unwrap();
+        run(&plan, &mut ws3, ExecMode::parallel(&pool).rows()).unwrap();
         assert_eq!(ws1.grid("r").max_abs_diff(ws3.grid("r")), 0.0);
-
-        let (mut ws4, _) = setup(101);
-        run_rayon_rows(&plan, &mut ws4).unwrap();
-        assert_eq!(ws1.grid("r").max_abs_diff(ws4.grid("r")), 0.0);
 
         // Adjoint, serial interpreter vs parallel rows.
         let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
@@ -752,9 +593,9 @@ mod tests {
             .unwrap();
         let (mut wa1, _) = setup(101);
         let aplan = compile_adjoint(&adj, &wa1, &bind).unwrap();
-        run_serial(&aplan, &mut wa1).unwrap();
+        run(&aplan, &mut wa1, ExecMode::serial()).unwrap();
         let (mut wa2, _) = setup(101);
-        run_parallel_rows(&aplan, &mut wa2, &pool).unwrap();
+        run(&aplan, &mut wa2, ExecMode::parallel(&pool).rows()).unwrap();
         assert_eq!(wa1.grid("u_b").max_abs_diff(wa2.grid("u_b")), 0.0);
     }
 
@@ -773,8 +614,8 @@ mod tests {
             ws1.grid_mut("r_b").set(&[n], 0.0);
             let mut ws2 = ws1.clone();
             let plan = compile_adjoint(&adj, &ws1, &bind).unwrap();
-            run_serial(&plan, &mut ws1).unwrap();
-            run_serial_rows(&plan, &mut ws2).unwrap();
+            run(&plan, &mut ws1, ExecMode::serial()).unwrap();
+            run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
             assert_eq!(
                 ws1.grid("u_b").max_abs_diff(ws2.grid("u_b")),
                 0.0,
@@ -792,8 +633,8 @@ mod tests {
         let (mut ws1, bind) = setup(64);
         let plan = compile_adjoint_opts(&adj, &ws1, &bind, true).unwrap();
         let mut ws2 = ws1.clone();
-        run_serial(&plan, &mut ws1).unwrap();
-        run_serial_rows(&plan, &mut ws2).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
+        run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
         assert_eq!(ws1.grid("u_b").max_abs_diff(ws2.grid("u_b")), 0.0);
     }
 
@@ -840,26 +681,26 @@ mod tests {
         let (mut ws_g, bind) = setup(n);
         let plan_g = compile_adjoint(&adj, &ws_g, &bind).unwrap();
         let pool = ThreadPool::new(3);
-        run_parallel(&plan_g, &mut ws_g, &pool).unwrap();
+        run(&plan_g, &mut ws_g, ExecMode::parallel(&pool)).unwrap();
 
         // Scatter adjoint (conventional) serial.
         let sc = nest.scatter_adjoint(&act).unwrap();
         let (mut ws_s, _) = setup(n);
         let plan_s = compile_nest(&sc, &ws_s, &bind).unwrap();
-        run_serial(&plan_s, &mut ws_s).unwrap();
+        run(&plan_s, &mut ws_s, ExecMode::serial()).unwrap();
 
         let d = ws_g.grid("u_b").max_abs_diff(ws_s.grid("u_b"));
         assert!(d < 1e-13, "gather vs scatter adjoint differ by {d}");
 
         // Scatter adjoint with atomics in parallel agrees too.
         let (mut ws_a, _) = setup(n);
-        run_scatter_atomic(&plan_s, &mut ws_a, &pool).unwrap();
+        run(&plan_s, &mut ws_a, ExecMode::parallel_atomic(&pool)).unwrap();
         let d = ws_g.grid("u_b").max_abs_diff(ws_a.grid("u_b"));
         assert!(d < 1e-13, "gather vs atomic scatter differ by {d}");
 
         // Row executor over the scatter plan with atomics agrees as well.
         let (mut ws_r, _) = setup(n);
-        run_scatter_atomic_rows(&plan_s, &mut ws_r, &pool).unwrap();
+        run(&plan_s, &mut ws_r, ExecMode::parallel_atomic(&pool).rows()).unwrap();
         let d = ws_g.grid("u_b").max_abs_diff(ws_r.grid("u_b"));
         assert!(d < 1e-13, "gather vs atomic scatter rows differ by {d}");
     }
@@ -872,15 +713,13 @@ mod tests {
         let plan = compile_nest(&sc, &ws, &bind).unwrap();
         let pool = ThreadPool::new(2);
         assert_eq!(
-            run_parallel(&plan, &mut ws, &pool).unwrap_err(),
+            run(&plan, &mut ws, ExecMode::parallel(&pool)).unwrap_err(),
             ExecError::ScatterNeedsAtomics
         );
         assert_eq!(
-            run_parallel_rows(&plan, &mut ws, &pool).unwrap_err(),
+            run(&plan, &mut ws, ExecMode::parallel(&pool).rows()).unwrap_err(),
             ExecError::ScatterNeedsAtomics
         );
-        assert!(run_rayon(&plan, &mut ws).is_err());
-        assert!(run_rayon_rows(&plan, &mut ws).is_err());
     }
 
     #[test]
@@ -893,7 +732,7 @@ mod tests {
         let (mut ws_d, bind) = setup(n);
         let adj_d = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
         let plan_d = compile_adjoint(&adj_d, &ws_d, &bind).unwrap();
-        run_serial(&plan_d, &mut ws_d).unwrap();
+        run(&plan_d, &mut ws_d, ExecMode::serial()).unwrap();
 
         // Padded run needs r_b zero outside the primal output range [1, n-1]
         // — index 0 and n must be zero; our seed cos(0)=1 at 0 violates it,
@@ -910,7 +749,7 @@ mod tests {
             rb.set(&[0], 0.0);
             rb.set(&[n], 0.0);
         }
-        run_serial(&plan_d, &mut ws_d2).unwrap();
+        run(&plan_d, &mut ws_d2, ExecMode::serial()).unwrap();
 
         let adj_p = nest
             .adjoint(
@@ -919,7 +758,7 @@ mod tests {
             )
             .unwrap();
         let plan_p = compile_adjoint(&adj_p, &ws_p, &bind).unwrap();
-        run_serial(&plan_p, &mut ws_p).unwrap();
+        run(&plan_p, &mut ws_p, ExecMode::serial()).unwrap();
 
         let d = ws_p.grid("u_b").max_abs_diff(ws_d2.grid("u_b"));
         assert!(d < 1e-13, "padded vs disjoint differ by {d}");
@@ -935,7 +774,7 @@ mod tests {
         let (mut ws_d, bind) = setup(n);
         let adj_d = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
         let plan_d = compile_adjoint(&adj_d, &ws_d, &bind).unwrap();
-        run_serial(&plan_d, &mut ws_d).unwrap();
+        run(&plan_d, &mut ws_d, ExecMode::serial()).unwrap();
 
         let (mut ws_g, _) = setup(n);
         let adj_g = nest
@@ -946,7 +785,7 @@ mod tests {
             .unwrap();
         let plan_g = compile_adjoint(&adj_g, &ws_g, &bind).unwrap();
         let pool = ThreadPool::new(2);
-        run_parallel(&plan_g, &mut ws_g, &pool).unwrap();
+        run(&plan_g, &mut ws_g, ExecMode::parallel(&pool)).unwrap();
 
         let d = ws_g.grid("u_b").max_abs_diff(ws_d.grid("u_b"));
         assert!(d < 1e-13, "guarded vs disjoint differ by {d}");

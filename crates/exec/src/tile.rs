@@ -301,7 +301,7 @@ mod tests {
     use super::*;
     use crate::grid::Grid;
     use crate::kernel::compile_nest;
-    use crate::run::run_serial;
+    use crate::run::{run, ExecMode};
     use crate::workspace::Binding;
     use perforad_core::make_loop_nest;
     use perforad_symbolic::{ix, Array, Idx, Symbol};
@@ -355,7 +355,7 @@ mod tests {
         let bind = Binding::new().size("n", n as i64);
         let mut ws1 = build();
         let plan = compile_nest(&nest_1d(), &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let mut ws2 = build();
         {
@@ -383,7 +383,7 @@ mod tests {
         let bind = Binding::new().size("n", n as i64);
         let mut ws1 = build();
         let plan = compile_nest(&nest_1d(), &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let mut ws2 = build();
         {
@@ -431,7 +431,7 @@ mod tests {
         let bind = Binding::new().size("n", n as i64);
         let mut ws1 = build();
         let plan = compile_nest(&sc, &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let mut ws2 = build();
         {

@@ -534,7 +534,7 @@ pub fn prepare_schedule(
 mod tests {
     use super::*;
     use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
-    use perforad_exec::{run_serial, run_serial_jit, Grid, ThreadPool, Workspace};
+    use perforad_exec::{run, ExecMode, Grid, ThreadPool, Workspace};
     use perforad_sched::{compile_schedule, run_schedule, SchedOptions};
     use perforad_symbolic::{ix, Array, Idx, Symbol};
 
@@ -599,7 +599,7 @@ mod tests {
             .unwrap();
         let (mut ws_ref, bind) = setup(257);
         let plan = perforad_exec::compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-        run_serial(&plan, &mut ws_ref).unwrap();
+        run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
         let dir = test_cache_dir("roundtrip");
         let opts = JitOptions::default().with_cache_dir(&dir);
@@ -616,7 +616,7 @@ mod tests {
 
         // The flat executor entry point resolves the same registration.
         let (mut ws2, _) = setup(257);
-        run_serial_jit(&schedule.groups[0].plan, &mut ws2).unwrap();
+        run(&schedule.groups[0].plan, &mut ws2, ExecMode::serial().jit()).unwrap();
         assert_eq!(ws2.grid("u_b").max_abs_diff(ws_ref.grid("u_b")), 0.0);
 
         // A second prepare is a pure registry hit.

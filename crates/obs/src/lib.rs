@@ -1,8 +1,8 @@
 //! Observability for the perforad adjoint pipeline.
 //!
 //! The pipeline spans five stages — schedule → tune → JIT → checkpoint →
-//! execute — and until now the only visibility into it was `bench_exec`'s
-//! end-to-end timings. This crate adds the missing layer, in the spirit of
+//! execute — and end-to-end timings alone cannot say which one a
+//! regression lives in. This crate adds the missing layer, in the spirit of
 //! OpDiLib's event-based instrumentation of AD runtimes: cheap enough to
 //! stay compiled into the hot path, rich enough to show where a gradient's
 //! wall time actually goes (fusion-group barriers, tile dispatch, JIT

@@ -194,29 +194,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Bucket a slice of raw samples into a snapshot, bypassing the
-    /// registry and its enabled gate. For one-shot percentile summaries
-    /// over values collected by hand (e.g. `bench_exec`'s per-request
-    /// latencies).
-    pub fn from_values(values: &[u64]) -> Self {
-        let mut buckets = vec![0u64; HIST_BUCKETS];
-        let (mut sum, mut max) = (0u64, 0u64);
-        for &v in values {
-            buckets[bucket_of(v)] += 1;
-            sum = sum.saturating_add(v);
-            max = max.max(v);
-        }
-        HistogramSnapshot {
-            count: values.len() as u64,
-            sum,
-            max,
-            p50: quantile_upper_bound(&buckets, 0.50).min(max),
-            p95: quantile_upper_bound(&buckets, 0.95).min(max),
-            p99: quantile_upper_bound(&buckets, 0.99).min(max),
-            buckets,
-        }
-    }
-
     /// Mean sample value, or 0 with no samples.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -228,7 +205,7 @@ impl HistogramSnapshot {
 
     /// Encode as a JSON object with `count`, `sum`, `mean`, `p50`, `p95`,
     /// `p99`, and `max` fields (the shape used by [`MetricsSnapshot`] and
-    /// `BENCH_exec.json`).
+    /// the serve daemon's `Stats` reply).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"count\":{},\"sum\":{},\"mean\":{:.3},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
@@ -661,26 +638,6 @@ mod tests {
             // the exact max so a tail quantile never exceeds a sample
             // that was actually observed.
             assert_eq!(snap.p99, 1000);
-        });
-    }
-
-    #[test]
-    fn from_values_matches_recorded_histogram() {
-        with_clean_state(|| {
-            let values = [0u64, 1, 2, 3, 1024, 77, 77, 512];
-            let h = histogram("m.fromvals");
-            for &v in &values {
-                h.record(v);
-            }
-            let live = h.snapshot();
-            let built = HistogramSnapshot::from_values(&values);
-            assert_eq!(built.count, live.count);
-            assert_eq!(built.sum, live.sum);
-            assert_eq!(built.max, live.max);
-            assert_eq!(built.buckets, live.buckets);
-            assert_eq!(built.p50, live.p50);
-            assert_eq!(built.p95, live.p95);
-            assert_eq!(built.p99, live.p99);
         });
     }
 

@@ -123,8 +123,8 @@ pub struct SpanStat {
 /// Built from the span tree per thread: a span's *self* time is its
 /// duration minus its direct children's durations, so self times sum to
 /// the top-level spans' total and the per-phase breakdown accounts for
-/// the measured wall time. `bench_exec` embeds this into
-/// `BENCH_exec.json`, and it is the shape a metrics endpoint would serve.
+/// the measured wall time. A served request with `trace: true` gets this
+/// back inline in its reply.
 #[derive(Clone, Debug)]
 pub struct TraceReport {
     /// Trace extent: latest span end minus earliest span start.

@@ -105,7 +105,7 @@ pub fn adjoint_schedule_tuned(
 mod tests {
     use super::*;
     use perforad_autodiff::tape_adjoint;
-    use perforad_exec::{compile_adjoint, compile_nest, run_parallel, run_serial, ThreadPool};
+    use perforad_exec::{compile_adjoint, compile_nest, run, ExecMode, ThreadPool};
     use perforad_symbolic::MapCtx;
     use std::collections::BTreeMap;
 
@@ -126,7 +126,7 @@ mod tests {
     fn primal_advances_shock() {
         let (mut ws, bind) = workspace(256, 0.3, 0.1);
         let plan = compile_nest(&nest(), &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
         let u = ws.grid("u");
         assert!(u.is_finite());
         assert!(u.norm2() > 0.0);
@@ -142,7 +142,7 @@ mod tests {
             .unwrap();
         let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
         let pool = ThreadPool::new(2);
-        run_parallel(&plan, &mut ws, &pool).unwrap();
+        run(&plan, &mut ws, ExecMode::parallel(&pool)).unwrap();
 
         // Independent tape adjoint.
         let store = MapCtx::new()
@@ -198,17 +198,16 @@ mod tests {
     fn rows_executor_matches_interpreter_on_piecewise_adjoint() {
         // The upwinded body produces Select ops in the adjoint; the row
         // executor must take the same branches lane by lane.
-        use perforad_exec::run_serial_rows;
         let n = 128usize;
         let (mut ws1, bind) = workspace(n, 0.3, 0.1);
         let adj = nest()
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = workspace(n, 0.3, 0.1);
-        run_serial_rows(&plan, &mut ws2).unwrap();
+        run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
         assert_eq!(ws1.grid("u_1_b").max_abs_diff(ws2.grid("u_1_b")), 0.0);
     }
 
@@ -222,7 +221,7 @@ mod tests {
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-        run_serial(&plan, &mut ws_ref).unwrap();
+        run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
         let (mut ws, _) = workspace(n, 0.3, 0.1);
         let pool = ThreadPool::new(2);
@@ -249,14 +248,14 @@ mod tests {
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = workspace(n, 0.3, 0.1);
         let adj_m = nest()
             .adjoint(&activity(), &AdjointOptions::default().merged())
             .unwrap();
         let plan_m = compile_adjoint(&adj_m, &ws2, &bind).unwrap();
-        run_serial(&plan_m, &mut ws2).unwrap();
+        run(&plan_m, &mut ws2, ExecMode::serial()).unwrap();
 
         let d = ws1.grid("u_1_b").max_abs_diff(ws2.grid("u_1_b"));
         assert!(d < 1e-12, "merged vs unmerged differ by {d}");

@@ -98,7 +98,7 @@ pub fn adjoint_schedule_tuned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perforad_exec::{compile_adjoint, compile_nest, run_serial};
+    use perforad_exec::{compile_adjoint, compile_nest, run, ExecMode};
 
     #[test]
     fn adjoint_has_17_nests_matching_figure_3() {
@@ -113,7 +113,7 @@ mod tests {
         let n = 32;
         let (mut ws, bind) = workspace(n, 0.2);
         let plan = compile_nest(&nest(), &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
         // Hot square fully interior: one explicit Euler step conserves sums.
         let before = ws.grid("u_1").sum();
         let after = ws.grid("u").sum();
@@ -129,7 +129,7 @@ mod tests {
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = workspace(n, 0.2);
         let s =
@@ -143,17 +143,17 @@ mod tests {
 
     #[test]
     fn rows_executor_matches_interpreter_bitwise_in_2d() {
-        use perforad_exec::{run_serial_rows, ThreadPool};
+        use perforad_exec::ThreadPool;
         let n = 40;
         let (mut ws1, bind) = workspace(n, 0.2);
         let adj = nest()
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = workspace(n, 0.2);
-        run_serial_rows(&plan, &mut ws2).unwrap();
+        run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
         assert_eq!(ws1.grid("u_1_b").max_abs_diff(ws2.grid("u_1_b")), 0.0);
 
         // Rows lowering through the fused tiled schedule too.
@@ -180,7 +180,7 @@ mod tests {
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
         let v = ws.grid("u_1_b").get(&[n / 2, n / 2]);
         assert!((v - 1.0).abs() < 1e-12, "interior adjoint {v}");
     }

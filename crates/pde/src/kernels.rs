@@ -54,14 +54,14 @@ mod tests {
     use super::*;
     use crate::{burgers, wave3d};
     use perforad_core::AdjointOptions;
-    use perforad_exec::{compile_adjoint, compile_nest, run_serial};
+    use perforad_exec::{compile_adjoint, compile_nest, run, ExecMode};
 
     #[test]
     fn static_wave_primal_matches_vm() {
         let n = 12usize;
         let (mut ws, bind) = wave3d::workspace(n, 0.1);
         let plan = compile_nest(&wave3d::nest(), &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
 
         let (ws2, _) = wave3d::workspace(n, 0.1);
         let dims = [n, n, n];
@@ -91,7 +91,7 @@ mod tests {
             .adjoint(&wave3d::activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
 
         let (ws2, _) = wave3d::workspace(n, 0.1);
         let dims = [n, n, n];
@@ -121,7 +121,7 @@ mod tests {
         let n = 128usize;
         let (mut ws, bind) = burgers::workspace(n, 0.3, 0.1);
         let plan = compile_nest(&burgers::nest(), &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
 
         let (ws2, _) = burgers::workspace(n, 0.3, 0.1);
         let dims = [n];
@@ -146,7 +146,7 @@ mod tests {
             .unwrap();
         let (mut wsa, _) = burgers::workspace(n, 0.3, 0.1);
         let plan_a = compile_adjoint(&adj, &wsa, &bind).unwrap();
-        run_serial(&plan_a, &mut wsa).unwrap();
+        run(&plan_a, &mut wsa, ExecMode::serial()).unwrap();
         let mut u1b = vec![0.0; n];
         burgers_adjoint(
             i64::MIN,

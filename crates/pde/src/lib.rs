@@ -8,31 +8,25 @@
 //!   piecewise differentiable, producing ternary adjoints (Fig. 7);
 //! * [`heat2d`] — the 2-D 5-point star of Fig. 3 (17 adjoint nests);
 //! * [`seismic`] — a seismic-imaging-style misfit gradient through the
-//!   time-stepped wave equation with an active velocity model; long
-//!   sweeps run bounded-memory (streamed forward pass, tuner-chosen
-//!   snapshot budget) and bitwise-identical to the dense reference;
-//!   multi-shot surveys batch through [`seismic::gradient_batch`], which
-//!   compiles/tunes once and dispatches shots across a shared pool;
-//! * [`checkpoint`] — store-all and recursive-bisection conveniences for
-//!   multi-step reverse sweeps, plus the re-exported `perforad-ckpt`
-//!   budgeted plans and snapshot stores;
+//!   time-stepped wave equation with an active velocity model. One driver:
+//!   [`seismic::BatchPlan`] compiles/tunes once per grid shape and runs
+//!   every shot of a [`seismic::ShotBatch`] (a single shot is a batch of
+//!   one) across a shared pool; long sweeps run bounded-memory under a
+//!   `perforad-ckpt` `CheckpointPlan` (streamed forward pass, tuner-chosen
+//!   snapshot budget), bitwise-identical to the dense reference;
 //! * [`kernels`] — statically generated Rust kernels (built by
 //!   `perforad-codegen` at compile time), the "compiled C" comparison path.
 
 pub mod burgers;
-pub mod checkpoint;
 pub mod heat2d;
 pub mod kernels;
 pub mod seismic;
 pub mod wave3d;
 
-pub use checkpoint::{checkpointed_adjoint, CheckpointStats, StoreAll};
 // The batch dispatch-strategy enum lives with the perf model (re-exported
 // through `perforad-tune`); surface it next to the batch API it steers.
 pub use perforad_tune::BatchStrategy;
 pub use seismic::{
-    forward, gradient, gradient_batch, gradient_batch_with, gradient_checkpointed,
-    gradient_checkpointed_with, gradient_checkpointed_with_pool, gradient_store_all,
-    gradient_store_all_with_pool, gradient_with_pool, misfit, ricker, BatchOptions, BatchPlan,
-    BatchResult, SeismicConfig, ShotBatch, SnapshotBackend, CKPT_THRESHOLD_STEPS,
+    forward, misfit, ricker, BatchOptions, BatchPlan, BatchResult, SeismicConfig, ShotBatch,
+    SnapshotBackend, CKPT_THRESHOLD_STEPS,
 };

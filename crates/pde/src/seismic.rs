@@ -7,25 +7,25 @@
 //! PerforAD gather adjoint of the single-step stencil backwards through
 //! time (with `c` active).
 //!
-//! The primal trajectory the nonlinear `∂F/∂c` term needs is *not*
-//! materialized for long sweeps: [`gradient`] routes sweeps of
-//! [`CKPT_THRESHOLD_STEPS`] or more through [`gradient_checkpointed`],
-//! which streams the forward pass under a `perforad-ckpt`
-//! [`CheckpointPlan`] — a snapshot budget chosen by the autotuner
-//! (jointly with the stencil schedule, via `TuneOptions::with_time_loop`)
-//! bounds live memory, and reverse segments are recomputed through the
-//! same tuned fused/JIT schedule the short-sweep path uses. Both paths
-//! are **bitwise-identical**: checkpointing changes where states come
-//! from, never how steps execute.
+//! [`BatchPlan`] is the one gradient driver: `BatchPlan::new(..)` pays the
+//! adjoint transform, autotune, and compilation **once** per grid shape,
+//! and `.run(&batch)` evaluates every shot of a [`ShotBatch`] against it —
+//! a single shot is a batch of one. Real surveys fire many shots against
+//! one velocity model; the plan dispatches them across a shared pool —
+//! whole shots per worker ([`BatchStrategy::ShotParallel`]) or the tuned
+//! grid-parallel sweep shot-by-shot ([`BatchStrategy::GridParallel`]),
+//! whichever the perf model's batch term prices cheaper. Every shot's
+//! output is bitwise the same whatever the batch around it.
 //!
-//! Real surveys fire many shots against one velocity model:
-//! [`gradient_batch`] (and [`BatchPlan`] for inversion loops) pays the
-//! adjoint transform, autotune, and compilation **once** and dispatches
-//! shots across a shared pool — whole shots per worker
-//! ([`BatchStrategy::ShotParallel`]) or the tuned grid-parallel sweep
-//! shot-by-shot ([`BatchStrategy::GridParallel`]), whichever the perf
-//! model's batch term prices cheaper. Every shot's output is bitwise
-//! the same as a standalone [`gradient`] call.
+//! The primal trajectory the nonlinear `∂F/∂c` term needs is *not*
+//! materialized for long sweeps: plans of [`CKPT_THRESHOLD_STEPS`] or more
+//! steps (or forced with [`BatchOptions::checkpointed`]) stream the
+//! forward pass under a `perforad-ckpt` [`CheckpointPlan`] — a snapshot
+//! budget chosen by the autotuner (jointly with the stencil schedule, via
+//! `TuneOptions::with_time_loop`) bounds live memory, and reverse
+//! segments are recomputed through the same tuned fused/JIT schedule the
+//! store-all sweep uses. Both sweeps are **bitwise-identical**:
+//! checkpointing changes where states come from, never how steps execute.
 
 use crate::wave3d;
 use perforad_ckpt::{
@@ -33,25 +33,23 @@ use perforad_ckpt::{
     MemStore, Snapshot, SnapshotStore,
 };
 use perforad_core::{Adjoint, AdjointOptions, BoundaryStrategy};
-use perforad_exec::{
-    compile_nest, default_pool, run_serial, Binding, Grid, Plan, ThreadPool, Workspace,
-};
+use perforad_exec::{compile_nest, run, Binding, ExecMode, Grid, Plan, ThreadPool, Workspace};
 use perforad_sched::{
     compile_schedule, run_tuned, SchedOptions, Schedule, TunedConfig, TunedStrategy,
 };
 use perforad_symbolic::Symbol;
 use perforad_tune::{
     autotune_adjoint, fingerprint_nests, host, pick_batch_strategy, profile, BatchShape,
-    BatchStrategy, KernelProfile, Machine, TimeLoop, TuneError, TuneOptions,
+    BatchStrategy, KernelProfile, Machine, TimeLoop, TuneOptions,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// Sweeps at least this long default to the bounded-memory checkpointed
-/// path in [`gradient`]; shorter ones keep the dense store-all sweep
-/// (whose trajectory is a handful of grids at most).
+/// Plans at least this long default to the bounded-memory checkpointed
+/// sweep; shorter ones keep the dense store-all sweep (whose trajectory is
+/// a handful of grids at most). [`BatchOptions::checkpointed`] overrides.
 pub const CKPT_THRESHOLD_STEPS: usize = 64;
 
 /// Problem configuration.
@@ -134,7 +132,7 @@ impl Stepper {
         *self.ws.grid_mut("u_1") = state.1.clone();
         *self.ws.grid_mut("u_2") = state.0.clone();
         self.ws.grid_mut("u").fill(0.0);
-        run_serial(&self.plan, &mut self.ws).expect("primal step");
+        run(&self.plan, &mut self.ws, ExecMode::serial()).expect("primal step");
         let mut next = self.ws.grid("u").clone();
         let v = next.get(&self.src) + self.source[t];
         next.set(&self.src, v);
@@ -144,8 +142,7 @@ impl Stepper {
 
 /// Run the primal time loop densely; returns the trajectory
 /// `u_0 .. u_steps`. A verification/synthesis helper for short sweeps —
-/// long-sweep gradients never materialize this vector (see
-/// [`gradient_checkpointed`]).
+/// long-sweep gradients never materialize this vector.
 pub fn forward(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Vec<Grid> {
     let _span = perforad_obs::span!(
         "seismic.forward", "seismic", "steps" => cfg.steps as u64, "n" => cfg.n as u64
@@ -172,24 +169,6 @@ pub fn misfit(u: &Grid, data: &Grid) -> f64 {
     j
 }
 
-/// Autotuned schedule for the `c`-active single-step wave adjoint that
-/// the reverse sweep of [`gradient`] drives: the two-stage tuner (model
-/// prune + wall-clock timing on `pool`) searches
-/// `Strategy×Lowering×TilePolicy×tile×fusion` once, and the tuning cache
-/// makes repeated gradients (every seismic inversion iterates) skip the
-/// search. Timing runs overwrite the adjoint/output grids in `ws`, so
-/// tune before seeding real data — the sweep refills them each step.
-pub fn adjoint_schedule_tuned(
-    ws: &mut Workspace,
-    bind: &Binding,
-    pool: &ThreadPool,
-    topts: &TuneOptions,
-) -> Result<(Schedule, TunedConfig), TuneError> {
-    let adj = wave_adjoint();
-    let (schedule, report) = autotune_adjoint(&adj, ws, bind, pool, topts)?;
-    Ok((schedule, report.config))
-}
-
 /// The c-active wave adjoint, counted in `seismic.adjoint_transforms` —
 /// cache layers above (the serve daemon's warm path in particular) assert
 /// zero re-transforms by diffing this counter.
@@ -203,10 +182,7 @@ fn wave_adjoint() -> Adjoint {
 /// The adjoint workspace + tuned schedule every reverse sweep drives.
 /// Tuning is best-effort: on failure the hand-picked fused row-executor
 /// schedule of PR 2 keeps the gradient available. The pool is borrowed
-/// from the caller (one process-wide [`default_pool`] for the zero-arg
-/// entry points), not spawned per call — an inversion loop calling
-/// [`gradient`] every iteration used to pay a full thread spawn/join
-/// cycle each time.
+/// from the caller, not spawned per plan.
 #[derive(Clone)]
 struct ReverseSweep<'p> {
     ws: Workspace,
@@ -217,16 +193,6 @@ struct ReverseSweep<'p> {
 
 impl<'p> ReverseSweep<'p> {
     fn new(
-        cfg: &SeismicConfig,
-        c: &Grid,
-        time_loop: Option<TimeLoop>,
-        pool: &'p ThreadPool,
-    ) -> ReverseSweep<'p> {
-        let adj = wave_adjoint();
-        Self::with_adjoint(cfg, c, time_loop, pool, &adj)
-    }
-
-    fn with_adjoint(
         cfg: &SeismicConfig,
         c: &Grid,
         time_loop: Option<TimeLoop>,
@@ -280,75 +246,9 @@ impl<'p> ReverseSweep<'p> {
     }
 }
 
-/// Misfit and its gradient with respect to the velocity model `c`.
-///
-/// Sweeps of [`CKPT_THRESHOLD_STEPS`] or more run bounded-memory (the
-/// checkpointed path, tuner-chosen snapshot budget, [`SnapshotBackend::Auto`]);
-/// shorter sweeps keep the dense store-all reverse sweep. The two paths
-/// are bitwise-identical — the reverse sweep drives the *autotuned*
-/// scheduled adjoint either way, and every configuration the tuner can
-/// select matches the serial interpreter reference bit for bit.
-pub fn gradient(cfg: &SeismicConfig, c: &Grid, data: &Grid, source: &[f64]) -> (f64, Grid) {
-    gradient_with_pool(cfg, c, data, source, default_pool())
-}
-
-/// [`gradient`] running on a caller-provided pool — inversion loops and
-/// batch drivers keep one pool alive across calls instead of paying a
-/// thread spawn/join cycle per gradient.
-pub fn gradient_with_pool(
-    cfg: &SeismicConfig,
-    c: &Grid,
-    data: &Grid,
-    source: &[f64],
-    pool: &ThreadPool,
-) -> (f64, Grid) {
-    if cfg.steps >= CKPT_THRESHOLD_STEPS {
-        let (j, grad, _) = gradient_checkpointed_with_pool(
-            cfg,
-            c,
-            data,
-            source,
-            None,
-            &SnapshotBackend::Auto,
-            pool,
-        );
-        (j, grad)
-    } else {
-        gradient_store_all_with_pool(cfg, c, data, source, pool)
-    }
-}
-
-/// The dense reference path: materialize the full trajectory and the full
-/// adjoint field vector. Memory grows linearly with `steps` — use
-/// [`gradient_checkpointed`] (or plain [`gradient`], which dispatches)
-/// for long sweeps.
-pub fn gradient_store_all(
-    cfg: &SeismicConfig,
-    c: &Grid,
-    data: &Grid,
-    source: &[f64],
-) -> (f64, Grid) {
-    gradient_store_all_with_pool(cfg, c, data, source, default_pool())
-}
-
-/// [`gradient_store_all`] on a caller-provided pool.
-pub fn gradient_store_all_with_pool(
-    cfg: &SeismicConfig,
-    c: &Grid,
-    data: &Grid,
-    source: &[f64],
-    pool: &ThreadPool,
-) -> (f64, Grid) {
-    let _root = perforad_obs::span!(
-        "seismic.gradient_store_all", "seismic", "steps" => cfg.steps as u64, "n" => cfg.n as u64
-    );
-    let mut stepper = Stepper::new(cfg, c, source);
-    let mut sweep = ReverseSweep::new(cfg, c, None, pool);
-    store_all_core(cfg, data, &mut stepper, &mut sweep)
-}
-
-/// The dense sweep against one shot's compiled stepper + reverse sweep —
-/// the piece a batch repeats per shot after paying setup once.
+/// The dense reference sweep against one shot's compiled stepper + reverse
+/// sweep: materializes the full trajectory and the full adjoint field
+/// vector, so memory grows linearly with `steps`.
 fn store_all_core(
     cfg: &SeismicConfig,
     data: &Grid,
@@ -410,69 +310,15 @@ pub enum SnapshotBackend {
     Disk(PathBuf),
 }
 
-/// Bounded-memory misfit + gradient: [`gradient_checkpointed_with`] with
-/// the tuner choosing the snapshot budget and the [`SnapshotBackend::Auto`]
-/// store.
-pub fn gradient_checkpointed(
-    cfg: &SeismicConfig,
-    c: &Grid,
-    data: &Grid,
-    source: &[f64],
-) -> (f64, Grid, CkptReport) {
-    gradient_checkpointed_with(cfg, c, data, source, None, &SnapshotBackend::Auto)
-}
-
-/// Bounded-memory misfit + gradient under an explicit snapshot budget
-/// and backend.
-///
-/// The forward pass streams: at most `budget` `(u_{t−1}, u_t)` snapshots
-/// are live at once (tuner-chosen when `budget` is `None` — the
-/// time-loop shape joins the tuner's search space and the winning budget
-/// is persisted in the tuning cache), the adjoint field is a 3-grid
-/// rolling window, and reverse segments are recomputed from snapshots
-/// through the same compiled primal step — so the result is
-/// **bitwise-identical** to [`gradient_store_all`] at a fraction of the
-/// memory. The returned [`CkptReport`] says what that fraction was.
-pub fn gradient_checkpointed_with(
-    cfg: &SeismicConfig,
-    c: &Grid,
-    data: &Grid,
-    source: &[f64],
-    budget: Option<usize>,
-    backend: &SnapshotBackend,
-) -> (f64, Grid, CkptReport) {
-    gradient_checkpointed_with_pool(cfg, c, data, source, budget, backend, default_pool())
-}
-
-/// [`gradient_checkpointed_with`] on a caller-provided pool.
-pub fn gradient_checkpointed_with_pool(
-    cfg: &SeismicConfig,
-    c: &Grid,
-    data: &Grid,
-    source: &[f64],
-    budget: Option<usize>,
-    backend: &SnapshotBackend,
-    pool: &ThreadPool,
-) -> (f64, Grid, CkptReport) {
-    assert_eq!(source.len(), cfg.steps);
-    let _root = perforad_obs::span!(
-        "seismic.gradient_checkpointed", "seismic", "steps" => cfg.steps as u64, "n" => cfg.n as u64
-    );
-    let dims = [cfg.n, cfg.n, cfg.n];
-    let state_bytes = (Grid::zeros(&dims), Grid::zeros(&dims)).mem_bytes();
-
-    let mut sweep = ReverseSweep::new(cfg, c, Some(TimeLoop::new(cfg.steps, state_bytes)), pool);
-    let budget = budget
-        .or(sweep.tuned.checkpoint)
-        .unwrap_or_else(|| default_budget(cfg.steps));
-    let mut stepper = Stepper::new(cfg, c, source);
-    checkpointed_core(cfg, data, budget, backend, &mut stepper, &mut sweep)
-}
-
 /// The bounded-memory sweep against one shot's compiled stepper + reverse
-/// sweep, under an explicit (already resolved) snapshot budget — the
-/// piece a batch repeats per shot; [`CheckpointPlan`]'s memoized action
-/// stream makes the replayed plan shape free after the first shot.
+/// sweep, under an explicit (already resolved) snapshot budget. The
+/// forward pass streams: at most `budget` `(u_{t−1}, u_t)` snapshots are
+/// live at once, the adjoint field is a 3-grid rolling window, and reverse
+/// segments are recomputed from snapshots through the same compiled primal
+/// step — so the result is **bitwise-identical** to [`store_all_core`] at
+/// a fraction of the memory; the returned [`CkptReport`] says what that
+/// fraction was. [`CheckpointPlan`]'s memoized action stream makes the
+/// replayed plan shape free after the first shot.
 fn checkpointed_core(
     cfg: &SeismicConfig,
     data: &Grid,
@@ -647,7 +493,7 @@ impl ShotBatch {
     }
 }
 
-/// Knobs for [`gradient_batch_with`]. The default asks the tuner's batch
+/// Knobs for [`BatchPlan::new`]. The default asks the tuner's batch
 /// perf-model term to pick the dispatch strategy, lets the sweep tuner
 /// choose the snapshot budget, and keeps the usual
 /// [`CKPT_THRESHOLD_STEPS`] store-all/checkpointed dispatch.
@@ -703,8 +549,8 @@ impl BatchResult {
 /// Amortized setup for a whole survey: the adjoint transform, the tuned
 /// schedule (one cache-keyed search + recompile), the compiled primal
 /// stepper, and the kernel profile for strategy selection are built
-/// **once**, then every shot reuses them. A sequential loop over
-/// [`gradient`] pays all of that per call.
+/// **once**, then every shot — and, through [`BatchPlan::set_model`],
+/// every iteration of an inversion loop — reuses them.
 pub struct BatchPlan<'p> {
     cfg: SeismicConfig,
     pool: &'p ThreadPool,
@@ -741,7 +587,7 @@ impl<'p> BatchPlan<'p> {
         let fingerprint =
             fingerprint_nests(&adj.nests, adj.strategy == BoundaryStrategy::Padded, &bind);
         let time_loop = checkpointed.then(|| TimeLoop::new(cfg.steps, state_bytes));
-        let sweep_proto = ReverseSweep::with_adjoint(cfg, c, time_loop, pool, &adj);
+        let sweep_proto = ReverseSweep::new(cfg, c, time_loop, pool, &adj);
         let budget = opts
             .budget
             .or(sweep_proto.tuned.checkpoint)
@@ -827,7 +673,8 @@ impl<'p> BatchPlan<'p> {
     }
 
     /// Run every shot; outputs are in shot order and **bitwise-identical**
-    /// to N sequential [`gradient`] calls under either strategy.
+    /// to N one-shot runs under either strategy — batching changes *who
+    /// runs which shot*, never how a shot executes.
     pub fn run(&self, batch: &ShotBatch) -> BatchResult {
         let shots = batch.len();
         assert_eq!(batch.observed.len(), shots, "one observed grid per shot");
@@ -938,35 +785,30 @@ impl<'p> BatchPlan<'p> {
     }
 }
 
-/// Misfits + gradients for every shot of a survey:
-/// [`gradient_batch_with`] with default options on the shared
-/// [`default_pool`].
-pub fn gradient_batch(cfg: &SeismicConfig, c: &Grid, batch: &ShotBatch) -> BatchResult {
-    gradient_batch_with(cfg, c, batch, &BatchOptions::default(), default_pool())
-}
-
-/// Batched multi-shot gradients: compile and tune once (via
-/// [`BatchPlan`]), then dispatch shots across `pool` under the
-/// perf-model-chosen (or forced) [`BatchStrategy`]. Outputs are in shot
-/// order and bitwise-identical to N sequential [`gradient`] calls —
-/// batching changes *when setup is paid and who runs which shot*, never
-/// how a shot executes.
-pub fn gradient_batch_with(
-    cfg: &SeismicConfig,
-    c: &Grid,
-    batch: &ShotBatch,
-    opts: &BatchOptions,
-    pool: &ThreadPool,
-) -> BatchResult {
-    BatchPlan::new(cfg, c, opts, pool).run(batch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn velocity(n: usize) -> Grid {
         Grid::from_fn(&[n, n, n], |ix| 0.8 + 0.4 * (ix[2] as f64 / n as f64))
+    }
+
+    /// One shot through the one driver.
+    fn one_shot(
+        cfg: &SeismicConfig,
+        c: &Grid,
+        data: &Grid,
+        source: &[f64],
+        opts: &BatchOptions,
+    ) -> (f64, Grid, Option<CkptReport>) {
+        let mut batch = ShotBatch::new();
+        batch.push(source.to_vec(), data.clone());
+        let mut out = BatchPlan::new(cfg, c, opts, perforad_exec::default_pool()).run(&batch);
+        (
+            out.misfits[0],
+            out.gradients.remove(0),
+            out.reports.remove(0),
+        )
     }
 
     #[test]
@@ -999,7 +841,7 @@ mod tests {
         let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.05);
         let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
 
-        let (j0, grad) = gradient(&cfg, &c0, &data, &src);
+        let (j0, grad, _) = one_shot(&cfg, &c0, &data, &src, &BatchOptions::default());
         assert!(j0 > 0.0);
 
         // Probe a few interior points with central differences.
@@ -1031,7 +873,7 @@ mod tests {
         let src = ricker(cfg.steps);
         let c0 = velocity(cfg.n);
         let data = forward(&cfg, &c0, &src)[cfg.steps].clone();
-        let (j, grad) = gradient(&cfg, &c0, &data, &src);
+        let (j, grad, _) = one_shot(&cfg, &c0, &data, &src, &BatchOptions::default());
         assert!(j.abs() < 1e-20);
         assert!(grad.norm2() < 1e-12);
     }
@@ -1047,16 +889,20 @@ mod tests {
         let c0 = velocity(cfg.n);
         let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.04);
         let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
-        let (j_ref, g_ref) = gradient_store_all(&cfg, &c0, &data, &src);
+        let store_all = BatchOptions {
+            checkpointed: Some(false),
+            ..BatchOptions::default()
+        };
+        let (j_ref, g_ref, _) = one_shot(&cfg, &c0, &data, &src, &store_all);
         for budget in [1usize, 2, 3, 7, 50] {
-            let (j, g, report) = gradient_checkpointed_with(
-                &cfg,
-                &c0,
-                &data,
-                &src,
-                Some(budget),
-                &SnapshotBackend::Memory,
-            );
+            let opts = BatchOptions {
+                budget: Some(budget),
+                backend: SnapshotBackend::Memory,
+                checkpointed: Some(true),
+                ..BatchOptions::default()
+            };
+            let (j, g, report) = one_shot(&cfg, &c0, &data, &src, &opts);
+            let report = report.expect("checkpointed shot reports");
             assert_eq!(j.to_bits(), j_ref.to_bits(), "budget {budget}");
             for (a, b) in g.as_slice().iter().zip(g_ref.as_slice()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "budget {budget}");

@@ -127,7 +127,7 @@ pub fn adjoint_schedule_tuned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perforad_exec::{compile_adjoint, compile_nest, run_parallel, run_serial, ThreadPool};
+    use perforad_exec::{compile_adjoint, compile_nest, run, ExecMode, ThreadPool};
 
     #[test]
     fn adjoint_has_53_loop_nests() {
@@ -143,7 +143,7 @@ mod tests {
     fn primal_step_conserves_boundary() {
         let (mut ws, bind) = workspace(12, 0.1);
         let plan = compile_nest(&nest(), &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
         let u = ws.grid("u");
         assert!(u.is_finite());
         // Boundary layer untouched (still zero).
@@ -158,11 +158,11 @@ mod tests {
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = workspace(14, 0.1);
         let pool = ThreadPool::new(4);
-        run_parallel(&plan, &mut ws2, &pool).unwrap();
+        run(&plan, &mut ws2, ExecMode::parallel(&pool)).unwrap();
         assert_eq!(
             ws1.grid("u_1_b").max_abs_diff(ws2.grid("u_1_b")),
             0.0,
@@ -177,12 +177,12 @@ mod tests {
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws_g, &bind).unwrap();
-        run_serial(&plan, &mut ws_g).unwrap();
+        run(&plan, &mut ws_g, ExecMode::serial()).unwrap();
 
         let (mut ws_s, _) = workspace(10, 0.1);
         let sc = nest().scatter_adjoint(&activity()).unwrap();
         let plan_s = compile_nest(&sc, &ws_s, &bind).unwrap();
-        run_serial(&plan_s, &mut ws_s).unwrap();
+        run(&plan_s, &mut ws_s, ExecMode::serial()).unwrap();
 
         for arr in ["u_1_b", "u_2_b"] {
             let d = ws_g.grid(arr).max_abs_diff(ws_s.grid(arr));
@@ -197,7 +197,7 @@ mod tests {
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = workspace(14, 0.1);
         let s =
@@ -217,19 +217,18 @@ mod tests {
 
     #[test]
     fn rows_executor_matches_interpreter_bitwise_on_wave_adjoint() {
-        use perforad_exec::{run_parallel_rows, run_serial_rows};
         let (mut ws1, bind) = workspace(16, 0.1);
         let adj = nest()
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = workspace(16, 0.1);
-        run_serial_rows(&plan, &mut ws2).unwrap();
+        run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
         let (mut ws3, _) = workspace(16, 0.1);
         let pool = ThreadPool::new(4);
-        run_parallel_rows(&plan, &mut ws3, &pool).unwrap();
+        run(&plan, &mut ws3, ExecMode::parallel(&pool).rows()).unwrap();
         for arr in ["u_1_b", "u_2_b"] {
             assert_eq!(ws1.grid(arr).max_abs_diff(ws2.grid(arr)), 0.0, "{arr}");
             assert_eq!(ws1.grid(arr).max_abs_diff(ws3.grid(arr)), 0.0, "{arr}");
@@ -258,7 +257,7 @@ mod tests {
             .adjoint(&activity(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-        run_serial(&plan, &mut ws_ref).unwrap();
+        run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
         let (mut ws, _) = workspace(14, 0.1);
         let pool = ThreadPool::new(3);
@@ -288,7 +287,7 @@ mod tests {
             .adjoint(&activity_with_c(), &AdjointOptions::default())
             .unwrap();
         let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
         assert!(ws.grid("c_b").norm2() > 0.0);
     }
 }

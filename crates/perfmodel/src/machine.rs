@@ -151,13 +151,13 @@ pub fn host(cores: usize) -> Machine {
         // A std condvar fork/join on a handful of workers.
         barrier_us: 15.0,
         tile_dispatch_ns: 150.0,
-        // Calibrated against the recorded BENCH_exec rows-vs-interpreter
-        // serial speedups (several-fold, ≈3–11× across kernels and runs):
-        // interpreter dispatch dominates per-point cost, the row executor
+        // Calibrated against measured rows-vs-interpreter serial speedups
+        // (several-fold, ≈3–11× across kernels and runs): interpreter
+        // dispatch dominates per-point cost, the row executor
         // amortises it away.
         interp_point_ns: 20.0,
         rows_point_ns: 3.0,
-        // Calibrated against BENCH_exec: native fused groups land close
+        // Calibrated against measurement: native fused groups land close
         // to the build-time static kernels, several-fold under rows.
         jit_point_ns: 0.8,
         jit_compile_s: 1.5,

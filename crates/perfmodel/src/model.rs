@@ -478,7 +478,7 @@ mod tests {
         );
         assert!(cold > interp, "cold compile must dominate: {cold}");
         assert!((cold - jit - m.jit_compile_s).abs() < 1e-12);
-        // Serially (where BENCH_exec recorded 4.8×/11.1×) the margin is wide.
+        // Serially (4.8×/11.1× measured in PR 3's bench) the margin is wide.
         let serial = ScheduleShape { threads: 1, ..base };
         let interp1 = predict_schedule(&m, &p, &serial);
         let rows1 = predict_schedule(

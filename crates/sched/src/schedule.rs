@@ -448,7 +448,7 @@ fn lpt_assign(tiles: &[Tile], workers: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
-    use perforad_exec::{compile_adjoint, run_serial, Grid};
+    use perforad_exec::{compile_adjoint, run, ExecMode, Grid};
     use perforad_symbolic::{ix, Array, Idx, Symbol};
 
     fn paper_nest() -> LoopNest {
@@ -501,7 +501,7 @@ mod tests {
         // Unfused serial reference through the existing executor.
         let (mut ws_ref, bind) = setup(257);
         let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-        run_serial(&plan, &mut ws_ref).unwrap();
+        run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
         for policy in [TilePolicy::Dynamic, TilePolicy::Static] {
             let (mut ws, _) = setup(257);
@@ -525,7 +525,7 @@ mod tests {
             .unwrap();
         let (mut ws_ref, bind) = setup(201);
         let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-        run_serial(&plan, &mut ws_ref).unwrap();
+        run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
         for policy in [TilePolicy::Dynamic, TilePolicy::Static] {
             let (mut ws, _) = setup(201);
@@ -640,9 +640,9 @@ mod tests {
 
         let mut ws_ref = build();
         let p1 = perforad_exec::compile_nest(&first, &ws_ref, &bind).unwrap();
-        run_serial(&p1, &mut ws_ref).unwrap();
+        run(&p1, &mut ws_ref, ExecMode::serial()).unwrap();
         let p2 = perforad_exec::compile_nest(&second, &ws_ref, &bind).unwrap();
-        run_serial(&p2, &mut ws_ref).unwrap();
+        run(&p2, &mut ws_ref, ExecMode::serial()).unwrap();
         assert_eq!(ws.grid("v").max_abs_diff(ws_ref.grid("v")), 0.0);
     }
 

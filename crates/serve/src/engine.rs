@@ -28,7 +28,8 @@ use crate::proto::{
 };
 use perforad_codegen::parse_stencil;
 use perforad_core::{ActivityMap, AdjointOptions, BoundaryStrategy};
-use perforad_exec::{default_pool, Binding, Grid};
+use perforad_exec::native::Fnv;
+use perforad_exec::{default_pool, fnv1a64, Binding, Grid};
 use perforad_pde::seismic::{BatchOptions, BatchPlan, SeismicConfig, ShotBatch};
 use perforad_tune::{cache, fingerprint_nests};
 use std::collections::HashMap;
@@ -66,18 +67,6 @@ impl Drop for Admission<'_> {
         let depth = self.engine.in_flight.fetch_sub(1, Ordering::SeqCst) - 1;
         perforad_obs::gauge("serve.queue_depth").set(depth);
     }
-}
-
-/// FNV-1a over the raw bytes of a request's identity fields — the cheap
-/// pre-transform dedup key (the real nest fingerprint needs the adjoint
-/// transform, which is exactly what a cache hit must avoid).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A warm seismic kernel: the amortized plan plus its request accounting.
@@ -399,7 +388,9 @@ impl Engine {
         // Identity of the *compiled artifact*: shape, step count, d bits,
         // and the checkpointing knobs (they select the plan's sweep).
         // The velocity model is deliberately excluded — same-shape
-        // requests share the schedule and swap models in place.
+        // requests share the schedule and swap models in place. Hashed
+        // from the request fields alone: the real nest fingerprint needs
+        // the adjoint transform, which is exactly what a hit must avoid.
         let mut key = format!("seismic|n={n}|steps={steps}|d={:016x}", d.to_bits());
         key.push_str(&format!(
             "|b={}|ck={:?}",
@@ -784,12 +775,9 @@ fn validate_shot(
 }
 
 fn digest_f64(xs: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv::new();
     for v in xs {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write_u64(v.to_bits());
     }
-    h
+    h.finish()
 }

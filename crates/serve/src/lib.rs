@@ -27,7 +27,7 @@
 //! per-fingerprint request counts, full obs metrics snapshot),
 //! `Shutdown`. The serving guarantee, pinned by `tests/serve.rs`: a
 //! served gradient is **bitwise-identical** to the in-process
-//! [`perforad_pde::seismic::gradient`] call, and a second `Compile` of
+//! [`perforad_pde::seismic::BatchPlan::run`] call, and a second `Compile` of
 //! the same fingerprint performs zero adjoint transforms, zero tuner
 //! timings, and zero out-of-process rustc invocations.
 //!

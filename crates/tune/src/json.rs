@@ -1,5 +1,5 @@
-//! A minimal JSON reader for the workspace's hand-rolled JSON files (the
-//! tuning cache, `BENCH_exec.json` baselines). The workspace builds
+//! A minimal JSON reader for the workspace's hand-rolled JSON (the tuning
+//! cache file, the serve wire protocol). The workspace builds
 //! offline with no external crates, so — like the emit side in
 //! `perforad-bench` — parsing is done by hand. Supports the full JSON
 //! value grammar this repository emits: objects, arrays, double-quoted

@@ -946,7 +946,7 @@ mod tests {
             .any(|(c, _)| c.lowering == Lowering::Jit);
         assert_eq!(has_jit, perforad_jit::available());
         if has_jit {
-            // The model must rank warm JIT ahead of the interpreter for
+            // The model must rank warm JIT ahead of the row executor for
             // the same knobs.
             let pick = |l: Lowering| {
                 report
@@ -961,8 +961,8 @@ mod tests {
                     })
                     .map(|(_, p)| *p)
             };
-            if let (Some(j), Some(i)) = (pick(Lowering::Jit), (pick(Lowering::PerPoint))) {
-                assert!(j < i, "jit {j} must outrank interpreter {i}");
+            if let (Some(j), Some(r)) = (pick(Lowering::Jit), pick(Lowering::Rows)) {
+                assert!(j < r, "jit {j} must outrank rows {r}");
             }
         }
     }

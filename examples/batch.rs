@@ -1,17 +1,18 @@
 //! Batched multi-shot inversion: a small survey fires several shots
 //! (distinct source wavelets) against one velocity model, and every
 //! gradient-descent iteration evaluates all per-shot misfits and
-//! gradients with ONE `gradient_batch_with` call — the adjoint transform,
-//! autotuned schedule, and compiled stepper are built once per iteration
-//! and shared across shots, with the perf model choosing how shots spread
-//! over the pool. Results are bitwise-identical to calling `gradient`
-//! once per shot.
+//! gradients with ONE `BatchPlan::run` call — the adjoint transform,
+//! autotuned schedule, and compiled stepper are built once for the whole
+//! inversion (`BatchPlan::set_model` swaps the velocity model between
+//! iterations) and shared across shots, with the perf model choosing how
+//! shots spread over the pool. Results are bitwise-identical to running
+//! each shot on its own.
 //!
 //! Run with: `cargo run --release --example batch`
 
 use perforad::exec::{Grid, ThreadPool};
 use perforad::pde::seismic::{
-    forward, gradient_batch_with, misfit, ricker, BatchOptions, SeismicConfig, ShotBatch,
+    forward, misfit, ricker, BatchOptions, BatchPlan, SeismicConfig, ShotBatch,
 };
 use std::time::Instant;
 
@@ -36,11 +37,12 @@ fn main() {
     }
 
     let pool = ThreadPool::new(2);
-    let opts = BatchOptions::default();
 
-    // First evaluation: per-shot misfits + the summed survey gradient.
+    // First evaluation (compile + tune + run): per-shot misfits + the
+    // summed survey gradient.
     let t0 = Instant::now();
-    let res = gradient_batch_with(&cfg, &c0, &batch, &opts, &pool);
+    let mut plan = BatchPlan::new(&cfg, &c0, &BatchOptions::default(), &pool);
+    let res = plan.run(&batch);
     let dt = t0.elapsed();
     for (k, j) in res.misfits.iter().enumerate() {
         println!("shot {k}: J = {j:.6e}");
@@ -82,8 +84,8 @@ fn main() {
         };
         c = c_next;
         j_total = j_next;
-        let res = gradient_batch_with(&cfg, &c, &batch, &opts, &pool);
-        grad = res.summed_gradient().expect("non-empty batch");
+        plan.set_model(&c);
+        grad = plan.run(&batch).summed_gradient().expect("non-empty batch");
         println!("iter {iter}: total J = {j_total:.6e}");
     }
 }

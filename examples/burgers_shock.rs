@@ -3,24 +3,25 @@
 //! Time-steps the upwinded Burgers equation (§4.2) and computes the
 //! gradient of the final kinetic energy with respect to the *initial*
 //! condition by running the single-step gather adjoint backwards through
-//! time with recursive-bisection checkpointing.
+//! time under a binomial `CheckpointPlan` of `⌈log₂T⌉ + 1` snapshots.
 //!
 //! Run with: `cargo run --release --example burgers_shock`
 
-use perforad::pde::{burgers, checkpointed_adjoint};
+use perforad::pde::burgers;
 use perforad::prelude::*;
+use std::cell::RefCell;
 
 fn step_primal(plan: &perforad::exec::Plan, ws: &mut Workspace, u: &Grid) -> Grid {
     *ws.grid_mut("u_1") = u.clone();
     ws.grid_mut("u").fill(0.0);
-    run_serial(plan, ws).unwrap();
+    run(plan, ws, ExecMode::serial()).unwrap();
     ws.grid("u").clone()
 }
 
 fn main() {
     let n = 512usize;
     let steps = 64usize;
-    let (mut ws, bind) = burgers::workspace(n, 0.3, 0.05);
+    let (ws, bind) = burgers::workspace(n, 0.3, 0.05);
     let nest = burgers::nest();
     let primal_plan = compile_nest(&nest, &ws, &bind).unwrap();
     let adj = nest
@@ -30,36 +31,39 @@ fn main() {
 
     let u0 = ws.grid("u_1").clone();
 
-    // Forward to the shock.
-    let mut u = u0.clone();
-    for _ in 0..steps {
-        u = step_primal(&primal_plan, &mut ws, &u);
-    }
-    let energy: f64 = 0.5 * u.as_slice().iter().map(|x| x * x).sum::<f64>();
-    println!("final kinetic energy after {steps} steps: {energy:.6}");
-
-    // Reverse sweep with O(log T) snapshots: adjoint of E wrt u0.
-    let mut lambda: Grid = u.clone(); // dE/du_T = u_T
-    let ws_cell = std::cell::RefCell::new(ws);
-    let stats = checkpointed_adjoint(
-        u0.clone(),
-        steps,
-        &mut |s: &Grid, _t| step_primal(&primal_plan, &mut ws_cell.borrow_mut(), s),
+    // Forward to the shock and back again, streaming: the plan keeps at
+    // most ⌈log₂T⌉ + 1 states live and recomputes the rest.
+    let budget = steps.next_power_of_two().trailing_zeros() as usize + 1;
+    let plan = CheckpointPlan::with_budget(steps, budget);
+    let ws = RefCell::new(ws);
+    let lambda = RefCell::new(Grid::zeros(u0.dims()));
+    let report = checkpointed_adjoint_plan(
+        &plan,
+        u0,
+        &mut MemStore::new(),
+        &mut |s: &Grid, _t| step_primal(&primal_plan, &mut ws.borrow_mut(), s),
+        &mut |u_t: &Grid| {
+            let energy: f64 = 0.5 * u_t.as_slice().iter().map(|x| x * x).sum::<f64>();
+            println!("final kinetic energy after {steps} steps: {energy:.6}");
+            *lambda.borrow_mut() = u_t.clone(); // dE/du_T = u_T
+        },
         &mut |s: &Grid, _t| {
-            let mut w = ws_cell.borrow_mut();
+            let mut w = ws.borrow_mut();
+            let mut lambda = lambda.borrow_mut();
             *w.grid_mut("u_1") = s.clone(); // primal state before this step
             *w.grid_mut("u_b") = lambda.clone();
             w.grid_mut("u_1_b").fill(0.0);
-            run_serial(&adj_plan, &mut w).unwrap();
-            lambda = w.grid("u_1_b").clone();
+            run(&adj_plan, &mut w, ExecMode::serial()).unwrap();
+            *lambda = w.grid("u_1_b").clone();
         },
-    );
+    )
+    .expect("in-memory checkpointed sweep");
     println!(
         "gradient wrt initial condition: |dE/du0| = {:.6}",
-        lambda.norm2()
+        lambda.borrow().norm2()
     );
     println!(
         "checkpointing: {} recomputed steps, {} peak snapshots (store-all would keep {})",
-        stats.recomputed_steps, stats.peak_snapshots, steps
+        report.recomputed_steps, report.peak_snapshots, steps
     );
 }

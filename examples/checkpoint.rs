@@ -9,7 +9,7 @@
 
 use perforad::exec::Grid;
 use perforad::pde::seismic::{
-    forward, gradient_checkpointed_with, gradient_store_all, ricker, SeismicConfig, SnapshotBackend,
+    forward, ricker, BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend,
 };
 use perforad::perfmodel::{broadwell, predict_checkpoint};
 use perforad::prelude::*;
@@ -62,13 +62,25 @@ fn main() {
     let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.05);
     let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
 
-    let (j_ref, g_ref) = gradient_store_all(&cfg, &c0, &data, &src);
-    let (j, g, report) =
-        gradient_checkpointed_with(&cfg, &c0, &data, &src, Some(4), &SnapshotBackend::Memory);
-    let identical = j.to_bits() == j_ref.to_bits()
-        && g.as_slice()
+    let mut shot = ShotBatch::new();
+    shot.push(src, data);
+    let run = |opts: BatchOptions| BatchPlan::new(&cfg, &c0, &opts, default_pool()).run(&shot);
+    let dense = run(BatchOptions {
+        checkpointed: Some(false),
+        ..BatchOptions::default()
+    });
+    let ckpt = run(BatchOptions {
+        checkpointed: Some(true),
+        budget: Some(4),
+        backend: SnapshotBackend::Memory,
+        ..BatchOptions::default()
+    });
+    let report = ckpt.reports[0].as_ref().expect("checkpointed shot reports");
+    let identical = ckpt.misfits[0].to_bits() == dense.misfits[0].to_bits()
+        && ckpt.gradients[0]
+            .as_slice()
             .iter()
-            .zip(g_ref.as_slice())
+            .zip(dense.gradients[0].as_slice())
             .all(|(a, b)| a.to_bits() == b.to_bits());
     println!();
     println!(

@@ -52,11 +52,11 @@ fn main() {
             .unwrap_or(2),
     );
     let plan = compile_nest(&nest, &ws, &bind).unwrap();
-    run_parallel(&plan, &mut ws, &pool).unwrap();
+    run(&plan, &mut ws, ExecMode::parallel(&pool)).unwrap();
     println!("primal:  |r|   = {:.6}", ws.grid("r").norm2());
 
     let aplan = compile_adjoint(&adjoint, &ws, &bind).unwrap();
-    run_parallel(&aplan, &mut ws, &pool).unwrap();
+    run(&aplan, &mut ws, ExecMode::parallel(&pool)).unwrap();
     println!(
         "adjoint: |u_b| = {:.6}  (race-free, no atomics)",
         ws.grid("u_b").norm2()

@@ -1,15 +1,15 @@
 //! Observability end-to-end: run a checkpointed seismic gradient with
 //! tracing on, write the Chrome-trace JSON (`chrome://tracing` /
 //! Perfetto-loadable), and print the [`TraceReport`] per-phase rollup
-//! plus the metrics registry — the same artifacts `bench_exec` embeds
-//! into `BENCH_exec.json`.
+//! plus the metrics registry — the same spans `examples/benchmark`
+//! reads its per-layer busy shares from.
 //!
 //! Run with: `cargo run --release --example trace`
 //! (set `PERFORAD_TRACE_OUT=somewhere.trace.json` to pick the path).
 
 use perforad::exec::Grid;
 use perforad::pde::seismic::{
-    forward, gradient_checkpointed_with, ricker, SeismicConfig, SnapshotBackend,
+    forward, ricker, BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend,
 };
 use perforad::prelude::*;
 
@@ -27,9 +27,21 @@ fn main() {
     let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.05);
     let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
 
-    let (j, grad, report) =
-        gradient_checkpointed_with(&cfg, &c0, &data, &src, Some(5), &SnapshotBackend::Memory);
-    println!("misfit J(c0) = {j:.6e},  |dJ/dc| = {:.6e}", grad.norm2());
+    let opts = BatchOptions {
+        checkpointed: Some(true),
+        budget: Some(5),
+        backend: SnapshotBackend::Memory,
+        ..BatchOptions::default()
+    };
+    let mut shot = ShotBatch::new();
+    shot.push(src, data);
+    let res = BatchPlan::new(&cfg, &c0, &opts, default_pool()).run(&shot);
+    let report = res.reports[0].as_ref().expect("checkpointed shot reports");
+    println!(
+        "misfit J(c0) = {:.6e},  |dJ/dc| = {:.6e}",
+        res.misfits[0],
+        res.gradients[0].norm2()
+    );
     println!(
         "ckpt: budget {}, recompute ratio {:.2} (observed {:.2})",
         report.budget,

@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release --example wave_seismic`
 
-use perforad::exec::Grid;
-use perforad::pde::{forward, gradient, misfit, ricker, SeismicConfig};
+use perforad::exec::{default_pool, Grid};
+use perforad::pde::{forward, misfit, ricker, BatchOptions, BatchPlan, SeismicConfig, ShotBatch};
 
 fn main() {
     let cfg = SeismicConfig {
@@ -21,7 +21,11 @@ fn main() {
     let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.05);
     let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
 
-    let (j0, grad) = gradient(&cfg, &c0, &data, &src);
+    // One shot is a batch of one.
+    let mut shot = ShotBatch::new();
+    shot.push(src.clone(), data.clone());
+    let res = BatchPlan::new(&cfg, &c0, &BatchOptions::default(), default_pool()).run(&shot);
+    let (j0, grad) = (res.misfits[0], &res.gradients[0]);
     println!("misfit J(c0)        = {j0:.6e}");
     println!("|dJ/dc|             = {:.6e}", grad.norm2());
 

@@ -11,7 +11,8 @@
 //! * [`symbolic`] — expression algebra (SymPy substitute);
 //! * [`core`] — the loop-nest IR and the adjoint stencil transformation;
 //! * [`codegen`] — C/Rust back-ends and a DSL front-end;
-//! * [`exec`] — grids, thread pool, atomic-f64 baseline, bytecode VM;
+//! * [`exec`] — grids, thread pool, atomic-f64 baseline, bytecode VM, and
+//!   the one [`exec::run()`]`(plan, ws, ExecMode)` execution function;
 //! * [`jit`] — run-time native lowering: fused groups compiled by
 //!   `rustc` into `dlopen`-loaded cdylibs;
 //! * [`sched`] — the fusion + tiling execution scheduler;
@@ -25,8 +26,8 @@
 //!   [`obs::TraceReport`] per-phase rollup;
 //! * [`autodiff`] — tape-based conventional AD (verification baseline);
 //! * [`perfmodel`] — Broadwell/KNL analytic models for the figures;
-//! * [`pde`] — the wave/Burgers/heat test cases, seismic gradients,
-//!   checkpointing;
+//! * [`pde`] — the wave/Burgers/heat test cases and the seismic gradient
+//!   driver ([`pde::seismic::BatchPlan`]; a single shot is a batch of one);
 //! * [`serve`] — gradient-as-a-service: a socket daemon that compiles,
 //!   tunes, and JITs once per kernel fingerprint and then streams
 //!   gradient requests against the cached plan.
@@ -262,7 +263,7 @@
 //! through the shared pool, and `Stats` reports cache hit rates, queue
 //! depth, and per-fingerprint request counts from the [`obs`] registry.
 //! Served gradients are bitwise-identical to the in-process
-//! [`pde::seismic::gradient`] call (`tests/serve.rs` pins this, along
+//! [`pde::seismic::BatchPlan::run`] call (`tests/serve.rs` pins this, along
 //! with the zero-recompile warm path, via the obs counters).
 //!
 //! The daemon is hardened for unattended operation: bounded admission
@@ -330,9 +331,8 @@ pub mod prelude {
         StencilSpec,
     };
     pub use perforad_exec::{
-        compile_adjoint, compile_nest, default_pool, run_parallel, run_parallel_jit,
-        run_parallel_rows, run_scatter_atomic, run_serial, run_serial_jit, run_serial_rows,
-        Binding, ExecMode, Grid, Lowering, ThreadPool, Workspace,
+        compile_adjoint, compile_nest, default_pool, run, Binding, ExecMode, Grid, Lowering,
+        ThreadPool, Workspace,
     };
     pub use perforad_jit::{prepare_schedule, JitOptions, JitReport};
     pub use perforad_obs::{

@@ -1,13 +1,16 @@
 //! Batched multi-shot gradients, property-tested against the sequential
 //! path: for every shot count × pool width × dispatch strategy × sweep
-//! kind, [`gradient_batch_with`] must return **bitwise** the misfits and
-//! gradients of N standalone `gradient_*` calls — batching amortizes
-//! setup and moves shots between workers, it never changes arithmetic.
+//! kind, one [`BatchPlan::run`] over N shots must return **bitwise** the
+//! misfits and gradients of N one-shot runs (each on its own freshly
+//! built plan) and of the store-all reference — batching amortizes setup
+//! and moves shots between workers, it never changes arithmetic.
 
+mod common;
+
+use common::{checkpointed, one_shot, store_all};
 use perforad::exec::{Grid, ThreadPool};
 use perforad::pde::seismic::{
-    forward, gradient_batch_with, gradient_checkpointed_with_pool, gradient_store_all_with_pool,
-    ricker, BatchOptions, SeismicConfig, ShotBatch, SnapshotBackend,
+    forward, ricker, BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend,
 };
 use perforad::pde::BatchStrategy;
 
@@ -31,6 +34,22 @@ fn make_batch(cfg: &SeismicConfig, c0: &Grid, shots: usize) -> ShotBatch {
     batch
 }
 
+/// N sequential one-shot runs under `opts` on a one-thread pool.
+fn sequential(
+    cfg: &SeismicConfig,
+    c0: &Grid,
+    batch: &ShotBatch,
+    opts: &BatchOptions,
+) -> Vec<(f64, Grid)> {
+    let pool = ThreadPool::new(1);
+    (0..batch.len())
+        .map(|k| {
+            let (j, g, _) = one_shot(cfg, c0, &batch.observed[k], &batch.sources[k], opts, &pool);
+            (j, g)
+        })
+        .collect()
+}
+
 fn assert_bitwise(tag: &str, got: (&f64, &Grid), want: (&f64, &Grid)) {
     assert_eq!(got.0.to_bits(), want.0.to_bits(), "{tag}: misfit");
     for (a, b) in got.1.as_slice().iter().zip(want.1.as_slice()) {
@@ -46,30 +65,18 @@ fn store_all_batches_are_bitwise_sequential_across_shots_threads_strategies() {
         d: 0.1,
     };
     let c0 = velocity(cfg.n);
-    let ref_pool = ThreadPool::new(1);
     for shots in [1usize, 2, 7] {
         let batch = make_batch(&cfg, &c0, shots);
-        let refs: Vec<(f64, Grid)> = (0..shots)
-            .map(|k| {
-                gradient_store_all_with_pool(
-                    &cfg,
-                    &c0,
-                    &batch.observed[k],
-                    &batch.sources[k],
-                    &ref_pool,
-                )
-            })
-            .collect();
+        let refs = sequential(&cfg, &c0, &batch, &store_all());
         let mut summed: Vec<Grid> = Vec::new();
         for threads in [1usize, 2, 4] {
             let pool = ThreadPool::new(threads);
             for strategy in [BatchStrategy::ShotParallel, BatchStrategy::GridParallel] {
                 let opts = BatchOptions {
                     strategy: Some(strategy),
-                    checkpointed: Some(false),
-                    ..Default::default()
+                    ..store_all()
                 };
-                let res = gradient_batch_with(&cfg, &c0, &batch, &opts, &pool);
+                let res = BatchPlan::new(&cfg, &c0, &opts, &pool).run(&batch);
                 assert_eq!(res.strategy, strategy);
                 assert_eq!(res.gradients.len(), shots);
                 assert!(res.reports.iter().all(|r| r.is_none()));
@@ -105,33 +112,24 @@ fn checkpointed_batches_are_bitwise_sequential_across_shots_threads_strategies()
     };
     let budget = 3usize;
     let c0 = velocity(cfg.n);
-    let ref_pool = ThreadPool::new(1);
+    let ckpt = checkpointed(Some(budget), SnapshotBackend::Memory);
     for shots in [1usize, 2, 7] {
         let batch = make_batch(&cfg, &c0, shots);
-        let refs: Vec<(f64, Grid)> = (0..shots)
-            .map(|k| {
-                let (j, g, _) = gradient_checkpointed_with_pool(
-                    &cfg,
-                    &c0,
-                    &batch.observed[k],
-                    &batch.sources[k],
-                    Some(budget),
-                    &SnapshotBackend::Memory,
-                    &ref_pool,
-                );
-                (j, g)
-            })
-            .collect();
+        let refs = sequential(&cfg, &c0, &batch, &ckpt);
+        // The sequential checkpointed runs themselves match store-all.
+        let dense = sequential(&cfg, &c0, &batch, &store_all());
+        for (k, (got, want)) in refs.iter().zip(&dense).enumerate() {
+            let tag = format!("{shots} shots, shot {k}: checkpointed vs store-all");
+            assert_bitwise(&tag, (&got.0, &got.1), (&want.0, &want.1));
+        }
         for threads in [1usize, 2, 4] {
             let pool = ThreadPool::new(threads);
             for strategy in [BatchStrategy::ShotParallel, BatchStrategy::GridParallel] {
                 let opts = BatchOptions {
                     strategy: Some(strategy),
-                    checkpointed: Some(true),
-                    budget: Some(budget),
-                    backend: SnapshotBackend::Memory,
+                    ..ckpt.clone()
                 };
-                let res = gradient_batch_with(&cfg, &c0, &batch, &opts, &pool);
+                let res = BatchPlan::new(&cfg, &c0, &opts, &pool).run(&batch);
                 assert_eq!(res.strategy, strategy);
                 for (k, want) in refs.iter().enumerate() {
                     let tag = format!("{shots} shots, {threads} threads, {strategy:?}, shot {k}");
@@ -164,29 +162,18 @@ fn disk_backed_shot_parallel_batch_spills_without_collisions() {
     // DiskStore tags must keep their snapshot files apart, or loads
     // would read another shot's state and break bitwise identity.
     let pool = ThreadPool::new(2);
+    let disk = checkpointed(Some(2), SnapshotBackend::Disk(dir.clone()));
     let opts = BatchOptions {
         strategy: Some(BatchStrategy::ShotParallel),
-        checkpointed: Some(true),
-        budget: Some(2),
-        backend: SnapshotBackend::Disk(dir.clone()),
+        ..disk.clone()
     };
-    let res = gradient_batch_with(&cfg, &c0, &batch, &opts, &pool);
+    let res = BatchPlan::new(&cfg, &c0, &opts, &pool).run(&batch);
 
-    let ref_pool = ThreadPool::new(1);
-    for k in 0..shots {
-        let (j, g, _) = gradient_checkpointed_with_pool(
-            &cfg,
-            &c0,
-            &batch.observed[k],
-            &batch.sources[k],
-            Some(2),
-            &SnapshotBackend::Disk(dir.clone()),
-            &ref_pool,
-        );
+    for (k, (j, g)) in sequential(&cfg, &c0, &batch, &disk).iter().enumerate() {
         assert_bitwise(
             &format!("disk shot {k}"),
             (&res.misfits[k], &res.gradients[k]),
-            (&j, &g),
+            (j, g),
         );
         assert_eq!(res.reports[k].as_ref().unwrap().store, "disk");
     }
@@ -208,13 +195,7 @@ fn empty_batch_returns_empty_result() {
     };
     let c0 = velocity(cfg.n);
     let pool = ThreadPool::new(2);
-    let res = gradient_batch_with(
-        &cfg,
-        &c0,
-        &ShotBatch::new(),
-        &BatchOptions::default(),
-        &pool,
-    );
+    let res = BatchPlan::new(&cfg, &c0, &BatchOptions::default(), &pool).run(&ShotBatch::new());
     assert!(res.misfits.is_empty() && res.gradients.is_empty());
     assert!(res.summed_gradient().is_none());
     assert_eq!(res.total_misfit(), 0.0);

@@ -12,25 +12,43 @@
 
 mod common;
 
-use common::Rng;
-use perforad::exec::Grid;
+use common::{checkpointed, store_all, Rng};
+use perforad::ckpt::CkptReport;
+use perforad::exec::{default_pool, Grid};
 use perforad::pde::seismic::{
-    forward, gradient, gradient_checkpointed, gradient_checkpointed_with, gradient_store_all,
-    ricker, SeismicConfig, SnapshotBackend, CKPT_THRESHOLD_STEPS,
+    forward, ricker, BatchOptions, SeismicConfig, SnapshotBackend, CKPT_THRESHOLD_STEPS,
 };
 
 fn velocity(n: usize) -> Grid {
     Grid::from_fn(&[n, n, n], |ix| 0.8 + 0.4 * (ix[2] as f64 / n as f64))
 }
 
+/// One shot's inputs: config, velocity model, observed data, source.
+type Case = (SeismicConfig, Grid, Grid, Vec<f64>);
+
 /// A config plus synthetic observed data from a perturbed model.
-fn setup(n: usize, steps: usize) -> (SeismicConfig, Grid, Grid, Vec<f64>) {
+fn setup(n: usize, steps: usize) -> Case {
     let cfg = SeismicConfig { n, steps, d: 0.1 };
     let src = ricker(steps);
     let c0 = velocity(n);
     let c_true = Grid::from_fn(&[n; 3], |ix| c0.get(ix) * 1.05);
     let data = forward(&cfg, &c_true, &src)[steps].clone();
     (cfg, c0, data, src)
+}
+
+/// One shot under `opts` on the shared pool.
+fn one_shot((cfg, c0, data, src): &Case, opts: &BatchOptions) -> (f64, Grid, Option<CkptReport>) {
+    common::one_shot(cfg, c0, data, src, opts, default_pool())
+}
+
+/// The checkpointed sweep: `(misfit, gradient, report)`.
+fn checkpointed_shot(
+    case: &Case,
+    budget: Option<usize>,
+    backend: SnapshotBackend,
+) -> (f64, Grid, CkptReport) {
+    let (j, g, report) = one_shot(case, &checkpointed(budget, backend));
+    (j, g, report.expect("checkpointed shot reports"))
 }
 
 fn assert_bitwise(a: &Grid, b: &Grid, what: &str) {
@@ -45,19 +63,12 @@ fn checkpointed_gradient_is_bitwise_store_all_across_random_cases() {
     let n = 8;
     for case in 0..5 {
         let steps = rng.range_usize(1, 12);
-        let (cfg, c0, data, src) = setup(n, steps);
-        let (j_ref, g_ref) = gradient_store_all(&cfg, &c0, &data, &src);
+        let shot = setup(n, steps);
+        let (j_ref, g_ref, _) = one_shot(&shot, &store_all());
         // The extremes plus a random interior budget.
         let budgets = [1, rng.range_usize(2, steps + 2), steps + 3];
         for budget in budgets {
-            let (j, g, report) = gradient_checkpointed_with(
-                &cfg,
-                &c0,
-                &data,
-                &src,
-                Some(budget),
-                &SnapshotBackend::Memory,
-            );
+            let (j, g, report) = checkpointed_shot(&shot, Some(budget), SnapshotBackend::Memory);
             let what = format!("case {case}: steps {steps} budget {budget}");
             assert_eq!(j.to_bits(), j_ref.to_bits(), "{what}: misfit drifted");
             assert_bitwise(&g, &g_ref, &what);
@@ -74,25 +85,13 @@ fn checkpointed_gradient_is_bitwise_store_all_across_random_cases() {
 
 #[test]
 fn disk_and_memory_stores_agree_bitwise() {
-    let (cfg, c0, data, src) = setup(8, 9);
+    let case = setup(8, 9);
     let dir = std::env::temp_dir().join(format!("perforad_ckpt_itest_{}", std::process::id()));
     for budget in [2usize, 4] {
-        let (j_mem, g_mem, rep_mem) = gradient_checkpointed_with(
-            &cfg,
-            &c0,
-            &data,
-            &src,
-            Some(budget),
-            &SnapshotBackend::Memory,
-        );
-        let (j_disk, g_disk, rep_disk) = gradient_checkpointed_with(
-            &cfg,
-            &c0,
-            &data,
-            &src,
-            Some(budget),
-            &SnapshotBackend::Disk(dir.clone()),
-        );
+        let (j_mem, g_mem, rep_mem) =
+            checkpointed_shot(&case, Some(budget), SnapshotBackend::Memory);
+        let (j_disk, g_disk, rep_disk) =
+            checkpointed_shot(&case, Some(budget), SnapshotBackend::Disk(dir.clone()));
         assert_eq!(rep_mem.store, "memory");
         assert_eq!(rep_disk.store, "disk");
         assert_eq!(j_mem.to_bits(), j_disk.to_bits());
@@ -108,27 +107,29 @@ fn disk_and_memory_stores_agree_bitwise() {
 
 #[test]
 fn tuner_chooses_the_budget_when_none_is_forced() {
-    let (cfg, c0, data, src) = setup(8, 10);
-    let (j, g, report) = gradient_checkpointed(&cfg, &c0, &data, &src);
+    let case = setup(8, 10);
+    let cfg = case.0;
+    let (j, g, report) = checkpointed_shot(&case, None, SnapshotBackend::Auto);
     // Tiny state, roomy model budget: the tuner may legitimately pick
     // store-all — what matters is that a budget was chosen, respected,
     // and the result is still exact.
     assert!(report.budget >= 1 && report.budget <= cfg.steps);
     assert!(report.peak_snapshots <= report.budget);
-    let (j_ref, g_ref) = gradient_store_all(&cfg, &c0, &data, &src);
+    let (j_ref, g_ref, _) = one_shot(&case, &store_all());
     assert_eq!(j.to_bits(), j_ref.to_bits());
     assert_bitwise(&g, &g_ref, "tuner-chosen budget");
 }
 
 #[test]
 fn long_sweeps_route_through_the_checkpointed_path() {
-    // `gradient` itself must dispatch: at the threshold the dense
-    // trajectory is never materialized, and the result still matches the
-    // dense reference bit for bit.
-    let steps = CKPT_THRESHOLD_STEPS;
-    let (cfg, c0, data, src) = setup(6, steps);
-    let (j_auto, g_auto) = gradient(&cfg, &c0, &data, &src);
-    let (j_ref, g_ref) = gradient_store_all(&cfg, &c0, &data, &src);
+    // Default options must dispatch: at the threshold the dense
+    // trajectory is never materialized (the shot carries a checkpoint
+    // report), and the result still matches the dense reference bit for
+    // bit.
+    let case = setup(6, CKPT_THRESHOLD_STEPS);
+    let (j_auto, g_auto, report) = one_shot(&case, &BatchOptions::default());
+    assert!(report.is_some(), "threshold sweeps must run checkpointed");
+    let (j_ref, g_ref, _) = one_shot(&case, &store_all());
     assert_eq!(j_auto.to_bits(), j_ref.to_bits());
     assert_bitwise(&g_auto, &g_ref, "threshold dispatch");
 }
@@ -157,7 +158,7 @@ fn long_sweep_completes_under_memory_cap_with_tuned_budget() {
         1e-3 * ((ix[0] + ix[1] + ix[2]) as f64).sin()
     });
 
-    let (j, grad, report) = gradient_checkpointed(&cfg, &c0, &data, &src);
+    let (j, grad, report) = checkpointed_shot(&(cfg, c0, data, src), None, SnapshotBackend::Auto);
     assert!(j.is_finite() && j > 0.0);
     assert!(grad.is_finite());
     assert!(grad.norm2() > 0.0);

@@ -2,11 +2,19 @@
 //!
 //! Randomness comes from a small deterministic xorshift generator (the
 //! workspace builds offline without proptest); every failure therefore
-//! reproduces exactly.
+//! reproduces exactly. Beside it: the one-shot seismic helpers every
+//! gradient suite compares against, and the per-thread counting allocator
+//! behind the zero-alloc guarantees.
 
 // Each integration-test binary includes this module separately and uses a
 // different subset of the helpers.
 #![allow(dead_code)]
+
+use perforad::ckpt::CkptReport;
+use perforad::exec::{default_pool, Grid, ThreadPool};
+use perforad::pde::seismic::{BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 /// Deterministic xorshift64* generator.
 pub struct Rng(u64);
@@ -52,5 +60,102 @@ impl Rng {
                 return v;
             }
         }
+    }
+}
+
+/// Options forcing the dense store-all sweep — the bitwise reference for
+/// every checkpointed one.
+pub fn store_all() -> BatchOptions {
+    BatchOptions {
+        checkpointed: Some(false),
+        ..BatchOptions::default()
+    }
+}
+
+/// Options forcing the checkpointed sweep under `budget` (tuner-chosen
+/// when `None`) against `backend`.
+pub fn checkpointed(budget: Option<usize>, backend: SnapshotBackend) -> BatchOptions {
+    BatchOptions {
+        checkpointed: Some(true),
+        budget,
+        backend,
+        ..BatchOptions::default()
+    }
+}
+
+/// One shot through the one gradient driver: a [`ShotBatch`] of one on a
+/// freshly built [`BatchPlan`] — everything a standalone call pays.
+pub fn one_shot(
+    cfg: &SeismicConfig,
+    c: &Grid,
+    data: &Grid,
+    source: &[f64],
+    opts: &BatchOptions,
+    pool: &ThreadPool,
+) -> (f64, Grid, Option<CkptReport>) {
+    let mut batch = ShotBatch::new();
+    batch.push(source.to_vec(), data.clone());
+    let mut out = BatchPlan::new(cfg, c, opts, pool).run(&batch);
+    (
+        out.misfits[0],
+        out.gradients.remove(0),
+        out.reports.remove(0),
+    )
+}
+
+/// The in-process reference a served gradient is compared against:
+/// default options on the shared pool.
+pub fn reference_gradient(
+    cfg: &SeismicConfig,
+    c: &Grid,
+    data: &Grid,
+    source: &[f64],
+) -> (f64, Grid) {
+    let (j, g, _) = one_shot(
+        cfg,
+        c,
+        data,
+        source,
+        &BatchOptions::default(),
+        default_pool(),
+    );
+    (j, g)
+}
+
+/// `System`, with a per-thread count of every allocation — the instrument
+/// behind the zero-alloc disabled-path guarantees. Counting per thread
+/// keeps a straggling daemon/pool thread from another test in the same
+/// binary out of the calling thread's tally. Install with
+/// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`.
+pub struct CountingAlloc;
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations (`alloc` + `realloc`) the calling thread has made so far.
+pub fn thread_allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
+fn count_alloc() {
+    // `try_with`: allocations during thread teardown must not panic.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards unchanged to `System`; the counter is a
+// const-initialised, destructor-free thread-local, so touching it never
+// allocates or re-enters the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_alloc();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        System.realloc(ptr, layout, new_size)
     }
 }

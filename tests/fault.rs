@@ -24,9 +24,12 @@
 //! the suite serializes behind one lock (same pattern as `tests/serve.rs`;
 //! cargo runs the two binaries sequentially).
 
+mod common;
+
+use common::reference_gradient;
 use perforad::exec::Grid;
 use perforad::obs::fault;
-use perforad::pde::seismic::{forward, gradient, ricker, SeismicConfig};
+use perforad::pde::seismic::{forward, ricker, SeismicConfig};
 use perforad::serve::{
     stats_counter, Client, ClientError, CompileRequest, Endpoint, GradientRequest, Reply, Request,
     RetryPolicy, ServeOptions, Server,
@@ -144,7 +147,7 @@ fn chaos_matrix_every_fault_point_degrades_bitwise_or_errors_cleanly() {
             data.as_slice().to_vec(),
         )
         .expect("unarmed gradient");
-    let (j_ref, g_ref) = gradient(&cfg, &velocity(cfg.n), &data, &source);
+    let (j_ref, g_ref) = reference_gradient(&cfg, &velocity(cfg.n), &data, &source);
     assert_eq!(reference.misfit.to_bits(), j_ref.to_bits());
     assert_bitwise(&reference.gradient, g_ref.as_slice(), "unarmed");
 
@@ -226,7 +229,8 @@ fn chaos_matrix_every_fault_point_degrades_bitwise_or_errors_cleanly() {
             )
             .unwrap_or_else(|e| panic!("gradient under {point} fault: {e}"));
         fault::disarm();
-        let (j_cold, g_cold) = gradient(&cold_cfg, &velocity(cold_cfg.n), &cold_data, &cold_source);
+        let (j_cold, g_cold) =
+            reference_gradient(&cold_cfg, &velocity(cold_cfg.n), &cold_data, &cold_source);
         assert_eq!(
             reply.misfit.to_bits(),
             j_cold.to_bits(),
@@ -308,7 +312,7 @@ fn client_killed_mid_large_batch_frame_costs_one_connection_only() {
             data.as_slice().to_vec(),
         )
         .expect("gradient after mid-frame death");
-    let (j_ref, g_ref) = gradient(&cfg, &velocity(cfg.n), &data, &source);
+    let (j_ref, g_ref) = reference_gradient(&cfg, &velocity(cfg.n), &data, &source);
     assert_eq!(reply.misfit.to_bits(), j_ref.to_bits());
     assert_bitwise(&reply.gradient, g_ref.as_slice(), "after mid-frame death");
 
@@ -374,7 +378,7 @@ fn gradient_batch_edge_cases_over_the_wire() {
     }
 
     // One shot: equals the in-process single-shot call bitwise.
-    let (j_ref, g_ref) = gradient(&cfg, &velocity(cfg.n), &data, &source);
+    let (j_ref, g_ref) = reference_gradient(&cfg, &velocity(cfg.n), &data, &source);
     let one = client
         .gradient_batch(
             &compiled.fingerprint,
@@ -400,7 +404,7 @@ fn gradient_batch_edge_cases_over_the_wire() {
         .expect("oversubscribed batch");
     assert_eq!(batch.misfits.len(), width + 2);
     for (k, (src, obs)) in shots.iter().enumerate() {
-        let (jk, gk) = gradient(
+        let (jk, gk) = reference_gradient(
             &cfg,
             &velocity(cfg.n),
             &Grid::from_vec(&[cfg.n; 3], obs.clone()),
@@ -436,7 +440,7 @@ fn overloaded_daemon_rejects_busy_and_backoff_retry_succeeds() {
     let data = observed(&cfg, &source);
     let mut client = Client::connect(&endpoint).expect("connect");
     let compiled = client.compile(compile_req(&cfg, None)).expect("compile");
-    let (j_ref, g_ref) = gradient(&cfg, &velocity(cfg.n), &data, &source);
+    let (j_ref, g_ref) = reference_gradient(&cfg, &velocity(cfg.n), &data, &source);
     let g_ref: Vec<f64> = g_ref.as_slice().to_vec();
 
     // 8 retry-less clients hammer the 1-deep queue concurrently. The
@@ -562,7 +566,7 @@ fn expired_deadline_is_a_clean_error_not_a_stale_gradient() {
     let Reply::Gradient(reply) = client.roundtrip(&req).expect("roundtrip") else {
         panic!("expected a gradient reply");
     };
-    let (j_ref, g_ref) = gradient(&cfg, &velocity(cfg.n), &data, &source);
+    let (j_ref, g_ref) = reference_gradient(&cfg, &velocity(cfg.n), &data, &source);
     assert_eq!(reply.misfit.to_bits(), j_ref.to_bits());
     assert_bitwise(&reply.gradient, g_ref.as_slice(), "deadline gradient");
 

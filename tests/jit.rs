@@ -10,7 +10,7 @@
 //! printed reason instead of failing — exactly like the runtime, which
 //! falls back to the row executor.
 
-use perforad::exec::{compile_adjoint_opts, run_serial_rows};
+use perforad::exec::{compile_adjoint_opts, run, ExecMode};
 use perforad::jit::{available, prepare_schedule, JitOptions};
 use perforad::prelude::*;
 use perforad::sched::{compile_schedule_nests, run_schedule_serial};
@@ -105,9 +105,9 @@ fn random_trees_jit_bitwise_identical() {
         let bind = Binding::new().size("n", n as i64);
         let mut ws_ref = ws_1d(n, 3 + case as u64);
         let plan = compile_nest(&nest, &ws_ref, &bind).unwrap();
-        run_serial(&plan, &mut ws_ref).unwrap();
+        run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
         let mut ws_rows = ws_1d(n, 3 + case as u64);
-        run_serial_rows(&plan, &mut ws_rows).unwrap();
+        run(&plan, &mut ws_rows, ExecMode::serial().rows()).unwrap();
 
         let mut ws_jit = ws_1d(n, 3 + case as u64);
         let s = compile_schedule_nests(
@@ -209,7 +209,7 @@ fn adjoint_strategies_jit_bitwise_identical() {
             let cse = case % 2 == 1;
             let mut ws_ref = build();
             let plan = compile_adjoint_opts(&adj, &ws_ref, &bind, cse).unwrap();
-            run_serial(&plan, &mut ws_ref).unwrap();
+            run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
             let padded = strategy == BoundaryStrategy::Padded;
             let sopts = SchedOptions::default().with_jit().with_cse(cse);
@@ -295,7 +295,7 @@ fn adjoint_2d_jit_bitwise_identical() {
                 .unwrap();
             let mut ws_ref = build();
             let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-            run_serial(&plan, &mut ws_ref).unwrap();
+            run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
             let padded = strategy == BoundaryStrategy::Padded;
             let mut ws_jit = build();
@@ -354,7 +354,7 @@ fn fusion_groups_and_fallback_jit_bitwise_identical() {
     };
     let mut ws_ref = build();
     let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-    run_serial(&plan, &mut ws_ref).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
     for fuse in [true, false] {
         let mut ws = build();
@@ -386,7 +386,7 @@ fn fusion_groups_and_fallback_jit_bitwise_identical() {
     };
     let mut ws_ref2 = build2();
     let plan2 = compile_adjoint(&adj, &ws_ref2, &bind2).unwrap();
-    run_serial(&plan2, &mut ws_ref2).unwrap();
+    run(&plan2, &mut ws_ref2, ExecMode::serial()).unwrap();
     let mut ws2 = build2();
     let s2 = compile_schedule_nests(
         &adj.nests,
@@ -472,7 +472,7 @@ fn jit_candidate_round_trips_through_tuned_config_cache() {
         .with("u_b", Grid::zeros(&[n + 1]))
         .with("r_b", Grid::full(&[n + 1], 1.0));
     let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-    run_serial(&plan, &mut ws_ref).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
     let mut ws_run = Workspace::new()
         .with("u", Grid::from_fn(&[n + 1], |ix| (ix[0] as f64).sin()))
         .with("r", Grid::zeros(&[n + 1]))

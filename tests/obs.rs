@@ -7,41 +7,20 @@
 //! metrics registry), so every test here serializes on one mutex and
 //! restores the disabled/empty state before releasing it.
 
+mod common;
+
 use perforad::exec::{Grid, ThreadPool};
 use perforad::pde::seismic::{
-    forward, gradient_batch_with, gradient_checkpointed_with, ricker, BatchOptions, SeismicConfig,
-    ShotBatch, SnapshotBackend,
+    forward, ricker, BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend,
 };
 use perforad::pde::wave3d;
 use perforad::pde::BatchStrategy;
 use perforad::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// `System`, with a count of every allocation — the instrument behind
-/// the zero-alloc guarantee.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: common::CountingAlloc = common::CountingAlloc;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -67,19 +46,15 @@ fn disabled_tracing_allocates_nothing() {
     };
     // First pass registers the three metrics (a one-time allocation each).
     work();
-    // The counter is process-global and the libtest harness has threads
-    // of its own, so take the min over several attempts: transient
-    // harness allocations miss some window, while a real allocation in
-    // the disabled path would show up in every one.
-    let min_delta = (0..8)
-        .map(|_| {
-            let before = ALLOCS.load(Ordering::Relaxed);
-            work();
-            ALLOCS.load(Ordering::Relaxed) - before
-        })
-        .min()
-        .unwrap();
-    assert_eq!(min_delta, 0, "disabled spans/metrics must not allocate");
+    // The count is this thread's own, so no other test's threads (or the
+    // libtest harness) can leak into the window.
+    let before = common::thread_allocs();
+    work();
+    assert_eq!(
+        common::thread_allocs() - before,
+        0,
+        "disabled spans/metrics must not allocate"
+    );
 }
 
 #[test]
@@ -149,10 +124,11 @@ fn traced_seismic_gradient_rollup_accounts_for_the_wall_time() {
 
     perforad::obs::set_enabled(true);
     let t0 = Instant::now();
-    let (j, _grad, report) =
-        gradient_checkpointed_with(&cfg, &c0, &data, &src, Some(4), &SnapshotBackend::Memory);
+    let opts = common::checkpointed(Some(4), SnapshotBackend::Memory);
+    let (j, _grad, report) = common::one_shot(&cfg, &c0, &data, &src, &opts, default_pool());
     let wall = t0.elapsed();
     perforad::obs::set_enabled(false);
+    let report = report.expect("checkpointed shot reports");
     assert!(j > 0.0);
     assert_eq!(
         report.recompute_ratio_observed,
@@ -180,7 +156,7 @@ fn traced_seismic_gradient_rollup_accounts_for_the_wall_time() {
     let json = chrome_trace_json(&events);
     assert!(json.starts_with("{\"traceEvents\":["));
     assert!(json.contains("\"ph\":\"X\""));
-    assert!(json.contains("seismic.gradient_checkpointed"));
+    assert!(json.contains("seismic.gradient_batch"));
     perforad::obs::clear_events();
     perforad::obs::reset_metrics();
 }
@@ -210,7 +186,7 @@ fn traced_batch_run_populates_shot_metrics_and_rollup() {
         backend: SnapshotBackend::Memory,
     };
     perforad::obs::set_enabled(true);
-    let res = gradient_batch_with(&cfg, &c0, &batch, &opts, &pool);
+    let res = BatchPlan::new(&cfg, &c0, &opts, &pool).run(&batch);
     perforad::obs::set_enabled(false);
     assert_eq!(res.gradients.len(), shots);
 

@@ -75,12 +75,12 @@ fn two_d_anisotropic_stencil_full_pipeline() {
     let mut ws_g = build_ws();
     let plan = compile_adjoint(&adj, &ws_g, &bind).unwrap();
     let pool = ThreadPool::new(2);
-    run_parallel(&plan, &mut ws_g, &pool).unwrap();
+    run(&plan, &mut ws_g, ExecMode::parallel(&pool)).unwrap();
 
     let mut ws_s = build_ws();
     let sc = nest.scatter_adjoint(&act).unwrap();
     let plan_s = compile_nest(&sc, &ws_s, &bind).unwrap();
-    run_serial(&plan_s, &mut ws_s).unwrap();
+    run(&plan_s, &mut ws_s, ExecMode::serial()).unwrap();
 
     assert_eq!(ws_g.grid("u_b").max_abs_diff(ws_s.grid("u_b")), 0.0);
 }

@@ -53,12 +53,12 @@ fn run_1d(nest: &LoopNest, n: usize, scatter: bool, u_vals: &[f64], seed: &[f64]
     if scatter {
         let sc = nest.scatter_adjoint(&act).unwrap();
         let plan = compile_nest(&sc, &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
     } else {
         let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
         let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
         let pool = ThreadPool::new(3);
-        run_parallel(&plan, &mut ws, &pool).unwrap();
+        run(&plan, &mut ws, ExecMode::parallel(&pool)).unwrap();
     }
     ws.grid("u_b").as_slice().to_vec()
 }
@@ -114,13 +114,13 @@ fn dot_identity_random_1d() {
             .with("u_b", Grid::zeros(&[n]))
             .with("r_b", Grid::from_vec(&[n], w.clone()));
         let plan = compile_nest(&nest, &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
         let lhs = ws.grid("r").dot(&Grid::from_vec(&[n], w.clone()));
 
         // J^T w
         let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
         let aplan = compile_adjoint(&adj, &ws, &bind).unwrap();
-        run_serial(&aplan, &mut ws).unwrap();
+        run(&aplan, &mut ws, ExecMode::serial()).unwrap();
         let rhs = ws.grid("u_b").dot(&Grid::from_vec(&[n], v.clone()));
 
         assert_eq!(
@@ -180,7 +180,7 @@ fn strategies_agree_random_1d() {
                 .adjoint(&act, &AdjointOptions::default().with_strategy(strategy))
                 .unwrap();
             let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
-            run_serial(&plan, &mut ws).unwrap();
+            run(&plan, &mut ws, ExecMode::serial()).unwrap();
             results.push(ws.grid("u_b").as_slice().to_vec());
         }
         assert_eq!(&results[0], &results[1], "case {case}: disjoint vs guarded");

@@ -80,12 +80,12 @@ fn gather_equals_scatter_random_2d() {
         let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
         let plan = compile_adjoint(&adj, &ws_g, &bind).unwrap();
         let pool = ThreadPool::new(3);
-        run_parallel(&plan, &mut ws_g, &pool).unwrap();
+        run(&plan, &mut ws_g, ExecMode::parallel(&pool)).unwrap();
 
         let mut ws_s = build();
         let sc = nest.scatter_adjoint(&act).unwrap();
         let plan_s = compile_nest(&sc, &ws_s, &bind).unwrap();
-        run_serial(&plan_s, &mut ws_s).unwrap();
+        run(&plan_s, &mut ws_s, ExecMode::serial()).unwrap();
 
         assert_eq!(
             ws_g.grid("u_b").max_abs_diff(ws_s.grid("u_b")),
@@ -143,7 +143,7 @@ fn nonlinear_piecewise_matches_tape() {
             .with("r_b", Grid::from_vec(&[n], seed.clone()));
         let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
         let plan = perforad::exec::compile_adjoint_opts(&adj, &ws, &bind, true).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
 
         // Tape reference.
         let store = MapCtx::new()
@@ -209,12 +209,12 @@ fn multi_output_nest_adjoint() {
 
     let mut ws_g = build();
     let plan = compile_adjoint(&adj, &ws_g, &bind).unwrap();
-    run_serial(&plan, &mut ws_g).unwrap();
+    run(&plan, &mut ws_g, ExecMode::serial()).unwrap();
 
     let mut ws_s = build();
     let sc = nest.scatter_adjoint(&act).unwrap();
     let plan_s = compile_nest(&sc, &ws_s, &bind).unwrap();
-    run_serial(&plan_s, &mut ws_s).unwrap();
+    run(&plan_s, &mut ws_s, ExecMode::serial()).unwrap();
 
     assert_eq!(ws_g.grid("u_b").max_abs_diff(ws_s.grid("u_b")), 0.0);
     // Interior value check: u[i] read by p (coeff 1, offset 0) and q

@@ -19,14 +19,14 @@ fn wave3d_gradient_interpreter_vs_rows_vs_static_vs_tape() {
         .adjoint(&wave3d::activity(), &AdjointOptions::default())
         .unwrap();
     let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-    run_serial(&plan, &mut ws_ref).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
     // Row executor: serial, parallel, and fused-schedule tiles — bitwise.
     let pool = ThreadPool::new(3);
     let (mut ws_rows, _) = wave3d::workspace(n, 0.1);
-    run_serial_rows(&plan, &mut ws_rows).unwrap();
+    run(&plan, &mut ws_rows, ExecMode::serial().rows()).unwrap();
     let (mut ws_par, _) = wave3d::workspace(n, 0.1);
-    run_parallel_rows(&plan, &mut ws_par, &pool).unwrap();
+    run(&plan, &mut ws_par, ExecMode::parallel(&pool).rows()).unwrap();
     let (mut ws_sched, _) = wave3d::workspace(n, 0.1);
     let sched = wave3d::adjoint_schedule(
         &ws_sched,
@@ -96,11 +96,11 @@ fn burgers_gradient_interpreter_vs_rows_vs_static_vs_tape() {
         .adjoint(&burgers::activity(), &AdjointOptions::default())
         .unwrap();
     let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-    run_serial(&plan, &mut ws_ref).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
     let pool = ThreadPool::new(2);
     let (mut ws_rows, _) = burgers::workspace(n, 0.3, 0.1);
-    run_serial_rows(&plan, &mut ws_rows).unwrap();
+    run(&plan, &mut ws_rows, ExecMode::serial().rows()).unwrap();
     let (mut ws_sched, _) = burgers::workspace(n, 0.3, 0.1);
     let sched = burgers::adjoint_schedule(
         &ws_sched,

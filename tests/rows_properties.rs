@@ -6,7 +6,7 @@
 //! Randomness comes from the repo's deterministic xorshift generator, so
 //! every failure reproduces exactly.
 
-use perforad::exec::{compile_adjoint_opts, run_serial_rows};
+use perforad::exec::{compile_adjoint_opts, run, ExecMode};
 use perforad::prelude::*;
 use perforad::symbolic::{Cond, Rel};
 
@@ -82,9 +82,9 @@ fn random_trees_eval_bitwise_identical() {
         let bind = Binding::new().size("n", n as i64);
         let mut ws1 = ws_1d(n, 3 + case as u64);
         let plan = compile_nest(&nest, &ws1, &bind).unwrap();
-        run_serial(&plan, &mut ws1).unwrap();
+        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
         let mut ws2 = ws_1d(n, 3 + case as u64);
-        run_serial_rows(&plan, &mut ws2).unwrap();
+        run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
         assert_eq!(
             ws1.grid("r").max_abs_diff(ws2.grid("r")),
             0.0,
@@ -169,10 +169,10 @@ fn adjoint_strategies_bitwise_identical_across_lowerings() {
             let cse = case % 2 == 1;
             let mut ws_ref = build();
             let plan = compile_adjoint_opts(&adj, &ws_ref, &bind, cse).unwrap();
-            run_serial(&plan, &mut ws_ref).unwrap();
+            run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
             let mut ws_rows = build();
-            run_serial_rows(&plan, &mut ws_rows).unwrap();
+            run(&plan, &mut ws_rows, ExecMode::serial().rows()).unwrap();
             assert_eq!(
                 ws_ref.grid("u_b").max_abs_diff(ws_rows.grid("u_b")),
                 0.0,
@@ -180,7 +180,7 @@ fn adjoint_strategies_bitwise_identical_across_lowerings() {
             );
 
             let mut ws_par = build();
-            run_parallel_rows(&plan, &mut ws_par, &pool).unwrap();
+            run(&plan, &mut ws_par, ExecMode::parallel(&pool).rows()).unwrap();
             assert_eq!(
                 ws_ref.grid("u_b").max_abs_diff(ws_par.grid("u_b")),
                 0.0,
@@ -248,9 +248,9 @@ fn adjoint_2d_padded_and_guarded_bitwise_identical() {
                 .unwrap();
             let mut ws_ref = build();
             let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-            run_serial(&plan, &mut ws_ref).unwrap();
+            run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
             let mut ws_rows = build();
-            run_serial_rows(&plan, &mut ws_rows).unwrap();
+            run(&plan, &mut ws_rows, ExecMode::serial().rows()).unwrap();
             assert_eq!(
                 ws_ref.grid("u_b").max_abs_diff(ws_rows.grid("u_b")),
                 0.0,

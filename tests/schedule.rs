@@ -50,7 +50,7 @@ fn paper_1d_fused_schedule_matches_serial_and_tape() {
     // (a) Serial unfused reference.
     let (mut ws_ref, bind) = setup_1d(n);
     let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-    run_serial(&plan, &mut ws_ref).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
     // (b) Independent tape-AD reference.
     let (ws0, _) = setup_1d(n);
@@ -115,7 +115,7 @@ fn heat2d_fused_schedule_matches_serial_and_tape() {
     // (a) Serial unfused reference.
     let (mut ws_ref, bind) = heat2d::workspace(n, 0.2);
     let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-    run_serial(&plan, &mut ws_ref).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
     // (b) Independent tape-AD reference.
     let (ws0, _) = heat2d::workspace(n, 0.2);

@@ -1,7 +1,7 @@
 //! The serving guarantees, pinned end to end over a real socket:
 //!
 //! 1. a served gradient (and a served batch) is **bitwise-identical** to
-//!    the in-process `pde::seismic::gradient` call;
+//!    the in-process `pde::seismic::BatchPlan::run` call;
 //! 2. the second `Compile` of the same fingerprint is a pure cache hit —
 //!    zero adjoint transforms, zero tuner timings, zero out-of-process
 //!    rustc invocations, asserted via the obs counters in the Stats
@@ -15,8 +15,11 @@
 //! all of them share the process-wide thread pool and metrics registry —
 //! the suite serializes itself behind one lock.
 
+mod common;
+
+use common::reference_gradient;
 use perforad::exec::Grid;
-use perforad::pde::seismic::{forward, gradient, ricker, SeismicConfig};
+use perforad::pde::seismic::{forward, ricker, SeismicConfig};
 use perforad::serve::{
     proto, stats_counter, Client, CompileRequest, Endpoint, Reply, Request, ServeOptions, Server,
 };
@@ -88,7 +91,7 @@ fn served_gradient_is_bitwise_identical_to_in_process() {
     let data = observed(&cfg, &source);
 
     // In-process reference, same process-wide tuning cache as the server.
-    let (j_ref, g_ref) = gradient(&cfg, &c, &data, &source);
+    let (j_ref, g_ref) = reference_gradient(&cfg, &c, &data, &source);
 
     let (endpoint, handle) = start_server();
     let mut client = Client::connect(&endpoint).expect("connect");
@@ -125,7 +128,7 @@ fn served_gradient_is_bitwise_identical_to_in_process() {
     assert_eq!(batch.misfits.len(), 3);
     for (k, (src, obs)) in shots.iter().enumerate() {
         let dims = [cfg.n; 3];
-        let (jk, gk) = gradient(&cfg, &c, &Grid::from_vec(&dims, obs.clone()), src);
+        let (jk, gk) = reference_gradient(&cfg, &c, &Grid::from_vec(&dims, obs.clone()), src);
         assert_eq!(batch.misfits[k].to_bits(), jk.to_bits(), "shot {k} misfit");
         for (i, (a, b)) in batch.gradients[k].iter().zip(gk.as_slice()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "shot {k} gradient[{i}]");

@@ -18,6 +18,8 @@
 //! Obs state, fault injection, and the env knobs are process-global, so
 //! the suite serializes on one lock (same pattern as `tests/fault.rs`).
 
+mod common;
+
 use perforad::exec::Grid;
 use perforad::obs::fault;
 use perforad::pde::seismic::{forward, ricker, SeismicConfig};
@@ -25,32 +27,11 @@ use perforad::serve::{
     Client, CompileRequest, Endpoint, GradientRequest, Reply, Request, ServeOptions, Server,
 };
 use perforad::tune::json::{parse, Value};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// `System`, with a count of every allocation — the instrument behind
-/// the zero-alloc disabled-path guarantee.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: common::CountingAlloc = common::CountingAlloc;
 
 static SUITE_LOCK: Mutex<()> = Mutex::new(());
 
@@ -496,11 +477,13 @@ fn disabled_request_scope_allocates_nothing() {
         let _scope = perforad::obs::RequestScope::enter(1);
         let _s = perforad::obs::span!("telemetry.warm", "test");
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    // Counted on this thread only: daemon and pool threads left over from
+    // earlier tests in this binary allocate on their own tallies.
+    let before = common::thread_allocs();
     for i in 0..10_000u64 {
         let _scope = perforad::obs::RequestScope::enter(i);
         let _s = perforad::obs::span!("telemetry.cold", "test", "i" => i);
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = common::thread_allocs() - before;
     assert_eq!(allocs, 0, "disabled request-scoped spans must not allocate");
 }

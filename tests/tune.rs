@@ -3,9 +3,10 @@
 //! tuned schedule's gradient is bitwise-identical to the untuned serial
 //! reference — whatever configuration the tuner picks.
 
+use perforad::exec::run as run_plan;
 use perforad::pde::{heat2d, wave3d};
 use perforad::prelude::*;
-use perforad::tune::{CacheEntry, TuneCache};
+use perforad::tune::{cache_key, fingerprint_nests, CacheEntry, TuneCache};
 
 fn tmp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("perforad_{tag}_{}.json", std::process::id()))
@@ -59,6 +60,27 @@ fn tuner_end_to_end_through_the_file_cache() {
     let (_, first) = run();
     let (_, second) = run();
     assert_eq!(first, second, "file-cache hit must reproduce the config");
+
+    // The tuner no longer offers the interpreter, but a cache written
+    // before that may name it: such an entry must still parse, be
+    // honoured, and run bitwise-identically to the serial reference.
+    assert_ne!(first.lowering, Lowering::PerPoint);
+    let adj = heat2d::nest()
+        .adjoint(&heat2d::activity(), &AdjointOptions::default())
+        .unwrap();
+    let key = cache_key(fingerprint_nests(&adj.nests, false, &bind), pool.size());
+    let mut cache = TuneCache::load(&path).unwrap();
+    let mut entry = cache.lookup(&key).expect("the tuner's own key").clone();
+    entry.config.lowering = Lowering::PerPoint;
+    cache.insert(&key, entry);
+    cache.save(&path).unwrap();
+    let (schedule, legacy) = run();
+    assert_eq!(legacy.lowering, Lowering::PerPoint);
+    let (mut ws_ref, mut ws_run) = (ws.clone(), ws.clone());
+    let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
+    run_plan(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
+    run_tuned(&schedule, &legacy, &mut ws_run, &pool).unwrap();
+    assert_eq!(ws_ref.grid("u_1_b").max_abs_diff(ws_run.grid("u_1_b")), 0.0);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -94,7 +116,7 @@ fn property_tuned_gradient_is_bitwise_identical_on_wave3d() {
         .adjoint(&wave3d::activity(), &AdjointOptions::default())
         .unwrap();
     let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-    run_serial(&plan, &mut ws_ref).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
     let pool = ThreadPool::new(3);
     let mut seen = Vec::new();
@@ -134,7 +156,7 @@ fn property_tuned_gradient_is_bitwise_identical_on_heat2d() {
         .adjoint(&heat2d::activity(), &AdjointOptions::default())
         .unwrap();
     let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
-    run_serial(&plan, &mut ws_ref).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
     let pool = ThreadPool::new(3);
     for seed in [3u64, 11, 77, 2048] {
@@ -178,7 +200,7 @@ fn schedule_autotune_through_the_prelude() {
 
     let mut ws_ref = build();
     let plan = compile_adjoint(&adjoint, &ws_ref, &bind).unwrap();
-    run_serial(&plan, &mut ws_ref).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
     let mut ws = build();
     let mut schedule = compile_schedule(&adjoint, &ws, &bind, &SchedOptions::default()).unwrap();

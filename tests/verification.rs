@@ -16,7 +16,7 @@ fn wave3d_gather_vs_tape_reference() {
         .adjoint(&wave3d::activity(), &AdjointOptions::default())
         .unwrap();
     let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
-    run_serial(&plan, &mut ws).unwrap();
+    run(&plan, &mut ws, ExecMode::serial()).unwrap();
 
     let dims3 = vec![n, n, n];
     let mut store = MapCtx::new().index("n", n as i64).scalar("D", 0.1);
@@ -44,7 +44,7 @@ fn heat2d_gather_vs_tape_reference() {
         .adjoint(&heat2d::activity(), &AdjointOptions::default())
         .unwrap();
     let plan = compile_adjoint(&adj, &ws, &bind).unwrap();
-    run_serial(&plan, &mut ws).unwrap();
+    run(&plan, &mut ws, ExecMode::serial()).unwrap();
 
     let dims2 = vec![n, n];
     let mut store = MapCtx::new().index("n", n as i64).scalar("D", 0.2);
@@ -86,7 +86,7 @@ fn adjoint_dot_product_identity_wave() {
     ws.insert("u_1", v.clone());
     ws.insert("u_2", Grid::zeros(&[n, n, n]));
     let plan = compile_nest(&wave3d::nest(), &ws, &bind).unwrap();
-    run_serial(&plan, &mut ws).unwrap();
+    run(&plan, &mut ws, ExecMode::serial()).unwrap();
     let jv = ws.grid("u").clone();
     let lhs = jv.dot(&w);
 
@@ -98,7 +98,7 @@ fn adjoint_dot_product_identity_wave() {
         .adjoint(&wave3d::activity(), &AdjointOptions::default())
         .unwrap();
     let aplan = compile_adjoint(&adj, &ws, &bind).unwrap();
-    run_serial(&aplan, &mut ws).unwrap();
+    run(&aplan, &mut ws, ExecMode::serial()).unwrap();
     let jtw = ws.grid("u_1_b").clone();
     let rhs = jtw.dot(&v);
 
@@ -124,7 +124,7 @@ fn burgers_adjoint_matches_directional_derivative() {
         .adjoint(&burgers::activity(), &AdjointOptions::default())
         .unwrap();
     let aplan = compile_adjoint(&adj, &ws, &bind).unwrap();
-    run_serial(&aplan, &mut ws).unwrap();
+    run(&aplan, &mut ws, ExecMode::serial()).unwrap();
     let g = ws.grid("u_1_b").clone();
 
     // Directional derivative of <seed, F(u_1)> along a random direction.
@@ -133,7 +133,7 @@ fn burgers_adjoint_matches_directional_derivative() {
         let mut ws = ws0.clone();
         ws.insert("u_1", field.clone());
         let plan = compile_nest(&burgers::nest(), &ws, &bind).unwrap();
-        run_serial(&plan, &mut ws).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
         ws.grid("u").dot(&seed)
     };
     let h = 1e-7;
