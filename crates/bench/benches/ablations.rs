@@ -124,9 +124,9 @@ fn checkpoint_ablation(c: &mut Criterion) {
                     &plan,
                     0.5f64,
                     &mut MemStore::new(),
-                    &mut |x, _t| x + 1e-4 * x * x,
+                    &mut |x, _t| *x += 1e-4 * *x * *x,
                     &mut |_| {},
-                    &mut |x, _t| lambda *= 1.0 + 2e-4 * x,
+                    &mut |x, _t| lambda *= 1.0 + 2e-4 * *x,
                 )
                 .unwrap();
                 lambda

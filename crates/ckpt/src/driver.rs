@@ -54,13 +54,17 @@ impl CkptReport {
 
 /// Run a checkpointed adjoint sweep.
 ///
-/// * `step(s, t)` advances from the state at time `t` to time `t+1`;
+/// * `step(s, t)` advances the cursor **in place** from the state at
+///   time `t` to time `t+1` — no state is allocated per step;
 /// * `seed(s_T)` is called exactly once with the final state, between
 ///   the (streaming) forward pass and the reverse phase — evaluate the
 ///   objective and seed the adjoint here;
 /// * `back(s, t)` reverses step `t` given the state *before* it; called
 ///   exactly once per `t`, in strictly descending order, so rolling
-///   adjoint buffers work unchanged from a store-all sweep.
+///   adjoint buffers work unchanged from a store-all sweep. It gets the
+///   state mutably so it can lend the buffers to a kernel workspace
+///   (swap in, run, swap out) instead of copying them; it must hand the
+///   state back with the value it had.
 ///
 /// The trajectory is never materialized: at most `plan.budget()`
 /// snapshots are live in `store` at any moment, plus the single cursor
@@ -69,9 +73,9 @@ pub fn checkpointed_adjoint_plan<S>(
     plan: &CheckpointPlan,
     s0: S,
     store: &mut impl SnapshotStore<S>,
-    step: &mut impl FnMut(&S, usize) -> S,
+    step: &mut impl FnMut(&mut S, usize),
     seed: &mut impl FnMut(&S),
-    back: &mut impl FnMut(&S, usize),
+    back: &mut impl FnMut(&mut S, usize),
 ) -> Result<CkptReport, CkptError> {
     let mut cursor = s0;
     let mut recomputed = 0usize;
@@ -101,7 +105,7 @@ pub fn checkpointed_adjoint_plan<S>(
                     )
                 };
                 for t in from..to {
-                    cursor = step(&cursor, t);
+                    step(&mut cursor, t);
                 }
                 if recompute {
                     recomputed += to - from;
@@ -129,7 +133,7 @@ pub fn checkpointed_adjoint_plan<S>(
             }
             CkptAction::Back { t } => {
                 let _span = perforad_obs::span!("ckpt.back", "ckpt", "t" => t as u64);
-                back(&cursor, t);
+                back(&mut cursor, t);
             }
         }
     }
@@ -186,9 +190,9 @@ mod tests {
             &plan,
             0.8f64,
             store,
-            &mut |x, t| step(x, t),
+            &mut |x, t| *x = step(x, t),
             &mut |x| xt = *x,
-            &mut |x, _t| lambda *= 1.0 + 0.02 * x,
+            &mut |x, _t| lambda *= 1.0 + 0.02 * *x,
         )
         .unwrap();
         (xt, lambda, report)

@@ -13,7 +13,7 @@ use crate::workspace::{Binding, Workspace};
 use perforad_core::{Adjoint, AssignOp, BoundaryStrategy, LoopNest};
 use perforad_symbolic::{subst, visit, Expr, Idx, Symbol};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One compiled statement.
 ///
@@ -65,7 +65,9 @@ impl NestPlan {
     }
 }
 
-/// A fully bound, validated, executable set of loop nests.
+/// A fully bound, validated, executable set of loop nests. Immutable once
+/// compiled: the fields are public to be read, and [`Plan::fingerprint`]
+/// is cached on the assumption that nothing writes them afterwards.
 #[derive(Clone, Debug)]
 pub struct Plan {
     pub rank: usize,
@@ -78,6 +80,8 @@ pub struct Plan {
     pub gather_only: bool,
     /// Loads use zero-padding semantics.
     pub padded: bool,
+    /// [`Plan::fingerprint`], hashed on first use.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Plan {
@@ -116,8 +120,13 @@ impl Plan {
     /// with equal fingerprints execute identically on identically shaped
     /// buffers, so this is the key under which `perforad-jit` registers
     /// compiled native code ([`crate::native`]) and names its on-disk
-    /// artifacts.
+    /// artifacts. Hashed once per plan — every tile runner and every
+    /// `Lowering::Jit` run of a time loop asks for it again.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.hash_structure())
+    }
+
+    fn hash_structure(&self) -> u64 {
         let mut h = crate::native::Fnv::new();
         h.write_u64(self.rank as u64);
         h.write_u64(self.padded as u64);
@@ -410,6 +419,7 @@ pub fn compile_nests_opts(
         nests: nest_plans,
         gather_only,
         padded,
+        fingerprint: OnceLock::new(),
     })
 }
 

@@ -37,6 +37,11 @@ pub struct ExecStats {
 }
 
 /// Which lowering the executor runs.
+///
+/// The default is the **reference interpreter**, 5–9× slower than
+/// [`Lowering::Rows`] on the paper's stencils: right for a test oracle,
+/// wrong for a time loop. Production callers ask for `Rows` (or `Jit`)
+/// explicitly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Lowering {
     /// Stack-bytecode interpreter dispatched once per grid point — the
@@ -83,12 +88,16 @@ pub struct ExecMode<'a> {
 }
 
 impl<'a> ExecMode<'a> {
-    /// Single thread, per-point interpreter (the reference mode).
+    /// Single thread, per-point interpreter (the reference mode). Chain
+    /// [`ExecMode::rows`] unless the interpreter is what you mean to
+    /// time: it is the slowest lowering by 5–9×.
     pub fn serial() -> Self {
         Strategy::Serial.into()
     }
 
-    /// Gather-parallel on `pool`.
+    /// Gather-parallel on `pool` — on the per-point interpreter until
+    /// [`ExecMode::rows`] or [`ExecMode::jit`] is chained, as for
+    /// [`ExecMode::serial`].
     pub fn parallel(pool: &'a ThreadPool) -> Self {
         Strategy::Parallel(pool).into()
     }

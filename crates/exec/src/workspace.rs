@@ -35,17 +35,21 @@ impl Workspace {
         self.grids.get_mut(name)
     }
 
-    /// Panicking accessor by name (tests, examples).
+    /// Panicking accessor by name. A scan over the handful of grids a
+    /// workspace holds: no `Symbol` is built, so time loops may call it
+    /// every step without allocating.
     pub fn grid(&self, name: &str) -> &Grid {
         self.grids
-            .get(&Symbol::new(name))
+            .iter()
+            .find_map(|(k, g)| (k.name() == name).then_some(g))
             .unwrap_or_else(|| panic!("no grid named `{name}` in workspace"))
     }
 
-    /// Panicking mutable accessor by name.
+    /// Panicking mutable accessor by name (same scan as [`Workspace::grid`]).
     pub fn grid_mut(&mut self, name: &str) -> &mut Grid {
         self.grids
-            .get_mut(&Symbol::new(name))
+            .iter_mut()
+            .find_map(|(k, g)| (k.name() == name).then_some(g))
             .unwrap_or_else(|| panic!("no grid named `{name}` in workspace"))
     }
 

@@ -26,6 +26,13 @@
 //! segments are recomputed through the same tuned fused/JIT schedule the
 //! store-all sweep uses. Both sweeps are **bitwise-identical**:
 //! checkpointing changes where states come from, never how steps execute.
+//!
+//! The time loop costs what its kernels cost: the primal step is a
+//! one-nest [`Schedule`] on the row executor, tiled and driven like the
+//! tuned adjoint; no step allocates or copies a grid (state grids are
+//! *swapped* into the kernel workspaces and rotated back out); the adjoint
+//! field is a 3-grid rolling window in both sweeps; and a plan keeps its
+//! warmed shot states between runs instead of cloning them per call.
 
 use crate::wave3d;
 use perforad_ckpt::{
@@ -33,9 +40,10 @@ use perforad_ckpt::{
     MemStore, Snapshot, SnapshotStore,
 };
 use perforad_core::{Adjoint, AdjointOptions, BoundaryStrategy};
-use perforad_exec::{compile_nest, run, Binding, ExecMode, Grid, Plan, ThreadPool, Workspace};
+use perforad_exec::{default_pool, Binding, Grid, Lowering, ThreadPool, Workspace};
 use perforad_sched::{
-    compile_schedule, run_tuned, SchedOptions, Schedule, TunedConfig, TunedStrategy,
+    compile_schedule, compile_schedule_nests, run_tuned, SchedOptions, Schedule, TunedConfig,
+    TunedStrategy,
 };
 use perforad_symbolic::Symbol;
 use perforad_tune::{
@@ -44,6 +52,7 @@ use perforad_tune::{
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::mem::swap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -85,58 +94,101 @@ pub fn ricker(steps: usize) -> Vec<f64> {
 /// needs, and all a snapshot has to hold.
 pub type WaveState = (Grid, Grid);
 
+/// A kernel workspace: the model `c` plus zeroed grids of its shape.
+fn workspace(c: &Grid, zeroed: &[&str]) -> Workspace {
+    let mut ws = Workspace::new().with("c", c.clone());
+    for name in zeroed {
+        ws.insert(*name, Grid::zeros(c.dims()));
+    }
+    ws
+}
+
 /// One compiled primal wave step, shared by every forward pass in this
 /// module (the dense [`forward`], the checkpointed streaming pass, and
 /// its recomputed segments), so replayed segments are bitwise-identical
-/// to the first execution.
+/// to the first execution. A one-nest [`Schedule`] tiled and driven like
+/// the tuned adjoint, on the row executor — explicitly `Rows`, never
+/// `Jit`: nothing JIT-prepares the primal, and an unprepared `Jit` run is
+/// counted as a degraded execution (`jit.degraded_fallbacks`).
 #[derive(Clone)]
-struct Stepper {
-    plan: Plan,
+struct Stepper<'p> {
+    schedule: Schedule,
+    tuned: TunedConfig,
+    pool: &'p ThreadPool,
     ws: Workspace,
     src: [usize; 3],
     source: Vec<f64>,
 }
 
-impl Stepper {
-    fn new(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Stepper {
-        assert_eq!(source.len(), cfg.steps);
-        let dims = [cfg.n, cfg.n, cfg.n];
-        let nest = wave3d::nest();
+impl<'p> Stepper<'p> {
+    /// Compile the step under `tuned`'s tile/policy/strategy; the source
+    /// trace starts silent ([`Stepper::set_source`] targets a shot).
+    fn new(
+        cfg: &SeismicConfig,
+        c: &Grid,
+        tuned: &TunedConfig,
+        pool: &'p ThreadPool,
+    ) -> Stepper<'p> {
         let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
-        let mut ws = Workspace::new();
-        ws.insert("c", c.clone());
-        ws.insert("u", Grid::zeros(&dims));
-        ws.insert("u_1", Grid::zeros(&dims));
-        ws.insert("u_2", Grid::zeros(&dims));
-        let plan = compile_nest(&nest, &ws, &bind).expect("primal compiles");
+        let ws = workspace(c, &["u", "u_1", "u_2"]);
+        let tuned = TunedConfig {
+            lowering: Lowering::Rows,
+            cse: false,
+            ..tuned.clone()
+        };
+        let opts = SchedOptions::from_tuned(&tuned);
+        let schedule = compile_schedule_nests(&[wave3d::nest()], &ws, &bind, false, &opts)
+            .expect("primal schedules");
         Stepper {
-            plan,
+            schedule,
+            tuned,
+            pool,
             ws,
             src: cfg.source_index(),
-            source: source.to_vec(),
+            source: vec![0.0; cfg.steps],
         }
     }
 
-    /// Swap in another shot's source trace; the compiled plan and the
-    /// workspace are shot-independent, so a batch clones one prototype
-    /// and re-targets it per shot instead of recompiling.
+    /// Swap in another shot's source trace; the compiled schedule and the
+    /// workspace are shot-independent, so one stepper serves shot after
+    /// shot without recompiling.
     fn set_source(&mut self, source: &[f64]) {
         assert_eq!(source.len(), self.source.len());
-        self.source.clear();
-        self.source.extend_from_slice(source);
+        self.source.copy_from_slice(source);
     }
 
-    /// Advance `(u_{t−1}, u_t)` to `(u_t, u_{t+1})`.
-    fn step(&mut self, state: &WaveState, t: usize) -> WaveState {
+    /// Advance `(u_{t−1}, u_t)` to `(u_t, u_{t+1})` in place. The state's
+    /// grids are lent to the workspace for the run and rotated back out;
+    /// what stays behind (`u_{t−1}` and two spent buffers) is scratch the
+    /// next call overwrites. No grid is allocated or copied.
+    fn step(&mut self, state: &mut WaveState, t: usize) {
         let _span = perforad_obs::span!("seismic.step", "seismic", "t" => t as u64);
-        *self.ws.grid_mut("u_1") = state.1.clone();
-        *self.ws.grid_mut("u_2") = state.0.clone();
+        swap(self.ws.grid_mut("u_2"), &mut state.0);
+        swap(self.ws.grid_mut("u_1"), &mut state.1);
         self.ws.grid_mut("u").fill(0.0);
-        run(&self.plan, &mut self.ws, ExecMode::serial()).expect("primal step");
-        let mut next = self.ws.grid("u").clone();
-        let v = next.get(&self.src) + self.source[t];
-        next.set(&self.src, v);
-        (state.1.clone(), next)
+        run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("primal step");
+        swap(self.ws.grid_mut("u_1"), &mut state.0);
+        swap(self.ws.grid_mut("u"), &mut state.1);
+        let v = state.1.get(&self.src) + self.source[t];
+        state.1.set(&self.src, v);
+    }
+
+    /// Step through the whole time loop (one step per source sample),
+    /// keeping every state: `u_0 .. u_steps` — one grid clone per step,
+    /// the trajectory entry.
+    fn trajectory(&mut self) -> Vec<Grid> {
+        let (steps, dims) = (self.source.len(), self.ws.grid("u").dims().to_vec());
+        let _span = perforad_obs::span!(
+            "seismic.forward", "seismic", "steps" => steps as u64, "n" => dims[0] as u64
+        );
+        let mut traj = Vec::with_capacity(steps + 1);
+        traj.push(Grid::zeros(&dims));
+        let mut state: WaveState = (Grid::zeros(&dims), Grid::zeros(&dims));
+        for t in 0..steps {
+            self.step(&mut state, t);
+            traj.push(state.1.clone());
+        }
+        traj
     }
 }
 
@@ -144,19 +196,14 @@ impl Stepper {
 /// `u_0 .. u_steps`. A verification/synthesis helper for short sweeps —
 /// long-sweep gradients never materialize this vector.
 pub fn forward(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Vec<Grid> {
-    let _span = perforad_obs::span!(
-        "seismic.forward", "seismic", "steps" => cfg.steps as u64, "n" => cfg.n as u64
-    );
-    let dims = [cfg.n, cfg.n, cfg.n];
-    let mut stepper = Stepper::new(cfg, c, source);
-    let mut traj = Vec::with_capacity(cfg.steps + 1);
-    traj.push(Grid::zeros(&dims));
-    let mut state: WaveState = (Grid::zeros(&dims), Grid::zeros(&dims));
-    for t in 0..cfg.steps {
-        state = stepper.step(&state, t);
-        traj.push(state.1.clone());
-    }
-    traj
+    let serial = TunedConfig {
+        strategy: TunedStrategy::Serial,
+        ..TunedConfig::default()
+    };
+    // A serial drive never enters the pool it is handed.
+    let mut stepper = Stepper::new(cfg, c, &serial, default_pool());
+    stepper.set_source(source);
+    stepper.trajectory()
 }
 
 /// `J = ½ ‖u − d‖²`.
@@ -200,15 +247,8 @@ impl<'p> ReverseSweep<'p> {
         adj: &Adjoint,
     ) -> ReverseSweep<'p> {
         let _span = perforad_obs::span!("seismic.setup", "seismic", "n" => cfg.n as u64);
-        let dims = [cfg.n, cfg.n, cfg.n];
         let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
-        let mut ws = Workspace::new();
-        ws.insert("c", c.clone());
-        ws.insert("u_1", Grid::zeros(&dims));
-        ws.insert("u_b", Grid::zeros(&dims));
-        ws.insert("u_1_b", Grid::zeros(&dims));
-        ws.insert("u_2_b", Grid::zeros(&dims));
-        ws.insert("c_b", Grid::zeros(&dims));
+        let mut ws = workspace(c, &["u_1", "u_b", "u_1_b", "u_2_b", "c_b"]);
         let mut topts = TuneOptions::quick();
         topts.time_loop = time_loop;
         let (schedule, tuned) = match autotune_adjoint(adj, &mut ws, &bind, pool, &topts) {
@@ -218,7 +258,7 @@ impl<'p> ReverseSweep<'p> {
                     .expect("adjoint schedules");
                 let fallback = TunedConfig {
                     strategy: TunedStrategy::Parallel,
-                    lowering: perforad_exec::Lowering::Rows,
+                    lowering: Lowering::Rows,
                     threads: pool.size(),
                     ..TunedConfig::default()
                 };
@@ -234,67 +274,86 @@ impl<'p> ReverseSweep<'p> {
     }
 
     /// One adjoint step: consume `λ_{t+1}` with `u_1 = u_t` bound, leaving
-    /// the `u_1_b`/`u_2_b`/`c_b` contributions in the workspace.
-    fn back(&mut self, u_t: &Grid, lambda_next: &Grid) {
+    /// the `u_1_b`/`u_2_b`/`c_b` contributions in the workspace. Both
+    /// grids are lent to the workspace for the run (swapped in, not
+    /// copied) and handed back as they came.
+    fn back(&mut self, u_t: &mut Grid, lambda_next: &mut Grid) {
         let _span = perforad_obs::span!("seismic.back", "seismic");
-        *self.ws.grid_mut("u_1") = u_t.clone();
-        *self.ws.grid_mut("u_b") = lambda_next.clone();
+        swap(self.ws.grid_mut("u_1"), u_t);
+        swap(self.ws.grid_mut("u_b"), lambda_next);
         self.ws.grid_mut("u_1_b").fill(0.0);
         self.ws.grid_mut("u_2_b").fill(0.0);
         self.ws.grid_mut("c_b").fill(0.0);
         run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("adjoint step");
+        swap(self.ws.grid_mut("u_1"), u_t);
+        swap(self.ws.grid_mut("u_b"), lambda_next);
     }
 }
 
-/// The dense reference sweep against one shot's compiled stepper + reverse
-/// sweep: materializes the full trajectory and the full adjoint field
-/// vector, so memory grows linearly with `steps`.
-fn store_all_core(
-    cfg: &SeismicConfig,
-    data: &Grid,
-    stepper: &mut Stepper,
-    sweep: &mut ReverseSweep<'_>,
-) -> (f64, Grid) {
-    let dims = [cfg.n, cfg.n, cfg.n];
-    let mut traj = Vec::with_capacity(cfg.steps + 1);
-    {
-        let _fwd = perforad_obs::span!(
-            "seismic.forward", "seismic", "steps" => cfg.steps as u64, "n" => cfg.n as u64
-        );
-        traj.push(Grid::zeros(&dims));
-        let mut state: WaveState = (Grid::zeros(&dims), Grid::zeros(&dims));
-        for t in 0..cfg.steps {
-            state = stepper.step(&state, t);
-            traj.push(state.1.clone());
+/// Everything one in-flight shot mutates: a compiled stepper and reverse
+/// sweep with their workspaces.
+type ShotState<'p> = (Stepper<'p>, ReverseSweep<'p>);
+
+/// The reverse-phase state both sweeps share: the misfit, the 3-grid
+/// rolling adjoint window, and the accumulated model gradient. Back steps
+/// arrive in strictly descending `t`, so three λ grids are all that is
+/// ever live.
+struct Rolling {
+    j: f64,
+    /// `[λ_{t+1}, λ_t, λ_{t−1}]`: the first fully accumulated and consumed
+    /// by the next back step, the other two partial (they collect the
+    /// `u_1_b` and `u_2_b` rows of the current step).
+    lam: [Grid; 3],
+    c_b: Grid,
+}
+
+impl Rolling {
+    fn new(dims: &[usize]) -> Rolling {
+        Rolling {
+            j: 0.0,
+            lam: std::array::from_fn(|_| Grid::zeros(dims)),
+            c_b: Grid::zeros(dims),
         }
     }
-    let j = misfit(&traj[cfg.steps], data);
 
-    // λ_t = ∂J/∂u_t; only λ_T seeded directly. Source injection is additive
-    // and c-independent, so it contributes nothing to the adjoint.
-    let mut lambda: Vec<Grid> = (0..=cfg.steps).map(|_| Grid::zeros(&dims)).collect();
-    {
-        let lam = &mut lambda[cfg.steps];
-        for (l, (u, d)) in lam
-            .as_mut_slice()
-            .iter_mut()
-            .zip(traj[cfg.steps].as_slice().iter().zip(data.as_slice()))
-        {
+    /// `J` and `λ_T = ∂J/∂u_T = u_T − d`: only λ_T is seeded directly.
+    /// Source injection is additive and c-independent, so it contributes
+    /// nothing to the adjoint.
+    fn seed(&mut self, u_final: &Grid, data: &Grid) {
+        self.j = misfit(u_final, data);
+        let residual = u_final.as_slice().iter().zip(data.as_slice());
+        for (l, (u, d)) in self.lam[0].as_mut_slice().iter_mut().zip(residual) {
             *l = u - d;
         }
     }
-    let mut c_b = Grid::zeros(&dims);
-    for t in (1..=cfg.steps).rev() {
-        // Step t produced u_t from u_1 = u_{t-1}, u_2 = u_{t-2}.
-        sweep.back(&traj[t - 1], &lambda[t]);
-        // Scatter-free accumulation into earlier adjoint fields.
-        add_into(&mut lambda[t - 1], sweep.ws.grid("u_1_b"));
-        if t >= 2 {
-            add_into(&mut lambda[t - 2], sweep.ws.grid("u_2_b"));
-        }
-        add_into(&mut c_b, sweep.ws.grid("c_b"));
+
+    /// Reverse the step that produced `u_{t+1}` from `u_1 = u_t`,
+    /// `u_2 = u_{t−1}`: its adjoint consumes λ_{t+1} and feeds λ_t and
+    /// λ_{t−1} (scatter-free accumulation), then the window rolls down.
+    fn back(&mut self, sweep: &mut ReverseSweep<'_>, u_t: &mut Grid) {
+        let [hi, mid, lo] = &mut self.lam;
+        sweep.back(u_t, hi);
+        add_into(mid, sweep.ws.grid("u_1_b"));
+        add_into(lo, sweep.ws.grid("u_2_b"));
+        add_into(&mut self.c_b, sweep.ws.grid("c_b"));
+        self.lam.rotate_left(1);
+        self.lam[2].fill(0.0);
     }
-    (j, c_b)
+}
+
+/// The dense reference sweep on one shot state: materializes the full
+/// trajectory (memory grows linearly with `steps`), then reverses it
+/// through the same [`Rolling`] window the checkpointed sweep uses.
+fn store_all_core(cfg: &SeismicConfig, data: &Grid, state: &mut ShotState<'_>) -> (f64, Grid) {
+    let (stepper, sweep) = state;
+    let mut traj = stepper.trajectory();
+    let mut rolling = Rolling::new(&[cfg.n, cfg.n, cfg.n]);
+    rolling.seed(&traj[cfg.steps], data);
+    // Step t produced u_t from u_1 = u_{t-1}.
+    for t in (1..=cfg.steps).rev() {
+        rolling.back(sweep, &mut traj[t - 1]);
+    }
+    (rolling.j, rolling.c_b)
 }
 
 /// Where trajectory snapshots live during a checkpointed sweep.
@@ -310,8 +369,8 @@ pub enum SnapshotBackend {
     Disk(PathBuf),
 }
 
-/// The bounded-memory sweep against one shot's compiled stepper + reverse
-/// sweep, under an explicit (already resolved) snapshot budget. The
+/// The bounded-memory sweep on one shot state, under an explicit
+/// (already resolved) snapshot budget. The
 /// forward pass streams: at most `budget` `(u_{t−1}, u_t)` snapshots are
 /// live at once, the adjoint field is a 3-grid rolling window, and reverse
 /// segments are recomputed from snapshots through the same compiled primal
@@ -324,8 +383,7 @@ fn checkpointed_core(
     data: &Grid,
     budget: usize,
     backend: &SnapshotBackend,
-    stepper: &mut Stepper,
-    sweep: &mut ReverseSweep<'_>,
+    state: &mut ShotState<'_>,
 ) -> (f64, Grid, CkptReport) {
     let plan = CheckpointPlan::with_budget(cfg.steps, budget);
 
@@ -334,31 +392,23 @@ fn checkpointed_core(
     // memory instead), and anything the store cannot absorb — a read
     // failure, an unusable spill directory — falls back to re-running the
     // *whole* sweep in memory. Both the stepper and the reverse sweep
-    // reset their workspace grids per call and the rolling adjoint state
-    // is rebuilt per attempt, so a retried gradient is bitwise-identical
-    // to a first-try one.
-    if let ResolvedBackend::Disk(dir) = resolve_backend(backend) {
-        match DiskStore::new(&dir) {
-            Ok(disk) => {
-                let mut store = FallbackStore::new(disk);
-                match checkpointed_attempt(cfg, data, &plan, &mut store, stepper, sweep) {
-                    Ok(out) => return out,
-                    Err(e) => {
-                        perforad_obs::counter("ckpt.spill_fallbacks").inc();
-                        eprintln!(
-                            "perforad: disk-backed checkpoint sweep failed ({e}); \
-                             re-running in memory"
-                        );
-                    }
-                }
-            }
+    // overwrite their workspace grids per call and the rolling adjoint
+    // state is rebuilt per attempt, so a retried gradient is
+    // bitwise-identical to a first-try one.
+    if let Some(dir) = spill_dir(backend) {
+        let spilled = DiskStore::new(&dir).and_then(|disk| {
+            let mut store = FallbackStore::new(disk);
+            checkpointed_attempt(cfg, data, &plan, &mut store, state)
+        });
+        match spilled {
+            Ok(out) => return out,
             Err(e) => {
                 perforad_obs::counter("ckpt.spill_fallbacks").inc();
-                eprintln!("perforad: snapshot spill directory unavailable ({e}); using memory");
+                eprintln!("perforad: disk-backed checkpoint sweep failed ({e}); using memory");
             }
         }
     }
-    checkpointed_attempt(cfg, data, &plan, &mut MemStore::new(), stepper, sweep)
+    checkpointed_attempt(cfg, data, &plan, &mut MemStore::new(), state)
         .expect("in-memory checkpointed sweep")
 }
 
@@ -371,81 +421,28 @@ fn checkpointed_attempt(
     data: &Grid,
     plan: &CheckpointPlan,
     store: &mut impl SnapshotStore<WaveState>,
-    stepper: &mut Stepper,
-    sweep: &mut ReverseSweep<'_>,
+    (stepper, sweep): &mut ShotState<'_>,
 ) -> Result<(f64, Grid, CkptReport), CkptError> {
     let dims = [cfg.n, cfg.n, cfg.n];
     let s0: WaveState = (Grid::zeros(&dims), Grid::zeros(&dims));
-
-    // Shared mutable sweep state: the driver calls `seed` and `back`
-    // strictly sequentially, so a RefCell resolves the closure-borrow
-    // overlap without locking.
-    struct Rolling<'a, 'p> {
-        sweep: &'a mut ReverseSweep<'p>,
-        j: f64,
-        /// λ_{t+1}: fully accumulated, consumed by the next back step.
-        lam_hi: Grid,
-        /// λ_t: partial (holds the `u_1_b` row of the current step).
-        lam_mid: Grid,
-        /// λ_{t−1}: partial (holds the `u_2_b` row of the current step).
-        lam_lo: Grid,
-        c_b: Grid,
-    }
-    let rolling = RefCell::new(Rolling {
-        sweep,
-        j: 0.0,
-        lam_hi: Grid::zeros(&dims),
-        lam_mid: Grid::zeros(&dims),
-        lam_lo: Grid::zeros(&dims),
-        c_b: Grid::zeros(&dims),
-    });
-
-    let mut step = |s: &WaveState, t: usize| stepper.step(s, t);
-    let mut seed = |s: &WaveState| {
-        let st = &mut *rolling.borrow_mut();
-        st.j = misfit(&s.1, data);
-        for (l, (u, d)) in st
-            .lam_hi
-            .as_mut_slice()
-            .iter_mut()
-            .zip(s.1.as_slice().iter().zip(data.as_slice()))
-        {
-            *l = u - d;
-        }
-    };
-    let mut back = |s: &WaveState, _t: usize| {
-        let st = &mut *rolling.borrow_mut();
-        // Step t produced u_{t+1} from u_1 = u_t (= s.1), u_2 = u_{t−1};
-        // its adjoint consumes λ_{t+1} and feeds λ_t and λ_{t−1}.
-        // (Field borrows of `st` are disjoint: no per-step clones.)
-        st.sweep.back(&s.1, &st.lam_hi);
-        add_into(&mut st.lam_mid, st.sweep.ws.grid("u_1_b"));
-        add_into(&mut st.lam_lo, st.sweep.ws.grid("u_2_b"));
-        add_into(&mut st.c_b, st.sweep.ws.grid("c_b"));
-        // Roll the window down one step.
-        std::mem::swap(&mut st.lam_hi, &mut st.lam_mid);
-        std::mem::swap(&mut st.lam_mid, &mut st.lam_lo);
-        st.lam_lo.fill(0.0);
-    };
-
+    // The driver calls `seed` and `back` strictly sequentially, so a
+    // RefCell resolves the closure-borrow overlap without locking.
+    let rolling = RefCell::new(Rolling::new(&dims));
+    let mut step = |s: &mut WaveState, t: usize| stepper.step(s, t);
+    let mut seed = |s: &WaveState| rolling.borrow_mut().seed(&s.1, data);
+    // Step t produced u_{t+1} from u_1 = u_t (= s.1).
+    let mut back = |s: &mut WaveState, _t: usize| rolling.borrow_mut().back(sweep, &mut s.1);
     let report = checkpointed_adjoint_plan(plan, s0, store, &mut step, &mut seed, &mut back)?;
     let st = rolling.into_inner();
     Ok((st.j, st.c_b, report))
 }
 
-enum ResolvedBackend {
-    Memory,
-    Disk(PathBuf),
-}
-
-fn resolve_backend(backend: &SnapshotBackend) -> ResolvedBackend {
+/// The directory `backend` spills snapshots to, if it spills at all.
+fn spill_dir(backend: &SnapshotBackend) -> Option<PathBuf> {
     match backend {
-        SnapshotBackend::Memory => ResolvedBackend::Memory,
-        SnapshotBackend::Disk(dir) => ResolvedBackend::Disk(dir.clone()),
-        SnapshotBackend::Auto => match std::env::var_os(perforad_ckpt::CKPT_DIR_ENV) {
-            Some(dir) => ResolvedBackend::Disk(PathBuf::from(dir)),
-            None => ResolvedBackend::Memory,
-        },
+        SnapshotBackend::Memory => None,
+        SnapshotBackend::Disk(dir) => Some(dir.clone()),
+        SnapshotBackend::Auto => std::env::var_os(perforad_ckpt::CKPT_DIR_ENV).map(PathBuf::from),
     }
 }
 
@@ -554,8 +551,11 @@ impl BatchResult {
 pub struct BatchPlan<'p> {
     cfg: SeismicConfig,
     pool: &'p ThreadPool,
-    stepper_proto: Stepper,
-    sweep_proto: ReverseSweep<'p>,
+    /// What a shot state is cloned from when none is idle; never run.
+    proto: ShotState<'p>,
+    /// Warmed shot states: a run checks one out per shot in flight and
+    /// returns it, so only a plan's first run at a width pays the clone.
+    idle: Mutex<Vec<ShotState<'p>>>,
     machine: Machine,
     prof: KernelProfile,
     nest_count: usize,
@@ -587,21 +587,21 @@ impl<'p> BatchPlan<'p> {
         let fingerprint =
             fingerprint_nests(&adj.nests, adj.strategy == BoundaryStrategy::Padded, &bind);
         let time_loop = checkpointed.then(|| TimeLoop::new(cfg.steps, state_bytes));
-        let sweep_proto = ReverseSweep::new(cfg, c, time_loop, pool, &adj);
+        let sweep = ReverseSweep::new(cfg, c, time_loop, pool, &adj);
         let budget = opts
             .budget
-            .or(sweep_proto.tuned.checkpoint)
+            .or(sweep.tuned.checkpoint)
             .unwrap_or_else(|| default_budget(cfg.steps));
-        let stepper_proto = Stepper::new(cfg, c, &vec![0.0; cfg.steps]);
+        let stepper = Stepper::new(cfg, c, &sweep.tuned, pool);
         let mut sizes = BTreeMap::new();
         sizes.insert(Symbol::new("n"), cfg.n as i64);
         let prof = profile(&adj.nests, &sizes);
         BatchPlan {
             cfg: *cfg,
             pool,
-            stepper_proto,
+            proto: (stepper, sweep),
+            idle: Mutex::new(Vec::new()),
             nest_count: adj.nests.len(),
-            sweep_proto,
             machine: host(pool.size()),
             prof,
             fingerprint,
@@ -625,7 +625,7 @@ impl<'p> BatchPlan<'p> {
 
     /// The tuned configuration every shot's reverse sweep runs under.
     pub fn tuned(&self) -> &TunedConfig {
-        &self.sweep_proto.tuned
+        &self.proto.1.tuned
     }
 
     /// The snapshot budget checkpointed shots run with (also reported for
@@ -646,8 +646,14 @@ impl<'p> BatchPlan<'p> {
     pub fn set_model(&mut self, c: &Grid) {
         let dims = [self.cfg.n, self.cfg.n, self.cfg.n];
         assert_eq!(c.dims(), &dims[..], "velocity model shape must match plan");
-        *self.stepper_proto.ws.grid_mut("c") = c.clone();
-        *self.sweep_proto.ws.grid_mut("c") = c.clone();
+        let idle = self.idle.get_mut().expect("idle states lock");
+        for (stepper, sweep) in idle.iter_mut().chain([&mut self.proto]) {
+            for ws in [&mut stepper.ws, &mut sweep.ws] {
+                ws.grid_mut("c")
+                    .as_mut_slice()
+                    .copy_from_slice(c.as_slice());
+            }
+        }
     }
 
     /// The dispatch strategy a batch of `shots` will run under: the
@@ -666,7 +672,7 @@ impl<'p> BatchPlan<'p> {
             &self.machine,
             &self.prof,
             self.nest_count,
-            &self.sweep_proto.tuned,
+            self.tuned(),
             &shape,
         )
         .0
@@ -691,42 +697,24 @@ impl<'p> BatchPlan<'p> {
         let mut out: Vec<(f64, Grid, Option<CkptReport>)> = Vec::with_capacity(shots);
         match strategy {
             BatchStrategy::GridParallel => {
-                // Round-robin: one worker pair of protos, each shot's
-                // sweep runs grid-parallel through the tuned schedule.
-                let mut stepper = self.stepper_proto.clone();
-                let mut sweep = self.sweep_proto.clone();
+                // Round-robin: each shot's steps run grid-parallel (if the
+                // tuner said so) through the tuned schedules.
+                let drive = self.tuned().strategy;
                 for k in 0..shots {
-                    out.push(self.run_shot(
-                        k,
-                        batch,
-                        &mut stepper,
-                        &mut sweep,
-                        &shots_total,
-                        &shot_ns,
-                    ));
+                    out.push(self.run_shot(k, batch, drive, &shots_total, &shot_ns));
                 }
             }
             BatchStrategy::ShotParallel => {
-                // Workers own whole shots. Each worker clones the compiled
-                // prototypes once (its private workspace/snapshot state)
-                // and runs its shots strictly serially — `run_tuned` with
-                // a `Serial` strategy never re-enters the pool, which is
-                // not reentrant.
-                let serial = TunedConfig {
-                    strategy: TunedStrategy::Serial,
-                    ..self.sweep_proto.tuned.clone()
-                };
+                // Workers own whole shots and run them strictly serially —
+                // `run_tuned` with a `Serial` strategy never re-enters the
+                // pool, which is not reentrant.
+                let drive = TunedStrategy::Serial;
                 let slots = Mutex::new(Vec::with_capacity(shots));
                 self.pool.work_queue(
                     shots,
-                    |_tid| {
-                        let mut sweep = self.sweep_proto.clone();
-                        sweep.tuned = serial.clone();
-                        (self.stepper_proto.clone(), sweep)
-                    },
-                    |k, state: &mut (Stepper, ReverseSweep<'p>)| {
-                        let (stepper, sweep) = state;
-                        let shot = self.run_shot(k, batch, stepper, sweep, &shots_total, &shot_ns);
+                    |_tid| (),
+                    |k, _| {
+                        let shot = self.run_shot(k, batch, drive, &shots_total, &shot_ns);
                         slots.lock().expect("batch results lock").push((k, shot));
                     },
                 );
@@ -755,28 +743,29 @@ impl<'p> BatchPlan<'p> {
         &self,
         k: usize,
         batch: &ShotBatch,
-        stepper: &mut Stepper,
-        sweep: &mut ReverseSweep<'_>,
+        drive: TunedStrategy,
         shots_total: &perforad_obs::Counter,
         shot_ns: &perforad_obs::Histogram,
     ) -> (f64, Grid, Option<CkptReport>) {
         let _span = perforad_obs::span!("seismic.shot", "seismic", "shot" => k as u64);
         let t0 = perforad_obs::enabled().then(perforad_obs::now_ns);
+        // Check a shot state out — one left warm by an earlier shot, else
+        // a clone of the prototype — and back in when the shot is done.
+        let idle = self.idle.lock().expect("idle states lock").pop();
+        let mut state = idle.unwrap_or_else(|| self.proto.clone());
+        let (stepper, sweep) = &mut state;
+        stepper.tuned.strategy = drive;
+        sweep.tuned.strategy = drive;
         stepper.set_source(&batch.sources[k]);
+        let (data, backend) = (&batch.observed[k], &self.opts.backend);
         let shot = if self.checkpointed {
-            let (j, g, rep) = checkpointed_core(
-                &self.cfg,
-                &batch.observed[k],
-                self.budget,
-                &self.opts.backend,
-                stepper,
-                sweep,
-            );
+            let (j, g, rep) = checkpointed_core(&self.cfg, data, self.budget, backend, &mut state);
             (j, g, Some(rep))
         } else {
-            let (j, g) = store_all_core(&self.cfg, &batch.observed[k], stepper, sweep);
+            let (j, g) = store_all_core(&self.cfg, data, &mut state);
             (j, g, None)
         };
+        self.idle.lock().expect("idle states lock").push(state);
         shots_total.inc();
         if let Some(t0) = t0 {
             shot_ns.record(perforad_obs::now_ns().saturating_sub(t0));

@@ -24,7 +24,7 @@
 
 use crate::proto::{
     BatchReply, BatchRequest, CompileRequest, CompiledReply, GradientReply, GradientRequest, Reply,
-    Request,
+    Request, MAX_FRAME, MAX_FRAME_VALUES,
 };
 use perforad_codegen::parse_stencil;
 use perforad_core::{ActivityMap, AdjointOptions, BoundaryStrategy};
@@ -37,9 +37,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Largest accepted grid edge: a 512³ shot is ~1 GiB of f64 grids per
-/// workspace — beyond that the request is almost certainly a mistake.
-const MAX_N: usize = 512;
 /// Largest accepted step count per shot.
 const MAX_STEPS: usize = 1 << 20;
 
@@ -363,8 +360,16 @@ impl Engine {
         budget: Option<usize>,
         checkpointed: Option<bool>,
     ) -> Result<CompiledReply, String> {
-        if !(4..=MAX_N).contains(&n) {
-            return Err(format!("n must be in 4..={MAX_N}, got {n}"));
+        // A plan is only worth compiling if its answers can be sent: the
+        // gradient reply carries n³ values in one frame. Refusing here is a
+        // `Reply::Error` now instead of a dropped connection at reply time.
+        let framed = n.checked_pow(3).is_some_and(|v| v <= MAX_FRAME_VALUES);
+        if n < 4 || !framed {
+            let max_n = (MAX_FRAME_VALUES as f64).cbrt() as usize;
+            return Err(format!(
+                "n must be in 4..={max_n}, got {n}: one frame ({MAX_FRAME} bytes) has to carry \
+                 the n³-value gradient at 16 bytes per value"
+            ));
         }
         if !(1..=MAX_STEPS).contains(&steps) {
             return Err(format!("steps must be in 1..={MAX_STEPS}, got {steps}"));

@@ -2,10 +2,19 @@
 //!
 //! Each message is one frame — a big-endian `u32` byte count followed by
 //! that many bytes of UTF-8 JSON. The JSON side reuses the workspace's
-//! hand-rolled reader (`perforad_tune::json`); the writer lives here and
-//! emits `f64`s with Rust's `Display`, which produces the shortest string
-//! that parses back to the same bits — so finite grid values cross the
-//! wire **bitwise-intact**, the property `tests/serve.rs` pins.
+//! hand-rolled reader (`perforad_tune::json`); the writer lives here.
+//!
+//! Floats cross the wire **bitwise-intact**, the property `tests/serve.rs`
+//! pins, in one of two forms. A *bulk array* (a source trace, a grid, a
+//! gradient) is written as one JSON string of 16 lowercase hex digits per
+//! value — the IEEE-754 bits, `"3ff0000000000000"` is `[1.0]` — which is
+//! 16 bytes per value and costs a table lookup, not a decimal conversion,
+//! on either side. The reader also accepts the plain JSON number array a
+//! hand-written client sends (`[1.0]`); there is no version field and no
+//! negotiation, the two forms are told apart by their JSON type. A
+//! *scalar* (`misfit`, `d`, a stencil parameter) is a JSON number printed
+//! with Rust's `Display`, the shortest string that parses back to the
+//! same bits. Non-finite values are rejected in either form.
 //!
 //! Malformed input never panics the peer: an oversized or non-UTF-8
 //! frame is an `io::Error` (the server drops the connection), and a
@@ -13,12 +22,30 @@
 //! [`Reply::Error`] on the same connection.
 
 use perforad_tune::json::{self, Value};
+use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
-/// Hard cap on one frame (64 MiB). A 512³ f64 grid serializes well under
-/// this; anything larger is a corrupt or hostile length prefix and is
-/// rejected before allocation.
+/// Hard cap on one frame (64 MiB); a longer length prefix is corrupt or
+/// hostile and is rejected before allocation. At 16 wire bytes per value
+/// a frame holds one bulk array of about 161³ values
+/// ([`MAX_FRAME_VALUES`]) — a 512³ grid would be 2 GiB — so the engine
+/// refuses at `Compile` any grid whose gradient reply could not be framed.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Wire bytes per bulk-array value: 16 hex digits.
+const HEX_PER_VALUE: usize = 16;
+const DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The longest bulk `f64` array one frame carries, leaving 64 KiB for the
+/// envelope around it (field names, scalars, a trace rollup).
+pub(crate) const MAX_FRAME_VALUES: usize = (MAX_FRAME - (64 << 10)) / HEX_PER_VALUE;
+
+fn oversize(len: usize) -> String {
+    format!(
+        "frame of {len} bytes exceeds MAX_FRAME ({MAX_FRAME} bytes, about \
+         {MAX_FRAME_VALUES} array values at {HEX_PER_VALUE} bytes each)"
+    )
+}
 
 /// Write one `u32`-BE length-prefixed frame and flush.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
@@ -26,7 +53,7 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
     if bytes.len() > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", bytes.len()),
+            oversize(bytes.len()),
         ));
     }
     w.write_all(&(bytes.len() as u32).to_be_bytes())?;
@@ -41,10 +68,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<String> {
     r.read_exact(&mut len)?;
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
-        ));
+        return Err(io::Error::new(io::ErrorKind::InvalidData, oversize(len)));
     }
     let mut buf = vec![0u8; len];
     r.read_exact(&mut buf)?;
@@ -206,27 +230,42 @@ pub struct BatchReply {
 }
 
 // ---------------------------------------------------------------------
-// JSON writing. f64s go through Display: shortest round-trip form, so
-// finite values survive the wire bit-for-bit. Non-finite values become
-// null (the reader rejects them).
+// JSON writing. Scalar f64s go through Display: shortest round-trip form,
+// so finite values survive the wire bit-for-bit; a non-finite scalar
+// becomes null (the reader rejects it). Bulk arrays go out as hex bits.
 
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v}"));
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
     }
 }
 
+/// One JSON string, 16 lowercase hex digits (the IEEE-754 bits, most
+/// significant first) per value. Non-finite values are written as they
+/// are; [`f64_array`] refuses them on the way in.
 fn push_f64_array(out: &mut String, xs: &[f64]) {
-    out.push('[');
-    for (i, v) in xs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64(out, *v);
+    out.push('"');
+    for v in xs {
+        let bits = v.to_bits();
+        let hex: [u8; HEX_PER_VALUE] =
+            std::array::from_fn(|i| DIGITS[(bits >> (60 - 4 * i)) as usize & 0xf]);
+        out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
     }
-    out.push(']');
+    out.push('"');
+}
+
+/// A frame buffer sized up front — one allocation per frame — for bulk
+/// arrays of the given lengths plus an envelope of field names and scalars
+/// (a long stencil source or trace rollup may still grow it).
+fn frame_buffer(array_lens: impl IntoIterator<Item = usize>) -> String {
+    let arrays: usize = array_lens
+        .into_iter()
+        .map(|values| HEX_PER_VALUE * values + 32)
+        .sum();
+    String::with_capacity(256 + arrays)
 }
 
 // `json::escape` emits the surrounding quotes itself.
@@ -236,7 +275,14 @@ fn push_str(out: &mut String, s: &str) {
 
 impl Request {
     pub fn to_json(&self) -> String {
-        let mut o = String::new();
+        let mut o = match self {
+            Request::Compile(CompileRequest::Seismic { c: Some(c), .. }) => frame_buffer([c.len()]),
+            Request::Gradient(g) => frame_buffer([g.source.len(), g.observed.len()]),
+            Request::GradientBatch(b) => {
+                frame_buffer(b.shots.iter().flat_map(|(s, o)| [s.len(), o.len()]))
+            }
+            _ => frame_buffer([]),
+        };
         match self {
             Request::Compile(CompileRequest::Seismic {
                 n,
@@ -490,19 +536,71 @@ fn opt_value(v: &Value, key: &str) -> Option<Value> {
     }
 }
 
+/// `NIBBLE[c]` is the value of the hex digit `c`, `0xff` for every byte
+/// outside `0-9a-f`.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff_u8; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[DIGITS[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// A bulk array in either wire form: the hex string [`push_f64_array`]
+/// writes, or a plain array of JSON numbers. `None` for anything else —
+/// a hex string of a length not a multiple of 16, a digit outside
+/// `0-9a-f` (upper case included), a non-finite value, a non-number item.
 fn f64_array(v: &Value) -> Option<Vec<f64>> {
-    v.as_array()?.iter().map(Value::as_f64).collect()
+    let finite = |x: &f64| x.is_finite();
+    let hex = match v {
+        Value::Str(hex) => hex.as_bytes(),
+        // `1e999` is a JSON number that parses to infinity.
+        other => {
+            return other
+                .as_array()?
+                .iter()
+                .map(|x| x.as_f64().filter(finite))
+                .collect()
+        }
+    };
+    if hex.len() % HEX_PER_VALUE != 0 {
+        return None;
+    }
+    let mut out = Vec::with_capacity(hex.len() / HEX_PER_VALUE);
+    for digits in hex.chunks_exact(HEX_PER_VALUE) {
+        // Branch-free over the 16 digits: any 0xff leaves a high bit in `seen`.
+        let (mut bits, mut seen) = (0_u64, 0_u8);
+        for &d in digits {
+            let nibble = NIBBLE[d as usize];
+            seen |= nibble;
+            bits = bits << 4 | u64::from(nibble & 0xf);
+        }
+        if seen > 0xf {
+            return None;
+        }
+        out.push(Some(f64::from_bits(bits)).filter(finite)?);
+    }
+    Some(out)
 }
 
 fn req_f64_array(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    v.get(key)
-        .and_then(f64_array)
-        .ok_or(format!("missing number-array field \"{key}\""))
+    v.get(key).and_then(f64_array).ok_or(format!(
+        "field \"{key}\" must be an array of finite numbers or a string of \
+         16 lowercase hex digits per value"
+    ))
 }
 
 impl Reply {
     pub fn to_json(&self) -> String {
-        let mut o = String::new();
+        let mut o = match self {
+            Reply::Gradient(g) => frame_buffer([g.gradient.len()]),
+            Reply::GradientBatch(b) => {
+                frame_buffer(b.gradients.iter().map(Vec::len).chain([b.misfits.len()]))
+            }
+            _ => frame_buffer([]),
+        };
         match self {
             Reply::Compiled(c) => {
                 o.push_str("{\"type\":\"compiled\",\"fingerprint\":");
@@ -668,24 +766,116 @@ pub fn write_value(out: &mut String, v: &Value) {
 mod tests {
     use super::*;
 
+    /// Finite values whose bits a careless writer loses: signed zeros,
+    /// non-terminating decimals, both ends of the exponent range,
+    /// subnormals.
+    const AWKWARD: [f64; 12] = [
+        0.0,
+        -0.0,
+        1.0,
+        0.1,
+        std::f64::consts::PI,
+        1e-300,
+        -3.9e17,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 3.0,
+    ];
+
     #[test]
     fn f64_wire_round_trip_is_bitwise() {
-        for v in [
-            0.0,
-            -0.0,
-            1.0,
-            0.1,
-            std::f64::consts::PI,
-            1e-300,
-            -3.9e17,
-            f64::MIN_POSITIVE,
-            f64::MAX,
-        ] {
+        for v in AWKWARD {
             let mut s = String::new();
             push_f64(&mut s, v);
             let back = json::parse(&s).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} -> {s}");
         }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn hex_arrays_round_trip_every_bit_pattern() {
+        let mut s = String::new();
+        push_f64_array(&mut s, &[1.0, -0.0]);
+        assert_eq!(s, "\"3ff00000000000008000000000000000\"");
+
+        let mut s = String::new();
+        push_f64_array(&mut s, &AWKWARD);
+        assert_eq!(s.len(), 16 * AWKWARD.len() + 2, "16 bytes per value");
+        let back = f64_array(&json::parse(&s).unwrap()).expect("hex array decodes");
+        assert_eq!(bits(&back), bits(&AWKWARD));
+
+        let mut empty = String::new();
+        push_f64_array(&mut empty, &[]);
+        assert_eq!(empty, "\"\"");
+        assert_eq!(f64_array(&json::parse(&empty).unwrap()), Some(vec![]));
+    }
+
+    #[test]
+    fn decimal_arrays_still_decode_to_the_same_request() {
+        let written = Request::Gradient(GradientRequest {
+            fingerprint: "ab12".into(),
+            source: vec![0.5, -1.25, 0.1],
+            observed: AWKWARD.to_vec(),
+            deadline_ms: Some(7),
+            trace: true,
+        });
+        // What a hand-written client sends: plain JSON numbers.
+        let decimal = |xs: &[f64]| {
+            let items: Vec<String> = xs.iter().map(|x| format!("{x:?}")).collect();
+            format!("[{}]", items.join(","))
+        };
+        let by_hand = format!(
+            "{{\"type\":\"gradient\",\"fingerprint\":\"ab12\",\"source\":{},\
+             \"observed\":{},\"deadline_ms\":7,\"trace\":true}}",
+            decimal(&[0.5, -1.25, 0.1]),
+            decimal(&AWKWARD)
+        );
+        let decode = |json: &str| match Request::from_json(json) {
+            Ok(Request::Gradient(g)) => g,
+            other => panic!("expected a gradient request, got {other:?}"),
+        };
+        let (hex, dec) = (decode(&written.to_json()), decode(&by_hand));
+        assert_eq!(hex.fingerprint, dec.fingerprint);
+        assert_eq!(bits(&hex.source), bits(&dec.source));
+        assert_eq!(bits(&hex.observed), bits(&dec.observed));
+        assert_eq!(bits(&hex.observed), bits(&AWKWARD));
+        assert_eq!((hex.deadline_ms, hex.trace), (dec.deadline_ms, dec.trace));
+    }
+
+    #[test]
+    fn malformed_hex_arrays_are_errors_not_panics() {
+        for (why, observed) in [
+            ("odd length", "\"3ff\""),
+            ("one digit short", "\"3ff000000000000\""),
+            ("not hex", "\"3ff000000000000g\""),
+            ("upper case", "\"3FF0000000000000\""),
+            ("mixed case", "\"3ff000000000000A\""),
+            ("non-ASCII", "\"3ff00000000000é\""),
+            ("infinity", "\"7ff0000000000000\""),
+            ("NaN", "\"7ff8000000000000\""),
+            ("second value bad", "\"3ff0000000000000fff0000000000000\""),
+            ("a number", "1.0"),
+            ("null in a decimal array", "[1.0,null]"),
+            ("infinity in a decimal array", "[1.0,1e999]"),
+        ] {
+            let frame = format!(
+                "{{\"type\":\"gradient\",\"fingerprint\":\"a\",\"source\":[],\
+                 \"observed\":{observed}}}"
+            );
+            let err = Request::from_json(&frame).expect_err(why);
+            assert!(err.contains("observed"), "{why}: {err}");
+        }
+        // The same reader guards replies.
+        assert!(Reply::from_json(
+            "{\"type\":\"gradient\",\"misfit\":1,\"gradient\":\"7ff0000000000000\"}"
+        )
+        .is_err());
     }
 
     #[test]

@@ -228,19 +228,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so byte
-                // boundaries are valid).
-                let s = &b[*pos..];
-                let ch_len = match s[0] {
-                    0x00..=0x7f => 1,
-                    0xc0..=0xdf => 2,
-                    0xe0..=0xef => 3,
-                    _ => 4,
-                };
-                let chunk = std::str::from_utf8(&s[..ch_len.min(s.len())])
-                    .map_err(|_| err(*pos, "invalid UTF-8"))?;
+                // Consume the whole run up to the next quote or escape in
+                // one copy (the input is a &str and both delimiters are
+                // ASCII, so the run ends on a character boundary) — a
+                // serve frame's hex float array is one 16-bytes-per-value
+                // run.
+                let rest = &b[*pos..];
+                let run = rest
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(rest.len());
+                let chunk =
+                    std::str::from_utf8(&rest[..run]).map_err(|_| err(*pos, "invalid UTF-8"))?;
                 out.push_str(chunk);
-                *pos += ch_len;
+                *pos += run;
             }
         }
     }

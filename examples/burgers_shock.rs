@@ -11,11 +11,13 @@ use perforad::pde::burgers;
 use perforad::prelude::*;
 use std::cell::RefCell;
 
-fn step_primal(plan: &perforad::exec::Plan, ws: &mut Workspace, u: &Grid) -> Grid {
-    *ws.grid_mut("u_1") = u.clone();
+/// Advance `u` one step in place: lend it to the workspace as `u_1`,
+/// run, take the new `u` back — no grid is allocated or copied per step.
+fn step_primal(plan: &perforad::exec::Plan, ws: &mut Workspace, u: &mut Grid) {
+    std::mem::swap(ws.grid_mut("u_1"), u);
     ws.grid_mut("u").fill(0.0);
-    run(plan, ws, ExecMode::serial()).unwrap();
-    ws.grid("u").clone()
+    run(plan, ws, ExecMode::serial().rows()).unwrap();
+    std::mem::swap(ws.grid_mut("u"), u);
 }
 
 fn main() {
@@ -41,20 +43,21 @@ fn main() {
         &plan,
         u0,
         &mut MemStore::new(),
-        &mut |s: &Grid, _t| step_primal(&primal_plan, &mut ws.borrow_mut(), s),
+        &mut |s: &mut Grid, _t| step_primal(&primal_plan, &mut ws.borrow_mut(), s),
         &mut |u_t: &Grid| {
             let energy: f64 = 0.5 * u_t.as_slice().iter().map(|x| x * x).sum::<f64>();
             println!("final kinetic energy after {steps} steps: {energy:.6}");
             *lambda.borrow_mut() = u_t.clone(); // dE/du_T = u_T
         },
-        &mut |s: &Grid, _t| {
+        &mut |s: &mut Grid, _t| {
             let mut w = ws.borrow_mut();
             let mut lambda = lambda.borrow_mut();
-            *w.grid_mut("u_1") = s.clone(); // primal state before this step
-            *w.grid_mut("u_b") = lambda.clone();
+            std::mem::swap(w.grid_mut("u_1"), s); // primal state before this step
+            std::mem::swap(w.grid_mut("u_b"), &mut *lambda);
             w.grid_mut("u_1_b").fill(0.0);
-            run(&adj_plan, &mut w, ExecMode::serial()).unwrap();
-            *lambda = w.grid("u_1_b").clone();
+            run(&adj_plan, &mut w, ExecMode::serial().rows()).unwrap();
+            std::mem::swap(w.grid_mut("u_1"), s); // hand the state back
+            std::mem::swap(w.grid_mut("u_1_b"), &mut *lambda);
         },
     )
     .expect("in-memory checkpointed sweep");

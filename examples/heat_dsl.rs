@@ -57,9 +57,9 @@ fn main() {
 
     let pool = ThreadPool::new(2);
     let plan = compile_nest(&nest, &ws, &bind).unwrap();
-    run(&plan, &mut ws, ExecMode::parallel(&pool)).unwrap();
+    run(&plan, &mut ws, ExecMode::parallel(&pool).rows()).unwrap();
     let aplan = compile_adjoint(&adj, &ws, &bind).unwrap();
-    run(&aplan, &mut ws, ExecMode::parallel(&pool)).unwrap();
+    run(&aplan, &mut ws, ExecMode::parallel(&pool).rows()).unwrap();
     println!(
         "heat step done: |u| = {:.4}, adjoint |u_1_b| = {:.4} over {} nests",
         ws.grid("u").norm2(),

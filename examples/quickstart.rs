@@ -52,11 +52,11 @@ fn main() {
             .unwrap_or(2),
     );
     let plan = compile_nest(&nest, &ws, &bind).unwrap();
-    run(&plan, &mut ws, ExecMode::parallel(&pool)).unwrap();
+    run(&plan, &mut ws, ExecMode::parallel(&pool).rows()).unwrap();
     println!("primal:  |r|   = {:.6}", ws.grid("r").norm2());
 
     let aplan = compile_adjoint(&adjoint, &ws, &bind).unwrap();
-    run(&aplan, &mut ws, ExecMode::parallel(&pool)).unwrap();
+    run(&aplan, &mut ws, ExecMode::parallel(&pool).rows()).unwrap();
     println!(
         "adjoint: |u_b| = {:.6}  (race-free, no atomics)",
         ws.grid("u_b").norm2()
@@ -66,7 +66,8 @@ fn main() {
     //    region (one barrier instead of one per nest) and re-run.
     let reference = ws.grid("u_b").clone();
     ws.grid_mut("u_b").fill(0.0);
-    let schedule = compile_schedule(&adjoint, &ws, &bind, &SchedOptions::default()).unwrap();
+    let schedule =
+        compile_schedule(&adjoint, &ws, &bind, &SchedOptions::default().with_rows()).unwrap();
     println!("\nschedule: {}", schedule.describe());
     run_schedule(&schedule, &mut ws, &pool).unwrap();
     assert_eq!(ws.grid("u_b").max_abs_diff(&reference), 0.0);

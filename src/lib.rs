@@ -155,9 +155,9 @@
 //!     &plan,
 //!     0.8_f64,
 //!     &mut MemStore::new(),
-//!     &mut |x, t| step(x, t),
+//!     &mut |x, t| *x = step(x, t),              // advance in place
 //!     &mut |x| x_t = *x,                        // objective: J = x_T
-//!     &mut |x, _t| lambda *= 1.0 + 0.02 * x,    // reverse step
+//!     &mut |x, _t| lambda *= 1.0 + 0.02 * *x,   // reverse step
 //! ).unwrap();
 //!
 //! // Bitwise-identical to the dense reference...

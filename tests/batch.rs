@@ -14,6 +14,9 @@ use perforad::pde::seismic::{
 };
 use perforad::pde::BatchStrategy;
 
+#[global_allocator]
+static GLOBAL: common::CountingAlloc = common::CountingAlloc;
+
 fn velocity(n: usize) -> Grid {
     Grid::from_fn(&[n, n, n], |ix| 0.8 + 0.4 * (ix[2] as f64 / n as f64))
 }
@@ -199,4 +202,133 @@ fn empty_batch_returns_empty_result() {
     assert!(res.misfits.is_empty() && res.gradients.is_empty());
     assert!(res.summed_gradient().is_none());
     assert_eq!(res.total_misfit(), 0.0);
+}
+
+/// `u ∈ [0, 1)` from the integer generator alone — no libm anywhere in
+/// the golden inputs, so the digest is the same on every host.
+fn unit(rng: &mut common::Rng) -> f64 {
+    (rng.next() >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// `fnv1a64` over the misfit's and every gradient value's IEEE-754 bits.
+fn digest(j: f64, g: &Grid) -> u64 {
+    let mut bytes = Vec::with_capacity(8 * (g.as_slice().len() + 1));
+    bytes.extend_from_slice(&j.to_bits().to_le_bytes());
+    for v in g.as_slice() {
+        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    perforad::exec::fnv1a64(&bytes)
+}
+
+/// Recorded at PR 13's tree (interpreted primal, cloning time loop). The
+/// time loop may move grids and change dispatch; it may never change a bit.
+const GOLDEN_SHOT_DIGEST: u64 = 0xa242_e107_7faf_a2e5;
+
+#[test]
+fn golden_digest_pins_the_gradient_bits_across_sweeps_and_strategies() {
+    let cfg = SeismicConfig {
+        n: 12,
+        steps: 10,
+        d: 0.1,
+    };
+    let mut rng = common::Rng::new(0x5EED_0014);
+    let c0 = Grid::from_fn(&[cfg.n; 3], |_| 0.8 + 0.4 * unit(&mut rng));
+    let source: Vec<f64> = (0..cfg.steps).map(|_| unit(&mut rng) - 0.5).collect();
+    let observed = Grid::from_fn(&[cfg.n; 3], |_| 1e-3 * (unit(&mut rng) - 0.5));
+    let mut batch = ShotBatch::new();
+    batch.push(source, observed);
+
+    let one = ThreadPool::new(1);
+    let two = ThreadPool::new(2);
+    let ckpt = checkpointed(Some(3), SnapshotBackend::Memory);
+    let forced = |opts: &BatchOptions, strategy| BatchOptions {
+        strategy: Some(strategy),
+        ..opts.clone()
+    };
+    let runs = [
+        ("store-all", store_all(), &one),
+        ("checkpointed", ckpt.clone(), &one),
+        (
+            "store-all, shot-parallel",
+            forced(&store_all(), BatchStrategy::ShotParallel),
+            &two,
+        ),
+        (
+            "store-all, grid-parallel",
+            forced(&store_all(), BatchStrategy::GridParallel),
+            &two,
+        ),
+        (
+            "checkpointed, shot-parallel",
+            forced(&ckpt, BatchStrategy::ShotParallel),
+            &two,
+        ),
+        (
+            "checkpointed, grid-parallel",
+            forced(&ckpt, BatchStrategy::GridParallel),
+            &two,
+        ),
+    ];
+    for (tag, opts, pool) in runs {
+        let res = BatchPlan::new(&cfg, &c0, &opts, pool).run(&batch);
+        assert!(res.misfits[0] > 0.0 && res.gradients[0].norm2() > 0.0);
+        let got = digest(res.misfits[0], &res.gradients[0]);
+        assert_eq!(got, GOLDEN_SHOT_DIGEST, "{tag}: digest {got:#018x}");
+    }
+}
+
+/// Bytes the calling thread allocates in one `run` of `batch`. The plan is
+/// forced shot-parallel: a batch of one then runs inline on the caller,
+/// serially, so every allocation of the time loop lands on this thread.
+fn run_bytes(plan: &BatchPlan<'_>, batch: &ShotBatch) -> u64 {
+    let before = common::thread_alloc_bytes();
+    let res = plan.run(batch);
+    let bytes = common::thread_alloc_bytes() - before;
+    assert_eq!(res.strategy, BatchStrategy::ShotParallel);
+    bytes
+}
+
+#[test]
+fn time_loop_allocates_the_trajectory_and_a_warm_run_clones_nothing() {
+    let n = 20usize;
+    let grid_bytes = (8 * n * n * n) as u64;
+    let c0 = velocity(n);
+    let pool = ThreadPool::new(1);
+    let opts = BatchOptions {
+        strategy: Some(BatchStrategy::ShotParallel),
+        ..store_all()
+    };
+    let mut warm = Vec::new();
+    for steps in [6usize, 7] {
+        let cfg = SeismicConfig { n, steps, d: 0.1 };
+        let plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
+        let batch = make_batch(&cfg, &c0, 1);
+        let cold = run_bytes(&plan, &batch);
+        let second = run_bytes(&plan, &batch);
+        // The first run clones the prototype shot state (two workspaces of
+        // 4 + 6 grids and two schedules); the second finds it warm.
+        assert!(
+            cold >= second + 10 * grid_bytes,
+            "{steps} steps: cold run {cold} B, warm run {second} B"
+        );
+        // What a warm store-all run allocates: the trajectory (steps + 1
+        // grids), the cursor state (2), the rolling window and gradient (4)
+        // — and per step less than half a grid of kernel scratch (tile
+        // runners' buffer tables and lane files, independent of n).
+        assert!(
+            second < (steps as u64 + 7) * grid_bytes + steps as u64 * grid_bytes / 2,
+            "{steps} steps: warm run allocates {second} B = {:.2} grids",
+            second as f64 / grid_bytes as f64
+        );
+        assert_eq!(second, run_bytes(&plan, &batch), "every warm run alike");
+        warm.push(second);
+    }
+    // One more time step costs its trajectory entry and kernel scratch —
+    // not the seven grids per step a cloning time loop allocates.
+    let per_step = warm[1] - warm[0];
+    assert!(
+        (grid_bytes..2 * grid_bytes).contains(&per_step),
+        "one extra step allocates {per_step} B = {:.2} grids",
+        per_step as f64 / grid_bytes as f64
+    );
 }

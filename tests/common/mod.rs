@@ -122,8 +122,9 @@ pub fn reference_gradient(
     (j, g)
 }
 
-/// `System`, with a per-thread count of every allocation — the instrument
-/// behind the zero-alloc disabled-path guarantees. Counting per thread
+/// `System`, with a per-thread count of every allocation and of the bytes
+/// asked for — the instrument behind the zero-alloc disabled-path
+/// guarantees and the time loop's bytes-per-step bound. Counting per thread
 /// keeps a straggling daemon/pool thread from another test in the same
 /// binary out of the calling thread's tally. Install with
 /// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;`.
@@ -131,6 +132,7 @@ pub struct CountingAlloc;
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Allocations (`alloc` + `realloc`) the calling thread has made so far.
@@ -138,24 +140,31 @@ pub fn thread_allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
-fn count_alloc() {
-    // `try_with`: allocations during thread teardown must not panic.
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+/// Bytes the calling thread has asked the allocator for so far (a
+/// `realloc` counts its whole new size; nothing is subtracted on free).
+pub fn thread_alloc_bytes() -> u64 {
+    THREAD_ALLOC_BYTES.with(Cell::get)
 }
 
-// SAFETY: every call forwards unchanged to `System`; the counter is a
-// const-initialised, destructor-free thread-local, so touching it never
+fn count_alloc(bytes: usize) {
+    // `try_with`: allocations during thread teardown must not panic.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = THREAD_ALLOC_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+// SAFETY: every call forwards unchanged to `System`; the counters are
+// const-initialised, destructor-free thread-locals, so touching them never
 // allocates or re-enters the allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }

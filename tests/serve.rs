@@ -169,13 +169,26 @@ fn second_compile_same_fingerprint_skips_all_compile_work() {
         .saturating_sub(stats_counter(&before, "serve.compile_cache_hits"));
     assert_eq!(hits, 1, "the warm Compile must count as one cache hit");
 
-    // The warm plan still serves gradients.
+    // The warm plan still serves gradients — and a warm Gradient is all
+    // kernel time: no adjoint re-transform, and no `Lowering::Jit` run
+    // that found its native module missing (the primal step runs on the
+    // row executor by choice, which must never read as a degraded JIT).
     let source = ricker(cfg.steps);
     let data = observed(&cfg, &source);
+    let before = client.stats().expect("stats before gradient");
     let reply = client
         .gradient(&again.fingerprint, source, data.as_slice().to_vec())
         .expect("gradient after warm compile");
+    let after = client.stats().expect("stats after gradient");
     assert!(reply.misfit.is_finite());
+    for counter in [
+        "seismic.adjoint_transforms",
+        "jit.degraded_fallbacks",
+        "serve.degraded_total",
+    ] {
+        let delta = stats_counter(&after, counter).saturating_sub(stats_counter(&before, counter));
+        assert_eq!(delta, 0, "{counter} must not move on a warm Gradient");
+    }
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("server run");
@@ -194,6 +207,13 @@ fn malformed_input_gets_error_replies_not_a_dead_server() {
         "not json at all",
         "{}",
         "[1,2]",
+        // Bulk arrays that are neither 16-lowercase-hex-digits-per-value
+        // strings nor number arrays: odd length, non-hex, upper case,
+        // non-finite bits.
+        "{\"type\":\"gradient\",\"fingerprint\":\"00\",\"source\":\"3ff\",\"observed\":[]}",
+        "{\"type\":\"gradient\",\"fingerprint\":\"00\",\"source\":\"3ff00000000000zz\",\"observed\":[]}",
+        "{\"type\":\"gradient\",\"fingerprint\":\"00\",\"source\":\"3FF0000000000000\",\"observed\":[]}",
+        "{\"type\":\"gradient\",\"fingerprint\":\"00\",\"source\":[],\"observed\":\"7ff0000000000000\"}",
     ] {
         proto::write_frame(&mut conn, payload).expect("send");
         let reply = proto::read_frame(&mut conn).expect("reply frame");
@@ -259,6 +279,20 @@ fn malformed_input_gets_error_replies_not_a_dead_server() {
         })
         .expect_err("n too small must fail");
     assert!(err.to_string().contains('n'));
+    // A grid whose gradient reply could not fit one frame is refused at
+    // Compile, with the limit spelled out — not compiled and then dropped
+    // mid-reply.
+    let err = client
+        .compile(CompileRequest::Seismic {
+            n: 162,
+            steps: 6,
+            d: 0.1,
+            c: None,
+            budget: None,
+            checkpointed: None,
+        })
+        .expect_err("162³ values do not fit a frame");
+    assert!(err.to_string().contains("frame"), "{err}");
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("server run");
