@@ -328,12 +328,20 @@ fn exact_f64(v: f64) -> String {
 struct JitCtx<'a> {
     spec: &'a JitGroupSpec<'a>,
     counters: &'a [Symbol],
+    /// Index of the statement being rendered within its nest.
+    stmt: usize,
     temps: Vec<Symbol>,
 }
 
 impl JitCtx<'_> {
     fn counter_var(&self, d: usize) -> String {
         format!("__c{d}")
+    }
+
+    /// Statements of one fused body share a scope, so a CSE temporary
+    /// carries its statement's index.
+    fn temp_var(&self, t: &Symbol) -> String {
+        format!("{}_{}", t.name(), self.stmt)
     }
 
     fn slot(&self, s: &Symbol) -> Result<usize, String> {
@@ -346,22 +354,19 @@ impl JitCtx<'_> {
 }
 
 /// Render the linear index of an access at constant offsets from the
-/// counters: `(__c0 + (o0))*s0 + … + (__c{r-1} + (o{r-1}))`.
-fn jit_linear_index(ctx: &JitCtx, offsets: &[i64]) -> String {
-    let terms: Vec<String> = offsets
+/// counters: the loop body's `__i` (the point's own index, computed once
+/// per iteration) plus the offsets folded into one constant.
+fn jit_linear_index(strides: &[usize], offsets: &[i64]) -> String {
+    let k: i64 = offsets
         .iter()
-        .enumerate()
-        .map(|(d, o)| {
-            let c = ctx.counter_var(d);
-            let s = ctx.spec.strides[d];
-            if s == 1 {
-                format!("({c} + ({o}))")
-            } else {
-                format!("({c} + ({o}))*{s}")
-            }
-        })
-        .collect();
-    terms.join(" + ")
+        .zip(strides)
+        .map(|(o, &s)| o * s as i64)
+        .sum();
+    if k == 0 {
+        "__i".to_string()
+    } else {
+        format!("__i + ({k})")
+    }
 }
 
 /// Mirror of the bytecode compiler's expression traversal, rendering Rust
@@ -371,7 +376,7 @@ fn jit_expr(e: &Expr, ctx: &JitCtx) -> Result<String, String> {
         Node::Num(n) => exact_f64(n.to_f64()),
         Node::Sym(s) => {
             if ctx.temps.contains(s) {
-                s.name().to_string()
+                ctx.temp_var(s)
             } else if let Some(d) = ctx.counters.iter().position(|c| c == s) {
                 format!("({} as f64)", ctx.counter_var(d))
             } else {
@@ -391,7 +396,7 @@ fn jit_expr(e: &Expr, ctx: &JitCtx) -> Result<String, String> {
                         .ok_or_else(|| format!("non-stencil access `{a}`"))?,
                 );
             }
-            let lin = jit_linear_index(ctx, &offsets);
+            let lin = jit_linear_index(ctx.spec.strides, &offsets);
             if ctx.spec.padded {
                 // LoadPadded semantics: every dimension bounds-checked,
                 // 0.0 outside the physical extents.
@@ -405,13 +410,13 @@ fn jit_expr(e: &Expr, ctx: &JitCtx) -> Result<String, String> {
                     })
                     .collect();
                 format!(
-                    "(if {} {{ *__a{slot}.offset(({lin}) as isize) }} else {{ 0.0f64 }})",
+                    "(if {} {{ *__a{slot}.offset({lin}) }} else {{ 0.0f64 }})",
                     checks.join(" && ")
                 )
             } else {
                 // Parenthesised so postfix method calls bind to the
                 // loaded value, not the raw pointer.
-                format!("(*__a{slot}.offset(({lin}) as isize))")
+                format!("(*__a{slot}.offset({lin}))")
             }
         }
         Node::Add(ts) => {
@@ -472,26 +477,131 @@ fn jit_resolve(ix: &Idx, sizes: &BTreeMap<Symbol, i64>) -> Result<i64, String> {
         .ok_or_else(|| format!("unresolved bound `{ix}`"))
 }
 
-/// Generate one nest's entry point: per-statement loop nests with the
-/// statement's guard intersected into constant bounds ("guard hoisting")
-/// and the runtime tile box clamped on top, so any sub-box of the
-/// iteration space is valid. Statement-major order is bitwise-equivalent
-/// to the interpreter's point-major order because plans forbid write/read
-/// aliasing and each location sees its statements in source order.
+/// One statement readied for emission.
+struct JitStmt {
+    /// Constant effective box: nest bounds ∩ guard ("guard hoisting").
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    /// Write target: plan slot and constant offsets from the counters.
+    slot: usize,
+    woffs: Vec<i64>,
+    op: AssignOp,
+    /// CSE temporaries as `let` lines in binding order (exactly the VM's
+    /// StoreTmp sequence), then the rewritten right-hand side.
+    lets: Vec<String>,
+    rhs: String,
+}
+
+fn jit_stmt(
+    si: usize,
+    nest: &LoopNest,
+    spec: &JitGroupSpec,
+    sub: &BTreeMap<Symbol, Expr>,
+) -> Result<JitStmt, String> {
+    let s = &nest.body[si];
+    let mut lo = Vec::with_capacity(nest.rank());
+    let mut hi = Vec::with_capacity(nest.rank());
+    for b in &nest.bounds {
+        lo.push(jit_resolve(&b.lo, spec.sizes)?);
+        hi.push(jit_resolve(&b.hi, spec.sizes)?);
+    }
+    if let Some(g) = &s.guard {
+        for (c, b) in &g.ranges {
+            let d = nest
+                .counters
+                .iter()
+                .position(|x| x == c)
+                .ok_or_else(|| format!("guard counter `{c}` not in nest"))?;
+            lo[d] = lo[d].max(jit_resolve(&b.lo, spec.sizes)?);
+            hi[d] = hi[d].min(jit_resolve(&b.hi, spec.sizes)?);
+        }
+    }
+    let mut woffs = Vec::with_capacity(nest.rank());
+    for (d, ix) in s.lhs.indices.iter().enumerate() {
+        woffs.push(
+            ix.is_offset_of(&nest.counters[d])
+                .ok_or_else(|| format!("non-constant write index `{ix}`"))?,
+        );
+    }
+    let rhs = subst::subst_sym(&s.rhs, sub);
+    let (bindings, rewritten) = if spec.cse {
+        perforad_symbolic::cse::eliminate_one(&rhs, "__cse")
+    } else {
+        (Vec::new(), rhs)
+    };
+    let ctx = JitCtx {
+        spec,
+        counters: &nest.counters,
+        stmt: si,
+        temps: bindings.iter().map(|(t, _)| t.clone()).collect(),
+    };
+    let mut lets = Vec::with_capacity(bindings.len());
+    for (t, bexpr) in &bindings {
+        lets.push(format!(
+            "let {}: f64 = {};",
+            ctx.temp_var(t),
+            jit_expr(bexpr, &ctx)?
+        ));
+    }
+    Ok(JitStmt {
+        lo,
+        hi,
+        slot: ctx.slot(&s.lhs.array)?,
+        op: s.op,
+        rhs: jit_expr(&rewritten, &ctx)?,
+        lets,
+        woffs,
+    })
+}
+
+/// Generate one nest's entry point. Each maximal run of consecutive
+/// statements with the same effective box (nest bounds ∩ guard, hoisted
+/// into constant loop bounds; under the default `Disjoint` strategy that
+/// is the whole nest) becomes **one** loop nest — the paper's Fig.-4 form
+/// — with the runtime tile box clamped on top, so any sub-box of the
+/// iteration space is valid. Its body holds the run's statements in
+/// source order and keeps one local accumulator per written array: loaded
+/// at that array's first `+=` (never, when its first op is `=`), updated
+/// in source order, stored once at the end of the body.
+///
+/// This moves data, not arithmetic, so the bits are the interpreter's:
+/// plans forbid write/read aliasing (`ExecError::AliasedWrite`), so no
+/// right-hand side can observe a deferred store, and every location still
+/// receives its statements' updates in source order, one rounding per
+/// update. A run ends where two statements write one array at *different*
+/// offsets — there point-major and statement-major order differ, and
+/// separate loops keep the latter.
 fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<String, String> {
     let rank = nest.rank();
-    if rank != spec.dims.len() {
+    if rank == 0 || rank != spec.dims.len() {
         return Err(format!(
             "nest rank {rank} vs layout rank {}",
             spec.dims.len()
         ));
     }
+    debug_assert!(
+        nest.outputs().is_disjoint(&nest.inputs()),
+        "plan invariant (AliasedWrite): no written array is read"
+    );
     let mut sub: BTreeMap<Symbol, Expr> = BTreeMap::new();
     for (s, v) in spec.params {
         sub.insert(s.clone(), Expr::float(*v));
     }
     for (s, v) in spec.sizes {
         sub.insert(s.clone(), Expr::int(*v));
+    }
+    let mut runs: Vec<Vec<JitStmt>> = Vec::new();
+    for si in 0..nest.body.len() {
+        let s = jit_stmt(si, nest, spec, &sub)?;
+        match runs.last_mut() {
+            Some(run)
+                if (&run[0].lo, &run[0].hi) == (&s.lo, &s.hi)
+                    && run.iter().all(|t| t.slot != s.slot || t.woffs == s.woffs) =>
+            {
+                run.push(s)
+            }
+            _ => runs.push(vec![s]),
+        }
     }
 
     let mut out = String::new();
@@ -504,84 +614,65 @@ fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<Strin
     for slot in 0..spec.arrays.len() {
         let _ = writeln!(out, "    let __a{slot} = *__arrs.add({slot});");
     }
-    for (si, s) in nest.body.iter().enumerate() {
-        // Constant effective bounds: nest bounds ∩ guard box.
-        let mut lo = Vec::with_capacity(rank);
-        let mut hi = Vec::with_capacity(rank);
-        for b in &nest.bounds {
-            lo.push(jit_resolve(&b.lo, spec.sizes)?);
-            hi.push(jit_resolve(&b.hi, spec.sizes)?);
-        }
-        if let Some(g) = &s.guard {
-            for (c, b) in &g.ranges {
-                let d = nest
-                    .counters
-                    .iter()
-                    .position(|x| x == c)
-                    .ok_or_else(|| format!("guard counter `{c}` not in nest"))?;
-                lo[d] = lo[d].max(jit_resolve(&b.lo, spec.sizes)?);
-                hi[d] = hi[d].min(jit_resolve(&b.hi, spec.sizes)?);
-            }
-        }
-        // Write target: constant offsets from the counters.
-        let mut woffs = Vec::with_capacity(rank);
-        for (d, ix) in s.lhs.indices.iter().enumerate() {
-            woffs.push(
-                ix.is_offset_of(&nest.counters[d])
-                    .ok_or_else(|| format!("non-constant write index `{ix}`"))?,
-            );
-        }
-        let rhs = subst::subst_sym(&s.rhs, &sub);
-        let (bindings, rewritten) = if spec.cse {
-            perforad_symbolic::cse::eliminate_one(&rhs, "__cse")
-        } else {
-            (Vec::new(), rhs)
-        };
-        let ctx = JitCtx {
-            spec,
-            counters: &nest.counters,
-            temps: bindings.iter().map(|(t, _)| t.clone()).collect(),
-        };
-
-        let _ = writeln!(out, "    {{ // statement {si}");
+    // The point's linear index: outer counters once per row, the
+    // innermost counter once per point.
+    let term = |d: usize| match spec.strides[d] {
+        1 => format!("__c{d}"),
+        s => format!("__c{d}*{s}"),
+    };
+    let row = match rank {
+        1 => "0".to_string(),
+        _ => (0..rank - 1).map(term).collect::<Vec<_>>().join(" + "),
+    };
+    let target = |s: &JitStmt| {
+        let at = jit_linear_index(spec.strides, &s.woffs);
+        format!("*__a{}.offset({at})", s.slot)
+    };
+    for run in &runs {
+        let _ = writeln!(out, "    {{");
         for d in 0..rank {
             let _ = writeln!(
                 out,
                 "        let __l{d} = (*__lo.add({d})).max({}i64); \
                  let __h{d} = (*__hi.add({d})).min({}i64);",
-                lo[d], hi[d]
+                run[0].lo[d], run[0].hi[d]
             );
         }
         let mut pad = "        ".to_string();
         for d in 0..rank {
+            if d == rank - 1 {
+                let _ = writeln!(out, "{pad}let __r = {row};");
+            }
             let _ = writeln!(out, "{pad}for __c{d} in __l{d}..=__h{d} {{");
             pad.push_str("    ");
         }
-        // CSE temporaries evaluate in binding order, exactly as the VM's
-        // StoreTmp sequence does.
-        for (t, bexpr) in &bindings {
-            let _ = writeln!(
-                out,
-                "{pad}let {}: f64 = {};",
-                t.name(),
-                jit_expr(bexpr, &ctx)?
-            );
+        let _ = writeln!(out, "{pad}let __i = (__r + {}) as isize;", term(rank - 1));
+        // One accumulator per written array, in first-write order.
+        let mut accs: Vec<&JitStmt> = Vec::new();
+        for s in run {
+            for l in &s.lets {
+                let _ = writeln!(out, "{pad}{l}");
+            }
+            let (w, rhs) = (format!("__w{}", s.slot), &s.rhs);
+            let live = accs.iter().any(|a| a.slot == s.slot);
+            let _ = match (live, s.op) {
+                (false, AssignOp::Assign) => writeln!(out, "{pad}let mut {w}: f64 = {rhs};"),
+                (false, AssignOp::AddAssign) => {
+                    writeln!(out, "{pad}let mut {w}: f64 = {}; {w} += {rhs};", target(s))
+                }
+                (true, AssignOp::Assign) => writeln!(out, "{pad}{w} = {rhs};"),
+                (true, AssignOp::AddAssign) => writeln!(out, "{pad}{w} += {rhs};"),
+            };
+            if !live {
+                accs.push(s);
+            }
         }
-        let wslot = ctx.slot(&s.lhs.array)?;
-        let widx = jit_linear_index(&ctx, &woffs);
-        let op = match s.op {
-            AssignOp::Assign => "=",
-            AssignOp::AddAssign => "+=",
-        };
-        let _ = writeln!(
-            out,
-            "{pad}*__a{wslot}.offset(({widx}) as isize) {op} {};",
-            jit_expr(&rewritten, &ctx)?
-        );
-        for d in (0..rank).rev() {
+        for s in accs {
+            let _ = writeln!(out, "{pad}{} = __w{};", target(s), s.slot);
+        }
+        for _ in 0..rank {
             pad.truncate(pad.len() - 4);
             let _ = writeln!(out, "{pad}}}");
-            let _ = d;
         }
         let _ = writeln!(out, "    }}");
     }
@@ -760,6 +851,190 @@ mod tests {
         assert!(code.contains("else { 0.0f64 }"), "{code}");
         assert!(code.contains("< 21"), "{code}");
         assert!(code.contains("+=") && !code.contains("] = "), "{code}");
+    }
+
+    /// The paper's 3-D wave adjoint (`c` passive) as one JIT module at
+    /// `n = 16`; slots in name order: `c`, `u_1_b`, `u_2_b`, `u_b`.
+    fn wave_module(strategy: perforad_core::BoundaryStrategy, cse: bool) -> String {
+        use perforad_core::{ActivityMap, AdjointOptions};
+        let nest = crate::parse_stencil(
+            "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 {
+                u[i][j][k] = 2.0*u_1[i][j][k] - u_2[i][j][k] + c[i][j][k]*D*(
+                    u_1[i-1][j][k] + u_1[i+1][j][k] + u_1[i][j-1][k] + u_1[i][j+1][k]
+                    + u_1[i][j][k-1] + u_1[i][j][k+1] - 6.0*u_1[i][j][k]);
+            }",
+        )
+        .unwrap();
+        let act = ActivityMap::new()
+            .with_suffixed("u")
+            .with_suffixed("u_1")
+            .with_suffixed("u_2");
+        let adj = nest
+            .adjoint(&act, &AdjointOptions::default().with_strategy(strategy))
+            .unwrap();
+        let arrays = ["c", "u_1_b", "u_2_b", "u_b"].map(Symbol::new);
+        let sizes = BTreeMap::from([(Symbol::new("n"), 16i64)]);
+        let params = BTreeMap::from([(Symbol::new("D"), 0.1)]);
+        jit_group_module(&JitGroupSpec {
+            prefix: "pf",
+            nests: &adj.nests,
+            arrays: &arrays,
+            dims: &[16, 16, 16],
+            strides: &[256, 16, 1],
+            padded: false,
+            cse,
+            sizes: &sizes,
+            params: &params,
+        })
+        .unwrap()
+    }
+
+    /// The entry points of a module, one string each.
+    fn entry_points(module: &str) -> Vec<&str> {
+        module.split("#[no_mangle]").skip(1).collect()
+    }
+
+    #[test]
+    fn jit_wave_adjoint_is_one_loop_per_nest_with_register_accumulators() {
+        let module = wave_module(perforad_core::BoundaryStrategy::Disjoint, false);
+        let fns = entry_points(&module);
+        assert_eq!(fns.len(), 53);
+        for f in &fns {
+            assert_eq!(f.matches("for __c2 in").count(), 1, "{f}");
+        }
+        // The core nest carries all eight increments (seven into `u_1_b`,
+        // one into `u_2_b`): one load and one store per target.
+        let core = fns
+            .iter()
+            .find(|f| f.matches("+=").count() == 8)
+            .expect("core nest");
+        for slot in [1, 2] {
+            assert_eq!(
+                core.matches(&format!("*__a{slot}.offset(__i) = ")).count(),
+                1
+            );
+            assert_eq!(
+                core.matches(&format!("= *__a{slot}.offset(__i);")).count(),
+                1
+            );
+            assert_eq!(core.matches(&format!("*__a{slot}.")).count(), 2, "{core}");
+        }
+        // The row base is hoisted; accesses are base + one constant.
+        assert!(core.contains("let __r = __c0*256 + __c1*16;"), "{core}");
+        assert!(core.contains("*__a3.offset(__i + (-256))"), "{core}");
+    }
+
+    #[test]
+    fn jit_guarded_statements_with_different_boxes_keep_their_own_loops() {
+        let module = wave_module(perforad_core::BoundaryStrategy::Guarded, false);
+        let fns = entry_points(&module);
+        // The core nest plus six boundary slabs. A slab's guarded
+        // statements have boxes of their own: consecutive loops never share
+        // one (runs are maximal), and loops and stores alternate in source
+        // order — `u_2_b`'s statement is last and so is its store.
+        assert_eq!(fns.len(), 7);
+        assert_eq!(fns[0].matches("for __c2 in").count(), 1);
+        for f in &fns[1..] {
+            let loops: Vec<&str> = f.split("let __l0 = ").skip(1).collect();
+            assert!(loops.len() > 1, "{f}");
+            assert_eq!(f.matches("for __c2 in").count(), loops.len());
+            let bounds = |l: &str| l.split("for __c0").next().unwrap().to_string();
+            assert!(
+                loops.windows(2).all(|w| bounds(w[0]) != bounds(w[1])),
+                "{f}"
+            );
+            assert!(loops.iter().all(|l| l.contains(" = __w")), "{f}");
+            assert!(loops[loops.len() - 1].contains(" = __w2;"), "{f}");
+        }
+    }
+
+    /// A 1-D module over `r`, `u` (slots 0, 1) from explicit statements.
+    fn module_1d(body: Vec<perforad_core::Statement>, cse: bool) -> String {
+        let i = Symbol::new("i");
+        let nests = [LoopNest::new(
+            vec![i],
+            vec![perforad_core::Bound::new(2, 20)],
+            body,
+        )];
+        let arrays = [Symbol::new("r"), Symbol::new("u")];
+        let (sizes, params) = (BTreeMap::new(), BTreeMap::new());
+        let spec = jit_spec_1d(&arrays, &sizes, &params, &nests, &[24], &[1], false);
+        jit_group_module(&JitGroupSpec { cse, ..spec }).unwrap()
+    }
+
+    #[test]
+    fn jit_cse_temporaries_of_one_body_do_not_collide() {
+        use perforad_core::Statement;
+        use perforad_symbolic::Access;
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let shared = |o: i64| (u.at(vec![&i + o]) * u.at(ix![&i])).sin();
+        let code = module_1d(
+            vec![
+                Statement::add_assign(Access::new("r", ix![&i]), shared(-1) * shared(-1).cos()),
+                Statement::add_assign(Access::new("r", ix![&i]), shared(1) + shared(1).cos()),
+            ],
+            true,
+        );
+        // One body, one temporary per statement, each used by its own.
+        assert_eq!(code.matches("for __c0 in").count(), 1, "{code}");
+        assert_eq!(code.matches("let __cse0_0: f64 = ").count(), 1, "{code}");
+        assert_eq!(code.matches("let __cse0_1: f64 = ").count(), 1, "{code}");
+        assert_eq!(code.matches("let __cse").count(), 2, "{code}");
+        assert!(
+            code.contains("__w0 += (__cse0_1 + __cse0_1.cos());"),
+            "{code}"
+        );
+    }
+
+    #[test]
+    fn jit_assign_then_add_assign_emits_no_load_of_the_target() {
+        use perforad_core::Statement;
+        use perforad_symbolic::Access;
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let code = module_1d(
+            vec![
+                Statement::assign(Access::new("r", ix![&i]), u.at(ix![&i - 1])),
+                Statement::add_assign(Access::new("r", ix![&i]), u.at(ix![&i + 1])),
+            ],
+            false,
+        );
+        assert_eq!(code.matches("for __c0 in").count(), 1, "{code}");
+        assert!(
+            code.contains("let mut __w0: f64 = (*__a1.offset(__i + (-1)));"),
+            "{code}"
+        );
+        assert!(
+            code.contains("__w0 += (*__a1.offset(__i + (1)));"),
+            "{code}"
+        );
+        // The only mention of the target is its one store.
+        assert_eq!(code.matches("*__a0.").count(), 1, "{code}");
+        assert!(code.contains("*__a0.offset(__i) = __w0;"), "{code}");
+    }
+
+    #[test]
+    fn jit_writes_to_one_array_at_different_offsets_are_not_fused() {
+        use perforad_core::Statement;
+        use perforad_symbolic::Access;
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let code = module_1d(
+            vec![
+                Statement::add_assign(Access::new("r", ix![&i - 1]), u.at(ix![&i])),
+                Statement::add_assign(Access::new("r", ix![&i + 1]), u.at(ix![&i])),
+            ],
+            false,
+        );
+        assert_eq!(code.matches("for __c0 in").count(), 2, "{code}");
+        let first = code
+            .find("*__a0.offset(__i + (-1)) = __w0;")
+            .expect("first store");
+        let second = code
+            .find("*__a0.offset(__i + (1)) = __w0;")
+            .expect("second store");
+        assert!(first < second, "{code}");
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //! 1. **Emit** — each fusion group of a compiled
 //!    [`Schedule`](perforad_sched::Schedule) becomes a self-contained
 //!    Rust module ([`perforad_codegen::rust::jit_group_module`]):
-//!    tile-granular, guard-hoisted `extern "C"` entry points per nest,
-//!    sizes/parameters baked in as bit-exact constants, and only the
-//!    gather-transformed centre-point increments of the adjoint
-//!    transformation — so the generated code needs no atomics.
+//!    one tile-granular, guard-hoisted `extern "C"` entry point per nest,
+//!    sizes/parameters baked in as bit-exact constants. Each nest is the
+//!    paper's Fig.-4 loop — **one** loop nest whose body holds every
+//!    gather-transformed centre-point increment in source order, summed
+//!    in a register accumulator per written array (one load, one store
+//!    per point) — so the adjoint streams its arrays once, like the
+//!    primal, and needs no atomics.
 //! 2. **Compile** — `rustc` (override with `PERFORAD_JIT_RUSTC` /
-//!    `RUSTC`) is driven out-of-process into a `cdylib`, `-O`.
+//!    `RUSTC`) is driven out-of-process into a stripped `cdylib`, `-O`.
 //! 3. **Load** — hand-rolled `dlopen`/`dlsym` (std-only, [`loader`])
 //!    resolves one function pointer per nest.
 //! 4. **Register** — the table is installed in the process-wide
@@ -31,7 +34,8 @@
 //!
 //! Compiled artifacts persist in `PERFORAD_JIT_CACHE` (default: a
 //! `perforad-jit` directory under the system temp dir), keyed by plan
-//! fingerprint × machine signature (arch, OS, rustc version), so the
+//! fingerprint × machine signature (arch, OS, rustc version) × emitter
+//! format version ([`JIT_FORMAT_VERSION`]), so the
 //! out-of-process compile cost is paid **once per fingerprint** — later
 //! processes `dlopen` the cached object without a toolchain. When
 //! neither a registered module, a cached artifact, nor a toolchain is
@@ -85,7 +89,7 @@ const SYMBOL_PREFIX: &str = "pf";
 /// every artifact's file name, so stale `PERFORAD_JIT_CACHE` entries
 /// compiled by an older emitter miss cleanly instead of loading (the
 /// same role `CACHE_VERSION` plays for the tuning cache).
-pub const JIT_FORMAT_VERSION: u32 = 1;
+pub const JIT_FORMAT_VERSION: u32 = 2;
 
 /// Knobs for [`prepare_schedule`].
 #[derive(Clone, Debug)]
@@ -298,6 +302,9 @@ fn compile_cdylib(opts: &JitOptions, src: &Path, out: &Path) -> Result<(), JitEr
     let tmp = out.with_extension(format!("so.tmp.{}", unique_suffix()));
     let output = Command::new(opts.resolved_rustc())
         .args(["--edition", "2021", "-O", "-C", "debuginfo=0"])
+        // std's symbol and debug tables are ≈90 % of an unstripped
+        // artifact; the `#[no_mangle]` entry points stay in `.dynsym`.
+        .args(["-C", "strip=symbols"])
         // Explicit crate name: the invocation-unique source file name
         // contains dots rustc would reject if left to derive it.
         .args(["--crate-type", "cdylib", "--crate-name", "pfjit"])
@@ -789,6 +796,47 @@ mod tests {
         assert!(
             dir.join(format!("{stem}.so.corrupt")).exists(),
             "corrupt artifact must be renamed aside, not deleted or reloaded"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn older_format_artifact_is_neither_loaded_nor_quarantined() {
+        let _lk = compile_locked();
+        require_toolchain!();
+        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+        let adj = paper_nest()
+            .adjoint(&act, &AdjointOptions::default())
+            .unwrap();
+        let (ws, bind) = setup(289); // unique size: registry must miss
+        let schedule =
+            compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_jit()).unwrap();
+        let dir = test_cache_dir("oldformat");
+        let opts = JitOptions::default().with_cache_dir(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let fp = schedule.groups[0].plan.fingerprint();
+        // What a v1 emitter left behind for this very plan and machine.
+        // Loading it would fail (and quarantine it): it is not a cdylib.
+        let stale = dir.join(format!(
+            "pfjit_v1_{}_{fp:016x}.so",
+            machine_signature(&opts)
+        ));
+        std::fs::write(&stale, b"statement-major artifact").unwrap();
+        let report = prepare_schedule(&schedule, &bind, &opts).unwrap();
+        assert_eq!(report.compiled, 1, "a v1 artifact must miss cleanly");
+        assert_eq!(
+            std::fs::read(&stale).unwrap(),
+            b"statement-major artifact",
+            "the v1 artifact stays where it was"
+        );
+        assert!(!stale.with_extension("so.corrupt").exists());
+        let current = format!(
+            "pfjit_v{JIT_FORMAT_VERSION}_{}_{fp:016x}.so",
+            machine_signature(&opts)
+        );
+        assert!(
+            dir.join(current).exists(),
+            "a v2 artifact is built beside it"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

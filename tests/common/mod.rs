@@ -33,6 +33,12 @@ impl Rng {
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
+    /// Uniform in `[0, 1)` from the integer generator alone — no libm, so
+    /// golden inputs built from it are the same on every host.
+    pub fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
     /// Uniform in `[lo, hi]` (inclusive).
     pub fn range_i64(&mut self, lo: i64, hi: i64) -> i64 {
         lo + (self.next() % (hi - lo + 1) as u64) as i64

@@ -482,3 +482,97 @@ fn jit_candidate_round_trips_through_tuned_config_cache() {
     assert_eq!(ws_ref.grid("u_b").max_abs_diff(ws_run.grid("u_b")), 0.0);
     let _ = std::fs::remove_file(&cache_path);
 }
+
+/// The 3-D wave workspace at `n³` with every input drawn from `Rng` (the
+/// seed `u_b` nonzero only on the interior the primal writes).
+fn wave_ws(n: usize, seed: u64) -> Workspace {
+    let mut rng = Rng::new(seed);
+    let dims = [n, n, n];
+    let mut ws = Workspace::new();
+    for name in ["u_1", "u_2"] {
+        ws.insert(name, Grid::from_fn(&dims, |_| 2.0 * rng.unit() - 1.0));
+    }
+    ws.insert("c", Grid::from_fn(&dims, |_| 0.5 + rng.unit()));
+    ws.insert(
+        "u_b",
+        Grid::from_fn(&dims, |ix| {
+            let v = rng.unit() - 0.4;
+            if ix.iter().all(|&x| x >= 1 && x <= n - 2) {
+                v
+            } else {
+                0.0
+            }
+        }),
+    );
+    for name in ["u", "u_1_b", "u_2_b", "c_b"] {
+        ws.insert(name, Grid::zeros(&dims));
+    }
+    ws
+}
+
+/// Recorded at PR 14's tree (one loop nest per statement). The emitter
+/// may fuse loops and keep increments in registers; it may never change
+/// a bit.
+const GOLDEN_WAVE_DIGEST: u64 = 0xfb0d_a396_20f9_9095;
+
+/// The paper's headline kernel through the native lowering: both activity
+/// maps, `Disjoint` and `Guarded`, CSE on and off, serially and on a
+/// 2-thread pool with a tile shape that clips every nest — each
+/// bitwise-equal to `Lowering::PerPoint`, and all of them together equal
+/// to the digest recorded before the emitter fused its loops.
+#[test]
+fn wave3d_adjoint_jit_bitwise_identical_and_golden() {
+    use perforad::pde::wave3d;
+    require_toolchain!();
+    let (opts, dir) = jit_opts("wave3d");
+    let n = 12usize;
+    let bind = Binding::new().size("n", n as i64).param("D", 0.1);
+    let pool = ThreadPool::new(2);
+    let outputs = ["u_1_b", "u_2_b", "c_b"];
+    let mut bytes = Vec::new();
+    for (act, tag) in [
+        (wave3d::activity(), "activity"),
+        (wave3d::activity_with_c(), "activity_with_c"),
+    ] {
+        for strategy in [BoundaryStrategy::Disjoint, BoundaryStrategy::Guarded] {
+            let adj = wave3d::nest()
+                .adjoint(&act, &AdjointOptions::default().with_strategy(strategy))
+                .unwrap();
+            for cse in [false, true] {
+                let mut ws_ref = wave_ws(n, 0x51ED_2005);
+                let plan = compile_adjoint_opts(&adj, &ws_ref, &bind, cse).unwrap();
+                run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
+
+                let sopts = SchedOptions::default()
+                    .with_jit()
+                    .with_cse(cse)
+                    .with_tile(&[3, 5, 7]);
+                let mut ws_ser = wave_ws(n, 0x51ED_2005);
+                let s = compile_schedule_nests(&adj.nests, &ws_ser, &bind, false, &sopts).unwrap();
+                let report = prepare_schedule(&s, &bind, &opts).expect("prepare");
+                assert_eq!(
+                    report.compiled + report.loaded + report.registered,
+                    s.group_count()
+                );
+                run_schedule_serial(&s, &mut ws_ser).unwrap();
+                let mut ws_par = wave_ws(n, 0x51ED_2005);
+                run_schedule(&s, &mut ws_par, &pool).unwrap();
+                for name in outputs {
+                    for (ws, how) in [(&ws_ser, "serial"), (&ws_par, "2 threads")] {
+                        assert_eq!(
+                            ws_ref.grid(name).max_abs_diff(ws.grid(name)),
+                            0.0,
+                            "{tag} {strategy:?} cse={cse} {how}: {name}"
+                        );
+                    }
+                    for v in ws_par.grid(name).as_slice() {
+                        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    let got = perforad::exec::fnv1a64(&bytes);
+    assert_eq!(got, GOLDEN_WAVE_DIGEST, "digest {got:#018x}");
+    let _ = std::fs::remove_dir_all(dir);
+}
