@@ -28,11 +28,15 @@
 //! checkpointing changes where states come from, never how steps execute.
 //!
 //! The time loop costs what its kernels cost: the primal step is a
-//! one-nest [`Schedule`] on the row executor, tiled and driven like the
-//! tuned adjoint; no step allocates or copies a grid (state grids are
-//! *swapped* into the kernel workspaces and rotated back out); the adjoint
-//! field is a 3-grid rolling window in both sweeps; and a plan keeps its
-//! warmed shot states between runs instead of cloning them per call.
+//! one-nest [`Schedule`] tiled, lowered and driven like the tuned adjoint
+//! — through the JIT tier when the tuner chose it for the adjoint, as a
+//! second native artifact keyed by the primal plan's own fingerprint, and
+//! on the row executor when that cannot be prepared; no step allocates,
+//! copies or clears a grid (state grids are *swapped* into the kernel
+//! workspaces and rotated back out, and λ_{t−1} is lent to the adjoint
+//! kernel as its `u_2_b`); the adjoint field is a 3-grid rolling window in
+//! both sweeps; and a plan keeps its warmed shot states between runs
+//! instead of cloning them per call.
 
 use crate::wave3d;
 use perforad_ckpt::{
@@ -42,13 +46,12 @@ use perforad_ckpt::{
 use perforad_core::{Adjoint, AdjointOptions, BoundaryStrategy};
 use perforad_exec::{default_pool, Binding, Grid, Lowering, ThreadPool, Workspace};
 use perforad_sched::{
-    compile_schedule, compile_schedule_nests, run_tuned, SchedOptions, Schedule, TunedConfig,
-    TunedStrategy,
+    compile_schedule, run_tuned, SchedOptions, Schedule, TunedConfig, TunedStrategy,
 };
 use perforad_symbolic::Symbol;
 use perforad_tune::{
-    autotune_adjoint, fingerprint_nests, host, pick_batch_strategy, profile, BatchShape,
-    BatchStrategy, KernelProfile, Machine, TimeLoop, TuneOptions,
+    autotune_adjoint, compile_tuned, fingerprint_nests, host, pick_batch_strategy, profile,
+    BatchShape, BatchStrategy, KernelProfile, Machine, TimeLoop, TuneOptions,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -106,10 +109,12 @@ fn workspace(c: &Grid, zeroed: &[&str]) -> Workspace {
 /// One compiled primal wave step, shared by every forward pass in this
 /// module (the dense [`forward`], the checkpointed streaming pass, and
 /// its recomputed segments), so replayed segments are bitwise-identical
-/// to the first execution. A one-nest [`Schedule`] tiled and driven like
-/// the tuned adjoint, on the row executor — explicitly `Rows`, never
-/// `Jit`: nothing JIT-prepares the primal, and an unprepared `Jit` run is
-/// counted as a degraded execution (`jit.degraded_fallbacks`).
+/// to the first execution. A one-nest [`Schedule`] tiled, lowered and
+/// driven like the tuned adjoint: a `Jit` configuration is natively
+/// prepared here ([`compile_tuned`] — registry, artifact cache, `rustc`),
+/// and one that cannot be prepared is lowered to `Rows` instead, so an
+/// unprepared `Jit` primal never runs and `jit.degraded_fallbacks` keeps
+/// counting only the adjoint's degraded executions.
 #[derive(Clone)]
 struct Stepper<'p> {
     schedule: Schedule,
@@ -121,8 +126,8 @@ struct Stepper<'p> {
 }
 
 impl<'p> Stepper<'p> {
-    /// Compile the step under `tuned`'s tile/policy/strategy; the source
-    /// trace starts silent ([`Stepper::set_source`] targets a shot).
+    /// Compile the step under `tuned`'s tile/policy/strategy/lowering; the
+    /// source trace starts silent ([`Stepper::set_source`] targets a shot).
     fn new(
         cfg: &SeismicConfig,
         c: &Grid,
@@ -131,14 +136,18 @@ impl<'p> Stepper<'p> {
     ) -> Stepper<'p> {
         let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
         let ws = workspace(c, &["u", "u_1", "u_2"]);
-        let tuned = TunedConfig {
-            lowering: Lowering::Rows,
+        let mut tuned = TunedConfig {
             cse: false,
             ..tuned.clone()
         };
-        let opts = SchedOptions::from_tuned(&tuned);
-        let schedule = compile_schedule_nests(&[wave3d::nest()], &ws, &bind, false, &opts)
-            .expect("primal schedules");
+        let (mut schedule, native) =
+            compile_tuned(&[wave3d::nest()], &ws, &bind, false, &tuned).expect("primal schedules");
+        if !native {
+            // Plain rows, not an unprepared `Jit` (the same tiles on the
+            // same executor, but counted as a degraded execution).
+            tuned.lowering = Lowering::Rows;
+            schedule.lowering = Lowering::Rows;
+        }
         Stepper {
             schedule,
             tuned,
@@ -160,12 +169,17 @@ impl<'p> Stepper<'p> {
     /// Advance `(u_{t−1}, u_t)` to `(u_t, u_{t+1})` in place. The state's
     /// grids are lent to the workspace for the run and rotated back out;
     /// what stays behind (`u_{t−1}` and two spent buffers) is scratch the
-    /// next call overwrites. No grid is allocated or copied.
+    /// next call overwrites. No grid is allocated, copied or cleared: the
+    /// step *assigns* every interior point of the buffer it writes, and
+    /// that buffer's boundary planes are zero already — every grid in the
+    /// rotation (workspace buffers, cursor, snapshots, trajectory entries)
+    /// starts all-zero and is only ever written on its interior, the
+    /// source point included.
     fn step(&mut self, state: &mut WaveState, t: usize) {
         let _span = perforad_obs::span!("seismic.step", "seismic", "t" => t as u64);
         swap(self.ws.grid_mut("u_2"), &mut state.0);
         swap(self.ws.grid_mut("u_1"), &mut state.1);
-        self.ws.grid_mut("u").fill(0.0);
+        debug_assert!(boundary_is_zero(self.ws.grid("u")), "stale boundary");
         run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("primal step");
         swap(self.ws.grid_mut("u_1"), &mut state.0);
         swap(self.ws.grid_mut("u"), &mut state.1);
@@ -196,8 +210,10 @@ impl<'p> Stepper<'p> {
 /// `u_0 .. u_steps`. A verification/synthesis helper for short sweeps —
 /// long-sweep gradients never materialize this vector.
 pub fn forward(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Vec<Grid> {
+    // A throwaway stepper must never build native code: `Rows`, explicitly.
     let serial = TunedConfig {
         strategy: TunedStrategy::Serial,
+        lowering: Lowering::Rows,
         ..TunedConfig::default()
     };
     // A serial drive never enters the pool it is handed.
@@ -273,20 +289,23 @@ impl<'p> ReverseSweep<'p> {
         }
     }
 
-    /// One adjoint step: consume `λ_{t+1}` with `u_1 = u_t` bound, leaving
-    /// the `u_1_b`/`u_2_b`/`c_b` contributions in the workspace. Both
-    /// grids are lent to the workspace for the run (swapped in, not
-    /// copied) and handed back as they came.
-    fn back(&mut self, u_t: &mut Grid, lambda_next: &mut Grid) {
+    /// One adjoint step: consume `λ_{t+1}` with `u_1 = u_t` bound,
+    /// accumulating the `u_2_b` increments straight into `lambda_prev`
+    /// and leaving the `u_1_b`/`c_b` contributions in the workspace. All
+    /// three grids are lent to the workspace for the run (swapped in, not
+    /// copied) and handed back, the first two as they came.
+    fn back(&mut self, u_t: &mut Grid, lambda_next: &mut Grid, lambda_prev: &mut Grid) {
         let _span = perforad_obs::span!("seismic.back", "seismic");
-        swap(self.ws.grid_mut("u_1"), u_t);
-        swap(self.ws.grid_mut("u_b"), lambda_next);
+        let mut lent = [("u_1", u_t), ("u_b", lambda_next), ("u_2_b", lambda_prev)];
+        for (name, grid) in &mut lent {
+            swap(self.ws.grid_mut(name), *grid);
+        }
         self.ws.grid_mut("u_1_b").fill(0.0);
-        self.ws.grid_mut("u_2_b").fill(0.0);
         self.ws.grid_mut("c_b").fill(0.0);
         run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("adjoint step");
-        swap(self.ws.grid_mut("u_1"), u_t);
-        swap(self.ws.grid_mut("u_b"), lambda_next);
+        for (name, grid) in lent {
+            swap(self.ws.grid_mut(name), grid);
+        }
     }
 }
 
@@ -330,11 +349,17 @@ impl Rolling {
     /// Reverse the step that produced `u_{t+1}` from `u_1 = u_t`,
     /// `u_2 = u_{t−1}`: its adjoint consumes λ_{t+1} and feeds λ_t and
     /// λ_{t−1} (scatter-free accumulation), then the window rolls down.
+    ///
+    /// λ_{t−1} (`lo`) is all `+0.0` on entry — fresh, or just rotated in
+    /// and cleared — so the kernel accumulates into it directly instead of
+    /// into a zeroed scratch that is then added: a sum that starts from
+    /// `+0.0` is never `−0.0`, hence `0.0 + Σ` ≡ `Σ` bit for bit. λ_t
+    /// (`mid`) and `c_b` already hold partial sums, so theirs stay
+    /// scratch-then-add — lending them would reassociate the additions.
     fn back(&mut self, sweep: &mut ReverseSweep<'_>, u_t: &mut Grid) {
         let [hi, mid, lo] = &mut self.lam;
-        sweep.back(u_t, hi);
+        sweep.back(u_t, hi, lo);
         add_into(mid, sweep.ws.grid("u_1_b"));
-        add_into(lo, sweep.ws.grid("u_2_b"));
         add_into(&mut self.c_b, sweep.ws.grid("c_b"));
         self.lam.rotate_left(1);
         self.lam[2].fill(0.0);
@@ -451,6 +476,17 @@ fn spill_dir(backend: &SnapshotBackend) -> Option<PathBuf> {
 /// range.
 fn default_budget(steps: usize) -> usize {
     ((2.0 * (steps.max(1) as f64).sqrt()).ceil() as usize).clamp(2, steps.max(2))
+}
+
+/// Whether every point on a face of `g` (some index at either end of its
+/// dimension) is zero.
+fn boundary_is_zero(g: &Grid) -> bool {
+    let on_face = |lin: usize| {
+        let at_end = |(&d, &s): (&usize, &usize)| [0, d - 1].contains(&(lin / s % d));
+        g.dims().iter().zip(g.strides()).any(at_end)
+    };
+    let mut points = g.as_slice().iter().enumerate();
+    points.all(|(lin, &v)| v == 0.0 || !on_face(lin))
 }
 
 fn add_into(dst: &mut Grid, src: &Grid) {

@@ -81,6 +81,6 @@ pub use perforad_sched::{run_tuned, TunedConfig, TunedStrategy};
 pub use space::{budget_palette, search_space, search_space_full, tile_palette};
 pub use timing::{time_best, time_once};
 pub use tuner::{
-    autotune_adjoint, autotune_nests, pick_batch_strategy, Measure, ScheduleAutotune, TimeLoop,
-    TuneError, TuneOptions, TuneReport,
+    autotune_adjoint, autotune_nests, compile_tuned, pick_batch_strategy, Measure,
+    ScheduleAutotune, TimeLoop, TuneError, TuneOptions, TuneReport,
 };

@@ -585,6 +585,25 @@ fn prepare_if_jit(schedule: &Schedule, cfg: &TunedConfig, bind: &Binding) -> boo
             .is_ok()
 }
 
+/// Compile `nests` the way a tuned configuration asks and, when it asks
+/// for the JIT lowering, natively prepare the result in this process
+/// ([`prepare_if_jit`]'s route; a warm artifact cache makes it a `dlopen`,
+/// not a compile). The flag is `false` only for a `Jit` schedule that
+/// could not be prepared: it still runs — on the bitwise-identical rows
+/// lowering, each execution counted in `jit.degraded_fallbacks` — so a
+/// caller with its own fallback sets the schedule's lowering to `Rows`.
+pub fn compile_tuned(
+    nests: &[LoopNest],
+    ws: &Workspace,
+    bind: &Binding,
+    padded: bool,
+    cfg: &TunedConfig,
+) -> Result<(Schedule, bool), SchedError> {
+    let schedule = compile_schedule_nests(nests, ws, bind, padded, &SchedOptions::from_tuned(cfg))?;
+    let native = prepare_if_jit(&schedule, cfg, bind);
+    Ok((schedule, native))
+}
+
 /// Tune a full adjoint (extent-checks like `compile_schedule`, honours
 /// the padded boundary strategy).
 pub fn autotune_adjoint(
@@ -649,18 +668,10 @@ fn finish_cached(
     padded: bool,
     hit: CacheEntry,
 ) -> Result<(Schedule, TuneReport), TuneError> {
-    let schedule = compile_schedule_nests(
-        nests,
-        ws,
-        bind,
-        padded,
-        &SchedOptions::from_tuned(&hit.config),
-    )?;
-    // A cached JIT winner still needs its native module in this process;
-    // the artifact cache makes this a dlopen, not a compile. Best effort
-    // — on failure execution falls back to the bitwise-identical rows
-    // lowering.
-    let _ = prepare_if_jit(&schedule, &hit.config, bind);
+    // A cached JIT winner still needs its native module in this process.
+    // Best effort — on failure execution falls back to the
+    // bitwise-identical rows lowering.
+    let (schedule, _native) = compile_tuned(nests, ws, bind, padded, &hit.config)?;
     let report = TuneReport {
         config: hit.config,
         seconds: hit.seconds,

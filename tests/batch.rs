@@ -8,14 +8,50 @@
 mod common;
 
 use common::{checkpointed, one_shot, store_all};
-use perforad::exec::{Grid, ThreadPool};
+use perforad::ckpt::Snapshot;
+use perforad::core::AdjointOptions;
+use perforad::exec::{Binding, Grid, Lowering, ThreadPool, Workspace};
+use perforad::obs::{counter, fault};
 use perforad::pde::seismic::{
     forward, ricker, BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend,
 };
-use perforad::pde::BatchStrategy;
+use perforad::pde::{wave3d, BatchStrategy};
+use perforad::tune::{autotune_adjoint, Measure, TimeLoop, TuneOptions};
 
 #[global_allocator]
 static GLOBAL: common::CountingAlloc = common::CountingAlloc;
+
+/// Recording, armed faults and `PERFORAD_JIT_CACHE` are process-global and
+/// one test here turns all three: every test in this binary runs under
+/// this lock, so none of them sees another's counters or faults.
+fn suite_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Put the analytic model's pick for `cfg`'s c-active wave adjoint on
+/// `pool` into the tuner's memory cache, under the key `BatchPlan::new`'s
+/// own tuner call looks up — so the plan comes up on that configuration (a
+/// `Jit` one wherever a toolchain is found) rather than on the wall-clock
+/// tuner's run-to-run pick. Returns the lowering pinned.
+fn pin_model_config(cfg: &SeismicConfig, checkpointed: bool, pool: &ThreadPool) -> Lowering {
+    let dims = [cfg.n; 3];
+    let adj = wave3d::nest()
+        .adjoint(&wave3d::activity_with_c(), &AdjointOptions::default())
+        .unwrap();
+    let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
+    let mut ws = Workspace::new();
+    for name in ["c", "u_1", "u_b", "u_1_b", "u_2_b", "c_b"] {
+        ws.insert(name, Grid::zeros(&dims));
+    }
+    let mut opts = TuneOptions::quick().with_measure(Measure::Model);
+    if checkpointed {
+        let state_bytes = (Grid::zeros(&dims), Grid::zeros(&dims)).mem_bytes();
+        opts = opts.with_time_loop(TimeLoop::new(cfg.steps, state_bytes));
+    }
+    let (_, report) = autotune_adjoint(&adj, &mut ws, &bind, pool, &opts).unwrap();
+    report.config.lowering
+}
 
 fn velocity(n: usize) -> Grid {
     Grid::from_fn(&[n, n, n], |ix| 0.8 + 0.4 * (ix[2] as f64 / n as f64))
@@ -62,6 +98,7 @@ fn assert_bitwise(tag: &str, got: (&f64, &Grid), want: (&f64, &Grid)) {
 
 #[test]
 fn store_all_batches_are_bitwise_sequential_across_shots_threads_strategies() {
+    let _guard = suite_lock();
     let cfg = SeismicConfig {
         n: 8,
         steps: 6,
@@ -108,6 +145,7 @@ fn store_all_batches_are_bitwise_sequential_across_shots_threads_strategies() {
 
 #[test]
 fn checkpointed_batches_are_bitwise_sequential_across_shots_threads_strategies() {
+    let _guard = suite_lock();
     let cfg = SeismicConfig {
         n: 8,
         steps: 6,
@@ -152,6 +190,7 @@ fn checkpointed_batches_are_bitwise_sequential_across_shots_threads_strategies()
 
 #[test]
 fn disk_backed_shot_parallel_batch_spills_without_collisions() {
+    let _guard = suite_lock();
     let cfg = SeismicConfig {
         n: 8,
         steps: 6,
@@ -191,6 +230,7 @@ fn disk_backed_shot_parallel_batch_spills_without_collisions() {
 
 #[test]
 fn empty_batch_returns_empty_result() {
+    let _guard = suite_lock();
     let cfg = SeismicConfig {
         n: 8,
         steps: 6,
@@ -220,16 +260,13 @@ fn digest(j: f64, g: &Grid) -> u64 {
     perforad::exec::fnv1a64(&bytes)
 }
 
-/// Recorded at PR 13's tree (interpreted primal, cloning time loop). The
-/// time loop may move grids and change dispatch; it may never change a bit.
-const GOLDEN_SHOT_DIGEST: u64 = 0xa242_e107_7faf_a2e5;
-
-#[test]
-fn golden_digest_pins_the_gradient_bits_across_sweeps_and_strategies() {
+/// The golden shot's inputs (at `d = 0.1`): model, source and observed
+/// data drawn from `Rng`.
+fn golden_shot(d: f64) -> (SeismicConfig, Grid, ShotBatch) {
     let cfg = SeismicConfig {
         n: 12,
         steps: 10,
-        d: 0.1,
+        d,
     };
     let mut rng = common::Rng::new(0x5EED_0014);
     let c0 = Grid::from_fn(&[cfg.n; 3], |_| 0.8 + 0.4 * unit(&mut rng));
@@ -237,6 +274,17 @@ fn golden_digest_pins_the_gradient_bits_across_sweeps_and_strategies() {
     let observed = Grid::from_fn(&[cfg.n; 3], |_| 1e-3 * (unit(&mut rng) - 0.5));
     let mut batch = ShotBatch::new();
     batch.push(source, observed);
+    (cfg, c0, batch)
+}
+
+/// Recorded at PR 13's tree (interpreted primal, cloning time loop). The
+/// time loop may move grids and change dispatch; it may never change a bit.
+const GOLDEN_SHOT_DIGEST: u64 = 0xa242_e107_7faf_a2e5;
+
+#[test]
+fn golden_digest_pins_the_gradient_bits_across_sweeps_and_strategies() {
+    let _guard = suite_lock();
+    let (cfg, c0, batch) = golden_shot(0.1);
 
     let one = ThreadPool::new(1);
     let two = ThreadPool::new(2);
@@ -277,6 +325,93 @@ fn golden_digest_pins_the_gradient_bits_across_sweeps_and_strategies() {
     }
 }
 
+/// `[exec.tiles_jit, exec.tiles_rows, jit.degraded_fallbacks]` right now.
+fn lowering_counts() -> [u64; 3] {
+    [
+        "exec.tiles_jit",
+        "exec.tiles_rows",
+        "jit.degraded_fallbacks",
+    ]
+    .map(|c| counter(c).get())
+}
+
+/// The primal step follows the adjoint's lowering: through the JIT tier
+/// when its native module can be prepared, and onto the row executor —
+/// compiled as `Rows`, never an unprepared `Jit` counted as degraded —
+/// when it cannot. The bits are the same either way.
+#[test]
+fn primal_step_runs_native_when_prepared_and_plain_rows_when_not() {
+    let _guard = suite_lock();
+    if !perforad::jit::available() {
+        eprintln!("skipped: no rustc toolchain available for JIT tests");
+        return;
+    }
+    // A `d` and a pool width nothing else in this binary uses: the native
+    // registry holds no module for this shape's plans, and the tuner's
+    // memory cache no entry, until this test puts them there.
+    let (cfg, c0, batch) = golden_shot(0.09);
+    let pool = ThreadPool::new(3);
+    let opts = checkpointed(Some(3), SnapshotBackend::Memory);
+    assert_eq!(pin_model_config(&cfg, true, &pool), Lowering::Jit);
+    let cache = std::env::temp_dir().join(format!("perforad-batch-jit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    std::env::set_var("PERFORAD_JIT_CACHE", &cache);
+    perforad::obs::set_enabled(true);
+
+    // Toolchain denied, nothing cached: neither kernel can be prepared.
+    // The adjoint keeps its pinned `Jit` lowering and runs degraded — one
+    // count per back step, its nests being one fused group; the stepper
+    // adds none, and no tile anywhere runs native code.
+    fault::arm("jit.rustc.spawn=fail").unwrap();
+    let denied_plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
+    let before = lowering_counts();
+    let denied = denied_plan.run(&batch);
+    let after = lowering_counts();
+    // The golden shot itself, toolchain denied (on whatever an earlier
+    // test left registered for its shape): the same digest.
+    let (golden_cfg, golden_c0, golden_batch) = golden_shot(0.1);
+    let golden = BatchPlan::new(&golden_cfg, &golden_c0, &opts, &pool).run(&golden_batch);
+    fault::disarm();
+    assert_eq!(after[0], before[0], "nothing prepared, nothing native");
+    assert!(after[1] > before[1]);
+    assert_eq!(
+        after[2] - before[2],
+        cfg.steps as u64,
+        "degraded runs: the adjoint's back steps and nothing else"
+    );
+    let got = digest(golden.misfits[0], &golden.gradients[0]);
+    assert_eq!(got, GOLDEN_SHOT_DIGEST, "toolchain denied: {got:#018x}");
+
+    // Toolchain back: a new plan builds two artifacts — adjoint and
+    // primal, each under its own plan fingerprint — and a warm shot runs
+    // every tile native: none on rows, none degraded.
+    let plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
+    assert_eq!(plan.tuned().lowering, Lowering::Jit);
+    let native = plan.run(&batch);
+    let before = lowering_counts();
+    let warm = plan.run(&batch);
+    let after = lowering_counts();
+    perforad::obs::set_enabled(false);
+    std::env::remove_var("PERFORAD_JIT_CACHE");
+    assert!(after[0] > before[0]);
+    assert_eq!(after[1], before[1], "the primal is off the row executor");
+    assert_eq!(after[2], before[2]);
+    let artifacts = std::fs::read_dir(&cache)
+        .expect("artifact directory")
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "so"))
+        .count();
+    assert_eq!(artifacts, 2, "one artifact per kernel");
+    for (tag, res) in [("denied vs native", &denied), ("warm vs native", &warm)] {
+        assert_bitwise(
+            tag,
+            (&res.misfits[0], &res.gradients[0]),
+            (&native.misfits[0], &native.gradients[0]),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
 /// Bytes the calling thread allocates in one `run` of `batch`. The plan is
 /// forced shot-parallel: a batch of one then runs inline on the caller,
 /// serially, so every allocation of the time loop lands on this thread.
@@ -290,6 +425,7 @@ fn run_bytes(plan: &BatchPlan<'_>, batch: &ShotBatch) -> u64 {
 
 #[test]
 fn time_loop_allocates_the_trajectory_and_a_warm_run_clones_nothing() {
+    let _guard = suite_lock();
     let n = 20usize;
     let grid_bytes = (8 * n * n * n) as u64;
     let c0 = velocity(n);
@@ -297,6 +433,19 @@ fn time_loop_allocates_the_trajectory_and_a_warm_run_clones_nothing() {
     let opts = BatchOptions {
         strategy: Some(BatchStrategy::ShotParallel),
         ..store_all()
+    };
+    // Per step, the two tile runners' scratch: buffer tables alone when
+    // both kernels run native (the model's pick wherever a toolchain is
+    // found; a store-all tuning is keyed by shape, not step count), lane
+    // files too on the row executor — independent of n.
+    let shape = SeismicConfig {
+        n,
+        steps: 0,
+        d: 0.1,
+    };
+    let scratch = match pin_model_config(&shape, false, &pool) {
+        Lowering::Jit => 1 << 10,
+        _ => grid_bytes / 2,
     };
     let mut warm = Vec::new();
     for steps in [6usize, 7] {
@@ -313,10 +462,9 @@ fn time_loop_allocates_the_trajectory_and_a_warm_run_clones_nothing() {
         );
         // What a warm store-all run allocates: the trajectory (steps + 1
         // grids), the cursor state (2), the rolling window and gradient (4)
-        // — and per step less than half a grid of kernel scratch (tile
-        // runners' buffer tables and lane files, independent of n).
+        // — and per step the kernel scratch.
         assert!(
-            second < (steps as u64 + 7) * grid_bytes + steps as u64 * grid_bytes / 2,
+            second < (steps as u64 + 7) * grid_bytes + steps as u64 * scratch,
             "{steps} steps: warm run allocates {second} B = {:.2} grids",
             second as f64 / grid_bytes as f64
         );
@@ -327,7 +475,7 @@ fn time_loop_allocates_the_trajectory_and_a_warm_run_clones_nothing() {
     // not the seven grids per step a cloning time loop allocates.
     let per_step = warm[1] - warm[0];
     assert!(
-        (grid_bytes..2 * grid_bytes).contains(&per_step),
+        (grid_bytes..grid_bytes + scratch).contains(&per_step),
         "one extra step allocates {per_step} B = {:.2} grids",
         per_step as f64 / grid_bytes as f64
     );

@@ -576,3 +576,77 @@ fn wave3d_adjoint_jit_bitwise_identical_and_golden() {
     assert_eq!(got, GOLDEN_WAVE_DIGEST, "digest {got:#018x}");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Recorded at PR 15's tree, before the seismic time loop's primal step
+/// left the row executor: the step the JIT now runs there may never
+/// change a bit.
+const GOLDEN_PRIMAL_DIGEST: u64 = 0xd111_347e_abd1_83b3;
+
+/// The primal wave step as the seismic stepper compiles it — a one-nest
+/// schedule — through `Jit`, `Rows` and `PerPoint`, serially and on a
+/// 2-thread pool with a tile shape that clips the nest: bitwise-equal
+/// after every one of 10 chained steps (`u_2 ← u_1 ← u`), and the final
+/// state equal to the digest recorded while that step still ran rows.
+#[test]
+fn wave3d_primal_jit_bitwise_identical_and_golden() {
+    use perforad::pde::wave3d;
+    require_toolchain!();
+    let (opts, dir) = jit_opts("wave3d-primal");
+    let n = 12usize;
+    let bind = Binding::new().size("n", n as i64).param("D", 0.1);
+    let pool = ThreadPool::new(2);
+    // One workspace per lowering × drive, the per-point serial one first.
+    let mut runs = Vec::new();
+    for lowering in [Lowering::PerPoint, Lowering::Rows, Lowering::Jit] {
+        let sopts = SchedOptions::default()
+            .with_lowering(lowering)
+            .with_tile(&[3, 5, 7]);
+        for parallel in [false, true] {
+            let ws = wave_ws(n, 0x9E37_2016);
+            let s = compile_schedule_nests(&[wave3d::nest()], &ws, &bind, false, &sopts).unwrap();
+            if lowering == Lowering::Jit {
+                let report = prepare_schedule(&s, &bind, &opts).expect("prepare");
+                assert_eq!(
+                    report.compiled + report.loaded + report.registered,
+                    s.group_count()
+                );
+            }
+            runs.push((s, ws, parallel, lowering));
+        }
+    }
+    for step in 0..10 {
+        for (s, ws, parallel, _) in &mut runs {
+            if *parallel {
+                run_schedule(s, ws, &pool).unwrap();
+            } else {
+                run_schedule_serial(s, ws).unwrap();
+            }
+        }
+        let (reference, rest) = runs.split_first_mut().unwrap();
+        for (_, ws, parallel, lowering) in rest.iter_mut() {
+            assert_eq!(
+                reference.1.grid("u").max_abs_diff(ws.grid("u")),
+                0.0,
+                "step {step}: {lowering:?} parallel={parallel}"
+            );
+        }
+        // Rotate every state: u_2 ← u_1 ← u (`u` is reassigned on the
+        // whole interior by the next step).
+        for (_, ws, ..) in &mut runs {
+            for (dst, src) in [("u_2", "u_1"), ("u_1", "u")] {
+                let next = ws.grid(src).clone();
+                *ws.grid_mut(dst) = next;
+            }
+        }
+    }
+    let mut bytes = Vec::new();
+    let (_, ws_jit, ..) = runs.last().unwrap();
+    for name in ["u_1", "u_2"] {
+        for v in ws_jit.grid(name).as_slice() {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+    let got = perforad::exec::fnv1a64(&bytes);
+    assert_eq!(got, GOLDEN_PRIMAL_DIGEST, "digest {got:#018x}");
+    let _ = std::fs::remove_dir_all(dir);
+}

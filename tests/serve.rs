@@ -171,8 +171,10 @@ fn second_compile_same_fingerprint_skips_all_compile_work() {
 
     // The warm plan still serves gradients — and a warm Gradient is all
     // kernel time: no adjoint re-transform, and no `Lowering::Jit` run
-    // that found its native module missing (the primal step runs on the
-    // row executor by choice, which must never read as a degraded JIT).
+    // that found its native module missing (a cold compile prepares two
+    // artifacts, adjoint and primal step; a primal that could not be
+    // prepared is compiled for the row executor outright, which must
+    // never read as a degraded JIT).
     let source = ricker(cfg.steps);
     let data = observed(&cfg, &source);
     let before = client.stats().expect("stats before gradient");
