@@ -353,20 +353,11 @@ impl JitCtx<'_> {
     }
 }
 
-/// Render the linear index of an access at constant offsets from the
-/// counters: the loop body's `__i` (the point's own index, computed once
-/// per iteration) plus the offsets folded into one constant.
-fn jit_linear_index(strides: &[usize], offsets: &[i64]) -> String {
-    let k: i64 = offsets
-        .iter()
-        .zip(strides)
-        .map(|(o, &s)| o * s as i64)
-        .sum();
-    if k == 0 {
-        "__i".to_string()
-    } else {
-        format!("__i + ({k})")
-    }
+/// The constant element offset of an access at constant offsets from the
+/// counters.
+fn jit_linear_offset(strides: &[usize], offsets: &[i64]) -> i64 {
+    let terms = offsets.iter().zip(strides).map(|(o, &s)| o * s as i64);
+    terms.sum()
 }
 
 /// Mirror of the bytecode compiler's expression traversal, rendering Rust
@@ -396,7 +387,12 @@ fn jit_expr(e: &Expr, ctx: &JitCtx) -> Result<String, String> {
                         .ok_or_else(|| format!("non-stencil access `{a}`"))?,
                 );
             }
-            let lin = jit_linear_index(ctx.spec.strides, &offsets);
+            // The point's own index `__i` (computed once per iteration)
+            // plus the offsets folded into one constant.
+            let lin = match jit_linear_offset(ctx.spec.strides, &offsets) {
+                0 => "__i".to_string(),
+                k => format!("__i + ({k})"),
+            };
             if ctx.spec.padded {
                 // LoadPadded semantics: every dimension bounds-checked,
                 // 0.0 outside the physical extents.
@@ -554,23 +550,35 @@ fn jit_stmt(
     })
 }
 
-/// Generate one nest's entry point. Each maximal run of consecutive
-/// statements with the same effective box (nest bounds ∩ guard, hoisted
-/// into constant loop bounds; under the default `Disjoint` strategy that
-/// is the whole nest) becomes **one** loop nest — the paper's Fig.-4 form
-/// — with the runtime tile box clamped on top, so any sub-box of the
-/// iteration space is valid. Its body holds the run's statements in
-/// source order and keeps one local accumulator per written array: loaded
-/// at that array's first `+=` (never, when its first op is `=`), updated
-/// in source order, stored once at the end of the body.
+/// Generate one nest's entry point and its row bodies. Each maximal run
+/// of consecutive statements with the same effective box (nest bounds ∩
+/// guard, hoisted into constant loop bounds; under the default `Disjoint`
+/// strategy that is the whole nest) becomes **one** loop nest — the
+/// paper's Fig.-4 form — with the runtime tile box clamped on top, so any
+/// sub-box of the iteration space is valid. The entry point loops the
+/// outer dimensions and hands each innermost row to the run's
+/// `#[inline(always)]` row body `{name}_r{k}`, which holds the run's
+/// statements in source order and keeps one local accumulator per written
+/// array: loaded at that array's first `+=` (never, when its first op is
+/// `=`), updated in source order, stored once at the end of the body.
+///
+/// **Aliasing contract.** A row body receives every array its run writes
+/// as a `&mut [f64]` over exactly that row's points at the write offset,
+/// and every array the nest reads as a `*const f64` — which tells the
+/// compiler what the gather transformation proved: stores never feed
+/// loads, so the row vectorises. The contract holds because no nest reads
+/// an array it writes (checked here; an `Err` sends the schedule to the
+/// rows tier), a run writes each array at one offset (so a run never
+/// holds two slices of one array), the plan's arrays are distinct
+/// allocations, and concurrent tiles have disjoint boxes (so no two live
+/// rows of one array overlap). The innermost stride must be 1.
 ///
 /// This moves data, not arithmetic, so the bits are the interpreter's:
-/// plans forbid write/read aliasing (`ExecError::AliasedWrite`), so no
-/// right-hand side can observe a deferred store, and every location still
-/// receives its statements' updates in source order, one rounding per
-/// update. A run ends where two statements write one array at *different*
-/// offsets — there point-major and statement-major order differ, and
-/// separate loops keep the latter.
+/// no right-hand side can observe a deferred store, and every location
+/// still receives its statements' updates in source order, one rounding
+/// per update. A run ends where two statements write one array at
+/// *different* offsets — there point-major and statement-major order
+/// differ, and separate loops keep the latter.
 fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<String, String> {
     let rank = nest.rank();
     if rank == 0 || rank != spec.dims.len() {
@@ -579,10 +587,14 @@ fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<Strin
             spec.dims.len()
         ));
     }
-    debug_assert!(
-        nest.outputs().is_disjoint(&nest.inputs()),
-        "plan invariant (AliasedWrite): no written array is read"
-    );
+    let last = rank - 1;
+    if spec.strides[last] != 1 {
+        return Err(format!("innermost stride {} is not 1", spec.strides[last]));
+    }
+    let inputs = nest.inputs();
+    if let Some(a) = nest.outputs().intersection(&inputs).next() {
+        return Err(format!("nest reads `{a}`, which it also writes"));
+    }
     let mut sub: BTreeMap<Symbol, Expr> = BTreeMap::new();
     for (s, v) in spec.params {
         sub.insert(s.clone(), Expr::float(*v));
@@ -603,87 +615,128 @@ fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<Strin
             _ => runs.push(vec![s]),
         }
     }
+    // Every statement rendered, so every input has a slot.
+    let reads: Vec<usize> = (0..spec.arrays.len())
+        .filter(|&slot| inputs.contains(&spec.arrays[slot]))
+        .collect();
 
-    let mut out = String::new();
-    let _ = writeln!(out, "#[no_mangle]");
+    let mut rows = String::new();
+    let mut entry = String::new();
+    let _ = writeln!(entry, "#[no_mangle]");
     let _ = writeln!(
-        out,
+        entry,
         "pub unsafe extern \"C\" fn {name}(__lo: *const i64, __hi: *const i64, \
          __arrs: *const *mut f64) {{"
     );
     for slot in 0..spec.arrays.len() {
-        let _ = writeln!(out, "    let __a{slot} = *__arrs.add({slot});");
+        let _ = writeln!(entry, "    let __a{slot} = *__arrs.add({slot});");
     }
-    // The point's linear index: outer counters once per row, the
-    // innermost counter once per point.
-    let term = |d: usize| match spec.strides[d] {
-        1 => format!("__c{d}"),
-        s => format!("__c{d}*{s}"),
-    };
-    let row = match rank {
-        1 => "0".to_string(),
-        _ => (0..rank - 1).map(term).collect::<Vec<_>>().join(" + "),
-    };
-    let target = |s: &JitStmt| {
-        let at = jit_linear_index(spec.strides, &s.woffs);
-        format!("*__a{}.offset({at})", s.slot)
-    };
-    for run in &runs {
-        let _ = writeln!(out, "    {{");
-        for d in 0..rank {
-            let _ = writeln!(
-                out,
-                "        let __l{d} = (*__lo.add({d})).max({}i64); \
-                 let __h{d} = (*__hi.add({d})).min({}i64);",
-                run[0].lo[d], run[0].hi[d]
-            );
-        }
-        let mut pad = "        ".to_string();
-        for d in 0..rank {
-            if d == rank - 1 {
-                let _ = writeln!(out, "{pad}let __r = {row};");
-            }
-            let _ = writeln!(out, "{pad}for __c{d} in __l{d}..=__h{d} {{");
-            pad.push_str("    ");
-        }
-        let _ = writeln!(out, "{pad}let __i = (__r + {}) as isize;", term(rank - 1));
-        // One accumulator per written array, in first-write order.
+    // The index of a row's first point: outer counters × strides plus the
+    // clamped innermost lower bound.
+    let row = (0..last)
+        .map(|d| format!("__c{d}*{} + ", spec.strides[d]))
+        .collect::<String>();
+    for (k, run) in runs.iter().enumerate() {
+        // The body first: it decides which arrays the run accumulates
+        // into, in first-write order.
+        let pad = "        ";
+        let mut body = String::new();
         let mut accs: Vec<&JitStmt> = Vec::new();
         for s in run {
             for l in &s.lets {
-                let _ = writeln!(out, "{pad}{l}");
+                let _ = writeln!(body, "{pad}{l}");
             }
-            let (w, rhs) = (format!("__w{}", s.slot), &s.rhs);
-            let live = accs.iter().any(|a| a.slot == s.slot);
+            let (slot, w, rhs) = (s.slot, format!("__w{}", s.slot), &s.rhs);
+            let live = accs.iter().any(|a| a.slot == slot);
             let _ = match (live, s.op) {
-                (false, AssignOp::Assign) => writeln!(out, "{pad}let mut {w}: f64 = {rhs};"),
-                (false, AssignOp::AddAssign) => {
-                    writeln!(out, "{pad}let mut {w}: f64 = {}; {w} += {rhs};", target(s))
-                }
-                (true, AssignOp::Assign) => writeln!(out, "{pad}{w} = {rhs};"),
-                (true, AssignOp::AddAssign) => writeln!(out, "{pad}{w} += {rhs};"),
+                (false, AssignOp::Assign) => writeln!(body, "{pad}let mut {w}: f64 = {rhs};"),
+                (false, AssignOp::AddAssign) => writeln!(
+                    body,
+                    "{pad}let mut {w}: f64 = *__o{slot}.get_unchecked(__x); {w} += {rhs};"
+                ),
+                (true, AssignOp::Assign) => writeln!(body, "{pad}{w} = {rhs};"),
+                (true, AssignOp::AddAssign) => writeln!(body, "{pad}{w} += {rhs};"),
             };
             if !live {
                 accs.push(s);
             }
         }
-        for s in accs {
-            let _ = writeln!(out, "{pad}{} = __w{};", target(s), s.slot);
+        for s in &accs {
+            let _ = writeln!(
+                body,
+                "{pad}*__o{0}.get_unchecked_mut(__x) = __w{0};",
+                s.slot
+            );
         }
-        for _ in 0..rank {
+
+        let mut params = vec!["__len: usize".to_string(), "__i0: isize".to_string()];
+        let mut args = vec!["__len".to_string(), "__i0".to_string()];
+        for d in 0..last {
+            params.push(format!("__c{d}: i64"));
+            args.push(format!("__c{d}"));
+        }
+        params.push(format!("__l{last}: i64"));
+        args.push(format!("__l{last}"));
+        for s in &accs {
+            params.push(format!("__o{}: &mut [f64]", s.slot));
+            args.push(format!(
+                "core::slice::from_raw_parts_mut(__a{}.offset(__i0 + ({})), __len)",
+                s.slot,
+                jit_linear_offset(spec.strides, &s.woffs)
+            ));
+        }
+        for slot in &reads {
+            params.push(format!("__a{slot}: *const f64"));
+            args.push(format!("__a{slot}"));
+        }
+        let _ = writeln!(
+            rows,
+            "#[inline(always)]\nunsafe fn {name}_r{k}({}) {{",
+            params.join(", ")
+        );
+        let _ = writeln!(rows, "    for __x in 0..__len {{");
+        let _ = writeln!(rows, "{pad}let __c{last} = __l{last} + __x as i64;");
+        let _ = writeln!(rows, "{pad}let __i = __i0 + __x as isize;");
+        rows.push_str(&body);
+        let _ = writeln!(rows, "    }}\n}}");
+
+        let _ = writeln!(entry, "    {{");
+        for d in 0..rank {
+            let _ = writeln!(
+                entry,
+                "        let __l{d} = (*__lo.add({d})).max({}i64); \
+                 let __h{d} = (*__hi.add({d})).min({}i64);",
+                run[0].lo[d], run[0].hi[d]
+            );
+        }
+        // An empty clamped row has no length to make a slice of.
+        let _ = writeln!(entry, "        if __l{last} <= __h{last} {{");
+        let _ = writeln!(
+            entry,
+            "            let __len = (__h{last} - __l{last} + 1) as usize;"
+        );
+        let mut pad = "            ".to_string();
+        for d in 0..last {
+            let _ = writeln!(entry, "{pad}for __c{d} in __l{d}..=__h{d} {{");
+            pad.push_str("    ");
+        }
+        let _ = writeln!(entry, "{pad}let __i0 = ({row}__l{last}) as isize;");
+        let _ = writeln!(entry, "{pad}{name}_r{k}({});", args.join(", "));
+        for _ in 0..last {
             pad.truncate(pad.len() - 4);
-            let _ = writeln!(out, "{pad}}}");
+            let _ = writeln!(entry, "{pad}}}");
         }
-        let _ = writeln!(out, "    }}");
+        let _ = writeln!(entry, "        }}\n    }}");
     }
-    let _ = writeln!(out, "}}");
-    Ok(out)
+    let _ = writeln!(entry, "}}");
+    Ok(rows + &entry)
 }
 
 /// Generate a self-contained crate-root source module for one fused
 /// group: the bitwise-exact helper prelude plus one `extern "C"` entry
-/// point per nest (`{prefix}_n{k}`), each taking an inclusive per-rank
-/// iteration box and the plan's array base pointers in slot order.
+/// point per nest (`{prefix}_n{k}`, with its row bodies), each taking an
+/// inclusive per-rank iteration box and the plan's array base pointers in
+/// slot order.
 /// Compile with `rustc --crate-type cdylib` and load via `dlopen`
 /// (`perforad-jit` drives both).
 pub fn jit_group_module(spec: &JitGroupSpec) -> Result<String, String> {
@@ -691,6 +744,14 @@ pub fn jit_group_module(spec: &JitGroupSpec) -> Result<String, String> {
     let _ = writeln!(
         out,
         "// Generated by perforad-codegen (JIT back-end) — do not edit by hand."
+    );
+    let _ = writeln!(
+        out,
+        "// Aliasing contract: a row body `*_r{{k}}` gets each array it writes as a\n\
+         // `&mut [f64]` over one innermost row and each array it reads as a\n\
+         // `*const f64`. No nest reads an array it writes, a run writes each array\n\
+         // at one offset, the arrays are distinct allocations and concurrent tiles\n\
+         // have disjoint boxes, so no live `&mut` row overlaps anything else."
     );
     let _ = writeln!(
         out,
@@ -853,9 +914,10 @@ mod tests {
         assert!(code.contains("+=") && !code.contains("] = "), "{code}");
     }
 
-    /// The paper's 3-D wave adjoint (`c` passive) as one JIT module at
-    /// `n = 16`; slots in name order: `c`, `u_1_b`, `u_2_b`, `u_b`.
-    fn wave_module(strategy: perforad_core::BoundaryStrategy, cse: bool) -> String {
+    /// The paper's 3-D wave adjoint (`c` passive) at `n = 16`, one string
+    /// per nest (row bodies, then the entry point); slots in name order:
+    /// `c`, `u_1_b`, `u_2_b`, `u_b`.
+    fn wave_nests(strategy: perforad_core::BoundaryStrategy, cse: bool) -> Vec<String> {
         use perforad_core::{ActivityMap, AdjointOptions};
         let nest = crate::parse_stencil(
             "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 {
@@ -875,7 +937,7 @@ mod tests {
         let arrays = ["c", "u_1_b", "u_2_b", "u_b"].map(Symbol::new);
         let sizes = BTreeMap::from([(Symbol::new("n"), 16i64)]);
         let params = BTreeMap::from([(Symbol::new("D"), 0.1)]);
-        jit_group_module(&JitGroupSpec {
+        let spec = JitGroupSpec {
             prefix: "pf",
             nests: &adj.nests,
             arrays: &arrays,
@@ -885,71 +947,116 @@ mod tests {
             cse,
             sizes: &sizes,
             params: &params,
-        })
-        .unwrap()
+        };
+        (adj.nests.iter().enumerate())
+            .map(|(k, nest)| jit_nest_fn(&format!("pf_n{k}"), nest, &spec).unwrap())
+            .collect()
     }
 
-    /// The entry points of a module, one string each.
-    fn entry_points(module: &str) -> Vec<&str> {
-        module.split("#[no_mangle]").skip(1).collect()
+    /// The row bodies of one nest's source, one string each.
+    fn row_bodies(nest: &str) -> Vec<&str> {
+        let entry = nest.find("#[no_mangle]").expect("entry point");
+        let marker = "#[inline(always)]\nunsafe fn ";
+        nest[..entry].split(marker).skip(1).collect()
     }
 
     #[test]
     fn jit_wave_adjoint_is_one_loop_per_nest_with_register_accumulators() {
-        let module = wave_module(perforad_core::BoundaryStrategy::Disjoint, false);
-        let fns = entry_points(&module);
-        assert_eq!(fns.len(), 53);
-        for f in &fns {
-            assert_eq!(f.matches("for __c2 in").count(), 1, "{f}");
+        let nests = wave_nests(perforad_core::BoundaryStrategy::Disjoint, false);
+        assert_eq!(nests.len(), 53);
+        for f in &nests {
+            assert_eq!(row_bodies(f).len(), 1, "{f}");
+            assert_eq!(f.matches("for __x in 0..__len").count(), 1, "{f}");
+            assert_eq!(f.matches("pub unsafe extern \"C\" fn").count(), 1, "{f}");
         }
         // The core nest carries all eight increments (seven into `u_1_b`,
         // one into `u_2_b`): one load and one store per target.
-        let core = fns
+        let core = nests
             .iter()
             .find(|f| f.matches("+=").count() == 8)
             .expect("core nest");
+        let row = row_bodies(core)[0];
         for slot in [1, 2] {
-            assert_eq!(
-                core.matches(&format!("*__a{slot}.offset(__i) = ")).count(),
-                1
-            );
-            assert_eq!(
-                core.matches(&format!("= *__a{slot}.offset(__i);")).count(),
-                1
-            );
-            assert_eq!(core.matches(&format!("*__a{slot}.")).count(), 2, "{core}");
+            let load = format!("let mut __w{slot}: f64 = *__o{slot}.get_unchecked(__x);");
+            let store = format!("*__o{slot}.get_unchecked_mut(__x) = __w{slot};");
+            assert_eq!(row.matches(&load).count(), 1, "{row}");
+            assert_eq!(row.matches(&store).count(), 1, "{row}");
+            assert_eq!(row.matches(&format!("__o{slot}.")).count(), 2, "{row}");
         }
-        // The row base is hoisted; accesses are base + one constant.
-        assert!(core.contains("let __r = __c0*256 + __c1*16;"), "{core}");
-        assert!(core.contains("*__a3.offset(__i + (-256))"), "{core}");
+        // The row base is computed once per row; loads are base + constant.
+        assert!(
+            core.contains("let __i0 = (__c0*256 + __c1*16 + __l2) as isize;"),
+            "{core}"
+        );
+        assert!(row.contains("*__a3.offset(__i + (-256))"), "{row}");
+    }
+
+    #[test]
+    fn jit_row_body_takes_written_arrays_as_mut_slices_and_read_arrays_as_const_ptrs() {
+        let nests = wave_nests(perforad_core::BoundaryStrategy::Disjoint, false);
+        let core = nests
+            .iter()
+            .find(|f| f.matches("+=").count() == 8)
+            .expect("core nest");
+        // `u_1_b`, `u_2_b` written; `c`, `u_b` read.
+        assert!(
+            core.contains(
+                "unsafe fn pf_n26_r0(__len: usize, __i0: isize, __c0: i64, __c1: i64, \
+                 __l2: i64, __o1: &mut [f64], __o2: &mut [f64], \
+                 __a0: *const f64, __a3: *const f64) {"
+            ),
+            "{core}"
+        );
+        // Each slice is exactly the row, at the write offset; nothing runs
+        // (and no slice is made) when the clamped row is empty.
+        assert!(
+            core.contains(
+                "pf_n26_r0(__len, __i0, __c0, __c1, __l2, \
+                 core::slice::from_raw_parts_mut(__a1.offset(__i0 + (0)), __len), \
+                 core::slice::from_raw_parts_mut(__a2.offset(__i0 + (0)), __len), \
+                 __a0, __a3);"
+            ),
+            "{core}"
+        );
+        let guard = core.find("if __l2 <= __h2 {").expect("empty-row guard");
+        assert!(guard < core.find("from_raw_parts_mut").unwrap(), "{core}");
+        // A written array is never touched through its raw pointer, and a
+        // row body never sees a `*mut`.
+        let row = row_bodies(core)[0];
+        assert!(!row.contains("__a1") && !row.contains("__a2"), "{row}");
+        assert!(!row.contains("*mut"), "{row}");
     }
 
     #[test]
     fn jit_guarded_statements_with_different_boxes_keep_their_own_loops() {
-        let module = wave_module(perforad_core::BoundaryStrategy::Guarded, false);
-        let fns = entry_points(&module);
+        let nests = wave_nests(perforad_core::BoundaryStrategy::Guarded, false);
         // The core nest plus six boundary slabs. A slab's guarded
         // statements have boxes of their own: consecutive loops never share
-        // one (runs are maximal), and loops and stores alternate in source
-        // order — `u_2_b`'s statement is last and so is its store.
-        assert_eq!(fns.len(), 7);
-        assert_eq!(fns[0].matches("for __c2 in").count(), 1);
-        for f in &fns[1..] {
+        // one (runs are maximal), each run has its row body and its stores
+        // — `u_2_b`'s statement is last and so is its store.
+        assert_eq!(nests.len(), 7);
+        assert_eq!(row_bodies(&nests[0]).len(), 1);
+        for f in &nests[1..] {
+            let rows = row_bodies(f);
             let loops: Vec<&str> = f.split("let __l0 = ").skip(1).collect();
             assert!(loops.len() > 1, "{f}");
-            assert_eq!(f.matches("for __c2 in").count(), loops.len());
-            let bounds = |l: &str| l.split("for __c0").next().unwrap().to_string();
+            assert_eq!(rows.len(), loops.len(), "{f}");
+            let bounds = |l: &str| l.split("if __l2").next().unwrap().to_string();
             assert!(
                 loops.windows(2).all(|w| bounds(w[0]) != bounds(w[1])),
                 "{f}"
             );
-            assert!(loops.iter().all(|l| l.contains(" = __w")), "{f}");
-            assert!(loops[loops.len() - 1].contains(" = __w2;"), "{f}");
+            for (k, (row, l)) in rows.iter().zip(&loops).enumerate() {
+                assert!(row.contains(&format!("_r{k}(")), "{f}");
+                assert!(l.contains(&format!("_r{k}(")), "{f}");
+                assert!(row.contains(") = __w"), "{f}");
+            }
+            assert!(rows[rows.len() - 1].contains(") = __w2;"), "{f}");
         }
     }
 
     /// A 1-D module over `r`, `u` (slots 0, 1) from explicit statements.
-    fn module_1d(body: Vec<perforad_core::Statement>, cse: bool) -> String {
+    fn module_1d(body: Vec<perforad_core::Statement>, cse: bool) -> Result<String, String> {
         let i = Symbol::new("i");
         let nests = [LoopNest::new(
             vec![i],
@@ -959,7 +1066,7 @@ mod tests {
         let arrays = [Symbol::new("r"), Symbol::new("u")];
         let (sizes, params) = (BTreeMap::new(), BTreeMap::new());
         let spec = jit_spec_1d(&arrays, &sizes, &params, &nests, &[24], &[1], false);
-        jit_group_module(&JitGroupSpec { cse, ..spec }).unwrap()
+        jit_group_module(&JitGroupSpec { cse, ..spec })
     }
 
     #[test]
@@ -975,9 +1082,10 @@ mod tests {
                 Statement::add_assign(Access::new("r", ix![&i]), shared(1) + shared(1).cos()),
             ],
             true,
-        );
+        )
+        .unwrap();
         // One body, one temporary per statement, each used by its own.
-        assert_eq!(code.matches("for __c0 in").count(), 1, "{code}");
+        assert_eq!(code.matches("for __x in").count(), 1, "{code}");
         assert_eq!(code.matches("let __cse0_0: f64 = ").count(), 1, "{code}");
         assert_eq!(code.matches("let __cse0_1: f64 = ").count(), 1, "{code}");
         assert_eq!(code.matches("let __cse").count(), 2, "{code}");
@@ -999,8 +1107,9 @@ mod tests {
                 Statement::add_assign(Access::new("r", ix![&i]), u.at(ix![&i + 1])),
             ],
             false,
-        );
-        assert_eq!(code.matches("for __c0 in").count(), 1, "{code}");
+        )
+        .unwrap();
+        assert_eq!(code.matches("for __x in").count(), 1, "{code}");
         assert!(
             code.contains("let mut __w0: f64 = (*__a1.offset(__i + (-1)));"),
             "{code}"
@@ -1009,9 +1118,16 @@ mod tests {
             code.contains("__w0 += (*__a1.offset(__i + (1)));"),
             "{code}"
         );
-        // The only mention of the target is its one store.
-        assert_eq!(code.matches("*__a0.").count(), 1, "{code}");
-        assert!(code.contains("*__a0.offset(__i) = __w0;"), "{code}");
+        // The row body's only mention of the target is its one store.
+        let row = row_bodies(&code)[0];
+        assert_eq!(row.matches("__o0.").count(), 1, "{row}");
+        assert!(
+            row.contains("*__o0.get_unchecked_mut(__x) = __w0;"),
+            "{row}"
+        );
+        // Rank 1: no outer loop, one call over the clamped row.
+        assert!(code.contains("let __i0 = (__l0) as isize;"), "{code}");
+        assert_eq!(code.matches("for __c").count(), 0, "{code}");
     }
 
     #[test]
@@ -1026,15 +1142,44 @@ mod tests {
                 Statement::add_assign(Access::new("r", ix![&i + 1]), u.at(ix![&i])),
             ],
             false,
-        );
-        assert_eq!(code.matches("for __c0 in").count(), 2, "{code}");
+        )
+        .unwrap();
+        // Two runs, two row bodies, called in source order — each with the
+        // one slice of `r` its statement writes.
+        assert_eq!(row_bodies(&code).len(), 2, "{code}");
         let first = code
-            .find("*__a0.offset(__i + (-1)) = __w0;")
-            .expect("first store");
+            .find("pf_n0_r0(__len, __i0, __l0, core::slice::from_raw_parts_mut(__a0.offset(__i0 + (-1)), __len), __a1);")
+            .expect("first call");
         let second = code
-            .find("*__a0.offset(__i + (1)) = __w0;")
-            .expect("second store");
+            .find("pf_n0_r1(__len, __i0, __l0, core::slice::from_raw_parts_mut(__a0.offset(__i0 + (1)), __len), __a1);")
+            .expect("second call");
         assert!(first < second, "{code}");
+    }
+
+    #[test]
+    fn jit_rejects_what_the_aliasing_contract_cannot_cover() {
+        use perforad_core::Statement;
+        use perforad_symbolic::Access;
+        let i = Symbol::new("i");
+        let (r, u) = (Array::new("r"), Array::new("u"));
+        // A nest that reads an array it writes, even in another statement.
+        let err = module_1d(
+            vec![
+                Statement::add_assign(Access::new("r", ix![&i]), u.at(ix![&i])),
+                Statement::add_assign(Access::new("u", ix![&i]), r.at(ix![&i - 1])),
+            ],
+            false,
+        )
+        .unwrap_err();
+        assert!(err.contains("also writes"), "{err}");
+        // A layout whose innermost stride is not 1: a row is not a slice.
+        let nests = [paper_1d()];
+        let arrays = [Symbol::new("c"), Symbol::new("r"), Symbol::new("u")];
+        let sizes = BTreeMap::from([(Symbol::new("n"), 32i64)]);
+        let params = BTreeMap::new();
+        let spec = jit_spec_1d(&arrays, &sizes, &params, &nests, &[33], &[2], false);
+        let err = jit_group_module(&spec).unwrap_err();
+        assert!(err.contains("innermost stride"), "{err}");
     }
 
     #[test]

@@ -21,9 +21,15 @@
 //!    gather-transformed centre-point increment in source order, summed
 //!    in a register accumulator per written array (one load, one store
 //!    per point) — so the adjoint streams its arrays once, like the
-//!    primal, and needs no atomics.
+//!    primal, and needs no atomics. The innermost row is a function of
+//!    its own that takes written arrays as `&mut [f64]` and read arrays
+//!    as `*const f64`: what the gather transformation proved (stores
+//!    never feed loads) reaches the compiler, and the row vectorises.
 //! 2. **Compile** — `rustc` (override with `PERFORAD_JIT_RUSTC` /
-//!    `RUSTC`) is driven out-of-process into a stripped `cdylib`, `-O`.
+//!    `RUSTC`) is driven out-of-process into a stripped `cdylib`, `-O`,
+//!    plus `-C target-feature=+avx2` when the building host reports AVX2
+//!    (never FMA or fast-math: lane-wise adds and multiplies round like
+//!    scalar ones, so the bits do not depend on the ISA level).
 //! 3. **Load** — hand-rolled `dlopen`/`dlsym` (std-only, [`loader`])
 //!    resolves one function pointer per nest.
 //! 4. **Register** — the table is installed in the process-wide
@@ -34,8 +40,8 @@
 //!
 //! Compiled artifacts persist in `PERFORAD_JIT_CACHE` (default: a
 //! `perforad-jit` directory under the system temp dir), keyed by plan
-//! fingerprint × machine signature (arch, OS, rustc version) × emitter
-//! format version ([`JIT_FORMAT_VERSION`]), so the
+//! fingerprint × machine signature (arch + ISA level, OS, rustc version)
+//! × emitter format version ([`JIT_FORMAT_VERSION`]), so the
 //! out-of-process compile cost is paid **once per fingerprint** — later
 //! processes `dlopen` the cached object without a toolchain. When
 //! neither a registered module, a cached artifact, nor a toolchain is
@@ -89,7 +95,7 @@ const SYMBOL_PREFIX: &str = "pf";
 /// every artifact's file name, so stale `PERFORAD_JIT_CACHE` entries
 /// compiled by an older emitter miss cleanly instead of loading (the
 /// same role `CACHE_VERSION` plays for the tuning cache).
-pub const JIT_FORMAT_VERSION: u32 = 2;
+pub const JIT_FORMAT_VERSION: u32 = 3;
 
 /// Knobs for [`prepare_schedule`].
 #[derive(Clone, Debug)]
@@ -184,6 +190,8 @@ pub struct JitReport {
     pub compiled: usize,
     /// Wall-clock milliseconds spent in out-of-process compiles.
     pub compile_ms: f64,
+    /// Artifacts are built with, and looked up under, `+avx2`.
+    pub avx2: bool,
 }
 
 impl JitReport {
@@ -234,17 +242,38 @@ fn unique_suffix() -> String {
     )
 }
 
-/// Platform half of the artifact name: format version, architecture, OS
-/// — everything a *loader* requires. The builder appends a hash of its
-/// compiler version on top ([`machine_signature`]), but any same-
-/// platform artifact with the right plan fingerprint is loadable: the
-/// fingerprint pins the semantics and the ABI is plain C, so a host
-/// without a toolchain can still reuse artifacts a rustc-equipped host
-/// (or an earlier install) produced.
+/// The vector ISA level artifacts are built for on this host: AVX2 when
+/// the CPU reports it, the target's baseline otherwise. Published as the
+/// `jit.avx2` gauge so a reader of `/metrics` or a ledger can tell which
+/// ISA a number came from.
+fn host_avx2() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    let avx2 = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    let avx2 = false;
+    perforad_obs::gauge("jit.avx2").set(avx2 as u64);
+    avx2
+}
+
+/// Architecture plus ISA level, as artifact names spell it.
+fn arch_tag(avx2: bool) -> String {
+    let isa = if avx2 { "+avx2" } else { "" };
+    format!("{}{isa}", std::env::consts::ARCH)
+}
+
+/// Platform half of the artifact name: format version, architecture with
+/// its ISA level, OS — everything a *loader* requires. The builder
+/// appends a hash of its compiler version on top ([`machine_signature`]),
+/// but any same-platform artifact with the right plan fingerprint is
+/// loadable: the fingerprint pins the semantics and the ABI is plain C,
+/// so a host without a toolchain can still reuse artifacts a
+/// rustc-equipped host (or an earlier install) produced. The ISA level is
+/// part of the platform, so an AVX2 artifact in a copied cache is a clean
+/// miss on a CPU without AVX2, never an illegal instruction.
 fn platform_prefix() -> String {
     format!(
         "pfjit_v{JIT_FORMAT_VERSION}_{}-{}-",
-        std::env::consts::ARCH,
+        arch_tag(host_avx2()),
         std::env::consts::OS
     )
 }
@@ -261,7 +290,7 @@ fn machine_signature(opts: &JitOptions) -> String {
     );
     format!(
         "{}-{}-{:08x}",
-        std::env::consts::ARCH,
+        arch_tag(host_avx2()),
         std::env::consts::OS,
         h.finish() as u32
     )
@@ -291,8 +320,10 @@ fn find_artifact(dir: &Path, exact: &Path, fp: u64) -> Option<PathBuf> {
 /// invocation-unique temp name (pid × sequence, so concurrent *threads*
 /// as well as processes get distinct temps) and renames atomically, so
 /// concurrent preparers of the same fingerprint race benignly — last
-/// rename wins with an equivalent artifact.
-fn compile_cdylib(opts: &JitOptions, src: &Path, out: &Path) -> Result<(), JitError> {
+/// rename wins with an equivalent artifact. `avx2` adds the one ISA flag;
+/// there is no `+fma` and no fast-math flag, so both settings produce the
+/// same bits.
+fn compile_cdylib(opts: &JitOptions, src: &Path, out: &Path, avx2: bool) -> Result<(), JitError> {
     if perforad_obs::fault::should_fail("jit.rustc.spawn") {
         return Err(JitError::Toolchain(format!(
             "{}: injected fault (jit.rustc.spawn)",
@@ -305,6 +336,7 @@ fn compile_cdylib(opts: &JitOptions, src: &Path, out: &Path) -> Result<(), JitEr
         // std's symbol and debug tables are ≈90 % of an unstripped
         // artifact; the `#[no_mangle]` entry points stay in `.dynsym`.
         .args(["-C", "strip=symbols"])
+        .args(avx2.then_some("-Ctarget-feature=+avx2"))
         // Explicit crate name: the invocation-unique source file name
         // contains dots rustc would reject if left to derive it.
         .args(["--crate-type", "cdylib", "--crate-name", "pfjit"])
@@ -403,6 +435,28 @@ fn check_binding(
     Ok(())
 }
 
+/// Emit one fusion group's module against the layout and bindings its
+/// plan was compiled with.
+fn group_source(
+    plan: &Plan,
+    nests: &[LoopNest],
+    cse: bool,
+    bind: &Binding,
+) -> Result<String, JitError> {
+    jit_group_module(&JitGroupSpec {
+        prefix: SYMBOL_PREFIX,
+        nests,
+        arrays: &plan.arrays,
+        dims: &plan.dims,
+        strides: &plan.strides,
+        padded: plan.padded,
+        cse,
+        sizes: &bind.sizes,
+        params: &bind.params,
+    })
+    .map_err(JitError::Unsupported)
+}
+
 /// Compile (or load from cache) native code for one fusion group and
 /// register it under its plan fingerprint.
 fn prepare_group(
@@ -469,18 +523,7 @@ fn prepare_group(
             artifact.display()
         )));
     }
-    let spec = JitGroupSpec {
-        prefix: SYMBOL_PREFIX,
-        nests,
-        arrays: &plan.arrays,
-        dims: &plan.dims,
-        strides: &plan.strides,
-        padded: plan.padded,
-        cse,
-        sizes: &bind.sizes,
-        params: &bind.params,
-    };
-    let source = jit_group_module(&spec).map_err(JitError::Unsupported)?;
+    let source = group_source(plan, nests, cse, bind)?;
     // Invocation-unique source name: concurrent preparers of one
     // fingerprint must not truncate each other's in-flight source.
     let src_path = dir.join(format!("{stem}.{}.rs", unique_suffix()));
@@ -490,7 +533,7 @@ fn prepare_group(
     let built = {
         let _span = perforad_obs::span!("jit.compile", "jit", "nests" => plan.nests.len() as u64);
         perforad_obs::counter("jit.compiles").inc();
-        compile_cdylib(opts, &src_path, &artifact)
+        compile_cdylib(opts, &src_path, &artifact, report.avx2)
     };
     report.compile_ms += t0.elapsed().as_secs_f64() * 1e3;
     if !opts.keep_sources {
@@ -524,6 +567,7 @@ pub fn prepare_schedule(
 ) -> Result<JitReport, JitError> {
     let mut report = JitReport {
         groups: schedule.groups.len(),
+        avx2: host_avx2(),
         ..JitReport::default()
     };
     for group in &schedule.groups {
@@ -616,6 +660,7 @@ mod tests {
         let report = prepare_schedule(&schedule, &bind, &opts).unwrap();
         assert_eq!(report.groups, 1);
         assert_eq!(report.compiled + report.loaded + report.registered, 1);
+        assert_eq!(report.avx2, host_avx2());
 
         let pool = ThreadPool::new(3);
         run_schedule(&schedule, &mut ws, &pool).unwrap();
@@ -815,30 +860,202 @@ mod tests {
         let opts = JitOptions::default().with_cache_dir(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let fp = schedule.groups[0].plan.fingerprint();
-        // What a v1 emitter left behind for this very plan and machine.
-        // Loading it would fail (and quarantine it): it is not a cdylib.
+        // What the previous emitter left behind for this very plan and
+        // machine. Loading it would fail (and quarantine it): it is not a
+        // cdylib.
         let stale = dir.join(format!(
-            "pfjit_v1_{}_{fp:016x}.so",
+            "pfjit_v{}_{}_{fp:016x}.so",
+            JIT_FORMAT_VERSION - 1,
             machine_signature(&opts)
         ));
-        std::fs::write(&stale, b"statement-major artifact").unwrap();
-        let report = prepare_schedule(&schedule, &bind, &opts).unwrap();
-        assert_eq!(report.compiled, 1, "a v1 artifact must miss cleanly");
+        assert_planted_artifact_is_left_alone(&schedule, &bind, &opts, &stale);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Plant `stale` (not a cdylib: loading it would fail and quarantine
+    /// it), prepare, and check the prepare built its own artifact beside
+    /// it without touching it.
+    fn assert_planted_artifact_is_left_alone(
+        schedule: &Schedule,
+        bind: &Binding,
+        opts: &JitOptions,
+        stale: &Path,
+    ) {
+        std::fs::write(stale, b"someone else's artifact").unwrap();
+        let report = prepare_schedule(schedule, bind, opts).unwrap();
+        assert_eq!(report.compiled, 1, "{} must miss cleanly", stale.display());
         assert_eq!(
-            std::fs::read(&stale).unwrap(),
-            b"statement-major artifact",
-            "the v1 artifact stays where it was"
+            std::fs::read(stale).unwrap(),
+            b"someone else's artifact",
+            "the planted artifact stays where it was"
         );
         assert!(!stale.with_extension("so.corrupt").exists());
         let current = format!(
-            "pfjit_v{JIT_FORMAT_VERSION}_{}_{fp:016x}.so",
-            machine_signature(&opts)
+            "pfjit_v{JIT_FORMAT_VERSION}_{}_{:016x}.so",
+            machine_signature(opts),
+            schedule.groups[0].plan.fingerprint()
         );
         assert!(
-            dir.join(current).exists(),
-            "a v2 artifact is built beside it"
+            stale.with_file_name(current).exists(),
+            "this host's artifact is built beside it"
         );
+    }
+
+    /// A cache copied from a host of the other ISA level: right format,
+    /// right fingerprint, right compiler — and still a clean miss.
+    #[test]
+    fn other_isa_artifact_is_neither_loaded_nor_quarantined() {
+        let _lk = compile_locked();
+        require_toolchain!();
+        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+        let adj = paper_nest()
+            .adjoint(&act, &AdjointOptions::default())
+            .unwrap();
+        let (ws, bind) = setup(283); // unique size: registry must miss
+        let schedule =
+            compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_jit()).unwrap();
+        let dir = test_cache_dir("otherisa");
+        let opts = JitOptions::default().with_cache_dir(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let fp = schedule.groups[0].plan.fingerprint();
+        let other =
+            machine_signature(&opts).replacen(&arch_tag(host_avx2()), &arch_tag(!host_avx2()), 1);
+        assert_ne!(other, machine_signature(&opts));
+        let stale = dir.join(format!("pfjit_v{JIT_FORMAT_VERSION}_{other}_{fp:016x}.so"));
+        assert_planted_artifact_is_left_alone(&schedule, &bind, &opts, &stale);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The emitter's aliasing contract needs "no nest reads an array it
+    /// writes". Plans guarantee it; a source nest that breaks it anyway
+    /// is refused, nothing is registered, and the schedule runs rows.
+    #[test]
+    fn nest_that_reads_what_it_writes_is_unsupported_and_runs_rows() {
+        let _lk = compile_locked();
+        require_toolchain!();
+        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+        let adj = paper_nest()
+            .adjoint(&act, &AdjointOptions::default())
+            .unwrap();
+        let (mut ws_ref, bind) = setup(281); // unique size: registry must miss
+        let plan = perforad_exec::compile_adjoint(&adj, &ws_ref, &bind).unwrap();
+        run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
+
+        let (mut ws, _) = setup(281);
+        let mut schedule =
+            compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_jit()).unwrap();
+        // Same right-hand sides and bounds (so the binding check passes),
+        // but the first statement now writes `r_b`, which it reads.
+        let mut nests = schedule.source.to_vec();
+        nests[0].body[0].lhs.array = Symbol::new("r_b");
+        assert!(!nests[0].outputs().is_disjoint(&nests[0].inputs()));
+        schedule.source = nests.into();
+        let dir = test_cache_dir("aliased");
+        let opts = JitOptions::default().with_cache_dir(&dir);
+        let err = prepare_schedule(&schedule, &bind, &opts).unwrap_err();
+        assert!(
+            matches!(&err, JitError::Unsupported(m) if m.contains("also writes")),
+            "{err}"
+        );
+        assert!(native_lookup(schedule.groups[0].plan.fingerprint()).is_none());
+        run_schedule(&schedule, &mut ws, &ThreadPool::new(2)).unwrap();
+        assert_eq!(ws.grid("u_b").max_abs_diff(ws_ref.grid("u_b")), 0.0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The c-active 3-D wave adjoint at `n = 16`, one module, compiled
+    /// twice through the private compile step — baseline flags and
+    /// `+avx2` — and run nest by nest on the same random arrays: lane-wise
+    /// adds and multiplies round like scalar ones, so every bit agrees.
+    ///
+    /// CI disassembles what this test builds: with `PERFORAD_JIT_CACHE`
+    /// set, `isa_avx2.so` (and the source, `isa.rs`) are left there, and
+    /// the core nest must be `pf_n26`.
+    #[test]
+    fn baseline_and_avx2_artifacts_are_bitwise_equal() {
+        let _lk = compile_locked();
+        require_toolchain!();
+        if !host_avx2() {
+            eprintln!("skipped: this CPU has no AVX2");
+            return;
+        }
+        let nest = perforad_codegen::parse_stencil(
+            "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 {
+                u[i][j][k] = 2.0*u_1[i][j][k] - u_2[i][j][k] + c[i][j][k]*D*(
+                    u_1[i-1][j][k] + u_1[i+1][j][k] + u_1[i][j-1][k] + u_1[i][j+1][k]
+                    + u_1[i][j][k-1] + u_1[i][j][k+1] - 6.0*u_1[i][j][k]);
+            }",
+        )
+        .unwrap();
+        let act = ["u", "u_1", "u_2", "c"]
+            .into_iter()
+            .fold(ActivityMap::new(), ActivityMap::with_suffixed);
+        let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
+        assert_eq!(adj.core, Some(26), "CI disassembles pf_n26");
+        let n = 16usize;
+        let mut ws = Workspace::new();
+        for name in ["u", "u_1", "u_2", "c", "u_b", "u_1_b", "u_2_b", "c_b"] {
+            ws.insert(name, Grid::zeros(&[n, n, n]));
+        }
+        let bind = Binding::new().size("n", n as i64).param("D", 0.1);
+        let schedule =
+            compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_jit()).unwrap();
+        assert_eq!(schedule.groups.len(), 1);
+        let group = &schedule.groups[0];
+        let nests: Vec<LoopNest> = group
+            .nests
+            .iter()
+            .map(|&m| schedule.source[m].clone())
+            .collect();
+        let source = group_source(&group.plan, &nests, schedule.cse, &bind).unwrap();
+
+        let opts = JitOptions::default();
+        let (dir, keep) = match &opts.cache_dir {
+            Some(dir) => (dir.clone(), true),
+            None => (test_cache_dir("isa"), false),
+        };
+        std::fs::create_dir_all(&dir).unwrap();
+        let src_path = dir.join("isa.rs");
+        std::fs::write(&src_path, source).unwrap();
+        // xorshift64*: every slot random, the `+=` targets included.
+        let mut state = 0x51ED_2017u64;
+        let inputs: Vec<Vec<f64>> = (0..group.plan.arrays.len())
+            .map(|_| {
+                (0..n * n * n)
+                    .map(|_| {
+                        state ^= state >> 12;
+                        state ^= state << 25;
+                        state ^= state >> 27;
+                        let x = state.wrapping_mul(0x2545_F491_4F6C_DD1D);
+                        (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                    })
+                    .collect()
+            })
+            .collect();
+        let results = [false, true].map(|avx2| {
+            let so = dir.join(if avx2 { "isa_avx2.so" } else { "isa_base.so" });
+            compile_cdylib(&opts, &src_path, &so, avx2).expect("compile");
+            let native = load_group(&so, group.plan.nests.len()).expect("load");
+            let mut arrays = inputs.clone();
+            let ptrs: Vec<*mut f64> = arrays.iter_mut().map(|a| a.as_mut_ptr()).collect();
+            for (k, np) in group.plan.nests.iter().enumerate() {
+                // SAFETY: full nest boxes of the plan the module was
+                // emitted for, over arrays of the plan's extents.
+                unsafe { native.run_box(k, &np.lo, &np.hi, &ptrs) };
+            }
+            arrays
+        });
+        assert_ne!(results[0], inputs, "the sweep wrote something");
+        for (slot, (base, avx2)) in results[0].iter().zip(&results[1]).enumerate() {
+            let same = base
+                .iter()
+                .zip(avx2)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "slot {slot} ({})", group.plan.arrays[slot]);
+        }
+        if !keep {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -900,6 +1117,7 @@ mod tests {
             loaded: 1,
             compiled: 0,
             compile_ms: 0.0,
+            avx2: false,
         };
         assert!(r.cache_hit());
         let r = JitReport { compiled: 1, ..r };

@@ -168,6 +168,7 @@ fn adjoint_strategies_jit_bitwise_identical() {
     let mut rng = Rng::new(0x51ED_2002);
     let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
     let pool = ThreadPool::new(3);
+    let pool2 = ThreadPool::new(2);
     for case in 0..6 {
         let offsets = rng.offset_set(-3, 3, 4);
         let coeffs = rng.coeffs(-4, 4, offsets.len());
@@ -231,6 +232,21 @@ fn adjoint_strategies_jit_bitwise_identical() {
                 0.0,
                 "case {case} {strategy:?} cse={cse} parallel jit"
             );
+
+            // Rank-1 rows clipped to 1, 2, 3 and 5 points on 2 threads:
+            // shorter than a vector, and every vector-loop remainder.
+            for edge in [1, 2, 3, 5] {
+                let mut ws_t = build();
+                let st = sopts.clone().with_tile(&[edge]);
+                let s = compile_schedule_nests(&adj.nests, &ws_t, &bind, padded, &st).unwrap();
+                prepare_schedule(&s, &bind, &opts).expect("prepare");
+                run_schedule(&s, &mut ws_t, &pool2).unwrap();
+                assert_eq!(
+                    ws_ref.grid("u_b").max_abs_diff(ws_t.grid("u_b")),
+                    0.0,
+                    "case {case} {strategy:?} cse={cse} tile edge {edge}"
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -246,6 +262,7 @@ fn adjoint_2d_jit_bitwise_identical() {
     let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
     let (i, j) = (Symbol::new("i"), Symbol::new("j"));
     let n_sym = Symbol::new("n");
+    let pool2 = ThreadPool::new(2);
     for case in 0..4 {
         let u = Array::new("u");
         let k = rng.range_usize(2, 4);
@@ -314,6 +331,21 @@ fn adjoint_2d_jit_bitwise_identical() {
                 0.0,
                 "case {case} {strategy:?}"
             );
+
+            // Innermost tile edges 1, 2, 3 and 5 on 2 threads: rows
+            // shorter than a vector, and every vector-loop remainder.
+            for edge in [1, 2, 3, 5] {
+                let mut ws_t = build();
+                let st = SchedOptions::default().with_jit().with_tile(&[5, edge]);
+                let s = compile_schedule_nests(&adj.nests, &ws_t, &bind, padded, &st).unwrap();
+                prepare_schedule(&s, &bind, &opts).expect("prepare");
+                run_schedule(&s, &mut ws_t, &pool2).unwrap();
+                assert_eq!(
+                    ws_ref.grid("u_b").max_abs_diff(ws_t.grid("u_b")),
+                    0.0,
+                    "case {case} {strategy:?} tile edge {edge}"
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(dir);
