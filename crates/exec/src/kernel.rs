@@ -11,7 +11,8 @@ use crate::error::ExecError;
 use crate::regir::{lower, RegProgram};
 use crate::workspace::{Binding, Workspace};
 use perforad_core::{Adjoint, AssignOp, BoundaryStrategy, LoopNest};
-use perforad_symbolic::{subst, visit, Expr, Idx, Symbol};
+use perforad_symbolic::visit::{self, NodeMemo};
+use perforad_symbolic::{subst, Access, Expr, Idx, Symbol};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
@@ -203,7 +204,25 @@ pub fn compile_nests(
     compile_nests_opts(nests, ws, binding, PlanOptions { padded, cse: false })
 }
 
+/// What plan compilation keeps per *distinct* right-hand side. An adjoint
+/// decomposition's nests repeat a few terms — 215 statements over 9
+/// expressions for the c-active 3-D wave adjoint — and everything about a
+/// statement that does not depend on its bounds is found here.
+struct RhsPlan {
+    /// Every distinct access, in canonical order, with its offset from
+    /// the counters per dimension (`None`: not `counter + constant`).
+    reads: Vec<(Access, Vec<Option<i64>>)>,
+    /// The compiled pair, from the first statement that got that far.
+    progs: Option<(Arc<Program>, Arc<RegProgram>)>,
+}
+
 /// Compile with full [`PlanOptions`].
+///
+/// Memory safety is proved per statement — the write and every read
+/// against that statement's own effective bounds (nest ∩ guard) — while
+/// the accesses walked, the substitution, the bytecode and its register
+/// lowering are shared by every statement with the same right-hand side
+/// node ([`NodeMemo`]).
 pub fn compile_nests_opts(
     nests: &[LoopNest],
     ws: &Workspace,
@@ -216,17 +235,24 @@ pub fn compile_nests_opts(
     let rank = counters.len();
 
     // Collect every array referenced anywhere, in deterministic order.
-    let mut names: BTreeSet<Symbol> = BTreeSet::new();
     let mut read_names: BTreeSet<Symbol> = BTreeSet::new();
     let mut write_names: BTreeSet<Symbol> = BTreeSet::new();
+    let mut rhs_plans: NodeMemo<RhsPlan> = NodeMemo::default();
     for nest in nests {
         for s in &nest.body {
             write_names.insert(s.lhs.array.clone());
-            names.insert(s.lhs.array.clone());
-            for a in visit::arrays(&s.rhs) {
-                read_names.insert(a.clone());
-                names.insert(a);
-            }
+            rhs_plans.get_or_insert_with(&s.rhs, || {
+                let reads = visit::accesses(&s.rhs).into_iter().map(|a| {
+                    read_names.insert(a.array.clone());
+                    let offsets = a.indices.iter().zip(&counters);
+                    let offsets = offsets.map(|(ix, c)| ix.is_offset_of(c)).collect();
+                    (a, offsets)
+                });
+                RhsPlan {
+                    reads: reads.collect(),
+                    progs: None,
+                }
+            });
         }
     }
     for w in &write_names {
@@ -234,7 +260,7 @@ pub fn compile_nests_opts(
             return Err(ExecError::AliasedWrite(w.name().to_string()));
         }
     }
-    let arrays: Vec<Symbol> = names.into_iter().collect();
+    let arrays: Vec<Symbol> = write_names.union(&read_names).cloned().collect();
 
     // All arrays must exist and share extents matching the nest rank.
     let first = ws
@@ -259,6 +285,14 @@ pub fn compile_nests_opts(
             });
         }
     }
+    let out_of_range = |array: &Symbol, d: usize, index_range: (i64, i64)| {
+        (index_range.0 < 0 || index_range.1 >= dims[d] as i64).then(|| ExecError::OutOfRange {
+            array: array.name().to_string(),
+            dim: d,
+            index_range,
+            extent: dims[d],
+        })
+    };
 
     // Substitution map: parameters and sizes become literals.
     let mut sub: BTreeMap<Symbol, Expr> = BTreeMap::new();
@@ -279,11 +313,12 @@ pub fn compile_nests_opts(
 
     let mut nest_plans = Vec::with_capacity(nests.len());
     let mut gather_only = true;
-    // Cross-statement program cache: adjoint decompositions repeat the
-    // same compiled RHS across many boundary nests, so identical programs
-    // (keyed on their op fingerprint) are compiled and lowered once and
-    // shared — smaller plans, better icache behavior.
+    // Behind the per-node memo, a cache keyed on the compiled ops: equal
+    // programs reached through *different* nodes (a hand-built nest list,
+    // or two terms that substitute to the same thing) still share one
+    // compiled pair — smaller plans, better icache behavior.
     let mut prog_cache: BTreeMap<Vec<u64>, (Arc<Program>, Arc<RegProgram>)> = BTreeMap::new();
+    let mut compiled = 0u64;
     for nest in nests {
         debug_assert_eq!(nest.counters, counters, "nests must share counters");
         let mut lo = Vec::with_capacity(rank);
@@ -343,34 +378,29 @@ pub fn compile_nests_opts(
             }
             let never_runs = eff_lo.iter().zip(&eff_hi).any(|(l, h)| l > h);
 
+            let rhs_plan = rhs_plans
+                .get_mut(&s.rhs)
+                .expect("the array sweep met every right-hand side");
             // Range-validate the write and (when not padded) every read.
+            // Only the offsets are remembered: the proof is this
+            // statement's, against its own effective bounds.
             if !empty && !never_runs {
-                let out_slot_name = &s.lhs.array;
                 for d in 0..rank {
                     let r = (eff_lo[d] + write_offsets[d], eff_hi[d] + write_offsets[d]);
-                    if r.0 < 0 || r.1 >= dims[d] as i64 {
-                        return Err(ExecError::OutOfRange {
-                            array: out_slot_name.name().to_string(),
-                            dim: d,
-                            index_range: r,
-                            extent: dims[d],
-                        });
+                    if let Some(e) = out_of_range(&s.lhs.array, d, r) {
+                        return Err(e);
                     }
                 }
                 if !padded {
-                    for a in visit::accesses(&s.rhs) {
-                        for (d, ix) in a.indices.iter().enumerate() {
-                            let o = ix.is_offset_of(&counters[d]).ok_or_else(|| {
+                    for (a, offsets) in &rhs_plan.reads {
+                        for (d, o) in offsets.iter().enumerate() {
+                            let o = o.ok_or_else(|| {
                                 ExecError::Unsupported(format!("non-stencil access `{a}`"))
                             })?;
-                            let r = (eff_lo[d] + o, eff_hi[d] + o);
-                            if r.0 < 0 || r.1 >= dims[d] as i64 {
-                                return Err(ExecError::OutOfRange {
-                                    array: a.array.name().to_string(),
-                                    dim: d,
-                                    index_range: r,
-                                    extent: dims[d],
-                                });
+                            if let Some(e) =
+                                out_of_range(&a.array, d, (eff_lo[d] + o, eff_hi[d] + o))
+                            {
+                                return Err(e);
                             }
                         }
                     }
@@ -378,20 +408,28 @@ pub fn compile_nests_opts(
             }
 
             let out_slot = arrays.binary_search(&s.lhs.array).expect("slot exists");
-            let rhs = subst::subst_sym(&s.rhs, &sub);
-            let prog = if opts.cse {
-                let (bindings, rewritten) = perforad_symbolic::cse::eliminate_one(&rhs, "__cse");
-                compile_with_bindings(&bindings, &rewritten, &cctx)?
-            } else {
-                compile(&rhs, &cctx)?
+            let (prog, row) = match &rhs_plan.progs {
+                Some(pair) => pair.clone(),
+                None => {
+                    compiled += 1;
+                    let rhs = subst::subst_sym(&s.rhs, &sub);
+                    let prog = if opts.cse {
+                        let (bindings, rewritten) =
+                            perforad_symbolic::cse::eliminate_one(&rhs, "__cse");
+                        compile_with_bindings(&bindings, &rewritten, &cctx)?
+                    } else {
+                        compile(&rhs, &cctx)?
+                    };
+                    let pair = prog_cache
+                        .entry(prog.fingerprint())
+                        .or_insert_with(|| {
+                            let row = Arc::new(lower(&prog));
+                            (Arc::new(prog), row)
+                        })
+                        .clone();
+                    rhs_plan.progs.insert(pair).clone()
+                }
             };
-            let (prog, row) = prog_cache
-                .entry(prog.fingerprint())
-                .or_insert_with(|| {
-                    let row = Arc::new(lower(&prog));
-                    (Arc::new(prog), row)
-                })
-                .clone();
 
             stmts.push(StmtPlan {
                 out_slot,
@@ -409,6 +447,13 @@ pub fn compile_nests_opts(
             stmts,
             empty,
         });
+    }
+    if perforad_obs::enabled() {
+        // The per-term claim, countable: statements planned against
+        // right-hand sides actually substituted and byte-compiled.
+        let statements: usize = nest_plans.iter().map(|n| n.stmts.len()).sum();
+        perforad_obs::counter("exec.stmts_planned").add(statements as u64);
+        perforad_obs::counter("exec.rhs_compiled").add(compiled);
     }
 
     Ok(Plan {
@@ -630,6 +675,187 @@ mod tests {
         let p2 = compile_adjoint_opts(&adj, &w2, &bind, true).unwrap();
         run(&p2, &mut w2, ExecMode::serial()).unwrap();
         assert_eq!(w1.grid("u_b").max_abs_diff(w2.grid("u_b")), 0.0);
+    }
+
+    /// `w(i) += rhs` over `[lo, hi]`, optionally guarded to `i ∈ guard`.
+    fn nest_over(w: &str, rhs: &Expr, lo: i64, hi: i64, guard: Option<(i64, i64)>) -> LoopNest {
+        let i = Symbol::new("i");
+        let mut stmt = perforad_core::Statement::add_assign(
+            perforad_symbolic::Access::new(w, ix![&i]),
+            rhs.clone(),
+        );
+        if let Some((glo, ghi)) = guard {
+            stmt = stmt.with_guard(perforad_core::Guard {
+                ranges: vec![(i.clone(), perforad_core::Bound::new(glo, ghi))],
+            });
+        }
+        LoopNest::new(vec![i], vec![perforad_core::Bound::new(lo, hi)], vec![stmt])
+    }
+
+    fn opts(padded: bool) -> PlanOptions {
+        PlanOptions { padded, cse: false }
+    }
+
+    /// The per-right-hand-side memo may share everything about a repeated
+    /// expression except the range proof: that runs for every statement
+    /// against its own bounds.
+    #[test]
+    fn shared_rhs_is_range_proved_against_each_statements_own_bounds() {
+        let i = Symbol::new("i");
+        let rhs = Array::new("u").at(ix![&i + 1]) * Array::new("c").at(ix![&i]);
+        let nests = [
+            nest_over("w", &rhs, 1, 5, None),
+            nest_over("w", &rhs, 6, 10, None),
+        ];
+        assert!(std::ptr::eq(
+            nests[0].body[0].rhs.node(),
+            nests[1].body[0].rhs.node()
+        ));
+        let w = ws(10).with("w", Grid::zeros(&[11]));
+        let err = compile_nests_opts(&nests, &w, &Binding::new(), opts(false)).unwrap_err();
+        assert_eq!(
+            err,
+            ExecError::OutOfRange {
+                array: "u".into(),
+                dim: 0,
+                index_range: (7, 11),
+                extent: 11,
+            }
+        );
+        // Zero padding makes the same pair legal; one compiled program
+        // serves both statements.
+        let plan = compile_nests_opts(&nests, &w, &Binding::new(), opts(true)).unwrap();
+        assert_eq!((plan.statements(), plan.unique_programs()), (2, 1));
+        // In range, without padding, likewise.
+        let nests = [
+            nest_over("w", &rhs, 1, 5, None),
+            nest_over("w", &rhs, 6, 9, None),
+        ];
+        let plan = compile_nests_opts(&nests, &w, &Binding::new(), opts(false)).unwrap();
+        assert_eq!((plan.statements(), plan.unique_programs()), (2, 1));
+    }
+
+    #[test]
+    fn guard_narrows_the_range_proof_of_its_own_statement_only() {
+        let i = Symbol::new("i");
+        let rhs = Array::new("u").at(ix![&i - 1]);
+        let w = ws(10).with("w", Grid::zeros(&[11]));
+        // Legal only because the guard keeps `i - 1` off index -1.
+        let guarded = nest_over("w", &rhs, 0, 10, Some((1, 10)));
+        let plan = compile_nests_opts(
+            std::slice::from_ref(&guarded),
+            &w,
+            &Binding::new(),
+            opts(false),
+        )
+        .unwrap();
+        assert_eq!(plan.nests[0].stmts[0].guard, Some(vec![(1, 10)]));
+        // The same expression, unguarded, after it: refused on its own box.
+        let bare = nest_over("w", &rhs, 0, 10, None);
+        let out_of_range = ExecError::OutOfRange {
+            array: "u".into(),
+            dim: 0,
+            index_range: (-1, 9),
+            extent: 11,
+        };
+        for nests in [[guarded.clone(), bare.clone()], [bare, guarded]] {
+            let err = compile_nests_opts(&nests, &w, &Binding::new(), opts(false)).unwrap_err();
+            assert_eq!(err, out_of_range);
+        }
+    }
+
+    /// Every refusal of plan compilation, variant and message, recorded
+    /// against the per-statement compiler this one replaced.
+    #[test]
+    fn refusals_keep_their_variant_and_message() {
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let w = ws(10).with("w", Grid::zeros(&[11]));
+        let bind = Binding::new();
+        let compile = |nests: &[LoopNest], padded: bool| {
+            compile_nests_opts(nests, &w, &bind, opts(padded)).map(|p| p.statements())
+        };
+        let unsupported = |m: &str| Err(ExecError::Unsupported(m.to_string()));
+
+        // A written array read by a *later* nest through a shared rhs.
+        let reads_w = Array::new("w").at(ix![&i]);
+        let nests = [
+            nest_over("w", &u.at(ix![&i]), 1, 5, None),
+            nest_over("r", &reads_w, 1, 5, None),
+            nest_over("c", &reads_w, 1, 5, None),
+        ];
+        assert_eq!(
+            compile(&nests, false),
+            Err(ExecError::AliasedWrite("w".into()))
+        );
+
+        let mut scaled = nest_over("w", &u.at(ix![&i]), 1, 5, None);
+        scaled.body[0].lhs.indices = vec![Idx::scaled(i.clone(), 2)];
+        assert_eq!(
+            compile(std::slice::from_ref(&scaled), false),
+            unsupported("non-constant write index `2*i`")
+        );
+
+        // A non-stencil read is met by the range proof when there is one…
+        let strided = u.at(vec![Idx::scaled(i.clone(), 2)]) + u.at(ix![&i + 1]);
+        let live = nest_over("w", &strided, 1, 5, None);
+        assert_eq!(
+            compile(std::slice::from_ref(&live), false),
+            unsupported("non-stencil access `u(2*i)`")
+        );
+        // …after the accesses that sort before it…
+        let sorted_first = u.at(vec![Idx::scaled(i.clone(), 2)]) + u.at(ix![&i + 7]);
+        assert_eq!(
+            compile(&[nest_over("w", &sorted_first, 1, 5, None)], false),
+            Err(ExecError::OutOfRange {
+                array: "u".into(),
+                dim: 0,
+                index_range: (8, 12),
+                extent: 11,
+            })
+        );
+        // …and by the bytecode compiler when no read is inspected: zero
+        // padding, an empty nest, a statement its guard never lets run.
+        for (nest, padded) in [
+            (live.clone(), true),
+            (nest_over("w", &strided, 5, 1, None), false),
+            (nest_over("w", &strided, 1, 5, Some((8, 9))), false),
+        ] {
+            assert_eq!(
+                compile(std::slice::from_ref(&nest), padded),
+                unsupported("non-stencil access `u(2*i)`")
+            );
+        }
+        // A shared rhs first met where no read is inspected is still
+        // proved where one is.
+        let far = u.at(ix![&i + 7]);
+        let nests = [
+            nest_over("w", &far, 5, 1, None),
+            nest_over("w", &far, 1, 5, None),
+        ];
+        assert_eq!(
+            compile(&nests, false),
+            Err(ExecError::OutOfRange {
+                array: "u".into(),
+                dim: 0,
+                index_range: (8, 12),
+                extent: 11,
+            })
+        );
+
+        // Unbound sizes: in a bound, in a guard.
+        let mut open = nest_over("w", &u.at(ix![&i]), 1, 5, None);
+        open.bounds[0].hi = Idx::sym(Symbol::new("m")) - 1;
+        assert_eq!(
+            compile(std::slice::from_ref(&open), false),
+            Err(ExecError::UnboundSize("m".into()))
+        );
+        let mut guarded = nest_over("w", &u.at(ix![&i]), 1, 5, Some((1, 5)));
+        guarded.body[0].guard.as_mut().unwrap().ranges[0].1.lo = Idx::sym(Symbol::new("g"));
+        assert_eq!(
+            compile(std::slice::from_ref(&guarded), false),
+            Err(ExecError::UnboundSize("g".into()))
+        );
     }
 
     #[test]

@@ -101,6 +101,15 @@ impl Fnv {
     }
 }
 
+/// Formatted text hashes as its bytes: `write!(fnv, "{x}")` equals
+/// `fnv.write(x.to_string().as_bytes())` without the string.
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 impl Default for Fnv {
     fn default() -> Self {
         Fnv::new()
@@ -169,5 +178,9 @@ mod tests {
         let mut f = Fnv::new();
         f.write(b"a");
         assert_eq!(f.finish(), fnv1a64(b"a"));
+        // Formatted in pieces or hashed whole: the same bytes.
+        let mut f = Fnv::new();
+        std::fmt::Write::write_fmt(&mut f, format_args!("{}|{:>4}", 1.5, "ab")).unwrap();
+        assert_eq!(f.finish(), fnv1a64(b"1.5|  ab"));
     }
 }

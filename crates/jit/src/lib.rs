@@ -212,6 +212,7 @@ pub fn toolchain_version(opts: &JitOptions) -> Option<String> {
     probes
         .entry(rustc.clone())
         .or_insert_with(|| {
+            perforad_obs::counter("jit.toolchain_probes").inc();
             Command::new(&rustc)
                 .arg("--version")
                 .output()
@@ -296,13 +297,12 @@ fn machine_signature(opts: &JitOptions) -> String {
     )
 }
 
-/// Find a loadable cached artifact for `fp`: the current machine
-/// signature's name first, then any same-platform artifact regardless of
-/// which compiler version built it (the toolchain-less warm-cache path).
-fn find_artifact(dir: &Path, exact: &Path, fp: u64) -> Option<PathBuf> {
-    if exact.exists() {
-        return Some(exact.to_path_buf());
-    }
+/// Find a loadable cached artifact for `fp`: any same-platform artifact,
+/// whichever compiler version built it. The fingerprint pins what the code
+/// computes and the platform prefix what it runs on, so the name a build
+/// *here* would get ([`machine_signature`]) is no better than another —
+/// and spelling it costs a compiler spawn a warm start has no use for.
+fn find_artifact(dir: &Path, fp: u64) -> Option<PathBuf> {
     let prefix = platform_prefix();
     let suffix = format!("_{fp:016x}.so");
     let entries = std::fs::read_dir(dir).ok()?;
@@ -457,8 +457,10 @@ fn group_source(
     .map_err(JitError::Unsupported)
 }
 
-/// Compile (or load from cache) native code for one fusion group and
-/// register it under its plan fingerprint.
+/// Load from the artifact cache, or compile, native code for one fusion
+/// group the registry does not hold, and register it under its plan
+/// fingerprint. The compiler is not touched — not even to ask its
+/// version — unless something has to be built.
 fn prepare_group(
     plan: &Plan,
     nests: &[LoopNest],
@@ -468,22 +470,12 @@ fn prepare_group(
     report: &mut JitReport,
 ) -> Result<(), JitError> {
     let fp = plan.fingerprint();
-    if native_lookup(fp).is_some() {
-        report.registered += 1;
-        perforad_obs::counter("jit.registry_hits").inc();
-        return Ok(());
-    }
     check_binding(plan, nests, cse, bind)?;
 
     let dir = opts.resolved_cache_dir();
     std::fs::create_dir_all(&dir).map_err(|e| JitError::Io(format!("{}: {e}", dir.display())))?;
-    let stem = format!(
-        "pfjit_v{JIT_FORMAT_VERSION}_{}_{fp:016x}",
-        machine_signature(opts)
-    );
-    let artifact = dir.join(format!("{stem}.so"));
 
-    if let Some(cached) = find_artifact(&dir, &artifact, fp) {
+    if let Some(cached) = find_artifact(&dir, fp) {
         let loaded = if perforad_obs::fault::should_fail("jit.artifact.read") {
             Err(JitError::Load(format!(
                 "{}: injected fault (jit.artifact.read)",
@@ -516,6 +508,13 @@ fn prepare_group(
         }
     }
 
+    // On the way to a build: now the compiler's version matters, as part
+    // of the name the new artifact gets.
+    let stem = format!(
+        "pfjit_v{JIT_FORMAT_VERSION}_{}_{fp:016x}",
+        machine_signature(opts)
+    );
+    let artifact = dir.join(format!("{stem}.so"));
     if toolchain_version(opts).is_none() {
         return Err(JitError::Toolchain(format!(
             "`{}` not runnable and no cached artifact at {}",
@@ -570,12 +569,15 @@ pub fn prepare_schedule(
         avx2: host_avx2(),
         ..JitReport::default()
     };
-    for group in &schedule.groups {
-        let nests: Vec<LoopNest> = group
-            .nests
-            .iter()
-            .map(|&m| schedule.source[m].clone())
-            .collect();
+    for (gi, group) in schedule.groups.iter().enumerate() {
+        // The registry answers by fingerprint alone; only a miss needs
+        // the group's source nests.
+        if native_lookup(group.plan.fingerprint()).is_some() {
+            report.registered += 1;
+            perforad_obs::counter("jit.registry_hits").inc();
+            continue;
+        }
+        let nests = schedule.group_source(gi);
         prepare_group(&group.plan, &nests, schedule.cse, bind, opts, &mut report)?;
     }
     Ok(report)
@@ -586,7 +588,7 @@ mod tests {
     use super::*;
     use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
     use perforad_exec::{run, ExecMode, Grid, ThreadPool, Workspace};
-    use perforad_sched::{compile_schedule, run_schedule, SchedOptions};
+    use perforad_sched::{compile_schedule, run_schedule, run_schedule_serial, SchedOptions};
     use perforad_symbolic::{ix, Array, Idx, Symbol};
 
     fn paper_nest() -> LoopNest {
@@ -767,6 +769,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Build `schedule`'s one group into `dir` under the name a toolchain
+    /// whose version hashes to `toolchain` would give it — through the
+    /// private compile step, so the process-wide registry never hears of
+    /// it and the next prepare has to go to disk.
+    fn build_unregistered(schedule: &Schedule, bind: &Binding, dir: &Path, toolchain: u32) {
+        let plan = &schedule.groups[0].plan;
+        let nests = schedule.group_source(0);
+        let source = group_source(plan, &nests, schedule.cse, bind).unwrap();
+        std::fs::create_dir_all(dir).unwrap();
+        let stem = format!(
+            "{}{toolchain:08x}_{:016x}",
+            platform_prefix(),
+            plan.fingerprint()
+        );
+        let src = dir.join(format!("{stem}.rs"));
+        std::fs::write(&src, source).unwrap();
+        let opts = JitOptions::default();
+        compile_cdylib(&opts, &src, &dir.join(format!("{stem}.so")), host_avx2()).unwrap();
+    }
+
+    /// A warm start never runs the compiler: with the artifact on disk, a
+    /// prepare whose `rustc` does not exist loads it without having asked
+    /// for the compiler's version (`jit.toolchain_probes` counts spawns).
     #[test]
     fn warm_artifact_cache_loads_without_a_toolchain() {
         let _lk = compile_locked();
@@ -775,41 +800,81 @@ mod tests {
         let adj = paper_nest()
             .adjoint(&act, &AdjointOptions::default())
             .unwrap();
-        let (mut ws, bind) = setup(129);
+        let (mut ws_ref, bind) = setup(129); // unique size: registry must miss
+        let plan = perforad_exec::compile_adjoint(&adj, &ws_ref, &bind).unwrap();
+        run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
+        let (mut ws, _) = setup(129);
         let schedule =
             compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_jit()).unwrap();
         let dir = test_cache_dir("warmload");
-        // Build the artifact with the real toolchain…
-        let built = prepare_schedule(
-            &schedule,
-            &bind,
-            &JitOptions::default().with_cache_dir(&dir),
+        build_unregistered(&schedule, &bind, &dir, 0x0123_4567);
+        assert!(native_lookup(schedule.groups[0].plan.fingerprint()).is_none());
+
+        // A path no other test probes: the probe memo is per path.
+        let gone = format!("/nonexistent/rustc-gone-{}", std::process::id());
+        let broken = JitOptions::default().with_cache_dir(&dir).with_rustc(gone);
+        let was_enabled = perforad_obs::enabled();
+        perforad_obs::set_enabled(true);
+        let probes = perforad_obs::counter("jit.toolchain_probes");
+        let before = probes.get();
+        let report = prepare_schedule(&schedule, &bind, &broken);
+        let probed = probes.get() - before;
+        perforad_obs::set_enabled(was_enabled);
+        let report = report.expect("a cached artifact needs no compiler");
+        assert_eq!((report.loaded, report.compiled), (1, 0));
+        assert_eq!(probed, 0, "a warm start must not spawn the compiler");
+        run_schedule(&schedule, &mut ws, &ThreadPool::new(2)).unwrap();
+        assert_eq!(ws.grid("u_b").max_abs_diff(ws_ref.grid("u_b")), 0.0);
+        // The same options, nothing cached: now the probe runs, and fails.
+        let (ws_cold, bind_cold) = setup(131);
+        let cold = compile_schedule(
+            &adj,
+            &ws_cold,
+            &bind_cold,
+            &SchedOptions::default().with_jit(),
         )
         .unwrap();
-        assert_eq!(built.compiled, 1);
-        // …then simulate a toolchain-less host: fresh "process" state is
-        // approximated by a broken rustc; the registry already has the
-        // group, so re-register under a recompiled (identical) plan to
-        // force the disk path. Simplest faithful probe: a second
-        // schedule at the same size has the same fingerprint and is
-        // already registered — so instead check find_artifact directly
-        // and that prepare with a broken rustc still succeeds end to end.
-        let broken = JitOptions::default()
-            .with_cache_dir(&dir)
-            .with_rustc("/nonexistent/rustc-gone");
-        let again = prepare_schedule(&schedule, &bind, &broken).unwrap();
-        assert_eq!(again.registered, 1, "registry hit needs no toolchain");
-        // The platform-wide scan finds the artifact even though the
-        // broken toolchain's machine signature can't reproduce its name.
-        let fp = schedule.groups[0].plan.fingerprint();
-        let exact = dir.join("pfjit_definitely_not_this_name.so");
-        let found = find_artifact(&dir, &exact, fp).expect("platform scan finds the artifact");
-        assert!(found.to_string_lossy().ends_with(&format!("_{fp:016x}.so")));
-        let g = load_group(&found, schedule.groups[0].plan.nests.len())
-            .expect("cached artifact loads without rustc");
-        assert_eq!(g.nests(), schedule.groups[0].plan.nests.len());
-        let pool = ThreadPool::new(2);
-        run_schedule(&schedule, &mut ws, &pool).unwrap();
+        let err = prepare_schedule(&cold, &bind_cold, &broken).unwrap_err();
+        assert!(matches!(err, JitError::Toolchain(_)), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two toolchains' builds of one fingerprint side by side: whichever
+    /// the directory scan meets is loaded — neither name is this host's
+    /// own — and runs to the reference's bits.
+    #[test]
+    fn either_toolchains_artifact_of_a_fingerprint_is_loaded() {
+        let _lk = compile_locked();
+        require_toolchain!();
+        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+        let adj = paper_nest()
+            .adjoint(&act, &AdjointOptions::default())
+            .unwrap();
+        let (mut ws_ref, bind) = setup(127); // unique size: registry must miss
+        let plan = perforad_exec::compile_adjoint(&adj, &ws_ref, &bind).unwrap();
+        run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
+        let (mut ws, _) = setup(127);
+        let schedule =
+            compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_jit()).unwrap();
+        let dir = test_cache_dir("twotoolchains");
+        build_unregistered(&schedule, &bind, &dir, 0xAAAA_AAAA);
+        build_unregistered(&schedule, &bind, &dir, 0xBBBB_BBBB);
+        let opts = JitOptions::default().with_cache_dir(&dir);
+        let report = prepare_schedule(&schedule, &bind, &opts).unwrap();
+        assert_eq!((report.loaded, report.compiled), (1, 0));
+        let artifacts = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .path()
+                    .extension()
+                    .is_some_and(|x| x == "so")
+            })
+            .count();
+        assert_eq!(artifacts, 2, "nothing was built beside them");
+        run_schedule_serial(&schedule, &mut ws).unwrap();
+        assert_eq!(ws.grid("u_b").max_abs_diff(ws_ref.grid("u_b")), 0.0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1002,11 +1067,7 @@ mod tests {
             compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_jit()).unwrap();
         assert_eq!(schedule.groups.len(), 1);
         let group = &schedule.groups[0];
-        let nests: Vec<LoopNest> = group
-            .nests
-            .iter()
-            .map(|&m| schedule.source[m].clone())
-            .collect();
+        let nests = schedule.group_source(0);
         let source = group_source(&group.plan, &nests, schedule.cse, &bind).unwrap();
 
         let opts = JitOptions::default();

@@ -1,10 +1,9 @@
 //! Dependence analysis over loop nests.
 //!
-//! Each nest's read/write footprints come from the disjoint-region
-//! metadata in `perforad_core::regions` ([`access_boxes`]): the nest bounds
-//! translated by every access offset, per array. With integer size
-//! bindings the symbolic boxes resolve to concrete integer boxes, and two
-//! nests *conflict* when
+//! A nest's read/write footprints are the disjoint-region metadata of
+//! `perforad_core::regions` ([`access_boxes`]): the nest bounds translated
+//! by every access offset, per array. Under integer size bindings they are
+//! integer boxes, and two nests *conflict* when
 //!
 //! * both write the same array over overlapping boxes (a race), or
 //! * one writes an array the other reads, overlapping or not — the
@@ -17,67 +16,21 @@
 //! Footprints over-approximate (statement guards are ignored), so the
 //! graph may report a false conflict — costing a barrier, never a race.
 //!
+//! An adjoint's nests are clones of a handful of terms, so the pass works
+//! per term: a nest's box is resolved once and a footprint is an integer
+//! translate of it, a right-hand side's reads are collected once per
+//! distinct expression ([`NodeMemo`]), and over interned array ids only
+//! same-array write/write pairs ever compare boxes.
+//!
 //! [`access_boxes`]: perforad_core::regions::access_boxes
 
 use crate::error::SchedError;
 use perforad_core::{access_boxes, LoopNest};
-use perforad_symbolic::Symbol;
+use perforad_symbolic::visit::{self, NodeMemo};
+use perforad_symbolic::{Expr, Idx, Node, Symbol};
 use std::collections::BTreeMap;
 
-/// A concrete (integer) memory footprint of one nest.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ResolvedBox {
-    /// The array touched.
-    pub array: Symbol,
-    /// Inclusive per-dimension lower corner.
-    pub lo: Vec<i64>,
-    /// Inclusive per-dimension upper corner.
-    pub hi: Vec<i64>,
-    /// True for a write footprint.
-    pub write: bool,
-}
-
-impl ResolvedBox {
-    /// True when `self` and `other` touch at least one common point.
-    pub fn overlaps(&self, other: &ResolvedBox) -> bool {
-        self.array == other.array
-            && self
-                .lo
-                .iter()
-                .zip(&self.hi)
-                .zip(other.lo.iter().zip(&other.hi))
-                .all(|((alo, ahi), (blo, bhi))| alo <= bhi && blo <= ahi)
-    }
-}
-
-/// Resolve a nest's symbolic footprints against integer size bindings.
-/// Boxes that are empty under the bindings are dropped.
-pub fn resolve_boxes(
-    nest: &LoopNest,
-    sizes: &BTreeMap<Symbol, i64>,
-) -> Result<Vec<ResolvedBox>, SchedError> {
-    let mut out = Vec::new();
-    for b in access_boxes(nest)? {
-        let mut lo = Vec::with_capacity(b.bounds.len());
-        let mut hi = Vec::with_capacity(b.bounds.len());
-        for d in &b.bounds {
-            lo.push(resolve(&d.lo, sizes)?);
-            hi.push(resolve(&d.hi, sizes)?);
-        }
-        if lo.iter().zip(&hi).any(|(l, h)| l > h) {
-            continue;
-        }
-        out.push(ResolvedBox {
-            array: b.array,
-            lo,
-            hi,
-            write: b.write,
-        });
-    }
-    Ok(out)
-}
-
-fn resolve(ix: &perforad_symbolic::Idx, sizes: &BTreeMap<Symbol, i64>) -> Result<i64, SchedError> {
+fn resolve(ix: &Idx, sizes: &BTreeMap<Symbol, i64>) -> Result<i64, SchedError> {
     ix.eval(sizes).ok_or_else(|| {
         let missing = ix
             .symbols()
@@ -94,8 +47,6 @@ pub struct DepGraph {
     n: usize,
     /// Row-major upper-triangular conflict matrix (`a < b` at `a*n + b`).
     conflict: Vec<bool>,
-    /// Resolved footprints, kept for inspection and diagnostics.
-    pub boxes: Vec<Vec<ResolvedBox>>,
 }
 
 impl DepGraph {
@@ -123,41 +74,145 @@ impl DepGraph {
     }
 }
 
+/// Dense array ids, interned by name over one nest list.
+type ArrayIds<'a> = BTreeMap<&'a str, usize>;
+
+fn intern<'a>(ids: &mut ArrayIds<'a>, array: &'a Symbol) -> usize {
+    let next = ids.len();
+    *ids.entry(array.name()).or_insert(next)
+}
+
+/// One nest's footprints under the size bindings: its own resolved box,
+/// the distinct `(array, offset)` pairs it writes — a write footprint is
+/// the box translated by the offset — and the arrays it reads as a sorted
+/// set (where a read lands never matters to the relation). A nest whose
+/// box is empty touches nothing: every field stays empty.
+#[derive(Default)]
+struct Footprint {
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    writes: Vec<(usize, Vec<i64>)>,
+    read: Vec<usize>,
+}
+
+/// The offsets of `indices` from `counters`; `None` unless every index is
+/// its dimension's counter plus a constant.
+fn offsets_of(indices: &[Idx], counters: &[Symbol]) -> Option<Vec<i64>> {
+    if indices.len() != counters.len() {
+        return None;
+    }
+    indices
+        .iter()
+        .zip(counters)
+        .map(|(ix, c)| ix.is_offset_of(c))
+        .collect()
+}
+
+/// The arrays `rhs` reads (sorted, distinct); `None` when some access is
+/// not stencil-shaped.
+fn reads_of<'a>(rhs: &'a Expr, counters: &[Symbol], ids: &mut ArrayIds<'a>) -> Option<Vec<usize>> {
+    let mut out = Vec::new();
+    let mut shaped = true;
+    visit::for_each(rhs, &mut |e: &'a Expr| {
+        if let Node::Access(a) = e.node() {
+            shaped &= offsets_of(&a.indices, counters).is_some();
+            out.push(intern(ids, &a.array));
+        }
+    });
+    out.sort_unstable();
+    out.dedup();
+    shaped.then_some(out)
+}
+
+fn footprint<'a>(
+    nest: &'a LoopNest,
+    sizes: &BTreeMap<Symbol, i64>,
+    ids: &mut ArrayIds<'a>,
+    // What `reads_of` said of each right-hand side under these counters.
+    memo: &mut NodeMemo<'a, Option<Vec<usize>>>,
+) -> Result<Footprint, SchedError> {
+    // An access that is not `counter + constant`: the region metadata
+    // meets it first too (same statement order, write before reads) and
+    // words the refusal.
+    let misshapen = || match access_boxes(nest) {
+        Err(e) => SchedError::from(e),
+        Ok(_) => unreachable!("access_boxes accepts what offsets_of refused"),
+    };
+    let mut fp = Footprint::default();
+    for s in &nest.body {
+        let woff = offsets_of(&s.lhs.indices, &nest.counters).ok_or_else(misshapen)?;
+        fp.writes.push((intern(ids, &s.lhs.array), woff));
+        let reads = memo.get_or_insert_with(&s.rhs, || reads_of(&s.rhs, &nest.counters, ids));
+        fp.read
+            .extend_from_slice(reads.as_deref().ok_or_else(misshapen)?);
+    }
+    if nest.body.is_empty() {
+        return Ok(fp);
+    }
+    for b in nest.bounds.iter().take(nest.counters.len()) {
+        fp.lo.push(resolve(&b.lo, sizes)?);
+        fp.hi.push(resolve(&b.hi, sizes)?);
+    }
+    if fp.lo.iter().zip(&fp.hi).any(|(l, h)| l > h) {
+        return Ok(Footprint::default());
+    }
+    fp.writes.sort_unstable();
+    fp.writes.dedup();
+    fp.read.sort_unstable();
+    fp.read.dedup();
+    Ok(fp)
+}
+
+/// Write/write races only on overlapping boxes (the disjoint adjoint
+/// decomposition must fuse). A write paired with a read of the same array
+/// conflicts even when the boxes are disjoint: the executor refuses to
+/// alias a written array with a read one within a single plan, so such
+/// nests must land in separate groups.
+fn clash(x: &Footprint, y: &Footprint) -> bool {
+    let overlap = |xo: &[i64], yo: &[i64]| {
+        let xs = x.lo.iter().zip(&x.hi).zip(xo);
+        let ys = y.lo.iter().zip(&y.hi).zip(yo);
+        xs.zip(ys)
+            .all(|(((xl, xh), xo), ((yl, yh), yo))| xl + xo <= yh + yo && yl + yo <= xh + xo)
+    };
+    let reads = |r: &Footprint, w: &Footprint| {
+        let mut written = w.writes.iter().map(|(array, _)| array);
+        written.any(|array| r.read.binary_search(array).is_ok())
+    };
+    reads(x, y)
+        || reads(y, x)
+        || x.writes
+            .iter()
+            .any(|(xa, xo)| y.writes.iter().any(|(ya, yo)| xa == ya && overlap(xo, yo)))
+}
+
 /// Build the dependence graph for `nests` under the given size bindings.
 pub fn dependence_graph(
     nests: &[LoopNest],
     sizes: &BTreeMap<Symbol, i64>,
 ) -> Result<DepGraph, SchedError> {
     let n = nests.len();
-    let boxes: Vec<Vec<ResolvedBox>> = nests
+    let mut ids = ArrayIds::new();
+    let mut memo = NodeMemo::default();
+    let prints = nests
         .iter()
-        .map(|nest| resolve_boxes(nest, sizes))
-        .collect::<Result<_, _>>()?;
+        .map(|nest| {
+            // A verdict holds for the counters it was reached under: a
+            // nest with other counters gets a memo of its own.
+            if nest.counters == nests[0].counters {
+                footprint(nest, sizes, &mut ids, &mut memo)
+            } else {
+                footprint(nest, sizes, &mut ids, &mut NodeMemo::default())
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let mut conflict = vec![false; n * n];
     for a in 0..n {
         for b in a + 1..n {
-            let clash = boxes[a].iter().any(|x| {
-                boxes[b].iter().any(|y| {
-                    if x.array != y.array {
-                        return false;
-                    }
-                    // Write/write races only on overlapping boxes (the
-                    // disjoint adjoint decomposition must fuse). A write
-                    // paired with a read of the same array conflicts even
-                    // when the boxes are disjoint: the executor refuses to
-                    // alias a written array with a read one within a single
-                    // plan, so such nests must land in separate groups.
-                    match (x.write, y.write) {
-                        (true, true) => x.overlaps(y),
-                        (true, false) | (false, true) => true,
-                        (false, false) => false,
-                    }
-                })
-            });
-            conflict[a * n + b] = clash;
+            conflict[a * n + b] = clash(&prints[a], &prints[b]);
         }
     }
-    Ok(DepGraph { n, conflict, boxes })
+    Ok(DepGraph { n, conflict })
 }
 
 #[cfg(test)]
@@ -291,5 +346,294 @@ mod tests {
         .unwrap();
         let err = dependence_graph(std::slice::from_ref(&nest), &BTreeMap::new()).unwrap_err();
         assert_eq!(err, SchedError::UnboundSize("n".into()));
+    }
+
+    /// The definition this module's graph must agree with, pair for pair:
+    /// every footprint of [`access_boxes`] resolved to an integer box of
+    /// its own, every pair of boxes of every pair of nests compared by
+    /// array *name* — how the graph was built before it worked per term.
+    fn reference_graph(
+        nests: &[LoopNest],
+        sizes: &BTreeMap<Symbol, i64>,
+    ) -> Result<DepGraph, SchedError> {
+        struct ResolvedBox {
+            array: Symbol,
+            lo: Vec<i64>,
+            hi: Vec<i64>,
+            write: bool,
+        }
+        let overlaps = |x: &ResolvedBox, y: &ResolvedBox| {
+            let (xs, ys) = (x.lo.iter().zip(&x.hi), y.lo.iter().zip(&y.hi));
+            xs.zip(ys)
+                .all(|((alo, ahi), (blo, bhi))| alo <= bhi && blo <= ahi)
+        };
+        let mut boxes: Vec<Vec<ResolvedBox>> = Vec::new();
+        for nest in nests {
+            let mut out = Vec::new();
+            for b in access_boxes(nest)? {
+                let mut lo = Vec::new();
+                let mut hi = Vec::new();
+                for d in &b.bounds {
+                    lo.push(resolve(&d.lo, sizes)?);
+                    hi.push(resolve(&d.hi, sizes)?);
+                }
+                if lo.iter().zip(&hi).all(|(l, h)| l <= h) {
+                    out.push(ResolvedBox {
+                        array: b.array,
+                        lo,
+                        hi,
+                        write: b.write,
+                    });
+                }
+            }
+            boxes.push(out);
+        }
+        let n = nests.len();
+        let mut conflict = vec![false; n * n];
+        for a in 0..n {
+            for b in a + 1..n {
+                conflict[a * n + b] = boxes[a].iter().any(|x| {
+                    boxes[b].iter().any(|y| {
+                        x.array == y.array
+                            && match (x.write, y.write) {
+                                (true, true) => overlaps(x, y),
+                                (false, false) => false,
+                                _ => true,
+                            }
+                    })
+                });
+            }
+        }
+        Ok(DepGraph { n, conflict })
+    }
+
+    fn assert_matches_reference(nests: &[LoopNest], sizes: &BTreeMap<Symbol, i64>, what: &str) {
+        let got = dependence_graph(nests, sizes).expect(what);
+        let want = reference_graph(nests, sizes).expect(what);
+        for a in 0..nests.len() {
+            for b in 0..nests.len() {
+                assert_eq!(
+                    got.conflicts(a, b),
+                    want.conflicts(a, b),
+                    "{what}: nests {a} and {b}\n{}\n{}",
+                    nests[a],
+                    nests[b]
+                );
+            }
+        }
+        assert_eq!(
+            crate::fuse_groups(&got),
+            crate::fuse_groups(&want),
+            "{what}"
+        );
+    }
+
+    /// xorshift64*, as `tests/common::Rng`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn range(&mut self, lo: i64, hi: i64) -> i64 {
+            lo + (self.next() % (hi - lo + 1) as u64) as i64
+        }
+    }
+
+    /// A random gather-or-scatter nest of the given rank over arrays
+    /// `a0..a{pool}`: constant or `n`-relative bounds (sometimes empty),
+    /// one to three statements, right-hand sides drawn from — and added
+    /// to — `shared`, so lists repeat expression nodes the way adjoint
+    /// decompositions do.
+    fn random_nest(rng: &mut Rng, rank: usize, pool: i64, shared: &mut Vec<Expr>) -> LoopNest {
+        let counters: Vec<Symbol> = ["i", "j", "k"][..rank]
+            .iter()
+            .map(|&c| Symbol::new(c))
+            .collect();
+        let at = |rng: &mut Rng, spread: i64| -> Vec<Idx> {
+            counters
+                .iter()
+                .map(|c| Idx::sym(c.clone()) + rng.range(-spread, spread))
+                .collect()
+        };
+        let array = |rng: &mut Rng| Array::new(format!("a{}", rng.range(0, pool - 1)));
+        let bounds = (0..rank)
+            .map(|_| {
+                let lo = rng.range(0, 12);
+                let hi = match rng.range(0, 9) {
+                    0 => Idx::constant(lo - 1 - rng.range(0, 2)),
+                    1..=3 => Idx::sym(Symbol::new("n")) - rng.range(1, 12),
+                    _ => Idx::constant(lo + rng.range(0, 8)),
+                };
+                perforad_core::Bound::new(lo, hi)
+            })
+            .collect();
+        let body = (0..rng.range(1, 3))
+            .map(|_| {
+                let rhs = if !shared.is_empty() && rng.range(0, 2) > 0 {
+                    shared[rng.range(0, shared.len() as i64 - 1) as usize].clone()
+                } else {
+                    let mut e = array(rng).at(at(rng, 2));
+                    for _ in 0..rng.range(0, 2) {
+                        e = e + 0.5 * array(rng).at(at(rng, 2));
+                    }
+                    shared.push(e.clone());
+                    e
+                };
+                // Mostly gather writes; a scatter offset now and then.
+                let spread = (rng.range(0, 3) == 0) as i64;
+                let lhs =
+                    perforad_symbolic::Access::new(array(rng).name().clone(), at(rng, spread));
+                perforad_core::Statement::add_assign(lhs, rhs)
+            })
+            .collect();
+        LoopNest::new(counters, bounds, body)
+    }
+
+    #[test]
+    fn random_nest_lists_match_the_pairwise_reference() {
+        let mut rng = Rng(0x51ED_2020);
+        let (mut conflicts, mut free, mut widest) = (0, 0, 0);
+        for case in 0..400 {
+            // Few arrays: every kind of conflict. Many: more than one
+            // machine word of distinct ids in a list.
+            let pool = [3, 6, 200][case % 3];
+            let rank = rng.range(1, 3) as usize;
+            let mixed = case % 10 == 9;
+            let mut shared: Vec<Vec<Expr>> = vec![Vec::new(); 4];
+            let nests: Vec<LoopNest> = (0..rng.range(2, if pool == 200 { 40 } else { 12 }))
+                .map(|_| {
+                    let rank = if mixed {
+                        rng.range(1, 3) as usize
+                    } else {
+                        rank
+                    };
+                    random_nest(&mut rng, rank, pool, &mut shared[rank])
+                })
+                .collect();
+            let sizes = sizes(rng.range(10, 30));
+            assert_matches_reference(&nests, &sizes, &format!("case {case}"));
+            let g = dependence_graph(&nests, &sizes).unwrap();
+            conflicts += g.edge_count();
+            free += nests.len() * (nests.len() - 1) / 2 - g.edge_count();
+            let names: std::collections::BTreeSet<Symbol> = nests
+                .iter()
+                .flat_map(|n| n.outputs().into_iter().chain(n.inputs()))
+                .collect();
+            widest = widest.max(names.len());
+        }
+        // The generator reaches both answers, often, and wide lists.
+        assert!(conflicts > 1000 && free > 1000, "{conflicts} vs {free}");
+        assert!(widest > 64, "{widest} distinct arrays at most");
+    }
+
+    /// `r(c) = c(c) * Σ_d (u(c - e_d) + 2 u(c + e_d)) - 3 u(c)`, the star
+    /// stencil of the given rank over `[1, n-2]^rank`.
+    fn star(rank: usize) -> LoopNest {
+        let counters: Vec<Symbol> = ["i", "j", "k"][..rank]
+            .iter()
+            .map(|&c| Symbol::new(c))
+            .collect();
+        let at = |d: usize, o: i64| -> Vec<Idx> {
+            counters
+                .iter()
+                .enumerate()
+                .map(|(k, c)| Idx::sym(c.clone()) + if k == d { o } else { 0 })
+                .collect()
+        };
+        let (u, c) = (Array::new("u"), Array::new("c"));
+        let mut sum = -3.0 * u.at(at(0, 0));
+        for d in 0..rank {
+            sum = sum + u.at(at(d, -1)) + 2.0 * u.at(at(d, 1));
+        }
+        make_loop_nest(
+            &Array::new("r").at(at(0, 0)),
+            c.at(at(0, 0)) * sum,
+            counters.clone(),
+            vec![(Idx::constant(1), Idx::sym(Symbol::new("n")) - 2); rank],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn star_adjoints_of_every_strategy_match_the_pairwise_reference() {
+        use perforad_core::BoundaryStrategy::{Disjoint, Guarded, Padded};
+        // `c` active too: more than one written array per nest.
+        let act = ["u", "r", "c"]
+            .into_iter()
+            .fold(ActivityMap::new(), ActivityMap::with_suffixed);
+        for rank in 1..=3 {
+            for strategy in [Disjoint, Guarded, Padded] {
+                for merged in [false, true] {
+                    let mut opts = AdjointOptions::default().with_strategy(strategy);
+                    if merged {
+                        opts = opts.merged();
+                    }
+                    let adj = star(rank).adjoint(&act, &opts).unwrap();
+                    let what = format!("rank {rank} {strategy:?} merged={merged}");
+                    assert_matches_reference(&adj.nests, &sizes(16), &what);
+                    // The primal reads what the adjoint's nests do and
+                    // writes what they read: conflicts with every one.
+                    let mut with_primal = adj.nests.clone();
+                    with_primal.push(star(rank));
+                    assert_matches_reference(&with_primal, &sizes(16), &what);
+                }
+            }
+        }
+    }
+
+    /// Refusals, variant and message, against the reference — including
+    /// which of two comes first.
+    #[test]
+    fn refusals_match_the_pairwise_reference() {
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let good = writer(0, 10);
+        let mut scaled_write = writer(0, 10);
+        scaled_write.body[0].lhs.indices = vec![Idx::scaled(i.clone(), 2)];
+        let mut short_write = writer(0, 10);
+        short_write.body[0].lhs.indices.clear();
+        let mut scaled_read = writer(0, 10);
+        scaled_read.body[0].rhs = u.at(ix![&i + 1]) + u.at(vec![Idx::scaled(i.clone(), 2)]);
+        let mut deep_read = writer(0, 10);
+        deep_read.body[0].rhs = u.at(ix![&i, &i]);
+        let mut unbound = writer(0, 10);
+        unbound.bounds[0].hi = Idx::sym(Symbol::new("m"));
+        // A bad read behind a good statement, sharing the good
+        // statement's right-hand side with an earlier nest.
+        let mut second_stmt = good.clone();
+        second_stmt.body.push(scaled_read.body[0].clone());
+        // No statement, no footprint: its unbound size is never looked at.
+        let mut hollow = unbound.clone();
+        hollow.body.clear();
+        assert!(dependence_graph(std::slice::from_ref(&hollow), &sizes(8)).is_ok());
+
+        let lists = [
+            vec![good.clone(), scaled_write.clone()],
+            vec![short_write],
+            vec![good.clone(), scaled_read.clone()],
+            vec![deep_read],
+            vec![good.clone(), second_stmt],
+            vec![unbound.clone(), scaled_write.clone()],
+            vec![scaled_read, unbound.clone()],
+            vec![hollow, good, unbound],
+        ];
+        let mut seen = Vec::new();
+        for nests in &lists {
+            let got = dependence_graph(nests, &sizes(8)).unwrap_err();
+            let want = reference_graph(nests, &sizes(8)).unwrap_err();
+            assert_eq!(got, want);
+            assert_eq!(got.to_string(), want.to_string());
+            seen.push(got);
+        }
+        use perforad_core::CoreError::{BadReadIndex, BadWriteIndex};
+        assert!(matches!(&seen[0], SchedError::Core(BadWriteIndex { .. })));
+        assert!(matches!(&seen[2], SchedError::Core(BadReadIndex { .. })));
+        assert_eq!(seen[5], SchedError::UnboundSize("m".into()));
+        assert!(matches!(&seen[6], SchedError::Core(BadReadIndex { .. })));
     }
 }

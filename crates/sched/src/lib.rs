@@ -71,10 +71,10 @@ pub mod tuned;
 
 pub use error::SchedError;
 pub use fuse::fuse_groups;
-pub use graph::{dependence_graph, resolve_boxes, DepGraph, ResolvedBox};
+pub use graph::{dependence_graph, DepGraph};
 pub use perforad_exec::Lowering;
 pub use schedule::{
-    compile_schedule, compile_schedule_nests, default_tile, run_schedule, run_schedule_serial,
-    FusedGroup, SchedOptions, Schedule, TilePolicy,
+    compile_schedule, compile_schedule_nests, compile_schedule_source, default_tile, run_schedule,
+    run_schedule_serial, FusedGroup, SchedOptions, Schedule, TilePolicy,
 };
 pub use tuned::{run_tuned, TunedConfig, TunedStrategy};

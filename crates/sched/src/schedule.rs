@@ -17,7 +17,9 @@ use perforad_exec::{
     compile_nests_opts, tile_nest, Binding, ExecStats, Lowering, Plan, ThreadPool, Tile,
     TileRunner, Workspace,
 };
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// How tiles are assigned to pool workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -181,7 +183,7 @@ pub struct Schedule {
     /// — kept so the autotuner can recompile the same work under other
     /// configurations (`perforad-tune`'s `Schedule::autotune`). Behind an
     /// `Arc` so cloning a schedule does not deep-copy the nest IR.
-    pub source: std::sync::Arc<[LoopNest]>,
+    pub source: Arc<[LoopNest]>,
     /// Whether out-of-range reads resolve to zero padding (the adjoint's
     /// `BoundaryStrategy::Padded`), needed alongside `source` to recompile.
     pub padded: bool,
@@ -211,6 +213,13 @@ impl Schedule {
     /// Total iteration points over all groups.
     pub fn points(&self) -> u64 {
         self.groups.iter().map(|g| g.plan.points()).sum()
+    }
+
+    /// The source nests of fusion group `group`, aligned with its plan's
+    /// nests: borrowed from [`Schedule::source`] when the group is a run
+    /// of consecutive nests, copied only when fusion reordered them.
+    pub fn group_source(&self, group: usize) -> Cow<'_, [LoopNest]> {
+        group_nests(&self.source, &self.groups[group].nests)
     }
 
     /// One-line summary for logs and bench output.
@@ -255,6 +264,34 @@ pub fn compile_schedule_nests(
     padded: bool,
     opts: &SchedOptions,
 ) -> Result<Schedule, SchedError> {
+    compile_schedule_source(&nests.into(), ws, binding, padded, opts)
+}
+
+/// The nests of one fusion group: borrowed from the source list when the
+/// group is a run of consecutive nests (the whole list in order — every
+/// disjoint adjoint decomposition — or a single nest of an unfused
+/// schedule), copied only when fusion reordered them.
+fn group_nests<'a>(source: &'a [LoopNest], members: &[usize]) -> Cow<'a, [LoopNest]> {
+    let first = members.first().copied().unwrap_or(0);
+    if members.iter().copied().eq(first..first + members.len()) {
+        Cow::Borrowed(&source[first..first + members.len()])
+    } else {
+        Cow::Owned(members.iter().map(|&m| source[m].clone()).collect())
+    }
+}
+
+/// [`compile_schedule_nests`] for a caller that already shares the nest
+/// list: the schedule keeps a reference to `source` instead of a copy of
+/// its own, so compiling the same work under many configurations — the
+/// autotuner's candidates, its cache hits — copies the IR never.
+pub fn compile_schedule_source(
+    source: &Arc<[LoopNest]>,
+    ws: &Workspace,
+    binding: &Binding,
+    padded: bool,
+    opts: &SchedOptions,
+) -> Result<Schedule, SchedError> {
+    let nests: &[LoopNest] = source;
     if nests.is_empty() {
         return Err(SchedError::BadInput("no nests to schedule".into()));
     }
@@ -282,8 +319,7 @@ pub fn compile_schedule_nests(
     let groups = members
         .into_iter()
         .map(|members| {
-            let group_nests: Vec<LoopNest> = members.iter().map(|&m| nests[m].clone()).collect();
-            let plan = compile_nests_opts(&group_nests, ws, binding, plan_opts)?;
+            let plan = compile_nests_opts(&group_nests(nests, &members), ws, binding, plan_opts)?;
             let mut tiles: Vec<Tile> = (0..plan.nests.len())
                 .flat_map(|local| tile_nest(&plan, local, &tile))
                 .collect();
@@ -319,7 +355,7 @@ pub fn compile_schedule_nests(
         lowering: opts.lowering,
         fused: opts.fuse,
         cse: opts.cse,
-        source: nests.into(),
+        source: source.clone(),
         padded,
     })
 }
@@ -559,6 +595,7 @@ mod tests {
         let fused = compile_schedule(&adj, &ws_f, &bind, &SchedOptions::default()).unwrap();
         assert!(fused.fused);
         assert_eq!(fused.source.len(), 5);
+        assert!(matches!(fused.group_source(0), Cow::Borrowed(all) if all.len() == 5));
         let pool = ThreadPool::new(3);
         run_schedule(&fused, &mut ws_f, &pool).unwrap();
 
@@ -567,6 +604,7 @@ mod tests {
         let unfused = compile_schedule(&adj, &ws_u, &bind, &opts).unwrap();
         assert_eq!(unfused.group_count(), 5, "{}", unfused.describe());
         assert!(!unfused.fused);
+        assert!(matches!(unfused.group_source(3), Cow::Borrowed([one]) if *one == adj.nests[3]));
         run_schedule(&unfused, &mut ws_u, &pool).unwrap();
         assert_eq!(ws_f.grid("u_b").max_abs_diff(ws_u.grid("u_b")), 0.0);
     }
@@ -644,6 +682,52 @@ mod tests {
         let p2 = perforad_exec::compile_nest(&second, &ws_ref, &bind).unwrap();
         run(&p2, &mut ws_ref, ExecMode::serial()).unwrap();
         assert_eq!(ws.grid("v").max_abs_diff(ws_ref.grid("v")), 0.0);
+    }
+
+    #[test]
+    fn reordered_group_compiles_its_own_members() {
+        // 0 and 1 race on w; 2 is independent and joins 0's group, so that
+        // group is not a run of consecutive nests: its plan must hold
+        // nests 0 and 2 (copied), the other nest 1 (borrowed).
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let mk = |out: &str, k: f64, lo: i64, hi: i64| {
+            make_loop_nest(
+                &Array::new(out).at(ix![&i]),
+                k * u.at(ix![&i]),
+                vec![i.clone()],
+                vec![(Idx::constant(lo), Idx::constant(hi))],
+            )
+            .unwrap()
+        };
+        let nests = [
+            mk("w", 2.0, 1, 20),
+            mk("w", 3.0, 10, 30),
+            mk("v", 5.0, 1, 30),
+        ];
+        let mut ws = Workspace::new()
+            .with("u", Grid::from_fn(&[40], |ix| ix[0] as f64))
+            .with("w", Grid::zeros(&[40]))
+            .with("v", Grid::zeros(&[40]));
+        let s = compile_schedule_nests(
+            &nests,
+            &ws,
+            &Binding::new(),
+            false,
+            &SchedOptions::default(),
+        )
+        .unwrap();
+        let members: Vec<&[usize]> = s.groups.iter().map(|g| g.nests.as_slice()).collect();
+        assert_eq!(members, [&[0, 2][..], &[1]]);
+        assert!(matches!(s.group_source(0), Cow::Owned(_)));
+        assert_eq!(&s.group_source(0)[..], [nests[0].clone(), nests[2].clone()]);
+        assert!(matches!(s.group_source(1), Cow::Borrowed(_)));
+        assert_eq!(&s.group_source(1)[..], &nests[1..2]);
+        assert_eq!(s.groups[0].plan.nests[1].hi, vec![30]);
+        run_schedule(&s, &mut ws, &ThreadPool::new(2)).unwrap();
+        assert_eq!(ws.grid("w").get(&[5]), 10.0);
+        assert_eq!(ws.grid("w").get(&[15]), 45.0);
+        assert_eq!(ws.grid("v").get(&[25]), 125.0);
     }
 
     #[test]

@@ -2,10 +2,49 @@
 
 use crate::expr::{Access, Expr, Node};
 use crate::symbol::Symbol;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::marker::PhantomData;
+
+/// A memo over *distinct expression nodes*: what was computed for an
+/// [`Expr`] is found again through any clone of it (clones share one
+/// reference-counted node). Passes over an adjoint's loop nests use it to
+/// do per term what they would otherwise do per statement — the split
+/// regions' bodies are clones of the same few terms.
+///
+/// Identity is only ever a hit test: an equal expression built separately
+/// misses and is computed again, which is correct, merely slower. Keys
+/// stay borrowed for `'a`, so no address can be freed and reused by
+/// another expression while its entry is reachable.
+pub struct NodeMemo<'a, T> {
+    map: HashMap<*const Node, T>,
+    live: PhantomData<&'a Expr>,
+}
+
+impl<T> Default for NodeMemo<'_, T> {
+    fn default() -> Self {
+        NodeMemo {
+            map: HashMap::new(),
+            live: PhantomData,
+        }
+    }
+}
+
+impl<'a, T> NodeMemo<'a, T> {
+    /// What was stored for `e`'s node, if anything.
+    pub fn get_mut(&mut self, e: &Expr) -> Option<&mut T> {
+        self.map.get_mut(&(e.node() as *const Node))
+    }
+
+    /// The entry for `e`'s node, computed by `init` the first time the
+    /// node is seen.
+    pub fn get_or_insert_with(&mut self, e: &'a Expr, init: impl FnOnce() -> T) -> &mut T {
+        self.map.entry(e.node()).or_insert_with(init)
+    }
+}
 
 /// Pre-order traversal over every sub-expression (conditions included).
-pub fn for_each(e: &Expr, f: &mut impl FnMut(&Expr)) {
+/// The visitor may keep what it borrows from the tree.
+pub fn for_each<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     f(e);
     match e.node() {
         Node::Num(_) | Node::Sym(_) | Node::Access(_) => {}

@@ -34,13 +34,16 @@ pub const CACHE_VERSION: u32 = 1;
 /// re-exported here so every fingerprint in the workspace shares one
 /// hash.)
 pub use perforad_exec::native::fnv1a64;
+use perforad_exec::native::Fnv;
 
 /// Stable fingerprint of the *work*: the nests' printed IR (the display
 /// form is the IR's canonical syntax), the padded-boundary flag, and the
 /// integer sizes the bounds resolve against. Floating-point parameters
 /// are excluded — they change values, not schedule shape.
 pub fn fingerprint_nests(nests: &[LoopNest], padded: bool, bind: &Binding) -> u64 {
-    let mut text = String::new();
+    // The printed form streams into the hash: same bytes as hashing the
+    // whole text, without building it.
+    let mut text = Fnv::new();
     for nest in nests {
         let _ = write!(text, "{nest};");
     }
@@ -48,7 +51,7 @@ pub fn fingerprint_nests(nests: &[LoopNest], padded: bool, bind: &Binding) -> u6
     for (sym, v) in &bind.sizes {
         let _ = write!(text, "|{sym}={v}");
     }
-    fnv1a64(text.as_bytes())
+    text.finish()
 }
 
 /// Stable description of the *machine* as seen by the tuner.

@@ -27,8 +27,8 @@ use perforad_perfmodel::{
     KernelProfile, Machine, ScheduleShape,
 };
 use perforad_sched::{
-    compile_schedule_nests, run_tuned, SchedError, SchedOptions, Schedule, TilePolicy, TunedConfig,
-    TunedStrategy,
+    compile_schedule_nests, compile_schedule_source, run_tuned, SchedError, SchedOptions, Schedule,
+    TilePolicy, TunedConfig, TunedStrategy,
 };
 use std::collections::BTreeSet;
 use std::fmt;
@@ -337,20 +337,28 @@ pub fn autotune_nests(
     let k = opts.top_k.clamp(1, candidates);
     perforad_obs::counter("tune.pruned").add((candidates - k) as u64);
 
-    // Stage 2: score the survivors.
+    // Stage 2: score the survivors. Every schedule compiled from here on
+    // — candidates, refinement neighbours, the winner — references this
+    // one copy of the nests.
+    let source: std::sync::Arc<[LoopNest]> = nests.into();
     let mut best: Option<(Schedule, TunedConfig, f64)> = None;
     let mut last_err: Option<SchedError> = None;
     let mut timed = 0usize;
     for (ci, (cfg, pred)) in ranked.iter().take(k).enumerate() {
         let _cand_span = perforad_obs::span!("tune.candidate", "tune", "rank" => ci as u64);
-        let schedule =
-            match compile_schedule_nests(nests, ws, bind, padded, &SchedOptions::from_tuned(cfg)) {
-                Ok(s) => s,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            };
+        let schedule = match compile_schedule_source(
+            &source,
+            ws,
+            bind,
+            padded,
+            &SchedOptions::from_tuned(cfg),
+        ) {
+            Ok(s) => s,
+            Err(e) => {
+                last_err = Some(e);
+                continue;
+            }
+        };
         // Under wall-clock timing, JIT candidates must be natively
         // prepared before measuring (the artifact cache makes this
         // once-per-fingerprint); a candidate that cannot be prepared is
@@ -406,8 +414,8 @@ pub fn autotune_nests(
                     let _refine_span = perforad_obs::span!("tune.refine", "tune");
                     let mut cfg = base_cfg.clone();
                     cfg.tile = tile;
-                    let Ok(schedule) = compile_schedule_nests(
-                        nests,
+                    let Ok(schedule) = compile_schedule_source(
+                        &source,
                         ws,
                         bind,
                         padded,

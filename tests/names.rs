@@ -1,0 +1,91 @@
+//! Names must not move: the tuner keys its cache on
+//! `tune::fingerprint_nests`, and `exec::Plan::fingerprint` names both the
+//! native registry entry and the on-disk JIT artifact. A change that makes
+//! compilation cheaper may not change either — a tuning cache or artifact
+//! directory filled by an earlier build must still be *hit*.
+//!
+//! Every constant here was recorded at PR 17's tree, before schedule
+//! analysis went from once per statement to once per adjoint term.
+
+use perforad::pde::wave3d;
+use perforad::prelude::*;
+use perforad::sched::compile_schedule_nests;
+use perforad::tune::fingerprint_nests;
+
+const N: usize = 16;
+
+/// The three star stencils of the benchmark's `cold_compile`, with fixed
+/// coefficients.
+const STARS: [&str; 3] = [
+    "for i in 1 .. n-2 { r[i] = c[i]*(0.5*u[i-1] - 1.25*u[i] + 0.75*u[i+1]); }",
+    "for i in 1 .. n-2, j in 1 .. n-2 { r[i][j] = c[i][j]*(0.5*u[i-1][j] + 0.75*u[i+1][j] \
+     + 1.5*u[i][j-1] + 0.25*u[i][j+1] - 1.25*u[i][j]); }",
+    "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 { r[i][j][k] = c[i][j][k]*(\
+     0.5*u[i-1][j][k] + 0.75*u[i+1][j][k] + 1.5*u[i][j-1][k] + 0.25*u[i][j+1][k] \
+     + 1.75*u[i][j][k-1] + 0.625*u[i][j][k+1] - 1.25*u[i][j][k]); }",
+];
+
+fn star_adjoint(text: &str) -> Adjoint {
+    let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+    parse_stencil(text)
+        .expect("stencil parses")
+        .adjoint(&act, &AdjointOptions::default())
+        .expect("adjoint")
+}
+
+fn wave_adjoint() -> Adjoint {
+    wave3d::nest()
+        .adjoint(&wave3d::activity_with_c(), &AdjointOptions::default())
+        .expect("wave adjoint")
+}
+
+const GOLDEN_STAR_NESTS: [u64; 3] = [
+    0xa663_acc8_84be_519f,
+    0x41ad_bbd5_8345_9c22,
+    0xd5b9_dcde_9271_2a26,
+];
+const GOLDEN_WAVE_NESTS: u64 = 0xb3f8_2370_26db_3d52;
+const GOLDEN_WAVE_GROUP_PLAN: u64 = 0xe656_486a_c77b_c080;
+const GOLDEN_PRIMAL_PLAN: u64 = 0x9156_2532_1b21_bc84;
+
+#[test]
+fn tuner_work_fingerprints_are_golden() {
+    let bind = Binding::new().size("n", N as i64);
+    let got: Vec<u64> = STARS
+        .iter()
+        .map(|text| fingerprint_nests(&star_adjoint(text).nests, false, &bind))
+        .collect();
+    assert_eq!(got, GOLDEN_STAR_NESTS, "stars {got:#018x?}");
+    let wave = fingerprint_nests(&wave_adjoint().nests, false, &bind);
+    assert_eq!(wave, GOLDEN_WAVE_NESTS, "wave {wave:#018x}");
+    // The float parameter is not part of the work.
+    assert_eq!(
+        wave,
+        fingerprint_nests(&wave_adjoint().nests, false, &bind.clone().param("D", 0.1))
+    );
+}
+
+#[test]
+fn plan_fingerprints_are_golden() {
+    let (ws, bind) = wave3d::workspace(N, 0.1);
+    let adj = wave_adjoint();
+    let schedule = compile_schedule(&adj, &ws, &bind, &SchedOptions::default()).unwrap();
+    assert_eq!(schedule.group_count(), 1);
+    let group = schedule.groups[0].plan.fingerprint();
+    assert_eq!(group, GOLDEN_WAVE_GROUP_PLAN, "wave group {group:#018x}");
+    // The fingerprint covers the plan, not how its tiles are cut or run.
+    let tuned = SchedOptions::default().with_jit().with_tile(&[3, 5, 7]);
+    let again = compile_schedule(&adj, &ws, &bind, &tuned).unwrap();
+    assert_eq!(again.groups[0].plan.fingerprint(), group);
+
+    let primal = compile_schedule_nests(
+        &[wave3d::nest()],
+        &ws,
+        &bind,
+        false,
+        &SchedOptions::default(),
+    )
+    .unwrap();
+    let primal = primal.groups[0].plan.fingerprint();
+    assert_eq!(primal, GOLDEN_PRIMAL_PLAN, "primal {primal:#018x}");
+}

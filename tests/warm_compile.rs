@@ -1,0 +1,134 @@
+//! A warm compile costs what its inputs cost, countably: plan compilation
+//! substitutes and byte-compiles once per adjoint *term*, not once per
+//! statement of the split loop nests, and a JIT artifact that is already
+//! on disk is loaded without a compiler.
+//!
+//! The counts are the program's own (`exec.stmts_planned`,
+//! `exec.rhs_compiled`); obs state is process-global, so every test here
+//! serializes on one mutex and leaves recording off.
+
+use perforad::exec::{run, ExecMode};
+use perforad::jit::{available, JitOptions};
+use perforad::pde::wave3d;
+use perforad::prelude::*;
+use perforad::sched::run_schedule_serial;
+use std::sync::{Mutex, MutexGuard};
+
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn obs_test() -> MutexGuard<'static, ()> {
+    let guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    perforad::obs::set_enabled(false);
+    perforad::obs::reset_metrics();
+    guard
+}
+
+fn wave_adjoint() -> Adjoint {
+    wave3d::nest()
+        .adjoint(&wave3d::activity_with_c(), &AdjointOptions::default())
+        .expect("wave adjoint")
+}
+
+/// `(statements planned, right-hand sides compiled)` by one
+/// `compile_schedule` of `adj`.
+fn planned(adj: &Adjoint, ws: &Workspace, bind: &Binding, opts: &SchedOptions) -> (u64, u64) {
+    let (stmts, rhs) = (
+        perforad::obs::counter("exec.stmts_planned"),
+        perforad::obs::counter("exec.rhs_compiled"),
+    );
+    let before = (stmts.get(), rhs.get());
+    perforad::obs::set_enabled(true);
+    let schedule = compile_schedule(adj, ws, bind, opts);
+    perforad::obs::set_enabled(false);
+    let schedule = schedule.expect("schedule compiles");
+    assert_eq!(
+        schedule
+            .groups
+            .iter()
+            .map(|g| g.plan.statements() as u64)
+            .sum::<u64>(),
+        stmts.get() - before.0
+    );
+    (stmts.get() - before.0, rhs.get() - before.1)
+}
+
+#[test]
+fn plans_compile_once_per_adjoint_term() {
+    let _guard = obs_test();
+    // The c-active 3-D wave adjoint: 9 terms split over 53 nests.
+    let (ws, bind) = wave3d::workspace(16, 0.1);
+    let adj = wave_adjoint();
+    assert_eq!((adj.terms.len(), adj.nest_count()), (9, 53));
+    assert_eq!(
+        planned(&adj, &ws, &bind, &SchedOptions::default()),
+        (215, 9)
+    );
+    // CSE rewrites each term before compiling it — still once per term.
+    let cse = SchedOptions::default().with_cse(true);
+    assert_eq!(planned(&adj, &ws, &bind, &cse), (215, 9));
+    // Unfused, every nest is a plan of its own and compiles the terms it
+    // holds: one compile per statement, as the memo is per plan.
+    let unfused = SchedOptions::default().with_fuse(false);
+    assert_eq!(planned(&adj, &ws, &bind, &unfused), (215, 215));
+
+    // The 3-D 7-point star: 7 terms, 53 nests, 161 statements.
+    let star = parse_stencil(
+        "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 { r[i][j][k] = c[i][j][k]*(\
+         0.5*u[i-1][j][k] + 0.75*u[i+1][j][k] + 1.5*u[i][j-1][k] + 0.25*u[i][j+1][k] \
+         + 1.75*u[i][j][k-1] + 0.625*u[i][j][k+1] - 1.25*u[i][j][k]); }",
+    )
+    .unwrap();
+    let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+    let adj = star.adjoint(&act, &AdjointOptions::default()).unwrap();
+    let mut ws = Workspace::new();
+    for name in ["u", "c", "r", "u_b", "r_b"] {
+        ws.insert(name, Grid::zeros(&[16, 16, 16]));
+    }
+    let bind = Binding::new().size("n", 16);
+    assert_eq!(
+        planned(&adj, &ws, &bind, &SchedOptions::default()),
+        (161, 7)
+    );
+    // Merged, a nest's terms are summed into one new expression per
+    // nest: nothing is shared, and nothing may be assumed shared.
+    let merged = star
+        .adjoint(&act, &AdjointOptions::default().merged())
+        .unwrap();
+    let (stmts, rhs) = planned(&merged, &ws, &bind, &SchedOptions::default());
+    assert_eq!((stmts, rhs), (53, 53));
+}
+
+/// CI's two-process guard that a warm start needs no compiler (`jit` job):
+/// run once with a toolchain, it builds the c-active wave adjoint into
+/// `PERFORAD_JIT_CACHE`; run again in a new process with `rustc` taken off
+/// `PATH`, it must *load* that artifact. Either way the native sweep equals
+/// `Lowering::PerPoint` bit for bit. Ignored in a plain `cargo test`: on
+/// its own, with the default cache directory, it proves nothing.
+#[test]
+#[ignore = "needs PERFORAD_JIT_CACHE shared between two processes"]
+fn wave_adjoint_prepares_from_the_shared_artifact_cache() {
+    let _guard = obs_test();
+    let n = 16;
+    let adj = wave_adjoint();
+    let (mut ws_ref, bind) = wave3d::workspace(n, 0.1);
+    let plan = perforad::exec::compile_adjoint(&adj, &ws_ref, &bind).unwrap();
+    run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
+
+    let (mut ws, _) = wave3d::workspace(n, 0.1);
+    let schedule = compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_jit()).unwrap();
+    let toolchain = available();
+    let report = prepare_schedule(&schedule, &bind, &JitOptions::default())
+        .expect("built here, or loaded from what the first process built");
+    println!(
+        "toolchain {toolchain}: loaded {} compiled {}",
+        report.loaded, report.compiled
+    );
+    assert_eq!(report.loaded + report.compiled, 1);
+    if !toolchain {
+        assert_eq!((report.loaded, report.compiled), (1, 0));
+    }
+    run_schedule_serial(&schedule, &mut ws).unwrap();
+    for name in ["u_1_b", "u_2_b", "c_b"] {
+        assert_eq!(ws.grid(name).max_abs_diff(ws_ref.grid(name)), 0.0, "{name}");
+    }
+}
