@@ -13,6 +13,7 @@
 use crate::error::CkptError;
 use crate::plan::{CheckpointPlan, CkptAction};
 use crate::store::SnapshotStore;
+use std::sync::OnceLock;
 
 /// What a checkpointed sweep did: the plan's simulated profile made
 /// concrete, plus store accounting.
@@ -52,6 +53,20 @@ impl CkptReport {
     }
 }
 
+/// `ckpt.saves` / `ckpt.loads` (copies) / `ckpt.moves` (takes) /
+/// `ckpt.recomputed_steps`, resolved once per process rather than through
+/// the registry lock on every action of every sweep.
+fn counters() -> &'static [perforad_obs::Counter; 4] {
+    static C: OnceLock<[perforad_obs::Counter; 4]> = OnceLock::new();
+    const NAMES: [&str; 4] = [
+        "ckpt.saves",
+        "ckpt.loads",
+        "ckpt.moves",
+        "ckpt.recomputed_steps",
+    ];
+    C.get_or_init(|| NAMES.map(perforad_obs::counter))
+}
+
 /// Run a checkpointed adjoint sweep.
 ///
 /// * `step(s, t)` advances the cursor **in place** from the state at
@@ -68,7 +83,8 @@ impl CkptReport {
 ///
 /// The trajectory is never materialized: at most `plan.budget()`
 /// snapshots are live in `store` at any moment, plus the single cursor
-/// state.
+/// state, which loads overwrite in place and takes trade for the stored
+/// one — after the first save into each slot a sweep allocates nothing.
 pub fn checkpointed_adjoint_plan<S>(
     plan: &CheckpointPlan,
     s0: S,
@@ -86,6 +102,7 @@ pub fn checkpointed_adjoint_plan<S>(
     // mid-sweep toggle yields `None` semantics, not a partial count.
     let obs_on = perforad_obs::enabled();
     let mut obs_recomputed = 0u64;
+    let [saves, loads, moves, recomputed_steps] = counters();
     // The memoized stream: batched gradients replay one plan shape per
     // shot, so the recursive construction is paid once per shape.
     for &act in plan.actions_cached().iter() {
@@ -111,22 +128,26 @@ pub fn checkpointed_adjoint_plan<S>(
                     recomputed += to - from;
                     if obs_on {
                         obs_recomputed += (to - from) as u64;
-                        perforad_obs::counter("ckpt.recomputed_steps").add((to - from) as u64);
+                        recomputed_steps.add((to - from) as u64);
                     }
                 }
             }
             CkptAction::Save { t } => {
                 let _span = perforad_obs::span!("ckpt.save", "ckpt", "t" => t as u64);
                 store.save(t, &cursor)?;
-                perforad_obs::counter("ckpt.saves").inc();
+                saves.inc();
                 peak_live = peak_live.max(store.live());
             }
             CkptAction::Load { t } => {
                 let _span = perforad_obs::span!("ckpt.load", "ckpt", "t" => t as u64);
-                cursor = store.load(t)?;
-                perforad_obs::counter("ckpt.loads").inc();
+                store.restore(t, &mut cursor)?;
+                loads.inc();
             }
-            CkptAction::Free { t } => store.free(t)?,
+            CkptAction::Take { t } => {
+                let _span = perforad_obs::span!("ckpt.take", "ckpt", "t" => t as u64);
+                store.take(t, &mut cursor)?;
+                moves.inc();
+            }
             CkptAction::Seed => {
                 let _span = perforad_obs::span!("ckpt.seed", "ckpt");
                 seed(&cursor);
@@ -198,6 +219,47 @@ mod tests {
         (xt, lambda, report)
     }
 
+    /// A [`MemStore`] whose freed slots turn NaN before they are refilled:
+    /// a read of a stale slot, or a refill that left old bytes, shows.
+    struct Poisoned(MemStore<f64>);
+
+    impl Poisoned {
+        fn poison(&mut self) {
+            self.0.spares_mut().fill(f64::NAN);
+        }
+    }
+
+    impl SnapshotStore<f64> for Poisoned {
+        fn save(&mut self, t: usize, state: &f64) -> Result<(), CkptError> {
+            self.0.save(t, state)
+        }
+        fn load(&mut self, t: usize) -> Result<f64, CkptError> {
+            self.0.load(t)
+        }
+        fn free(&mut self, t: usize) -> Result<(), CkptError> {
+            self.0.free(t)?;
+            self.poison();
+            Ok(())
+        }
+        fn restore(&mut self, t: usize, into: &mut f64) -> Result<(), CkptError> {
+            self.0.restore(t, into)
+        }
+        fn take(&mut self, t: usize, into: &mut f64) -> Result<(), CkptError> {
+            self.0.take(t, into)?;
+            self.poison();
+            Ok(())
+        }
+        fn live(&self) -> usize {
+            self.0.live()
+        }
+        fn peak_bytes(&self) -> usize {
+            self.0.peak_bytes()
+        }
+        fn label(&self) -> &'static str {
+            "memory"
+        }
+    }
+
     #[test]
     fn matches_store_all_bitwise_across_budgets_and_backends() {
         let _g = crate::store::disk_test_lock();
@@ -218,6 +280,15 @@ mod tests {
                 );
                 assert!(rep.peak_snapshots <= rep.budget);
                 assert_eq!(rep.store, "memory");
+
+                let mut poisoned = Poisoned(MemStore::new());
+                let (x, l, _) = run_with(&mut poisoned, steps, budget);
+                assert_eq!(x.to_bits(), x_ref.to_bits(), "poisoned steps {steps}");
+                assert_eq!(l.to_bits(), l_ref.to_bits(), "poisoned steps {steps}");
+                assert!(
+                    poisoned.0.spares_mut().len() <= rep.peak_snapshots,
+                    "spare slots outnumber the peak live set"
+                );
 
                 let (x, l, rep) = run_with(&mut DiskStore::new(&dir).unwrap(), steps, budget);
                 assert_eq!(x.to_bits(), x_ref.to_bits(), "disk steps {steps}");

@@ -19,13 +19,15 @@
 //!   ([`CheckpointPlan::stats`]) without running anything — which is how
 //!   the autotuner prices a budget before committing to it.
 //! * [`Snapshot`] / [`SnapshotStore`] — where states live:
-//!   [`MemStore`] (clones in RAM) or [`DiskStore`] (bitwise-exact spill
-//!   files, conventionally under `$PERFORAD_CKPT_DIR`).
+//!   [`MemStore`] (copies in RAM, in slots it refills) or [`DiskStore`]
+//!   (bitwise-exact spill files, conventionally under `$PERFORAD_CKPT_DIR`).
 //! * [`checkpointed_adjoint_plan`] — the replay driver: streaming
 //!   forward pass (the right-most checkpoint chain is deposited on the
 //!   way to the objective, not replayed), a single `seed` call with the
 //!   final state, then the reverse phase, calling `back` for
-//!   `t = T−1 .. 0` exactly once each in descending order.
+//!   `t = T−1 .. 0` exactly once each in descending order. The stream
+//!   knows where its one cursor is: it copies a state only where one is
+//!   read back from elsewhere, and moves a snapshot out for its last read.
 //!
 //! Every backend round-trips `f64` bit patterns exactly, so a
 //! checkpointed gradient is **bitwise-identical** to its store-all

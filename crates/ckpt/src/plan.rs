@@ -39,10 +39,12 @@ pub enum CkptAction {
     },
     /// Save the cursor (the state at time `t`) into the snapshot store.
     Save { t: usize },
-    /// Replace the cursor with the stored state at time `t`.
+    /// Copy the stored state at time `t` over the cursor. Never emitted
+    /// for the state the cursor already holds.
     Load { t: usize },
-    /// Drop the stored state at time `t`.
-    Free { t: usize },
+    /// Move the stored state at time `t` into the cursor and drop it from
+    /// the store: a snapshot's last read, always followed by `Back { t }`.
+    Take { t: usize },
     /// The cursor holds the final state `s_T`; the driver hands it to the
     /// caller's `seed` closure (misfit + adjoint seeding) exactly once,
     /// between the forward and reverse phases.
@@ -60,10 +62,12 @@ pub struct PlanStats {
     pub recomputed_steps: usize,
     /// Maximum simultaneously live snapshots (≤ budget).
     pub peak_snapshots: usize,
-    /// Total snapshot save events.
+    /// Total snapshot save events (each copies one state).
     pub saves: usize,
-    /// Total snapshot load events.
+    /// Snapshot loads that copy a state (the snapshot stays live).
     pub loads: usize,
+    /// Snapshot takes: the state is moved out, nothing is copied.
+    pub moves: usize,
 }
 
 impl PlanStats {
@@ -113,6 +117,47 @@ fn advance_by(len: usize, avail: usize) -> usize {
     let r = repetition(len, avail);
     len.saturating_sub(binom(avail + r - 1, avail - 1))
         .clamp(1, len - 1)
+}
+
+/// Reverse `[lo, hi)` given a live snapshot at `lo` and `avail` free
+/// slots — the classic treeverse recursion, aware of where the cursor is:
+/// a state the cursor holds is never loaded, a state reversed straight
+/// from the cursor is never saved, and the snapshot at `lo` is moved out
+/// (`Take`) for its last read, the `Back { t: lo }` that ends the segment.
+fn reverse_segment(acts: &mut Vec<CkptAction>, lo: usize, hi: usize, avail: usize) {
+    debug_assert!(lo < hi);
+    // The cursor holds `lo` exactly when the segment's snapshot was saved
+    // from it the action before.
+    let restore = |acts: &mut Vec<CkptAction>| {
+        if acts.last() != Some(&CkptAction::Save { t: lo }) {
+            acts.push(CkptAction::Load { t: lo });
+        }
+    };
+    let advance = |to: usize| CkptAction::Advance {
+        from: lo,
+        to,
+        recompute: true,
+    };
+    if avail == 0 || hi - lo == 1 {
+        // No slots left: recompute each state from `lo`. Quadratic in
+        // the segment length — exactly the budget-1 degenerate case.
+        for t in (lo + 1..hi).rev() {
+            restore(acts);
+            acts.extend([advance(t), CkptAction::Back { t }]);
+        }
+        acts.extend([CkptAction::Take { t: lo }, CkptAction::Back { t: lo }]);
+        return;
+    }
+    let mid = lo + advance_by(hi - lo, avail);
+    restore(acts);
+    acts.push(advance(mid));
+    if hi - mid == 1 {
+        acts.push(CkptAction::Back { t: mid });
+    } else {
+        acts.push(CkptAction::Save { t: mid });
+        reverse_segment(acts, mid, hi, avail - 1);
+    }
+    reverse_segment(acts, lo, mid, avail);
 }
 
 /// Distinct `(steps, budget)` shapes the [`CheckpointPlan::actions_cached`]
@@ -195,55 +240,12 @@ impl CheckpointPlan {
         }
         acts.push(CkptAction::Seed);
         // Reverse phase: the terminal segment first, then the stored left
-        // segments inside-out, each freeing the snapshot that anchored
-        // the segment to its right.
-        self.reverse_segment(&mut acts, lo, hi, avail);
+        // segments inside-out; each consumes the snapshot anchoring it.
+        reverse_segment(&mut acts, lo, hi, avail);
         for &(slo, smid, savail) in segs.iter().rev() {
-            acts.push(CkptAction::Free { t: smid });
-            self.reverse_segment(&mut acts, slo, smid, savail);
+            reverse_segment(&mut acts, slo, smid, savail);
         }
-        acts.push(CkptAction::Free { t: 0 });
         acts
-    }
-
-    /// Reverse `[lo, hi)` given a live snapshot at `lo` and `avail` free
-    /// slots: the classic treeverse recursion.
-    fn reverse_segment(&self, acts: &mut Vec<CkptAction>, lo: usize, hi: usize, avail: usize) {
-        if hi == lo {
-            return;
-        }
-        if hi - lo == 1 {
-            acts.push(CkptAction::Load { t: lo });
-            acts.push(CkptAction::Back { t: lo });
-            return;
-        }
-        if avail == 0 {
-            // No slots left: recompute each state from `lo`. Quadratic in
-            // the segment length — exactly the budget-1 degenerate case.
-            for t in (lo..hi).rev() {
-                acts.push(CkptAction::Load { t: lo });
-                if t > lo {
-                    acts.push(CkptAction::Advance {
-                        from: lo,
-                        to: t,
-                        recompute: true,
-                    });
-                }
-                acts.push(CkptAction::Back { t });
-            }
-            return;
-        }
-        let m = advance_by(hi - lo, avail);
-        acts.push(CkptAction::Load { t: lo });
-        acts.push(CkptAction::Advance {
-            from: lo,
-            to: lo + m,
-            recompute: true,
-        });
-        acts.push(CkptAction::Save { t: lo + m });
-        self.reverse_segment(acts, lo + m, hi, avail - 1);
-        acts.push(CkptAction::Free { t: lo + m });
-        self.reverse_segment(acts, lo, lo + m, avail);
     }
 
     /// [`CheckpointPlan::actions`] behind a process-wide memo keyed on
@@ -289,8 +291,11 @@ impl CheckpointPlan {
                     live += 1;
                     stats.peak_snapshots = stats.peak_snapshots.max(live);
                 }
-                CkptAction::Free { .. } => live -= 1,
                 CkptAction::Load { .. } => stats.loads += 1,
+                CkptAction::Take { .. } => {
+                    stats.moves += 1;
+                    live -= 1;
+                }
                 CkptAction::Seed | CkptAction::Back { .. } => {}
             }
         }
@@ -313,6 +318,7 @@ impl CheckpointPlan {
             recompute_ratio: stats.recompute_ratio(self.steps),
             saves: stats.saves,
             loads: stats.loads,
+            moves: stats.moves,
         }
     }
 }
@@ -323,72 +329,174 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// Walk an action stream asserting every structural invariant: loads
-    /// and frees only touch live snapshots, the cursor is positioned
+    /// and takes only touch live snapshots, the cursor is positioned
     /// correctly for every advance and back, backs are exactly `T-1..0`,
-    /// liveness never exceeds the budget, and seed happens exactly once
-    /// with the cursor at `T`.
-    fn validate(plan: &CheckpointPlan) -> PlanStats {
+    /// liveness never exceeds the budget, seed happens exactly once with
+    /// the cursor at `T` — and nothing moves that need not: no load of the
+    /// state the cursor holds, no save that is not read back from a
+    /// different cursor position.
+    fn validate_stream(plan: &CheckpointPlan, acts: &[CkptAction]) -> Result<usize, String> {
         let steps = plan.steps();
         let mut live: BTreeSet<usize> = BTreeSet::new();
         let mut peak = 0usize;
-        let mut cursor: Option<usize> = Some(0); // time index the cursor holds
+        let mut cursor = 0usize; // time index the cursor holds
         let mut backs = Vec::new();
         let mut seeded = false;
-        for act in plan.actions() {
+        let check = |ok: bool, what: String| if ok { Ok(()) } else { Err(what) };
+        for &act in acts {
             match act {
-                CkptAction::Advance {
-                    from,
-                    to,
-                    recompute: _,
-                } => {
-                    assert_eq!(cursor, Some(from), "advance from a mispositioned cursor");
-                    assert!(from < to && to <= steps);
-                    cursor = Some(to);
+                CkptAction::Advance { from, to, .. } => {
+                    check(
+                        cursor == from,
+                        format!("advance {from}->{to} from {cursor}"),
+                    )?;
+                    check(from < to && to <= steps, format!("advance {from}->{to}"))?;
+                    cursor = to;
                 }
                 CkptAction::Save { t } => {
-                    assert_eq!(cursor, Some(t), "save of a state the cursor does not hold");
-                    assert!(live.insert(t), "double save at {t}");
+                    check(cursor == t, format!("save {t} with the cursor at {cursor}"))?;
+                    check(live.insert(t), format!("double save at {t}"))?;
                     peak = peak.max(live.len());
                 }
-                CkptAction::Load { t } => {
-                    assert!(live.contains(&t), "load of dead snapshot {t}");
-                    cursor = Some(t);
-                }
-                CkptAction::Free { t } => {
-                    assert!(live.remove(&t), "free of dead snapshot {t}");
+                CkptAction::Load { t } | CkptAction::Take { t } => {
+                    check(cursor != t, format!("read of {t}, which the cursor holds"))?;
+                    check(live.contains(&t), format!("read of dead snapshot {t}"))?;
+                    if matches!(act, CkptAction::Take { .. }) {
+                        live.remove(&t);
+                    }
+                    cursor = t;
                 }
                 CkptAction::Seed => {
-                    assert!(!seeded, "seed emitted twice");
-                    assert_eq!(cursor, Some(steps), "seed away from the final state");
+                    check(!seeded && cursor == steps, format!("seed at {cursor}"))?;
                     seeded = true;
                 }
                 CkptAction::Back { t } => {
-                    assert!(seeded, "back before seed");
-                    assert_eq!(cursor, Some(t), "back at a mispositioned cursor");
+                    check(seeded && cursor == t, format!("back {t} at {cursor}"))?;
                     backs.push(t);
                 }
             }
         }
-        assert!(seeded);
-        assert!(live.is_empty(), "snapshots leaked: {live:?}");
-        assert_eq!(
-            backs,
-            (0..steps).rev().collect::<Vec<_>>(),
-            "backs must be T-1..0 exactly once each"
-        );
+        check(seeded, "never seeded".into())?;
+        // A snapshot leaves the store by a take, so one that was never
+        // read from a different cursor position is still here.
+        check(
+            live.is_empty(),
+            format!("snapshots never read back: {live:?}"),
+        )?;
+        check(
+            backs == (0..steps).rev().collect::<Vec<_>>(),
+            "backs must be T-1..0 exactly once each".into(),
+        )?;
+        check(peak <= plan.budget(), format!("budget exceeded: {peak}"))?;
+        Ok(peak)
+    }
+
+    fn validate(plan: &CheckpointPlan) -> PlanStats {
+        let peak =
+            validate_stream(plan, &plan.actions()).unwrap_or_else(|e| panic!("{plan:?}: {e}"));
         let stats = plan.stats();
         assert_eq!(stats.peak_snapshots, peak);
-        assert!(peak <= plan.budget(), "budget exceeded: {peak}");
+        assert_eq!(stats.saves, stats.moves, "every snapshot ends in a take");
         stats
     }
 
+    /// `(recomputed_steps, peak_snapshots)` of the stream this module
+    /// emitted before it tracked the cursor: the same recursion, counted.
+    fn parent_profile(plan: &CheckpointPlan) -> (usize, usize) {
+        fn reverse(lo: usize, hi: usize, avail: usize, live: usize, out: &mut (usize, usize)) {
+            if hi - lo <= 1 {
+                return;
+            }
+            if avail == 0 {
+                out.0 += (1..hi - lo).sum::<usize>();
+                return;
+            }
+            let m = advance_by(hi - lo, avail);
+            out.0 += m;
+            out.1 = out.1.max(live + 1);
+            reverse(lo + m, hi, avail - 1, live + 1, out);
+            reverse(lo, lo + m, avail, live, out);
+        }
+        if plan.steps() == 0 {
+            return (0, 0);
+        }
+        let (mut lo, hi, mut avail) = (0, plan.steps(), plan.budget() - 1);
+        let mut segs = Vec::new();
+        while hi - lo > 1 && avail > 0 {
+            let m = advance_by(hi - lo, avail);
+            segs.push((lo, lo + m, avail));
+            lo += m;
+            avail -= 1;
+        }
+        let live = segs.len() + 1;
+        let mut out = (0, live);
+        reverse(lo, hi, avail, live, &mut out);
+        for (k, &(slo, smid, savail)) in segs.iter().enumerate().rev() {
+            reverse(slo, smid, savail, k + 1, &mut out);
+        }
+        out
+    }
+
     #[test]
-    fn every_plan_is_structurally_valid() {
-        for steps in [0usize, 1, 2, 3, 5, 7, 8, 16, 17, 33, 100, 255] {
-            for budget in [1usize, 2, 3, 5, 8, 1000] {
-                validate(&CheckpointPlan::with_budget(steps, budget));
+    fn every_plan_is_structurally_valid_and_recomputes_what_the_parent_did() {
+        for steps in [0usize, 1, 2, 3, 5, 7, 8, 16, 17, 33, 64, 100, 255] {
+            for budget in [1usize, 2, 3, 5, 7, 8, 1000] {
+                let plan = CheckpointPlan::with_budget(steps, budget);
+                let stats = validate(&plan);
+                assert_eq!(
+                    (stats.recomputed_steps, stats.peak_snapshots),
+                    parent_profile(&plan),
+                    "{plan:?}"
+                );
             }
         }
+    }
+
+    #[test]
+    fn golden_stream_profile_at_64_steps_budget_8() {
+        let stats = validate(&CheckpointPlan::with_budget(64, 8));
+        let want = PlanStats {
+            recomputed_steps: 91,
+            peak_snapshots: 8,
+            saves: 43,
+            loads: 21,
+            moves: 43,
+        };
+        assert_eq!(stats, want);
+    }
+
+    #[test]
+    fn a_redundant_load_or_a_dropped_save_fails_validation() {
+        let plan = CheckpointPlan::with_budget(64, 8);
+        let acts = plan.actions();
+        assert!(validate_stream(&plan, &acts).is_ok());
+        // Re-insert the load the parent's stream had after every save.
+        let last_save = acts.iter().enumerate().rev().find_map(|(i, a)| match a {
+            CkptAction::Save { t } => Some((i, *t)),
+            _ => None,
+        });
+        let (at, t) = last_save.expect("a save in the stream");
+        let mut redundant = acts.clone();
+        redundant.insert(at + 1, CkptAction::Load { t });
+        let err = validate_stream(&plan, &redundant).unwrap_err();
+        assert!(err.contains("the cursor holds"), "{err}");
+        // Drop a save that is read back later.
+        let mut dropped = acts.clone();
+        dropped.remove(at);
+        let err = validate_stream(&plan, &dropped).unwrap_err();
+        assert!(err.contains("dead snapshot"), "{err}");
+        // Save a state that is only ever reversed straight from the cursor.
+        let at = acts.windows(2).position(
+            |w| matches!(w, [CkptAction::Advance { to, .. }, CkptAction::Back { t }] if to == t),
+        );
+        let at = at.expect("a state reversed from the cursor") + 1;
+        let CkptAction::Back { t } = acts[at] else {
+            unreachable!()
+        };
+        let mut unread = acts.clone();
+        unread.insert(at, CkptAction::Save { t });
+        let err = validate_stream(&plan, &unread).unwrap_err();
+        assert!(err.contains("never read back"), "{err}");
     }
 
     #[test]
@@ -493,6 +601,7 @@ mod tests {
         assert_eq!(shape.state_bytes, 4096);
         assert_eq!(shape.saves, stats.saves);
         assert_eq!(shape.loads, stats.loads);
+        assert_eq!(shape.moves, stats.moves);
         assert!(shape.recompute_ratio > 0.0);
         assert_eq!(plan.mem_bytes(4096), 5 * 4096);
     }

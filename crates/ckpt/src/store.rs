@@ -1,8 +1,9 @@
 //! Snapshot stores: where checkpointed states live between the forward
 //! and reverse phases.
 //!
-//! Two backends ship with the crate: [`MemStore`] keeps clones in a map
-//! (the fast path when the budgeted snapshots fit in RAM) and
+//! Two backends ship with the crate: [`MemStore`] keeps copies in a map,
+//! in slots it refills rather than reallocates (the fast path when the
+//! budgeted snapshots fit in RAM), and
 //! [`DiskStore`] spills serialized states to files (when even the
 //! budgeted snapshots do not fit — or when the operator wants RAM for
 //! the solver, not the trajectory). Both round-trip `f64` payloads
@@ -14,6 +15,7 @@ use crate::error::CkptError;
 use perforad_exec::Grid;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Environment variable naming the default spill directory for
 /// [`DiskStore::from_env`] consumers (the seismic driver's `Auto`
@@ -29,6 +31,18 @@ pub trait Snapshot: Sized {
     fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError>;
     /// Approximate resident size, for budget accounting.
     fn mem_bytes(&self) -> usize;
+    /// Overwrite `self` with `src`'s value, keeping `self`'s allocation
+    /// where the shapes agree.
+    fn assign(&mut self, src: &Self);
+}
+
+/// The `ckpt.save_bytes` / `ckpt.load_bytes` / `ckpt.spill_bytes`
+/// counters (bytes copied, never bytes moved), resolved once per process.
+fn byte_counters() -> &'static [perforad_obs::Counter; 3] {
+    static C: OnceLock<[perforad_obs::Counter; 3]> = OnceLock::new();
+    C.get_or_init(|| {
+        ["ckpt.save_bytes", "ckpt.load_bytes", "ckpt.spill_bytes"].map(perforad_obs::counter)
+    })
 }
 
 fn read_u64(bytes: &[u8], at: &mut usize) -> Result<u64, CkptError> {
@@ -54,6 +68,10 @@ impl Snapshot for f64 {
 
     fn mem_bytes(&self) -> usize {
         8
+    }
+
+    fn assign(&mut self, src: &Self) {
+        *self = *src;
     }
 }
 
@@ -108,6 +126,14 @@ impl Snapshot for Grid {
     fn mem_bytes(&self) -> usize {
         8 * self.len() + 8 * 2 * self.rank() + std::mem::size_of::<Grid>()
     }
+
+    fn assign(&mut self, src: &Self) {
+        if self.dims() == src.dims() {
+            self.as_mut_slice().copy_from_slice(src.as_slice());
+        } else {
+            *self = src.clone();
+        }
+    }
 }
 
 /// Pairs serialize as a length-prefixed concatenation — the seismic time
@@ -138,6 +164,11 @@ impl<A: Snapshot, B: Snapshot> Snapshot for (A, B) {
     fn mem_bytes(&self) -> usize {
         self.0.mem_bytes() + self.1.mem_bytes()
     }
+
+    fn assign(&mut self, src: &Self) {
+        self.0.assign(&src.0);
+        self.1.assign(&src.1);
+    }
 }
 
 /// Where snapshots go. Keyed by the time index `t` — the plan guarantees
@@ -150,6 +181,17 @@ pub trait SnapshotStore<S> {
     fn load(&mut self, t: usize) -> Result<S, CkptError>;
     /// Drop the snapshot at time `t` (which must be live).
     fn free(&mut self, t: usize) -> Result<(), CkptError>;
+    /// [`SnapshotStore::load`] over an existing state (in place where it can).
+    fn restore(&mut self, t: usize, into: &mut S) -> Result<(), CkptError> {
+        *into = self.load(t)?;
+        Ok(())
+    }
+    /// Restore the state at time `t` and drop its snapshot: a move where
+    /// the backend can, and `into`'s old value is scratch afterwards.
+    fn take(&mut self, t: usize, into: &mut S) -> Result<(), CkptError> {
+        self.restore(t, into)?;
+        self.free(t)
+    }
     /// Snapshots currently live.
     fn live(&self) -> usize;
     /// High-water mark of resident/spilled snapshot bytes.
@@ -158,10 +200,13 @@ pub trait SnapshotStore<S> {
     fn label(&self) -> &'static str;
 }
 
-/// In-memory snapshot store: clones in a map.
+/// In-memory snapshot store: copies in a map. A freed or taken snapshot
+/// leaves a buffer behind as a spare slot that the next save refills, so a
+/// sweep allocates its peak live set once; spares are dropped with the store.
 #[derive(Debug)]
 pub struct MemStore<S> {
     slots: HashMap<usize, S>,
+    spare: Vec<S>,
     bytes: usize,
     peak: usize,
 }
@@ -170,9 +215,21 @@ impl<S> MemStore<S> {
     pub fn new() -> Self {
         MemStore {
             slots: HashMap::new(),
+            spare: Vec::new(),
             bytes: 0,
             peak: 0,
         }
+    }
+
+    fn live_slot(&mut self, t: usize, verb: &str) -> Result<&mut S, CkptError> {
+        let dead = || CkptError::Protocol(format!("{verb} of dead snapshot {t}"));
+        self.slots.get_mut(&t).ok_or_else(dead)
+    }
+
+    /// The freed slots awaiting a refill, for tests to scribble over.
+    #[cfg(test)]
+    pub(crate) fn spares_mut(&mut self) -> &mut [S] {
+        &mut self.spare
     }
 }
 
@@ -189,18 +246,23 @@ impl<S: Clone + Snapshot> SnapshotStore<S> for MemStore<S> {
         }
         self.bytes += state.mem_bytes();
         self.peak = self.peak.max(self.bytes);
-        perforad_obs::counter("ckpt.save_bytes").add(state.mem_bytes() as u64);
-        self.slots.insert(t, state.clone());
+        let [save_bytes, ..] = byte_counters();
+        save_bytes.add(state.mem_bytes() as u64);
+        let slot = match self.spare.pop() {
+            Some(mut slot) => {
+                slot.assign(state);
+                slot
+            }
+            None => state.clone(),
+        };
+        self.slots.insert(t, slot);
         Ok(())
     }
 
     fn load(&mut self, t: usize) -> Result<S, CkptError> {
-        let state = self
-            .slots
-            .get(&t)
-            .cloned()
-            .ok_or_else(|| CkptError::Protocol(format!("load of dead snapshot {t}")))?;
-        perforad_obs::counter("ckpt.load_bytes").add(state.mem_bytes() as u64);
+        let state = self.live_slot(t, "load")?.clone();
+        let [_, load_bytes, _] = byte_counters();
+        load_bytes.add(state.mem_bytes() as u64);
         Ok(state)
     }
 
@@ -210,7 +272,20 @@ impl<S: Clone + Snapshot> SnapshotStore<S> for MemStore<S> {
             .remove(&t)
             .ok_or_else(|| CkptError::Protocol(format!("free of dead snapshot {t}")))?;
         self.bytes -= state.mem_bytes();
+        self.spare.push(state);
         Ok(())
+    }
+
+    fn restore(&mut self, t: usize, into: &mut S) -> Result<(), CkptError> {
+        into.assign(self.live_slot(t, "load")?);
+        let [_, load_bytes, _] = byte_counters();
+        load_bytes.add(into.mem_bytes() as u64);
+        Ok(())
+    }
+
+    fn take(&mut self, t: usize, into: &mut S) -> Result<(), CkptError> {
+        std::mem::swap(into, self.live_slot(t, "take")?);
+        self.free(t)
     }
 
     fn live(&self) -> usize {
@@ -308,8 +383,9 @@ impl<S: Snapshot> SnapshotStore<S> for DiskStore {
             .map_err(|e| CkptError::Store(format!("write {}: {e}", path.display())))?;
         self.bytes += bytes.len();
         self.peak = self.peak.max(self.bytes);
-        perforad_obs::counter("ckpt.save_bytes").add(bytes.len() as u64);
-        perforad_obs::counter("ckpt.spill_bytes").add(bytes.len() as u64);
+        let [save_bytes, _, spill_bytes] = byte_counters();
+        save_bytes.add(bytes.len() as u64);
+        spill_bytes.add(bytes.len() as u64);
         self.live.insert(t, bytes.len());
         Ok(())
     }
@@ -327,7 +403,8 @@ impl<S: Snapshot> SnapshotStore<S> for DiskStore {
         }
         let bytes = std::fs::read(&path)
             .map_err(|e| CkptError::Store(format!("read {}: {e}", path.display())))?;
-        perforad_obs::counter("ckpt.load_bytes").add(bytes.len() as u64);
+        let [_, load_bytes, _] = byte_counters();
+        load_bytes.add(bytes.len() as u64);
         S::from_bytes(&bytes)
     }
 
@@ -528,6 +605,45 @@ mod tests {
         store.free(0).unwrap();
         assert_eq!(store.live(), 0);
         assert!(store.peak_bytes() >= 2 * 8 * 12);
+    }
+
+    #[test]
+    fn restore_and_take_are_bitwise_and_the_mem_store_refills_its_slots() {
+        let _g = disk_test_lock();
+        let dir = std::env::temp_dir().join(format!("perforad_ckpt_take_{}", std::process::id()));
+        let (a, b) = (grid(), Grid::full(&[3, 4], -2.5));
+        fn cycle(store: &mut impl SnapshotStore<Grid>, a: &Grid, b: &Grid) {
+            store.save(0, a).unwrap();
+            store.save(1, b).unwrap();
+            let mut cursor = Grid::full(&[3, 4], f64::NAN);
+            store.restore(1, &mut cursor).unwrap();
+            assert_eq!(cursor.as_slice(), b.as_slice());
+            assert_eq!(store.live(), 2, "a restore leaves the snapshot live");
+            store.take(0, &mut cursor).unwrap();
+            assert_eq!(cursor.as_slice(), a.as_slice());
+            assert_eq!(store.live(), 1, "a take frees it");
+            assert!(store.take(0, &mut cursor).is_err());
+            assert!(store.restore(0, &mut cursor).is_err());
+            store.take(1, &mut cursor).unwrap();
+            assert_eq!(cursor.as_slice(), b.as_slice());
+        }
+        cycle(&mut DiskStore::new(&dir).unwrap(), &a, &b);
+        let mut mem = MemStore::new();
+        cycle(&mut mem, &a, &b);
+        // Two slots were allocated; every later save refills one of them,
+        // whatever the taker left in it.
+        assert_eq!(mem.spares_mut().len(), 2);
+        mem.spares_mut()[1].fill(f64::NAN);
+        let slot = mem.spares_mut()[1].as_slice().as_ptr();
+        mem.save(7, &a).unwrap();
+        assert_eq!(mem.spares_mut().len(), 1);
+        assert_eq!(mem.slots[&7].as_slice().as_ptr(), slot, "refilled in place");
+        assert_eq!(mem.slots[&7].as_slice(), a.as_slice());
+        // A spare of another shape is replaced, not half-overwritten.
+        let wide = Grid::full(&[5, 5], 1.0);
+        mem.save(8, &wide).unwrap();
+        assert_eq!(mem.load(8).unwrap().dims(), wide.dims());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -31,11 +31,14 @@
 //! one-nest [`Schedule`] tiled, lowered and driven like the tuned adjoint
 //! — through the JIT tier when the tuner chose it for the adjoint, as a
 //! second native artifact keyed by the primal plan's own fingerprint, and
-//! on the row executor when that cannot be prepared; no step allocates,
-//! copies or clears a grid (state grids are *swapped* into the kernel
-//! workspaces and rotated back out, and λ_{t−1} is lent to the adjoint
-//! kernel as its `u_2_b`); the adjoint field is a 3-grid rolling window in
-//! both sweeps; and a plan keeps its warmed shot states between runs
+//! on the row executor when that cannot be prepared; no step allocates or
+//! copies a grid (state grids are *swapped* into the kernel workspaces and
+//! rotated back out, and λ_{t−1} is lent to the adjoint kernel as its
+//! `u_2_b`) and the primal step clears none, though a back step fills
+//! three (`u_1_b` and `c_b` in [`ReverseSweep::back`], the λ grid rotated
+//! in by [`Rolling::back`]); the adjoint field is a 3-grid rolling window
+//! in both sweeps; a checkpointed sweep copies a state only where its plan
+//! reads one back; and a plan keeps its warmed shot states between runs
 //! instead of cloning them per call.
 
 use crate::wave3d;

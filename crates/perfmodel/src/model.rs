@@ -181,10 +181,12 @@ pub struct CheckpointShape {
     /// Primal steps recomputed per primal step (0.0 = store-all,
     /// `(T−1)/2` = budget 1).
     pub recompute_ratio: f64,
-    /// Snapshot save events across the whole sweep.
+    /// Snapshot save events across the whole sweep (one state copy each).
     pub saves: usize,
-    /// Snapshot load events across the whole sweep.
+    /// Snapshot loads that copy a state back out.
     pub loads: usize,
+    /// Snapshot reads that move the state out instead: no bytes, no cost.
+    pub moves: usize,
 }
 
 impl CheckpointShape {
@@ -203,8 +205,8 @@ impl CheckpointShape {
 ///   would also do;
 /// * `recompute_ratio × steps` extra primal steps — the price of the
 ///   budget;
-/// * snapshot traffic: every save/load moves `state_bytes` through the
-///   store at [`Machine::snapshot_cost`] ns/byte.
+/// * snapshot traffic: every save and copying load moves `state_bytes`
+///   through the store at [`Machine::snapshot_cost`] ns/byte.
 ///
 /// Budgets whose live set exceeds [`Machine::mem_budget_bytes`] return
 /// `f64::INFINITY`: infeasible, never merely slow — this is what turns
@@ -567,6 +569,7 @@ mod tests {
             recompute_ratio: ratio,
             saves: 2 * budget,
             loads: 4 * budget,
+            moves: 2 * budget,
         };
         let fits = predict_checkpoint(&m, 1e-3, 2e-3, &big(2, 1.5));
         assert!(fits.is_finite());

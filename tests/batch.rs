@@ -8,7 +8,7 @@
 mod common;
 
 use common::{checkpointed, one_shot, store_all};
-use perforad::ckpt::Snapshot;
+use perforad::ckpt::{CheckpointPlan, Snapshot};
 use perforad::core::AdjointOptions;
 use perforad::exec::{Binding, Grid, Lowering, ThreadPool, Workspace};
 use perforad::obs::{counter, fault};
@@ -478,5 +478,41 @@ fn time_loop_allocates_the_trajectory_and_a_warm_run_clones_nothing() {
         (grid_bytes..grid_bytes + scratch).contains(&per_step),
         "one extra step allocates {per_step} B = {:.2} grids",
         per_step as f64 / grid_bytes as f64
+    );
+}
+
+#[test]
+fn warm_checkpointed_run_allocates_its_slots_once_not_a_state_per_load() {
+    let _guard = suite_lock();
+    let (n, steps, budget) = (20usize, 64usize, 8usize);
+    let grid_bytes = (8 * n * n * n) as u64;
+    let pool = ThreadPool::new(1);
+    let cfg = SeismicConfig { n, steps, d: 0.1 };
+    let scratch = match pin_model_config(&cfg, true, &pool) {
+        Lowering::Jit => 1 << 10,
+        _ => grid_bytes / 2,
+    };
+    let opts = BatchOptions {
+        strategy: Some(BatchStrategy::ShotParallel),
+        ..checkpointed(Some(budget), SnapshotBackend::Memory)
+    };
+    let c0 = velocity(n);
+    let plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
+    let batch = make_batch(&cfg, &c0, 1);
+    run_bytes(&plan, &batch);
+    let warm = run_bytes(&plan, &batch);
+    assert_eq!(warm, run_bytes(&plan, &batch), "every warm run alike");
+    // The cursor (2 grids), the rolling window and gradient (4), and one
+    // two-grid slot per live snapshot, refilled after that — where a state
+    // cloned per save and per load came to some 370 grids. Kernel scratch
+    // per primal step (recomputed ones included) and per back step.
+    let kernel_runs = CheckpointPlan::with_budget(steps, budget)
+        .stats()
+        .recomputed_steps
+        + steps;
+    assert!(
+        warm <= (2 * budget as u64 + 8) * grid_bytes + kernel_runs as u64 * scratch,
+        "warm checkpointed run allocates {warm} B = {:.2} grids",
+        warm as f64 / grid_bytes as f64
     );
 }
