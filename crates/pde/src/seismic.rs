@@ -40,6 +40,14 @@
 //! in both sweeps; a checkpointed sweep copies a state only where its plan
 //! reads one back; and a plan keeps its warmed shot states between runs
 //! instead of cloning them per call.
+//!
+//! A short store-all sweep keeps its trajectory the same way: a plan below
+//! [`CKPT_THRESHOLD_STEPS`] that runs store-all (the dispatch rule's choice
+//! there) leaves `u_0 .. u_steps` in the warmed shot state and the next run
+//! writes over them in place, so a warm run allocates its λ window and its
+//! gradient and nothing per step — for `steps + 1` grids resident per warmed
+//! shot state, fewer than 64 by construction. A plan *forced* to store-all
+//! at or past the threshold allocates its trajectory per run and drops it.
 
 use crate::wave3d;
 use perforad_ckpt::{
@@ -63,8 +71,9 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// Plans at least this long default to the bounded-memory checkpointed
-/// sweep; shorter ones keep the dense store-all sweep (whose trajectory is
-/// a handful of grids at most). [`BatchOptions::checkpointed`] overrides.
+/// sweep; shorter ones keep the dense store-all sweep, and keep its
+/// trajectory (fewer than this many grids) resident in each warmed shot
+/// state between runs. [`BatchOptions::checkpointed`] overrides the sweep.
 pub const CKPT_THRESHOLD_STEPS: usize = 64;
 
 /// Problem configuration.
@@ -126,6 +135,9 @@ struct Stepper<'p> {
     ws: Workspace,
     src: [usize; 3],
     source: Vec<f64>,
+    /// `u_0 .. u_steps` as the last store-all sweep of a plan shorter than
+    /// [`CKPT_THRESHOLD_STEPS`] left them; empty for every other plan.
+    traj: Vec<Grid>,
 }
 
 impl<'p> Stepper<'p> {
@@ -158,6 +170,7 @@ impl<'p> Stepper<'p> {
             ws,
             src: cfg.source_index(),
             source: vec![0.0; cfg.steps],
+            traj: Vec::new(),
         }
     }
 
@@ -182,28 +195,56 @@ impl<'p> Stepper<'p> {
         let _span = perforad_obs::span!("seismic.step", "seismic", "t" => t as u64);
         swap(self.ws.grid_mut("u_2"), &mut state.0);
         swap(self.ws.grid_mut("u_1"), &mut state.1);
-        debug_assert!(boundary_is_zero(self.ws.grid("u")), "stale boundary");
-        run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("primal step");
+        self.run();
         swap(self.ws.grid_mut("u_1"), &mut state.0);
         swap(self.ws.grid_mut("u"), &mut state.1);
-        let v = state.1.get(&self.src) + self.source[t];
-        state.1.set(&self.src, v);
+        self.inject(&mut state.1, t);
+    }
+
+    /// The kernel on whatever the workspace holds: `u` from `u_1`, `u_2`.
+    fn run(&mut self) {
+        debug_assert!(boundary_is_zero(self.ws.grid("u")), "stale boundary");
+        run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("primal step");
+    }
+
+    /// Add step `t`'s source sample to `u_{t+1}`.
+    fn inject(&self, u: &mut Grid, t: usize) {
+        u.set(&self.src, u.get(&self.src) + self.source[t]);
     }
 
     /// Step through the whole time loop (one step per source sample),
-    /// keeping every state: `u_0 .. u_steps` — one grid clone per step,
-    /// the trajectory entry.
-    fn trajectory(&mut self) -> Vec<Grid> {
+    /// keeping every state: `u_0 .. u_steps`, written over `traj`'s grids
+    /// when it is a trajectory this stepper filled before and into fresh
+    /// zeroed ones otherwise. Step `t` lends `u_{t−1}`, `u_t`, `u_{t+1}` to
+    /// the workspace and takes them back, under [`Stepper::step`]'s
+    /// invariant: an entry's interior is assigned in full, its boundary was
+    /// never anything but zero. `u_0` and `u_{−1}` (the workspace's own
+    /// `u_2`, never lent out) are the zero initial condition, never written.
+    fn trajectory(&mut self, mut traj: Vec<Grid>) -> Vec<Grid> {
         let (steps, dims) = (self.source.len(), self.ws.grid("u").dims().to_vec());
         let _span = perforad_obs::span!(
             "seismic.forward", "seismic", "steps" => steps as u64, "n" => dims[0] as u64
         );
-        let mut traj = Vec::with_capacity(steps + 1);
-        traj.push(Grid::zeros(&dims));
-        let mut state: WaveState = (Grid::zeros(&dims), Grid::zeros(&dims));
+        if traj.len() != steps + 1 {
+            traj = (0..=steps).map(|_| Grid::zeros(&dims)).collect();
+        }
+        let (u_0, u_m1) = (&traj[0], self.ws.grid("u_2"));
+        debug_assert!(
+            u_0.norm2() + u_m1.norm2() == 0.0,
+            "initial condition overwritten"
+        );
         for t in 0..steps {
-            self.step(&mut state, t);
-            traj.push(state.1.clone());
+            let window = &mut traj[t.saturating_sub(1)..t + 2];
+            let names = &["u_2", "u_1", "u"][3 - window.len()..];
+            // Lends the window on the first call, takes it back on the second.
+            let mut exchange = |ws: &mut Workspace| {
+                let pairs = names.iter().zip(window.iter_mut());
+                pairs.for_each(|(name, grid)| swap(ws.grid_mut(name), grid));
+            };
+            exchange(&mut self.ws);
+            self.run();
+            exchange(&mut self.ws);
+            self.inject(&mut traj[t + 1], t);
         }
         traj
     }
@@ -222,7 +263,7 @@ pub fn forward(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Vec<Grid> {
     // A serial drive never enters the pool it is handed.
     let mut stepper = Stepper::new(cfg, c, &serial, default_pool());
     stepper.set_source(source);
-    stepper.trajectory()
+    stepper.trajectory(Vec::new())
 }
 
 /// `J = ½ ‖u − d‖²`.
@@ -371,15 +412,23 @@ impl Rolling {
 
 /// The dense reference sweep on one shot state: materializes the full
 /// trajectory (memory grows linearly with `steps`), then reverses it
-/// through the same [`Rolling`] window the checkpointed sweep uses.
+/// through the same [`Rolling`] window the checkpointed sweep uses. A plan
+/// shorter than [`CKPT_THRESHOLD_STEPS`] leaves the trajectory's grids in
+/// the shot state for its next run to write over; a longer one (forced to
+/// store-all) drops them: `steps + 1` resident grids per idle shot state is
+/// the memory that threshold exists to bound.
 fn store_all_core(cfg: &SeismicConfig, data: &Grid, state: &mut ShotState<'_>) -> (f64, Grid) {
     let (stepper, sweep) = state;
-    let mut traj = stepper.trajectory();
+    let kept = std::mem::take(&mut stepper.traj);
+    let mut traj = stepper.trajectory(kept);
     let mut rolling = Rolling::new(&[cfg.n, cfg.n, cfg.n]);
     rolling.seed(&traj[cfg.steps], data);
     // Step t produced u_t from u_1 = u_{t-1}.
     for t in (1..=cfg.steps).rev() {
         rolling.back(sweep, &mut traj[t - 1]);
+    }
+    if cfg.steps < CKPT_THRESHOLD_STEPS {
+        stepper.traj = traj;
     }
     (rolling.j, rolling.c_b)
 }
@@ -938,6 +987,61 @@ mod tests {
             assert!(report.peak_snapshots <= budget);
             assert_eq!(report.budget, budget.min(cfg.steps));
         }
+    }
+
+    /// A kept trajectory is scratch: whatever a warm run finds in it — here
+    /// NaN at every interior point of every entry a run writes, with the
+    /// boundary left zero — the run assigns all of it before reading any.
+    #[test]
+    fn poisoned_kept_trajectory_changes_no_bit_of_the_next_run() {
+        let cfg = SeismicConfig {
+            n: 8,
+            steps: 7,
+            d: 0.1,
+        };
+        let src = ricker(cfg.steps);
+        let c0 = velocity(cfg.n);
+        let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.04);
+        let mut batch = ShotBatch::new();
+        batch.push(src.clone(), forward(&cfg, &c_true, &src)[cfg.steps].clone());
+        let pool = ThreadPool::new(1);
+        let mut plan = BatchPlan::new(&cfg, &c0, &BatchOptions::default(), &pool);
+        let first = plan.run(&batch);
+
+        let idle = plan.idle.get_mut().unwrap();
+        assert_eq!(idle.len(), 1, "one warmed shot state");
+        let traj = &mut idle[0].0.traj;
+        assert_eq!(traj.len(), cfg.steps + 1, "the trajectory stayed");
+        let interior = |ix: &[usize]| ix.iter().all(|&i| (1..cfg.n - 1).contains(&i));
+        for u in &mut traj[1..] {
+            *u = Grid::from_fn(&[cfg.n; 3], |ix| if interior(ix) { f64::NAN } else { 0.0 });
+        }
+
+        let second = plan.run(&batch);
+        assert!(first.misfits[0] > 0.0 && first.gradients[0].norm2() > 0.0);
+        assert_eq!(second.misfits[0].to_bits(), first.misfits[0].to_bits());
+        let pairs = second.gradients[0]
+            .as_slice()
+            .iter()
+            .zip(first.gradients[0].as_slice());
+        for (a, b) in pairs {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+
+        // At the threshold a forced store-all run keeps nothing resident.
+        let long = SeismicConfig {
+            steps: CKPT_THRESHOLD_STEPS,
+            ..cfg
+        };
+        let mut batch = ShotBatch::new();
+        batch.push(ricker(long.steps), Grid::zeros(&[cfg.n; 3]));
+        let opts = BatchOptions {
+            checkpointed: Some(false),
+            ..BatchOptions::default()
+        };
+        let mut plan = BatchPlan::new(&long, &c0, &opts, &pool);
+        plan.run(&batch);
+        assert!(plan.idle.get_mut().unwrap()[0].0.traj.is_empty());
     }
 
     #[test]

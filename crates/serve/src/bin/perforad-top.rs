@@ -193,6 +193,17 @@ fn render(stats: &Value, rate: f64) {
         hist_field(lat, "count") as u64,
     );
 
+    // The wire's share of that latency: JSON both ways, and frame bytes.
+    let metrics = stats.get("metrics");
+    let wire = |name: &str| metrics.and_then(|m| m.get("histograms")?.get(name));
+    println!(
+        "wire      decode p50 {}  encode p50 {}  in {} B  out {} B",
+        fmt_ns(hist_field(wire("serve.decode_ns"), "p50")),
+        fmt_ns(hist_field(wire("serve.encode_ns"), "p50")),
+        stats_counter(stats, "serve.frame_bytes_in"),
+        stats_counter(stats, "serve.frame_bytes_out"),
+    );
+
     let injected = stats
         .get("faults")
         .and_then(|f| f.get("injected_total"))

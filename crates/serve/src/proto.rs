@@ -1,15 +1,19 @@
 //! The wire protocol: length-prefixed JSON frames.
 //!
 //! Each message is one frame — a big-endian `u32` byte count followed by
-//! that many bytes of UTF-8 JSON. The JSON side reuses the workspace's
+//! that many bytes of UTF-8 JSON — and leaves in **one** write, prefix and
+//! payload together ([`write_frame`]). The JSON side reuses the workspace's
 //! hand-rolled reader (`perforad_tune::json`); the writer lives here.
 //!
 //! Floats cross the wire **bitwise-intact**, the property `tests/serve.rs`
 //! pins, in one of two forms. A *bulk array* (a source trace, a grid, a
 //! gradient) is written as one JSON string of 16 lowercase hex digits per
 //! value — the IEEE-754 bits, `"3ff0000000000000"` is `[1.0]` — which is
-//! 16 bytes per value and costs a table lookup, not a decimal conversion,
-//! on either side. The reader also accepts the plain JSON number array a
+//! 16 bytes per value and costs little more than copying them: a byte →
+//! two-digit table on the way out; on the way in the closing quote found
+//! eight bytes at a time, then eight digits per `u64` decoded in registers
+//! and checked by re-encoding (≈ 3 and ≈ 7 ns a value; a digit at a time
+//! was 15 and 17). The reader also accepts the plain JSON number array a
 //! hand-written client sends (`[1.0]`); there is no version field and no
 //! negotiation, the two forms are told apart by their JSON type. A
 //! *scalar* (`misfit`, `d`, a stencil parameter) is a JSON number printed
@@ -36,6 +40,17 @@ pub const MAX_FRAME: usize = 64 << 20;
 const HEX_PER_VALUE: usize = 16;
 const DIGITS: &[u8; 16] = b"0123456789abcdef";
 
+/// `HEX[b]` is byte `b` as two lowercase hex digits.
+const HEX: [[u8; 2]; 256] = {
+    let mut table = [[0_u8; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
+        b += 1;
+    }
+    table
+};
+
 /// The longest bulk `f64` array one frame carries, leaving 64 KiB for the
 /// envelope around it (field names, scalars, a trace rollup).
 pub(crate) const MAX_FRAME_VALUES: usize = (MAX_FRAME - (64 << 10)) / HEX_PER_VALUE;
@@ -47,7 +62,9 @@ fn oversize(len: usize) -> String {
     )
 }
 
-/// Write one `u32`-BE length-prefixed frame and flush.
+/// Write one `u32`-BE length-prefixed frame and flush. Prefix and payload
+/// leave in one `write_all`: on a stream socket two writes wake the peer
+/// for four bytes, and on TCP the second waits out the first's delayed ACK.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME {
@@ -56,8 +73,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
             oversize(bytes.len()),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -245,14 +264,22 @@ fn push_f64(out: &mut String, v: f64) {
 
 /// One JSON string, 16 lowercase hex digits (the IEEE-754 bits, most
 /// significant first) per value. Non-finite values are written as they
-/// are; [`f64_array`] refuses them on the way in.
+/// are; [`f64_array`] refuses them on the way in. Digits are looked up a
+/// byte at a time and appended a block at a time: one ASCII check and one
+/// copy per block, not per value.
 fn push_f64_array(out: &mut String, xs: &[f64]) {
+    const BLOCK: usize = 64;
+    out.reserve(HEX_PER_VALUE * xs.len() + 2);
     out.push('"');
-    for v in xs {
-        let bits = v.to_bits();
-        let hex: [u8; HEX_PER_VALUE] =
-            std::array::from_fn(|i| DIGITS[(bits >> (60 - 4 * i)) as usize & 0xf]);
-        out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
+    let mut block = [0_u8; HEX_PER_VALUE * BLOCK];
+    for values in xs.chunks(BLOCK) {
+        let run = &mut block[..HEX_PER_VALUE * values.len()];
+        for (digits, v) in run.chunks_exact_mut(HEX_PER_VALUE).zip(values) {
+            for (pair, byte) in digits.chunks_exact_mut(2).zip(v.to_bits().to_be_bytes()) {
+                pair.copy_from_slice(&HEX[byte as usize]);
+            }
+        }
+        out.push_str(std::str::from_utf8(run).expect("hex digits are ASCII"));
     }
     out.push('"');
 }
@@ -536,17 +563,31 @@ fn opt_value(v: &Value, key: &str) -> Option<Value> {
     }
 }
 
-/// `NIBBLE[c]` is the value of the hex digit `c`, `0xff` for every byte
-/// outside `0-9a-f`.
-const NIBBLE: [u8; 256] = {
-    let mut table = [0xff_u8; 256];
-    let mut i = 0;
-    while i < 16 {
-        table[DIGITS[i] as usize] = i as u8;
-        i += 1;
+/// The value of eight hex digits at once (`word` holds them, the first in
+/// its top byte); `None` unless each is in `0-9a-f`. A digit's value is its
+/// low nibble, plus 9 for a letter (bit 6). Every byte yields *some* nibble
+/// that way, so the nibbles are written back as digits and compared with
+/// the input — only what this codec writes survives — before three
+/// shift-and-mask rounds close the gaps between them. No sum leaves its byte.
+fn hex_word(word: u64) -> Option<u64> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let letters = (word >> 6) & ONES;
+    let nibbles = ((word & (0x0f * ONES)) + 9 * letters) & (0x0f * ONES);
+    let past_nine = ((nibbles + 6 * ONES) >> 4) & ONES;
+    if nibbles + u64::from(b'0') * ONES + u64::from(b'a' - b'9' - 1) * past_nine != word {
+        return None;
     }
-    table
-};
+    let bytes = (nibbles | nibbles >> 4) & 0x00ff_00ff_00ff_00ff;
+    let halves = (bytes | bytes >> 8) & 0x0000_ffff_0000_ffff;
+    Some((halves | halves >> 16) & 0xffff_ffff)
+}
+
+/// The bits 16 digits spell, `None` for any digit outside `0-9a-f`.
+fn hex_value(digits: &[u8; HEX_PER_VALUE]) -> Option<u64> {
+    let (hi, lo) = digits.split_at(8);
+    let word = |half: &[u8]| u64::from_be_bytes(half.try_into().expect("eight digits"));
+    Some(hex_word(word(hi))? << 32 | hex_word(word(lo))?)
+}
 
 /// A bulk array in either wire form: the hex string [`push_f64_array`]
 /// writes, or a plain array of JSON numbers. `None` for anything else —
@@ -570,16 +611,7 @@ fn f64_array(v: &Value) -> Option<Vec<f64>> {
     }
     let mut out = Vec::with_capacity(hex.len() / HEX_PER_VALUE);
     for digits in hex.chunks_exact(HEX_PER_VALUE) {
-        // Branch-free over the 16 digits: any 0xff leaves a high bit in `seen`.
-        let (mut bits, mut seen) = (0_u64, 0_u8);
-        for &d in digits {
-            let nibble = NIBBLE[d as usize];
-            seen |= nibble;
-            bits = bits << 4 | u64::from(nibble & 0xf);
-        }
-        if seen > 0xf {
-            return None;
-        }
+        let bits = hex_value(digits.try_into().expect("sixteen digits"))?;
         out.push(Some(f64::from_bits(bits)).filter(finite)?);
     }
     Some(out)
@@ -765,6 +797,8 @@ pub fn write_value(out: &mut String, v: &Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perforad_exec::fnv1a64;
+    use perforad_obs::fault::xorshift64;
 
     /// Finite values whose bits a careless writer loses: signed zeros,
     /// non-terminating decimals, both ends of the exponent range,
@@ -876,6 +910,250 @@ mod tests {
             "{\"type\":\"gradient\",\"misfit\":1,\"gradient\":\"7ff0000000000000\"}"
         )
         .is_err());
+    }
+
+    /// A fixed n = 8 `Gradient` exchange: xorshift-drawn finite values,
+    /// every optional field present.
+    fn fixed_exchange() -> (Request, Reply) {
+        let mut state = 0x5EED_0022_u64;
+        let mut draw = |n: usize, scale: f64| -> Vec<f64> {
+            let unit = |s: &mut u64| (xorshift64(s) >> 11) as f64 / (1u64 << 53) as f64;
+            (0..n).map(|_| scale * (unit(&mut state) - 0.5)).collect()
+        };
+        let request = Request::Gradient(GradientRequest {
+            fingerprint: "00ab12cd34ef5678".into(),
+            source: draw(10, 1.0),
+            observed: draw(512, 1e-3),
+            deadline_ms: Some(250),
+            trace: true,
+        });
+        let reply = Reply::Gradient(GradientReply {
+            misfit: 0.1 + draw(1, 1.0)[0],
+            gradient: draw(512, 1e3),
+            checkpointed: false,
+            request_id: 7,
+            trace: None,
+        });
+        (request, reply)
+    }
+
+    /// Recorded at the parent of the table-driven codec (PR 19's tree): the
+    /// frames a `Gradient` exchange puts on the wire, byte for byte.
+    const GOLDEN_REQUEST_DIGEST: u64 = 0xe8de_c408_057b_022f;
+    const GOLDEN_REPLY_DIGEST: u64 = 0xe72f_f102_1113_a2b8;
+
+    #[test]
+    fn wire_bytes_of_a_gradient_exchange_are_pinned() {
+        let (request, reply) = fixed_exchange();
+        let (request, reply) = (request.to_json(), reply.to_json());
+        assert_eq!(request.len(), 16 * 522 + 109, "{}", &request[..64]);
+        let got = (fnv1a64(request.as_bytes()), fnv1a64(reply.as_bytes()));
+        assert_eq!(
+            got,
+            (GOLDEN_REQUEST_DIGEST, GOLDEN_REPLY_DIGEST),
+            "request {:#018x}, reply {:#018x}",
+            got.0,
+            got.1
+        );
+    }
+
+    /// The codec this one replaced, kept as the oracle: one digit at a time
+    /// on the way out, one nibble at a time on the way in.
+    fn reference_push_f64_array(out: &mut String, xs: &[f64]) {
+        out.push('"');
+        for v in xs {
+            let bits = v.to_bits();
+            let hex: [u8; HEX_PER_VALUE] =
+                std::array::from_fn(|i| DIGITS[(bits >> (60 - 4 * i)) as usize & 0xf]);
+            out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
+        }
+        out.push('"');
+    }
+
+    fn hex_digits(bits: u64) -> [u8; HEX_PER_VALUE] {
+        format!("{bits:016x}").into_bytes().try_into().unwrap()
+    }
+
+    fn reference_hex_value(digits: &[u8; HEX_PER_VALUE]) -> Option<u64> {
+        let mut bits = 0_u64;
+        for &d in digits {
+            let nibble = DIGITS.iter().position(|&c| c == d)?;
+            bits = bits << 4 | nibble as u64;
+        }
+        Some(bits)
+    }
+
+    /// Bit patterns a float codec meets: the special ones, then xorshift.
+    fn bit_patterns(n: usize) -> Vec<f64> {
+        let special = [
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xffff_ffff_ffff_ffff),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        let mut state = 0x5EED_C0DE_u64;
+        let random = (0..n).map(|_| f64::from_bits(xorshift64(&mut state)));
+        special.into_iter().chain(random).collect()
+    }
+
+    #[test]
+    fn encoder_writes_the_reference_bytes_for_every_bit_pattern() {
+        let values = bit_patterns(100_000);
+        // Whole blocks, a ragged last block, a lone value, nothing.
+        for xs in [&values[..], &values[..64], &values[..65], &values[..1], &[]] {
+            let (mut got, mut want) = (String::new(), String::new());
+            push_f64_array(&mut got, xs);
+            reference_push_f64_array(&mut want, xs);
+            assert!(got == want, "{} values encode differently", xs.len());
+        }
+    }
+
+    #[test]
+    fn decoder_agrees_with_the_reference_on_every_byte_and_on_mutations() {
+        let valid = hex_digits(0x0123_4567_89ab_cdef);
+        let agree = |digits: &[u8; HEX_PER_VALUE]| {
+            let (got, want) = (hex_value(digits), reference_hex_value(digits));
+            assert_eq!(got, want, "{:?}", String::from_utf8_lossy(digits));
+            got
+        };
+        assert_eq!(agree(&valid), Some(0x0123_4567_89ab_cdef));
+        let mut accepted = 0;
+        for at in 0..HEX_PER_VALUE {
+            for byte in 0..=255_u8 {
+                let mut digits = valid;
+                digits[at] = byte;
+                accepted += agree(&digits).is_some() as usize;
+            }
+        }
+        assert_eq!(accepted, 16 * HEX_PER_VALUE, "exactly 0-9a-f at each place");
+
+        let mut state = 0x5EED_DEC0_u64;
+        for round in 0..10_000 {
+            let mut digits = hex_digits(xorshift64(&mut state));
+            for _ in 0..1 + round % 2 {
+                let r = xorshift64(&mut state);
+                digits[r as usize % HEX_PER_VALUE] = (r >> 8) as u8;
+            }
+            agree(&digits);
+        }
+    }
+
+    /// What a [`Write`] was asked to do: the buffer of each `write` call.
+    struct Recorder {
+        calls: Vec<Vec<u8>>,
+        /// Bytes accepted per call.
+        accept: usize,
+    }
+
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.accept);
+            self.calls.push(buf[..n].to_vec());
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let payload = Reply::Busy { retry_after_ms: 40 }.to_json();
+        let mut framed = (payload.len() as u32).to_be_bytes().to_vec();
+        framed.extend_from_slice(payload.as_bytes());
+
+        let mut whole = Recorder {
+            calls: Vec::new(),
+            accept: usize::MAX,
+        };
+        write_frame(&mut whole, &payload).unwrap();
+        assert_eq!(whole.calls, [framed.clone()], "prefix and payload together");
+
+        // A writer that takes a byte at a time still gets every byte, in order.
+        let mut trickle = Recorder {
+            calls: Vec::new(),
+            accept: 1,
+        };
+        write_frame(&mut trickle, &payload).unwrap();
+        assert_eq!(trickle.calls.len(), framed.len());
+        assert_eq!(trickle.calls.concat(), framed);
+        assert_eq!(read_frame(&mut &framed[..]).unwrap(), payload);
+
+        // Refused before anything is written.
+        let mut refused = Recorder {
+            calls: Vec::new(),
+            accept: usize::MAX,
+        };
+        let err = write_frame(&mut refused, &" ".repeat(MAX_FRAME + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(refused.calls.is_empty());
+    }
+
+    /// Every bulk value a decoded `Gradient` frame carries (a mutated one
+    /// that decodes as anything else — `stats`, `ok` — carries none).
+    fn request_values(r: &Request) -> Vec<f64> {
+        match r {
+            Request::Gradient(g) => [&g.source[..], &g.observed[..]].concat(),
+            _ => Vec::new(),
+        }
+    }
+
+    fn reply_values(r: &Reply) -> Vec<f64> {
+        match r {
+            Reply::Gradient(g) => g.gradient.clone(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Seeded mutations of a valid exchange through both decoders: whatever
+    /// the bytes, a decoder returns, and every bulk value it accepts is
+    /// finite. (Scalars are another matter: `"misfit":1e999` is a JSON
+    /// number that parses to infinity, and `Reply::from_json` has always
+    /// let it through — found here, left as it was.)
+    #[test]
+    fn mutated_frames_never_panic_and_never_decode_to_a_non_finite_value() {
+        let (request, reply) = fixed_exchange();
+        let frames = [request.to_json(), reply.to_json()];
+        let mut state = 0x5EED_F022_u64;
+        let (mut accepted, mut refused) = (0, 0);
+        for round in 0..10_000 {
+            let mut bytes = frames[round % 2].clone().into_bytes();
+            for _ in 0..1 + round % 3 {
+                let r = xorshift64(&mut state);
+                // Half the mutations land in the envelope, not the hex runs.
+                let span = if r & 1 == 0 { bytes.len() } else { 72 };
+                let at = ((r >> 8) as usize % span).min(bytes.len().saturating_sub(1));
+                match (r >> 1) % 4 {
+                    0 => bytes[at] ^= 1 << ((r >> 40) % 8),
+                    1 => bytes.insert(at, (r >> 40) as u8),
+                    2 => drop(bytes.remove(at)),
+                    _ => bytes.truncate(at),
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            // `read_frame` refuses what is not UTF-8 before a decoder sees it.
+            let text = String::from_utf8_lossy(&bytes);
+            let values = match (Request::from_json(&text), Reply::from_json(&text)) {
+                (Ok(request), _) => request_values(&request),
+                (_, Ok(reply)) => reply_values(&reply),
+                _ => {
+                    refused += 1;
+                    continue;
+                }
+            };
+            accepted += 1;
+            assert!(values.iter().all(|v| v.is_finite()), "round {round}");
+        }
+        // The mutations are neither all fatal nor all harmless.
+        assert!(accepted > 100 && refused > 100, "{accepted} / {refused}");
     }
 
     #[test]

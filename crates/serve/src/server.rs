@@ -18,8 +18,8 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Where a server listens (and a client connects).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -148,6 +148,14 @@ impl Write for Conn {
 }
 
 impl Conn {
+    /// A TCP connection with `TCP_NODELAY` set (best effort: it is a latency
+    /// setting). A frame is one write and the next thing either side does
+    /// is read — nothing for Nagle to coalesce, only a frame to hold back.
+    fn tcp(s: TcpStream) -> Conn {
+        let _ = s.set_nodelay(true);
+        Conn::Tcp(s)
+    }
+
     /// Arm read and write timeouts (`None` clears them). A zero duration
     /// is invalid to the OS, so it is treated as "no timeout".
     pub fn set_timeouts(&self, timeout: Option<Duration>) -> io::Result<()> {
@@ -176,7 +184,7 @@ pub fn connect(endpoint: &Endpoint) -> io::Result<Conn> {
             io::ErrorKind::Unsupported,
             format!("no Unix sockets on this platform: {}", p.display()),
         )),
-        Endpoint::Tcp(a) => TcpStream::connect(a.as_str()).map(Conn::Tcp),
+        Endpoint::Tcp(a) => TcpStream::connect(a.as_str()).map(Conn::tcp),
     }
 }
 
@@ -191,7 +199,7 @@ impl Listener {
         match self {
             #[cfg(unix)]
             Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::tcp(s)),
         }
     }
 }
@@ -379,7 +387,25 @@ pub fn serve(opts: &ServeOptions) -> io::Result<()> {
     Server::bind(opts)?.run()
 }
 
+/// The wire's share of a request, beside the engine's `serve.request_ns`:
+/// `serve.decode_ns` / `serve.encode_ns` time `Request::from_json` /
+/// `Reply::to_json`, `serve.frame_bytes_in` / `_out` count whole frames,
+/// prefix included — all recorded before the reply is written, so a client
+/// holding a reply can read its request's cost. Resolved once per process.
+type WireMetrics = ([perforad_obs::Histogram; 2], [perforad_obs::Counter; 2]);
+
+fn wire_metrics() -> &'static WireMetrics {
+    static M: OnceLock<WireMetrics> = OnceLock::new();
+    M.get_or_init(|| {
+        (
+            ["serve.decode_ns", "serve.encode_ns"].map(perforad_obs::histogram),
+            ["serve.frame_bytes_in", "serve.frame_bytes_out"].map(perforad_obs::counter),
+        )
+    })
+}
+
 fn handle_conn(engine: Arc<Engine>, stop: Arc<AtomicBool>, endpoint: Endpoint, mut conn: Conn) {
+    let ([decode_ns, encode_ns], [bytes_in, bytes_out]) = wire_metrics();
     loop {
         // Injected frame faults take the exact same exits as the real
         // failures they stand in for: a read fault is a truncated frame
@@ -394,7 +420,11 @@ fn handle_conn(engine: Arc<Engine>, stop: Arc<AtomicBool>, endpoint: Endpoint, m
             // connection is done; the server is not.
             Err(_) => return,
         };
-        let (reply, is_shutdown) = match Request::from_json(&payload) {
+        bytes_in.add(4 + payload.len() as u64);
+        let t = Instant::now();
+        let decoded = Request::from_json(&payload);
+        decode_ns.record(t.elapsed().as_nanos() as u64);
+        let (reply, is_shutdown) = match decoded {
             Err(msg) => (Reply::Error(msg), false),
             Ok(req) => {
                 let is_shutdown = matches!(req, Request::Shutdown);
@@ -407,8 +437,11 @@ fn handle_conn(engine: Arc<Engine>, stop: Arc<AtomicBool>, endpoint: Endpoint, m
                 (reply, is_shutdown)
             }
         };
-        if fault::should_fail("serve.frame.write")
-            || proto::write_frame(&mut conn, &reply.to_json()).is_err()
+        let t = Instant::now();
+        let reply = reply.to_json();
+        encode_ns.record(t.elapsed().as_nanos() as u64);
+        bytes_out.add(4 + reply.len() as u64);
+        if fault::should_fail("serve.frame.write") || proto::write_frame(&mut conn, &reply).is_err()
         {
             return;
         }

@@ -86,7 +86,7 @@ impl std::error::Error for ParseError {}
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(text, &mut pos)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters after document"));
@@ -116,13 +116,14 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_value(text: &str, pos: &mut usize) -> Result<Value, ParseError> {
+    let b = text.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+        Some(b'{') => parse_object(text, pos),
+        Some(b'[') => parse_array(text, pos),
+        Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
@@ -139,7 +140,8 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, Pa
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_object(text: &str, pos: &mut usize) -> Result<Value, ParseError> {
+    let b = text.as_bytes();
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -149,10 +151,10 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
     loop {
         skip_ws(b, pos);
-        let key = parse_string(b, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(text, pos)?;
         fields.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -166,7 +168,8 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_array(text: &str, pos: &mut usize) -> Result<Value, ParseError> {
+    let b = text.as_bytes();
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -175,7 +178,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(text, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -188,7 +191,31 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
+/// Length of the run of plain string bytes at the head of `b`: up to the
+/// first `"` or `\`, or all of `b`. Eight bytes a step — XOR turns the byte
+/// sought into zero, and `(v - 0x01…) & !v & 0x80…` has its lowest set bit
+/// in the first zero byte of `v` (a borrow only travels upward, so with a
+/// little-endian load nothing before the first hit is flagged).
+fn plain_run(b: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let zero_bytes = |v: u64| v.wrapping_sub(ONES) & !v & (ONES << 7);
+    let (quotes, escapes) = (ONES * u64::from(b'"'), ONES * u64::from(b'\\'));
+    let mut at = 0;
+    for word in b.chunks_exact(8) {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let hits = zero_bytes(w ^ quotes) | zero_bytes(w ^ escapes);
+        if hits != 0 {
+            return at + hits.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    let tail = &b[at..];
+    let end = tail.iter().position(|&c| c == b'"' || c == b'\\');
+    at + end.unwrap_or(tail.len())
+}
+
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, ParseError> {
+    let b = text.as_bytes();
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
@@ -229,17 +256,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
             }
             Some(_) => {
                 // Consume the whole run up to the next quote or escape in
-                // one copy (the input is a &str and both delimiters are
-                // ASCII, so the run ends on a character boundary) — a
-                // serve frame's hex float array is one 16-bytes-per-value
-                // run.
-                let rest = &b[*pos..];
-                let run = rest
-                    .iter()
-                    .position(|&c| c == b'"' || c == b'\\')
-                    .unwrap_or(rest.len());
-                let chunk =
-                    std::str::from_utf8(&rest[..run]).map_err(|_| err(*pos, "invalid UTF-8"))?;
+                // one copy — a serve frame's hex float array is one
+                // 16-bytes-per-value run. It is a slice of the `&str`: it
+                // starts after an ASCII byte and ends before one (or at the
+                // end), on character boundaries, so no UTF-8 is re-checked.
+                let run = plain_run(&b[*pos..]);
+                let chunk = text
+                    .get(*pos..*pos + run)
+                    .ok_or_else(|| err(*pos, "invalid UTF-8"))?;
                 out.push_str(chunk);
                 *pos += run;
             }
@@ -307,6 +331,58 @@ mod tests {
             let v = parse(&escape(s)).unwrap();
             assert_eq!(v.as_str(), Some(s), "{s:?}");
         }
+    }
+
+    /// The scan [`plain_run`] replaced: one byte at a time.
+    fn reference_plain_run(b: &[u8]) -> usize {
+        let end = b.iter().position(|&c| c == b'"' || c == b'\\');
+        end.unwrap_or(b.len())
+    }
+
+    #[test]
+    fn plain_run_stops_where_the_byte_scan_does_at_every_offset_and_alignment() {
+        // One delimiter (or a two-byte character, which is none) after
+        // `offset` plain bytes, `align` bytes into an eight-byte word.
+        for special in ["\"", "\\", "é", "€", ""] {
+            for offset in 0..=24 {
+                for align in 0..8 {
+                    let text = format!(
+                        "{}{}{special}{}\"tail\\",
+                        "\"".repeat(align),
+                        "0123456789abcdefghijklmnopqrstuvwxyz"
+                            .get(..offset)
+                            .unwrap(),
+                        "x".repeat(offset % 5),
+                    );
+                    let run = &text.as_bytes()[align..];
+                    let (got, want) = (plain_run(run), reference_plain_run(run));
+                    assert_eq!(got, want, "{special:?} at {offset}, alignment {align}");
+                    assert!(text.is_char_boundary(align + got), "sliceable as a `&str`");
+                }
+            }
+        }
+        assert_eq!(plain_run(b""), 0);
+        assert_eq!(plain_run(&[0x80; 19]), 19, "high bytes are plain");
+        // So are a delimiter's neighbours, and a delimiter with its top bit set.
+        assert_eq!(plain_run(&[0x21, 0x23, 0x5b, 0x5d, 0xa2, 0xdc, b'"']), 6);
+    }
+
+    #[test]
+    fn strings_with_multibyte_characters_and_escapes_parse_at_every_offset() {
+        for offset in 0..=24 {
+            let plain = "0123456789abcdefghijklmnopqrstuvwxyz"
+                .get(..offset)
+                .unwrap();
+            for (written, read) in [("é", "é"), ("\\\"", "\""), ("\\\\", "\\"), ("\\u00e9", "é")]
+            {
+                let doc = format!("{{\"k\":\"{plain}{written}{plain}\"}}");
+                let v = parse(&doc).unwrap();
+                let want = format!("{plain}{read}{plain}");
+                assert_eq!(v.get("k").unwrap().as_str(), Some(want.as_str()), "{doc}");
+            }
+        }
+        // A `\u` escape cut short by a multi-byte character is an error.
+        assert!(parse("\"\\u00é\"").is_err());
     }
 
     #[test]

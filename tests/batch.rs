@@ -14,6 +14,7 @@ use perforad::exec::{Binding, Grid, Lowering, ThreadPool, Workspace};
 use perforad::obs::{counter, fault};
 use perforad::pde::seismic::{
     forward, ricker, BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend,
+    CKPT_THRESHOLD_STEPS,
 };
 use perforad::pde::{wave3d, BatchStrategy};
 use perforad::tune::{autotune_adjoint, Measure, TimeLoop, TuneOptions};
@@ -318,10 +319,15 @@ fn golden_digest_pins_the_gradient_bits_across_sweeps_and_strategies() {
         ),
     ];
     for (tag, opts, pool) in runs {
-        let res = BatchPlan::new(&cfg, &c0, &opts, pool).run(&batch);
-        assert!(res.misfits[0] > 0.0 && res.gradients[0].norm2() > 0.0);
-        let got = digest(res.misfits[0], &res.gradients[0]);
-        assert_eq!(got, GOLDEN_SHOT_DIGEST, "{tag}: digest {got:#018x}");
+        let plan = BatchPlan::new(&cfg, &c0, &opts, pool);
+        // Twice: a warm store-all run writes its trajectory over the one
+        // the first run left in the shot state.
+        for run in ["cold", "warm"] {
+            let res = plan.run(&batch);
+            assert!(res.misfits[0] > 0.0 && res.gradients[0].norm2() > 0.0);
+            let got = digest(res.misfits[0], &res.gradients[0]);
+            assert_eq!(got, GOLDEN_SHOT_DIGEST, "{tag}, {run}: digest {got:#018x}");
+        }
     }
 }
 
@@ -424,7 +430,7 @@ fn run_bytes(plan: &BatchPlan<'_>, batch: &ShotBatch) -> u64 {
 }
 
 #[test]
-fn time_loop_allocates_the_trajectory_and_a_warm_run_clones_nothing() {
+fn warm_store_all_run_allocates_no_trajectory_below_the_threshold_and_one_per_run_at_it() {
     let _guard = suite_lock();
     let n = 20usize;
     let grid_bytes = (8 * n * n * n) as u64;
@@ -448,34 +454,45 @@ fn time_loop_allocates_the_trajectory_and_a_warm_run_clones_nothing() {
         _ => grid_bytes / 2,
     };
     let mut warm = Vec::new();
-    for steps in [6usize, 7] {
+    for steps in [6usize, 7, CKPT_THRESHOLD_STEPS] {
         let cfg = SeismicConfig { n, steps, d: 0.1 };
         let plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
         let batch = make_batch(&cfg, &c0, 1);
         let cold = run_bytes(&plan, &batch);
         let second = run_bytes(&plan, &batch);
-        // The first run clones the prototype shot state (two workspaces of
-        // 4 + 6 grids and two schedules); the second finds it warm.
-        assert!(
-            cold >= second + 10 * grid_bytes,
-            "{steps} steps: cold run {cold} B, warm run {second} B"
-        );
-        // What a warm store-all run allocates: the trajectory (steps + 1
-        // grids), the cursor state (2), the rolling window and gradient (4)
-        // — and per step the kernel scratch.
-        assert!(
-            second < (steps as u64 + 7) * grid_bytes + steps as u64 * scratch,
-            "{steps} steps: warm run allocates {second} B = {:.2} grids",
-            second as f64 / grid_bytes as f64
-        );
         assert_eq!(second, run_bytes(&plan, &batch), "every warm run alike");
-        warm.push(second);
+        let grids = second as f64 / grid_bytes as f64;
+        if steps < CKPT_THRESHOLD_STEPS {
+            // The first run clones the prototype shot state (two workspaces
+            // of 4 + 6 grids and two schedules) and allocates the trajectory
+            // the shot state then keeps; the second finds both warm.
+            assert!(
+                cold >= second + (steps as u64 + 11) * grid_bytes,
+                "{steps} steps: cold run {cold} B, warm run {second} B"
+            );
+            // What a warm run allocates: the rolling window and the
+            // gradient (4 grids) — and per step the kernel scratch.
+            assert!(
+                second < 5 * grid_bytes + steps as u64 * scratch,
+                "{steps} steps: warm run allocates {second} B = {grids:.2} grids"
+            );
+            warm.push(second);
+        } else {
+            // Forced store-all at the threshold: the trajectory (steps + 1
+            // grids) is this run's own, beside the window and gradient.
+            assert!(cold >= second + 10 * grid_bytes);
+            let trajectory = (steps as u64 + 1) * grid_bytes;
+            assert!(
+                (trajectory + 4 * grid_bytes..trajectory + 6 * grid_bytes + steps as u64 * scratch)
+                    .contains(&second),
+                "{steps} steps: warm run allocates {second} B = {grids:.2} grids"
+            );
+        }
     }
-    // One more time step costs its trajectory entry and kernel scratch —
-    // not the seven grids per step a cloning time loop allocates.
+    // One more time step costs its kernel scratch and no grid.
     let per_step = warm[1] - warm[0];
     assert!(
-        (grid_bytes..grid_bytes + scratch).contains(&per_step),
+        per_step < scratch,
         "one extra step allocates {per_step} B = {:.2} grids",
         per_step as f64 / grid_bytes as f64
     );

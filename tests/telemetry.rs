@@ -393,6 +393,55 @@ fn stats_reply_carries_the_dashboard() {
 }
 
 #[test]
+fn one_served_gradient_is_one_sample_of_the_wire_and_its_two_frames_of_bytes() {
+    let _g = suite_lock();
+    let (server, endpoint) = start_server(false);
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(&endpoint).expect("connect");
+
+    let cfg = test_cfg();
+    let source = ricker(cfg.steps);
+    let fingerprint = client
+        .compile(compile_req(&cfg, false))
+        .expect("compile")
+        .fingerprint;
+    let request = Request::Gradient(GradientRequest {
+        fingerprint,
+        observed: observed(&cfg, &source).as_slice().to_vec(),
+        source,
+        deadline_ms: None,
+        trace: false,
+    });
+
+    // The daemon records a request's wire cost before it writes the reply.
+    let wire = || {
+        let samples = |name| perforad::obs::histogram(name).count();
+        let bytes = |name| perforad::obs::counter(name).get();
+        [
+            samples("serve.decode_ns"),
+            samples("serve.encode_ns"),
+            bytes("serve.frame_bytes_in"),
+            bytes("serve.frame_bytes_out"),
+        ]
+    };
+    let before = wire();
+    let reply = client.roundtrip(&request).expect("round trip");
+    let after = wire();
+    assert!(matches!(reply, Reply::Gradient(_)));
+    let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    let frame = |json: String| json.len() as u64 + 4;
+    assert_eq!(
+        delta,
+        [1, 1, frame(request.to_json()), frame(reply.to_json())],
+        "decode samples, encode samples, bytes in, bytes out"
+    );
+    assert!(perforad::obs::histogram("serve.decode_ns").sum() > 0);
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+}
+
+#[test]
 fn chrome_trace_stays_nested_across_concurrent_workers() {
     let _g = suite_lock();
     perforad::obs::set_enabled(true);
