@@ -79,7 +79,7 @@ fn write_expr(out: &mut String, e: &Expr, ctx: Prec) {
         Node::Sym(s) => out.push_str(s.name()),
         Node::Access(a) => {
             out.push_str(a.array.name());
-            for ix in &a.indices {
+            for ix in a.indices.iter() {
                 let _ = write!(out, "[{}]", c_idx(ix));
             }
         }
@@ -319,7 +319,7 @@ pub fn c_nest(nest: &LoopNest, opts: &COptions, indent: usize) -> String {
             AssignOp::AddAssign => "+=",
         };
         let mut lhs = s.lhs.array.name().to_string();
-        for ix in &s.lhs.indices {
+        for ix in s.lhs.indices.iter() {
             let _ = write!(lhs, "[{}]", c_idx(ix));
         }
         let _ = writeln!(out, "{body_pad}{line}{lhs} {op} {};", c_expr(&s.rhs));

@@ -219,6 +219,8 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
 struct Parser {
     toks: Vec<(usize, Tok)>,
     k: usize,
+    /// Length of the source: where an error at end of input points.
+    end: usize,
 }
 
 impl Parser {
@@ -227,7 +229,7 @@ impl Parser {
     }
 
     fn pos(&self) -> usize {
-        self.toks.get(self.k).map(|(p, _)| *p).unwrap_or(usize::MAX)
+        self.toks.get(self.k).map_or(self.end, |(p, _)| *p)
     }
 
     fn next(&mut self) -> Option<Tok> {
@@ -400,7 +402,8 @@ pub fn expr_to_idx(e: &Expr) -> Option<Idx> {
 /// Parse a standalone expression.
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, k: 0 };
+    let end = src.len();
+    let mut p = Parser { toks, k: 0, end };
     let e = p.expr()?;
     if p.k != p.toks.len() {
         return Err(p.err("trailing input after expression".into()));
@@ -417,7 +420,8 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 /// ```
 pub fn parse_stencil(src: &str) -> Result<LoopNest, ParseError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, k: 0 };
+    let end = src.len();
+    let mut p = Parser { toks, k: 0, end };
     p.expect(&Tok::KwFor, "`for`")?;
     let mut counters: Vec<Symbol> = Vec::new();
     let mut bounds: Vec<Bound> = Vec::new();
@@ -568,5 +572,109 @@ mod tests {
     fn increment_statements() {
         let nest = parse_stencil("for i in 1 .. n-1 { r[i] += u[i]; }").unwrap();
         assert_eq!(nest.body[0].op, perforad_core::AssignOp::AddAssign);
+    }
+
+    /// The three star stencils of the benchmark's `cold_compile` and an
+    /// upwinded Burgers step (calls whose derivatives are comparisons).
+    const CORPUS: [&str; 4] = [
+        "for i in 1 .. n-2 { r[i] = c[i]*(0.5*u[i-1] - 1.25*u[i] + 0.75*u[i+1]); }",
+        "for i in 1 .. n-2, j in 1 .. n-2 { r[i][j] = c[i][j]*(0.5*u[i-1][j] + 0.75*u[i+1][j] \
+         + 1.5*u[i][j-1] + 0.25*u[i][j+1] - 1.25*u[i][j]); }",
+        "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 { r[i][j][k] = c[i][j][k]*(\
+         0.5*u[i-1][j][k] + 0.75*u[i+1][j][k] + 1.5*u[i][j-1][k] + 0.25*u[i][j+1][k] \
+         + 1.75*u[i][j][k-1] + 0.625*u[i][j][k+1] - 1.25*u[i][j][k]); }",
+        "for i in 1 .. n-2 { r[i] = u[i] - C*(max(u[i], 0)*(u[i] - u[i-1]) \
+         + min(u[i], 0)*(u[i+1] - u[i])) + D*(u[i+1] + u[i-1] - 2.0*u[i]); }",
+    ];
+
+    fn xorshift64(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    fn no_zero_coefficient(nest: &LoopNest) {
+        let check = |ix: &Idx| assert!(ix.terms().all(|(_, c)| c != 0), "zero stored in {ix:?}");
+        for b in &nest.bounds {
+            check(&b.lo);
+            check(&b.hi);
+        }
+        for s in &nest.body {
+            s.lhs.indices.iter().for_each(check);
+            for a in perforad_symbolic::visit::accesses(&s.rhs) {
+                a.indices.iter().for_each(check);
+            }
+        }
+    }
+
+    /// Seeded byte mutations of valid stencil texts: whatever the bytes,
+    /// the parser returns; a refusal points inside the text; an accepted
+    /// nest is one `validate` accepts, and the adjoint transformation
+    /// answers it with nests or a `CoreError`, never a panic.
+    #[test]
+    fn mutated_stencils_never_panic_and_refusals_point_into_the_text() {
+        use perforad_core::{validate, ActivityMap, AdjointOptions, BoundaryStrategy};
+        let mut state = 0x5EED_0024_u64;
+        let (mut accepted, mut refused, mut differentiated) = (0, 0, 0);
+        for round in 0..10_000 {
+            let mut bytes = CORPUS[round % 4].as_bytes().to_vec();
+            for _ in 0..1 + round % 3 {
+                let r = xorshift64(&mut state);
+                let at = (r >> 8) as usize % bytes.len();
+                match (r >> 1) % 5 {
+                    // Low bits keep a digit a digit and a letter a letter
+                    // more often than not; an inserted byte is one the
+                    // grammar knows.
+                    0 => bytes[at] ^= 1 << ((r >> 40) % 4),
+                    1 => bytes.insert(at, CORPUS[3].as_bytes()[(r >> 40) as usize % 64]),
+                    2 => drop(bytes.remove(at)),
+                    3 => bytes.truncate(at),
+                    _ => {
+                        // A token of another text, spliced in.
+                        let other = CORPUS[(r >> 40) as usize % 4];
+                        let tokens: Vec<&str> = other.split(' ').collect();
+                        let token = tokens[(r >> 48) as usize % tokens.len()];
+                        bytes.splice(at..at, token.bytes());
+                    }
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let nest = match parse_stencil(&text) {
+                Ok(nest) => nest,
+                Err(e) => {
+                    assert!(e.pos <= text.len(), "round {round}: {e} in {text:?}");
+                    refused += 1;
+                    continue;
+                }
+            };
+            accepted += 1;
+            assert_eq!(validate(&nest), Ok(()), "round {round}: {text:?}");
+            no_zero_coefficient(&nest);
+            let mut act = ActivityMap::new();
+            for array in nest.outputs().into_iter().chain(nest.inputs()) {
+                if array.name() != "c" {
+                    act = act.with_suffixed(array);
+                }
+            }
+            let strategy = [
+                BoundaryStrategy::Disjoint,
+                BoundaryStrategy::Guarded,
+                BoundaryStrategy::Padded,
+            ][round % 3];
+            let opts = AdjointOptions::default().with_strategy(strategy);
+            if let Ok(adj) = nest.adjoint(&act, &opts) {
+                differentiated += 1;
+                adj.nests.iter().for_each(no_zero_coefficient);
+            }
+        }
+        // The mutations are neither all fatal nor all harmless.
+        assert!(
+            accepted > 100 && refused > 100 && differentiated > 100,
+            "{accepted} / {refused} / {differentiated}"
+        );
     }
 }

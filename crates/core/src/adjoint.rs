@@ -12,7 +12,10 @@
 //!
 //! The resulting nests have the same read/write pattern as the primal, can
 //! be parallelised identically, need no atomics, no extra memory and no
-//! barriers between nests (their write sets are disjoint).
+//! barriers between nests (their write sets are disjoint). They are clones
+//! of a few terms — one `Expr` and one written `Access` per term, shared by
+//! every statement split from it — in one `Arc<[LoopNest]>` that whatever is
+//! compiled from the adjoint references instead of copying.
 
 use crate::error::CoreError;
 use crate::nest::{AssignOp, Bound, Guard, LoopNest, Statement};
@@ -21,6 +24,7 @@ use crate::validate::{access_offsets, validate};
 use perforad_symbolic::{diff, subst, visit, Access, DiffVar, Expr, Idx, Symbol};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Maps each *active* primal array to the name of its adjoint counterpart,
 /// like the `{u: u_b, u_1: u_1_b}` dictionary of the PerforAD scripts.
@@ -115,8 +119,8 @@ pub struct AdjointTerm {
 #[derive(Clone, Debug)]
 pub struct Adjoint {
     /// Generated loop nests. Under [`BoundaryStrategy::Disjoint`] their
-    /// iteration spaces are pairwise disjoint.
-    pub nests: Vec<LoopNest>,
+    /// iteration spaces are pairwise disjoint. A schedule shares this list.
+    pub nests: Arc<[LoopNest]>,
     /// Index into `nests` of the core loop nest (absent only if the term
     /// list is empty).
     pub core: Option<usize>,
@@ -180,25 +184,30 @@ impl LoopNest {
         let offsets: Vec<Vec<i64>> = terms.iter().map(|t| t.offset.clone()).collect();
         let required_extent = regions::required_extent(&offsets, self.rank());
         let consumes_seed = self.body.iter().any(|s| s.op == AssignOp::Assign);
+        let counter_ix: Vec<Idx> = self.counters.iter().map(Idx::from).collect();
+        // `adjoint[c]` per term: what every statement split from it writes.
+        let lhs: Vec<Access> = (terms.iter())
+            .map(|t| Access::new(t.adjoint.clone(), counter_ix.clone()))
+            .collect();
 
         let mut nests = Vec::new();
         let mut core = None;
         match opts.strategy {
             BoundaryStrategy::Disjoint => {
                 let regions = regions::split_disjoint(&self.bounds, &offsets);
-                for r in &regions {
+                for r in regions {
                     if r.is_core {
                         core = Some(nests.len());
                     }
-                    nests.push(region_nest(self, &terms, r, opts.merge, false));
+                    nests.push(region_nest(self, &terms, &lhs, r, opts.merge, false));
                 }
             }
             BoundaryStrategy::Guarded => {
                 let (core_r, slabs) = regions::split_guarded(&self.bounds, &offsets);
                 core = Some(0);
-                nests.push(region_nest(self, &terms, &core_r, opts.merge, false));
-                for r in &slabs {
-                    nests.push(region_nest(self, &terms, r, false, true));
+                nests.push(region_nest(self, &terms, &lhs, core_r, opts.merge, false));
+                for r in slabs {
+                    nests.push(region_nest(self, &terms, &lhs, r, false, true));
                 }
             }
             BoundaryStrategy::Padded => {
@@ -209,11 +218,11 @@ impl LoopNest {
                     is_core: true,
                 };
                 core = Some(0);
-                nests.push(region_nest(self, &terms, &r, opts.merge, false));
+                nests.push(region_nest(self, &terms, &lhs, r, opts.merge, false));
             }
         }
         Ok(Adjoint {
-            nests,
+            nests: nests.into(),
             core,
             terms,
             strategy: opts.strategy,
@@ -269,16 +278,15 @@ pub(crate) fn derive_terms(
 fn region_nest(
     primal: &LoopNest,
     terms: &[AdjointTerm],
-    region: &Region,
+    lhs: &[Access],
+    region: Region,
     merge: bool,
     guard_statements: bool,
 ) -> LoopNest {
-    let counter_ix: Vec<Idx> = primal.counters.iter().map(Idx::from).collect();
     let mut body = Vec::with_capacity(region.terms.len());
     for &t in &region.terms {
         let term = &terms[t];
-        let lhs = Access::new(term.adjoint.clone(), counter_ix.clone());
-        let mut stmt = Statement::add_assign(lhs, term.expr.clone());
+        let mut stmt = Statement::add_assign(lhs[t].clone(), term.expr.clone());
         if guard_statements {
             // Guard with the term's valid translated box (all dimensions).
             let ranges = primal
@@ -291,7 +299,7 @@ fn region_nest(
         }
         body.push(stmt);
     }
-    let mut nest = LoopNest::new(primal.counters.clone(), region.bounds.clone(), body);
+    let mut nest = LoopNest::new(primal.counters.clone(), region.bounds, body);
     if merge {
         nest = crate::merge::merge_statements(&nest);
     }
@@ -337,7 +345,7 @@ mod tests {
         assert_eq!(adj.required_extent, vec![2]);
         assert!(adj.consumes_seed);
         // All nests are gather nests.
-        for nest in &adj.nests {
+        for nest in adj.nests.iter() {
             assert!(nest.is_gather());
         }
     }

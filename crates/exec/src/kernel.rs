@@ -332,6 +332,10 @@ pub fn compile_nests_opts(
         let mut stmts = Vec::with_capacity(nest.body.len());
         for s in &nest.body {
             // Write offsets relative to the counters.
+            if s.lhs.indices.len() != rank {
+                let what = format!("write `{}` in a rank-{rank} nest", s.lhs);
+                return Err(ExecError::Unsupported(what));
+            }
             let mut write_offsets = Vec::with_capacity(rank);
             for (d, ix) in s.lhs.indices.iter().enumerate() {
                 let o = ix.is_offset_of(&counters[d]).ok_or_else(|| {
@@ -368,15 +372,11 @@ pub fn compile_nests_opts(
                     Some(ranges)
                 }
             };
-            let mut eff_lo = lo.clone();
-            let mut eff_hi = hi.clone();
-            if let Some(g) = &guard {
-                for d in 0..rank {
-                    eff_lo[d] = eff_lo[d].max(g[d].0);
-                    eff_hi[d] = eff_hi[d].min(g[d].1);
-                }
-            }
-            let never_runs = eff_lo.iter().zip(&eff_hi).any(|(l, h)| l > h);
+            let eff = |d: usize| match &guard {
+                None => (lo[d], hi[d]),
+                Some(g) => (lo[d].max(g[d].0), hi[d].min(g[d].1)),
+            };
+            let never_runs = (0..rank).any(|d| eff(d).0 > eff(d).1);
 
             let rhs_plan = rhs_plans
                 .get_mut(&s.rhs)
@@ -385,8 +385,8 @@ pub fn compile_nests_opts(
             // Only the offsets are remembered: the proof is this
             // statement's, against its own effective bounds.
             if !empty && !never_runs {
-                for d in 0..rank {
-                    let r = (eff_lo[d] + write_offsets[d], eff_hi[d] + write_offsets[d]);
+                for (d, o) in write_offsets.iter().enumerate() {
+                    let r = (eff(d).0 + o, eff(d).1 + o);
                     if let Some(e) = out_of_range(&s.lhs.array, d, r) {
                         return Err(e);
                     }
@@ -397,8 +397,7 @@ pub fn compile_nests_opts(
                             let o = o.ok_or_else(|| {
                                 ExecError::Unsupported(format!("non-stencil access `{a}`"))
                             })?;
-                            if let Some(e) =
-                                out_of_range(&a.array, d, (eff_lo[d] + o, eff_hi[d] + o))
+                            if let Some(e) = out_of_range(&a.array, d, (eff(d).0 + o, eff(d).1 + o))
                             {
                                 return Err(e);
                             }
@@ -790,10 +789,17 @@ mod tests {
         );
 
         let mut scaled = nest_over("w", &u.at(ix![&i]), 1, 5, None);
-        scaled.body[0].lhs.indices = vec![Idx::scaled(i.clone(), 2)];
+        scaled.body[0].lhs.indices = [Idx::scaled(i.clone(), 2)].into();
         assert_eq!(
             compile(std::slice::from_ref(&scaled), false),
             unsupported("non-constant write index `2*i`")
+        );
+
+        let mut short = nest_over("w", &u.at(ix![&i]), 1, 5, None);
+        short.body[0].lhs.indices = [].into();
+        assert_eq!(
+            compile(std::slice::from_ref(&short), false),
+            unsupported("write `w()` in a rank-1 nest")
         );
 
         // A non-stencil read is met by the range proof when there is one…

@@ -578,7 +578,7 @@ mod tests {
                     assert_matches_reference(&adj.nests, &sizes(16), &what);
                     // The primal reads what the adjoint's nests do and
                     // writes what they read: conflicts with every one.
-                    let mut with_primal = adj.nests.clone();
+                    let mut with_primal = adj.nests.to_vec();
                     with_primal.push(star(rank));
                     assert_matches_reference(&with_primal, &sizes(16), &what);
                 }
@@ -594,9 +594,9 @@ mod tests {
         let u = Array::new("u");
         let good = writer(0, 10);
         let mut scaled_write = writer(0, 10);
-        scaled_write.body[0].lhs.indices = vec![Idx::scaled(i.clone(), 2)];
+        scaled_write.body[0].lhs.indices = [Idx::scaled(i.clone(), 2)].into();
         let mut short_write = writer(0, 10);
-        short_write.body[0].lhs.indices.clear();
+        short_write.body[0].lhs.indices = [].into();
         let mut scaled_read = writer(0, 10);
         scaled_read.body[0].rhs = u.at(ix![&i + 1]) + u.at(vec![Idx::scaled(i.clone(), 2)]);
         let mut deep_read = writer(0, 10);

@@ -363,7 +363,8 @@ pub fn compile_schedule_source(
 /// Compile a full adjoint into a fused, tiled schedule, checking the
 /// minimum-extent requirement of the disjoint decomposition (as
 /// [`perforad_exec::compile_adjoint`] does) and honouring the padded
-/// boundary strategy.
+/// boundary strategy. The schedule's `source` is the adjoint's own nest
+/// list, shared.
 pub fn compile_schedule(
     adj: &Adjoint,
     ws: &Workspace,
@@ -372,7 +373,7 @@ pub fn compile_schedule(
 ) -> Result<Schedule, SchedError> {
     perforad_exec::check_adjoint_extents(adj, binding)?;
     let padded = adj.strategy == BoundaryStrategy::Padded;
-    compile_schedule_nests(&adj.nests, ws, binding, padded, opts)
+    compile_schedule_source(&adj.nests, ws, binding, padded, opts)
 }
 
 /// Execute a schedule on a worker pool: each fusion group runs as one

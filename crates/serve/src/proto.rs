@@ -464,8 +464,8 @@ fn decode_compile(v: &Value) -> Result<CompileRequest, String> {
             n: req_usize(v, "n")?,
             steps: req_usize(v, "steps")?,
             d: v.get("d")
-                .and_then(Value::as_f64)
-                .ok_or("compile seismic needs a number \"d\"")?,
+                .and_then(finite)
+                .ok_or("compile seismic needs a finite number \"d\"")?,
             c: match v.get("c") {
                 None | Some(Value::Null) => None,
                 Some(c) => Some(f64_array(c).ok_or("\"c\" must be an array of numbers")?),
@@ -490,7 +490,10 @@ fn decode_compile(v: &Value) -> Result<CompileRequest, String> {
             }
             let mut params = Vec::new();
             for (k, val) in pairs("params")? {
-                params.push((k, val.as_f64().ok_or("params values must be numbers")?));
+                params.push((
+                    k,
+                    finite(&val).ok_or("params values must be finite numbers")?,
+                ));
             }
             let active = match v.get("active").and_then(Value::as_array) {
                 Some(items) => items
@@ -589,22 +592,20 @@ fn hex_value(digits: &[u8; HEX_PER_VALUE]) -> Option<u64> {
     Some(hex_word(word(hi))? << 32 | hex_word(word(lo))?)
 }
 
+/// A scalar as the wire admits it: a JSON number that is finite (`1e999`
+/// is a JSON number that parses to infinity).
+fn finite(v: &Value) -> Option<f64> {
+    v.as_f64().filter(|x| x.is_finite())
+}
+
 /// A bulk array in either wire form: the hex string [`push_f64_array`]
 /// writes, or a plain array of JSON numbers. `None` for anything else —
 /// a hex string of a length not a multiple of 16, a digit outside
 /// `0-9a-f` (upper case included), a non-finite value, a non-number item.
 fn f64_array(v: &Value) -> Option<Vec<f64>> {
-    let finite = |x: &f64| x.is_finite();
     let hex = match v {
         Value::Str(hex) => hex.as_bytes(),
-        // `1e999` is a JSON number that parses to infinity.
-        other => {
-            return other
-                .as_array()?
-                .iter()
-                .map(|x| x.as_f64().filter(finite))
-                .collect()
-        }
+        other => return other.as_array()?.iter().map(finite).collect(),
     };
     if hex.len() % HEX_PER_VALUE != 0 {
         return None;
@@ -612,7 +613,7 @@ fn f64_array(v: &Value) -> Option<Vec<f64>> {
     let mut out = Vec::with_capacity(hex.len() / HEX_PER_VALUE);
     for digits in hex.chunks_exact(HEX_PER_VALUE) {
         let bits = hex_value(digits.try_into().expect("sixteen digits"))?;
-        out.push(Some(f64::from_bits(bits)).filter(finite)?);
+        out.push(Some(f64::from_bits(bits)).filter(|x| x.is_finite())?);
     }
     Some(out)
 }
@@ -723,8 +724,8 @@ impl Reply {
             "gradient" => Ok(Reply::Gradient(GradientReply {
                 misfit: v
                     .get("misfit")
-                    .and_then(Value::as_f64)
-                    .ok_or("gradient reply needs \"misfit\"")?,
+                    .and_then(finite)
+                    .ok_or("gradient reply needs a finite number \"misfit\"")?,
                 gradient: req_f64_array(&v, "gradient")?,
                 checkpointed: v
                     .get("checkpointed")
@@ -1106,16 +1107,15 @@ mod tests {
 
     fn reply_values(r: &Reply) -> Vec<f64> {
         match r {
-            Reply::Gradient(g) => g.gradient.clone(),
+            Reply::Gradient(g) => g.gradient.iter().copied().chain([g.misfit]).collect(),
             _ => Vec::new(),
         }
     }
 
     /// Seeded mutations of a valid exchange through both decoders: whatever
-    /// the bytes, a decoder returns, and every bulk value it accepts is
-    /// finite. (Scalars are another matter: `"misfit":1e999` is a JSON
-    /// number that parses to infinity, and `Reply::from_json` has always
-    /// let it through — found here, left as it was.)
+    /// the bytes, a decoder returns, and every value it accepts — bulk or
+    /// scalar — is finite. (`"misfit":1e999` is a JSON number that parses
+    /// to infinity; this fuzzer found `Reply::from_json` letting it through.)
     #[test]
     fn mutated_frames_never_panic_and_never_decode_to_a_non_finite_value() {
         let (request, reply) = fixed_exchange();
@@ -1154,6 +1154,25 @@ mod tests {
         }
         // The mutations are neither all fatal nor all harmless.
         assert!(accepted > 100 && refused > 100, "{accepted} / {refused}");
+
+        // The mutation a byte flip will not find: an overflowing literal
+        // in each scalar position, refused in the bulk arrays' words.
+        for huge in ["1e999", "-1e999"] {
+            let reply = format!("{{\"type\":\"gradient\",\"misfit\":{huge},\"gradient\":[]}}");
+            let err = Reply::from_json(&reply).expect_err("non-finite misfit");
+            assert!(err.contains("finite number \"misfit\""), "{err}");
+            let seismic = format!(
+                "{{\"type\":\"compile\",\"kernel\":\"seismic\",\"n\":8,\"steps\":4,\"d\":{huge}}}"
+            );
+            let err = Request::from_json(&seismic).expect_err("non-finite d");
+            assert!(err.contains("finite number \"d\""), "{err}");
+            let stencil = format!(
+                "{{\"type\":\"compile\",\"kernel\":\"stencil\",\"stencil\":\"\",\
+                 \"params\":{{\"D\":{huge}}}}}"
+            );
+            let err = Request::from_json(&stencil).expect_err("non-finite param");
+            assert!(err.contains("finite numbers"), "{err}");
+        }
     }
 
     #[test]

@@ -17,14 +17,15 @@ use std::sync::Arc;
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Access {
     pub array: Symbol,
-    pub indices: Vec<Idx>,
+    /// Shared: a clone of an access copies no index.
+    pub indices: Arc<[Idx]>,
 }
 
 impl Access {
     pub fn new(array: impl Into<Symbol>, indices: Vec<Idx>) -> Self {
         Access {
             array: array.into(),
-            indices,
+            indices: indices.into(),
         }
     }
 

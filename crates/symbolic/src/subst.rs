@@ -127,7 +127,7 @@ pub fn rename_arrays(e: &Expr, map: &BTreeMap<Symbol, Symbol>) -> Expr {
                 .get(&a.array)
                 .cloned()
                 .unwrap_or_else(|| a.array.clone());
-            Expr::access(Access::new(name, a.indices.clone()))
+            Expr::access(Access::new(name, a.indices.to_vec()))
         },
         &|s| Expr::sym(s.clone()),
     )

@@ -4,14 +4,47 @@
 //! grid extent (`n`), or a physical parameter (`C`, `D`). Symbols compare and
 //! hash by name, so two independently created symbols with the same name are
 //! the same symbol — this mirrors SymPy's behaviour, on which the original
-//! PerforAD tool relies.
+//! PerforAD tool relies. Clones share one name, which a comparison looks
+//! at first: a nest's counters are clones all the way down its accesses.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A named scalar symbol.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone)]
 pub struct Symbol(Arc<str>);
+
+impl PartialEq for Symbol {
+    fn eq(&self, other: &Symbol) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl Eq for Symbol {}
+
+impl Ord for Symbol {
+    fn cmp(&self, other: &Symbol) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            Ordering::Equal
+        } else {
+            self.0.cmp(&other.0)
+        }
+    }
+}
+
+impl PartialOrd for Symbol {
+    fn partial_cmp(&self, other: &Symbol) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for Symbol {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
 
 impl Symbol {
     /// Create (or re-reference) the symbol with the given name.

@@ -122,7 +122,7 @@ pub fn index_symbols(e: &Expr) -> BTreeSet<Symbol> {
     let mut set = BTreeSet::new();
     for_each(e, &mut |x| {
         if let Node::Access(a) = x.node() {
-            for ix in &a.indices {
+            for ix in a.indices.iter() {
                 for s in ix.symbols() {
                     set.insert(s.clone());
                 }

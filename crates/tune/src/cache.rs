@@ -4,8 +4,10 @@
 //! of the source nests' printed IR, the padded flag, and the integer size
 //! bindings — everything that changes the work being scheduled) plus a
 //! **machine signature** (arch, OS, worker count, cache format version —
-//! everything that changes which configuration wins). Entries live in two
-//! layers:
+//! everything that changes which configuration wins). The printed IR is
+//! streamed into the hash, never built, and costs one `Display` per adjoint
+//! *term*: a right-hand side the split nests repeat is formatted once.
+//! Entries live in two layers:
 //!
 //! * a process-wide in-memory map, always on by default, so repeated
 //!   `autotune` calls in one process (e.g. every time step of a seismic
@@ -16,11 +18,12 @@
 //!   environment variable.
 
 use crate::json::{self, Value};
-use perforad_core::LoopNest;
+use perforad_core::{AssignOp, LoopNest};
 use perforad_exec::{Binding, Lowering};
 use perforad_sched::{TilePolicy, TunedConfig, TunedStrategy};
+use perforad_symbolic::visit::NodeMemo;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::Write;
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
@@ -41,17 +44,53 @@ use perforad_exec::native::Fnv;
 /// integer sizes the bounds resolve against. Floating-point parameters
 /// are excluded — they change values, not schedule shape.
 pub fn fingerprint_nests(nests: &[LoopNest], padded: bool, bind: &Binding) -> u64 {
-    // The printed form streams into the hash: same bytes as hashing the
-    // whole text, without building it.
     let mut text = Fnv::new();
-    for nest in nests {
-        let _ = write!(text, "{nest};");
-    }
-    let _ = write!(text, "|padded={padded}");
-    for (sym, v) in &bind.sizes {
-        let _ = write!(text, "|{sym}={v}");
+    let rendered = write_work(&mut text, nests, padded, bind);
+    if perforad_obs::enabled() {
+        perforad_obs::counter("tune.rhs_rendered").add(rendered as u64);
     }
     text.finish()
+}
+
+/// Write what [`fingerprint_nests`] hashes — each nest exactly as its
+/// `Display` prints it, then `;` — and return how many right-hand sides
+/// were formatted to do so: one per distinct node ([`NodeMemo`]), as an
+/// adjoint's split nests repeat a few terms (a 3-D star's 161 repeat 7).
+fn write_work(out: &mut impl Write, nests: &[LoopNest], padded: bool, bind: &Binding) -> usize {
+    let mut texts: NodeMemo<String> = NodeMemo::default();
+    let (mut rendered, mut lhs) = (0, None);
+    for nest in nests {
+        for (d, (c, b)) in nest.counters.iter().zip(&nest.bounds).enumerate() {
+            let _ = writeln!(out, "{:indent$}for {c} in {b} {{", "", indent = d * 2);
+        }
+        let indent = nest.counters.len() * 2;
+        for s in &nest.body {
+            let _ = write!(out, "{:indent$}", "");
+            if let Some(g) = &s.guard {
+                let _ = write!(out, "if ({g}) ");
+            }
+            let op = if s.op == AssignOp::Assign { "=" } else { "+=" };
+            let rhs = texts.get_or_insert_with(&s.rhs, || {
+                rendered += 1;
+                s.rhs.to_string()
+            });
+            // A nest's statements mostly write one place: `u_b(i, j, k)`.
+            let lhs = match &mut lhs {
+                Some((access, text)) if *access == &s.lhs => text,
+                stale => &mut stale.insert((&s.lhs, s.lhs.to_string())).1,
+            };
+            let _ = writeln!(out, "{lhs} {op} {rhs}");
+        }
+        for d in (0..nest.counters.len()).rev() {
+            let _ = writeln!(out, "{:indent$}}}", "", indent = d * 2);
+        }
+        let _ = out.write_char(';');
+    }
+    let _ = write!(out, "|padded={padded}");
+    for (sym, v) in &bind.sizes {
+        let _ = write!(out, "|{sym}={v}");
+    }
+    rendered
 }
 
 /// Stable description of the *machine* as seen by the tuner.
@@ -370,6 +409,39 @@ mod tests {
                 checkpoint: None,
             },
             seconds: 1.25e-3,
+        }
+    }
+
+    /// The streamed bytes are the nests' own `Display`, whatever the
+    /// boundary strategy puts in it (guards, merged sums), and a
+    /// right-hand side is formatted once per term, not per statement.
+    #[test]
+    fn hashed_text_is_the_printed_nests_rendered_once_per_term() {
+        use perforad_core::{ActivityMap, AdjointOptions, BoundaryStrategy};
+        let bind = Binding::new().size("n", 64);
+        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+        for (opts, per_term) in [
+            (AdjointOptions::default(), true),
+            (
+                AdjointOptions::default().with_strategy(BoundaryStrategy::Guarded),
+                true,
+            ),
+            (AdjointOptions::default().merged(), false),
+        ] {
+            let adj = nest().adjoint(&act, &opts).unwrap();
+            let mut expected: String = adj.nests.iter().map(|n| format!("{n};")).collect();
+            expected.push_str("|padded=false|n=64");
+            let mut got = String::new();
+            let rendered = write_work(&mut got, &adj.nests, false, &bind);
+            assert_eq!(got, expected);
+            let statements: usize = adj.nests.iter().map(|n| n.body.len()).sum();
+            assert!(statements > adj.terms.len());
+            let distinct = if per_term {
+                adj.terms.len()
+            } else {
+                statements
+            };
+            assert_eq!(rendered, distinct, "{opts:?}");
         }
     }
 

@@ -33,6 +33,7 @@ use perforad_sched::{
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
 
 /// How stage 2 scores the surviving candidates.
 #[derive(Clone, Copy, Debug)]
@@ -129,9 +130,12 @@ pub struct TuneOptions {
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(2);
+        // Asked once: the answer is read from cgroup files, ≈ 12 µs a call.
+        static THREADS: OnceLock<usize> = OnceLock::new();
+        let threads = *THREADS.get_or_init(|| {
+            let cores = std::thread::available_parallelism();
+            cores.map(|c| c.get()).unwrap_or(2)
+        });
         TuneOptions {
             top_k: 8,
             measure: Measure::Wall { samples: 3 },
@@ -272,6 +276,20 @@ pub fn autotune_nests(
     pool: &ThreadPool,
     opts: &TuneOptions,
 ) -> Result<(Schedule, TuneReport), TuneError> {
+    autotune_source(&nests.into(), ws, bind, padded, pool, opts)
+}
+
+/// [`autotune_nests`] over a list that is already shared: every schedule
+/// compiled here, a cache hit's included, references it and copies it never.
+fn autotune_source(
+    source: &Arc<[LoopNest]>,
+    ws: &mut Workspace,
+    bind: &Binding,
+    padded: bool,
+    pool: &ThreadPool,
+    opts: &TuneOptions,
+) -> Result<(Schedule, TuneReport), TuneError> {
+    let nests: &[LoopNest] = source;
     if nests.is_empty() {
         return Err(SchedError::BadInput("no nests to autotune".into()).into());
     }
@@ -299,7 +317,7 @@ pub fn autotune_nests(
     if opts.memory_cache {
         if let Some(hit) = memory_lookup(&key) {
             perforad_obs::counter("tune.cache_hits").inc();
-            return finish_cached(nests, ws, bind, padded, hit);
+            return finish_cached(source, ws, bind, padded, hit);
         }
     }
     if let Some(path) = &opts.cache_path {
@@ -311,7 +329,7 @@ pub fn autotune_nests(
                 memory_store(&key, hit.clone());
             }
             perforad_obs::counter("tune.cache_hits").inc();
-            return finish_cached(nests, ws, bind, padded, hit);
+            return finish_cached(source, ws, bind, padded, hit);
         }
     }
     perforad_obs::counter("tune.cache_misses").inc();
@@ -337,28 +355,21 @@ pub fn autotune_nests(
     let k = opts.top_k.clamp(1, candidates);
     perforad_obs::counter("tune.pruned").add((candidates - k) as u64);
 
-    // Stage 2: score the survivors. Every schedule compiled from here on
-    // — candidates, refinement neighbours, the winner — references this
-    // one copy of the nests.
-    let source: std::sync::Arc<[LoopNest]> = nests.into();
+    // Stage 2: score the survivors.
     let mut best: Option<(Schedule, TunedConfig, f64)> = None;
     let mut last_err: Option<SchedError> = None;
     let mut timed = 0usize;
     for (ci, (cfg, pred)) in ranked.iter().take(k).enumerate() {
         let _cand_span = perforad_obs::span!("tune.candidate", "tune", "rank" => ci as u64);
-        let schedule = match compile_schedule_source(
-            &source,
-            ws,
-            bind,
-            padded,
-            &SchedOptions::from_tuned(cfg),
-        ) {
-            Ok(s) => s,
-            Err(e) => {
-                last_err = Some(e);
-                continue;
-            }
-        };
+        let schedule =
+            match compile_schedule_source(source, ws, bind, padded, &SchedOptions::from_tuned(cfg))
+            {
+                Ok(s) => s,
+                Err(e) => {
+                    last_err = Some(e);
+                    continue;
+                }
+            };
         // Under wall-clock timing, JIT candidates must be natively
         // prepared before measuring (the artifact cache makes this
         // once-per-fingerprint); a candidate that cannot be prepared is
@@ -415,7 +426,7 @@ pub fn autotune_nests(
                     let mut cfg = base_cfg.clone();
                     cfg.tile = tile;
                     let Ok(schedule) = compile_schedule_source(
-                        &source,
+                        source,
                         ws,
                         bind,
                         padded,
@@ -623,7 +634,7 @@ pub fn autotune_adjoint(
 ) -> Result<(Schedule, TuneReport), TuneError> {
     perforad_exec::check_adjoint_extents(adj, bind).map_err(SchedError::from)?;
     let padded = adj.strategy == BoundaryStrategy::Padded;
-    autotune_nests(&adj.nests, ws, bind, padded, pool, opts)
+    autotune_source(&adj.nests, ws, bind, padded, pool, opts)
 }
 
 /// `Schedule::autotune` — the closed loop on an already-compiled
@@ -663,23 +674,25 @@ impl ScheduleAutotune for Schedule {
         // Retuning preserves the schedule's own CSE setting — it is the
         // caller's plan-level choice, not a searched axis.
         let opts = opts.clone().with_cse(self.cse);
-        let (schedule, report) = autotune_nests(&source, ws, bind, self.padded, pool, &opts)?;
+        let (schedule, report) = autotune_source(&source, ws, bind, self.padded, pool, &opts)?;
         *self = schedule;
         Ok(report)
     }
 }
 
 fn finish_cached(
-    nests: &[LoopNest],
+    source: &Arc<[LoopNest]>,
     ws: &mut Workspace,
     bind: &Binding,
     padded: bool,
     hit: CacheEntry,
 ) -> Result<(Schedule, TuneReport), TuneError> {
-    // A cached JIT winner still needs its native module in this process.
-    // Best effort — on failure execution falls back to the
-    // bitwise-identical rows lowering.
-    let (schedule, _native) = compile_tuned(nests, ws, bind, padded, &hit.config)?;
+    // [`compile_tuned`] over the shared list. A cached JIT winner still
+    // needs its native module in this process: best effort — on failure
+    // execution falls back to the bitwise-identical rows lowering.
+    let opts = SchedOptions::from_tuned(&hit.config);
+    let schedule = compile_schedule_source(source, ws, bind, padded, &opts)?;
+    prepare_if_jit(&schedule, &hit.config, bind);
     let report = TuneReport {
         config: hit.config,
         seconds: hit.seconds,

@@ -4,12 +4,18 @@
 //! compilation cheaper may not change either — a tuning cache or artifact
 //! directory filled by an earlier build must still be *hit*.
 //!
-//! Every constant here was recorded at PR 17's tree, before schedule
-//! analysis went from once per statement to once per adjoint term.
+//! Every constant here was recorded before the change it guards: the
+//! first six at PR 17's tree, before schedule analysis went from once per
+//! statement to once per adjoint term; the `WIDE` set and the printed
+//! modules at PR 20's tree, before `Idx` stopped being a `BTreeMap`.
 
-use perforad::pde::wave3d;
+use perforad::codegen::rust::print_module;
+use perforad::core::nest::{Bound, Statement};
+use perforad::exec::native::fnv1a64;
+use perforad::pde::{burgers, wave3d};
 use perforad::prelude::*;
 use perforad::sched::compile_schedule_nests;
+use perforad::symbolic::Access;
 use perforad::tune::fingerprint_nests;
 
 const N: usize = 16;
@@ -63,6 +69,88 @@ fn tuner_work_fingerprints_are_golden() {
         wave,
         fingerprint_nests(&wave_adjoint().nests, false, &bind.clone().param("D", 0.1))
     );
+}
+
+/// A nest whose upper bound is a general affine form: `i in [m, n - m + 1]`.
+fn two_symbol_nest() -> LoopNest {
+    let i = Symbol::new("i");
+    let (n, m) = (Idx::sym("n"), Idx::sym("m"));
+    let u = Array::new("u");
+    LoopNest::new(
+        vec![i.clone()],
+        vec![Bound::new(m.clone(), n - m + 1)],
+        vec![Statement::assign(
+            Access::new("r", ix![&i]),
+            2.0 * u.at(ix![&i - 1]) - u.at(ix![&i + 1]),
+        )],
+    )
+}
+
+/// 3-D star under `Guarded`, `Padded`, `merged()`; the Burgers adjoint
+/// (`Select` in the printed form); the adjoint of the `n - m + 1` nest.
+const GOLDEN_WIDE_NESTS: [u64; 5] = [
+    0xc3a2_1831_f177_7830,
+    0x8f13_fa69_e4e5_58b7,
+    0x82c5_861e_338f_4f64,
+    0x3c14_31d8_c351_b165,
+    0x520f_fd49_8454_3226,
+];
+const GOLDEN_STAR_MODULES: [u64; 3] = [
+    0xe36d_498a_8d56_0dcb,
+    0x4cf5_ed3a_d5a0_8cfe,
+    0x5304_f1d9_e8ba_fc39,
+];
+
+#[test]
+fn work_fingerprints_of_every_printed_form_are_golden() {
+    let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+    let star = parse_stencil(STARS[2]).expect("stencil parses");
+    let adjoint = |nest: &LoopNest, act: &ActivityMap, opts: AdjointOptions| {
+        nest.adjoint(act, &opts).expect("adjoint")
+    };
+    let adjoints = [
+        adjoint(
+            &star,
+            &act,
+            AdjointOptions::default().with_strategy(BoundaryStrategy::Guarded),
+        ),
+        adjoint(
+            &star,
+            &act,
+            AdjointOptions::default().with_strategy(BoundaryStrategy::Padded),
+        ),
+        adjoint(&star, &act, AdjointOptions::default().merged()),
+        adjoint(
+            &burgers::nest(),
+            &burgers::activity(),
+            AdjointOptions::default(),
+        ),
+        adjoint(&two_symbol_nest(), &act, AdjointOptions::default()),
+    ];
+    assert!(
+        adjoints[3].to_string().contains(" ? "),
+        "a Select is printed"
+    );
+    assert!(
+        adjoints[4].to_string().contains("-m + n + 2"),
+        "{}",
+        adjoints[4]
+    );
+    let bind = Binding::new().size("n", N as i64).size("m", 2);
+    let got: Vec<u64> = adjoints
+        .iter()
+        .map(|adj| fingerprint_nests(&adj.nests, adj.strategy == BoundaryStrategy::Padded, &bind))
+        .collect();
+    assert_eq!(got, GOLDEN_WIDE_NESTS, "{got:#018x?}");
+}
+
+#[test]
+fn printed_star_modules_are_golden() {
+    let got: Vec<u64> = STARS
+        .iter()
+        .map(|text| fnv1a64(print_module("star", &star_adjoint(text).nests).as_bytes()))
+        .collect();
+    assert_eq!(got, GOLDEN_STAR_MODULES, "{got:#018x?}");
 }
 
 #[test]

@@ -7,12 +7,19 @@
 //! `exec.rhs_compiled`); obs state is process-global, so every test here
 //! serializes on one mutex and leaves recording off.
 
+mod common;
+
+use common::thread_allocs;
 use perforad::exec::{run, ExecMode};
 use perforad::jit::{available, JitOptions};
 use perforad::pde::wave3d;
 use perforad::prelude::*;
 use perforad::sched::run_schedule_serial;
-use std::sync::{Mutex, MutexGuard};
+use perforad::tune::fingerprint_nests;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+#[global_allocator]
+static GLOBAL: common::CountingAlloc = common::CountingAlloc;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -21,6 +28,28 @@ fn obs_test() -> MutexGuard<'static, ()> {
     perforad::obs::set_enabled(false);
     perforad::obs::reset_metrics();
     guard
+}
+
+/// The 3-D 7-point star of the benchmark's `cold_compile`.
+fn star3d() -> LoopNest {
+    parse_stencil(
+        "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 { r[i][j][k] = c[i][j][k]*(\
+         0.5*u[i-1][j][k] + 0.75*u[i+1][j][k] + 1.5*u[i][j-1][k] + 0.25*u[i][j+1][k] \
+         + 1.75*u[i][j][k-1] + 0.625*u[i][j][k+1] - 1.25*u[i][j][k]); }",
+    )
+    .unwrap()
+}
+
+fn star_activity() -> ActivityMap {
+    ActivityMap::new().with_suffixed("u").with_suffixed("r")
+}
+
+fn star_workspace() -> (Workspace, Binding) {
+    let mut ws = Workspace::new();
+    for name in ["u", "c", "r", "u_b", "r_b"] {
+        ws.insert(name, Grid::zeros(&[16, 16, 16]));
+    }
+    (ws, Binding::new().size("n", 16))
 }
 
 fn wave_adjoint() -> Adjoint {
@@ -72,19 +101,9 @@ fn plans_compile_once_per_adjoint_term() {
     assert_eq!(planned(&adj, &ws, &bind, &unfused), (215, 215));
 
     // The 3-D 7-point star: 7 terms, 53 nests, 161 statements.
-    let star = parse_stencil(
-        "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 { r[i][j][k] = c[i][j][k]*(\
-         0.5*u[i-1][j][k] + 0.75*u[i+1][j][k] + 1.5*u[i][j-1][k] + 0.25*u[i][j+1][k] \
-         + 1.75*u[i][j][k-1] + 0.625*u[i][j][k+1] - 1.25*u[i][j][k]); }",
-    )
-    .unwrap();
-    let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+    let (star, act) = (star3d(), star_activity());
     let adj = star.adjoint(&act, &AdjointOptions::default()).unwrap();
-    let mut ws = Workspace::new();
-    for name in ["u", "c", "r", "u_b", "r_b"] {
-        ws.insert(name, Grid::zeros(&[16, 16, 16]));
-    }
-    let bind = Binding::new().size("n", 16);
+    let (ws, bind) = star_workspace();
     assert_eq!(
         planned(&adj, &ws, &bind, &SchedOptions::default()),
         (161, 7)
@@ -96,6 +115,107 @@ fn plans_compile_once_per_adjoint_term() {
         .unwrap();
     let (stmts, rhs) = planned(&merged, &ws, &bind, &SchedOptions::default());
     assert_eq!((stmts, rhs), (53, 53));
+}
+
+/// A tuner that never executes and never builds: the model's first
+/// candidate wins, so the search and its cache hit are both countable.
+fn model_tuner() -> TuneOptions {
+    TuneOptions::default()
+        .with_measure(Measure::Model)
+        .with_jit(false)
+        .with_top_k(1)
+}
+
+/// The IR costs what it says: an index that is `counter + c` allocates
+/// nothing, so the 3-D star's transformation, its default schedule and a
+/// tuner cache hit each fit an allocation budget: 1 196 / 1 341 / 1 345
+/// as recorded, 2 615 / 2 738 / 2 872 while an `Idx` was a `BTreeMap`.
+#[test]
+fn the_star_compiles_within_its_allocation_budget() {
+    let _guard = obs_test();
+    let (star, act) = (star3d(), star_activity());
+    let (mut ws, bind) = star_workspace();
+    let pool = ThreadPool::new(1);
+    let count = |f: &mut dyn FnMut()| {
+        let before = thread_allocs();
+        f();
+        thread_allocs() - before
+    };
+    let mut adj = None;
+    let adjoint = count(&mut || adj = Some(star.adjoint(&act, &AdjointOptions::default())));
+    let adj = adj.unwrap().unwrap();
+    assert!(adjoint <= 1_300, "adjoint: {adjoint} allocations");
+    let schedule = count(&mut || {
+        compile_schedule(&adj, &ws, &bind, &SchedOptions::default()).unwrap();
+    });
+    assert!(
+        schedule <= 1_500,
+        "compile_schedule: {schedule} allocations"
+    );
+    let tuner = model_tuner();
+    let (_, cold) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &tuner).unwrap();
+    assert!(!cold.cache_hit);
+    let hit = count(&mut || {
+        let (_, warm) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &tuner).unwrap();
+        assert!(warm.cache_hit);
+    });
+    assert!(hit <= 1_500, "tuner cache hit: {hit} allocations");
+}
+
+/// No copies of the nest list: every schedule compiled from an adjoint —
+/// by `compile_schedule`, by the tuner's search, by its cache hit, by a
+/// retune of the schedule itself — holds the adjoint's own list.
+#[test]
+fn schedules_share_the_adjoints_nest_list() {
+    let _guard = obs_test();
+    let adj = star3d()
+        .adjoint(&star_activity(), &AdjointOptions::default())
+        .unwrap();
+    let (mut ws, bind) = star_workspace();
+    // A size of its own, so the search below is a search.
+    let bind = bind.size("unused", 24);
+    let pool = ThreadPool::new(1);
+    let schedule = compile_schedule(&adj, &ws, &bind, &SchedOptions::default()).unwrap();
+    assert!(Arc::ptr_eq(&schedule.source, &adj.nests));
+    let tuner = model_tuner();
+    let (mut searched, report) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &tuner).unwrap();
+    assert!(!report.cache_hit);
+    assert!(Arc::ptr_eq(&searched.source, &adj.nests));
+    let (hit, report) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &tuner).unwrap();
+    assert!(report.cache_hit);
+    assert!(Arc::ptr_eq(&hit.source, &adj.nests));
+    let report = searched
+        .autotune_report(&mut ws, &bind, &pool, &tuner)
+        .unwrap();
+    assert!(report.cache_hit);
+    assert!(Arc::ptr_eq(&searched.source, &adj.nests));
+}
+
+/// The work key formats each distinct right-hand side once: 7 for the
+/// 161 statements of the star's split nests, one per nest once `merged()`
+/// has summed each nest's terms into an expression of its own.
+#[test]
+fn the_work_fingerprint_renders_once_per_adjoint_term() {
+    let _guard = obs_test();
+    let (star, act) = (star3d(), star_activity());
+    let bind = Binding::new().size("n", 16);
+    let rendered = |adj: &Adjoint| {
+        let counter = perforad::obs::counter("tune.rhs_rendered");
+        let before = counter.get();
+        perforad::obs::set_enabled(true);
+        let id = fingerprint_nests(&adj.nests, false, &bind);
+        perforad::obs::set_enabled(false);
+        assert_eq!(id, fingerprint_nests(&adj.nests, false, &bind));
+        counter.get() - before
+    };
+    let adj = star.adjoint(&act, &AdjointOptions::default()).unwrap();
+    let statements: usize = adj.nests.iter().map(|n| n.body.len()).sum();
+    assert_eq!((adj.terms.len(), statements), (7, 161));
+    assert_eq!(rendered(&adj), 7);
+    let merged = star
+        .adjoint(&act, &AdjointOptions::default().merged())
+        .unwrap();
+    assert_eq!(rendered(&merged), 53);
 }
 
 /// CI's two-process guard that a warm start needs no compiler (`jit` job):
