@@ -68,8 +68,8 @@ mod trace;
 
 pub use flight::{flight_dir, FLIGHT_DIR_ENV};
 pub use metrics::{
-    counter, gauge, histogram, histogram_labeled, quantile_upper_bound, reset_metrics, Counter,
-    Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, HIST_BUCKETS,
+    counter, escape_json, gauge, histogram, histogram_labeled, quantile_upper_bound, reset_metrics,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, HIST_BUCKETS,
 };
 pub use recorder::{
     clear_events, collect_events, current_request, overwritten_total, ring_capacity,

@@ -509,8 +509,11 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn escape_json(s: &str) -> String {
+/// The workspace's one JSON string escaper, without the surrounding
+/// quotes (`perforad_tune::json::escape` adds them): quotes, backslashes
+/// and control characters, the last as `\u00XX` — Rust's braced `Debug`
+/// escapes (`\u{1b}`) are not JSON.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -1,7 +1,7 @@
 //! Build-time source-to-source generation: the Rust back-end of
-//! `perforad-codegen` generates the static wave/Burgers kernels that the
-//! benches compare against the bytecode VM (the "compiled by icc" path of
-//! the paper's setup).
+//! `perforad-codegen` generates the static wave/Burgers kernels that
+//! `tests/rows.rs` compares against the executors (the "compiled by icc"
+//! path of the paper's setup).
 
 use perforad_core::{ActivityMap, AdjointOptions};
 use std::env;

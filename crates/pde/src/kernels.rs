@@ -1,7 +1,7 @@
 //! Statically generated kernels (Rust back-end output, produced at build
 //! time by `build.rs` → `perforad-codegen`). These play the role of the
-//! Intel-compiled C in the paper's setup; the VM-vs-static criterion bench
-//! quantifies the interpreter overhead of the bytecode path.
+//! Intel-compiled C in the paper's setup, and they are the only numerical
+//! check of `codegen::print_module`'s output (`tests/rows.rs`).
 //!
 //! These build-time kernels are the *oldest* corner of what is now a
 //! five-stage pipeline — **schedule → tune → JIT → checkpoint →
@@ -34,7 +34,7 @@
 //! Every stage reports into the `perforad-obs` observability layer
 //! (spans + metrics, enabled with `PERFORAD_TRACE=1`); these static
 //! kernels remain the golden reference for the generated-code path and
-//! the build-time baseline the JIT is benchmarked against.
+//! the build-time counterpart of the JIT.
 
 #[allow(dead_code)]
 mod wave3d_gen {

@@ -16,6 +16,6 @@ pub mod model;
 
 pub use machine::{broadwell, host, knl, Machine};
 pub use model::{
-    predict, predict_batch, predict_checkpoint, predict_schedule, profile, speedup_series,
-    with_stack, BatchShape, BatchStrategy, CheckpointShape, KernelProfile, ScheduleShape,
+    predict, predict_batch, predict_checkpoint, predict_schedule, profile, with_stack, BatchShape,
+    BatchStrategy, CheckpointShape, KernelProfile, ScheduleShape,
 };

@@ -287,18 +287,6 @@ pub fn predict_batch(
     }
 }
 
-/// `(threads, seconds, speedup-vs-1-thread)` across a sweep.
-pub fn speedup_series(m: &Machine, p: &KernelProfile, threads: &[usize]) -> Vec<(usize, f64, f64)> {
-    let t1 = predict(m, p, 1);
-    threads
-        .iter()
-        .map(|&t| {
-            let tt = predict(m, p, t);
-            (t, tt, t1 / tt)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,10 +358,10 @@ mod tests {
             .with_suffixed("u_2");
         let sc = wave_nest().scatter_adjoint(&act).unwrap();
         let p = profile(std::slice::from_ref(&sc), &sizes(500));
-        let series = speedup_series(&m, &p, &[1, 2, 4, 8, 12]);
         // Paper: the atomics curve is flat or falling.
-        for (_, _, s) in &series[1..] {
-            assert!(*s < 1.5, "atomics must not scale, got speedup {s}");
+        for t in [2, 4, 8, 12] {
+            let s = predict(&m, &p, 1) / predict(&m, &p, t);
+            assert!(s < 1.5, "atomics must not scale, got speedup {s}");
         }
     }
 
@@ -388,9 +376,8 @@ mod tests {
         let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
         let pp = profile(std::slice::from_ref(&nest), &sizes(500));
         let pa = profile(&adj.nests, &sizes(500));
-        let sp = speedup_series(&m, &pp, &[1, 12]);
-        let sa = speedup_series(&m, &pa, &[1, 12]);
-        let (sp12, sa12) = (sp[1].2, sa[1].2);
+        let speedup = |p| predict(&m, p, 1) / predict(&m, p, 12);
+        let (sp12, sa12) = (speedup(&pp), speedup(&pa));
         assert!(
             (sa12 / sp12) > 0.7,
             "adjoint stencil scalability {sa12} must track primal {sp12}"

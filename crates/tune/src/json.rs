@@ -1,7 +1,7 @@
 //! A minimal JSON reader for the workspace's hand-rolled JSON (the tuning
 //! cache file, the serve wire protocol). The workspace builds
-//! offline with no external crates, so — like the emit side in
-//! `perforad-bench` — parsing is done by hand. Supports the full JSON
+//! offline with no external crates, so — like the string escaper,
+//! `perforad_obs::escape_json` — parsing is done by hand. Supports the full JSON
 //! value grammar this repository emits: objects, arrays, double-quoted
 //! strings with the standard escapes, `f64` numbers, booleans, null.
 
@@ -282,25 +282,10 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         .map_err(|_| err(start, format!("invalid number `{text}`")))
 }
 
-/// Escape a string into a JSON literal (same rules as
-/// `perforad_bench::json_escape`; duplicated here so `perforad-bench` can
-/// depend on this crate rather than the other way round).
+/// Escape a string into a quoted JSON literal:
+/// [`perforad_obs::escape_json`] between quotes.
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", perforad_obs::escape_json(s))
 }
 
 #[cfg(test)]
@@ -331,6 +316,8 @@ mod tests {
             let v = parse(&escape(s)).unwrap();
             assert_eq!(v.as_str(), Some(s), "{s:?}");
         }
+        // Braced `\u{1b}` Debug escapes are invalid JSON; the 4-hex form is.
+        assert_eq!(escape("\u{1b}[0m"), "\"\\u001b[0m\"");
     }
 
     /// The scan [`plain_run`] replaced: one byte at a time.

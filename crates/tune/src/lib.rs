@@ -20,7 +20,7 @@
 //!    model ranks the whole space for free; only the top-K survive.
 //! 3. **Time** ([`Measure::Wall`]): each survivor is compiled into a real
 //!    [`Schedule`] and wall-clock timed (warm-up + best-of-N, the same
-//!    timer `perforad-bench` reports with); the fastest wins.
+//!    timer `examples/figures.rs` reports with); the fastest wins.
 //! 4. **Cache** ([`cache`]): the win is recorded under a schedule
 //!    fingerprint + machine signature, in a process-wide memory layer and
 //!    an optional hand-rolled JSON file (`PERFORAD_TUNE_CACHE`), so
@@ -79,7 +79,7 @@ pub use perforad_perfmodel::{
 };
 pub use perforad_sched::{run_tuned, TunedConfig, TunedStrategy};
 pub use space::{budget_palette, search_space, search_space_full, tile_palette};
-pub use timing::{time_best, time_once};
+pub use timing::time_best;
 pub use tuner::{
     autotune_adjoint, autotune_nests, compile_tuned, pick_batch_strategy, Measure,
     ScheduleAutotune, TimeLoop, TuneError, TuneOptions, TuneReport,

@@ -1,20 +1,18 @@
-//! Wall-clock micro-timing shared by the tuner's empirical stage and the
-//! `perforad-bench` harness (which re-exports these, so tuner and bench
-//! report times measured the same way).
+//! Wall-clock micro-timing shared by the tuner's empirical stage and
+//! `examples/figures.rs`, so tuner and figures report times measured the
+//! same way.
 
 use std::time::Instant;
 
-/// Time one invocation (the paper times single steps of large grids).
-pub fn time_once(mut f: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
-}
-
-/// Best of `reps` invocations.
+/// Best of `reps` invocations (at least one; the paper times single steps
+/// of large grids).
 pub fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
     (0..reps.max(1))
-        .map(|_| time_once(&mut f))
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
         .fold(f64::MAX, f64::min)
 }
 
