@@ -4,7 +4,7 @@
 //! bounds, array slots, bytecode programs with parameters inlined, write
 //! offsets, guards. Building a plan also proves memory safety (every access
 //! of every iteration is in range, write arrays don't alias read arrays), so
-//! the execution loops in [`crate::run`] can use unchecked loads.
+//! the execution loops in [`crate::tile`] can use unchecked loads.
 
 use crate::bytecode::{compile, compile_with_bindings, CompileCtx, Program};
 use crate::error::ExecError;

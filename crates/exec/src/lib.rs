@@ -5,8 +5,9 @@
 //!
 //! * [`Grid`] — dense n-d `f64` arrays;
 //! * [`Workspace`]/[`Binding`] — named storage and size/parameter bindings;
-//! * [`ThreadPool`] — persistent workers with OpenMP-style static/dynamic
-//!   scheduling and exact thread-count control (the figures sweep threads);
+//! * [`ThreadPool`] — persistent workers with exact thread-count control
+//!   (the figures sweep threads): a bare parallel region ([`ThreadPool::run`])
+//!   and one dynamic job loop ([`ThreadPool::work_queue`]);
 //! * [`AtomicF64`] — CAS-loop `+=`, the `#pragma omp atomic` equivalent;
 //! * [`bytecode`] — statement bodies compiled to a small stack VM;
 //! * [`regir`]/[`rows`] — the second lowering stage: stack programs
@@ -15,7 +16,9 @@
 //! * [`kernel`]/[`run`] — plans binding loop nests to storage, executed by
 //!   the one [`run()`] function: serially, gather-parallel (race-free by
 //!   construction), or scatter-parallel with atomics (the
-//!   conventional-adjoint baseline), as its [`ExecMode`] asks.
+//!   conventional-adjoint baseline), as its [`ExecMode`] asks;
+//! * [`tile`] — [`TileRunner`], the one place plan points execute: `run`
+//!   hands it whole-row slabs, `perforad-sched` cache-blocked tiles.
 //!
 //! ## The two-stage lowering pipeline
 //!
@@ -34,9 +37,9 @@
 //!    the register IR over whole contiguous innermost-dimension runs in
 //!    fixed-width lane chunks with guards and zero-padding hoisted out of
 //!    the inner loop (see [`rows`]). Both execution surfaces —
-//!    [`run()`] and the tile-granular [`TileRunner`] used by
-//!    `perforad-sched` — accept the switch; the two lowerings produce
-//!    bitwise-identical results.
+//!    [`run()`] and `perforad-sched`'s schedules — accept the switch and
+//!    hand it to the [`TileRunner`] they both run through; the lowerings
+//!    produce bitwise-identical results.
 //!
 //! ```
 //! use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};

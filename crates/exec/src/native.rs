@@ -7,8 +7,8 @@
 //! sits above the scheduler), so the two meet here: the JIT registers a
 //! [`NativeGroup`] — one `extern "C"` entry point per compiled nest —
 //! under the plan's structural [`fingerprint`](crate::Plan::fingerprint),
-//! and every execution surface ([`crate::run`], [`crate::TileRunner`])
-//! resolves the same key at dispatch time. A missing entry is not an
+//! and [`crate::TileRunner`] — which every execution surface runs
+//! through — resolves the same key once per runner. A missing entry is not an
 //! error: the caller falls back to the vectorized row executor, which is
 //! bitwise-identical, so `Lowering::Jit` degrades gracefully on machines
 //! without a toolchain.

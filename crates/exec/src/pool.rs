@@ -1,11 +1,12 @@
 //! A persistent worker thread pool with exact thread-count control.
 //!
-//! The paper's experiments sweep OpenMP thread counts with static
-//! scheduling and pinned workers; Rayon's work-stealing pool neither fixes
-//! the worker count per region nor schedules statically. This pool is the
-//! OpenMP stand-in: `parallel_for` splits the range into one contiguous
-//! chunk per worker (`schedule(static)`), `parallel_dynamic` hands out jobs
-//! from an atomic counter (`schedule(dynamic,1)`).
+//! The paper's experiments sweep OpenMP thread counts with pinned workers;
+//! Rayon's work-stealing pool does not fix the worker count per region.
+//! This pool is the OpenMP stand-in, with two entry points: [`ThreadPool::run`]
+//! is the bare parallel region (`f(worker_id)` on every worker — static
+//! schedules pre-assign their work by id), and [`ThreadPool::work_queue`]
+//! hands out job indices from an atomic counter (`schedule(dynamic,1)`),
+//! each worker reusing one lazily built private state across its jobs.
 //!
 //! Workers are long-lived and parked on a condition variable between
 //! parallel regions, so a time-stepping loop pays thread-spawn cost once.
@@ -129,74 +130,13 @@ impl ThreadPool {
         }
     }
 
-    /// OpenMP-style `schedule(static)`: split `[lo, hi)` into one contiguous
-    /// chunk per worker and run `f(chunk_lo, chunk_hi)` in parallel.
-    pub fn parallel_for(&self, lo: i64, hi: i64, f: impl Fn(i64, i64) + Sync) {
-        let total = hi - lo;
-        if total <= 0 {
-            return;
-        }
-        let n = self.size() as i64;
-        if n == 1 {
-            f(lo, hi);
-            return;
-        }
-        let chunk = (total + n - 1) / n;
-        self.run(&move |tid| {
-            let s = lo + tid as i64 * chunk;
-            let e = (s + chunk).min(hi);
-            if s < e {
-                f(s, e);
-            }
-        });
-    }
-
-    /// OpenMP-style `schedule(dynamic, 1)`: workers pull job indices
-    /// `0..njobs` from a shared counter. Good for irregular work like the
-    /// boundary nests of an adjoint.
-    pub fn parallel_dynamic(&self, njobs: usize, f: impl Fn(usize) + Sync) {
-        self.parallel_dynamic_scratch(njobs, || (), |k, ()| f(k));
-    }
-
-    /// [`ThreadPool::parallel_dynamic`] with per-worker scratch: each
-    /// worker builds its scratch once with `init` and reuses it across
-    /// every job it pulls (executor register files and VM stacks are
-    /// too large to allocate per job).
-    pub fn parallel_dynamic_scratch<S>(
-        &self,
-        njobs: usize,
-        init: impl Fn() -> S + Sync,
-        f: impl Fn(usize, &mut S) + Sync,
-    ) {
-        if njobs == 0 {
-            return;
-        }
-        if self.size() == 1 {
-            let mut s = init();
-            for k in 0..njobs {
-                f(k, &mut s);
-            }
-            return;
-        }
-        let counter = AtomicUsize::new(0);
-        self.run(&move |_tid| {
-            let mut s = init();
-            loop {
-                let k = counter.fetch_add(1, Ordering::Relaxed);
-                if k >= njobs {
-                    break;
-                }
-                f(k, &mut s);
-            }
-        });
-    }
-
-    /// Work queue for coarse-grained *independent* jobs (whole seismic
-    /// shots, batch requests): workers pull job indices `0..njobs` from a
-    /// shared counter, each owning a worker-private state built lazily by
-    /// `init(worker_id)` on its first job — so idle workers never pay for
-    /// expensive per-worker state (a full adjoint workspace, say), and
-    /// jobs on one worker reuse it.
+    /// The pool's one dynamic job loop (OpenMP `schedule(dynamic, 1)`),
+    /// for *independent* jobs of any grain — tiles of a plan or a fused
+    /// group, whole seismic shots, batch requests: workers pull job indices
+    /// `0..njobs` from a shared counter, each owning a worker-private state
+    /// built lazily by `init(worker_id)` on its first job — so idle workers
+    /// never pay for expensive per-worker state (a full adjoint workspace,
+    /// a register lane file), and jobs on one worker reuse it.
     ///
     /// Jobs must not re-enter this pool (a parallel region inside a
     /// parallel region would deadlock on the shared job slot); run
@@ -293,53 +233,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn static_chunks_cover_range_disjointly() {
+    fn run_calls_every_worker_once_per_region_and_is_reusable() {
         let pool = ThreadPool::new(4);
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for(0, 100, |lo, hi| {
-            for k in lo..hi {
-                hits[k as usize].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn dynamic_jobs_all_run_once() {
-        let pool = ThreadPool::new(3);
-        let hits: Vec<AtomicUsize> = (0..57).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_dynamic(57, |k| {
-            hits[k].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn pool_is_reusable_across_regions() {
-        let pool = ThreadPool::new(2);
-        let sum = AtomicUsize::new(0);
+        let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
         for _ in 0..50 {
-            pool.parallel_for(0, 10, |lo, hi| {
-                sum.fetch_add((hi - lo) as usize, Ordering::Relaxed);
+            pool.run(&|tid| {
+                hits[tid].fetch_add(1, Ordering::Relaxed);
             });
         }
-        assert_eq!(sum.load(Ordering::Relaxed), 500);
-    }
-
-    #[test]
-    fn empty_range_is_a_noop() {
-        let pool = ThreadPool::new(2);
-        pool.parallel_for(5, 5, |_, _| panic!("must not run"));
-        pool.parallel_dynamic(0, |_| panic!("must not run"));
-    }
-
-    #[test]
-    fn single_thread_runs_inline() {
-        let pool = ThreadPool::new(1);
-        let tid = std::thread::current().id();
-        pool.parallel_for(0, 3, |_, _| {
-            assert_eq!(std::thread::current().id(), tid);
-        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 50));
     }
 
     #[test]
@@ -394,28 +296,50 @@ mod tests {
         assert!(std::ptr::eq(p1, p2));
         assert!(p1.size() >= 1);
         let sum = AtomicUsize::new(0);
-        p1.parallel_for(0, 8, |lo, hi| {
-            sum.fetch_add((hi - lo) as usize, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 8);
+        for _ in 0..2 {
+            p1.work_queue(
+                8,
+                |_| (),
+                |k, ()| {
+                    sum.fetch_add(k, Ordering::Relaxed);
+                },
+            );
+        }
+        assert_eq!(sum.load(Ordering::Relaxed), 56);
     }
 
     #[test]
     fn worker_panic_propagates() {
         let pool = ThreadPool::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_for(0, 10, |lo, _| {
-                if lo == 0 {
+        let in_region = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(&|tid| {
+                if tid == 0 {
                     panic!("boom");
                 }
             });
         }));
-        assert!(result.is_err());
+        assert!(in_region.is_err());
+        let in_job = catch_unwind(AssertUnwindSafe(|| {
+            pool.work_queue(
+                10,
+                |_| (),
+                |k, ()| {
+                    if k == 3 {
+                        panic!("boom");
+                    }
+                },
+            );
+        }));
+        assert!(in_job.is_err());
         // Pool still usable afterwards.
         let sum = AtomicUsize::new(0);
-        pool.parallel_for(0, 4, |lo, hi| {
-            sum.fetch_add((hi - lo) as usize, Ordering::Relaxed);
-        });
+        pool.work_queue(
+            4,
+            |_| (),
+            |_, ()| {
+                sum.fetch_add(1, Ordering::Relaxed);
+            },
+        );
         assert_eq!(sum.load(Ordering::Relaxed), 4);
     }
 }

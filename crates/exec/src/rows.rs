@@ -1,7 +1,7 @@
 //! Row execution of register programs — the vectorized back half of the
 //! lowering pipeline.
 //!
-//! The per-point interpreter ([`crate::run::exec_point`]) re-dispatches
+//! The per-point interpreter (`tile::exec_point`) re-dispatches
 //! the op loop, re-checks statement guards, and re-derives `LoadPadded`
 //! bounds at *every grid point*. This executor instead evaluates a
 //! [`RegProgram`] over a whole contiguous innermost-dimension run at a
@@ -26,7 +26,7 @@ use crate::atomic::AtomicF64;
 use crate::bytecode::call1;
 use crate::kernel::{NestPlan, Plan};
 use crate::regir::{RegOp, RegProgram};
-use crate::run::Buffers;
+use crate::tile::Buffers;
 
 /// Lane-chunk width: one op processes up to this many consecutive grid
 /// points. Wider chunks amortise op dispatch over more points and give

@@ -9,7 +9,8 @@
 //! region with no barriers (§3.3.4). Scatter nests are raced unless each
 //! update is atomic; [`Strategy::ParallelAtomic`] is the
 //! `#pragma omp atomic` equivalent whose cost the paper's "Atomics" series
-//! measures.
+//! measures. Each chunk is a [`Tile`] executed by [`TileRunner`], the same
+//! runner fused schedules use — there is no second executor.
 //!
 //! Orthogonally to the parallel strategy, a run uses one of three
 //! lowerings ([`Lowering`]): the per-point stack interpreter (the
@@ -19,15 +20,11 @@
 //! populates it; a missing entry falls back to the row executor). All
 //! produce bitwise-identical results.
 
-use crate::atomic::AtomicF64;
-use crate::bytecode::{ArrayView, PointEnv};
 use crate::error::ExecError;
-use crate::kernel::{NestPlan, Plan};
-use crate::native::{native_lookup, NativeGroup};
+use crate::kernel::Plan;
 use crate::pool::ThreadPool;
-use crate::rows::{self, RowScratch};
+use crate::tile::{Tile, TileRunner, TileScratch};
 use crate::workspace::Workspace;
-use std::sync::Arc;
 
 /// Execution statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -119,12 +116,6 @@ impl<'a> ExecMode<'a> {
         self.lowering = Lowering::Jit;
         self
     }
-
-    /// Switch to the per-point interpreter.
-    pub fn per_point(mut self) -> Self {
-        self.lowering = Lowering::PerPoint;
-        self
-    }
 }
 
 impl<'a> From<Strategy<'a>> for ExecMode<'a> {
@@ -136,382 +127,64 @@ impl<'a> From<Strategy<'a>> for ExecMode<'a> {
     }
 }
 
-pub(crate) struct Buffers {
-    pub(crate) views: Vec<ArrayView>,
-    pub(crate) write_ptrs: Vec<*mut f64>,
-    pub(crate) lens: Vec<usize>,
-}
-
-// SAFETY: `Buffers` is only shared across threads by the executors below,
-// which guarantee disjoint writes (gather chunking / disjoint nests) or
-// atomic writes. Reads never alias writes (checked at plan compile time).
-unsafe impl Sync for Buffers {}
-
-pub(crate) fn make_buffers(plan: &Plan, ws: &mut Workspace) -> Result<Buffers, ExecError> {
-    let mut views = Vec::with_capacity(plan.arrays.len());
-    let mut write_ptrs = Vec::with_capacity(plan.arrays.len());
-    let mut lens = Vec::with_capacity(plan.arrays.len());
-    for name in &plan.arrays {
-        let g = ws
-            .get_mut(name)
-            .ok_or_else(|| crate::error::unknown(name))?;
-        if g.dims() != plan.dims.as_slice() {
-            return Err(ExecError::DimsMismatch {
-                array: name.name().to_string(),
-                expected: plan.dims.clone(),
-                got: g.dims().to_vec(),
-            });
-        }
-        let slice = g.as_mut_slice();
-        lens.push(slice.len());
-        views.push(ArrayView {
-            ptr: slice.as_ptr(),
-            len: slice.len(),
-        });
-        write_ptrs.push(slice.as_mut_ptr());
-    }
-    Ok(Buffers {
-        views,
-        write_ptrs,
-        lens,
-    })
-}
-
-/// Per-worker scratch (loop counters, VM stack, CSE temporaries, register
-/// lane file, row box bounds), sized for the one lowering it will run so
-/// interpreter jobs don't pay for lane files and vice versa.
-pub(crate) struct JobScratch {
-    pub(crate) counters: Vec<i64>,
-    pub(crate) stack: Vec<f64>,
-    pub(crate) tmps: Vec<f64>,
-    pub(crate) rows: RowScratch,
-    row_lo: Vec<i64>,
-    row_hi: Vec<i64>,
-}
-
-impl JobScratch {
-    /// Scratch for one run; `native_active` tells a Jit run that a
-    /// native module resolved, so the rows-fallback lane file (which
-    /// would then be unreachable) is not allocated.
-    pub(crate) fn for_run(plan: &Plan, lowering: Lowering, native_active: bool) -> JobScratch {
-        let (stack, tmps, rows) = match lowering {
-            Lowering::PerPoint => (
-                Vec::with_capacity(max_stack(plan)),
-                vec![0.0; max_tmps(plan)],
-                RowScratch::empty(),
-            ),
-            Lowering::Jit if native_active => (Vec::new(), Vec::new(), RowScratch::empty()),
-            // Rows, or Jit without a registered module — the fallback
-            // runs through the row executor and needs its lane file.
-            Lowering::Rows | Lowering::Jit => (Vec::new(), Vec::new(), RowScratch::for_plan(plan)),
-        };
-        JobScratch {
-            counters: vec![0i64; plan.rank],
-            stack,
-            tmps,
-            rows,
-            row_lo: vec![0i64; plan.rank],
-            row_hi: vec![0i64; plan.rank],
-        }
-    }
-}
-
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_point(
-    plan: &Plan,
-    nest: &NestPlan,
-    bufs: &Buffers,
-    counters: &[i64],
-    center: isize,
-    atomic: bool,
-    stack: &mut Vec<f64>,
-    tmps: &mut [f64],
-) {
-    'stmt: for st in &nest.stmts {
-        if let Some(g) = &st.guard {
-            for (d, &(l, h)) in g.iter().enumerate() {
-                if counters[d] < l || counters[d] > h {
-                    continue 'stmt;
-                }
-            }
-        }
-        let env = PointEnv {
-            arrays: &bufs.views,
-            counters,
-            dims: &plan.dims,
-            strides: &plan.strides,
-            center,
-        };
-        let v = st.prog.eval_with_tmps(&env, stack, tmps);
-        let target = center + st.write_rel;
-        debug_assert!(target >= 0 && (target as usize) < bufs.lens[st.out_slot]);
-        let ptr = bufs.write_ptrs[st.out_slot];
-        // SAFETY: target was proven in range by plan compilation; parallel
-        // callers guarantee disjoint or atomic writes (see `Buffers`).
-        unsafe {
-            let p = ptr.offset(target);
-            if st.overwrite {
-                *p = v;
-            } else if atomic {
-                (*(p as *const AtomicF64)).fetch_add(v);
-            } else {
-                *p += v;
-            }
-        }
-    }
-}
-
-/// Resolve the native module for a plan when the requested lowering is
-/// Jit: a registered group with a matching nest count runs natively,
-/// anything else (no registration, nest-count drift, atomic scatter —
-/// generated code writes plainly) degrades to the bitwise-identical row
-/// executor.
-pub(crate) fn resolve_native(
-    plan: &Plan,
-    lowering: Lowering,
-    atomic: bool,
-) -> Option<Arc<NativeGroup>> {
-    if lowering != Lowering::Jit || atomic {
-        return None;
-    }
-    let native = native_lookup(plan.fingerprint()).filter(|g| g.nests() == plan.nests.len());
-    if native.is_none() {
-        // A Jit lowering that resolves no native module is a *degraded*
-        // execution (bitwise-identical, slower): a failed/skipped JIT
-        // prepare, a nest-count drift, or an evicted registration. Counted
-        // once per runner/run, not per tile.
-        perforad_obs::counter("jit.degraded_fallbacks").inc();
-    }
-    native
-}
-
-/// Execute a nest over `[lo0, hi0]` of the outermost counter with the
-/// requested lowering. `nest_idx` indexes `plan.nests` (the native
-/// module's entry points are per-nest).
-#[allow(clippy::too_many_arguments)]
-fn exec_nest_range(
-    plan: &Plan,
-    nest_idx: usize,
-    bufs: &Buffers,
-    lo0: i64,
-    hi0: i64,
-    atomic: bool,
-    lowering: Lowering,
-    native: Option<&NativeGroup>,
-    scratch: &mut JobScratch,
-) {
-    let nest = &plan.nests[nest_idx];
-    match lowering {
-        Lowering::PerPoint => walk(
-            plan,
-            nest,
-            bufs,
-            0,
-            0,
-            lo0,
-            hi0,
-            atomic,
-            &mut scratch.counters,
-            &mut scratch.stack,
-            &mut scratch.tmps,
-        ),
-        Lowering::Rows | Lowering::Jit => {
-            scratch.row_lo.copy_from_slice(&nest.lo);
-            scratch.row_hi.copy_from_slice(&nest.hi);
-            scratch.row_lo[0] = lo0;
-            scratch.row_hi[0] = hi0;
-            if let Some(native) = native {
-                // SAFETY: `native` was registered under this plan's
-                // fingerprint, so its entry points were compiled for this
-                // layout; the caller guarantees disjoint writes (same
-                // contract as the rows path below).
-                unsafe {
-                    native.run_box(nest_idx, &scratch.row_lo, &scratch.row_hi, &bufs.write_ptrs)
-                };
-            } else {
-                rows::exec_box_rows(
-                    plan,
-                    nest,
-                    bufs,
-                    &scratch.row_lo,
-                    &scratch.row_hi,
-                    atomic,
-                    &mut scratch.counters,
-                    &mut scratch.rows,
-                );
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    plan: &Plan,
-    nest: &NestPlan,
-    bufs: &Buffers,
-    dim: usize,
-    base: isize,
-    lo0: i64,
-    hi0: i64,
-    atomic: bool,
-    counters: &mut [i64],
-    stack: &mut Vec<f64>,
-    tmps: &mut [f64],
-) {
-    let rank = plan.rank;
-    let (lo, hi) = if dim == 0 {
-        (lo0, hi0)
-    } else {
-        (nest.lo[dim], nest.hi[dim])
-    };
-    let stride = plan.strides[dim] as isize;
-    if dim + 1 == rank {
-        for k in lo..=hi {
-            counters[dim] = k;
-            exec_point(
-                plan,
-                nest,
-                bufs,
-                counters,
-                base + k as isize * stride,
-                atomic,
-                stack,
-                tmps,
-            );
-        }
-    } else {
-        for k in lo..=hi {
-            counters[dim] = k;
-            walk(
-                plan,
-                nest,
-                bufs,
-                dim + 1,
-                base + k as isize * stride,
-                lo0,
-                hi0,
-                atomic,
-                counters,
-                stack,
-                tmps,
-            );
-        }
-    }
-}
-
-/// Chunked work items over the outermost dimension of every nest.
-fn make_jobs(plan: &Plan, threads: usize) -> Vec<(usize, i64, i64)> {
-    let mut jobs = Vec::new();
-    let target = (threads * 4).max(1) as i64;
+/// The tiles [`run`] executes, in nest order: each non-empty nest's box
+/// cut along its outermost dimension into at most `chunks` slabs of whole
+/// rows (one slab — the whole box — when `chunks` is 1).
+fn job_tiles(plan: &Plan, chunks: usize) -> Vec<Tile> {
+    let mut tiles = Vec::new();
     for (k, nest) in plan.nests.iter().enumerate() {
         if nest.empty {
             continue;
         }
         let rows = nest.hi[0] - nest.lo[0] + 1;
-        let chunks = rows.min(target).max(1);
-        let size = (rows + chunks - 1) / chunks;
+        let size = (rows + chunks as i64 - 1) / chunks as i64;
         let mut s = nest.lo[0];
         while s <= nest.hi[0] {
             let e = (s + size - 1).min(nest.hi[0]);
-            jobs.push((k, s, e));
+            let (mut lo, mut hi) = (nest.lo.clone(), nest.hi.clone());
+            (lo[0], hi[0]) = (s, e);
+            tiles.push(Tile { nest: k, lo, hi });
             s = e + 1;
         }
     }
-    jobs
-}
-
-pub(crate) fn max_stack(plan: &Plan) -> usize {
-    plan.nests
-        .iter()
-        .flat_map(|n| n.stmts.iter())
-        .map(|s| s.prog.max_stack())
-        .max()
-        .unwrap_or(0)
-}
-
-pub(crate) fn max_tmps(plan: &Plan) -> usize {
-    plan.nests
-        .iter()
-        .flat_map(|n| n.stmts.iter())
-        .map(|s| s.prog.n_tmps())
-        .max()
-        .unwrap_or(0)
-}
-
-fn run_inline(plan: &Plan, ws: &mut Workspace, lowering: Lowering) -> Result<ExecStats, ExecError> {
-    let bufs = make_buffers(plan, ws)?;
-    let native = resolve_native(plan, lowering, false);
-    let mut scratch = JobScratch::for_run(plan, lowering, native.is_some());
-    for (k, nest) in plan.nests.iter().enumerate() {
-        if nest.empty {
-            continue;
-        }
-        exec_nest_range(
-            plan,
-            k,
-            &bufs,
-            nest.lo[0],
-            nest.hi[0],
-            false,
-            lowering,
-            native.as_deref(),
-            &mut scratch,
-        );
-    }
-    Ok(ExecStats {
-        points: plan.points(),
-    })
-}
-
-fn run_pool(
-    plan: &Plan,
-    ws: &mut Workspace,
-    pool: &ThreadPool,
-    atomic: bool,
-    lowering: Lowering,
-) -> Result<ExecStats, ExecError> {
-    let bufs = make_buffers(plan, ws)?;
-    let native = resolve_native(plan, lowering, atomic);
-    let jobs = make_jobs(plan, pool.size());
-    pool.parallel_dynamic_scratch(
-        jobs.len(),
-        || JobScratch::for_run(plan, lowering, native.is_some()),
-        |j, scratch| {
-            let (k, s, e) = jobs[j];
-            exec_nest_range(
-                plan,
-                k,
-                &bufs,
-                s,
-                e,
-                atomic,
-                lowering,
-                native.as_deref(),
-                scratch,
-            );
-        },
-    );
-    Ok(ExecStats {
-        points: plan.points(),
-    })
+    tiles
 }
 
 /// Execute `plan` against `ws` the way `mode` asks.
 ///
-/// [`Strategy::Serial`] walks the nests in order on the calling thread.
-/// [`Strategy::Parallel`] needs a gather-only plan
+/// [`Strategy::Serial`] runs each nest's whole box in nest order on the
+/// calling thread. [`Strategy::Parallel`] needs a gather-only plan
 /// ([`ExecError::ScatterNeedsAtomics`] otherwise); for adjoint plans from
 /// [`crate::kernel::compile_adjoint`] the nests are disjoint, so all
-/// chunks execute in one region without barriers.
+/// `threads × 4` outer-dimension chunks of every nest go through the
+/// pool's work queue in one region, without barriers.
 /// [`Strategy::ParallelAtomic`] is correct for any plan.
 pub fn run(plan: &Plan, ws: &mut Workspace, mode: ExecMode<'_>) -> Result<ExecStats, ExecError> {
-    match mode.strategy {
-        Strategy::Serial => run_inline(plan, ws, mode.lowering),
-        Strategy::Parallel(_) if !plan.gather_only => Err(ExecError::ScatterNeedsAtomics),
-        Strategy::Parallel(pool) => run_pool(plan, ws, pool, false, mode.lowering),
-        Strategy::ParallelAtomic(pool) => run_pool(plan, ws, pool, true, mode.lowering),
+    let (pool, atomic) = match mode.strategy {
+        Strategy::Serial => (None, false),
+        Strategy::Parallel(_) if !plan.gather_only => return Err(ExecError::ScatterNeedsAtomics),
+        Strategy::Parallel(pool) => (Some(pool), false),
+        Strategy::ParallelAtomic(pool) => (Some(pool), true),
+    };
+    let runner = TileRunner::pin(plan, ws, atomic)?.with_lowering(mode.lowering);
+    let tiles = job_tiles(plan, pool.map_or(1, |p| p.size() * 4));
+    let run_one = |k: usize, scratch: &mut TileScratch| {
+        // SAFETY: the job tiles partition every nest, each tile index runs
+        // once (in order, or handed to one worker by the work queue), and
+        // concurrent tiles write disjoint sets — a gather plan's disjoint
+        // nests write only their centre points — or atomically.
+        unsafe { runner.run_tile(&tiles[k], scratch) }
+    };
+    match pool {
+        None => {
+            let mut scratch = runner.scratch();
+            (0..tiles.len()).for_each(|k| run_one(k, &mut scratch));
+        }
+        Some(pool) => pool.work_queue(tiles.len(), |_| runner.scratch(), run_one),
     }
+    Ok(ExecStats {
+        points: plan.points(),
+    })
 }
 
 #[cfg(test)]
@@ -649,16 +322,118 @@ mod tests {
 
     #[test]
     fn exec_mode_dispatch_covers_rows() {
-        let (mut ws1, bind) = setup(33);
-        let plan = compile_nest(&paper_nest(), &ws1, &bind).unwrap();
-        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
-        let (mut ws2, _) = setup(33);
-        run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
-        assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
+        // Every Strategy × Lowering against the serial interpreter, on a
+        // gather primal and a scatter adjoint. Integer-valued data keeps
+        // the atomic scatter exact whatever order its adds land in; an
+        // unprepared Jit runs on rows.
+        let n = 45;
+        let build = || {
+            Workspace::new()
+                .with("u", Grid::from_fn(&[n + 1], |ix| (ix[0] % 7) as f64))
+                .with("c", Grid::from_fn(&[n + 1], |ix| (ix[0] % 3 + 1) as f64))
+                .with("r", Grid::zeros(&[n + 1]))
+                .with("u_b", Grid::zeros(&[n + 1]))
+                .with(
+                    "r_b",
+                    Grid::from_fn(&[n + 1], |ix| (ix[0] % 5) as f64 - 2.0),
+                )
+        };
+        let bind = Binding::new().size("n", n as i64);
+        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+        let primal = compile_nest(&paper_nest(), &build(), &bind).unwrap();
+        let scatter = paper_nest().scatter_adjoint(&act).unwrap();
+        let scatter = compile_nest(&scatter, &build(), &bind).unwrap();
+        assert!(primal.gather_only && !scatter.gather_only);
         let pool = ThreadPool::new(2);
-        let (mut ws3, _) = setup(33);
-        run(&plan, &mut ws3, ExecMode::parallel(&pool).rows()).unwrap();
-        assert_eq!(ws1.grid("r").max_abs_diff(ws3.grid("r")), 0.0);
+        for (plan, out) in [(&primal, "r"), (&scatter, "u_b")] {
+            let mut reference = build();
+            run(plan, &mut reference, ExecMode::serial()).unwrap();
+            assert!(reference.grid(out).sum() != 0.0);
+            let strategies = [
+                ("serial", Strategy::Serial),
+                ("parallel", Strategy::Parallel(&pool)),
+                ("atomic", Strategy::ParallelAtomic(&pool)),
+            ];
+            for (tag, strategy) in strategies {
+                for lowering in [Lowering::PerPoint, Lowering::Rows, Lowering::Jit] {
+                    let mut ws = build();
+                    let got = run(plan, &mut ws, ExecMode { strategy, lowering });
+                    if tag == "parallel" && !plan.gather_only {
+                        assert_eq!(got.unwrap_err(), ExecError::ScatterNeedsAtomics);
+                        continue;
+                    }
+                    assert_eq!(got.unwrap().points, plan.points());
+                    assert_eq!(
+                        ws.grid(out).max_abs_diff(reference.grid(out)),
+                        0.0,
+                        "{out}: {tag} {lowering:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn job_tiles_partition_every_nest_exactly_once() {
+        // Per rank: a tall nest, one with fewer rows than 4 × threads, an
+        // empty one; chunk counts for serial (1) and 1–16 threads.
+        let names = ["i", "j", "k"];
+        for rank in 1..=3 {
+            let counters: Vec<Symbol> = names[..rank].iter().map(Symbol::new).collect();
+            let at: Vec<Idx> = counters.iter().map(|c| Idx::sym(c.clone())).collect();
+            let mk = |lo0: i64, hi0: i64| {
+                let mut bounds = vec![(Idx::constant(1), Idx::constant(3)); rank];
+                bounds[0] = (Idx::constant(lo0), Idx::constant(hi0));
+                let (w, u) = (Array::new("w"), Array::new("u"));
+                make_loop_nest(
+                    &w.at(at.clone()),
+                    u.at(at.clone()),
+                    counters.clone(),
+                    bounds,
+                )
+                .unwrap()
+            };
+            let dims = &[48, 5, 5][..rank];
+            let ws = Workspace::new()
+                .with("u", Grid::zeros(dims))
+                .with("w", Grid::zeros(dims));
+            let nests = [mk(1, 37), mk(40, 42), mk(45, 44)];
+            let plan = crate::kernel::compile_nests(&nests, &ws, &Binding::new(), false).unwrap();
+            assert!(plan.nests[2].empty);
+            for chunks in [1, 4, 8, 16, 64] {
+                let tiles = job_tiles(&plan, chunks);
+                assert!(tiles.windows(2).all(|w| w[0].nest <= w[1].nest));
+                for (k, nest) in plan.nests.iter().enumerate() {
+                    let mine: Vec<&Tile> = tiles.iter().filter(|t| t.nest == k).collect();
+                    let rows = nest.hi[0] - nest.lo[0] + 1;
+                    if nest.empty {
+                        assert!(mine.is_empty());
+                        continue;
+                    }
+                    assert!(!mine.is_empty() && mine.len() <= chunks);
+                    if rows <= chunks as i64 {
+                        assert_eq!(mine.len() as i64, rows, "one row per tile");
+                    }
+                    // Whole-row slabs, back to back from the first row to
+                    // the last.
+                    let mut next = nest.lo[0];
+                    for t in mine {
+                        assert_eq!(t.lo[0], next);
+                        assert!(t.hi[0] >= t.lo[0]);
+                        assert_eq!((&t.lo[1..], &t.hi[1..]), (&nest.lo[1..], &nest.hi[1..]));
+                        next = t.hi[0] + 1;
+                    }
+                    assert_eq!(next, nest.hi[0] + 1);
+                }
+                let covered: u64 = tiles.iter().map(Tile::points).sum();
+                assert_eq!(covered, plan.points(), "rank {rank}, {chunks} chunks");
+            }
+            assert_eq!(
+                job_tiles(&plan, 1).len(),
+                2,
+                "serial: one box per live nest"
+            );
+        }
     }
 
     #[test]

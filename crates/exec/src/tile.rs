@@ -1,12 +1,12 @@
-//! Tile-granular execution: run arbitrary rectangular slices of a plan's
-//! nests, in any order, from any thread.
+//! Tile-granular execution: the one place plan points execute.
 //!
-//! The executors in [`crate::run`] chunk only the outermost loop dimension
-//! of one nest at a time. A fusion + tiling scheduler needs finer control:
-//! cache-blocked sub-boxes of *several* nests interleaved in a single
-//! parallel region. [`TileRunner`] is that entry point — it pins the
-//! workspace buffers once and then executes individual [`Tile`]s; the
-//! caller owns the policy (which tiles run concurrently, on which worker).
+//! [`TileRunner`] pins a plan's workspace buffers once and then executes
+//! individual [`Tile`]s — rectangular slices of one nest — in any order,
+//! from any thread; the caller owns the policy (which tiles run
+//! concurrently, on which worker). [`crate::run()`] cuts whole-row slabs
+//! of every nest and `perforad-sched` cuts cache-blocked sub-boxes of
+//! fused groups; both hand them here. The runner owns the per-point
+//! walker, the per-worker scratch and the lowering dispatch.
 //!
 //! Safety contract: `TileRunner::run_tile` writes without atomics, so
 //! concurrently executed tiles must have disjoint write sets. For
@@ -14,13 +14,13 @@
 //! disjoint per nest and the nests' write regions are disjoint across nests
 //! — exactly what `perforad-sched` proves before building a schedule.
 
+use crate::atomic::AtomicF64;
+use crate::bytecode::{ArrayView, PointEnv};
 use crate::error::ExecError;
-use crate::kernel::Plan;
-use crate::native::NativeGroup;
+use crate::kernel::{NestPlan, Plan};
+use crate::native::{native_lookup, NativeGroup};
 use crate::rows::{self, RowScratch};
-use crate::run::{
-    exec_point, make_buffers, max_stack, max_tmps, resolve_native, Buffers, Lowering,
-};
+use crate::run::Lowering;
 use crate::workspace::Workspace;
 use std::sync::{Arc, OnceLock};
 
@@ -61,9 +61,135 @@ impl Tile {
     }
 }
 
+pub(crate) struct Buffers {
+    pub(crate) views: Vec<ArrayView>,
+    pub(crate) write_ptrs: Vec<*mut f64>,
+    pub(crate) lens: Vec<usize>,
+}
+
+// SAFETY: `Buffers` is only shared across threads inside a `TileRunner`,
+// whose `run_tile` contract guarantees disjoint writes (gather chunking /
+// disjoint nests) or atomic writes. Reads never alias writes (checked at
+// plan compile time).
+unsafe impl Sync for Buffers {}
+
+fn make_buffers(plan: &Plan, ws: &mut Workspace) -> Result<Buffers, ExecError> {
+    let mut views = Vec::with_capacity(plan.arrays.len());
+    let mut write_ptrs = Vec::with_capacity(plan.arrays.len());
+    let mut lens = Vec::with_capacity(plan.arrays.len());
+    for name in &plan.arrays {
+        let g = ws
+            .get_mut(name)
+            .ok_or_else(|| crate::error::unknown(name))?;
+        if g.dims() != plan.dims.as_slice() {
+            return Err(ExecError::DimsMismatch {
+                array: name.name().to_string(),
+                expected: plan.dims.clone(),
+                got: g.dims().to_vec(),
+            });
+        }
+        let slice = g.as_mut_slice();
+        lens.push(slice.len());
+        views.push(ArrayView {
+            ptr: slice.as_ptr(),
+            len: slice.len(),
+        });
+        write_ptrs.push(slice.as_mut_ptr());
+    }
+    Ok(Buffers {
+        views,
+        write_ptrs,
+        lens,
+    })
+}
+
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn exec_point(
+    plan: &Plan,
+    nest: &NestPlan,
+    bufs: &Buffers,
+    counters: &[i64],
+    center: isize,
+    atomic: bool,
+    stack: &mut Vec<f64>,
+    tmps: &mut [f64],
+) {
+    'stmt: for st in &nest.stmts {
+        if let Some(g) = &st.guard {
+            for (d, &(l, h)) in g.iter().enumerate() {
+                if counters[d] < l || counters[d] > h {
+                    continue 'stmt;
+                }
+            }
+        }
+        let env = PointEnv {
+            arrays: &bufs.views,
+            counters,
+            dims: &plan.dims,
+            strides: &plan.strides,
+            center,
+        };
+        let v = st.prog.eval_with_tmps(&env, stack, tmps);
+        let target = center + st.write_rel;
+        debug_assert!(target >= 0 && (target as usize) < bufs.lens[st.out_slot]);
+        let ptr = bufs.write_ptrs[st.out_slot];
+        // SAFETY: target was proven in range by plan compilation; parallel
+        // callers guarantee disjoint or atomic writes (see `Buffers`).
+        unsafe {
+            let p = ptr.offset(target);
+            if st.overwrite {
+                *p = v;
+            } else if atomic {
+                (*(p as *const AtomicF64)).fetch_add(v);
+            } else {
+                *p += v;
+            }
+        }
+    }
+}
+
+/// Resolve the native module for a plan when the requested lowering is
+/// Jit: a registered group with a matching nest count runs natively,
+/// anything else (no registration, nest-count drift, atomic scatter —
+/// generated code writes plainly) degrades to the bitwise-identical row
+/// executor.
+fn resolve_native(plan: &Plan, lowering: Lowering, atomic: bool) -> Option<Arc<NativeGroup>> {
+    if lowering != Lowering::Jit || atomic {
+        return None;
+    }
+    let native = native_lookup(plan.fingerprint()).filter(|g| g.nests() == plan.nests.len());
+    if native.is_none() {
+        // A Jit lowering that resolves no native module is a *degraded*
+        // execution (bitwise-identical, slower): a failed/skipped JIT
+        // prepare, a nest-count drift, or an evicted registration. Counted
+        // once per runner, not per tile.
+        perforad_obs::counter("jit.degraded_fallbacks").inc();
+    }
+    native
+}
+
+fn max_stack(plan: &Plan) -> usize {
+    plan.nests
+        .iter()
+        .flat_map(|n| n.stmts.iter())
+        .map(|s| s.prog.max_stack())
+        .max()
+        .unwrap_or(0)
+}
+
+fn max_tmps(plan: &Plan) -> usize {
+    plan.nests
+        .iter()
+        .flat_map(|n| n.stmts.iter())
+        .map(|s| s.prog.n_tmps())
+        .max()
+        .unwrap_or(0)
+}
+
 /// Per-thread scratch state for tile execution (loop counters, VM stack,
-/// CSE temporaries, register lane file). Create one per worker with
-/// [`TileRunner::scratch`].
+/// CSE temporaries, register lane file), sized for the one lowering it
+/// will run. Create one per worker with [`TileRunner::scratch`].
 pub struct TileScratch {
     counters: Vec<i64>,
     stack: Vec<f64>,
@@ -96,22 +222,24 @@ impl<'a> TileRunner<'a> {
     /// Concurrent `run_tile` calls must cover disjoint write sets; for
     /// gather-only plans, disjoint iteration boxes suffice.
     pub fn new(plan: &'a Plan, ws: &'a mut Workspace) -> Result<Self, ExecError> {
-        Ok(TileRunner {
-            plan,
-            bufs: make_buffers(plan, ws)?,
-            atomic: false,
-            lowering: Lowering::default(),
-            native: None,
-        })
+        Self::pin(plan, ws, false)
     }
 
     /// Pin `ws` with every `+=` performed as an atomic CAS add, lifting the
     /// disjointness requirement (the scatter baseline path).
     pub fn new_atomic(plan: &'a Plan, ws: &'a mut Workspace) -> Result<Self, ExecError> {
+        Self::pin(plan, ws, true)
+    }
+
+    pub(crate) fn pin(
+        plan: &'a Plan,
+        ws: &'a mut Workspace,
+        atomic: bool,
+    ) -> Result<Self, ExecError> {
         Ok(TileRunner {
             plan,
             bufs: make_buffers(plan, ws)?,
-            atomic: true,
+            atomic,
             lowering: Lowering::default(),
             native: None,
         })
@@ -162,9 +290,14 @@ impl<'a> TileRunner<'a> {
         self.plan
     }
 
-    /// Execute every point of `tile`. The tile box must lie inside the
-    /// nest's compiled bounds (debug-asserted); out-of-range boxes would
-    /// void the compile-time range proof.
+    /// Execute every point of `tile`.
+    ///
+    /// # Panics
+    ///
+    /// When the tile box (unless empty) does not lie inside the nest's
+    /// compiled bounds: the unchecked loads rest on the compile-time range
+    /// proof, which covers exactly those bounds. Checked in every build —
+    /// a few comparisons per tile, not per point.
     ///
     /// # Safety
     ///
@@ -178,13 +311,14 @@ impl<'a> TileRunner<'a> {
     /// method is `unsafe` even though single-threaded use is always sound.
     pub unsafe fn run_tile(&self, tile: &Tile, scratch: &mut TileScratch) {
         let nest = &self.plan.nests[tile.nest];
-        debug_assert_eq!(tile.lo.len(), self.plan.rank);
-        debug_assert!(
-            tile.lo
-                .iter()
-                .zip(&tile.hi)
-                .enumerate()
-                .all(|(d, (l, h))| h < l || (*l >= nest.lo[d] && *h <= nest.hi[d])),
+        let rank = self.plan.rank;
+        assert!(
+            tile.lo.len() == rank
+                && tile.hi.len() == rank
+                && (0..rank).all(|d| {
+                    tile.hi[d] < tile.lo[d]
+                        || (tile.lo[d] >= nest.lo[d] && tile.hi[d] <= nest.hi[d])
+                }),
             "tile box escapes nest bounds"
         );
         if tile.points() == 0 {
@@ -227,7 +361,7 @@ impl<'a> TileRunner<'a> {
 
     fn walk_box(
         &self,
-        nest: &crate::kernel::NestPlan,
+        nest: &NestPlan,
         tile: &Tile,
         dim: usize,
         base: isize,
@@ -367,6 +501,29 @@ mod tests {
             }
         }
         assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile box escapes nest bounds")]
+    fn a_tile_outside_its_nest_is_refused_in_every_build() {
+        // The nest is 1..=n-1 on a grid with room to spare, so the escaping
+        // row n is still inside the arrays: without the check it would run
+        // quietly, outside the range the plan was proven for.
+        let n = 37usize;
+        let mut ws = Workspace::new()
+            .with("u", Grid::zeros(&[n + 3]))
+            .with("r", Grid::zeros(&[n + 3]));
+        let plan = compile_nest(&nest_1d(), &ws, &Binding::new().size("n", n as i64)).unwrap();
+        assert_eq!(plan.nests[0].hi, vec![n as i64 - 1]);
+        let runner = TileRunner::new(&plan, &mut ws).unwrap();
+        let mut scratch = runner.scratch();
+        let tile = Tile {
+            nest: 0,
+            lo: vec![1],
+            hi: vec![n as i64],
+        };
+        // SAFETY: single-threaded execution cannot race.
+        unsafe { runner.run_tile(&tile, &mut scratch) };
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! 4. **Register** — the table is installed in the process-wide
 //!    [`perforad_exec::native`] registry under the group plan's
 //!    structural fingerprint; from then on every `Lowering::Jit`
-//!    execution surface (`run_{serial,parallel}_jit`, `TileRunner`,
-//!    `run_schedule`, `run_tuned`) dispatches into it.
+//!    execution — `exec::run`, `run_schedule`, `run_tuned`, all of them
+//!    through `TileRunner::run_tile` — dispatches into it.
 //!
 //! Compiled artifacts persist in `PERFORAD_JIT_CACHE` (default: a
 //! `perforad-jit` directory under the system temp dir), keyed by plan

@@ -15,10 +15,9 @@ use perforad_core::{Adjoint, BoundaryStrategy, LoopNest};
 use perforad_exec::kernel::PlanOptions;
 use perforad_exec::{
     compile_nests_opts, tile_nest, Binding, ExecStats, Lowering, Plan, ThreadPool, Tile,
-    TileRunner, Workspace,
+    TileRunner, TileScratch, Workspace,
 };
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How tiles are assigned to pool workers.
@@ -28,9 +27,9 @@ pub enum TilePolicy {
     /// balancing of their point counts (OpenMP `schedule(static)` in
     /// spirit: zero runtime coordination).
     Static,
-    /// Workers pull tiles from a shared atomic counter as they finish
-    /// (work-stealing-style; OpenMP `schedule(dynamic)`), absorbing the
-    /// irregular boundary tiles without idling.
+    /// Workers pull tiles from the pool's work queue as they finish
+    /// (OpenMP `schedule(dynamic)`), absorbing the irregular boundary
+    /// tiles without idling.
     #[default]
     Dynamic,
 }
@@ -46,7 +45,8 @@ pub struct SchedOptions {
     /// Apply per-statement common-subexpression elimination when lowering.
     pub cse: bool,
     /// Statement lowering tiles run with: the per-point interpreter
-    /// (default, reference) or the vectorized register-IR row executor.
+    /// (default, reference), the vectorized register-IR row executor, or
+    /// JIT-compiled native code (rows when no module is registered).
     pub lowering: Lowering,
     /// Merge conflict-free nests into shared parallel regions (default).
     /// Off, every nest becomes its own group — one barrier per nest, the
@@ -386,64 +386,25 @@ pub fn run_schedule(
     ws: &mut Workspace,
     pool: &ThreadPool,
 ) -> Result<ExecStats, SchedError> {
-    if !schedule.gather_only() {
-        return Err(SchedError::ScatterPlan);
-    }
-    for (gi, group) in schedule.groups.iter().enumerate() {
-        let _group_span = perforad_obs::span!(
-            "exec.group", "exec", "group" => gi as u64, "tiles" => group.tiles.len() as u64
-        );
-        let runner = TileRunner::new(&group.plan, ws)?.with_lowering(schedule.lowering);
-        match schedule.policy {
-            TilePolicy::Dynamic => {
-                let counter = AtomicUsize::new(0);
-                pool.run(&|_tid| {
-                    let mut scratch = runner.scratch();
-                    loop {
-                        let k = counter.fetch_add(1, Ordering::Relaxed);
-                        if k >= group.tiles.len() {
-                            break;
-                        }
-                        let tile = &group.tiles[k];
-                        let _tile_span = perforad_obs::span!(
-                            "exec.tile", "exec",
-                            "nest" => tile.nest as u64, "points" => tile.points()
-                        );
-                        // SAFETY: tiles within a group have disjoint write
-                        // sets (gather-only plan + per-nest disjoint boxes +
-                        // dependence-checked cross-nest write regions), and
-                        // the atomic counter hands each tile to one worker.
-                        unsafe { runner.run_tile(tile, &mut scratch) };
-                    }
-                });
-            }
-            TilePolicy::Static => {
-                let assignment = lpt_assign(&group.tiles, pool.size());
-                pool.run(&|tid| {
-                    let mut scratch = runner.scratch();
-                    for &k in &assignment[tid] {
-                        let tile = &group.tiles[k];
-                        let _tile_span = perforad_obs::span!(
-                            "exec.tile", "exec",
-                            "nest" => tile.nest as u64, "points" => tile.points()
-                        );
-                        // SAFETY: as above; the LPT bins partition the tile
-                        // list, so no tile runs on two workers.
-                        unsafe { runner.run_tile(tile, &mut scratch) };
-                    }
-                });
-            }
-        }
-    }
-    Ok(ExecStats {
-        points: schedule.points(),
-    })
+    run_groups(schedule, ws, Some(pool))
 }
 
 /// Run serially (tile order, no pool) — the determinism reference.
 pub fn run_schedule_serial(
     schedule: &Schedule,
     ws: &mut Workspace,
+) -> Result<ExecStats, SchedError> {
+    run_groups(schedule, ws, None)
+}
+
+/// The per-group driver behind both entry points: pin each group's plan
+/// in a [`TileRunner`] and hand its tiles out in tile order (no pool),
+/// through the pool's work queue ([`TilePolicy::Dynamic`]) or in
+/// pre-assigned LPT bins ([`TilePolicy::Static`]).
+fn run_groups(
+    schedule: &Schedule,
+    ws: &mut Workspace,
+    pool: Option<&ThreadPool>,
 ) -> Result<ExecStats, SchedError> {
     if !schedule.gather_only() {
         return Err(SchedError::ScatterPlan);
@@ -453,13 +414,35 @@ pub fn run_schedule_serial(
             "exec.group", "exec", "group" => gi as u64, "tiles" => group.tiles.len() as u64
         );
         let runner = TileRunner::new(&group.plan, ws)?.with_lowering(schedule.lowering);
-        let mut scratch = runner.scratch();
-        for t in &group.tiles {
+        let run_one = |k: usize, scratch: &mut TileScratch| {
+            let tile = &group.tiles[k];
             let _tile_span = perforad_obs::span!(
-                "exec.tile", "exec", "nest" => t.nest as u64, "points" => t.points()
+                "exec.tile", "exec", "nest" => tile.nest as u64, "points" => tile.points()
             );
-            // SAFETY: single-threaded execution cannot race.
-            unsafe { runner.run_tile(t, &mut scratch) };
+            // SAFETY: tiles within a group have disjoint write sets
+            // (gather-only plan + per-nest disjoint boxes +
+            // dependence-checked cross-nest write regions), and each tile
+            // index runs once: in order, handed to one worker by the work
+            // queue, or in the one LPT bin holding it.
+            unsafe { runner.run_tile(tile, scratch) };
+        };
+        match (pool, schedule.policy) {
+            (None, _) => {
+                let mut scratch = runner.scratch();
+                (0..group.tiles.len()).for_each(|k| run_one(k, &mut scratch));
+            }
+            (Some(pool), TilePolicy::Dynamic) => {
+                pool.work_queue(group.tiles.len(), |_| runner.scratch(), run_one)
+            }
+            (Some(pool), TilePolicy::Static) => {
+                let assignment = lpt_assign(&group.tiles, pool.size());
+                pool.run(&|tid| {
+                    let mut scratch = runner.scratch();
+                    assignment[tid]
+                        .iter()
+                        .for_each(|&k| run_one(k, &mut scratch));
+                });
+            }
         }
     }
     Ok(ExecStats {

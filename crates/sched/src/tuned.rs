@@ -29,9 +29,10 @@ pub enum TunedStrategy {
 pub struct TunedConfig {
     /// Serial or pool-parallel execution.
     pub strategy: TunedStrategy,
-    /// Per-point interpreter or vectorized register-IR rows.
+    /// Per-point interpreter, vectorized register-IR rows, or JIT native
+    /// code (rows when no module is registered).
     pub lowering: Lowering,
-    /// Static (LPT) or dynamic (shared-counter) tile assignment.
+    /// Static (LPT) or dynamic (work-queue) tile assignment.
     pub policy: TilePolicy,
     /// Tile edges, one per nest dimension.
     pub tile: Vec<i64>,

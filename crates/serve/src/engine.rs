@@ -57,6 +57,18 @@ enum Refusal {
 /// request exits through — success, validation error, or panic unwind.
 struct Admission<'a> {
     engine: &'a Engine,
+    /// Queue depth counting this request, as of its arrival.
+    depth: u64,
+}
+
+impl<'a> Admission<'a> {
+    /// Count one more request in `in_flight` and the gauge; the guard
+    /// uncounts it on drop.
+    fn enter(engine: &'a Engine) -> Self {
+        let depth = engine.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        perforad_obs::gauge("serve.queue_depth").set(depth);
+        Admission { engine, depth }
+    }
 }
 
 impl Drop for Admission<'_> {
@@ -191,18 +203,15 @@ impl Engine {
         reply
     }
 
-    /// Run `f` under the pool run lock, tracking the wait-plus-run
-    /// population in `serve.queue_depth`. No admission check — this is
-    /// the `Compile` path (a fingerprint warms up exactly once).
+    /// Run `f` under the pool run lock, counted in `in_flight` /
+    /// `serve.queue_depth` by the same [`Admission`] guard the gradient
+    /// path holds, so a panicking `f` gives its place back on unwind. No
+    /// depth check — this is the `Compile` path (a fingerprint warms up
+    /// exactly once).
     fn with_pool<T>(&self, f: impl FnOnce() -> T) -> T {
-        let depth = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        let gauge = perforad_obs::gauge("serve.queue_depth");
-        gauge.set(depth);
-        let guard = lock_any(&self.run_lock);
-        let out = f();
-        drop(guard);
-        gauge.set(self.in_flight.fetch_sub(1, Ordering::SeqCst) - 1);
-        out
+        let _slot = Admission::enter(self);
+        let _running = lock_any(&self.run_lock);
+        f()
     }
 
     /// Bounded admission for the gradient path. Must be taken *before*
@@ -212,18 +221,17 @@ impl Engine {
     /// look deeper than one). The returned guard keeps the request
     /// counted in `in_flight` / `serve.queue_depth` until dropped.
     fn admit(&self) -> Result<Admission<'_>, Refusal> {
-        let depth = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        if self.max_queue > 0 && depth > self.max_queue {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        let slot = Admission::enter(self);
+        if self.max_queue > 0 && slot.depth > self.max_queue {
             perforad_obs::counter("serve.rejected_total").inc();
             // Back-pressure hint scales with how deep the queue is; the
-            // client's retry policy jitters around it.
+            // client's retry policy jitters around it. Dropping `slot`
+            // gives the place back.
             return Err(Refusal::Busy {
-                retry_after_ms: (25 * depth).min(1000),
+                retry_after_ms: (25 * slot.depth).min(1000),
             });
         }
-        perforad_obs::gauge("serve.queue_depth").set(depth);
-        Ok(Admission { engine: self })
+        Ok(slot)
     }
 
     /// Admitted gradient work: the run lock, then a last-chance deadline
@@ -785,4 +793,23 @@ fn digest_f64(xs: &[f64]) -> u64 {
         h.write_u64(v.to_bits());
     }
     h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    #[test]
+    fn a_panicking_pool_job_gives_its_queue_place_back() {
+        let engine = Engine::new();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            engine.with_pool(|| panic!("cold compile"))
+        }));
+        assert!(caught.is_err());
+        assert_eq!(engine.in_flight(), 0);
+        // The poisoned run lock still serves the next request.
+        assert_eq!(engine.with_pool(|| engine.in_flight()), 1);
+        assert_eq!(engine.in_flight(), 0);
+    }
 }
