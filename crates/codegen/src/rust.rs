@@ -313,6 +313,10 @@ pub struct JitGroupSpec<'a> {
     pub padded: bool,
     /// Apply per-statement CSE exactly as plan compilation does.
     pub cse: bool,
+    /// The plan's accumulate mode: each run's accumulator for a `+=`
+    /// array starts from `0.0` and is added to the array once, instead of
+    /// starting from the array's value and being stored over it.
+    pub accumulate: bool,
     /// Integer size bindings (loop bounds, guard bounds).
     pub sizes: &'a BTreeMap<Symbol, i64>,
     /// Floating-point parameter bindings, inlined as exact constants.
@@ -561,6 +565,10 @@ fn jit_stmt(
 /// statements in source order and keeps one local accumulator per written
 /// array: loaded at that array's first `+=` (never, when its first op is
 /// `=`), updated in source order, stored once at the end of the body.
+/// Under [`JitGroupSpec::accumulate`] a `+=` accumulator starts from
+/// `0.0` instead and is added to the array once — the plan's one summed
+/// increment per point — so an array whose increments would span two
+/// runs, or mix with `=`, is an `Err` (the group then runs on rows).
 ///
 /// **Aliasing contract.** A row body receives every array its run writes
 /// as a `&mut [f64]` over exactly that row's points at the write offset,
@@ -636,6 +644,9 @@ fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<Strin
     let row = (0..last)
         .map(|d| format!("__c{d}*{} + ", spec.strides[d]))
         .collect::<String>();
+    // Accumulate mode: the arrays earlier runs summed into. A second run
+    // would add a second partial sum — one rounding more than the plan.
+    let mut summed: Vec<usize> = Vec::new();
     for (k, run) in runs.iter().enumerate() {
         // The body first: it decides which arrays the run accumulates
         // into, in first-write order.
@@ -647,9 +658,23 @@ fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<Strin
                 let _ = writeln!(body, "{pad}{l}");
             }
             let (slot, w, rhs) = (s.slot, format!("__w{}", s.slot), &s.rhs);
-            let live = accs.iter().any(|a| a.slot == slot);
-            let _ = match (live, s.op) {
+            let first = accs.iter().find(|a| a.slot == slot);
+            if spec.accumulate && first.is_some_and(|a| a.op != s.op) {
+                return Err(format!(
+                    "accumulated `{}` mixes `=` and `+=`",
+                    spec.arrays[slot]
+                ));
+            }
+            let _ = match (first.is_some(), s.op) {
                 (false, AssignOp::Assign) => writeln!(body, "{pad}let mut {w}: f64 = {rhs};"),
+                (false, AssignOp::AddAssign) if spec.accumulate => {
+                    if summed.contains(&slot) {
+                        let array = &spec.arrays[slot];
+                        return Err(format!("accumulated `{array}` spans two runs of one nest"));
+                    }
+                    summed.push(slot);
+                    writeln!(body, "{pad}let mut {w}: f64 = 0.0; {w} += {rhs};")
+                }
                 (false, AssignOp::AddAssign) => writeln!(
                     body,
                     "{pad}let mut {w}: f64 = *__o{slot}.get_unchecked(__x); {w} += {rhs};"
@@ -657,14 +682,18 @@ fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<Strin
                 (true, AssignOp::Assign) => writeln!(body, "{pad}{w} = {rhs};"),
                 (true, AssignOp::AddAssign) => writeln!(body, "{pad}{w} += {rhs};"),
             };
-            if !live {
+            if first.is_none() {
                 accs.push(s);
             }
         }
         for s in &accs {
+            let store = match s.op {
+                AssignOp::AddAssign if spec.accumulate => "+=",
+                _ => "=",
+            };
             let _ = writeln!(
                 body,
-                "{pad}*__o{0}.get_unchecked_mut(__x) = __w{0};",
+                "{pad}*__o{0}.get_unchecked_mut(__x) {store} __w{0};",
                 s.slot
             );
         }
@@ -855,6 +884,7 @@ mod tests {
             strides,
             padded,
             cse: false,
+            accumulate: false,
             sizes,
             params,
         }
@@ -945,6 +975,7 @@ mod tests {
             strides: &[256, 16, 1],
             padded: false,
             cse,
+            accumulate: false,
             sizes: &sizes,
             params: &params,
         };
@@ -1057,6 +1088,15 @@ mod tests {
 
     /// A 1-D module over `r`, `u` (slots 0, 1) from explicit statements.
     fn module_1d(body: Vec<perforad_core::Statement>, cse: bool) -> Result<String, String> {
+        module_1d_in(body, cse, false)
+    }
+
+    /// [`module_1d`], in plain or accumulate mode.
+    fn module_1d_in(
+        body: Vec<perforad_core::Statement>,
+        cse: bool,
+        accumulate: bool,
+    ) -> Result<String, String> {
         let i = Symbol::new("i");
         let nests = [LoopNest::new(
             vec![i],
@@ -1066,7 +1106,11 @@ mod tests {
         let arrays = [Symbol::new("r"), Symbol::new("u")];
         let (sizes, params) = (BTreeMap::new(), BTreeMap::new());
         let spec = jit_spec_1d(&arrays, &sizes, &params, &nests, &[24], &[1], false);
-        jit_group_module(&JitGroupSpec { cse, ..spec })
+        jit_group_module(&JitGroupSpec {
+            cse,
+            accumulate,
+            ..spec
+        })
     }
 
     #[test]
@@ -1128,6 +1172,41 @@ mod tests {
         // Rank 1: no outer loop, one call over the clamped row.
         assert!(code.contains("let __i0 = (__l0) as isize;"), "{code}");
         assert_eq!(code.matches("for __c").count(), 0, "{code}");
+    }
+
+    /// Accumulate mode: the run's accumulator starts from `0.0` and is
+    /// added to the target once; an array whose increments span two runs,
+    /// or mix with `=`, is refused rather than summed twice.
+    #[test]
+    fn jit_accumulate_sums_from_zero_and_adds_once_per_run() {
+        use perforad_core::{Bound, Guard, Statement};
+        use perforad_symbolic::Access;
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let add = |o: i64| Statement::add_assign(Access::new("r", ix![&i]), u.at(vec![&i + o]));
+        let code = module_1d_in(vec![add(-1), add(1)], false, true).unwrap();
+        let row = row_bodies(&code)[0];
+        assert!(
+            row.contains("let mut __w0: f64 = 0.0; __w0 += (*__a1.offset(__i + (-1)));"),
+            "{row}"
+        );
+        assert!(row.contains("__w0 += (*__a1.offset(__i + (1)));"), "{row}");
+        assert!(
+            row.contains("*__o0.get_unchecked_mut(__x) += __w0;"),
+            "{row}"
+        );
+        assert_eq!(row.matches("__o0.").count(), 1, "{row}");
+
+        let guarded = add(1).with_guard(Guard {
+            ranges: vec![(i.clone(), Bound::new(3, 9))],
+        });
+        let err = module_1d_in(vec![add(-1), guarded.clone()], false, true).unwrap_err();
+        assert!(err.contains("spans two runs"), "{err}");
+        // Plain mode keeps the two runs.
+        assert!(module_1d(vec![add(-1), guarded], false).is_ok());
+        let set = Statement::assign(Access::new("r", ix![&i]), u.at(ix![&i]));
+        let err = module_1d_in(vec![set, add(1)], false, true).unwrap_err();
+        assert!(err.contains("mixes `=` and `+=`"), "{err}");
     }
 
     #[test]

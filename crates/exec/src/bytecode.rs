@@ -280,6 +280,30 @@ impl Program {
         self.n_tmps
     }
 
+    /// `0.0 + p1 + p2 + …`, left to right: the increments one nest adds to
+    /// one point of an accumulated array, summed from `+0.0` as a zeroed
+    /// scratch point would sum them. Each part keeps its own CSE
+    /// temporaries (renumbered past the earlier parts').
+    pub fn sum_from_zero<'p>(parts: impl IntoIterator<Item = &'p Program>) -> Program {
+        let mut sum = Program {
+            ops: vec![Op::Const(0.0)],
+            max_stack: 0,
+            n_tmps: 0,
+        };
+        for part in parts {
+            let base = sum.n_tmps as u16;
+            sum.ops.extend(part.ops.iter().map(|op| match op {
+                Op::StoreTmp(k) => Op::StoreTmp(base + k),
+                Op::LoadTmp(k) => Op::LoadTmp(base + k),
+                op => op.clone(),
+            }));
+            sum.ops.push(Op::Add);
+            sum.n_tmps += part.n_tmps;
+        }
+        sum.max_stack = measure_stack(&sum.ops);
+        sum
+    }
+
     /// A stable structural key over the op sequence (constants keyed by
     /// bit pattern). Two programs with equal fingerprints evaluate
     /// identically at every point, so plan compilation dedups on this —

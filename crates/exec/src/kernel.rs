@@ -8,7 +8,7 @@
 
 use crate::bytecode::{compile, compile_with_bindings, CompileCtx, Program};
 use crate::error::ExecError;
-use crate::regir::{lower, RegProgram};
+use crate::regir::{lower, reuse_registers, RegProgram};
 use crate::workspace::{Binding, Workspace};
 use perforad_core::{Adjoint, AssignOp, BoundaryStrategy, LoopNest};
 use perforad_symbolic::visit::{self, NodeMemo};
@@ -81,6 +81,8 @@ pub struct Plan {
     pub gather_only: bool,
     /// Loads use zero-padding semantics.
     pub padded: bool,
+    /// Compiled in accumulate mode ([`PlanOptions::accumulate`]).
+    pub accumulate: bool,
     /// [`Plan::fingerprint`], hashed on first use.
     fingerprint: OnceLock<u64>,
 }
@@ -122,7 +124,9 @@ impl Plan {
     /// buffers, so this is the key under which `perforad-jit` registers
     /// compiled native code ([`crate::native`]) and names its on-disk
     /// artifacts. Hashed once per plan — every tile runner and every
-    /// `Lowering::Jit` run of a time loop asks for it again.
+    /// `Lowering::Jit` run of a time loop asks for it again. Accumulate
+    /// mode is hashed only when set, so a plain plan keeps the name it
+    /// had before the mode existed.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| self.hash_structure())
     }
@@ -131,6 +135,9 @@ impl Plan {
         let mut h = crate::native::Fnv::new();
         h.write_u64(self.rank as u64);
         h.write_u64(self.padded as u64);
+        if self.accumulate {
+            h.write(b"accumulate");
+        }
         for &d in &self.dims {
             h.write_u64(d as u64);
         }
@@ -192,6 +199,18 @@ pub struct PlanOptions {
     /// Apply common-subexpression elimination per statement (closes the
     /// redundant-computation gap §4 of the paper attributes to PerforAD).
     pub cse: bool,
+    /// Accumulate mode: a nest's `+=` updates to one array at one point
+    /// are summed in statement order starting from `+0.0`, and the sum is
+    /// added to the array once — one compiled statement per target array
+    /// ([`increment_groups`], [`Program::sum_from_zero`]). Points no nest
+    /// writes are left untouched; at every point one nest writes this is
+    /// bit for bit "zero a scratch grid, run in plain mode, add the
+    /// scratch into the target" — the gather adjoint's iterations own
+    /// their increments, so the scratch and its add-back pass go. A nest
+    /// whose increments to one array differ in guard or write offset, or
+    /// mix with `=`, is refused ([`ExecError::Unsupported`]): summing
+    /// them first would round differently.
+    pub accumulate: bool,
 }
 
 /// Compile a list of loop nests (sharing counters) against a workspace.
@@ -201,7 +220,100 @@ pub fn compile_nests(
     binding: &Binding,
     padded: bool,
 ) -> Result<Plan, ExecError> {
-    compile_nests_opts(nests, ws, binding, PlanOptions { padded, cse: false })
+    let opts = PlanOptions {
+        padded,
+        ..PlanOptions::default()
+    };
+    compile_nests_opts(nests, ws, binding, opts)
+}
+
+/// How accumulate mode regroups one nest's statements, given each
+/// statement's write target and whether it is a `+=`: every `+=` to one
+/// target joins the group its first one opened, in statement order; any
+/// other statement stands alone. Groups come in the order of their first
+/// statements. The plan compiler merges each `+=` group into one
+/// statement; `perforad-jit` regroups the same way to check a binding.
+pub fn increment_groups<T: PartialEq>(writes: &[(T, bool)]) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(writes.len());
+    for (k, (target, add)) in writes.iter().enumerate() {
+        let open = groups.iter_mut().find(|g| {
+            let (first, first_add) = &writes[g[0]];
+            *add && *first_add && first == target
+        });
+        match open {
+            Some(group) => group.push(k),
+            None => groups.push(vec![k]),
+        }
+    }
+    groups
+}
+
+/// Accumulate mode's statements of one nest: each `+=` group of
+/// [`increment_groups`] becomes one statement whose program is
+/// [`Program::sum_from_zero`] of its members'. A group's members must
+/// share their guard and write offsets, and no `=` may write the same
+/// array. Merged programs are deduplicated through `prog_cache`.
+fn sum_increments(
+    stmts: Vec<StmtPlan>,
+    arrays: &[Symbol],
+    prog_cache: &mut ProgCache,
+) -> Result<Vec<StmtPlan>, ExecError> {
+    let writes: Vec<(usize, bool)> = stmts.iter().map(|s| (s.out_slot, !s.overwrite)).collect();
+    let refuse = |slot: usize, why: &str| {
+        let array = arrays[slot].name();
+        Err(ExecError::Unsupported(format!(
+            "accumulated `{array}` {why} within one nest"
+        )))
+    };
+    let groups = increment_groups(&writes);
+    let mut merged = Vec::with_capacity(groups.len());
+    for group in &groups {
+        let first = &stmts[group[0]];
+        if first.overwrite {
+            if writes.contains(&(first.out_slot, true)) {
+                return refuse(first.out_slot, "mixes `=` with `+=`");
+            }
+            merged.push(first.clone());
+            continue;
+        }
+        let members = group.iter().map(|&k| &stmts[k]);
+        if members.clone().any(|s| s.guard != first.guard) {
+            return refuse(first.out_slot, "has increments under different guards");
+        }
+        if members
+            .clone()
+            .any(|s| s.write_offsets != first.write_offsets)
+        {
+            return refuse(first.out_slot, "has increments at different offsets");
+        }
+        let sum = Program::sum_from_zero(members.map(|s| &*s.prog));
+        // A nest's worth of statements, one statement's live values.
+        let (prog, row) = cached_pair(prog_cache, sum, |p| reuse_registers(lower(p)));
+        merged.push(StmtPlan {
+            prog,
+            row,
+            ..first.clone()
+        });
+    }
+    Ok(merged)
+}
+
+/// Compiled programs keyed by their ops: equal programs share one pair.
+type ProgCache = BTreeMap<Vec<u64>, (Arc<Program>, Arc<RegProgram>)>;
+
+/// `prog`'s shared pair, lowered on first sight.
+fn cached_pair(
+    cache: &mut ProgCache,
+    prog: Program,
+    lowering: fn(&Program) -> RegProgram,
+) -> (Arc<Program>, Arc<RegProgram>) {
+    cache
+        .entry(prog.fingerprint())
+        .or_insert_with(|| {
+            let row = Arc::new(lowering(&prog));
+            (Arc::new(prog), row)
+        })
+        .clone()
 }
 
 /// What plan compilation keeps per *distinct* right-hand side. An adjoint
@@ -317,7 +429,7 @@ pub fn compile_nests_opts(
     // programs reached through *different* nodes (a hand-built nest list,
     // or two terms that substitute to the same thing) still share one
     // compiled pair — smaller plans, better icache behavior.
-    let mut prog_cache: BTreeMap<Vec<u64>, (Arc<Program>, Arc<RegProgram>)> = BTreeMap::new();
+    let mut prog_cache = ProgCache::new();
     let mut compiled = 0u64;
     for nest in nests {
         debug_assert_eq!(nest.counters, counters, "nests must share counters");
@@ -419,13 +531,7 @@ pub fn compile_nests_opts(
                     } else {
                         compile(&rhs, &cctx)?
                     };
-                    let pair = prog_cache
-                        .entry(prog.fingerprint())
-                        .or_insert_with(|| {
-                            let row = Arc::new(lower(&prog));
-                            (Arc::new(prog), row)
-                        })
-                        .clone();
+                    let pair = cached_pair(&mut prog_cache, prog, lower);
                     rhs_plan.progs.insert(pair).clone()
                 }
             };
@@ -439,6 +545,9 @@ pub fn compile_nests_opts(
                 prog,
                 row,
             });
+        }
+        if opts.accumulate {
+            stmts = sum_increments(stmts, &arrays, &mut prog_cache)?;
         }
         nest_plans.push(NestPlan {
             lo,
@@ -463,6 +572,7 @@ pub fn compile_nests_opts(
         nests: nest_plans,
         gather_only,
         padded,
+        accumulate: opts.accumulate,
         fingerprint: OnceLock::new(),
     })
 }
@@ -512,7 +622,12 @@ pub fn compile_adjoint_opts(
 ) -> Result<Plan, ExecError> {
     check_adjoint_extents(adj, binding)?;
     let padded = adj.strategy == BoundaryStrategy::Padded;
-    compile_nests_opts(&adj.nests, ws, binding, PlanOptions { padded, cse })
+    let opts = PlanOptions {
+        padded,
+        cse,
+        ..PlanOptions::default()
+    };
+    compile_nests_opts(&adj.nests, ws, binding, opts)
 }
 
 #[cfg(test)]
@@ -645,8 +760,8 @@ mod tests {
             &ws2,
             &bind,
             PlanOptions {
-                padded: false,
                 cse: true,
+                ..PlanOptions::default()
             },
         )
         .unwrap();
@@ -692,7 +807,10 @@ mod tests {
     }
 
     fn opts(padded: bool) -> PlanOptions {
-        PlanOptions { padded, cse: false }
+        PlanOptions {
+            padded,
+            ..PlanOptions::default()
+        }
     }
 
     /// The per-right-hand-side memo may share everything about a repeated

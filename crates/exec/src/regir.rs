@@ -41,7 +41,8 @@ use std::collections::BTreeMap;
 pub type Reg = u16;
 
 /// One three-address instruction. Every op defines exactly one register
-/// (SSA by construction); operands are registers defined earlier.
+/// (SSA as [`lower`] emits it, until `reuse_registers` renames them);
+/// operands are registers defined earlier.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RegOp {
     /// `dst = v`.
@@ -524,6 +525,46 @@ fn eliminate_dead(ops: Vec<RegOp>, pads: Vec<PadLoad>, result: Reg) -> RegProgra
     }
 }
 
+/// Rename `prog`'s registers so that a definition takes over a register
+/// whose last reader has run: the lane file shrinks from one register per
+/// op to the most values live at once. The row executor reads an op's
+/// operands lane by lane before writing that lane, so a destination may
+/// be one of its own operands. For accumulate mode's summed programs,
+/// whose length is a nest's worth of statements but whose live values are
+/// one statement's.
+pub(crate) fn reuse_registers(prog: RegProgram) -> RegProgram {
+    let mut last_read = vec![0usize; prog.n_regs];
+    let mut operands = Vec::with_capacity(4);
+    for (k, op) in prog.ops.iter().enumerate() {
+        op.operands(&mut operands);
+        for &r in &operands {
+            last_read[r as usize] = k;
+        }
+    }
+    last_read[prog.result as usize] = usize::MAX;
+    let (mut map, mut free, mut n_regs) = (vec![Reg::MAX; prog.n_regs], Vec::new(), 0);
+    let mut ops = prog.ops;
+    for (k, op) in ops.iter_mut().enumerate() {
+        op.operands(&mut operands);
+        for (j, &r) in operands.iter().enumerate() {
+            if last_read[r as usize] == k && !operands[..j].contains(&r) {
+                free.push(map[r as usize]);
+            }
+        }
+        map[op.dst() as usize] = free.pop().unwrap_or_else(|| {
+            n_regs += 1;
+            (n_regs - 1) as Reg
+        });
+        op.remap(&map);
+    }
+    RegProgram {
+        ops,
+        pads: prog.pads,
+        n_regs,
+        result: map[prog.result as usize],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,5 +689,40 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s), "register numbering has gaps");
         assert_eq!(p.result as usize, p.n_regs - 1);
+    }
+
+    /// A long sum of short terms needs the registers of one term, not one
+    /// per op — and evaluates to the same value as the SSA program, here
+    /// replayed one point at a time with a destination read before it is
+    /// written, as the row executor does lane by lane.
+    #[test]
+    fn reused_registers_hold_the_live_values_only() {
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let terms = (-3..=3).map(|o| (u.at(vec![&i + o]) * (0.5 + o as f64)).sin());
+        let e = Expr::add_all(terms.collect());
+        let ssa = lower_1d(&e, false);
+        let reused = reuse_registers(ssa.clone());
+        assert_eq!(reused.ops.len(), ssa.ops.len());
+        assert!(reused.n_regs <= 4, "{} of {}", reused.n_regs, ssa.n_regs);
+        let data: Vec<f64> = (0..9).map(|k| 0.3 * k as f64 - 1.1).collect();
+        let eval = |p: &RegProgram| {
+            let mut regs = vec![f64::NAN; p.n_regs];
+            for op in &p.ops {
+                let mut ins = Vec::new();
+                op.operands(&mut ins);
+                let x: Vec<f64> = ins.iter().map(|&r| regs[r as usize]).collect();
+                regs[op.dst() as usize] = match *op {
+                    RegOp::Const { v, .. } => v,
+                    RegOp::Load { rel, .. } => data[(4 + rel) as usize],
+                    RegOp::Mul { .. } => x[0] * x[1],
+                    RegOp::Add { .. } => x[0] + x[1],
+                    RegOp::Call1 { f, .. } => call1(f, x[0]),
+                    ref other => unreachable!("{other:?}"),
+                };
+            }
+            regs[p.result as usize]
+        };
+        assert_eq!(eval(&reused).to_bits(), eval(&ssa).to_bits());
     }
 }

@@ -377,16 +377,19 @@ fn load_group(path: &Path, nests: usize) -> Result<Arc<NativeGroup>, JitError> {
 /// recompiling every statement body under it must reproduce the plan's
 /// program fingerprints exactly — which pins the float *parameters*
 /// (baked into the bytecode as constants) and any size symbol that
-/// appears only in statement bodies. A mismatch is rejected rather than
-/// silently baked into native code registered under the original plan's
-/// fingerprint.
+/// appears only in statement bodies (an accumulate plan's statements are
+/// regrouped and summed the way the plan compiler did it). A mismatch is
+/// rejected rather than silently baked into native code registered under
+/// the original plan's fingerprint.
 fn check_binding(
     plan: &Plan,
     nests: &[LoopNest],
     cse: bool,
     bind: &Binding,
 ) -> Result<(), JitError> {
-    use perforad_exec::bytecode::{compile, compile_with_bindings, CompileCtx};
+    use perforad_core::AssignOp;
+    use perforad_exec::bytecode::{compile, compile_with_bindings, CompileCtx, Program};
+    use perforad_exec::kernel::increment_groups;
     use perforad_symbolic::{subst, Expr, Symbol};
     let mut sub: std::collections::BTreeMap<Symbol, Expr> = std::collections::BTreeMap::new();
     for (s, v) in &bind.params {
@@ -414,7 +417,8 @@ fn check_binding(
             padded: plan.padded,
             temps: &[],
         };
-        for (sp, s) in np.stmts.iter().zip(&nest.body) {
+        let mut progs = Vec::with_capacity(nest.body.len());
+        for s in &nest.body {
             let rhs = subst::subst_sym(&s.rhs, &sub);
             let prog = if cse {
                 let (bindings, rewritten) = perforad_symbolic::cse::eliminate_one(&rhs, "__cse");
@@ -423,13 +427,29 @@ fn check_binding(
                 compile(&rhs, &cctx)
             }
             .map_err(|e| JitError::Unsupported(format!("statement recompile check: {e}")))?;
-            if prog.fingerprint() != sp.prog.fingerprint() {
-                return Err(JitError::Unsupported(
-                    "binding does not reproduce the schedule's compiled programs \
-                     (wrong parameter or size values?)"
-                        .to_string(),
-                ));
-            }
+            progs.push(prog);
+        }
+        if plan.accumulate {
+            let body = &nest.body;
+            let writes: Vec<_> = (body.iter())
+                .map(|s| (&s.lhs.array, s.op == AssignOp::AddAssign))
+                .collect();
+            progs = (increment_groups(&writes).iter())
+                .map(|g| match body[g[0]].op {
+                    AssignOp::AddAssign => Program::sum_from_zero(g.iter().map(|&k| &progs[k])),
+                    AssignOp::Assign => progs[g[0]].clone(),
+                })
+                .collect();
+        }
+        let same = |(p, sp): (&Program, &perforad_exec::kernel::StmtPlan)| {
+            p.fingerprint() == sp.prog.fingerprint()
+        };
+        if progs.len() != np.stmts.len() || !progs.iter().zip(&np.stmts).all(same) {
+            return Err(JitError::Unsupported(
+                "binding does not reproduce the schedule's compiled programs \
+                 (wrong parameter or size values?)"
+                    .to_string(),
+            ));
         }
     }
     Ok(())
@@ -451,6 +471,7 @@ fn group_source(
         strides: &plan.strides,
         padded: plan.padded,
         cse,
+        accumulate: plan.accumulate,
         sizes: &bind.sizes,
         params: &bind.params,
     })

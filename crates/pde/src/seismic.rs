@@ -33,13 +33,13 @@
 //! second native artifact keyed by the primal plan's own fingerprint, and
 //! on the row executor when that cannot be prepared; no step allocates or
 //! copies a grid (state grids are *swapped* into the kernel workspaces and
-//! rotated back out, and λ_{t−1} is lent to the adjoint kernel as its
-//! `u_2_b`) and the primal step clears none, though a back step fills
-//! three (`u_1_b` and `c_b` in [`ReverseSweep::back`], the λ grid rotated
-//! in by [`Rolling::back`]); the adjoint field is a 3-grid rolling window
-//! in both sweeps; a checkpointed sweep copies a state only where its plan
-//! reads one back; and a plan keeps its warmed shot states between runs
-//! instead of cloning them per call.
+//! rotated back out, and the adjoint kernel, compiled in accumulate mode,
+//! is lent λ_t, λ_{t−1} and `∂J/∂c` to add its increments into) and the
+//! primal step clears none, though a back step fills one (the λ grid
+//! rotated in by [`Rolling::back`]) and adds nothing back; the adjoint
+//! field is a 3-grid rolling window in both sweeps; a checkpointed sweep
+//! copies a state only where its plan reads one back; and a plan keeps
+//! its warmed shot states between runs instead of cloning them per call.
 //!
 //! A short store-all sweep keeps its trajectory the same way: a plan below
 //! [`CKPT_THRESHOLD_STEPS`] that runs store-all (the dispatch rule's choice
@@ -286,10 +286,12 @@ fn wave_adjoint() -> Adjoint {
         .expect("c-active wave adjoint transforms")
 }
 
-/// The adjoint workspace + tuned schedule every reverse sweep drives.
-/// Tuning is best-effort: on failure the hand-picked fused row-executor
-/// schedule of PR 2 keeps the gradient available. The pool is borrowed
-/// from the caller, not spawned per plan.
+/// The adjoint workspace + tuned schedule every reverse sweep drives,
+/// compiled in accumulate mode (`SchedOptions::accumulate`): each back
+/// step adds one summed increment per point straight into the grids it
+/// is lent. Tuning is best-effort: on failure a fused row-executor
+/// schedule keeps the gradient available. The pool is borrowed from the
+/// caller, not spawned per plan.
 #[derive(Clone)]
 struct ReverseSweep<'p> {
     ws: Workspace,
@@ -309,13 +311,13 @@ impl<'p> ReverseSweep<'p> {
         let _span = perforad_obs::span!("seismic.setup", "seismic", "n" => cfg.n as u64);
         let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
         let mut ws = workspace(c, &["u_1", "u_b", "u_1_b", "u_2_b", "c_b"]);
-        let mut topts = TuneOptions::quick();
+        let mut topts = TuneOptions::quick().with_accumulate(true);
         topts.time_loop = time_loop;
         let (schedule, tuned) = match autotune_adjoint(adj, &mut ws, &bind, pool, &topts) {
             Ok((s, report)) => (s, report.config),
             Err(_) => {
-                let s = compile_schedule(adj, &ws, &bind, &SchedOptions::default().with_rows())
-                    .expect("adjoint schedules");
+                let opts = SchedOptions::default().with_rows().with_accumulate(true);
+                let s = compile_schedule(adj, &ws, &bind, &opts).expect("adjoint schedules");
                 let fallback = TunedConfig {
                     strategy: TunedStrategy::Parallel,
                     lowering: Lowering::Rows,
@@ -333,19 +335,30 @@ impl<'p> ReverseSweep<'p> {
         }
     }
 
-    /// One adjoint step: consume `λ_{t+1}` with `u_1 = u_t` bound,
-    /// accumulating the `u_2_b` increments straight into `lambda_prev`
-    /// and leaving the `u_1_b`/`c_b` contributions in the workspace. All
-    /// three grids are lent to the workspace for the run (swapped in, not
-    /// copied) and handed back, the first two as they came.
-    fn back(&mut self, u_t: &mut Grid, lambda_next: &mut Grid, lambda_prev: &mut Grid) {
+    /// One adjoint step: consume `λ_{t+1}` with `u_1 = u_t` bound, adding
+    /// the `u_1_b`, `u_2_b` and `c_b` increments straight into `lambda`,
+    /// `lambda_prev` and `c_b`. Every grid is lent to the workspace for
+    /// the run (swapped in, not copied) and handed back; the first two
+    /// come back as they came.
+    fn back(
+        &mut self,
+        u_t: &mut Grid,
+        lambda_next: &mut Grid,
+        lambda: &mut Grid,
+        lambda_prev: &mut Grid,
+        c_b: &mut Grid,
+    ) {
         let _span = perforad_obs::span!("seismic.back", "seismic");
-        let mut lent = [("u_1", u_t), ("u_b", lambda_next), ("u_2_b", lambda_prev)];
+        let mut lent = [
+            ("u_1", u_t),
+            ("u_b", lambda_next),
+            ("u_1_b", lambda),
+            ("u_2_b", lambda_prev),
+            ("c_b", c_b),
+        ];
         for (name, grid) in &mut lent {
             swap(self.ws.grid_mut(name), *grid);
         }
-        self.ws.grid_mut("u_1_b").fill(0.0);
-        self.ws.grid_mut("c_b").fill(0.0);
         run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("adjoint step");
         for (name, grid) in lent {
             swap(self.ws.grid_mut(name), grid);
@@ -391,20 +404,19 @@ impl Rolling {
     }
 
     /// Reverse the step that produced `u_{t+1}` from `u_1 = u_t`,
-    /// `u_2 = u_{t−1}`: its adjoint consumes λ_{t+1} and feeds λ_t and
-    /// λ_{t−1} (scatter-free accumulation), then the window rolls down.
+    /// `u_2 = u_{t−1}`: its adjoint consumes λ_{t+1} and feeds λ_t, λ_{t−1}
+    /// and `c_b` (scatter-free accumulation), then the window rolls down.
     ///
-    /// λ_{t−1} (`lo`) is all `+0.0` on entry — fresh, or just rotated in
-    /// and cleared — so the kernel accumulates into it directly instead of
-    /// into a zeroed scratch that is then added: a sum that starts from
-    /// `+0.0` is never `−0.0`, hence `0.0 + Σ` ≡ `Σ` bit for bit. λ_t
-    /// (`mid`) and `c_b` already hold partial sums, so theirs stay
-    /// scratch-then-add — lending them would reassociate the additions.
+    /// The kernel adds into all three directly. Its accumulate mode sums a
+    /// point's increments from `+0.0` and adds the sum once, which is what
+    /// a zeroed scratch grid added back would have done at every point it
+    /// writes — and a point it does not write keeps its value, where the
+    /// add-back turned a `−0.0` into `+0.0`; no grid here holds a `−0.0`
+    /// at such a point (λ_{t−1} is all `+0.0` on entry — fresh, or rotated
+    /// in and cleared — and the edges no nest writes stay as they started).
     fn back(&mut self, sweep: &mut ReverseSweep<'_>, u_t: &mut Grid) {
         let [hi, mid, lo] = &mut self.lam;
-        sweep.back(u_t, hi, lo);
-        add_into(mid, sweep.ws.grid("u_1_b"));
-        add_into(&mut self.c_b, sweep.ws.grid("c_b"));
+        sweep.back(u_t, hi, mid, lo, &mut self.c_b);
         self.lam.rotate_left(1);
         self.lam[2].fill(0.0);
     }
@@ -772,8 +784,10 @@ impl<'p> BatchPlan<'p> {
     pub fn run(&self, batch: &ShotBatch) -> BatchResult {
         let shots = batch.len();
         assert_eq!(batch.observed.len(), shots, "one observed grid per shot");
-        for s in &batch.sources {
+        let dims = [self.cfg.n; 3];
+        for (s, d) in batch.sources.iter().zip(&batch.observed) {
             assert_eq!(s.len(), self.cfg.steps, "one source sample per step");
+            assert_eq!(d.dims(), dims, "one observed value per grid point");
         }
         let _root = perforad_obs::span!(
             "seismic.gradient_batch", "seismic",
@@ -1042,6 +1056,22 @@ mod tests {
         let mut plan = BatchPlan::new(&long, &c0, &opts, &pool);
         plan.run(&batch);
         assert!(plan.idle.get_mut().unwrap()[0].0.traj.is_empty());
+    }
+
+    /// A misfit against a grid of another shape would zip the two grids
+    /// short and seed λ_T from the overlap: refused instead.
+    #[test]
+    #[should_panic(expected = "one observed value per grid point")]
+    fn an_observed_grid_of_another_shape_is_refused() {
+        let cfg = SeismicConfig {
+            n: 8,
+            steps: 3,
+            d: 0.1,
+        };
+        let mut batch = ShotBatch::new();
+        batch.push(ricker(cfg.steps), Grid::zeros(&[cfg.n, cfg.n, cfg.n - 1]));
+        let pool = ThreadPool::new(1);
+        BatchPlan::new(&cfg, &velocity(cfg.n), &BatchOptions::default(), &pool).run(&batch);
     }
 
     #[test]

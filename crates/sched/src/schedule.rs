@@ -53,6 +53,11 @@ pub struct SchedOptions {
     /// unfused baseline the paper's figures compare against and one axis
     /// of the autotuner's search space.
     pub fuse: bool,
+    /// Compile every group in accumulate mode
+    /// ([`PlanOptions::accumulate`]): each nest adds one summed increment
+    /// per written point, so a caller may lend the arrays it accumulates
+    /// into instead of zeroed scratch grids it then adds back.
+    pub accumulate: bool,
 }
 
 impl Default for SchedOptions {
@@ -63,6 +68,7 @@ impl Default for SchedOptions {
             cse: false,
             lowering: Lowering::default(),
             fuse: true,
+            accumulate: false,
         }
     }
 }
@@ -105,6 +111,11 @@ impl SchedOptions {
         self
     }
 
+    pub fn with_accumulate(mut self, accumulate: bool) -> Self {
+        self.accumulate = accumulate;
+        self
+    }
+
     /// Options matching a tuner-selected configuration (the run-time half
     /// — serial vs pool — lives in [`crate::run_tuned`]).
     pub fn from_tuned(cfg: &crate::TunedConfig) -> Self {
@@ -115,6 +126,7 @@ impl SchedOptions {
             cse: cfg.cse,
             lowering: cfg.lowering,
             fuse: cfg.fuse,
+            accumulate: false,
         }
     }
 }
@@ -179,6 +191,8 @@ pub struct Schedule {
     pub fused: bool,
     /// Whether per-statement CSE was applied when lowering.
     pub cse: bool,
+    /// Whether the groups were compiled in accumulate mode.
+    pub accumulate: bool,
     /// The source nests the schedule was compiled from, in original order
     /// — kept so the autotuner can recompile the same work under other
     /// configurations (`perforad-tune`'s `Schedule::autotune`). Behind an
@@ -308,6 +322,7 @@ pub fn compile_schedule_source(
     let plan_opts = PlanOptions {
         padded,
         cse: opts.cse,
+        accumulate: opts.accumulate,
     };
     let members = if opts.fuse {
         fuse_groups(&graph)
@@ -355,6 +370,7 @@ pub fn compile_schedule_source(
         lowering: opts.lowering,
         fused: opts.fuse,
         cse: opts.cse,
+        accumulate: opts.accumulate,
         source: source.clone(),
         padded,
     })

@@ -108,6 +108,11 @@ pub struct TuneOptions {
     /// axis — it is the caller's plan-level choice, applied uniformly
     /// (and preserved by `Schedule::autotune`).
     pub cse: bool,
+    /// Compile every candidate, and the winner, in accumulate mode
+    /// (`SchedOptions::accumulate`). Like `cse` the caller's plan-level
+    /// choice, but not part of the cache key: the mode drops a scratch
+    /// pass, it does not change which configuration wins.
+    pub accumulate: bool,
     /// Include the JIT lowering in the search space (effective only when
     /// `perforad_jit::available()` — no toolchain, no Jit candidates, so
     /// the tuner never times configurations that would silently fall
@@ -143,6 +148,7 @@ impl Default for TuneOptions {
             cache_path: std::env::var_os("PERFORAD_TUNE_CACHE").map(PathBuf::from),
             memory_cache: true,
             cse: false,
+            accumulate: false,
             jit: true,
             refine_rounds: 1,
             time_loop: None,
@@ -190,6 +196,11 @@ impl TuneOptions {
 
     pub fn with_cse(mut self, cse: bool) -> Self {
         self.cse = cse;
+        self
+    }
+
+    pub fn with_accumulate(mut self, accumulate: bool) -> Self {
+        self.accumulate = accumulate;
         self
     }
 
@@ -293,6 +304,8 @@ fn autotune_source(
     if nests.is_empty() {
         return Err(SchedError::BadInput("no nests to autotune".into()).into());
     }
+    let sched_options =
+        |cfg: &TunedConfig| SchedOptions::from_tuned(cfg).with_accumulate(opts.accumulate);
     let _span = perforad_obs::span!("tune.search", "tune", "nests" => nests.len() as u64);
     let threads = pool.size().max(1);
     let mut key = cache_key(fingerprint_nests(nests, padded, bind), threads);
@@ -317,7 +330,7 @@ fn autotune_source(
     if opts.memory_cache {
         if let Some(hit) = memory_lookup(&key) {
             perforad_obs::counter("tune.cache_hits").inc();
-            return finish_cached(source, ws, bind, padded, hit);
+            return finish_cached(source, ws, bind, padded, &sched_options(&hit.config), hit);
         }
     }
     if let Some(path) = &opts.cache_path {
@@ -329,7 +342,7 @@ fn autotune_source(
                 memory_store(&key, hit.clone());
             }
             perforad_obs::counter("tune.cache_hits").inc();
-            return finish_cached(source, ws, bind, padded, hit);
+            return finish_cached(source, ws, bind, padded, &sched_options(&hit.config), hit);
         }
     }
     perforad_obs::counter("tune.cache_misses").inc();
@@ -361,15 +374,14 @@ fn autotune_source(
     let mut timed = 0usize;
     for (ci, (cfg, pred)) in ranked.iter().take(k).enumerate() {
         let _cand_span = perforad_obs::span!("tune.candidate", "tune", "rank" => ci as u64);
-        let schedule =
-            match compile_schedule_source(source, ws, bind, padded, &SchedOptions::from_tuned(cfg))
-            {
-                Ok(s) => s,
-                Err(e) => {
-                    last_err = Some(e);
-                    continue;
-                }
-            };
+        let schedule = match compile_schedule_source(source, ws, bind, padded, &sched_options(cfg))
+        {
+            Ok(s) => s,
+            Err(e) => {
+                last_err = Some(e);
+                continue;
+            }
+        };
         // Under wall-clock timing, JIT candidates must be natively
         // prepared before measuring (the artifact cache makes this
         // once-per-fingerprint); a candidate that cannot be prepared is
@@ -425,13 +437,9 @@ fn autotune_source(
                     let _refine_span = perforad_obs::span!("tune.refine", "tune");
                     let mut cfg = base_cfg.clone();
                     cfg.tile = tile;
-                    let Ok(schedule) = compile_schedule_source(
-                        source,
-                        ws,
-                        bind,
-                        padded,
-                        &SchedOptions::from_tuned(&cfg),
-                    ) else {
+                    let Ok(schedule) =
+                        compile_schedule_source(source, ws, bind, padded, &sched_options(&cfg))
+                    else {
                         continue;
                     };
                     if matches!(opts.measure, Measure::Wall { .. })
@@ -671,9 +679,12 @@ impl ScheduleAutotune for Schedule {
         opts: &TuneOptions,
     ) -> Result<TuneReport, TuneError> {
         let source = self.source.clone();
-        // Retuning preserves the schedule's own CSE setting — it is the
-        // caller's plan-level choice, not a searched axis.
-        let opts = opts.clone().with_cse(self.cse);
+        // Retuning preserves the schedule's own CSE and accumulate
+        // settings — the caller's plan-level choices, not searched axes.
+        let opts = opts
+            .clone()
+            .with_cse(self.cse)
+            .with_accumulate(self.accumulate);
         let (schedule, report) = autotune_source(&source, ws, bind, self.padded, pool, &opts)?;
         *self = schedule;
         Ok(report)
@@ -685,13 +696,13 @@ fn finish_cached(
     ws: &mut Workspace,
     bind: &Binding,
     padded: bool,
+    opts: &SchedOptions,
     hit: CacheEntry,
 ) -> Result<(Schedule, TuneReport), TuneError> {
     // [`compile_tuned`] over the shared list. A cached JIT winner still
     // needs its native module in this process: best effort — on failure
     // execution falls back to the bitwise-identical rows lowering.
-    let opts = SchedOptions::from_tuned(&hit.config);
-    let schedule = compile_schedule_source(source, ws, bind, padded, &opts)?;
+    let schedule = compile_schedule_source(source, ws, bind, padded, opts)?;
     prepare_if_jit(&schedule, &hit.config, bind);
     let report = TuneReport {
         config: hit.config,
@@ -898,17 +909,20 @@ mod tests {
         use perforad_sched::compile_schedule;
         let adj = adjoint();
         let (mut ws, bind) = setup(400);
-        let mut schedule = compile_schedule(&adj, &ws, &bind, &SchedOptions::default()).unwrap();
+        let accumulate = SchedOptions::default().with_accumulate(true);
+        let mut schedule = compile_schedule(&adj, &ws, &bind, &accumulate).unwrap();
         let pool = ThreadPool::new(2);
         let opts = TuneOptions::default()
             .without_cache()
             .with_measure(Measure::Synthetic { seed: 3 });
         let cfg = schedule.autotune(&mut ws, &bind, &pool, &opts).unwrap();
-        // The schedule now reflects the winning compile-time knobs.
+        // The schedule now reflects the winning compile-time knobs, and
+        // keeps the plan-level mode it was compiled in.
         assert_eq!(schedule.lowering, cfg.lowering);
         assert_eq!(schedule.policy, cfg.policy);
         assert_eq!(schedule.fused, cfg.fuse);
         assert_eq!(schedule.tile, cfg.tile);
+        assert!(schedule.accumulate && schedule.groups.iter().all(|g| g.plan.accumulate));
         assert_eq!(schedule.source.len(), 5, "source nests are retained");
         run_tuned(&schedule, &cfg, &mut ws, &pool).unwrap();
     }
