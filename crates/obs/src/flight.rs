@@ -20,10 +20,11 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::fault;
+use crate::fault::{injected, injected_total, KNOWN_POINTS};
+use crate::json::Value;
 use crate::metrics::MetricsSnapshot;
 use crate::recorder::{overwritten_total, ring_capacity, snapshot_events};
-use crate::trace::chrome_trace_json;
+use crate::trace::chrome_trace;
 
 /// Environment variable naming the flight-recorder dump directory.
 /// Unset, [`dump`] does nothing.
@@ -73,29 +74,25 @@ pub fn dump(reason: &str, request_id: u64) -> std::io::Result<Option<PathBuf>> {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0);
-    let mut body = String::with_capacity(4096 + events.len() * 120);
-    body.push_str(&format!(
-        "{{\"reason\":\"{}\",\"request_id\":{request_id},\"pid\":{pid},\"seq\":{seq},\
-         \"unix_ms\":{unix_ms},\"ring\":{{\"capacity\":{},\"events\":{},\"overwritten\":{}}},",
-        crate::metrics::escape_json(reason),
-        ring_capacity(),
-        events.len(),
-        overwritten_total(),
-    ));
-    body.push_str("\"faults\":{\"injected_total\":");
-    body.push_str(&fault::injected_total().to_string());
-    for point in fault::KNOWN_POINTS {
-        body.push_str(&format!(
-            ",\"{}\":{}",
-            crate::metrics::escape_json(point),
-            fault::injected(point)
-        ));
-    }
-    body.push_str("},\"metrics\":");
-    body.push_str(&MetricsSnapshot::collect().to_json());
-    body.push_str(",\"trace\":");
-    body.push_str(&chrome_trace_json(&events));
-    body.push('}');
+    let ring = Value::obj([
+        ("capacity", ring_capacity().into()),
+        ("events", events.len().into()),
+        ("overwritten", overwritten_total().into()),
+    ]);
+    let mut faults = vec![("injected_total", injected_total().into())];
+    faults.extend(KNOWN_POINTS.iter().map(|&p| (p, injected(p).into())));
+    let body = Value::obj([
+        ("reason", reason.into()),
+        ("request_id", request_id.into()),
+        ("pid", pid.into()),
+        ("seq", seq.into()),
+        ("unix_ms", unix_ms.into()),
+        ("ring", ring),
+        ("faults", Value::obj(faults)),
+        ("metrics", MetricsSnapshot::collect().to_value()),
+        ("trace", chrome_trace(&events)),
+    ])
+    .to_string();
 
     // Write-then-rename so a reader polling the directory (the CI
     // telemetry job, an operator's tail) never sees a torn dump.

@@ -1,13 +1,15 @@
-//! A minimal JSON reader for the workspace's hand-rolled JSON (the tuning
-//! cache file, the serve wire protocol). The workspace builds
-//! offline with no external crates, so — like the string escaper,
-//! `perforad_obs::escape_json` — parsing is done by hand. Supports the full JSON
-//! value grammar this repository emits: objects, arrays, double-quoted
-//! strings with the standard escapes, `f64` numbers, booleans, null.
+//! The workspace's one JSON codec, written by hand (no external crates):
+//! the [`Value`] every layer builds, one writer (`Value`'s `Display`) and
+//! [`parse`] for what arrives from outside (wire frames, the cache file).
+//!
+//! Numbers print with Rust's `Display`, the shortest text that parses back
+//! to the same bits, and a non-finite one as `null`. Integer accessors
+//! refuse anything past 2⁵³ instead of saturating. `serve::proto`'s frame
+//! writers print scalars and strings with [`push_num`] and [`push_str`].
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     Null,
@@ -20,7 +22,15 @@ pub enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// Every integer up to this magnitude has an exact `f64`.
+const EXACT_INT: f64 = (1u64 << 53) as f64;
+
 impl Value {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Object field lookup (None on non-objects / missing keys).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -43,11 +53,19 @@ impl Value {
         }
     }
 
+    /// An integral number within ±2⁵³. Past that an `f64` is the rounding
+    /// of many integers, so `1e300` is no integer a sender meant.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Value::Num(n) if n.fract() == 0.0 => Some(*n as i64),
+            Value::Num(n) if n.fract() == 0.0 && n.abs() <= EXACT_INT => Some(*n as i64),
             _ => None,
         }
+    }
+
+    /// A non-negative [`Value::as_i64`] as any unsigned type it fits: a
+    /// count, a size, a budget in milliseconds.
+    pub fn as_uint<T: TryFrom<u64>>(&self) -> Option<T> {
+        T::try_from(u64::try_from(self.as_i64()?).ok()?).ok()
     }
 
     pub fn as_bool(&self) -> Option<bool> {
@@ -63,6 +81,94 @@ impl Value {
             _ => None,
         }
     }
+}
+
+macro_rules! value_from {
+    ($($t:ty: $x:ident => $value:expr;)*) => {$(
+        impl From<$t> for Value {
+            fn from($x: $t) -> Value {
+                $value
+            }
+        }
+    )*};
+}
+
+// Counters, sizes and times are `u64`s and `usize`s; past 2⁵³ they round.
+value_from! {
+    bool: b => Value::Bool(b);
+    &str: s => Value::Str(s.to_string());
+    String: s => Value::Str(s);
+    f64: n => Value::Num(n);
+    i64: n => Value::Num(n as f64);
+    u32: n => Value::Num(n.into());
+    u64: n => Value::Num(n as f64);
+    usize: n => Value::Num(n as f64);
+}
+
+/// Compact JSON: keys in order, numbers and strings as [`push_num`] and
+/// [`push_str`] write them.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Num(n) => write_num(f, *n),
+            Value::Str(s) => write_str(f, s),
+            Value::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    write!(f, "{}{item}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_char(']')
+            }
+            Value::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (key, val)) in fields.iter().enumerate() {
+                    f.write_str(if i > 0 { "," } else { "" })?;
+                    write_str(f, key)?;
+                    write!(f, ":{val}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// Append `v` as a JSON number, `null` when it is not finite.
+pub fn push_num(out: &mut String, v: f64) {
+    // Writing into a `String` cannot fail.
+    let _ = write_num(out, v);
+}
+
+/// Append `s` as a quoted JSON string literal.
+pub fn push_str(out: &mut String, s: &str) {
+    let _ = write_str(out, s);
+}
+
+fn write_num(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
+    if v.is_finite() {
+        write!(out, "{v}")
+    } else {
+        out.write_str("null")
+    }
+}
+
+/// Quotes, backslashes and control characters are escaped, the last as
+/// `\u00XX` (Rust's braced `\u{1b}` is not JSON).
+fn write_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if c < ' ' => write!(out, "\\u{:04x}", u32::from(c))?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
 }
 
 /// Why a document failed to parse.
@@ -121,8 +227,15 @@ fn parse_value(text: &str, pos: &mut usize) -> Result<Value, ParseError> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(text, pos),
-        Some(b'[') => parse_array(text, pos),
+        Some(b'{') => parse_seq(text, pos, b'}', |pos| {
+            skip_ws(b, pos);
+            let key = parse_string(text, pos)?;
+            skip_ws(b, pos);
+            expect(b, pos, b':')?;
+            Ok((key, parse_value(text, pos)?))
+        })
+        .map(Value::Obj),
+        Some(b'[') => parse_seq(text, pos, b']', |pos| parse_value(text, pos)).map(Value::Arr),
         Some(b'"') => Ok(Value::Str(parse_string(text, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
@@ -140,53 +253,32 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, Pa
     }
 }
 
-fn parse_object(text: &str, pos: &mut usize) -> Result<Value, ParseError> {
+/// The comma-separated items of an array or object, from its opening
+/// byte (at `pos`) to `close`.
+fn parse_seq<T>(
+    text: &str,
+    pos: &mut usize,
+    close: u8,
+    mut item: impl FnMut(&mut usize) -> Result<T, ParseError>,
+) -> Result<Vec<T>, ParseError> {
     let b = text.as_bytes();
-    expect(b, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
-        let key = parse_string(text, pos)?;
-        skip_ws(b, pos);
-        expect(b, pos, b':')?;
-        let val = parse_value(text, pos)?;
-        fields.push((key, val));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(fields));
-            }
-            _ => return Err(err(*pos, "expected `,` or `}` in object")),
-        }
-    }
-}
-
-fn parse_array(text: &str, pos: &mut usize) -> Result<Value, ParseError> {
-    let b = text.as_bytes();
-    expect(b, pos, b'[')?;
+    *pos += 1;
     let mut items = Vec::new();
     skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
+    if b.get(*pos) == Some(&close) {
         *pos += 1;
-        return Ok(Value::Arr(items));
+        return Ok(items);
     }
     loop {
-        items.push(parse_value(text, pos)?);
+        items.push(item(pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
-            Some(b']') => {
+            Some(&c) if c == close => {
                 *pos += 1;
-                return Ok(Value::Arr(items));
+                return Ok(items);
             }
-            _ => return Err(err(*pos, "expected `,` or `]` in array")),
+            _ => return Err(err(*pos, format!("expected `,` or `{}`", close as char))),
         }
     }
 }
@@ -244,9 +336,9 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, ParseError> {
                             .ok()
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
                             .ok_or_else(|| err(*pos, "bad \\u escape"))?;
-                        // Surrogate pairs are not emitted by this repo's
-                        // writers; map lone surrogates to the replacement
-                        // character rather than failing.
+                        // Surrogate pairs are not emitted by this writer;
+                        // map lone surrogates to the replacement character
+                        // rather than failing.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -282,15 +374,10 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         .map_err(|_| err(start, format!("invalid number `{text}`")))
 }
 
-/// Escape a string into a quoted JSON literal:
-/// [`perforad_obs::escape_json`] between quotes.
-pub fn escape(s: &str) -> String {
-    format!("\"{}\"", perforad_obs::escape_json(s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::xorshift64;
 
     #[test]
     fn parses_the_shapes_the_repo_emits() {
@@ -308,16 +395,6 @@ mod tests {
             Some("rows_serial")
         );
         assert!((series[0].get("seconds").unwrap().as_f64().unwrap() - 1.25e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn escape_round_trips_through_parse() {
-        for s in ["plain", "a\"b\\c", "tab\there", "\u{1b}[0m", "unicode αβ"] {
-            let v = parse(&escape(s)).unwrap();
-            assert_eq!(v.as_str(), Some(s), "{s:?}");
-        }
-        // Braced `\u{1b}` Debug escapes are invalid JSON; the 4-hex form is.
-        assert_eq!(escape("\u{1b}[0m"), "\"\\u001b[0m\"");
     }
 
     /// The scan [`plain_run`] replaced: one byte at a time.
@@ -394,6 +471,92 @@ mod tests {
             "{\"a\":}",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn integer_accessors_refuse_what_an_f64_cannot_hold_exactly() {
+        let num = |text: &str| parse(text).unwrap();
+        assert_eq!(num("9007199254740992").as_i64(), Some(1 << 53));
+        assert_eq!(num("-9007199254740992").as_i64(), Some(-(1 << 53)));
+        for past in ["9007199254740994", "1e300", "-1e300", "1e999", "2.5"] {
+            assert_eq!(num(past).as_i64(), None, "{past}");
+            assert_eq!(num(past).as_uint::<u64>(), None, "{past}");
+        }
+        assert_eq!(num("-1").as_uint::<usize>(), None);
+        assert_eq!(num("300").as_uint::<u8>(), None, "past the target type");
+        assert_eq!(num("-0").as_uint::<usize>(), Some(0));
+    }
+
+    /// Quotes, backslashes, control characters, two- and three-byte
+    /// characters, and plain runs longer than the eight-byte scan's word.
+    fn random_string(state: &mut u64) -> String {
+        let mut s = String::new();
+        for _ in 0..xorshift64(state) % 7 {
+            let r = xorshift64(state);
+            match r % 6 {
+                0 => s.push('"'),
+                1 => s.push('\\'),
+                2 => s.push(char::from((r >> 8) as u8 % 0x20)),
+                3 => s.push_str(["é", "€", "\u{7f}"][(r >> 8) as usize % 3]),
+                _ => s.push_str(&"plain text, 0123456789"[(r >> 8) as usize % 22..]),
+            }
+        }
+        s
+    }
+
+    /// Numbers a careless writer or reader loses: signed zeros,
+    /// subnormals, both ends of the range, integers up to 2⁵³, and any
+    /// other finite bit pattern.
+    fn random_value(state: &mut u64, depth: u32) -> Value {
+        const AWKWARD: [f64; 10] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            7e-309,
+            1e300,
+            -1e300,
+            f64::MAX,
+            EXACT_INT,
+            -EXACT_INT,
+        ];
+        let r = xorshift64(state);
+        let width = (r >> 8) % 5;
+        let bits = f64::from_bits(xorshift64(state));
+        match r % if depth == 0 { 4 } else { 6 } {
+            0 if r & 1 << 20 != 0 => Value::Null,
+            0 => Value::Bool(r & 1 << 21 != 0),
+            1 => Value::Num(AWKWARD[(r >> 12) as usize % AWKWARD.len()]),
+            2 if r & 1 << 20 != 0 => Value::Num((r >> 11) as f64),
+            2 => Value::Num(Some(bits).filter(|x| x.is_finite()).unwrap_or(0.1)),
+            3 => Value::Str(random_string(state)),
+            4 => Value::Arr((0..width).map(|_| random_value(state, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..width)
+                    .map(|_| (random_string(state), random_value(state, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn every_value_round_trips_through_its_own_text() {
+        let every_control: String = (0..0x20_u8).map(char::from).collect();
+        let mut state = 0x5EED_0050_u64;
+        let trees = (0..3000).map(|_| random_value(&mut state, 4));
+        for v in trees.chain([Value::Str(every_control)]) {
+            let text = v.to_string();
+            let back = parse(&text);
+            assert_eq!(back, Ok(v), "{text}");
+            // `==` has -0.0 equal to 0.0; the text keeps the sign.
+            assert_eq!(back.unwrap().to_string(), text);
+        }
+        // Braced `\u{1b}` Debug escapes are invalid JSON; the 4-hex form is.
+        assert_eq!(Value::from("\u{1b}[0m").to_string(), "\"\\u001b[0m\"");
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Value::Num(x).to_string(), "null");
+            assert_eq!(Value::obj([("x", x.into())]).to_string(), "{\"x\":null}");
         }
     }
 }

@@ -19,11 +19,14 @@
 //! * **Metrics registry** ([`counter`], [`gauge`], [`histogram`]): typed
 //!   handles backed by atomics, with fixed log-bucketed histograms.
 //!   [`MetricsSnapshot::collect`] turns the registry into a plain struct
-//!   with a JSON encoding.
+//!   with a [`json::Value`] form.
 //! * **Exporters**: [`chrome_trace_json`] writes the recorded spans in
 //!   Chrome `chrome://tracing` / Perfetto format (`PERFORAD_TRACE_OUT`
 //!   names the file), and [`TraceReport`] rolls them up into per-phase
 //!   self/total times plus the top-N spans by self time.
+//!
+//! The crate also owns the workspace's one JSON codec, [`json`]: every
+//! layer builds a [`json::Value`] and one writer prints it.
 //!
 //! A fourth piece rides along for robustness work: deterministic
 //! [`fault`] injection ([`fault::should_fail`], armed via the
@@ -61,6 +64,7 @@
 
 pub mod fault;
 pub mod flight;
+pub mod json;
 mod metrics;
 mod recorder;
 mod span;
@@ -68,8 +72,8 @@ mod trace;
 
 pub use flight::{flight_dir, FLIGHT_DIR_ENV};
 pub use metrics::{
-    counter, escape_json, gauge, histogram, histogram_labeled, quantile_upper_bound, reset_metrics,
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, HIST_BUCKETS,
+    counter, gauge, histogram, histogram_labeled, quantile_upper_bound, reset_metrics, Counter,
+    Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, HIST_BUCKETS,
 };
 pub use recorder::{
     clear_events, collect_events, current_request, overwritten_total, ring_capacity,

@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::enabled;
+use crate::json::Value;
 
 /// Number of histogram buckets. Bucket 0 holds zero values; bucket `b`
 /// (for `b ≥ 1`) holds values in `[2^(b-1), 2^b)`, with the last bucket
@@ -203,20 +204,19 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Encode as a JSON object with `count`, `sum`, `mean`, `p50`, `p95`,
-    /// `p99`, and `max` fields (the shape used by [`MetricsSnapshot`] and
-    /// the serve daemon's `Stats` reply).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"mean\":{:.3},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
-            self.count,
-            self.sum,
-            self.mean(),
-            self.p50,
-            self.p95,
-            self.p99,
-            self.max,
-        )
+    /// An object with `count`, `sum`, `mean`, `p50`, `p95`, `p99`, and
+    /// `max` fields (the shape used by [`MetricsSnapshot`] and the serve
+    /// daemon's `Stats` reply).
+    pub fn to_value(&self) -> Value {
+        Value::obj([
+            ("count", self.count.into()),
+            ("sum", self.sum.into()),
+            ("mean", self.mean().into()),
+            ("p50", self.p50.into()),
+            ("p95", self.p95.into()),
+            ("p99", self.p99.into()),
+            ("max", self.max.into()),
+        ])
     }
 }
 
@@ -364,47 +364,25 @@ impl MetricsSnapshot {
         snap
     }
 
-    /// Encode as a JSON object: `{"counters":{...},"gauges":{...},
+    /// An object: `{"counters":{...},"gauges":{...},
     /// "histograms":{name:{"count","sum","mean","p50","p95","p99","max"}}}`.
-    /// Labeled histograms render under `histograms` with Prometheus-style
+    /// Labeled histograms sit under `histograms` with Prometheus-style
     /// keys, e.g. `serve.request_ns{fingerprint="1a2b"}`.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{v}", escape_json(name)));
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":{v}", escape_json(name)));
-        }
-        s.push_str("},\"histograms\":{");
-        let mut first = true;
-        for (name, h) in &self.histograms {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\"{}\":{}", escape_json(name), h.to_json()));
-        }
-        for (name, label, value, h) in &self.labeled {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\"{}\":{}",
-                escape_json(&format!("{name}{{{label}=\"{value}\"}}")),
-                h.to_json()
-            ));
-        }
-        s.push_str("}}");
-        s
+    pub fn to_value(&self) -> Value {
+        let values = |xs: &[(String, u64)]| {
+            Value::obj(xs.iter().map(|(name, v)| (name.as_str(), (*v).into())))
+        };
+        let plain = self.histograms.iter().map(|(name, h)| (name.clone(), h));
+        let labeled = self
+            .labeled
+            .iter()
+            .map(|(name, label, value, h)| (format!("{name}{{{label}=\"{value}\"}}"), h));
+        let histograms = plain.chain(labeled).map(|(key, h)| (key, h.to_value()));
+        Value::obj([
+            ("counters", values(&self.counters)),
+            ("gauges", values(&self.gauges)),
+            ("histograms", Value::obj(histograms)),
+        ])
     }
 
     /// Encode in the Prometheus text exposition format (version 0.0.4):
@@ -509,26 +487,6 @@ impl fmt::Display for MetricsSnapshot {
     }
 }
 
-/// The workspace's one JSON string escaper, without the surrounding
-/// quotes (`perforad_tune::json::escape` adds them): quotes, backslashes
-/// and control characters, the last as `\u00XX` — Rust's braced `Debug`
-/// escapes (`\u{1b}`) are not JSON.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -587,18 +545,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_to_json_is_well_formed() {
+    fn snapshot_value_carries_every_kind() {
         with_clean_state(|| {
             counter("json.count").add(2);
             gauge("json.gauge").set(9);
             histogram("json.hist").record(50);
-            let json = MetricsSnapshot::collect().to_json();
-            assert!(json.contains("\"json.count\":2"));
-            assert!(json.contains("\"json.gauge\":9"));
-            assert!(json.contains("\"json.hist\":{\"count\":1"));
-            assert!(json.contains("\"p95\":"));
-            assert!(json.contains("\"max\":50"));
-            assert!(json.starts_with('{') && json.ends_with('}'));
+            histogram("json.hist").record(51);
+            let snap = MetricsSnapshot::collect().to_value();
+            let at = |kind, name| Some(snap.get(kind)?.get(name)?.to_string());
+            assert_eq!(at("counters", "json.count").as_deref(), Some("2"));
+            assert_eq!(at("gauges", "json.gauge").as_deref(), Some("9"));
+            // The mean is the exact quotient, not rounded for print.
+            let hist = "{\"count\":2,\"sum\":101,\"mean\":50.5,\"p50\":51,\"p95\":51,\"p99\":51,\"max\":51}";
+            assert_eq!(at("histograms", "json.hist").as_deref(), Some(hist));
         });
     }
 
@@ -660,8 +619,9 @@ mod tests {
             let by_val = |v: &str| series.iter().find(|(_, _, val, _)| val == v).unwrap();
             assert_eq!(by_val("aaaa").3.count, 2);
             assert_eq!(by_val("bbbb").3.max, 1 << 20);
-            let json = snap.to_json();
-            assert!(json.contains("m.lab_ns{fingerprint=\\\"aaaa\\\"}"));
+            let histograms = snap.to_value();
+            let histograms = histograms.get("histograms").unwrap();
+            assert!(histograms.get("m.lab_ns{fingerprint=\"aaaa\"}").is_some());
         });
     }
 

@@ -5,7 +5,7 @@ use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::metrics::escape_json;
+use crate::json::Value;
 use crate::recorder::SpanEvent;
 
 /// Environment variable that enables recording (`1`/`true`/`on`).
@@ -27,45 +27,37 @@ pub fn trace_out_path() -> Option<PathBuf> {
 /// one complete (`"ph":"X"`) event per span, timestamps in microseconds.
 /// Load the file via `chrome://tracing` or <https://ui.perfetto.dev>.
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
-    let mut s = String::from("{\"traceEvents\":[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{}",
-            escape_json(ev.name),
-            escape_json(ev.phase),
-            ev.start_ns as f64 / 1e3,
-            ev.dur_ns as f64 / 1e3,
-            ev.tid,
-        ));
+    chrome_trace(events).to_string()
+}
+
+/// [`chrome_trace_json`]'s document, for embedding (the flight dump).
+pub(crate) fn chrome_trace(events: &[SpanEvent]) -> Value {
+    let event = |ev: &SpanEvent| {
+        let mut fields = vec![
+            ("name", ev.name.into()),
+            ("cat", ev.phase.into()),
+            ("ph", "X".into()),
+            ("ts", (ev.start_ns as f64 / 1e3).into()),
+            ("dur", (ev.dur_ns as f64 / 1e3).into()),
+            ("pid", 1_u64.into()),
+            ("tid", ev.tid.into()),
+        ];
         // The request id (when a request scope was open) rides along as
         // an arg, so per-request spans group and interleave legibly
         // across worker threads in the Perfetto UI.
-        let mut args: Vec<(&str, u64)> = ev
-            .args
-            .iter()
-            .filter(|(k, _)| !k.is_empty())
-            .map(|&(k, v)| (k, v))
-            .collect();
-        if ev.req != 0 {
-            args.push(("request_id", ev.req));
-        }
+        let named = ev.args.iter().filter(|(k, _)| !k.is_empty()).copied();
+        let request = (ev.req != 0).then_some(("request_id", ev.req));
+        let args: Vec<(&str, Value)> = named.chain(request).map(|(k, v)| (k, v.into())).collect();
         if !args.is_empty() {
-            s.push_str(",\"args\":{");
-            for (j, (k, v)) in args.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("\"{}\":{v}", escape_json(k)));
-            }
-            s.push('}');
+            fields.push(("args", Value::obj(args)));
         }
-        s.push('}');
-    }
-    s.push_str("],\"displayTimeUnit\":\"ms\"}");
-    s
+        Value::obj(fields)
+    };
+    let events = events.iter().map(event).collect();
+    Value::obj([
+        ("traceEvents", Value::Arr(events)),
+        ("displayTimeUnit", "ms".into()),
+    ])
 }
 
 /// Write `events` as Chrome-trace JSON to `path`.
@@ -224,40 +216,31 @@ impl TraceReport {
         self.phases.iter().map(|p| p.self_ns).sum()
     }
 
-    /// Encode as a JSON object with `wall_ns`, `spans`, `phases`, and
-    /// `top_spans` fields.
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"wall_ns\":{},\"spans\":{},\"phases\":[",
-            self.wall_ns, self.spans
-        );
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"phase\":\"{}\",\"spans\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                escape_json(&p.phase),
-                p.spans,
-                p.total_ns,
-                p.self_ns,
-            ));
-        }
-        s.push_str("],\"top_spans\":[");
-        for (i, t) in self.top.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                escape_json(&t.name),
-                t.count,
-                t.total_ns,
-                t.self_ns,
-            ));
-        }
-        s.push_str("]}");
-        s
+    /// An object with `wall_ns`, `spans`, `phases`, and `top_spans`
+    /// fields.
+    pub fn to_value(&self) -> Value {
+        let phases = self.phases.iter().map(|p| {
+            Value::obj([
+                ("phase", p.phase.as_str().into()),
+                ("spans", p.spans.into()),
+                ("total_ns", p.total_ns.into()),
+                ("self_ns", p.self_ns.into()),
+            ])
+        });
+        let top = self.top.iter().map(|t| {
+            Value::obj([
+                ("name", t.name.as_str().into()),
+                ("count", t.count.into()),
+                ("total_ns", t.total_ns.into()),
+                ("self_ns", t.self_ns.into()),
+            ])
+        });
+        Value::obj([
+            ("wall_ns", self.wall_ns.into()),
+            ("spans", self.spans.into()),
+            ("phases", Value::Arr(phases.collect())),
+            ("top_spans", Value::Arr(top.collect())),
+        ])
     }
 }
 
@@ -342,8 +325,8 @@ mod tests {
         let json = chrome_trace_json(&[e]);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":1.000"));
-        assert!(json.contains("\"dur\":2.500"));
+        assert!(json.contains("\"ts\":1,"));
+        assert!(json.contains("\"dur\":2.5,"));
         assert!(json.contains("\"tid\":3"));
         assert!(json.contains("\"args\":{\"points\":64}"));
     }
@@ -404,13 +387,16 @@ mod tests {
         assert_eq!(report.top[0].self_ns, 80);
     }
 
+    /// What a traced reply's `trace` field carries, byte for byte.
     #[test]
-    fn report_json_is_well_formed() {
+    fn report_value_keys_are_pinned() {
         let events = vec![ev("root", "seismic", 0, 0, 100)];
-        let json = TraceReport::build(&events, 5).to_json();
-        assert!(json.contains("\"wall_ns\":100"));
-        assert!(json.contains("\"phases\":[{\"phase\":\"seismic\""));
-        assert!(json.contains("\"top_spans\":[{\"name\":\"root\""));
+        assert_eq!(
+            TraceReport::build(&events, 5).to_value().to_string(),
+            "{\"wall_ns\":100,\"spans\":1,\"phases\":[{\"phase\":\"seismic\",\"spans\":1,\
+             \"total_ns\":100,\"self_ns\":100}],\"top_spans\":[{\"name\":\"root\",\"count\":1,\
+             \"total_ns\":100,\"self_ns\":100}]}"
+        );
     }
 
     #[test]
@@ -418,6 +404,6 @@ mod tests {
         let report = TraceReport::build(&[], 5);
         assert_eq!(report.wall_ns, 0);
         assert_eq!(report.spans, 0);
-        assert!(report.to_json().contains("\"phases\":[]"));
+        assert!(report.to_value().to_string().contains("\"phases\":[]"));
     }
 }

@@ -18,8 +18,8 @@
 //! CI telemetry job (and any curl-less operator) can scrape Prometheus
 //! text with the same binary.
 
+use perforad_obs::json::Value;
 use perforad_serve::{stats_counter, Client, Endpoint};
-use perforad_tune::json::Value;
 use std::io::Write;
 use std::time::{Duration, Instant};
 
@@ -204,11 +204,7 @@ fn render(stats: &Value, rate: f64) {
         stats_counter(stats, "serve.frame_bytes_out"),
     );
 
-    let injected = stats
-        .get("faults")
-        .and_then(|f| f.get("injected_total"))
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0) as u64;
+    let injected = stats.get("faults").map_or(0, |f| num(f, "injected_total"));
     println!(
         "health    degraded {}  rejected {}  deadline {}  faults injected {}",
         num(stats, "degraded_total"),

@@ -9,7 +9,7 @@ use crate::proto::{
     Reply, Request,
 };
 use crate::server::{connect, Conn, Endpoint};
-use perforad_tune::json::Value;
+use perforad_obs::json::Value;
 use std::fmt;
 use std::io;
 
@@ -319,7 +319,6 @@ pub fn stats_counter(stats: &Value, name: &str) -> u64 {
         .get("metrics")
         .and_then(|m| m.get("counters"))
         .and_then(|c| c.get(name))
-        .and_then(Value::as_f64)
-        .map(|v| v as u64)
+        .and_then(Value::as_uint)
         .unwrap_or(0)
 }

@@ -13,7 +13,8 @@
 //! [`default_pool`] is not reentrant and must host one parallel region
 //! at a time. The wait-plus-run population is exported as the
 //! `serve.queue_depth` gauge. Gradient admission is bounded by
-//! `PERFORAD_SERVE_MAX_QUEUE` (unset/0 = unlimited): a request that
+//! [`ServeOptions::max_queue`](crate::ServeOptions::max_queue) (unset/0 =
+//! unlimited; `PERFORAD_SERVE_MAX_QUEUE` at the daemon): a request that
 //! would push the population past the cap is turned away with a
 //! [`Reply::Busy`] carrying a `retry_after_ms` hint instead of piling
 //! onto the lock, and a request that is still queued when its
@@ -30,6 +31,7 @@ use perforad_codegen::parse_stencil;
 use perforad_core::{ActivityMap, AdjointOptions, BoundaryStrategy};
 use perforad_exec::native::Fnv;
 use perforad_exec::{default_pool, fnv1a64, Binding, Grid};
+use perforad_obs::json::Value;
 use perforad_pde::seismic::{BatchOptions, BatchPlan, SeismicConfig, ShotBatch};
 use perforad_tune::{cache, fingerprint_nests};
 use std::collections::HashMap;
@@ -39,10 +41,6 @@ use std::time::{Duration, Instant};
 
 /// Largest accepted step count per shot.
 const MAX_STEPS: usize = 1 << 20;
-
-/// Env knob bounding the gradient wait-plus-run population (the
-/// `serve.queue_depth` gauge). Unset or `0` means unlimited.
-pub const MAX_QUEUE_ENV: &str = "PERFORAD_SERVE_MAX_QUEUE";
 
 /// Why a request was refused without (fully) executing.
 enum Refusal {
@@ -116,8 +114,7 @@ pub struct Engine {
     run_lock: Mutex<()>,
     /// Requests waiting for or holding the run lock.
     in_flight: AtomicU64,
-    /// Admission cap on `in_flight` for gradient requests (0 = unlimited),
-    /// read once from [`MAX_QUEUE_ENV`] at construction.
+    /// Admission cap on `in_flight` for gradient requests (0 = unlimited).
     max_queue: u64,
 }
 
@@ -144,11 +141,14 @@ fn lock_any<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Engine {
+    /// An engine with unlimited gradient admission.
     pub fn new() -> Engine {
-        let max_queue = std::env::var(MAX_QUEUE_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0);
+        Engine::with_max_queue(0)
+    }
+
+    /// An engine that answers a gradient `Busy` past `max_queue` waiting
+    /// or running ones (0 = unlimited): [`crate::ServeOptions::max_queue`].
+    pub(crate) fn with_max_queue(max_queue: u64) -> Engine {
         Engine {
             started: Instant::now(),
             registry: Mutex::new(Registry::default()),
@@ -306,11 +306,7 @@ impl Engine {
         batch: &ShotBatch,
         request_id: u64,
         trace: bool,
-    ) -> (
-        perforad_pde::seismic::BatchResult,
-        Option<perforad_tune::json::Value>,
-    ) {
-        use perforad_tune::json::Value;
+    ) -> (perforad_pde::seismic::BatchResult, Option<Value>) {
         let forced = trace && !perforad_obs::enabled();
         if forced {
             perforad_obs::set_enabled(true);
@@ -324,10 +320,9 @@ impl Engine {
         };
         let rollup = if trace {
             let events = perforad_obs::take_request_events(request_id);
-            let report = perforad_obs::TraceReport::build(&events, 10);
-            let mut v = perforad_tune::json::parse(&report.to_json()).unwrap_or(Value::Null);
-            if let Value::Obj(ref mut fields) = v {
-                fields.insert(0, ("request_id".into(), Value::Num(request_id as f64)));
+            let mut v = perforad_obs::TraceReport::build(&events, 10).to_value();
+            if let Value::Obj(fields) = &mut v {
+                fields.insert(0, ("request_id".into(), request_id.into()));
             }
             Some(v)
         } else {
@@ -652,92 +647,62 @@ impl Engine {
     /// clients diff these across requests to prove the warm path). This
     /// is deliberately a superset of what `perforad-top` renders, so the
     /// dashboard needs no second endpoint.
-    fn stats(&self) -> perforad_tune::json::Value {
-        use perforad_tune::json::Value;
-        let hist_value = |snap: &perforad_obs::HistogramSnapshot| {
-            perforad_tune::json::parse(&snap.to_json()).unwrap_or(Value::Null)
-        };
-        let mut kernels = Vec::new();
-        let mut dsl = Vec::new();
-        {
+    fn stats(&self) -> Value {
+        use perforad_obs::fault::{injected, injected_total, KNOWN_POINTS};
+        let (kernels, dsl): (Vec<_>, Vec<_>) = {
             let reg = lock_any(&self.registry);
-            for (id, entry) in &reg.kernels {
+            let kernels = reg.kernels.iter().map(|(id, entry)| {
                 let e = lock_any(entry);
-                let latency = perforad_obs::histogram_labeled(
-                    "serve.request_ns",
-                    "fingerprint",
-                    &format!("{id:016x}"),
-                )
-                .snapshot();
-                kernels.push(Value::Obj(vec![
-                    ("fingerprint".into(), Value::Str(format!("{id:016x}"))),
-                    ("requests".into(), Value::Num(e.requests as f64)),
-                    ("n".into(), Value::Num(e.cfg.n as f64)),
-                    ("steps".into(), Value::Num(e.cfg.steps as f64)),
-                    ("checkpointed".into(), Value::Bool(e.plan.checkpointed())),
-                    ("budget".into(), Value::Num(e.plan.budget() as f64)),
-                    ("config".into(), Value::Str(e.plan.tuned().describe())),
-                    ("latency_ns".into(), hist_value(&latency)),
-                ]));
-            }
-            for (id, entry) in &reg.dsl {
-                dsl.push(Value::Obj(vec![
-                    ("fingerprint".into(), Value::Str(format!("{id:016x}"))),
-                    ("nests".into(), Value::Num(entry.nests as f64)),
-                    ("requests".into(), Value::Num(entry.requests as f64)),
-                ]));
-            }
-        }
-        let metrics =
-            perforad_tune::json::parse(&perforad_obs::MetricsSnapshot::collect().to_json())
-                .unwrap_or(Value::Null);
-        let mut faults = vec![(
-            "injected_total".into(),
-            Value::Num(perforad_obs::fault::injected_total() as f64),
-        )];
-        for point in perforad_obs::fault::KNOWN_POINTS {
-            let n = perforad_obs::fault::injected(point);
-            if n > 0 {
-                faults.push((point.to_string(), Value::Num(n as f64)));
-            }
-        }
+                let fp = format!("{id:016x}");
+                let latency =
+                    perforad_obs::histogram_labeled("serve.request_ns", "fingerprint", &fp);
+                Value::obj([
+                    ("fingerprint", fp.into()),
+                    ("requests", e.requests.into()),
+                    ("n", e.cfg.n.into()),
+                    ("steps", e.cfg.steps.into()),
+                    ("checkpointed", e.plan.checkpointed().into()),
+                    ("budget", e.plan.budget().into()),
+                    ("config", e.plan.tuned().describe().into()),
+                    ("latency_ns", latency.snapshot().to_value()),
+                ])
+            });
+            let dsl = reg.dsl.iter().map(|(id, entry)| {
+                Value::obj([
+                    ("fingerprint", format!("{id:016x}").into()),
+                    ("nests", entry.nests.into()),
+                    ("requests", entry.requests.into()),
+                ])
+            });
+            (kernels.collect(), dsl.collect())
+        };
+        let tallies = KNOWN_POINTS.iter().map(|&p| (p, injected(p)));
+        let faults = [("injected_total", injected_total())]
+            .into_iter()
+            .chain(tallies.filter(|&(_, n)| n > 0));
         let latency = perforad_obs::histogram("serve.request_ns").snapshot();
-        Value::Obj(vec![
-            (
-                "uptime_ns".into(),
-                Value::Num(self.started.elapsed().as_nanos() as f64),
-            ),
-            (
-                "queue_depth".into(),
-                Value::Num(self.in_flight.load(Ordering::SeqCst) as f64),
-            ),
-            (
-                "tune_cache_entries".into(),
-                Value::Num(cache::memory_len() as f64),
-            ),
-            (
-                "requests_total".into(),
-                Value::Num(perforad_obs::counter("serve.requests_total").get() as f64),
-            ),
-            (
-                "degraded_total".into(),
-                Value::Num(perforad_obs::counter("serve.degraded_total").get() as f64),
-            ),
-            (
-                "rejected_total".into(),
-                Value::Num(perforad_obs::counter("serve.rejected_total").get() as f64),
-            ),
-            (
-                "deadline_exceeded_total".into(),
-                Value::Num(perforad_obs::counter("serve.deadline_exceeded_total").get() as f64),
-            ),
-            ("faults".into(), Value::Obj(faults)),
-            ("latency_ns".into(), hist_value(&latency)),
-            ("kernels".into(), Value::Arr(kernels)),
-            ("dsl_kernels".into(), Value::Arr(dsl)),
-            ("metrics".into(), metrics),
+        let metrics = perforad_obs::MetricsSnapshot::collect();
+        Value::obj([
+            ("uptime_ns", (self.uptime().as_nanos() as f64).into()),
+            ("queue_depth", self.in_flight().into()),
+            ("tune_cache_entries", cache::memory_len().into()),
+            serve_total("serve.requests_total"),
+            serve_total("serve.degraded_total"),
+            serve_total("serve.rejected_total"),
+            serve_total("serve.deadline_exceeded_total"),
+            ("faults", Value::obj(faults.map(|(k, n)| (k, n.into())))),
+            ("latency_ns", latency.to_value()),
+            ("kernels", Value::Arr(kernels)),
+            ("dsl_kernels", Value::Arr(dsl)),
+            ("metrics", metrics.to_value()),
         ])
     }
+}
+
+/// A `serve.*` counter as `Stats` and `/healthz` name it, less `serve.`.
+pub(crate) fn serve_total(counter: &'static str) -> (&'static str, Value) {
+    let key = counter.strip_prefix("serve.").expect("a serve.* counter");
+    (key, perforad_obs::counter(counter).get().into())
 }
 
 /// Canonicalize a client-supplied hex fingerprint into the zero-padded

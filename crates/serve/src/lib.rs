@@ -32,7 +32,8 @@
 //! timings, and zero out-of-process rustc invocations.
 //!
 //! Production hardening (pinned by `tests/fault.rs`): gradient admission
-//! is bounded (`PERFORAD_SERVE_MAX_QUEUE` → [`Reply::Busy`] with a
+//! is bounded ([`ServeOptions::max_queue`], `PERFORAD_SERVE_MAX_QUEUE`
+//! at the daemon → [`Reply::Busy`] with a
 //! `retry_after_ms` hint), requests carry optional queue-side deadlines
 //! (`deadline_ms`), sockets get read/write timeouts
 //! (`PERFORAD_SERVE_TIMEOUT_MS`), open connections are capped
@@ -69,7 +70,7 @@ pub mod proto;
 pub mod server;
 
 pub use client::{stats_counter, Client, ClientError, RetryPolicy};
-pub use engine::{Engine, MAX_QUEUE_ENV};
+pub use engine::Engine;
 pub use metrics::{scrape, MetricsServer, METRICS_ENV};
 pub use proto::{
     BatchReply, BatchRequest, CompileRequest, CompiledReply, GradientReply, GradientRequest, Reply,

@@ -20,7 +20,8 @@
 //! exits; it holds only an `Arc<Engine>` and never touches the run lock,
 //! so a scrape can never delay a gradient.
 
-use crate::engine::Engine;
+use crate::engine::{serve_total, Engine};
+use perforad_obs::json::Value;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -75,15 +76,15 @@ pub fn prometheus_body(engine: &Engine) -> String {
 /// The `/healthz` body: liveness plus the three numbers an operator
 /// checks first.
 pub fn healthz_body(engine: &Engine) -> String {
-    format!(
-        "{{\"status\":\"ok\",\"uptime_ns\":{},\"queue_depth\":{},\"degraded_total\":{},\
-         \"rejected_total\":{},\"deadline_exceeded_total\":{}}}",
-        engine.uptime().as_nanos(),
-        engine.in_flight(),
-        perforad_obs::counter("serve.degraded_total").get(),
-        perforad_obs::counter("serve.rejected_total").get(),
-        perforad_obs::counter("serve.deadline_exceeded_total").get(),
-    )
+    Value::obj([
+        ("status", "ok".into()),
+        ("uptime_ns", (engine.uptime().as_nanos() as f64).into()),
+        ("queue_depth", engine.in_flight().into()),
+        serve_total("serve.degraded_total"),
+        serve_total("serve.rejected_total"),
+        serve_total("serve.deadline_exceeded_total"),
+    ])
+    .to_string()
 }
 
 fn handle_scrape(mut stream: TcpStream, engine: &Engine) {
@@ -158,6 +159,7 @@ pub fn scrape(addr: &str, path: &str) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{Reply, Request};
 
     #[test]
     fn endpoint_serves_metrics_and_healthz() {
@@ -176,5 +178,41 @@ mod tests {
 
         let missing = scrape(srv.addr(), "/nope").unwrap();
         assert!(missing.contains("/metrics"));
+    }
+
+    fn keys(v: Option<&Value>) -> Vec<&str> {
+        match v {
+            Some(Value::Obj(fields)) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// What `perforad-top`, every `Stats` client and a `/healthz` probe
+    /// read, key for key.
+    #[test]
+    fn stats_and_healthz_keys_are_pinned() {
+        let engine = Engine::new();
+        let health = perforad_obs::json::parse(&healthz_body(&engine)).unwrap();
+        assert_eq!(
+            keys(Some(&health)).join(","),
+            "status,uptime_ns,queue_depth,degraded_total,rejected_total,deadline_exceeded_total"
+        );
+        let Reply::Stats(stats) = engine.handle(&Request::Stats) else {
+            panic!("Stats answers a stats object");
+        };
+        let at = |path: &[&str]| path.iter().try_fold(&stats, |v, key| v.get(key));
+        assert_eq!(
+            keys(at(&[])).join(","),
+            "uptime_ns,queue_depth,tune_cache_entries,requests_total,degraded_total,\
+             rejected_total,deadline_exceeded_total,faults,latency_ns,kernels,dsl_kernels,metrics"
+        );
+        assert_eq!(keys(at(&["faults"]))[0], "injected_total");
+        let histogram = ["count", "sum", "mean", "p50", "p95", "p99", "max"];
+        assert_eq!(keys(at(&["latency_ns"])), histogram);
+        assert_eq!(keys(at(&["metrics"])), ["counters", "gauges", "histograms"]);
+        assert_eq!(
+            keys(at(&["metrics", "histograms", "serve.request_ns"])),
+            histogram
+        );
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Each message is one frame — a big-endian `u32` byte count followed by
 //! that many bytes of UTF-8 JSON — and leaves in **one** write, prefix and
-//! payload together ([`write_frame`]). The JSON side reuses the workspace's
-//! hand-rolled reader (`perforad_tune::json`); the writer lives here.
+//! payload together ([`write_frame`]). The JSON side is the workspace's one
+//! codec, `perforad_obs::json`: it parses every frame and prints every
+//! scalar and string, and the typed writers here lay the envelope out
+//! around the hex bulk arrays only this module writes.
 //!
 //! Floats cross the wire **bitwise-intact**, the property `tests/serve.rs`
 //! pins, in one of two forms. A *bulk array* (a source trace, a grid, a
@@ -25,7 +27,7 @@
 //! well-framed but unparseable or unknown-typed payload earns a
 //! [`Reply::Error`] on the same connection.
 
-use perforad_tune::json::{self, Value};
+use perforad_obs::json::{self, push_num, push_str, Value};
 use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
@@ -249,18 +251,10 @@ pub struct BatchReply {
 }
 
 // ---------------------------------------------------------------------
-// JSON writing. Scalar f64s go through Display: shortest round-trip form,
-// so finite values survive the wire bit-for-bit; a non-finite scalar
-// becomes null (the reader rejects it). Bulk arrays go out as hex bits.
-
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // Writing into a `String` cannot fail.
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
+// JSON writing. Scalar f64s go through `json::push_num`: Display's
+// shortest round-trip form, so finite values survive the wire bit-for-bit;
+// a non-finite scalar becomes null (the reader rejects it). Bulk arrays go
+// out as hex bits.
 
 /// One JSON string, 16 lowercase hex digits (the IEEE-754 bits, most
 /// significant first) per value. Non-finite values are written as they
@@ -295,11 +289,6 @@ fn frame_buffer(array_lens: impl IntoIterator<Item = usize>) -> String {
     String::with_capacity(256 + arrays)
 }
 
-// `json::escape` emits the surrounding quotes itself.
-fn push_str(out: &mut String, s: &str) {
-    out.push_str(&json::escape(s));
-}
-
 impl Request {
     pub fn to_json(&self) -> String {
         let mut o = match self {
@@ -322,7 +311,7 @@ impl Request {
                 o.push_str(&format!(
                     "{{\"type\":\"compile\",\"kernel\":\"seismic\",\"n\":{n},\"steps\":{steps},\"d\":"
                 ));
-                push_f64(&mut o, *d);
+                push_num(&mut o, *d);
                 if let Some(c) = c {
                     o.push_str(",\"c\":");
                     push_f64_array(&mut o, c);
@@ -341,33 +330,19 @@ impl Request {
                 params,
                 active,
             }) => {
-                o.push_str("{\"type\":\"compile\",\"kernel\":\"stencil\",\"stencil\":");
-                push_str(&mut o, stencil);
-                o.push_str(",\"sizes\":{");
-                for (i, (k, v)) in sizes.iter().enumerate() {
-                    if i > 0 {
-                        o.push(',');
-                    }
-                    push_str(&mut o, k);
-                    o.push_str(&format!(":{v}"));
-                }
-                o.push_str("},\"params\":{");
-                for (i, (k, v)) in params.iter().enumerate() {
-                    if i > 0 {
-                        o.push(',');
-                    }
-                    push_str(&mut o, k);
-                    o.push(':');
-                    push_f64(&mut o, *v);
-                }
-                o.push_str("},\"active\":[");
-                for (i, a) in active.iter().enumerate() {
-                    if i > 0 {
-                        o.push(',');
-                    }
-                    push_str(&mut o, a);
-                }
-                o.push_str("]}");
+                // No bulk array: the whole frame is a `Value`.
+                let sizes = sizes.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+                let params = params.iter().map(|(k, v)| (k.as_str(), (*v).into()));
+                let active = active.iter().map(|a| a.as_str().into()).collect();
+                let stencil = Value::obj([
+                    ("type", "compile".into()),
+                    ("kernel", "stencil".into()),
+                    ("stencil", stencil.as_str().into()),
+                    ("sizes", Value::obj(sizes)),
+                    ("params", Value::obj(params)),
+                    ("active", Value::Arr(active)),
+                ]);
+                let _ = write!(o, "{stencil}");
             }
             Request::Gradient(g) => {
                 o.push_str("{\"type\":\"gradient\",\"fingerprint\":");
@@ -427,7 +402,7 @@ impl Request {
                 fingerprint: req_str(&v, "fingerprint")?,
                 source: req_f64_array(&v, "source")?,
                 observed: req_f64_array(&v, "observed")?,
-                deadline_ms: opt_u64(&v, "deadline_ms")?,
+                deadline_ms: opt_uint(&v, "deadline_ms")?,
                 trace: opt_bool(&v, "trace")?,
             })),
             "gradient_batch" => {
@@ -443,7 +418,7 @@ impl Request {
                 Ok(Request::GradientBatch(BatchRequest {
                     fingerprint,
                     shots: out,
-                    deadline_ms: opt_u64(&v, "deadline_ms")?,
+                    deadline_ms: opt_uint(&v, "deadline_ms")?,
                     trace: opt_bool(&v, "trace")?,
                 }))
             }
@@ -461,8 +436,8 @@ fn decode_compile(v: &Value) -> Result<CompileRequest, String> {
         .ok_or("compile needs a string \"kernel\" field")?;
     match kernel {
         "seismic" => Ok(CompileRequest::Seismic {
-            n: req_usize(v, "n")?,
-            steps: req_usize(v, "steps")?,
+            n: opt_uint(v, "n")?.ok_or("missing non-negative integer field \"n\"")?,
+            steps: opt_uint(v, "steps")?.ok_or("missing non-negative integer field \"steps\"")?,
             d: v.get("d")
                 .and_then(finite)
                 .ok_or("compile seismic needs a finite number \"d\"")?,
@@ -470,7 +445,7 @@ fn decode_compile(v: &Value) -> Result<CompileRequest, String> {
                 None | Some(Value::Null) => None,
                 Some(c) => Some(f64_array(c).ok_or("\"c\" must be an array of numbers")?),
             },
-            budget: opt_usize(v, "budget")?,
+            budget: opt_uint(v, "budget")?,
             checkpointed: match v.get("checkpointed") {
                 None | Some(Value::Null) => None,
                 Some(b) => Some(b.as_bool().ok_or("\"checkpointed\" must be a bool")?),
@@ -521,19 +496,13 @@ fn req_str(v: &Value, key: &str) -> Result<String, String> {
         .ok_or(format!("missing string field \"{key}\""))
 }
 
-fn req_usize(v: &Value, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Value::as_i64)
-        .and_then(|n| usize::try_from(n).ok())
-        .ok_or(format!("missing non-negative integer field \"{key}\""))
-}
-
-fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
+/// A non-negative integer field that fits `T` (absent or `null` →
+/// `None`). A number outside `0..=2⁵³` is refused by name, not saturated.
+fn opt_uint<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<Option<T>, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
         Some(n) => n
-            .as_i64()
-            .and_then(|n| u64::try_from(n).ok())
+            .as_uint()
             .map(Some)
             .ok_or(format!("\"{key}\" must be a non-negative integer")),
     }
@@ -544,17 +513,6 @@ fn opt_bool(v: &Value, key: &str) -> Result<bool, String> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(false),
         Some(b) => b.as_bool().ok_or(format!("\"{key}\" must be a bool")),
-    }
-}
-
-fn opt_usize(v: &Value, key: &str) -> Result<Option<usize>, String> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(n) => n
-            .as_i64()
-            .and_then(|n| usize::try_from(n).ok())
-            .map(Some)
-            .ok_or(format!("\"{key}\" must be a non-negative integer")),
     }
 }
 
@@ -653,14 +611,14 @@ impl Reply {
             }
             Reply::Gradient(g) => {
                 o.push_str("{\"type\":\"gradient\",\"misfit\":");
-                push_f64(&mut o, g.misfit);
+                push_num(&mut o, g.misfit);
                 o.push_str(",\"gradient\":");
                 push_f64_array(&mut o, &g.gradient);
                 o.push_str(&format!(",\"checkpointed\":{}", g.checkpointed));
                 o.push_str(&format!(",\"request_id\":{}", g.request_id));
                 if let Some(t) = &g.trace {
                     o.push_str(",\"trace\":");
-                    write_value(&mut o, t);
+                    let _ = write!(o, "{t}");
                 }
                 o.push('}');
             }
@@ -679,13 +637,13 @@ impl Reply {
                 o.push_str(&format!(",\"request_id\":{}", b.request_id));
                 if let Some(t) = &b.trace {
                     o.push_str(",\"trace\":");
-                    write_value(&mut o, t);
+                    let _ = write!(o, "{t}");
                 }
                 o.push('}');
             }
             Reply::Stats(v) => {
                 o.push_str("{\"type\":\"stats\",\"stats\":");
-                write_value(&mut o, v);
+                let _ = write!(o, "{v}");
                 o.push('}');
             }
             Reply::Ok => o.push_str("{\"type\":\"ok\"}"),
@@ -716,10 +674,11 @@ impl Reply {
                     .get("cached")
                     .and_then(Value::as_bool)
                     .ok_or("compiled reply needs \"cached\"")?,
-                nests: req_usize(&v, "nests")?,
+                nests: opt_uint(&v, "nests")?
+                    .ok_or("missing non-negative integer field \"nests\"")?,
                 config: v.get("config").and_then(Value::as_str).map(str::to_string),
                 checkpointed: v.get("checkpointed").and_then(Value::as_bool),
-                budget: opt_usize(&v, "budget")?,
+                budget: opt_uint(&v, "budget")?,
             })),
             "gradient" => Ok(Reply::Gradient(GradientReply {
                 misfit: v
@@ -731,7 +690,7 @@ impl Reply {
                     .get("checkpointed")
                     .and_then(Value::as_bool)
                     .unwrap_or(false),
-                request_id: opt_u64(&v, "request_id")?.unwrap_or(0),
+                request_id: opt_uint(&v, "request_id")?.unwrap_or(0),
                 trace: opt_value(&v, "trace"),
             })),
             "gradient_batch" => {
@@ -747,50 +706,17 @@ impl Reply {
                     misfits: req_f64_array(&v, "misfits")?,
                     gradients,
                     strategy: req_str(&v, "strategy")?,
-                    request_id: opt_u64(&v, "request_id")?.unwrap_or(0),
+                    request_id: opt_uint(&v, "request_id")?.unwrap_or(0),
                     trace: opt_value(&v, "trace"),
                 }))
             }
             "stats" => Ok(Reply::Stats(v.get("stats").cloned().unwrap_or(Value::Null))),
             "ok" => Ok(Reply::Ok),
             "busy" => Ok(Reply::Busy {
-                retry_after_ms: opt_u64(&v, "retry_after_ms")?.unwrap_or(0),
+                retry_after_ms: opt_uint(&v, "retry_after_ms")?.unwrap_or(0),
             }),
             "error" => Ok(Reply::Error(req_str(&v, "message")?)),
             other => Err(format!("unknown reply type {other:?}")),
-        }
-    }
-}
-
-/// Serialize a parsed [`Value`] back to JSON text (numbers via `Display`,
-/// same shortest-round-trip property as the typed writers above).
-pub fn write_value(out: &mut String, v: &Value) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Num(n) => push_f64(out, *n),
-        Value::Str(s) => push_str(out, s),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Obj(fields) => {
-            out.push('{');
-            for (i, (k, val)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_str(out, k);
-                out.push(':');
-                write_value(out, val);
-            }
-            out.push('}');
         }
     }
 }
@@ -818,16 +744,6 @@ mod tests {
         -5e-324,
         f64::MIN_POSITIVE / 3.0,
     ];
-
-    #[test]
-    fn f64_wire_round_trip_is_bitwise() {
-        for v in AWKWARD {
-            let mut s = String::new();
-            push_f64(&mut s, v);
-            let back = json::parse(&s).unwrap().as_f64().unwrap();
-            assert_eq!(back.to_bits(), v.to_bits(), "{v} -> {s}");
-        }
-    }
 
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|x| x.to_bits()).collect()
@@ -1176,24 +1092,6 @@ mod tests {
     }
 
     #[test]
-    fn request_round_trips() {
-        let req = Request::Gradient(GradientRequest {
-            fingerprint: "ab12".into(),
-            source: vec![0.5, -1.25],
-            observed: vec![0.0, 1.0, 2.0],
-            deadline_ms: None,
-            trace: false,
-        });
-        let Request::Gradient(back) = Request::from_json(&req.to_json()).unwrap() else {
-            panic!("wrong variant");
-        };
-        assert_eq!(back.fingerprint, "ab12");
-        assert_eq!(back.source, vec![0.5, -1.25]);
-        assert_eq!(back.observed, vec![0.0, 1.0, 2.0]);
-        assert_eq!(back.deadline_ms, None);
-    }
-
-    #[test]
     fn deadline_round_trips_and_is_optional_on_the_wire() {
         let req = Request::Gradient(GradientRequest {
             fingerprint: "ab12".into(),
@@ -1234,6 +1132,25 @@ mod tests {
              \"observed\":[],\"deadline_ms\":-4}"
         )
         .is_err());
+    }
+
+    /// `1e300` is a JSON number but no count a client meant: an integer
+    /// field outside `0..=2⁵³` is refused at decode, by name, instead of
+    /// saturating to a number the client never sent.
+    #[test]
+    fn an_out_of_range_integer_is_refused_at_decode_by_field_name() {
+        let seismic = r#"{"type":"compile","kernel":"seismic","n":N,"steps":4,"d":0.1,"budget":B}"#;
+        for huge in ["1e300", "9007199254740994", "-1", "4.5"] {
+            let err =
+                Request::from_json(&seismic.replace('N', huge).replace('B', "2")).unwrap_err();
+            assert!(err.contains("\"n\""), "{huge}: {err}");
+            let err =
+                Request::from_json(&seismic.replace('N', "8").replace('B', huge)).unwrap_err();
+            assert!(err.contains("\"budget\""), "{huge}: {err}");
+            let busy = format!(r#"{{"type":"busy","retry_after_ms":{huge}}}"#);
+            let err = Reply::from_json(&busy).unwrap_err();
+            assert!(err.contains("\"retry_after_ms\""), "{huge}: {err}");
+        }
     }
 
     #[test]

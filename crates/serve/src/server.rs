@@ -83,14 +83,17 @@ pub struct ServeOptions {
     /// `/healthz` JSON) at this TCP address — `127.0.0.1:0` picks an
     /// ephemeral port. `None` = no endpoint.
     pub metrics: Option<String>,
+    /// Cap on gradient requests queued or running (`serve.queue_depth`);
+    /// one past it is answered `Busy`. `None`/`0` = unlimited.
+    pub max_queue: Option<u64>,
 }
 
 impl ServeOptions {
     /// `PERFORAD_SERVE_SOCKET` (path), `PERFORAD_SERVE_TCP` (address;
     /// takes precedence when both are set), `PERFORAD_SERVE_TIMEOUT_MS`
     /// (per-socket read/write timeout), `PERFORAD_SERVE_MAX_CONNS`
-    /// (open-connection cap), and `PERFORAD_SERVE_METRICS` (metrics
-    /// endpoint bind address).
+    /// (open-connection cap), `PERFORAD_SERVE_METRICS` (metrics endpoint
+    /// bind address), and `PERFORAD_SERVE_MAX_QUEUE` (gradient queue cap).
     pub fn from_env() -> ServeOptions {
         ServeOptions {
             socket: std::env::var_os("PERFORAD_SERVE_SOCKET").map(PathBuf::from),
@@ -101,6 +104,7 @@ impl ServeOptions {
             metrics: std::env::var(crate::metrics::METRICS_ENV)
                 .ok()
                 .filter(|v| !v.is_empty()),
+            max_queue: env_u64("PERFORAD_SERVE_MAX_QUEUE"),
         }
     }
 }
@@ -226,7 +230,7 @@ impl Server {
         if !opts.quiet_metrics {
             perforad_obs::set_enabled(true);
         }
-        let engine = Arc::new(Engine::new());
+        let engine = Arc::new(Engine::with_max_queue(opts.max_queue.unwrap_or(0)));
         let stop = Arc::new(AtomicBool::new(false));
         let timeout = opts.timeout_ms.map(Duration::from_millis);
         let max_conns = opts.max_conns.unwrap_or(0);

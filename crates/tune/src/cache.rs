@@ -12,14 +12,14 @@
 //! * a process-wide in-memory map, always on by default, so repeated
 //!   `autotune` calls in one process (e.g. every time step of a seismic
 //!   sweep, or a second benchmark run) skip the search entirely;
-//! * an optional JSON file (hand-rolled like every serialised artifact in
-//!   this std-only workspace), so separate processes share tunings. Set
+//! * an optional JSON file (written and read with `perforad_obs::json`,
+//!   the workspace's one codec), so separate processes share tunings. Set
 //!   [`crate::TuneOptions::cache_path`] or the `PERFORAD_TUNE_CACHE`
 //!   environment variable.
 
-use crate::json::{self, Value};
 use perforad_core::{AssignOp, LoopNest};
 use perforad_exec::{Binding, Lowering};
+use perforad_obs::json::{self, Value};
 use perforad_sched::{TilePolicy, TunedConfig, TunedStrategy};
 use perforad_symbolic::visit::NodeMemo;
 use std::collections::HashMap;
@@ -151,89 +151,61 @@ impl TuneCache {
 
     /// Serialise to the cache file format.
     pub fn to_json(&self) -> String {
-        let entries: Vec<String> = self
-            .entries
-            .iter()
-            .map(|(k, e)| {
-                let tile: Vec<String> = e.config.tile.iter().map(|t| t.to_string()).collect();
-                let checkpoint = match e.config.checkpoint {
-                    Some(b) => b.to_string(),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"key\":{},\"strategy\":{},\"lowering\":{},\"policy\":{},\
-                     \"tile\":[{}],\"fuse\":{},\"cse\":{},\"threads\":{},\
-                     \"checkpoint\":{checkpoint},\"seconds\":{}}}",
-                    json::escape(k),
-                    json::escape(strategy_name(e.config.strategy)),
-                    json::escape(lowering_name(e.config.lowering)),
-                    json::escape(policy_name(e.config.policy)),
-                    tile.join(","),
-                    e.config.fuse,
-                    e.config.cse,
-                    e.config.threads,
-                    e.seconds
-                )
-            })
-            .collect();
-        format!(
-            "{{\"version\":{CACHE_VERSION},\"entries\":[{}]}}",
-            entries.join(",")
-        )
+        let entry = |(key, e): &(String, CacheEntry)| {
+            let c = &e.config;
+            let tile = c.tile.iter().map(|&t| t.into()).collect();
+            Value::obj([
+                ("key", key.as_str().into()),
+                ("strategy", strategy_name(c.strategy).into()),
+                ("lowering", lowering_name(c.lowering).into()),
+                ("policy", policy_name(c.policy).into()),
+                ("tile", Value::Arr(tile)),
+                ("fuse", c.fuse.into()),
+                ("cse", c.cse.into()),
+                ("threads", c.threads.into()),
+                ("checkpoint", c.checkpoint.map_or(Value::Null, Value::from)),
+                ("seconds", e.seconds.into()),
+            ])
+        };
+        let entries = self.entries.iter().map(entry).collect();
+        Value::obj([
+            ("version", CACHE_VERSION.into()),
+            ("entries", Value::Arr(entries)),
+        ])
+        .to_string()
     }
 
     /// Parse the cache file format. A version mismatch yields an *empty*
     /// cache (a clean miss), not an error.
     pub fn from_json(text: &str) -> Result<Self, String> {
+        use {Lowering::*, TilePolicy::*, TunedStrategy::*};
         let doc = json::parse(text).map_err(|e| e.to_string())?;
         if doc.get("version").and_then(Value::as_i64) != Some(CACHE_VERSION as i64) {
             return Ok(TuneCache::new());
         }
         let mut cache = TuneCache::new();
-        let entries = doc
-            .get("entries")
-            .and_then(Value::as_array)
-            .ok_or("missing `entries` array")?;
-        for e in entries {
-            let key = e
-                .get("key")
-                .and_then(Value::as_str)
-                .ok_or("entry missing `key`")?;
+        for e in field(&doc, "entries", Value::as_array)? {
+            let tile = field(e, "tile", Value::as_array)?.iter().map(Value::as_i64);
             let config = TunedConfig {
-                strategy: parse_strategy(field_str(e, "strategy")?)?,
-                lowering: parse_lowering(field_str(e, "lowering")?)?,
-                policy: parse_policy(field_str(e, "policy")?)?,
-                tile: e
-                    .get("tile")
-                    .and_then(Value::as_array)
-                    .ok_or("entry missing `tile`")?
-                    .iter()
-                    .map(|t| t.as_i64().ok_or("non-integer tile edge"))
-                    .collect::<Result<_, _>>()?,
-                fuse: e
-                    .get("fuse")
-                    .and_then(Value::as_bool)
-                    .ok_or("entry missing `fuse`")?,
-                cse: e
-                    .get("cse")
-                    .and_then(Value::as_bool)
-                    .ok_or("entry missing `cse`")?,
-                threads: e
-                    .get("threads")
-                    .and_then(Value::as_i64)
-                    .ok_or("entry missing `threads`")? as usize,
+                strategy: named(e, "strategy", &[Serial, Parallel], strategy_name)?,
+                lowering: named(e, "lowering", &[PerPoint, Rows, Jit], lowering_name)?,
+                policy: named(e, "policy", &[Static, Dynamic], policy_name)?,
+                tile: tile.collect::<Option<_>>().ok_or("non-integer tile edge")?,
+                fuse: field(e, "fuse", Value::as_bool)?,
+                cse: field(e, "cse", Value::as_bool)?,
+                threads: field(e, "threads", Value::as_uint)?,
                 // Absent (pre-checkpoint cache files) and explicit null
                 // both mean "no checkpointed time loop was tuned".
-                checkpoint: e
-                    .get("checkpoint")
-                    .and_then(Value::as_i64)
-                    .map(|b| b as usize),
+                checkpoint: match e.get("checkpoint") {
+                    None | Some(Value::Null) => None,
+                    Some(b) => Some(b.as_uint().ok_or("`checkpoint` is not a budget")?),
+                },
             };
-            let seconds = e
-                .get("seconds")
-                .and_then(Value::as_f64)
-                .ok_or("entry missing `seconds`")?;
-            cache.insert(key, CacheEntry { config, seconds });
+            let seconds = field(e, "seconds", Value::as_f64)?;
+            cache.insert(
+                field(e, "key", Value::as_str)?,
+                CacheEntry { config, seconds },
+            );
         }
         Ok(cache)
     }
@@ -295,24 +267,28 @@ fn corrupt_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-fn field_str<'a>(e: &'a Value, name: &str) -> Result<&'a str, String> {
-    e.get(name)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("entry missing `{name}`"))
+/// Field `name` of `e`, as `read` takes it.
+fn field<'a, T>(e: &'a Value, name: &str, read: fn(&'a Value) -> Option<T>) -> Result<T, String> {
+    let malformed = || format!("missing or malformed `{name}`");
+    e.get(name).and_then(read).ok_or_else(malformed)
+}
+
+/// Entry field `name`: the one of `all` that the writer's `spell` spells.
+fn named<T: Copy>(
+    e: &Value,
+    name: &str,
+    all: &[T],
+    spell: fn(T) -> &'static str,
+) -> Result<T, String> {
+    let text = field(e, name, Value::as_str)?;
+    let found = all.iter().copied().find(|&v| spell(v) == text);
+    found.ok_or(format!("unknown {name} `{text}`"))
 }
 
 fn strategy_name(s: TunedStrategy) -> &'static str {
     match s {
         TunedStrategy::Serial => "Serial",
         TunedStrategy::Parallel => "Parallel",
-    }
-}
-
-fn parse_strategy(s: &str) -> Result<TunedStrategy, String> {
-    match s {
-        "Serial" => Ok(TunedStrategy::Serial),
-        "Parallel" => Ok(TunedStrategy::Parallel),
-        other => Err(format!("unknown strategy `{other}`")),
     }
 }
 
@@ -324,27 +300,10 @@ fn lowering_name(l: Lowering) -> &'static str {
     }
 }
 
-fn parse_lowering(s: &str) -> Result<Lowering, String> {
-    match s {
-        "PerPoint" => Ok(Lowering::PerPoint),
-        "Rows" => Ok(Lowering::Rows),
-        "Jit" => Ok(Lowering::Jit),
-        other => Err(format!("unknown lowering `{other}`")),
-    }
-}
-
 fn policy_name(p: TilePolicy) -> &'static str {
     match p {
         TilePolicy::Static => "Static",
         TilePolicy::Dynamic => "Dynamic",
-    }
-}
-
-fn parse_policy(s: &str) -> Result<TilePolicy, String> {
-    match s {
-        "Static" => Ok(TilePolicy::Static),
-        "Dynamic" => Ok(TilePolicy::Dynamic),
-        other => Err(format!("unknown policy `{other}`")),
     }
 }
 
@@ -467,64 +426,69 @@ mod tests {
         );
     }
 
-    #[test]
-    fn json_round_trip_is_identical() {
-        let mut cache = TuneCache::new();
-        cache.insert("k1", entry());
-        let mut e2 = entry();
-        e2.config.strategy = TunedStrategy::Serial;
-        e2.config.lowering = Lowering::PerPoint;
-        e2.config.policy = TilePolicy::Dynamic;
-        e2.config.fuse = false;
-        e2.config.threads = 1;
-        cache.insert("k2", e2.clone());
-        let parsed = TuneCache::from_json(&cache.to_json()).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed.lookup("k1"), Some(&entry()));
-        assert_eq!(parsed.lookup("k2"), Some(&e2));
-    }
+    /// A cache file as the hand-formatted writer before `perforad_obs::json`
+    /// wrote it: every enum name, `null` and numeric budgets, an empty tile,
+    /// a key that needs escaping, fractional seconds.
+    const PINNED_FILE: &str = concat!(
+        r#"{"version":1,"entries":[{"key":"00ab12cd34ef5678|v1|x86_64|linux|t8","#,
+        r#""strategy":"Parallel","lowering":"Rows","policy":"Static","tile":[16,32,512],"#,
+        r#""fuse":true,"cse":true,"threads":8,"checkpoint":null,"seconds":0.00125},"#,
+        r#"{"key":"k\"2\\|t1","strategy":"Serial","lowering":"Jit","policy":"Dynamic","#,
+        r#""tile":[],"fuse":false,"cse":false,"threads":1,"checkpoint":12,"#,
+        r#""seconds":0.30000000000000004},{"key":"ffffffffffffffff|v1|x86_64|linux|t4","#,
+        r#""strategy":"Parallel","lowering":"PerPoint","policy":"Static","tile":[8,4096],"#,
+        r#""fuse":true,"cse":false,"threads":4,"checkpoint":0,"seconds":0.0000000035}]}"#,
+    );
 
-    #[test]
-    fn jit_configs_round_trip_through_the_cache() {
-        // A tuner win with the JIT lowering must survive the JSON file
-        // format, so later processes re-prepare (dlopen) instead of
-        // re-searching.
-        let mut e = entry();
-        e.config.lowering = Lowering::Jit;
+    fn pinned_cache() -> TuneCache {
+        use {Lowering::*, TilePolicy::*, TunedStrategy::*};
         let mut cache = TuneCache::new();
-        cache.insert("jit-key", e.clone());
-        let parsed = TuneCache::from_json(&cache.to_json()).unwrap();
-        assert_eq!(parsed.lookup("jit-key"), Some(&e));
-        assert_eq!(
-            parsed.lookup("jit-key").unwrap().config.lowering,
-            Lowering::Jit
+        cache.insert("00ab12cd34ef5678|v1|x86_64|linux|t8", entry());
+        let mut c = TunedConfig {
+            fuse: false,
+            ..TunedConfig::default()
+        };
+        (c.strategy, c.lowering, c.policy, c.threads, c.checkpoint) =
+            (Serial, Jit, Dynamic, 1, Some(12));
+        let seconds = 0.1 + 0.2;
+        cache.insert(
+            "k\"2\\|t1",
+            CacheEntry {
+                config: c.clone(),
+                seconds,
+            },
         );
+        (c.strategy, c.lowering, c.policy, c.tile) = (Parallel, PerPoint, Static, vec![8, 4096]);
+        (c.fuse, c.threads, c.checkpoint) = (true, 4, Some(0));
+        cache.insert(
+            "ffffffffffffffff|v1|x86_64|linux|t4",
+            CacheEntry {
+                config: c,
+                seconds: 3.5e-9,
+            },
+        );
+        cache
     }
 
     #[test]
-    fn checkpoint_budgets_round_trip_and_default_to_none() {
-        // A tuner win carrying a snapshot budget must survive the JSON
-        // file, so later processes reuse the checkpointed time-loop
-        // choice without re-searching.
-        let mut e = entry();
-        e.config.checkpoint = Some(12);
-        let mut cache = TuneCache::new();
-        cache.insert("ckpt-key", e.clone());
-        let text = cache.to_json();
-        assert!(text.contains("\"checkpoint\":12"));
-        let parsed = TuneCache::from_json(&text).unwrap();
-        assert_eq!(parsed.lookup("ckpt-key"), Some(&e));
-        // Entries written before the field existed parse as None.
-        let legacy = text.replace(",\"checkpoint\":12", "");
-        let parsed = TuneCache::from_json(&legacy).unwrap();
-        assert_eq!(parsed.lookup("ckpt-key").unwrap().config.checkpoint, None);
-        // Plain single-sweep entries serialize an explicit null.
-        let mut with_none = TuneCache::new();
-        with_none.insert("k", entry());
-        let text = with_none.to_json();
-        assert!(text.contains("\"checkpoint\":null"));
-        let parsed = TuneCache::from_json(&text).unwrap();
-        assert_eq!(parsed.lookup("k").unwrap().config.checkpoint, None);
+    fn the_cache_file_is_byte_identical_to_the_hand_formatted_writers() {
+        let cache = pinned_cache();
+        assert_eq!(cache.to_json(), PINNED_FILE);
+        // And a file that writer left on disk loads entry for entry.
+        let loaded = TuneCache::from_json(PINNED_FILE).unwrap();
+        assert_eq!(loaded.entries, cache.entries);
+    }
+
+    #[test]
+    fn a_negative_thread_count_is_an_error_not_usize_max() {
+        for (field, bad) in [
+            ("\"threads\":8", "\"threads\":-1"),
+            ("\"threads\":8", "\"threads\":1e300"),
+            ("\"checkpoint\":null", "\"checkpoint\":-1"),
+        ] {
+            let corrupt = PINNED_FILE.replacen(field, bad, 1);
+            assert!(TuneCache::from_json(&corrupt).is_err(), "{bad}");
+        }
     }
 
     #[test]

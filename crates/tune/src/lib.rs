@@ -23,8 +23,8 @@
 //!    timer `examples/figures.rs` reports with); the fastest wins.
 //! 4. **Cache** ([`cache`]): the win is recorded under a schedule
 //!    fingerprint + machine signature, in a process-wide memory layer and
-//!    an optional hand-rolled JSON file (`PERFORAD_TUNE_CACHE`), so
-//!    repeated runs skip the search.
+//!    an optional JSON file (`PERFORAD_TUNE_CACHE`, read and written with
+//!    `perforad_obs::json`), so repeated runs skip the search.
 //!
 //! ```
 //! use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
@@ -66,7 +66,6 @@
 //! [`TunedConfig`]: perforad_sched::TunedConfig
 
 pub mod cache;
-pub mod json;
 pub mod space;
 pub mod timing;
 pub mod tuner;

@@ -46,6 +46,13 @@ fn suite_lock() -> std::sync::MutexGuard<'static, ()> {
 static SOCK_ID: AtomicUsize = AtomicUsize::new(0);
 
 fn start_server() -> (Endpoint, std::thread::JoinHandle<std::io::Result<()>>) {
+    start_server_with(ServeOptions::default())
+}
+
+/// A server on a private socket, otherwise as `opts` says.
+fn start_server_with(
+    opts: ServeOptions,
+) -> (Endpoint, std::thread::JoinHandle<std::io::Result<()>>) {
     let path = std::env::temp_dir().join(format!(
         "perforad-fault-test-{}-{}.sock",
         std::process::id(),
@@ -53,7 +60,7 @@ fn start_server() -> (Endpoint, std::thread::JoinHandle<std::io::Result<()>>) {
     ));
     let opts = ServeOptions {
         socket: Some(path),
-        ..ServeOptions::default()
+        ..opts
     };
     let server = Server::bind(&opts).expect("bind test server");
     let endpoint = server.endpoint();
@@ -418,7 +425,7 @@ fn gradient_batch_edge_cases_over_the_wire() {
     handle.join().expect("server thread").expect("server run");
 }
 
-/// Admission control end to end: with `PERFORAD_SERVE_MAX_QUEUE=1`,
+/// Admission control end to end: with `ServeOptions::max_queue` at 1,
 /// concurrent gradients contending for the 1-deep run queue get real
 /// `Busy` pushback (no execution, rejection counted), every answered
 /// request is bitwise-correct, and the client's backoff retry lands
@@ -427,9 +434,10 @@ fn gradient_batch_edge_cases_over_the_wire() {
 fn overloaded_daemon_rejects_busy_and_backoff_retry_succeeds() {
     let _guard = suite_lock();
     fault::disarm();
-    std::env::set_var(perforad::serve::MAX_QUEUE_ENV, "1");
-    let (endpoint, handle) = start_server();
-    std::env::remove_var(perforad::serve::MAX_QUEUE_ENV);
+    let (endpoint, handle) = start_server_with(ServeOptions {
+        max_queue: Some(1),
+        ..ServeOptions::default()
+    });
 
     let cfg = SeismicConfig {
         n: 12,

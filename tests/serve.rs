@@ -19,11 +19,11 @@ mod common;
 
 use common::reference_gradient;
 use perforad::exec::Grid;
+use perforad::obs::json::Value;
 use perforad::pde::seismic::{forward, ricker, SeismicConfig};
 use perforad::serve::{
     proto, stats_counter, Client, CompileRequest, Endpoint, Reply, Request, ServeOptions, Server,
 };
-use perforad::tune::json::Value;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 

@@ -22,11 +22,11 @@ mod common;
 
 use perforad::exec::Grid;
 use perforad::obs::fault;
+use perforad::obs::json::{parse, Value};
 use perforad::pde::seismic::{forward, ricker, SeismicConfig};
 use perforad::serve::{
     Client, CompileRequest, Endpoint, GradientRequest, Reply, Request, ServeOptions, Server,
 };
-use perforad::tune::json::{parse, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 

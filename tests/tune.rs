@@ -268,7 +268,7 @@ fn json_checkpoint_null_and_absent_both_mean_none() {
     let version = {
         // Recover the current CACHE_VERSION from a written cache rather
         // than hard-coding it here.
-        let doc = perforad::tune::json::parse(&TuneCache::new().to_json()).unwrap();
+        let doc = perforad::obs::json::parse(&TuneCache::new().to_json()).unwrap();
         doc.get("version").and_then(|v| v.as_i64()).unwrap()
     };
     let body = |checkpoint_field: &str| {
@@ -305,7 +305,7 @@ fn json_malformed_cache_input_is_an_error_or_clean_miss_never_a_panic() {
     }
     // Unknown enum values inside an otherwise valid document are errors.
     let version = {
-        let doc = perforad::tune::json::parse(&TuneCache::new().to_json()).unwrap();
+        let doc = perforad::obs::json::parse(&TuneCache::new().to_json()).unwrap();
         doc.get("version").and_then(|v| v.as_i64()).unwrap()
     };
     let doc = format!(
