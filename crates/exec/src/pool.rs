@@ -49,6 +49,9 @@ struct Shared {
 pub struct ThreadPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    /// Each worker's busy time in the current region (recording only);
+    /// allocated once, reused by every region.
+    busy: Box<[AtomicU64]>,
 }
 
 impl ThreadPool {
@@ -75,7 +78,12 @@ impl ThreadPool {
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        ThreadPool { shared, workers }
+        let busy = (0..threads).map(|_| AtomicU64::new(0)).collect();
+        ThreadPool {
+            shared,
+            workers,
+            busy,
+        }
     }
 
     /// Number of workers.
@@ -86,23 +94,27 @@ impl ThreadPool {
     /// Run `f(worker_id)` on every worker; blocks until all return.
     ///
     /// With tracing enabled ([`perforad_obs::enabled`]) each region also
-    /// records one `exec.barrier_wait_ns` histogram sample per worker —
-    /// the gap between a worker finishing its share and the whole team
-    /// crossing the barrier.
+    /// records, per worker, one `exec.worker` span (arg `worker`) over its
+    /// busy interval and one `exec.barrier_wait_ns` histogram sample — the
+    /// gap between that worker finishing its share and the whole team
+    /// crossing the barrier. Telemetry stops at this grain (OpDiLib's:
+    /// per parallel region and per thread); the tiles inside a worker's
+    /// share are counted, not timed.
     pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
         if !perforad_obs::enabled() {
             return self.run_inner(f);
         }
-        let busy: Vec<AtomicU64> = (0..self.workers.len()).map(|_| AtomicU64::new(0)).collect();
         let t0 = perforad_obs::now_ns();
         self.run_inner(&|tid| {
+            let _span = perforad_obs::span!("exec.worker", "exec", "worker" => tid);
             let s = perforad_obs::now_ns();
             f(tid);
-            busy[tid].store(perforad_obs::now_ns().saturating_sub(s), Ordering::Relaxed);
+            let busy = perforad_obs::now_ns().saturating_sub(s);
+            self.busy[tid].store(busy, Ordering::Relaxed);
         });
         let region_ns = perforad_obs::now_ns().saturating_sub(t0);
         let wait = barrier_wait_hist();
-        for b in &busy {
+        for b in self.busy.iter() {
             wait.record(region_ns.saturating_sub(b.load(Ordering::Relaxed)));
         }
         regions_counter().inc();

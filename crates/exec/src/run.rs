@@ -437,6 +437,55 @@ mod tests {
     }
 
     #[test]
+    fn a_pooled_run_counts_every_slab_exactly_once() {
+        use crate::native::{register_native, NativeGroup};
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        // A native group that only tallies the boxes it is handed,
+        // registered under this plan's fingerprint: no other test runs a
+        // resolved Jit lowering, so `exec.tiles_jit` moves for this run's
+        // slabs alone.
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        static POINTS: AtomicU64 = AtomicU64::new(0);
+        unsafe extern "C" fn tally(lo: *const i64, hi: *const i64, _: *const *mut f64) {
+            let rows = *hi.add(0) - *lo.add(0) + 1;
+            let cols = *hi.add(1) - *lo.add(1) + 1;
+            CALLS.fetch_add(1, Relaxed);
+            POINTS.fetch_add((rows * cols) as u64, Relaxed);
+        }
+        let (i, j) = (Symbol::new("i"), Symbol::new("j"));
+        let nest = make_loop_nest(
+            &Array::new("slab_w").at(ix![&i, &j]),
+            0.25 * Array::new("slab_u").at(ix![&i, &j]),
+            vec![i.clone(), j.clone()],
+            vec![
+                (Idx::constant(1), Idx::constant(37)),
+                (Idx::constant(1), Idx::constant(3)),
+            ],
+        )
+        .unwrap();
+        let mut ws = Workspace::new()
+            .with("slab_u", Grid::zeros(&[40, 5]))
+            .with("slab_w", Grid::zeros(&[40, 5]));
+        let plan = compile_nest(&nest, &ws, &Binding::new()).unwrap();
+        register_native(
+            plan.fingerprint(),
+            std::sync::Arc::new(NativeGroup::new(vec![tally], None)),
+        );
+        let pool = ThreadPool::new(2);
+        let slabs = job_tiles(&plan, pool.size() * 4).len() as u64;
+        let jit = perforad_obs::counter("exec.tiles_jit");
+        perforad_obs::set_enabled(true);
+        let before = jit.get();
+        run(&plan, &mut ws, ExecMode::parallel(&pool).jit()).unwrap();
+        let counted = jit.get() - before;
+        perforad_obs::set_enabled(false);
+        assert_eq!(slabs, 8);
+        assert_eq!(CALLS.load(Relaxed), slabs, "every slab ran once");
+        assert_eq!(POINTS.load(Relaxed), plan.points());
+        assert_eq!(counted, slabs, "every slab counted once");
+    }
+
+    #[test]
     fn adjoint_programs_dedup_across_nests() {
         let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
         let adj = paper_nest()

@@ -26,7 +26,9 @@ use std::sync::{Arc, OnceLock};
 
 /// Dispatch counters: which lowering actually executed each tile
 /// (`exec.tiles_interp` / `exec.tiles_rows` / `exec.tiles_jit`), making
-/// rows-vs-jit fallback visible without a debugger.
+/// rows-vs-jit fallback visible without a debugger. Counted per worker,
+/// not per tile: a [`TileScratch`] tallies the tiles it ran and adds the
+/// total once, when it drops.
 fn tile_counters() -> &'static [perforad_obs::Counter; 3] {
     static C: OnceLock<[perforad_obs::Counter; 3]> = OnceLock::new();
     C.get_or_init(|| {
@@ -190,11 +192,26 @@ fn max_tmps(plan: &Plan) -> usize {
 /// Per-thread scratch state for tile execution (loop counters, VM stack,
 /// CSE temporaries, register lane file), sized for the one lowering it
 /// will run. Create one per worker with [`TileRunner::scratch`].
+///
+/// It also tallies the tiles run through it and adds the tally to its
+/// lowering's dispatch counter when it drops — one counter update per
+/// worker per region, whichever driver handed the tiles out.
 pub struct TileScratch {
     counters: Vec<i64>,
     stack: Vec<f64>,
     tmps: Vec<f64>,
     rows: RowScratch,
+    tiles: u64,
+    /// Index into [`tile_counters`] of the lowering these tiles ran on.
+    dispatch: usize,
+}
+
+impl Drop for TileScratch {
+    fn drop(&mut self) {
+        if self.tiles > 0 && perforad_obs::enabled() {
+            tile_counters()[self.dispatch].add(self.tiles);
+        }
+    }
 }
 
 /// A plan with its workspace buffers pinned, ready to execute tiles.
@@ -264,17 +281,20 @@ impl<'a> TileRunner<'a> {
     /// Fresh per-thread scratch sized for this plan and this runner's
     /// lowering (create scratch *after* [`TileRunner::with_lowering`]).
     pub fn scratch(&self) -> TileScratch {
-        let (stack, tmps, rows) = match self.lowering {
+        let (stack, tmps, rows, dispatch) = match self.lowering {
             Lowering::PerPoint => (
                 Vec::with_capacity(max_stack(self.plan)),
                 vec![0.0; max_tmps(self.plan)],
                 RowScratch::empty(),
+                0,
             ),
             // Jit with a resolved module never touches the rows path.
-            Lowering::Jit if self.native.is_some() => (Vec::new(), Vec::new(), RowScratch::empty()),
+            Lowering::Jit if self.native.is_some() => {
+                (Vec::new(), Vec::new(), RowScratch::empty(), 2)
+            }
             // Rows, or Jit falling back to rows (no module registered).
             Lowering::Rows | Lowering::Jit => {
-                (Vec::new(), Vec::new(), RowScratch::for_plan(self.plan))
+                (Vec::new(), Vec::new(), RowScratch::for_plan(self.plan), 1)
             }
         };
         TileScratch {
@@ -282,6 +302,8 @@ impl<'a> TileRunner<'a> {
             stack,
             tmps,
             rows,
+            tiles: 0,
+            dispatch,
         }
     }
 
@@ -324,14 +346,7 @@ impl<'a> TileRunner<'a> {
         if tile.points() == 0 {
             return;
         }
-        if perforad_obs::enabled() {
-            let [interp, rows_c, jit] = tile_counters();
-            match self.lowering {
-                Lowering::PerPoint => interp.inc(),
-                Lowering::Jit if self.native.is_some() => jit.inc(),
-                Lowering::Rows | Lowering::Jit => rows_c.inc(),
-            }
-        }
+        scratch.tiles += 1;
         match self.lowering {
             Lowering::PerPoint => self.walk_box(nest, tile, 0, 0, scratch),
             Lowering::Jit if self.native.is_some() => {

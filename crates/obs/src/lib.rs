@@ -274,6 +274,24 @@ mod tests {
     }
 
     #[test]
+    fn a_wrapped_ring_keeps_overwriting_its_oldest_span_after_a_request_is_taken() {
+        const NAMES: [&str; 7] = ["a0", "a1", "a2", "a3", "a4", "a5", "a6"];
+        with_clean_state(|| {
+            set_ring_capacity(4);
+            for &name in &NAMES[..6] {
+                let _s = span!(name, "test");
+            }
+            assert!(take_request_events(999).is_empty());
+            {
+                let _s = span!(NAMES[6], "test");
+            }
+            let kept: Vec<&str> = snapshot_events().iter().map(|e| e.name).collect();
+            set_ring_capacity(DEFAULT_RING_CAPACITY);
+            assert_eq!(kept, ["a3", "a4", "a5", "a6"]);
+        });
+    }
+
+    #[test]
     fn snapshot_does_not_drain() {
         with_clean_state(|| {
             {

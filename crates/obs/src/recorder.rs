@@ -35,7 +35,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 /// One completed span, as recorded by a [`crate::SpanGuard`] on drop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Static span name, e.g. `"exec.tile"`.
+    /// Static span name, e.g. `"exec.group"`.
     pub name: &'static str,
     /// Coarse pipeline phase the span belongs to, e.g. `"exec"` — the
     /// grouping key for [`crate::TraceReport`] rollups.
@@ -226,19 +226,21 @@ pub fn snapshot_events() -> Vec<SpanEvent> {
 
 /// Drain only the spans recorded under request `id`, leaving everything
 /// else buffered — the per-request trace rollup for `Gradient` replies.
+/// What stays is kept oldest first, so the ring goes on overwriting its
+/// oldest span whether or not it had wrapped.
 pub fn take_request_events(id: u64) -> Vec<SpanEvent> {
     let mut out = Vec::new();
     each_ring(|ring| {
-        let mut kept = Vec::with_capacity(ring.events.len());
-        for ev in ring.events.drain(..) {
-            if ev.req == id {
-                out.push(ev);
-            } else {
-                kept.push(ev);
-            }
-        }
-        ring.events = kept;
+        let oldest = ring.next % ring.events.len().max(1);
+        ring.events.rotate_left(oldest);
         ring.next = 0;
+        ring.events.retain(|ev| {
+            let taken = ev.req == id;
+            if taken {
+                out.push(*ev);
+            }
+            !taken
+        });
     });
     sort_events(&mut out);
     out

@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_complete_events_and_args() {
-        let mut e = ev("exec.tile", "exec", 3, 1_000, 2_500);
+        let mut e = ev("exec.group", "exec", 3, 1_000, 2_500);
         e.args[0] = ("points", 64);
         let json = chrome_trace_json(&[e]);
         assert!(json.starts_with("{\"traceEvents\":["));
@@ -333,11 +333,11 @@ mod tests {
 
     #[test]
     fn chrome_trace_carries_request_ids() {
-        let mut e = ev("exec.tile", "exec", 3, 1_000, 2_500);
+        let mut e = ev("exec.group", "exec", 3, 1_000, 2_500);
         e.req = 42;
         let json = chrome_trace_json(&[e]);
         assert!(json.contains("\"args\":{\"request_id\":42}"));
-        let mut with_args = ev("exec.tile", "exec", 3, 1_000, 2_500);
+        let mut with_args = ev("exec.group", "exec", 3, 1_000, 2_500);
         with_args.args[0] = ("points", 64);
         with_args.req = 7;
         let json = chrome_trace_json(&[with_args]);

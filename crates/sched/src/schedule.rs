@@ -431,16 +431,12 @@ fn run_groups(
         );
         let runner = TileRunner::new(&group.plan, ws)?.with_lowering(schedule.lowering);
         let run_one = |k: usize, scratch: &mut TileScratch| {
-            let tile = &group.tiles[k];
-            let _tile_span = perforad_obs::span!(
-                "exec.tile", "exec", "nest" => tile.nest as u64, "points" => tile.points()
-            );
             // SAFETY: tiles within a group have disjoint write sets
             // (gather-only plan + per-nest disjoint boxes +
             // dependence-checked cross-nest write regions), and each tile
             // index runs once: in order, handed to one worker by the work
             // queue, or in the one LPT bin holding it.
-            unsafe { runner.run_tile(tile, scratch) };
+            unsafe { runner.run_tile(&group.tiles[k], scratch) };
         };
         match (pool, schedule.policy) {
             (None, _) => {

@@ -7,8 +7,8 @@
 
 mod common;
 
-use common::{checkpointed, one_shot, store_all};
-use perforad::ckpt::{CheckpointPlan, Snapshot};
+use common::{checkpointed, one_shot, pin_model_config, store_all};
+use perforad::ckpt::CheckpointPlan;
 use perforad::core::AdjointOptions;
 use perforad::exec::{Binding, Grid, Lowering, ThreadPool, Workspace};
 use perforad::obs::{counter, fault};
@@ -17,7 +17,7 @@ use perforad::pde::seismic::{
     CKPT_THRESHOLD_STEPS,
 };
 use perforad::pde::{wave3d, BatchStrategy};
-use perforad::tune::{autotune_adjoint, Measure, TimeLoop, TuneOptions};
+use perforad::sched::{compile_schedule, compile_schedule_nests, TunedConfig};
 
 #[global_allocator]
 static GLOBAL: common::CountingAlloc = common::CountingAlloc;
@@ -28,30 +28,6 @@ static GLOBAL: common::CountingAlloc = common::CountingAlloc;
 fn suite_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Put the analytic model's pick for `cfg`'s c-active wave adjoint on
-/// `pool` into the tuner's memory cache, under the key `BatchPlan::new`'s
-/// own tuner call looks up — so the plan comes up on that configuration (a
-/// `Jit` one wherever a toolchain is found) rather than on the wall-clock
-/// tuner's run-to-run pick. Returns the lowering pinned.
-fn pin_model_config(cfg: &SeismicConfig, checkpointed: bool, pool: &ThreadPool) -> Lowering {
-    let dims = [cfg.n; 3];
-    let adj = wave3d::nest()
-        .adjoint(&wave3d::activity_with_c(), &AdjointOptions::default())
-        .unwrap();
-    let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
-    let mut ws = Workspace::new();
-    for name in ["c", "u_1", "u_b", "u_1_b", "u_2_b", "c_b"] {
-        ws.insert(name, Grid::zeros(&dims));
-    }
-    let mut opts = TuneOptions::quick().with_measure(Measure::Model);
-    if checkpointed {
-        let state_bytes = (Grid::zeros(&dims), Grid::zeros(&dims)).mem_bytes();
-        opts = opts.with_time_loop(TimeLoop::new(cfg.steps, state_bytes));
-    }
-    let (_, report) = autotune_adjoint(&adj, &mut ws, &bind, pool, &opts).unwrap();
-    report.config.lowering
 }
 
 fn velocity(n: usize) -> Grid {
@@ -331,6 +307,23 @@ fn golden_digest_pins_the_gradient_bits_across_sweeps_and_strategies() {
     }
 }
 
+/// The tiles one back step and one primal step of `cfg` run under `tuned`:
+/// what each moves its lowering's tile counter by.
+fn tiles_per_step(cfg: &SeismicConfig, tuned: &TunedConfig) -> (usize, usize) {
+    let adj = wave3d::nest()
+        .adjoint(&wave3d::activity_with_c(), &AdjointOptions::default())
+        .unwrap();
+    let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
+    let mut ws = Workspace::new();
+    for name in ["c", "u", "u_1", "u_2", "u_b", "u_1_b", "u_2_b", "c_b"] {
+        ws.insert(name, Grid::zeros(&[cfg.n; 3]));
+    }
+    let opts = tuned.sched_options().with_accumulate(true);
+    let back = compile_schedule(&adj, &ws, &bind, &opts).unwrap();
+    let primal = compile_schedule_nests(&[wave3d::nest()], &ws, &bind, false, &opts).unwrap();
+    (back.tile_count(), primal.tile_count())
+}
+
 /// `[exec.tiles_jit, exec.tiles_rows, jit.degraded_fallbacks]` right now.
 fn lowering_counts() -> [u64; 3] {
     [
@@ -390,7 +383,7 @@ fn primal_step_runs_native_when_prepared_and_plain_rows_when_not() {
 
     // Toolchain back: a new plan builds two artifacts — adjoint and
     // primal, each under its own plan fingerprint — and a warm shot runs
-    // every tile native: none on rows, none degraded.
+    // every tile native, each counted once: none on rows, none degraded.
     let plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
     assert_eq!(plan.tuned().lowering, Lowering::Jit);
     let native = plan.run(&batch);
@@ -399,8 +392,20 @@ fn primal_step_runs_native_when_prepared_and_plain_rows_when_not() {
     let after = lowering_counts();
     perforad::obs::set_enabled(false);
     std::env::remove_var("PERFORAD_JIT_CACHE");
-    assert!(after[0] > before[0]);
-    assert_eq!(after[1], before[1], "the primal is off the row executor");
+    let report = warm.reports[0].as_ref().expect("checkpointed shot reports");
+    let (back_tiles, primal_tiles) = tiles_per_step(&cfg, plan.tuned());
+    let primal_steps = report.steps + report.recomputed_steps;
+    assert_eq!(
+        after[0] - before[0],
+        (back_tiles * report.steps + primal_tiles * primal_steps) as u64,
+        "{back_tiles} tiles × {} back steps + {primal_tiles} × {primal_steps} primal steps",
+        report.steps
+    );
+    assert_eq!(
+        after[1] - before[1],
+        0,
+        "the primal is off the row executor"
+    );
     assert_eq!(after[2], before[2]);
     let artifacts = std::fs::read_dir(&cache)
         .expect("artifact directory")

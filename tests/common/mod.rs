@@ -10,9 +10,12 @@
 // different subset of the helpers.
 #![allow(dead_code)]
 
-use perforad::ckpt::CkptReport;
-use perforad::exec::{default_pool, Grid, ThreadPool};
+use perforad::ckpt::{CkptReport, Snapshot};
+use perforad::core::AdjointOptions;
+use perforad::exec::{default_pool, Binding, Grid, Lowering, ThreadPool, Workspace};
 use perforad::pde::seismic::{BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend};
+use perforad::pde::wave3d;
+use perforad::tune::{autotune_adjoint, Measure, TimeLoop, TuneOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -126,6 +129,30 @@ pub fn reference_gradient(
         default_pool(),
     );
     (j, g)
+}
+
+/// Put the analytic model's pick for `cfg`'s c-active wave adjoint on
+/// `pool` into the tuner's memory cache, under the key `BatchPlan::new`'s
+/// own tuner call looks up — so the plan comes up on that configuration (a
+/// `Jit` one wherever a toolchain is found) rather than on the wall-clock
+/// tuner's run-to-run pick. Returns the lowering pinned.
+pub fn pin_model_config(cfg: &SeismicConfig, checkpointed: bool, pool: &ThreadPool) -> Lowering {
+    let dims = [cfg.n; 3];
+    let adj = wave3d::nest()
+        .adjoint(&wave3d::activity_with_c(), &AdjointOptions::default())
+        .unwrap();
+    let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
+    let mut ws = Workspace::new();
+    for name in ["c", "u_1", "u_b", "u_1_b", "u_2_b", "c_b"] {
+        ws.insert(name, Grid::zeros(&dims));
+    }
+    let mut opts = TuneOptions::quick().with_measure(Measure::Model);
+    if checkpointed {
+        let state_bytes = (Grid::zeros(&dims), Grid::zeros(&dims)).mem_bytes();
+        opts = opts.with_time_loop(TimeLoop::new(cfg.steps, state_bytes));
+    }
+    let (_, report) = autotune_adjoint(&adj, &mut ws, &bind, pool, &opts).unwrap();
+    report.config.lowering
 }
 
 /// `System`, with a per-thread count of every allocation and of the bytes

@@ -10,12 +10,14 @@
 mod common;
 
 use perforad::exec::{Grid, ThreadPool};
+use perforad::obs::SpanEvent;
 use perforad::pde::seismic::{
     forward, ricker, BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend,
 };
 use perforad::pde::wave3d;
 use perforad::pde::BatchStrategy;
 use perforad::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -87,7 +89,7 @@ fn disabled_tracing_costs_under_one_percent_of_a_wave3d_sweep() {
         .unwrap();
 
     // Measured cost of one disabled guard round-trip, amortized over a
-    // long loop so timer granularity vanishes. The hot sites (per-tile,
+    // long loop so timer granularity vanishes. The hot sites (per-worker,
     // per-region) resolve their metric handles once and pay only the
     // gated atomic per crossing — model exactly that.
     let overhead_counter = counter("obs_test.overhead");
@@ -159,6 +161,90 @@ fn traced_seismic_gradient_rollup_accounts_for_the_wall_time() {
     assert!(json.contains("seismic.gradient_batch"));
     perforad::obs::clear_events();
     perforad::obs::reset_metrics();
+}
+
+/// Spans per name, for a failure message that says what overflowed.
+fn span_counts(events: &[SpanEvent]) -> BTreeMap<&'static str, usize> {
+    let mut counts = BTreeMap::new();
+    for e in events {
+        *counts.entry(e.name).or_insert(0) += 1;
+    }
+    counts
+}
+
+#[test]
+fn a_recorded_gradient_is_traced_per_region_not_per_tile() {
+    let _guard = obs_test();
+    // The served shape: one shot of n = 16, 24 steps, store-all, on the
+    // model's pinned (fused) configuration. Forced shot-parallel, a batch
+    // of one runs serially on the caller, as the served plan does.
+    let cfg = SeismicConfig {
+        n: 16,
+        steps: 24,
+        d: 0.1,
+    };
+    let src = ricker(cfg.steps);
+    let c0 = Grid::from_fn(&[cfg.n; 3], |ix| 0.8 + 0.4 * (ix[2] as f64 / cfg.n as f64));
+    let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.05);
+    let mut batch = ShotBatch::new();
+    batch.push(src.clone(), forward(&cfg, &c_true, &src)[cfg.steps].clone());
+    let pool = ThreadPool::new(2);
+    common::pin_model_config(&cfg, false, &pool);
+    let opts = BatchOptions {
+        strategy: Some(BatchStrategy::ShotParallel),
+        ..common::store_all()
+    };
+    let plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
+
+    perforad::obs::set_enabled(true);
+    plan.run(&batch);
+    perforad::obs::set_enabled(false);
+    let events = perforad::obs::collect_events();
+    let counts = span_counts(&events);
+    // Per step: the primal's group, the back step and its group; plus the
+    // batch, the shot and the forward sweep. Tiles are counted, not timed.
+    assert!(!counts.contains_key("exec.tile"), "{counts:?}");
+    assert!(
+        events.len() <= 3 * cfg.steps + 4,
+        "{} spans for {} steps: {counts:?}",
+        events.len(),
+        cfg.steps
+    );
+}
+
+#[test]
+fn a_pooled_group_records_one_worker_span_per_worker() {
+    let _guard = obs_test();
+    let (mut ws, bind) = wave3d::workspace(16, 0.1);
+    let schedule = wave3d::adjoint_schedule(&ws, &bind, &SchedOptions::default().with_rows())
+        .expect("wave3d adjoint schedules");
+    assert!(schedule.groups.iter().all(|g| g.tiles.len() > 1));
+    let pool = ThreadPool::new(2);
+
+    perforad::obs::set_enabled(true);
+    run_schedule(&schedule, &mut ws, &pool).expect("recorded sweep");
+    perforad::obs::set_enabled(false);
+    let events = perforad::obs::collect_events();
+    let named = |name: &'static str| events.iter().filter(move |e| e.name == name);
+    let groups: Vec<&SpanEvent> = named("exec.group").collect();
+    assert_eq!(groups.len(), schedule.group_count());
+    assert_eq!(named("exec.worker").count(), 2 * groups.len());
+    for g in groups {
+        let mut workers: Vec<u64> = named("exec.worker")
+            .filter(|w| w.start_ns >= g.start_ns && w.end_ns() <= g.end_ns())
+            .map(|w| {
+                assert_eq!(w.args[0].0, "worker");
+                w.args[0].1
+            })
+            .collect();
+        workers.sort_unstable();
+        assert_eq!(workers, [0, 1], "one span per worker in group {:?}", g.args);
+    }
+    // And one barrier-wait sample per worker per region beside them.
+    assert_eq!(
+        histogram("exec.barrier_wait_ns").count(),
+        2 * schedule.group_count() as u64
+    );
 }
 
 #[test]

@@ -20,7 +20,7 @@
 
 mod common;
 
-use perforad::exec::Grid;
+use perforad::exec::{default_pool, Grid};
 use perforad::obs::fault;
 use perforad::obs::json::{parse, Value};
 use perforad::pde::seismic::{forward, ricker, SeismicConfig};
@@ -99,6 +99,8 @@ fn traced_gradient_rolls_up_without_touching_the_bits() {
     let cfg = test_cfg();
     let source = ricker(cfg.steps);
     let data = observed(&cfg, &source);
+    // The model's configuration, not the wall-clock tuner's pick of the day.
+    common::pin_model_config(&cfg, false, default_pool());
     let fp = client
         .compile(compile_req(&cfg, false))
         .expect("compile")
@@ -129,11 +131,25 @@ fn traced_gradient_rolls_up_without_touching_the_bits() {
     assert_eq!(num(&rollup, "request_id") as u64, traced.request_id);
     let wall_ns = num(&rollup, "wall_ns");
     assert!(wall_ns > 0.0, "rollup has a measured extent");
-    assert!(num(&rollup, "spans") >= 1.0);
-    let self_total: f64 = match rollup.get("phases") {
-        Some(Value::Arr(phases)) => phases.iter().map(|p| num(p, "self_ns")).sum(),
+    let phases = match rollup.get("phases") {
+        Some(Value::Arr(phases)) => phases,
         _ => panic!("rollup has no phases"),
     };
+    let self_total: f64 = phases.iter().map(|p| num(p, "self_ns")).sum();
+    // Spans at the grain of regions: per step the primal's group, the back
+    // step and its group; the batch, the shot and the forward sweep; and
+    // the request's own `serve.*` spans. None per tile.
+    let serve_spans: f64 = phases
+        .iter()
+        .filter(|p| p.get("phase").and_then(Value::as_str) == Some("serve"))
+        .map(|p| num(p, "spans"))
+        .sum();
+    let spans = num(&rollup, "spans");
+    assert!(
+        (1.0..=(3 * cfg.steps + 4) as f64 + serve_spans).contains(&spans),
+        "{spans} spans for {} steps: {rollup}",
+        cfg.steps
+    );
     assert!(
         self_total >= 0.9 * wall_ns,
         "rollup accounts for the request duration: self {self_total} vs wall {wall_ns}\n{:?}",
