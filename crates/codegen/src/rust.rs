@@ -276,16 +276,18 @@ pub fn print_module(name: &str, nests: &[LoopNest]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// JIT back-end: tile-granular, guard-hoisted `extern "C"` entry points.
+// JIT back-end: one tile-granular, guard-hoisted `extern "C"` entry point
+// per fused group.
 //
 // The functions above generate *build-time* kernels (checked into
 // `perforad-pde`, idiomatic slices, symbolic sizes as arguments). The
 // `perforad-jit` crate instead compiles *run-time* schedules: sizes and
 // parameters are known, so they are baked in as constants, and each fused
-// group's nests become self-contained `extern "C"` functions that take
-// only an inclusive iteration box (so the tile-granular executors can
-// drive arbitrary sub-boxes) and the group's array base pointers in plan
-// slot order. Guards are hoisted into the loop bounds, and numeric
+// group becomes one self-contained `extern "C"` function that takes only
+// an inclusive box of the group's iteration hull (so the tile-granular
+// executors can drive arbitrary sub-boxes) and the group's array base
+// pointers in plan slot order; it runs every nest's part of the box.
+// Guards are hoisted into the loop bounds, and numeric
 // constants are emitted via `f64::from_bits` so the compiled code is
 // **bitwise identical** to the interpreter and row executor: the renderer
 // mirrors the bytecode compiler's traversal (left-folded sums/products,
@@ -299,7 +301,8 @@ use std::collections::BTreeMap;
 /// the group's nests (plan order) plus the resolved layout and bindings
 /// the plan was compiled against.
 pub struct JitGroupSpec<'a> {
-    /// Symbol prefix; nest `k` becomes `{prefix}_n{k}`.
+    /// Symbol prefix: the entry point is `{prefix}_g`, and run `j` of nest
+    /// `k` has the row body `{prefix}_n{k}_r{j}`.
     pub prefix: &'a str,
     /// The group's loop nests, in the same order as the compiled plan's.
     pub nests: &'a [LoopNest],
@@ -554,12 +557,29 @@ fn jit_stmt(
     })
 }
 
-/// Generate one nest's entry point and its row bodies. Each maximal run
-/// of consecutive statements with the same effective box (nest bounds ∩
+/// One run of a nest readied for the group entry: its constant box (nest
+/// bounds ∩ guard), its row body, and the call the entry makes of it with
+/// `__len`, `__i0`, the outer counters `__c{d}` and the row's first
+/// innermost index `__l{last}` in scope.
+struct JitRun {
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    body: String,
+    call: String,
+}
+
+impl JitRun {
+    fn is_empty(&self) -> bool {
+        self.lo.iter().zip(&self.hi).any(|(l, h)| l > h)
+    }
+}
+
+/// Ready one nest's runs and their row bodies. Each maximal run of
+/// consecutive statements with the same effective box (nest bounds ∩
 /// guard, hoisted into constant loop bounds; under the default `Disjoint`
 /// strategy that is the whole nest) becomes **one** loop nest — the
 /// paper's Fig.-4 form — with the runtime tile box clamped on top, so any
-/// sub-box of the iteration space is valid. The entry point loops the
+/// sub-box of the iteration space is valid. The group entry loops the
 /// outer dimensions and hands each innermost row to the run's
 /// `#[inline(always)]` row body `{name}_r{k}`, which holds the run's
 /// statements in source order and keeps one local accumulator per written
@@ -570,16 +590,11 @@ fn jit_stmt(
 /// increment per point — so an array whose increments would span two
 /// runs, or mix with `=`, is an `Err` (the group then runs on rows).
 ///
-/// **Aliasing contract.** A row body receives every array its run writes
-/// as a `&mut [f64]` over exactly that row's points at the write offset,
-/// and every array the nest reads as a `*const f64` — which tells the
-/// compiler what the gather transformation proved: stores never feed
-/// loads, so the row vectorises. The contract holds because no nest reads
-/// an array it writes (checked here; an `Err` sends the schedule to the
-/// rows tier), a run writes each array at one offset (so a run never
-/// holds two slices of one array), the plan's arrays are distinct
-/// allocations, and concurrent tiles have disjoint boxes (so no two live
-/// rows of one array overlap). The innermost stride must be 1.
+/// A row body receives every array its run writes as a `&mut [f64]` over
+/// exactly that row's points at the write offset, and every array the
+/// nest reads as a `*const f64` — which tells the compiler what the gather
+/// transformation proved: stores never feed loads, so the row vectorises
+/// ([`jit_group_module`] states when that contract holds).
 ///
 /// This moves data, not arithmetic, so the bits are the interpreter's:
 /// no right-hand side can observe a deferred store, and every location
@@ -587,22 +602,15 @@ fn jit_stmt(
 /// per update. A run ends where two statements write one array at
 /// *different* offsets — there point-major and statement-major order
 /// differ, and separate loops keep the latter.
-fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<String, String> {
+fn jit_nest(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<Vec<JitRun>, String> {
     let rank = nest.rank();
-    if rank == 0 || rank != spec.dims.len() {
+    if rank != spec.dims.len() {
         return Err(format!(
             "nest rank {rank} vs layout rank {}",
             spec.dims.len()
         ));
     }
     let last = rank - 1;
-    if spec.strides[last] != 1 {
-        return Err(format!("innermost stride {} is not 1", spec.strides[last]));
-    }
-    let inputs = nest.inputs();
-    if let Some(a) = nest.outputs().intersection(&inputs).next() {
-        return Err(format!("nest reads `{a}`, which it also writes"));
-    }
     let mut sub: BTreeMap<Symbol, Expr> = BTreeMap::new();
     for (s, v) in spec.params {
         sub.insert(s.clone(), Expr::float(*v));
@@ -624,26 +632,12 @@ fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<Strin
         }
     }
     // Every statement rendered, so every input has a slot.
+    let inputs = nest.inputs();
     let reads: Vec<usize> = (0..spec.arrays.len())
         .filter(|&slot| inputs.contains(&spec.arrays[slot]))
         .collect();
 
-    let mut rows = String::new();
-    let mut entry = String::new();
-    let _ = writeln!(entry, "#[no_mangle]");
-    let _ = writeln!(
-        entry,
-        "pub unsafe extern \"C\" fn {name}(__lo: *const i64, __hi: *const i64, \
-         __arrs: *const *mut f64) {{"
-    );
-    for slot in 0..spec.arrays.len() {
-        let _ = writeln!(entry, "    let __a{slot} = *__arrs.add({slot});");
-    }
-    // The index of a row's first point: outer counters × strides plus the
-    // clamped innermost lower bound.
-    let row = (0..last)
-        .map(|d| format!("__c{d}*{} + ", spec.strides[d]))
-        .collect::<String>();
+    let mut out = Vec::with_capacity(runs.len());
     // Accumulate mode: the arrays earlier runs summed into. A second run
     // would add a second partial sum — one rounding more than the plan.
     let mut summed: Vec<usize> = Vec::new();
@@ -718,57 +712,191 @@ fn jit_nest_fn(name: &str, nest: &LoopNest, spec: &JitGroupSpec) -> Result<Strin
             params.push(format!("__a{slot}: *const f64"));
             args.push(format!("__a{slot}"));
         }
+        let mut f = String::new();
         let _ = writeln!(
-            rows,
+            f,
             "#[inline(always)]\nunsafe fn {name}_r{k}({}) {{",
             params.join(", ")
         );
-        let _ = writeln!(rows, "    for __x in 0..__len {{");
-        let _ = writeln!(rows, "{pad}let __c{last} = __l{last} + __x as i64;");
-        let _ = writeln!(rows, "{pad}let __i = __i0 + __x as isize;");
-        rows.push_str(&body);
-        let _ = writeln!(rows, "    }}\n}}");
+        let _ = writeln!(f, "    for __x in 0..__len {{");
+        let _ = writeln!(f, "{pad}let __c{last} = __l{last} + __x as i64;");
+        let _ = writeln!(f, "{pad}let __i = __i0 + __x as isize;");
+        f.push_str(&body);
+        let _ = writeln!(f, "    }}\n}}");
+        out.push(JitRun {
+            lo: run[0].lo.clone(),
+            hi: run[0].hi.clone(),
+            body: f,
+            call: format!("{name}_r{k}({})", args.join(", ")),
+        });
+    }
+    Ok(out)
+}
 
-        let _ = writeln!(entry, "    {{");
-        for d in 0..rank {
+/// What the group entry runs, in plan order of each item's first run:
+/// row families (several runs, innermost order) and single runs.
+///
+/// Nests form row families only when their order is free: every nest of
+/// the group writes only its centre points (`gather`) and no two runs'
+/// boxes meet, so running them in any order updates every point exactly
+/// as plan order does. Then the runs of single-run nests with identical
+/// outer-dimension boxes — whose innermost ranges are disjoint, the boxes
+/// being so — share one family. Every other run is an item of its own.
+fn jit_items(nests: &[Vec<JitRun>], gather: bool, last: usize) -> Vec<Vec<&JitRun>> {
+    let live: Vec<&JitRun> = nests.iter().flatten().filter(|r| !r.is_empty()).collect();
+    let apart = |a: &JitRun, b: &JitRun| (0..=last).any(|d| a.hi[d] < b.lo[d] || b.hi[d] < a.lo[d]);
+    let free = gather && (0..live.len()).all(|i| live[i + 1..].iter().all(|b| apart(live[i], b)));
+    // (joinable, runs): a family so far, or a run of a nest with several.
+    let mut items: Vec<(bool, Vec<&JitRun>)> = Vec::new();
+    for nest in nests {
+        let runs: Vec<&JitRun> = nest.iter().filter(|r| !r.is_empty()).collect();
+        if free && runs.len() == 1 {
+            let run = runs[0];
+            let same_rows =
+                |m: &JitRun| m.lo[..last] == run.lo[..last] && m.hi[..last] == run.hi[..last];
+            match items.iter_mut().find(|(f, m)| *f && same_rows(m[0])) {
+                Some((_, members)) => members.push(run),
+                None => items.push((true, vec![run])),
+            }
+        } else {
+            items.extend(runs.into_iter().map(|r| (false, vec![r])));
+        }
+    }
+    items
+        .into_iter()
+        .map(|(_, mut runs)| {
+            runs.sort_by_key(|r| r.lo[last]);
+            runs
+        })
+        .collect()
+}
+
+/// Emit one item of the entry — a row family, or a single run: one walk
+/// of the shared outer box (the tile clamped to it), and per row each
+/// run's innermost segment in innermost order, clamped to the tile once.
+/// When the tile spans a family's innermost range every segment has a
+/// constant length instead (a one-point face is straight-line code, the
+/// core a loop with a known trip count).
+fn jit_item(e: &mut String, runs: &[&JitRun], row: &str, last: usize) {
+    let family = runs.len() > 1;
+    // Open (or close) the loops over the outer dimensions.
+    let walk = |e: &mut String, pad: &mut String, open: bool| {
+        for d in 0..last {
+            if open {
+                let _ = writeln!(e, "{pad}for __c{d} in __l{d}..=__h{d} {{");
+                pad.push_str("    ");
+            } else {
+                pad.truncate(pad.len() - 4);
+                let _ = writeln!(e, "{pad}}}");
+            }
+        }
+    };
+    // One row segment: a slice is only ever made of a non-empty one.
+    let segment = |run: &JitRun, len: String, lo: String| {
+        format!(
+            "let (__len, __l{last}) = ({len}, {lo}); \
+             let __i0 = ({row}__l{last}) as isize; {};",
+            run.call
+        )
+    };
+    let _ = writeln!(e, "    {{");
+    for d in 0..last {
+        let _ = writeln!(
+            e,
+            "        let __l{d} = __tl{d}.max({}i64); let __h{d} = __th{d}.min({}i64);",
+            runs[0].lo[d], runs[0].hi[d]
+        );
+    }
+    let mut pad = "        ".to_string();
+    if family {
+        let (lo, hi) = (runs[0].lo[last], runs[runs.len() - 1].hi[last]);
+        let _ = writeln!(
+            e,
+            "{pad}if __tl{last} <= {lo}i64 && __th{last} >= {hi}i64 {{"
+        );
+        pad.push_str("    ");
+        walk(e, &mut pad, true);
+        for r in runs {
+            let len = format!("{}usize", r.hi[last] - r.lo[last] + 1);
             let _ = writeln!(
-                entry,
-                "        let __l{d} = (*__lo.add({d})).max({}i64); \
-                 let __h{d} = (*__hi.add({d})).min({}i64);",
-                run[0].lo[d], run[0].hi[d]
+                e,
+                "{pad}{{ {} }}",
+                segment(r, len, format!("{}i64", r.lo[last]))
             );
         }
-        // An empty clamped row has no length to make a slice of.
-        let _ = writeln!(entry, "        if __l{last} <= __h{last} {{");
-        let _ = writeln!(
-            entry,
-            "            let __len = (__h{last} - __l{last} + 1) as usize;"
-        );
-        let mut pad = "            ".to_string();
-        for d in 0..last {
-            let _ = writeln!(entry, "{pad}for __c{d} in __l{d}..=__h{d} {{");
-            pad.push_str("    ");
-        }
-        let _ = writeln!(entry, "{pad}let __i0 = ({row}__l{last}) as isize;");
-        let _ = writeln!(entry, "{pad}{name}_r{k}({});", args.join(", "));
-        for _ in 0..last {
-            pad.truncate(pad.len() - 4);
-            let _ = writeln!(entry, "{pad}}}");
-        }
-        let _ = writeln!(entry, "        }}\n    }}");
+        walk(e, &mut pad, false);
+        pad.truncate(pad.len() - 4);
+        let _ = writeln!(e, "{pad}}} else {{");
+        pad.push_str("    ");
     }
-    let _ = writeln!(entry, "}}");
-    Ok(rows + &entry)
+    let mut live = Vec::with_capacity(runs.len());
+    for (j, r) in runs.iter().enumerate() {
+        let _ = writeln!(
+            e,
+            "{pad}let (__m{j}l, __m{j}h) = (__tl{last}.max({}i64), __th{last}.min({}i64));",
+            r.lo[last], r.hi[last]
+        );
+        live.push(format!("__m{j}l <= __m{j}h"));
+    }
+    let _ = writeln!(e, "{pad}if {} {{", live.join(" || "));
+    pad.push_str("    ");
+    walk(e, &mut pad, true);
+    for (j, r) in runs.iter().enumerate() {
+        let len = format!("(__m{j}h - __m{j}l + 1) as usize");
+        let seg = segment(r, len, format!("__m{j}l"));
+        let _ = match family {
+            true => writeln!(e, "{pad}if {} {{ {seg} }}", live[j]),
+            false => writeln!(e, "{pad}{seg}"),
+        };
+    }
+    walk(e, &mut pad, false);
+    while pad.len() > 4 {
+        pad.truncate(pad.len() - 4);
+        let _ = writeln!(e, "{pad}}}");
+    }
 }
 
 /// Generate a self-contained crate-root source module for one fused
-/// group: the bitwise-exact helper prelude plus one `extern "C"` entry
-/// point per nest (`{prefix}_n{k}`, with its row bodies), each taking an
-/// inclusive per-rank iteration box and the plan's array base pointers in
-/// slot order.
+/// group: the bitwise-exact helper prelude, every nest's row bodies
+/// ([`jit_nest`]), and **one** `extern "C"` entry point `{prefix}_g`
+/// taking an inclusive per-rank box of the group's iteration hull and the
+/// plan's array base pointers in slot order. The entry runs every nest's
+/// part of the box: row families ([`jit_items`]) share one outer walk,
+/// every other run keeps its own ([`jit_item`]), so the boundary points of
+/// a row run inside the core's row loop rather than in passes of their
+/// own over arrays the core already streamed.
+///
+/// **Aliasing contract.** A row body gets every array it writes as a
+/// `&mut [f64]` over its segment of one innermost row and every array it
+/// reads as a `*const f64`. No nest of the group reads an array the group
+/// writes (checked here; an `Err` sends the schedule to the rows tier), a
+/// run writes each array at one offset (so a run never holds two slices of
+/// one array), the plan's arrays are distinct allocations, the members of
+/// a row family are called one after another on disjoint segments of a
+/// row, and concurrent tiles have disjoint boxes — so no live `&mut` row
+/// overlaps anything else. The innermost stride must be 1.
+///
 /// Compile with `rustc --crate-type cdylib` and load via `dlopen`
 /// (`perforad-jit` drives both).
 pub fn jit_group_module(spec: &JitGroupSpec) -> Result<String, String> {
+    let rank = spec.dims.len();
+    if rank == 0 {
+        return Err("rank-0 layout".to_string());
+    }
+    let last = rank - 1;
+    if spec.strides[last] != 1 {
+        return Err(format!("innermost stride {} is not 1", spec.strides[last]));
+    }
+    let written: BTreeSet<Symbol> = spec.nests.iter().flat_map(|n| n.outputs()).collect();
+    for nest in spec.nests {
+        if let Some(a) = nest.inputs().intersection(&written).next() {
+            return Err(format!("a nest reads `{a}`, which the group also writes"));
+        }
+    }
+    let nests = (spec.nests.iter().enumerate())
+        .map(|(k, nest)| jit_nest(&format!("{}_n{k}", spec.prefix), nest, spec))
+        .collect::<Result<Vec<_>, _>>()?;
+
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -777,10 +905,12 @@ pub fn jit_group_module(spec: &JitGroupSpec) -> Result<String, String> {
     let _ = writeln!(
         out,
         "// Aliasing contract: a row body `*_r{{k}}` gets each array it writes as a\n\
-         // `&mut [f64]` over one innermost row and each array it reads as a\n\
-         // `*const f64`. No nest reads an array it writes, a run writes each array\n\
-         // at one offset, the arrays are distinct allocations and concurrent tiles\n\
-         // have disjoint boxes, so no live `&mut` row overlaps anything else."
+         // `&mut [f64]` over its segment of one innermost row and each array it\n\
+         // reads as a `*const f64`. No nest reads an array the group writes, a run\n\
+         // writes each array at one offset, the arrays are distinct allocations,\n\
+         // a row family's members run one after another on disjoint segments of\n\
+         // a row and concurrent tiles have disjoint boxes, so no live `&mut` row\n\
+         // overlaps anything else."
     );
     let _ = writeln!(
         out,
@@ -801,10 +931,37 @@ pub fn jit_group_module(spec: &JitGroupSpec) -> Result<String, String> {
         "#[inline(always)]\nfn __sign(a: f64) -> f64 {{ \
          if a > 0.0 {{ 1.0 }} else if a < 0.0 {{ -1.0 }} else {{ 0.0 }} }}\n"
     );
-    for (k, nest) in spec.nests.iter().enumerate() {
-        out.push_str(&jit_nest_fn(&format!("{}_n{k}", spec.prefix), nest, spec)?);
-        let _ = writeln!(out);
+    let gather = spec.nests.iter().all(LoopNest::is_gather);
+    let items = jit_items(&nests, gather, last);
+    // Row bodies of runs that never execute are not emitted.
+    for run in items.iter().flatten() {
+        out.push_str(&run.body);
     }
+    let _ = writeln!(out, "\n#[no_mangle]");
+    let _ = writeln!(
+        out,
+        "pub unsafe extern \"C\" fn {}_g(__lo: *const i64, __hi: *const i64, \
+         __arrs: *const *mut f64) {{",
+        spec.prefix
+    );
+    for slot in 0..spec.arrays.len() {
+        let _ = writeln!(out, "    let __a{slot} = *__arrs.add({slot});");
+    }
+    for d in 0..rank {
+        let _ = writeln!(
+            out,
+            "    let __tl{d} = *__lo.add({d}); let __th{d} = *__hi.add({d});"
+        );
+    }
+    // The index of a row's first point: outer counters × strides plus the
+    // row's first innermost index.
+    let row = (0..last)
+        .map(|d| format!("__c{d}*{} + ", spec.strides[d]))
+        .collect::<String>();
+    for runs in &items {
+        jit_item(&mut out, runs, &row, last);
+    }
+    let _ = writeln!(out, "}}");
     Ok(out)
 }
 
@@ -891,7 +1048,7 @@ mod tests {
     }
 
     #[test]
-    fn jit_module_emits_extern_c_entry_points_with_baked_constants() {
+    fn jit_module_emits_one_extern_c_entry_point_with_baked_constants() {
         let nests = [paper_1d()];
         let arrays = [Symbol::new("c"), Symbol::new("r"), Symbol::new("u")];
         let mut sizes = std::collections::BTreeMap::new();
@@ -901,10 +1058,13 @@ mod tests {
         let strides = [1usize];
         let spec = jit_spec_1d(&arrays, &sizes, &params, &nests, &dims, &strides, false);
         let code = jit_group_module(&spec).unwrap();
-        assert!(code.contains("pub unsafe extern \"C\" fn pf_n0("), "{code}");
+        assert!(code.contains("pub unsafe extern \"C\" fn pf_g("), "{code}");
+        assert_eq!(code.matches("extern \"C\" fn").count(), 1, "{code}");
+        assert_eq!(code.matches("#[no_mangle]").count(), 1, "{code}");
         // Bounds baked in from sizes (1 ..= n-1 at n=32) and tile-clamped.
-        assert!(code.contains("(*__lo.add(0)).max(1i64)"), "{code}");
-        assert!(code.contains("(*__hi.add(0)).min(31i64)"), "{code}");
+        assert!(code.contains("let __tl0 = *__lo.add(0);"), "{code}");
+        assert!(code.contains("__tl0.max(1i64)"), "{code}");
+        assert!(code.contains("__th0.min(31i64)"), "{code}");
         // Constants are bit-exact.
         assert!(
             code.contains(&exact_f64(2.0)) && code.contains(&exact_f64(-3.0)),
@@ -944,10 +1104,9 @@ mod tests {
         assert!(code.contains("+=") && !code.contains("] = "), "{code}");
     }
 
-    /// The paper's 3-D wave adjoint (`c` passive) at `n = 16`, one string
-    /// per nest (row bodies, then the entry point); slots in name order:
-    /// `c`, `u_1_b`, `u_2_b`, `u_b`.
-    fn wave_nests(strategy: perforad_core::BoundaryStrategy, cse: bool) -> Vec<String> {
+    /// The paper's 3-D wave adjoint (`c` passive) at `n = 16` as one
+    /// group module; slots in name order: `c`, `u_1_b`, `u_2_b`, `u_b`.
+    fn wave_module(strategy: perforad_core::BoundaryStrategy, cse: bool) -> String {
         use perforad_core::{ActivityMap, AdjointOptions};
         let nest = crate::parse_stencil(
             "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 {
@@ -967,7 +1126,7 @@ mod tests {
         let arrays = ["c", "u_1_b", "u_2_b", "u_b"].map(Symbol::new);
         let sizes = BTreeMap::from([(Symbol::new("n"), 16i64)]);
         let params = BTreeMap::from([(Symbol::new("D"), 0.1)]);
-        let spec = JitGroupSpec {
+        jit_group_module(&JitGroupSpec {
             prefix: "pf",
             nests: &adj.nests,
             arrays: &arrays,
@@ -978,35 +1137,45 @@ mod tests {
             accumulate: false,
             sizes: &sizes,
             params: &params,
-        };
-        (adj.nests.iter().enumerate())
-            .map(|(k, nest)| jit_nest_fn(&format!("pf_n{k}"), nest, &spec).unwrap())
+        })
+        .unwrap()
+    }
+
+    /// The row bodies of a module, as (name, source) pairs in order.
+    fn row_bodies(module: &str) -> Vec<(&str, &str)> {
+        let entry = module.find("#[no_mangle]").expect("entry point");
+        let marker = "#[inline(always)]\nunsafe fn ";
+        module[..entry]
+            .split(marker)
+            .skip(1)
+            .map(|f| (&f[..f.find('(').unwrap()], f))
             .collect()
     }
 
-    /// The row bodies of one nest's source, one string each.
-    fn row_bodies(nest: &str) -> Vec<&str> {
-        let entry = nest.find("#[no_mangle]").expect("entry point");
-        let marker = "#[inline(always)]\nunsafe fn ";
-        nest[..entry].split(marker).skip(1).collect()
+    /// The entry point of a module.
+    fn entry_of(module: &str) -> &str {
+        &module[module.find("#[no_mangle]").expect("entry point")..]
     }
 
     #[test]
-    fn jit_wave_adjoint_is_one_loop_per_nest_with_register_accumulators() {
-        let nests = wave_nests(perforad_core::BoundaryStrategy::Disjoint, false);
-        assert_eq!(nests.len(), 53);
-        for f in &nests {
-            assert_eq!(row_bodies(f).len(), 1, "{f}");
+    fn jit_wave_adjoint_is_one_entry_with_one_loop_per_nest_and_register_accumulators() {
+        let module = wave_module(perforad_core::BoundaryStrategy::Disjoint, false);
+        assert_eq!(module.matches("extern \"C\" fn").count(), 1, "{module}");
+        assert!(module.contains("pub unsafe extern \"C\" fn pf_g("));
+        let rows = row_bodies(&module);
+        assert_eq!(rows.len(), 53);
+        for (k, (name, f)) in rows.iter().enumerate() {
+            assert!(name.ends_with("_r0"), "{name}");
             assert_eq!(f.matches("for __x in 0..__len").count(), 1, "{f}");
-            assert_eq!(f.matches("pub unsafe extern \"C\" fn").count(), 1, "{f}");
+            assert!(rows[..k].iter().all(|(other, _)| other != name), "{name}");
         }
         // The core nest carries all eight increments (seven into `u_1_b`,
         // one into `u_2_b`): one load and one store per target.
-        let core = nests
+        let (name, row) = rows
             .iter()
-            .find(|f| f.matches("+=").count() == 8)
+            .find(|(_, f)| f.matches("+=").count() == 8)
             .expect("core nest");
-        let row = row_bodies(core)[0];
+        assert_eq!(*name, "pf_n26_r0");
         for slot in [1, 2] {
             let load = format!("let mut __w{slot}: f64 = *__o{slot}.get_unchecked(__x);");
             let store = format!("*__o{slot}.get_unchecked_mut(__x) = __w{slot};");
@@ -1015,75 +1184,194 @@ mod tests {
             assert_eq!(row.matches(&format!("__o{slot}.")).count(), 2, "{row}");
         }
         // The row base is computed once per row; loads are base + constant.
+        let entry = entry_of(&module);
         assert!(
-            core.contains("let __i0 = (__c0*256 + __c1*16 + __l2) as isize;"),
-            "{core}"
+            entry.contains("let __i0 = (__c0*256 + __c1*16 + __l2) as isize;"),
+            "{entry}"
         );
         assert!(row.contains("*__a3.offset(__i + (-256))"), "{row}");
     }
 
+    /// Inside the entry, the nests whose single runs share an outer box
+    /// form a row family: one walk of the (i, j) box, and per row the five
+    /// k-segments 0, 1, 2..=13, 14 and 15 in innermost order — constant
+    /// lengths when the tile spans k, clamped once per tile otherwise.
+    #[test]
+    fn jit_wave_adjoint_runs_each_rows_boundary_points_inside_the_core_row_loop() {
+        let module = wave_module(perforad_core::BoundaryStrategy::Disjoint, false);
+        let entry = entry_of(&module);
+        // Nine families of five (k = 0, 1, the core, 14, 15 beside each
+        // other), eight nests on their own. Every run has its clamped
+        // segment; a family's members have a constant-length one too.
+        let families = entry.matches("if __tl2 <= 0i64 && __th2 >= 15i64 {");
+        let fast = entry.matches("i64); let __i0").count();
+        let clamped = entry.matches(") as usize, __m").count();
+        assert_eq!((families.count(), fast, clamped), (9, 45, 53), "{entry}");
+        // The core family's fast path: two one-point segments either side
+        // of the core row, whose length is a constant.
+        let core = entry
+            .find(
+                "{ let (__len, __l2) = (12usize, 2i64); \
+                 let __i0 = (__c0*256 + __c1*16 + __l2) as isize; pf_n26_r0(",
+            )
+            .expect("constant-length core row");
+        let before = &entry[..core];
+        let family = &before[before.rfind("if __tl2 <= ").unwrap()..];
+        assert!(family.contains("(1usize, 0i64)") && family.contains("(1usize, 1i64)"));
+        let after = &entry[core..];
+        let k14 = after.find("(1usize, 14i64)").unwrap();
+        let k15 = after.find("(1usize, 15i64)").unwrap();
+        assert!(
+            k14 < k15 && k15 < after.find("} else {").unwrap(),
+            "{entry}"
+        );
+        // Its clamped path: the core segment is the family's third member.
+        assert!(entry.contains("let (__m2l, __m2h) = (__tl2.max(2i64), __th2.min(13i64));"));
+        assert!(entry.contains(
+            "if __m2l <= __m2h { let (__len, __l2) = ((__m2h - __m2l + 1) as usize, __m2l); \
+             let __i0 = (__c0*256 + __c1*16 + __l2) as isize; pf_n26_r0("
+        ));
+    }
+
     #[test]
     fn jit_row_body_takes_written_arrays_as_mut_slices_and_read_arrays_as_const_ptrs() {
-        let nests = wave_nests(perforad_core::BoundaryStrategy::Disjoint, false);
-        let core = nests
-            .iter()
-            .find(|f| f.matches("+=").count() == 8)
-            .expect("core nest");
+        let module = wave_module(perforad_core::BoundaryStrategy::Disjoint, false);
         // `u_1_b`, `u_2_b` written; `c`, `u_b` read.
         assert!(
-            core.contains(
+            module.contains(
                 "unsafe fn pf_n26_r0(__len: usize, __i0: isize, __c0: i64, __c1: i64, \
                  __l2: i64, __o1: &mut [f64], __o2: &mut [f64], \
                  __a0: *const f64, __a3: *const f64) {"
             ),
-            "{core}"
+            "{module}"
         );
-        // Each slice is exactly the row, at the write offset; nothing runs
-        // (and no slice is made) when the clamped row is empty.
-        assert!(
-            core.contains(
-                "pf_n26_r0(__len, __i0, __c0, __c1, __l2, \
-                 core::slice::from_raw_parts_mut(__a1.offset(__i0 + (0)), __len), \
-                 core::slice::from_raw_parts_mut(__a2.offset(__i0 + (0)), __len), \
-                 __a0, __a3);"
-            ),
-            "{core}"
-        );
-        let guard = core.find("if __l2 <= __h2 {").expect("empty-row guard");
-        assert!(guard < core.find("from_raw_parts_mut").unwrap(), "{core}");
+        // Each slice is exactly the row segment, at the write offset; no
+        // slice is made of an empty segment: the fast path's lengths are
+        // constants of at least 1, the clamped path checks first.
+        let call = "pf_n26_r0(__len, __i0, __c0, __c1, __l2, \
+                    core::slice::from_raw_parts_mut(__a1.offset(__i0 + (0)), __len), \
+                    core::slice::from_raw_parts_mut(__a2.offset(__i0 + (0)), __len), \
+                    __a0, __a3);";
+        let entry = entry_of(&module);
+        let lines: Vec<&str> = entry.lines().filter(|l| l.contains("pf_n26_r0(")).collect();
+        assert_eq!(lines.len(), 2, "{entry}");
+        for line in lines {
+            assert!(line.trim_end().ends_with(&format!("{call} }}")), "{line}");
+            let guarded = line.trim_start().starts_with("if __m2l <= __m2h {");
+            let constant = line
+                .trim_start()
+                .starts_with("{ let (__len, __l2) = (12usize,");
+            assert!(guarded || constant, "{line}");
+        }
         // A written array is never touched through its raw pointer, and a
         // row body never sees a `*mut`.
-        let row = row_bodies(core)[0];
+        let (_, row) = row_bodies(&module)
+            .into_iter()
+            .find(|(name, _)| *name == "pf_n26_r0")
+            .unwrap();
         assert!(!row.contains("__a1") && !row.contains("__a2"), "{row}");
         assert!(!row.contains("*mut"), "{row}");
     }
 
     #[test]
     fn jit_guarded_statements_with_different_boxes_keep_their_own_loops() {
-        let nests = wave_nests(perforad_core::BoundaryStrategy::Guarded, false);
+        let module = wave_module(perforad_core::BoundaryStrategy::Guarded, false);
+        let rows = row_bodies(&module);
+        let entry = entry_of(&module);
         // The core nest plus six boundary slabs. A slab's guarded
-        // statements have boxes of their own: consecutive loops never share
-        // one (runs are maximal), each run has its row body and its stores
-        // — `u_2_b`'s statement is last and so is its store.
-        assert_eq!(nests.len(), 7);
-        assert_eq!(row_bodies(&nests[0]).len(), 1);
-        for f in &nests[1..] {
-            let rows = row_bodies(f);
-            let loops: Vec<&str> = f.split("let __l0 = ").skip(1).collect();
-            assert!(loops.len() > 1, "{f}");
-            assert_eq!(rows.len(), loops.len(), "{f}");
-            let bounds = |l: &str| l.split("if __l2").next().unwrap().to_string();
-            assert!(
-                loops.windows(2).all(|w| bounds(w[0]) != bounds(w[1])),
-                "{f}"
-            );
-            for (k, (row, l)) in rows.iter().zip(&loops).enumerate() {
-                assert!(row.contains(&format!("_r{k}(")), "{f}");
-                assert!(l.contains(&format!("_r{k}(")), "{f}");
-                assert!(row.contains(") = __w"), "{f}");
+        // statements have boxes of their own: consecutive runs never share
+        // one (runs are maximal), each run that can execute has its row
+        // body and one loop of the entry, in run order, and `u_2_b`'s
+        // statement is last in each slab and so is its store.
+        let loops: Vec<&str> = entry.split("    {\n        let __l0 = ").skip(1).collect();
+        // A loop's box: its outer clamps and its innermost segment.
+        let bounds = |l: &str| l.split("if __m").next().unwrap().to_string();
+        assert_eq!(loops.len(), rows.len(), "{entry}");
+        assert_eq!(
+            rows.iter().filter(|(n, _)| n.starts_with("pf_n0_")).count(),
+            1
+        );
+        let mut adjacent = 0;
+        for k in 1..7 {
+            let prefix = format!("pf_n{k}_r");
+            let mine: Vec<&(&str, &str)> = rows
+                .iter()
+                .filter(|(n, _)| n.starts_with(&prefix))
+                .collect();
+            let calls: Vec<&str> = loops
+                .iter()
+                .copied()
+                .filter(|l| l.contains(&prefix))
+                .collect();
+            assert!(mine.len() > 1, "{module}");
+            assert_eq!(mine.len(), calls.len(), "{entry}");
+            // Runs `_r{j}` and `_r{j+1}` never share a box; a run that
+            // cannot execute is not emitted, so the runs either side of it
+            // may.
+            let run = |name: &str| name[prefix.len()..].parse::<usize>().unwrap();
+            for (r, l) in mine.windows(2).zip(calls.windows(2)) {
+                if run(r[1].0) == run(r[0].0) + 1 {
+                    assert_ne!(bounds(l[0]), bounds(l[1]), "{entry}");
+                    adjacent += 1;
+                }
             }
-            assert!(rows[rows.len() - 1].contains(") = __w2;"), "{f}");
+            for ((name, row), l) in mine.iter().zip(&calls) {
+                assert!(l.contains(&format!("{name}(")), "{entry}");
+                assert!(row.contains(") = __w"), "{row}");
+            }
+            assert!(mine[mine.len() - 1].1.contains(") = __w2;"), "{module}");
         }
+        assert!(adjacent >= 6, "{adjacent} adjacent runs: {entry}");
+    }
+
+    /// A 1-D disjoint adjoint is one row family: every nest's single run,
+    /// in innermost order, straight-line when the tile spans them. Nests
+    /// whose boxes meet keep their own loops, in plan order.
+    #[test]
+    fn jit_families_form_only_where_nest_order_is_free() {
+        use perforad_core::{ActivityMap, AdjointOptions, Bound, Statement};
+        use perforad_symbolic::Access;
+        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+        let adj = paper_1d()
+            .adjoint(&act, &AdjointOptions::default())
+            .unwrap();
+        let arrays = ["c", "r_b", "u_b"].map(Symbol::new);
+        let sizes = BTreeMap::from([(Symbol::new("n"), 32i64)]);
+        let params = BTreeMap::new();
+        let spec = jit_spec_1d(&arrays, &sizes, &params, &adj.nests, &[33], &[1], false);
+        let code = jit_group_module(&spec).unwrap();
+        let entry = entry_of(&code);
+        assert_eq!(
+            entry
+                .matches("if __tl0 <= 0i64 && __th0 >= 32i64 {")
+                .count(),
+            1,
+            "{entry}"
+        );
+        for (len, lo) in [(1, 0), (1, 1), (29, 2), (1, 31), (1, 32)] {
+            let segment = format!(
+                "{{ let (__len, __l0) = ({len}usize, {lo}i64); let __i0 = (__l0) as isize;"
+            );
+            assert!(entry.contains(&segment), "{entry}");
+        }
+        assert_eq!(entry.matches("let (__m").count(), 5, "one item: {entry}");
+
+        // Two nests over overlapping boxes: plan order, one loop each.
+        let i = Symbol::new("i");
+        let nest = |lo, hi, k: f64| {
+            let rhs = k * Array::new("u").at(ix![&i]);
+            let st = Statement::add_assign(Access::new("r", ix![&i]), rhs);
+            LoopNest::new(vec![i.clone()], vec![Bound::new(lo, hi)], vec![st])
+        };
+        let nests = [nest(2, 9, 2.0), nest(5, 20, 3.0)];
+        let arrays = [Symbol::new("r"), Symbol::new("u")];
+        let (sizes, params) = (BTreeMap::new(), BTreeMap::new());
+        let spec = jit_spec_1d(&arrays, &sizes, &params, &nests, &[24], &[1], false);
+        let code = jit_group_module(&spec).unwrap();
+        let entry = entry_of(&code);
+        assert!(!entry.contains("__tl0 <= "), "{entry}");
+        let first = entry.find("pf_n0_r0(").unwrap();
+        assert!(first < entry.find("pf_n1_r0(").unwrap(), "{entry}");
     }
 
     /// A 1-D module over `r`, `u` (slots 0, 1) from explicit statements.
@@ -1163,7 +1451,7 @@ mod tests {
             "{code}"
         );
         // The row body's only mention of the target is its one store.
-        let row = row_bodies(&code)[0];
+        let row = row_bodies(&code)[0].1;
         assert_eq!(row.matches("__o0.").count(), 1, "{row}");
         assert!(
             row.contains("*__o0.get_unchecked_mut(__x) = __w0;"),
@@ -1185,7 +1473,7 @@ mod tests {
         let u = Array::new("u");
         let add = |o: i64| Statement::add_assign(Access::new("r", ix![&i]), u.at(vec![&i + o]));
         let code = module_1d_in(vec![add(-1), add(1)], false, true).unwrap();
-        let row = row_bodies(&code)[0];
+        let row = row_bodies(&code)[0].1;
         assert!(
             row.contains("let mut __w0: f64 = 0.0; __w0 += (*__a1.offset(__i + (-1)));"),
             "{row}"

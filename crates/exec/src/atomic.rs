@@ -51,6 +51,9 @@ impl AtomicF64 {
 /// which has the same size and alignment as `u64`/`f64`, and the exclusive
 /// borrow guarantees no other non-atomic access for the lifetime.
 pub fn as_atomic_slice(data: &mut [f64]) -> &[AtomicF64] {
+    // SAFETY: `AtomicF64` is `repr(transparent)` over `AtomicU64`, of
+    // `f64`'s size and alignment, and the exclusive borrow keeps every
+    // non-atomic access out for the slice's lifetime.
     unsafe { &*(data as *mut [f64] as *const [AtomicF64]) }
 }
 

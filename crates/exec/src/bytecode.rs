@@ -364,8 +364,9 @@ impl Program {
                         "VM load out of range: {idx} not in 0..{}",
                         a.len
                     );
-                    // SAFETY: plan construction proved every (bounds, offset)
-                    // combination lies inside the array; see `Plan::validate_ranges`.
+                    // SAFETY: plan compilation proved every (bounds, offset)
+                    // combination of this statement inside the array, and
+                    // points are only evaluated inside their nest's bounds.
                     stack.push(unsafe { *a.ptr.offset(idx) });
                 }
                 Op::LoadPadded { slot, offsets } => {
@@ -382,7 +383,8 @@ impl Program {
                     }
                     if inside {
                         debug_assert!((lin as usize) < a.len);
-                        // SAFETY: bounds checked just above.
+                        // SAFETY: every dimension was checked inside the
+                        // extents just above, so `lin` lies in the array.
                         stack.push(unsafe { *a.ptr.offset(lin) });
                     } else {
                         stack.push(0.0);

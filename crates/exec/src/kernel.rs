@@ -83,14 +83,48 @@ pub struct Plan {
     pub padded: bool,
     /// Compiled in accumulate mode ([`PlanOptions::accumulate`]).
     pub accumulate: bool,
+    /// [`Plan::hull`], bounded once at compile time.
+    hull: Option<(Vec<i64>, Vec<i64>)>,
     /// [`Plan::fingerprint`], hashed on first use.
     fingerprint: OnceLock<u64>,
+}
+
+/// The bounding box of the non-empty nests.
+fn bounding_box(nests: &[NestPlan]) -> Option<(Vec<i64>, Vec<i64>)> {
+    let mut live = nests.iter().filter(|n| !n.empty);
+    let first = live.next()?;
+    let (mut lo, mut hi) = (first.lo.clone(), first.hi.clone());
+    for nest in live {
+        for d in 0..lo.len() {
+            lo[d] = lo[d].min(nest.lo[d]);
+            hi[d] = hi[d].max(nest.hi[d]);
+        }
+    }
+    Some((lo, hi))
 }
 
 impl Plan {
     /// Total iteration points over all nests.
     pub fn points(&self) -> u64 {
         self.nests.iter().map(NestPlan::points).sum()
+    }
+
+    /// The plan's iteration hull: the bounding box of its non-empty nests
+    /// (inclusive, outermost dimension first), `None` when every nest is
+    /// empty. Tiles are boxes of the hull.
+    pub fn hull(&self) -> Option<(&[i64], &[i64])> {
+        self.hull.as_ref().map(|(lo, hi)| (&lo[..], &hi[..]))
+    }
+
+    /// Iteration points of the plan inside the inclusive box `[lo, hi]`:
+    /// each non-empty nest's overlap with it, summed.
+    pub(crate) fn points_in(&self, lo: &[i64], hi: &[i64]) -> u64 {
+        let overlap = |nest: &NestPlan| -> u64 {
+            (0..self.rank)
+                .map(|d| (hi[d].min(nest.hi[d]) - lo[d].max(nest.lo[d]) + 1).max(0) as u64)
+                .product()
+        };
+        self.nests.iter().filter(|n| !n.empty).map(overlap).sum()
     }
 
     /// Slots that are written by at least one statement.
@@ -569,6 +603,7 @@ pub fn compile_nests_opts(
         dims,
         strides,
         arrays,
+        hull: bounding_box(&nest_plans),
         nests: nest_plans,
         gather_only,
         padded,

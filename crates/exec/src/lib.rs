@@ -17,8 +17,10 @@
 //!   the one [`run()`] function: serially, gather-parallel (race-free by
 //!   construction), or scatter-parallel with atomics (the
 //!   conventional-adjoint baseline), as its [`ExecMode`] asks;
-//! * [`tile`] — [`TileRunner`], the one place plan points execute: `run`
-//!   hands it whole-row slabs, `perforad-sched` cache-blocked tiles.
+//! * [`tile`] — [`TileRunner`], the one place plan points execute, and
+//!   [`tile_plan`], the one tiler: a tile is a box of the plan's
+//!   iteration hull; `run` hands the runner whole-row slabs of it,
+//!   `perforad-sched` cache-blocked boxes.
 //!
 //! ## The two-stage lowering pipeline
 //!
@@ -72,6 +74,10 @@
 //! assert!(ws.grid("u_b").sum() > 0.0);
 //! ```
 
+// Every `unsafe` states the invariant it relies on (private `unsafe fn`s
+// too: `check-private-items` in the workspace's `clippy.toml`).
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+
 pub mod atomic;
 pub mod bytecode;
 pub mod error;
@@ -96,5 +102,5 @@ pub use native::{fnv1a64, native_lookup, register_native, NativeGroup, NativeTil
 pub use pool::{default_pool, ThreadPool};
 pub use regir::RegProgram;
 pub use run::{run, ExecMode, ExecStats, Lowering, Strategy};
-pub use tile::{tile_nest, Tile, TileRunner, TileScratch};
+pub use tile::{tile_plan, Tile, TileRunner, TileScratch};
 pub use workspace::{Binding, Workspace};

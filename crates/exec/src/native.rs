@@ -5,62 +5,60 @@
 //! generated Rust source compiled out-of-process into a `cdylib` and
 //! loaded with `dlopen`. The executor cannot depend on that crate (it
 //! sits above the scheduler), so the two meet here: the JIT registers a
-//! [`NativeGroup`] — one `extern "C"` entry point per compiled nest —
-//! under the plan's structural [`fingerprint`](crate::Plan::fingerprint),
-//! and [`crate::TileRunner`] — which every execution surface runs
-//! through — resolves the same key once per runner. A missing entry is not an
-//! error: the caller falls back to the vectorized row executor, which is
-//! bitwise-identical, so `Lowering::Jit` degrades gracefully on machines
-//! without a toolchain.
+//! [`NativeGroup`] — the one `extern "C"` entry point of a compiled fusion
+//! group — under the plan's structural
+//! [`fingerprint`](crate::Plan::fingerprint), and [`crate::TileRunner`] —
+//! which every execution surface runs through — resolves the same key
+//! once per runner. The fingerprint hashes every nest's bounds and
+//! statements, so a module found under it was emitted for exactly this
+//! plan's nest list. A missing entry is not an error: the caller falls
+//! back to the vectorized row executor, which is bitwise-identical, so
+//! `Lowering::Jit` degrades gracefully on machines without a toolchain.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// ABI of one compiled nest: inclusive per-dimension tile bounds (clamped
-/// to the nest's compiled bounds inside the generated code, so any
-/// sub-box of the iteration space is valid) and the plan's array base
-/// pointers in slot order.
+/// ABI of a compiled group: an inclusive per-dimension box of the plan's
+/// iteration hull (each nest's part is clamped to that nest's compiled
+/// bounds inside the generated code, so any box is valid) and the plan's
+/// array base pointers in slot order.
 pub type NativeTileFn =
     unsafe extern "C" fn(lo: *const i64, hi: *const i64, arrays: *const *mut f64);
 
-/// The loaded native code for one fusion group: one entry point per nest
-/// of the group's plan, in plan order, plus whatever handle keeps the
-/// underlying shared object mapped.
+/// The loaded native code for one fusion group: its entry point, which
+/// runs every nest of the group's plan over a box, plus whatever handle
+/// keeps the underlying shared object mapped.
 pub struct NativeGroup {
-    fns: Vec<NativeTileFn>,
+    entry: NativeTileFn,
     /// Keeps the `dlopen` handle (or any other provenance) alive for as
-    /// long as the function pointers are callable.
+    /// long as the function pointer is callable.
     _keepalive: Option<Arc<dyn std::any::Any + Send + Sync>>,
 }
 
 impl NativeGroup {
     pub fn new(
-        fns: Vec<NativeTileFn>,
+        entry: NativeTileFn,
         keepalive: Option<Arc<dyn std::any::Any + Send + Sync>>,
     ) -> Self {
         NativeGroup {
-            fns,
+            entry,
             _keepalive: keepalive,
         }
     }
 
-    /// Number of compiled nests.
-    pub fn nests(&self) -> usize {
-        self.fns.len()
-    }
-
-    /// Execute nest `nest` over the inclusive box `[lo, hi]`.
+    /// Execute every nest's part of the inclusive box `[lo, hi]`.
     ///
     /// # Safety
     ///
-    /// `arrays` must be the base pointers of the plan the group was
-    /// compiled for, in slot order, with the extents the plan was
-    /// compiled against; concurrent callers must cover disjoint write
-    /// sets (the same contract as [`crate::TileRunner::run_tile`]).
+    /// `lo` and `hi` must hold one bound per dimension of the plan the
+    /// group was compiled for, and `arrays` that plan's base pointers in
+    /// slot order, with the extents the plan was compiled against;
+    /// concurrent callers must cover disjoint write sets (the same
+    /// contract as [`crate::TileRunner::run_tile`]).
     #[inline]
-    pub unsafe fn run_box(&self, nest: usize, lo: &[i64], hi: &[i64], arrays: &[*mut f64]) {
+    pub unsafe fn run_box(&self, lo: &[i64], hi: &[i64], arrays: &[*mut f64]) {
         debug_assert_eq!(lo.len(), hi.len());
-        (self.fns[nest])(lo.as_ptr(), hi.as_ptr(), arrays.as_ptr());
+        (self.entry)(lo.as_ptr(), hi.as_ptr(), arrays.as_ptr());
     }
 }
 
@@ -148,6 +146,12 @@ pub fn native_registered() -> usize {
 mod tests {
     use super::*;
 
+    /// Writes 7.0 over the rank-1 box `[lo, hi]` of the first array.
+    ///
+    /// # Safety
+    ///
+    /// `lo`, `hi` and `arrays` hold at least one entry each, and the box
+    /// lies inside the first array.
     unsafe extern "C" fn fill_seven(lo: *const i64, hi: *const i64, arrays: *const *mut f64) {
         let a = *arrays.add(0);
         let (l, h) = (*lo.add(0), *hi.add(0));
@@ -158,14 +162,14 @@ mod tests {
 
     #[test]
     fn register_and_run_round_trip() {
-        let group = Arc::new(NativeGroup::new(vec![fill_seven], None));
+        let group = Arc::new(NativeGroup::new(fill_seven, None));
         register_native(0xABCD_0001, group);
         let g = native_lookup(0xABCD_0001).expect("registered group resolves");
-        assert_eq!(g.nests(), 1);
         let mut data = vec![0.0f64; 6];
         let ptrs = [data.as_mut_ptr()];
-        // SAFETY: single-threaded, box within the buffer.
-        unsafe { g.run_box(0, &[1], &[4], &ptrs) };
+        // SAFETY: rank 1 as `fill_seven` reads it, the box lies inside the
+        // one buffer, and a single thread cannot race.
+        unsafe { g.run_box(&[1], &[4], &ptrs) };
         assert_eq!(data, vec![0.0, 7.0, 7.0, 7.0, 7.0, 0.0]);
         assert!(native_lookup(0xABCD_0002).is_none());
         assert!(native_registered() >= 1);

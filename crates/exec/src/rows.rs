@@ -167,7 +167,12 @@ pub(crate) fn exec_row(
             if a > b {
                 return;
             }
-            // SAFETY: see `run_segment`.
+            // SAFETY: `[a, b]` lies inside the row the caller proved in the
+            // nest's bounds (clamped further by the statement's guard), so
+            // the plan's range proof covers every unpadded load and the
+            // write; padded loads are checked per lane on edge segments and
+            // proven per row on the interior; parallel callers write
+            // disjoint points or atomically (`run_segment`'s contract).
             unsafe {
                 run_segment(
                     prog,

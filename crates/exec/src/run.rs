@@ -5,12 +5,13 @@
 //! Parallelisation follows the paper's OpenMP usage: the outermost loop
 //! dimension is chunked across threads. Gather nests need no further care —
 //! every iteration writes its own centre point, and the nests of a disjoint
-//! adjoint never overlap, so all chunks of all nests go into one parallel
-//! region with no barriers (§3.3.4). Scatter nests are raced unless each
-//! update is atomic; [`Strategy::ParallelAtomic`] is the
-//! `#pragma omp atomic` equivalent whose cost the paper's "Atomics" series
-//! measures. Each chunk is a [`Tile`] executed by [`TileRunner`], the same
-//! runner fused schedules use — there is no second executor.
+//! adjoint never overlap, so the chunks — slabs of the bounding box of all
+//! nests, each running every nest's part — go into one parallel region
+//! with no barriers (§3.3.4). Scatter nests are raced unless each update
+//! is atomic; [`Strategy::ParallelAtomic`] is the `#pragma omp atomic`
+//! equivalent whose cost the paper's "Atomics" series measures. Each chunk
+//! is a [`Tile`] executed by [`TileRunner`], the same runner fused
+//! schedules use — there is no second executor.
 //!
 //! Orthogonally to the parallel strategy, a run uses one of three
 //! lowerings ([`Lowering`]): the per-point stack interpreter (the
@@ -23,7 +24,7 @@
 use crate::error::ExecError;
 use crate::kernel::Plan;
 use crate::pool::ThreadPool;
-use crate::tile::{Tile, TileRunner, TileScratch};
+use crate::tile::{tile_plan, Tile, TileRunner, TileScratch};
 use crate::workspace::Workspace;
 
 /// Execution statistics.
@@ -127,38 +128,28 @@ impl<'a> From<Strategy<'a>> for ExecMode<'a> {
     }
 }
 
-/// The tiles [`run`] executes, in nest order: each non-empty nest's box
-/// cut along its outermost dimension into at most `chunks` slabs of whole
-/// rows (one slab — the whole box — when `chunks` is 1).
+/// The tiles [`run`] executes: the plan's iteration hull cut along its
+/// outermost dimension into at most `chunks` slabs of whole rows (one
+/// slab — the whole hull — when `chunks` is 1), slabs that hold no point
+/// dropped.
 fn job_tiles(plan: &Plan, chunks: usize) -> Vec<Tile> {
-    let mut tiles = Vec::new();
-    for (k, nest) in plan.nests.iter().enumerate() {
-        if nest.empty {
-            continue;
-        }
-        let rows = nest.hi[0] - nest.lo[0] + 1;
-        let size = (rows + chunks as i64 - 1) / chunks as i64;
-        let mut s = nest.lo[0];
-        while s <= nest.hi[0] {
-            let e = (s + size - 1).min(nest.hi[0]);
-            let (mut lo, mut hi) = (nest.lo.clone(), nest.hi.clone());
-            (lo[0], hi[0]) = (s, e);
-            tiles.push(Tile { nest: k, lo, hi });
-            s = e + 1;
-        }
-    }
-    tiles
+    let Some((lo, hi)) = plan.hull() else {
+        return Vec::new();
+    };
+    let mut edges = vec![i64::MAX; plan.rank];
+    edges[0] = (hi[0] - lo[0] + chunks as i64) / chunks as i64;
+    tile_plan(plan, &edges)
 }
 
 /// Execute `plan` against `ws` the way `mode` asks.
 ///
-/// [`Strategy::Serial`] runs each nest's whole box in nest order on the
-/// calling thread. [`Strategy::Parallel`] needs a gather-only plan
-/// ([`ExecError::ScatterNeedsAtomics`] otherwise); for adjoint plans from
-/// [`crate::kernel::compile_adjoint`] the nests are disjoint, so all
-/// `threads × 4` outer-dimension chunks of every nest go through the
-/// pool's work queue in one region, without barriers.
-/// [`Strategy::ParallelAtomic`] is correct for any plan.
+/// [`Strategy::Serial`] runs the whole hull as one tile on the calling
+/// thread: each nest's whole box, in nest order. [`Strategy::Parallel`]
+/// needs a gather-only plan ([`ExecError::ScatterNeedsAtomics`]
+/// otherwise); for adjoint plans from [`crate::kernel::compile_adjoint`]
+/// the nests are disjoint, so all `threads × 4` outer-dimension slabs of
+/// the hull go through the pool's work queue in one region, without
+/// barriers. [`Strategy::ParallelAtomic`] is correct for any plan.
 pub fn run(plan: &Plan, ws: &mut Workspace, mode: ExecMode<'_>) -> Result<ExecStats, ExecError> {
     let (pool, atomic) = match mode.strategy {
         Strategy::Serial => (None, false),
@@ -169,10 +160,11 @@ pub fn run(plan: &Plan, ws: &mut Workspace, mode: ExecMode<'_>) -> Result<ExecSt
     let runner = TileRunner::pin(plan, ws, atomic)?.with_lowering(mode.lowering);
     let tiles = job_tiles(plan, pool.map_or(1, |p| p.size() * 4));
     let run_one = |k: usize, scratch: &mut TileScratch| {
-        // SAFETY: the job tiles partition every nest, each tile index runs
-        // once (in order, or handed to one worker by the work queue), and
-        // concurrent tiles write disjoint sets — a gather plan's disjoint
-        // nests write only their centre points — or atomically.
+        // SAFETY: the job tiles are disjoint slabs of the hull, each tile
+        // index runs once (in order, or handed to one worker by the work
+        // queue), and concurrent tiles write disjoint sets — a gather
+        // plan's disjoint nests write only their centre points — or
+        // atomically.
         unsafe { runner.run_tile(&tiles[k], scratch) }
     };
     match pool {
@@ -375,14 +367,15 @@ mod tests {
 
     #[test]
     fn job_tiles_partition_every_nest_exactly_once() {
-        // Per rank: a tall nest, one with fewer rows than 4 × threads, an
-        // empty one; chunk counts for serial (1) and 1–16 threads.
+        // Per rank: a tall nest, one with fewer rows than 4 × threads two
+        // rows past it and narrower in the inner dimensions, an empty one;
+        // chunk counts for serial (1) and 1–16 threads.
         let names = ["i", "j", "k"];
         for rank in 1..=3 {
             let counters: Vec<Symbol> = names[..rank].iter().map(Symbol::new).collect();
             let at: Vec<Idx> = counters.iter().map(|c| Idx::sym(c.clone())).collect();
-            let mk = |lo0: i64, hi0: i64| {
-                let mut bounds = vec![(Idx::constant(1), Idx::constant(3)); rank];
+            let mk = |lo0: i64, hi0: i64, lo: i64| {
+                let mut bounds = vec![(Idx::constant(lo), Idx::constant(3)); rank];
                 bounds[0] = (Idx::constant(lo0), Idx::constant(hi0));
                 let (w, u) = (Array::new("w"), Array::new("u"));
                 make_loop_nest(
@@ -397,42 +390,40 @@ mod tests {
             let ws = Workspace::new()
                 .with("u", Grid::zeros(dims))
                 .with("w", Grid::zeros(dims));
-            let nests = [mk(1, 37), mk(40, 42), mk(45, 44)];
+            let nests = [mk(1, 37, 1), mk(40, 42, 2), mk(45, 44, 1)];
             let plan = crate::kernel::compile_nests(&nests, &ws, &Binding::new(), false).unwrap();
             assert!(plan.nests[2].empty);
+            let (hull_lo, hull_hi) = plan.hull().unwrap();
+            assert_eq!((hull_lo[0], hull_hi[0]), (1, 42));
             for chunks in [1, 4, 8, 16, 64] {
                 let tiles = job_tiles(&plan, chunks);
-                assert!(tiles.windows(2).all(|w| w[0].nest <= w[1].nest));
-                for (k, nest) in plan.nests.iter().enumerate() {
-                    let mine: Vec<&Tile> = tiles.iter().filter(|t| t.nest == k).collect();
-                    let rows = nest.hi[0] - nest.lo[0] + 1;
-                    if nest.empty {
-                        assert!(mine.is_empty());
-                        continue;
+                assert!(!tiles.is_empty() && tiles.len() <= chunks);
+                // Whole-row slabs of the hull, in row order; a slab between
+                // the nests (rows 38–39) holds no point and is dropped.
+                let mut next = hull_lo[0];
+                for t in &tiles {
+                    assert!(t.lo()[0] >= next && t.hi()[0] >= t.lo()[0], "{t:?}");
+                    assert_eq!((&t.lo()[1..], &t.hi()[1..]), (&hull_lo[1..], &hull_hi[1..]));
+                    assert!(t.points() > 0);
+                    next = t.hi()[0] + 1;
+                }
+                // Every row of every live nest lies in exactly one slab.
+                for nest in plan.nests.iter().filter(|n| !n.empty) {
+                    for row in nest.lo[0]..=nest.hi[0] {
+                        let holding = tiles
+                            .iter()
+                            .filter(|t| (t.lo()[0]..=t.hi()[0]).contains(&row))
+                            .count();
+                        assert_eq!(holding, 1, "rank {rank}, {chunks} chunks, row {row}");
                     }
-                    assert!(!mine.is_empty() && mine.len() <= chunks);
-                    if rows <= chunks as i64 {
-                        assert_eq!(mine.len() as i64, rows, "one row per tile");
-                    }
-                    // Whole-row slabs, back to back from the first row to
-                    // the last.
-                    let mut next = nest.lo[0];
-                    for t in mine {
-                        assert_eq!(t.lo[0], next);
-                        assert!(t.hi[0] >= t.lo[0]);
-                        assert_eq!((&t.lo[1..], &t.hi[1..]), (&nest.lo[1..], &nest.hi[1..]));
-                        next = t.hi[0] + 1;
-                    }
-                    assert_eq!(next, nest.hi[0] + 1);
+                }
+                if chunks >= 64 {
+                    assert_eq!(tiles.len(), 40, "one row per slab, 40 live rows");
                 }
                 let covered: u64 = tiles.iter().map(Tile::points).sum();
                 assert_eq!(covered, plan.points(), "rank {rank}, {chunks} chunks");
             }
-            assert_eq!(
-                job_tiles(&plan, 1).len(),
-                2,
-                "serial: one box per live nest"
-            );
+            assert_eq!(job_tiles(&plan, 1).len(), 1, "serial: the whole hull");
         }
     }
 
@@ -446,6 +437,11 @@ mod tests {
         // slabs alone.
         static CALLS: AtomicU64 = AtomicU64::new(0);
         static POINTS: AtomicU64 = AtomicU64::new(0);
+        /// Counts one call and the points of its rank-2 box.
+        ///
+        /// # Safety
+        ///
+        /// `lo` and `hi` hold two bounds each.
         unsafe extern "C" fn tally(lo: *const i64, hi: *const i64, _: *const *mut f64) {
             let rows = *hi.add(0) - *lo.add(0) + 1;
             let cols = *hi.add(1) - *lo.add(1) + 1;
@@ -469,7 +465,7 @@ mod tests {
         let plan = compile_nest(&nest, &ws, &Binding::new()).unwrap();
         register_native(
             plan.fingerprint(),
-            std::sync::Arc::new(NativeGroup::new(vec![tally], None)),
+            std::sync::Arc::new(NativeGroup::new(tally, None)),
         );
         let pool = ThreadPool::new(2);
         let slabs = job_tiles(&plan, pool.size() * 4).len() as u64;

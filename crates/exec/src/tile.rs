@@ -1,18 +1,26 @@
 //! Tile-granular execution: the one place plan points execute.
 //!
 //! [`TileRunner`] pins a plan's workspace buffers once and then executes
-//! individual [`Tile`]s — rectangular slices of one nest — in any order,
-//! from any thread; the caller owns the policy (which tiles run
-//! concurrently, on which worker). [`crate::run()`] cuts whole-row slabs
-//! of every nest and `perforad-sched` cuts cache-blocked sub-boxes of
-//! fused groups; both hand them here. The runner owns the per-point
+//! individual [`Tile`]s — boxes of the plan's iteration hull, the bounding
+//! box of its non-empty nests — in any order, from any thread; the caller
+//! owns the policy (which tiles run concurrently, on which worker).
+//! [`tile_plan`] is the one tiler: [`crate::run()`] cuts whole-row slabs
+//! of the hull with it and `perforad-sched` cache-blocked sub-boxes; both
+//! hand them here. A tile runs every nest's part of its box: nest by nest
+//! in plan order on the interpreter and the row executor, in one call of
+//! the group's native entry on the JIT. The runner owns the per-point
 //! walker, the per-worker scratch and the lowering dispatch.
+//!
+//! Running the nests of a gather-only plan box by box instead of nest by
+//! nest reorders points, never the updates of one point: the nests write
+//! disjoint centre points and no nest reads an array the plan writes, so
+//! the bits are those of the nest-by-nest order.
 //!
 //! Safety contract: `TileRunner::run_tile` writes without atomics, so
 //! concurrently executed tiles must have disjoint write sets. For
-//! gather-only plans that holds whenever the tiles' iteration boxes are
-//! disjoint per nest and the nests' write regions are disjoint across nests
-//! — exactly what `perforad-sched` proves before building a schedule.
+//! gather-only plans whose nests write disjoint regions that holds
+//! whenever the tiles' boxes are disjoint — exactly what `perforad-sched`
+//! proves before building a schedule.
 
 use crate::atomic::AtomicF64;
 use crate::bytecode::{ArrayView, PointEnv};
@@ -40,26 +48,44 @@ fn tile_counters() -> &'static [perforad_obs::Counter; 3] {
     })
 }
 
-/// A rectangular slice of one nest's iteration space (inclusive bounds,
-/// outermost dimension first).
+/// A box of a plan's iteration hull (inclusive bounds, outermost
+/// dimension first) and the number of plan points inside it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Tile {
-    /// Index of the nest (into `plan.nests`) this tile belongs to.
-    pub nest: usize,
-    /// Per-dimension inclusive lower corner.
-    pub lo: Vec<i64>,
-    /// Per-dimension inclusive upper corner.
-    pub hi: Vec<i64>,
+    lo: Vec<i64>,
+    hi: Vec<i64>,
+    points: u64,
 }
 
 impl Tile {
-    /// Number of iteration points in the tile.
+    /// The box `[lo, hi]` of `plan`'s iteration space.
+    ///
+    /// # Panics
+    ///
+    /// When a corner's rank is not the plan's.
+    pub fn new(plan: &Plan, lo: Vec<i64>, hi: Vec<i64>) -> Tile {
+        assert!(
+            lo.len() == plan.rank && hi.len() == plan.rank,
+            "tile rank mismatch"
+        );
+        let points = plan.points_in(&lo, &hi);
+        Tile { lo, hi, points }
+    }
+
+    /// Per-dimension inclusive lower corner.
+    pub fn lo(&self) -> &[i64] {
+        &self.lo
+    }
+
+    /// Per-dimension inclusive upper corner.
+    pub fn hi(&self) -> &[i64] {
+        &self.hi
+    }
+
+    /// Iteration points of the plan inside the tile: each nest's overlap
+    /// with the box, summed.
     pub fn points(&self) -> u64 {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(l, h)| if h < l { 0 } else { (h - l + 1) as u64 })
-            .product()
+        self.points
     }
 }
 
@@ -70,9 +96,9 @@ pub(crate) struct Buffers {
 }
 
 // SAFETY: `Buffers` is only shared across threads inside a `TileRunner`,
-// whose `run_tile` contract guarantees disjoint writes (gather chunking /
-// disjoint nests) or atomic writes. Reads never alias writes (checked at
-// plan compile time).
+// whose `run_tile` contract guarantees disjoint writes (disjoint tiles of a
+// gather plan whose nests write disjoint regions) or atomic writes. Reads
+// never alias writes (`AliasedWrite` is refused at plan compile time).
 unsafe impl Sync for Buffers {}
 
 fn make_buffers(plan: &Plan, ws: &mut Workspace) -> Result<Buffers, ExecError> {
@@ -152,20 +178,19 @@ fn exec_point(
 }
 
 /// Resolve the native module for a plan when the requested lowering is
-/// Jit: a registered group with a matching nest count runs natively,
-/// anything else (no registration, nest-count drift, atomic scatter —
-/// generated code writes plainly) degrades to the bitwise-identical row
-/// executor.
+/// Jit: a group registered under the plan's fingerprint runs natively,
+/// anything else (no registration, atomic scatter — generated code writes
+/// plainly) degrades to the bitwise-identical row executor.
 fn resolve_native(plan: &Plan, lowering: Lowering, atomic: bool) -> Option<Arc<NativeGroup>> {
     if lowering != Lowering::Jit || atomic {
         return None;
     }
-    let native = native_lookup(plan.fingerprint()).filter(|g| g.nests() == plan.nests.len());
+    let native = native_lookup(plan.fingerprint());
     if native.is_none() {
         // A Jit lowering that resolves no native module is a *degraded*
         // execution (bitwise-identical, slower): a failed/skipped JIT
-        // prepare, a nest-count drift, or an evicted registration. Counted
-        // once per runner, not per tile.
+        // prepare or an evicted registration. Counted once per runner, not
+        // per tile.
         perforad_obs::counter("jit.degraded_fallbacks").inc();
     }
     native
@@ -189,15 +214,19 @@ fn max_tmps(plan: &Plan) -> usize {
         .unwrap_or(0)
 }
 
-/// Per-thread scratch state for tile execution (loop counters, VM stack,
-/// CSE temporaries, register lane file), sized for the one lowering it
-/// will run. Create one per worker with [`TileRunner::scratch`].
+/// Per-thread scratch state for tile execution (loop counters, a nest's
+/// part of the tile, VM stack, CSE temporaries, register lane file), sized
+/// for the one lowering it will run. Create one per worker with
+/// [`TileRunner::scratch`].
 ///
 /// It also tallies the tiles run through it and adds the tally to its
 /// lowering's dispatch counter when it drops — one counter update per
 /// worker per region, whichever driver handed the tiles out.
 pub struct TileScratch {
     counters: Vec<i64>,
+    /// One nest's part of the running tile (its box ∩ the nest's bounds).
+    part_lo: Vec<i64>,
+    part_hi: Vec<i64>,
     stack: Vec<f64>,
     tmps: Vec<f64>,
     rows: RowScratch,
@@ -297,8 +326,13 @@ impl<'a> TileRunner<'a> {
                 (Vec::new(), Vec::new(), RowScratch::for_plan(self.plan), 1)
             }
         };
+        // The native entry walks and clamps on its own: no counters, no
+        // nest parts.
+        let walked = if dispatch == 2 { 0 } else { self.plan.rank };
         TileScratch {
-            counters: vec![0i64; self.plan.rank],
+            counters: vec![0i64; walked],
+            part_lo: vec![0i64; walked],
+            part_hi: vec![0i64; walked],
             stack,
             tmps,
             rows,
@@ -312,78 +346,79 @@ impl<'a> TileRunner<'a> {
         self.plan
     }
 
-    /// Execute every point of `tile`.
+    /// Execute every plan point inside `tile`: each nest's part of the box
+    /// (the box ∩ the nest's compiled bounds), nest by nest in plan order,
+    /// or in one call of the group's native entry, which clamps the same
+    /// way.
     ///
     /// # Panics
     ///
-    /// When the tile box (unless empty) does not lie inside the nest's
-    /// compiled bounds: the unchecked loads rest on the compile-time range
-    /// proof, which covers exactly those bounds. Checked in every build —
-    /// a few comparisons per tile, not per point.
+    /// When the tile's rank is not the plan's, or its box (unless empty)
+    /// does not lie inside the plan's iteration hull: such a tile was cut
+    /// for another plan. Checked in every build — a few comparisons per
+    /// tile, not per point.
     ///
     /// # Safety
     ///
     /// Tiles executed concurrently (from different threads on the same
     /// runner) must have pairwise-disjoint write sets, unless the runner
     /// was created with [`TileRunner::new_atomic`]. For gather-only plans
-    /// disjoint iteration boxes suffice; across nests the write regions
-    /// must also be disjoint — the dependence check in `perforad-sched`
-    /// proves exactly this before building a schedule. Violating the
-    /// contract is a data race (undefined behavior), which is why this
-    /// method is `unsafe` even though single-threaded use is always sound.
+    /// whose nests write disjoint regions, disjoint boxes suffice — the
+    /// dependence check in `perforad-sched` proves those regions disjoint
+    /// before building a schedule. Violating the contract is a data race
+    /// (undefined behavior), which is why this method is `unsafe` even
+    /// though single-threaded use is always sound.
     pub unsafe fn run_tile(&self, tile: &Tile, scratch: &mut TileScratch) {
-        let nest = &self.plan.nests[tile.nest];
         let rank = self.plan.rank;
-        assert!(
-            tile.lo.len() == rank
-                && tile.hi.len() == rank
-                && (0..rank).all(|d| {
-                    tile.hi[d] < tile.lo[d]
-                        || (tile.lo[d] >= nest.lo[d] && tile.hi[d] <= nest.hi[d])
-                }),
-            "tile box escapes nest bounds"
-        );
-        if tile.points() == 0 {
+        let (lo, hi) = (&tile.lo[..], &tile.hi[..]);
+        assert!(lo.len() == rank && hi.len() == rank, "tile rank mismatch");
+        if (0..rank).any(|d| hi[d] < lo[d]) {
             return;
         }
+        let inside = self.plan.hull().is_some_and(|(hull_lo, hull_hi)| {
+            (0..rank).all(|d| lo[d] >= hull_lo[d] && hi[d] <= hull_hi[d])
+        });
+        assert!(inside, "tile box escapes the plan's iteration hull");
         scratch.tiles += 1;
-        match self.lowering {
-            Lowering::PerPoint => self.walk_box(nest, tile, 0, 0, scratch),
-            Lowering::Jit if self.native.is_some() => {
-                // SAFETY (inner): the module was registered under this
-                // plan's fingerprint, so the entry points match this
-                // layout; the caller's contract (disjoint concurrent
-                // write sets) is exactly this method's.
-                self.native.as_ref().unwrap().run_box(
-                    tile.nest,
-                    &tile.lo,
-                    &tile.hi,
-                    &self.bufs.write_ptrs,
-                )
+        if let (Lowering::Jit, Some(native)) = (self.lowering, &self.native) {
+            // SAFETY: the module was registered under this plan's
+            // fingerprint, so its entry reads `rank` bounds (checked above)
+            // and this plan's slots, and clamps every nest's part to that
+            // nest's bounds; the caller's contract (disjoint concurrent
+            // write sets) is exactly this method's.
+            return native.run_box(lo, hi, &self.bufs.write_ptrs);
+        }
+        for nest in self.plan.nests.iter().filter(|n| !n.empty) {
+            let mut part = true;
+            for d in 0..rank {
+                scratch.part_lo[d] = lo[d].max(nest.lo[d]);
+                scratch.part_hi[d] = hi[d].min(nest.hi[d]);
+                part &= scratch.part_lo[d] <= scratch.part_hi[d];
             }
-            Lowering::Rows | Lowering::Jit => rows::exec_box_rows(
-                self.plan,
-                nest,
-                &self.bufs,
-                &tile.lo,
-                &tile.hi,
-                self.atomic,
-                &mut scratch.counters,
-                &mut scratch.rows,
-            ),
+            if !part {
+                continue;
+            }
+            match self.lowering {
+                Lowering::PerPoint => self.walk_part(nest, 0, 0, scratch),
+                Lowering::Rows | Lowering::Jit => rows::exec_box_rows(
+                    self.plan,
+                    nest,
+                    &self.bufs,
+                    &scratch.part_lo,
+                    &scratch.part_hi,
+                    self.atomic,
+                    &mut scratch.counters,
+                    &mut scratch.rows,
+                ),
+            }
         }
     }
 
-    fn walk_box(
-        &self,
-        nest: &NestPlan,
-        tile: &Tile,
-        dim: usize,
-        base: isize,
-        scratch: &mut TileScratch,
-    ) {
+    /// Interpret every point of `nest`'s part of the running tile
+    /// (`scratch.part_*`, inside the nest's compiled bounds).
+    fn walk_part(&self, nest: &NestPlan, dim: usize, base: isize, scratch: &mut TileScratch) {
         let rank = self.plan.rank;
-        let (lo, hi) = (tile.lo[dim], tile.hi[dim]);
+        let (lo, hi) = (scratch.part_lo[dim], scratch.part_hi[dim]);
         let stride = self.plan.strides[dim] as isize;
         if dim + 1 == rank {
             for k in lo..=hi {
@@ -402,33 +437,32 @@ impl<'a> TileRunner<'a> {
         } else {
             for k in lo..=hi {
                 scratch.counters[dim] = k;
-                self.walk_box(nest, tile, dim + 1, base + k as isize * stride, scratch);
+                self.walk_part(nest, dim + 1, base + k as isize * stride, scratch);
             }
         }
     }
 }
 
-/// Split one nest's compiled iteration box into cache-blocked tiles of at
-/// most `tile[d]` points per dimension.
-pub fn tile_nest(plan: &Plan, nest_idx: usize, tile: &[i64]) -> Vec<Tile> {
-    let nest = &plan.nests[nest_idx];
-    if nest.empty {
+/// Cut `plan`'s iteration hull into boxes of at most `edges[d]` points
+/// per dimension, innermost dimension fastest, dropping boxes that hold
+/// no plan point. Edges may exceed the hull (one box spans it).
+pub fn tile_plan(plan: &Plan, edges: &[i64]) -> Vec<Tile> {
+    let Some((hull_lo, hull_hi)) = plan.hull() else {
         return Vec::new();
-    }
+    };
     let rank = plan.rank;
-    assert_eq!(tile.len(), rank, "tile rank mismatch");
-    assert!(tile.iter().all(|&t| t >= 1), "tile edges must be >= 1");
+    assert_eq!(edges.len(), rank, "tile rank mismatch");
+    assert!(edges.iter().all(|&t| t >= 1), "tile edges must be >= 1");
     let mut tiles = Vec::new();
-    let mut lo = nest.lo.clone();
+    let mut lo = hull_lo.to_vec();
     loop {
         let hi: Vec<i64> = (0..rank)
-            .map(|d| (lo[d] + tile[d] - 1).min(nest.hi[d]))
+            .map(|d| lo[d].saturating_add(edges[d] - 1).min(hull_hi[d]))
             .collect();
-        tiles.push(Tile {
-            nest: nest_idx,
-            lo: lo.clone(),
-            hi,
-        });
+        let tile = Tile::new(plan, lo.clone(), hi);
+        if tile.points > 0 {
+            tiles.push(tile);
+        }
         // Advance the tile odometer, innermost dimension fastest.
         let mut d = rank;
         loop {
@@ -436,11 +470,11 @@ pub fn tile_nest(plan: &Plan, nest_idx: usize, tile: &[i64]) -> Vec<Tile> {
                 return tiles;
             }
             d -= 1;
-            lo[d] += tile[d];
-            if lo[d] <= nest.hi[d] {
+            lo[d] = lo[d].saturating_add(edges[d]);
+            if lo[d] <= hull_hi[d] {
                 break;
             }
-            lo[d] = nest.lo[d];
+            lo[d] = hull_lo[d];
         }
     }
 }
@@ -468,26 +502,87 @@ mod tests {
         .unwrap()
     }
 
+    /// Every point of the box `[lo, hi]`, innermost dimension fastest.
+    fn box_points(lo: &[i64], hi: &[i64]) -> Vec<Vec<i64>> {
+        let mut points = vec![Vec::new()];
+        for d in 0..lo.len() {
+            points = points
+                .into_iter()
+                .flat_map(|p| {
+                    (lo[d]..=hi[d]).map(move |k| {
+                        let mut q = p.clone();
+                        q.push(k);
+                        q
+                    })
+                })
+                .collect();
+        }
+        points
+    }
+
+    /// Per rank 1–3, a plan of two nests with a gap between them and an
+    /// empty third, cut with edges from 1 to past the hull: the tiles lie
+    /// in the hull, hold at least one point each, count their points as
+    /// the nests' overlaps, and cover every nest point exactly once.
     #[test]
     fn tiles_cover_the_box_disjointly() {
-        let n = 37usize;
-        let ws = Workspace::new()
-            .with("u", Grid::zeros(&[n + 1]))
-            .with("r", Grid::zeros(&[n + 1]));
-        let plan = compile_nest(&nest_1d(), &ws, &Binding::new().size("n", n as i64)).unwrap();
-        let tiles = tile_nest(&plan, 0, &[5]);
-        let mut seen = vec![0u32; n + 1];
-        for t in &tiles {
-            assert!(t.points() >= 1 && t.points() <= 5);
-            for k in t.lo[0]..=t.hi[0] {
-                seen[k as usize] += 1;
+        let names = ["i", "j", "k"];
+        for rank in 1..=3 {
+            let counters: Vec<Symbol> = names[..rank].iter().map(Symbol::new).collect();
+            let at: Vec<Idx> = counters.iter().map(|c| Idx::sym(c.clone())).collect();
+            let mk = |lo0: i64, hi0: i64, lo: i64| {
+                let mut bounds = vec![(Idx::constant(lo), Idx::constant(3)); rank];
+                bounds[0] = (Idx::constant(lo0), Idx::constant(hi0));
+                let (w, u) = (Array::new("w"), Array::new("u"));
+                make_loop_nest(
+                    &w.at(at.clone()),
+                    u.at(at.clone()),
+                    counters.clone(),
+                    bounds,
+                )
+                .unwrap()
+            };
+            let dims = &[16, 5, 5][..rank];
+            let ws = Workspace::new()
+                .with("u", Grid::zeros(dims))
+                .with("w", Grid::zeros(dims));
+            let nests = [mk(1, 9, 1), mk(12, 14, 2), mk(20, 19, 0)];
+            let plan = crate::kernel::compile_nests(&nests, &ws, &Binding::new(), false).unwrap();
+            let (hull_lo, hull_hi) = plan.hull().unwrap();
+            assert_eq!((hull_lo[0], hull_hi[0]), (1, 14));
+            for edges in [[1, 1, 1], [2, 3, 1], [5, 2, 2], [100, 100, 100]] {
+                let edges = &edges[..rank];
+                let tiles = tile_plan(&plan, edges);
+                let mut seen = std::collections::BTreeMap::new();
+                for t in &tiles {
+                    assert!(t.points() >= 1, "rank {rank}, edges {edges:?}: {t:?}");
+                    for d in 0..rank {
+                        assert!(t.lo()[d] >= hull_lo[d] && t.hi()[d] <= hull_hi[d]);
+                        assert!(t.hi()[d] - t.lo()[d] < edges[d]);
+                    }
+                    let mut inside = 0;
+                    for nest in plan.nests.iter().filter(|n| !n.empty) {
+                        let lo: Vec<i64> = (0..rank).map(|d| t.lo()[d].max(nest.lo[d])).collect();
+                        let hi: Vec<i64> = (0..rank).map(|d| t.hi()[d].min(nest.hi[d])).collect();
+                        for p in box_points(&lo, &hi) {
+                            inside += 1;
+                            *seen.entry(p).or_insert(0u32) += 1;
+                        }
+                    }
+                    assert_eq!(inside, t.points());
+                }
+                for nest in plan.nests.iter().filter(|n| !n.empty) {
+                    for p in box_points(&nest.lo, &nest.hi) {
+                        assert_eq!(
+                            seen.get(&p),
+                            Some(&1),
+                            "rank {rank}, edges {edges:?}: {p:?}"
+                        );
+                    }
+                }
+                assert_eq!(seen.len() as u64, plan.points());
             }
         }
-        for (k, &count) in seen.iter().enumerate().take(n).skip(1) {
-            assert_eq!(count, 1, "index {k} covered {count} times");
-        }
-        assert_eq!(seen[0], 0);
-        assert_eq!(seen[n], 0);
     }
 
     #[test]
@@ -510,7 +605,7 @@ mod tests {
         {
             let runner = TileRunner::new(&plan, &mut ws2).unwrap();
             let mut scratch = runner.scratch();
-            for t in tile_nest(&plan, 0, &[7]) {
+            for t in tile_plan(&plan, &[7]) {
                 // SAFETY: single-threaded execution cannot race.
                 unsafe { runner.run_tile(&t, &mut scratch) };
             }
@@ -519,11 +614,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tile box escapes nest bounds")]
+    #[should_panic(expected = "tile box escapes the plan's iteration hull")]
     fn a_tile_outside_its_nest_is_refused_in_every_build() {
-        // The nest is 1..=n-1 on a grid with room to spare, so the escaping
-        // row n is still inside the arrays: without the check it would run
-        // quietly, outside the range the plan was proven for.
+        // The plan's one nest is 1..=n-1 on a grid with room to spare, so
+        // the escaping row n is still inside the arrays. Each nest's part
+        // of a tile is clamped to its bounds, so nothing would run there;
+        // the box was cut for some other plan, and that is refused.
         let n = 37usize;
         let mut ws = Workspace::new()
             .with("u", Grid::zeros(&[n + 3]))
@@ -532,11 +628,7 @@ mod tests {
         assert_eq!(plan.nests[0].hi, vec![n as i64 - 1]);
         let runner = TileRunner::new(&plan, &mut ws).unwrap();
         let mut scratch = runner.scratch();
-        let tile = Tile {
-            nest: 0,
-            lo: vec![1],
-            hi: vec![n as i64],
-        };
+        let tile = Tile::new(&plan, vec![1], vec![n as i64]);
         // SAFETY: single-threaded execution cannot race.
         unsafe { runner.run_tile(&tile, &mut scratch) };
     }
@@ -563,7 +655,7 @@ mod tests {
                 .unwrap()
                 .with_lowering(Lowering::Rows);
             let mut scratch = runner.scratch();
-            for t in tile_nest(&plan, 0, &[7]) {
+            for t in tile_plan(&plan, &[7]) {
                 // SAFETY: single-threaded execution cannot race.
                 unsafe { runner.run_tile(&t, &mut scratch) };
             }
@@ -608,7 +700,7 @@ mod tests {
         let mut ws2 = build();
         {
             let runner = TileRunner::new_atomic(&plan, &mut ws2).unwrap();
-            let tiles = tile_nest(&plan, 0, &[7]);
+            let tiles = tile_plan(&plan, &[7]);
             // Execute tiles from two threads; atomic adds keep it exact
             // (integer-valued data) despite overlapping writes.
             std::thread::scope(|s| {
@@ -623,7 +715,8 @@ mod tests {
                 });
                 s.spawn(move || {
                     let mut scratch = r.scratch();
-                    // SAFETY: as above (atomic mode).
+                    // SAFETY: the runner is in atomic mode, so overlapping
+                    // writes are CAS adds.
                     b.iter()
                         .for_each(|t| unsafe { r.run_tile(t, &mut scratch) });
                 });
@@ -652,7 +745,7 @@ mod tests {
             .with("u", Grid::zeros(&[n, n]))
             .with("r", Grid::zeros(&[n, n]));
         let plan = compile_nest(&nest, &ws, &Binding::new().size("n", n as i64)).unwrap();
-        let tiles = tile_nest(&plan, 0, &[6, 7]);
+        let tiles = tile_plan(&plan, &[6, 7]);
         let covered: u64 = tiles.iter().map(Tile::points).sum();
         assert_eq!(covered, plan.nests[0].points());
     }

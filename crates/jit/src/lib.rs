@@ -14,25 +14,29 @@
 //!
 //! 1. **Emit** — each fusion group of a compiled
 //!    [`Schedule`](perforad_sched::Schedule) becomes a self-contained
-//!    Rust module ([`perforad_codegen::rust::jit_group_module`]):
-//!    one tile-granular, guard-hoisted `extern "C"` entry point per nest,
-//!    sizes/parameters baked in as bit-exact constants. Each nest is the
-//!    paper's Fig.-4 loop — **one** loop nest whose body holds every
-//!    gather-transformed centre-point increment in source order, summed
-//!    in a register accumulator per written array (one load, one store
-//!    per point) — so the adjoint streams its arrays once, like the
-//!    primal, and needs no atomics. The innermost row is a function of
-//!    its own that takes written arrays as `&mut [f64]` and read arrays
-//!    as `*const f64`: what the gather transformation proved (stores
-//!    never feed loads) reaches the compiler, and the row vectorises.
+//!    Rust module ([`perforad_codegen::rust::jit_group_module`]) with
+//!    **one** tile-granular, guard-hoisted `extern "C"` entry point,
+//!    `pf_g`, sizes/parameters baked in as bit-exact constants. It takes a
+//!    box of the group's iteration hull and runs every nest's part of it.
+//!    Each nest is the paper's Fig.-4 loop — one loop nest whose body
+//!    holds every gather-transformed centre-point increment in source
+//!    order, summed in a register accumulator per written array (one
+//!    load, one store per point) — so the adjoint streams its arrays once,
+//!    like the primal, and needs no atomics. The innermost row is a
+//!    function of its own that takes written arrays as `&mut [f64]` and
+//!    read arrays as `*const f64`: what the gather transformation proved
+//!    (stores never feed loads) reaches the compiler, and the row
+//!    vectorises. Nests whose rows line up — a core row and the face
+//!    points at its ends — share one walk of the outer dimensions, so a
+//!    row's boundary points run inside the core's row loop.
 //! 2. **Compile** — `rustc` (override with `PERFORAD_JIT_RUSTC` /
 //!    `RUSTC`) is driven out-of-process into a stripped `cdylib`, `-O`,
 //!    plus `-C target-feature=+avx2` when the building host reports AVX2
 //!    (never FMA or fast-math: lane-wise adds and multiplies round like
 //!    scalar ones, so the bits do not depend on the ISA level).
 //! 3. **Load** — hand-rolled `dlopen`/`dlsym` (std-only, [`loader`])
-//!    resolves one function pointer per nest.
-//! 4. **Register** — the table is installed in the process-wide
+//!    resolves the one entry point.
+//! 4. **Register** — the entry is installed in the process-wide
 //!    [`perforad_exec::native`] registry under the group plan's
 //!    structural fingerprint; from then on every `Lowering::Jit`
 //!    execution — `exec::run`, `run_schedule`, `run_tuned`, all of them
@@ -74,6 +78,10 @@
 //! run_schedule(&schedule, &mut ws, &pool).unwrap();   // native tiles
 //! ```
 
+// Every `unsafe` states the invariant it relies on (private `unsafe fn`s
+// too: `check-private-items` in the workspace's `clippy.toml`).
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+
 pub mod loader;
 
 use perforad_codegen::rust::{jit_group_module, JitGroupSpec};
@@ -88,14 +96,14 @@ use std::process::Command;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Symbol prefix of the generated entry points (`pf_n{k}`).
+/// Symbol prefix of the generated code: the entry point is `pf_g`.
 const SYMBOL_PREFIX: &str = "pf";
 
 /// Bump whenever the emitted code or its ABI changes: it is part of
 /// every artifact's file name, so stale `PERFORAD_JIT_CACHE` entries
 /// compiled by an older emitter miss cleanly instead of loading (the
 /// same role `CACHE_VERSION` plays for the tuning cache).
-pub const JIT_FORMAT_VERSION: u32 = 3;
+pub const JIT_FORMAT_VERSION: u32 = 4;
 
 /// Knobs for [`prepare_schedule`].
 #[derive(Clone, Debug)]
@@ -354,21 +362,21 @@ fn compile_cdylib(opts: &JitOptions, src: &Path, out: &Path, avx2: bool) -> Resu
     std::fs::rename(&tmp, out).map_err(|e| JitError::Io(format!("rename {}: {e}", out.display())))
 }
 
-/// `dlopen` an artifact and resolve one entry point per nest.
-fn load_group(path: &Path, nests: usize) -> Result<Arc<NativeGroup>, JitError> {
+/// `dlopen` an artifact and resolve its entry point. No nest count is
+/// checked: the artifact is named by the plan fingerprint, which hashes
+/// every nest's bounds and statements, so it was emitted for exactly the
+/// plan's nest list.
+fn load_group(path: &Path) -> Result<Arc<NativeGroup>, JitError> {
     let lib = loader::Library::open(path)
         .map_err(|e| JitError::Load(format!("{}: {e}", path.display())))?;
-    let mut fns: Vec<NativeTileFn> = Vec::with_capacity(nests);
-    for k in 0..nests {
-        let name = format!("{SYMBOL_PREFIX}_n{k}");
-        let p = lib
-            .sym(&name)
-            .map_err(|e| JitError::Load(format!("{name} in {}: {e}", path.display())))?;
-        // SAFETY: the symbol was emitted by `jit_group_module` with
-        // exactly the `NativeTileFn` ABI.
-        fns.push(unsafe { std::mem::transmute::<*mut std::ffi::c_void, NativeTileFn>(p) });
-    }
-    Ok(Arc::new(NativeGroup::new(fns, Some(Arc::new(lib)))))
+    let name = format!("{SYMBOL_PREFIX}_g");
+    let p = lib
+        .sym(&name)
+        .map_err(|e| JitError::Load(format!("{name} in {}: {e}", path.display())))?;
+    // SAFETY: `jit_group_module` emits `pf_g` with exactly the
+    // `NativeTileFn` ABI, and `lib` is kept alive beside the pointer.
+    let entry = unsafe { std::mem::transmute::<*mut std::ffi::c_void, NativeTileFn>(p) };
+    Ok(Arc::new(NativeGroup::new(entry, Some(Arc::new(lib)))))
 }
 
 /// Consistency check that `bind` is the binding the schedule was
@@ -504,7 +512,7 @@ fn prepare_group(
             )))
         } else {
             let _span = perforad_obs::span!("jit.load", "jit", "nests" => plan.nests.len() as u64);
-            load_group(&cached, plan.nests.len())
+            load_group(&cached)
         };
         match loaded {
             Ok(group) => {
@@ -562,7 +570,7 @@ fn prepare_group(
     built?;
     let group = {
         let _span = perforad_obs::span!("jit.load", "jit", "nests" => plan.nests.len() as u64);
-        load_group(&artifact, plan.nests.len())?
+        load_group(&artifact)?
     };
     register_native(fp, group);
     report.compiled += 1;
@@ -1051,12 +1059,14 @@ mod tests {
 
     /// The c-active 3-D wave adjoint at `n = 16`, one module, compiled
     /// twice through the private compile step — baseline flags and
-    /// `+avx2` — and run nest by nest on the same random arrays: lane-wise
-    /// adds and multiplies round like scalar ones, so every bit agrees.
+    /// `+avx2` — and run over the group's hull, one call of its entry, on
+    /// the same random arrays: lane-wise adds and multiplies round like
+    /// scalar ones, so every bit agrees.
     ///
     /// CI disassembles what this test builds: with `PERFORAD_JIT_CACHE`
     /// set, `isa_avx2.so` (and the source, `isa.rs`) are left there, and
-    /// the core nest must be `pf_n26`.
+    /// the group entry `pf_g`, into which every row body is inlined, must
+    /// hold packed adds and multiplies.
     #[test]
     fn baseline_and_avx2_artifacts_are_bitwise_equal() {
         let _lk = compile_locked();
@@ -1077,7 +1087,6 @@ mod tests {
             .into_iter()
             .fold(ActivityMap::new(), ActivityMap::with_suffixed);
         let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
-        assert_eq!(adj.core, Some(26), "CI disassembles pf_n26");
         let n = 16usize;
         let mut ws = Workspace::new();
         for name in ["u", "u_1", "u_2", "c", "u_b", "u_1_b", "u_2_b", "c_b"] {
@@ -1117,14 +1126,13 @@ mod tests {
         let results = [false, true].map(|avx2| {
             let so = dir.join(if avx2 { "isa_avx2.so" } else { "isa_base.so" });
             compile_cdylib(&opts, &src_path, &so, avx2).expect("compile");
-            let native = load_group(&so, group.plan.nests.len()).expect("load");
+            let native = load_group(&so).expect("load");
             let mut arrays = inputs.clone();
             let ptrs: Vec<*mut f64> = arrays.iter_mut().map(|a| a.as_mut_ptr()).collect();
-            for (k, np) in group.plan.nests.iter().enumerate() {
-                // SAFETY: full nest boxes of the plan the module was
-                // emitted for, over arrays of the plan's extents.
-                unsafe { native.run_box(k, &np.lo, &np.hi, &ptrs) };
-            }
+            let (lo, hi) = group.plan.hull().expect("a live nest");
+            // SAFETY: the hull of the plan the module was emitted for, over
+            // arrays of the plan's extents in slot order, on one thread.
+            unsafe { native.run_box(lo, hi, &ptrs) };
             arrays
         });
         assert_ne!(results[0], inputs, "the sweep wrote something");

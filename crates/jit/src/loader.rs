@@ -25,6 +25,12 @@ mod sys {
 
     /// Read the thread-local `dlerror` string (clears it as a side
     /// effect, per POSIX).
+    ///
+    /// # Safety
+    ///
+    /// Call it on the thread whose `dlopen`/`dlsym` just failed, before any
+    /// other `dl*` call there: the string `dlerror` returns is only valid
+    /// until that thread's next `dl*` call, and is copied out before it.
     pub unsafe fn last_error() -> String {
         let p = dlerror();
         if p.is_null() {
@@ -40,9 +46,11 @@ pub struct Library {
     handle: *mut std::ffi::c_void,
 }
 
-// SAFETY: a dlopen handle is a process-global token; dlsym on it is
-// thread-safe per POSIX, and this wrapper never closes it.
+// SAFETY: a dlopen handle is a process-global token, not tied to the
+// thread that opened it, and this wrapper never closes it.
 unsafe impl Send for Library {}
+// SAFETY: the only operation on a shared `Library` is `dlsym`, which is
+// thread-safe per POSIX.
 unsafe impl Sync for Library {}
 
 impl Library {

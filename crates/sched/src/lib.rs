@@ -19,15 +19,18 @@
 //! 2. **Fusion** ([`fuse`]): conflict-free nests merge into groups — the
 //!    disjoint decomposition's nests always form a *single* group, so the
 //!    53 nests of the 3-D wave adjoint run in one parallel region.
-//! 3. **Tiling** ([`schedule`]): every nest's iteration box is cut into
-//!    cache-blocked [`Tile`]s (1-D/2-D/3-D, configurable edges), so the
-//!    small boundary nests ride along with the core loop's tile stream.
+//! 3. **Tiling** ([`schedule`]): each group's iteration hull — the
+//!    bounding box of its nests — is cut into cache-blocked [`Tile`]s
+//!    (1-D/2-D/3-D, configurable edges), and a tile runs every nest's part
+//!    of its box, so the small boundary nests ride inside the core loop's
+//!    tiles instead of streaming the arrays again on their own.
 //! 4. **Execution** ([`run_schedule`]): tiles are assigned to
 //!    [`ThreadPool`] workers statically (LPT pre-assignment) or
-//!    dynamically (shared counter), via the tile-granular entry points of
-//!    `perforad_exec::tile`. Each tile runs either the per-point
-//!    interpreter or the vectorized register-IR row executor
-//!    ([`SchedOptions::with_rows`]); both are bitwise-identical.
+//!    dynamically (shared counter), via `perforad_exec::TileRunner`. Each
+//!    tile runs on the per-point interpreter, the vectorized register-IR
+//!    row executor ([`SchedOptions::with_rows`]) or, once
+//!    `perforad-jit` has prepared the group, its one native entry point;
+//!    all are bitwise-identical.
 //!
 //! ```
 //! use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
@@ -62,6 +65,10 @@
 //!
 //! [`Tile`]: perforad_exec::Tile
 //! [`ThreadPool`]: perforad_exec::ThreadPool
+
+// Every `unsafe` states the invariant it relies on (private `unsafe fn`s
+// too: `check-private-items` in the workspace's `clippy.toml`).
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 pub mod error;
 pub mod fuse;

@@ -3,10 +3,11 @@
 //! [`compile_schedule`] turns an [`Adjoint`] (or any list of loop nests
 //! sharing counters) into a [`Schedule`]: the nests are partitioned into
 //! fusion groups by the dependence graph, each group is compiled into an
-//! executable [`Plan`], and its iteration space is cut into cache-blocked
-//! [`Tile`]s. [`run_schedule`] then executes each group as a *single*
-//! parallel region — core and boundary nests interleaved tile by tile —
-//! paying one barrier per group instead of one per nest.
+//! executable [`Plan`], and the group's iteration hull — the bounding box
+//! of its nests — is cut into cache-blocked [`Tile`]s, each running every
+//! nest's part of its box. [`run_schedule`] then executes each group as a
+//! *single* parallel region — core and boundary nests together in every
+//! tile — paying one barrier per group instead of one per nest.
 
 use crate::error::SchedError;
 use crate::fuse::fuse_groups;
@@ -14,7 +15,7 @@ use crate::graph::{dependence_graph, DepGraph};
 use perforad_core::{Adjoint, BoundaryStrategy, LoopNest};
 use perforad_exec::kernel::PlanOptions;
 use perforad_exec::{
-    compile_nests_opts, tile_nest, Binding, ExecStats, Lowering, Plan, ThreadPool, Tile,
+    compile_nests_opts, tile_plan, Binding, ExecStats, Lowering, Plan, ThreadPool, Tile,
     TileRunner, TileScratch, Workspace,
 };
 use std::borrow::Cow;
@@ -161,7 +162,7 @@ pub struct FusedGroup {
     pub nests: Vec<usize>,
     /// The group's compiled nests.
     pub plan: Plan,
-    /// The group's tiles (`Tile::nest` indexes `plan.nests`), sorted by
+    /// The group's tiles — boxes of the plan's iteration hull — sorted by
     /// descending point count (LPT order).
     pub tiles: Vec<Tile>,
 }
@@ -335,11 +336,9 @@ pub fn compile_schedule_source(
         .into_iter()
         .map(|members| {
             let plan = compile_nests_opts(&group_nests(nests, &members), ws, binding, plan_opts)?;
-            let mut tiles: Vec<Tile> = (0..plan.nests.len())
-                .flat_map(|local| tile_nest(&plan, local, &tile))
-                .collect();
-            // LPT order: hand the big core tiles out first so stragglers
-            // are the small boundary tiles.
+            let mut tiles = tile_plan(&plan, &tile);
+            // LPT order: hand the full interior tiles out first so
+            // stragglers are the thin ones at the hull's faces.
             tiles.sort_by_key(|t| std::cmp::Reverse(t.points()));
             let group = FusedGroup {
                 nests: members,
@@ -432,10 +431,10 @@ fn run_groups(
         let runner = TileRunner::new(&group.plan, ws)?.with_lowering(schedule.lowering);
         let run_one = |k: usize, scratch: &mut TileScratch| {
             // SAFETY: tiles within a group have disjoint write sets
-            // (gather-only plan + per-nest disjoint boxes +
-            // dependence-checked cross-nest write regions), and each tile
-            // index runs once: in order, handed to one worker by the work
-            // queue, or in the one LPT bin holding it.
+            // (gather-only plan + disjoint hull boxes + dependence-checked
+            // cross-nest write regions), and each tile index runs once: in
+            // order, handed to one worker by the work queue, or in the one
+            // LPT bin holding it.
             unsafe { runner.run_tile(&group.tiles[k], scratch) };
         };
         match (pool, schedule.policy) {
@@ -861,12 +860,10 @@ mod tests {
 
     #[test]
     fn lpt_balances_loads() {
+        let (ws, bind) = setup(32);
+        let plan = perforad_exec::compile_nest(&paper_nest(), &ws, &bind).unwrap();
         let tiles: Vec<Tile> = (0..10)
-            .map(|k| Tile {
-                nest: 0,
-                lo: vec![0],
-                hi: vec![9 - (k % 3)],
-            })
+            .map(|k| Tile::new(&plan, vec![1], vec![10 - (k % 3)]))
             .collect();
         let bins = lpt_assign(&tiles, 3);
         assert_eq!(bins.iter().map(Vec::len).sum::<usize>(), 10);

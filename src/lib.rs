@@ -59,8 +59,9 @@
 //!    adjoint decomposition always fuses into a *single* group (its write
 //!    regions are pairwise disjoint by construction), and nests with
 //!    overlapping write regions are never fused.
-//! 3. **Tiling** — each group's iteration space is cut into cache-blocked
-//!    [`exec::Tile`]s with configurable edges.
+//! 3. **Tiling** — each group's iteration hull (the bounding box of its
+//!    nests) is cut into cache-blocked [`exec::Tile`]s with configurable
+//!    edges; a tile runs every nest's part of its box.
 //! 4. **Execution** — [`sched::run_schedule`] runs every group as one
 //!    parallel region, assigning tiles to workers statically (LPT) or
 //!    dynamically (shared counter), so boundary nests ride along with the

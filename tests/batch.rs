@@ -17,7 +17,7 @@ use perforad::pde::seismic::{
     CKPT_THRESHOLD_STEPS,
 };
 use perforad::pde::{wave3d, BatchStrategy};
-use perforad::sched::{compile_schedule, compile_schedule_nests, TunedConfig};
+use perforad::sched::{compile_schedule, compile_schedule_nests, run_tuned, Schedule, TunedConfig};
 
 #[global_allocator]
 static GLOBAL: common::CountingAlloc = common::CountingAlloc;
@@ -307,9 +307,9 @@ fn golden_digest_pins_the_gradient_bits_across_sweeps_and_strategies() {
     }
 }
 
-/// The tiles one back step and one primal step of `cfg` run under `tuned`:
-/// what each moves its lowering's tile counter by.
-fn tiles_per_step(cfg: &SeismicConfig, tuned: &TunedConfig) -> (usize, usize) {
+/// The back step of `cfg`'s c-active wave adjoint as the seismic sweep
+/// compiles it under `tuned` (accumulate mode), with a workspace for it.
+fn back_step(cfg: &SeismicConfig, tuned: &TunedConfig) -> (Schedule, Workspace, Binding) {
     let adj = wave3d::nest()
         .adjoint(&wave3d::activity_with_c(), &AdjointOptions::default())
         .unwrap();
@@ -320,6 +320,14 @@ fn tiles_per_step(cfg: &SeismicConfig, tuned: &TunedConfig) -> (usize, usize) {
     }
     let opts = tuned.sched_options().with_accumulate(true);
     let back = compile_schedule(&adj, &ws, &bind, &opts).unwrap();
+    (back, ws, bind)
+}
+
+/// The tiles one back step and one primal step of `cfg` run under `tuned`:
+/// what each moves its lowering's tile counter by.
+fn tiles_per_step(cfg: &SeismicConfig, tuned: &TunedConfig) -> (usize, usize) {
+    let (back, ws, bind) = back_step(cfg, tuned);
+    let opts = tuned.sched_options().with_accumulate(true);
     let primal = compile_schedule_nests(&[wave3d::nest()], &ws, &bind, false, &opts).unwrap();
     (back.tile_count(), primal.tile_count())
 }
@@ -537,4 +545,74 @@ fn warm_checkpointed_run_allocates_its_slots_once_not_a_state_per_load() {
         "warm checkpointed run allocates {warm} B = {:.2} grids",
         warm as f64 / grid_bytes as f64
     );
+}
+
+/// The names starting `pf_` in an artifact's string tables. The artifact
+/// is stripped, so what is left is what it exports.
+fn exported_entries(so: &std::path::Path) -> Vec<String> {
+    let bytes = std::fs::read(so).expect("artifact bytes");
+    let names = bytes
+        .split(|&b| b == 0)
+        .filter_map(|s| std::str::from_utf8(s).ok())
+        .filter(|s| {
+            let name = s.strip_prefix("pf_").unwrap_or("");
+            !name.is_empty() && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
+        });
+    let names: std::collections::BTreeSet<&str> = names.collect();
+    names.into_iter().map(str::to_string).collect()
+}
+
+/// A warm back step of the c-active wave adjoint at n = 16, compiled as
+/// the seismic sweep compiles it (model-pinned, accumulate mode): its 53
+/// nests are one hull tile — the per-nest tiling ran 53 tiles — so a step
+/// makes one native call, and the group's artifact exports exactly that
+/// one entry.
+#[test]
+fn a_warm_back_step_is_one_tile_and_one_native_call() {
+    let _guard = suite_lock();
+    if !perforad::jit::available() {
+        eprintln!("skipped: no rustc toolchain available for JIT tests");
+        return;
+    }
+    // A `d` nothing else in this binary uses: the back step's module is
+    // built here, into this test's cache.
+    let cfg = SeismicConfig {
+        n: 16,
+        steps: 8,
+        d: 0.07,
+    };
+    let pool = ThreadPool::new(2);
+    assert_eq!(pin_model_config(&cfg, true, &pool), Lowering::Jit);
+    let cache = std::env::temp_dir().join(format!("perforad-batch-entry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache);
+    std::env::set_var("PERFORAD_JIT_CACHE", &cache);
+    let opts = checkpointed(Some(3), SnapshotBackend::Memory);
+    let plan = BatchPlan::new(&cfg, &velocity(cfg.n), &opts, &pool);
+    std::env::remove_var("PERFORAD_JIT_CACHE");
+    let tuned = plan.tuned();
+    assert_eq!(tuned.lowering, Lowering::Jit);
+
+    let (back, mut ws, _) = back_step(&cfg, tuned);
+    assert_eq!((back.source.len(), back.group_count()), (53, 1));
+    assert_eq!(back.tile_count(), 1, "one hull tile: {}", back.describe());
+    run_tuned(&back, tuned, &mut ws, &pool).unwrap();
+    perforad::obs::set_enabled(true);
+    let before = lowering_counts();
+    run_tuned(&back, tuned, &mut ws, &pool).unwrap();
+    let after = lowering_counts();
+    perforad::obs::set_enabled(false);
+    assert_eq!(after[0] - before[0], 1, "one tile, one native call");
+    assert_eq!((after[1], after[2]), (before[1], before[2]));
+
+    let name = format!("_{:016x}.so", back.groups[0].plan.fingerprint());
+    let so = std::fs::read_dir(&cache)
+        .expect("artifact directory")
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.to_string_lossy().ends_with(&name))
+        .expect("the accumulate group's artifact");
+    assert_eq!(exported_entries(&so), ["pf_g"]);
+    let lib = perforad::jit::loader::Library::open(&so).unwrap();
+    assert!(lib.sym("pf_g").is_ok() && lib.sym("pf_n0").is_err());
+    let _ = std::fs::remove_dir_all(&cache);
 }

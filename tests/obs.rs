@@ -216,8 +216,9 @@ fn a_recorded_gradient_is_traced_per_region_not_per_tile() {
 fn a_pooled_group_records_one_worker_span_per_worker() {
     let _guard = obs_test();
     let (mut ws, bind) = wave3d::workspace(16, 0.1);
-    let schedule = wave3d::adjoint_schedule(&ws, &bind, &SchedOptions::default().with_rows())
-        .expect("wave3d adjoint schedules");
+    // The default tile spans the whole n = 16 hull; cut it into four.
+    let opts = SchedOptions::default().with_rows().with_tile(&[4, 16, 16]);
+    let schedule = wave3d::adjoint_schedule(&ws, &bind, &opts).expect("wave3d adjoint schedules");
     assert!(schedule.groups.iter().all(|g| g.tiles.len() > 1));
     let pool = ThreadPool::new(2);
 

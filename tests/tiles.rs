@@ -1,0 +1,269 @@
+//! Hull tiles are bitwise the nest-by-nest order. A tile is a box of its
+//! plan's iteration hull — the bounding box of the plan's nests — and runs
+//! every nest's part of it: nest by nest on the interpreter and the row
+//! executor, in one call of the group's native entry on the JIT, where the
+//! nests whose rows line up run as row families (a row's boundary points
+//! inside the core's row loop). Only the order of points changes, never
+//! the order of the updates to one point, so every run must equal running
+//! each nest on its own, over its whole box, on the per-point interpreter.
+//!
+//! Checked over random DSL stencils of rank 1 to 3, the `Disjoint`,
+//! `Guarded` and `Padded` decompositions, plain and accumulate mode,
+//! every lowering (`Jit` with a toolchain), tile edges that cut a family
+//! mid-row (innermost edge 1 and 3, outer edge 1) and edges at or past the
+//! extents — so both the clamped and the constant-length family paths run
+//! — serially and on a 2-worker pool.
+
+use perforad::codegen::rust::{jit_group_module, JitGroupSpec};
+use perforad::exec::{compile_nests_opts, PlanOptions, Strategy};
+use perforad::jit::available;
+use perforad::prelude::*;
+use perforad::sched::{compile_schedule_nests, run_schedule_serial};
+
+mod common;
+use common::Rng;
+
+const COUNTERS: [&str; 3] = ["i", "j", "k"];
+
+/// A random gather stencil in the DSL, `r = Σ a·c[x+p]·u[x+q]` with some
+/// terms through `sin`, over the box that keeps every offset in range. The
+/// first term reads `c` and `u` at different innermost offsets, so the
+/// disjoint adjoint splits its rows into segments — a row family. The
+/// offsets shrink with the rank, so the 3-D adjoint stays a few dozen
+/// nests.
+fn random_stencil(rng: &mut Rng, rank: usize) -> String {
+    let reach = [2, 2, 1][rank - 1];
+    let counters = &COUNTERS[..rank];
+    let mut used = 1;
+    let mut at = |rng: &mut Rng, array: &str, inner: Option<i64>| {
+        let mut access = array.to_string();
+        for (d, c) in counters.iter().enumerate() {
+            let o = match inner {
+                Some(o) if d + 1 == rank => o,
+                _ => rng.range_i64(-reach, reach),
+            };
+            used = used.max(o.abs());
+            access += &match o {
+                0 => format!("[{c}]"),
+                _ => format!("[{c}{o:+}]"),
+            };
+        }
+        access
+    };
+    let mut terms = Vec::new();
+    for t in 0..rng.range_usize(2, 3) {
+        let a = [0.5, 1.0, 1.5, 2.0, 0.25][rng.range_usize(0, 4)];
+        let (p, q) = match t {
+            0 => (Some(0), Some([-1, 1][rng.range_usize(0, 1)])),
+            _ => (None, None),
+        };
+        let term = format!("{a:?}*{}*{}", at(rng, "c", p), at(rng, "u", q));
+        terms.push(match rng.range_i64(0, 2) {
+            0 => format!("sin({term})"),
+            _ => term,
+        });
+    }
+    let bounds: Vec<String> = counters
+        .iter()
+        .map(|c| format!("{c} in {used} .. n-{}", 1 + used))
+        .collect();
+    let centre: String = counters.iter().map(|c| format!("[{c}]")).collect();
+    format!(
+        "for {} {{ r{centre} = {}; }}",
+        bounds.join(", "),
+        terms.join(" + ")
+    )
+}
+
+/// Row families in the native module the emitter writes for `s`'s first
+/// group: one constant-length fast path each.
+fn families(s: &Schedule, bind: &Binding) -> usize {
+    let plan = &s.groups[0].plan;
+    let nests = s.group_source(0);
+    let last = plan.rank - 1;
+    let module = jit_group_module(&JitGroupSpec {
+        prefix: "pf",
+        nests: &nests,
+        arrays: &plan.arrays,
+        dims: &plan.dims,
+        strides: &plan.strides,
+        padded: plan.padded,
+        cse: s.cse,
+        accumulate: plan.accumulate,
+        sizes: &bind.sizes,
+        params: &bind.params,
+    })
+    .unwrap();
+    module.matches(&format!("if __tl{last} <= ")).count()
+}
+
+/// Random inputs, and random values in the two targets the adjoint adds
+/// into — an accumulate plan adds to them, a plain one updates them.
+fn workspace(rng: &mut Rng, dims: &[usize]) -> Workspace {
+    let mut ws = Workspace::new();
+    for name in ["u", "c", "r", "r_b", "u_b", "c_b"] {
+        ws.insert(name, Grid::from_fn(dims, |_| 2.0 * rng.unit() - 1.0));
+    }
+    ws
+}
+
+const TARGETS: [&str; 2] = ["u_b", "c_b"];
+
+/// The reference: every nest compiled and run on its own, over its whole
+/// box, on the per-point interpreter, in plan order.
+fn nest_by_nest(
+    nests: &[LoopNest],
+    ws: &Workspace,
+    bind: &Binding,
+    opts: PlanOptions,
+) -> Workspace {
+    let mut ws = ws.clone();
+    for nest in nests {
+        let plan = compile_nests_opts(std::slice::from_ref(nest), &ws, bind, opts).unwrap();
+        run(&plan, &mut ws, ExecMode::serial()).unwrap();
+    }
+    ws
+}
+
+fn assert_bitwise(tag: &str, got: &Workspace, want: &Workspace) {
+    for name in TARGETS {
+        let (g, w) = (got.grid(name).as_slice(), want.grid(name).as_slice());
+        for (k, (a, b)) in g.iter().zip(w).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{tag}: {name}[{k}]");
+        }
+    }
+}
+
+/// Per rank: edges of 1 everywhere, innermost 3 under outer 1 and 2 (a
+/// family cut mid-row), an innermost edge one short of the extent (a tile
+/// that misses only a row's last point), outer 1 under an innermost edge
+/// past the extent, and every edge past the extents (one tile,
+/// constant-length families).
+fn edge_sets(rank: usize, n: usize) -> Vec<Vec<i64>> {
+    let past = n as i64 + 5;
+    let with = |outer: i64, inner: i64| {
+        let mut e = vec![outer; rank];
+        e[rank - 1] = inner;
+        e
+    };
+    vec![
+        with(1, 1),
+        with(1, 3),
+        with(2, 3),
+        with(1, n as i64 - 1),
+        with(1, past),
+        with(past, past),
+    ]
+}
+
+#[test]
+fn hull_tiles_are_bitwise_the_nest_by_nest_order() {
+    let mut rng = Rng::new(0x7113_2031);
+    let act = ["u", "c", "r"]
+        .into_iter()
+        .fold(ActivityMap::new(), ActivityMap::with_suffixed);
+    let dir = std::env::temp_dir().join(format!("perforad-tiles-{}", std::process::id()));
+    let jit = JitOptions::default().with_cache_dir(&dir);
+    let mut lowerings = vec![Lowering::PerPoint, Lowering::Rows];
+    if available() {
+        lowerings.push(Lowering::Jit);
+    } else {
+        eprintln!("no rustc toolchain: Jit not covered");
+    }
+    let pool = ThreadPool::new(2);
+    let mut runs = 0;
+    let mut family_cases = 0;
+    for case in 0..6 {
+        let rank = 1 + case % 3;
+        let text = random_stencil(&mut rng, rank);
+        let nest = parse_stencil(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let n = [14, 10, 8][rank - 1] + rng.range_usize(0, 2);
+        let dims = vec![n; rank];
+        let bind = Binding::new().size("n", n as i64);
+        let inputs = workspace(&mut rng, &dims);
+        for strategy in [
+            BoundaryStrategy::Disjoint,
+            BoundaryStrategy::Guarded,
+            BoundaryStrategy::Padded,
+        ] {
+            let adj = nest
+                .adjoint(&act, &AdjointOptions::default().with_strategy(strategy))
+                .unwrap();
+            let padded = strategy == BoundaryStrategy::Padded;
+            for accumulate in [false, true] {
+                // A guarded nest's increments to one array sit under
+                // different guards: accumulate mode refuses it.
+                if accumulate && strategy == BoundaryStrategy::Guarded {
+                    continue;
+                }
+                let popts = PlanOptions {
+                    padded,
+                    accumulate,
+                    ..PlanOptions::default()
+                };
+                let want = nest_by_nest(&adj.nests, &inputs, &bind, popts);
+                if strategy == BoundaryStrategy::Disjoint && !accumulate {
+                    let s = compile_schedule_nests(
+                        &adj.nests,
+                        &inputs,
+                        &bind,
+                        false,
+                        &SchedOptions::default(),
+                    )
+                    .unwrap();
+                    family_cases += (families(&s, &bind) > 0) as usize;
+                }
+                assert_ne!(
+                    want.grid("u_b").as_slice(),
+                    inputs.grid("u_b").as_slice(),
+                    "{text}: the reference wrote something"
+                );
+                for &lowering in &lowerings {
+                    let base = SchedOptions::default()
+                        .with_lowering(lowering)
+                        .with_accumulate(accumulate);
+                    for edges in edge_sets(rank, n) {
+                        let tag = format!(
+                            "{text} n={n} {strategy:?} accumulate={accumulate} \
+                             {lowering:?} tile {edges:?}"
+                        );
+                        let opts = base.clone().with_tile(&edges);
+                        let s = compile_schedule_nests(&adj.nests, &inputs, &bind, padded, &opts)
+                            .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                        if lowering == Lowering::Jit {
+                            prepare_schedule(&s, &bind, &jit)
+                                .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                        }
+                        let mut serial = inputs.clone();
+                        run_schedule_serial(&s, &mut serial).unwrap();
+                        assert_bitwise(&format!("{tag}, serial"), &serial, &want);
+                        let mut pooled = inputs.clone();
+                        run_schedule(&s, &mut pooled, &pool).unwrap();
+                        assert_bitwise(&format!("{tag}, 2 workers"), &pooled, &want);
+                        runs += 2;
+                    }
+                    // `exec::run` on the same plans: whole-row slabs of the
+                    // hull on the pool, the whole hull serially.
+                    let s =
+                        compile_schedule_nests(&adj.nests, &inputs, &bind, padded, &base).unwrap();
+                    for strategy_of in [Strategy::Serial, Strategy::Parallel(&pool)] {
+                        let mut ws = inputs.clone();
+                        for g in &s.groups {
+                            let mode = ExecMode {
+                                strategy: strategy_of,
+                                lowering,
+                            };
+                            run(&g.plan, &mut ws, mode).unwrap();
+                        }
+                        let tag = format!("{text} {strategy:?} {accumulate} {lowering:?} run");
+                        assert_bitwise(&tag, &ws, &want);
+                        runs += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(runs > 400, "{runs} runs compared");
+    assert_eq!(family_cases, 6, "every disjoint adjoint has a row family");
+    let _ = std::fs::remove_dir_all(dir);
+}
