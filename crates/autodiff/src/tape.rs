@@ -92,7 +92,7 @@ impl Tape {
     }
 
     /// Reverse sweep: gradient of the variable `output` with respect to
-    /// every recorded node. Index with [`Var::index`].
+    /// every recorded node. Index with [`Var::tape_index`].
     pub fn gradient(&self, output: &Var<'_>) -> Vec<f64> {
         let nodes = self.nodes.borrow();
         let mut adj = vec![0.0; nodes.len()];

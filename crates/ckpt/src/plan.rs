@@ -253,7 +253,7 @@ impl CheckpointPlan {
     /// `Arc`, so drivers that replay the same plan shape — every shot of
     /// a batched seismic gradient, every iteration of an inversion loop —
     /// skip the recursive construction. The cache is bounded (it resets
-    /// past [`ACTION_CACHE_CAP`] distinct shapes, far more than any
+    /// past `ACTION_CACHE_CAP` distinct shapes, far more than any
     /// workload sweeps) and the entries are immutable, so sharing across
     /// threads is free.
     pub fn actions_cached(&self) -> Arc<Vec<CkptAction>> {

@@ -11,18 +11,13 @@
 //! * [`rust`] — Rust back-end producing compilable kernels, chunkable over
 //!   the outermost loop for parallel execution; used to generate the static
 //!   kernels in `perforad-pde` (golden-tested against this generator).
-//! * [`fortran`] — Fortran 90 back-end (`!$omp parallel do`, `merge` for
-//!   piecewise derivatives) — the second back-end §3.1 names as the goal of
-//!   the modular design.
 //! * [`frontend`] — a small DSL parser (`for i in 1 .. n-1 { r[i] = …; }`),
 //!   the "new front-ends" extension point the paper leaves as future work.
 
 pub mod c;
-pub mod fortran;
 pub mod frontend;
 pub mod rust;
 
 pub use c::{c_expr, c_nest, print_function, COptions};
-pub use fortran::{f_expr, f_nest, print_subroutine};
 pub use frontend::{parse_expr, parse_stencil, ParseError};
 pub use rust::{print_module, r_expr, r_nest_fn};

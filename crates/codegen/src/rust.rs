@@ -858,11 +858,11 @@ fn jit_item(e: &mut String, runs: &[&JitRun], row: &str, last: usize) {
 
 /// Generate a self-contained crate-root source module for one fused
 /// group: the bitwise-exact helper prelude, every nest's row bodies
-/// ([`jit_nest`]), and **one** `extern "C"` entry point `{prefix}_g`
+/// (`jit_nest`), and **one** `extern "C"` entry point `{prefix}_g`
 /// taking an inclusive per-rank box of the group's iteration hull and the
 /// plan's array base pointers in slot order. The entry runs every nest's
-/// part of the box: row families ([`jit_items`]) share one outer walk,
-/// every other run keeps its own ([`jit_item`]), so the boundary points of
+/// part of the box: row families (`jit_items`) share one outer walk,
+/// every other run keeps its own (`jit_item`), so the boundary points of
 /// a row run inside the core's row loop rather than in passes of their
 /// own over arrays the core already streamed.
 ///

@@ -33,7 +33,7 @@
 //!
 //! Modules:
 //! * [`nest`] — the loop-nest IR ([`LoopNest`], [`Statement`], [`Bound`]);
-//! * [`validate`] — the §3.4 restrictions;
+//! * [`mod@validate`] — the §3.4 restrictions;
 //! * [`adjoint`] — the transformation (§3.3) with three boundary strategies;
 //! * [`regions`] — disjoint iteration-space decomposition (§3.3.3–3.3.4);
 //! * [`scatter`] — the conventional scatter adjoint baseline;

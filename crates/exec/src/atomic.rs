@@ -8,7 +8,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// An `f64` supporting atomic fetch-add via CAS.
+/// An `f64` supporting atomic fetch-add via CAS. `repr(transparent)` over
+/// `AtomicU64`, of `f64`'s size and alignment, so the executor's atomic
+/// mode adds through an `f64`'s address.
 #[repr(transparent)]
 pub struct AtomicF64(AtomicU64);
 
@@ -45,18 +47,6 @@ impl AtomicF64 {
     }
 }
 
-/// Reinterpret a mutable `f64` slice as a slice of [`AtomicF64`].
-///
-/// Sound because `AtomicF64` is `#[repr(transparent)]` over `AtomicU64`,
-/// which has the same size and alignment as `u64`/`f64`, and the exclusive
-/// borrow guarantees no other non-atomic access for the lifetime.
-pub fn as_atomic_slice(data: &mut [f64]) -> &[AtomicF64] {
-    // SAFETY: `AtomicF64` is `repr(transparent)` over `AtomicU64`, of
-    // `f64`'s size and alignment, and the exclusive borrow keeps every
-    // non-atomic access out for the slice's lifetime.
-    unsafe { &*(data as *mut [f64] as *const [AtomicF64]) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,31 +61,19 @@ mod tests {
     }
 
     #[test]
-    fn atomic_slice_view_roundtrips() {
-        let mut v = vec![0.0f64; 4];
-        {
-            let atoms = as_atomic_slice(&mut v);
-            atoms[2].fetch_add(5.0);
-            atoms[2].fetch_add(0.5);
-        }
-        assert_eq!(v, vec![0.0, 0.0, 5.5, 0.0]);
-    }
-
-    #[test]
     fn concurrent_accumulation_is_exact_for_integers() {
         // Sum of integers is exact in f64, so the result is deterministic
         // regardless of interleaving.
-        let mut v = vec![0.0f64; 1];
-        let atoms = as_atomic_slice(&mut v);
+        let a = AtomicF64::new(0.0);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..10_000 {
-                        atoms[0].fetch_add(1.0);
+                        a.fetch_add(1.0);
                     }
                 });
             }
         });
-        assert_eq!(v[0], 40_000.0);
+        assert_eq!(a.load(), 40_000.0);
     }
 }

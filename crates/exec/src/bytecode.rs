@@ -364,9 +364,10 @@ impl Program {
                         "VM load out of range: {idx} not in 0..{}",
                         a.len
                     );
-                    // SAFETY: plan compilation proved every (bounds, offset)
-                    // combination of this statement inside the array, and
-                    // points are only evaluated inside their nest's bounds.
+                    // SAFETY: F1 — plan compilation proved every (bounds,
+                    // offset) combination of this statement inside the
+                    // array, and points are only evaluated inside their
+                    // nest's bounds.
                     stack.push(unsafe { *a.ptr.offset(idx) });
                 }
                 Op::LoadPadded { slot, offsets } => {
@@ -383,8 +384,8 @@ impl Program {
                     }
                     if inside {
                         debug_assert!((lin as usize) < a.len);
-                        // SAFETY: every dimension was checked inside the
-                        // extents just above, so `lin` lies in the array.
+                        // SAFETY: F1's padded case — every dimension was
+                        // checked inside the extents just above.
                         stack.push(unsafe { *a.ptr.offset(lin) });
                     } else {
                         stack.push(0.0);

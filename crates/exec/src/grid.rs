@@ -116,18 +116,6 @@ impl Grid {
         self.data[lin] = v;
     }
 
-    /// Signed-index load with zero padding outside the physical extents.
-    pub fn get_padded(&self, idx: &[i64]) -> f64 {
-        let mut lin = 0usize;
-        for (d, &i) in idx.iter().enumerate() {
-            if i < 0 || i as usize >= self.dims[d] {
-                return 0.0;
-            }
-            lin += i as usize * self.strides[d];
-        }
-        self.data[lin]
-    }
-
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
     }
@@ -187,14 +175,6 @@ mod tests {
         assert_eq!(g.get(&[0, 0]), 0.0);
         assert_eq!(g.get(&[2, 3]), 23.0);
         assert_eq!(g.linear(&[1, 2]), 6);
-    }
-
-    #[test]
-    fn padded_loads_return_zero_outside() {
-        let g = Grid::from_fn(&[2, 2], |ix| (ix[0] + ix[1]) as f64 + 1.0);
-        assert_eq!(g.get_padded(&[0, 0]), 1.0);
-        assert_eq!(g.get_padded(&[-1, 0]), 0.0);
-        assert_eq!(g.get_padded(&[0, 2]), 0.0);
     }
 
     #[test]

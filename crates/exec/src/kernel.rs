@@ -2,9 +2,10 @@
 //!
 //! A [`Plan`] fixes everything the inner loops need: resolved integer
 //! bounds, array slots, bytecode programs with parameters inlined, write
-//! offsets, guards. Building a plan also proves memory safety (every access
-//! of every iteration is in range, write arrays don't alias read arrays), so
-//! the execution loops in [`crate::tile`] can use unchecked loads.
+//! offsets, guards. Building a plan also proves memory safety — every
+//! write at `counter + c` and every access in range (F1), no read of a
+//! written array (F2) — so the execution loops in [`crate::tile`] can use
+//! unchecked loads. The compiled plan is that proof; nothing re-checks it.
 
 use crate::bytecode::{compile, compile_with_bindings, CompileCtx, Program};
 use crate::error::ExecError;
@@ -66,23 +67,21 @@ impl NestPlan {
     }
 }
 
-/// A fully bound, validated, executable set of loop nests. Immutable once
-/// compiled: the fields are public to be read, and [`Plan::fingerprint`]
-/// is cached on the assumption that nothing writes them afterwards.
+/// A fully bound, validated, executable set of loop nests, and the proof
+/// that running it is memory safe: facts F1 and F2 of [`crate::tile`]
+/// hold for every plan [`compile_nests_opts`] returns. Immutable once
+/// compiled — the fields are read through accessors, so no safe code can
+/// edit the proof (or the cached [`Plan::fingerprint`]) afterwards.
 #[derive(Clone, Debug)]
 pub struct Plan {
-    pub rank: usize,
-    pub dims: Vec<usize>,
-    pub strides: Vec<usize>,
-    /// Array slot order.
-    pub arrays: Vec<Symbol>,
-    pub nests: Vec<NestPlan>,
-    /// All statements write at the centre point (parallel-safe without atomics).
-    pub gather_only: bool,
-    /// Loads use zero-padding semantics.
-    pub padded: bool,
-    /// Compiled in accumulate mode ([`PlanOptions::accumulate`]).
-    pub accumulate: bool,
+    pub(crate) rank: usize,
+    pub(crate) dims: Vec<usize>,
+    pub(crate) strides: Vec<usize>,
+    pub(crate) arrays: Vec<Symbol>,
+    pub(crate) nests: Vec<NestPlan>,
+    pub(crate) gather_only: bool,
+    pub(crate) padded: bool,
+    pub(crate) accumulate: bool,
     /// [`Plan::hull`], bounded once at compile time.
     hull: Option<(Vec<i64>, Vec<i64>)>,
     /// [`Plan::fingerprint`], hashed on first use.
@@ -104,6 +103,47 @@ fn bounding_box(nests: &[NestPlan]) -> Option<(Vec<i64>, Vec<i64>)> {
 }
 
 impl Plan {
+    /// Number of loop dimensions.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Extents every array of the plan shares, outermost first.
+    pub fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    /// Row-major strides of those extents.
+    pub fn strides(&self) -> &[usize] {
+        &self.strides
+    }
+
+    /// The arrays the plan reads and writes, in slot order.
+    pub fn arrays(&self) -> &[Symbol] {
+        &self.arrays
+    }
+
+    /// The compiled nests, in plan order.
+    pub fn nests(&self) -> &[NestPlan] {
+        &self.nests
+    }
+
+    /// True when every statement writes at its centre point, so disjoint
+    /// tiles run in parallel without atomics (fact F3 of [`crate::tile`]).
+    pub fn gather_only(&self) -> bool {
+        self.gather_only
+    }
+
+    /// True when out-of-range loads read zero padding.
+    pub fn padded(&self) -> bool {
+        self.padded
+    }
+
+    /// True when compiled in accumulate mode ([`PlanOptions::accumulate`]).
+    pub fn accumulate(&self) -> bool {
+        self.accumulate
+    }
+
     /// Total iteration points over all nests.
     pub fn points(&self) -> u64 {
         self.nests.iter().map(NestPlan::points).sum()
@@ -125,14 +165,6 @@ impl Plan {
                 .product()
         };
         self.nests.iter().filter(|n| !n.empty).map(overlap).sum()
-    }
-
-    /// Slots that are written by at least one statement.
-    pub fn write_slots(&self) -> BTreeSet<usize> {
-        self.nests
-            .iter()
-            .flat_map(|n| n.stmts.iter().map(|s| s.out_slot))
-            .collect()
     }
 
     /// Total statements across all nests.
@@ -401,6 +433,7 @@ pub fn compile_nests_opts(
             });
         }
     }
+    // F2: no nest reads an array the plan writes.
     for w in &write_names {
         if read_names.contains(w) {
             return Err(ExecError::AliasedWrite(w.name().to_string()));
@@ -477,7 +510,7 @@ pub fn compile_nests_opts(
 
         let mut stmts = Vec::with_capacity(nest.body.len());
         for s in &nest.body {
-            // Write offsets relative to the counters.
+            // F1: every write index is `counter + c`.
             if s.lhs.indices.len() != rank {
                 let what = format!("write `{}` in a rank-{rank} nest", s.lhs);
                 return Err(ExecError::Unsupported(what));
@@ -527,8 +560,8 @@ pub fn compile_nests_opts(
             let rhs_plan = rhs_plans
                 .get_mut(&s.rhs)
                 .expect("the array sweep met every right-hand side");
-            // Range-validate the write and (when not padded) every read.
-            // Only the offsets are remembered: the proof is this
+            // F1: range-validate the write and (when not padded) every
+            // read. Only the offsets are remembered: the proof is this
             // statement's, against its own effective bounds.
             if !empty && !never_runs {
                 for (d, o) in write_offsets.iter().enumerate() {

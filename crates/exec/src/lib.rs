@@ -13,13 +13,15 @@
 //! * [`regir`]/[`rows`] — the second lowering stage: stack programs
 //!   converted to a register-based linear IR and evaluated over whole
 //!   innermost-dimension rows in vectorizable lane chunks;
-//! * [`kernel`]/[`run`] — plans binding loop nests to storage, executed by
-//!   the one [`run()`] function: serially, gather-parallel (race-free by
-//!   construction), or scatter-parallel with atomics (the
-//!   conventional-adjoint baseline), as its [`ExecMode`] asks;
-//! * [`tile`] — [`TileRunner`], the one place plan points execute, and
-//!   [`tile_plan`], the one tiler: a tile is a box of the plan's
-//!   iteration hull; `run` hands the runner whole-row slabs of it,
+//! * [`kernel`]/[`mod@run`] — read-only plans binding loop nests to storage
+//!   (a compiled [`Plan`] is the proof its points run safely), executed
+//!   serially, gather-parallel (race-free by construction), or
+//!   scatter-parallel with atomics (the conventional-adjoint baseline), as
+//!   an [`ExecMode`] asks;
+//! * [`tile`] — the one place plan points execute, and [`tile_plan`], the
+//!   one tiler: a [`Tiling`] is disjoint boxes of a plan's iteration hull.
+//!   [`run_tiling`] is the one driver and the one place the gather proof's
+//!   parallel fact is checked; [`run()`] hands it whole-row slabs,
 //!   `perforad-sched` cache-blocked boxes.
 //!
 //! ## The two-stage lowering pipeline
@@ -40,8 +42,8 @@
 //!    fixed-width lane chunks with guards and zero-padding hoisted out of
 //!    the inner loop (see [`rows`]). Both execution surfaces —
 //!    [`run()`] and `perforad-sched`'s schedules — accept the switch and
-//!    hand it to the [`TileRunner`] they both run through; the lowerings
-//!    produce bitwise-identical results.
+//!    hand it to [`run_tiling`], which they both run through; the
+//!    lowerings produce bitwise-identical results.
 //!
 //! ```
 //! use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
@@ -91,7 +93,7 @@ pub mod run;
 pub mod tile;
 pub mod workspace;
 
-pub use atomic::{as_atomic_slice, AtomicF64};
+pub use atomic::AtomicF64;
 pub use error::ExecError;
 pub use grid::Grid;
 pub use kernel::{
@@ -101,6 +103,6 @@ pub use kernel::{
 pub use native::{fnv1a64, native_lookup, register_native, NativeGroup, NativeTileFn};
 pub use pool::{default_pool, ThreadPool};
 pub use regir::RegProgram;
-pub use run::{run, ExecMode, ExecStats, Lowering, Strategy};
-pub use tile::{tile_plan, Tile, TileRunner, TileScratch};
+pub use run::{run, run_tiling, ExecMode, ExecStats, Lowering, Strategy, TilePolicy};
+pub use tile::{tile_plan, Tile, Tiling};
 pub use workspace::{Binding, Workspace};

@@ -7,9 +7,9 @@
 //! sits above the scheduler), so the two meet here: the JIT registers a
 //! [`NativeGroup`] — the one `extern "C"` entry point of a compiled fusion
 //! group — under the plan's structural
-//! [`fingerprint`](crate::Plan::fingerprint), and [`crate::TileRunner`] —
+//! [`fingerprint`](crate::Plan::fingerprint), and the tile runner —
 //! which every execution surface runs through — resolves the same key
-//! once per runner. The fingerprint hashes every nest's bounds and
+//! once per run. The fingerprint hashes every nest's bounds and
 //! statements, so a module found under it was emitted for exactly this
 //! plan's nest list. A missing entry is not an error: the caller falls
 //! back to the vectorized row executor, which is bitwise-identical, so
@@ -36,7 +36,17 @@ pub struct NativeGroup {
 }
 
 impl NativeGroup {
-    pub fn new(
+    /// The group for `entry`, to be registered under one plan's
+    /// fingerprint.
+    ///
+    /// # Safety
+    ///
+    /// Register it only under the fingerprint of a plan `entry` was
+    /// emitted for. Called with a box of that plan's hull and its base
+    /// pointers, `entry` must touch only what the plan's statements touch
+    /// over the box ∩ each nest's bounds (fact F1 of [`crate::tile`]), so
+    /// that F3 carries over from the tile driver.
+    pub unsafe fn new(
         entry: NativeTileFn,
         keepalive: Option<Arc<dyn std::any::Any + Send + Sync>>,
     ) -> Self {
@@ -52,9 +62,9 @@ impl NativeGroup {
     ///
     /// `lo` and `hi` must hold one bound per dimension of the plan the
     /// group was compiled for, and `arrays` that plan's base pointers in
-    /// slot order, with the extents the plan was compiled against;
-    /// concurrent callers must cover disjoint write sets (the same
-    /// contract as [`crate::TileRunner::run_tile`]).
+    /// slot order, with the extents the plan was compiled against (fact
+    /// F1 of [`crate::tile`] then covers every access); concurrent callers
+    /// must hold fact F3 — disjoint boxes of one tiling of a gather plan.
     #[inline]
     pub unsafe fn run_box(&self, lo: &[i64], hi: &[i64], arrays: &[*mut f64]) {
         debug_assert_eq!(lo.len(), hi.len());
@@ -137,11 +147,6 @@ pub fn native_lookup(fingerprint: u64) -> Option<Arc<NativeGroup>> {
         .cloned()
 }
 
-/// Number of registered native groups (diagnostics / tests).
-pub fn native_registered() -> usize {
-    registry().read().expect("native registry lock").len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,17 +167,18 @@ mod tests {
 
     #[test]
     fn register_and_run_round_trip() {
-        let group = Arc::new(NativeGroup::new(fill_seven, None));
+        // SAFETY: registered under a key no plan hashes to, and run below
+        // only over a box inside its one buffer.
+        let group = Arc::new(unsafe { NativeGroup::new(fill_seven, None) });
         register_native(0xABCD_0001, group);
         let g = native_lookup(0xABCD_0001).expect("registered group resolves");
         let mut data = vec![0.0f64; 6];
         let ptrs = [data.as_mut_ptr()];
-        // SAFETY: rank 1 as `fill_seven` reads it, the box lies inside the
-        // one buffer, and a single thread cannot race.
+        // SAFETY: F1 — rank 1 as `fill_seven` reads it, and the box lies
+        // inside the one buffer; F3 — a single thread cannot race.
         unsafe { g.run_box(&[1], &[4], &ptrs) };
         assert_eq!(data, vec![0.0, 7.0, 7.0, 7.0, 7.0, 0.0]);
         assert!(native_lookup(0xABCD_0002).is_none());
-        assert!(native_registered() >= 1);
     }
 
     #[test]

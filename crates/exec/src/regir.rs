@@ -1,6 +1,6 @@
 //! Register-based linear IR — the second lowering stage of the pipeline.
 //!
-//! The stack [`Program`](crate::bytecode::Program) produced by
+//! The stack [`Program`] produced by
 //! [`crate::bytecode::compile`] is convenient to build but expensive to
 //! interpret: every op pays stack push/pop traffic and the dispatch loop
 //! runs once per grid point. This module lowers each stack program into a
@@ -182,14 +182,6 @@ pub struct RegProgram {
     pub n_regs: usize,
     /// Register holding the statement's value after the last op.
     pub result: Reg,
-}
-
-impl RegProgram {
-    /// True when no load has zero-padding semantics (the whole row is
-    /// interior).
-    pub fn is_pad_free(&self) -> bool {
-        self.pads.is_empty()
-    }
 }
 
 /// Lowering state: abstract stack of register names plus per-register

@@ -15,7 +15,7 @@
 //! * **guards** — outer-dimension guard bounds are checked once per row,
 //!   and the innermost guard clamps the row interval up front;
 //! * **zero padding** — each padded load's outer-dimension offsets are
-//!   resolved once per row (a [`PadRow`]), and the row is split into
+//!   resolved once per row (a `PadRow`), and the row is split into
 //!   (padded-edge, unguarded-interior, padded-edge) segments so the
 //!   interior path uses plain offset loads with no branches.
 //!
@@ -167,12 +167,12 @@ pub(crate) fn exec_row(
             if a > b {
                 return;
             }
-            // SAFETY: `[a, b]` lies inside the row the caller proved in the
-            // nest's bounds (clamped further by the statement's guard), so
-            // the plan's range proof covers every unpadded load and the
-            // write; padded loads are checked per lane on edge segments and
-            // proven per row on the interior; parallel callers write
-            // disjoint points or atomically (`run_segment`'s contract).
+            // SAFETY: F1 — `[a, b]` lies inside the row the caller proved
+            // in the nest's bounds (clamped further by the statement's
+            // guard), so the plan's range proof covers every unpadded load
+            // and the write; padded loads are checked per lane on edge
+            // segments and proven per row on the interior. F3 — parallel
+            // callers write disjoint points or atomically.
             unsafe {
                 run_segment(
                     prog,
@@ -209,10 +209,10 @@ pub(crate) fn exec_row(
 ///
 /// # Safety
 ///
-/// The caller must guarantee the plan's range proof covers every load and
-/// the write target for every point in the segment (edge mode additionally
-/// bounds-checks padded loads per lane), and that concurrent callers write
-/// disjoint locations unless `atomic`.
+/// Fact F1 of [`crate::tile`] must cover every load and the write target
+/// for every point in the segment (edge mode additionally bounds-checks
+/// padded loads per lane), and concurrent callers must hold F3: disjoint
+/// locations unless `atomic`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn run_segment(
     prog: &RegProgram,

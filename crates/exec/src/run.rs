@@ -1,17 +1,15 @@
-//! Plan execution: [`run`] is the one entry point; its [`ExecMode`] picks
-//! serial, pool-parallel (gather) or pool-parallel with atomics (scatter),
-//! each with any of three lowerings.
+//! Plan execution: [`run_tiling`] is the one tile driver, and [`run`] cuts
+//! a plan into slabs for it; an [`ExecMode`] picks serial, pool-parallel
+//! (gather) or pool-parallel with atomics (scatter), each with any of three
+//! lowerings.
 //!
 //! Parallelisation follows the paper's OpenMP usage: the outermost loop
-//! dimension is chunked across threads. Gather nests need no further care —
-//! every iteration writes its own centre point, and the nests of a disjoint
-//! adjoint never overlap, so the chunks — slabs of the bounding box of all
-//! nests, each running every nest's part — go into one parallel region
-//! with no barriers (§3.3.4). Scatter nests are raced unless each update
-//! is atomic; [`Strategy::ParallelAtomic`] is the `#pragma omp atomic`
-//! equivalent whose cost the paper's "Atomics" series measures. Each chunk
-//! is a [`Tile`] executed by [`TileRunner`], the same runner fused
-//! schedules use — there is no second executor.
+//! dimension is chunked across threads. A gather plan's iterations write
+//! only their centre points, so the chunks — whole-row slabs of the plan's
+//! hull — go into one parallel region with no barriers (§3.3.4). Scatter
+//! plans race unless each update is atomic; [`Strategy::ParallelAtomic`]
+//! is the `#pragma omp atomic` equivalent whose cost the paper's
+//! "Atomics" series measures.
 //!
 //! Orthogonally to the parallel strategy, a run uses one of three
 //! lowerings ([`Lowering`]): the per-point stack interpreter (the
@@ -24,7 +22,7 @@
 use crate::error::ExecError;
 use crate::kernel::Plan;
 use crate::pool::ThreadPool;
-use crate::tile::{tile_plan, Tile, TileRunner, TileScratch};
+use crate::tile::{tile_plan, Tile, TileRunner, TileScratch, Tiling};
 use crate::workspace::Workspace;
 
 /// Execution statistics.
@@ -69,6 +67,20 @@ pub enum Strategy<'a> {
     /// (`#pragma omp atomic`). Correct for any plan; slow under contention —
     /// which is the point of the paper's baseline.
     ParallelAtomic(&'a ThreadPool),
+}
+
+/// How [`run_tiling`] assigns tiles to pool workers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum TilePolicy {
+    /// Tiles are pre-assigned to workers by longest-processing-time
+    /// balancing of their point counts (OpenMP `schedule(static)` in
+    /// spirit: zero runtime coordination).
+    Static,
+    /// Workers pull tiles from the pool's work queue as they finish
+    /// (OpenMP `schedule(dynamic)`), absorbing the irregular boundary
+    /// tiles without idling.
+    #[default]
+    Dynamic,
 }
 
 /// How to run a plan: a parallel [`Strategy`] plus a [`Lowering`].
@@ -132,12 +144,11 @@ impl<'a> From<Strategy<'a>> for ExecMode<'a> {
 /// outermost dimension into at most `chunks` slabs of whole rows (one
 /// slab — the whole hull — when `chunks` is 1), slabs that hold no point
 /// dropped.
-fn job_tiles(plan: &Plan, chunks: usize) -> Vec<Tile> {
-    let Some((lo, hi)) = plan.hull() else {
-        return Vec::new();
-    };
+fn job_tiles(plan: &Plan, chunks: usize) -> Tiling {
     let mut edges = vec![i64::MAX; plan.rank];
-    edges[0] = (hi[0] - lo[0] + chunks as i64) / chunks as i64;
+    if let Some((lo, hi)) = plan.hull() {
+        edges[0] = (hi[0] - lo[0] + chunks as i64) / chunks as i64;
+    }
     tile_plan(plan, &edges)
 }
 
@@ -146,37 +157,90 @@ fn job_tiles(plan: &Plan, chunks: usize) -> Vec<Tile> {
 /// [`Strategy::Serial`] runs the whole hull as one tile on the calling
 /// thread: each nest's whole box, in nest order. [`Strategy::Parallel`]
 /// needs a gather-only plan ([`ExecError::ScatterNeedsAtomics`]
-/// otherwise); for adjoint plans from [`crate::kernel::compile_adjoint`]
-/// the nests are disjoint, so all `threads × 4` outer-dimension slabs of
-/// the hull go through the pool's work queue in one region, without
-/// barriers. [`Strategy::ParallelAtomic`] is correct for any plan.
+/// otherwise); all `threads × 4` outer-dimension slabs of the hull go
+/// through the pool's work queue in one region, without barriers.
+/// [`Strategy::ParallelAtomic`] is correct for any plan.
 pub fn run(plan: &Plan, ws: &mut Workspace, mode: ExecMode<'_>) -> Result<ExecStats, ExecError> {
+    let chunks = match mode.strategy {
+        Strategy::Serial => 1,
+        Strategy::Parallel(pool) | Strategy::ParallelAtomic(pool) => pool.size() * 4,
+    };
+    let tiles = job_tiles(plan, chunks);
+    run_tiling(plan, &tiles, ws, mode, TilePolicy::Dynamic)
+}
+
+/// Run every tile of `tiling`, cut from `plan` by [`tile_plan`], against
+/// `ws`: in tiling order on the calling thread ([`Strategy::Serial`]), or
+/// on the pool through its work queue ([`TilePolicy::Dynamic`]) or in
+/// pre-assigned LPT bins ([`TilePolicy::Static`]).
+///
+/// The one driver of the tile runner, and the one place fact F3 of
+/// [`crate::tile`] is checked: a plan that is not gather-only runs only
+/// with atomic writes, or as a single tile on the calling thread —
+/// anything else is [`ExecError::ScatterNeedsAtomics`], before any tile
+/// runs. (Even serially, two tiles of a scatter plan would reorder the
+/// updates to one point.)
+///
+/// # Panics
+///
+/// When a tile's rank is not the plan's, or its box escapes the plan's
+/// iteration hull: the tiling was cut for another plan.
+pub fn run_tiling(
+    plan: &Plan,
+    tiling: &Tiling,
+    ws: &mut Workspace,
+    mode: ExecMode<'_>,
+    policy: TilePolicy,
+) -> Result<ExecStats, ExecError> {
     let (pool, atomic) = match mode.strategy {
         Strategy::Serial => (None, false),
-        Strategy::Parallel(_) if !plan.gather_only => return Err(ExecError::ScatterNeedsAtomics),
         Strategy::Parallel(pool) => (Some(pool), false),
         Strategy::ParallelAtomic(pool) => (Some(pool), true),
     };
-    let runner = TileRunner::pin(plan, ws, atomic)?.with_lowering(mode.lowering);
-    let tiles = job_tiles(plan, pool.map_or(1, |p| p.size() * 4));
+    if !plan.gather_only && !atomic && (pool.is_some() || tiling.len() > 1) {
+        return Err(ExecError::ScatterNeedsAtomics);
+    }
+    let runner = TileRunner::pin(plan, ws, atomic, mode.lowering)?;
     let run_one = |k: usize, scratch: &mut TileScratch| {
-        // SAFETY: the job tiles are disjoint slabs of the hull, each tile
-        // index runs once (in order, or handed to one worker by the work
-        // queue), and concurrent tiles write disjoint sets — a gather
-        // plan's disjoint nests write only their centre points — or
-        // atomically.
-        unsafe { runner.run_tile(&tiles[k], scratch) }
+        // SAFETY: F3, checked above: concurrent tiles are disjoint boxes of
+        // one tiling of a gather plan, or the writes are atomic. Each index
+        // runs once — in order, handed to one worker by the work queue, or
+        // in the one LPT bin holding it.
+        unsafe { runner.run_tile(&tiling[k], scratch) }
     };
-    match pool {
-        None => {
+    match (pool, policy) {
+        (None, _) => {
             let mut scratch = runner.scratch();
-            (0..tiles.len()).for_each(|k| run_one(k, &mut scratch));
+            (0..tiling.len()).for_each(|k| run_one(k, &mut scratch));
         }
-        Some(pool) => pool.work_queue(tiles.len(), |_| runner.scratch(), run_one),
+        (Some(pool), TilePolicy::Dynamic) => {
+            pool.work_queue(tiling.len(), |_| runner.scratch(), run_one)
+        }
+        (Some(pool), TilePolicy::Static) => {
+            let bins = lpt_assign(tiling, pool.size());
+            pool.run(&|tid| {
+                let mut scratch = runner.scratch();
+                bins[tid].iter().for_each(|&k| run_one(k, &mut scratch));
+            });
+        }
     }
     Ok(ExecStats {
-        points: plan.points(),
+        points: tiling.points(),
     })
+}
+
+/// Longest-processing-time assignment of tiles to `workers` bins (tiles
+/// are already sorted descending by points).
+fn lpt_assign(tiles: &[Tile], workers: usize) -> Vec<Vec<usize>> {
+    let workers = workers.max(1);
+    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); workers];
+    let mut load = vec![0u64; workers];
+    for (k, t) in tiles.iter().enumerate() {
+        let w = (0..workers).min_by_key(|&w| load[w]).unwrap();
+        bins[w].push(k);
+        load[w] += t.points().max(1);
+    }
+    bins
 }
 
 #[cfg(test)]
@@ -398,10 +462,13 @@ mod tests {
             for chunks in [1, 4, 8, 16, 64] {
                 let tiles = job_tiles(&plan, chunks);
                 assert!(!tiles.is_empty() && tiles.len() <= chunks);
-                // Whole-row slabs of the hull, in row order; a slab between
+                // Whole-row slabs of the hull, in LPT order; a slab between
                 // the nests (rows 38–39) holds no point and is dropped.
+                assert!(tiles.windows(2).all(|w| w[0].points() >= w[1].points()));
+                let mut by_row = tiles.to_vec();
+                by_row.sort_by_key(|t| t.lo()[0]);
                 let mut next = hull_lo[0];
-                for t in &tiles {
+                for t in &by_row {
                     assert!(t.lo()[0] >= next && t.hi()[0] >= t.lo()[0], "{t:?}");
                     assert_eq!((&t.lo()[1..], &t.hi()[1..]), (&hull_lo[1..], &hull_hi[1..]));
                     assert!(t.points() > 0);
@@ -465,7 +532,9 @@ mod tests {
         let plan = compile_nest(&nest, &ws, &Binding::new()).unwrap();
         register_native(
             plan.fingerprint(),
-            std::sync::Arc::new(NativeGroup::new(tally, None)),
+            // SAFETY: `tally` touches no array, only the bounds it is
+            // handed.
+            std::sync::Arc::new(unsafe { NativeGroup::new(tally, None) }),
         );
         let pool = ThreadPool::new(2);
         let slabs = job_tiles(&plan, pool.size() * 4).len() as u64;
@@ -479,6 +548,23 @@ mod tests {
         assert_eq!(CALLS.load(Relaxed), slabs, "every slab ran once");
         assert_eq!(POINTS.load(Relaxed), plan.points());
         assert_eq!(counted, slabs, "every slab counted once");
+    }
+
+    #[test]
+    fn lpt_balances_loads() {
+        let (ws, bind) = setup(32);
+        let plan = compile_nest(&paper_nest(), &ws, &bind).unwrap();
+        let tiles: Vec<Tile> = (0..10)
+            .map(|k| Tile::new(&plan, vec![1], vec![10 - (k % 3)]))
+            .collect();
+        let bins = lpt_assign(&tiles, 3);
+        assert_eq!(bins.iter().map(Vec::len).sum::<usize>(), 10);
+        let loads: Vec<u64> = bins
+            .iter()
+            .map(|b| b.iter().map(|&k| tiles[k].points()).sum())
+            .collect();
+        let (lo, hi) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
+        assert!(hi - lo <= 10, "loads {loads:?}");
     }
 
     #[test]

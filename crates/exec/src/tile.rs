@@ -1,29 +1,42 @@
 //! Tile-granular execution: the one place plan points execute.
 //!
-//! [`TileRunner`] pins a plan's workspace buffers once and then executes
-//! individual [`Tile`]s — boxes of the plan's iteration hull, the bounding
-//! box of its non-empty nests — in any order, from any thread; the caller
-//! owns the policy (which tiles run concurrently, on which worker).
-//! [`tile_plan`] is the one tiler: [`crate::run()`] cuts whole-row slabs
-//! of the hull with it and `perforad-sched` cache-blocked sub-boxes; both
-//! hand them here. A tile runs every nest's part of its box: nest by nest
-//! in plan order on the interpreter and the row executor, in one call of
-//! the group's native entry on the JIT. The runner owns the per-point
-//! walker, the per-worker scratch and the lowering dispatch.
+//! `TileRunner` pins a plan's workspace buffers once and then executes
+//! [`Tile`]s — boxes of the plan's iteration hull, the bounding box of its
+//! non-empty nests — from any thread. [`tile_plan`] is the one tiler: it
+//! cuts a hull into a [`Tiling`], and [`crate::run_tiling`] is the one
+//! driver, handing a tiling's tiles to a runner. A tile runs every nest's
+//! part of its box: nest by nest in plan order on the interpreter and the
+//! row executor, in one call of the group's native entry on the JIT.
 //!
-//! Running the nests of a gather-only plan box by box instead of nest by
-//! nest reorders points, never the updates of one point: the nests write
-//! disjoint centre points and no nest reads an array the plan writes, so
-//! the bits are those of the nest-by-nest order.
+//! # The gather proof
 //!
-//! Safety contract: `TileRunner::run_tile` writes without atomics, so
-//! concurrently executed tiles must have disjoint write sets. For
-//! gather-only plans whose nests write disjoint regions that holds
-//! whenever the tiles' boxes are disjoint — exactly what `perforad-sched`
-//! proves before building a schedule.
+//! Every `unsafe` that runs plan points — here, in `rows`, `bytecode`,
+//! `native` and `perforad-jit` — rests on three facts, each established in
+//! one place:
+//!
+//! - **F1.** Every write index is `counter + c` per dimension and in
+//!   range, and every unpadded read is in range, over each statement's
+//!   effective bounds (nest ∩ guard); a padded read checks its indices
+//!   before it loads. [`crate::kernel::compile_nests_opts`] proves it, and
+//!   a tile runs only its box ∩ each nest's bounds.
+//! - **F2.** No nest reads an array the plan writes
+//!   ([`ExecError::AliasedWrite`] at plan compile time). Stores never feed
+//!   loads, so running a plan box by box reorders points, never the
+//!   updates to one point: the bits are the nest-by-nest order's.
+//! - **F3.** Tiles run concurrently only when they come from one
+//!   [`Tiling`] of a gather-only plan — every `c` is zero, so a tile
+//!   writes inside its box, and a tiling's boxes are disjoint — or when
+//!   every `+=` is atomic. [`crate::run_tiling`], the one caller of
+//!   `TileRunner::run_tile`, checks it before any tile runs; a scatter
+//!   plan runs plainly only as one tile on the calling thread.
+//!
+//! Outside this crate a [`Plan`] and a [`Tiling`] are read-only, so no safe
+//! code can edit a proof after it was made. The other `unsafe` — the
+//! pool's job pointer, the atomic slice cast, the JIT's `dlopen` — rests
+//! on no plan fact and states its own invariant.
 
 use crate::atomic::AtomicF64;
-use crate::bytecode::{ArrayView, PointEnv};
+use crate::bytecode::{ArrayView, PointEnv, Program};
 use crate::error::ExecError;
 use crate::kernel::{NestPlan, Plan};
 use crate::native::{native_lookup, NativeGroup};
@@ -59,15 +72,7 @@ pub struct Tile {
 
 impl Tile {
     /// The box `[lo, hi]` of `plan`'s iteration space.
-    ///
-    /// # Panics
-    ///
-    /// When a corner's rank is not the plan's.
-    pub fn new(plan: &Plan, lo: Vec<i64>, hi: Vec<i64>) -> Tile {
-        assert!(
-            lo.len() == plan.rank && hi.len() == plan.rank,
-            "tile rank mismatch"
-        );
+    pub(crate) fn new(plan: &Plan, lo: Vec<i64>, hi: Vec<i64>) -> Tile {
         let points = plan.points_in(&lo, &hi);
         Tile { lo, hi, points }
     }
@@ -89,17 +94,32 @@ impl Tile {
     }
 }
 
+/// The disjoint boxes [`tile_plan`] cut from one plan's hull, in LPT order
+/// (descending point count). Only the tiler builds one — which is fact F3's
+/// "disjoint" — and it reads as a slice of [`Tile`]s.
+#[derive(Clone, Debug)]
+pub struct Tiling(Vec<Tile>);
+
+impl std::ops::Deref for Tiling {
+    type Target = [Tile];
+
+    fn deref(&self) -> &[Tile] {
+        &self.0
+    }
+}
+
+impl Tiling {
+    /// Iteration points over every tile.
+    pub fn points(&self) -> u64 {
+        self.0.iter().map(Tile::points).sum()
+    }
+}
+
 pub(crate) struct Buffers {
     pub(crate) views: Vec<ArrayView>,
     pub(crate) write_ptrs: Vec<*mut f64>,
     pub(crate) lens: Vec<usize>,
 }
-
-// SAFETY: `Buffers` is only shared across threads inside a `TileRunner`,
-// whose `run_tile` contract guarantees disjoint writes (disjoint tiles of a
-// gather plan whose nests write disjoint regions) or atomic writes. Reads
-// never alias writes (`AliasedWrite` is refused at plan compile time).
-unsafe impl Sync for Buffers {}
 
 fn make_buffers(plan: &Plan, ws: &mut Workspace) -> Result<Buffers, ExecError> {
     let mut views = Vec::with_capacity(plan.arrays.len());
@@ -162,8 +182,8 @@ fn exec_point(
         let target = center + st.write_rel;
         debug_assert!(target >= 0 && (target as usize) < bufs.lens[st.out_slot]);
         let ptr = bufs.write_ptrs[st.out_slot];
-        // SAFETY: target was proven in range by plan compilation; parallel
-        // callers guarantee disjoint or atomic writes (see `Buffers`).
+        // SAFETY: F1 puts `target` in range; F3 makes concurrent writes
+        // disjoint or atomic.
         unsafe {
             let p = ptr.offset(target);
             if st.overwrite {
@@ -196,33 +216,21 @@ fn resolve_native(plan: &Plan, lowering: Lowering, atomic: bool) -> Option<Arc<N
     native
 }
 
-fn max_stack(plan: &Plan) -> usize {
-    plan.nests
-        .iter()
-        .flat_map(|n| n.stmts.iter())
-        .map(|s| s.prog.max_stack())
-        .max()
-        .unwrap_or(0)
-}
-
-fn max_tmps(plan: &Plan) -> usize {
-    plan.nests
-        .iter()
-        .flat_map(|n| n.stmts.iter())
-        .map(|s| s.prog.n_tmps())
-        .max()
-        .unwrap_or(0)
+/// The largest `size` of any statement's stack program in `plan`.
+fn max_over(plan: &Plan, size: fn(&Program) -> usize) -> usize {
+    let stmts = plan.nests.iter().flat_map(|n| &n.stmts);
+    stmts.map(|s| size(&s.prog)).max().unwrap_or(0)
 }
 
 /// Per-thread scratch state for tile execution (loop counters, a nest's
 /// part of the tile, VM stack, CSE temporaries, register lane file), sized
-/// for the one lowering it will run. Create one per worker with
+/// for the one lowering it will run: one per worker, from
 /// [`TileRunner::scratch`].
 ///
 /// It also tallies the tiles run through it and adds the tally to its
 /// lowering's dispatch counter when it drops — one counter update per
 /// worker per region, whichever driver handed the tiles out.
-pub struct TileScratch {
+pub(crate) struct TileScratch {
     counters: Vec<i64>,
     /// One nest's part of the running tile (its box ∩ the nest's bounds).
     part_lo: Vec<i64>,
@@ -247,7 +255,7 @@ impl Drop for TileScratch {
 ///
 /// Holds the workspace's mutable borrow for its whole lifetime, so no safe
 /// code can alias the grids while tiles run.
-pub struct TileRunner<'a> {
+pub(crate) struct TileRunner<'a> {
     plan: &'a Plan,
     bufs: Buffers,
     atomic: bool,
@@ -258,62 +266,38 @@ pub struct TileRunner<'a> {
     native: Option<Arc<NativeGroup>>,
 }
 
-// SAFETY: the buffers are only written through `run_tile`, whose contract
-// requires concurrent tiles to have disjoint write sets (or `atomic` mode).
+// SAFETY: F3 — the buffers are only written through `run_tile`, whose one
+// caller runs tiles concurrently only when their write sets are disjoint
+// or the runner is atomic; F2 keeps every read off the written arrays.
 unsafe impl Sync for TileRunner<'_> {}
 
 impl<'a> TileRunner<'a> {
-    /// Pin `ws` for tile execution of `plan` with plain (non-atomic) writes.
-    ///
-    /// Concurrent `run_tile` calls must cover disjoint write sets; for
-    /// gather-only plans, disjoint iteration boxes suffice.
-    pub fn new(plan: &'a Plan, ws: &'a mut Workspace) -> Result<Self, ExecError> {
-        Self::pin(plan, ws, false)
-    }
-
-    /// Pin `ws` with every `+=` performed as an atomic CAS add, lifting the
-    /// disjointness requirement (the scatter baseline path).
-    pub fn new_atomic(plan: &'a Plan, ws: &'a mut Workspace) -> Result<Self, ExecError> {
-        Self::pin(plan, ws, true)
-    }
-
+    /// Pin `ws` for tile execution of `plan` on `lowering` (all are
+    /// bitwise-identical; a Jit module is resolved here, once per runner):
+    /// plain writes, or with `atomic` every `+=` an atomic CAS add (the
+    /// scatter baseline).
     pub(crate) fn pin(
         plan: &'a Plan,
         ws: &'a mut Workspace,
         atomic: bool,
+        lowering: Lowering,
     ) -> Result<Self, ExecError> {
         Ok(TileRunner {
             plan,
             bufs: make_buffers(plan, ws)?,
             atomic,
-            lowering: Lowering::default(),
-            native: None,
+            lowering,
+            native: resolve_native(plan, lowering, atomic),
         })
     }
 
-    /// Select the lowering tiles run with (per-point interpreter,
-    /// vectorized rows, or JIT native code); all are bitwise-identical.
-    /// For [`Lowering::Jit`] the native module is resolved from the
-    /// registry here, once per runner.
-    pub fn with_lowering(mut self, lowering: Lowering) -> Self {
-        self.lowering = lowering;
-        self.native = resolve_native(self.plan, lowering, self.atomic);
-        self
-    }
-
-    /// True when Jit tiles will actually run native code (a module is
-    /// registered for this plan) rather than falling back to rows.
-    pub fn jit_active(&self) -> bool {
-        self.native.is_some()
-    }
-
     /// Fresh per-thread scratch sized for this plan and this runner's
-    /// lowering (create scratch *after* [`TileRunner::with_lowering`]).
-    pub fn scratch(&self) -> TileScratch {
+    /// lowering.
+    pub(crate) fn scratch(&self) -> TileScratch {
         let (stack, tmps, rows, dispatch) = match self.lowering {
             Lowering::PerPoint => (
-                Vec::with_capacity(max_stack(self.plan)),
-                vec![0.0; max_tmps(self.plan)],
+                Vec::with_capacity(max_over(self.plan, Program::max_stack)),
+                vec![0.0; max_over(self.plan, Program::n_tmps)],
                 RowScratch::empty(),
                 0,
             ),
@@ -341,11 +325,6 @@ impl<'a> TileRunner<'a> {
         }
     }
 
-    /// The plan this runner executes.
-    pub fn plan(&self) -> &Plan {
-        self.plan
-    }
-
     /// Execute every plan point inside `tile`: each nest's part of the box
     /// (the box ∩ the nest's compiled bounds), nest by nest in plan order,
     /// or in one call of the group's native entry, which clamps the same
@@ -360,15 +339,11 @@ impl<'a> TileRunner<'a> {
     ///
     /// # Safety
     ///
-    /// Tiles executed concurrently (from different threads on the same
-    /// runner) must have pairwise-disjoint write sets, unless the runner
-    /// was created with [`TileRunner::new_atomic`]. For gather-only plans
-    /// whose nests write disjoint regions, disjoint boxes suffice — the
-    /// dependence check in `perforad-sched` proves those regions disjoint
-    /// before building a schedule. Violating the contract is a data race
-    /// (undefined behavior), which is why this method is `unsafe` even
-    /// though single-threaded use is always sound.
-    pub unsafe fn run_tile(&self, tile: &Tile, scratch: &mut TileScratch) {
+    /// Fact F3: tiles run concurrently on one runner must come from one
+    /// [`Tiling`] of a gather-only plan, or the runner must be atomic.
+    /// Anything else is a data race. [`crate::run_tiling`] is the one
+    /// caller, and checks it.
+    pub(crate) unsafe fn run_tile(&self, tile: &Tile, scratch: &mut TileScratch) {
         let rank = self.plan.rank;
         let (lo, hi) = (&tile.lo[..], &tile.hi[..]);
         assert!(lo.len() == rank && hi.len() == rank, "tile rank mismatch");
@@ -381,11 +356,10 @@ impl<'a> TileRunner<'a> {
         assert!(inside, "tile box escapes the plan's iteration hull");
         scratch.tiles += 1;
         if let (Lowering::Jit, Some(native)) = (self.lowering, &self.native) {
-            // SAFETY: the module was registered under this plan's
+            // SAFETY: F1 — the module was registered under this plan's
             // fingerprint, so its entry reads `rank` bounds (checked above)
             // and this plan's slots, and clamps every nest's part to that
-            // nest's bounds; the caller's contract (disjoint concurrent
-            // write sets) is exactly this method's.
+            // nest's bounds; F3 is this method's own contract.
             return native.run_box(lo, hi, &self.bufs.write_ptrs);
         }
         for nest in self.plan.nests.iter().filter(|n| !n.empty) {
@@ -444,11 +418,14 @@ impl<'a> TileRunner<'a> {
 }
 
 /// Cut `plan`'s iteration hull into boxes of at most `edges[d]` points
-/// per dimension, innermost dimension fastest, dropping boxes that hold
-/// no plan point. Edges may exceed the hull (one box spans it).
-pub fn tile_plan(plan: &Plan, edges: &[i64]) -> Vec<Tile> {
+/// per dimension, dropping boxes that hold no plan point. Edges may exceed
+/// the hull (one box spans it). The boxes come in LPT order: descending
+/// point count, so full interior tiles go out first and the stragglers are
+/// the thin ones at the hull's faces; equal counts keep their odometer
+/// order, innermost dimension fastest.
+pub fn tile_plan(plan: &Plan, edges: &[i64]) -> Tiling {
     let Some((hull_lo, hull_hi)) = plan.hull() else {
-        return Vec::new();
+        return Tiling(Vec::new());
     };
     let rank = plan.rank;
     assert_eq!(edges.len(), rank, "tile rank mismatch");
@@ -467,7 +444,8 @@ pub fn tile_plan(plan: &Plan, edges: &[i64]) -> Vec<Tile> {
         let mut d = rank;
         loop {
             if d == 0 {
-                return tiles;
+                tiles.sort_by_key(|t| std::cmp::Reverse(t.points));
+                return Tiling(tiles);
             }
             d -= 1;
             lo[d] = lo[d].saturating_add(edges[d]);
@@ -484,7 +462,8 @@ mod tests {
     use super::*;
     use crate::grid::Grid;
     use crate::kernel::compile_nest;
-    use crate::run::{run, ExecMode};
+    use crate::pool::ThreadPool;
+    use crate::run::{run, run_tiling, ExecMode, TilePolicy};
     use crate::workspace::Binding;
     use perforad_core::make_loop_nest;
     use perforad_symbolic::{ix, Array, Idx, Symbol};
@@ -554,7 +533,7 @@ mod tests {
                 let edges = &edges[..rank];
                 let tiles = tile_plan(&plan, edges);
                 let mut seen = std::collections::BTreeMap::new();
-                for t in &tiles {
+                for t in tiles.iter() {
                     assert!(t.points() >= 1, "rank {rank}, edges {edges:?}: {t:?}");
                     for d in 0..rank {
                         assert!(t.lo()[d] >= hull_lo[d] && t.hi()[d] <= hull_hi[d]);
@@ -602,14 +581,15 @@ mod tests {
         run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let mut ws2 = build();
-        {
-            let runner = TileRunner::new(&plan, &mut ws2).unwrap();
-            let mut scratch = runner.scratch();
-            for t in tile_plan(&plan, &[7]) {
-                // SAFETY: single-threaded execution cannot race.
-                unsafe { runner.run_tile(&t, &mut scratch) };
-            }
-        }
+        let tiling = tile_plan(&plan, &[7]);
+        run_tiling(
+            &plan,
+            &tiling,
+            &mut ws2,
+            ExecMode::serial(),
+            TilePolicy::Dynamic,
+        )
+        .unwrap();
         assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
     }
 
@@ -626,7 +606,7 @@ mod tests {
             .with("r", Grid::zeros(&[n + 3]));
         let plan = compile_nest(&nest_1d(), &ws, &Binding::new().size("n", n as i64)).unwrap();
         assert_eq!(plan.nests[0].hi, vec![n as i64 - 1]);
-        let runner = TileRunner::new(&plan, &mut ws).unwrap();
+        let runner = TileRunner::pin(&plan, &mut ws, false, Lowering::PerPoint).unwrap();
         let mut scratch = runner.scratch();
         let tile = Tile::new(&plan, vec![1], vec![n as i64]);
         // SAFETY: single-threaded execution cannot race.
@@ -650,16 +630,9 @@ mod tests {
         run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let mut ws2 = build();
-        {
-            let runner = TileRunner::new(&plan, &mut ws2)
-                .unwrap()
-                .with_lowering(Lowering::Rows);
-            let mut scratch = runner.scratch();
-            for t in tile_plan(&plan, &[7]) {
-                // SAFETY: single-threaded execution cannot race.
-                unsafe { runner.run_tile(&t, &mut scratch) };
-            }
-        }
+        let tiling = tile_plan(&plan, &[7]);
+        let mode = ExecMode::serial().rows();
+        run_tiling(&plan, &tiling, &mut ws2, mode, TilePolicy::Dynamic).unwrap();
         assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
     }
 
@@ -667,8 +640,8 @@ mod tests {
     fn atomic_tiled_scatter_matches_serial() {
         use perforad_core::ActivityMap;
         // Scatter adjoint (writes at ±1 offsets): tiles overlap in their
-        // write sets, so the atomic runner must be used — and must produce
-        // the same result as the serial executor.
+        // write sets, so they run in parallel only with atomic adds — and
+        // must produce the same result as the serial executor.
         let n = 48usize;
         let i = Symbol::new("i");
         let nsym = Symbol::new("n");
@@ -697,31 +670,43 @@ mod tests {
         let plan = compile_nest(&sc, &ws1, &bind).unwrap();
         run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
+        // Tiles from two workers, either policy; atomic adds keep it exact
+        // (integer-valued data) despite overlapping writes. Without
+        // atomics, the driver refuses.
+        let tiling = tile_plan(&plan, &[7]);
+        let pool = ThreadPool::new(2);
         let mut ws2 = build();
-        {
-            let runner = TileRunner::new_atomic(&plan, &mut ws2).unwrap();
-            let tiles = tile_plan(&plan, &[7]);
-            // Execute tiles from two threads; atomic adds keep it exact
-            // (integer-valued data) despite overlapping writes.
-            std::thread::scope(|s| {
-                let (a, b) = tiles.split_at(tiles.len() / 2);
-                let r = &runner;
-                s.spawn(move || {
-                    let mut scratch = r.scratch();
-                    // SAFETY: the runner is in atomic mode, so overlapping
-                    // writes are CAS adds.
-                    a.iter()
-                        .for_each(|t| unsafe { r.run_tile(t, &mut scratch) });
-                });
-                s.spawn(move || {
-                    let mut scratch = r.scratch();
-                    // SAFETY: the runner is in atomic mode, so overlapping
-                    // writes are CAS adds.
-                    b.iter()
-                        .for_each(|t| unsafe { r.run_tile(t, &mut scratch) });
-                });
-            });
+        for policy in [TilePolicy::Dynamic, TilePolicy::Static] {
+            let refused = run_tiling(&plan, &tiling, &mut ws2, ExecMode::parallel(&pool), policy);
+            assert_eq!(refused.unwrap_err(), ExecError::ScatterNeedsAtomics);
+            let mut ws = build();
+            run_tiling(
+                &plan,
+                &tiling,
+                &mut ws,
+                ExecMode::parallel_atomic(&pool),
+                policy,
+            )
+            .unwrap();
+            assert_eq!(ws1.grid("u_b").max_abs_diff(ws.grid("u_b")), 0.0);
         }
+        let serial = run_tiling(
+            &plan,
+            &tiling,
+            &mut ws2,
+            ExecMode::serial(),
+            TilePolicy::Dynamic,
+        );
+        assert_eq!(serial.unwrap_err(), ExecError::ScatterNeedsAtomics);
+        let whole = tile_plan(&plan, &[1000]);
+        run_tiling(
+            &plan,
+            &whole,
+            &mut ws2,
+            ExecMode::serial(),
+            TilePolicy::Dynamic,
+        )
+        .unwrap();
         assert_eq!(ws1.grid("u_b").max_abs_diff(ws2.grid("u_b")), 0.0);
     }
 

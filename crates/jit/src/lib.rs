@@ -13,7 +13,7 @@
 //! or the rows executor. This crate closes the gap at run time:
 //!
 //! 1. **Emit** — each fusion group of a compiled
-//!    [`Schedule`](perforad_sched::Schedule) becomes a self-contained
+//!    [`Schedule`] becomes a self-contained
 //!    Rust module ([`perforad_codegen::rust::jit_group_module`]) with
 //!    **one** tile-granular, guard-hoisted `extern "C"` entry point,
 //!    `pf_g`, sizes/parameters baked in as bit-exact constants. It takes a
@@ -40,7 +40,9 @@
 //!    [`perforad_exec::native`] registry under the group plan's
 //!    structural fingerprint; from then on every `Lowering::Jit`
 //!    execution — `exec::run`, `run_schedule`, `run_tuned`, all of them
-//!    through `TileRunner::run_tile` — dispatches into it.
+//!    through `perforad_exec::run_tiling` — dispatches into it. The entry
+//!    writes and reads without checks on the strength of the plan it was
+//!    emitted for: facts F1–F3 of `perforad_exec::tile`.
 //!
 //! Compiled artifacts persist in `PERFORAD_JIT_CACHE` (default: a
 //! `perforad-jit` directory under the system temp dir), keyed by plan
@@ -374,9 +376,15 @@ fn load_group(path: &Path) -> Result<Arc<NativeGroup>, JitError> {
         .sym(&name)
         .map_err(|e| JitError::Load(format!("{name} in {}: {e}", path.display())))?;
     // SAFETY: `jit_group_module` emits `pf_g` with exactly the
-    // `NativeTileFn` ABI, and `lib` is kept alive beside the pointer.
+    // `NativeTileFn` ABI, and `lib` is kept alive beside the pointer. F1:
+    // the artifact is named by, and registered only under, the fingerprint
+    // of the plan it was emitted for, and the entry clamps each nest's part
+    // of a box to that nest's bounds.
     let entry = unsafe { std::mem::transmute::<*mut std::ffi::c_void, NativeTileFn>(p) };
-    Ok(Arc::new(NativeGroup::new(entry, Some(Arc::new(lib)))))
+    // SAFETY: as above.
+    Ok(Arc::new(unsafe {
+        NativeGroup::new(entry, Some(Arc::new(lib)))
+    }))
 }
 
 /// Consistency check that `bind` is the binding the schedule was
@@ -406,7 +414,7 @@ fn check_binding(
     for (s, v) in &bind.sizes {
         sub.insert(s.clone(), Expr::int(*v));
     }
-    for (np, nest) in plan.nests.iter().zip(nests) {
+    for (np, nest) in plan.nests().iter().zip(nests) {
         for (d, b) in nest.bounds.iter().enumerate() {
             let lo = b.lo.eval(&bind.sizes);
             let hi = b.hi.eval(&bind.sizes);
@@ -419,10 +427,10 @@ fn check_binding(
             }
         }
         let cctx = CompileCtx {
-            arrays: &plan.arrays,
+            arrays: plan.arrays(),
             counters: &nest.counters,
-            strides: &plan.strides,
-            padded: plan.padded,
+            strides: plan.strides(),
+            padded: plan.padded(),
             temps: &[],
         };
         let mut progs = Vec::with_capacity(nest.body.len());
@@ -437,7 +445,7 @@ fn check_binding(
             .map_err(|e| JitError::Unsupported(format!("statement recompile check: {e}")))?;
             progs.push(prog);
         }
-        if plan.accumulate {
+        if plan.accumulate() {
             let body = &nest.body;
             let writes: Vec<_> = (body.iter())
                 .map(|s| (&s.lhs.array, s.op == AssignOp::AddAssign))
@@ -474,12 +482,12 @@ fn group_source(
     jit_group_module(&JitGroupSpec {
         prefix: SYMBOL_PREFIX,
         nests,
-        arrays: &plan.arrays,
-        dims: &plan.dims,
-        strides: &plan.strides,
-        padded: plan.padded,
+        arrays: plan.arrays(),
+        dims: plan.dims(),
+        strides: plan.strides(),
+        padded: plan.padded(),
         cse,
-        accumulate: plan.accumulate,
+        accumulate: plan.accumulate(),
         sizes: &bind.sizes,
         params: &bind.params,
     })
@@ -511,7 +519,8 @@ fn prepare_group(
                 cached.display()
             )))
         } else {
-            let _span = perforad_obs::span!("jit.load", "jit", "nests" => plan.nests.len() as u64);
+            let _span =
+                perforad_obs::span!("jit.load", "jit", "nests" => plan.nests().len() as u64);
             load_group(&cached)
         };
         match loaded {
@@ -559,7 +568,7 @@ fn prepare_group(
         .map_err(|e| JitError::Io(format!("{}: {e}", src_path.display())))?;
     let t0 = Instant::now();
     let built = {
-        let _span = perforad_obs::span!("jit.compile", "jit", "nests" => plan.nests.len() as u64);
+        let _span = perforad_obs::span!("jit.compile", "jit", "nests" => plan.nests().len() as u64);
         perforad_obs::counter("jit.compiles").inc();
         compile_cdylib(opts, &src_path, &artifact, report.avx2)
     };
@@ -569,7 +578,7 @@ fn prepare_group(
     }
     built?;
     let group = {
-        let _span = perforad_obs::span!("jit.load", "jit", "nests" => plan.nests.len() as u64);
+        let _span = perforad_obs::span!("jit.load", "jit", "nests" => plan.nests().len() as u64);
         load_group(&artifact)?
     };
     register_native(fp, group);
@@ -1110,7 +1119,7 @@ mod tests {
         std::fs::write(&src_path, source).unwrap();
         // xorshift64*: every slot random, the `+=` targets included.
         let mut state = 0x51ED_2017u64;
-        let inputs: Vec<Vec<f64>> = (0..group.plan.arrays.len())
+        let inputs: Vec<Vec<f64>> = (0..group.plan.arrays().len())
             .map(|_| {
                 (0..n * n * n)
                     .map(|_| {
@@ -1130,8 +1139,9 @@ mod tests {
             let mut arrays = inputs.clone();
             let ptrs: Vec<*mut f64> = arrays.iter_mut().map(|a| a.as_mut_ptr()).collect();
             let (lo, hi) = group.plan.hull().expect("a live nest");
-            // SAFETY: the hull of the plan the module was emitted for, over
-            // arrays of the plan's extents in slot order, on one thread.
+            // SAFETY: F1 — the hull of the plan the module was emitted for,
+            // over arrays of the plan's extents in slot order; F3 — one
+            // thread.
             unsafe { native.run_box(lo, hi, &ptrs) };
             arrays
         });
@@ -1141,7 +1151,7 @@ mod tests {
                 .iter()
                 .zip(avx2)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "slot {slot} ({})", group.plan.arrays[slot]);
+            assert!(same, "slot {slot} ({})", group.plan.arrays()[slot]);
         }
         if !keep {
             let _ = std::fs::remove_dir_all(&dir);

@@ -36,7 +36,7 @@
 //! rotated back out, and the adjoint kernel, compiled in accumulate mode,
 //! is lent λ_t, λ_{t−1} and `∂J/∂c` to add its increments into) and the
 //! primal step clears none, though a back step fills one (the λ grid
-//! rotated in by [`Rolling::back`]) and adds nothing back; the adjoint
+//! rotated in by `Rolling::back`) and adds nothing back; the adjoint
 //! field is a 3-grid rolling window in both sweeps; a checkpointed sweep
 //! copies a state only where its plan reads one back; and a plan keeps
 //! its warmed shot states between runs instead of cloning them per call.

@@ -18,9 +18,6 @@ pub enum SchedError {
     /// The nest list cannot be scheduled as given (empty, or nests of
     /// different ranks in one list).
     BadInput(String),
-    /// `run_schedule` requires a gather-only plan; scatter nests would race
-    /// without atomics (use the exec scatter-atomic path for those).
-    ScatterPlan,
 }
 
 impl fmt::Display for SchedError {
@@ -33,10 +30,6 @@ impl fmt::Display for SchedError {
             }
             SchedError::BadTile(s) => write!(f, "bad tile specification: {s}"),
             SchedError::BadInput(s) => write!(f, "unschedulable nest list: {s}"),
-            SchedError::ScatterPlan => write!(
-                f,
-                "fused schedules require gather-only nests; scatter plans need atomics"
-            ),
         }
     }
 }

@@ -24,13 +24,15 @@
 //!    (1-D/2-D/3-D, configurable edges), and a tile runs every nest's part
 //!    of its box, so the small boundary nests ride inside the core loop's
 //!    tiles instead of streaming the arrays again on their own.
-//! 4. **Execution** ([`run_schedule`]): tiles are assigned to
-//!    [`ThreadPool`] workers statically (LPT pre-assignment) or
-//!    dynamically (shared counter), via `perforad_exec::TileRunner`. Each
-//!    tile runs on the per-point interpreter, the vectorized register-IR
-//!    row executor ([`SchedOptions::with_rows`]) or, once
-//!    `perforad-jit` has prepared the group, its one native entry point;
-//!    all are bitwise-identical.
+//! 4. **Execution** ([`run_schedule`]): each group's tiling goes to
+//!    `perforad_exec::run_tiling`, the one tile driver, which assigns tiles
+//!    to [`ThreadPool`] workers statically (LPT pre-assignment) or
+//!    dynamically (shared counter) and refuses a plan that is not
+//!    gather-only. Each tile runs on the per-point interpreter, the
+//!    vectorized register-IR row executor ([`SchedOptions::with_rows`]) or,
+//!    once `perforad-jit` has prepared the group, its one native entry
+//!    point; all are bitwise-identical. This crate holds no `unsafe`: the
+//!    compiled plan is the gather proof, and `exec` reads it.
 //!
 //! ```
 //! use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
@@ -66,9 +68,8 @@
 //! [`Tile`]: perforad_exec::Tile
 //! [`ThreadPool`]: perforad_exec::ThreadPool
 
-// Every `unsafe` states the invariant it relies on (private `unsafe fn`s
-// too: `check-private-items` in the workspace's `clippy.toml`).
-#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+// The gather proof is `perforad-exec`'s to check; nothing here needs it.
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod fuse;

@@ -4,36 +4,24 @@
 //! sharing counters) into a [`Schedule`]: the nests are partitioned into
 //! fusion groups by the dependence graph, each group is compiled into an
 //! executable [`Plan`], and the group's iteration hull — the bounding box
-//! of its nests — is cut into cache-blocked [`Tile`]s, each running every
-//! nest's part of its box. [`run_schedule`] then executes each group as a
-//! *single* parallel region — core and boundary nests together in every
-//! tile — paying one barrier per group instead of one per nest.
+//! of its nests — is cut into a [`Tiling`] of cache-blocked tiles, each
+//! running every nest's part of its box. [`run_schedule`] then hands each
+//! group to [`run_tiling`] as a *single* parallel region — core and
+//! boundary nests together in every tile — paying one barrier per group
+//! instead of one per nest.
 
 use crate::error::SchedError;
 use crate::fuse::fuse_groups;
 use crate::graph::{dependence_graph, DepGraph};
 use perforad_core::{Adjoint, BoundaryStrategy, LoopNest};
 use perforad_exec::kernel::PlanOptions;
+pub use perforad_exec::TilePolicy;
 use perforad_exec::{
-    compile_nests_opts, tile_plan, Binding, ExecStats, Lowering, Plan, ThreadPool, Tile,
-    TileRunner, TileScratch, Workspace,
+    compile_nests_opts, run_tiling, tile_plan, Binding, ExecMode, ExecStats, Lowering, Plan,
+    Strategy, ThreadPool, Tiling, Workspace,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
-
-/// How tiles are assigned to pool workers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TilePolicy {
-    /// Tiles are pre-assigned to workers by longest-processing-time
-    /// balancing of their point counts (OpenMP `schedule(static)` in
-    /// spirit: zero runtime coordination).
-    Static,
-    /// Workers pull tiles from the pool's work queue as they finish
-    /// (OpenMP `schedule(dynamic)`), absorbing the irregular boundary
-    /// tiles without idling.
-    #[default]
-    Dynamic,
-}
 
 /// Options for [`compile_schedule`].
 #[derive(Clone, Debug)]
@@ -162,15 +150,15 @@ pub struct FusedGroup {
     pub nests: Vec<usize>,
     /// The group's compiled nests.
     pub plan: Plan,
-    /// The group's tiles — boxes of the plan's iteration hull — sorted by
-    /// descending point count (LPT order).
-    pub tiles: Vec<Tile>,
+    /// The group's tiles — disjoint boxes of the plan's iteration hull, in
+    /// LPT order. Read-only: only `tile_plan` builds a tiling.
+    pub tiles: Tiling,
 }
 
 impl FusedGroup {
     /// Iteration points across the group.
     pub fn points(&self) -> u64 {
-        self.tiles.iter().map(Tile::points).sum()
+        self.tiles.points()
     }
 }
 
@@ -222,7 +210,7 @@ impl Schedule {
 
     /// True when every scheduled nest writes only at its centre point.
     pub fn gather_only(&self) -> bool {
-        self.groups.iter().all(|g| g.plan.gather_only)
+        self.groups.iter().all(|g| g.plan.gather_only())
     }
 
     /// Total iteration points over all groups.
@@ -336,14 +324,10 @@ pub fn compile_schedule_source(
         .into_iter()
         .map(|members| {
             let plan = compile_nests_opts(&group_nests(nests, &members), ws, binding, plan_opts)?;
-            let mut tiles = tile_plan(&plan, &tile);
-            // LPT order: hand the full interior tiles out first so
-            // stragglers are the thin ones at the hull's faces.
-            tiles.sort_by_key(|t| std::cmp::Reverse(t.points()));
             let group = FusedGroup {
                 nests: members,
+                tiles: tile_plan(&plan, &tile),
                 plan,
-                tiles,
             };
             debug_assert_eq!(
                 group.points(),
@@ -391,88 +375,46 @@ pub fn compile_schedule(
     compile_schedule_source(&adj.nests, ws, binding, padded, opts)
 }
 
-/// Execute a schedule on a worker pool: each fusion group runs as one
-/// parallel region (tiles of all member nests interleaved), groups
-/// separated by the pool's region barrier. Requires a gather-only plan —
-/// the race-freedom argument is per-point centre writes plus the
-/// dependence check.
+/// Execute a schedule on a worker pool: each fusion group's tiling runs
+/// as one parallel region of [`run_tiling`], groups separated
+/// by the pool's region barrier. The driver refuses a group whose plan is
+/// not gather-only (`ExecError::ScatterNeedsAtomics`): its tiles would
+/// race. Groups before it have run by then.
 pub fn run_schedule(
     schedule: &Schedule,
     ws: &mut Workspace,
     pool: &ThreadPool,
 ) -> Result<ExecStats, SchedError> {
-    run_groups(schedule, ws, Some(pool))
+    run_groups(schedule, ws, Strategy::Parallel(pool))
 }
 
-/// Run serially (tile order, no pool) — the determinism reference.
+/// Run serially (tile order, no pool) — the determinism reference. A
+/// group whose plan is not gather-only runs only when it is one tile.
 pub fn run_schedule_serial(
     schedule: &Schedule,
     ws: &mut Workspace,
 ) -> Result<ExecStats, SchedError> {
-    run_groups(schedule, ws, None)
+    run_groups(schedule, ws, Strategy::Serial)
 }
 
-/// The per-group driver behind both entry points: pin each group's plan
-/// in a [`TileRunner`] and hand its tiles out in tile order (no pool),
-/// through the pool's work queue ([`TilePolicy::Dynamic`]) or in
-/// pre-assigned LPT bins ([`TilePolicy::Static`]).
+/// One `exec.group` span and one [`run_tiling`] call per group.
 fn run_groups(
     schedule: &Schedule,
     ws: &mut Workspace,
-    pool: Option<&ThreadPool>,
+    strategy: Strategy<'_>,
 ) -> Result<ExecStats, SchedError> {
-    if !schedule.gather_only() {
-        return Err(SchedError::ScatterPlan);
-    }
+    let mode = ExecMode {
+        strategy,
+        lowering: schedule.lowering,
+    };
+    let mut points = 0;
     for (gi, group) in schedule.groups.iter().enumerate() {
         let _group_span = perforad_obs::span!(
             "exec.group", "exec", "group" => gi as u64, "tiles" => group.tiles.len() as u64
         );
-        let runner = TileRunner::new(&group.plan, ws)?.with_lowering(schedule.lowering);
-        let run_one = |k: usize, scratch: &mut TileScratch| {
-            // SAFETY: tiles within a group have disjoint write sets
-            // (gather-only plan + disjoint hull boxes + dependence-checked
-            // cross-nest write regions), and each tile index runs once: in
-            // order, handed to one worker by the work queue, or in the one
-            // LPT bin holding it.
-            unsafe { runner.run_tile(&group.tiles[k], scratch) };
-        };
-        match (pool, schedule.policy) {
-            (None, _) => {
-                let mut scratch = runner.scratch();
-                (0..group.tiles.len()).for_each(|k| run_one(k, &mut scratch));
-            }
-            (Some(pool), TilePolicy::Dynamic) => {
-                pool.work_queue(group.tiles.len(), |_| runner.scratch(), run_one)
-            }
-            (Some(pool), TilePolicy::Static) => {
-                let assignment = lpt_assign(&group.tiles, pool.size());
-                pool.run(&|tid| {
-                    let mut scratch = runner.scratch();
-                    assignment[tid]
-                        .iter()
-                        .for_each(|&k| run_one(k, &mut scratch));
-                });
-            }
-        }
+        points += run_tiling(&group.plan, &group.tiles, ws, mode, schedule.policy)?.points;
     }
-    Ok(ExecStats {
-        points: schedule.points(),
-    })
-}
-
-/// Longest-processing-time assignment of tiles to `workers` bins (tiles
-/// are already sorted descending by points).
-fn lpt_assign(tiles: &[Tile], workers: usize) -> Vec<Vec<usize>> {
-    let workers = workers.max(1);
-    let mut bins: Vec<Vec<usize>> = vec![Vec::new(); workers];
-    let mut load = vec![0u64; workers];
-    for (k, t) in tiles.iter().enumerate() {
-        let w = (0..workers).min_by_key(|&w| load[w]).unwrap();
-        bins[w].push(k);
-        load[w] += t.points().max(1);
-    }
-    bins
+    Ok(ExecStats { points })
 }
 
 #[cfg(test)]
@@ -718,7 +660,7 @@ mod tests {
         assert_eq!(&s.group_source(0)[..], [nests[0].clone(), nests[2].clone()]);
         assert!(matches!(s.group_source(1), Cow::Borrowed(_)));
         assert_eq!(&s.group_source(1)[..], &nests[1..2]);
-        assert_eq!(s.groups[0].plan.nests[1].hi, vec![30]);
+        assert_eq!(s.groups[0].plan.nests()[1].hi, vec![30]);
         run_schedule(&s, &mut ws, &ThreadPool::new(2)).unwrap();
         assert_eq!(ws.grid("w").get(&[5]), 10.0);
         assert_eq!(ws.grid("w").get(&[15]), 45.0);
@@ -782,7 +724,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         assert_eq!(
             run_schedule(&s, &mut ws, &pool).unwrap_err(),
-            SchedError::ScatterPlan
+            SchedError::Exec(perforad_exec::ExecError::ScatterNeedsAtomics)
         );
     }
 
@@ -856,22 +798,5 @@ mod tests {
                 Err(SchedError::BadTile(_))
             ));
         }
-    }
-
-    #[test]
-    fn lpt_balances_loads() {
-        let (ws, bind) = setup(32);
-        let plan = perforad_exec::compile_nest(&paper_nest(), &ws, &bind).unwrap();
-        let tiles: Vec<Tile> = (0..10)
-            .map(|k| Tile::new(&plan, vec![1], vec![10 - (k % 3)]))
-            .collect();
-        let bins = lpt_assign(&tiles, 3);
-        assert_eq!(bins.iter().map(Vec::len).sum::<usize>(), 10);
-        let loads: Vec<u64> = bins
-            .iter()
-            .map(|b| b.iter().map(|&k| tiles[k].points()).sum())
-            .collect();
-        let (lo, hi) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
-        assert!(hi - lo <= 10, "loads {loads:?}");
     }
 }

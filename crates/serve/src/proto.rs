@@ -34,7 +34,7 @@ use std::io::{self, Read, Write};
 /// Hard cap on one frame (64 MiB); a longer length prefix is corrupt or
 /// hostile and is rejected before allocation. At 16 wire bytes per value
 /// a frame holds one bulk array of about 161³ values
-/// ([`MAX_FRAME_VALUES`]) — a 512³ grid would be 2 GiB — so the engine
+/// (`MAX_FRAME_VALUES`) — a 512³ grid would be 2 GiB — so the engine
 /// refuses at `Compile` any grid whose gradient reply could not be framed.
 pub const MAX_FRAME: usize = 64 << 20;
 

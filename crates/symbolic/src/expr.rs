@@ -1,7 +1,7 @@
 //! Symbolic expression trees.
 //!
 //! [`Expr`] is an immutable, reference-counted expression in canonical form.
-//! All construction goes through the smart constructors in [`crate::simplify`]
+//! All construction goes through the smart constructors in [`mod@crate::simplify`]
 //! (re-exported as methods here), so that structurally equal mathematical
 //! expressions compare equal — the property the adjoint transformation and
 //! golden codegen tests rely on.

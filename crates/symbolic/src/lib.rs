@@ -10,10 +10,10 @@
 //!   flattening/collecting simplification and deterministic ordering;
 //! * affine index expressions ([`Idx`]) and array accesses ([`Access`]);
 //! * symbolic differentiation with respect to individual array accesses
-//!   ([`diff`]), including piecewise `max`/`min` → ternary [`Node::Select`]
+//!   ([`mod@diff`]), including piecewise `max`/`min` → ternary [`Node::Select`]
 //!   and uninterpreted functions (§3.3.1 of the paper);
 //! * substitution/index shifting ([`subst`]) — the §3.3.2 shift step;
-//! * evaluation generic over the scalar type ([`eval`]), which lets the same
+//! * evaluation generic over the scalar type ([`mod@eval`]), which lets the same
 //!   IR run in `f64` or in the tape-AD `Var` type of `perforad-autodiff`.
 //!
 //! ```

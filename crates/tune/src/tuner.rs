@@ -614,7 +614,7 @@ fn prepare_if_jit(schedule: &Schedule, cfg: &TunedConfig, bind: &Binding) -> boo
 
 /// Compile `nests` the way a tuned configuration asks and, when it asks
 /// for the JIT lowering, natively prepare the result in this process
-/// ([`prepare_if_jit`]'s route; a warm artifact cache makes it a `dlopen`,
+/// (`prepare_if_jit`'s route; a warm artifact cache makes it a `dlopen`,
 /// not a compile). The flag is `false` only for a `Jit` schedule that
 /// could not be prepared: it still runs — on the bitwise-identical rows
 /// lowering, each execution counted in `jit.degraded_fallbacks` — so a
@@ -922,7 +922,7 @@ mod tests {
         assert_eq!(schedule.policy, cfg.policy);
         assert_eq!(schedule.fused, cfg.fuse);
         assert_eq!(schedule.tile, cfg.tile);
-        assert!(schedule.accumulate && schedule.groups.iter().all(|g| g.plan.accumulate));
+        assert!(schedule.accumulate && schedule.groups.iter().all(|g| g.plan.accumulate()));
         assert_eq!(schedule.source.len(), 5, "source nests are retained");
         run_tuned(&schedule, &cfg, &mut ws, &pool).unwrap();
     }

@@ -91,6 +91,49 @@
 //! run_schedule(&schedule, &mut ws, &pool).unwrap();
 //! ```
 //!
+//! ## The plan is the gather proof
+//!
+//! Compiling a plan proves that its points run without checks: every
+//! write at `counter + c` and in range, no read of a written array. A
+//! gather-only plan (every `c` zero) runs its tiles in parallel without
+//! atomics; `exec::run_tiling` is the one driver and the one place that
+//! refuses anything else. Safe code can read that proof but not edit it —
+//! a plan's fields:
+//!
+//! ```compile_fail,E0616
+//! use perforad::prelude::*;
+//! let ws = Workspace::new().with("u", Grid::zeros(&[9])).with("r", Grid::zeros(&[9]));
+//! let nest = parse_stencil("for i in 1 .. n-1 { r[i] = u[i-1] + u[i+1]; }").unwrap();
+//! let mut plan = compile_nest(&nest, &ws, &Binding::new().size("n", 8)).unwrap();
+//! plan.gather_only = true;
+//! ```
+//!
+//! a group's tiles, which only `exec::tile_plan` builds:
+//!
+//! ```compile_fail,E0599
+//! use perforad::prelude::*;
+//! let ws = Workspace::new().with("u", Grid::zeros(&[9])).with("r", Grid::zeros(&[9]));
+//! let nest = parse_stencil("for i in 1 .. n-1 { r[i] = u[i-1] + u[i+1]; }").unwrap();
+//! let bind = Binding::new().size("n", 8);
+//! let opts = SchedOptions::default().with_tile(&[2]);
+//! let mut schedule =
+//!     perforad::sched::compile_schedule_nests(&[nest], &ws, &bind, false, &opts).unwrap();
+//! let tile = schedule.groups[0].tiles[0].clone();
+//! schedule.groups[0].tiles.push(tile);
+//! ```
+//!
+//! or the tile runner behind the driver:
+//!
+//! ```compile_fail,E0603
+//! use perforad::prelude::*;
+//! let mut ws = Workspace::new().with("u", Grid::zeros(&[9])).with("r", Grid::zeros(&[9]));
+//! let nest = parse_stencil("for i in 1 .. n-1 { r[i] = u[i-1] + u[i+1]; }").unwrap();
+//! let plan = compile_nest(&nest, &ws, &Binding::new().size("n", 8)).unwrap();
+//! let tiles = perforad::exec::tile_plan(&plan, &[4]);
+//! let runner = perforad::exec::tile::TileRunner::new(&plan, &mut ws).unwrap();
+//! unsafe { runner.run_tile(&tiles[0], &mut runner.scratch()) };
+//! ```
+//!
 //! ## Autotuning
 //!
 //! The best schedule configuration — fuse or not, tile sizes, lowering,

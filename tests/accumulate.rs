@@ -82,28 +82,28 @@ fn workspace(rng: &mut Rng, dims: &[usize], scratch: bool) -> Workspace {
 
 /// Which linear indices of array `name` some statement of `plan` writes.
 fn written(plan: &Plan, name: &str, mask: &mut [bool]) {
-    let Ok(slot) = plan.arrays.binary_search(&Symbol::new(name)) else {
+    let Ok(slot) = plan.arrays().binary_search(&Symbol::new(name)) else {
         return;
     };
-    for nest in plan.nests.iter().filter(|n| !n.empty) {
+    for nest in plan.nests().iter().filter(|n| !n.empty) {
         for st in nest.stmts.iter().filter(|s| s.out_slot == slot) {
             let (mut lo, mut hi) = (nest.lo.clone(), nest.hi.clone());
             if let Some(g) = &st.guard {
-                for d in 0..plan.rank {
+                for d in 0..plan.rank() {
                     lo[d] = lo[d].max(g[d].0);
                     hi[d] = hi[d].min(g[d].1);
                 }
             }
-            if (0..plan.rank).any(|d| lo[d] > hi[d]) {
+            if (0..plan.rank()).any(|d| lo[d] > hi[d]) {
                 continue;
             }
             let mut point = lo.clone();
             loop {
-                let lin: i64 = (0..plan.rank)
-                    .map(|d| (point[d] + st.write_offsets[d]) * plan.strides[d] as i64)
+                let lin: i64 = (0..plan.rank())
+                    .map(|d| (point[d] + st.write_offsets[d]) * plan.strides()[d] as i64)
                     .sum();
                 mask[lin as usize] = true;
-                let Some(d) = (0..plan.rank).rev().find(|&d| point[d] < hi[d]) else {
+                let Some(d) = (0..plan.rank()).rev().find(|&d| point[d] < hi[d]) else {
                     break;
                 };
                 point[d] += 1;
@@ -319,7 +319,7 @@ fn fingerprints_keep_plain_and_accumulate_plans_apart() {
     let fp = |s: &Schedule| s.groups[0].plan.fingerprint();
     assert_eq!(fp(&plain), PLAIN_WAVE_GROUP_PLAN, "{:#018x}", fp(&plain));
     assert_ne!(fp(&acc), fp(&plain));
-    assert!(acc.groups[0].plan.accumulate && !plain.groups[0].plan.accumulate);
+    assert!(acc.groups[0].plan.accumulate() && !plain.groups[0].plan.accumulate());
     if !available() {
         eprintln!("skipped the native half: no rustc toolchain");
         return;

@@ -13,12 +13,20 @@
 //! mid-row (innermost edge 1 and 3, outer edge 1) and edges at or past the
 //! extents — so both the clamped and the constant-length family paths run
 //! — serially and on a 2-worker pool.
+//!
+//! Stencils from the same generator check the gather proof by brute
+//! force: every tile's write set, enumerated point by point, is disjoint
+//! from every other tile's in a gather plan and never read, while the
+//! scatter adjoint's tiles overlap — and the one tile driver refuses to
+//! run them plainly.
 
 use perforad::codegen::rust::{jit_group_module, JitGroupSpec};
-use perforad::exec::{compile_nests_opts, PlanOptions, Strategy};
+use perforad::exec::bytecode::Op;
+use perforad::exec::{compile_nests_opts, tile_plan, ExecError, Plan, PlanOptions, Strategy, Tile};
 use perforad::jit::available;
 use perforad::prelude::*;
-use perforad::sched::{compile_schedule_nests, run_schedule_serial};
+use perforad::sched::{compile_schedule_nests, run_schedule_serial, SchedError};
+use std::collections::{BTreeSet, HashMap};
 
 mod common;
 use common::Rng;
@@ -80,16 +88,16 @@ fn random_stencil(rng: &mut Rng, rank: usize) -> String {
 fn families(s: &Schedule, bind: &Binding) -> usize {
     let plan = &s.groups[0].plan;
     let nests = s.group_source(0);
-    let last = plan.rank - 1;
+    let last = plan.rank() - 1;
     let module = jit_group_module(&JitGroupSpec {
         prefix: "pf",
         nests: &nests,
-        arrays: &plan.arrays,
-        dims: &plan.dims,
-        strides: &plan.strides,
-        padded: plan.padded,
+        arrays: plan.arrays(),
+        dims: plan.dims(),
+        strides: plan.strides(),
+        padded: plan.padded(),
         cse: s.cse,
-        accumulate: plan.accumulate,
+        accumulate: plan.accumulate(),
         sizes: &bind.sizes,
         params: &bind.params,
     })
@@ -266,4 +274,149 @@ fn hull_tiles_are_bitwise_the_nest_by_nest_order() {
     assert!(runs > 400, "{runs} runs compared");
     assert_eq!(family_cases, 6, "every disjoint adjoint has a row family");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// What `tile` writes, point by point: each nest's part of the box, the
+/// statements whose guard holds there, each at its write offsets.
+fn write_set(plan: &Plan, tile: &Tile) -> BTreeSet<(usize, Vec<i64>)> {
+    let mut writes = BTreeSet::new();
+    for nest in plan.nests().iter().filter(|n| !n.empty) {
+        let lo: Vec<i64> = (0..plan.rank())
+            .map(|d| tile.lo()[d].max(nest.lo[d]))
+            .collect();
+        let hi: Vec<i64> = (0..plan.rank())
+            .map(|d| tile.hi()[d].min(nest.hi[d]))
+            .collect();
+        if lo.iter().zip(&hi).any(|(l, h)| l > h) {
+            continue;
+        }
+        let mut point = lo.clone();
+        'points: loop {
+            for st in &nest.stmts {
+                let guarded = st
+                    .guard
+                    .as_ref()
+                    .is_some_and(|g| g.iter().zip(&point).any(|(&(l, h), &p)| p < l || p > h));
+                if !guarded {
+                    let at = point.iter().zip(&st.write_offsets).map(|(p, o)| p + o);
+                    writes.insert((st.out_slot, at.collect()));
+                }
+            }
+            // Next point, innermost dimension fastest.
+            for d in (0..point.len()).rev() {
+                if point[d] < hi[d] {
+                    point[d] += 1;
+                    continue 'points;
+                }
+                point[d] = lo[d];
+            }
+            break;
+        }
+    }
+    writes
+}
+
+/// [`random_stencil`] plus a term reading `u` at the centre: its first term
+/// reads `u` one point off, so the conventional adjoint writes `u_b` at two
+/// offsets.
+fn two_offset_stencil(rng: &mut Rng, rank: usize) -> String {
+    let centre: String = COUNTERS[..rank].iter().map(|c| format!("[{c}]")).collect();
+    let text = random_stencil(rng, rank);
+    text.replace("; }", &format!(" + 0.5*u{centre}; }}"))
+}
+
+/// True when two tiles of `plan` cut with `edges` write one slot.
+fn tiles_overlap(plan: &Plan, edges: &[i64]) -> bool {
+    let mut writer: HashMap<(usize, Vec<i64>), usize> = HashMap::new();
+    for (k, tile) in tile_plan(plan, edges).iter().enumerate() {
+        for w in write_set(plan, tile) {
+            if writer.insert(w, k).is_some_and(|other| other != k) {
+                return true;
+            }
+        }
+    }
+    false
+}
+
+/// True when no statement of `plan` loads from a slot one writes.
+fn reads_no_written_slot(plan: &Plan) -> bool {
+    let stmts = || plan.nests().iter().flat_map(|n| &n.stmts);
+    let written: BTreeSet<usize> = stmts().map(|st| st.out_slot).collect();
+    let ops = stmts().flat_map(|st| st.prog.ops());
+    !ops.into_iter().any(|op| match op {
+        Op::Load { slot, .. } | Op::LoadPadded { slot, .. } => written.contains(&(*slot as usize)),
+        _ => false,
+    })
+}
+
+#[test]
+fn write_sets_are_disjoint_exactly_when_the_plan_is_gather() {
+    let mut rng = Rng::new(0x3217_7ea5);
+    let act = ["u", "c", "r"]
+        .into_iter()
+        .fold(ActivityMap::new(), ActivityMap::with_suffixed);
+    let pool = ThreadPool::new(2);
+    let (mut gather_tilings, mut refusals) = (0, 0);
+    for case in 0..6 {
+        let rank = 1 + case % 3;
+        let text = two_offset_stencil(&mut rng, rank);
+        let nest = parse_stencil(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let n = [10, 8, 6][rank - 1] + rng.range_usize(0, 2);
+        let bind = Binding::new().size("n", n as i64);
+        let inputs = workspace(&mut rng, &vec![n; rank]);
+        for strategy in [
+            BoundaryStrategy::Disjoint,
+            BoundaryStrategy::Guarded,
+            BoundaryStrategy::Padded,
+        ] {
+            let adj = nest
+                .adjoint(&act, &AdjointOptions::default().with_strategy(strategy))
+                .unwrap();
+            let popts = PlanOptions {
+                padded: strategy == BoundaryStrategy::Padded,
+                ..PlanOptions::default()
+            };
+            let plan = compile_nests_opts(&adj.nests, &inputs, &bind, popts).unwrap();
+            assert!(plan.gather_only(), "{text} {strategy:?}");
+            assert!(reads_no_written_slot(&plan));
+            for edges in edge_sets(rank, n) {
+                let tag = format!("{text} n={n} {strategy:?} tile {edges:?}");
+                assert!(!tiles_overlap(&plan, &edges), "{tag}");
+                gather_tilings += 1;
+            }
+        }
+
+        // The conventional adjoint writes around its centre: some tiling of
+        // at least two tiles writes one slot twice, so the driver runs its
+        // tiles plainly neither on the pool nor one after another.
+        let scatter = nest.scatter_adjoint(&act).unwrap();
+        let scatter = std::slice::from_ref(&scatter);
+        let plan = compile_nests_opts(scatter, &inputs, &bind, PlanOptions::default()).unwrap();
+        assert!(!plan.gather_only(), "{text}");
+        assert!(reads_no_written_slot(&plan));
+        let edges = edge_sets(rank, n)
+            .into_iter()
+            .find(|e| tile_plan(&plan, e).len() >= 2 && tiles_overlap(&plan, e))
+            .unwrap_or_else(|| panic!("{text}: no tiling of the scatter adjoint overlaps"));
+        let opts = SchedOptions::default().with_tile(&edges);
+        let s = compile_schedule_nests(scatter, &inputs, &bind, false, &opts).unwrap();
+        assert!(s.tile_count() > 1);
+        let refused = SchedError::Exec(ExecError::ScatterNeedsAtomics);
+        let mut ws = inputs.clone();
+        assert_eq!(run_schedule(&s, &mut ws, &pool).unwrap_err(), refused);
+        assert_eq!(run_schedule_serial(&s, &mut ws).unwrap_err(), refused);
+        assert_eq!(ws.grid("u_b").as_slice(), inputs.grid("u_b").as_slice());
+        refusals += 2;
+
+        // As one tile on the calling thread it runs: the serial reference.
+        let one = compile_schedule_nests(scatter, &inputs, &bind, false, &SchedOptions::default());
+        let one = one.unwrap();
+        assert_eq!(one.tile_count(), 1);
+        run_schedule_serial(&one, &mut ws).unwrap();
+        let mut want = inputs.clone();
+        run(&plan, &mut want, ExecMode::serial()).unwrap();
+        assert_bitwise(&format!("{text} scatter, one tile"), &ws, &want);
+    }
+    assert_eq!(gather_tilings, 6 * 3 * 6);
+    assert_eq!(refusals, 12);
 }
