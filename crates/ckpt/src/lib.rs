@@ -12,15 +12,18 @@
 //! chosen per memory budget rather than a fixed recipe; this crate makes
 //! that choice explicit and machine-optimizable:
 //!
-//! * [`CheckpointPlan`] — binomial (treeverse/revolve) placement for a
-//!   given `(steps, budget)` pair, degenerating to store-all when the
+//! * [`CheckpointPlan`] — optimal (revolve) placement for a given
+//!   `(steps, budget)` pair: the fewest recomputed steps any placement
+//!   reaches under the budget, degenerating to store-all when the
 //!   budget covers the sweep and to recompute-from-start at budget 1.
 //!   Plans compile to a stream of [`CkptAction`]s and can be *simulated*
 //!   ([`CheckpointPlan::stats`]) without running anything — which is how
 //!   the autotuner prices a budget before committing to it.
 //! * [`Snapshot`] / [`SnapshotStore`] — where states live:
-//!   [`MemStore`] (copies in RAM, in slots it refills) or [`DiskStore`]
-//!   (bitwise-exact spill files, conventionally under `$PERFORAD_CKPT_DIR`).
+//!   [`MemStore`] (states in RAM, in slots it refills — a copy for owned
+//!   grids, a reference for an `Arc`, which [`Snapshot`] assigns by
+//!   reference) or [`DiskStore`] (bitwise-exact spill files,
+//!   conventionally under `$PERFORAD_CKPT_DIR`).
 //! * [`checkpointed_adjoint_plan`] — the replay driver: streaming
 //!   forward pass (the right-most checkpoint chain is deposited on the
 //!   way to the objective, not replayed), a single `seed` call with the

@@ -15,7 +15,7 @@ use crate::error::CkptError;
 use perforad_exec::Grid;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Environment variable naming the default spill directory for
 /// [`DiskStore::from_env`] consumers (the seismic driver's `Auto`
@@ -128,11 +128,30 @@ impl Snapshot for Grid {
     }
 
     fn assign(&mut self, src: &Self) {
-        if self.dims() == src.dims() {
-            self.as_mut_slice().copy_from_slice(src.as_slice());
-        } else {
-            *self = src.clone();
-        }
+        self.copy_from(src);
+    }
+}
+
+/// A shared state is stored by reference: a memory-store save, load or
+/// take of one moves a reference count and copies nothing (serialising,
+/// for the disk store, still writes the bytes). `mem_bytes` is what the
+/// shared value occupies, once per holder — a store's byte high-water mark
+/// stays what it was for owned states.
+impl<T: Snapshot> Snapshot for Arc<T> {
+    fn to_bytes(&self) -> Vec<u8> {
+        (**self).to_bytes()
+    }
+
+    fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
+        T::from_bytes(bytes).map(Arc::new)
+    }
+
+    fn mem_bytes(&self) -> usize {
+        (**self).mem_bytes()
+    }
+
+    fn assign(&mut self, src: &Self) {
+        *self = Arc::clone(src);
     }
 }
 

@@ -45,6 +45,8 @@ pub enum ExecError {
     Unsupported(String),
     /// Parallel scatter execution requested without atomics.
     ScatterNeedsAtomics,
+    /// The plan writes an array the workspace binds shared, read-only.
+    SharedWrite(String),
 }
 
 impl fmt::Display for ExecError {
@@ -90,6 +92,10 @@ impl fmt::Display for ExecError {
             ExecError::ScatterNeedsAtomics => write!(
                 f,
                 "parallel execution of a scatter nest requires the atomic executor"
+            ),
+            ExecError::SharedWrite(a) => write!(
+                f,
+                "array `{a}` is bound shared and read-only, but the kernel writes it"
             ),
         }
     }

@@ -4,9 +4,15 @@
 //! 3-D (wave) grids; everything here is rank-generic.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A dense row-major array of `f64` with runtime rank.
-#[derive(Clone, PartialEq)]
+///
+/// Cloning one copies its data, and so does [`Grid::copy_from`]; both
+/// count the bytes in `exec.grid_copy_bytes` (while recording is on). No
+/// other operation copies a grid, so a time loop that only moves grids
+/// around — or shares them behind an `Arc` — leaves that counter alone.
+#[derive(PartialEq)]
 pub struct Grid {
     dims: Vec<usize>,
     strides: Vec<usize>,
@@ -19,6 +25,24 @@ fn compute_strides(dims: &[usize]) -> Vec<usize> {
         strides[d] = strides[d + 1] * dims[d + 1];
     }
     strides
+}
+
+/// `exec.grid_copy_bytes`, resolved once per process.
+fn count_copy(values: usize) {
+    static C: OnceLock<perforad_obs::Counter> = OnceLock::new();
+    C.get_or_init(|| perforad_obs::counter("exec.grid_copy_bytes"))
+        .add(8 * values as u64);
+}
+
+impl Clone for Grid {
+    fn clone(&self) -> Self {
+        count_copy(self.data.len());
+        Grid {
+            dims: self.dims.clone(),
+            strides: self.strides.clone(),
+            data: self.data.clone(),
+        }
+    }
 }
 
 impl Grid {
@@ -120,6 +144,17 @@ impl Grid {
         self.data.fill(v);
     }
 
+    /// Overwrite `self` with `src`'s value, keeping `self`'s allocation
+    /// when the shapes agree.
+    pub fn copy_from(&mut self, src: &Grid) {
+        if self.dims == src.dims {
+            count_copy(src.data.len());
+            self.data.copy_from_slice(&src.data);
+        } else {
+            *self = src.clone();
+        }
+    }
+
     /// Euclidean norm of the data.
     pub fn norm2(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -194,6 +229,18 @@ mod tests {
         let a = Grid::zeros(&[2]);
         let b = Grid::zeros(&[3]);
         let _ = a.dot(&b);
+    }
+
+    #[test]
+    fn copy_from_keeps_the_allocation_when_the_shapes_agree() {
+        let a = Grid::from_fn(&[3, 4], |ix| (ix[0] * 4 + ix[1]) as f64);
+        let mut b = Grid::zeros(&[3, 4]);
+        let buffer = b.as_slice().as_ptr();
+        b.copy_from(&a);
+        assert_eq!((b.as_slice().as_ptr(), &b), (buffer, &a));
+        let mut wide = Grid::zeros(&[5]);
+        wide.copy_from(&a);
+        assert_eq!((wide.dims(), wide.strides()), (a.dims(), a.strides()));
     }
 
     #[test]

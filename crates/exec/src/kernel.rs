@@ -78,6 +78,8 @@ pub struct Plan {
     pub(crate) dims: Vec<usize>,
     pub(crate) strides: Vec<usize>,
     pub(crate) arrays: Vec<Symbol>,
+    /// Per slot of `arrays`: whether some statement writes it.
+    pub(crate) written: Vec<bool>,
     pub(crate) nests: Vec<NestPlan>,
     pub(crate) gather_only: bool,
     pub(crate) padded: bool,
@@ -440,6 +442,7 @@ pub fn compile_nests_opts(
         }
     }
     let arrays: Vec<Symbol> = write_names.union(&read_names).cloned().collect();
+    let written = arrays.iter().map(|a| write_names.contains(a)).collect();
 
     // All arrays must exist and share extents matching the nest rank.
     let first = ws
@@ -636,6 +639,7 @@ pub fn compile_nests_opts(
         dims,
         strides,
         arrays,
+        written,
         hull: bounding_box(&nest_plans),
         nests: nest_plans,
         gather_only,

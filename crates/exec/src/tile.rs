@@ -22,7 +22,14 @@
 //! - **F2.** No nest reads an array the plan writes
 //!   ([`ExecError::AliasedWrite`] at plan compile time). Stores never feed
 //!   loads, so running a plan box by box reorders points, never the
-//!   updates to one point: the bits are the nest-by-nest order's.
+//!   updates to one point: the bits are the nest-by-nest order's. A
+//!   workspace may bind an array *shared* — an `Arc<Grid>` that a
+//!   checkpoint snapshot or another workspace holds too
+//!   ([`Workspace::insert_shared`]). `TileRunner::pin` takes only a read
+//!   pointer from a shared array and refuses a plan that writes one
+//!   ([`ExecError::SharedWrite`]) before any tile runs, so under F2 a
+//!   shared grid is only ever read, by any number of tiles and workspaces
+//!   at once.
 //! - **F3.** Tiles run concurrently only when they come from one
 //!   [`Tiling`] of a gather-only plan — every `c` is zero, so a tile
 //!   writes inside its box, and a tiling's boxes are disjoint — or when
@@ -42,7 +49,7 @@ use crate::kernel::{NestPlan, Plan};
 use crate::native::{native_lookup, NativeGroup};
 use crate::rows::{self, RowScratch};
 use crate::run::Lowering;
-use crate::workspace::Workspace;
+use crate::workspace::{Slot, Workspace};
 use std::sync::{Arc, OnceLock};
 
 /// Dispatch counters: which lowering actually executed each tile
@@ -117,32 +124,54 @@ impl Tiling {
 
 pub(crate) struct Buffers {
     pub(crate) views: Vec<ArrayView>,
+    /// One base pointer per slot. Written through only for slots the plan
+    /// writes, which are all owned by the workspace; a shared slot's
+    /// pointer is only read through.
     pub(crate) write_ptrs: Vec<*mut f64>,
     pub(crate) lens: Vec<usize>,
 }
 
+/// Pin every slot of `plan` in `ws`: a write pointer into each owned grid,
+/// a read pointer into each shared one. A plan that writes a shared grid is
+/// refused here, before any tile runs.
 fn make_buffers(plan: &Plan, ws: &mut Workspace) -> Result<Buffers, ExecError> {
     let mut views = Vec::with_capacity(plan.arrays.len());
     let mut write_ptrs = Vec::with_capacity(plan.arrays.len());
     let mut lens = Vec::with_capacity(plan.arrays.len());
-    for name in &plan.arrays {
-        let g = ws
-            .get_mut(name)
+    for (name, &written) in plan.arrays.iter().zip(&plan.written) {
+        let slot = ws
+            .slot_mut(name)
             .ok_or_else(|| crate::error::unknown(name))?;
-        if g.dims() != plan.dims.as_slice() {
+        let grid = match &*slot {
+            Slot::Owned(g) => g,
+            Slot::Shared(_) if written => {
+                return Err(ExecError::SharedWrite(name.name().to_string()))
+            }
+            Slot::Shared(g) => g,
+        };
+        if grid.dims() != plan.dims.as_slice() {
             return Err(ExecError::DimsMismatch {
                 array: name.name().to_string(),
                 expected: plan.dims.clone(),
-                got: g.dims().to_vec(),
+                got: grid.dims().to_vec(),
             });
         }
-        let slice = g.as_mut_slice();
-        lens.push(slice.len());
-        views.push(ArrayView {
-            ptr: slice.as_ptr(),
-            len: slice.len(),
-        });
-        write_ptrs.push(slice.as_mut_ptr());
+        let len = grid.len();
+        let ptr = match slot {
+            Slot::Owned(g) => g.as_mut_slice().as_mut_ptr(),
+            // SAFETY: a read pointer, cast to `*mut` only to share one
+            // table with the written slots. F2 keeps every nest's reads off
+            // the arrays the plan writes, and the refusal above keeps the
+            // plan's writes off shared arrays, so nothing writes through
+            // it. Nothing writes the grid any other way while tiles run
+            // either: `ws` stays borrowed and holds a reference, so the
+            // `Arc` keeps the grid alive and `Arc::get_mut` refuses every
+            // other holder.
+            Slot::Shared(g) => g.as_slice().as_ptr() as *mut f64,
+        };
+        lens.push(len);
+        views.push(ArrayView { ptr, len });
+        write_ptrs.push(ptr);
     }
     Ok(Buffers {
         views,

@@ -22,24 +22,30 @@
 //! steps (or forced with [`BatchOptions::checkpointed`]) stream the
 //! forward pass under a `perforad-ckpt` [`CheckpointPlan`] — a snapshot
 //! budget chosen by the autotuner (jointly with the stencil schedule, via
-//! `TuneOptions::with_time_loop`) bounds live memory, and reverse
-//! segments are recomputed through the same tuned fused/JIT schedule the
-//! store-all sweep uses. Both sweeps are **bitwise-identical**:
-//! checkpointing changes where states come from, never how steps execute.
+//! `TuneOptions::with_time_loop`) bounds live memory, the plan recomputes
+//! the fewest steps any placement can under it (revolve's exact split),
+//! and reverse segments are recomputed through the same tuned fused/JIT
+//! schedule the store-all sweep uses. Both sweeps are
+//! **bitwise-identical**: checkpointing changes where states come from,
+//! never how steps execute.
 //!
 //! The time loop costs what its kernels cost: the primal step is a
 //! one-nest [`Schedule`] tiled, lowered and driven like the tuned adjoint
 //! — through the JIT tier when the tuner chose it for the adjoint, as a
 //! second native artifact keyed by the primal plan's own fingerprint, and
 //! on the row executor when that cannot be prepared; no step allocates or
-//! copies a grid (state grids are *swapped* into the kernel workspaces and
-//! rotated back out, and the adjoint kernel, compiled in accumulate mode,
-//! is lent λ_t, λ_{t−1} and `∂J/∂c` to add its increments into) and the
-//! primal step clears none, though a back step fills one (the λ grid
-//! rotated in by `Rolling::back`) and adds nothing back; the adjoint
-//! field is a 3-grid rolling window in both sweeps; a checkpointed sweep
-//! copies a state only where its plan reads one back; and a plan keeps
-//! its warmed shot states between runs instead of cloning them per call.
+//! copies a grid (a state is two shared grids, bound read-only into the
+//! kernel workspaces, and a step writes only into a grid nothing else
+//! holds; the adjoint kernel, compiled in accumulate mode, is lent λ_t,
+//! λ_{t−1} and `∂J/∂c` to add its increments into) and the primal step
+//! clears none, though a back step fills one (the λ grid rotated in by
+//! `Rolling::back`) and adds nothing back; the adjoint field is a 3-grid
+//! rolling window in both sweeps; a memory-store snapshot holds the
+//! cursor's grids rather than a copy of them, so a warm checkpointed sweep
+//! copies no grid at all, and what it steps into comes from a per-sweep
+//! pool that recycles every grid no state, snapshot or workspace holds any
+//! more; and a plan keeps its warmed shot states between runs instead of
+//! cloning them per call.
 //!
 //! A short store-all sweep keeps its trajectory the same way: a plan below
 //! [`CKPT_THRESHOLD_STEPS`] that runs store-all (the dispatch rule's choice
@@ -68,7 +74,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::mem::swap;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Plans at least this long default to the bounded-memory checkpointed
 /// sweep; shorter ones keep the dense store-all sweep, and keep its
@@ -109,6 +115,12 @@ pub fn ricker(steps: usize) -> Vec<f64> {
 /// needs, and all a snapshot has to hold.
 pub type WaveState = (Grid, Grid);
 
+/// [`WaveState`] as the time loops here hold it: two shared grids, never
+/// written once stepped into. A snapshot of it holds the same two grids,
+/// so a memory-store save, load or take moves reference counts and copies
+/// nothing.
+type SharedState = (Arc<Grid>, Arc<Grid>);
+
 /// A kernel workspace: the model `c` plus zeroed grids of its shape.
 fn workspace(c: &Grid, zeroed: &[&str]) -> Workspace {
     let mut ws = Workspace::new().with("c", c.clone());
@@ -132,12 +144,17 @@ struct Stepper<'p> {
     schedule: Schedule,
     tuned: TunedConfig,
     pool: &'p ThreadPool,
+    /// The kernel's workspace: `u` owned (the step writes it), `u_1` and
+    /// `u_2` bound shared (it only reads them) — to `zero` between steps.
     ws: Workspace,
+    /// An all-zero grid nothing ever writes: `u_{−1}`, `u_0` of a
+    /// checkpointed sweep, and what `u_1` and `u_2` hold between steps.
+    zero: Arc<Grid>,
     src: [usize; 3],
     source: Vec<f64>,
     /// `u_0 .. u_steps` as the last store-all sweep of a plan shorter than
     /// [`CKPT_THRESHOLD_STEPS`] left them; empty for every other plan.
-    traj: Vec<Grid>,
+    traj: Vec<Arc<Grid>>,
 }
 
 impl<'p> Stepper<'p> {
@@ -150,7 +167,10 @@ impl<'p> Stepper<'p> {
         pool: &'p ThreadPool,
     ) -> Stepper<'p> {
         let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
-        let ws = workspace(c, &["u", "u_1", "u_2"]);
+        let zero = Arc::new(Grid::zeros(c.dims()));
+        let ws = workspace(c, &["u"])
+            .with_shared("u_1", Arc::clone(&zero))
+            .with_shared("u_2", Arc::clone(&zero));
         let mut tuned = TunedConfig {
             cse: false,
             ..tuned.clone()
@@ -168,6 +188,7 @@ impl<'p> Stepper<'p> {
             tuned,
             pool,
             ws,
+            zero,
             src: cfg.source_index(),
             source: vec![0.0; cfg.steps],
             traj: Vec::new(),
@@ -182,23 +203,30 @@ impl<'p> Stepper<'p> {
         self.source.copy_from_slice(source);
     }
 
-    /// Advance `(u_{t−1}, u_t)` to `(u_t, u_{t+1})` in place. The state's
-    /// grids are lent to the workspace for the run and rotated back out;
-    /// what stays behind (`u_{t−1}` and two spent buffers) is scratch the
-    /// next call overwrites. No grid is allocated, copied or cleared: the
-    /// step *assigns* every interior point of the buffer it writes, and
-    /// that buffer's boundary planes are zero already — every grid in the
-    /// rotation (workspace buffers, cursor, snapshots, trajectory entries)
-    /// starts all-zero and is only ever written on its interior, the
-    /// source point included.
-    fn step(&mut self, state: &mut WaveState, t: usize) {
-        let _span = perforad_obs::span!("seismic.step", "seismic", "t" => t as u64);
-        swap(self.ws.grid_mut("u_2"), &mut state.0);
-        swap(self.ws.grid_mut("u_1"), &mut state.1);
+    /// Advance `(u_{t−1}, u_t)` to `(u_t, u_{t+1})`, writing `u_{t+1}` into
+    /// `out`: a grid nothing but `out` holds, which the new state then
+    /// shares. The state's grids are bound to the workspace shared and
+    /// `out`'s lent to it for the run, then all are handed back. No grid
+    /// is allocated, copied or cleared: the step *assigns* every interior
+    /// point of `out`, whose boundary planes are zero already — every grid
+    /// a time loop steps into starts all-zero and is only ever written on
+    /// its interior, the source point included.
+    fn step(&mut self, state: &mut SharedState, out: &mut Arc<Grid>, t: usize) {
+        let u = Arc::get_mut(out).expect("a step writes only a grid nothing else holds");
+        self.exchange(state, u);
         self.run();
-        swap(self.ws.grid_mut("u_1"), &mut state.0);
-        swap(self.ws.grid_mut("u"), &mut state.1);
-        self.inject(&mut state.1, t);
+        self.exchange(state, u);
+        self.inject(u, t);
+        state.0 = std::mem::replace(&mut state.1, Arc::clone(out));
+    }
+
+    /// Swap `(u_{t−1}, u_t)` and the grid being written with the
+    /// workspace's `u_2`, `u_1` and `u`: lends them on the first call and
+    /// takes them back on the second.
+    fn exchange(&mut self, (u_2, u_1): &mut SharedState, u: &mut Grid) {
+        swap(self.ws.shared_mut("u_2"), u_2);
+        swap(self.ws.shared_mut("u_1"), u_1);
+        swap(self.ws.grid_mut("u"), u);
     }
 
     /// The kernel on whatever the workspace holds: `u` from `u_1`, `u_2`.
@@ -215,36 +243,21 @@ impl<'p> Stepper<'p> {
     /// Step through the whole time loop (one step per source sample),
     /// keeping every state: `u_0 .. u_steps`, written over `traj`'s grids
     /// when it is a trajectory this stepper filled before and into fresh
-    /// zeroed ones otherwise. Step `t` lends `u_{t−1}`, `u_t`, `u_{t+1}` to
-    /// the workspace and takes them back, under [`Stepper::step`]'s
+    /// zeroed ones otherwise. Step `t` reads `u_{t−1}` and `u_t` and writes
+    /// `traj[t + 1]`, which only `traj` holds, under [`Stepper::step`]'s
     /// invariant: an entry's interior is assigned in full, its boundary was
-    /// never anything but zero. `u_0` and `u_{−1}` (the workspace's own
-    /// `u_2`, never lent out) are the zero initial condition, never written.
-    fn trajectory(&mut self, mut traj: Vec<Grid>) -> Vec<Grid> {
-        let (steps, dims) = (self.source.len(), self.ws.grid("u").dims().to_vec());
+    /// never anything but zero. `u_0` and `u_{−1}` (`zero`) are the zero
+    /// initial condition, never written.
+    fn trajectory(&mut self, mut traj: Vec<Arc<Grid>>) -> Vec<Arc<Grid>> {
+        let (steps, dims) = (self.source.len(), self.zero.dims().to_vec());
         let _span = perforad_obs::span!(
             "seismic.forward", "seismic", "steps" => steps as u64, "n" => dims[0] as u64
         );
-        if traj.len() != steps + 1 {
-            traj = (0..=steps).map(|_| Grid::zeros(&dims)).collect();
-        }
-        let (u_0, u_m1) = (&traj[0], self.ws.grid("u_2"));
-        debug_assert!(
-            u_0.norm2() + u_m1.norm2() == 0.0,
-            "initial condition overwritten"
-        );
+        traj.resize_with(steps + 1, || Arc::new(Grid::zeros(&dims)));
+        debug_assert!(traj[0].norm2() == 0.0, "initial condition overwritten");
+        let mut state = (Arc::clone(&self.zero), Arc::clone(&traj[0]));
         for t in 0..steps {
-            let window = &mut traj[t.saturating_sub(1)..t + 2];
-            let names = &["u_2", "u_1", "u"][3 - window.len()..];
-            // Lends the window on the first call, takes it back on the second.
-            let mut exchange = |ws: &mut Workspace| {
-                let pairs = names.iter().zip(window.iter_mut());
-                pairs.for_each(|(name, grid)| swap(ws.grid_mut(name), grid));
-            };
-            exchange(&mut self.ws);
-            self.run();
-            exchange(&mut self.ws);
-            self.inject(&mut traj[t + 1], t);
+            self.step(&mut state, &mut traj[t + 1], t);
         }
         traj
     }
@@ -263,7 +276,9 @@ pub fn forward(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Vec<Grid> {
     // A serial drive never enters the pool it is handed.
     let mut stepper = Stepper::new(cfg, c, &serial, default_pool());
     stepper.set_source(source);
-    stepper.trajectory(Vec::new())
+    let traj = stepper.trajectory(Vec::new());
+    // Each state is `traj`'s alone now: unwrapping copies nothing.
+    traj.into_iter().map(Arc::unwrap_or_clone).collect()
 }
 
 /// `J = ½ ‖u − d‖²`.
@@ -310,7 +325,10 @@ impl<'p> ReverseSweep<'p> {
     ) -> ReverseSweep<'p> {
         let _span = perforad_obs::span!("seismic.setup", "seismic", "n" => cfg.n as u64);
         let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
-        let mut ws = workspace(c, &["u_1", "u_b", "u_1_b", "u_2_b", "c_b"]);
+        // `u_1`, the primal state, is only read: bound shared, so a back
+        // step borrows a state's grid instead of taking it over.
+        let mut ws = workspace(c, &["u_b", "u_1_b", "u_2_b", "c_b"])
+            .with_shared("u_1", Arc::new(Grid::zeros(c.dims())));
         let mut topts = TuneOptions::quick().with_accumulate(true);
         topts.time_loop = time_loop;
         let (schedule, tuned) = match autotune_adjoint(adj, &mut ws, &bind, pool, &topts) {
@@ -337,12 +355,12 @@ impl<'p> ReverseSweep<'p> {
 
     /// One adjoint step: consume `λ_{t+1}` with `u_1 = u_t` bound, adding
     /// the `u_1_b`, `u_2_b` and `c_b` increments straight into `lambda`,
-    /// `lambda_prev` and `c_b`. Every grid is lent to the workspace for
-    /// the run (swapped in, not copied) and handed back; the first two
-    /// come back as they came.
+    /// `lambda_prev` and `c_b`. `u_t` is bound shared and the rest lent
+    /// (swapped in, not copied) for the run, and all are handed back; the
+    /// first two come back as they came.
     fn back(
         &mut self,
-        u_t: &mut Grid,
+        u_t: &mut Arc<Grid>,
         lambda_next: &mut Grid,
         lambda: &mut Grid,
         lambda_prev: &mut Grid,
@@ -350,19 +368,20 @@ impl<'p> ReverseSweep<'p> {
     ) {
         let _span = perforad_obs::span!("seismic.back", "seismic");
         let mut lent = [
-            ("u_1", u_t),
             ("u_b", lambda_next),
             ("u_1_b", lambda),
             ("u_2_b", lambda_prev),
             ("c_b", c_b),
         ];
-        for (name, grid) in &mut lent {
-            swap(self.ws.grid_mut(name), *grid);
-        }
+        let mut exchange = |ws: &mut Workspace| {
+            swap(ws.shared_mut("u_1"), u_t);
+            for (name, grid) in &mut lent {
+                swap(ws.grid_mut(name), *grid);
+            }
+        };
+        exchange(&mut self.ws);
         run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("adjoint step");
-        for (name, grid) in lent {
-            swap(self.ws.grid_mut(name), grid);
-        }
+        exchange(&mut self.ws);
     }
 }
 
@@ -414,7 +433,7 @@ impl Rolling {
     /// add-back turned a `−0.0` into `+0.0`; no grid here holds a `−0.0`
     /// at such a point (λ_{t−1} is all `+0.0` on entry — fresh, or rotated
     /// in and cleared — and the edges no nest writes stay as they started).
-    fn back(&mut self, sweep: &mut ReverseSweep<'_>, u_t: &mut Grid) {
+    fn back(&mut self, sweep: &mut ReverseSweep<'_>, u_t: &mut Arc<Grid>) {
         let [hi, mid, lo] = &mut self.lam;
         sweep.back(u_t, hi, mid, lo, &mut self.c_b);
         self.lam.rotate_left(1);
@@ -449,10 +468,11 @@ fn store_all_core(cfg: &SeismicConfig, data: &Grid, state: &mut ShotState<'_>) -
 #[derive(Clone, Debug, Default)]
 pub enum SnapshotBackend {
     /// Spill to `$PERFORAD_CKPT_DIR` when that variable is set, keep
-    /// in-memory clones otherwise.
+    /// snapshots in memory otherwise.
     #[default]
     Auto,
-    /// In-memory clones (fast; the budget bounds their count).
+    /// In memory, sharing the cursor's grids: a save or load copies
+    /// nothing (the budget bounds how many are live).
     Memory,
     /// Bitwise-exact spill files under the given directory.
     Disk(PathBuf),
@@ -487,7 +507,8 @@ fn checkpointed_core(
     if let Some(dir) = spill_dir(backend) {
         let spilled = DiskStore::new(&dir).and_then(|disk| {
             let mut store = FallbackStore::new(disk);
-            checkpointed_attempt(cfg, data, &plan, &mut store, state)
+            let mut grids = GridPool::new([cfg.n; 3]);
+            checkpointed_attempt(cfg, data, &plan, &mut store, &mut grids, state)
         });
         match spilled {
             Ok(out) => return out,
@@ -497,30 +518,67 @@ fn checkpointed_core(
             }
         }
     }
-    checkpointed_attempt(cfg, data, &plan, &mut MemStore::new(), state)
+    let mut grids = GridPool::new([cfg.n; 3]);
+    checkpointed_attempt(cfg, data, &plan, &mut MemStore::new(), &mut grids, state)
         .expect("in-memory checkpointed sweep")
+}
+
+/// The grids a checkpointed sweep steps into. The pool holds a reference
+/// to each as well, so a grid only it holds — no state, snapshot or
+/// workspace does any more — is free, and the next step writes into it
+/// instead of a fresh one. One pool per sweep: nothing stays resident
+/// between runs.
+struct GridPool {
+    dims: [usize; 3],
+    grids: Vec<Arc<Grid>>,
+}
+
+impl GridPool {
+    fn new(dims: [usize; 3]) -> GridPool {
+        GridPool {
+            dims,
+            grids: Vec::new(),
+        }
+    }
+
+    /// A grid nothing but the pool holds, a freed one before a fresh one.
+    fn free(&mut self) -> &mut Arc<Grid> {
+        let free = self.grids.iter().position(|g| Arc::strong_count(g) == 1);
+        let k = free.unwrap_or_else(|| {
+            self.grids.push(Arc::new(Grid::zeros(&self.dims)));
+            self.grids.len() - 1
+        });
+        &mut self.grids[k]
+    }
 }
 
 /// One full checkpointed sweep against a concrete snapshot store: fresh
 /// rolling adjoint state, the memoized action stream replayed start to
-/// finish. Errors out of the store surface here for the caller's
-/// fallback decision.
+/// finish. The cursor and the snapshots share the grids `grids` hands
+/// out, so a memory store moves references where it used to copy states.
+/// Errors out of the store surface here for the caller's fallback
+/// decision.
 fn checkpointed_attempt(
     cfg: &SeismicConfig,
     data: &Grid,
     plan: &CheckpointPlan,
-    store: &mut impl SnapshotStore<WaveState>,
+    store: &mut impl SnapshotStore<SharedState>,
+    grids: &mut GridPool,
     (stepper, sweep): &mut ShotState<'_>,
 ) -> Result<(f64, Grid, CkptReport), CkptError> {
     let dims = [cfg.n, cfg.n, cfg.n];
-    let s0: WaveState = (Grid::zeros(&dims), Grid::zeros(&dims));
+    // `u_{−1}` and `u_0` are zero, and no step writes a state it holds.
+    let s0 = (Arc::clone(&stepper.zero), Arc::clone(&stepper.zero));
     // The driver calls `seed` and `back` strictly sequentially, so a
     // RefCell resolves the closure-borrow overlap without locking.
     let rolling = RefCell::new(Rolling::new(&dims));
-    let mut step = |s: &mut WaveState, t: usize| stepper.step(s, t);
-    let mut seed = |s: &WaveState| rolling.borrow_mut().seed(&s.1, data);
+    let mut step = |s: &mut SharedState, t: usize| {
+        let _span = perforad_obs::span!("seismic.step", "seismic", "t" => t as u64);
+        stepper.step(s, grids.free(), t)
+    };
+    let mut seed = |s: &SharedState| rolling.borrow_mut().seed(&s.1, data);
     // Step t produced u_{t+1} from u_1 = u_t (= s.1).
-    let mut back = |s: &mut WaveState, _t: usize| rolling.borrow_mut().back(sweep, &mut s.1);
+    let mut back = |s: &mut SharedState, _t: usize| rolling.borrow_mut().back(sweep, &mut s.1);
     let report = checkpointed_adjoint_plan(plan, s0, store, &mut step, &mut seed, &mut back)?;
     let st = rolling.into_inner();
     Ok((st.j, st.c_b, report))
@@ -1028,7 +1086,13 @@ mod tests {
         assert_eq!(traj.len(), cfg.steps + 1, "the trajectory stayed");
         let interior = |ix: &[usize]| ix.iter().all(|&i| (1..cfg.n - 1).contains(&i));
         for u in &mut traj[1..] {
-            *u = Grid::from_fn(&[cfg.n; 3], |ix| if interior(ix) { f64::NAN } else { 0.0 });
+            *u = Arc::new(Grid::from_fn(&[cfg.n; 3], |ix| {
+                if interior(ix) {
+                    f64::NAN
+                } else {
+                    0.0
+                }
+            }));
         }
 
         let second = plan.run(&batch);
@@ -1056,6 +1120,122 @@ mod tests {
         let mut plan = BatchPlan::new(&long, &c0, &opts, &pool);
         plan.run(&batch);
         assert!(plan.idle.get_mut().unwrap()[0].0.traj.is_empty());
+    }
+
+    /// A pool grid is scratch: a step assigns every interior point of the
+    /// grid it writes before anything reads it. Here the run draws every
+    /// grid it steps into from a pool the test fills with grids that are
+    /// NaN at every interior point (zero on the boundary), and it changes
+    /// no bit.
+    #[test]
+    fn a_poisoned_pool_grid_changes_no_bit_of_the_run() {
+        let cfg = SeismicConfig {
+            n: 8,
+            steps: 9,
+            d: 0.1,
+        };
+        let src = ricker(cfg.steps);
+        let c0 = velocity(cfg.n);
+        let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.04);
+        let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
+        let opts = BatchOptions {
+            strategy: Some(BatchStrategy::GridParallel),
+            budget: Some(3),
+            backend: SnapshotBackend::Memory,
+            checkpointed: Some(true),
+        };
+        let clean = one_shot(&cfg, &c0, &data, &src, &opts);
+
+        let pool = ThreadPool::new(1);
+        let batch_plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
+        let mut state = batch_plan.proto.clone();
+        state.0.set_source(&src);
+        let interior = |ix: &[usize]| ix.iter().all(|&i| (1..cfg.n - 1).contains(&i));
+        let poison = Grid::from_fn(&[cfg.n; 3], |ix| if interior(ix) { f64::NAN } else { 0.0 });
+        const FILLED: usize = 32;
+        let mut grids = GridPool {
+            dims: [cfg.n; 3],
+            grids: (0..FILLED).map(|_| Arc::new(poison.clone())).collect(),
+        };
+        let plan = CheckpointPlan::with_budget(cfg.steps, 3);
+        let mut store = MemStore::new();
+        let poisoned = checkpointed_attempt(&cfg, &data, &plan, &mut store, &mut grids, &mut state)
+            .expect("in-memory checkpointed sweep");
+        drop(store);
+        assert_eq!(
+            grids.grids.len(),
+            FILLED,
+            "a grid came from outside the poisoned pool"
+        );
+        let written = grids
+            .grids
+            .iter()
+            .filter(|g| !g.as_slice().iter().any(|v| v.is_nan()));
+        assert!(written.count() > 0, "the run stepped into no pool grid");
+        assert!(clean.0 > 0.0 && clean.1.norm2() > 0.0);
+        assert_eq!(poisoned.0.to_bits(), clean.0.to_bits());
+        for (a, b) in poisoned.1.as_slice().iter().zip(clean.1.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// Seven shots on four workers, each shot's state checked out of the
+    /// idle list or cloned from the prototype: bit for bit the one-shot
+    /// runs, and no two shot states (prototype included) own a grid in
+    /// common — what they share is bound read-only.
+    #[test]
+    fn shot_states_cloned_for_a_batch_share_no_writable_grid() {
+        let cfg = SeismicConfig {
+            n: 8,
+            steps: 7,
+            d: 0.1,
+        };
+        let c0 = velocity(cfg.n);
+        let mut batch = ShotBatch::new();
+        for k in 0..7 {
+            let src: Vec<f64> = ricker(cfg.steps)
+                .iter()
+                .map(|s| s * (1.0 + 0.3 * k as f64))
+                .collect();
+            batch.push(src, Grid::full(&[cfg.n; 3], 1e-3 * k as f64));
+        }
+        let opts = BatchOptions {
+            strategy: Some(BatchStrategy::ShotParallel),
+            budget: Some(3),
+            backend: SnapshotBackend::Memory,
+            checkpointed: Some(true),
+        };
+        let pool = ThreadPool::new(4);
+        let mut plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
+        let res = plan.run(&batch);
+        for k in 0..batch.len() {
+            let (src, data) = (&batch.sources[k], &batch.observed[k]);
+            let (j, g, _) = one_shot(&cfg, &c0, data, src, &opts);
+            assert_eq!(res.misfits[k].to_bits(), j.to_bits(), "shot {k}");
+            for (a, b) in res.gradients[k].as_slice().iter().zip(g.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "shot {k}");
+            }
+        }
+        let mut owned = std::collections::BTreeSet::new();
+        let idle = plan.idle.get_mut().unwrap();
+        assert!(
+            (1..=4).contains(&idle.len()),
+            "{} warmed states",
+            idle.len()
+        );
+        for (stepper, sweep) in idle.iter_mut().chain([&mut plan.proto]) {
+            for ws in [&mut stepper.ws, &mut sweep.ws] {
+                let names: Vec<Symbol> = ws.names().cloned().collect();
+                for name in names {
+                    if let Some(g) = ws.get_mut(&name) {
+                        let fresh = owned.insert(g.as_slice().as_ptr() as usize);
+                        assert!(fresh, "`{name}` is owned by two shot states");
+                    }
+                }
+            }
+        }
+        // The stepper owns `u` and `c`, the sweep `c`, three λ and `c_b`.
+        assert_eq!(owned.len(), (idle.len() + 1) * 7);
     }
 
     /// A misfit against a grid of another shape would zip the two grids

@@ -181,9 +181,10 @@ pub struct CheckpointShape {
     /// Primal steps recomputed per primal step (0.0 = store-all,
     /// `(T−1)/2` = budget 1).
     pub recompute_ratio: f64,
-    /// Snapshot save events across the whole sweep (one state copy each).
+    /// Snapshot save events across the whole sweep (one state copy each
+    /// on disk; a memory store of shared states copies nothing).
     pub saves: usize,
-    /// Snapshot loads that copy a state back out.
+    /// Snapshot loads that restore a state (copied back from disk).
     pub loads: usize,
     /// Snapshot reads that move the state out instead: no bytes, no cost.
     pub moves: usize,
@@ -205,8 +206,11 @@ impl CheckpointShape {
 ///   would also do;
 /// * `recompute_ratio × steps` extra primal steps — the price of the
 ///   budget;
-/// * snapshot traffic: every save and copying load moves `state_bytes`
-///   through the store at [`Machine::snapshot_cost`] ns/byte.
+/// * snapshot traffic: every save and load moves `state_bytes` through
+///   the store at [`Machine::snapshot_cost`] ns/byte. Only a disk store
+///   still copies that much: in memory the seismic driver's snapshots
+///   share the cursor's grids, and this term over-prices them. It is kept
+///   as is so that the tuner's budget picks stay where they were.
 ///
 /// Budgets whose live set exceeds [`Machine::mem_budget_bytes`] return
 /// `f64::INFINITY`: infeasible, never merely slow — this is what turns

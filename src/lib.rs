@@ -18,7 +18,7 @@
 //! * [`sched`] — the fusion + tiling execution scheduler;
 //! * [`tune`] — the perf-model-guided autotuner for adjoint schedules
 //!   and checkpoint budgets;
-//! * [`ckpt`] — memory-budgeted checkpointed time loops: binomial
+//! * [`ckpt`] — memory-budgeted checkpointed time loops: optimal
 //!   (revolve) snapshot plans, memory/disk snapshot stores, and the
 //!   replay driver;
 //! * [`obs`] — structured tracing + metrics: `span!` guards, a typed
@@ -177,7 +177,7 @@
 //! A reverse sweep over `T` time steps needs the primal trajectory, and
 //! storing it densely caps `T` at whatever RAM allows. The [`ckpt`]
 //! subsystem bounds that memory instead: a [`ckpt::CheckpointPlan`]
-//! places binomial (revolve) checkpoints for a given snapshot budget, a
+//! places optimal (revolve) checkpoints for a given snapshot budget, a
 //! [`ckpt::SnapshotStore`] keeps them in RAM ([`ckpt::MemStore`]) or
 //! spills them bitwise-exactly to disk ([`ckpt::DiskStore`], see
 //! `PERFORAD_CKPT_DIR`), and [`ckpt::checkpointed_adjoint_plan`] replays

@@ -477,10 +477,11 @@ fn warm_store_all_run_allocates_no_trajectory_below_the_threshold_and_one_per_ru
         let grids = second as f64 / grid_bytes as f64;
         if steps < CKPT_THRESHOLD_STEPS {
             // The first run clones the prototype shot state (two workspaces
-            // of 4 + 6 grids and two schedules) and allocates the trajectory
-            // the shot state then keeps; the second finds both warm.
+            // owning 2 + 5 grids — their read-only `u_1`, `u_2` are shared —
+            // and two schedules) and allocates the trajectory the shot state
+            // then keeps; the second finds both warm.
             assert!(
-                cold >= second + (steps as u64 + 11) * grid_bytes,
+                cold >= second + (steps as u64 + 8) * grid_bytes,
                 "{steps} steps: cold run {cold} B, warm run {second} B"
             );
             // What a warm run allocates: the rolling window and the
@@ -493,7 +494,7 @@ fn warm_store_all_run_allocates_no_trajectory_below_the_threshold_and_one_per_ru
         } else {
             // Forced store-all at the threshold: the trajectory (steps + 1
             // grids) is this run's own, beside the window and gradient.
-            assert!(cold >= second + 10 * grid_bytes);
+            assert!(cold >= second + 7 * grid_bytes);
             let trajectory = (steps as u64 + 1) * grid_bytes;
             assert!(
                 (trajectory + 4 * grid_bytes..trajectory + 6 * grid_bytes + steps as u64 * scratch)
@@ -532,19 +533,67 @@ fn warm_checkpointed_run_allocates_its_slots_once_not_a_state_per_load() {
     run_bytes(&plan, &batch);
     let warm = run_bytes(&plan, &batch);
     assert_eq!(warm, run_bytes(&plan, &batch), "every warm run alike");
-    // The cursor (2 grids), the rolling window and gradient (4), and one
-    // two-grid slot per live snapshot, refilled after that — where a state
-    // cloned per save and per load came to some 370 grids. Kernel scratch
-    // per primal step (recomputed ones included) and per back step.
+    // The grids the cursor and the snapshots share — each live snapshot
+    // pins two, fewer where it shares one with the cursor or a neighbour
+    // (15 here) — and the rolling window and gradient (4); a state copied
+    // per save or per load would add a grid pair each. Kernel scratch per
+    // primal step (recomputed ones included) and per back step.
     let kernel_runs = CheckpointPlan::with_budget(steps, budget)
         .stats()
         .recomputed_steps
         + steps;
     assert!(
-        warm <= (2 * budget as u64 + 8) * grid_bytes + kernel_runs as u64 * scratch,
+        warm <= (2 * budget as u64 + 4) * grid_bytes + kernel_runs as u64 * scratch,
         "warm checkpointed run allocates {warm} B = {:.2} grids",
         warm as f64 / grid_bytes as f64
     );
+}
+
+/// A warm checkpointed gradient on the memory store copies no grid: a
+/// snapshot holds the cursor's grids, a load or a take hands them back, and
+/// a step writes only into a grid nothing else holds. `exec.grid_copy_bytes`
+/// counts every grid clone and copy (this test makes one, to show it does),
+/// and stays put over whole warm runs at every budget — which still equal
+/// store-all bit for bit.
+#[test]
+fn a_warm_memory_store_gradient_copies_no_grid_and_equals_store_all() {
+    let _guard = suite_lock();
+    let cfg = SeismicConfig {
+        n: 8,
+        steps: 12,
+        d: 0.1,
+    };
+    let c0 = velocity(cfg.n);
+    let batch = make_batch(&cfg, &c0, 1);
+    let pool = ThreadPool::new(1);
+    let want = sequential(&cfg, &c0, &batch, &store_all());
+    let copied = counter("exec.grid_copy_bytes");
+    let saves = counter("ckpt.saves");
+    perforad::obs::set_enabled(true);
+    let before = copied.get();
+    let _ = c0.clone();
+    assert_eq!(copied.get() - before, 8 * 8 * 8 * 8, "a clone is counted");
+    for budget in [1usize, 2, 3, 7, cfg.steps] {
+        let plan = BatchPlan::new(
+            &cfg,
+            &c0,
+            &checkpointed(Some(budget), SnapshotBackend::Memory),
+            &pool,
+        );
+        plan.run(&batch);
+        let (before, saved) = (copied.get(), saves.get());
+        let res = plan.run(&batch);
+        let tag = format!("budget {budget}, warm");
+        assert_eq!(copied.get() - before, 0, "{tag}: grid bytes copied");
+        assert!(saves.get() > saved, "{tag}: the run saved snapshots");
+        assert_eq!(res.reports[0].as_ref().unwrap().store, "memory");
+        assert_bitwise(
+            &tag,
+            (&res.misfits[0], &res.gradients[0]),
+            (&want[0].0, &want[0].1),
+        );
+    }
+    perforad::obs::set_enabled(false);
 }
 
 /// The names starting `pf_` in an artifact's string tables. The artifact

@@ -27,6 +27,7 @@ use perforad::jit::available;
 use perforad::prelude::*;
 use perforad::sched::{compile_schedule_nests, run_schedule_serial, SchedError};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 mod common;
 use common::Rng;
@@ -273,6 +274,78 @@ fn hull_tiles_are_bitwise_the_nest_by_nest_order() {
     }
     assert!(runs > 400, "{runs} runs compared");
     assert_eq!(family_cases, 6, "every disjoint adjoint has a row family");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A workspace may bind an array shared, read-only (an `Arc<Grid>` that a
+/// checkpoint snapshot holds too). On every lowering, a plan that only
+/// reads the shared arrays runs bit for bit as on owned ones — serially and
+/// on two workers — and a plan that writes one is refused before any tile
+/// runs: the owned target it also writes is left as it was.
+#[test]
+fn shared_inputs_run_bitwise_and_a_shared_target_is_refused() {
+    let mut rng = Rng::new(0x5AA2_ED33);
+    let act = ["u", "c", "r"]
+        .into_iter()
+        .fold(ActivityMap::new(), ActivityMap::with_suffixed);
+    let dir = std::env::temp_dir().join(format!("perforad-shared-{}", std::process::id()));
+    let jit = JitOptions::default().with_cache_dir(&dir);
+    let mut lowerings = vec![Lowering::PerPoint, Lowering::Rows];
+    if available() {
+        lowerings.push(Lowering::Jit);
+    }
+    let pool = ThreadPool::new(2);
+    for rank in 1..=3 {
+        let text = random_stencil(&mut rng, rank);
+        let nest = parse_stencil(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let n = [14, 10, 8][rank - 1];
+        let bind = Binding::new().size("n", n as i64);
+        let inputs = workspace(&mut rng, &vec![n; rank]);
+        let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
+        // The adjoint reads `u`, `c` and `r_b`, and adds into the targets.
+        let share = |ws: &Workspace, names: &[&str]| {
+            let mut ws = ws.clone();
+            for name in names {
+                ws.insert_shared(*name, Arc::new(inputs.grid(name).clone()));
+            }
+            ws
+        };
+        let (reads, writes) = (share(&inputs, &["u", "c", "r_b"]), share(&inputs, &["c_b"]));
+        for &lowering in &lowerings {
+            let opts = SchedOptions::default().with_lowering(lowering);
+            let s = compile_schedule_nests(&adj.nests, &inputs, &bind, false, &opts).unwrap();
+            if lowering == Lowering::Jit {
+                prepare_schedule(&s, &bind, &jit).unwrap();
+            }
+            let mut want = inputs.clone();
+            run_schedule_serial(&s, &mut want).unwrap();
+            let tag = format!("{text} {lowering:?}");
+            let mut serial = reads.clone();
+            run_schedule_serial(&s, &mut serial).unwrap();
+            assert_bitwise(&format!("{tag}, serial"), &serial, &want);
+            let mut pooled = reads.clone();
+            run_schedule(&s, &mut pooled, &pool).unwrap();
+            assert_bitwise(&format!("{tag}, 2 workers"), &pooled, &want);
+
+            let refused = ExecError::SharedWrite("c_b".into());
+            let mut ws = writes.clone();
+            let err = run_schedule_serial(&s, &mut ws).unwrap_err();
+            assert_eq!(err, SchedError::Exec(refused.clone()), "{tag}");
+            for strategy in [Strategy::Serial, Strategy::Parallel(&pool)] {
+                for g in s
+                    .groups
+                    .iter()
+                    .filter(|g| g.plan.arrays().contains(&"c_b".into()))
+                {
+                    let mut ws = writes.clone();
+                    let err = run(&g.plan, &mut ws, ExecMode { strategy, lowering }).unwrap_err();
+                    assert_eq!(err, refused, "{tag}");
+                    let untouched = ws.grid("u_b").as_slice() == inputs.grid("u_b").as_slice();
+                    assert!(untouched, "{tag}: a tile ran before the refusal");
+                }
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
 
