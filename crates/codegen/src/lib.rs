@@ -8,9 +8,11 @@
 //!   style of Fig. 5 (wave equation) and Fig. 7 (Burgers) of the paper,
 //!   including ternary operators for piecewise derivatives and optional
 //!   `#pragma omp atomic` safeguards on scatter baselines.
-//! * [`rust`] — Rust back-end producing compilable kernels, chunkable over
-//!   the outermost loop for parallel execution; used to generate the static
-//!   kernels in `perforad-pde` (golden-tested against this generator).
+//! * [`rust`] — Rust back-end: [`print_module`] prints standalone,
+//!   compilable kernels, chunkable over the outermost loop for parallel
+//!   execution (compiled and checked against the executors in the
+//!   workspace's `tests/jit.rs`); `jit_group_module` emits the JIT's
+//!   fused-group modules.
 //! * [`frontend`] — a small DSL parser (`for i in 1 .. n-1 { r[i] = …; }`),
 //!   the "new front-ends" extension point the paper leaves as future work.
 
@@ -20,4 +22,4 @@ pub mod rust;
 
 pub use c::{c_expr, c_nest, print_function, COptions};
 pub use frontend::{parse_expr, parse_stencil, ParseError};
-pub use rust::{print_module, r_expr, r_nest_fn};
+pub use rust::print_module;

@@ -1,10 +1,10 @@
 //! Rust back-end: generates compilable, chunk-parallelisable kernels.
 //!
 //! This is the "new back-ends are easy to add" design point of PerforAD
-//! (§3.1), and it powers the static-kernel path of the benchmarks: the
-//! generated functions are checked into `perforad-pde`, golden-tested
-//! against this generator, and compiled by rustc at full optimisation —
-//! playing the role of the Intel C compiler in the paper's setup.
+//! (§3.1). [`print_module`] prints a standalone module that rustc
+//! compiles at full optimisation — the role the Intel C compiler plays in
+//! the paper's setup; `tests/jit.rs` compiles the wave and Burgers
+//! modules and holds them to the executors.
 //!
 //! Each nest becomes `fn {name}_nest{k}(lo0, hi0, sizes…, params…, outs…,
 //! ins…, dims)`, taking the outermost counter range as arguments so a
@@ -52,7 +52,7 @@ fn r_access_index(indices: &[Idx]) -> String {
 }
 
 /// Render an expression as Rust source (all scalars `f64`).
-pub fn r_expr(e: &Expr) -> String {
+fn r_expr(e: &Expr) -> String {
     match e.node() {
         Node::Num(n) => r_number(n),
         Node::Sym(s) => format!("({} as f64)", s.name()),
@@ -177,7 +177,7 @@ fn args_call(sig: &Signature, lo: &str, hi: &str) -> String {
 
 /// Generate one nest function. The outermost loop runs `lo0..=hi0` clamped
 /// to the nest bounds, so callers can chunk it across threads.
-pub fn r_nest_fn(name: &str, nest: &LoopNest) -> String {
+fn r_nest_fn(name: &str, nest: &LoopNest) -> String {
     let sig = signature(std::slice::from_ref(nest));
     let mut out = String::new();
     let _ = writeln!(
@@ -279,9 +279,9 @@ pub fn print_module(name: &str, nests: &[LoopNest]) -> String {
 // JIT back-end: one tile-granular, guard-hoisted `extern "C"` entry point
 // per fused group.
 //
-// The functions above generate *build-time* kernels (checked into
-// `perforad-pde`, idiomatic slices, symbolic sizes as arguments). The
-// `perforad-jit` crate instead compiles *run-time* schedules: sizes and
+// The functions above print standalone kernels (idiomatic slices,
+// symbolic sizes as arguments). The `perforad-jit` crate instead
+// compiles *run-time* schedules: sizes and
 // parameters are known, so they are baked in as constants, and each fused
 // group becomes one self-contained `extern "C"` function that takes only
 // an inclusive box of the group's iteration hull (so the tile-granular

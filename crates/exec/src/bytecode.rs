@@ -3,9 +3,9 @@
 //! The original PerforAD prints C code and leaves compilation to icc; this
 //! runtime instead compiles each statement body once into a small stack
 //! program (constants folded, parameters inlined, array accesses resolved to
-//! linear offsets) and evaluates it per grid point. A generated-Rust path
-//! (`perforad-codegen` + static kernels in `perforad-pde`) exists for
-//! compiled-speed comparisons; both paths implement the same semantics.
+//! linear offsets) and evaluates it per grid point. The generated-Rust
+//! paths (`perforad-codegen`'s printed modules and the JIT's group
+//! modules) implement the same semantics at compiled speed.
 
 use crate::error::ExecError;
 use perforad_symbolic::{Expr, Func, Node, Rel, Symbol};

@@ -5,12 +5,10 @@
 //! register-IR row executor.
 //!
 //! The paper's speedups come from *compiler-optimized* stencil loops
-//! (Intel-compiled C in the ICPP 2019 evaluation; this repository's
-//! build-time `pde::kernels` golden path shows the same gap between
-//! statically compiled Rust and the bytecode VM). Those build-time
-//! kernels are frozen at two shapes, though — every *fused, tiled*
-//! schedule the scheduler produces used to run through the interpreter
-//! or the rows executor. This crate closes the gap at run time:
+//! (Intel-compiled C in the ICPP 2019 evaluation), while the interpreter
+//! and the rows executor pay per-op dispatch on every *fused, tiled*
+//! schedule the scheduler produces. This crate closes the gap at run
+//! time:
 //!
 //! 1. **Emit** — each fusion group of a compiled
 //!    [`Schedule`] becomes a self-contained

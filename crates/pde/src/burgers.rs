@@ -4,34 +4,21 @@
 //! convective term: the `max`/`min` pair makes the body only piecewise
 //! differentiable, producing ternary operators in the adjoint (Fig. 7).
 
-use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions, LoopNest};
-use perforad_exec::{Binding, Grid, ThreadPool, Workspace};
-use perforad_sched::{compile_schedule, SchedError, SchedOptions, Schedule, TunedConfig};
-use perforad_symbolic::{ix, Array, Expr, Idx, Symbol};
-use perforad_tune::{autotune_adjoint, TuneError, TuneOptions};
+use perforad_codegen::parse_stencil;
+use perforad_core::{ActivityMap, LoopNest};
+use perforad_exec::{Binding, Grid, Workspace};
 
-/// The upwinded Burgers stencil nest as built by the Fig. 6 script.
+/// The upwinded Burgers stencil of the Fig. 6 script, as DSL text
+/// ([`perforad_codegen::frontend`]).
+pub const DSL: &str = "for i in 1 .. n-2 {
+    u[i] = u_1[i]
+        - C*(max(u_1[i], 0)*(u_1[i] - u_1[i-1]) + min(u_1[i], 0)*(u_1[i+1] - u_1[i]))
+        + D*(u_1[i+1] + u_1[i-1] - 2.0*u_1[i]);
+}";
+
+/// The upwinded Burgers stencil nest, parsed from [`DSL`].
 pub fn nest() -> LoopNest {
-    let i = Symbol::new("i");
-    let n = Symbol::new("n");
-    let cc = Expr::sym(Symbol::new("C"));
-    let dd = Expr::sym(Symbol::new("D"));
-    let u = Array::new("u");
-    let u1 = Array::new("u_1");
-    let ap = u1.at(ix![&i]).max(Expr::zero());
-    let am = u1.at(ix![&i]).min(Expr::zero());
-    let uxm = u1.at(ix![&i]) - u1.at(ix![&i - 1]);
-    let uxp = u1.at(ix![&i + 1]) - u1.at(ix![&i]);
-    let ux = ap * uxm + am * uxp;
-    let expr = u1.at(ix![&i]) - cc * ux
-        + dd * (u1.at(ix![&i + 1]) + u1.at(ix![&i - 1]) - 2.0 * u1.at(ix![&i]));
-    make_loop_nest(
-        &u.at(ix![&i]),
-        expr,
-        vec![i.clone()],
-        vec![(Idx::constant(1), Idx::sym(n) - 2)],
-    )
-    .expect("burgers nest is a valid stencil")
+    parse_stencil(DSL).expect("burgers DSL is a valid stencil")
 }
 
 /// `{u: u_b, u_1: u_1_b}` like the paper's script.
@@ -71,42 +58,15 @@ pub fn workspace(n: usize, c_coef: f64, d_coef: f64) -> (Workspace, Binding) {
     (ws, bind)
 }
 
-/// Fused + tiled schedule for one adjoint sweep: the five disjoint nests
-/// of the upwinded Burgers adjoint in a single parallel region. Drive it
-/// with [`perforad_sched::run_schedule`].
-pub fn adjoint_schedule(
-    ws: &Workspace,
-    bind: &Binding,
-    opts: &SchedOptions,
-) -> Result<Schedule, SchedError> {
-    let adj = nest()
-        .adjoint(&activity(), &AdjointOptions::default())
-        .expect("burgers adjoint transforms");
-    compile_schedule(&adj, ws, bind, opts)
-}
-
-/// Autotuned adjoint schedule (two-stage tuner over the full
-/// configuration space). Drive the result with
-/// [`perforad_sched::run_tuned`].
-pub fn adjoint_schedule_tuned(
-    ws: &mut Workspace,
-    bind: &Binding,
-    pool: &ThreadPool,
-    topts: &TuneOptions,
-) -> Result<(Schedule, TunedConfig), TuneError> {
-    let adj = nest()
-        .adjoint(&activity(), &AdjointOptions::default())
-        .expect("burgers adjoint transforms");
-    let (schedule, report) = autotune_adjoint(&adj, ws, bind, pool, topts)?;
-    Ok((schedule, report.config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use perforad_autodiff::tape_adjoint;
+    use perforad_core::AdjointOptions;
     use perforad_exec::{compile_adjoint, compile_nest, run, ExecMode, ThreadPool};
+    use perforad_sched::{compile_schedule, SchedOptions};
     use perforad_symbolic::MapCtx;
+    use perforad_tune::{autotune_adjoint, TuneOptions};
     use std::collections::BTreeMap;
 
     #[test]
@@ -170,7 +130,11 @@ mod tests {
         use std::collections::BTreeMap;
         let n = 96usize;
         let (mut ws, bind) = workspace(n, 0.3, 0.1);
-        let s = adjoint_schedule(&ws, &bind, &SchedOptions::default().with_tile(&[8])).unwrap();
+        let adj = nest()
+            .adjoint(&activity(), &AdjointOptions::default())
+            .unwrap();
+        let s =
+            compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_tile(&[8])).unwrap();
         assert_eq!(s.group_count(), 1, "{}", s.describe());
         assert!(s.max_fused() >= 2);
         let pool = ThreadPool::new(3);
@@ -229,7 +193,8 @@ mod tests {
             .without_cache()
             .with_top_k(3)
             .with_measure(Measure::Wall { samples: 1 });
-        let (schedule, cfg) = adjoint_schedule_tuned(&mut ws, &bind, &pool, &opts).unwrap();
+        let (schedule, report) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &opts).unwrap();
+        let cfg = report.config;
         // The adjoint accumulates with `+=`, so the tuner's timing sweeps
         // dirtied `ws` — compare on a fresh workspace.
         let (mut ws_fresh, _) = workspace(n, 0.3, 0.1);

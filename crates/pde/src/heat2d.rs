@@ -1,35 +1,23 @@
 //! A 2-D heat-equation stencil — the 5-point star whose adjoint
 //! decomposition Fig. 3 of the paper illustrates (17 loop nests).
 
-use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions, LoopNest};
-use perforad_exec::{Binding, Grid, ThreadPool, Workspace};
-use perforad_sched::{compile_schedule, SchedError, SchedOptions, Schedule, TunedConfig};
-use perforad_symbolic::{ix, Array, Expr, Idx, Symbol};
-use perforad_tune::{autotune_adjoint, TuneError, TuneOptions};
+use perforad_codegen::parse_stencil;
+use perforad_core::{ActivityMap, LoopNest};
+use perforad_exec::{Binding, Grid, Workspace};
 
-/// `u[i][j] = u_1[i][j] + D*(u_1[i±1][j] + u_1[i][j±1] - 4 u_1[i][j])`.
+/// One explicit Euler step of the heat equation, as DSL text
+/// ([`perforad_codegen::frontend`]).
+pub const DSL: &str = "for i in 1 .. n-2, j in 1 .. n-2 {
+    u[i][j] = u_1[i][j] + D*(u_1[i-1][j] + u_1[i+1][j]
+                           + u_1[i][j-1] + u_1[i][j+1] - 4.0*u_1[i][j]);
+}";
+
+/// The 5-point heat stencil nest, parsed from [`DSL`].
 pub fn nest() -> LoopNest {
-    let (i, j) = (Symbol::new("i"), Symbol::new("j"));
-    let n = Symbol::new("n");
-    let dd = Expr::sym(Symbol::new("D"));
-    let u = Array::new("u");
-    let u1 = Array::new("u_1");
-    let lap = u1.at(ix![&i - 1, &j])
-        + u1.at(ix![&i + 1, &j])
-        + u1.at(ix![&i, &j - 1])
-        + u1.at(ix![&i, &j + 1])
-        - 4.0 * u1.at(ix![&i, &j]);
-    let expr = u1.at(ix![&i, &j]) + dd * lap;
-    let b = (Idx::constant(1), Idx::sym(n.clone()) - 2);
-    make_loop_nest(
-        &u.at(ix![&i, &j]),
-        expr,
-        vec![i.clone(), j.clone()],
-        vec![b.clone(), b],
-    )
-    .expect("heat2d nest is a valid stencil")
+    parse_stencil(DSL).expect("heat2d DSL is a valid stencil")
 }
 
+/// `{u: u_b, u_1: u_1_b}`.
 pub fn activity() -> ActivityMap {
     ActivityMap::new().with_suffixed("u").with_suffixed("u_1")
 }
@@ -65,40 +53,12 @@ pub fn workspace(n: usize, d: f64) -> (Workspace, Binding) {
     (ws, Binding::new().size("n", n as i64).param("D", d))
 }
 
-/// Fused + tiled schedule for one adjoint sweep: the 17 disjoint nests of
-/// Fig. 3 in a single parallel region. Drive it with
-/// [`perforad_sched::run_schedule`].
-pub fn adjoint_schedule(
-    ws: &Workspace,
-    bind: &Binding,
-    opts: &SchedOptions,
-) -> Result<Schedule, SchedError> {
-    let adj = nest()
-        .adjoint(&activity(), &AdjointOptions::default())
-        .expect("heat2d adjoint transforms");
-    compile_schedule(&adj, ws, bind, opts)
-}
-
-/// Autotuned adjoint schedule (two-stage tuner over the full
-/// configuration space). Drive the result with
-/// [`perforad_sched::run_tuned`].
-pub fn adjoint_schedule_tuned(
-    ws: &mut Workspace,
-    bind: &Binding,
-    pool: &ThreadPool,
-    topts: &TuneOptions,
-) -> Result<(Schedule, TunedConfig), TuneError> {
-    let adj = nest()
-        .adjoint(&activity(), &AdjointOptions::default())
-        .expect("heat2d adjoint transforms");
-    let (schedule, report) = autotune_adjoint(&adj, ws, bind, pool, topts)?;
-    Ok((schedule, report.config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perforad_core::AdjointOptions;
     use perforad_exec::{compile_adjoint, compile_nest, run, ExecMode};
+    use perforad_sched::{compile_schedule, SchedOptions};
 
     #[test]
     fn adjoint_has_17_nests_matching_figure_3() {
@@ -132,8 +92,8 @@ mod tests {
         run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = workspace(n, 0.2);
-        let s =
-            adjoint_schedule(&ws2, &bind, &SchedOptions::default().with_tile(&[8, 16])).unwrap();
+        let opts = SchedOptions::default().with_tile(&[8, 16]);
+        let s = compile_schedule(&adj, &ws2, &bind, &opts).unwrap();
         assert_eq!(s.group_count(), 1, "{}", s.describe());
         assert_eq!(s.max_fused(), 17);
         let pool = ThreadPool::new(4);
@@ -158,7 +118,8 @@ mod tests {
 
         // Rows lowering through the fused tiled schedule too.
         let (mut ws3, _) = workspace(n, 0.2);
-        let s = adjoint_schedule(
+        let s = compile_schedule(
+            &adj,
             &ws3,
             &bind,
             &SchedOptions::default().with_tile(&[8, 16]).with_rows(),

@@ -1,6 +1,9 @@
 //! # perforad-pde
 //!
-//! The paper's PDE test cases and application drivers for **PerforAD-rs**:
+//! The paper's PDE test cases and application drivers for **PerforAD-rs**.
+//! Each test case is one stencil description, like the paper's scripts:
+//! a `DSL` text that `nest()` parses with `perforad_codegen::parse_stencil`
+//! (§3.1 — every loop is generated from it).
 //!
 //! * [`wave3d`] — the 3-D wave equation of §4.1 (Fig. 4 script), whose
 //!   adjoint decomposes into the 53 gather loop nests of §3.3.4;
@@ -13,13 +16,10 @@
 //!   every shot of a [`seismic::ShotBatch`] (a single shot is a batch of
 //!   one) across a shared pool; long sweeps run bounded-memory under a
 //!   `perforad-ckpt` `CheckpointPlan` (streamed forward pass, tuner-chosen
-//!   snapshot budget), bitwise-identical to the dense reference;
-//! * [`kernels`] — statically generated Rust kernels (built by
-//!   `perforad-codegen` at compile time), the "compiled C" comparison path.
+//!   snapshot budget), bitwise-identical to the dense reference.
 
 pub mod burgers;
 pub mod heat2d;
-pub mod kernels;
 pub mod seismic;
 pub mod wave3d;
 

@@ -5,37 +5,22 @@
 //! `u = 2 u_1 − u_2 + c·D·(u_xx + u_yy + u_zz)` on an `n³` grid with
 //! `c = a²` (spatially varying) and `D = (dt/dx)²`.
 
-use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions, LoopNest};
-use perforad_exec::{Binding, Grid, ThreadPool, Workspace};
-use perforad_sched::{compile_schedule, SchedError, SchedOptions, Schedule, TunedConfig};
-use perforad_symbolic::{ix, Array, Expr, Idx, Symbol};
-use perforad_tune::{autotune_adjoint, TuneError, TuneOptions};
+use perforad_codegen::parse_stencil;
+use perforad_core::{ActivityMap, LoopNest};
+use perforad_exec::{Binding, Grid, Workspace};
 
-/// The wave-equation stencil nest exactly as built by the Fig. 4 script.
+/// The wave-equation stencil of the Fig. 4 script, as DSL text
+/// ([`perforad_codegen::frontend`]).
+pub const DSL: &str = "for i in 1 .. n-2, j in 1 .. n-2, k in 1 .. n-2 {
+    u[i][j][k] = 2.0*u_1[i][j][k] - u_2[i][j][k] + c[i][j][k]*D*(
+          (u_1[i-1][j][k] - 2.0*u_1[i][j][k] + u_1[i+1][j][k])
+        + (u_1[i][j-1][k] - 2.0*u_1[i][j][k] + u_1[i][j+1][k])
+        + (u_1[i][j][k-1] - 2.0*u_1[i][j][k] + u_1[i][j][k+1]));
+}";
+
+/// The wave-equation stencil nest, parsed from [`DSL`].
 pub fn nest() -> LoopNest {
-    let (i, j, k) = (Symbol::new("i"), Symbol::new("j"), Symbol::new("k"));
-    let n = Symbol::new("n");
-    let dd = Expr::sym(Symbol::new("D"));
-    let c = Array::new("c");
-    let u = Array::new("u");
-    let u1 = Array::new("u_1");
-    let u2 = Array::new("u_2");
-    let u_xx =
-        u1.at(ix![&i - 1, &j, &k]) - 2.0 * u1.at(ix![&i, &j, &k]) + u1.at(ix![&i + 1, &j, &k]);
-    let u_yy =
-        u1.at(ix![&i, &j - 1, &k]) - 2.0 * u1.at(ix![&i, &j, &k]) + u1.at(ix![&i, &j + 1, &k]);
-    let u_zz =
-        u1.at(ix![&i, &j, &k - 1]) - 2.0 * u1.at(ix![&i, &j, &k]) + u1.at(ix![&i, &j, &k + 1]);
-    let expr = 2.0 * u1.at(ix![&i, &j, &k]) - u2.at(ix![&i, &j, &k])
-        + c.at(ix![&i, &j, &k]) * dd * (u_xx + u_yy + u_zz);
-    let b = (Idx::constant(1), Idx::sym(n.clone()) - 2);
-    make_loop_nest(
-        &u.at(ix![&i, &j, &k]),
-        expr,
-        vec![i.clone(), j.clone(), k.clone()],
-        vec![b.clone(), b.clone(), b],
-    )
-    .expect("wave3d nest is a valid stencil")
+    parse_stencil(DSL).expect("wave3d DSL is a valid stencil")
 }
 
 /// Activity map of the paper's script: `{u: u_b, u_1: u_1_b, u_2: u_2_b}`
@@ -92,42 +77,13 @@ pub fn workspace(n: usize, d: f64) -> (Workspace, Binding) {
     (ws, bind)
 }
 
-/// Fused + tiled schedule for one adjoint sweep: all 53 disjoint nests of
-/// the 3-D 7-point star in a *single* parallel region (one barrier instead
-/// of 53). Drive it with [`perforad_sched::run_schedule`].
-pub fn adjoint_schedule(
-    ws: &Workspace,
-    bind: &Binding,
-    opts: &SchedOptions,
-) -> Result<Schedule, SchedError> {
-    let adj = nest()
-        .adjoint(&activity(), &AdjointOptions::default())
-        .expect("wave3d adjoint transforms");
-    compile_schedule(&adj, ws, bind, opts)
-}
-
-/// Autotuned adjoint schedule: searches the
-/// `Strategy×Lowering×TilePolicy×tile×fusion` space with the two-stage
-/// tuner (model prune + wall-clock timing on `pool`) instead of taking a
-/// hand-picked configuration. Drive the result with
-/// [`perforad_sched::run_tuned`].
-pub fn adjoint_schedule_tuned(
-    ws: &mut Workspace,
-    bind: &Binding,
-    pool: &ThreadPool,
-    topts: &TuneOptions,
-) -> Result<(Schedule, TunedConfig), TuneError> {
-    let adj = nest()
-        .adjoint(&activity(), &AdjointOptions::default())
-        .expect("wave3d adjoint transforms");
-    let (schedule, report) = autotune_adjoint(&adj, ws, bind, pool, topts)?;
-    Ok((schedule, report.config))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use perforad_core::AdjointOptions;
     use perforad_exec::{compile_adjoint, compile_nest, run, ExecMode, ThreadPool};
+    use perforad_sched::{compile_schedule, SchedOptions};
+    use perforad_tune::{autotune_adjoint, TuneOptions};
 
     #[test]
     fn adjoint_has_53_loop_nests() {
@@ -200,8 +156,8 @@ mod tests {
         run(&plan, &mut ws1, ExecMode::serial()).unwrap();
 
         let (mut ws2, _) = workspace(14, 0.1);
-        let s =
-            adjoint_schedule(&ws2, &bind, &SchedOptions::default().with_tile(&[4, 4, 8])).unwrap();
+        let opts = SchedOptions::default().with_tile(&[4, 4, 8]);
+        let s = compile_schedule(&adj, &ws2, &bind, &opts).unwrap();
         assert_eq!(s.group_count(), 1, "{}", s.describe());
         assert_eq!(s.max_fused(), 53);
         let pool = ThreadPool::new(4);
@@ -236,7 +192,8 @@ mod tests {
 
         // Rows lowering through the 53-nest fused schedule.
         let (mut ws4, _) = workspace(16, 0.1);
-        let s = adjoint_schedule(
+        let s = compile_schedule(
+            &adj,
             &ws4,
             &bind,
             &SchedOptions::default().with_tile(&[4, 4, 8]).with_rows(),
@@ -265,7 +222,8 @@ mod tests {
             .without_cache()
             .with_top_k(4)
             .with_measure(Measure::Wall { samples: 1 });
-        let (schedule, cfg) = adjoint_schedule_tuned(&mut ws, &bind, &pool, &opts).unwrap();
+        let (schedule, report) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &opts).unwrap();
+        let cfg = report.config;
         assert_eq!(cfg.tile.len(), 3, "{}", cfg.describe());
         // The adjoint accumulates with `+=`, so the tuner's timing sweeps
         // dirtied `ws` — compare on a fresh workspace.

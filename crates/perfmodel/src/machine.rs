@@ -157,8 +157,8 @@ pub fn host(cores: usize) -> Machine {
         // amortises it away.
         interp_point_ns: 20.0,
         rows_point_ns: 3.0,
-        // Calibrated against measurement: native fused groups land close
-        // to the build-time static kernels, several-fold under rows.
+        // Calibrated against measurement: native fused groups run
+        // several-fold under rows.
         jit_point_ns: 0.8,
         jit_compile_s: 1.5,
         // Containers and laptops: keep trajectory snapshots inside 2 GiB

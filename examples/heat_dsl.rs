@@ -3,16 +3,12 @@
 //!
 //! Run with: `cargo run --release --example heat_dsl`
 
+use perforad::pde::heat2d;
 use perforad::prelude::*;
 
 fn main() {
-    let nest = parse_stencil(
-        "for i in 1 .. n-2, j in 1 .. n-2 {
-            u[i][j] = u_1[i][j] + D*(u_1[i-1][j] + u_1[i+1][j]
-                                   + u_1[i][j-1] + u_1[i][j+1] - 4.0*u_1[i][j]);
-        }",
-    )
-    .expect("valid stencil");
+    println!("{}", heat2d::DSL);
+    let nest = parse_stencil(heat2d::DSL).expect("valid stencil");
     let act = ActivityMap::new().with_suffixed("u").with_suffixed("u_1");
 
     for strategy in [

@@ -11,10 +11,11 @@
 #![allow(dead_code)]
 
 use perforad::ckpt::{CkptReport, Snapshot};
+use perforad::codegen::rust::print_module;
 use perforad::core::AdjointOptions;
 use perforad::exec::{default_pool, Binding, Grid, Lowering, ThreadPool, Workspace};
 use perforad::pde::seismic::{BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend};
-use perforad::pde::wave3d;
+use perforad::pde::{burgers, wave3d};
 use perforad::tune::{autotune_adjoint, Measure, TimeLoop, TuneOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -153,6 +154,26 @@ pub fn pin_model_config(cfg: &SeismicConfig, checkpointed: bool, pool: &ThreadPo
     }
     let (_, report) = autotune_adjoint(&adj, &mut ws, &bind, pool, &opts).unwrap();
     report.config.lowering
+}
+
+/// `print_module` of the paper's wave3d and Burgers kernels, primal and
+/// adjoint (the script's activity, `c` passive): `(name, source)`, each
+/// module named after its function that runs every nest.
+pub fn printed_paper_kernels() -> Vec<(&'static str, String)> {
+    let opts = AdjointOptions::default();
+    let wave = wave3d::nest();
+    let wave_adj = wave.adjoint(&wave3d::activity(), &opts).unwrap();
+    let burgers = burgers::nest();
+    let burgers_adj = burgers.adjoint(&burgers::activity(), &opts).unwrap();
+    [
+        ("wave3d_primal", std::slice::from_ref(&wave)),
+        ("wave3d_adjoint", &wave_adj.nests[..]),
+        ("burgers_primal", std::slice::from_ref(&burgers)),
+        ("burgers_adjoint", &burgers_adj.nests[..]),
+    ]
+    .into_iter()
+    .map(|(name, nests)| (name, print_module(name, nests)))
+    .collect()
 }
 
 /// `System`, with a per-thread count of every allocation and of the bytes

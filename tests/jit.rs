@@ -6,6 +6,9 @@
 //! fusion on/off, and parallel execution. A tuner test asserts that a
 //! Jit winner round-trips through the persistent `TunedConfig` cache.
 //!
+//! The same compiler builds `print_module`'s standalone wave3d and
+//! Burgers modules, the one numerical check of that printer.
+//!
 //! On toolchain-less runners every test here degrades to a skip with a
 //! printed reason instead of failing — exactly like the runtime, which
 //! falls back to the row executor.
@@ -680,5 +683,160 @@ fn wave3d_primal_jit_bitwise_identical_and_golden() {
     }
     let got = perforad::exec::fnv1a64(&bytes);
     assert_eq!(got, GOLDEN_PRIMAL_DIGEST, "digest {got:#018x}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `print_module`'s output compiled and run: the wave3d and Burgers
+/// modules (primal and adjoint) plus a generated `main` build standalone
+/// with the JIT's compiler (`PERFORAD_JIT_RUSTC`, then `RUSTC`, then
+/// `rustc`) at `-O`. The binary reads every array a module's top-level
+/// function takes from a little-endian `f64` file, calls it over its full
+/// range and writes back the arrays it assigns. Each primal must match
+/// the per-point VM to 1e-14, each adjoint the row executor to 1e-13.
+#[test]
+fn printed_modules_compile_and_match_the_executors() {
+    use perforad::pde::{burgers, wave3d};
+    use std::fmt::Write as _;
+    require_toolchain!();
+    let dir = std::env::temp_dir().join(format!("perforad-printed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str| dir.join(name).display().to_string();
+    let (wave, wave_bind) = wave3d::workspace(12, 0.1);
+    let (burgers, burgers_bind) = burgers::workspace(128, 0.3, 0.1);
+    let mut body = String::new();
+    let mut mods = String::new();
+    let io = r#"fn read(path: &str) -> Vec<f64> {
+    let bytes = std::fs::read(path).unwrap();
+    bytes.chunks_exact(8).map(|b| f64::from_le_bytes(b.try_into().unwrap())).collect()
+}
+
+fn write(path: &str, values: &[f64]) {
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    std::fs::write(path, bytes).unwrap();
+}
+"#;
+    // Per module: the executors' result, the arrays it writes, the bound.
+    let mut checks = Vec::new();
+    for (name, source) in common::printed_paper_kernels() {
+        std::fs::write(dir.join(format!("{name}.rs")), &source).unwrap();
+        let (ws, bind, nest, act) = if name.starts_with("wave3d") {
+            (&wave, &wave_bind, wave3d::nest(), wave3d::activity())
+        } else {
+            (
+                &burgers,
+                &burgers_bind,
+                burgers::nest(),
+                burgers::activity(),
+            )
+        };
+        let (plan, mode, bound) = if name.ends_with("primal") {
+            (compile_nest(&nest, ws, bind), ExecMode::serial(), 1e-14)
+        } else {
+            let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
+            (
+                compile_adjoint(&adj, ws, bind),
+                ExecMode::serial().rows(),
+                1e-13,
+            )
+        };
+        let mut expect = ws.clone();
+        run(&plan.unwrap(), &mut expect, mode).unwrap();
+
+        // The top-level function: `pub fn {name}(lo0: i64, hi0: i64, sizes: i64…,
+        // params: f64…, outputs: &mut [f64]…, inputs: &[f64]…, dims)`.
+        let head = format!("pub fn {name}(");
+        let args = source
+            .lines()
+            .find_map(|line| line.strip_prefix(head.as_str()))
+            .and_then(|line| line.strip_suffix(") {"))
+            .expect("the module's top-level function");
+        let mut call = Vec::new();
+        let mut written = Vec::new();
+        let _ = writeln!(mods, "mod {name};");
+        let _ = writeln!(body, "    {{");
+        for arg in args.split(", ") {
+            let (arg, ty) = arg.split_once(": ").unwrap();
+            call.push(match (arg, ty) {
+                ("lo0", _) => "i64::MIN".to_string(),
+                ("hi0", _) => "i64::MAX".to_string(),
+                (_, "i64") => bind.sizes[&Symbol::new(arg)].to_string(),
+                (_, "f64") => {
+                    let bits = bind.params[&Symbol::new(arg)].to_bits();
+                    format!("f64::from_bits({bits:#x})")
+                }
+                (_, "&mut [f64]" | "&[f64]") => {
+                    let path = file(&format!("{name}.{arg}"));
+                    let bytes: Vec<u8> = ws
+                        .grid(arg)
+                        .as_slice()
+                        .iter()
+                        .flat_map(|v| v.to_le_bytes())
+                        .collect();
+                    std::fs::write(&path, bytes).unwrap();
+                    let out = ty.starts_with("&mut");
+                    let _ = writeln!(
+                        body,
+                        "        let {}{arg} = read({path:?});",
+                        if out { "mut " } else { "" }
+                    );
+                    if out {
+                        written.push((arg.to_string(), path));
+                    }
+                    format!("{}{arg}", if out { "&mut " } else { "&" })
+                }
+                _ => format!("&{:?}", ws.grid("u").dims()),
+            });
+        }
+        let _ = writeln!(body, "        {name}::{name}({});", call.join(", "));
+        for (arg, path) in &written {
+            let _ = writeln!(body, "        write({path:?}, &{arg});");
+        }
+        let _ = writeln!(body, "    }}");
+        checks.push((name, expect, written, bound));
+    }
+    let main = format!("{mods}\n{io}\nfn main() {{\n{body}}}\n");
+    let main_rs = dir.join("main.rs");
+    std::fs::write(&main_rs, &main).unwrap();
+
+    let rustc = JitOptions::default()
+        .rustc
+        .unwrap_or_else(|| "rustc".into());
+    let bin = dir.join("printed");
+    let built = std::process::Command::new(&rustc)
+        .args(["--edition", "2021", "-O", "-o"])
+        .arg(&bin)
+        .arg(&main_rs)
+        .output()
+        .unwrap();
+    assert!(
+        built.status.success(),
+        "{}\n{main}",
+        String::from_utf8_lossy(&built.stderr)
+    );
+    let ran = std::process::Command::new(&bin).output().unwrap();
+    assert!(
+        ran.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ran.stderr)
+    );
+
+    for (name, expect, written, bound) in checks {
+        assert!(!written.is_empty(), "{name} writes an array");
+        for (arr, path) in written {
+            let bytes = std::fs::read(path).unwrap();
+            let got: Vec<f64> = bytes
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            let want = expect.grid(&arr).as_slice();
+            assert_eq!(got.len(), want.len(), "{name}.{arr}");
+            for (k, (a, b)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    (a - b).abs() <= bound,
+                    "{name}.{arr}[{k}]: printed {a} vs {b}"
+                );
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(dir);
 }

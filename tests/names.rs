@@ -8,15 +8,19 @@
 //! first six at PR 17's tree, before schedule analysis went from once per
 //! statement to once per adjoint term; the `WIDE` set and the printed
 //! modules at PR 20's tree, before `Idx` stopped being a `BTreeMap`.
+//! The paper-kernel set was recorded while wave3d, Burgers and heat2d
+//! were still built term by term in Rust, before each became one DSL text.
 
 use perforad::codegen::rust::print_module;
 use perforad::core::nest::{Bound, Statement};
 use perforad::exec::native::fnv1a64;
-use perforad::pde::{burgers, wave3d};
+use perforad::pde::{burgers, heat2d, wave3d};
 use perforad::prelude::*;
 use perforad::sched::compile_schedule_nests;
 use perforad::symbolic::Access;
 use perforad::tune::fingerprint_nests;
+
+mod common;
 
 const N: usize = 16;
 
@@ -151,6 +155,36 @@ fn printed_star_modules_are_golden() {
         .map(|text| fnv1a64(print_module("star", &star_adjoint(text).nests).as_bytes()))
         .collect();
     assert_eq!(got, GOLDEN_STAR_MODULES, "{got:#018x?}");
+}
+
+/// The Burgers and heat2d adjoints' work, and `print_module` of the
+/// wave3d and Burgers kernels (primal, adjoint, primal, adjoint).
+const GOLDEN_BURGERS_NESTS: u64 = 0xbcdc_7e23_3561_c7e5;
+const GOLDEN_HEAT_NESTS: u64 = 0xfe4a_0e91_3026_0fff;
+const GOLDEN_PAPER_MODULES: [u64; 4] = [
+    0x8910_1c35_6d10_0c2b,
+    0x4df7_fc6a_861e_b275,
+    0xc4de_f483_cb13_d016,
+    0xfeee_4138_5c97_77c0,
+];
+
+#[test]
+fn paper_kernels_are_golden() {
+    let bind = Binding::new().size("n", N as i64);
+    let work = |nest: LoopNest, act: &ActivityMap| {
+        let adj = nest.adjoint(act, &AdjointOptions::default()).unwrap();
+        fingerprint_nests(&adj.nests, false, &bind)
+    };
+    let got = work(burgers::nest(), &burgers::activity());
+    assert_eq!(got, GOLDEN_BURGERS_NESTS, "burgers {got:#018x}");
+    let got = work(heat2d::nest(), &heat2d::activity());
+    assert_eq!(got, GOLDEN_HEAT_NESTS, "heat2d {got:#018x}");
+
+    let got: Vec<u64> = common::printed_paper_kernels()
+        .iter()
+        .map(|(_, source)| fnv1a64(source.as_bytes()))
+        .collect();
+    assert_eq!(got, GOLDEN_PAPER_MODULES, "{got:#018x?}");
 }
 
 #[test]

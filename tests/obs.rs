@@ -35,6 +35,13 @@ fn obs_test() -> MutexGuard<'static, ()> {
     guard
 }
 
+/// The wave adjoint of the paper's script (`c` passive).
+fn wave_adjoint() -> Adjoint {
+    wave3d::nest()
+        .adjoint(&wave3d::activity(), &AdjointOptions::default())
+        .expect("wave3d adjoint transforms")
+}
+
 #[test]
 fn disabled_tracing_allocates_nothing() {
     let _guard = obs_test();
@@ -64,8 +71,13 @@ fn disabled_tracing_costs_under_one_percent_of_a_wave3d_sweep() {
     let _guard = obs_test();
     let n = 24usize;
     let (mut ws, bind) = wave3d::workspace(n, 0.1);
-    let schedule = wave3d::adjoint_schedule(&ws, &bind, &SchedOptions::default().with_rows())
-        .expect("wave3d adjoint schedules");
+    let schedule = compile_schedule(
+        &wave_adjoint(),
+        &ws,
+        &bind,
+        &SchedOptions::default().with_rows(),
+    )
+    .expect("wave3d adjoint schedules");
     let pool = ThreadPool::new(4);
 
     // How many instrumentation crossings does one sweep make? Record one
@@ -218,7 +230,8 @@ fn a_pooled_group_records_one_worker_span_per_worker() {
     let (mut ws, bind) = wave3d::workspace(16, 0.1);
     // The default tile spans the whole n = 16 hull; cut it into four.
     let opts = SchedOptions::default().with_rows().with_tile(&[4, 16, 16]);
-    let schedule = wave3d::adjoint_schedule(&ws, &bind, &opts).expect("wave3d adjoint schedules");
+    let schedule =
+        compile_schedule(&wave_adjoint(), &ws, &bind, &opts).expect("wave3d adjoint schedules");
     assert!(schedule.groups.iter().all(|g| g.tiles.len() > 1));
     let pool = ThreadPool::new(2);
 

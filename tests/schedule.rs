@@ -197,7 +197,10 @@ fn scheduled_wave3d_gradient_is_deterministic_across_thread_counts() {
     // must reproduce the single-thread result exactly.
     use perforad::pde::wave3d;
     let (ws, bind) = wave3d::workspace(12, 0.1);
-    let s = wave3d::adjoint_schedule(&ws, &bind, &SchedOptions::default()).unwrap();
+    let adj = wave3d::nest()
+        .adjoint(&wave3d::activity(), &AdjointOptions::default())
+        .unwrap();
+    let s = compile_schedule(&adj, &ws, &bind, &SchedOptions::default()).unwrap();
     assert_eq!(s.group_count(), 1);
     assert_eq!(s.max_fused(), 53);
 

@@ -48,6 +48,9 @@ fn tuner_end_to_end_through_the_file_cache() {
     let path = tmp_path("itest_tuner_file_cache");
     let _ = std::fs::remove_file(&path);
     let (ws, bind) = heat2d::workspace(20, 0.2);
+    let adj = heat2d::nest()
+        .adjoint(&heat2d::activity(), &AdjointOptions::default())
+        .unwrap();
     let pool = ThreadPool::new(2);
     let run = || {
         let mut ws = ws.clone();
@@ -55,7 +58,8 @@ fn tuner_end_to_end_through_the_file_cache() {
             .with_cache_path(&path)
             .with_measure(Measure::Synthetic { seed: 99 });
         opts.memory_cache = false;
-        heat2d::adjoint_schedule_tuned(&mut ws, &bind, &pool, &opts).unwrap()
+        let (schedule, report) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &opts).unwrap();
+        (schedule, report.config)
     };
     let (_, first) = run();
     let (_, second) = run();
@@ -65,9 +69,6 @@ fn tuner_end_to_end_through_the_file_cache() {
     // before that may name it: such an entry must still parse, be
     // honoured, and run bitwise-identically to the serial reference.
     assert_ne!(first.lowering, Lowering::PerPoint);
-    let adj = heat2d::nest()
-        .adjoint(&heat2d::activity(), &AdjointOptions::default())
-        .unwrap();
     let key = cache_key(fingerprint_nests(&adj.nests, false, &bind), pool.size());
     let mut cache = TuneCache::load(&path).unwrap();
     let mut entry = cache.lookup(&key).expect("the tuner's own key").clone();
@@ -87,6 +88,9 @@ fn tuner_end_to_end_through_the_file_cache() {
 #[test]
 fn tuner_is_deterministic_under_a_fixed_seed() {
     let bind = Binding::new().size("n", 24).param("D", 0.1);
+    let adj = wave3d::nest()
+        .adjoint(&wave3d::activity(), &AdjointOptions::default())
+        .unwrap();
     let pool = ThreadPool::new(2);
     let pick = |seed: u64| {
         let (mut ws, _) = wave3d::workspace(24, 0.1);
@@ -94,8 +98,8 @@ fn tuner_is_deterministic_under_a_fixed_seed() {
             .without_cache()
             .with_top_k(6)
             .with_measure(Measure::Synthetic { seed });
-        let (_, cfg) = wave3d::adjoint_schedule_tuned(&mut ws, &bind, &pool, &opts).unwrap();
-        cfg
+        let (_, report) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &opts).unwrap();
+        report.config
     };
     assert_eq!(pick(2024), pick(2024), "same seed, same winner");
     assert_eq!(pick(7), pick(7));
@@ -126,8 +130,8 @@ fn property_tuned_gradient_is_bitwise_identical_on_wave3d() {
             .with_top_k(8)
             .with_measure(Measure::Synthetic { seed });
         let (mut ws_tune, _) = wave3d::workspace(n, 0.1);
-        let (schedule, cfg) =
-            wave3d::adjoint_schedule_tuned(&mut ws_tune, &bind, &pool, &opts).unwrap();
+        let (schedule, report) = autotune_adjoint(&adj, &mut ws_tune, &bind, &pool, &opts).unwrap();
+        let cfg = report.config;
         let (mut ws_run, _) = wave3d::workspace(n, 0.1);
         run_tuned(&schedule, &cfg, &mut ws_run, &pool).unwrap();
         for arr in ["u_1_b", "u_2_b"] {
@@ -165,8 +169,8 @@ fn property_tuned_gradient_is_bitwise_identical_on_heat2d() {
             .with_top_k(8)
             .with_measure(Measure::Synthetic { seed });
         let (mut ws_tune, _) = heat2d::workspace(n, 0.2);
-        let (schedule, cfg) =
-            heat2d::adjoint_schedule_tuned(&mut ws_tune, &bind, &pool, &opts).unwrap();
+        let (schedule, report) = autotune_adjoint(&adj, &mut ws_tune, &bind, &pool, &opts).unwrap();
+        let cfg = report.config;
         let (mut ws_run, _) = heat2d::workspace(n, 0.2);
         run_tuned(&schedule, &cfg, &mut ws_run, &pool).unwrap();
         assert_eq!(
