@@ -4,9 +4,10 @@
 //!
 //! The driver is deliberately oblivious to what a "state" or a "step"
 //! is: the seismic driver passes a compiled primal plan as `step` and
-//! the tuned fused/JIT adjoint schedule as `back`, so every recomputed
-//! forward segment and every reverse step runs through the same fast
-//! path the store-all sweep would use — checkpointing changes *where
+//! the tuned fused/JIT adjoint schedule as `back`, and runs every sweep
+//! through here — store-all is the plan whose budget covers the steps.
+//! Every recomputed forward segment and every reverse step runs through
+//! the same fast path whatever the budget: checkpointing changes *where
 //! states come from*, never *how steps execute*, which is why the result
 //! is bitwise-identical to store-all.
 
@@ -81,10 +82,11 @@ fn counters() -> &'static [perforad_obs::Counter; 4] {
 ///   (swap in, run, swap out) instead of copying them; it must hand the
 ///   state back with the value it had.
 ///
-/// The trajectory is never materialized: at most `plan.budget()`
-/// snapshots are live in `store` at any moment, plus the single cursor
-/// state, which loads overwrite in place and takes trade for the stored
-/// one — after the first save into each slot a sweep allocates nothing.
+/// The trajectory is never materialized beyond the budget: at most
+/// `plan.budget()` snapshots are live in `store` at any moment, plus the
+/// single cursor state, which loads overwrite in place and takes replace
+/// with the stored one. `CheckpointPlan::store_all` is the plan whose
+/// budget covers every step: the same stream with nothing recomputed.
 pub fn checkpointed_adjoint_plan<S>(
     plan: &CheckpointPlan,
     s0: S,
@@ -103,6 +105,12 @@ pub fn checkpointed_adjoint_plan<S>(
     let obs_on = perforad_obs::enabled();
     let mut obs_recomputed = 0u64;
     let [saves, loads, moves, recomputed_steps] = counters();
+    // Spans per region, not per action: one over the streaming forward
+    // pass (closed at the seed) and one per recomputed segment. Saves,
+    // loads, takes and back steps are counted, not timed.
+    let mut forward = Some(perforad_obs::span!(
+        "ckpt.forward", "ckpt", "steps" => plan.steps() as u64
+    ));
     // The memoized stream: batched gradients replay one plan shape per
     // shot, so the recursive construction is paid once per shape.
     for &act in plan.actions_cached().iter() {
@@ -112,15 +120,11 @@ pub fn checkpointed_adjoint_plan<S>(
                 to,
                 recompute,
             } => {
-                let _span = if recompute {
+                let _span = recompute.then(|| {
                     perforad_obs::span!(
                         "ckpt.recompute", "ckpt", "from" => from as u64, "to" => to as u64
                     )
-                } else {
-                    perforad_obs::span!(
-                        "ckpt.advance", "ckpt", "from" => from as u64, "to" => to as u64
-                    )
-                };
+                });
                 for t in from..to {
                     step(&mut cursor, t);
                 }
@@ -133,29 +137,23 @@ pub fn checkpointed_adjoint_plan<S>(
                 }
             }
             CkptAction::Save { t } => {
-                let _span = perforad_obs::span!("ckpt.save", "ckpt", "t" => t as u64);
                 store.save(t, &cursor)?;
                 saves.inc();
                 peak_live = peak_live.max(store.live());
             }
             CkptAction::Load { t } => {
-                let _span = perforad_obs::span!("ckpt.load", "ckpt", "t" => t as u64);
                 store.restore(t, &mut cursor)?;
                 loads.inc();
             }
             CkptAction::Take { t } => {
-                let _span = perforad_obs::span!("ckpt.take", "ckpt", "t" => t as u64);
                 store.take(t, &mut cursor)?;
                 moves.inc();
             }
             CkptAction::Seed => {
-                let _span = perforad_obs::span!("ckpt.seed", "ckpt");
+                drop(forward.take());
                 seed(&cursor);
             }
-            CkptAction::Back { t } => {
-                let _span = perforad_obs::span!("ckpt.back", "ckpt", "t" => t as u64);
-                back(&mut cursor, t);
-            }
+            CkptAction::Back { t } => back(&mut cursor, t),
         }
     }
     perforad_obs::gauge("ckpt.peak_snapshot_bytes").set_max(store.peak_bytes() as u64);
@@ -219,47 +217,6 @@ mod tests {
         (xt, lambda, report)
     }
 
-    /// A [`MemStore`] whose freed slots turn NaN before they are refilled:
-    /// a read of a stale slot, or a refill that left old bytes, shows.
-    struct Poisoned(MemStore<f64>);
-
-    impl Poisoned {
-        fn poison(&mut self) {
-            self.0.spares_mut().fill(f64::NAN);
-        }
-    }
-
-    impl SnapshotStore<f64> for Poisoned {
-        fn save(&mut self, t: usize, state: &f64) -> Result<(), CkptError> {
-            self.0.save(t, state)
-        }
-        fn load(&mut self, t: usize) -> Result<f64, CkptError> {
-            self.0.load(t)
-        }
-        fn free(&mut self, t: usize) -> Result<(), CkptError> {
-            self.0.free(t)?;
-            self.poison();
-            Ok(())
-        }
-        fn restore(&mut self, t: usize, into: &mut f64) -> Result<(), CkptError> {
-            self.0.restore(t, into)
-        }
-        fn take(&mut self, t: usize, into: &mut f64) -> Result<(), CkptError> {
-            self.0.take(t, into)?;
-            self.poison();
-            Ok(())
-        }
-        fn live(&self) -> usize {
-            self.0.live()
-        }
-        fn peak_bytes(&self) -> usize {
-            self.0.peak_bytes()
-        }
-        fn label(&self) -> &'static str {
-            "memory"
-        }
-    }
-
     #[test]
     fn matches_store_all_bitwise_across_budgets_and_backends() {
         let _g = crate::store::disk_test_lock();
@@ -280,15 +237,6 @@ mod tests {
                 );
                 assert!(rep.peak_snapshots <= rep.budget);
                 assert_eq!(rep.store, "memory");
-
-                let mut poisoned = Poisoned(MemStore::new());
-                let (x, l, _) = run_with(&mut poisoned, steps, budget);
-                assert_eq!(x.to_bits(), x_ref.to_bits(), "poisoned steps {steps}");
-                assert_eq!(l.to_bits(), l_ref.to_bits(), "poisoned steps {steps}");
-                assert!(
-                    poisoned.0.spares_mut().len() <= rep.peak_snapshots,
-                    "spare slots outnumber the peak live set"
-                );
 
                 let (x, l, rep) = run_with(&mut DiskStore::new(&dir).unwrap(), steps, budget);
                 assert_eq!(x.to_bits(), x_ref.to_bits(), "disk steps {steps}");
@@ -345,7 +293,20 @@ mod tests {
         // Recording on: what the obs layer measured must equal both the
         // report's own counting and the plan's exact simulation.
         perforad_obs::set_enabled(true);
-        for (steps, budget) in [(50usize, 4usize), (64, 8), (100, 1), (33, 7), (0, 2)] {
+        // This thread's spans only: other tests may record beside it.
+        drop(perforad_obs::span!("ckpt_test.marker", "test"));
+        let events = perforad_obs::collect_events();
+        let marker = events.iter().find(|e| e.name == "ckpt_test.marker");
+        let tid = marker.expect("the marker span was recorded").tid;
+        let shapes = [
+            (50usize, 4usize),
+            (64, 8),
+            (100, 1),
+            (33, 7),
+            (0, 2),
+            (24, 24),
+        ];
+        for (steps, budget) in shapes {
             let plan = CheckpointPlan::with_budget(steps, budget);
             let stats = plan.stats();
             let (_, _, rep) = run_with(&mut MemStore::new(), steps, budget);
@@ -354,6 +315,26 @@ mod tests {
                 .expect("recording was enabled for the whole sweep");
             assert_eq!(observed, stats.recompute_ratio(steps), "steps {steps}");
             assert_eq!(observed, rep.recompute_ratio(), "steps {steps}");
+            // Spans per region: one over the forward pass, one per
+            // recomputed segment, none per save, load, take or back step.
+            let segments = plan.actions().into_iter().filter(|a| {
+                matches!(
+                    a,
+                    CkptAction::Advance {
+                        recompute: true,
+                        ..
+                    }
+                )
+            });
+            let mut names: Vec<&str> = perforad_obs::collect_events()
+                .into_iter()
+                .filter(|e| e.tid == tid)
+                .map(|e| e.name)
+                .collect();
+            names.sort_unstable();
+            let mut want = vec!["ckpt.forward"];
+            want.extend(segments.map(|_| "ckpt.recompute"));
+            assert_eq!(names, want, "steps {steps}, budget {budget}");
         }
         perforad_obs::set_enabled(false);
         perforad_obs::clear_events();

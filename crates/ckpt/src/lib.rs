@@ -7,7 +7,7 @@
 //! densely caps `T` at whatever RAM allows. Checkpointing trades
 //! recomputation for memory: keep a *budget* of snapshots, replay
 //! forward segments from them, and reverse each segment with the same
-//! fast (fused/JIT, autotuned) schedule the store-all sweep would use.
+//! fast (fused/JIT, autotuned) schedule a store-all sweep uses.
 //! Hascoët & Araya-Polo frame checkpoint placement as a schedule to be
 //! chosen per memory budget rather than a fixed recipe; this crate makes
 //! that choice explicit and machine-optimizable:
@@ -20,17 +20,22 @@
 //!   ([`CheckpointPlan::stats`]) without running anything — which is how
 //!   the autotuner prices a budget before committing to it.
 //! * [`Snapshot`] / [`SnapshotStore`] — where states live:
-//!   [`MemStore`] (states in RAM, in slots it refills — a copy for owned
-//!   grids, a reference for an `Arc`, which [`Snapshot`] assigns by
-//!   reference) or [`DiskStore`] (bitwise-exact spill files,
-//!   conventionally under `$PERFORAD_CKPT_DIR`).
-//! * [`checkpointed_adjoint_plan`] — the replay driver: streaming
-//!   forward pass (the right-most checkpoint chain is deposited on the
-//!   way to the objective, not replayed), a single `seed` call with the
-//!   final state, then the reverse phase, calling `back` for
-//!   `t = T−1 .. 0` exactly once each in descending order. The stream
-//!   knows where its one cursor is: it copies a state only where one is
-//!   read back from elsewhere, and moves a snapshot out for its last read.
+//!   [`MemStore`] (clones in RAM — a copy for owned grids, a reference
+//!   for an `Arc`; a freed or taken snapshot is dropped, so the store
+//!   never pins a grid its owner could reuse) or [`DiskStore`]
+//!   (bitwise-exact spill files, conventionally under
+//!   `$PERFORAD_CKPT_DIR`).
+//! * [`checkpointed_adjoint_plan`] — the replay driver, and the only
+//!   reverse time loop: streaming forward pass (the right-most checkpoint
+//!   chain is deposited on the way to the objective, not replayed), a
+//!   single `seed` call with the final state, then the reverse phase,
+//!   calling `back` for `t = T−1 .. 0` exactly once each in descending
+//!   order. A store-all sweep is [`CheckpointPlan::store_all`] through
+//!   the same driver. The stream knows where its one cursor is: it
+//!   restores a state only where one is read back from elsewhere, and
+//!   moves a snapshot out for its last read. It records one span over the
+//!   forward pass and one per recomputed segment; the `ckpt.saves`,
+//!   `ckpt.loads` and `ckpt.moves` counters count the rest.
 //!
 //! Every backend round-trips `f64` bit patterns exactly, so a
 //! checkpointed gradient is **bitwise-identical** to its store-all

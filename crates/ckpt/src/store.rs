@@ -1,9 +1,9 @@
 //! Snapshot stores: where checkpointed states live between the forward
 //! and reverse phases.
 //!
-//! Two backends ship with the crate: [`MemStore`] keeps copies in a map,
-//! in slots it refills rather than reallocates (the fast path when the
-//! budgeted snapshots fit in RAM), and
+//! Two backends ship with the crate: [`MemStore`] keeps clones in a map
+//! (the fast path when the budgeted snapshots fit in RAM; a clone of a
+//! shared state is a reference), and
 //! [`DiskStore`] spills serialized states to files (when even the
 //! budgeted snapshots do not fit — or when the operator wants RAM for
 //! the solver, not the trajectory). Both round-trip `f64` payloads
@@ -17,9 +17,9 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-/// Environment variable naming the default spill directory for
-/// [`DiskStore::from_env`] consumers (the seismic driver's `Auto`
-/// backend): when set, snapshots spill to disk instead of living in RAM.
+/// Environment variable naming the default spill directory of the seismic
+/// driver's `Auto` backend: when set, snapshots spill to disk instead of
+/// living in RAM.
 pub const CKPT_DIR_ENV: &str = "PERFORAD_CKPT_DIR";
 
 /// A state that can be checkpointed: sized in memory and serializable to
@@ -219,13 +219,13 @@ pub trait SnapshotStore<S> {
     fn label(&self) -> &'static str;
 }
 
-/// In-memory snapshot store: copies in a map. A freed or taken snapshot
-/// leaves a buffer behind as a spare slot that the next save refills, so a
-/// sweep allocates its peak live set once; spares are dropped with the store.
+/// In-memory snapshot store: clones in a map. A freed or taken snapshot is
+/// dropped, not kept for the next save to refill: what recycles a shared
+/// state's grids is whoever owns them, and the store holds no reference
+/// to a snapshot it no longer has.
 #[derive(Debug)]
 pub struct MemStore<S> {
     slots: HashMap<usize, S>,
-    spare: Vec<S>,
     bytes: usize,
     peak: usize,
 }
@@ -234,21 +234,25 @@ impl<S> MemStore<S> {
     pub fn new() -> Self {
         MemStore {
             slots: HashMap::new(),
-            spare: Vec::new(),
             bytes: 0,
             peak: 0,
         }
     }
 
-    fn live_slot(&mut self, t: usize, verb: &str) -> Result<&mut S, CkptError> {
+    fn live_slot(&self, t: usize, verb: &str) -> Result<&S, CkptError> {
         let dead = || CkptError::Protocol(format!("{verb} of dead snapshot {t}"));
-        self.slots.get_mut(&t).ok_or_else(dead)
+        self.slots.get(&t).ok_or_else(dead)
     }
 
-    /// The freed slots awaiting a refill, for tests to scribble over.
-    #[cfg(test)]
-    pub(crate) fn spares_mut(&mut self) -> &mut [S] {
-        &mut self.spare
+    /// Remove the live snapshot at `t` from the store and its byte count.
+    fn remove(&mut self, t: usize, verb: &str) -> Result<S, CkptError>
+    where
+        S: Snapshot,
+    {
+        let dead = || CkptError::Protocol(format!("{verb} of dead snapshot {t}"));
+        let state = self.slots.remove(&t).ok_or_else(dead)?;
+        self.bytes -= state.mem_bytes();
+        Ok(state)
     }
 }
 
@@ -267,14 +271,7 @@ impl<S: Clone + Snapshot> SnapshotStore<S> for MemStore<S> {
         self.peak = self.peak.max(self.bytes);
         let [save_bytes, ..] = byte_counters();
         save_bytes.add(state.mem_bytes() as u64);
-        let slot = match self.spare.pop() {
-            Some(mut slot) => {
-                slot.assign(state);
-                slot
-            }
-            None => state.clone(),
-        };
-        self.slots.insert(t, slot);
+        self.slots.insert(t, state.clone());
         Ok(())
     }
 
@@ -286,13 +283,7 @@ impl<S: Clone + Snapshot> SnapshotStore<S> for MemStore<S> {
     }
 
     fn free(&mut self, t: usize) -> Result<(), CkptError> {
-        let state = self
-            .slots
-            .remove(&t)
-            .ok_or_else(|| CkptError::Protocol(format!("free of dead snapshot {t}")))?;
-        self.bytes -= state.mem_bytes();
-        self.spare.push(state);
-        Ok(())
+        self.remove(t, "free").map(drop)
     }
 
     fn restore(&mut self, t: usize, into: &mut S) -> Result<(), CkptError> {
@@ -302,9 +293,10 @@ impl<S: Clone + Snapshot> SnapshotStore<S> for MemStore<S> {
         Ok(())
     }
 
+    /// Moves the snapshot into `into` and drops `into`'s old value.
     fn take(&mut self, t: usize, into: &mut S) -> Result<(), CkptError> {
-        std::mem::swap(into, self.live_slot(t, "take")?);
-        self.free(t)
+        *into = self.remove(t, "take")?;
+        Ok(())
     }
 
     fn live(&self) -> usize {
@@ -348,11 +340,6 @@ impl DiskStore {
             bytes: 0,
             peak: 0,
         })
-    }
-
-    /// The spill directory named by [`CKPT_DIR_ENV`], if set.
-    pub fn from_env() -> Option<Result<Self, CkptError>> {
-        std::env::var_os(CKPT_DIR_ENV).map(Self::new)
     }
 
     /// The per-instance spill-file tag (`pid_seq`): unique within a
@@ -627,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_and_take_are_bitwise_and_the_mem_store_refills_its_slots() {
+    fn restore_and_take_are_bitwise() {
         let _g = disk_test_lock();
         let dir = std::env::temp_dir().join(format!("perforad_ckpt_take_{}", std::process::id()));
         let (a, b) = (grid(), Grid::full(&[3, 4], -2.5));
@@ -649,20 +636,29 @@ mod tests {
         cycle(&mut DiskStore::new(&dir).unwrap(), &a, &b);
         let mut mem = MemStore::new();
         cycle(&mut mem, &a, &b);
-        // Two slots were allocated; every later save refills one of them,
-        // whatever the taker left in it.
-        assert_eq!(mem.spares_mut().len(), 2);
-        mem.spares_mut()[1].fill(f64::NAN);
-        let slot = mem.spares_mut()[1].as_slice().as_ptr();
-        mem.save(7, &a).unwrap();
-        assert_eq!(mem.spares_mut().len(), 1);
-        assert_eq!(mem.slots[&7].as_slice().as_ptr(), slot, "refilled in place");
-        assert_eq!(mem.slots[&7].as_slice(), a.as_slice());
-        // A spare of another shape is replaced, not half-overwritten.
-        let wide = Grid::full(&[5, 5], 1.0);
-        mem.save(8, &wide).unwrap();
-        assert_eq!(mem.load(8).unwrap().dims(), wide.dims());
+        assert_eq!((mem.slots.len(), mem.bytes), (0, 0), "nothing stays behind");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A memory store keeps no snapshot it has freed or handed out: a
+    /// shared grid's count is back to its holders' once the store lets go,
+    /// so whoever owns the grid can write into it again.
+    #[test]
+    fn a_mem_store_holds_no_reference_to_a_freed_or_taken_snapshot() {
+        let (a, b) = (Arc::new(grid()), Arc::new(Grid::full(&[3, 4], -2.5)));
+        let mut store = MemStore::new();
+        store.save(0, &a).unwrap();
+        assert_eq!(Arc::strong_count(&a), 2, "a saved snapshot shares the grid");
+        store.free(0).unwrap();
+        assert_eq!(Arc::strong_count(&a), 1, "a freed snapshot is dropped");
+
+        store.save(1, &a).unwrap();
+        let mut cursor = Arc::clone(&b);
+        store.take(1, &mut cursor).unwrap();
+        assert!(Arc::ptr_eq(&cursor, &a), "a take moves the snapshot out");
+        assert_eq!(Arc::strong_count(&a), 2, "the caller's and the cursor's");
+        assert_eq!(Arc::strong_count(&b), 1, "the cursor's old grid is dropped");
+        assert_eq!(store.live(), 0);
     }
 
     #[test]

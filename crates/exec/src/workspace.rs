@@ -11,7 +11,7 @@ pub(crate) enum Slot {
     /// The workspace's own grid: a plan may write it.
     Owned(Grid),
     /// A grid shared, read-only, with whatever else holds the `Arc` — a
-    /// checkpoint snapshot, a kept trajectory, another workspace. A plan
+    /// checkpoint snapshot, a time loop's cursor, another workspace. A plan
     /// may only read it: the tile runner refuses a plan that writes one
     /// ([`crate::ExecError::SharedWrite`]).
     Shared(Arc<Grid>),

@@ -17,43 +17,44 @@
 //! whichever the perf model's batch term prices cheaper. Every shot's
 //! output is bitwise the same whatever the batch around it.
 //!
-//! The primal trajectory the nonlinear `∂F/∂c` term needs is *not*
-//! materialized for long sweeps: plans of [`CKPT_THRESHOLD_STEPS`] or more
-//! steps (or forced with [`BatchOptions::checkpointed`]) stream the
-//! forward pass under a `perforad-ckpt` [`CheckpointPlan`] — a snapshot
-//! budget chosen by the autotuner (jointly with the stencil schedule, via
-//! `TuneOptions::with_time_loop`) bounds live memory, the plan recomputes
-//! the fewest steps any placement can under it (revolve's exact split),
-//! and reverse segments are recomputed through the same tuned fused/JIT
-//! schedule the store-all sweep uses. Both sweeps are
-//! **bitwise-identical**: checkpointing changes where states come from,
-//! never how steps execute.
+//! Every shot runs one reverse sweep: the `perforad-ckpt` replay driver
+//! ([`checkpointed_adjoint_plan`]) under a [`CheckpointPlan`]. Checkpoint
+//! placement is a budget, not a second code path. A store-all shot — plans
+//! shorter than [`CKPT_THRESHOLD_STEPS`], or forced with
+//! [`BatchOptions::checkpointed`] — is [`CheckpointPlan::store_all`] on a
+//! memory store: every state is saved on the way forward and nothing is
+//! recomputed. A checkpointed shot streams the forward pass under a
+//! snapshot budget chosen by the autotuner (jointly with the stencil
+//! schedule, via `TuneOptions::with_time_loop`), which bounds live memory;
+//! the plan recomputes the fewest steps any placement can under it
+//! (revolve's exact split), through the same tuned fused/JIT schedule.
+//! Every budget gives the **bitwise-identical** gradient: checkpointing
+//! changes where states come from, never how steps execute.
 //!
 //! The time loop costs what its kernels cost: the primal step is a
 //! one-nest [`Schedule`] tiled, lowered and driven like the tuned adjoint
 //! — through the JIT tier when the tuner chose it for the adjoint, as a
 //! second native artifact keyed by the primal plan's own fingerprint, and
-//! on the row executor when that cannot be prepared; no step allocates or
-//! copies a grid (a state is two shared grids, bound read-only into the
-//! kernel workspaces, and a step writes only into a grid nothing else
-//! holds; the adjoint kernel, compiled in accumulate mode, is lent λ_t,
-//! λ_{t−1} and `∂J/∂c` to add its increments into) and the primal step
-//! clears none, though a back step fills one (the λ grid rotated in by
+//! on the row executor when that cannot be prepared; no step copies a grid
+//! (a state is two shared grids, bound read-only into the kernel
+//! workspaces, and a step writes only into a grid nothing else holds; the
+//! adjoint kernel, compiled in accumulate mode, is lent λ_t, λ_{t−1} and
+//! `∂J/∂c` to add its increments into) and the primal step clears none,
+//! though a back step fills one (the λ grid rotated in by
 //! `Rolling::back`) and adds nothing back; the adjoint field is a 3-grid
-//! rolling window in both sweeps; a memory-store snapshot holds the
-//! cursor's grids rather than a copy of them, so a warm checkpointed sweep
-//! copies no grid at all, and what it steps into comes from a per-sweep
-//! pool that recycles every grid no state, snapshot or workspace holds any
-//! more; and a plan keeps its warmed shot states between runs instead of
+//! rolling window; a memory-store snapshot holds the cursor's grids rather
+//! than a copy of them, so a warm memory-store sweep copies no grid at
+//! all; and a plan keeps its warmed shot states between runs instead of
 //! cloning them per call.
 //!
-//! A short store-all sweep keeps its trajectory the same way: a plan below
-//! [`CKPT_THRESHOLD_STEPS`] that runs store-all (the dispatch rule's choice
-//! there) leaves `u_0 .. u_steps` in the warmed shot state and the next run
-//! writes over them in place, so a warm run allocates its λ window and its
-//! gradient and nothing per step — for `steps + 1` grids resident per warmed
-//! shot state, fewer than 64 by construction. A plan *forced* to store-all
-//! at or past the threshold allocates its trajectory per run and drops it.
+//! One owner recycles grids: the shot state's `GridPool`. Every grid a
+//! step writes comes from it, and a grid no state, snapshot or workspace
+//! holds any more is free for the next step. A plan shorter than
+//! [`CKPT_THRESHOLD_STEPS`] keeps the pool in the warmed shot state, so a
+//! warm run allocates its λ window and its gradient and nothing per step —
+//! at most `steps` grids resident per warmed shot state, fewer than 64 by
+//! construction. At or past the threshold the pool lives for one sweep and
+//! nothing stays resident between runs.
 
 use crate::wave3d;
 use perforad_ckpt::{
@@ -76,10 +77,10 @@ use std::mem::swap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-/// Plans at least this long default to the bounded-memory checkpointed
-/// sweep; shorter ones keep the dense store-all sweep, and keep its
-/// trajectory (fewer than this many grids) resident in each warmed shot
-/// state between runs. [`BatchOptions::checkpointed`] overrides the sweep.
+/// Plans at least this long default to a checkpointed budget; shorter ones
+/// store every state, and keep the grids they step into (fewer than this
+/// many) resident in each warmed shot state between runs.
+/// [`BatchOptions::checkpointed`] overrides the budget, not the residency.
 pub const CKPT_THRESHOLD_STEPS: usize = 64;
 
 /// Problem configuration.
@@ -131,14 +132,14 @@ fn workspace(c: &Grid, zeroed: &[&str]) -> Workspace {
 }
 
 /// One compiled primal wave step, shared by every forward pass in this
-/// module (the dense [`forward`], the checkpointed streaming pass, and
-/// its recomputed segments), so replayed segments are bitwise-identical
-/// to the first execution. A one-nest [`Schedule`] tiled, lowered and
-/// driven like the tuned adjoint: a `Jit` configuration is natively
-/// prepared here ([`compile_tuned`] — registry, artifact cache, `rustc`),
-/// and one that cannot be prepared is lowered to `Rows` instead, so an
-/// unprepared `Jit` primal never runs and `jit.degraded_fallbacks` keeps
-/// counting only the adjoint's degraded executions.
+/// module (the dense [`forward`], a sweep's streaming pass, and its
+/// recomputed segments), so replayed segments are bitwise-identical to
+/// the first execution. A one-nest [`Schedule`] tiled, lowered and driven
+/// like the tuned adjoint: a `Jit` configuration is natively prepared here
+/// ([`compile_tuned`] — registry, artifact cache, `rustc`), and one that
+/// cannot be prepared is lowered to `Rows` instead, so an unprepared `Jit`
+/// primal never runs and `jit.degraded_fallbacks` keeps counting only the
+/// adjoint's degraded executions.
 #[derive(Clone)]
 struct Stepper<'p> {
     schedule: Schedule,
@@ -147,14 +148,13 @@ struct Stepper<'p> {
     /// The kernel's workspace: `u` owned (the step writes it), `u_1` and
     /// `u_2` bound shared (it only reads them) — to `zero` between steps.
     ws: Workspace,
-    /// An all-zero grid nothing ever writes: `u_{−1}`, `u_0` of a
-    /// checkpointed sweep, and what `u_1` and `u_2` hold between steps.
+    /// An all-zero grid nothing ever writes: `u_{−1}`, `u_0`, and what
+    /// `u_1` and `u_2` hold between steps.
     zero: Arc<Grid>,
     src: [usize; 3],
     source: Vec<f64>,
-    /// `u_0 .. u_steps` as the last store-all sweep of a plan shorter than
-    /// [`CKPT_THRESHOLD_STEPS`] left them; empty for every other plan.
-    traj: Vec<Arc<Grid>>,
+    /// The grids steps write into.
+    grids: GridPool,
 }
 
 impl<'p> Stepper<'p> {
@@ -191,7 +191,7 @@ impl<'p> Stepper<'p> {
             zero,
             src: cfg.source_index(),
             source: vec![0.0; cfg.steps],
-            traj: Vec::new(),
+            grids: GridPool::new([cfg.n; 3]),
         }
     }
 
@@ -204,68 +204,37 @@ impl<'p> Stepper<'p> {
     }
 
     /// Advance `(u_{t−1}, u_t)` to `(u_t, u_{t+1})`, writing `u_{t+1}` into
-    /// `out`: a grid nothing but `out` holds, which the new state then
-    /// shares. The state's grids are bound to the workspace shared and
-    /// `out`'s lent to it for the run, then all are handed back. No grid
-    /// is allocated, copied or cleared: the step *assigns* every interior
-    /// point of `out`, whose boundary planes are zero already — every grid
-    /// a time loop steps into starts all-zero and is only ever written on
-    /// its interior, the source point included.
-    fn step(&mut self, state: &mut SharedState, out: &mut Arc<Grid>, t: usize) {
+    /// a free pool grid, which the new state then shares. The state's grids
+    /// are bound to the workspace shared and the pool grid lent to it for
+    /// the run, then all are handed back. No grid is copied or cleared: the
+    /// step *assigns* every interior point of the pool grid, whose boundary
+    /// planes are zero already — every pool grid starts all-zero and is
+    /// only ever written on its interior, the source point included.
+    fn step(&mut self, state: &mut SharedState, t: usize) {
+        let out = self.grids.free();
         let u = Arc::get_mut(out).expect("a step writes only a grid nothing else holds");
-        self.exchange(state, u);
-        self.run();
-        self.exchange(state, u);
-        self.inject(u, t);
-        state.0 = std::mem::replace(&mut state.1, Arc::clone(out));
-    }
-
-    /// Swap `(u_{t−1}, u_t)` and the grid being written with the
-    /// workspace's `u_2`, `u_1` and `u`: lends them on the first call and
-    /// takes them back on the second.
-    fn exchange(&mut self, (u_2, u_1): &mut SharedState, u: &mut Grid) {
-        swap(self.ws.shared_mut("u_2"), u_2);
-        swap(self.ws.shared_mut("u_1"), u_1);
-        swap(self.ws.grid_mut("u"), u);
-    }
-
-    /// The kernel on whatever the workspace holds: `u` from `u_1`, `u_2`.
-    fn run(&mut self) {
+        exchange(&mut self.ws, state, u);
         debug_assert!(boundary_is_zero(self.ws.grid("u")), "stale boundary");
         run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("primal step");
-    }
-
-    /// Add step `t`'s source sample to `u_{t+1}`.
-    fn inject(&self, u: &mut Grid, t: usize) {
+        exchange(&mut self.ws, state, u);
+        // Step `t`'s source sample.
         u.set(&self.src, u.get(&self.src) + self.source[t]);
+        state.0 = std::mem::replace(&mut state.1, Arc::clone(out));
     }
+}
 
-    /// Step through the whole time loop (one step per source sample),
-    /// keeping every state: `u_0 .. u_steps`, written over `traj`'s grids
-    /// when it is a trajectory this stepper filled before and into fresh
-    /// zeroed ones otherwise. Step `t` reads `u_{t−1}` and `u_t` and writes
-    /// `traj[t + 1]`, which only `traj` holds, under [`Stepper::step`]'s
-    /// invariant: an entry's interior is assigned in full, its boundary was
-    /// never anything but zero. `u_0` and `u_{−1}` (`zero`) are the zero
-    /// initial condition, never written.
-    fn trajectory(&mut self, mut traj: Vec<Arc<Grid>>) -> Vec<Arc<Grid>> {
-        let (steps, dims) = (self.source.len(), self.zero.dims().to_vec());
-        let _span = perforad_obs::span!(
-            "seismic.forward", "seismic", "steps" => steps as u64, "n" => dims[0] as u64
-        );
-        traj.resize_with(steps + 1, || Arc::new(Grid::zeros(&dims)));
-        debug_assert!(traj[0].norm2() == 0.0, "initial condition overwritten");
-        let mut state = (Arc::clone(&self.zero), Arc::clone(&traj[0]));
-        for t in 0..steps {
-            self.step(&mut state, &mut traj[t + 1], t);
-        }
-        traj
-    }
+/// Swap `(u_{t−1}, u_t)` and the grid being written with `ws`'s `u_2`,
+/// `u_1` and `u`: lends them on the first call and takes them back on the
+/// second.
+fn exchange(ws: &mut Workspace, (u_2, u_1): &mut SharedState, u: &mut Grid) {
+    swap(ws.shared_mut("u_2"), u_2);
+    swap(ws.shared_mut("u_1"), u_1);
+    swap(ws.grid_mut("u"), u);
 }
 
 /// Run the primal time loop densely; returns the trajectory
 /// `u_0 .. u_steps`. A verification/synthesis helper for short sweeps —
-/// long-sweep gradients never materialize this vector.
+/// gradients never materialize this vector.
 pub fn forward(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Vec<Grid> {
     // A throwaway stepper must never build native code: `Rows`, explicitly.
     let serial = TunedConfig {
@@ -276,7 +245,17 @@ pub fn forward(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Vec<Grid> {
     // A serial drive never enters the pool it is handed.
     let mut stepper = Stepper::new(cfg, c, &serial, default_pool());
     stepper.set_source(source);
-    let traj = stepper.trajectory(Vec::new());
+    let _span = perforad_obs::span!(
+        "seismic.forward", "seismic", "steps" => cfg.steps as u64, "n" => cfg.n as u64
+    );
+    // Every state stays held, so each step writes a fresh pool grid.
+    let mut state = (Arc::clone(&stepper.zero), Arc::clone(&stepper.zero));
+    let mut traj = vec![Arc::clone(&stepper.zero)];
+    for t in 0..cfg.steps {
+        stepper.step(&mut state, t);
+        traj.push(Arc::clone(&state.1));
+    }
+    drop((stepper, state));
     // Each state is `traj`'s alone now: unwrapping copies nothing.
     traj.into_iter().map(Arc::unwrap_or_clone).collect()
 }
@@ -389,8 +368,8 @@ impl<'p> ReverseSweep<'p> {
 /// sweep with their workspaces.
 type ShotState<'p> = (Stepper<'p>, ReverseSweep<'p>);
 
-/// The reverse-phase state both sweeps share: the misfit, the 3-grid
-/// rolling adjoint window, and the accumulated model gradient. Back steps
+/// A sweep's reverse-phase state: the misfit, the 3-grid rolling adjoint
+/// window, and the accumulated model gradient. Back steps
 /// arrive in strictly descending `t`, so three λ grids are all that is
 /// ever live.
 struct Rolling {
@@ -441,30 +420,8 @@ impl Rolling {
     }
 }
 
-/// The dense reference sweep on one shot state: materializes the full
-/// trajectory (memory grows linearly with `steps`), then reverses it
-/// through the same [`Rolling`] window the checkpointed sweep uses. A plan
-/// shorter than [`CKPT_THRESHOLD_STEPS`] leaves the trajectory's grids in
-/// the shot state for its next run to write over; a longer one (forced to
-/// store-all) drops them: `steps + 1` resident grids per idle shot state is
-/// the memory that threshold exists to bound.
-fn store_all_core(cfg: &SeismicConfig, data: &Grid, state: &mut ShotState<'_>) -> (f64, Grid) {
-    let (stepper, sweep) = state;
-    let kept = std::mem::take(&mut stepper.traj);
-    let mut traj = stepper.trajectory(kept);
-    let mut rolling = Rolling::new(&[cfg.n, cfg.n, cfg.n]);
-    rolling.seed(&traj[cfg.steps], data);
-    // Step t produced u_t from u_1 = u_{t-1}.
-    for t in (1..=cfg.steps).rev() {
-        rolling.back(sweep, &mut traj[t - 1]);
-    }
-    if cfg.steps < CKPT_THRESHOLD_STEPS {
-        stepper.traj = traj;
-    }
-    (rolling.j, rolling.c_b)
-}
-
-/// Where trajectory snapshots live during a checkpointed sweep.
+/// Where a checkpointed shot's snapshots live (a store-all shot keeps
+/// them in memory).
 #[derive(Clone, Debug, Default)]
 pub enum SnapshotBackend {
     /// Spill to `$PERFORAD_CKPT_DIR` when that variable is set, keep
@@ -478,24 +435,31 @@ pub enum SnapshotBackend {
     Disk(PathBuf),
 }
 
-/// The bounded-memory sweep on one shot state, under an explicit
-/// (already resolved) snapshot budget. The
-/// forward pass streams: at most `budget` `(u_{t−1}, u_t)` snapshots are
-/// live at once, the adjoint field is a 3-grid rolling window, and reverse
-/// segments are recomputed from snapshots through the same compiled primal
-/// step — so the result is **bitwise-identical** to [`store_all_core`] at
-/// a fraction of the memory; the returned [`CkptReport`] says what that
-/// fraction was. [`CheckpointPlan`]'s memoized action stream makes the
-/// replayed plan shape free after the first shot.
-fn checkpointed_core(
+/// One shot's reverse sweep on one shot state, under `plan`: at most
+/// `plan.budget()` `(u_{t−1}, u_t)` snapshots are live at once, the adjoint
+/// field is a 3-grid rolling window, and reverse segments are recomputed
+/// from snapshots through the same compiled primal step — so every budget
+/// gives the **bitwise-identical** gradient, and the returned
+/// [`CkptReport`] says what the budget cost. Snapshots spill under `spill`
+/// when it is set and stay in memory otherwise. [`CheckpointPlan`]'s
+/// memoized action stream makes the replayed plan shape free after the
+/// first shot.
+fn adjoint_sweep(
     cfg: &SeismicConfig,
     data: &Grid,
-    budget: usize,
-    backend: &SnapshotBackend,
+    plan: &CheckpointPlan,
+    spill: Option<PathBuf>,
     state: &mut ShotState<'_>,
 ) -> (f64, Grid, CkptReport) {
-    let plan = CheckpointPlan::with_budget(cfg.steps, budget);
-
+    // A store-all plan writes one grid per step and frees none before the
+    // reverse phase: the pool draws them in one burst up front. Drawn step
+    // by step, between the store's own allocations, a per-sweep pool's
+    // grids end up where the allocator trims them off the heap when the
+    // pool drops, and the next run faults every page back in (+30 % on a
+    // 64-step, n = 16 store-all shot).
+    if plan.budget() >= plan.steps() {
+        state.0.grids.reserve(plan.steps());
+    }
     // Disk-backed sweeps must survive spill failures: per-snapshot write
     // errors are absorbed inside [`FallbackStore`] (the snapshot lands in
     // memory instead), and anything the store cannot absorb — a read
@@ -504,30 +468,30 @@ fn checkpointed_core(
     // overwrite their workspace grids per call and the rolling adjoint
     // state is rebuilt per attempt, so a retried gradient is
     // bitwise-identical to a first-try one.
-    if let Some(dir) = spill_dir(backend) {
-        let spilled = DiskStore::new(&dir).and_then(|disk| {
-            let mut store = FallbackStore::new(disk);
-            let mut grids = GridPool::new([cfg.n; 3]);
-            checkpointed_attempt(cfg, data, &plan, &mut store, &mut grids, state)
-        });
-        match spilled {
-            Ok(out) => return out,
-            Err(e) => {
-                perforad_obs::counter("ckpt.spill_fallbacks").inc();
-                eprintln!("perforad: disk-backed checkpoint sweep failed ({e}); using memory");
-            }
+    let spilled = spill.map(|dir| {
+        DiskStore::new(&dir)
+            .and_then(|disk| replay(data, plan, &mut FallbackStore::new(disk), state))
+    });
+    let out = match spilled {
+        Some(Ok(out)) => out,
+        Some(Err(e)) => {
+            perforad_obs::counter("ckpt.spill_fallbacks").inc();
+            eprintln!("perforad: disk-backed checkpoint sweep failed ({e}); using memory");
+            replay(data, plan, &mut MemStore::new(), state).expect("in-memory sweep")
         }
+        None => replay(data, plan, &mut MemStore::new(), state).expect("in-memory sweep"),
+    };
+    if cfg.steps >= CKPT_THRESHOLD_STEPS {
+        state.0.grids = GridPool::new([cfg.n; 3]);
     }
-    let mut grids = GridPool::new([cfg.n; 3]);
-    checkpointed_attempt(cfg, data, &plan, &mut MemStore::new(), &mut grids, state)
-        .expect("in-memory checkpointed sweep")
+    out
 }
 
-/// The grids a checkpointed sweep steps into. The pool holds a reference
-/// to each as well, so a grid only it holds — no state, snapshot or
-/// workspace does any more — is free, and the next step writes into it
-/// instead of a fresh one. One pool per sweep: nothing stays resident
-/// between runs.
+/// The grids a shot state's steps write into, and the one owner of grid
+/// reuse. The pool holds a reference to each as well, so a grid only it
+/// holds — no state, snapshot or workspace does any more — is free, and
+/// the next step writes into it instead of a fresh one. A clone starts
+/// empty: two shot states never share a grid to write into.
 struct GridPool {
     dims: [usize; 3],
     grids: Vec<Arc<Grid>>,
@@ -538,6 +502,13 @@ impl GridPool {
         GridPool {
             dims,
             grids: Vec::new(),
+        }
+    }
+
+    /// Grow the pool to at least `n` grids.
+    fn reserve(&mut self, n: usize) {
+        while self.grids.len() < n {
+            self.grids.push(Arc::new(Grid::zeros(&self.dims)));
         }
     }
 
@@ -552,30 +523,29 @@ impl GridPool {
     }
 }
 
-/// One full checkpointed sweep against a concrete snapshot store: fresh
-/// rolling adjoint state, the memoized action stream replayed start to
-/// finish. The cursor and the snapshots share the grids `grids` hands
-/// out, so a memory store moves references where it used to copy states.
-/// Errors out of the store surface here for the caller's fallback
-/// decision.
-fn checkpointed_attempt(
-    cfg: &SeismicConfig,
+impl Clone for GridPool {
+    fn clone(&self) -> GridPool {
+        GridPool::new(self.dims)
+    }
+}
+
+/// One full sweep against a concrete snapshot store: fresh rolling adjoint
+/// state, the memoized action stream replayed start to finish. The cursor
+/// and the snapshots share the grids the stepper's pool hands out, so a
+/// memory store moves references, never states. Errors out of the store
+/// surface here for the caller's fallback decision.
+fn replay(
     data: &Grid,
     plan: &CheckpointPlan,
     store: &mut impl SnapshotStore<SharedState>,
-    grids: &mut GridPool,
     (stepper, sweep): &mut ShotState<'_>,
 ) -> Result<(f64, Grid, CkptReport), CkptError> {
-    let dims = [cfg.n, cfg.n, cfg.n];
     // `u_{−1}` and `u_0` are zero, and no step writes a state it holds.
     let s0 = (Arc::clone(&stepper.zero), Arc::clone(&stepper.zero));
     // The driver calls `seed` and `back` strictly sequentially, so a
     // RefCell resolves the closure-borrow overlap without locking.
-    let rolling = RefCell::new(Rolling::new(&dims));
-    let mut step = |s: &mut SharedState, t: usize| {
-        let _span = perforad_obs::span!("seismic.step", "seismic", "t" => t as u64);
-        stepper.step(s, grids.free(), t)
-    };
+    let rolling = RefCell::new(Rolling::new(stepper.zero.dims()));
+    let mut step = |s: &mut SharedState, t: usize| stepper.step(s, t);
     let mut seed = |s: &SharedState| rolling.borrow_mut().seed(&s.1, data);
     // Step t produced u_{t+1} from u_1 = u_t (= s.1).
     let mut back = |s: &mut SharedState, _t: usize| rolling.borrow_mut().back(sweep, &mut s.1);
@@ -666,7 +636,7 @@ pub struct BatchOptions {
     /// shots collision-free in one directory.
     pub backend: SnapshotBackend,
     /// Force the checkpointed (`Some(true)`) or store-all (`Some(false)`)
-    /// sweep; `None` applies the [`CKPT_THRESHOLD_STEPS`] rule.
+    /// plan; `None` applies the [`CKPT_THRESHOLD_STEPS`] rule.
     pub checkpointed: Option<bool>,
 }
 
@@ -677,7 +647,7 @@ pub struct BatchResult {
     pub misfits: Vec<f64>,
     /// `∂J_k/∂c` per shot.
     pub gradients: Vec<Grid>,
-    /// Checkpoint accounting per shot (`None` for store-all sweeps).
+    /// Checkpoint accounting per shot (`None` for store-all shots).
     pub reports: Vec<Option<CkptReport>>,
     /// The dispatch strategy that actually ran.
     pub strategy: BatchStrategy,
@@ -917,14 +887,16 @@ impl<'p> BatchPlan<'p> {
         stepper.tuned.strategy = drive;
         sweep.tuned.strategy = drive;
         stepper.set_source(&batch.sources[k]);
-        let (data, backend) = (&batch.observed[k], &self.opts.backend);
-        let shot = if self.checkpointed {
-            let (j, g, rep) = checkpointed_core(&self.cfg, data, self.budget, backend, &mut state);
-            (j, g, Some(rep))
+        // Store-all is the plan whose budget covers every step, on a
+        // memory store whatever `budget` and `backend` say.
+        let (plan, spill) = if self.checkpointed {
+            let plan = CheckpointPlan::with_budget(self.cfg.steps, self.budget);
+            (plan, spill_dir(&self.opts.backend))
         } else {
-            let (j, g) = store_all_core(&self.cfg, data, &mut state);
-            (j, g, None)
+            (CheckpointPlan::store_all(self.cfg.steps), None)
         };
+        let (j, g, rep) = adjoint_sweep(&self.cfg, &batch.observed[k], &plan, spill, &mut state);
+        let shot = (j, g, self.checkpointed.then_some(rep));
         self.idle.lock().expect("idle states lock").push(state);
         shots_total.inc();
         if let Some(t0) = t0 {
@@ -990,25 +962,36 @@ mod tests {
         let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.05);
         let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
 
-        let (j0, grad, _) = one_shot(&cfg, &c0, &data, &src, &BatchOptions::default());
-        assert!(j0 > 0.0);
+        // Store-all, and a budget of 2 that recomputes: one driver either way.
+        let budget_2 = BatchOptions {
+            budget: Some(2),
+            backend: SnapshotBackend::Memory,
+            checkpointed: Some(true),
+            ..BatchOptions::default()
+        };
+        for opts in [BatchOptions::default(), budget_2] {
+            let (j0, grad, report) = one_shot(&cfg, &c0, &data, &src, &opts);
+            assert!(j0 > 0.0);
+            let recomputed = report.map_or(0, |r| r.recomputed_steps);
+            assert_eq!(recomputed > 0, opts.budget.is_some(), "{opts:?}");
 
-        // Probe a few interior points with central differences.
-        let h = 1e-5;
-        for probe in [[5usize, 5, 5], [4, 6, 5], [6, 4, 4]] {
-            let mut cp = c0.clone();
-            cp.set(&probe, c0.get(&probe) + h);
-            let jp = misfit(&forward(&cfg, &cp, &src)[cfg.steps], &data);
-            let mut cm = c0.clone();
-            cm.set(&probe, c0.get(&probe) - h);
-            let jm = misfit(&forward(&cfg, &cm, &src)[cfg.steps], &data);
-            let fd = (jp - jm) / (2.0 * h);
-            let an = grad.get(&probe);
-            let denom = fd.abs().max(an.abs()).max(1e-12);
-            assert!(
-                (fd - an).abs() / denom < 1e-4,
-                "probe {probe:?}: fd {fd} vs adjoint {an}"
-            );
+            // Probe a few interior points with central differences.
+            let h = 1e-5;
+            for probe in [[5usize, 5, 5], [4, 6, 5], [6, 4, 4]] {
+                let mut cp = c0.clone();
+                cp.set(&probe, c0.get(&probe) + h);
+                let jp = misfit(&forward(&cfg, &cp, &src)[cfg.steps], &data);
+                let mut cm = c0.clone();
+                cm.set(&probe, c0.get(&probe) - h);
+                let jm = misfit(&forward(&cfg, &cm, &src)[cfg.steps], &data);
+                let fd = (jp - jm) / (2.0 * h);
+                let an = grad.get(&probe);
+                let denom = fd.abs().max(an.abs()).max(1e-12);
+                assert!(
+                    (fd - an).abs() / denom < 1e-4,
+                    "{opts:?}, probe {probe:?}: fd {fd} vs adjoint {an}"
+                );
+            }
         }
     }
 
@@ -1061,11 +1044,23 @@ mod tests {
         }
     }
 
-    /// A kept trajectory is scratch: whatever a warm run finds in it — here
-    /// NaN at every interior point of every entry a run writes, with the
-    /// boundary left zero — the run assigns all of it before reading any.
+    /// NaN at every interior point of `g`, its boundary left as it is.
+    fn poison_interior(g: &mut Grid) {
+        let n = g.dims()[0];
+        for i in 1..n - 1 {
+            for j in 1..n - 1 {
+                for k in 1..n - 1 {
+                    g.set(&[i, j, k], f64::NAN);
+                }
+            }
+        }
+    }
+
+    /// A kept pool is scratch: whatever a warm run finds in its grids —
+    /// here NaN at every interior point, the boundary left zero — the run
+    /// assigns all of it before reading any.
     #[test]
-    fn poisoned_kept_trajectory_changes_no_bit_of_the_next_run() {
+    fn a_poisoned_kept_pool_changes_no_bit_of_the_next_run() {
         let cfg = SeismicConfig {
             n: 8,
             steps: 7,
@@ -1082,17 +1077,10 @@ mod tests {
 
         let idle = plan.idle.get_mut().unwrap();
         assert_eq!(idle.len(), 1, "one warmed shot state");
-        let traj = &mut idle[0].0.traj;
-        assert_eq!(traj.len(), cfg.steps + 1, "the trajectory stayed");
-        let interior = |ix: &[usize]| ix.iter().all(|&i| (1..cfg.n - 1).contains(&i));
-        for u in &mut traj[1..] {
-            *u = Arc::new(Grid::from_fn(&[cfg.n; 3], |ix| {
-                if interior(ix) {
-                    f64::NAN
-                } else {
-                    0.0
-                }
-            }));
+        let grids = &mut idle[0].0.grids.grids;
+        assert_eq!(grids.len(), cfg.steps, "the pool kept a grid per step");
+        for g in grids.iter_mut() {
+            poison_interior(Arc::get_mut(g).expect("only the pool holds a kept grid"));
         }
 
         let second = plan.run(&batch);
@@ -1106,7 +1094,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
-        // At the threshold a forced store-all run keeps nothing resident.
+        // At the threshold a forced store-all plan keeps an empty pool.
         let long = SeismicConfig {
             steps: CKPT_THRESHOLD_STEPS,
             ..cfg
@@ -1119,7 +1107,7 @@ mod tests {
         };
         let mut plan = BatchPlan::new(&long, &c0, &opts, &pool);
         plan.run(&batch);
-        assert!(plan.idle.get_mut().unwrap()[0].0.traj.is_empty());
+        assert!(plan.idle.get_mut().unwrap()[0].0.grids.grids.is_empty());
     }
 
     /// A pool grid is scratch: a step assigns every interior point of the
@@ -1150,25 +1138,22 @@ mod tests {
         let batch_plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
         let mut state = batch_plan.proto.clone();
         state.0.set_source(&src);
-        let interior = |ix: &[usize]| ix.iter().all(|&i| (1..cfg.n - 1).contains(&i));
-        let poison = Grid::from_fn(&[cfg.n; 3], |ix| if interior(ix) { f64::NAN } else { 0.0 });
+        let mut poison = Grid::zeros(&[cfg.n; 3]);
+        poison_interior(&mut poison);
         const FILLED: usize = 32;
-        let mut grids = GridPool {
-            dims: [cfg.n; 3],
-            grids: (0..FILLED).map(|_| Arc::new(poison.clone())).collect(),
-        };
+        state.0.grids.grids = (0..FILLED).map(|_| Arc::new(poison.clone())).collect();
         let plan = CheckpointPlan::with_budget(cfg.steps, 3);
         let mut store = MemStore::new();
-        let poisoned = checkpointed_attempt(&cfg, &data, &plan, &mut store, &mut grids, &mut state)
-            .expect("in-memory checkpointed sweep");
+        let poisoned =
+            replay(&data, &plan, &mut store, &mut state).expect("in-memory checkpointed sweep");
         drop(store);
+        let grids = &state.0.grids.grids;
         assert_eq!(
-            grids.grids.len(),
+            grids.len(),
             FILLED,
             "a grid came from outside the poisoned pool"
         );
         let written = grids
-            .grids
             .iter()
             .filter(|g| !g.as_slice().iter().any(|v| v.is_nan()));
         assert!(written.count() > 0, "the run stepped into no pool grid");

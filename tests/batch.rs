@@ -296,8 +296,8 @@ fn golden_digest_pins_the_gradient_bits_across_sweeps_and_strategies() {
     ];
     for (tag, opts, pool) in runs {
         let plan = BatchPlan::new(&cfg, &c0, &opts, pool);
-        // Twice: a warm store-all run writes its trajectory over the one
-        // the first run left in the shot state.
+        // Twice: a warm store-all run steps into the grids the first run
+        // left in the shot state's pool.
         for run in ["cold", "warm"] {
             let res = plan.run(&batch);
             assert!(res.misfits[0] > 0.0 && res.gradients[0].norm2() > 0.0);
@@ -478,10 +478,11 @@ fn warm_store_all_run_allocates_no_trajectory_below_the_threshold_and_one_per_ru
         if steps < CKPT_THRESHOLD_STEPS {
             // The first run clones the prototype shot state (two workspaces
             // owning 2 + 5 grids — their read-only `u_1`, `u_2` are shared —
-            // and two schedules) and allocates the trajectory the shot state
-            // then keeps; the second finds both warm.
+            // and two schedules) and allocates the grids its steps write
+            // (`u_0` is the shared zero), which the shot state's pool then
+            // keeps; the second finds both warm.
             assert!(
-                cold >= second + (steps as u64 + 8) * grid_bytes,
+                cold >= second + (steps as u64 + 7) * grid_bytes,
                 "{steps} steps: cold run {cold} B, warm run {second} B"
             );
             // What a warm run allocates: the rolling window and the
@@ -492,12 +493,13 @@ fn warm_store_all_run_allocates_no_trajectory_below_the_threshold_and_one_per_ru
             );
             warm.push(second);
         } else {
-            // Forced store-all at the threshold: the trajectory (steps + 1
-            // grids) is this run's own, beside the window and gradient.
+            // Forced store-all at the threshold: the grids the steps write
+            // (one per step; `u_0` is the shared zero) are this run's own,
+            // beside the window and gradient.
             assert!(cold >= second + 7 * grid_bytes);
-            let trajectory = (steps as u64 + 1) * grid_bytes;
+            let written = steps as u64 * grid_bytes;
             assert!(
-                (trajectory + 4 * grid_bytes..trajectory + 6 * grid_bytes + steps as u64 * scratch)
+                (written + 4 * grid_bytes..written + 7 * grid_bytes + steps as u64 * scratch)
                     .contains(&second),
                 "{steps} steps: warm run allocates {second} B = {grids:.2} grids"
             );

@@ -73,8 +73,8 @@ impl Rng {
     }
 }
 
-/// Options forcing the dense store-all sweep — the bitwise reference for
-/// every checkpointed one.
+/// Options forcing a store-all plan (every state saved, nothing
+/// recomputed) — the bitwise reference for every checkpointed one.
 pub fn store_all() -> BatchOptions {
     BatchOptions {
         checkpointed: Some(false),
