@@ -11,8 +11,9 @@
 //! * [`rust`] — Rust back-end: [`print_module`] prints standalone,
 //!   compilable kernels, chunkable over the outermost loop for parallel
 //!   execution (compiled and checked against the executors in the
-//!   workspace's `tests/jit.rs`); `jit_group_module` emits the JIT's
-//!   fused-group modules.
+//!   workspace's `tests/jit.rs`). The JIT does not print from here:
+//!   `perforad_jit::emit` prints a fused group's compiled plan — its
+//!   `RegProgram`s — so native code runs the row executor's arithmetic.
 //! * [`frontend`] — a small DSL parser (`for i in 1 .. n-1 { r[i] = …; }`),
 //!   the "new front-ends" extension point the paper leaves as future work.
 

@@ -171,14 +171,20 @@ impl Grid {
         self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
     }
 
-    /// Largest absolute elementwise difference to another grid.
+    /// Largest absolute elementwise difference to another grid. Equal
+    /// values (infinities included) differ by `0.0`; a NaN on either side
+    /// is a NaN difference, and a NaN difference is the result — so no
+    /// `== 0.0` or `<= tol` check reads a NaN as agreement.
     pub fn max_abs_diff(&self, other: &Grid) -> f64 {
         assert_eq!(self.dims, other.dims, "shape mismatch in comparison");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
+        let diff = |(a, b): (&f64, &f64)| if a == b { 0.0 } else { (a - b).abs() };
+        (self.data.iter().zip(&other.data).map(diff)).fold(0.0, |max, d| {
+            if d > max || d.is_nan() {
+                d
+            } else {
+                max
+            }
+        })
     }
 
     /// Are all entries finite?
@@ -221,6 +227,26 @@ mod tests {
         assert_eq!(a.max_abs_diff(&b), 2.0);
         assert_eq!(a.sum(), 5.0);
         assert!(a.is_finite());
+    }
+
+    #[test]
+    fn a_nan_on_either_side_is_a_nan_difference() {
+        let two = Grid::from_vec(&[3], vec![1.0, 2.0, f64::INFINITY]);
+        let nan = Grid::from_vec(&[3], vec![1.0, f64::NAN, f64::INFINITY]);
+        assert!(nan.max_abs_diff(&two).is_nan());
+        assert!(two.max_abs_diff(&nan).is_nan());
+        assert!(nan.max_abs_diff(&nan).is_nan());
+        // A NaN met before a larger finite difference stays the result.
+        let (first, far) = (
+            Grid::from_vec(&[2], vec![f64::NAN, 1.0]),
+            Grid::from_vec(&[2], vec![2.0, 9.0]),
+        );
+        assert!(first.max_abs_diff(&far).is_nan());
+        // Equal infinities agree; signed zeros compare equal.
+        assert_eq!(two.max_abs_diff(&two), 0.0);
+        let zeros = Grid::from_vec(&[2], vec![0.0, -0.0]);
+        let flipped = Grid::from_vec(&[2], vec![-0.0, 0.0]);
+        assert_eq!(zeros.max_abs_diff(&flipped), 0.0);
     }
 
     #[test]

@@ -270,10 +270,10 @@ pub struct PlanOptions {
     /// Accumulate mode: a nest's `+=` updates to one array at one point
     /// are summed in statement order starting from `+0.0`, and the sum is
     /// added to the array once — one compiled statement per target array
-    /// ([`increment_groups`], [`Program::sum_from_zero`]). Points no nest
-    /// writes are left untouched; at every point one nest writes this is
-    /// bit for bit "zero a scratch grid, run in plain mode, add the
-    /// scratch into the target" — the gather adjoint's iterations own
+    /// ([`Program::sum_from_zero`]). Points no nest writes are left
+    /// untouched; at every point one nest writes this is bit for bit
+    /// "zero a scratch grid, run in plain mode, add the scratch into the
+    /// target" — the gather adjoint's iterations own
     /// their increments, so the scratch and its add-back pass go. A nest
     /// whose increments to one array differ in guard or write offset, or
     /// mix with `=`, is refused ([`ExecError::Unsupported`]): summing
@@ -300,8 +300,8 @@ pub fn compile_nests(
 /// target joins the group its first one opened, in statement order; any
 /// other statement stands alone. Groups come in the order of their first
 /// statements. The plan compiler merges each `+=` group into one
-/// statement; `perforad-jit` regroups the same way to check a binding.
-pub fn increment_groups<T: PartialEq>(writes: &[(T, bool)]) -> Vec<Vec<usize>> {
+/// statement.
+fn increment_groups(writes: &[(usize, bool)]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::with_capacity(writes.len());
     for (k, (target, add)) in writes.iter().enumerate() {
         let open = groups.iter_mut().find(|g| {

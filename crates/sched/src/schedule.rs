@@ -218,13 +218,6 @@ impl Schedule {
         self.groups.iter().map(|g| g.plan.points()).sum()
     }
 
-    /// The source nests of fusion group `group`, aligned with its plan's
-    /// nests: borrowed from [`Schedule::source`] when the group is a run
-    /// of consecutive nests, copied only when fusion reordered them.
-    pub fn group_source(&self, group: usize) -> Cow<'_, [LoopNest]> {
-        group_nests(&self.source, &self.groups[group].nests)
-    }
-
     /// One-line summary for logs and bench output.
     pub fn describe(&self) -> String {
         format!(
@@ -532,7 +525,9 @@ mod tests {
         let fused = compile_schedule(&adj, &ws_f, &bind, &SchedOptions::default()).unwrap();
         assert!(fused.fused);
         assert_eq!(fused.source.len(), 5);
-        assert!(matches!(fused.group_source(0), Cow::Borrowed(all) if all.len() == 5));
+        assert!(
+            matches!(group_nests(&fused.source, &fused.groups[0].nests), Cow::Borrowed(all) if all.len() == 5)
+        );
         let pool = ThreadPool::new(3);
         run_schedule(&fused, &mut ws_f, &pool).unwrap();
 
@@ -541,7 +536,9 @@ mod tests {
         let unfused = compile_schedule(&adj, &ws_u, &bind, &opts).unwrap();
         assert_eq!(unfused.group_count(), 5, "{}", unfused.describe());
         assert!(!unfused.fused);
-        assert!(matches!(unfused.group_source(3), Cow::Borrowed([one]) if *one == adj.nests[3]));
+        assert!(
+            matches!(group_nests(&unfused.source, &unfused.groups[3].nests), Cow::Borrowed([one]) if *one == adj.nests[3])
+        );
         run_schedule(&unfused, &mut ws_u, &pool).unwrap();
         assert_eq!(ws_f.grid("u_b").max_abs_diff(ws_u.grid("u_b")), 0.0);
     }
@@ -656,10 +653,22 @@ mod tests {
         .unwrap();
         let members: Vec<&[usize]> = s.groups.iter().map(|g| g.nests.as_slice()).collect();
         assert_eq!(members, [&[0, 2][..], &[1]]);
-        assert!(matches!(s.group_source(0), Cow::Owned(_)));
-        assert_eq!(&s.group_source(0)[..], [nests[0].clone(), nests[2].clone()]);
-        assert!(matches!(s.group_source(1), Cow::Borrowed(_)));
-        assert_eq!(&s.group_source(1)[..], &nests[1..2]);
+        assert!(matches!(
+            group_nests(&s.source, &s.groups[0].nests),
+            Cow::Owned(_)
+        ));
+        assert_eq!(
+            &group_nests(&s.source, &s.groups[0].nests)[..],
+            [nests[0].clone(), nests[2].clone()]
+        );
+        assert!(matches!(
+            group_nests(&s.source, &s.groups[1].nests),
+            Cow::Borrowed(_)
+        ));
+        assert_eq!(
+            &group_nests(&s.source, &s.groups[1].nests)[..],
+            &nests[1..2]
+        );
         assert_eq!(s.groups[0].plan.nests()[1].hi, vec![30]);
         run_schedule(&s, &mut ws, &ThreadPool::new(2)).unwrap();
         assert_eq!(ws.grid("w").get(&[5]), 10.0);

@@ -217,10 +217,11 @@
 //!
 //! The interpreter and the row executor still pay per-op dispatch; the
 //! paper's numbers come from *compiler-optimized* loops. The [`jit`]
-//! subsystem closes that gap at run time: each fusion group of a
-//! compiled schedule is emitted as Rust source (tile-granular,
-//! guard-hoisted `extern "C"` entry points with sizes baked in —
-//! [`codegen::rust::jit_group_module`]), compiled out-of-process by
+//! subsystem closes that gap at run time: each fusion group's compiled
+//! plan is printed as Rust source ([`jit::emit::group_module`]: one
+//! tile-granular, guard-hoisted `extern "C"` entry point whose statements
+//! are the plan's `RegProgram`s — the row executor's arithmetic — as
+//! straight-line `let` bindings), compiled out-of-process by
 //! `rustc` into a `cdylib`, loaded with `dlopen`, and registered as the
 //! third [`exec::Lowering`] tier, `Lowering::Jit`. Artifacts persist in
 //! `PERFORAD_JIT_CACHE` keyed by plan fingerprint × machine signature,

@@ -73,6 +73,18 @@ impl Rng {
     }
 }
 
+/// Every named grid of `got` equals `want`'s bit for bit. Stricter than
+/// `max_abs_diff(..) == 0.0`, which reads `-0.0` and `+0.0` as equal.
+pub fn assert_bitwise(tag: &str, got: &Workspace, want: &Workspace, names: &[&str]) {
+    for name in names {
+        let (g, w) = (got.grid(name), want.grid(name));
+        assert_eq!(g.dims(), w.dims(), "{tag}: {name} shape");
+        for (k, (a, b)) in g.as_slice().iter().zip(w.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{tag}: {name}[{k}]");
+        }
+    }
+}
+
 /// Options forcing a store-all plan (every state saved, nothing
 /// recomputed) — the bitwise reference for every checkpointed one.
 pub fn store_all() -> BatchOptions {

@@ -13,7 +13,7 @@
 //! printed reason instead of failing — exactly like the runtime, which
 //! falls back to the row executor.
 
-use perforad::exec::{compile_adjoint_opts, run, ExecMode};
+use perforad::exec::{compile_adjoint_opts, compile_nests, run, ExecMode};
 use perforad::jit::{available, prepare_schedule, JitOptions};
 use perforad::prelude::*;
 use perforad::sched::{compile_schedule_nests, run_schedule_serial};
@@ -23,7 +23,7 @@ use perforad::tune::{
 };
 
 mod common;
-use common::Rng;
+use common::{assert_bitwise, Rng};
 
 /// Skip (with a reason) on hosts that can neither build nor load native
 /// code — the `#[ignore]`-with-reason equivalent for a runtime property.
@@ -41,8 +41,10 @@ fn jit_opts(tag: &str) -> (JitOptions, std::path::PathBuf) {
     (JitOptions::default().with_cache_dir(&dir), dir)
 }
 
-/// Random expression tree over the full op vocabulary (mirrors the rows
-/// property suite so all three lowerings face the same trees).
+/// Random expression tree over the full op vocabulary: the rows property
+/// suite's ops plus `sign`, `powi`, `powf` and `exp`, whose native forms
+/// were once written by hand. `powf` takes a non-negative base and `exp`
+/// a bounded argument, so no tree reaches NaN or infinity.
 fn random_expr(rng: &mut Rng, depth: usize, u: &Array, c: &Array, i: &Symbol) -> Expr {
     if depth == 0 {
         return match rng.range_i64(0, 4) {
@@ -55,7 +57,7 @@ fn random_expr(rng: &mut Rng, depth: usize, u: &Array, c: &Array, i: &Symbol) ->
     }
     let a = random_expr(rng, depth - 1, u, c, i);
     let b = random_expr(rng, depth - 1, u, c, i);
-    match rng.range_i64(0, 9) {
+    match rng.range_i64(0, 13) {
         0 => a + b,
         1 => a * b,
         2 => -a,
@@ -65,16 +67,25 @@ fn random_expr(rng: &mut Rng, depth: usize, u: &Array, c: &Array, i: &Symbol) ->
         6 => a.max(b),
         7 => a.min(b),
         8 => Expr::select(Cond::new(a, Rel::Ge, Expr::zero()), b, Expr::float(0.5)),
-        _ => a.abs(),
+        9 => a.abs(),
+        10 => a.sign(),
+        11 => a.powi(rng.range_i64(2, 3)),
+        12 => a.abs().pow(Expr::float(1.5)),
+        _ => a.sin().exp(),
     }
 }
 
+/// `u` holds `+0.0`, `-0.0` and equal neighbours every eight points, so
+/// `max`, `min`, `sign` and `select` meet their ties.
 fn ws_1d(n: usize, seed_pattern: u64) -> Workspace {
+    let u = |ix: &[usize]| match ix[0] % 8 {
+        0 => 0.0,
+        1 => -0.0,
+        2 | 3 => 0.75,
+        _ => ((ix[0] as f64) * 0.61).sin() * 2.0 - 0.3,
+    };
     Workspace::new()
-        .with(
-            "u",
-            Grid::from_fn(&[n], |ix| ((ix[0] as f64) * 0.61).sin() * 2.0 - 0.3),
-        )
+        .with("u", Grid::from_fn(&[n], u))
         .with(
             "c",
             Grid::from_fn(&[n], |ix| {
@@ -85,7 +96,8 @@ fn ws_1d(n: usize, seed_pattern: u64) -> Workspace {
 }
 
 /// Random trees through the whole op vocabulary: the JIT-compiled
-/// schedule agrees bitwise with interpreter and rows.
+/// schedule agrees bitwise with interpreter and rows. The last case is
+/// zero-padded over the whole extent, so loads run off both ends.
 #[test]
 fn random_trees_jit_bitwise_identical() {
     require_toolchain!();
@@ -94,20 +106,25 @@ fn random_trees_jit_bitwise_identical() {
     let (u, c) = (Array::new("u"), Array::new("c"));
     let i = Symbol::new("i");
     let n_sym = Symbol::new("n");
-    for case in 0..8 {
+    for case in 0..9 {
+        let padded = case == 8;
         let depth = rng.range_usize(1, 4);
         let expr = random_expr(&mut rng, depth, &u, &c, &i);
         let n = rng.range_usize(16, 47);
+        let bounds = match padded {
+            true => (Idx::constant(0), Idx::sym(n_sym.clone()) - 1),
+            false => (Idx::constant(2), Idx::sym(n_sym.clone()) - 3),
+        };
         let nest = make_loop_nest(
             &Array::new("r").at(ix![&i]),
             expr,
             vec![i.clone()],
-            vec![(Idx::constant(2), Idx::sym(n_sym.clone()) - 3)],
+            vec![bounds],
         )
         .expect("generated nest is valid");
         let bind = Binding::new().size("n", n as i64);
         let mut ws_ref = ws_1d(n, 3 + case as u64);
-        let plan = compile_nest(&nest, &ws_ref, &bind).unwrap();
+        let plan = compile_nests(std::slice::from_ref(&nest), &ws_ref, &bind, padded).unwrap();
         run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
         let mut ws_rows = ws_1d(n, 3 + case as u64);
         run(&plan, &mut ws_rows, ExecMode::serial().rows()).unwrap();
@@ -117,22 +134,24 @@ fn random_trees_jit_bitwise_identical() {
             std::slice::from_ref(&nest),
             &ws_jit,
             &bind,
-            false,
+            padded,
             &SchedOptions::default().with_jit(),
         )
         .unwrap();
         let report = prepare_schedule(&s, &bind, &opts).expect("prepare");
         assert_eq!(report.groups, 1, "case {case}");
         run_schedule_serial(&s, &mut ws_jit).unwrap();
-        assert_eq!(
-            ws_ref.grid("r").max_abs_diff(ws_jit.grid("r")),
-            0.0,
-            "case {case}, n {n}: jit vs interpreter: {nest}"
+        assert_bitwise(
+            &format!("case {case}, n {n}: jit vs interpreter: {nest}"),
+            &ws_jit,
+            &ws_ref,
+            &["r"],
         );
-        assert_eq!(
-            ws_rows.grid("r").max_abs_diff(ws_jit.grid("r")),
-            0.0,
-            "case {case}: jit vs rows"
+        assert_bitwise(
+            &format!("case {case}: jit vs rows"),
+            &ws_jit,
+            &ws_rows,
+            &["r"],
         );
     }
     let _ = std::fs::remove_dir_all(dir);
@@ -221,19 +240,21 @@ fn adjoint_strategies_jit_bitwise_identical() {
             let s = compile_schedule_nests(&adj.nests, &ws_jit, &bind, padded, &sopts).unwrap();
             prepare_schedule(&s, &bind, &opts).expect("prepare");
             run_schedule_serial(&s, &mut ws_jit).unwrap();
-            assert_eq!(
-                ws_ref.grid("u_b").max_abs_diff(ws_jit.grid("u_b")),
-                0.0,
-                "case {case} {strategy:?} cse={cse} serial jit"
+            assert_bitwise(
+                &format!("case {case} {strategy:?} cse={cse} serial jit"),
+                &ws_jit,
+                &ws_ref,
+                &["u_b"],
             );
 
             // Parallel native tiles agree too (disjoint write sets).
             let mut ws_par = build();
             run_schedule(&s, &mut ws_par, &pool).unwrap();
-            assert_eq!(
-                ws_ref.grid("u_b").max_abs_diff(ws_par.grid("u_b")),
-                0.0,
-                "case {case} {strategy:?} cse={cse} parallel jit"
+            assert_bitwise(
+                &format!("case {case} {strategy:?} cse={cse} parallel jit"),
+                &ws_par,
+                &ws_ref,
+                &["u_b"],
             );
 
             // Rank-1 rows clipped to 1, 2, 3 and 5 points on 2 threads:
@@ -244,10 +265,11 @@ fn adjoint_strategies_jit_bitwise_identical() {
                 let s = compile_schedule_nests(&adj.nests, &ws_t, &bind, padded, &st).unwrap();
                 prepare_schedule(&s, &bind, &opts).expect("prepare");
                 run_schedule(&s, &mut ws_t, &pool2).unwrap();
-                assert_eq!(
-                    ws_ref.grid("u_b").max_abs_diff(ws_t.grid("u_b")),
-                    0.0,
-                    "case {case} {strategy:?} cse={cse} tile edge {edge}"
+                assert_bitwise(
+                    &format!("case {case} {strategy:?} cse={cse} tile edge {edge}"),
+                    &ws_t,
+                    &ws_ref,
+                    &["u_b"],
                 );
             }
         }
@@ -329,10 +351,11 @@ fn adjoint_2d_jit_bitwise_identical() {
             .unwrap();
             prepare_schedule(&s, &bind, &opts).expect("prepare");
             run_schedule_serial(&s, &mut ws_jit).unwrap();
-            assert_eq!(
-                ws_ref.grid("u_b").max_abs_diff(ws_jit.grid("u_b")),
-                0.0,
-                "case {case} {strategy:?}"
+            assert_bitwise(
+                &format!("case {case} {strategy:?}"),
+                &ws_jit,
+                &ws_ref,
+                &["u_b"],
             );
 
             // Innermost tile edges 1, 2, 3 and 5 on 2 threads: rows
@@ -343,10 +366,11 @@ fn adjoint_2d_jit_bitwise_identical() {
                 let s = compile_schedule_nests(&adj.nests, &ws_t, &bind, padded, &st).unwrap();
                 prepare_schedule(&s, &bind, &opts).expect("prepare");
                 run_schedule(&s, &mut ws_t, &pool2).unwrap();
-                assert_eq!(
-                    ws_ref.grid("u_b").max_abs_diff(ws_t.grid("u_b")),
-                    0.0,
-                    "case {case} {strategy:?} tile edge {edge}"
+                assert_bitwise(
+                    &format!("case {case} {strategy:?} tile edge {edge}"),
+                    &ws_t,
+                    &ws_ref,
+                    &["u_b"],
                 );
             }
         }
@@ -399,11 +423,7 @@ fn fusion_groups_and_fallback_jit_bitwise_identical() {
         let report = prepare_schedule(&s, &bind, &opts).expect("prepare");
         assert_eq!(report.groups, s.group_count());
         run_schedule_serial(&s, &mut ws).unwrap();
-        assert_eq!(
-            ws_ref.grid("u_b").max_abs_diff(ws.grid("u_b")),
-            0.0,
-            "fuse={fuse}"
-        );
+        assert_bitwise(&format!("fuse={fuse}"), &ws, &ws_ref, &["u_b"]);
     }
 
     // Fallback: a Jit schedule for a *different* size was never prepared
@@ -433,7 +453,7 @@ fn fusion_groups_and_fallback_jit_bitwise_identical() {
     .unwrap();
     // No prepare_schedule on purpose.
     run_schedule_serial(&s2, &mut ws2).unwrap();
-    assert_eq!(ws_ref2.grid("u_b").max_abs_diff(ws2.grid("u_b")), 0.0);
+    assert_bitwise("unprepared jit falls back", &ws2, &ws_ref2, &["u_b"]);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -514,7 +534,7 @@ fn jit_candidate_round_trips_through_tuned_config_cache() {
         .with("u_b", Grid::zeros(&[n + 1]))
         .with("r_b", Grid::full(&[n + 1], 1.0));
     run_tuned(&schedule, &report.config, &mut ws_run, &pool).unwrap();
-    assert_eq!(ws_ref.grid("u_b").max_abs_diff(ws_run.grid("u_b")), 0.0);
+    assert_bitwise("tuned jit", &ws_run, &ws_ref, &["u_b"]);
     let _ = std::fs::remove_file(&cache_path);
 }
 
@@ -594,10 +614,11 @@ fn wave3d_adjoint_jit_bitwise_identical_and_golden() {
                 run_schedule(&s, &mut ws_par, &pool).unwrap();
                 for name in outputs {
                     for (ws, how) in [(&ws_ser, "serial"), (&ws_par, "2 threads")] {
-                        assert_eq!(
-                            ws_ref.grid(name).max_abs_diff(ws.grid(name)),
-                            0.0,
-                            "{tag} {strategy:?} cse={cse} {how}: {name}"
+                        assert_bitwise(
+                            &format!("{tag} {strategy:?} cse={cse} {how}: {name}"),
+                            ws,
+                            &ws_ref,
+                            &[name],
                         );
                     }
                     for v in ws_par.grid(name).as_slice() {
@@ -659,10 +680,11 @@ fn wave3d_primal_jit_bitwise_identical_and_golden() {
         }
         let (reference, rest) = runs.split_first_mut().unwrap();
         for (_, ws, parallel, lowering) in rest.iter_mut() {
-            assert_eq!(
-                reference.1.grid("u").max_abs_diff(ws.grid("u")),
-                0.0,
-                "step {step}: {lowering:?} parallel={parallel}"
+            assert_bitwise(
+                &format!("step {step}: {lowering:?} parallel={parallel}"),
+                ws,
+                &reference.1,
+                &["u"],
             );
         }
         // Rotate every state: u_2 ← u_1 ← u (`u` is reassigned on the

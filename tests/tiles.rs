@@ -20,17 +20,16 @@
 //! scatter adjoint's tiles overlap — and the one tile driver refuses to
 //! run them plainly.
 
-use perforad::codegen::rust::{jit_group_module, JitGroupSpec};
 use perforad::exec::bytecode::Op;
 use perforad::exec::{compile_nests_opts, tile_plan, ExecError, Plan, PlanOptions, Strategy, Tile};
-use perforad::jit::available;
+use perforad::jit::{available, emit::group_module};
 use perforad::prelude::*;
 use perforad::sched::{compile_schedule_nests, run_schedule_serial, SchedError};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 mod common;
-use common::Rng;
+use common::{assert_bitwise, Rng};
 
 const COUNTERS: [&str; 3] = ["i", "j", "k"];
 
@@ -84,25 +83,12 @@ fn random_stencil(rng: &mut Rng, rank: usize) -> String {
     )
 }
 
-/// Row families in the native module the emitter writes for `s`'s first
-/// group: one constant-length fast path each.
-fn families(s: &Schedule, bind: &Binding) -> usize {
+/// Row families in the native module the emitter prints from `s`'s first
+/// group's plan: one constant-length fast path each.
+fn families(s: &Schedule) -> usize {
     let plan = &s.groups[0].plan;
-    let nests = s.group_source(0);
     let last = plan.rank() - 1;
-    let module = jit_group_module(&JitGroupSpec {
-        prefix: "pf",
-        nests: &nests,
-        arrays: plan.arrays(),
-        dims: plan.dims(),
-        strides: plan.strides(),
-        padded: plan.padded(),
-        cse: s.cse,
-        accumulate: plan.accumulate(),
-        sizes: &bind.sizes,
-        params: &bind.params,
-    })
-    .unwrap();
+    let module = group_module(plan).unwrap();
     module.matches(&format!("if __tl{last} <= ")).count()
 }
 
@@ -132,15 +118,6 @@ fn nest_by_nest(
         run(&plan, &mut ws, ExecMode::serial()).unwrap();
     }
     ws
-}
-
-fn assert_bitwise(tag: &str, got: &Workspace, want: &Workspace) {
-    for name in TARGETS {
-        let (g, w) = (got.grid(name).as_slice(), want.grid(name).as_slice());
-        for (k, (a, b)) in g.iter().zip(w).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{tag}: {name}[{k}]");
-        }
-    }
 }
 
 /// Per rank: edges of 1 everywhere, innermost 3 under outer 1 and 2 (a
@@ -220,7 +197,7 @@ fn hull_tiles_are_bitwise_the_nest_by_nest_order() {
                         &SchedOptions::default(),
                     )
                     .unwrap();
-                    family_cases += (families(&s, &bind) > 0) as usize;
+                    family_cases += (families(&s) > 0) as usize;
                 }
                 assert_ne!(
                     want.grid("u_b").as_slice(),
@@ -245,10 +222,10 @@ fn hull_tiles_are_bitwise_the_nest_by_nest_order() {
                         }
                         let mut serial = inputs.clone();
                         run_schedule_serial(&s, &mut serial).unwrap();
-                        assert_bitwise(&format!("{tag}, serial"), &serial, &want);
+                        assert_bitwise(&format!("{tag}, serial"), &serial, &want, &TARGETS);
                         let mut pooled = inputs.clone();
                         run_schedule(&s, &mut pooled, &pool).unwrap();
-                        assert_bitwise(&format!("{tag}, 2 workers"), &pooled, &want);
+                        assert_bitwise(&format!("{tag}, 2 workers"), &pooled, &want, &TARGETS);
                         runs += 2;
                     }
                     // `exec::run` on the same plans: whole-row slabs of the
@@ -265,7 +242,7 @@ fn hull_tiles_are_bitwise_the_nest_by_nest_order() {
                             run(&g.plan, &mut ws, mode).unwrap();
                         }
                         let tag = format!("{text} {strategy:?} {accumulate} {lowering:?} run");
-                        assert_bitwise(&tag, &ws, &want);
+                        assert_bitwise(&tag, &ws, &want, &TARGETS);
                         runs += 1;
                     }
                 }
@@ -322,10 +299,10 @@ fn shared_inputs_run_bitwise_and_a_shared_target_is_refused() {
             let tag = format!("{text} {lowering:?}");
             let mut serial = reads.clone();
             run_schedule_serial(&s, &mut serial).unwrap();
-            assert_bitwise(&format!("{tag}, serial"), &serial, &want);
+            assert_bitwise(&format!("{tag}, serial"), &serial, &want, &TARGETS);
             let mut pooled = reads.clone();
             run_schedule(&s, &mut pooled, &pool).unwrap();
-            assert_bitwise(&format!("{tag}, 2 workers"), &pooled, &want);
+            assert_bitwise(&format!("{tag}, 2 workers"), &pooled, &want, &TARGETS);
 
             let refused = ExecError::SharedWrite("c_b".into());
             let mut ws = writes.clone();
@@ -488,7 +465,7 @@ fn write_sets_are_disjoint_exactly_when_the_plan_is_gather() {
         run_schedule_serial(&one, &mut ws).unwrap();
         let mut want = inputs.clone();
         run(&plan, &mut want, ExecMode::serial()).unwrap();
-        assert_bitwise(&format!("{text} scatter, one tile"), &ws, &want);
+        assert_bitwise(&format!("{text} scatter, one tile"), &ws, &want, &TARGETS);
     }
     assert_eq!(gather_tilings, 6 * 3 * 6);
     assert_eq!(refusals, 12);
