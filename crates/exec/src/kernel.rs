@@ -15,6 +15,7 @@ use perforad_core::{Adjoint, AssignOp, BoundaryStrategy, LoopNest};
 use perforad_symbolic::visit::{self, NodeMemo};
 use perforad_symbolic::{subst, Access, Expr, Idx, Symbol};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One compiled statement.
@@ -54,6 +55,17 @@ pub struct NestPlan {
 }
 
 impl NestPlan {
+    /// A statement's effective box: the nest's bounds ∩ its guard
+    /// (inclusive, outermost dimension first; empty when some `lo > hi`).
+    pub fn stmt_box(&self, st: &StmtPlan) -> (Vec<i64>, Vec<i64>) {
+        let (mut lo, mut hi) = (self.lo.clone(), self.hi.clone());
+        for (d, &(glo, ghi)) in st.guard.iter().flatten().enumerate() {
+            lo[d] = lo[d].max(glo);
+            hi[d] = hi[d].min(ghi);
+        }
+        (lo, hi)
+    }
+
     /// Number of iteration points.
     pub fn points(&self) -> u64 {
         if self.empty {
@@ -84,10 +96,35 @@ pub struct Plan {
     pub(crate) gather_only: bool,
     pub(crate) padded: bool,
     pub(crate) accumulate: bool,
+    /// Per slot: written by an accumulate-mode plan and not among the
+    /// arrays it carries, so its first touch assigns.
+    pub(crate) assigned: Vec<bool>,
     /// [`Plan::hull`], bounded once at compile time.
     hull: Option<(Vec<i64>, Vec<i64>)>,
     /// [`Plan::fingerprint`], hashed on first use.
     fingerprint: OnceLock<u64>,
+    /// Distinct per compile and shared by clones: what a bound runner
+    /// ([`crate::BoundPlan`]) checks it was bound for, without hashing.
+    pub(crate) id: u64,
+}
+
+/// [`Plan::write_boxes`] of the array in `slot`.
+fn slot_write_boxes(nests: &[NestPlan], slot: usize) -> Vec<(Vec<i64>, Vec<i64>)> {
+    let mut boxes = Vec::new();
+    for nest in nests.iter().filter(|n| !n.empty) {
+        for st in nest.stmts.iter().filter(|s| s.out_slot == slot) {
+            let (mut lo, mut hi) = nest.stmt_box(st);
+            if lo.iter().zip(&hi).any(|(l, h)| l > h) {
+                continue;
+            }
+            for (d, &o) in st.write_offsets.iter().enumerate() {
+                lo[d] += o;
+                hi[d] += o;
+            }
+            boxes.push((lo, hi));
+        }
+    }
+    boxes
 }
 
 /// The bounding box of the non-empty nests.
@@ -146,6 +183,24 @@ impl Plan {
         self.accumulate
     }
 
+    /// The arrays an accumulate-mode plan assigns at their first touch:
+    /// written, and not among the arrays it carries. None in plain mode.
+    pub fn assigned(&self) -> impl Iterator<Item = &Symbol> {
+        let slots = self.arrays.iter().zip(&self.assigned);
+        slots.filter_map(|(a, &assigned)| assigned.then_some(a))
+    }
+
+    /// Every point of `array` the plan writes, as one inclusive box per
+    /// statement that writes it: its nest's bounds ∩ its guard, shifted by
+    /// its write offsets. Exact, not an over-approximation: a statement
+    /// that never runs contributes no box.
+    pub fn write_boxes(&self, array: &str) -> Vec<(Vec<i64>, Vec<i64>)> {
+        match self.arrays.iter().position(|a| a.name() == array) {
+            Some(slot) => slot_write_boxes(&self.nests, slot),
+            None => Vec::new(),
+        }
+    }
+
     /// Total iteration points over all nests.
     pub fn points(&self) -> u64 {
         self.nests.iter().map(NestPlan::points).sum()
@@ -191,10 +246,10 @@ impl Plan {
     /// with equal fingerprints execute identically on identically shaped
     /// buffers, so this is the key under which `perforad-jit` registers
     /// compiled native code ([`crate::native`]) and names its on-disk
-    /// artifacts. Hashed once per plan — every tile runner and every
-    /// `Lowering::Jit` run of a time loop asks for it again. Accumulate
-    /// mode is hashed only when set, so a plain plan keeps the name it
-    /// had before the mode existed.
+    /// artifacts. Hashed once per plan, when a `Lowering::Jit` binding
+    /// first looks its module up. Accumulate mode is hashed only when set,
+    /// so a plain plan keeps the name it had before the mode existed; the
+    /// statements of an array it assigns hash as the `=` they are.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| self.hash_structure())
     }
@@ -260,25 +315,30 @@ fn resolve_idx(ix: &Idx, sizes: &BTreeMap<Symbol, i64>) -> Result<i64, ExecError
 }
 
 /// Plan compilation options.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct PlanOptions {
     /// Zero-padding load semantics (the Padded boundary strategy).
     pub padded: bool,
     /// Apply common-subexpression elimination per statement (closes the
     /// redundant-computation gap §4 of the paper attributes to PerforAD).
     pub cse: bool,
-    /// Accumulate mode: a nest's `+=` updates to one array at one point
-    /// are summed in statement order starting from `+0.0`, and the sum is
-    /// added to the array once — one compiled statement per target array
-    /// ([`Program::sum_from_zero`]). Points no nest writes are left
-    /// untouched; at every point one nest writes this is bit for bit
+    /// Accumulate mode, given the arrays that carry state (`None`: plain
+    /// mode). A nest's `+=` updates to one array at one point are summed
+    /// in statement order starting from `+0.0` — one compiled statement
+    /// per target array ([`Program::sum_from_zero`]) — and the sum is
+    /// added once to an array in this set, or *stored* into any other
+    /// written array: its first touch assigns. Points no nest writes are
+    /// left untouched. At every point one nest writes this is bit for bit
     /// "zero a scratch grid, run in plain mode, add the scratch into the
-    /// target" — the gather adjoint's iterations own
-    /// their increments, so the scratch and its add-back pass go. A nest
-    /// whose increments to one array differ in guard or write offset, or
-    /// mix with `=`, is refused ([`ExecError::Unsupported`]): summing
-    /// them first would round differently.
-    pub accumulate: bool,
+    /// target" (a `+0.0`-started sum is never `−0.0`, so storing it is
+    /// adding it to a zeroed point) — the gather adjoint's iterations own
+    /// their increments, so the scratch, its add-back pass and the fill
+    /// of an assigned array go. Refused ([`ExecError::Unsupported`]): a
+    /// nest whose increments to one array differ in guard or write
+    /// offset, or mix with `=` (summing them first would round
+    /// differently), and two statements writing one point of an assigned
+    /// array (the second would overwrite the first).
+    pub accumulate: Option<BTreeSet<Symbol>>,
 }
 
 /// Compile a list of loop nests (sharing counters) against a workspace.
@@ -324,6 +384,7 @@ fn increment_groups(writes: &[(usize, bool)]) -> Vec<Vec<usize>> {
 fn sum_increments(
     stmts: Vec<StmtPlan>,
     arrays: &[Symbol],
+    assigned: &[bool],
     prog_cache: &mut ProgCache,
 ) -> Result<Vec<StmtPlan>, ExecError> {
     let writes: Vec<(usize, bool)> = stmts.iter().map(|s| (s.out_slot, !s.overwrite)).collect();
@@ -360,6 +421,7 @@ fn sum_increments(
         merged.push(StmtPlan {
             prog,
             row,
+            overwrite: assigned[first.out_slot],
             ..first.clone()
         });
     }
@@ -442,7 +504,13 @@ pub fn compile_nests_opts(
         }
     }
     let arrays: Vec<Symbol> = write_names.union(&read_names).cloned().collect();
-    let written = arrays.iter().map(|a| write_names.contains(a)).collect();
+    let written: Vec<bool> = arrays.iter().map(|a| write_names.contains(a)).collect();
+    let assigned: Vec<bool> = match &opts.accumulate {
+        Some(carried) => (arrays.iter().zip(&written))
+            .map(|(a, &w)| w && !carried.contains(a))
+            .collect(),
+        None => vec![false; arrays.len()],
+    };
 
     // All arrays must exist and share extents matching the nest rank.
     let first = ws
@@ -616,8 +684,8 @@ pub fn compile_nests_opts(
                 row,
             });
         }
-        if opts.accumulate {
-            stmts = sum_increments(stmts, &arrays, &mut prog_cache)?;
+        if opts.accumulate.is_some() {
+            stmts = sum_increments(stmts, &arrays, &assigned, &mut prog_cache)?;
         }
         nest_plans.push(NestPlan {
             lo,
@@ -625,6 +693,18 @@ pub fn compile_nests_opts(
             stmts,
             empty,
         });
+    }
+    for slot in (0..arrays.len()).filter(|&k| assigned[k]) {
+        let boxes = slot_write_boxes(&nest_plans, slot);
+        let meet = |(alo, ahi): &(Vec<i64>, Vec<i64>), (blo, bhi): &(Vec<i64>, Vec<i64>)| {
+            (0..rank).all(|d| alo[d] <= bhi[d] && blo[d] <= ahi[d])
+        };
+        if (0..boxes.len()).any(|i| boxes[i + 1..].iter().any(|b| meet(&boxes[i], b))) {
+            let array = arrays[slot].name();
+            return Err(ExecError::Unsupported(format!(
+                "assigned `{array}` is written twice at one point"
+            )));
+        }
     }
     if perforad_obs::enabled() {
         // The per-term claim, countable: statements planned against
@@ -644,8 +724,13 @@ pub fn compile_nests_opts(
         nests: nest_plans,
         gather_only,
         padded,
-        accumulate: opts.accumulate,
+        accumulate: opts.accumulate.is_some(),
+        assigned,
         fingerprint: OnceLock::new(),
+        id: {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        },
     })
 }
 

@@ -20,9 +20,12 @@
 //!   an [`ExecMode`] asks;
 //! * [`tile`] — the one place plan points execute, and [`tile_plan`], the
 //!   one tiler: a [`Tiling`] is disjoint boxes of a plan's iteration hull.
-//!   [`run_tiling`] is the one driver and the one place the gather proof's
-//!   parallel fact is checked; [`run()`] hands it whole-row slabs,
-//!   `perforad-sched` cache-blocked boxes.
+//!   [`BoundPlan::run`] is the one driver and the one place the gather
+//!   proof's parallel fact is checked: a plan bound once to a workspace
+//!   layout runs with no name lookup, lock or allocation, so a time loop
+//!   binds its kernels once; [`run_tiling`] binds and runs in one call.
+//!   [`run()`] hands it whole-row slabs, `perforad-sched` cache-blocked
+//!   boxes.
 //!
 //! ## The two-stage lowering pipeline
 //!
@@ -103,6 +106,6 @@ pub use kernel::{
 pub use native::{fnv1a64, native_lookup, register_native, NativeGroup, NativeTileFn};
 pub use pool::{default_pool, ThreadPool};
 pub use regir::RegProgram;
-pub use run::{run, run_tiling, ExecMode, ExecStats, Lowering, Strategy, TilePolicy};
+pub use run::{run, run_tiling, BoundPlan, ExecMode, ExecStats, Lowering, Strategy, TilePolicy};
 pub use tile::{tile_plan, Tile, Tiling};
-pub use workspace::{Binding, Workspace};
+pub use workspace::{Binding, GridId, Workspace};

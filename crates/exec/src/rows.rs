@@ -50,6 +50,7 @@ struct PadRow {
 
 /// Per-thread scratch for row execution: the register lane file plus the
 /// per-row padded-load table.
+#[derive(Clone)]
 pub struct RowScratch {
     regs: Vec<f64>,
     pads: Vec<PadRow>,

@@ -21,9 +21,11 @@
 
 use crate::error::ExecError;
 use crate::kernel::Plan;
+use crate::native::{native_lookup, NativeGroup};
 use crate::pool::ThreadPool;
-use crate::tile::{tile_plan, Tile, TileRunner, TileScratch, Tiling};
-use crate::workspace::Workspace;
+use crate::tile::{check_slot, tile_plan, Buffers, Tile, TileRunner, TileScratch, Tiling};
+use crate::workspace::{GridId, Workspace};
+use std::sync::Arc;
 
 /// Execution statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -174,12 +176,13 @@ pub fn run(plan: &Plan, ws: &mut Workspace, mode: ExecMode<'_>) -> Result<ExecSt
 /// on the pool through its work queue ([`TilePolicy::Dynamic`]) or in
 /// pre-assigned LPT bins ([`TilePolicy::Static`]).
 ///
-/// The one driver of the tile runner, and the one place fact F3 of
-/// [`crate::tile`] is checked: a plan that is not gather-only runs only
-/// with atomic writes, or as a single tile on the calling thread —
-/// anything else is [`ExecError::ScatterNeedsAtomics`], before any tile
-/// runs. (Even serially, two tiles of a scatter plan would reorder the
-/// updates to one point.)
+/// Binds `plan` to `ws` and runs it once: [`BoundPlan::new`], then
+/// [`BoundPlan::run`], which checks fact F3 of [`crate::tile`] — a plan
+/// that is not gather-only runs only with atomic writes, or as a single
+/// tile on the calling thread; anything else is
+/// [`ExecError::ScatterNeedsAtomics`], before any tile runs. (Even
+/// serially, two tiles of a scatter plan would reorder the updates to one
+/// point.)
 ///
 /// # Panics
 ///
@@ -192,41 +195,174 @@ pub fn run_tiling(
     mode: ExecMode<'_>,
     policy: TilePolicy,
 ) -> Result<ExecStats, ExecError> {
-    let (pool, atomic) = match mode.strategy {
-        Strategy::Serial => (None, false),
-        Strategy::Parallel(pool) => (Some(pool), false),
-        Strategy::ParallelAtomic(pool) => (Some(pool), true),
-    };
-    if !plan.gather_only && !atomic && (pool.is_some() || tiling.len() > 1) {
-        return Err(ExecError::ScatterNeedsAtomics);
+    BoundPlan::new(plan, ws, mode.lowering)?.run(plan, tiling, ws, mode.strategy, policy)
+}
+
+/// A plan bound to a workspace layout: the place of each of its arrays in
+/// the workspace (its slot table), its native entry, and the serial tile
+/// scratch — the rows lane file included — resolved once, so that a run
+/// only re-points the slots' base pointers by place, checks them, and
+/// runs tiles: no name lookup, no registry lock, and serially no
+/// allocation (a pooled run gives each worker scratch of its own).
+/// [`run_tiling`] binds and runs once; a time loop binds each kernel when
+/// it builds its state and runs it every step, swapping grids in and out
+/// of the workspace by [`GridId`] between runs. There is one executor:
+/// both go through [`BoundPlan::run`].
+///
+/// Every run re-checks what a swap can change — a shared grid in a
+/// written slot ([`ExecError::SharedWrite`]), a grid of other extents
+/// ([`ExecError::DimsMismatch`]) — and a run against another plan, or a
+/// workspace of another layout, binds afresh first.
+#[derive(Clone)]
+pub struct BoundPlan {
+    /// [`Plan`]'s id: what this was bound for.
+    plan: u64,
+    layout: u64,
+    /// Per plan slot, where the workspace holds its array.
+    ids: Vec<GridId>,
+    bufs: Buffers,
+    lowering: Lowering,
+    /// The plan's native entry, once resolved (Jit only).
+    native: Option<Arc<NativeGroup>>,
+    /// Scratch for serial runs (a pooled run gives each worker its own).
+    serial: TileScratch,
+}
+
+// SAFETY: the raw pointers in `bufs` are only dereferenced inside `run`,
+// after `Buffers::pin` has re-pointed every one of them into the workspace
+// `run` borrows mutably for the whole run; between runs they are stale and
+// never read. Everything else a `BoundPlan` holds is plain data, and `run`
+// takes `&mut self`, so sharing `&BoundPlan` across threads reaches none
+// of it.
+unsafe impl Send for BoundPlan {}
+// SAFETY: as for `Send`: no `&self` method dereferences a pointer.
+unsafe impl Sync for BoundPlan {}
+
+impl BoundPlan {
+    /// Bind `plan` to `ws`'s layout for runs on `lowering`: find each of
+    /// its arrays, refuse a shared grid in a written slot or a grid of
+    /// other extents, resolve the native entry (Jit), and size the serial
+    /// scratch.
+    pub fn new(plan: &Plan, ws: &Workspace, lowering: Lowering) -> Result<BoundPlan, ExecError> {
+        let mut ids = Vec::with_capacity(plan.arrays.len());
+        for (k, name) in plan.arrays.iter().enumerate() {
+            let id = ws
+                .id(name.name())
+                .ok_or_else(|| crate::error::unknown(name))?;
+            check_slot(plan, k, ws.slot(id))?;
+            ids.push(id);
+        }
+        let native = match lowering {
+            Lowering::Jit => native_lookup(plan.fingerprint()),
+            _ => None,
+        };
+        let bufs = Buffers::for_plan(plan);
+        let serial = TileRunner {
+            plan,
+            bufs: &bufs,
+            atomic: false,
+            lowering,
+            native: native.as_deref(),
+        }
+        .scratch();
+        Ok(BoundPlan {
+            plan: plan.id,
+            layout: ws.layout(),
+            ids,
+            bufs,
+            lowering,
+            native,
+            serial,
+        })
     }
-    let runner = TileRunner::pin(plan, ws, atomic, mode.lowering)?;
-    let run_one = |k: usize, scratch: &mut TileScratch| {
-        // SAFETY: F3, checked above: concurrent tiles are disjoint boxes of
-        // one tiling of a gather plan, or the writes are atomic. Each index
-        // runs once — in order, handed to one worker by the work queue, or
-        // in the one LPT bin holding it.
-        unsafe { runner.run_tile(&tiling[k], scratch) }
-    };
-    match (pool, policy) {
-        (None, _) => {
-            let mut scratch = runner.scratch();
-            (0..tiling.len()).for_each(|k| run_one(k, &mut scratch));
+
+    /// Run every tile of `tiling`, cut from `plan` by [`tile_plan`],
+    /// against `ws`, as [`run_tiling`] documents: the one tile driver, and
+    /// the one place fact F3 of [`crate::tile`] is checked.
+    ///
+    /// A Jit binding that found no native module runs on rows — the same
+    /// bits — and counts one `jit.degraded_fallbacks` per run; it looks
+    /// the module up again on every run until one is registered.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_tiling`].
+    pub fn run(
+        &mut self,
+        plan: &Plan,
+        tiling: &Tiling,
+        ws: &mut Workspace,
+        strategy: Strategy<'_>,
+        policy: TilePolicy,
+    ) -> Result<ExecStats, ExecError> {
+        let (pool, atomic) = match strategy {
+            Strategy::Serial => (None, false),
+            Strategy::Parallel(pool) => (Some(pool), false),
+            Strategy::ParallelAtomic(pool) => (Some(pool), true),
+        };
+        if !plan.gather_only && !atomic && (pool.is_some() || tiling.len() > 1) {
+            return Err(ExecError::ScatterNeedsAtomics);
         }
-        (Some(pool), TilePolicy::Dynamic) => {
-            pool.work_queue(tiling.len(), |_| runner.scratch(), run_one)
+        if (self.plan, self.layout) != (plan.id, ws.layout()) {
+            *self = BoundPlan::new(plan, ws, self.lowering)?;
         }
-        (Some(pool), TilePolicy::Static) => {
-            let bins = lpt_assign(tiling, pool.size());
-            pool.run(&|tid| {
-                let mut scratch = runner.scratch();
-                bins[tid].iter().for_each(|&k| run_one(k, &mut scratch));
-            });
+        self.bufs.pin(plan, ws, &self.ids)?;
+        if self.lowering == Lowering::Jit && !atomic && self.native.is_none() {
+            self.native = native_lookup(plan.fingerprint());
+            if self.native.is_none() {
+                // A Jit lowering that resolves no native module is a
+                // *degraded* execution (bitwise-identical, slower): a
+                // failed or skipped JIT prepare, or an evicted
+                // registration. Counted once per run, not per tile.
+                perforad_obs::counter("jit.degraded_fallbacks").inc();
+            }
         }
+        let BoundPlan {
+            bufs,
+            native,
+            serial,
+            lowering,
+            ..
+        } = self;
+        let runner = TileRunner {
+            plan,
+            bufs,
+            atomic,
+            lowering: *lowering,
+            native: native.as_deref().filter(|_| !atomic),
+        };
+        let run_one = |k: usize, scratch: &mut TileScratch| {
+            // SAFETY: F3, checked above: concurrent tiles are disjoint boxes
+            // of one tiling of a gather plan, or the writes are atomic.
+            // Each index runs once — in order, handed to one worker by the
+            // work queue, or in the one LPT bin holding it.
+            unsafe { runner.run_tile(&tiling[k], scratch) }
+        };
+        // The binding's own scratch counts its tiles when the run ends, a
+        // pool worker's when it drops.
+        match (pool, policy) {
+            (None, _) => {
+                if !serial.fits(&runner) {
+                    *serial = runner.scratch();
+                }
+                (0..tiling.len()).for_each(|k| run_one(k, serial));
+                serial.flush();
+            }
+            (Some(pool), TilePolicy::Dynamic) => {
+                pool.work_queue(tiling.len(), |_| runner.scratch(), run_one)
+            }
+            (Some(pool), TilePolicy::Static) => {
+                let bins = lpt_assign(tiling, pool.size());
+                pool.run(&|tid| {
+                    let mut scratch = runner.scratch();
+                    bins[tid].iter().for_each(|&k| run_one(k, &mut scratch));
+                });
+            }
+        }
+        Ok(ExecStats {
+            points: tiling.points(),
+        })
     }
-    Ok(ExecStats {
-        points: tiling.points(),
-    })
 }
 
 /// Longest-processing-time assignment of tiles to `workers` bins (tiles
@@ -378,6 +514,7 @@ mod tests {
 
     #[test]
     fn exec_mode_dispatch_covers_rows() {
+        let _lock = jit_lock();
         // Every Strategy × Lowering against the serial interpreter, on a
         // gather primal and a scatter adjoint. Integer-valued data keeps
         // the atomic scatter exact whatever order its adds land in; an
@@ -496,6 +633,7 @@ mod tests {
 
     #[test]
     fn a_pooled_run_counts_every_slab_exactly_once() {
+        let _lock = jit_lock();
         use crate::native::{register_native, NativeGroup};
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         // A native group that only tallies the boxes it is handed,
@@ -548,6 +686,140 @@ mod tests {
         assert_eq!(CALLS.load(Relaxed), slabs, "every slab ran once");
         assert_eq!(POINTS.load(Relaxed), plan.points());
         assert_eq!(counted, slabs, "every slab counted once");
+    }
+
+    /// The tests that run a Jit lowering or turn recording on hold this:
+    /// `jit.degraded_fallbacks` and the tile counters are process-wide, so
+    /// each such test sees only its own runs move them.
+    fn jit_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Bound once, a plan re-checks at every run what swapping grids in
+    /// and out of the workspace can change — in release builds too: a grid
+    /// of other extents is `DimsMismatch` at the next run, and a shared
+    /// grid in a slot the plan writes `SharedWrite`, both before any tile
+    /// runs; swapped back, the binding runs as before.
+    #[test]
+    fn a_bound_plan_rechecks_a_swapped_grid_at_the_next_run() {
+        use std::sync::Arc;
+        let (mut ws, bind) = setup(32);
+        let plan = compile_nest(&paper_nest(), &ws, &bind).unwrap();
+        let tiles = job_tiles(&plan, 1);
+        let mut bound = BoundPlan::new(&plan, &ws, Lowering::Rows).unwrap();
+        let mut run = |ws: &mut Workspace| {
+            let policy = TilePolicy::Dynamic;
+            bound.run(&plan, &tiles, ws, Strategy::Serial, policy)
+        };
+        run(&mut ws).unwrap();
+        let want = ws.grid("r").clone();
+
+        let r = ws.id("r").unwrap();
+        let mut wide = Grid::full(&[40], 7.0);
+        std::mem::swap(ws.grid_at_mut(r), &mut wide);
+        let mismatch = ExecError::DimsMismatch {
+            array: "r".into(),
+            expected: vec![33],
+            got: vec![40],
+        };
+        assert_eq!(run(&mut ws).unwrap_err(), mismatch);
+        assert_eq!(ws.grid("r").sum(), 7.0 * 40.0, "no tile ran");
+        std::mem::swap(ws.grid_at_mut(r), &mut wide);
+        ws.grid_mut("r").fill(0.0);
+        run(&mut ws).unwrap();
+        assert_eq!(ws.grid("r").max_abs_diff(&want), 0.0);
+
+        // A read slot may be shared; a written one may not.
+        let u = Arc::new(ws.grid("u").clone());
+        ws.insert_shared("u", u);
+        run(&mut ws).unwrap();
+        ws.insert_shared("r", Arc::new(Grid::zeros(&[33])));
+        let refused = ExecError::SharedWrite("r".into());
+        assert_eq!(run(&mut ws).unwrap_err(), refused);
+        let rebound = BoundPlan::new(&plan, &ws, Lowering::Rows);
+        assert_eq!(rebound.err(), Some(refused));
+    }
+
+    /// A Jit binding that finds no native module runs on rows and counts
+    /// one `jit.degraded_fallbacks` per run — whatever its tile count — and
+    /// runs native from the first run after a module is registered, though
+    /// it was bound before. Its tiles count once per run, when the run
+    /// ends, not when the binding drops.
+    #[test]
+    fn a_bound_jit_plan_degrades_once_per_run_until_a_module_is_registered() {
+        use crate::native::{register_native, NativeGroup};
+        use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+        let _lock = jit_lock();
+        static CALLS: AtomicU64 = AtomicU64::new(0);
+        /// Counts one call.
+        ///
+        /// # Safety
+        ///
+        /// Touches nothing it is handed.
+        unsafe extern "C" fn tally(_: *const i64, _: *const i64, _: *const *mut f64) {
+            CALLS.fetch_add(1, Relaxed);
+        }
+        let i = Symbol::new("i");
+        let nest = make_loop_nest(
+            &Array::new("late_w").at(ix![&i]),
+            0.5 * Array::new("late_u").at(ix![&i]),
+            vec![i.clone()],
+            vec![(Idx::constant(1), Idx::constant(30))],
+        )
+        .unwrap();
+        let mut ws = Workspace::new()
+            .with("late_u", Grid::full(&[32], 2.0))
+            .with("late_w", Grid::zeros(&[32]));
+        let plan = compile_nest(&nest, &ws, &Binding::new()).unwrap();
+        let tiles = tile_plan(&plan, &[8]);
+        assert_eq!(tiles.len(), 4);
+        let mut bound = BoundPlan::new(&plan, &ws, Lowering::Jit).unwrap();
+        let [degraded, jit] =
+            ["jit.degraded_fallbacks", "exec.tiles_jit"].map(perforad_obs::counter);
+        perforad_obs::set_enabled(true);
+        for _ in 0..2 {
+            let before = [degraded.get(), jit.get()];
+            let stats = bound.run(
+                &plan,
+                &tiles,
+                &mut ws,
+                Strategy::Serial,
+                TilePolicy::Dynamic,
+            );
+            assert_eq!(stats.unwrap().points, 30);
+            assert_eq!(degraded.get() - before[0], 1, "one fallback per run");
+            assert_eq!(jit.get(), before[1]);
+        }
+        assert_eq!(ws.grid("late_w").sum(), 30.0, "rows ran the plan");
+        register_native(
+            plan.fingerprint(),
+            // SAFETY: `tally` touches no array.
+            std::sync::Arc::new(unsafe { NativeGroup::new(tally, None) }),
+        );
+        for run in 1..=2 {
+            let before = [degraded.get(), jit.get()];
+            bound
+                .run(
+                    &plan,
+                    &tiles,
+                    &mut ws,
+                    Strategy::Serial,
+                    TilePolicy::Dynamic,
+                )
+                .unwrap();
+            assert_eq!(degraded.get(), before[0], "native now");
+            assert_eq!(
+                jit.get() - before[1],
+                4,
+                "run {run}: its four tiles, counted"
+            );
+            assert_eq!(CALLS.load(Relaxed), 4 * run);
+        }
+        let counted = jit.get();
+        drop(bound);
+        assert_eq!(jit.get(), counted, "nothing left to count at drop");
+        perforad_obs::set_enabled(false);
     }
 
     #[test]

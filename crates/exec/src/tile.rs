@@ -1,12 +1,14 @@
 //! Tile-granular execution: the one place plan points execute.
 //!
-//! `TileRunner` pins a plan's workspace buffers once and then executes
+//! `TileRunner` holds a plan's pinned workspace buffers and executes
 //! [`Tile`]s — boxes of the plan's iteration hull, the bounding box of its
 //! non-empty nests — from any thread. [`tile_plan`] is the one tiler: it
-//! cuts a hull into a [`Tiling`], and [`crate::run_tiling`] is the one
-//! driver, handing a tiling's tiles to a runner. A tile runs every nest's
-//! part of its box: nest by nest in plan order on the interpreter and the
-//! row executor, in one call of the group's native entry on the JIT.
+//! cuts a hull into a [`Tiling`], and [`crate::BoundPlan::run`] is the one
+//! driver, pinning the buffers and handing a tiling's tiles to a runner
+//! ([`crate::run_tiling`] binds a plan and runs it once). A tile runs every
+//! nest's part of its box: nest by nest in plan order on the interpreter
+//! and the row executor, in one call of the group's native entry on the
+//! JIT.
 //!
 //! # The gather proof
 //!
@@ -25,15 +27,15 @@
 //!   updates to one point: the bits are the nest-by-nest order's. A
 //!   workspace may bind an array *shared* — an `Arc<Grid>` that a
 //!   checkpoint snapshot or another workspace holds too
-//!   ([`Workspace::insert_shared`]). `TileRunner::pin` takes only a read
-//!   pointer from a shared array and refuses a plan that writes one
-//!   ([`ExecError::SharedWrite`]) before any tile runs, so under F2 a
-//!   shared grid is only ever read, by any number of tiles and workspaces
-//!   at once.
+//!   ([`Workspace::insert_shared`]). `Buffers::pin`, on every run, takes
+//!   only a read pointer from a shared array and refuses a plan that
+//!   writes one ([`ExecError::SharedWrite`]) before any tile runs, so
+//!   under F2 a shared grid is only ever read, by any number of tiles and
+//!   workspaces at once.
 //! - **F3.** Tiles run concurrently only when they come from one
 //!   [`Tiling`] of a gather-only plan — every `c` is zero, so a tile
 //!   writes inside its box, and a tiling's boxes are disjoint — or when
-//!   every `+=` is atomic. [`crate::run_tiling`], the one caller of
+//!   every `+=` is atomic. [`crate::BoundPlan::run`], the one caller of
 //!   `TileRunner::run_tile`, checks it before any tile runs; a scatter
 //!   plan runs plainly only as one tile on the calling thread.
 //!
@@ -46,11 +48,11 @@ use crate::atomic::AtomicF64;
 use crate::bytecode::{ArrayView, PointEnv, Program};
 use crate::error::ExecError;
 use crate::kernel::{NestPlan, Plan};
-use crate::native::{native_lookup, NativeGroup};
+use crate::native::NativeGroup;
 use crate::rows::{self, RowScratch};
 use crate::run::Lowering;
-use crate::workspace::{Slot, Workspace};
-use std::sync::{Arc, OnceLock};
+use crate::workspace::{GridId, Slot, Workspace};
+use std::sync::OnceLock;
 
 /// Dispatch counters: which lowering actually executed each tile
 /// (`exec.tiles_interp` / `exec.tiles_rows` / `exec.tiles_jit`), making
@@ -122,6 +124,7 @@ impl Tiling {
     }
 }
 
+#[derive(Clone)]
 pub(crate) struct Buffers {
     pub(crate) views: Vec<ArrayView>,
     /// One base pointer per slot. Written through only for slots the plan
@@ -131,53 +134,71 @@ pub(crate) struct Buffers {
     pub(crate) lens: Vec<usize>,
 }
 
-/// Pin every slot of `plan` in `ws`: a write pointer into each owned grid,
-/// a read pointer into each shared one. A plan that writes a shared grid is
-/// refused here, before any tile runs.
-fn make_buffers(plan: &Plan, ws: &mut Workspace) -> Result<Buffers, ExecError> {
-    let mut views = Vec::with_capacity(plan.arrays.len());
-    let mut write_ptrs = Vec::with_capacity(plan.arrays.len());
-    let mut lens = Vec::with_capacity(plan.arrays.len());
-    for (name, &written) in plan.arrays.iter().zip(&plan.written) {
-        let slot = ws
-            .slot_mut(name)
-            .ok_or_else(|| crate::error::unknown(name))?;
-        let grid = match &*slot {
-            Slot::Owned(g) => g,
-            Slot::Shared(_) if written => {
-                return Err(ExecError::SharedWrite(name.name().to_string()))
-            }
-            Slot::Shared(g) => g,
-        };
-        if grid.dims() != plan.dims.as_slice() {
-            return Err(ExecError::DimsMismatch {
-                array: name.name().to_string(),
-                expected: plan.dims.clone(),
-                got: grid.dims().to_vec(),
-            });
+impl Buffers {
+    /// Tables for `plan`'s slots, pointing nowhere until [`Buffers::pin`].
+    pub(crate) fn for_plan(plan: &Plan) -> Buffers {
+        let slots = plan.arrays.len();
+        let null = std::ptr::null_mut();
+        Buffers {
+            views: vec![ArrayView { ptr: null, len: 0 }; slots],
+            write_ptrs: vec![null; slots],
+            lens: vec![0; slots],
         }
-        let len = grid.len();
-        let ptr = match slot {
-            Slot::Owned(g) => g.as_mut_slice().as_mut_ptr(),
-            // SAFETY: a read pointer, cast to `*mut` only to share one
-            // table with the written slots. F2 keeps every nest's reads off
-            // the arrays the plan writes, and the refusal above keeps the
-            // plan's writes off shared arrays, so nothing writes through
-            // it. Nothing writes the grid any other way while tiles run
-            // either: `ws` stays borrowed and holds a reference, so the
-            // `Arc` keeps the grid alive and `Arc::get_mut` refuses every
-            // other holder.
-            Slot::Shared(g) => g.as_slice().as_ptr() as *mut f64,
-        };
-        lens.push(len);
-        views.push(ArrayView { ptr, len });
-        write_ptrs.push(ptr);
     }
-    Ok(Buffers {
-        views,
-        write_ptrs,
-        lens,
-    })
+
+    /// Point every slot of `plan` at its grid in `ws` — slot `k` at
+    /// `ids[k]`: a write pointer into each owned grid, a read pointer into
+    /// each shared one. A plan that writes a shared grid, or a grid whose
+    /// extents are not the plan's, is refused here, before any tile runs.
+    /// Allocates nothing.
+    pub(crate) fn pin(
+        &mut self,
+        plan: &Plan,
+        ws: &mut Workspace,
+        ids: &[GridId],
+    ) -> Result<(), ExecError> {
+        for (k, &id) in ids.iter().enumerate() {
+            let slot = ws.slot_mut(id);
+            check_slot(plan, k, slot)?;
+            let ptr = match slot {
+                Slot::Owned(g) => g.as_mut_slice().as_mut_ptr(),
+                // SAFETY: a read pointer, cast to `*mut` only to share one
+                // table with the written slots. F2 keeps every nest's reads
+                // off the arrays the plan writes, and `check_slot` keeps
+                // the plan's writes off shared arrays, so nothing writes
+                // through it. Nothing writes the grid any other way while
+                // tiles run either: the workspace stays borrowed for the
+                // run and holds a reference, so the `Arc` keeps the grid
+                // alive and `Arc::get_mut` refuses every other holder.
+                Slot::Shared(g) => g.as_slice().as_ptr() as *mut f64,
+            };
+            let len = plan.dims.iter().product();
+            self.views[k] = ArrayView { ptr, len };
+            self.write_ptrs[k] = ptr;
+            self.lens[k] = len;
+        }
+        Ok(())
+    }
+}
+
+/// Whether `plan`'s slot `k` may be bound to `slot`: a shared grid only
+/// when the plan does not write it ([`ExecError::SharedWrite`]), and any
+/// grid only with the plan's extents ([`ExecError::DimsMismatch`]).
+pub(crate) fn check_slot(plan: &Plan, k: usize, slot: &Slot) -> Result<(), ExecError> {
+    let name = || plan.arrays[k].name().to_string();
+    let grid = match slot {
+        Slot::Shared(_) if plan.written[k] => return Err(ExecError::SharedWrite(name())),
+        Slot::Owned(g) => g,
+        Slot::Shared(g) => g,
+    };
+    if grid.dims() != plan.dims.as_slice() {
+        return Err(ExecError::DimsMismatch {
+            array: name(),
+            expected: plan.dims.clone(),
+            got: grid.dims().to_vec(),
+        });
+    }
+    Ok(())
 }
 
 #[inline]
@@ -226,25 +247,6 @@ fn exec_point(
     }
 }
 
-/// Resolve the native module for a plan when the requested lowering is
-/// Jit: a group registered under the plan's fingerprint runs natively,
-/// anything else (no registration, atomic scatter — generated code writes
-/// plainly) degrades to the bitwise-identical row executor.
-fn resolve_native(plan: &Plan, lowering: Lowering, atomic: bool) -> Option<Arc<NativeGroup>> {
-    if lowering != Lowering::Jit || atomic {
-        return None;
-    }
-    let native = native_lookup(plan.fingerprint());
-    if native.is_none() {
-        // A Jit lowering that resolves no native module is a *degraded*
-        // execution (bitwise-identical, slower): a failed/skipped JIT
-        // prepare or an evicted registration. Counted once per runner, not
-        // per tile.
-        perforad_obs::counter("jit.degraded_fallbacks").inc();
-    }
-    native
-}
-
 /// The largest `size` of any statement's stack program in `plan`.
 fn max_over(plan: &Plan, size: fn(&Program) -> usize) -> usize {
     let stmts = plan.nests.iter().flat_map(|n| &n.stmts);
@@ -257,8 +259,9 @@ fn max_over(plan: &Plan, size: fn(&Program) -> usize) -> usize {
 /// [`TileRunner::scratch`].
 ///
 /// It also tallies the tiles run through it and adds the tally to its
-/// lowering's dispatch counter when it drops — one counter update per
-/// worker per region, whichever driver handed the tiles out.
+/// lowering's dispatch counter at the end of each region it served, or
+/// when it drops — one counter update per worker per region.
+#[derive(Clone)]
 pub(crate) struct TileScratch {
     counters: Vec<i64>,
     /// One nest's part of the running tile (its box ∩ the nest's bounds).
@@ -272,27 +275,43 @@ pub(crate) struct TileScratch {
     dispatch: usize,
 }
 
-impl Drop for TileScratch {
-    fn drop(&mut self) {
+impl TileScratch {
+    /// Add the tiles run through this scratch to its lowering's dispatch
+    /// counter, and start the tally over.
+    pub(crate) fn flush(&mut self) {
         if self.tiles > 0 && perforad_obs::enabled() {
             tile_counters()[self.dispatch].add(self.tiles);
         }
+        self.tiles = 0;
+    }
+
+    /// Whether this scratch serves `runner`'s lowering.
+    pub(crate) fn fits(&self, runner: &TileRunner<'_>) -> bool {
+        self.dispatch == runner.dispatch()
+    }
+}
+
+impl Drop for TileScratch {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
 /// A plan with its workspace buffers pinned, ready to execute tiles.
 ///
-/// Holds the workspace's mutable borrow for its whole lifetime, so no safe
-/// code can alias the grids while tiles run.
+/// Built only inside [`crate::BoundPlan::run`], which holds the
+/// workspace's mutable borrow while the runner lives, so no safe code can
+/// alias the grids while tiles run.
 pub(crate) struct TileRunner<'a> {
-    plan: &'a Plan,
-    bufs: Buffers,
-    atomic: bool,
-    lowering: Lowering,
+    pub(crate) plan: &'a Plan,
+    pub(crate) bufs: &'a Buffers,
+    pub(crate) atomic: bool,
+    pub(crate) lowering: Lowering,
     /// JIT-compiled native code for this plan, resolved from the
     /// process-wide [`crate::native`] registry when the lowering is
-    /// [`Lowering::Jit`]; `None` means Jit tiles fall back to rows.
-    native: Option<Arc<NativeGroup>>,
+    /// [`Lowering::Jit`] and the writes are plain (generated code writes
+    /// plainly); `None` means Jit tiles fall back to rows.
+    pub(crate) native: Option<&'a NativeGroup>,
 }
 
 // SAFETY: F3 — the buffers are only written through `run_tile`, whose one
@@ -301,43 +320,30 @@ pub(crate) struct TileRunner<'a> {
 unsafe impl Sync for TileRunner<'_> {}
 
 impl<'a> TileRunner<'a> {
-    /// Pin `ws` for tile execution of `plan` on `lowering` (all are
-    /// bitwise-identical; a Jit module is resolved here, once per runner):
-    /// plain writes, or with `atomic` every `+=` an atomic CAS add (the
-    /// scatter baseline).
-    pub(crate) fn pin(
-        plan: &'a Plan,
-        ws: &'a mut Workspace,
-        atomic: bool,
-        lowering: Lowering,
-    ) -> Result<Self, ExecError> {
-        Ok(TileRunner {
-            plan,
-            bufs: make_buffers(plan, ws)?,
-            atomic,
-            lowering,
-            native: resolve_native(plan, lowering, atomic),
-        })
+    /// Index into [`tile_counters`] of the lowering this runner's tiles
+    /// run on: the interpreter, rows (Jit without a module included), or
+    /// native code.
+    fn dispatch(&self) -> usize {
+        match self.lowering {
+            Lowering::PerPoint => 0,
+            Lowering::Jit if self.native.is_some() => 2,
+            Lowering::Rows | Lowering::Jit => 1,
+        }
     }
 
     /// Fresh per-thread scratch sized for this plan and this runner's
     /// lowering.
     pub(crate) fn scratch(&self) -> TileScratch {
-        let (stack, tmps, rows, dispatch) = match self.lowering {
-            Lowering::PerPoint => (
+        let dispatch = self.dispatch();
+        let (stack, tmps, rows) = match dispatch {
+            0 => (
                 Vec::with_capacity(max_over(self.plan, Program::max_stack)),
                 vec![0.0; max_over(self.plan, Program::n_tmps)],
                 RowScratch::empty(),
-                0,
             ),
-            // Jit with a resolved module never touches the rows path.
-            Lowering::Jit if self.native.is_some() => {
-                (Vec::new(), Vec::new(), RowScratch::empty(), 2)
-            }
-            // Rows, or Jit falling back to rows (no module registered).
-            Lowering::Rows | Lowering::Jit => {
-                (Vec::new(), Vec::new(), RowScratch::for_plan(self.plan), 1)
-            }
+            1 => (Vec::new(), Vec::new(), RowScratch::for_plan(self.plan)),
+            // A resolved native module never touches the other paths.
+            _ => (Vec::new(), Vec::new(), RowScratch::empty()),
         };
         // The native entry walks and clamps on its own: no counters, no
         // nest parts.
@@ -370,7 +376,7 @@ impl<'a> TileRunner<'a> {
     ///
     /// Fact F3: tiles run concurrently on one runner must come from one
     /// [`Tiling`] of a gather-only plan, or the runner must be atomic.
-    /// Anything else is a data race. [`crate::run_tiling`] is the one
+    /// Anything else is a data race. [`crate::BoundPlan::run`] is the one
     /// caller, and checks it.
     pub(crate) unsafe fn run_tile(&self, tile: &Tile, scratch: &mut TileScratch) {
         let rank = self.plan.rank;
@@ -406,7 +412,7 @@ impl<'a> TileRunner<'a> {
                 Lowering::Rows | Lowering::Jit => rows::exec_box_rows(
                     self.plan,
                     nest,
-                    &self.bufs,
+                    self.bufs,
                     &scratch.part_lo,
                     &scratch.part_hi,
                     self.atomic,
@@ -429,7 +435,7 @@ impl<'a> TileRunner<'a> {
                 exec_point(
                     self.plan,
                     nest,
-                    &self.bufs,
+                    self.bufs,
                     &scratch.counters,
                     base + k as isize * stride,
                     self.atomic,
@@ -635,11 +641,14 @@ mod tests {
             .with("r", Grid::zeros(&[n + 3]));
         let plan = compile_nest(&nest_1d(), &ws, &Binding::new().size("n", n as i64)).unwrap();
         assert_eq!(plan.nests[0].hi, vec![n as i64 - 1]);
-        let runner = TileRunner::pin(&plan, &mut ws, false, Lowering::PerPoint).unwrap();
-        let mut scratch = runner.scratch();
-        let tile = Tile::new(&plan, vec![1], vec![n as i64]);
-        // SAFETY: single-threaded execution cannot race.
-        unsafe { runner.run_tile(&tile, &mut scratch) };
+        let escaping = Tiling(vec![Tile::new(&plan, vec![1], vec![n as i64])]);
+        let _ = run_tiling(
+            &plan,
+            &escaping,
+            &mut ws,
+            ExecMode::serial(),
+            TilePolicy::Dynamic,
+        );
     }
 
     #[test]

@@ -26,12 +26,26 @@ impl Slot {
     }
 }
 
+/// Where a workspace holds one array: a handle from [`Workspace::id`],
+/// valid for that workspace, its clones, and every later state of either
+/// (a name keeps its place once inserted).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GridId(usize);
+
 /// A set of named grids — the memory a stencil program runs against. Each
 /// is owned by the workspace, or bound shared and read-only
 /// ([`Workspace::insert_shared`]).
+///
+/// Names keep the place they were first inserted at, so a [`GridId`] stays
+/// valid, and a bound runner ([`crate::BoundPlan`]) reaches its arrays by
+/// place rather than by name on every run.
 #[derive(Default, Clone, Debug)]
 pub struct Workspace {
-    grids: BTreeMap<Symbol, Slot>,
+    names: Vec<Symbol>,
+    slots: Vec<Slot>,
+    /// FNV of `names` in order: workspaces with equal layouts place every
+    /// name alike.
+    layout: u64,
 }
 
 impl Workspace {
@@ -39,9 +53,27 @@ impl Workspace {
         Self::default()
     }
 
+    /// Put `slot` under `name`: in its place when the name is bound,
+    /// appended (and the layout re-stamped) when it is new.
+    fn put(&mut self, name: Symbol, slot: Slot) {
+        match self.names.iter().position(|k| *k == name) {
+            Some(k) => self.slots[k] = slot,
+            None => {
+                self.names.push(name);
+                self.slots.push(slot);
+                let mut h = crate::native::Fnv::new();
+                for k in &self.names {
+                    h.write(k.name().as_bytes());
+                    h.write(b"|");
+                }
+                self.layout = h.finish();
+            }
+        }
+    }
+
     /// Insert (or replace) a grid under a name.
     pub fn insert(&mut self, name: impl Into<Symbol>, grid: Grid) -> &mut Self {
-        self.grids.insert(name.into(), Slot::Owned(grid));
+        self.put(name.into(), Slot::Owned(grid));
         self
     }
 
@@ -54,7 +86,7 @@ impl Workspace {
     /// Bind (or rebind) a name to a shared grid, read-only: plans may read
     /// it and nothing may write it through this workspace.
     pub fn insert_shared(&mut self, name: impl Into<Symbol>, grid: Arc<Grid>) -> &mut Self {
-        self.grids.insert(name.into(), Slot::Shared(grid));
+        self.put(name.into(), Slot::Shared(grid));
         self
     }
 
@@ -64,74 +96,101 @@ impl Workspace {
         self
     }
 
+    /// The place of the grid named `name`: a scan over the handful a
+    /// workspace holds, comparing names as strings (no `Symbol` is built).
+    pub fn id(&self, name: &str) -> Option<GridId> {
+        self.names.iter().position(|k| k.name() == name).map(GridId)
+    }
+
+    /// [`Workspace::id`], panicking when there is no such grid.
+    fn expect_id(&self, name: &str) -> GridId {
+        self.id(name)
+            .unwrap_or_else(|| panic!("no grid named `{name}` in workspace"))
+    }
+
     /// The grid bound to `name`, owned or shared.
     pub fn get(&self, name: &Symbol) -> Option<&Grid> {
-        self.grids.get(name).map(Slot::grid)
+        self.id(name.name()).map(|id| self.slots[id.0].grid())
     }
 
     /// The grid bound to `name`, for writing: `None` when there is none or
     /// it is bound shared.
     pub fn get_mut(&mut self, name: &Symbol) -> Option<&mut Grid> {
-        match self.grids.get_mut(name)? {
+        let id = self.id(name.name())?;
+        match &mut self.slots[id.0] {
             Slot::Owned(g) => Some(g),
             Slot::Shared(_) => None,
         }
     }
 
-    pub(crate) fn slot_mut(&mut self, name: &Symbol) -> Option<&mut Slot> {
-        self.grids.get_mut(name)
+    /// The binding at `id`.
+    pub(crate) fn slot(&self, id: GridId) -> &Slot {
+        &self.slots[id.0]
     }
 
-    /// The binding named `name`: a scan over the handful a workspace
-    /// holds. No `Symbol` is built, so time loops may call it every step
-    /// without allocating.
-    fn find(&mut self, name: &str) -> &mut Slot {
-        self.grids
-            .iter_mut()
-            .find_map(|(k, g)| (k.name() == name).then_some(g))
-            .unwrap_or_else(|| panic!("no grid named `{name}` in workspace"))
+    /// The binding at `id`, for writing.
+    pub(crate) fn slot_mut(&mut self, id: GridId) -> &mut Slot {
+        &mut self.slots[id.0]
     }
 
-    /// Panicking accessor by name, owned or shared (the same scan as
-    /// [`Workspace::grid_mut`]).
+    /// The layout stamp: equal stamps, equal places for every name.
+    pub(crate) fn layout(&self) -> u64 {
+        self.layout
+    }
+
+    /// Panicking accessor by name, owned or shared.
     pub fn grid(&self, name: &str) -> &Grid {
-        self.grids
-            .iter()
-            .find_map(|(k, g)| (k.name() == name).then_some(g.grid()))
-            .unwrap_or_else(|| panic!("no grid named `{name}` in workspace"))
+        self.grid_at(self.expect_id(name))
     }
 
     /// Panicking mutable accessor by name; panics on a shared binding too.
     pub fn grid_mut(&mut self, name: &str) -> &mut Grid {
-        match self.find(name) {
-            Slot::Owned(g) => g,
-            Slot::Shared(_) => panic!("grid `{name}` is bound shared, read-only"),
-        }
+        self.grid_at_mut(self.expect_id(name))
     }
 
     /// The shared binding named `name`, to swap another `Arc` in or out
     /// without allocating; panics on an owned one.
     pub fn shared_mut(&mut self, name: &str) -> &mut Arc<Grid> {
-        match self.find(name) {
+        self.shared_at_mut(self.expect_id(name))
+    }
+
+    /// The grid at `id`, owned or shared.
+    pub fn grid_at(&self, id: GridId) -> &Grid {
+        self.slots[id.0].grid()
+    }
+
+    /// The owned grid at `id`, to write or swap; panics on a shared one.
+    pub fn grid_at_mut(&mut self, id: GridId) -> &mut Grid {
+        match &mut self.slots[id.0] {
+            Slot::Owned(g) => g,
+            Slot::Shared(_) => panic!("grid `{}` is bound shared, read-only", self.names[id.0]),
+        }
+    }
+
+    /// The shared binding at `id`, to swap another `Arc` in or out;
+    /// panics on an owned one.
+    pub fn shared_at_mut(&mut self, id: GridId) -> &mut Arc<Grid> {
+        match &mut self.slots[id.0] {
             Slot::Shared(g) => g,
-            Slot::Owned(_) => panic!("grid `{name}` is owned, not bound shared"),
+            Slot::Owned(_) => panic!("grid `{}` is owned, not bound shared", self.names[id.0]),
         }
     }
 
     pub fn contains(&self, name: &Symbol) -> bool {
-        self.grids.contains_key(name)
+        self.names.contains(name)
     }
 
+    /// The names bound, in the order they were first inserted.
     pub fn names(&self) -> impl Iterator<Item = &Symbol> {
-        self.grids.keys()
+        self.names.iter()
     }
 
     pub fn len(&self) -> usize {
-        self.grids.len()
+        self.names.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.grids.is_empty()
+        self.names.is_empty()
     }
 }
 
@@ -187,6 +246,30 @@ mod tests {
         // A clone of the workspace shares the grid; it does not copy it.
         let twin = ws.clone();
         assert!(std::ptr::eq(twin.grid("u"), ws.grid("u")));
+    }
+
+    /// A name keeps the place it was first inserted at, whatever is bound
+    /// there later; a clone shares the layout, a new name changes it.
+    #[test]
+    fn a_name_keeps_its_place_and_a_clone_its_layout() {
+        let mut ws = Workspace::new()
+            .with("u", Grid::zeros(&[2]))
+            .with("r", Grid::zeros(&[2]));
+        let (u, r) = (ws.id("u").unwrap(), ws.id("r").unwrap());
+        let layout = ws.layout();
+        ws.insert_shared("u", Arc::new(Grid::full(&[2], 3.0)));
+        ws.insert("r", Grid::full(&[3], 1.0));
+        assert_eq!(
+            (ws.id("u"), ws.id("r"), ws.layout()),
+            (Some(u), Some(r), layout)
+        );
+        assert_eq!(ws.grid_at(u).sum(), 6.0);
+        assert_eq!(ws.grid_at_mut(r).len(), 3);
+        assert_eq!(ws.clone().layout(), layout);
+        ws.insert("c", Grid::zeros(&[2]));
+        assert_ne!(ws.layout(), layout);
+        assert_eq!(ws.id("u"), Some(u));
+        assert_eq!(ws.id("nope"), None);
     }
 
     #[test]

@@ -120,16 +120,6 @@ impl Run {
     }
 }
 
-/// A statement's effective box: its nest's bounds ∩ its guard.
-fn stmt_box(nest: &NestPlan, st: &StmtPlan) -> (Vec<i64>, Vec<i64>) {
-    let (mut lo, mut hi) = (nest.lo.clone(), nest.hi.clone());
-    for (d, &(glo, ghi)) in st.guard.iter().flatten().enumerate() {
-        lo[d] = lo[d].max(glo);
-        hi[d] = hi[d].min(ghi);
-    }
-    (lo, hi)
-}
-
 /// Ready one nest's runs and their row bodies. Each maximal run of
 /// consecutive statements with the same effective box (under the default
 /// `Disjoint` strategy that is the whole nest) becomes **one** loop nest —
@@ -159,7 +149,7 @@ fn nest_runs(plan: &Plan, name: &str, nest: &NestPlan) -> Vec<Run> {
     let last = plan.rank() - 1;
     let mut runs: Vec<(Vec<i64>, Vec<i64>, Vec<&StmtPlan>)> = Vec::new();
     for st in &nest.stmts {
-        let (lo, hi) = stmt_box(nest, st);
+        let (lo, hi) = nest.stmt_box(st);
         match runs.last_mut() {
             Some((rlo, rhi, run))
                 if (&*rlo, &*rhi) == (&lo, &hi)
@@ -869,18 +859,20 @@ pub(crate) mod tests {
 
     /// Accumulate mode needs no case of its own: the plan has merged a
     /// nest's increments to one array into one statement summing from
-    /// `0.0`, which the target receives as one `+=`. What summing first
-    /// would round differently, the plan refuses.
+    /// `0.0`, which a carried target receives as one `+=` and an assigned
+    /// one as one store, with no load. What summing first would round
+    /// differently, the plan refuses.
     #[test]
     fn accumulate_sums_from_zero_and_adds_once_per_run() {
         let i = Symbol::new("i");
         let u = Array::new("u");
         let add = |o: i64| Statement::add_assign(Access::new("r", ix![&i]), u.at(vec![&i + o]));
-        let accumulate = PlanOptions {
-            accumulate: true,
+        let carrying = |carried: &[&str]| PlanOptions {
+            accumulate: Some(carried.iter().map(|&a| Symbol::new(a)).collect()),
             ..PlanOptions::default()
         };
-        let code = module_1d(vec![add(-1), add(1)], accumulate).unwrap();
+        let accumulate = carrying(&["r"]);
+        let code = module_1d(vec![add(-1), add(1)], accumulate.clone()).unwrap();
         let row = row_bodies(&code)[0].1;
         assert_eq!(row.matches("__w0 += {").count(), 1, "{row}");
         let zero = row.find(&exact_f64(0.0)).expect("the sum starts from 0.0");
@@ -899,12 +891,22 @@ pub(crate) mod tests {
         );
         assert_eq!(row.matches("__o0.").count(), 2, "{row}");
 
+        let assigned = module_1d(vec![add(-1), add(1)], carrying(&[])).unwrap();
+        let row = row_bodies(&assigned)[0].1;
+        assert!(row.contains("let mut __w0: f64 = {"), "{row}");
+        assert!(
+            row.find(&exact_f64(0.0)).is_some(),
+            "the sum starts from 0.0"
+        );
+        assert_eq!(row.matches("__w0 += {").count(), 0, "{row}");
+        assert_eq!(row.matches("__o0.").count(), 1, "{row}");
+
         let guarded = add(1).with_guard(Guard {
             ranges: vec![(i.clone(), Bound::new(3, 9))],
         });
         let set = Statement::assign(Access::new("r", ix![&i]), u.at(ix![&i]));
         for body in [vec![add(-1), guarded], vec![set, add(1)]] {
-            let err = module_1d(body, accumulate).unwrap_err();
+            let err = module_1d(body, accumulate.clone()).unwrap_err();
             assert!(matches!(err, ExecError::Unsupported(_)), "{err}");
         }
     }

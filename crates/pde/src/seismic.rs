@@ -31,28 +31,35 @@
 //! Every budget gives the **bitwise-identical** gradient: checkpointing
 //! changes where states come from, never how steps execute.
 //!
-//! The time loop costs what its kernels cost: the primal step is a
+//! A time step costs what its kernel costs. The primal step is a
 //! one-nest [`Schedule`] tiled, lowered and driven like the tuned adjoint
 //! — through the JIT tier when the tuner chose it for the adjoint, as a
 //! second native artifact keyed by the primal plan's own fingerprint, and
-//! on the row executor when that cannot be prepared; no step copies a grid
-//! (a state is two shared grids, bound read-only into the kernel
-//! workspaces, and a step writes only into a grid nothing else holds; the
-//! adjoint kernel, compiled in accumulate mode, is lent λ_t, λ_{t−1} and
-//! `∂J/∂c` to add its increments into) and the primal step clears none,
-//! though a back step fills one (the λ grid rotated in by
-//! `Rolling::back`) and adds nothing back; the adjoint field is a 3-grid
-//! rolling window; a memory-store snapshot holds the cursor's grids rather
-//! than a copy of them, so a warm memory-store sweep copies no grid at
-//! all; and a plan keeps its warmed shot states between runs instead of
-//! cloning them per call.
+//! on the row executor when that cannot be prepared. Each kernel is bound
+//! to its workspace once, when the shot state is built
+//! ([`BoundSchedule`]: slot table, extents, shared-write refusal, native
+//! entry, tile scratch and lane file), so a warm step re-points a few base
+//! pointers, swaps grids in and out of the workspace by [`GridId`], and
+//! makes one native call per fused group: no name lookup, no registry
+//! lock, no allocation. No step copies a grid (a state is two shared
+//! grids, bound read-only into the kernel workspaces, and a step writes
+//! only into a grid nothing else holds) or fills one: the adjoint kernel,
+//! compiled in accumulate mode carrying λ_t and `∂J/∂c`, adds its
+//! increments into those and *assigns* λ_{t−1} at its first touch, which
+//! covers every point of λ a later step reads — the faces it leaves stale
+//! are never read. The adjoint field is a 3-grid rolling window; a
+//! memory-store snapshot holds the cursor's grids rather than a copy of
+//! them, so a warm memory-store sweep copies no grid at all; and a plan
+//! keeps its warmed shot states between runs instead of cloning them per
+//! call.
 //!
 //! One owner recycles grids: the shot state's `GridPool`. Every grid a
 //! step writes comes from it, and a grid no state, snapshot or workspace
 //! holds any more is free for the next step. A plan shorter than
 //! [`CKPT_THRESHOLD_STEPS`] keeps the pool in the warmed shot state, so a
-//! warm run allocates its λ window and its gradient and nothing per step —
-//! at most `steps` grids resident per warmed shot state, fewer than 64 by
+//! warm run allocates its λ window and its gradient and nothing per step
+//! (`tests/batch.rs` pins 0 B per step, on the JIT and on rows) — at most
+//! `steps` grids resident per warmed shot state, fewer than 64 by
 //! construction. At or past the threshold the pool lives for one sweep and
 //! nothing stays resident between runs.
 
@@ -62,9 +69,9 @@ use perforad_ckpt::{
     MemStore, Snapshot, SnapshotStore,
 };
 use perforad_core::{Adjoint, AdjointOptions, BoundaryStrategy};
-use perforad_exec::{default_pool, Binding, Grid, Lowering, ThreadPool, Workspace};
+use perforad_exec::{default_pool, Binding, Grid, GridId, Lowering, ThreadPool, Workspace};
 use perforad_sched::{
-    compile_schedule, run_tuned, SchedOptions, Schedule, TunedConfig, TunedStrategy,
+    compile_schedule, BoundSchedule, IntBox, SchedOptions, Schedule, TunedConfig, TunedStrategy,
 };
 use perforad_symbolic::Symbol;
 use perforad_tune::{
@@ -144,10 +151,14 @@ fn workspace(c: &Grid, zeroed: &[&str]) -> Workspace {
 struct Stepper<'p> {
     schedule: Schedule,
     tuned: TunedConfig,
+    /// `schedule` bound to `ws` once: a step re-points its slots and runs.
+    bound: BoundSchedule,
     pool: &'p ThreadPool,
     /// The kernel's workspace: `u` owned (the step writes it), `u_1` and
     /// `u_2` bound shared (it only reads them) — to `zero` between steps.
     ws: Workspace,
+    /// Where `ws` holds `u`, `u_1` and `u_2`.
+    ids: [GridId; 3],
     /// An all-zero grid nothing ever writes: `u_{−1}`, `u_0`, and what
     /// `u_1` and `u_2` hold between steps.
     zero: Arc<Grid>,
@@ -183,9 +194,12 @@ impl<'p> Stepper<'p> {
             tuned.lowering = Lowering::Rows;
             schedule.lowering = Lowering::Rows;
         }
+        let bound = BoundSchedule::new(&schedule, &ws).expect("primal binds");
         Stepper {
+            ids: ["u", "u_1", "u_2"].map(|name| ws.id(name).expect("a primal array")),
             schedule,
             tuned,
+            bound,
             pool,
             ws,
             zero,
@@ -213,10 +227,16 @@ impl<'p> Stepper<'p> {
     fn step(&mut self, state: &mut SharedState, t: usize) {
         let out = self.grids.free();
         let u = Arc::get_mut(out).expect("a step writes only a grid nothing else holds");
-        exchange(&mut self.ws, state, u);
-        debug_assert!(boundary_is_zero(self.ws.grid("u")), "stale boundary");
-        run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("primal step");
-        exchange(&mut self.ws, state, u);
+        exchange(&mut self.ws, self.ids, state, u);
+        debug_assert!(
+            boundary_is_zero(self.ws.grid_at(self.ids[0])),
+            "stale boundary"
+        );
+        let strategy = self.tuned.exec_strategy(self.pool);
+        self.bound
+            .run(&self.schedule, &mut self.ws, strategy)
+            .expect("primal step");
+        exchange(&mut self.ws, self.ids, state, u);
         // Step `t`'s source sample.
         u.set(&self.src, u.get(&self.src) + self.source[t]);
         state.0 = std::mem::replace(&mut state.1, Arc::clone(out));
@@ -224,12 +244,12 @@ impl<'p> Stepper<'p> {
 }
 
 /// Swap `(u_{t−1}, u_t)` and the grid being written with `ws`'s `u_2`,
-/// `u_1` and `u`: lends them on the first call and takes them back on the
-/// second.
-fn exchange(ws: &mut Workspace, (u_2, u_1): &mut SharedState, u: &mut Grid) {
-    swap(ws.shared_mut("u_2"), u_2);
-    swap(ws.shared_mut("u_1"), u_1);
-    swap(ws.grid_mut("u"), u);
+/// `u_1` and `u` (at `ids`, in the order `u`, `u_1`, `u_2`): lends them on
+/// the first call and takes them back on the second.
+fn exchange(ws: &mut Workspace, ids: [GridId; 3], (u_2, u_1): &mut SharedState, u: &mut Grid) {
+    swap(ws.shared_at_mut(ids[2]), u_2);
+    swap(ws.shared_at_mut(ids[1]), u_1);
+    swap(ws.grid_at_mut(ids[0]), u);
 }
 
 /// Run the primal time loop densely; returns the trajectory
@@ -280,18 +300,34 @@ fn wave_adjoint() -> Adjoint {
         .expect("c-active wave adjoint transforms")
 }
 
+/// The adjoint arrays that carry state from one back step to the next:
+/// λ_t (`u_1_b`, read as `u_b` two steps on) and `∂J/∂c`. The kernel adds
+/// into them; λ_{t−1} (`u_2_b`) it assigns at its first touch.
+const CARRIED: [&str; 2] = ["u_1_b", "c_b"];
+
 /// The adjoint workspace + tuned schedule every reverse sweep drives,
-/// compiled in accumulate mode (`SchedOptions::accumulate`): each back
-/// step adds one summed increment per point straight into the grids it
-/// is lent. Tuning is best-effort: on failure a fused row-executor
-/// schedule keeps the gradient available. The pool is borrowed from the
-/// caller, not spawned per plan.
+/// compiled in accumulate mode carrying [`CARRIED`]
+/// (`SchedOptions::accumulate`): each back step adds one summed increment
+/// per point straight into λ_t and `∂J/∂c`, and stores one into λ_{t−1}.
+/// Tuning is best-effort: on failure a fused row-executor schedule keeps
+/// the gradient available. The pool is borrowed from the caller, not
+/// spawned per plan.
 #[derive(Clone)]
 struct ReverseSweep<'p> {
     ws: Workspace,
     pool: &'p ThreadPool,
     schedule: Schedule,
     tuned: TunedConfig,
+    /// `schedule` bound to `ws` once: a back step re-points its slots and
+    /// runs.
+    bound: BoundSchedule,
+    /// Where `ws` holds `u_1`, `u_b`, `u_1_b`, `u_2_b` and `c_b`.
+    ids: [GridId; 5],
+    /// The points of λ a back step reads (as `u_b`) that no back step
+    /// assigns (as `u_2_b`) — from the schedule's integer footprints. A
+    /// grid the window rotates in is zeroed there and nowhere else. Empty
+    /// for the wave adjoint: the first touch covers every point read.
+    gaps: Vec<IntBox>,
 }
 
 impl<'p> ReverseSweep<'p> {
@@ -308,12 +344,12 @@ impl<'p> ReverseSweep<'p> {
         // step borrows a state's grid instead of taking it over.
         let mut ws = workspace(c, &["u_b", "u_1_b", "u_2_b", "c_b"])
             .with_shared("u_1", Arc::new(Grid::zeros(c.dims())));
-        let mut topts = TuneOptions::quick().with_accumulate(true);
+        let mut topts = TuneOptions::quick().with_accumulate(CARRIED);
         topts.time_loop = time_loop;
         let (schedule, tuned) = match autotune_adjoint(adj, &mut ws, &bind, pool, &topts) {
             Ok((s, report)) => (s, report.config),
             Err(_) => {
-                let opts = SchedOptions::default().with_rows().with_accumulate(true);
+                let opts = SchedOptions::default().with_rows().with_accumulate(CARRIED);
                 let s = compile_schedule(adj, &ws, &bind, &opts).expect("adjoint schedules");
                 let fallback = TunedConfig {
                     strategy: TunedStrategy::Parallel,
@@ -324,19 +360,25 @@ impl<'p> ReverseSweep<'p> {
                 (s, fallback)
             }
         };
+        let bound = BoundSchedule::new(&schedule, &ws).expect("adjoint binds");
+        let lent = ["u_1", "u_b", "u_1_b", "u_2_b", "c_b"];
         ReverseSweep {
+            ids: lent.map(|name| ws.id(name).expect("an adjoint array")),
+            gaps: schedule.unassigned_reads("u_b", "u_2_b"),
             ws,
             pool,
             schedule,
             tuned,
+            bound,
         }
     }
 
     /// One adjoint step: consume `λ_{t+1}` with `u_1 = u_t` bound, adding
-    /// the `u_1_b`, `u_2_b` and `c_b` increments straight into `lambda`,
-    /// `lambda_prev` and `c_b`. `u_t` is bound shared and the rest lent
-    /// (swapped in, not copied) for the run, and all are handed back; the
-    /// first two come back as they came.
+    /// the `u_1_b` and `c_b` increments straight into `lambda` and `c_b`
+    /// and storing the `u_2_b` ones into `lambda_prev`. `u_t` is bound
+    /// shared and the rest lent (swapped in, not copied) for the run, by
+    /// place, and all are handed back; the first two come back as they
+    /// came.
     fn back(
         &mut self,
         u_t: &mut Arc<Grid>,
@@ -346,20 +388,24 @@ impl<'p> ReverseSweep<'p> {
         c_b: &mut Grid,
     ) {
         let _span = perforad_obs::span!("seismic.back", "seismic");
+        let [u_1, u_b, u_1_b, u_2_b, c_b_at] = self.ids;
         let mut lent = [
-            ("u_b", lambda_next),
-            ("u_1_b", lambda),
-            ("u_2_b", lambda_prev),
-            ("c_b", c_b),
+            (u_b, lambda_next),
+            (u_1_b, lambda),
+            (u_2_b, lambda_prev),
+            (c_b_at, c_b),
         ];
         let mut exchange = |ws: &mut Workspace| {
-            swap(ws.shared_mut("u_1"), u_t);
-            for (name, grid) in &mut lent {
-                swap(ws.grid_mut(name), *grid);
+            swap(ws.shared_at_mut(u_1), u_t);
+            for (id, grid) in &mut lent {
+                swap(ws.grid_at_mut(*id), *grid);
             }
         };
         exchange(&mut self.ws);
-        run_tuned(&self.schedule, &self.tuned, &mut self.ws, self.pool).expect("adjoint step");
+        let strategy = self.tuned.exec_strategy(self.pool);
+        self.bound
+            .run(&self.schedule, &mut self.ws, strategy)
+            .expect("adjoint step");
         exchange(&mut self.ws);
     }
 }
@@ -405,18 +451,26 @@ impl Rolling {
     /// `u_2 = u_{t−1}`: its adjoint consumes λ_{t+1} and feeds λ_t, λ_{t−1}
     /// and `c_b` (scatter-free accumulation), then the window rolls down.
     ///
-    /// The kernel adds into all three directly. Its accumulate mode sums a
-    /// point's increments from `+0.0` and adds the sum once, which is what
-    /// a zeroed scratch grid added back would have done at every point it
-    /// writes — and a point it does not write keeps its value, where the
-    /// add-back turned a `−0.0` into `+0.0`; no grid here holds a `−0.0`
-    /// at such a point (λ_{t−1} is all `+0.0` on entry — fresh, or rotated
-    /// in and cleared — and the edges no nest writes stay as they started).
+    /// The kernel writes all three directly. Its accumulate mode sums a
+    /// point's increments from `+0.0` and adds the sum once into λ_t and
+    /// `c_b`, which is what a zeroed scratch grid added back would have
+    /// done at every point it writes; a point it does not write keeps its
+    /// value, where the add-back turned a `−0.0` into `+0.0`, and neither
+    /// grid holds a `−0.0` at such a point (each starts all `+0.0`, and
+    /// the edges no nest writes stay as they started). Into λ_{t−1} it
+    /// *stores* the sum, with no fill first: a `+0.0`-started sum is never
+    /// `−0.0`, so storing it is bitwise the same as adding it to `+0.0`.
+    /// What the store leaves alone — the faces of the rotated-in grid,
+    /// stale — no back step reads: λ_{t−1} is read two steps on as `u_b`,
+    /// over a box its first touch covers, so the sweep's `gaps` (read but
+    /// not assigned, zeroed here) are empty for the wave adjoint.
     fn back(&mut self, sweep: &mut ReverseSweep<'_>, u_t: &mut Arc<Grid>) {
         let [hi, mid, lo] = &mut self.lam;
         sweep.back(u_t, hi, mid, lo, &mut self.c_b);
         self.lam.rotate_left(1);
-        self.lam[2].fill(0.0);
+        for gap in &sweep.gaps {
+            fill_box(&mut self.lam[2], gap, 0.0);
+        }
     }
 }
 
@@ -579,6 +633,17 @@ fn boundary_is_zero(g: &Grid) -> bool {
     };
     let mut points = g.as_slice().iter().enumerate();
     points.all(|(lin, &v)| v == 0.0 || !on_face(lin))
+}
+
+/// Set every point of the 3-D grid `g` in the box `[lo, hi]` to `v`.
+fn fill_box(g: &mut Grid, (lo, hi): &IntBox, v: f64) {
+    let len = (hi[2] - lo[2] + 1) as usize;
+    for i in lo[0]..=hi[0] {
+        for j in lo[1]..=hi[1] {
+            let at = g.linear(&[i as usize, j as usize, lo[2] as usize]);
+            g.as_mut_slice()[at..at + len].fill(v);
+        }
+    }
 }
 
 fn add_into(dst: &mut Grid, src: &Grid) {
@@ -1161,6 +1226,141 @@ mod tests {
         assert_eq!(poisoned.0.to_bits(), clean.0.to_bits());
         for (a, b) in poisoned.1.as_slice().iter().zip(clean.1.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// The golden shot of the integration suites (`tests/batch.rs`): its
+    /// model, source and observed data drawn by xorshift64*, and the digest
+    /// its misfit and gradient bits have had since the time loop was first
+    /// pinned.
+    fn golden_shot() -> (SeismicConfig, Grid, Vec<f64>, Grid) {
+        let cfg = SeismicConfig {
+            n: 12,
+            steps: 10,
+            d: 0.1,
+        };
+        let mut x = 0x5EED_0014u64;
+        let mut unit = || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let c0 = Grid::from_fn(&[cfg.n; 3], |_| 0.8 + 0.4 * unit());
+        let source: Vec<f64> = (0..cfg.steps).map(|_| unit() - 0.5).collect();
+        let observed = Grid::from_fn(&[cfg.n; 3], |_| 1e-3 * (unit() - 0.5));
+        (cfg, c0, source, observed)
+    }
+
+    const GOLDEN_SHOT_DIGEST: u64 = 0xa242_e107_7faf_a2e5;
+
+    /// FNV-1a over the misfit's and every gradient value's bits.
+    fn digest(j: f64, g: &Grid) -> u64 {
+        let mut bytes = j.to_bits().to_le_bytes().to_vec();
+        for v in g.as_slice() {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        perforad_exec::fnv1a64(&bytes)
+    }
+
+    /// Rebind both kernels of a shot state to run on `lowering`.
+    fn lower(state: &mut ShotState<'_>, lowering: Lowering) {
+        let (stepper, sweep) = state;
+        stepper.schedule.lowering = lowering;
+        stepper.bound = BoundSchedule::new(&stepper.schedule, &stepper.ws).unwrap();
+        sweep.schedule.lowering = lowering;
+        sweep.bound = BoundSchedule::new(&sweep.schedule, &sweep.ws).unwrap();
+    }
+
+    /// [`replay`] on a memory store, with each grid the λ window takes in
+    /// — the fresh one, and each one it rotates in — NaN at every point
+    /// outside the first touch's write box before the back step that
+    /// assigns it.
+    fn poisoned_replay(
+        data: &Grid,
+        plan: &CheckpointPlan,
+        (stepper, sweep): &mut ShotState<'_>,
+    ) -> (f64, Grid) {
+        let first_touch: Vec<IntBox> = (sweep.schedule.groups.iter())
+            .flat_map(|g| g.plan.write_boxes("u_2_b"))
+            .collect();
+        let n = stepper.zero.dims()[0] as i64;
+        let faces = perforad_sched::uncovered(&(vec![0; 3], vec![n - 1; 3]), &first_touch);
+        assert!(!faces.is_empty(), "the first touch leaves the faces alone");
+        let poison = |g: &mut Grid| faces.iter().for_each(|b| fill_box(g, b, f64::NAN));
+        let rolling = RefCell::new(Rolling::new(stepper.zero.dims()));
+        poison(&mut rolling.borrow_mut().lam[2]);
+        let s0 = (Arc::clone(&stepper.zero), Arc::clone(&stepper.zero));
+        let mut step = |s: &mut SharedState, t: usize| stepper.step(s, t);
+        let mut seed = |s: &SharedState| rolling.borrow_mut().seed(&s.1, data);
+        let mut back = |s: &mut SharedState, _t: usize| {
+            let mut rolling = rolling.borrow_mut();
+            rolling.back(sweep, &mut s.1);
+            poison(&mut rolling.lam[2]);
+        };
+        let mut store = MemStore::new();
+        checkpointed_adjoint_plan(plan, s0, &mut store, &mut step, &mut seed, &mut back)
+            .expect("in-memory sweep");
+        let st = rolling.into_inner();
+        (st.j, st.c_b)
+    }
+
+    /// λ_{t−1}'s first touch assigns, and no grid of the λ window is
+    /// filled: a back step reads λ (as `u_b`) only inside the box the first
+    /// touch wrote, so the faces it left stale are never read. Here every
+    /// grid the window takes in is NaN on those faces, at every back step,
+    /// and the golden shot's misfit and gradient keep every bit —
+    /// store-all and checkpointed, on the tuned lowering (the model's pick:
+    /// the JIT wherever a toolchain builds it) and on rows.
+    #[test]
+    fn a_poisoned_lambda_face_changes_no_bit_of_the_gradient() {
+        let (cfg, c0, source, observed) = golden_shot();
+        let pool = ThreadPool::new(1);
+        let mut batch = ShotBatch::new();
+        batch.push(source.clone(), observed.clone());
+        for checkpointed in [false, true] {
+            // Pin the model's pick, as the plan's own tuner call finds it.
+            let adj = wave_adjoint();
+            let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
+            let mut ws = workspace(&c0, &["u_1", "u_b", "u_1_b", "u_2_b", "c_b"]);
+            let mut topts = TuneOptions::quick()
+                .with_measure(perforad_tune::Measure::Model)
+                .with_accumulate(CARRIED);
+            let state_bytes = (c0.clone(), c0.clone()).mem_bytes();
+            topts.time_loop = checkpointed.then(|| TimeLoop::new(cfg.steps, state_bytes));
+            autotune_adjoint(&adj, &mut ws, &bind, &pool, &topts).unwrap();
+
+            let opts = BatchOptions {
+                budget: Some(3),
+                backend: SnapshotBackend::Memory,
+                checkpointed: Some(checkpointed),
+                ..BatchOptions::default()
+            };
+            let plan = BatchPlan::new(&cfg, &c0, &opts, &pool);
+            let clean = plan.run(&batch);
+            let (j, g) = (clean.misfits[0], &clean.gradients[0]);
+            assert_eq!(digest(j, g), GOLDEN_SHOT_DIGEST, "clean run");
+            let sweep = &plan.proto.1;
+            assert!(sweep.gaps.is_empty(), "λ is read only where assigned");
+            let interior = (vec![1; 3], vec![cfg.n as i64 - 2; 3]);
+            assert_eq!(sweep.schedule.read_box("u_b"), Some(interior));
+
+            let ckpt = match checkpointed {
+                true => CheckpointPlan::with_budget(cfg.steps, 3),
+                false => CheckpointPlan::store_all(cfg.steps),
+            };
+            for lowering in [plan.tuned().lowering, Lowering::Rows] {
+                let mut state = plan.proto.clone();
+                lower(&mut state, lowering);
+                state.0.set_source(&source);
+                let (pj, pg) = poisoned_replay(&observed, &ckpt, &mut state);
+                let tag = format!("checkpointed {checkpointed}, {lowering:?}");
+                assert_eq!(pj.to_bits(), j.to_bits(), "{tag}");
+                for (a, b) in pg.as_slice().iter().zip(g.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{tag}");
+                }
+                assert_eq!(digest(pj, &pg), GOLDEN_SHOT_DIGEST, "{tag}");
+            }
         }
     }
 

@@ -215,6 +215,48 @@ pub fn dependence_graph(
     Ok(DepGraph { n, conflict })
 }
 
+/// An inclusive integer box, outermost dimension first.
+pub type IntBox = (Vec<i64>, Vec<i64>);
+
+/// The points of `read` that no box of `cover` holds, as disjoint boxes:
+/// each cover box in turn carves what is left into at most two slabs per
+/// dimension. Empty when the cover holds all of `read`.
+pub fn uncovered(read: &IntBox, cover: &[IntBox]) -> Vec<IntBox> {
+    let rank = read.0.len();
+    let empty = |(lo, hi): &IntBox| (0..rank).any(|d| lo[d] > hi[d]);
+    let mut left: Vec<IntBox> = if empty(read) {
+        Vec::new()
+    } else {
+        vec![read.clone()]
+    };
+    for (clo, chi) in cover.iter().filter(|b| !empty(b)) {
+        let mut next = Vec::with_capacity(left.len());
+        for (mut lo, mut hi) in left {
+            if (0..rank).any(|d| chi[d] < lo[d] || hi[d] < clo[d]) {
+                next.push((lo, hi));
+                continue;
+            }
+            for d in 0..rank {
+                if lo[d] < clo[d] {
+                    let mut below = hi.clone();
+                    below[d] = clo[d] - 1;
+                    next.push((lo.clone(), below));
+                    lo[d] = clo[d];
+                }
+                if hi[d] > chi[d] {
+                    let mut above = lo.clone();
+                    above[d] = chi[d] + 1;
+                    next.push((above, hi.clone()));
+                    hi[d] = chi[d];
+                }
+            }
+            // What is left of the box lies inside the cover box.
+        }
+        left = next;
+    }
+    left
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,5 +677,52 @@ mod tests {
         assert!(matches!(&seen[2], SchedError::Core(BadReadIndex { .. })));
         assert_eq!(seen[5], SchedError::UnboundSize("m".into()));
         assert!(matches!(&seen[6], SchedError::Core(BadReadIndex { .. })));
+    }
+
+    /// Every point of `b`, innermost dimension fastest.
+    fn points(b: &IntBox) -> Vec<Vec<i64>> {
+        let mut out = vec![Vec::new()];
+        for d in 0..b.0.len() {
+            out = out
+                .into_iter()
+                .flat_map(|p| {
+                    (b.0[d]..=b.1[d]).map(move |k| {
+                        let mut q = p.clone();
+                        q.push(k);
+                        q
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    #[test]
+    fn uncovered_is_the_read_box_minus_the_assigned_boxes() {
+        let cube = |lo: i64, hi: i64| (vec![lo; 3], vec![hi; 3]);
+        // An interior read box the assigned box covers: nothing left to zero.
+        assert!(uncovered(&cube(1, 14), &[cube(1, 14)]).is_empty());
+        assert!(uncovered(&cube(1, 14), &[cube(0, 15)]).is_empty());
+        // One plane short: a one-plane slab.
+        let short = (vec![1, 1, 1], vec![13, 14, 14]);
+        assert_eq!(
+            uncovered(&cube(1, 14), &[short]),
+            [(vec![14, 1, 1], vec![14, 14, 14])]
+        );
+        // Covered by pieces, a hole left: exactly the hole, disjointly.
+        let read = (vec![0, 0], vec![5, 6]);
+        let cover = [
+            (vec![0, 0], vec![5, 2]),
+            (vec![0, 4], vec![5, 6]),
+            (vec![0, 3], vec![2, 3]),
+            (vec![9, 9], vec![8, 9]),
+        ];
+        let left = uncovered(&read, &cover);
+        let mut got: Vec<Vec<i64>> = left.iter().flat_map(points).collect();
+        got.sort();
+        assert_eq!(got, [vec![3, 3], vec![4, 3], vec![5, 3]]);
+        // Nothing covered, or nothing read.
+        assert_eq!(uncovered(&read, &[]), vec![read]);
+        assert!(uncovered(&(vec![3], vec![2]), &[]).is_empty());
     }
 }

@@ -25,10 +25,11 @@
 //!    of its box, so the small boundary nests ride inside the core loop's
 //!    tiles instead of streaming the arrays again on their own.
 //! 4. **Execution** ([`run_schedule`]): each group's tiling goes to
-//!    `perforad_exec::run_tiling`, the one tile driver, which assigns tiles
-//!    to [`ThreadPool`] workers statically (LPT pre-assignment) or
+//!    `perforad_exec::BoundPlan::run`, the one tile driver, which assigns
+//!    tiles to [`ThreadPool`] workers statically (LPT pre-assignment) or
 //!    dynamically (shared counter) and refuses a plan that is not
-//!    gather-only. Each tile runs on the per-point interpreter, the
+//!    gather-only; a [`BoundSchedule`] binds every group once for a time
+//!    loop. Each tile runs on the per-point interpreter, the
 //!    vectorized register-IR row executor ([`SchedOptions::with_rows`]) or,
 //!    once `perforad-jit` has prepared the group, its one native entry
 //!    point; all are bitwise-identical. This crate holds no `unsafe`: the
@@ -79,10 +80,10 @@ pub mod tuned;
 
 pub use error::SchedError;
 pub use fuse::fuse_groups;
-pub use graph::{dependence_graph, DepGraph};
+pub use graph::{dependence_graph, uncovered, DepGraph, IntBox};
 pub use perforad_exec::Lowering;
 pub use schedule::{
     compile_schedule, compile_schedule_nests, compile_schedule_source, default_tile, run_schedule,
-    run_schedule_serial, FusedGroup, SchedOptions, Schedule, TilePolicy,
+    run_schedule_serial, BoundSchedule, FusedGroup, SchedOptions, Schedule, TilePolicy,
 };
 pub use tuned::{run_tuned, TunedConfig, TunedStrategy};

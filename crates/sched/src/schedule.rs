@@ -6,21 +6,24 @@
 //! executable [`Plan`], and the group's iteration hull — the bounding box
 //! of its nests — is cut into a [`Tiling`] of cache-blocked tiles, each
 //! running every nest's part of its box. [`run_schedule`] then hands each
-//! group to [`run_tiling`] as a *single* parallel region — core and
+//! group to [`BoundPlan::run`] as a *single* parallel region — core and
 //! boundary nests together in every tile — paying one barrier per group
 //! instead of one per nest.
 
 use crate::error::SchedError;
 use crate::fuse::fuse_groups;
-use crate::graph::{dependence_graph, DepGraph};
+use crate::graph::{dependence_graph, uncovered, DepGraph, IntBox};
 use perforad_core::{Adjoint, BoundaryStrategy, LoopNest};
 use perforad_exec::kernel::PlanOptions;
 pub use perforad_exec::TilePolicy;
 use perforad_exec::{
-    compile_nests_opts, run_tiling, tile_plan, Binding, ExecMode, ExecStats, Lowering, Plan,
-    Strategy, ThreadPool, Tiling, Workspace,
+    compile_nests_opts, tile_plan, Binding, BoundPlan, ExecStats, Lowering, Plan, Strategy,
+    ThreadPool, Tiling, Workspace,
 };
+use perforad_symbolic::visit::{self, NodeMemo};
+use perforad_symbolic::{Expr, Node, Symbol};
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Options for [`compile_schedule`].
@@ -42,11 +45,14 @@ pub struct SchedOptions {
     /// unfused baseline the paper's figures compare against and one axis
     /// of the autotuner's search space.
     pub fuse: bool,
-    /// Compile every group in accumulate mode
-    /// ([`PlanOptions::accumulate`]): each nest adds one summed increment
-    /// per written point, so a caller may lend the arrays it accumulates
-    /// into instead of zeroed scratch grids it then adds back.
-    pub accumulate: bool,
+    /// Compile every group in accumulate mode, given the arrays that
+    /// carry state ([`PlanOptions::accumulate`]; `None`: plain mode). Each
+    /// nest adds one summed increment per written point into a carried
+    /// array and stores it into any other written array, so a caller may
+    /// lend the arrays it accumulates into instead of zeroed scratch grids
+    /// it then adds back, and hand over the others unfilled — their first
+    /// touch assigns.
+    pub accumulate: Option<BTreeSet<Symbol>>,
 }
 
 impl Default for SchedOptions {
@@ -57,7 +63,7 @@ impl Default for SchedOptions {
             cse: false,
             lowering: Lowering::default(),
             fuse: true,
-            accumulate: false,
+            accumulate: None,
         }
     }
 }
@@ -100,8 +106,10 @@ impl SchedOptions {
         self
     }
 
-    pub fn with_accumulate(mut self, accumulate: bool) -> Self {
-        self.accumulate = accumulate;
+    /// Accumulate mode, carrying state in `carried`: see
+    /// [`SchedOptions::accumulate`].
+    pub fn with_accumulate(mut self, carried: impl IntoIterator<Item = impl Into<Symbol>>) -> Self {
+        self.accumulate = Some(carried.into_iter().map(Into::into).collect());
         self
     }
 
@@ -115,7 +123,7 @@ impl SchedOptions {
             cse: cfg.cse,
             lowering: cfg.lowering,
             fuse: cfg.fuse,
-            accumulate: false,
+            accumulate: None,
         }
     }
 }
@@ -180,8 +188,9 @@ pub struct Schedule {
     pub fused: bool,
     /// Whether per-statement CSE was applied when lowering.
     pub cse: bool,
-    /// Whether the groups were compiled in accumulate mode.
-    pub accumulate: bool,
+    /// The arrays that carry state when the groups were compiled in
+    /// accumulate mode; `None` in plain mode.
+    pub accumulate: Option<BTreeSet<Symbol>>,
     /// The source nests the schedule was compiled from, in original order
     /// — kept so the autotuner can recompile the same work under other
     /// configurations (`perforad-tune`'s `Schedule::autotune`). Behind an
@@ -218,6 +227,59 @@ impl Schedule {
         self.groups.iter().map(|g| g.plan.points()).sum()
     }
 
+    /// The bounding box of every point of `array` some nest of the
+    /// schedule reads, from its nests' integer footprints: each nest's
+    /// resolved box shifted by every read offset of `array`. Guards are
+    /// ignored, so it may hold more than is read — never less. `None` when
+    /// no nest reads `array`.
+    pub fn read_box(&self, array: &str) -> Option<IntBox> {
+        let mut hull: Option<IntBox> = None;
+        for group in &self.groups {
+            // A group's nests share counters and repeat a handful of
+            // right-hand sides: each one's read offsets are found once.
+            let mut memo = NodeMemo::default();
+            for (nest, &k) in group.plan.nests().iter().zip(&group.nests) {
+                if nest.empty {
+                    continue;
+                }
+                let source = &self.source[k];
+                for s in &source.body {
+                    let offsets = memo.get_or_insert_with(&s.rhs, || {
+                        read_offsets(&s.rhs, array, &source.counters)
+                    });
+                    for offset in offsets.iter() {
+                        let lo: Vec<i64> = nest.lo.iter().zip(offset).map(|(l, o)| l + o).collect();
+                        let hi: Vec<i64> = nest.hi.iter().zip(offset).map(|(h, o)| h + o).collect();
+                        let (hlo, hhi) = hull.get_or_insert_with(|| (lo.clone(), hi.clone()));
+                        for d in 0..lo.len() {
+                            hlo[d] = hlo[d].min(lo[d]);
+                            hhi[d] = hhi[d].max(hi[d]);
+                        }
+                    }
+                }
+            }
+        }
+        hull
+    }
+
+    /// The points of `read` some nest reads ([`Schedule::read_box`]) that
+    /// no nest assigns to `assigned` at its first touch, as disjoint boxes
+    /// ([`uncovered`]). A time loop that hands the grid it lends as
+    /// `assigned` back as `read` a later step zeroes these points, and no
+    /// other, instead of filling the grid: every other point it reads was
+    /// assigned first. Every point of `read`'s box when `assigned` is not
+    /// assigned (a plain-mode schedule, or an array it carries).
+    pub fn unassigned_reads(&self, read: &str, assigned: &str) -> Vec<IntBox> {
+        let Some(read) = self.read_box(read) else {
+            return Vec::new();
+        };
+        let first_touch: Vec<IntBox> = (self.groups.iter())
+            .filter(|g| g.plan.assigned().any(|a| a.name() == assigned))
+            .flat_map(|g| g.plan.write_boxes(assigned))
+            .collect();
+        uncovered(&read, &first_touch)
+    }
+
     /// One-line summary for logs and bench output.
     pub fn describe(&self) -> String {
         format!(
@@ -231,6 +293,23 @@ impl Schedule {
             self.graph.edge_count(),
         )
     }
+}
+
+/// The offsets from `counters` of every read of `array` in `rhs`.
+fn read_offsets(rhs: &Expr, array: &str, counters: &[Symbol]) -> Vec<Vec<i64>> {
+    let mut out = Vec::new();
+    visit::for_each(rhs, &mut |e: &Expr| match e.node() {
+        Node::Access(a) if a.array.name() == array => {
+            let at = a.indices.iter().zip(counters);
+            // The plan proved every read `counter + c`.
+            out.push(
+                at.map(|(ix, c)| ix.is_offset_of(c).expect("a stencil read"))
+                    .collect(),
+            );
+        }
+        _ => {}
+    });
+    out
 }
 
 fn resolve_tile(opts: &SchedOptions, rank: usize) -> Result<Vec<i64>, SchedError> {
@@ -304,7 +383,7 @@ pub fn compile_schedule_source(
     let plan_opts = PlanOptions {
         padded,
         cse: opts.cse,
-        accumulate: opts.accumulate,
+        accumulate: opts.accumulate.clone(),
     };
     let members = if opts.fuse {
         fuse_groups(&graph)
@@ -316,7 +395,8 @@ pub fn compile_schedule_source(
     let groups = members
         .into_iter()
         .map(|members| {
-            let plan = compile_nests_opts(&group_nests(nests, &members), ws, binding, plan_opts)?;
+            let nests = &group_nests(nests, &members);
+            let plan = compile_nests_opts(nests, ws, binding, plan_opts.clone())?;
             let group = FusedGroup {
                 nests: members,
                 tiles: tile_plan(&plan, &tile),
@@ -346,7 +426,7 @@ pub fn compile_schedule_source(
         lowering: opts.lowering,
         fused: opts.fuse,
         cse: opts.cse,
-        accumulate: opts.accumulate,
+        accumulate: opts.accumulate.clone(),
         source: source.clone(),
         padded,
     })
@@ -369,7 +449,7 @@ pub fn compile_schedule(
 }
 
 /// Execute a schedule on a worker pool: each fusion group's tiling runs
-/// as one parallel region of [`run_tiling`], groups separated
+/// as one parallel region of [`BoundPlan::run`], groups separated
 /// by the pool's region barrier. The driver refuses a group whose plan is
 /// not gather-only (`ExecError::ScatterNeedsAtomics`): its tiles would
 /// race. Groups before it have run by then.
@@ -378,7 +458,7 @@ pub fn run_schedule(
     ws: &mut Workspace,
     pool: &ThreadPool,
 ) -> Result<ExecStats, SchedError> {
-    run_groups(schedule, ws, Strategy::Parallel(pool))
+    BoundSchedule::new(schedule, ws)?.run(schedule, ws, Strategy::Parallel(pool))
 }
 
 /// Run serially (tile order, no pool) — the determinism reference. A
@@ -387,27 +467,54 @@ pub fn run_schedule_serial(
     schedule: &Schedule,
     ws: &mut Workspace,
 ) -> Result<ExecStats, SchedError> {
-    run_groups(schedule, ws, Strategy::Serial)
+    BoundSchedule::new(schedule, ws)?.run(schedule, ws, Strategy::Serial)
 }
 
-/// One `exec.group` span and one [`run_tiling`] call per group.
-fn run_groups(
-    schedule: &Schedule,
-    ws: &mut Workspace,
-    strategy: Strategy<'_>,
-) -> Result<ExecStats, SchedError> {
-    let mode = ExecMode {
-        strategy,
-        lowering: schedule.lowering,
-    };
-    let mut points = 0;
-    for (gi, group) in schedule.groups.iter().enumerate() {
-        let _group_span = perforad_obs::span!(
-            "exec.group", "exec", "group" => gi as u64, "tiles" => group.tiles.len() as u64
-        );
-        points += run_tiling(&group.plan, &group.tiles, ws, mode, schedule.policy)?.points;
+/// A schedule's groups bound to one workspace layout, one [`BoundPlan`]
+/// per group: what a time loop builds once and runs every step, with no
+/// name lookup, registry lock or allocation per run. [`run_schedule`] and
+/// [`run_schedule_serial`] bind and run once, through the same code.
+#[derive(Clone)]
+pub struct BoundSchedule {
+    groups: Vec<BoundPlan>,
+}
+
+impl BoundSchedule {
+    /// Bind every group of `schedule` to `ws` ([`BoundPlan::new`]).
+    pub fn new(schedule: &Schedule, ws: &Workspace) -> Result<BoundSchedule, SchedError> {
+        let groups = schedule
+            .groups
+            .iter()
+            .map(|g| BoundPlan::new(&g.plan, ws, schedule.lowering).map_err(SchedError::from));
+        Ok(BoundSchedule {
+            groups: groups.collect::<Result<_, _>>()?,
+        })
     }
-    Ok(ExecStats { points })
+
+    /// Run `schedule`, the one this was bound for, against `ws`: one
+    /// `exec.group` span and one [`BoundPlan::run`] per group, in order.
+    pub fn run(
+        &mut self,
+        schedule: &Schedule,
+        ws: &mut Workspace,
+        strategy: Strategy<'_>,
+    ) -> Result<ExecStats, SchedError> {
+        assert_eq!(
+            self.groups.len(),
+            schedule.groups.len(),
+            "bound for another schedule"
+        );
+        let mut points = 0;
+        for (gi, (group, bound)) in schedule.groups.iter().zip(&mut self.groups).enumerate() {
+            let _group_span = perforad_obs::span!(
+                "exec.group", "exec", "group" => gi as u64, "tiles" => group.tiles.len() as u64
+            );
+            points += bound
+                .run(&group.plan, &group.tiles, ws, strategy, schedule.policy)?
+                .points;
+        }
+        Ok(ExecStats { points })
+    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! cycle.
 
 use crate::error::SchedError;
-use crate::schedule::{run_schedule, run_schedule_serial, SchedOptions, Schedule, TilePolicy};
-use perforad_exec::{ExecStats, Lowering, ThreadPool, Workspace};
+use crate::schedule::{BoundSchedule, SchedOptions, Schedule, TilePolicy};
+use perforad_exec::{ExecStats, Lowering, Strategy, ThreadPool, Workspace};
 
 /// Run-time half of a tuned configuration: how the compiled schedule is
 /// driven (the compile-time half lives in [`SchedOptions`]).
@@ -88,22 +88,29 @@ impl TunedConfig {
     pub fn sched_options(&self) -> SchedOptions {
         SchedOptions::from_tuned(self)
     }
+
+    /// The executor strategy this configuration's run-time half asks for:
+    /// the calling thread alone, or `pool`.
+    pub fn exec_strategy<'p>(&self, pool: &'p ThreadPool) -> Strategy<'p> {
+        match self.strategy {
+            TunedStrategy::Serial => Strategy::Serial,
+            TunedStrategy::Parallel => Strategy::Parallel(pool),
+        }
+    }
 }
 
 /// Execute a schedule the way its tuned configuration asks: serially for
 /// [`TunedStrategy::Serial`], on the pool otherwise. The schedule itself
 /// must already have been compiled with [`SchedOptions::from_tuned`] for
-/// the tile/lowering/policy/fusion half of `cfg` to be in effect.
+/// the tile/lowering/policy/fusion half of `cfg` to be in effect. Binds
+/// and runs once; a time loop keeps a [`BoundSchedule`] instead.
 pub fn run_tuned(
     schedule: &Schedule,
     cfg: &TunedConfig,
     ws: &mut Workspace,
     pool: &ThreadPool,
 ) -> Result<ExecStats, SchedError> {
-    match cfg.strategy {
-        TunedStrategy::Serial => run_schedule_serial(schedule, ws),
-        TunedStrategy::Parallel => run_schedule(schedule, ws, pool),
-    }
+    BoundSchedule::new(schedule, ws)?.run(schedule, ws, cfg.exec_strategy(pool))
 }
 
 #[cfg(test)]

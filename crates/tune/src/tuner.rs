@@ -30,6 +30,7 @@ use perforad_sched::{
     compile_schedule_nests, compile_schedule_source, run_tuned, SchedError, SchedOptions, Schedule,
     TilePolicy, TunedConfig, TunedStrategy,
 };
+use perforad_symbolic::Symbol;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::PathBuf;
@@ -108,11 +109,12 @@ pub struct TuneOptions {
     /// axis — it is the caller's plan-level choice, applied uniformly
     /// (and preserved by `Schedule::autotune`).
     pub cse: bool,
-    /// Compile every candidate, and the winner, in accumulate mode
-    /// (`SchedOptions::accumulate`). Like `cse` the caller's plan-level
-    /// choice, but not part of the cache key: the mode drops a scratch
-    /// pass, it does not change which configuration wins.
-    pub accumulate: bool,
+    /// Compile every candidate, and the winner, in accumulate mode,
+    /// carrying state in these arrays (`SchedOptions::accumulate`; `None`:
+    /// plain mode). Like `cse` the caller's plan-level choice, but not
+    /// part of the cache key: the mode drops a scratch pass and a fill, it
+    /// does not change which configuration wins.
+    pub accumulate: Option<BTreeSet<Symbol>>,
     /// Include the JIT lowering in the search space (effective only when
     /// `perforad_jit::available()` — no toolchain, no Jit candidates, so
     /// the tuner never times configurations that would silently fall
@@ -148,7 +150,7 @@ impl Default for TuneOptions {
             cache_path: std::env::var_os("PERFORAD_TUNE_CACHE").map(PathBuf::from),
             memory_cache: true,
             cse: false,
-            accumulate: false,
+            accumulate: None,
             jit: true,
             refine_rounds: 1,
             time_loop: None,
@@ -199,8 +201,10 @@ impl TuneOptions {
         self
     }
 
-    pub fn with_accumulate(mut self, accumulate: bool) -> Self {
-        self.accumulate = accumulate;
+    /// Accumulate mode, carrying state in `carried`: see
+    /// [`TuneOptions::accumulate`].
+    pub fn with_accumulate(mut self, carried: impl IntoIterator<Item = impl Into<Symbol>>) -> Self {
+        self.accumulate = Some(carried.into_iter().map(Into::into).collect());
         self
     }
 
@@ -304,8 +308,10 @@ fn autotune_source(
     if nests.is_empty() {
         return Err(SchedError::BadInput("no nests to autotune".into()).into());
     }
-    let sched_options =
-        |cfg: &TunedConfig| SchedOptions::from_tuned(cfg).with_accumulate(opts.accumulate);
+    let sched_options = |cfg: &TunedConfig| SchedOptions {
+        accumulate: opts.accumulate.clone(),
+        ..SchedOptions::from_tuned(cfg)
+    };
     let _span = perforad_obs::span!("tune.search", "tune", "nests" => nests.len() as u64);
     let threads = pool.size().max(1);
     let mut key = cache_key(fingerprint_nests(nests, padded, bind), threads);
@@ -681,10 +687,10 @@ impl ScheduleAutotune for Schedule {
         let source = self.source.clone();
         // Retuning preserves the schedule's own CSE and accumulate
         // settings — the caller's plan-level choices, not searched axes.
-        let opts = opts
-            .clone()
-            .with_cse(self.cse)
-            .with_accumulate(self.accumulate);
+        let opts = TuneOptions {
+            accumulate: self.accumulate.clone(),
+            ..opts.clone().with_cse(self.cse)
+        };
         let (schedule, report) = autotune_source(&source, ws, bind, self.padded, pool, &opts)?;
         *self = schedule;
         Ok(report)
@@ -909,7 +915,7 @@ mod tests {
         use perforad_sched::compile_schedule;
         let adj = adjoint();
         let (mut ws, bind) = setup(400);
-        let accumulate = SchedOptions::default().with_accumulate(true);
+        let accumulate = SchedOptions::default().with_accumulate(["u_b"]);
         let mut schedule = compile_schedule(&adj, &ws, &bind, &accumulate).unwrap();
         let pool = ThreadPool::new(2);
         let opts = TuneOptions::default()
@@ -922,7 +928,9 @@ mod tests {
         assert_eq!(schedule.policy, cfg.policy);
         assert_eq!(schedule.fused, cfg.fuse);
         assert_eq!(schedule.tile, cfg.tile);
-        assert!(schedule.accumulate && schedule.groups.iter().all(|g| g.plan.accumulate()));
+        assert!(
+            schedule.accumulate.is_some() && schedule.groups.iter().all(|g| g.plan.accumulate())
+        );
         assert_eq!(schedule.source.len(), 5, "source nests are retained");
         run_tuned(&schedule, &cfg, &mut ws, &pool).unwrap();
     }

@@ -96,8 +96,8 @@
 //! Compiling a plan proves that its points run without checks: every
 //! write at `counter + c` and in range, no read of a written array. A
 //! gather-only plan (every `c` zero) runs its tiles in parallel without
-//! atomics; `exec::run_tiling` is the one driver and the one place that
-//! refuses anything else. Safe code can read that proof but not edit it —
+//! atomics; `exec::BoundPlan::run` is the one driver and the one place
+//! that refuses anything else. Safe code can read that proof but not edit it —
 //! a plan's fields:
 //!
 //! ```compile_fail,E0616

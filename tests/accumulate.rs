@@ -1,11 +1,14 @@
 //! Accumulate mode's contract (`PlanOptions::accumulate`): a nest's `+=`
 //! updates to one array at one point are summed from `+0.0` in statement
-//! order and added to the array once. At every point a nest writes that
-//! is bit for bit "zero a scratch grid, run in plain mode, add the scratch
-//! into the target"; every other point keeps its value, `-0.0` and NaN
-//! included. Checked over random stencils on every lowering, with and
-//! without CSE; increments that summing first would round differently are
-//! refused; and a plan's two modes never share a fingerprint, so their
+//! order and added once to an array that carries state, or stored into
+//! one that does not (its first touch assigns). At every point a nest
+//! writes that is bit for bit "zero a scratch grid, run in plain mode, add
+//! the scratch into the target" — for an assigned array, into a zeroed
+//! target; every other point keeps its value, `-0.0` and NaN included.
+//! Checked over random stencils on every lowering, with and without CSE;
+//! increments that summing first would round differently, and two writes
+//! to one point of an assigned array, are refused; and plans that differ
+//! in mode or in their assigned arrays never share a fingerprint, so their
 //! native modules live side by side.
 
 use perforad::core::nest::{Bound, Statement};
@@ -61,6 +64,11 @@ fn random_stencil(rng: &mut Rng, rank: usize) -> LoopNest {
 
 const TARGETS: [&str; 2] = ["u_b", "c_b"];
 
+/// Accumulate mode carrying `carried`.
+fn carrying(carried: &[&str]) -> Option<std::collections::BTreeSet<Symbol>> {
+    Some(carried.iter().map(|&a| Symbol::new(a)).collect())
+}
+
 /// Random inputs; the two targets hold random values with `-0.0` and NaN
 /// sprinkled in, or zeros (the scratch of the reference run).
 fn workspace(rng: &mut Rng, dims: &[usize], scratch: bool) -> Workspace {
@@ -87,13 +95,7 @@ fn written(plan: &Plan, name: &str, mask: &mut [bool]) {
     };
     for nest in plan.nests().iter().filter(|n| !n.empty) {
         for st in nest.stmts.iter().filter(|s| s.out_slot == slot) {
-            let (mut lo, mut hi) = (nest.lo.clone(), nest.hi.clone());
-            if let Some(g) = &st.guard {
-                for d in 0..plan.rank() {
-                    lo[d] = lo[d].max(g[d].0);
-                    hi[d] = hi[d].min(g[d].1);
-                }
-            }
+            let (lo, hi) = nest.stmt_box(st);
             if (0..plan.rank()).any(|d| lo[d] > hi[d]) {
                 continue;
             }
@@ -120,7 +122,10 @@ fn bits(g: &Grid) -> Vec<u64> {
 /// The contract on random 1-D and 2-D stencils, `Disjoint` and `Padded`
 /// decompositions, CSE on and off: `PerPoint`, `Rows` and (with a
 /// toolchain) `Jit` in accumulate mode against the scratch-then-add
-/// reference, at every point of both targets.
+/// reference, at every point of both targets — carrying both, or
+/// assigning one at its first touch: then that one holds `+0.0 + sum` on
+/// its write footprint (the reference over a zeroed target) and its seed
+/// elsewhere, and the other the carried contract.
 #[test]
 fn accumulate_mode_adds_the_scratch_sum_once_and_leaves_unwritten_points_alone() {
     let mut rng = Rng::new(0xACC0_2027);
@@ -154,13 +159,23 @@ fn accumulate_mode_adds_the_scratch_sum_once_and_leaves_unwritten_points_alone()
                 let mut scratch = zeroed();
                 let s = compile_schedule(&adj, &scratch, &bind, &plain).unwrap();
                 run_schedule_serial(&s, &mut scratch).unwrap();
-                for &lowering in &lowerings {
-                    // Native code for the first cases only: a build each.
-                    if lowering == Lowering::Jit && case >= 4 {
+                // Carry both targets, or assign one of them.
+                let modes: [&[&str]; 3] = [&TARGETS, &TARGETS[1..], &TARGETS[..1]];
+                for (&lowering, carried) in lowerings.iter().flat_map(|l| modes.map(|m| (l, m))) {
+                    // Native code for the first cases only: a build each,
+                    // and an assigned target on the first case alone.
+                    let assigns = carried.len() < TARGETS.len();
+                    if lowering == Lowering::Jit && (case >= 4 || assigns && case > 0) {
                         continue;
                     }
-                    let tag = format!("case {case} {strategy:?} cse={cse} {lowering:?}: {nest}");
-                    let opts = plain.clone().with_lowering(lowering).with_accumulate(true);
+                    let tag = format!(
+                        "case {case} {strategy:?} cse={cse} {lowering:?} carrying {carried:?}: \
+                         {nest}"
+                    );
+                    let opts = SchedOptions {
+                        accumulate: carrying(carried),
+                        ..plain.clone().with_lowering(lowering)
+                    };
                     let mut ws = inputs();
                     let acc = compile_schedule(&adj, &ws, &bind, &opts)
                         .unwrap_or_else(|e| panic!("{tag}: {e}"));
@@ -178,12 +193,13 @@ fn accumulate_mode_adds_the_scratch_sum_once_and_leaves_unwritten_points_alone()
                         assert!(mask.contains(&true), "{tag}");
                         unwritten += mask.iter().filter(|&&w| !w).count();
                         let (seed, sum) = (seeded.grid(name), scratch.grid(name));
+                        let assigned = !carried.contains(&name);
                         let want = (mask.iter().enumerate()).map(|(k, &w)| {
                             let s = seed.as_slice()[k];
-                            if w {
-                                (s + sum.as_slice()[k]).to_bits()
-                            } else {
-                                s.to_bits()
+                            match (w, assigned) {
+                                (true, false) => (s + sum.as_slice()[k]).to_bits(),
+                                (true, true) => (0.0 + sum.as_slice()[k]).to_bits(),
+                                (false, _) => s.to_bits(),
                             }
                         });
                         let got = bits(ws.grid(name));
@@ -227,7 +243,7 @@ fn increments_that_summing_would_reround_are_refused() {
     let nest = |body: Vec<Statement>| LoopNest::new(vec![i.clone()], vec![Bound::new(1, 8)], body);
     let compile = |body: Vec<Statement>, accumulate: bool| {
         let opts = PlanOptions {
-            accumulate,
+            accumulate: accumulate.then(|| ["w", "v"].map(Symbol::new).into()),
             ..PlanOptions::default()
         };
         compile_nests_opts(&[nest(body)], &ws, &bind, opts)
@@ -276,7 +292,7 @@ fn increments_that_summing_would_reround_are_refused() {
         .into_iter()
         .fold(Workspace::new(), |ws, a| ws.with(a, Grid::zeros(&[12])));
     let bind = Binding::new().size("n", 12);
-    let accumulate = SchedOptions::default().with_accumulate(true);
+    let accumulate = SchedOptions::default().with_accumulate(["x_b"]);
     let guarded = star
         .adjoint(
             &act,
@@ -293,26 +309,71 @@ fn increments_that_summing_would_reround_are_refused() {
     }
 }
 
+/// An array assigned at its first touch must be written once per point:
+/// two nests (or two statements) writing one point of it are refused —
+/// the second store would drop the first's sum — while the same nests
+/// compile when the array carries state, or writes it at disjoint points.
+#[test]
+fn two_writes_to_one_point_of_an_assigned_array_are_refused() {
+    let i = Symbol::new("i");
+    let ws = Workspace::new()
+        .with("u", Grid::zeros(&[12]))
+        .with("w", Grid::zeros(&[12]));
+    let nest = |lo: i64, hi: i64, off: i64| {
+        let u = Array::new("u").at(ix![&i]);
+        let st = Statement::add_assign(Access::new("w", vec![Idx::sym(i.clone()) + off]), u);
+        LoopNest::new(vec![i.clone()], vec![Bound::new(lo, hi)], vec![st])
+    };
+    let compile = |nests: &[LoopNest], carried: &[&str]| {
+        let opts = PlanOptions {
+            accumulate: carrying(carried),
+            ..PlanOptions::default()
+        };
+        compile_nests_opts(nests, &ws, &Binding::new(), opts).map(|p| p.assigned().count())
+    };
+    let refused = Err(ExecError::Unsupported(
+        "assigned `w` is written twice at one point".to_string(),
+    ));
+    // Overlapping boxes; boxes apart that a write offset brings together.
+    for nests in [
+        [nest(1, 6, 0), nest(6, 9, 0)],
+        [nest(1, 4, 0), nest(5, 8, -1)],
+    ] {
+        assert_eq!(compile(&nests, &[]), refused);
+        assert!(compile(&nests, &["w"]).is_ok());
+    }
+    assert_eq!(compile(&[nest(1, 5, 0), nest(6, 9, 0)], &[]), Ok(1));
+    // An empty nest writes nothing.
+    assert_eq!(compile(&[nest(1, 9, 0), nest(5, 4, 0)], &[]), Ok(1));
+}
+
 /// The plain-mode name of the c-active wave adjoint group at `n = 16`
 /// (artifact `…_e656486ac77bc080.so`), as `tests/names.rs` pins it.
 const PLAIN_WAVE_GROUP_PLAN: u64 = 0xe656_486a_c77b_c080;
 
 /// One adjoint compiled in both modes: two fingerprints, the plain one
-/// unchanged, and — with a toolchain — two native modules in one process,
-/// each running its own mode's bits on the same inputs.
+/// unchanged, and a third for the seismic sweep's plan, which differs from
+/// the accumulate one only in assigning λ_{t−1} (`u_2_b`). With a
+/// toolchain, two native modules in one process, each running its own
+/// mode's bits on the same inputs.
 #[test]
 fn fingerprints_keep_plain_and_accumulate_plans_apart() {
     let (ws, bind) = wave3d::workspace(16, 0.1);
     let adj = wave3d::nest()
         .adjoint(&wave3d::activity_with_c(), &AdjointOptions::default())
         .unwrap();
-    let compile = |accumulate: bool, lowering: Lowering| {
-        let opts = SchedOptions::default()
-            .with_lowering(lowering)
-            .with_accumulate(accumulate);
+    let carried = ["u_1_b", "u_2_b", "c_b"];
+    let compile_carrying = |carried: Option<&[&str]>, lowering: Lowering| {
+        let opts = SchedOptions {
+            accumulate: carried.and_then(carrying),
+            ..SchedOptions::default().with_lowering(lowering)
+        };
         let s = compile_schedule(&adj, &ws, &bind, &opts).unwrap();
         assert_eq!(s.group_count(), 1);
         s
+    };
+    let compile = |accumulate: bool, lowering: Lowering| {
+        compile_carrying(accumulate.then_some(&carried[..]), lowering)
     };
     let plain = compile(false, Lowering::Jit);
     let acc = compile(true, Lowering::Jit);
@@ -320,6 +381,12 @@ fn fingerprints_keep_plain_and_accumulate_plans_apart() {
     assert_eq!(fp(&plain), PLAIN_WAVE_GROUP_PLAN, "{:#018x}", fp(&plain));
     assert_ne!(fp(&acc), fp(&plain));
     assert!(acc.groups[0].plan.accumulate() && !plain.groups[0].plan.accumulate());
+    let sweep = compile_carrying(Some(&["u_1_b", "c_b"]), Lowering::Jit);
+    assert_ne!(fp(&sweep), fp(&acc), "the assigned set shows in the name");
+    assert_ne!(fp(&sweep), fp(&plain));
+    let assigned: Vec<&str> = sweep.groups[0].plan.assigned().map(|a| a.name()).collect();
+    assert_eq!(assigned, ["u_2_b"]);
+    assert_eq!(acc.groups[0].plan.assigned().count(), 0);
     if !available() {
         eprintln!("skipped the native half: no rustc toolchain");
         return;

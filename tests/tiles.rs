@@ -114,7 +114,7 @@ fn nest_by_nest(
 ) -> Workspace {
     let mut ws = ws.clone();
     for nest in nests {
-        let plan = compile_nests_opts(std::slice::from_ref(nest), &ws, bind, opts).unwrap();
+        let plan = compile_nests_opts(std::slice::from_ref(nest), &ws, bind, opts.clone()).unwrap();
         run(&plan, &mut ws, ExecMode::serial()).unwrap();
     }
     ws
@@ -182,9 +182,11 @@ fn hull_tiles_are_bitwise_the_nest_by_nest_order() {
                 if accumulate && strategy == BoundaryStrategy::Guarded {
                     continue;
                 }
+                // Accumulate mode carries both targets: it adds into them.
+                let carried = accumulate.then(|| TARGETS.map(Symbol::new).into());
                 let popts = PlanOptions {
                     padded,
-                    accumulate,
+                    accumulate: carried.clone(),
                     ..PlanOptions::default()
                 };
                 let want = nest_by_nest(&adj.nests, &inputs, &bind, popts);
@@ -205,9 +207,10 @@ fn hull_tiles_are_bitwise_the_nest_by_nest_order() {
                     "{text}: the reference wrote something"
                 );
                 for &lowering in &lowerings {
-                    let base = SchedOptions::default()
-                        .with_lowering(lowering)
-                        .with_accumulate(accumulate);
+                    let base = SchedOptions {
+                        accumulate: carried.clone(),
+                        ..SchedOptions::default().with_lowering(lowering)
+                    };
                     for edges in edge_sets(rank, n) {
                         let tag = format!(
                             "{text} n={n} {strategy:?} accumulate={accumulate} \
