@@ -40,8 +40,10 @@ pub enum ExecError {
         extent: i64,
         required: i64,
     },
-    /// Expression feature the bytecode VM does not support (e.g.
-    /// uninterpreted functions — use the codegen back-ends for those).
+    /// A plan the executor cannot run: an expression no lowering supports
+    /// (an uninterpreted function — use the codegen back-ends — or a
+    /// non-stencil access), or a statement layout it refuses (a
+    /// non-constant write index, an accumulate-mode conflict).
     Unsupported(String),
     /// Parallel scatter execution requested without atomics.
     ScatterNeedsAtomics,
@@ -88,7 +90,7 @@ impl fmt::Display for ExecError {
                 "iteration extent {extent} in dim {dim} below the stencil spread {required}; \
                  boundary regions would overlap"
             ),
-            ExecError::Unsupported(s) => write!(f, "unsupported in the bytecode VM: {s}"),
+            ExecError::Unsupported(s) => write!(f, "unsupported plan: {s}"),
             ExecError::ScatterNeedsAtomics => write!(
                 f,
                 "parallel execution of a scatter nest requires the atomic executor"

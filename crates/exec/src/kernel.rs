@@ -1,15 +1,14 @@
 //! Kernel plans: loop nests bound to storage and compiled for execution.
 //!
 //! A [`Plan`] fixes everything the inner loops need: resolved integer
-//! bounds, array slots, bytecode programs with parameters inlined, write
+//! bounds, array slots, register programs with parameters inlined, write
 //! offsets, guards. Building a plan also proves memory safety — every
 //! write at `counter + c` and every access in range (F1), no read of a
 //! written array (F2) — so the execution loops in [`crate::tile`] can use
 //! unchecked loads. The compiled plan is that proof; nothing re-checks it.
 
-use crate::bytecode::{compile, compile_with_bindings, CompileCtx, Program};
 use crate::error::ExecError;
-use crate::regir::{lower, reuse_registers, RegProgram};
+use crate::regir::{reuse_registers, Layout, Lowerer, RegProgram, Rhs};
 use crate::workspace::{Binding, Workspace};
 use perforad_core::{Adjoint, AssignOp, BoundaryStrategy, LoopNest};
 use perforad_symbolic::visit::{self, NodeMemo};
@@ -18,13 +17,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// One compiled statement.
-///
-/// The two program handles are the two lowering stages: `prog` is the
-/// stack bytecode the per-point interpreter runs, `row` is its
-/// register-IR lowering for the row executor. Both are shared `Arc`s —
-/// statements with identical right-hand sides (adjoint nests repeat the
-/// same RHS shifted across boundary regions) point at one compiled copy.
+/// One compiled statement. Its right-hand side is one shared
+/// [`RegProgram`], which every lowering runs; statements with identical
+/// right-hand sides (adjoint nests repeat the same RHS shifted across
+/// boundary regions) point at one compiled copy.
 #[derive(Clone, Debug)]
 pub struct StmtPlan {
     /// Slot of the array being written.
@@ -37,10 +33,8 @@ pub struct StmtPlan {
     pub overwrite: bool,
     /// Optional per-dimension inclusive counter ranges (guarded strategy).
     pub guard: Option<Vec<(i64, i64)>>,
-    /// Compiled right-hand side (stack bytecode, per-point reference path).
-    pub prog: Arc<Program>,
-    /// Register-IR lowering of `prog` (vectorized row path).
-    pub row: Arc<RegProgram>,
+    /// Compiled right-hand side.
+    pub prog: Arc<RegProgram>,
 }
 
 /// One compiled loop nest.
@@ -230,7 +224,7 @@ impl Plan {
     }
 
     /// Number of *distinct* compiled programs after cross-statement dedup
-    /// (equal-fingerprint statements share one `Arc`d program pair).
+    /// (statements with equal programs share one `Arc`).
     pub fn unique_programs(&self) -> usize {
         self.nests
             .iter()
@@ -294,7 +288,7 @@ impl Plan {
                         }
                     }
                 }
-                for w in st.prog.fingerprint() {
+                for &w in &st.prog.key {
                     h.write_u64(w);
                 }
             }
@@ -325,7 +319,7 @@ pub struct PlanOptions {
     /// Accumulate mode, given the arrays that carry state (`None`: plain
     /// mode). A nest's `+=` updates to one array at one point are summed
     /// in statement order starting from `+0.0` — one compiled statement
-    /// per target array ([`Program::sum_from_zero`]) — and the sum is
+    /// per target array, whose program is the sum — and the sum is
     /// added once to an array in this set, or *stored* into any other
     /// written array: its first touch assigns. Points no nest writes are
     /// left untouched. At every point one nest writes this is bit for bit
@@ -378,18 +372,20 @@ fn increment_groups(writes: &[(usize, bool)]) -> Vec<Vec<usize>> {
 
 /// Accumulate mode's statements of one nest: each `+=` group of
 /// [`increment_groups`] becomes one statement whose program is
-/// [`Program::sum_from_zero`] of its members'. A group's members must
-/// share their guard and write offsets, and no `=` may write the same
-/// array. Merged programs are deduplicated through `prog_cache`.
+/// [`Lowerer::sum`] of its members' right-hand sides (`sources`, one per
+/// statement). A group's members must share their guard and write
+/// offsets, and no `=` may write the same array. Each distinct member
+/// list is lowered once per plan, through `cache`.
 fn sum_increments(
     stmts: Vec<StmtPlan>,
-    arrays: &[Symbol],
+    sources: &[Arc<Rhs>],
+    layout: &Layout<'_>,
     assigned: &[bool],
-    prog_cache: &mut ProgCache,
+    cache: &mut ProgCache,
 ) -> Result<Vec<StmtPlan>, ExecError> {
     let writes: Vec<(usize, bool)> = stmts.iter().map(|s| (s.out_slot, !s.overwrite)).collect();
     let refuse = |slot: usize, why: &str| {
-        let array = arrays[slot].name();
+        let array = layout.arrays[slot].name();
         Err(ExecError::Unsupported(format!(
             "accumulated `{array}` {why} within one nest"
         )))
@@ -415,12 +411,18 @@ fn sum_increments(
         {
             return refuse(first.out_slot, "has increments at different offsets");
         }
-        let sum = Program::sum_from_zero(members.map(|s| &*s.prog));
-        // A nest's worth of statements, one statement's live values.
-        let (prog, row) = cached_pair(prog_cache, sum, |p| reuse_registers(lower(p)));
+        let ids: Vec<*const RegProgram> = members.map(|s| Arc::as_ptr(&s.prog)).collect();
+        let prog = match cache.sums.get(&ids) {
+            Some(prog) => prog.clone(),
+            None => {
+                let sum = Lowerer::sum(layout, group.iter().map(|&k| &*sources[k]))?;
+                // A nest's worth of statements, one statement's live values.
+                let prog = cache.share(sum, reuse_registers);
+                cache.sums.entry(ids).or_insert(prog).clone()
+            }
+        };
         merged.push(StmtPlan {
             prog,
-            row,
             overwrite: assigned[first.out_slot],
             ..first.clone()
         });
@@ -428,22 +430,31 @@ fn sum_increments(
     Ok(merged)
 }
 
-/// Compiled programs keyed by their ops: equal programs share one pair.
-type ProgCache = BTreeMap<Vec<u64>, (Arc<Program>, Arc<RegProgram>)>;
+/// The programs of one plan compile, shared: equal programs by their
+/// key, and the sums of equal member lists by the members' addresses
+/// (each member is held in `by_key` for the whole compile, so an address
+/// names one program).
+#[derive(Default)]
+struct ProgCache {
+    by_key: BTreeMap<Vec<u64>, Arc<RegProgram>>,
+    sums: BTreeMap<Vec<*const RegProgram>, Arc<RegProgram>>,
+}
 
-/// `prog`'s shared pair, lowered on first sight.
-fn cached_pair(
-    cache: &mut ProgCache,
-    prog: Program,
-    lowering: fn(&Program) -> RegProgram,
-) -> (Arc<Program>, Arc<RegProgram>) {
-    cache
-        .entry(prog.fingerprint())
-        .or_insert_with(|| {
-            let row = Arc::new(lowering(&prog));
-            (Arc::new(prog), row)
-        })
-        .clone()
+impl ProgCache {
+    /// The walked program's shared copy, finished and passed through
+    /// `optimise` on first sight.
+    fn share(
+        &mut self,
+        walked: Lowerer<'_>,
+        optimise: fn(RegProgram) -> RegProgram,
+    ) -> Arc<RegProgram> {
+        if let Some(prog) = self.by_key.get(&walked.key) {
+            return prog.clone();
+        }
+        let prog = Arc::new(optimise(walked.finish()));
+        self.by_key.insert(prog.key.clone(), prog.clone());
+        prog
+    }
 }
 
 /// What plan compilation keeps per *distinct* right-hand side. An adjoint
@@ -454,17 +465,18 @@ struct RhsPlan {
     /// Every distinct access, in canonical order, with its offset from
     /// the counters per dimension (`None`: not `counter + constant`).
     reads: Vec<(Access, Vec<Option<i64>>)>,
-    /// The compiled pair, from the first statement that got that far.
-    progs: Option<(Arc<Program>, Arc<RegProgram>)>,
+    /// The compiled program and what it was lowered from, from the first
+    /// statement that got that far.
+    compiled: Option<(Arc<RegProgram>, Arc<Rhs>)>,
 }
 
 /// Compile with full [`PlanOptions`].
 ///
 /// Memory safety is proved per statement — the write and every read
 /// against that statement's own effective bounds (nest ∩ guard) — while
-/// the accesses walked, the substitution, the bytecode and its register
-/// lowering are shared by every statement with the same right-hand side
-/// node ([`NodeMemo`]).
+/// the accesses walked, the substitution and the register program are
+/// shared by every statement with the same right-hand side node
+/// ([`NodeMemo`]).
 pub fn compile_nests_opts(
     nests: &[LoopNest],
     ws: &Workspace,
@@ -492,7 +504,7 @@ pub fn compile_nests_opts(
                 });
                 RhsPlan {
                     reads: reads.collect(),
-                    progs: None,
+                    compiled: None,
                 }
             });
         }
@@ -553,21 +565,20 @@ pub fn compile_nests_opts(
         sub.insert(s.clone(), Expr::int(*v));
     }
 
-    let cctx = CompileCtx {
+    let layout = Layout {
         arrays: &arrays,
         counters: &counters,
         strides: &strides,
         padded,
-        temps: &[],
     };
 
     let mut nest_plans = Vec::with_capacity(nests.len());
     let mut gather_only = true;
-    // Behind the per-node memo, a cache keyed on the compiled ops: equal
-    // programs reached through *different* nodes (a hand-built nest list,
-    // or two terms that substitute to the same thing) still share one
-    // compiled pair — smaller plans, better icache behavior.
-    let mut prog_cache = ProgCache::new();
+    // Behind the per-node memo, a cache keyed on the lowered programs:
+    // equal programs reached through *different* nodes (a hand-built nest
+    // list, or two terms that substitute to the same thing) still share
+    // one compiled copy — smaller plans, better icache behavior.
+    let mut cache = ProgCache::default();
     let mut compiled = 0u64;
     for nest in nests {
         debug_assert_eq!(nest.counters, counters, "nests must share counters");
@@ -580,6 +591,7 @@ pub fn compile_nests_opts(
         let empty = lo.iter().zip(&hi).any(|(l, h)| l > h);
 
         let mut stmts = Vec::with_capacity(nest.body.len());
+        let mut sources = Vec::with_capacity(nest.body.len());
         for s in &nest.body {
             // F1: every write index is `counter + c`.
             if s.lhs.indices.len() != rank {
@@ -657,22 +669,24 @@ pub fn compile_nests_opts(
             }
 
             let out_slot = arrays.binary_search(&s.lhs.array).expect("slot exists");
-            let (prog, row) = match &rhs_plan.progs {
+            let (prog, source) = match &rhs_plan.compiled {
                 Some(pair) => pair.clone(),
                 None => {
                     compiled += 1;
-                    let rhs = subst::subst_sym(&s.rhs, &sub);
-                    let prog = if opts.cse {
-                        let (bindings, rewritten) =
-                            perforad_symbolic::cse::eliminate_one(&rhs, "__cse");
-                        compile_with_bindings(&bindings, &rewritten, &cctx)?
+                    let body = subst::subst_sym(&s.rhs, &sub);
+                    let rhs = Arc::new(if opts.cse {
+                        let (bindings, body) =
+                            perforad_symbolic::cse::eliminate_one(&body, "__cse");
+                        Rhs { bindings, body }
                     } else {
-                        compile(&rhs, &cctx)?
-                    };
-                    let pair = cached_pair(&mut prog_cache, prog, lower);
-                    rhs_plan.progs.insert(pair).clone()
+                        let bindings = Vec::new();
+                        Rhs { bindings, body }
+                    });
+                    let prog = cache.share(Lowerer::statement(&layout, &rhs)?, |p| p);
+                    rhs_plan.compiled.insert((prog, rhs)).clone()
                 }
             };
+            sources.push(source);
 
             stmts.push(StmtPlan {
                 out_slot,
@@ -681,11 +695,10 @@ pub fn compile_nests_opts(
                 overwrite: s.op == AssignOp::Assign,
                 guard,
                 prog,
-                row,
             });
         }
         if opts.accumulate.is_some() {
-            stmts = sum_increments(stmts, &arrays, &assigned, &mut prog_cache)?;
+            stmts = sum_increments(stmts, &sources, &layout, &assigned, &mut cache)?;
         }
         nest_plans.push(NestPlan {
             lo,
@@ -708,7 +721,7 @@ pub fn compile_nests_opts(
     }
     if perforad_obs::enabled() {
         // The per-term claim, countable: statements planned against
-        // right-hand sides actually substituted and byte-compiled.
+        // right-hand sides actually substituted and lowered.
         let statements: usize = nest_plans.iter().map(|n| n.stmts.len()).sum();
         perforad_obs::counter("exec.stmts_planned").add(statements as u64);
         perforad_obs::counter("exec.rhs_compiled").add(compiled);
@@ -884,6 +897,7 @@ mod tests {
 
     #[test]
     fn cse_plan_matches_plain_plan() {
+        use crate::regir::RegOp;
         use crate::run::{run, ExecMode};
         // Nonlinear body with shared subexpressions: r = sin(u[i]*u[i+1])
         //   + sin(u[i]*u[i+1]) * u[i-1].
@@ -922,8 +936,14 @@ mod tests {
             },
         )
         .unwrap();
-        // The CSE plan must actually use temporaries...
-        assert!(cse.nests[0].stmts[0].prog.n_tmps() > 0);
+        // The CSE plan must actually share the sine through a temporary...
+        let sines = |plan: &Plan| {
+            let ops = &plan.nests[0].stmts[0].prog.ops;
+            ops.iter()
+                .filter(|op| matches!(op, RegOp::Call1 { .. }))
+                .count()
+        };
+        assert_eq!((sines(&plain), sines(&cse)), (2, 1));
         run(&cse, &mut ws2, ExecMode::serial()).unwrap();
         // ...and produce identical results.
         assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
@@ -1095,7 +1115,7 @@ mod tests {
                 extent: 11,
             })
         );
-        // …and by the bytecode compiler when no read is inspected: zero
+        // …and by the lowering when no read is inspected: zero
         // padding, an empty nest, a statement its guard never lets run.
         for (nest, padded) in [
             (live.clone(), true),

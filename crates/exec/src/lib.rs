@@ -9,10 +9,10 @@
 //!   (the figures sweep threads): a bare parallel region ([`ThreadPool::run`])
 //!   and one dynamic job loop ([`ThreadPool::work_queue`]);
 //! * [`AtomicF64`] — CAS-loop `+=`, the `#pragma omp atomic` equivalent;
-//! * [`bytecode`] — statement bodies compiled to a small stack VM;
-//! * [`regir`]/[`rows`] — the second lowering stage: stack programs
-//!   converted to a register-based linear IR and evaluated over whole
-//!   innermost-dimension rows in vectorizable lane chunks;
+//! * [`regir`]/[`rows`] — each statement body lowered once, straight
+//!   from its expression, to a register program, and that program
+//!   evaluated over whole innermost-dimension rows in vectorizable lane
+//!   chunks;
 //! * [`kernel`]/[`mod@run`] — read-only plans binding loop nests to storage
 //!   (a compiled [`Plan`] is the proof its points run safely), executed
 //!   serially, gather-parallel (race-free by construction), or
@@ -27,26 +27,25 @@
 //!   [`run()`] hands it whole-row slabs, `perforad-sched` cache-blocked
 //!   boxes.
 //!
-//! ## The two-stage lowering pipeline
+//! ## One lowered form
 //!
-//! A loop nest travels `LoopNest → Plan → RegProgram → row execution`:
+//! A loop nest travels `LoopNest → Plan (one RegProgram per distinct RHS)
+//! → PerPoint | Rows | Jit`:
 //!
 //! 1. [`kernel::compile_nests_opts`] resolves bounds, slots and guards,
-//!    proves every access in range, and compiles each statement body to
-//!    stack bytecode ([`bytecode::Program`]). Identical bodies across
-//!    statements are deduped through a fingerprint-keyed cache.
-//! 2. Each unique program is lowered once to a register-based linear IR
-//!    ([`regir::RegProgram`]): stack→register conversion, constant
-//!    folding, identity/neg-mul peepholes, load/const value numbering and
-//!    dead-register elimination — all bitwise-neutral.
-//! 3. At run time, [`Lowering::PerPoint`] interprets the stack program at
-//!    every grid point (the reference), while [`Lowering::Rows`] executes
-//!    the register IR over whole contiguous innermost-dimension runs in
-//!    fixed-width lane chunks with guards and zero-padding hoisted out of
-//!    the inner loop (see [`rows`]). Both execution surfaces —
-//!    [`run()`] and `perforad-sched`'s schedules — accept the switch and
-//!    hand it to [`run_tiling`], which they both run through; the
-//!    lowerings produce bitwise-identical results.
+//!    proves every access in range, and lowers each distinct statement
+//!    body to a [`regir::RegProgram`]: constants folded, loads and
+//!    constants value-numbered, identity/neg-mul peepholes and dead
+//!    registers removed — all bitwise-neutral. Statements with equal
+//!    programs share one copy.
+//! 2. At run time every lowering runs that program:
+//!    [`Lowering::PerPoint`] one point at a time (the reference),
+//!    [`Lowering::Rows`] over whole innermost-dimension rows in lane
+//!    chunks with guards and zero padding hoisted out of the inner loop
+//!    (see [`rows`]), and [`Lowering::Jit`] as native code that
+//!    `perforad-jit` prints from it. [`run()`] and `perforad-sched`'s
+//!    schedules both go through [`run_tiling`]; the lowerings produce
+//!    bitwise-identical results.
 //!
 //! ```
 //! use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
@@ -84,7 +83,6 @@
 #![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 pub mod atomic;
-pub mod bytecode;
 pub mod error;
 pub mod grid;
 pub mod kernel;

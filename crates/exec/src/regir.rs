@@ -1,47 +1,52 @@
-//! Register-based linear IR — the second lowering stage of the pipeline.
+//! Register-based linear IR: the one lowered form of a statement body.
 //!
-//! The stack [`Program`] produced by
-//! [`crate::bytecode::compile`] is convenient to build but expensive to
-//! interpret: every op pays stack push/pop traffic and the dispatch loop
-//! runs once per grid point. This module lowers each stack program into a
-//! flat three-address form over virtual registers — the shape the paper's
-//! emitted C loops take before icc vectorises them — so the
-//! [`crate::rows`] executor can evaluate one op across a whole lane chunk
-//! of consecutive grid points at a time.
+//! Plan compilation ([`crate::kernel`]) lowers each distinct substituted
+//! right-hand side straight from its `Expr` into a flat three-address
+//! program over virtual registers — the shape the paper's emitted C loops
+//! take before icc vectorises them. Every lowering runs that program:
+//! `Lowering::PerPoint` evaluates it one point at a time (the
+//! reference, `RegProgram::eval_point`), the [`crate::rows`]
+//! executor one op across a lane chunk of consecutive grid points, and
+//! `perforad-jit` prints it as Rust.
 //!
-//! Lowering is a single pass of abstract stack simulation (each stack
-//! slot becomes a register name), followed by local optimisations that
-//! are all **bitwise-neutral** with respect to the interpreter:
+//! The walk is post-order — a statement's CSE bindings in order, then its
+//! body; an accumulate-mode sum is `0.0` plus each member in statement
+//! order — and optimises as it emits. Every rewrite is **bitwise-neutral**
+//! with respect to evaluating the expression tree:
 //!
 //! * **constant folding** — an op whose inputs are all constants is
-//!   evaluated at lowering time with the exact f64 arithmetic the
-//!   interpreter would have used at run time;
+//!   evaluated at lowering time with the f64 arithmetic the op would use
+//!   at run time;
 //! * **constant/load/counter dedup** — value numbering merges repeated
-//!   `Const`, `Load`, `LoadPadded` and `Counter` ops (reads never alias
+//!   constants, loads, padded loads and counters (reads never alias
 //!   writes within a plan, so reloads are pure);
-//! * **identity / neg-mul peepholes** — `x * 1.0` forwards `x`
-//!   (bit-exact in IEEE-754), `x * -1.0` and `-1.0 * x` become [`RegOp::Neg`]
-//!   (exact sign flip; the bytecode front end already applies the same
-//!   rewrite to leading `-1` factors), `-(-x)` forwards `x`, `x.powi(1)`
-//!   forwards `x`. Neutrality is guaranteed for non-NaN data — for a NaN
-//!   operand, `x * -1.0` propagates the payload sign on x86 while `Neg`
-//!   flips it, a carve-out shared with the front end's rewrite;
+//! * **identity / neg-mul peepholes** — a leading `-1` factor, `x * -1.0`
+//!   and `-1.0 * x` become [`RegOp::Neg`] (an exact sign flip), `x * 1.0`
+//!   forwards `x` (bit-exact in IEEE-754), `-(-x)` forwards `x`,
+//!   `x.powi(1)` forwards `x`. Neutrality holds for non-NaN data: for a
+//!   NaN operand, `x * -1.0` propagates the payload sign on x86 while
+//!   `Neg` flips it;
 //! * **dead-register elimination** — ops whose destination is never read
 //!   on any path to the result are dropped and registers renumbered
 //!   compactly (CSE temporaries frequently die once their uses fold).
 //!
 //! Additions with a `0.0` operand are deliberately *not* folded:
 //! `-0.0 + 0.0` is `+0.0`, so the rewrite would not be bitwise-neutral.
+//!
+//! The walk also records the program's key, a structural word sequence
+//! over the same post-order. Plan compilation dedups equal programs on it,
+//! and [`crate::Plan::fingerprint`] hashes it.
 
-use crate::bytecode::{call1, Op, Program};
-use perforad_symbolic::{Func, Rel};
+use crate::error::ExecError;
+use crate::tile::Buffers;
+use perforad_symbolic::{Access, Expr, Func, Node, Rel, Symbol};
 use std::collections::BTreeMap;
 
 /// A virtual register index.
 pub type Reg = u16;
 
 /// One three-address instruction. Every op defines exactly one register
-/// (SSA as [`lower`] emits it, until `reuse_registers` renames them);
+/// (SSA as the walk emits it, until `reuse_registers` renames them);
 /// operands are registers defined earlier.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RegOp {
@@ -67,8 +72,8 @@ pub enum RegOp {
     Powf { dst: Reg, a: Reg, b: Reg },
     /// `dst = f(a)`.
     Call1 { dst: Reg, f: Func, a: Reg },
-    /// `dst = if a >= b { a } else { b }` (interpreter semantics, not
-    /// `f64::max` — NaN handling must match bitwise).
+    /// `dst = if a >= b { a } else { b }` (a comparison, not `f64::max`:
+    /// NaN handling must match the expression's bitwise).
     Max { dst: Reg, a: Reg, b: Reg },
     /// `dst = if a <= b { a } else { b }`.
     Min { dst: Reg, a: Reg, b: Reg },
@@ -103,54 +108,34 @@ impl RegOp {
         }
     }
 
+    /// The op's operand registers, in order, into `out`.
     fn operands(&self, out: &mut Vec<Reg>) {
         out.clear();
-        match *self {
-            RegOp::Const { .. }
-            | RegOp::Counter { .. }
-            | RegOp::Load { .. }
-            | RegOp::LoadPadded { .. } => {}
-            RegOp::Neg { a, .. } | RegOp::Powi { a, .. } | RegOp::Call1 { a, .. } => out.push(a),
-            RegOp::Add { a, b, .. }
-            | RegOp::Mul { a, b, .. }
-            | RegOp::Powf { a, b, .. }
-            | RegOp::Max { a, b, .. }
-            | RegOp::Min { a, b, .. } => {
-                out.push(a);
-                out.push(b);
-            }
-            RegOp::Select {
-                lhs,
-                rhs,
-                then_v,
-                else_v,
-                ..
-            } => {
-                out.push(lhs);
-                out.push(rhs);
-                out.push(then_v);
-                out.push(else_v);
-            }
-        }
+        self.clone().regs_mut(|r| out.push(*r));
+        out.pop();
     }
 
+    /// Rename every register the op names through `map`.
     fn remap(&mut self, map: &[Reg]) {
-        macro_rules! m {
-            ($($r:expr),*) => {{ $(*$r = map[*$r as usize];)* }};
-        }
+        self.regs_mut(|r| *r = map[*r as usize]);
+    }
+
+    /// Call `f` on each register the op names: its operands in order, then
+    /// its destination.
+    fn regs_mut(&mut self, f: impl FnMut(&mut Reg)) {
         match self {
             RegOp::Const { dst, .. }
             | RegOp::Counter { dst, .. }
             | RegOp::Load { dst, .. }
-            | RegOp::LoadPadded { dst, .. } => m!(dst),
+            | RegOp::LoadPadded { dst, .. } => [dst].into_iter().for_each(f),
             RegOp::Neg { dst, a } | RegOp::Powi { dst, a, .. } | RegOp::Call1 { dst, a, .. } => {
-                m!(dst, a)
+                [a, dst].into_iter().for_each(f)
             }
             RegOp::Add { dst, a, b }
             | RegOp::Mul { dst, a, b }
             | RegOp::Powf { dst, a, b }
             | RegOp::Max { dst, a, b }
-            | RegOp::Min { dst, a, b } => m!(dst, a, b),
+            | RegOp::Min { dst, a, b } => [a, b, dst].into_iter().for_each(f),
             RegOp::Select {
                 dst,
                 lhs,
@@ -158,7 +143,7 @@ impl RegOp {
                 then_v,
                 else_v,
                 ..
-            } => m!(dst, lhs, rhs, then_v, else_v),
+            } => [lhs, rhs, then_v, else_v, dst].into_iter().for_each(f),
         }
     }
 }
@@ -171,7 +156,7 @@ pub struct PadLoad {
     pub offsets: Box<[i64]>,
 }
 
-/// A lowered, optimised register program: the unit the row executor runs.
+/// A lowered, optimised register program: the unit every lowering runs.
 #[derive(Clone, Debug, Default)]
 pub struct RegProgram {
     /// Instructions in execution order.
@@ -182,65 +167,450 @@ pub struct RegProgram {
     pub n_regs: usize,
     /// Register holding the statement's value after the last op.
     pub result: Reg,
+    /// The structural words of the program, recorded by the walk in
+    /// post-order: a tag per node (`0` constant, `1` counter, `2` load, `3`
+    /// padded load, `4` add, `5` multiply, `6` negate, `7` integer power,
+    /// `8` power, `9` function, `10` max, `11` min, `12` select, `13` CSE
+    /// binding stored, `14` CSE binding read), then its operands: constants
+    /// by bit pattern, a load as slot and relative offset, a padded load as
+    /// slot, length and offsets, a CSE temporary by its index, numbered
+    /// past the earlier members' in a sum. Programs with equal keys
+    /// evaluate identically at every point.
+    pub(crate) key: Vec<u64>,
 }
 
-/// Lowering state: abstract stack of register names plus per-register
-/// value-numbering facts.
-struct Lowerer {
+/// Apply a unary function: the one definition the constant folder, the
+/// per-point evaluator and the row executor share (`Sign` in particular
+/// has bespoke zero handling).
+#[inline]
+pub fn call1(f: Func, a: f64) -> f64 {
+    match f {
+        Func::Sin => a.sin(),
+        Func::Cos => a.cos(),
+        Func::Tan => a.tan(),
+        Func::Exp => a.exp(),
+        Func::Ln => a.ln(),
+        Func::Sqrt => a.sqrt(),
+        Func::Abs => a.abs(),
+        Func::Sign => {
+            if a > 0.0 {
+                1.0
+            } else if a < 0.0 {
+                -1.0
+            } else {
+                0.0
+            }
+        }
+        Func::Tanh => a.tanh(),
+        Func::Max | Func::Min => unreachable!("binary funcs lower to Max/Min ops"),
+    }
+}
+
+/// [`RegOp::Max`]'s arithmetic: a comparison, not `f64::max` (NaN order).
+#[inline]
+pub(crate) fn max(x: f64, y: f64) -> f64 {
+    if x >= y {
+        x
+    } else {
+        y
+    }
+}
+
+/// [`RegOp::Min`]'s arithmetic.
+#[inline]
+pub(crate) fn min(x: f64, y: f64) -> f64 {
+    if x <= y {
+        x
+    } else {
+        y
+    }
+}
+
+/// One grid point of a bound plan, as [`RegProgram::eval_point`] reads it.
+pub(crate) struct Point<'a> {
+    /// The plan's arrays.
+    pub(crate) bufs: &'a Buffers,
+    /// Counter values, outermost first.
+    pub(crate) counters: &'a [i64],
+    /// Shared extents and strides of every array.
+    pub(crate) dims: &'a [usize],
+    pub(crate) strides: &'a [usize],
+    /// Linear index of `counters`.
+    pub(crate) center: isize,
+}
+
+impl RegProgram {
+    /// Evaluate at one grid point, one op at a time in the plain register
+    /// slice `regs` (at least [`RegProgram::n_regs`] long): the per-point
+    /// reference that the row executor's lane chunks, hoisted guards and
+    /// split pad segments are held to. Padded loads check their indices
+    /// here, at every point.
+    ///
+    /// # Safety
+    ///
+    /// Fact F1 of [`crate::tile`] must cover every unpadded load at `at`:
+    /// the point lies inside the effective bounds of a statement of a plan
+    /// that proved each of its loads in range, and `at.bufs` point at that
+    /// plan's arrays, laid out by `at.dims` and `at.strides`.
+    #[inline]
+    pub(crate) unsafe fn eval_point(&self, at: &Point<'_>, regs: &mut [f64]) -> f64 {
+        for op in &self.ops {
+            let r = |reg: Reg| regs[reg as usize];
+            let (dst, v) = match *op {
+                RegOp::Const { dst, v } => (dst, v),
+                RegOp::Counter { dst, dim } => (dst, at.counters[dim as usize] as f64),
+                RegOp::Load { dst, slot, rel } => {
+                    let idx = at.center + rel as isize;
+                    debug_assert!(idx >= 0 && (idx as usize) < at.bufs.len);
+                    // SAFETY: F1, this function's contract, puts `idx` in
+                    // range of the array in `slot`.
+                    (dst, unsafe { *at.bufs.ptrs[slot as usize].offset(idx) })
+                }
+                RegOp::LoadPadded { dst, slot, pad } => {
+                    let mut lin = 0isize;
+                    let offsets = self.pads[pad as usize].offsets.iter();
+                    let inside = offsets.enumerate().all(|(d, &o)| {
+                        let ix = at.counters[d] + o;
+                        lin += ix as isize * at.strides[d] as isize;
+                        ix >= 0 && (ix as usize) < at.dims[d]
+                    });
+                    debug_assert!(!inside || (lin as usize) < at.bufs.len);
+                    // SAFETY: F1's padded case — every index was checked
+                    // inside its extent just above.
+                    let v = inside.then(|| unsafe { *at.bufs.ptrs[slot as usize].offset(lin) });
+                    (dst, v.unwrap_or(0.0))
+                }
+                RegOp::Add { dst, a, b } => (dst, r(a) + r(b)),
+                RegOp::Mul { dst, a, b } => (dst, r(a) * r(b)),
+                RegOp::Neg { dst, a } => (dst, -r(a)),
+                RegOp::Powi { dst, a, k } => (dst, r(a).powi(k)),
+                RegOp::Powf { dst, a, b } => (dst, r(a).powf(r(b))),
+                RegOp::Call1 { dst, f, a } => (dst, call1(f, r(a))),
+                RegOp::Max { dst, a, b } => (dst, max(r(a), r(b))),
+                RegOp::Min { dst, a, b } => (dst, min(r(a), r(b))),
+                RegOp::Select {
+                    dst,
+                    rel,
+                    lhs,
+                    rhs,
+                    then_v,
+                    else_v,
+                } => (
+                    dst,
+                    r(if rel.holds(r(lhs), r(rhs)) {
+                        then_v
+                    } else {
+                        else_v
+                    }),
+                ),
+            };
+            regs[dst as usize] = v;
+        }
+        regs[self.result as usize]
+    }
+}
+
+/// What a walk resolves names against.
+pub(crate) struct Layout<'a> {
+    /// Array slot order (index = slot).
+    pub(crate) arrays: &'a [Symbol],
+    /// Loop counters, outermost first.
+    pub(crate) counters: &'a [Symbol],
+    /// Shared element strides of every array.
+    pub(crate) strides: &'a [usize],
+    /// Loads read zero outside the extents.
+    pub(crate) padded: bool,
+}
+
+/// A statement body to lower: CSE bindings, each of which may read the
+/// earlier ones, then the expression that reads them. Parameters and sizes
+/// are substituted away; the symbols left are loop counters.
+pub(crate) struct Rhs {
+    pub(crate) bindings: Vec<(Symbol, Expr)>,
+    pub(crate) body: Expr,
+}
+
+/// A value-numbered op that reads no register: equal leaves share one.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Leaf {
+    /// A constant, by bit pattern.
+    Const(u64),
+    Counter(u16),
+    Load(u16, i32),
+    Padded(u16, Box<[i64]>),
+}
+
+/// A walk in progress: the ops emitted so far — register `r` is defined
+/// by `ops[r]` until [`Lowerer::finish`] — and the program's key.
+pub(crate) struct Lowerer<'a> {
+    layout: &'a Layout<'a>,
     ops: Vec<RegOp>,
     pads: Vec<PadLoad>,
-    stack: Vec<Reg>,
+    /// The key of the program walked.
+    pub(crate) key: Vec<u64>,
+    /// The walked member's CSE temporaries, by binding index.
     tmps: Vec<Reg>,
-    /// Known constant value of each register, if any.
-    const_val: Vec<Option<f64>>,
-    /// `neg_of[r] = Some(a)` when register `r` was defined as `-a`.
-    neg_of: Vec<Option<Reg>>,
-    /// Value-numbering tables (bit patterns / load sites → register).
-    const_regs: BTreeMap<u64, Reg>,
-    load_regs: BTreeMap<(u16, i32), Reg>,
-    pad_regs: BTreeMap<(u16, Box<[i64]>), Reg>,
-    counter_regs: BTreeMap<u16, Reg>,
+    /// CSE temporaries of the earlier members of a sum.
+    tmp_base: u64,
+    /// The register of each leaf emitted.
+    leaves: BTreeMap<Leaf, Reg>,
+    result: Reg,
 }
 
-impl Lowerer {
-    fn fresh(&mut self) -> Reg {
+impl<'a> Lowerer<'a> {
+    fn new(layout: &'a Layout<'a>) -> Lowerer<'a> {
+        Lowerer {
+            layout,
+            ops: Vec::new(),
+            pads: Vec::new(),
+            key: Vec::new(),
+            tmps: Vec::new(),
+            tmp_base: 0,
+            leaves: BTreeMap::new(),
+            result: 0,
+        }
+    }
+
+    /// Walk one statement body.
+    pub(crate) fn statement(layout: &'a Layout<'a>, rhs: &Rhs) -> Result<Self, ExecError> {
+        let mut lw = Lowerer::new(layout);
+        lw.result = lw.member(rhs)?;
+        Ok(lw)
+    }
+
+    /// Walk `0.0 + m1 + m2 + …`, left to right: the increments one nest
+    /// adds to one point of an accumulated array, summed from `+0.0` as a
+    /// zeroed scratch point would sum them. Each member keeps its own CSE
+    /// temporaries.
+    pub(crate) fn sum<'r>(
+        layout: &'a Layout<'a>,
+        members: impl IntoIterator<Item = &'r Rhs>,
+    ) -> Result<Self, ExecError> {
+        let mut lw = Lowerer::new(layout);
+        let mut acc = lw.num(0.0);
+        for member in members {
+            let r = lw.member(member)?;
+            lw.key.push(4);
+            acc = lw.add(acc, r);
+        }
+        lw.result = acc;
+        Ok(lw)
+    }
+
+    /// The optimised program: dead registers eliminated.
+    pub(crate) fn finish(self) -> RegProgram {
+        eliminate_dead(self.ops, self.pads, self.result, self.key)
+    }
+
+    fn member(&mut self, rhs: &Rhs) -> Result<Reg, ExecError> {
+        self.tmps.clear();
+        for (k, (_, e)) in rhs.bindings.iter().enumerate() {
+            let r = self.walk(&rhs.bindings, e)?;
+            self.key.extend([13, self.tmp_base + k as u64]);
+            self.tmps.push(r);
+        }
+        let r = self.walk(&rhs.bindings, &rhs.body)?;
+        self.tmp_base += rhs.bindings.len() as u64;
+        Ok(r)
+    }
+
+    fn walk(&mut self, temps: &[(Symbol, Expr)], e: &Expr) -> Result<Reg, ExecError> {
+        Ok(match e.node() {
+            Node::Num(n) => self.num(n.to_f64()),
+            Node::Sym(s) => {
+                if let Some(k) = temps.iter().position(|(t, _)| t == s) {
+                    self.key.extend([14, self.tmp_base + k as u64]);
+                    return Ok(*self.tmps.get(k).expect("a binding reads earlier ones only"));
+                }
+                let d = (self.layout.counters.iter().position(|c| c == s))
+                    .ok_or_else(|| ExecError::UnboundParam(s.name().to_string()))?;
+                self.key.extend([1, d as u64]);
+                self.leaf(Leaf::Counter(d as u16))
+            }
+            Node::Access(a) => self.access(a)?,
+            Node::Add(ts) => {
+                let mut acc = self.walk(temps, &ts[0])?;
+                for t in &ts[1..] {
+                    let r = self.walk(temps, t)?;
+                    self.key.push(4);
+                    acc = self.add(acc, r);
+                }
+                acc
+            }
+            Node::Mul(fs) => {
+                // A leading `-1` factor lowers to a negation, not a multiply.
+                let negate = matches!(fs[0].as_num(), Some(n) if n.to_f64() == -1.0);
+                let rest = if negate { &fs[1..] } else { &fs[..] };
+                let mut acc = self.walk(temps, &rest[0])?;
+                for t in &rest[1..] {
+                    let r = self.walk(temps, t)?;
+                    self.key.push(5);
+                    acc = self.mul(acc, r);
+                }
+                if negate {
+                    self.key.push(6);
+                    acc = self.neg(acc);
+                }
+                acc
+            }
+            Node::Pow(b, x) => {
+                let a = self.walk(temps, b)?;
+                if let Some(k) = x.as_int().and_then(|k| i32::try_from(k).ok()) {
+                    self.key.extend([7, k as u32 as u64]);
+                    match self.cval(a) {
+                        Some(v) => self.konst(v.powi(k)),
+                        // `x.powi(1)` is exactly `x`.
+                        None if k == 1 => a,
+                        None => self.emit(|dst| RegOp::Powi { dst, a, k }),
+                    }
+                } else {
+                    let y = self.walk(temps, x)?;
+                    self.key.push(8);
+                    self.binary(a, y, |dst, a, b| RegOp::Powf { dst, a, b }, f64::powf)
+                }
+            }
+            Node::Call(f @ (Func::Max | Func::Min), args) => {
+                let a = self.walk(temps, &args[0])?;
+                let b = self.walk(temps, &args[1])?;
+                if *f == Func::Max {
+                    self.key.push(10);
+                    self.binary(a, b, |dst, a, b| RegOp::Max { dst, a, b }, max)
+                } else {
+                    self.key.push(11);
+                    self.binary(a, b, |dst, a, b| RegOp::Min { dst, a, b }, min)
+                }
+            }
+            Node::Call(f, args) => {
+                let a = self.walk(temps, &args[0])?;
+                self.key.extend([9, *f as u64]);
+                match self.cval(a) {
+                    Some(v) => self.konst(call1(*f, v)),
+                    None => self.emit(|dst| RegOp::Call1 { dst, f: *f, a }),
+                }
+            }
+            Node::Select(c, a, b) => {
+                let (lhs, rhs) = (self.walk(temps, &c.lhs)?, self.walk(temps, &c.rhs)?);
+                let (then_v, else_v) = (self.walk(temps, a)?, self.walk(temps, b)?);
+                let rel = c.rel;
+                self.key.extend([12, rel as u64]);
+                match (self.cval(lhs), self.cval(rhs)) {
+                    (Some(x), Some(y)) if rel.holds(x, y) => then_v,
+                    (Some(_), Some(_)) => else_v,
+                    _ => self.emit(|dst| RegOp::Select {
+                        dst,
+                        rel,
+                        lhs,
+                        rhs,
+                        then_v,
+                        else_v,
+                    }),
+                }
+            }
+            Node::UFun(app) | Node::UDeriv(app, _) => {
+                return Err(ExecError::Unsupported(format!(
+                    "uninterpreted function `{}` (generate code via perforad-codegen instead)",
+                    app.name
+                )));
+            }
+        })
+    }
+
+    fn access(&mut self, a: &Access) -> Result<Reg, ExecError> {
+        let Layout {
+            arrays,
+            counters,
+            strides,
+            padded,
+        } = *self.layout;
+        let slot = (arrays.iter().position(|x| *x == a.array))
+            .ok_or_else(|| crate::error::unknown(&a.array))? as u16;
+        let mut offsets = Vec::with_capacity(a.indices.len());
+        for (d, ix) in a.indices.iter().enumerate() {
+            let c = counters.get(d).ok_or_else(|| ExecError::RankMismatch {
+                array: a.array.name().to_string(),
+                rank: a.indices.len(),
+                nest: counters.len(),
+            })?;
+            let o = ix
+                .is_offset_of(c)
+                .ok_or_else(|| ExecError::Unsupported(format!("non-stencil access `{a}`")))?;
+            offsets.push(o);
+        }
+        if padded {
+            self.key.extend([3, slot as u64, offsets.len() as u64]);
+            self.key.extend(offsets.iter().map(|&o| o as u64));
+            return Ok(self.leaf(Leaf::Padded(slot, offsets.into_boxed_slice())));
+        }
+        let rel = offsets.iter().zip(strides);
+        let rel = rel.map(|(&o, &s)| o * s as i64).sum::<i64>() as i32;
+        self.key.extend([2, slot as u64, rel as u32 as u64]);
+        Ok(self.leaf(Leaf::Load(slot, rel)))
+    }
+
+    /// A fresh register, defined by `make(dst)`.
+    fn emit(&mut self, make: impl FnOnce(Reg) -> RegOp) -> Reg {
         // Strict `<` keeps Reg::MAX free as the dead-register sentinel.
         assert!(
-            self.const_val.len() < Reg::MAX as usize,
+            self.ops.len() < Reg::MAX as usize,
             "register overflow while lowering a statement body"
         );
-        let r = self.const_val.len() as Reg;
-        self.const_val.push(None);
-        self.neg_of.push(None);
-        r
+        let dst = self.ops.len() as Reg;
+        self.ops.push(make(dst));
+        dst
+    }
+
+    /// A constant the expression names.
+    fn num(&mut self, v: f64) -> Reg {
+        self.key.extend([0, v.to_bits()]);
+        self.konst(v)
     }
 
     fn konst(&mut self, v: f64) -> Reg {
-        if let Some(&r) = self.const_regs.get(&v.to_bits()) {
+        self.leaf(Leaf::Const(v.to_bits()))
+    }
+
+    /// The value of `r` when it is a constant.
+    fn cval(&self, r: Reg) -> Option<f64> {
+        match self.ops[r as usize] {
+            RegOp::Const { v, .. } => Some(v),
+            _ => None,
+        }
+    }
+
+    /// `leaf`'s register, emitted on first sight.
+    fn leaf(&mut self, leaf: Leaf) -> Reg {
+        if let Some(&r) = self.leaves.get(&leaf) {
             return r;
         }
-        let dst = self.fresh();
-        self.const_val[dst as usize] = Some(v);
-        self.const_regs.insert(v.to_bits(), dst);
-        self.ops.push(RegOp::Const { dst, v });
+        let pad = u16::try_from(self.pads.len()).expect("padded-load overflow");
+        let dst = self.emit(|dst| match leaf {
+            Leaf::Const(bits) => RegOp::Const {
+                dst,
+                v: f64::from_bits(bits),
+            },
+            Leaf::Counter(dim) => RegOp::Counter { dst, dim },
+            Leaf::Load(slot, rel) => RegOp::Load { dst, slot, rel },
+            Leaf::Padded(slot, _) => RegOp::LoadPadded { dst, slot, pad },
+        });
+        if let Leaf::Padded(_, offsets) = &leaf {
+            let offsets = offsets.clone();
+            self.pads.push(PadLoad { offsets });
+        }
+        self.leaves.insert(leaf, dst);
         dst
     }
 
-    fn cval(&self, r: Reg) -> Option<f64> {
-        self.const_val[r as usize]
+    fn add(&mut self, a: Reg, b: Reg) -> Reg {
+        self.binary(a, b, |dst, a, b| RegOp::Add { dst, a, b }, |x, y| x + y)
     }
 
     fn neg(&mut self, a: Reg) -> Reg {
-        if let Some(v) = self.cval(a) {
-            return self.konst(-v);
+        match self.ops[a as usize] {
+            RegOp::Const { v, .. } => self.konst(-v),
+            // `-(-x)` is exactly `x`.
+            RegOp::Neg { a: orig, .. } => orig,
+            _ => self.emit(|dst| RegOp::Neg { dst, a }),
         }
-        if let Some(orig) = self.neg_of[a as usize] {
-            return orig;
-        }
-        let dst = self.fresh();
-        self.neg_of[dst as usize] = Some(a);
-        self.ops.push(RegOp::Neg { dst, a });
-        dst
     }
 
     fn mul(&mut self, a: Reg, b: Reg) -> Reg {
@@ -261,9 +631,7 @@ impl Lowerer {
         if cb == Some(-1.0) {
             return self.neg(a);
         }
-        let dst = self.fresh();
-        self.ops.push(RegOp::Mul { dst, a, b });
-        dst
+        self.emit(|dst| RegOp::Mul { dst, a, b })
     }
 
     fn binary(
@@ -276,204 +644,13 @@ impl Lowerer {
         if let (Some(x), Some(y)) = (self.cval(a), self.cval(b)) {
             return self.konst(fold(x, y));
         }
-        let dst = self.fresh();
-        self.ops.push(make(dst, a, b));
-        dst
+        self.emit(|dst| make(dst, a, b))
     }
-}
-
-/// Lower a compiled stack program into an optimised register program.
-///
-/// Every transformation applied here is bitwise-neutral: the row executor
-/// evaluating the result at one grid point performs exactly the same f64
-/// operations (possibly fewer, never different) as
-/// [`Program::eval_with_tmps`](crate::bytecode::Program::eval_with_tmps).
-pub fn lower(prog: &Program) -> RegProgram {
-    let mut lw = Lowerer {
-        ops: Vec::with_capacity(prog.ops().len()),
-        pads: Vec::new(),
-        stack: Vec::new(),
-        tmps: vec![Reg::MAX; prog.n_tmps()],
-        const_val: Vec::new(),
-        neg_of: Vec::new(),
-        const_regs: BTreeMap::new(),
-        load_regs: BTreeMap::new(),
-        pad_regs: BTreeMap::new(),
-        counter_regs: BTreeMap::new(),
-    };
-    for op in prog.ops() {
-        match op {
-            Op::Const(v) => {
-                let r = lw.konst(*v);
-                lw.stack.push(r);
-            }
-            Op::Counter(d) => {
-                let r = if let Some(&r) = lw.counter_regs.get(d) {
-                    r
-                } else {
-                    let dst = lw.fresh();
-                    lw.counter_regs.insert(*d, dst);
-                    lw.ops.push(RegOp::Counter { dst, dim: *d });
-                    dst
-                };
-                lw.stack.push(r);
-            }
-            Op::Load { slot, rel } => {
-                let r = if let Some(&r) = lw.load_regs.get(&(*slot, *rel)) {
-                    r
-                } else {
-                    let dst = lw.fresh();
-                    lw.load_regs.insert((*slot, *rel), dst);
-                    lw.ops.push(RegOp::Load {
-                        dst,
-                        slot: *slot,
-                        rel: *rel,
-                    });
-                    dst
-                };
-                lw.stack.push(r);
-            }
-            Op::LoadPadded { slot, offsets } => {
-                let key = (*slot, offsets.clone());
-                let r = if let Some(&r) = lw.pad_regs.get(&key) {
-                    r
-                } else {
-                    assert!(
-                        lw.pads.len() < u16::MAX as usize,
-                        "padded-load overflow while lowering a statement body"
-                    );
-                    let pad = lw.pads.len() as u16;
-                    lw.pads.push(PadLoad {
-                        offsets: offsets.clone(),
-                    });
-                    let dst = lw.fresh();
-                    lw.pad_regs.insert(key, dst);
-                    lw.ops.push(RegOp::LoadPadded {
-                        dst,
-                        slot: *slot,
-                        pad,
-                    });
-                    dst
-                };
-                lw.stack.push(r);
-            }
-            Op::Add => {
-                let b = lw.stack.pop().unwrap();
-                let a = lw.stack.pop().unwrap();
-                let r = lw.binary(a, b, |dst, a, b| RegOp::Add { dst, a, b }, |x, y| x + y);
-                lw.stack.push(r);
-            }
-            Op::Mul => {
-                let b = lw.stack.pop().unwrap();
-                let a = lw.stack.pop().unwrap();
-                let r = lw.mul(a, b);
-                lw.stack.push(r);
-            }
-            Op::Neg => {
-                let a = lw.stack.pop().unwrap();
-                let r = lw.neg(a);
-                lw.stack.push(r);
-            }
-            Op::Powi(k) => {
-                let a = lw.stack.pop().unwrap();
-                let r = if let Some(v) = lw.cval(a) {
-                    lw.konst(v.powi(*k))
-                } else if *k == 1 {
-                    // `x.powi(1)` is exactly `x`.
-                    a
-                } else {
-                    let dst = lw.fresh();
-                    lw.ops.push(RegOp::Powi { dst, a, k: *k });
-                    dst
-                };
-                lw.stack.push(r);
-            }
-            Op::Powf => {
-                let b = lw.stack.pop().unwrap();
-                let a = lw.stack.pop().unwrap();
-                let r = lw.binary(a, b, |dst, a, b| RegOp::Powf { dst, a, b }, f64::powf);
-                lw.stack.push(r);
-            }
-            Op::Call1(f) => {
-                let a = lw.stack.pop().unwrap();
-                let r = if let Some(v) = lw.cval(a) {
-                    lw.konst(call1(*f, v))
-                } else {
-                    let dst = lw.fresh();
-                    lw.ops.push(RegOp::Call1 { dst, f: *f, a });
-                    dst
-                };
-                lw.stack.push(r);
-            }
-            Op::Max => {
-                let b = lw.stack.pop().unwrap();
-                let a = lw.stack.pop().unwrap();
-                let r = lw.binary(
-                    a,
-                    b,
-                    |dst, a, b| RegOp::Max { dst, a, b },
-                    |x, y| if x >= y { x } else { y },
-                );
-                lw.stack.push(r);
-            }
-            Op::Min => {
-                let b = lw.stack.pop().unwrap();
-                let a = lw.stack.pop().unwrap();
-                let r = lw.binary(
-                    a,
-                    b,
-                    |dst, a, b| RegOp::Min { dst, a, b },
-                    |x, y| if x <= y { x } else { y },
-                );
-                lw.stack.push(r);
-            }
-            Op::Select(rel) => {
-                let else_v = lw.stack.pop().unwrap();
-                let then_v = lw.stack.pop().unwrap();
-                let rhs = lw.stack.pop().unwrap();
-                let lhs = lw.stack.pop().unwrap();
-                let r = match (lw.cval(lhs), lw.cval(rhs)) {
-                    (Some(x), Some(y)) => {
-                        if rel.holds(x, y) {
-                            then_v
-                        } else {
-                            else_v
-                        }
-                    }
-                    _ => {
-                        let dst = lw.fresh();
-                        lw.ops.push(RegOp::Select {
-                            dst,
-                            rel: *rel,
-                            lhs,
-                            rhs,
-                            then_v,
-                            else_v,
-                        });
-                        dst
-                    }
-                };
-                lw.stack.push(r);
-            }
-            Op::StoreTmp(k) => {
-                let r = lw.stack.pop().unwrap();
-                lw.tmps[*k as usize] = r;
-            }
-            Op::LoadTmp(k) => {
-                let r = lw.tmps[*k as usize];
-                debug_assert_ne!(r, Reg::MAX, "LoadTmp before StoreTmp");
-                lw.stack.push(r);
-            }
-        }
-    }
-    debug_assert_eq!(lw.stack.len(), 1, "program must leave one value");
-    let result = lw.stack.pop().unwrap();
-    eliminate_dead(lw.ops, lw.pads, result)
 }
 
 /// Drop ops whose destination never reaches `result`, renumber registers
 /// compactly in definition order, and drop pads that lost their last use.
-fn eliminate_dead(ops: Vec<RegOp>, pads: Vec<PadLoad>, result: Reg) -> RegProgram {
+fn eliminate_dead(ops: Vec<RegOp>, pads: Vec<PadLoad>, result: Reg, key: Vec<u64>) -> RegProgram {
     let n = ops.len().max(result as usize + 1);
     let mut live = vec![false; n];
     live[result as usize] = true;
@@ -514,6 +691,7 @@ fn eliminate_dead(ops: Vec<RegOp>, pads: Vec<PadLoad>, result: Reg) -> RegProgra
         pads: kept_pads,
         n_regs: next as usize,
         result: reg_map[result as usize],
+        key,
     }
 }
 
@@ -554,27 +732,118 @@ pub(crate) fn reuse_registers(prog: RegProgram) -> RegProgram {
         pads: prog.pads,
         n_regs,
         result: map[prog.result as usize],
+        key: prog.key,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{compile, compile_with_bindings, CompileCtx};
-    use perforad_symbolic::{ix, Array, Expr, Symbol};
+    use perforad_symbolic::{ix, Array, Cond};
 
-    fn lower_1d(e: &Expr, padded: bool) -> RegProgram {
-        let arrays = [Symbol::new("u")];
-        let counters = [Symbol::new("i")];
-        let strides = [1usize];
-        let ctx = CompileCtx {
+    /// `body` after `bindings`, lowered over one array `u` and one counter
+    /// `i` (stride 1).
+    fn lower_with(
+        bindings: &[(Symbol, Expr)],
+        body: &Expr,
+        padded: bool,
+    ) -> Result<RegProgram, ExecError> {
+        let (arrays, counters) = ([Symbol::new("u")], [Symbol::new("i")]);
+        let layout = Layout {
             arrays: &arrays,
             counters: &counters,
-            strides: &strides,
+            strides: &[1],
             padded,
-            temps: &[],
         };
-        lower(&compile(e, &ctx).unwrap())
+        let rhs = Rhs {
+            bindings: bindings.to_vec(),
+            body: body.clone(),
+        };
+        Ok(Lowerer::statement(&layout, &rhs)?.finish())
+    }
+
+    fn lower_1d(e: &Expr, padded: bool) -> RegProgram {
+        lower_with(&[], e, padded).unwrap()
+    }
+
+    /// `prog` at `i = center` over `u = data`, on the per-point evaluator.
+    fn eval_at(prog: &RegProgram, data: &[f64], center: usize) -> f64 {
+        let bufs = Buffers {
+            ptrs: vec![data.as_ptr() as *mut f64],
+            len: data.len(),
+        };
+        let at = Point {
+            bufs: &bufs,
+            counters: &[center as i64],
+            dims: &[data.len()],
+            strides: &[1],
+            center: center as isize,
+        };
+        let mut regs = vec![f64::NAN; prog.n_regs];
+        // SAFETY: F1 by hand — each caller's unpadded loads stay inside
+        // `data` at `center`, and nothing is written.
+        unsafe { prog.eval_point(&at, &mut regs) }
+    }
+
+    fn eval1d(e: &Expr, data: &[f64], center: usize) -> f64 {
+        eval_at(&lower_1d(e, false), data, center)
+    }
+
+    #[test]
+    fn arithmetic_matches_tree_eval() {
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let e = 2.0 * u.at(ix![&i - 1]) - 3.0 * u.at(ix![&i]) + 4.0 * u.at(ix![&i + 1]);
+        let v = eval1d(&e, &[1.0, 2.0, 3.0], 1);
+        assert_eq!(v, 2.0 - 6.0 + 12.0);
+    }
+
+    #[test]
+    fn powers_and_functions() {
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        assert_eq!(eval1d(&u.at(ix![&i]).powi(3), &[2.0], 0), 8.0);
+        let v = eval1d(&u.at(ix![&i]).sin(), &[0.5], 0);
+        assert!((v - 0.5f64.sin()).abs() < 1e-15);
+        let e = u.at(ix![&i]).max(Expr::float(0.25));
+        assert_eq!(eval1d(&e, &[-1.0], 0), 0.25);
+    }
+
+    #[test]
+    fn select_branches() {
+        let i = Symbol::new("i");
+        let u = Array::new("u");
+        let cond = Cond::new(u.at(ix![&i]), Rel::Ge, Expr::zero());
+        let e = Expr::select(cond, Expr::float(1.0), Expr::float(-1.0));
+        assert_eq!(eval1d(&e, &[3.0], 0), 1.0);
+        assert_eq!(eval1d(&e, &[-3.0], 0), -1.0);
+    }
+
+    #[test]
+    fn padded_loads_are_zero_outside() {
+        let i = Symbol::new("i");
+        let prog = lower_1d(&Array::new("u").at(ix![&i - 1]), true);
+        // At i=0 the load u[i-1] is out of range -> 0.0.
+        assert_eq!(eval_at(&prog, &[7.0, 8.0], 0), 0.0);
+        assert_eq!(eval_at(&prog, &[7.0, 8.0], 1), 7.0);
+    }
+
+    #[test]
+    fn counters_in_scalar_position() {
+        let i = Symbol::new("i");
+        let e = Expr::sym(i.clone()) * Expr::float(2.0);
+        let v = eval1d(&e, &[0.0, 0.0, 0.0], 2);
+        assert_eq!(v, 4.0);
+    }
+
+    #[test]
+    fn unknown_parameter_is_an_error() {
+        let i = Symbol::new("i");
+        let e = Expr::sym(Symbol::new("D")) * Expr::sym(i);
+        assert_eq!(
+            lower_with(&[], &e, false).unwrap_err(),
+            ExecError::UnboundParam("D".into())
+        );
     }
 
     #[test]
@@ -610,8 +879,8 @@ mod tests {
     fn neg_mul_peephole_emits_neg() {
         let i = Symbol::new("i");
         let u = Array::new("u");
-        // The bytecode front end already folds a leading -1 factor; force a
-        // trailing one through explicit multiplication.
+        // The walk negates a leading -1 factor itself; force a trailing
+        // one through explicit multiplication.
         let e = u.at(ix![&i]) * Expr::float(-1.0);
         let p = lower_1d(&e, false);
         assert!(p.ops.iter().any(|o| matches!(o, RegOp::Neg { .. })));
@@ -633,19 +902,8 @@ mod tests {
         // A CSE binding that is never used must vanish entirely.
         let i = Symbol::new("i");
         let u = Array::new("u");
-        let arrays = [Symbol::new("u")];
-        let counters = [Symbol::new("i")];
-        let strides = [1usize];
-        let ctx = CompileCtx {
-            arrays: &arrays,
-            counters: &counters,
-            strides: &strides,
-            padded: false,
-            temps: &[],
-        };
         let dead = (Symbol::new("t0"), u.at(ix![&i + 1]).sin());
-        let prog = compile_with_bindings(&[dead], &u.at(ix![&i]), &ctx).unwrap();
-        let p = lower(&prog);
+        let p = lower_with(&[dead], &u.at(ix![&i]), false).unwrap();
         assert_eq!(p.ops.len(), 1, "{:?}", p.ops);
         assert!(matches!(p.ops[0], RegOp::Load { .. }));
         assert_eq!(p.n_regs, 1);
@@ -683,10 +941,45 @@ mod tests {
         assert_eq!(p.result as usize, p.n_regs - 1);
     }
 
+    /// A sum's key is `0.0`, then each member's words and an add; each
+    /// member's CSE temporaries are numbered past the earlier members'.
+    #[test]
+    fn a_sum_numbers_each_members_temporaries_past_the_earlier_ones() {
+        let (i, t) = (Symbol::new("i"), Symbol::new("t0"));
+        let u = Array::new("u");
+        let (arrays, counters) = ([Symbol::new("u")], [i.clone()]);
+        let layout = Layout {
+            arrays: &arrays,
+            counters: &counters,
+            strides: &[1],
+            padded: false,
+        };
+        let member = Rhs {
+            bindings: vec![(t.clone(), u.at(ix![&i + 1]).sin())],
+            // `t·t`, which the expression keeps as `t^2`.
+            body: Expr::sym(t.clone()) * Expr::sym(t),
+        };
+        let one = Lowerer::statement(&layout, &member).unwrap();
+        let rel = |r: i64| r as i32 as u32 as u64;
+        let words = |k: u64| vec![2, 0, rel(1), 9, Func::Sin as u64, 13, k, 14, k, 7, 2];
+        assert_eq!(one.key, words(0));
+        let sum = Lowerer::sum(&layout, [&member, &member]).unwrap();
+        let zero = vec![0, 0.0f64.to_bits()];
+        let want = [zero, words(0), vec![4], words(1), vec![4]].concat();
+        assert_eq!(sum.key, want);
+        // Value numbering spans the members: the second member reuses the
+        // first one's load, and computes its own sine and square.
+        let p = reuse_registers(sum.finish());
+        assert_eq!(p.ops.len(), 8, "{:?}", p.ops);
+        let data = [0.0, 0.25, 0.5];
+        let x = 0.5f64.sin().powi(2);
+        assert_eq!(eval_at(&p, &data, 1).to_bits(), (0.0 + x + x).to_bits());
+    }
+
     /// A long sum of short terms needs the registers of one term, not one
-    /// per op — and evaluates to the same value as the SSA program, here
-    /// replayed one point at a time with a destination read before it is
-    /// written, as the row executor does lane by lane.
+    /// per op — and evaluates to the same value as the SSA program, on the
+    /// per-point evaluator, which writes a destination after reading its
+    /// operands as the row executor does lane by lane.
     #[test]
     fn reused_registers_hold_the_live_values_only() {
         let i = Symbol::new("i");
@@ -698,23 +991,9 @@ mod tests {
         assert_eq!(reused.ops.len(), ssa.ops.len());
         assert!(reused.n_regs <= 4, "{} of {}", reused.n_regs, ssa.n_regs);
         let data: Vec<f64> = (0..9).map(|k| 0.3 * k as f64 - 1.1).collect();
-        let eval = |p: &RegProgram| {
-            let mut regs = vec![f64::NAN; p.n_regs];
-            for op in &p.ops {
-                let mut ins = Vec::new();
-                op.operands(&mut ins);
-                let x: Vec<f64> = ins.iter().map(|&r| regs[r as usize]).collect();
-                regs[op.dst() as usize] = match *op {
-                    RegOp::Const { v, .. } => v,
-                    RegOp::Load { rel, .. } => data[(4 + rel) as usize],
-                    RegOp::Mul { .. } => x[0] * x[1],
-                    RegOp::Add { .. } => x[0] + x[1],
-                    RegOp::Call1 { f, .. } => call1(f, x[0]),
-                    ref other => unreachable!("{other:?}"),
-                };
-            }
-            regs[p.result as usize]
-        };
-        assert_eq!(eval(&reused).to_bits(), eval(&ssa).to_bits());
+        assert_eq!(
+            eval_at(&reused, &data, 4).to_bits(),
+            eval_at(&ssa, &data, 4).to_bits()
+        );
     }
 }

@@ -1,8 +1,8 @@
-//! Row execution of register programs — the vectorized back half of the
-//! lowering pipeline.
+//! Row execution of register programs: the vectorized way to run a plan's
+//! one lowered form.
 //!
-//! The per-point interpreter (`tile::exec_point`) re-dispatches
-//! the op loop, re-checks statement guards, and re-derives `LoadPadded`
+//! The per-point evaluator (`RegProgram::eval_point`) re-dispatches the
+//! op loop, re-checks statement guards, and re-derives `LoadPadded`
 //! bounds at *every grid point*. This executor instead evaluates a
 //! [`RegProgram`] over a whole contiguous innermost-dimension run at a
 //! time, in fixed-width chunks of [`LANES`] points: each op becomes a
@@ -20,12 +20,11 @@
 //!   interior path uses plain offset loads with no branches.
 //!
 //! Chunking reorders evaluation *across* points, never *within* one
-//! point, so results are bitwise identical to the interpreter.
+//! point, so results are bitwise identical to the per-point evaluator.
 
 use crate::atomic::AtomicF64;
-use crate::bytecode::call1;
 use crate::kernel::{NestPlan, Plan};
-use crate::regir::{RegOp, RegProgram};
+use crate::regir::{call1, max, min, RegOp, RegProgram};
 use crate::tile::Buffers;
 
 /// Lane-chunk width: one op processes up to this many consecutive grid
@@ -49,8 +48,9 @@ struct PadRow {
 }
 
 /// Per-thread scratch for row execution: the register lane file plus the
-/// per-row padded-load table.
-#[derive(Clone)]
+/// per-row padded-load table. The default is empty, for scratch structs
+/// whose run never takes the rows path.
+#[derive(Clone, Default)]
 pub struct RowScratch {
     regs: Vec<f64>,
     pads: Vec<PadRow>,
@@ -64,15 +64,6 @@ impl RowScratch {
             pads: Vec::new(),
         }
     }
-
-    /// A zero-capacity placeholder for scratch structs whose run will
-    /// never take the rows path.
-    pub(crate) fn empty() -> RowScratch {
-        RowScratch {
-            regs: Vec::new(),
-            pads: Vec::new(),
-        }
-    }
 }
 
 /// Largest register count over all statements of a plan.
@@ -80,7 +71,7 @@ pub(crate) fn max_regs(plan: &Plan) -> usize {
     plan.nests
         .iter()
         .flat_map(|n| n.stmts.iter())
-        .map(|s| s.row.n_regs)
+        .map(|s| s.prog.n_regs)
         .max()
         .unwrap_or(0)
 }
@@ -89,9 +80,10 @@ pub(crate) fn max_regs(plan: &Plan) -> usize {
 /// `counters[..rank-1]` and innermost interval `[lo, hi]` (inclusive).
 /// `base` is the linear offset contributed by the outer counters.
 ///
-/// Caller contract (as for `exec_point`): the row lies inside the nest's
-/// compiled bounds, so the plan's range proof covers every unguarded load
-/// and write; parallel callers guarantee disjoint or atomic writes.
+/// Caller contract (as for the per-point evaluator): the row lies inside
+/// the nest's compiled bounds, so the plan's range proof covers every
+/// unguarded load and write; parallel callers guarantee disjoint or
+/// atomic writes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_row(
     plan: &Plan,
@@ -123,7 +115,7 @@ pub(crate) fn exec_row(
         if slo > shi {
             continue;
         }
-        let prog: &RegProgram = &st.row;
+        let prog: &RegProgram = &st.prog;
         // Hard check (not debug-only): the segment loops index the lane
         // file through raw pointers, so an undersized scratch must panic
         // here rather than corrupt memory.
@@ -163,7 +155,7 @@ pub(crate) fn exec_row(
             });
         }
 
-        let out_ptr = bufs.write_ptrs[st.out_slot];
+        let out_ptr = bufs.ptrs[st.out_slot];
         let mut seg = |a: i64, b: i64, edge: bool| {
             if a > b {
                 return;
@@ -333,19 +325,18 @@ unsafe fn eval_chunk(
                 }
             }
             RegOp::Load { dst, slot, rel } => {
-                let a = &bufs.views[slot as usize];
                 let idx = center + rel as isize;
                 debug_assert!(
-                    idx >= 0 && (idx as usize + (len - 1) * stride_last as usize) < a.len,
+                    idx >= 0 && (idx as usize + (len - 1) * stride_last as usize) < bufs.len,
                     "row load out of range"
                 );
-                let p = a.ptr.offset(idx);
+                let p = bufs.ptrs[slot as usize].offset(idx);
                 for l in 0..len {
                     lane!(dst, l) = *p.offset(l as isize * stride_last);
                 }
             }
             RegOp::LoadPadded { dst, slot, pad } => {
-                let a = &bufs.views[slot as usize];
+                let a = bufs.ptrs[slot as usize];
                 let p = pads[pad as usize];
                 if !edge {
                     // Interior segment: bounds proven per row.
@@ -353,9 +344,9 @@ unsafe fn eval_chunk(
                         let first = p.base + (j0 + p.off_last) as isize * stride_last;
                         debug_assert!(
                             first >= 0
-                                && (first as usize + (len - 1) * stride_last as usize) < a.len
+                                && (first as usize + (len - 1) * stride_last as usize) < bufs.len
                         );
-                        let q = a.ptr.offset(first);
+                        let q = a.offset(first);
                         for l in 0..len {
                             lane!(dst, l) = *q.offset(l as isize * stride_last);
                         }
@@ -368,7 +359,7 @@ unsafe fn eval_chunk(
                     for l in 0..len {
                         let ixl = j0 + l as i64 + p.off_last;
                         lane!(dst, l) = if p.outer_ok && ixl >= 0 && (ixl as usize) < dim_last {
-                            *a.ptr.offset(p.base + ixl as isize * stride_last)
+                            *a.offset(p.base + ixl as isize * stride_last)
                         } else {
                             0.0
                         };
@@ -393,13 +384,8 @@ unsafe fn eval_chunk(
                     lane!(dst, l) = call1(f, lane!(a, l));
                 }
             }
-            // Interpreter comparison semantics, not `f64::max` (NaN order).
-            RegOp::Max { dst, a, b } => {
-                binop!(dst, a, b, |x: f64, y: f64| if x >= y { x } else { y })
-            }
-            RegOp::Min { dst, a, b } => {
-                binop!(dst, a, b, |x: f64, y: f64| if x <= y { x } else { y })
-            }
+            RegOp::Max { dst, a, b } => binop!(dst, a, b, max),
+            RegOp::Min { dst, a, b } => binop!(dst, a, b, min),
             RegOp::Select {
                 dst,
                 rel,
@@ -417,61 +403,5 @@ unsafe fn eval_chunk(
                 }
             }
         }
-    }
-}
-
-/// Execute a rectangular box `[lo, hi]` (inclusive, rank dims) of `nest`
-/// row by row: the outer dimensions are walked point-wise, the innermost
-/// interval is handed to [`exec_row`] whole. Shared by the serial/parallel
-/// runners and the tile runner.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_box_rows(
-    plan: &Plan,
-    nest: &NestPlan,
-    bufs: &Buffers,
-    lo: &[i64],
-    hi: &[i64],
-    atomic: bool,
-    counters: &mut [i64],
-    scratch: &mut RowScratch,
-) {
-    walk(plan, nest, bufs, 0, 0, lo, hi, atomic, counters, scratch);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    plan: &Plan,
-    nest: &NestPlan,
-    bufs: &Buffers,
-    dim: usize,
-    base: isize,
-    lo: &[i64],
-    hi: &[i64],
-    atomic: bool,
-    counters: &mut [i64],
-    scratch: &mut RowScratch,
-) {
-    let last = plan.rank - 1;
-    if dim == last {
-        exec_row(
-            plan, nest, bufs, counters, base, lo[dim], hi[dim], atomic, scratch,
-        );
-        return;
-    }
-    let stride = plan.strides[dim] as isize;
-    for k in lo[dim]..=hi[dim] {
-        counters[dim] = k;
-        walk(
-            plan,
-            nest,
-            bufs,
-            dim + 1,
-            base + k as isize * stride,
-            lo,
-            hi,
-            atomic,
-            counters,
-            scratch,
-        );
     }
 }

@@ -12,12 +12,12 @@
 //! "Atomics" series measures.
 //!
 //! Orthogonally to the parallel strategy, a run uses one of three
-//! lowerings ([`Lowering`]): the per-point stack interpreter (the
-//! reference every property suite compares against), the vectorized
-//! register-IR row executor ([`crate::rows`]), or JIT-compiled native
-//! code resolved through the [`crate::native`] registry (`perforad-jit`
-//! populates it; a missing entry falls back to the row executor). All
-//! produce bitwise-identical results.
+//! lowerings ([`Lowering`]) of each statement's one register program: the
+//! per-point evaluator (the reference every property suite compares
+//! against), the vectorized row executor ([`crate::rows`]), or
+//! JIT-compiled native code resolved through the [`crate::native`]
+//! registry (`perforad-jit` populates it; a missing entry falls back to
+//! the row executor). All produce bitwise-identical results.
 
 use crate::error::ExecError;
 use crate::kernel::Plan;
@@ -34,20 +34,20 @@ pub struct ExecStats {
     pub points: u64,
 }
 
-/// Which lowering the executor runs.
+/// How the executor runs each statement's [`crate::RegProgram`].
 ///
-/// The default is the **reference interpreter**, 5–9× slower than
+/// The default is the **per-point reference**, several times slower than
 /// [`Lowering::Rows`] on the paper's stencils: right for a test oracle,
 /// wrong for a time loop. Production callers ask for `Rows` (or `Jit`)
 /// explicitly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Lowering {
-    /// Stack-bytecode interpreter dispatched once per grid point — the
-    /// reference implementation.
+    /// The program evaluated one grid point at a time, guards and padding
+    /// checked at every point — the reference implementation.
     #[default]
     PerPoint,
-    /// Register-IR programs evaluated over whole innermost-dimension rows
-    /// in vectorizable lane chunks (see [`crate::regir`] / [`crate::rows`]).
+    /// The program evaluated over whole innermost-dimension rows in
+    /// vectorizable lane chunks (see [`crate::rows`]).
     Rows,
     /// Natively compiled code produced at run time by `perforad-jit` and
     /// resolved through the [`crate::native`] registry by plan
@@ -90,7 +90,7 @@ pub enum TilePolicy {
 /// ```
 /// # use perforad_exec::{ExecMode, ThreadPool};
 /// let pool = ThreadPool::new(2);
-/// let _reference = ExecMode::serial();              // per-point interpreter
+/// let _reference = ExecMode::serial();              // per-point reference
 /// let _fast = ExecMode::parallel(&pool).rows();     // vectorized rows
 /// ```
 #[derive(Clone, Copy)]
@@ -100,14 +100,14 @@ pub struct ExecMode<'a> {
 }
 
 impl<'a> ExecMode<'a> {
-    /// Single thread, per-point interpreter (the reference mode). Chain
-    /// [`ExecMode::rows`] unless the interpreter is what you mean to
-    /// time: it is the slowest lowering by 5–9×.
+    /// Single thread, [`Lowering::PerPoint`] (the reference mode). Chain
+    /// [`ExecMode::rows`] unless the reference is what you mean to time:
+    /// it is the slowest lowering, several times slower than rows.
     pub fn serial() -> Self {
         Strategy::Serial.into()
     }
 
-    /// Gather-parallel on `pool` — on the per-point interpreter until
+    /// Gather-parallel on `pool` — on the per-point reference until
     /// [`ExecMode::rows`] or [`ExecMode::jit`] is chained, as for
     /// [`ExecMode::serial`].
     pub fn parallel(pool: &'a ThreadPool) -> Self {

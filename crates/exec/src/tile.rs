@@ -6,15 +6,15 @@
 //! cuts a hull into a [`Tiling`], and [`crate::BoundPlan::run`] is the one
 //! driver, pinning the buffers and handing a tiling's tiles to a runner
 //! ([`crate::run_tiling`] binds a plan and runs it once). A tile runs every
-//! nest's part of its box: nest by nest in plan order on the interpreter
-//! and the row executor, in one call of the group's native entry on the
-//! JIT.
+//! nest's part of its box: nest by nest in plan order on the per-point
+//! evaluator and the row executor, in one call of the group's native entry
+//! on the JIT.
 //!
 //! # The gather proof
 //!
-//! Every `unsafe` that runs plan points — here, in `rows`, `bytecode`,
-//! `native` and `perforad-jit` — rests on three facts, each established in
-//! one place:
+//! Every `unsafe` that runs plan points — here, in `regir` (the per-point
+//! evaluator), `rows`, `native` and `perforad-jit` — rests on three facts,
+//! each established in one place:
 //!
 //! - **F1.** Every write index is `counter + c` per dimension and in
 //!   range, and every unpadded read is in range, over each statement's
@@ -45,10 +45,10 @@
 //! on no plan fact and states its own invariant.
 
 use crate::atomic::AtomicF64;
-use crate::bytecode::{ArrayView, PointEnv, Program};
 use crate::error::ExecError;
 use crate::kernel::{NestPlan, Plan};
 use crate::native::NativeGroup;
+use crate::regir::Point;
 use crate::rows::{self, RowScratch};
 use crate::run::Lowering;
 use crate::workspace::{GridId, Slot, Workspace};
@@ -126,23 +126,20 @@ impl Tiling {
 
 #[derive(Clone)]
 pub(crate) struct Buffers {
-    pub(crate) views: Vec<ArrayView>,
     /// One base pointer per slot. Written through only for slots the plan
     /// writes, which are all owned by the workspace; a shared slot's
     /// pointer is only read through.
-    pub(crate) write_ptrs: Vec<*mut f64>,
-    pub(crate) lens: Vec<usize>,
+    pub(crate) ptrs: Vec<*mut f64>,
+    /// Elements of every array (the plan's extents, multiplied).
+    pub(crate) len: usize,
 }
 
 impl Buffers {
-    /// Tables for `plan`'s slots, pointing nowhere until [`Buffers::pin`].
+    /// A table for `plan`'s slots, pointing nowhere until [`Buffers::pin`].
     pub(crate) fn for_plan(plan: &Plan) -> Buffers {
-        let slots = plan.arrays.len();
-        let null = std::ptr::null_mut();
         Buffers {
-            views: vec![ArrayView { ptr: null, len: 0 }; slots],
-            write_ptrs: vec![null; slots],
-            lens: vec![0; slots],
+            ptrs: vec![std::ptr::null_mut(); plan.arrays.len()],
+            len: plan.dims.iter().product(),
         }
     }
 
@@ -172,10 +169,7 @@ impl Buffers {
                 // alive and `Arc::get_mut` refuses every other holder.
                 Slot::Shared(g) => g.as_slice().as_ptr() as *mut f64,
             };
-            let len = plan.dims.iter().product();
-            self.views[k] = ArrayView { ptr, len };
-            self.write_ptrs[k] = ptr;
-            self.lens[k] = len;
+            self.ptrs[k] = ptr;
         }
         Ok(())
     }
@@ -201,61 +195,62 @@ pub(crate) fn check_slot(plan: &Plan, k: usize, slot: &Slot) -> Result<(), ExecE
     Ok(())
 }
 
-#[inline]
+/// Run every statement of `nest` point by point (the per-point reference)
+/// over one row inside its bounds, as [`rows::exec_row`] takes it, each
+/// program evaluated in the register slice `regs`.
 #[allow(clippy::too_many_arguments)]
-fn exec_point(
+#[inline]
+fn exec_points(
     plan: &Plan,
     nest: &NestPlan,
     bufs: &Buffers,
-    counters: &[i64],
-    center: isize,
+    counters: &mut [i64],
+    base: isize,
+    lo: i64,
+    hi: i64,
     atomic: bool,
-    stack: &mut Vec<f64>,
-    tmps: &mut [f64],
+    regs: &mut [f64],
 ) {
-    'stmt: for st in &nest.stmts {
-        if let Some(g) = &st.guard {
-            for (d, &(l, h)) in g.iter().enumerate() {
-                if counters[d] < l || counters[d] > h {
-                    continue 'stmt;
-                }
-            }
-        }
-        let env = PointEnv {
-            arrays: &bufs.views,
+    let last = plan.rank - 1;
+    for k in lo..=hi {
+        counters[last] = k;
+        let at = Point {
+            bufs,
             counters,
             dims: &plan.dims,
             strides: &plan.strides,
-            center,
+            center: base + k as isize * plan.strides[last] as isize,
         };
-        let v = st.prog.eval_with_tmps(&env, stack, tmps);
-        let target = center + st.write_rel;
-        debug_assert!(target >= 0 && (target as usize) < bufs.lens[st.out_slot]);
-        let ptr = bufs.write_ptrs[st.out_slot];
-        // SAFETY: F1 puts `target` in range; F3 makes concurrent writes
-        // disjoint or atomic.
-        unsafe {
-            let p = ptr.offset(target);
-            if st.overwrite {
-                *p = v;
-            } else if atomic {
-                (*(p as *const AtomicF64)).fetch_add(v);
-            } else {
-                *p += v;
+        for st in &nest.stmts {
+            let mut guard = st.guard.iter().flatten().zip(at.counters);
+            if guard.any(|(&(l, h), &k)| k < l || k > h) {
+                continue;
+            }
+            // SAFETY: F1 — the point lies inside the nest's compiled bounds
+            // and, checked just above, the statement's guard: its effective
+            // bounds, over which the plan proved every unpadded load.
+            let v = unsafe { st.prog.eval_point(&at, regs) };
+            let target = at.center + st.write_rel;
+            debug_assert!(target >= 0 && (target as usize) < bufs.len);
+            // SAFETY: F1 puts `target` in range; F3 makes concurrent writes
+            // disjoint or atomic.
+            unsafe {
+                let p = bufs.ptrs[st.out_slot].offset(target);
+                if st.overwrite {
+                    *p = v;
+                } else if atomic {
+                    (*(p as *const AtomicF64)).fetch_add(v);
+                } else {
+                    *p += v;
+                }
             }
         }
     }
 }
 
-/// The largest `size` of any statement's stack program in `plan`.
-fn max_over(plan: &Plan, size: fn(&Program) -> usize) -> usize {
-    let stmts = plan.nests.iter().flat_map(|n| &n.stmts);
-    stmts.map(|s| size(&s.prog)).max().unwrap_or(0)
-}
-
 /// Per-thread scratch state for tile execution (loop counters, a nest's
-/// part of the tile, VM stack, CSE temporaries, register lane file), sized
-/// for the one lowering it will run: one per worker, from
+/// part of the tile, the per-point register slice or the rows lane file),
+/// sized for the one lowering it will run: one per worker, from
 /// [`TileRunner::scratch`].
 ///
 /// It also tallies the tiles run through it and adds the tally to its
@@ -267,8 +262,8 @@ pub(crate) struct TileScratch {
     /// One nest's part of the running tile (its box ∩ the nest's bounds).
     part_lo: Vec<i64>,
     part_hi: Vec<i64>,
-    stack: Vec<f64>,
-    tmps: Vec<f64>,
+    /// The per-point evaluator's registers.
+    regs: Vec<f64>,
     rows: RowScratch,
     tiles: u64,
     /// Index into [`tile_counters`] of the lowering these tiles ran on.
@@ -321,8 +316,8 @@ unsafe impl Sync for TileRunner<'_> {}
 
 impl<'a> TileRunner<'a> {
     /// Index into [`tile_counters`] of the lowering this runner's tiles
-    /// run on: the interpreter, rows (Jit without a module included), or
-    /// native code.
+    /// run on: the per-point evaluator, rows (Jit without a module
+    /// included), or native code.
     fn dispatch(&self) -> usize {
         match self.lowering {
             Lowering::PerPoint => 0,
@@ -335,15 +330,11 @@ impl<'a> TileRunner<'a> {
     /// lowering.
     pub(crate) fn scratch(&self) -> TileScratch {
         let dispatch = self.dispatch();
-        let (stack, tmps, rows) = match dispatch {
-            0 => (
-                Vec::with_capacity(max_over(self.plan, Program::max_stack)),
-                vec![0.0; max_over(self.plan, Program::n_tmps)],
-                RowScratch::empty(),
-            ),
-            1 => (Vec::new(), Vec::new(), RowScratch::for_plan(self.plan)),
+        let (regs, rows) = match dispatch {
+            0 => (vec![0.0; rows::max_regs(self.plan)], RowScratch::default()),
+            1 => (Vec::new(), RowScratch::for_plan(self.plan)),
             // A resolved native module never touches the other paths.
-            _ => (Vec::new(), Vec::new(), RowScratch::empty()),
+            _ => (Vec::new(), RowScratch::default()),
         };
         // The native entry walks and clamps on its own: no counters, no
         // nest parts.
@@ -352,8 +343,7 @@ impl<'a> TileRunner<'a> {
             counters: vec![0i64; walked],
             part_lo: vec![0i64; walked],
             part_hi: vec![0i64; walked],
-            stack,
-            tmps,
+            regs,
             rows,
             tiles: 0,
             dispatch,
@@ -395,7 +385,7 @@ impl<'a> TileRunner<'a> {
             // fingerprint, so its entry reads `rank` bounds (checked above)
             // and this plan's slots, and clamps every nest's part to that
             // nest's bounds; F3 is this method's own contract.
-            return native.run_box(lo, hi, &self.bufs.write_ptrs);
+            return native.run_box(lo, hi, &self.bufs.ptrs);
         }
         for nest in self.plan.nests.iter().filter(|n| !n.empty) {
             let mut part = true;
@@ -407,48 +397,39 @@ impl<'a> TileRunner<'a> {
             if !part {
                 continue;
             }
-            match self.lowering {
-                Lowering::PerPoint => self.walk_part(nest, 0, 0, scratch),
-                Lowering::Rows | Lowering::Jit => rows::exec_box_rows(
-                    self.plan,
-                    nest,
-                    self.bufs,
-                    &scratch.part_lo,
-                    &scratch.part_hi,
-                    self.atomic,
-                    &mut scratch.counters,
-                    &mut scratch.rows,
-                ),
-            }
+            let (plan, bufs, atomic, lowering) = (self.plan, self.bufs, self.atomic, self.lowering);
+            let (lo, hi) = (&scratch.part_lo[..], &scratch.part_hi[..]);
+            let (regs, rows) = (&mut scratch.regs, &mut scratch.rows);
+            let mut row = |ks: &mut [i64], base, a, b| match lowering {
+                Lowering::PerPoint => exec_points(plan, nest, bufs, ks, base, a, b, atomic, regs),
+                _ => rows::exec_row(plan, nest, bufs, ks, base, a, b, atomic, rows),
+            };
+            for_each_row(plan, lo, hi, 0, 0, &mut scratch.counters, &mut row);
         }
     }
+}
 
-    /// Interpret every point of `nest`'s part of the running tile
-    /// (`scratch.part_*`, inside the nest's compiled bounds).
-    fn walk_part(&self, nest: &NestPlan, dim: usize, base: isize, scratch: &mut TileScratch) {
-        let rank = self.plan.rank;
-        let (lo, hi) = (scratch.part_lo[dim], scratch.part_hi[dim]);
-        let stride = self.plan.strides[dim] as isize;
-        if dim + 1 == rank {
-            for k in lo..=hi {
-                scratch.counters[dim] = k;
-                exec_point(
-                    self.plan,
-                    nest,
-                    self.bufs,
-                    &scratch.counters,
-                    base + k as isize * stride,
-                    self.atomic,
-                    &mut scratch.stack,
-                    &mut scratch.tmps,
-                );
-            }
-        } else {
-            for k in lo..=hi {
-                scratch.counters[dim] = k;
-                self.walk_part(nest, dim + 1, base + k as isize * stride, scratch);
-            }
-        }
+/// Call `row(counters, base, lo, hi)` on every innermost row of the box
+/// `[lo, hi]` (inclusive) of `plan`'s space, the outer dimensions from
+/// `dim` on walked in order: `counters` holds the row's outer counters,
+/// `base` their linear offset, and `[lo, hi]` its innermost interval.
+fn for_each_row(
+    plan: &Plan,
+    lo: &[i64],
+    hi: &[i64],
+    dim: usize,
+    base: isize,
+    counters: &mut [i64],
+    row: &mut impl FnMut(&mut [i64], isize, i64, i64),
+) {
+    if dim + 1 == plan.rank {
+        return row(counters, base, lo[dim], hi[dim]);
+    }
+    let stride = plan.strides[dim] as isize;
+    for k in lo[dim]..=hi[dim] {
+        counters[dim] = k;
+        let base = base + k as isize * stride;
+        for_each_row(plan, lo, hi, dim + 1, base, counters, row);
     }
 }
 

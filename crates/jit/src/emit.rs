@@ -172,12 +172,12 @@ fn nest_runs(plan: &Plan, name: &str, nest: &NestPlan) -> Vec<Run> {
         let mut accs: Vec<&StmtPlan> = Vec::new();
         let mut reads: Vec<u16> = Vec::new();
         for st in &run {
-            for op in &st.row.ops {
+            for op in &st.prog.ops {
                 if let RegOp::Load { slot, .. } | RegOp::LoadPadded { slot, .. } = *op {
                     reads.push(slot);
                 }
             }
-            let (slot, value) = (st.out_slot, rhs(plan, &st.row, pad));
+            let (slot, value) = (st.out_slot, rhs(plan, &st.prog, pad));
             let w = format!("__w{slot}");
             let first = !accs.iter().any(|a| a.out_slot == slot);
             let _ = match (first, st.overwrite) {

@@ -1,12 +1,13 @@
 //! # perforad-jit
 //!
 //! Run-time native lowering for **PerforAD-rs** adjoint schedules — the
-//! third execution tier after the stack-bytecode interpreter and the
-//! register-IR row executor.
+//! third execution tier after the per-point reference evaluator and the
+//! register-IR row executor, all three running each statement's one
+//! register program.
 //!
 //! The paper's speedups come from *compiler-optimized* stencil loops
-//! (Intel-compiled C in the ICPP 2019 evaluation), while the interpreter
-//! and the rows executor pay per-op dispatch on every *fused, tiled*
+//! (Intel-compiled C in the ICPP 2019 evaluation), while the per-point
+//! evaluator and the rows executor pay per-op dispatch on every *fused, tiled*
 //! schedule the scheduler produces. This crate closes the gap at run
 //! time:
 //!

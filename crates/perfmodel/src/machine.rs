@@ -34,7 +34,8 @@ pub struct Machine {
     pub barrier_us: f64,
     /// Per-tile dispatch overhead (scratch set-up, bounds resolution), ns.
     pub tile_dispatch_ns: f64,
-    /// Per-point dispatch overhead of the stack-bytecode interpreter, ns.
+    /// Per-point dispatch overhead of the per-point reference evaluator
+    /// (`Lowering::PerPoint`, one register program op at a time), ns.
     pub interp_point_ns: f64,
     /// Per-point overhead of the vectorized register-IR row executor, ns.
     pub rows_point_ns: f64,

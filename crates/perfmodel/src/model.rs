@@ -89,7 +89,7 @@ pub struct ScheduleShape {
     /// Total tile count across all regions.
     pub tiles: usize,
     /// True under the vectorized register-IR row executor, false under
-    /// the per-point stack interpreter.
+    /// the per-point reference evaluator.
     pub rows: bool,
     /// True under JIT-compiled native tiles (overrides `rows` for the
     /// per-point dispatch term).

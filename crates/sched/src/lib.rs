@@ -29,7 +29,7 @@
 //!    tiles to [`ThreadPool`] workers statically (LPT pre-assignment) or
 //!    dynamically (shared counter) and refuses a plan that is not
 //!    gather-only; a [`BoundSchedule`] binds every group once for a time
-//!    loop. Each tile runs on the per-point interpreter, the
+//!    loop. Each tile runs on the per-point reference evaluator, the
 //!    vectorized register-IR row executor ([`SchedOptions::with_rows`]) or,
 //!    once `perforad-jit` has prepared the group, its one native entry
 //!    point; all are bitwise-identical. This crate holds no `unsafe`: the

@@ -36,7 +36,7 @@ pub struct SchedOptions {
     pub policy: TilePolicy,
     /// Apply per-statement common-subexpression elimination when lowering.
     pub cse: bool,
-    /// Statement lowering tiles run with: the per-point interpreter
+    /// Statement lowering tiles run with: the per-point evaluator
     /// (default, reference), the vectorized register-IR row executor, or
     /// JIT-compiled native code (rows when no module is registered).
     pub lowering: Lowering,

@@ -11,7 +11,8 @@
 //! * [`symbolic`] — expression algebra (SymPy substitute);
 //! * [`core`] — the loop-nest IR and the adjoint stencil transformation;
 //! * [`codegen`] — C/Rust back-ends and a DSL front-end;
-//! * [`exec`] — grids, thread pool, atomic-f64 baseline, bytecode VM, and
+//! * [`exec`] — grids, thread pool, atomic-f64 baseline, one register
+//!   program per statement (run per point, by rows, or natively), and
 //!   the one [`exec::run()`]`(plan, ws, ExecMode)` execution function;
 //! * [`jit`] — run-time native lowering: fused groups compiled by
 //!   `rustc` into `dlopen`-loaded cdylibs;

@@ -334,6 +334,12 @@ fn two_writes_to_one_point_of_an_assigned_array_are_refused() {
     let refused = Err(ExecError::Unsupported(
         "assigned `w` is written twice at one point".to_string(),
     ));
+    // The refusal names the plan, not any one lowering.
+    let text = refused.as_ref().unwrap_err().to_string();
+    assert_eq!(
+        text,
+        "unsupported plan: assigned `w` is written twice at one point"
+    );
     // Overlapping boxes; boxes apart that a write offset brings together.
     for nests in [
         [nest(1, 6, 0), nest(6, 9, 0)],

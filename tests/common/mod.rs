@@ -12,13 +12,15 @@
 
 use perforad::ckpt::{CkptReport, Snapshot};
 use perforad::codegen::rust::print_module;
-use perforad::core::AdjointOptions;
+use perforad::core::{AdjointOptions, AssignOp, Bound, LoopNest};
 use perforad::exec::{default_pool, Binding, Grid, Lowering, ThreadPool, Workspace};
 use perforad::pde::seismic::{BatchOptions, BatchPlan, SeismicConfig, ShotBatch, SnapshotBackend};
 use perforad::pde::{burgers, wave3d};
+use perforad::symbolic::{eval, EvalContext, SymError, Symbol};
 use perforad::tune::{autotune_adjoint, Measure, TimeLoop, TuneOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 
 /// Deterministic xorshift64* generator.
 pub struct Rng(u64);
@@ -81,6 +83,96 @@ pub fn assert_bitwise(tag: &str, got: &Workspace, want: &Workspace, names: &[&st
         assert_eq!(g.dims(), w.dims(), "{tag}: {name} shape");
         for (k, (a, b)) in g.as_slice().iter().zip(w.as_slice()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "{tag}: {name}[{k}]");
+        }
+    }
+}
+
+/// The expression oracle: `nests` run on `ws` point by point through
+/// `perforad::symbolic::eval`, in nest and statement order, honouring each
+/// statement's guard and `=` / `+=`. With `padded`, a load outside the
+/// extents reads zero. Sizes and parameters come from `bind`.
+pub fn eval_nests(nests: &[LoopNest], ws: &mut Workspace, bind: &Binding, padded: bool) {
+    let range = |b: &Bound| {
+        (
+            b.lo.eval(&bind.sizes).unwrap(),
+            b.hi.eval(&bind.sizes).unwrap(),
+        )
+    };
+    for nest in nests {
+        let ranges: Vec<(i64, i64)> = nest.bounds.iter().map(range).collect();
+        let mut point: Vec<i64> = ranges.iter().map(|r| r.0).collect();
+        let mut at = bind.sizes.clone();
+        if ranges.iter().any(|(lo, hi)| lo > hi) {
+            continue;
+        }
+        loop {
+            at.extend(nest.counters.iter().cloned().zip(point.iter().copied()));
+            for st in &nest.body {
+                let guards = st.guard.iter().flat_map(|g| &g.ranges);
+                if guards
+                    .map(|(c, b)| (at[c], range(b)))
+                    .any(|(k, (lo, hi))| k < lo || k > hi)
+                {
+                    continue;
+                }
+                let ctx = Oracle {
+                    ws,
+                    bind,
+                    at: &at,
+                    padded,
+                };
+                let v: f64 = eval(&st.rhs, &ctx).unwrap();
+                let ix = st
+                    .lhs
+                    .indices
+                    .iter()
+                    .map(|ix| ix.eval(&at).unwrap() as usize);
+                let ix: Vec<usize> = ix.collect();
+                let grid = ws.grid_mut(st.lhs.array.name());
+                let add = st.op != AssignOp::Assign;
+                grid.set(&ix, if add { grid.get(&ix) + v } else { v });
+            }
+            // The next point, innermost counter fastest; past the last, done.
+            let mut d = point.len();
+            while d > 0 && point[d - 1] == ranges[d - 1].1 {
+                d -= 1;
+                point[d] = ranges[d].0;
+            }
+            let Some(k) = d.checked_sub(1) else { break };
+            point[k] += 1;
+        }
+    }
+}
+
+/// What [`eval_nests`] evaluates a statement against at one point.
+struct Oracle<'a> {
+    ws: &'a Workspace,
+    bind: &'a Binding,
+    at: &'a BTreeMap<Symbol, i64>,
+    padded: bool,
+}
+
+impl EvalContext<f64> for Oracle<'_> {
+    fn scalar(&self, s: &Symbol) -> Result<f64, SymError> {
+        let value = self.bind.params.get(s).copied();
+        value.ok_or_else(|| SymError::UnboundSymbol(s.name().to_string()))
+    }
+
+    fn index_value(&self, s: &Symbol) -> Result<i64, SymError> {
+        let value = self.at.get(s).copied();
+        value.ok_or_else(|| SymError::UnboundIndex(s.name().to_string()))
+    }
+
+    fn load(&self, array: &Symbol, indices: &[i64]) -> Result<f64, SymError> {
+        let grid = self.ws.grid(array.name());
+        let mut dims = indices.iter().zip(grid.dims());
+        if dims.all(|(&k, &d)| k >= 0 && (k as usize) < d) {
+            let ix: Vec<usize> = indices.iter().map(|&k| k as usize).collect();
+            Ok(grid.get(&ix))
+        } else if self.padded {
+            Ok(0.0)
+        } else {
+            Err(SymError::Eval(format!("`{array}` read at {indices:?}")))
         }
     }
 }

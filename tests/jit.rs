@@ -714,7 +714,7 @@ fn wave3d_primal_jit_bitwise_identical_and_golden() {
 /// `rustc`) at `-O`. The binary reads every array a module's top-level
 /// function takes from a little-endian `f64` file, calls it over its full
 /// range and writes back the arrays it assigns. Each primal must match
-/// the per-point VM to 1e-14, each adjoint the row executor to 1e-13.
+/// the per-point evaluator to 1e-14, each adjoint the row executor to 1e-13.
 #[test]
 fn printed_modules_compile_and_match_the_executors() {
     use perforad::pde::{burgers, wave3d};

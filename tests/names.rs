@@ -10,6 +10,10 @@
 //! modules at PR 20's tree, before `Idx` stopped being a `BTreeMap`.
 //! The paper-kernel set was recorded while wave3d, Burgers and heat2d
 //! were still built term by term in Rust, before each became one DSL text.
+//! The emitted group modules and the CSE plans were recorded while every
+//! statement was still compiled to stack bytecode first and lowered to its
+//! register program from that, before `regir` lowered straight from the
+//! expression: the same programs, under the same names, op for op.
 
 use perforad::codegen::rust::print_module;
 use perforad::core::nest::{Bound, Statement};
@@ -210,4 +214,84 @@ fn plan_fingerprints_are_golden() {
     .unwrap();
     let primal = primal.groups[0].plan.fingerprint();
     assert_eq!(primal, GOLDEN_PRIMAL_PLAN, "primal {primal:#018x}");
+}
+
+/// `group_module` of the n = 16 wave adjoint group, its seismic back step
+/// (accumulate mode, carrying `u_1_b` and `c_b`), the wave primal, and
+/// the n = 64 Burgers adjoint under `Guarded` and `Padded`: the register
+/// programs rows and the JIT run, op for op and register for register.
+const GOLDEN_GROUP_MODULES: [u64; 5] = [
+    0x5ef3_931b_9869_25d9,
+    0x5703_7c60_4e94_450e,
+    0x9db2_f35b_161b_e6d3,
+    0x1e86_f7b9_0bce_3c60,
+    0x1349_294c_2700_0e48,
+];
+
+/// The one module of `schedule`'s one group.
+fn module_of(schedule: &Schedule) -> u64 {
+    assert_eq!(schedule.group_count(), 1);
+    let module = perforad::jit::emit::group_module(&schedule.groups[0].plan).unwrap();
+    fnv1a64(module.as_bytes())
+}
+
+#[test]
+fn emitted_group_modules_are_golden() {
+    let (mut ws, bind) = wave3d::workspace(N, 0.1);
+    let adj = wave_adjoint();
+    let group = compile_schedule(&adj, &ws, &bind, &SchedOptions::default()).unwrap();
+    ws.insert("c_b", Grid::zeros(&[N; 3]));
+    let accumulate = SchedOptions::default().with_accumulate(["u_1_b", "c_b"]);
+    let back = compile_schedule(&adj, &ws, &bind, &accumulate).unwrap();
+    assert_eq!(group.groups[0].plan.unique_programs(), 9);
+    assert_eq!(back.groups[0].plan.unique_programs(), 35);
+    let primal = compile_schedule_nests(
+        &[wave3d::nest()],
+        &ws,
+        &bind,
+        false,
+        &SchedOptions::default(),
+    )
+    .unwrap();
+    let mut got = vec![module_of(&group), module_of(&back), module_of(&primal)];
+    let (ws, bind) = burgers::workspace(64, 0.3, 0.1);
+    for strategy in [BoundaryStrategy::Guarded, BoundaryStrategy::Padded] {
+        let opts = AdjointOptions::default().with_strategy(strategy);
+        let adj = burgers::nest()
+            .adjoint(&burgers::activity(), &opts)
+            .unwrap();
+        let schedule = compile_schedule(&adj, &ws, &bind, &SchedOptions::default()).unwrap();
+        got.push(module_of(&schedule));
+    }
+    assert_eq!(got, GOLDEN_GROUP_MODULES, "{got:#018x?}");
+}
+
+/// `r[i] = sin(u[i]*u[i+1]) + sin(u[i]*u[i+1])*u[i-1]` at n = 33, compiled
+/// with CSE: the primal's plan fingerprint and module, then the adjoint's,
+/// in accumulate mode carrying `u_b` — a sum whose members' six CSE
+/// temporaries are numbered one after another.
+const GOLDEN_CSE_PLANS: [(u64, u64); 2] = [
+    (0x5d4b_cdbe_d2a1_add0, 0xc43c_e9c3_e1f8_530d),
+    (0x0367_47c8_9671_4b99, 0x06ee_9a8d_ae24_7321),
+];
+
+#[test]
+fn cse_plans_are_golden() {
+    let text = "for i in 1 .. n-2 { r[i] = sin(u[i]*u[i+1]) + sin(u[i]*u[i+1])*u[i-1]; }";
+    let nest = parse_stencil(text).expect("stencil parses");
+    let mut ws = Workspace::new();
+    for name in ["u", "r", "u_b", "r_b"] {
+        ws.insert(name, Grid::zeros(&[33]));
+    }
+    let bind = Binding::new().size("n", 33);
+    let named = |schedule: &Schedule| (schedule.groups[0].plan.fingerprint(), module_of(schedule));
+    let cse = SchedOptions::default().with_cse(true);
+    let primal =
+        compile_schedule_nests(std::slice::from_ref(&nest), &ws, &bind, false, &cse).unwrap();
+    let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+    let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
+    let accumulate = cse.with_accumulate(["u_b"]);
+    let adjoint = compile_schedule(&adj, &ws, &bind, &accumulate).unwrap();
+    let got = [named(&primal), named(&adjoint)];
+    assert_eq!(got, GOLDEN_CSE_PLANS, "{got:#018x?}");
 }

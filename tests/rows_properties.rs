@@ -1,22 +1,25 @@
-//! Property tests for the register-IR lowering pipeline: random expression
-//! trees compiled both ways — the stack interpreter and the row executor —
-//! must agree **bitwise** across random shapes, boundary strategies
-//! (guards, zero padding), parallel execution, and CSE temporaries.
+//! Property tests for the one lowered form: random expression trees
+//! lowered to register programs and run two ways — the per-point evaluator
+//! and the row executor — must agree **bitwise** with each other and with
+//! the expression oracle (`perforad::symbolic::eval` at every point, no
+//! lowering at all) across random shapes, boundary strategies (guards,
+//! zero padding), parallel execution, and CSE temporaries. The data are
+//! non-NaN, where `-1·x` (the oracle) and a negation (the lowering) agree.
 //!
 //! Randomness comes from the repo's deterministic xorshift generator, so
 //! every failure reproduces exactly.
 
-use perforad::exec::{compile_adjoint_opts, run, ExecMode};
+use perforad::exec::{compile_adjoint_opts, compile_nests_opts, run, ExecMode, PlanOptions};
 use perforad::prelude::*;
 use perforad::symbolic::{Cond, Rel};
 
 mod common;
-use common::Rng;
+use common::{assert_bitwise, eval_nests, Rng};
 
 /// A random expression tree over `u[i+o]`, `c[i]`, small constants and the
-/// loop counter, built from the full op vocabulary the VM supports (adds,
-/// muls, negs, powi, bounded transcendentals, max/min, selects). Offsets
-/// stay within ±2 so bounds `[2, n-3]` keep every load in range.
+/// loop counter, built from the full op vocabulary of a register program
+/// (adds, muls, negs, powi, bounded transcendentals, max/min, selects).
+/// Offsets stay within ±2 so bounds `[2, n-3]` keep every load in range.
 fn random_expr(rng: &mut Rng, depth: usize, u: &Array, c: &Array, i: &Symbol) -> Expr {
     if depth == 0 {
         return match rng.range_i64(0, 4) {
@@ -61,7 +64,8 @@ fn ws_1d(n: usize, seed_pattern: u64) -> Workspace {
         .with("r", Grid::zeros(&[n]))
 }
 
-/// Random expression trees: interpreter and row executor agree bitwise.
+/// Random expression trees, lowered with and without CSE: the per-point
+/// evaluator, the row executor and the oracle agree bitwise.
 #[test]
 fn random_trees_eval_bitwise_identical() {
     let mut rng = Rng::new(0x5EED_1001);
@@ -80,16 +84,21 @@ fn random_trees_eval_bitwise_identical() {
         )
         .expect("generated nest is valid");
         let bind = Binding::new().size("n", n as i64);
-        let mut ws1 = ws_1d(n, 3 + case as u64);
-        let plan = compile_nest(&nest, &ws1, &bind).unwrap();
-        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
-        let mut ws2 = ws_1d(n, 3 + case as u64);
-        run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
-        assert_eq!(
-            ws1.grid("r").max_abs_diff(ws2.grid("r")),
-            0.0,
-            "case {case}, n {n}: {nest}"
-        );
+        let mut want = ws_1d(n, 3 + case as u64);
+        eval_nests(std::slice::from_ref(&nest), &mut want, &bind, false);
+        for cse in [false, true] {
+            let opts = PlanOptions {
+                cse,
+                ..PlanOptions::default()
+            };
+            let plan = compile_nests_opts(std::slice::from_ref(&nest), &want, &bind, opts).unwrap();
+            for mode in [ExecMode::serial(), ExecMode::serial().rows()] {
+                let mut ws = ws_1d(n, 3 + case as u64);
+                run(&plan, &mut ws, mode).unwrap();
+                let tag = format!("case {case}, n {n}, cse {cse}, {:?}: {nest}", mode.lowering);
+                assert_bitwise(&tag, &ws, &want, &["r"]);
+            }
+        }
     }
 }
 
@@ -120,8 +129,8 @@ fn stencil_1d(offsets: &[i64], coeffs: &[i64], nonlinear: bool) -> LoopNest {
 
 /// Every boundary strategy (disjoint, guarded, padded) evaluates bitwise
 /// identically under both lowerings, serial and parallel, with and without
-/// CSE — guards and padded edges are exactly where the row executor splits
-/// rows into segments.
+/// CSE, and as the oracle — guards and padded edges are exactly where the
+/// row executor splits rows into segments.
 #[test]
 fn adjoint_strategies_bitwise_identical_across_lowerings() {
     let mut rng = Rng::new(0x5EED_1002);
@@ -170,21 +179,27 @@ fn adjoint_strategies_bitwise_identical_across_lowerings() {
             let mut ws_ref = build();
             let plan = compile_adjoint_opts(&adj, &ws_ref, &bind, cse).unwrap();
             run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
+            let mut ws_oracle = build();
+            eval_nests(&adj.nests, &mut ws_oracle, &bind, plan.padded());
+            let tag = format!("case {case} {strategy:?} cse={cse} oracle");
+            assert_bitwise(&tag, &ws_ref, &ws_oracle, &["u_b"]);
 
             let mut ws_rows = build();
             run(&plan, &mut ws_rows, ExecMode::serial().rows()).unwrap();
-            assert_eq!(
-                ws_ref.grid("u_b").max_abs_diff(ws_rows.grid("u_b")),
-                0.0,
-                "case {case} {strategy:?} cse={cse} serial rows"
+            assert_bitwise(
+                &format!("case {case} {strategy:?} cse={cse} serial rows"),
+                &ws_rows,
+                &ws_ref,
+                &["u_b"],
             );
 
             let mut ws_par = build();
             run(&plan, &mut ws_par, ExecMode::parallel(&pool).rows()).unwrap();
-            assert_eq!(
-                ws_ref.grid("u_b").max_abs_diff(ws_par.grid("u_b")),
-                0.0,
-                "case {case} {strategy:?} cse={cse} parallel rows"
+            assert_bitwise(
+                &format!("case {case} {strategy:?} cse={cse} parallel rows"),
+                &ws_par,
+                &ws_ref,
+                &["u_b"],
             );
         }
     }
@@ -192,7 +207,7 @@ fn adjoint_strategies_bitwise_identical_across_lowerings() {
 
 /// 2-D random stencils: padded loads whose *outer* dimension leaves the
 /// extents must zero the whole row; guarded statements must clamp both
-/// dimensions. Both lowerings agree bitwise.
+/// dimensions. Both lowerings and the oracle agree bitwise.
 #[test]
 fn adjoint_2d_padded_and_guarded_bitwise_identical() {
     let mut rng = Rng::new(0x5EED_1003);
@@ -249,12 +264,21 @@ fn adjoint_2d_padded_and_guarded_bitwise_identical() {
             let mut ws_ref = build();
             let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
             run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
+            let mut ws_oracle = build();
+            eval_nests(&adj.nests, &mut ws_oracle, &bind, plan.padded());
+            assert_bitwise(
+                &format!("case {case} {strategy:?} oracle"),
+                &ws_ref,
+                &ws_oracle,
+                &["u_b"],
+            );
             let mut ws_rows = build();
             run(&plan, &mut ws_rows, ExecMode::serial().rows()).unwrap();
-            assert_eq!(
-                ws_ref.grid("u_b").max_abs_diff(ws_rows.grid("u_b")),
-                0.0,
-                "case {case} {strategy:?}"
+            assert_bitwise(
+                &format!("case {case} {strategy:?}"),
+                &ws_rows,
+                &ws_ref,
+                &["u_b"],
             );
         }
     }

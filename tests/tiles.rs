@@ -20,7 +20,7 @@
 //! scatter adjoint's tiles overlap — and the one tile driver refuses to
 //! run them plainly.
 
-use perforad::exec::bytecode::Op;
+use perforad::exec::regir::RegOp;
 use perforad::exec::{compile_nests_opts, tile_plan, ExecError, Plan, PlanOptions, Strategy, Tile};
 use perforad::jit::{available, emit::group_module};
 use perforad::prelude::*;
@@ -395,9 +395,11 @@ fn tiles_overlap(plan: &Plan, edges: &[i64]) -> bool {
 fn reads_no_written_slot(plan: &Plan) -> bool {
     let stmts = || plan.nests().iter().flat_map(|n| &n.stmts);
     let written: BTreeSet<usize> = stmts().map(|st| st.out_slot).collect();
-    let ops = stmts().flat_map(|st| st.prog.ops());
+    let ops = stmts().flat_map(|st| &st.prog.ops);
     !ops.into_iter().any(|op| match op {
-        Op::Load { slot, .. } | Op::LoadPadded { slot, .. } => written.contains(&(*slot as usize)),
+        RegOp::Load { slot, .. } | RegOp::LoadPadded { slot, .. } => {
+            written.contains(&(*slot as usize))
+        }
         _ => false,
     })
 }
