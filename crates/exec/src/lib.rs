@@ -107,3 +107,12 @@ pub use regir::RegProgram;
 pub use run::{run, run_tiling, BoundPlan, ExecMode, ExecStats, Lowering, Strategy, TilePolicy};
 pub use tile::{tile_plan, Tile, Tiling};
 pub use workspace::{Binding, GridId, Workspace};
+
+#[cfg(test)]
+/// The unit tests that turn recording on or read a process-wide counter
+/// (`jit.degraded_fallbacks`, the tile counters) hold this, so each sees
+/// only its own runs move them.
+pub(crate) fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

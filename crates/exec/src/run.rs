@@ -276,6 +276,13 @@ impl BoundPlan {
         })
     }
 
+    /// Whether this is a Jit binding that has resolved no native module,
+    /// so its runs went on rows (the same bits, slower): a *degraded*
+    /// execution, as `jit.degraded_fallbacks` counts them.
+    pub fn degraded(&self) -> bool {
+        self.lowering == Lowering::Jit && self.native.is_none()
+    }
+
     /// Run every tile of `tiling`, cut from `plan` by [`tile_plan`],
     /// against `ws`, as [`run_tiling`] documents: the one tile driver, and
     /// the one place fact F3 of [`crate::tile`] is checked.
@@ -514,7 +521,7 @@ mod tests {
 
     #[test]
     fn exec_mode_dispatch_covers_rows() {
-        let _lock = jit_lock();
+        let _lock = crate::obs_lock();
         // Every Strategy × Lowering against the serial interpreter, on a
         // gather primal and a scatter adjoint. Integer-valued data keeps
         // the atomic scatter exact whatever order its adds land in; an
@@ -633,7 +640,7 @@ mod tests {
 
     #[test]
     fn a_pooled_run_counts_every_slab_exactly_once() {
-        let _lock = jit_lock();
+        let _lock = crate::obs_lock();
         use crate::native::{register_native, NativeGroup};
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
         // A native group that only tallies the boxes it is handed,
@@ -686,14 +693,6 @@ mod tests {
         assert_eq!(CALLS.load(Relaxed), slabs, "every slab ran once");
         assert_eq!(POINTS.load(Relaxed), plan.points());
         assert_eq!(counted, slabs, "every slab counted once");
-    }
-
-    /// The tests that run a Jit lowering or turn recording on hold this:
-    /// `jit.degraded_fallbacks` and the tile counters are process-wide, so
-    /// each such test sees only its own runs move them.
-    fn jit_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Bound once, a plan re-checks at every run what swapping grids in
@@ -750,7 +749,7 @@ mod tests {
     fn a_bound_jit_plan_degrades_once_per_run_until_a_module_is_registered() {
         use crate::native::{register_native, NativeGroup};
         use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-        let _lock = jit_lock();
+        let _lock = crate::obs_lock();
         static CALLS: AtomicU64 = AtomicU64::new(0);
         /// Counts one call.
         ///
@@ -790,6 +789,7 @@ mod tests {
             assert_eq!(stats.unwrap().points, 30);
             assert_eq!(degraded.get() - before[0], 1, "one fallback per run");
             assert_eq!(jit.get(), before[1]);
+            assert!(bound.degraded());
         }
         assert_eq!(ws.grid("late_w").sum(), 30.0, "rows ran the plan");
         register_native(
@@ -809,6 +809,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(degraded.get(), before[0], "native now");
+            assert!(!bound.degraded());
             assert_eq!(
                 jit.get() - before[1],
                 4,

@@ -13,14 +13,13 @@
 //! growing without bound. [`crate::flight::dump`] snapshots that window on
 //! panic, degradation, or deadline breach.
 //!
-//! Spans are stamped with the *current request id* ([`RequestScope`]):
-//! the serve engine opens a scope per gradient request, and every span
-//! recorded anywhere in the process while the scope is open — worker
-//! threads included — carries the id. That is sound because the engine
-//! serialises gradient execution on its run lock; ids would interleave
-//! wrongly only if two scopes were ever open at once.
+//! Spans are stamped with the recording thread's *request id*
+//! ([`RequestScope`]): the serve engine opens a scope per gradient request
+//! on the thread that serves it, and the exec thread pool hands the id of
+//! each region's caller to its workers for that region. Requests in flight
+//! on different threads keep their own ids.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -90,14 +89,10 @@ static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 /// incomplete; the flight recorder reports it in every dump.
 static OVERWRITTEN: AtomicU64 = AtomicU64::new(0);
 
-/// The request id spans are currently stamped with (0 = none). Process
-/// global, not thread-local: worker threads must inherit the id of the
-/// request whose sweep they are executing, and the serve engine runs one
-/// request at a time (its run lock), so a single slot is exact.
-static CURRENT_REQ: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static LOCAL: OnceCell<Arc<ThreadBuf>> = const { OnceCell::new() };
+    /// The request id this thread's spans are stamped with (0 = none).
+    static REQUEST: Cell<u64> = const { Cell::new(0) };
 }
 
 fn local_buf_register() -> Arc<ThreadBuf> {
@@ -133,15 +128,16 @@ pub fn overwritten_total() -> u64 {
     OVERWRITTEN.load(Ordering::Relaxed)
 }
 
-/// The request id spans are currently being stamped with (0 = none).
+/// The request id the calling thread's spans are stamped with (0 = none).
 pub fn current_request() -> u64 {
-    CURRENT_REQ.load(Ordering::Relaxed)
+    REQUEST.with(Cell::get)
 }
 
-/// RAII scope stamping every span recorded in the process — worker
-/// threads included — with a request id, for per-request trace rollups
-/// and flight-recorder attribution. Opened by the serve engine around
-/// each gradient request, under its run lock (scopes must not overlap).
+/// RAII scope stamping every span the calling thread records with a
+/// request id, for per-request trace rollups and flight-recorder
+/// attribution. Opened by the serve engine around each gradient request;
+/// the exec thread pool reads the id and opens a scope of it on each
+/// worker for the caller's regions. Scopes on one thread nest.
 ///
 /// If the scope unwinds (the guarded request panicked), the drop handler
 /// writes a flight-recorder dump (reason `"panic"`) before the id is
@@ -154,7 +150,7 @@ impl RequestScope {
     /// Open a scope: spans record with `id` until the scope drops.
     pub fn enter(id: u64) -> Self {
         RequestScope {
-            prev: CURRENT_REQ.swap(id, Ordering::Relaxed),
+            prev: REQUEST.with(|r| r.replace(id)),
         }
     }
 }
@@ -162,21 +158,20 @@ impl RequestScope {
 impl Drop for RequestScope {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            let id = CURRENT_REQ.load(Ordering::Relaxed);
-            let _ = crate::flight::dump("panic", id);
+            let _ = crate::flight::dump("panic", current_request());
         }
-        CURRENT_REQ.store(self.prev, Ordering::Relaxed);
+        REQUEST.with(|r| r.set(self.prev));
     }
 }
 
 /// Record one completed span into the calling thread's ring, stamping it
-/// with the thread's recorder id and the current request id. Called by
+/// with the thread's recorder id and request id. Called by
 /// [`crate::SpanGuard`]; only reached when recording is enabled.
 pub(crate) fn record(mut ev: SpanEvent) {
     LOCAL.with(|cell| {
         let buf = cell.get_or_init(local_buf_register);
         ev.tid = buf.tid;
-        ev.req = CURRENT_REQ.load(Ordering::Relaxed);
+        ev.req = current_request();
         let cap = ring_capacity();
         let mut ring = buf.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.events.len() < cap {

@@ -716,6 +716,11 @@ pub struct BatchResult {
     pub reports: Vec<Option<CkptReport>>,
     /// The dispatch strategy that actually ran.
     pub strategy: BatchStrategy,
+    /// Whether a shot ran a Jit kernel group on rows for want of its
+    /// native module (the same bits, slower).
+    pub degraded: bool,
+    /// Whether a shot meant to spill snapshots to disk kept some in memory.
+    pub spill_fallback: bool,
 }
 
 impl BatchResult {
@@ -734,6 +739,15 @@ impl BatchResult {
         }
         Some(sum)
     }
+}
+
+/// One shot's outputs, and what gave way while it ran.
+struct ShotOut {
+    misfit: f64,
+    gradient: Grid,
+    report: Option<CkptReport>,
+    degraded: bool,
+    spill_fallback: bool,
 }
 
 /// Amortized setup for a whole survey: the adjoint transform, the tuned
@@ -889,7 +903,7 @@ impl<'p> BatchPlan<'p> {
         let strategy = self.strategy_for(shots);
         let shots_total = perforad_obs::counter("seismic.shots_total");
         let shot_ns = perforad_obs::histogram("seismic.shot_ns");
-        let mut out: Vec<(f64, Grid, Option<CkptReport>)> = Vec::with_capacity(shots);
+        let mut out: Vec<ShotOut> = Vec::with_capacity(shots);
         match strategy {
             BatchStrategy::GridParallel => {
                 // Round-robin: each shot's steps run grid-parallel (if the
@@ -900,9 +914,9 @@ impl<'p> BatchPlan<'p> {
                 }
             }
             BatchStrategy::ShotParallel => {
-                // Workers own whole shots and run them strictly serially —
-                // `run_tuned` with a `Serial` strategy never re-enters the
-                // pool, which is not reentrant.
+                // Workers own whole shots and run them strictly serially:
+                // a region a shot opened on its own worker would run
+                // inline anyway, and `Serial` skips the pool up front.
                 let drive = TunedStrategy::Serial;
                 let slots = Mutex::new(Vec::with_capacity(shots));
                 self.pool.work_queue(
@@ -918,18 +932,12 @@ impl<'p> BatchPlan<'p> {
                 out.extend(slots.into_iter().map(|(_, shot)| shot));
             }
         }
-        let mut misfits = Vec::with_capacity(shots);
-        let mut gradients = Vec::with_capacity(shots);
-        let mut reports = Vec::with_capacity(shots);
-        for (j, g, rep) in out {
-            misfits.push(j);
-            gradients.push(g);
-            reports.push(rep);
-        }
         BatchResult {
-            misfits,
-            gradients,
-            reports,
+            misfits: out.iter().map(|s| s.misfit).collect(),
+            reports: out.iter().map(|s| s.report.clone()).collect(),
+            degraded: out.iter().any(|s| s.degraded),
+            spill_fallback: out.iter().any(|s| s.spill_fallback),
+            gradients: out.into_iter().map(|s| s.gradient).collect(),
             strategy,
         }
     }
@@ -941,7 +949,7 @@ impl<'p> BatchPlan<'p> {
         drive: TunedStrategy,
         shots_total: &perforad_obs::Counter,
         shot_ns: &perforad_obs::Histogram,
-    ) -> (f64, Grid, Option<CkptReport>) {
+    ) -> ShotOut {
         let _span = perforad_obs::span!("seismic.shot", "seismic", "shot" => k as u64);
         let t0 = perforad_obs::enabled().then(perforad_obs::now_ns);
         // Check a shot state out — one left warm by an earlier shot, else
@@ -960,8 +968,18 @@ impl<'p> BatchPlan<'p> {
         } else {
             (CheckpointPlan::store_all(self.cfg.steps), None)
         };
-        let (j, g, rep) = adjoint_sweep(&self.cfg, &batch.observed[k], &plan, spill, &mut state);
-        let shot = (j, g, self.checkpointed.then_some(rep));
+        let spills = spill.is_some();
+        let (misfit, gradient, rep) =
+            adjoint_sweep(&self.cfg, &batch.observed[k], &plan, spill, &mut state);
+        let shot = ShotOut {
+            misfit,
+            gradient,
+            degraded: state.0.bound.degraded() || state.1.bound.degraded(),
+            // Not "disk": "disk+mem" kept a snapshot in memory, "memory"
+            // re-ran the whole sweep there.
+            spill_fallback: spills && rep.store != "disk",
+            report: self.checkpointed.then_some(rep),
+        };
         self.idle.lock().expect("idle states lock").push(state);
         shots_total.inc();
         if let Some(t0) = t0 {

@@ -491,6 +491,12 @@ impl BoundSchedule {
         })
     }
 
+    /// Whether some group's last run was degraded
+    /// ([`BoundPlan::degraded`]): a Jit group with no native module.
+    pub fn degraded(&self) -> bool {
+        self.groups.iter().any(BoundPlan::degraded)
+    }
+
     /// Run `schedule`, the one this was bound for, against `ws`: one
     /// `exec.group` span and one [`BoundPlan::run`] per group, in order.
     pub fn run(

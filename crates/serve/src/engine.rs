@@ -9,19 +9,21 @@
 //! invocations (the obs counters `seismic.adjoint_transforms`,
 //! `tune.timed`, and `jit.compiles` pin this in `tests/serve.rs`).
 //!
-//! Gradient executions are serialized behind one run lock: the shared
-//! [`default_pool`] is not reentrant and must host one parallel region
-//! at a time. The wait-plus-run population is exported as the
+//! Every gradient and every cold compile runs on the shared
+//! [`default_pool`], which runs their parallel regions one at a time, so
+//! requests on different fingerprints interleave region by region.
+//! Requests on one fingerprint queue on its kernel entry's lock. The
+//! admitted population — waiting or running — is exported as the
 //! `serve.queue_depth` gauge. Gradient admission is bounded by
 //! [`ServeOptions::max_queue`](crate::ServeOptions::max_queue) (unset/0 =
 //! unlimited; `PERFORAD_SERVE_MAX_QUEUE` at the daemon): a request that
 //! would push the population past the cap is turned away with a
 //! [`Reply::Busy`] carrying a `retry_after_ms` hint instead of piling
-//! onto the lock, and a request that is still queued when its
+//! onto the queue, and a request that is still queued when its
 //! client-supplied `deadline_ms` runs out earns an error reply without
-//! executing. `Stats` and cache-hit `Compile`s bypass the lock entirely,
-//! and cold `Compile`s are deliberately exempt from the cap — a
-//! fingerprint warms up exactly once and every later shot depends on it.
+//! executing. `Stats` and cache-hit `Compile`s are not counted, and cold
+//! `Compile`s are deliberately exempt from the cap — a fingerprint warms
+//! up exactly once and every later shot depends on it.
 
 use crate::proto::{
     BatchReply, BatchRequest, CompileRequest, CompiledReply, GradientReply, GradientRequest, Reply,
@@ -32,7 +34,7 @@ use perforad_core::{ActivityMap, AdjointOptions, BoundaryStrategy};
 use perforad_exec::native::Fnv;
 use perforad_exec::{default_pool, fnv1a64, Binding, Grid};
 use perforad_obs::json::Value;
-use perforad_pde::seismic::{BatchOptions, BatchPlan, SeismicConfig, ShotBatch};
+use perforad_pde::seismic::{BatchOptions, BatchPlan, BatchResult, SeismicConfig, ShotBatch};
 use perforad_tune::{cache, fingerprint_nests};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,15 +106,12 @@ struct Registry {
     dsl_by_src: HashMap<u64, u64>,
 }
 
-/// The shared state behind every connection: compile caches, the pool
-/// run lock, and request accounting for `Stats`.
+/// The shared state behind every connection: compile caches and request
+/// accounting for `Stats`.
 pub struct Engine {
     started: Instant,
     registry: Mutex<Registry>,
-    /// Serializes everything that drives the shared pool (tuner runs and
-    /// gradient executions) — the pool hosts one parallel region at a time.
-    run_lock: Mutex<()>,
-    /// Requests waiting for or holding the run lock.
+    /// Admitted requests, queued or running.
     in_flight: AtomicU64,
     /// Admission cap on `in_flight` for gradient requests (0 = unlimited).
     max_queue: u64,
@@ -121,10 +120,11 @@ pub struct Engine {
 /// Next gradient request id (sequential, starting at 1; 0 means "no
 /// request" throughout the telemetry plane). Returned in replies,
 /// stamped on spans via [`perforad_obs::RequestScope`], and quoted in
-/// flight-recorder dumps. Process-global, not per-engine: the span
-/// recorder's request stamping is process-wide, so ids must stay unique
-/// across every engine in the process (tests and embedders run several)
-/// or a per-request drain could sweep up a different engine's spans.
+/// flight-recorder dumps. Process-global, not per-engine: the span rings
+/// are process-wide and a rollup drains them by id, so ids must stay
+/// unique across every engine in the process (tests and embedders run
+/// several) or a per-request drain could sweep up a different engine's
+/// spans.
 static REQUEST_SEQ: AtomicU64 = AtomicU64::new(1);
 
 impl Default for Engine {
@@ -141,7 +141,10 @@ fn lock_any<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Engine {
-    /// An engine with unlimited gradient admission.
+    /// An engine with unlimited gradient admission. Building an engine
+    /// switches recording on for the process, so `Stats`, the metrics
+    /// endpoint and traced rollups have data whatever `PERFORAD_TRACE`
+    /// says.
     pub fn new() -> Engine {
         Engine::with_max_queue(0)
     }
@@ -149,17 +152,17 @@ impl Engine {
     /// An engine that answers a gradient `Busy` past `max_queue` waiting
     /// or running ones (0 = unlimited): [`crate::ServeOptions::max_queue`].
     pub(crate) fn with_max_queue(max_queue: u64) -> Engine {
+        perforad_obs::set_enabled(true);
         Engine {
             started: Instant::now(),
             registry: Mutex::new(Registry::default()),
-            run_lock: Mutex::new(()),
             in_flight: AtomicU64::new(0),
             max_queue,
         }
     }
 
-    /// Requests currently waiting for or holding the run lock — the
-    /// server's shutdown path drains this to zero before exiting.
+    /// Admitted requests, queued or running — the server's shutdown path
+    /// drains this to zero before exiting.
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::SeqCst)
     }
@@ -203,17 +206,6 @@ impl Engine {
         reply
     }
 
-    /// Run `f` under the pool run lock, counted in `in_flight` /
-    /// `serve.queue_depth` by the same [`Admission`] guard the gradient
-    /// path holds, so a panicking `f` gives its place back on unwind. No
-    /// depth check — this is the `Compile` path (a fingerprint warms up
-    /// exactly once).
-    fn with_pool<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _slot = Admission::enter(self);
-        let _running = lock_any(&self.run_lock);
-        f()
-    }
-
     /// Bounded admission for the gradient path. Must be taken *before*
     /// any per-kernel lock, so concurrent requests against the same
     /// fingerprint are all visible to the depth check (contending on the
@@ -232,106 +224,6 @@ impl Engine {
             });
         }
         Ok(slot)
-    }
-
-    /// Admitted gradient work: the run lock, then a last-chance deadline
-    /// check before execution starts.
-    ///
-    /// The deadline is measured from `received` (request decode time). A
-    /// running sweep is never interrupted — there is no cancellation —
-    /// so the honest contract is "if this request already waited past
-    /// its budget, refuse to start it": the client has long since given
-    /// up, and running anyway would hold the lock against live requests.
-    fn run_deadlined<T>(
-        &self,
-        received: Instant,
-        deadline_ms: Option<u64>,
-        request_id: u64,
-        f: impl FnOnce() -> T,
-    ) -> Result<T, Refusal> {
-        let _guard = lock_any(&self.run_lock);
-        match deadline_ms {
-            Some(ms) if received.elapsed() >= Duration::from_millis(ms) => {
-                perforad_obs::counter("serve.deadline_exceeded_total").inc();
-                let _ = perforad_obs::flight::dump("deadline", request_id);
-                Err(Refusal::Error(format!(
-                    "deadline of {ms}ms exceeded after {}ms in queue; nothing was executed",
-                    received.elapsed().as_millis()
-                )))
-            }
-            _ => Ok(f()),
-        }
-    }
-
-    /// Run one warm plan and count a degraded execution (`plan.run` fell
-    /// back from its JIT'd kernels to the interpreted rows executor —
-    /// same bits, slower) via the `jit.degraded_fallbacks` delta. A
-    /// degraded run or a checkpoint spill fallback (`ckpt.spill_fallbacks`
-    /// delta) also dumps the flight recorder: the request still answered,
-    /// but something in the pipeline gave way mid-flight and the recent
-    /// spans say what.
-    fn run_plan(
-        entry: &mut KernelEntry,
-        batch: &ShotBatch,
-        request_id: u64,
-    ) -> perforad_pde::seismic::BatchResult {
-        let degraded_before = perforad_obs::counter("jit.degraded_fallbacks").get();
-        let spills_before = perforad_obs::counter("ckpt.spill_fallbacks").get();
-        let result = entry.plan.run(batch);
-        let degraded = perforad_obs::counter("jit.degraded_fallbacks").get() > degraded_before;
-        let spilled = perforad_obs::counter("ckpt.spill_fallbacks").get() > spills_before;
-        if degraded {
-            perforad_obs::counter("serve.degraded_total").inc();
-        }
-        if degraded || spilled {
-            let _ = perforad_obs::flight::dump("degraded", request_id);
-        }
-        result
-    }
-
-    /// Run one warm plan inside a [`perforad_obs::RequestScope`] so every
-    /// span — worker threads included — carries `request_id`, and
-    /// optionally build the per-request trace rollup the client asked for
-    /// with `trace: true`.
-    ///
-    /// When the client requests a trace but recording is off (an embedded
-    /// engine without the daemon's always-on ring), recording is forced on
-    /// for exactly this run and restored after — the rollup drains only
-    /// this request's spans, so the global ring is left as found either
-    /// way. Must be called under the run lock: the request scope is
-    /// process-wide, which is sound precisely because gradient executions
-    /// are serialized.
-    fn run_traced(
-        entry: &mut KernelEntry,
-        batch: &ShotBatch,
-        request_id: u64,
-        trace: bool,
-    ) -> (perforad_pde::seismic::BatchResult, Option<Value>) {
-        let forced = trace && !perforad_obs::enabled();
-        if forced {
-            perforad_obs::set_enabled(true);
-        }
-        let result = {
-            let _scope = perforad_obs::RequestScope::enter(request_id);
-            // Declared after the scope so it drops (and records) first,
-            // while the scope is still open — the rollup's root span.
-            let _root = perforad_obs::span!("serve.run", "serve", "request_id" => request_id);
-            Self::run_plan(entry, batch, request_id)
-        };
-        let rollup = if trace {
-            let events = perforad_obs::take_request_events(request_id);
-            let mut v = perforad_obs::TraceReport::build(&events, 10).to_value();
-            if let Value::Obj(fields) = &mut v {
-                fields.insert(0, ("request_id".into(), request_id.into()));
-            }
-            Some(v)
-        } else {
-            None
-        };
-        if forced {
-            perforad_obs::set_enabled(false);
-        }
-        (result, rollup)
     }
 
     fn compile(&self, req: &CompileRequest) -> Result<CompiledReply, String> {
@@ -448,8 +340,11 @@ impl Engine {
         };
         // The cold path: adjoint transform + autotune (JIT warm-up
         // included) + primal compile + budget selection, all on the
-        // shared pool.
-        let plan = self.with_pool(|| BatchPlan::new(&cfg, &model, &opts, default_pool()));
+        // shared pool. Counted in the queue, never refused.
+        let plan = {
+            let _slot = Admission::enter(self);
+            BatchPlan::new(&cfg, &model, &opts, default_pool())
+        };
         // The serve fingerprint extends the nest fingerprint (the tuning
         // cache's key, shape-only by design) with the time-loop length
         // and d bits, because the service caches compiled *drivers*, not
@@ -569,64 +464,107 @@ impl Engine {
         ))
     }
 
-    fn gradient(&self, req: &GradientRequest) -> Result<GradientReply, Refusal> {
+    /// The gradient path of both request kinds: admission, the kernel
+    /// entry (requests on one fingerprint queue on its lock), shot
+    /// validation, a last-chance deadline check, then one run. Returns
+    /// the result, the rollup asked for with `trace`, the request id and
+    /// whether the plan is checkpointed.
+    ///
+    /// The deadline is measured from request decode time and checked once
+    /// the request holds its entry, where it actually starts. A running
+    /// sweep is never interrupted — there is no cancellation — so the
+    /// honest contract is "if this request already waited past its
+    /// budget, refuse to start it": the client has long since given up,
+    /// and running anyway would hold the entry against live requests.
+    ///
+    /// The run sits inside a [`perforad_obs::RequestScope`], so every span
+    /// — the pool's workers' included — carries the request id, and the
+    /// rollup drains only this request's spans. A degraded run (`plan.run`
+    /// fell back from its JIT'd kernels to the rows executor — same bits,
+    /// slower) counts in `serve.degraded_total`; it, or a checkpoint spill
+    /// fallback, also dumps the flight recorder: the request still
+    /// answered, but something in the pipeline gave way mid-flight and the
+    /// recent spans say what.
+    fn serve_shots(
+        &self,
+        fingerprint: &str,
+        shots: &[(&[f64], &[f64])],
+        deadline_ms: Option<u64>,
+        trace: bool,
+    ) -> Result<(BatchResult, Option<Value>, u64, bool), Refusal> {
         let received = Instant::now();
         let request_id = self.next_request_id();
         let _span = perforad_obs::span!(
-            "serve.gradient", "serve", "shots" => 1u64, "request_id" => request_id
+            "serve.gradient", "serve",
+            "shots" => shots.len() as u64, "request_id" => request_id
         );
+        if shots.is_empty() {
+            return Err(Refusal::Error(
+                "gradient_batch needs at least one shot".to_string(),
+            ));
+        }
         let _admitted = self.admit()?;
-        let entry = self.kernel(&req.fingerprint).map_err(Refusal::Error)?;
+        let entry = self.kernel(fingerprint).map_err(Refusal::Error)?;
         let mut entry = lock_any(&entry);
         let cfg = entry.cfg;
-        validate_shot(&cfg, &req.source, &req.observed, 0).map_err(Refusal::Error)?;
         let dims = [cfg.n, cfg.n, cfg.n];
         let mut batch = ShotBatch::new();
-        batch.push(
-            req.source.clone(),
-            Grid::from_vec(&dims, req.observed.clone()),
-        );
-        let (result, trace) = self.run_deadlined(received, req.deadline_ms, request_id, || {
-            Self::run_traced(&mut entry, &batch, request_id, req.trace)
-        })?;
-        entry.requests += 1;
-        record_request_latency(&req.fingerprint, received);
+        for (k, &(source, observed)) in shots.iter().enumerate() {
+            validate_shot(&cfg, source, observed, k).map_err(Refusal::Error)?;
+            batch.push(source.to_vec(), Grid::from_vec(&dims, observed.to_vec()));
+        }
+        if let Some(ms) = deadline_ms.filter(|&ms| received.elapsed() >= Duration::from_millis(ms))
+        {
+            perforad_obs::counter("serve.deadline_exceeded_total").inc();
+            let _ = perforad_obs::flight::dump("deadline", request_id);
+            return Err(Refusal::Error(format!(
+                "deadline of {ms}ms exceeded after {}ms in queue; nothing was executed",
+                received.elapsed().as_millis()
+            )));
+        }
+        let result = {
+            let _scope = perforad_obs::RequestScope::enter(request_id);
+            // Declared after the scope so it drops (and records) first,
+            // while the scope is still open — the rollup's root span.
+            let _root = perforad_obs::span!("serve.run", "serve", "request_id" => request_id);
+            entry.plan.run(&batch)
+        };
+        if result.degraded {
+            perforad_obs::counter("serve.degraded_total").inc();
+        }
+        if result.degraded || result.spill_fallback {
+            let _ = perforad_obs::flight::dump("degraded", request_id);
+        }
+        let rollup = trace.then(|| {
+            let events = perforad_obs::take_request_events(request_id);
+            let mut v = perforad_obs::TraceReport::build(&events, 10).to_value();
+            if let Value::Obj(fields) = &mut v {
+                fields.insert(0, ("request_id".into(), request_id.into()));
+            }
+            v
+        });
+        entry.requests += shots.len() as u64;
+        record_request_latency(fingerprint, received);
+        Ok((result, rollup, request_id, entry.plan.checkpointed()))
+    }
+
+    fn gradient(&self, req: &GradientRequest) -> Result<GradientReply, Refusal> {
+        let shot = [(&req.source[..], &req.observed[..])];
+        let (result, trace, request_id, checkpointed) =
+            self.serve_shots(&req.fingerprint, &shot, req.deadline_ms, req.trace)?;
         Ok(GradientReply {
             misfit: result.misfits[0],
             gradient: result.gradients[0].as_slice().to_vec(),
-            checkpointed: entry.plan.checkpointed(),
+            checkpointed,
             request_id,
             trace,
         })
     }
 
     fn gradient_batch(&self, req: &BatchRequest) -> Result<BatchReply, Refusal> {
-        let received = Instant::now();
-        let request_id = self.next_request_id();
-        let _span = perforad_obs::span!(
-            "serve.gradient", "serve",
-            "shots" => req.shots.len() as u64, "request_id" => request_id
-        );
-        if req.shots.is_empty() {
-            return Err(Refusal::Error(
-                "gradient_batch needs at least one shot".to_string(),
-            ));
-        }
-        let _admitted = self.admit()?;
-        let entry = self.kernel(&req.fingerprint).map_err(Refusal::Error)?;
-        let mut entry = lock_any(&entry);
-        let cfg = entry.cfg;
-        let dims = [cfg.n, cfg.n, cfg.n];
-        let mut batch = ShotBatch::new();
-        for (k, (source, observed)) in req.shots.iter().enumerate() {
-            validate_shot(&cfg, source, observed, k).map_err(Refusal::Error)?;
-            batch.push(source.clone(), Grid::from_vec(&dims, observed.clone()));
-        }
-        let (result, trace) = self.run_deadlined(received, req.deadline_ms, request_id, || {
-            Self::run_traced(&mut entry, &batch, request_id, req.trace)
-        })?;
-        entry.requests += req.shots.len() as u64;
-        record_request_latency(&req.fingerprint, received);
+        let shots: Vec<_> = req.shots.iter().map(|(s, o)| (&s[..], &o[..])).collect();
+        let (result, trace, request_id, _) =
+            self.serve_shots(&req.fingerprint, &shots, req.deadline_ms, req.trace)?;
         Ok(BatchReply {
             misfits: result.misfits,
             gradients: result
@@ -649,9 +587,24 @@ impl Engine {
     /// dashboard needs no second endpoint.
     fn stats(&self) -> Value {
         use perforad_obs::fault::{injected, injected_total, KNOWN_POINTS};
-        let (kernels, dsl): (Vec<_>, Vec<_>) = {
+        // Entries are locked after the registry is released: a running
+        // gradient holds its entry for a whole sweep, and every lookup and
+        // `Compile` needs the registry meanwhile.
+        let (entries, dsl): (Vec<_>, Vec<_>) = {
             let reg = lock_any(&self.registry);
-            let kernels = reg.kernels.iter().map(|(id, entry)| {
+            let entries = reg.kernels.iter().map(|(id, e)| (*id, Arc::clone(e)));
+            let dsl = reg.dsl.iter().map(|(id, entry)| {
+                Value::obj([
+                    ("fingerprint", format!("{id:016x}").into()),
+                    ("nests", entry.nests.into()),
+                    ("requests", entry.requests.into()),
+                ])
+            });
+            (entries.collect(), dsl.collect())
+        };
+        let kernels = entries
+            .iter()
+            .map(|(id, entry)| {
                 let e = lock_any(entry);
                 let fp = format!("{id:016x}");
                 let latency =
@@ -666,16 +619,8 @@ impl Engine {
                     ("config", e.plan.tuned().describe().into()),
                     ("latency_ns", latency.snapshot().to_value()),
                 ])
-            });
-            let dsl = reg.dsl.iter().map(|(id, entry)| {
-                Value::obj([
-                    ("fingerprint", format!("{id:016x}").into()),
-                    ("nests", entry.nests.into()),
-                    ("requests", entry.requests.into()),
-                ])
-            });
-            (kernels.collect(), dsl.collect())
-        };
+            })
+            .collect();
         let tallies = KNOWN_POINTS.iter().map(|&p| (p, injected(p)));
         let faults = [("injected_total", injected_total())]
             .into_iter()
@@ -763,18 +708,46 @@ fn digest_f64(xs: &[f64]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use crate::proto::CompileRequest;
+    use std::sync::mpsc;
 
+    /// A `Stats` poll that meets a busy kernel entry waits for that entry
+    /// alone: lookups of other kernels, and so `Compile`s and gradients on
+    /// them, go on meanwhile.
     #[test]
-    fn a_panicking_pool_job_gives_its_queue_place_back() {
+    fn stats_waits_on_a_busy_entry_without_holding_the_registry() {
         let engine = Engine::new();
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            engine.with_pool(|| panic!("cold compile"))
-        }));
-        assert!(caught.is_err());
-        assert_eq!(engine.in_flight(), 0);
-        // The poisoned run lock still serves the next request.
-        assert_eq!(engine.with_pool(|| engine.in_flight()), 1);
-        assert_eq!(engine.in_flight(), 0);
+        let compile = Request::Compile(CompileRequest::Seismic {
+            n: 4,
+            steps: 2,
+            d: 0.1,
+            c: None,
+            budget: None,
+            checkpointed: Some(false),
+        });
+        let Reply::Compiled(a) = engine.handle(&compile) else {
+            panic!("compile failed");
+        };
+        let entry = engine.kernel(&a.fingerprint).expect("kernel A");
+        std::thread::scope(|s| {
+            // As a gradient on A does for its whole sweep.
+            let busy = lock_any(&entry);
+            let stats = s.spawn(|| engine.stats());
+            // `stats` holds a handle on A once it has read the registry;
+            // a registry that is never let go shows as the timeout below.
+            let t0 = Instant::now();
+            while Arc::strong_count(&entry) < 3 && t0.elapsed() < Duration::from_secs(1) {
+                std::thread::yield_now();
+            }
+            let (tx, rx) = mpsc::channel();
+            let engine = &engine;
+            s.spawn(move || tx.send(engine.kernel("b").is_err()));
+            let looked_up = rx.recv_timeout(Duration::from_secs(10));
+            drop(busy);
+            assert_eq!(looked_up, Ok(true), "kernel B's lookup waited on A's entry");
+            assert!(
+                matches!(stats.join().unwrap().get("kernels"), Some(Value::Arr(k)) if k.len() == 1)
+            );
+        });
     }
 }

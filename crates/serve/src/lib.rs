@@ -18,7 +18,7 @@
 //!                    Engine ── fingerprint ───► warm: cache hit, zero work
 //!                      │ Request::Gradient[Batch]
 //!                      ▼
-//!                    run lock ──► exec::default_pool() ──► shots
+//!                    entry lock ──► exec::default_pool() ──► shots
 //! ```
 //!
 //! Request types: `Compile` (seismic driver or raw stencil DSL →

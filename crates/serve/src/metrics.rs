@@ -17,8 +17,8 @@
 //!
 //! Bind it with `perforad-serve --metrics 127.0.0.1:9464` or
 //! `PERFORAD_SERVE_METRICS`. The listener serves until the process
-//! exits; it holds only an `Arc<Engine>` and never touches the run lock,
-//! so a scrape can never delay a gradient.
+//! exits; it holds only an `Arc<Engine>` and takes no lock a gradient
+//! holds, so a scrape can never delay one.
 
 use crate::engine::{serve_total, Engine};
 use perforad_obs::json::Value;
@@ -163,9 +163,8 @@ mod tests {
 
     #[test]
     fn endpoint_serves_metrics_and_healthz() {
-        perforad_obs::set_enabled(true);
-        perforad_obs::counter("serve.requests_total").inc();
         let engine = Arc::new(Engine::new());
+        perforad_obs::counter("serve.requests_total").inc();
         let srv = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&engine)).unwrap();
 
         let metrics = scrape(srv.addr(), "/metrics").unwrap();

@@ -69,9 +69,6 @@ pub struct ServeOptions {
     /// picks an ephemeral port). TCP is also the automatic fallback when
     /// the Unix bind fails.
     pub tcp: Option<String>,
-    /// Skip enabling the obs metrics registry at bind time (it is on by
-    /// default so `Stats` has data even when `PERFORAD_TRACE` is unset).
-    pub quiet_metrics: bool,
     /// Per-socket read/write timeout. A peer that stops mid-frame (or
     /// never drains its replies) errors out after this long instead of
     /// pinning a handler thread forever. `None` = no timeout.
@@ -98,7 +95,6 @@ impl ServeOptions {
         ServeOptions {
             socket: std::env::var_os("PERFORAD_SERVE_SOCKET").map(PathBuf::from),
             tcp: std::env::var("PERFORAD_SERVE_TCP").ok(),
-            quiet_metrics: false,
             timeout_ms: env_u64("PERFORAD_SERVE_TIMEOUT_MS"),
             max_conns: env_u64("PERFORAD_SERVE_MAX_CONNS"),
             metrics: std::env::var(crate::metrics::METRICS_ENV)
@@ -224,17 +220,10 @@ pub struct Server {
 
 impl Server {
     /// Bind per `opts`: explicit TCP if requested, else the Unix socket
-    /// path, else localhost TCP as the fallback. Enables the obs metrics
-    /// registry (unless `quiet_metrics`) so `Stats` counters are live.
+    /// path, else localhost TCP as the fallback. The engine it builds
+    /// switches recording on, so `Stats` counters are live.
     pub fn bind(opts: &ServeOptions) -> io::Result<Server> {
-        if !opts.quiet_metrics {
-            perforad_obs::set_enabled(true);
-        }
         let engine = Arc::new(Engine::with_max_queue(opts.max_queue.unwrap_or(0)));
-        let stop = Arc::new(AtomicBool::new(false));
-        let timeout = opts.timeout_ms.map(Duration::from_millis);
-        let max_conns = opts.max_conns.unwrap_or(0);
-        let conns = Arc::new(AtomicU64::new(0));
         let metrics = match &opts.metrics {
             Some(addr) => Some(crate::metrics::MetricsServer::spawn(
                 addr,
@@ -242,56 +231,41 @@ impl Server {
             )?),
             None => None,
         };
-        if let Some(addr) = &opts.tcp {
-            let l = TcpListener::bind(addr.as_str())?;
+        let tcp = |addr: &str| -> io::Result<(Listener, Endpoint, Option<PathBuf>)> {
+            let l = TcpListener::bind(addr)?;
             let endpoint = Endpoint::Tcp(l.local_addr()?.to_string());
-            return Ok(Server {
-                listener: Listener::Tcp(l),
-                endpoint,
-                engine,
-                stop,
-                unlink: None,
-                timeout,
-                max_conns,
-                conns,
-                metrics,
-            });
-        }
-        let path = opts.socket.clone().unwrap_or_else(default_socket_path);
-        match bind_unix(&path) {
-            Ok(l) => Ok(Server {
-                listener: l,
-                endpoint: Endpoint::Unix(path.clone()),
-                engine,
-                stop,
-                unlink: Some(path),
-                timeout,
-                max_conns,
-                conns,
-                metrics,
-            }),
-            Err(e) => {
-                // Localhost TCP fallback: platforms or mount setups where
-                // the Unix bind is unavailable still get a daemon.
-                eprintln!(
-                    "perforad-serve: unix bind at {} failed ({e}); falling back to localhost TCP",
-                    path.display()
-                );
-                let l = TcpListener::bind("127.0.0.1:0")?;
-                let endpoint = Endpoint::Tcp(l.local_addr()?.to_string());
-                Ok(Server {
-                    listener: Listener::Tcp(l),
-                    endpoint,
-                    engine,
-                    stop,
-                    unlink: None,
-                    timeout,
-                    max_conns,
-                    conns,
-                    metrics,
-                })
+            Ok((Listener::Tcp(l), endpoint, None))
+        };
+        let (listener, endpoint, unlink) = match &opts.tcp {
+            Some(addr) => tcp(addr)?,
+            None => {
+                let path = opts.socket.clone().unwrap_or_else(default_socket_path);
+                match bind_unix(&path) {
+                    Ok(l) => (l, Endpoint::Unix(path.clone()), Some(path)),
+                    Err(e) => {
+                        // Localhost TCP fallback: platforms or mount setups
+                        // where the Unix bind is unavailable still get a
+                        // daemon.
+                        eprintln!(
+                            "perforad-serve: unix bind at {} failed ({e}); falling back to localhost TCP",
+                            path.display()
+                        );
+                        tcp("127.0.0.1:0")?
+                    }
+                }
             }
-        }
+        };
+        Ok(Server {
+            listener,
+            endpoint,
+            engine,
+            stop: Arc::new(AtomicBool::new(false)),
+            unlink,
+            timeout: opts.timeout_ms.map(Duration::from_millis),
+            max_conns: opts.max_conns.unwrap_or(0),
+            conns: Arc::new(AtomicU64::new(0)),
+            metrics,
+        })
     }
 
     /// Where this server is actually listening (ephemeral TCP ports are
@@ -312,8 +286,8 @@ impl Server {
     }
 
     /// Accept connections until a `Shutdown` request flips the stop flag,
-    /// then drain: requests already waiting for or holding the engine's
-    /// run lock finish (and their replies flush) before this returns.
+    /// then drain: requests the engine already admitted finish (and their
+    /// replies flush) before this returns.
     /// Connections past the `max_conns` cap are answered with one `Busy`
     /// frame and closed — the accept loop itself is never blocked.
     pub fn run(self) -> io::Result<()> {

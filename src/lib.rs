@@ -270,7 +270,8 @@
 //! JSON (open in `chrome://tracing` or Perfetto; written automatically
 //! when `PERFORAD_TRACE_OUT` names a path) or rolls up into an
 //! [`obs::TraceReport`] of per-phase self/total times. Spans recorded
-//! inside an [`obs::RequestScope`] carry that request's id (it shows up
+//! inside an [`obs::RequestScope`] — on its thread, and on the pool
+//! workers running its regions — carry that request's id (it shows up
 //! as a `request_id` arg in the Chrome trace), and the always-on flight
 //! recorder dumps the recent-span ring plus metrics to
 //! `PERFORAD_FLIGHT_DIR` on a panic, degradation, or deadline breach.

@@ -12,8 +12,8 @@
 //! 4. raw stencil-DSL kernels fingerprint deterministically and cache.
 //!
 //! Every test spawns its own in-process server on a private socket, but
-//! all of them share the process-wide thread pool and metrics registry —
-//! the suite serializes itself behind one lock.
+//! all of them share the process-wide metrics registry — the suite
+//! serializes itself behind one lock.
 
 mod common;
 
@@ -27,8 +27,9 @@ use perforad::serve::{
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One engine at a time: every server shares `exec::default_pool()`,
-/// which must host a single parallel region at a time process-wide.
+/// One engine at a time: the tests read process-wide obs counters
+/// (`seismic.adjoint_transforms`, `tune.timed`, …) before and after their
+/// requests, and another test's requests would move them too.
 static SUITE_LOCK: Mutex<()> = Mutex::new(());
 
 fn suite_lock() -> std::sync::MutexGuard<'static, ()> {

@@ -9,8 +9,11 @@
 //! * an injected fault mid-request produces exactly one flight-recorder
 //!   dump in `PERFORAD_FLIGHT_DIR`, valid JSON, carrying the failing
 //!   request's id;
+//! * two traced gradients in flight at once on two fingerprints keep
+//!   their bits, their own spans and their own incident: one flight dump,
+//!   naming the request whose spill write failed;
 //! * the Chrome-trace export stays valid JSON with per-thread nesting
-//!   and `request_id` args when worker threads record concurrently;
+//!   and `request_id` args when pool workers record concurrently;
 //! * the disabled path of the new request-scope machinery allocates
 //!   nothing (the <1% wall-time bound itself stays pinned by
 //!   `tests/obs.rs`).
@@ -20,7 +23,7 @@
 
 mod common;
 
-use perforad::exec::{default_pool, Grid};
+use perforad::exec::{default_pool, Grid, Lowering, ThreadPool};
 use perforad::obs::fault;
 use perforad::obs::json::{parse, Value};
 use perforad::pde::seismic::{forward, ricker, SeismicConfig};
@@ -332,6 +335,120 @@ fn injected_fault_dumps_flight_recorder_exactly_once() {
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 
+/// Two traced gradients in flight at once on two fingerprints share the
+/// pool region by region: A checkpointed, spilling under
+/// `PERFORAD_CKPT_DIR` with its first write failing, B store-all. Each
+/// reply is the reference gradient bit for bit, each rollup holds as many
+/// spans as the same request sent alone (a mixed-up id would add or drop
+/// some), and the one flight dump names A.
+#[test]
+fn concurrent_traced_gradients_keep_their_bits_spans_and_incidents() {
+    let _g = suite_lock();
+    fault::disarm();
+    let pid = std::process::id();
+    let flight_dir = std::env::temp_dir().join(format!("perforad-telemetry-pair-flight-{pid}"));
+    let ckpt_dir = std::env::temp_dir().join(format!("perforad-telemetry-pair-ckpt-{pid}"));
+    let _ = std::fs::remove_dir_all(&flight_dir);
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+    std::fs::create_dir_all(&ckpt_dir).expect("ckpt dir");
+
+    // (config, checkpointed): A, then B.
+    let kernels = [
+        (
+            SeismicConfig {
+                n: 8,
+                steps: 12,
+                d: 0.1,
+            },
+            true,
+        ),
+        (test_cfg(), false),
+    ];
+    let lowerings = kernels
+        .map(|(cfg, checkpointed)| common::pin_model_config(&cfg, checkpointed, default_pool()));
+    let shots = kernels.map(|(cfg, _)| {
+        let source = ricker(cfg.steps);
+        let data = observed(&cfg, &source);
+        let reference = common::reference_gradient(&cfg, &velocity(cfg.n), &data, &source);
+        (source, data.as_slice().to_vec(), reference)
+    });
+
+    std::env::set_var(perforad::ckpt::CKPT_DIR_ENV, &ckpt_dir);
+    std::env::set_var(perforad::obs::FLIGHT_DIR_ENV, &flight_dir);
+    let (server, endpoint) = start_server(false);
+    let handle = std::thread::spawn(move || server.run());
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let fps = kernels.map(|(cfg, checkpointed)| {
+        let compiled = client.compile(compile_req(&cfg, checkpointed));
+        compiled.expect("compile").fingerprint
+    });
+    let traced = |client: &mut Client, k: usize| {
+        let (source, data, _) = &shots[k];
+        let reply = client.gradient_traced(&fps[k], source.clone(), data.clone());
+        reply.expect("traced gradient")
+    };
+    let spans = |reply: &perforad::serve::GradientReply| {
+        num(reply.trace.as_ref().expect("rollup"), "spans")
+    };
+    let alone = [0, 1].map(|k| spans(&traced(&mut client, k)));
+    assert!(
+        flight_dumps(&flight_dir).is_empty(),
+        "healthy requests never dump"
+    );
+
+    fault::arm("ckpt.disk.write=fail@1").expect("arm");
+    let start = std::sync::Barrier::new(2);
+    let replies = std::thread::scope(|s| {
+        let running = [0, 1].map(|k| {
+            let (endpoint, start, traced) = (&endpoint, &start, &traced);
+            s.spawn(move || {
+                let mut client = Client::connect(endpoint).expect("connect");
+                start.wait();
+                traced(&mut client, k)
+            })
+        });
+        running.map(|h| h.join().expect("client thread"))
+    });
+    fault::disarm();
+
+    for (k, reply) in replies.iter().enumerate() {
+        let (j, g) = &shots[k].2;
+        assert_eq!(reply.misfit.to_bits(), j.to_bits(), "kernel {k}: misfit");
+        let bitwise = reply.gradient.iter().zip(g.as_slice());
+        assert!(
+            bitwise.into_iter().all(|(a, b)| a.to_bits() == b.to_bits()),
+            "kernel {k}: the served gradient is not the reference's bits"
+        );
+        assert_eq!(
+            spans(reply),
+            alone[k],
+            "kernel {k}: another request's spans"
+        );
+    }
+
+    // B degrades too where its pinned JIT module cannot be built.
+    let b_degrades = lowerings[1] == Lowering::Jit && !perforad::jit::available();
+    let dumps = flight_dumps(&flight_dir);
+    assert_eq!(dumps.len(), 1 + usize::from(b_degrades), "{dumps:?}");
+    let naming_a: Vec<Value> = dumps
+        .iter()
+        .map(|p| parse(&std::fs::read_to_string(p).expect("read dump")).expect("dump JSON"))
+        .filter(|d| num(d, "request_id") as u64 == replies[0].request_id)
+        .collect();
+    assert_eq!(naming_a.len(), 1, "one dump names A: {dumps:?}");
+    assert_eq!(
+        naming_a[0].get("reason").and_then(Value::as_str),
+        Some("degraded")
+    );
+
+    std::env::remove_var(perforad::obs::FLIGHT_DIR_ENV);
+    std::env::remove_var(perforad::ckpt::CKPT_DIR_ENV);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread").expect("server run");
+    let _ = std::fs::remove_dir_all(&flight_dir);
+    let _ = std::fs::remove_dir_all(&ckpt_dir);
+}
+
 fn flight_dumps(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
@@ -462,26 +579,25 @@ fn chrome_trace_stays_nested_across_concurrent_workers() {
     let _g = suite_lock();
     perforad::obs::set_enabled(true);
     perforad::obs::clear_events();
+    let pool = ThreadPool::new(3);
     {
         let _scope = perforad::obs::RequestScope::enter(7);
         let _root = perforad::obs::span!("telemetry.root", "test");
-        let workers: Vec<_> = (0..3)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    let _outer = perforad::obs::span!("telemetry.worker", "test");
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    let _inner = perforad::obs::span!("telemetry.inner", "test");
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
+        // The pool hands the caller's request id to its workers.
+        pool.run(&|_| {
+            let _outer = perforad::obs::span!("telemetry.worker", "test");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            let _inner = perforad::obs::span!("telemetry.inner", "test");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        });
     }
     let events = perforad::obs::collect_events();
     perforad::obs::set_enabled(false);
-    assert_eq!(events.len(), 7, "root + 3×(outer+inner) + nothing else");
+    assert_eq!(
+        events.len(),
+        10,
+        "root + 3×(exec.worker, outer, inner) + nothing else"
+    );
     assert!(events.iter().all(|e| e.req == 7), "every span scoped");
 
     let json = perforad::obs::chrome_trace_json(&events);
