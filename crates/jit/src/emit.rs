@@ -382,9 +382,12 @@ fn item(e: &mut String, runs: &[&Run], row: &str, last: usize) {
 /// another on disjoint segments of a row, and concurrent tiles have
 /// disjoint boxes — so no live `&mut` row overlaps anything else.
 ///
-/// Compile with `rustc --crate-type cdylib` and load via `dlopen`
-/// ([`crate::prepare_schedule`] drives both). A rank-0 plan has no rows
-/// and is refused.
+/// The module is valid Rust with `std` or, as [`crate::prepare_schedule`]
+/// builds it, between a `#![no_std]` line and the crate's footer, which
+/// gives `f64` the methods `core` lacks; it calls nothing else. Compile
+/// with `rustc --crate-type cdylib` and load via `dlopen`
+/// (`prepare_schedule` drives both). A rank-0 plan has no rows and is
+/// refused.
 pub fn group_module(plan: &Plan) -> Result<String, JitError> {
     let Some(last) = plan.rank().checked_sub(1) else {
         return Err(JitError::Unsupported("a rank-0 plan has no rows".into()));

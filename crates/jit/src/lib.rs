@@ -36,7 +36,9 @@
 //!    `RUSTC`) is driven out-of-process into a stripped `cdylib`, `-O`,
 //!    plus `-C target-feature=+avx2` when the building host reports AVX2
 //!    (never FMA or fast-math: lane-wise adds and multiplies round like
-//!    scalar ones, so the bits do not depend on the ISA level).
+//!    scalar ones, so the bits do not depend on the ISA level). The
+//!    source is `#![no_std]`, the module, then a fixed footer: an artifact
+//!    links `core` and libm, not a private copy of the `std` runtime.
 //! 3. **Load** — hand-rolled `dlopen`/`dlsym` (std-only, [`loader`])
 //!    resolves the one entry point.
 //! 4. **Register** — the entry is installed in the process-wide
@@ -104,8 +106,139 @@ use std::time::Instant;
 /// Bump whenever the emitted code or its ABI changes: it is part of
 /// every artifact's file name, so stale `PERFORAD_JIT_CACHE` entries
 /// compiled by an older emitter miss cleanly instead of loading (the
-/// same role `CACHE_VERSION` plays for the tuning cache).
-pub const JIT_FORMAT_VERSION: u32 = 5;
+/// same role `CACHE_VERSION` plays for the tuning cache). 6 since an
+/// artifact is `#![no_std]`.
+pub const JIT_FORMAT_VERSION: u32 = 6;
+
+/// What a `#![no_std]` artifact needs beside its kernels, appended to
+/// every [`emit::group_module`]: a panic handler, the libm symbols `std`'s
+/// float methods call, and a private trait that gives `f64` the method
+/// names the printer emits. Each method computes what `std`'s does, bit
+/// for bit: `std` lowers `sin` … `powf` to these same libm calls, `powi`
+/// to compiler-builtins' `__powidf2`, whose repeated-squaring loop this
+/// is (so a literal exponent still unrolls to the same multiplications),
+/// and `sqrt` to the IEEE square root instruction. `f64::from_bits` is
+/// `core`'s own.
+const FOOTER: &str = r#"
+// perforad-jit footer: what `core` lacks.
+
+// SAFETY: each of these takes and returns plain values, is defined on
+// every argument (NaN and the infinities included) and touches no memory.
+// libm is `libSystem` on Apple targets, where `-lm` names it too.
+#[allow(dead_code)]
+#[link(name = "m")]
+unsafe extern "C" {
+    safe fn sin(x: f64) -> f64;
+    safe fn cos(x: f64) -> f64;
+    safe fn tan(x: f64) -> f64;
+    safe fn exp(x: f64) -> f64;
+    safe fn log(x: f64) -> f64;
+    safe fn tanh(x: f64) -> f64;
+    safe fn pow(x: f64, y: f64) -> f64;
+    #[cfg(not(target_arch = "x86_64"))]
+    safe fn sqrt(x: f64) -> f64;
+}
+
+// SAFETY: the C library's `abort` (libm depends on it) takes nothing and
+// does not return. No kernel panics, so the handler is never linked in.
+unsafe extern "C" {
+    safe fn abort() -> !;
+}
+
+#[panic_handler]
+fn __pf_panic(_: &core::panic::PanicInfo<'_>) -> ! {
+    abort()
+}
+
+#[allow(dead_code)]
+trait __PfMath {
+    fn sin(self) -> f64;
+    fn cos(self) -> f64;
+    fn tan(self) -> f64;
+    fn exp(self) -> f64;
+    fn ln(self) -> f64;
+    fn tanh(self) -> f64;
+    fn powf(self, y: f64) -> f64;
+    fn powi(self, k: i32) -> f64;
+    fn sqrt(self) -> f64;
+    fn abs(self) -> f64;
+}
+
+impl __PfMath for f64 {
+    #[inline(always)]
+    fn sin(self) -> f64 {
+        sin(self)
+    }
+    #[inline(always)]
+    fn cos(self) -> f64 {
+        cos(self)
+    }
+    #[inline(always)]
+    fn tan(self) -> f64 {
+        tan(self)
+    }
+    #[inline(always)]
+    fn exp(self) -> f64 {
+        exp(self)
+    }
+    #[inline(always)]
+    fn ln(self) -> f64 {
+        log(self)
+    }
+    #[inline(always)]
+    fn tanh(self) -> f64 {
+        tanh(self)
+    }
+    #[inline(always)]
+    fn powf(self, y: f64) -> f64 {
+        pow(self, y)
+    }
+    #[inline(always)]
+    fn powi(self, k: i32) -> f64 {
+        let (mut a, mut n, mut mul) = (self, k.unsigned_abs(), 1.0);
+        loop {
+            if n & 1 != 0 {
+                mul *= a;
+            }
+            n >>= 1;
+            if n == 0 {
+                break;
+            }
+            a *= a;
+        }
+        if k < 0 {
+            1.0 / mul
+        } else {
+            mul
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    fn sqrt(self) -> f64 {
+        use core::arch::x86_64::{_mm_cvtsd_f64, _mm_set_sd, _mm_sqrt_sd};
+        // SAFETY: SSE2 is part of every x86-64 target.
+        unsafe { _mm_cvtsd_f64(_mm_sqrt_sd(_mm_set_sd(self), _mm_set_sd(self))) }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    #[inline(always)]
+    fn sqrt(self) -> f64 {
+        sqrt(self)
+    }
+    // `core`'s own `abs`, on a toolchain that has one, takes precedence;
+    // elsewhere this one clears the sign bit, as `std`'s does.
+    #[inline(always)]
+    fn abs(self) -> f64 {
+        f64::from_bits(self.to_bits() & !(1u64 << 63))
+    }
+}
+"#;
+
+/// The one source every artifact is built from: `#![no_std]`, the
+/// group's module exactly as [`emit::group_module`] prints it, then
+/// [`FOOTER`]. An artifact links `core` and libm, nothing else.
+fn artifact_source(plan: &Plan) -> Result<String, JitError> {
+    Ok(format!("#![no_std]\n{}{FOOTER}", emit::group_module(plan)?))
+}
 
 /// Knobs for [`prepare_schedule`].
 #[derive(Clone, Debug)]
@@ -343,9 +476,10 @@ fn compile_cdylib(opts: &JitOptions, src: &Path, out: &Path, avx2: bool) -> Resu
     let tmp = out.with_extension(format!("so.tmp.{}", unique_suffix()));
     let output = Command::new(opts.resolved_rustc())
         .args(["--edition", "2021", "-O", "-C", "debuginfo=0"])
-        // std's symbol and debug tables are ≈90 % of an unstripped
-        // artifact; the `#[no_mangle]` entry points stay in `.dynsym`.
+        // The `#[no_mangle]` entry point stays in `.dynsym`.
         .args(["-C", "strip=symbols"])
+        // A `#![no_std]` source (`artifact_source`) has no unwinder.
+        .args(["-C", "panic=abort"])
         .args(avx2.then_some("-Ctarget-feature=+avx2"))
         // Explicit crate name: the invocation-unique source file name
         // contains dots rustc would reject if left to derive it.
@@ -444,7 +578,7 @@ fn prepare_group(plan: &Plan, opts: &JitOptions, report: &mut JitReport) -> Resu
             artifact.display()
         )));
     }
-    let source = emit::group_module(plan)?;
+    let source = artifact_source(plan)?;
     // Invocation-unique source name: concurrent preparers of one
     // fingerprint must not truncate each other's in-flight source.
     let src_path = dir.join(format!("{stem}.{}.rs", unique_suffix()));
@@ -693,7 +827,7 @@ mod tests {
     /// it and the next prepare has to go to disk.
     fn build_unregistered(schedule: &Schedule, dir: &Path, toolchain: u32) {
         let plan = &schedule.groups[0].plan;
-        let source = emit::group_module(plan).unwrap();
+        let source = artifact_source(plan).unwrap();
         std::fs::create_dir_all(dir).unwrap();
         let stem = format!(
             "{}{toolchain:08x}_{:016x}",
@@ -940,6 +1074,154 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The c-active 3-D wave adjoint at `n = 16` and the wave primal, one
+    /// group each, JIT-enabled.
+    fn wave_schedules() -> (Schedule, Schedule) {
+        let nest = emit::tests::wave_nest();
+        let act = ["u", "u_1", "u_2", "c"]
+            .into_iter()
+            .fold(ActivityMap::new(), ActivityMap::with_suffixed);
+        let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
+        let n = 16usize;
+        let mut ws = Workspace::new();
+        for name in ["u", "u_1", "u_2", "c", "u_b", "u_1_b", "u_2_b", "c_b"] {
+            ws.insert(name, Grid::zeros(&[n, n, n]));
+        }
+        let bind = Binding::new().size("n", n as i64).param("D", 0.1);
+        let opts = SchedOptions::default().with_jit();
+        let adjoint = compile_schedule(&adj, &ws, &bind, &opts).unwrap();
+        let primal =
+            perforad_sched::compile_schedule_nests(&[nest], &ws, &bind, false, &opts).unwrap();
+        assert_eq!((adjoint.groups.len(), primal.groups.len()), (1, 1));
+        (adjoint, primal)
+    }
+
+    /// An artifact holds its kernels and little else: the wave adjoint and
+    /// primal, prepared into an empty cache, stay under 128 KiB and 32 KiB
+    /// (a `std` build of either is over 300 KiB). CI runs this by name.
+    #[test]
+    fn artifacts_hold_only_their_kernels() {
+        let _lk = compile_locked();
+        require_toolchain!();
+        let (adjoint, primal) = wave_schedules();
+        for (tag, schedule, budget) in [
+            ("adjoint", adjoint, 128 << 10),
+            ("primal", primal, 32 << 10),
+        ] {
+            let dir = test_cache_dir(&format!("size-{tag}"));
+            let opts = JitOptions::default().with_cache_dir(&dir);
+            let report = prepare_schedule(&schedule, &Binding::new(), &opts).unwrap();
+            assert_eq!(
+                report.compiled + report.loaded,
+                1,
+                "{tag}: built into {}",
+                dir.display()
+            );
+            let sizes: Vec<u64> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .filter(|p| p.extension().is_some_and(|x| x == "so"))
+                .map(|p| std::fs::metadata(p).unwrap().len())
+                .collect();
+            assert_eq!(sizes.len(), 1, "{tag}");
+            assert!(
+                sizes[0] < budget,
+                "{tag}: {} B, budget {budget} B",
+                sizes[0]
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Every method the footer gives `f64` returns `std`'s bits: a probe
+    /// artifact built from the footer evaluates each one on signed zeros,
+    /// subnormals, infinities, NaN and random bit patterns, and `powi` on
+    /// run-time exponents in −40 ..= 40 and on literal ones, which unroll.
+    #[test]
+    fn footer_math_is_std_math_bit_for_bit() {
+        let _lk = compile_locked();
+        require_toolchain!();
+        const UNARY: [fn(f64) -> f64; 7] = [
+            f64::sin,
+            f64::cos,
+            f64::tan,
+            f64::exp,
+            f64::ln,
+            f64::tanh,
+            f64::sqrt,
+        ];
+        const LITERALS: [i32; 6] = [-3, -1, 0, 2, 3, 7];
+        let probe = format!(
+            "#![no_std]\n\
+             #[no_mangle]\n\
+             pub extern \"C\" fn pf_g(op: u32, x: f64, y: f64) -> f64 {{\n\
+             match op {{ 0 => x.sin(), 1 => x.cos(), 2 => x.tan(), 3 => x.exp(), \
+             4 => x.ln(), 5 => x.tanh(), 6 => x.sqrt(), 7 => x.powf(y), \
+             8 => x.powi(y as i32), {} _ => f64::NAN }}\n}}\n{FOOTER}",
+            (LITERALS.iter().enumerate())
+                .map(|(j, k)| format!("{} => x.powi({k}i32), ", 9 + j))
+                .collect::<String>()
+        );
+        let dir = test_cache_dir("footer");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (src, so) = (dir.join("probe.rs"), dir.join("probe.so"));
+        std::fs::write(&src, probe).unwrap();
+        compile_cdylib(&JitOptions::default(), &src, &so, host_avx2()).expect("compile");
+        let lib = loader::Library::open(&so).expect("load");
+        let p = lib.sym(emit::ENTRY).expect("entry");
+        // SAFETY: the probe prints `pf_g` with exactly this signature, and
+        // `lib` outlives every call.
+        let f = unsafe {
+            std::mem::transmute::<*mut std::ffi::c_void, extern "C" fn(u32, f64, f64) -> f64>(p)
+        };
+
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.5,
+            -1.0,
+            1e300,
+            -745.5,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+        ];
+        let mut state = 0x51ED_2040u64;
+        for _ in 0..1 << 15 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            xs.push(f64::from_bits(state));
+            xs.push((state >> 11) as f64 / (1u64 << 50) as f64 - 4.0);
+        }
+        let same = |op: u32, x: f64, y: f64, want: f64| {
+            let got = f(op, x, y);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "op {op} at ({x:e}, {y:e}): {got:e} vs {want:e}"
+            );
+        };
+        for (j, &x) in xs.iter().enumerate() {
+            let y = xs[(j * 7 + 3) % xs.len()];
+            for (op, g) in UNARY.into_iter().enumerate() {
+                same(op as u32, x, y, g(x));
+            }
+            same(7, x, y, x.powf(y));
+            let k = (j % 81) as i32 - 40;
+            same(8, x, k as f64, x.powi(k));
+            for (l, k) in LITERALS.into_iter().enumerate() {
+                same(9 + l as u32, x, 0.0, x.powi(std::hint::black_box(k)));
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The c-active 3-D wave adjoint at `n = 16`, one module, compiled
     /// twice through the private compile step — baseline flags and
     /// `+avx2` — and run over the group's hull, one call of its entry, on
@@ -958,22 +1240,9 @@ mod tests {
             eprintln!("skipped: this CPU has no AVX2");
             return;
         }
-        let nest = emit::tests::wave_nest();
-        let act = ["u", "u_1", "u_2", "c"]
-            .into_iter()
-            .fold(ActivityMap::new(), ActivityMap::with_suffixed);
-        let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
-        let n = 16usize;
-        let mut ws = Workspace::new();
-        for name in ["u", "u_1", "u_2", "c", "u_b", "u_1_b", "u_2_b", "c_b"] {
-            ws.insert(name, Grid::zeros(&[n, n, n]));
-        }
-        let bind = Binding::new().size("n", n as i64).param("D", 0.1);
-        let schedule =
-            compile_schedule(&adj, &ws, &bind, &SchedOptions::default().with_jit()).unwrap();
-        assert_eq!(schedule.groups.len(), 1);
+        let (schedule, _) = wave_schedules();
         let group = &schedule.groups[0];
-        let source = emit::group_module(&group.plan).unwrap();
+        let source = artifact_source(&group.plan).unwrap();
 
         let opts = JitOptions::default();
         let (dir, keep) = match &opts.cache_dir {
@@ -987,7 +1256,7 @@ mod tests {
         let mut state = 0x51ED_2017u64;
         let inputs: Vec<Vec<f64>> = (0..group.plan.arrays().len())
             .map(|_| {
-                (0..n * n * n)
+                (0..group.plan.dims().iter().product::<usize>())
                     .map(|_| {
                         state ^= state >> 12;
                         state ^= state << 25;

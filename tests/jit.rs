@@ -14,7 +14,7 @@
 //! falls back to the row executor.
 
 use perforad::exec::{compile_adjoint_opts, compile_nests, run, ExecMode};
-use perforad::jit::{available, prepare_schedule, JitOptions};
+use perforad::jit::{available, emit::group_module, prepare_schedule, JitOptions};
 use perforad::prelude::*;
 use perforad::sched::{compile_schedule_nests, run_schedule_serial};
 use perforad::symbolic::{Cond, Rel};
@@ -42,9 +42,12 @@ fn jit_opts(tag: &str) -> (JitOptions, std::path::PathBuf) {
 }
 
 /// Random expression tree over the full op vocabulary: the rows property
-/// suite's ops plus `sign`, `powi`, `powf` and `exp`, whose native forms
-/// were once written by hand. `powf` takes a non-negative base and `exp`
-/// a bounded argument, so no tree reaches NaN or infinity.
+/// suite's ops plus `sign`, `powi`, `powf`, `exp`, `tan`, `ln` and `sqrt`
+/// — every method a native module calls through its `#![no_std]`
+/// footer. `powf`, `ln` and `sqrt` take non-negative (`ln` positive)
+/// arguments, `exp` a bounded one, a negative `powi` exponent a base of
+/// at least 0.5 and one above 3 a base in [−1, 1], so no tree reaches NaN
+/// or infinity.
 fn random_expr(rng: &mut Rng, depth: usize, u: &Array, c: &Array, i: &Symbol) -> Expr {
     if depth == 0 {
         return match rng.range_i64(0, 4) {
@@ -57,7 +60,7 @@ fn random_expr(rng: &mut Rng, depth: usize, u: &Array, c: &Array, i: &Symbol) ->
     }
     let a = random_expr(rng, depth - 1, u, c, i);
     let b = random_expr(rng, depth - 1, u, c, i);
-    match rng.range_i64(0, 13) {
+    match rng.range_i64(0, 16) {
         0 => a + b,
         1 => a * b,
         2 => -a,
@@ -69,8 +72,15 @@ fn random_expr(rng: &mut Rng, depth: usize, u: &Array, c: &Array, i: &Symbol) ->
         8 => Expr::select(Cond::new(a, Rel::Ge, Expr::zero()), b, Expr::float(0.5)),
         9 => a.abs(),
         10 => a.sign(),
-        11 => a.powi(rng.range_i64(2, 3)),
+        11 => match rng.range_i64(-3, 7) {
+            k if k < 0 => (a.abs() + Expr::float(0.5)).powi(k),
+            k if k > 3 => a.sin().powi(k),
+            k => a.powi(k),
+        },
         12 => a.abs().pow(Expr::float(1.5)),
+        13 => a.tan(),
+        14 => (a.abs() + Expr::float(0.5)).ln(),
+        15 => a.abs().sqrt(),
         _ => a.sin().exp(),
     }
 }
@@ -97,17 +107,20 @@ fn ws_1d(n: usize, seed_pattern: u64) -> Workspace {
 
 /// Random trees through the whole op vocabulary: the JIT-compiled
 /// schedule agrees bitwise with interpreter and rows. The last case is
-/// zero-padded over the whole extent, so loads run off both ends.
+/// zero-padded over the whole extent, so loads run off both ends. The
+/// modules compiled call every method the `#![no_std]` footer reroutes.
 #[test]
 fn random_trees_jit_bitwise_identical() {
     require_toolchain!();
+    const CASES: usize = 48;
     let (opts, dir) = jit_opts("trees");
     let mut rng = Rng::new(0x51ED_2001);
     let (u, c) = (Array::new("u"), Array::new("c"));
     let i = Symbol::new("i");
     let n_sym = Symbol::new("n");
-    for case in 0..9 {
-        let padded = case == 8;
+    let mut calls = [".tan()", ".ln()", ".sqrt()", ".powi(-", ".powf("].map(|c| (c, 0));
+    for case in 0..CASES {
+        let padded = case == CASES - 1;
         let depth = rng.range_usize(1, 4);
         let expr = random_expr(&mut rng, depth, &u, &c, &i);
         let n = rng.range_usize(16, 47);
@@ -140,6 +153,10 @@ fn random_trees_jit_bitwise_identical() {
         .unwrap();
         let report = prepare_schedule(&s, &bind, &opts).expect("prepare");
         assert_eq!(report.groups, 1, "case {case}");
+        let module = group_module(&s.groups[0].plan).unwrap();
+        for (call, count) in &mut calls {
+            *count += module.matches(*call).count();
+        }
         run_schedule_serial(&s, &mut ws_jit).unwrap();
         assert_bitwise(
             &format!("case {case}, n {n}: jit vs interpreter: {nest}"),
@@ -154,6 +171,7 @@ fn random_trees_jit_bitwise_identical() {
             &["r"],
         );
     }
+    assert!(calls.iter().all(|&(_, n)| n > 0), "{calls:?}");
     let _ = std::fs::remove_dir_all(dir);
 }
 
