@@ -241,56 +241,46 @@ impl Plan {
     /// buffers, so this is the key under which `perforad-jit` registers
     /// compiled native code ([`crate::native`]) and names its on-disk
     /// artifacts. Hashed once per plan, when a `Lowering::Jit` binding
-    /// first looks its module up. Accumulate mode is hashed only when set,
-    /// so a plain plan keeps the name it had before the mode existed; the
-    /// statements of an array it assigns hash as the `=` they are.
+    /// first looks its module up, as words through one
+    /// [`WordHash`](crate::native::WordHash): a few per statement, and
+    /// each program's key as the hash taken when the program was built
+    /// (statements share programs). The statements of an array an
+    /// accumulate-mode plan assigns hash as the `=` they are.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| self.hash_structure())
     }
 
     fn hash_structure(&self) -> u64 {
-        let mut h = crate::native::Fnv::new();
-        h.write_u64(self.rank as u64);
-        h.write_u64(self.padded as u64);
-        if self.accumulate {
-            h.write(b"accumulate");
+        fn words(v: &[i64]) -> impl ExactSizeIterator<Item = u64> + '_ {
+            v.iter().map(|&w| w as u64)
         }
-        for &d in &self.dims {
-            h.write_u64(d as u64);
-        }
-        for &s in &self.strides {
-            h.write_u64(s as u64);
-        }
+        let mut h = crate::native::WordHash::new();
+        h.word(self.rank as u64);
+        h.word(self.padded as u64);
+        h.word(self.accumulate as u64);
+        h.list(self.dims.iter().map(|&d| d as u64));
+        h.list(self.strides.iter().map(|&s| s as u64));
+        h.word(self.arrays.len() as u64);
         for a in &self.arrays {
-            h.write(a.name().as_bytes());
-            h.write(b"|");
+            h.str(a.name());
         }
+        h.word(self.nests.len() as u64);
         for nest in &self.nests {
-            h.write(b"N");
-            for (&l, &u) in nest.lo.iter().zip(&nest.hi) {
-                h.write_i64(l);
-                h.write_i64(u);
-            }
+            h.list(words(&nest.lo));
+            h.list(words(&nest.hi));
+            h.word(nest.stmts.len() as u64);
             for st in &nest.stmts {
-                h.write(b"S");
-                h.write_u64(st.out_slot as u64);
-                h.write_i64(st.write_rel as i64);
-                for &o in &st.write_offsets {
-                    h.write_i64(o);
+                h.word(st.out_slot as u64);
+                h.word(st.write_rel as u64);
+                h.list(words(&st.write_offsets));
+                h.word(st.overwrite as u64);
+                // No guard, or one more than its number of ranges.
+                h.word(st.guard.as_ref().map_or(0, |g| 1 + g.len() as u64));
+                for &(l, u) in st.guard.iter().flatten() {
+                    h.word(l as u64);
+                    h.word(u as u64);
                 }
-                h.write_u64(st.overwrite as u64);
-                match &st.guard {
-                    None => h.write(b"-"),
-                    Some(g) => {
-                        for &(l, u) in g {
-                            h.write_i64(l);
-                            h.write_i64(u);
-                        }
-                    }
-                }
-                for &w in &st.prog.key {
-                    h.write_u64(w);
-                }
+                h.word(st.prog.key_hash);
             }
         }
         h.finish()
@@ -1165,5 +1155,43 @@ mod tests {
         w.insert("c", Grid::zeros(&[5]));
         let err = compile_nest(&paper_nest(), &w, &Binding::new().size("n", 10)).unwrap_err();
         assert!(matches!(err, ExecError::DimsMismatch { .. }));
+    }
+
+    /// One field changed moves a plan's fingerprint: a slot, a write
+    /// offset, a guard and its end, a bound, a constant's last bit, an
+    /// extent.
+    #[test]
+    fn one_field_moves_the_fingerprint() {
+        let bind = Binding::new().size("n", 10);
+        let plan = compile_nest(&paper_nest(), &ws(10), &bind).unwrap();
+        let base = plan.fingerprint();
+        let edited = |edit: &dyn Fn(&mut Plan)| {
+            let mut p = plan.clone();
+            edit(&mut p);
+            p.hash_structure()
+        };
+        let next_bit = {
+            let i = Symbol::new("i");
+            let (u, c, r) = (Array::new("u"), Array::new("c"), Array::new("r"));
+            let four = f64::from_bits(4.0f64.to_bits() + 1);
+            let rhs = c.at(ix![&i])
+                * (2.0 * u.at(ix![&i - 1]) - 3.0 * u.at(ix![&i]) + four * u.at(ix![&i + 1]));
+            let bounds = vec![(Idx::constant(1), Idx::sym("n") - 1)];
+            let nest = make_loop_nest(&r.at(ix![&i]), rhs, vec![i.clone()], bounds).unwrap();
+            compile_nest(&nest, &ws(10), &bind).unwrap().fingerprint()
+        };
+        let moved = [
+            edited(&|p| p.nests[0].stmts[0].out_slot ^= 1),
+            edited(&|p| p.nests[0].stmts[0].write_rel += 1),
+            edited(&|p| p.nests[0].stmts[0].write_offsets = vec![1]),
+            edited(&|p| p.nests[0].stmts[0].guard = Some(vec![(1, 9)])),
+            edited(&|p| p.nests[0].stmts[0].guard = Some(vec![(1, 8)])),
+            edited(&|p| p.nests[0].hi[0] -= 1),
+            next_bit,
+            edited(&|p| p.dims[0] += 1),
+        ];
+        assert_eq!(plan.hash_structure(), base);
+        let distinct: BTreeSet<u64> = moved.iter().copied().chain([base]).collect();
+        assert_eq!(distinct.len(), moved.len() + 1, "{moved:#018x?}");
     }
 }

@@ -73,8 +73,9 @@ impl NativeGroup {
 }
 
 /// FNV-1a over a byte stream — deterministic across runs and platforms.
-/// The canonical hash for every fingerprint in the workspace (plan
-/// fingerprints here, tuning-cache keys in `perforad-tune`).
+/// The workspace's digest of bytes and text (emitted modules, wire
+/// frames, gradients); the IR's names are hashed a word at a time by
+/// [`WordHash`] instead.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.write(bytes);
@@ -109,18 +110,74 @@ impl Fnv {
     }
 }
 
-/// Formatted text hashes as its bytes: `write!(fnv, "{x}")` equals
-/// `fnv.write(x.to_string().as_bytes())` without the string.
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
-    }
-}
-
 impl Default for Fnv {
     fn default() -> Self {
         Fnv::new()
+    }
+}
+
+/// One SplitMix64 finaliser round: a bijection on 64-bit words in which
+/// every input bit flips every output bit with probability ≈ ½.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A structural hash fed one 64-bit word at a time, each word folded in
+/// by one [`mix64`] round — the hash of the IR's *names*: the tuner's work
+/// key and [`Plan::fingerprint`](crate::Plan::fingerprint). Callers write
+/// the words explicitly, a tag word and then payload words (a list as its
+/// length, then its items), so that the stream spells one structure only
+/// and does not depend on how the compiler lays out `#[derive(Hash)]`.
+/// Deterministic across runs and platforms, like [`fnv1a64`], which stays
+/// the hash of emitted *text*.
+#[derive(Clone, Copy, Debug)]
+pub struct WordHash(u64);
+
+impl WordHash {
+    pub fn new() -> Self {
+        WordHash(0x6a09_e667_f3bc_c909)
+    }
+
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        self.0 = mix64(self.0 ^ w);
+    }
+
+    /// A list: its length, then its items.
+    pub fn list(&mut self, items: impl ExactSizeIterator<Item = u64>) {
+        self.word(items.len() as u64);
+        items.for_each(|w| self.word(w));
+    }
+
+    /// A name. Up to seven bytes fill one word whose top byte is their
+    /// length; a longer name is its length (a word whose top byte is
+    /// zero), then its bytes eight to a word, zero-padded.
+    pub fn str(&mut self, s: &str) {
+        let (bytes, mut word) = (s.as_bytes(), [0u8; 8]);
+        if bytes.len() < 8 {
+            word[..bytes.len()].copy_from_slice(bytes);
+            word[7] = bytes.len() as u8;
+            return self.word(u64::from_le_bytes(word));
+        }
+        self.word(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
+    }
+
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for WordHash {
+    fn default() -> Self {
+        WordHash::new()
     }
 }
 
@@ -188,9 +245,34 @@ mod tests {
         let mut f = Fnv::new();
         f.write(b"a");
         assert_eq!(f.finish(), fnv1a64(b"a"));
-        // Formatted in pieces or hashed whole: the same bytes.
-        let mut f = Fnv::new();
-        std::fmt::Write::write_fmt(&mut f, format_args!("{}|{:>4}", 1.5, "ab")).unwrap();
-        assert_eq!(f.finish(), fnv1a64(b"1.5|  ab"));
+    }
+
+    #[test]
+    fn word_hash_spells_one_stream() {
+        // SplitMix64 seeded with 0: its first output is this round of the
+        // golden-ratio increment.
+        assert_eq!(mix64(0x9e37_79b9_7f4a_7c15), 0xe220_a839_7b1d_cdaf);
+        let words = |ws: &[u64]| {
+            let mut h = WordHash::new();
+            ws.iter().for_each(|&w| h.word(w));
+            h.finish()
+        };
+        let names = |ns: &[&str]| {
+            let mut h = WordHash::new();
+            ns.iter().for_each(|n| h.str(n));
+            h.finish()
+        };
+        // Word order, a trailing zero, a name's length and padding all show.
+        assert_ne!(words(&[1, 2]), words(&[2, 1]));
+        assert_ne!(words(&[0]), words(&[0, 0]));
+        assert_ne!(names(&["ab"]), names(&["ab\0"]));
+        assert_ne!(names(&["", "a"]), names(&["a", ""]));
+        assert_ne!(names(&["abcdefg"]), names(&["abcdefg\0"]));
+        assert_ne!(names(&["abcdefgh"]), names(&["abcdefghi"]));
+        // One flipped input bit flips about half of the output's.
+        for b in 0..64 {
+            let flipped = (words(&[0]) ^ words(&[1 << b])).count_ones();
+            assert!((12..=52).contains(&flipped), "bit {b}: {flipped} bits");
+        }
     }
 }

@@ -35,9 +35,10 @@
 //!
 //! The walk also records the program's key, a structural word sequence
 //! over the same post-order. Plan compilation dedups equal programs on it,
-//! and [`crate::Plan::fingerprint`] hashes it.
+//! and [`crate::Plan::fingerprint`] reads its hash, taken once per program.
 
 use crate::error::ExecError;
+use crate::native::WordHash;
 use crate::tile::Buffers;
 use perforad_symbolic::{Access, Expr, Func, Node, Rel, Symbol};
 use std::collections::BTreeMap;
@@ -177,6 +178,10 @@ pub struct RegProgram {
     /// past the earlier members' in a sum. Programs with equal keys
     /// evaluate identically at every point.
     pub(crate) key: Vec<u64>,
+    /// The key's length and words through one [`WordHash`], hashed once
+    /// when the program is built: what [`crate::Plan::fingerprint`] hashes
+    /// for each statement that runs this program.
+    pub(crate) key_hash: u64,
 }
 
 /// Apply a unary function: the one definition the constant folder, the
@@ -686,12 +691,15 @@ fn eliminate_dead(ops: Vec<RegOp>, pads: Vec<PadLoad>, result: Reg, key: Vec<u64
         op.remap(&reg_map);
         kept.push(op);
     }
+    let mut h = WordHash::new();
+    h.list(key.iter().copied());
     RegProgram {
         ops: kept,
         pads: kept_pads,
         n_regs: next as usize,
         result: reg_map[result as usize],
         key,
+        key_hash: h.finish(),
     }
 }
 
@@ -733,6 +741,7 @@ pub(crate) fn reuse_registers(prog: RegProgram) -> RegProgram {
         n_regs,
         result: map[prog.result as usize],
         key: prog.key,
+        key_hash: prog.key_hash,
     }
 }
 

@@ -107,8 +107,10 @@ use std::time::Instant;
 /// every artifact's file name, so stale `PERFORAD_JIT_CACHE` entries
 /// compiled by an older emitter miss cleanly instead of loading (the
 /// same role `CACHE_VERSION` plays for the tuning cache). 6 since an
-/// artifact is `#![no_std]`.
-pub const JIT_FORMAT_VERSION: u32 = 6;
+/// artifact is `#![no_std]`; 7 since a plan fingerprint hashes words
+/// instead of bytes, so that no artifact named by an older fingerprint can
+/// match a new one.
+pub const JIT_FORMAT_VERSION: u32 = 7;
 
 /// What a `#![no_std]` artifact needs beside its kernels, appended to
 /// every [`emit::group_module`]: a panic handler, the libm symbols `std`'s
@@ -376,8 +378,9 @@ pub fn available() -> bool {
 }
 
 /// A pid × sequence suffix unique per call, so concurrent threads (not
-/// just processes) write distinct temp files.
-fn unique_suffix() -> String {
+/// just processes) write distinct temp files: artifacts here, tuning
+/// cache files in `perforad-tune`.
+pub fn unique_suffix() -> String {
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     format!(
         "{}.{}",

@@ -5,7 +5,7 @@
 //! and must stay callable for the life of the process.
 //!
 //! What stays loaded is the kernels and little else. A JIT artifact is
-//! `#![no_std]` (`JIT_FORMAT_VERSION` 6): it links `core` and libm only,
+//! `#![no_std]` (since `JIT_FORMAT_VERSION` 6): it links `core` and libm only,
 //! has no thread-local block and no initialiser of its own, and registers
 //! no TLS destructor and no `atexit` hook, so it holds no runtime state
 //! that an unload would have to tear down.

@@ -1,13 +1,13 @@
 //! The persistent tuning cache.
 //!
 //! Tuning results are keyed by a **schedule fingerprint** (a stable hash
-//! of the source nests' printed IR, the padded flag, and the integer size
+//! of the source nests' structure, the padded flag, and the integer size
 //! bindings — everything that changes the work being scheduled) plus a
 //! **machine signature** (arch, OS, worker count, cache format version —
-//! everything that changes which configuration wins). The printed IR is
-//! streamed into the hash, never built, and costs one `Display` per adjoint
-//! *term*: a right-hand side the split nests repeat is formatted once.
-//! Entries live in two layers:
+//! everything that changes which configuration wins). The nests are
+//! walked, never printed, and each distinct right-hand side is hashed once
+//! per key: a term the split nests repeat costs one walk. Entries live in
+//! two layers:
 //!
 //! * a process-wide in-memory map, always on by default, so repeated
 //!   `autotune` calls in one process (e.g. every time step of a seismic
@@ -17,80 +17,191 @@
 //!   [`crate::TuneOptions::cache_path`] or the `PERFORAD_TUNE_CACHE`
 //!   environment variable.
 
-use perforad_core::{AssignOp, LoopNest};
+use perforad_core::{AssignOp, Bound, LoopNest};
+use perforad_exec::native::WordHash;
 use perforad_exec::{Binding, Lowering};
 use perforad_obs::json::{self, Value};
 use perforad_sched::{TilePolicy, TunedConfig, TunedStrategy};
 use perforad_symbolic::visit::NodeMemo;
+use perforad_symbolic::{Access, Expr, Idx, Node, Number, UFunApp};
 use std::collections::HashMap;
-use std::fmt::Write;
 use std::path::Path;
 use std::sync::{Mutex, OnceLock};
 
 /// Bump when the key derivation or entry layout changes: old files then
-/// miss cleanly instead of deserialising garbage.
-pub const CACHE_VERSION: u32 = 1;
+/// miss cleanly instead of deserialising garbage. 2 since the work key is
+/// hashed from the nests' structure instead of their printed text.
+pub const CACHE_VERSION: u32 = 2;
 
 /// FNV-1a over a byte stream — deterministic across runs and platforms.
-/// (The canonical implementation lives in `perforad_exec::native`, where
-/// plan fingerprints — the JIT artifact-cache keys — are built from it;
-/// re-exported here so every fingerprint in the workspace shares one
-/// hash.)
+/// (The canonical implementation lives in `perforad_exec::native`, beside
+/// the word hash that names plans and work; re-exported here so every
+/// digest of text in the workspace shares one hash.)
 pub use perforad_exec::native::fnv1a64;
-use perforad_exec::native::Fnv;
 
-/// Stable fingerprint of the *work*: the nests' printed IR (the display
-/// form is the IR's canonical syntax), the padded-boundary flag, and the
-/// integer sizes the bounds resolve against. Floating-point parameters
-/// are excluded — they change values, not schedule shape.
+/// Stable fingerprint of the *work*: the nests (counters, bounds, and
+/// each statement's guard, operator, left- and right-hand side), the
+/// padded-boundary flag, and the integer sizes the bounds resolve
+/// against — what the nests' printed form shows, as words through one
+/// [`WordHash`]. Floating-point parameters are excluded: they change
+/// values, not schedule shape.
 pub fn fingerprint_nests(nests: &[LoopNest], padded: bool, bind: &Binding) -> u64 {
-    let mut text = Fnv::new();
-    let rendered = write_work(&mut text, nests, padded, bind);
+    let (key, hashed) = hash_work(nests, padded, bind);
     if perforad_obs::enabled() {
-        perforad_obs::counter("tune.rhs_rendered").add(rendered as u64);
+        perforad_obs::counter("tune.rhs_hashed").add(hashed as u64);
     }
-    text.finish()
+    key
 }
 
-/// Write what [`fingerprint_nests`] hashes — each nest exactly as its
-/// `Display` prints it, then `;` — and return how many right-hand sides
-/// were formatted to do so: one per distinct node ([`NodeMemo`]), as an
-/// adjoint's split nests repeat a few terms (a 3-D star's 161 repeat 7).
-fn write_work(out: &mut impl Write, nests: &[LoopNest], padded: bool, bind: &Binding) -> usize {
-    let mut texts: NodeMemo<String> = NodeMemo::default();
-    let (mut rendered, mut lhs) = (0, None);
+/// [`fingerprint_nests`], and how many right-hand sides were walked to
+/// take it: one per distinct node ([`NodeMemo`]), as an adjoint's split
+/// nests repeat a few terms (a 3-D star's 161 statements repeat 7).
+fn hash_work(nests: &[LoopNest], padded: bool, bind: &Binding) -> (u64, usize) {
+    let (mut rhs_keys, mut hashed): (NodeMemo<u64>, usize) = (NodeMemo::default(), 0);
+    let mut lhs: Option<(&Access, u64)> = None;
+    let mut h = WordHash::new();
+    h.word(nests.len() as u64);
     for nest in nests {
-        for (d, (c, b)) in nest.counters.iter().zip(&nest.bounds).enumerate() {
-            let _ = writeln!(out, "{:indent$}for {c} in {b} {{", "", indent = d * 2);
+        let loops = nest.counters.iter().zip(&nest.bounds);
+        h.word(loops.len() as u64);
+        for (c, b) in loops {
+            h.str(c.name());
+            hash_bound(&mut h, b);
         }
-        let indent = nest.counters.len() * 2;
+        h.word(nest.body.len() as u64);
         for s in &nest.body {
-            let _ = write!(out, "{:indent$}", "");
-            if let Some(g) = &s.guard {
-                let _ = write!(out, "if ({g}) ");
+            let ranges = s.guard.iter().flat_map(|g| &g.ranges);
+            // No guard, or one more than its number of ranges.
+            h.word(s.guard.as_ref().map_or(0, |g| 1 + g.ranges.len() as u64));
+            for (c, b) in ranges {
+                h.str(c.name());
+                hash_bound(&mut h, b);
             }
-            let op = if s.op == AssignOp::Assign { "=" } else { "+=" };
-            let rhs = texts.get_or_insert_with(&s.rhs, || {
-                rendered += 1;
-                s.rhs.to_string()
+            h.word(match s.op {
+                AssignOp::Assign => 0,
+                AssignOp::AddAssign => 1,
             });
             // A nest's statements mostly write one place: `u_b(i, j, k)`.
-            let lhs = match &mut lhs {
-                Some((access, text)) if *access == &s.lhs => text,
-                stale => &mut stale.insert((&s.lhs, s.lhs.to_string())).1,
+            let lhs_key = match lhs {
+                Some((access, key)) if *access == s.lhs => key,
+                _ => {
+                    let mut access = WordHash::new();
+                    hash_access(&mut access, &s.lhs);
+                    lhs.insert((&s.lhs, access.finish())).1
+                }
             };
-            let _ = writeln!(out, "{lhs} {op} {rhs}");
+            h.word(lhs_key);
+            h.word(*rhs_keys.get_or_insert_with(&s.rhs, || {
+                hashed += 1;
+                let mut rhs = WordHash::new();
+                hash_expr(&mut rhs, &s.rhs);
+                rhs.finish()
+            }));
         }
-        for d in (0..nest.counters.len()).rev() {
-            let _ = writeln!(out, "{:indent$}}}", "", indent = d * 2);
+    }
+    h.word(padded as u64);
+    h.word(bind.sizes.len() as u64);
+    for (sym, &v) in &bind.sizes {
+        h.str(sym.name());
+        h.word(v as u64);
+    }
+    (h.finish(), hashed)
+}
+
+fn hash_bound(h: &mut WordHash, b: &Bound) {
+    hash_idx(h, &b.lo);
+    hash_idx(h, &b.hi);
+}
+
+/// `Σ coeff·sym + offset`: its terms, then its offset.
+fn hash_idx(h: &mut WordHash, ix: &Idx) {
+    h.word(ix.terms().count() as u64);
+    for (sym, coeff) in ix.terms() {
+        h.str(sym.name());
+        h.word(coeff as u64);
+    }
+    h.word(ix.offset() as u64);
+}
+
+fn hash_access(h: &mut WordHash, a: &Access) {
+    h.str(a.array.name());
+    h.word(a.indices.len() as u64);
+    for ix in a.indices.iter() {
+        hash_idx(h, ix);
+    }
+}
+
+/// One node in pre-order: a tag word, then its payload and children, a
+/// list of children as its length first.
+fn hash_expr(h: &mut WordHash, e: &Expr) {
+    fn list(h: &mut WordHash, es: &[Expr]) {
+        h.word(es.len() as u64);
+        es.iter().for_each(|e| hash_expr(h, e));
+    }
+    fn app(h: &mut WordHash, app: &UFunApp) {
+        h.str(app.name.name());
+        h.word(app.params.len() as u64);
+        app.params.iter().for_each(|p| h.str(p.name()));
+        list(h, &app.args);
+    }
+    match e.node() {
+        Node::Num(Number::Int(i)) => {
+            h.word(0);
+            h.word(*i as u64);
         }
-        let _ = out.write_char(';');
+        Node::Num(Number::Rat(r)) => {
+            h.word(1);
+            h.word(r.numer() as u64);
+            h.word(r.denom() as u64);
+        }
+        Node::Num(Number::Float(x)) => {
+            h.word(2);
+            h.word(x.to_bits());
+        }
+        Node::Sym(s) => {
+            h.word(3);
+            h.str(s.name());
+        }
+        Node::Access(a) => {
+            h.word(4);
+            hash_access(h, a);
+        }
+        Node::Add(ts) => {
+            h.word(5);
+            list(h, ts);
+        }
+        Node::Mul(fs) => {
+            h.word(6);
+            list(h, fs);
+        }
+        Node::Pow(b, x) => {
+            h.word(7);
+            hash_expr(h, b);
+            hash_expr(h, x);
+        }
+        Node::Call(f, args) => {
+            h.word(8);
+            h.word(*f as u64);
+            list(h, args);
+        }
+        Node::Select(c, a, b) => {
+            h.word(9);
+            hash_expr(h, &c.lhs);
+            h.word(c.rel as u64);
+            hash_expr(h, &c.rhs);
+            hash_expr(h, a);
+            hash_expr(h, b);
+        }
+        Node::UFun(f) => {
+            h.word(10);
+            app(h, f);
+        }
+        Node::UDeriv(f, k) => {
+            h.word(11);
+            app(h, f);
+            h.word(*k as u64);
+        }
     }
-    let _ = write!(out, "|padded={padded}");
-    for (sym, v) in &bind.sizes {
-        let _ = write!(out, "|{sym}={v}");
-    }
-    rendered
 }
 
 /// Stable description of the *machine* as seen by the tuner.
@@ -211,10 +322,10 @@ impl TuneCache {
     }
 
     /// Load from a file; a missing file is an empty cache. A file that
-    /// *exists but does not parse* is *quarantined* — renamed to
-    /// `<name>.corrupt` (kept for inspection, never deleted) — and the
-    /// load is a clean miss, so the next save rebuilds a healthy file
-    /// instead of tripping over the same garbage forever.
+    /// *exists but does not parse* (not UTF-8 included) is *quarantined* —
+    /// renamed to `<name>.corrupt` (kept for inspection, never deleted) —
+    /// and the load is a clean miss, so the next save rebuilds a healthy
+    /// file instead of tripping over the same garbage forever.
     pub fn load(path: &Path) -> Result<Self, String> {
         if perforad_obs::fault::should_fail("tune.cache.read") {
             return Err(format!(
@@ -222,8 +333,12 @@ impl TuneCache {
                 path.display()
             ));
         }
-        match std::fs::read_to_string(path) {
-            Ok(text) => match Self::from_json(&text) {
+        let parsed = |bytes: Vec<u8>| {
+            let text = String::from_utf8(bytes).map_err(|e| e.to_string())?;
+            Self::from_json(&text)
+        };
+        match std::fs::read(path) {
+            Ok(bytes) => match parsed(bytes) {
                 Ok(cache) => Ok(cache),
                 Err(e) => {
                     let quarantine = corrupt_path(path);
@@ -241,7 +356,12 @@ impl TuneCache {
         }
     }
 
-    /// Persist to a file (best effort atomicity: write-then-rename).
+    /// Persist to a file: write a temporary file of this save's own, then
+    /// rename it into place, so a reader sees a whole file, old or new.
+    /// Concurrent savers — threads of one process, or processes sharing
+    /// `PERFORAD_TUNE_CACHE` — each rename a whole file; the last writer
+    /// wins, and the entries only the others held are lost until tuned
+    /// again.
     pub fn save(&self, path: &Path) -> Result<(), String> {
         if perforad_obs::fault::should_fail("tune.cache.write") {
             return Err(format!(
@@ -249,10 +369,18 @@ impl TuneCache {
                 path.display()
             ));
         }
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, self.to_json())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path).map_err(|e| format!("rename to {}: {e}", path.display()))
+        let tmp = path.with_extension(format!("json.tmp.{}", perforad_jit::unique_suffix()));
+        let saved = std::fs::write(&tmp, self.to_json())
+            .map_err(|e| format!("write {}: {e}", tmp.display()))
+            .and_then(|()| {
+                std::fs::rename(&tmp, path)
+                    .map_err(|e| format!("rename to {}: {e}", path.display()))
+            });
+        if saved.is_err() {
+            // Each save names its own file: no other saver will reuse it.
+            let _ = std::fs::remove_file(&tmp);
+        }
+        saved
     }
 }
 
@@ -371,11 +499,10 @@ mod tests {
         }
     }
 
-    /// The streamed bytes are the nests' own `Display`, whatever the
-    /// boundary strategy puts in it (guards, merged sums), and a
-    /// right-hand side is formatted once per term, not per statement.
+    /// A right-hand side is walked once per term, not per statement,
+    /// whatever the boundary strategy puts around it (guards, merged sums).
     #[test]
-    fn hashed_text_is_the_printed_nests_rendered_once_per_term() {
+    fn the_work_key_hashes_each_right_hand_side_once() {
         use perforad_core::{ActivityMap, AdjointOptions, BoundaryStrategy};
         let bind = Binding::new().size("n", 64);
         let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
@@ -388,11 +515,8 @@ mod tests {
             (AdjointOptions::default().merged(), false),
         ] {
             let adj = nest().adjoint(&act, &opts).unwrap();
-            let mut expected: String = adj.nests.iter().map(|n| format!("{n};")).collect();
-            expected.push_str("|padded=false|n=64");
-            let mut got = String::new();
-            let rendered = write_work(&mut got, &adj.nests, false, &bind);
-            assert_eq!(got, expected);
+            let (key, hashed) = hash_work(&adj.nests, false, &bind);
+            assert_eq!(key, fingerprint_nests(&adj.nests, false, &bind));
             let statements: usize = adj.nests.iter().map(|n| n.body.len()).sum();
             assert!(statements > adj.terms.len());
             let distinct = if per_term {
@@ -400,7 +524,7 @@ mod tests {
             } else {
                 statements
             };
-            assert_eq!(rendered, distinct, "{opts:?}");
+            assert_eq!(hashed, distinct, "{opts:?}");
         }
     }
 
@@ -470,13 +594,22 @@ mod tests {
         cache
     }
 
+    /// [`PINNED_FILE`] at today's [`CACHE_VERSION`]: the layout has not
+    /// moved since, only the key derivation the version stands for.
+    fn current_file() -> String {
+        let version = format!(r#"{{"version":{CACHE_VERSION},"#);
+        PINNED_FILE.replacen(r#"{"version":1,"#, &version, 1)
+    }
+
     #[test]
     fn the_cache_file_is_byte_identical_to_the_hand_formatted_writers() {
         let cache = pinned_cache();
-        assert_eq!(cache.to_json(), PINNED_FILE);
+        assert_eq!(cache.to_json(), current_file());
         // And a file that writer left on disk loads entry for entry.
-        let loaded = TuneCache::from_json(PINNED_FILE).unwrap();
+        let loaded = TuneCache::from_json(&current_file()).unwrap();
         assert_eq!(loaded.entries, cache.entries);
+        // A v1 file's keys hashed printed text: it is a clean miss.
+        assert!(TuneCache::from_json(PINNED_FILE).unwrap().is_empty());
     }
 
     #[test]
@@ -486,7 +619,7 @@ mod tests {
             ("\"threads\":8", "\"threads\":1e300"),
             ("\"checkpoint\":null", "\"checkpoint\":-1"),
         ] {
-            let corrupt = PINNED_FILE.replacen(field, bad, 1);
+            let corrupt = current_file().replacen(field, bad, 1);
             assert!(TuneCache::from_json(&corrupt).is_err(), "{bad}");
         }
     }
@@ -512,6 +645,54 @@ mod tests {
         cache.save(&path).unwrap();
         let loaded = TuneCache::load(&path).unwrap();
         assert_eq!(loaded.lookup("k"), Some(&entry()));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Two threads saving 200-entry caches to one path in a loop, a third
+    /// reading it meanwhile: every read is a whole file, one saver's or
+    /// the other's, and no save fails.
+    #[test]
+    fn concurrent_saves_never_leave_a_torn_file() {
+        let path = std::env::temp_dir().join(format!(
+            "perforad_tune_cache_concurrent_{}.json",
+            std::process::id()
+        ));
+        let cache = |tag: &str| {
+            let mut cache = TuneCache::new();
+            for k in 0..200 {
+                cache.insert(&format!("{tag}|{k:04}"), entry());
+            }
+            cache
+        };
+        cache("a").save(&path).unwrap();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        let (failed, (reads, torn)) = std::thread::scope(|s| {
+            let savers = ["a", "b"].map(|tag| {
+                let (cache, path, start) = (cache(tag), &path, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (0..150).filter(|_| cache.save(path).is_err()).count()
+                })
+            });
+            let reader = s.spawn(|| {
+                start.wait();
+                let (mut reads, mut torn) = (0, 0);
+                while !done.load(std::sync::atomic::Ordering::Relaxed) {
+                    let read = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+                    let whole = read.and_then(|text| TuneCache::from_json(&text));
+                    reads += 1;
+                    torn += whole.map_or(1, |c| (c.len() != 200) as usize);
+                }
+                (reads, torn)
+            });
+            let failed: usize = savers.into_iter().map(|t| t.join().unwrap()).sum();
+            done.store(true, std::sync::atomic::Ordering::Relaxed);
+            (failed, reader.join().unwrap())
+        });
+        assert!(reads > 0);
+        assert_eq!(torn, 0, "{torn} of {reads} reads saw a torn file");
+        assert_eq!(failed, 0, "{failed} saves failed");
         let _ = std::fs::remove_file(&path);
     }
 

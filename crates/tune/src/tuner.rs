@@ -332,23 +332,41 @@ fn autotune_source(
         ));
     }
 
-    // Cache layers first: memory, then file.
-    if opts.memory_cache {
-        if let Some(hit) = memory_lookup(&key) {
-            perforad_obs::counter("tune.cache_hits").inc();
-            return finish_cached(source, ws, bind, padded, &sched_options(&hit.config), hit);
-        }
-    }
-    if let Some(path) = &opts.cache_path {
-        // An unreadable or corrupt file is a clean miss, not a failure —
-        // the tuner can always fall back to searching.
-        let file = TuneCache::load(path).unwrap_or_default();
-        if let Some(hit) = file.lookup(&key).cloned() {
-            if opts.memory_cache {
-                memory_store(&key, hit.clone());
+    // Cache layers first: memory, then file. An unreadable or corrupt
+    // file is a clean miss, not a failure — the tuner can always fall
+    // back to searching.
+    let memory_hit = opts.memory_cache.then(|| memory_lookup(&key)).flatten();
+    let cached = memory_hit.map(|hit| (hit, false)).or_else(|| {
+        let file = TuneCache::load(opts.cache_path.as_ref()?).unwrap_or_default();
+        file.lookup(&key).map(|hit| (hit.clone(), true))
+    });
+    if let Some((hit, from_file)) = cached {
+        // An entry that parses but no longer compiles — a tile edge below
+        // 1 or a tile of another rank, from a damaged or hand-edited file
+        // — is a miss: the search below replaces it in both layers.
+        match compile_schedule_source(source, ws, bind, padded, &sched_options(&hit.config)) {
+            Ok(schedule) => {
+                // A cached JIT winner still needs its native module in this
+                // process: best effort — on failure execution falls back to
+                // the bitwise-identical rows lowering.
+                prepare_if_jit(&schedule, &hit.config, bind);
+                if from_file && opts.memory_cache {
+                    memory_store(&key, hit.clone());
+                }
+                perforad_obs::counter("tune.cache_hits").inc();
+                let report = TuneReport {
+                    config: hit.config,
+                    seconds: hit.seconds,
+                    cache_hit: true,
+                    candidates: 0,
+                    timed: 0,
+                    refined: 0,
+                    predictions: Vec::new(),
+                    checkpoint_candidates: Vec::new(),
+                };
+                return Ok((schedule, report));
             }
-            perforad_obs::counter("tune.cache_hits").inc();
-            return finish_cached(source, ws, bind, padded, &sched_options(&hit.config), hit);
+            Err(_) => perforad_obs::counter("tune.cache_unusable").inc(),
         }
     }
     perforad_obs::counter("tune.cache_misses").inc();
@@ -695,32 +713,6 @@ impl ScheduleAutotune for Schedule {
         *self = schedule;
         Ok(report)
     }
-}
-
-fn finish_cached(
-    source: &Arc<[LoopNest]>,
-    ws: &mut Workspace,
-    bind: &Binding,
-    padded: bool,
-    opts: &SchedOptions,
-    hit: CacheEntry,
-) -> Result<(Schedule, TuneReport), TuneError> {
-    // [`compile_tuned`] over the shared list. A cached JIT winner still
-    // needs its native module in this process: best effort — on failure
-    // execution falls back to the bitwise-identical rows lowering.
-    let schedule = compile_schedule_source(source, ws, bind, padded, opts)?;
-    prepare_if_jit(&schedule, &hit.config, bind);
-    let report = TuneReport {
-        config: hit.config,
-        seconds: hit.seconds,
-        cache_hit: true,
-        candidates: 0,
-        timed: 0,
-        refined: 0,
-        predictions: Vec::new(),
-        checkpoint_candidates: Vec::new(),
-    };
-    Ok((schedule, report))
 }
 
 /// The [`ScheduleShape`] a candidate would execute with, estimated

@@ -6,7 +6,10 @@
 use perforad::exec::run as run_plan;
 use perforad::pde::{heat2d, wave3d};
 use perforad::prelude::*;
+use perforad::tune::cache::CACHE_VERSION;
 use perforad::tune::{cache_key, fingerprint_nests, CacheEntry, TuneCache};
+
+mod common;
 
 fn tmp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("perforad_{tag}_{}.json", std::process::id()))
@@ -324,4 +327,159 @@ fn json_malformed_cache_input_is_an_error_or_clean_miss_never_a_panic() {
     let stale = "{\"version\":0,\"entries\":[{\"key\":\"k\"}]}";
     let cache = TuneCache::from_json(stale).unwrap();
     assert!(cache.is_empty());
+}
+
+/// A tuner that never executes and never builds, over one cache file:
+/// the model's first candidate wins, so a search is cheap and countable.
+fn file_tuner(path: &std::path::Path) -> TuneOptions {
+    let mut opts = TuneOptions::default()
+        .with_cache_path(path)
+        .with_measure(Measure::Model)
+        .with_jit(false)
+        .with_top_k(1);
+    opts.memory_cache = false;
+    opts
+}
+
+/// The one key a tuner wrote into the fresh file at `path`.
+fn written_key(path: &std::path::Path) -> String {
+    let doc = perforad::obs::json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let entries = doc.get("entries").and_then(|e| e.as_array()).unwrap();
+    assert_eq!(entries.len(), 1);
+    let key = entries[0].get("key").and_then(|k| k.as_str()).unwrap();
+    key.to_string()
+}
+
+/// A cached entry that parses but no longer compiles — a tile edge
+/// below 1, or a 2-edge tile under a 3-D work key — is a miss: the tuner
+/// searches again and overwrites it, instead of failing every call.
+#[test]
+fn a_cached_entry_that_no_longer_compiles_is_searched_again() {
+    let path = tmp_path("itest_unusable_entry");
+    let _ = std::fs::remove_file(&path);
+    let (ws, bind) = wave3d::workspace(12, 0.1);
+    let adj = wave3d::nest()
+        .adjoint(&wave3d::activity(), &AdjointOptions::default())
+        .unwrap();
+    let pool = ThreadPool::new(1);
+    let tune = || autotune_adjoint(&adj, &mut ws.clone(), &bind, &pool, &file_tuner(&path));
+    let (_, searched) = tune().unwrap();
+    assert!(!searched.cache_hit);
+    let key = written_key(&path);
+    for tile in [vec![0], vec![8, 8]] {
+        let mut file = TuneCache::load(&path).unwrap();
+        let mut entry = file.lookup(&key).unwrap().clone();
+        entry.config.tile = tile.clone();
+        file.insert(&key, entry);
+        file.save(&path).unwrap();
+        let (_, report) = tune().unwrap_or_else(|e| panic!("tile {tile:?}: {e}"));
+        assert!(!report.cache_hit, "tile {tile:?} is a miss");
+        assert_eq!(report.config, searched.config);
+        let rewritten = TuneCache::load(&path).unwrap();
+        assert_eq!(rewritten.lookup(&key).unwrap().config, searched.config);
+        let (_, hit) = tune().unwrap();
+        assert!(hit.cache_hit, "the replaced entry is hit again");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Seeded fuzzing of the cache reader: a valid file under byte flips,
+/// truncations and spliced entries. `TuneCache::load` never panics, and
+/// each outcome is one of three — its entries (which write back as they
+/// read), a clean version miss, or a quarantine. An entry that survives,
+/// put under a real work key, either compiles or is searched again.
+#[test]
+fn fuzzed_cache_files_load_as_entries_a_version_miss_or_a_quarantine() {
+    let path = tmp_path("itest_fuzzed_cache");
+    let corrupt = path.with_extension("json.corrupt");
+    let real = tmp_path("itest_fuzzed_cache_real");
+    let _ = std::fs::remove_file(&real);
+    let (ws, bind) = heat2d::workspace(20, 0.2);
+    let adj = heat2d::nest()
+        .adjoint(&heat2d::activity(), &AdjointOptions::default())
+        .unwrap();
+    let pool = ThreadPool::new(1);
+    let tune = || autotune_adjoint(&adj, &mut ws.clone(), &bind, &pool, &file_tuner(&real));
+    let (_, searched) = tune().unwrap();
+    let key = written_key(&real);
+    // The base file: the tuner's own entry and three of other shapes.
+    let mut base = TuneCache::load(&real).unwrap();
+    for (k, tile, checkpoint) in [
+        ("a|v2|t8", vec![16, 32, 512], None),
+        ("b\"|t1", vec![], Some(12)),
+        ("c|v2|t4", vec![8, 4096], Some(0)),
+    ] {
+        let mut entry = base.lookup(&key).unwrap().clone();
+        (entry.config.tile, entry.config.checkpoint) = (tile, checkpoint);
+        base.insert(k, entry);
+    }
+    let base = base.to_json().into_bytes();
+    let mut rng = common::Rng::new(0x7C0F_F1E5);
+    let mut seen = std::collections::BTreeSet::new();
+    let (mut hits, mut searches) = (0, 0);
+    for round in 0..1000 {
+        let mut bytes = base.clone();
+        for _ in 0..rng.range_usize(1, 3) {
+            let at = rng.range_usize(0, bytes.len().saturating_sub(1));
+            match rng.range_usize(0, 2) {
+                0 if !bytes.is_empty() => bytes[at] ^= 1 << rng.range_usize(0, 7),
+                1 => bytes.truncate(at),
+                _ => {
+                    let from = rng.range_usize(0, base.len() - 1);
+                    let to = rng.range_usize(from, (from + 300).min(base.len()));
+                    let at = at.min(bytes.len());
+                    bytes.splice(at..at, base[from..to].iter().copied());
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&corrupt);
+        std::fs::write(&path, &bytes).unwrap();
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        let loaded = TuneCache::load(&path).unwrap_or_else(|e| panic!("round {round}: {e}"));
+        let version = perforad::obs::json::parse(&text)
+            .ok()
+            .and_then(|doc| doc.get("version").and_then(|v| v.as_i64()));
+        let outcome = if !path.exists() {
+            assert!(
+                corrupt.exists(),
+                "round {round}: a quarantine keeps the file"
+            );
+            "quarantine"
+        } else if version == Some(CACHE_VERSION as i64) {
+            "entries"
+        } else {
+            "version miss"
+        };
+        if outcome == "entries" {
+            let again = TuneCache::from_json(&loaded.to_json()).unwrap();
+            assert_eq!(again.to_json(), loaded.to_json(), "round {round}");
+        } else {
+            assert!(loaded.is_empty(), "round {round} ({outcome}): {text}");
+        }
+        seen.insert(outcome);
+        // Each surviving entry, under the real key: a hit that compiles,
+        // or a miss that searches and rewrites it.
+        for k in [key.as_str(), "a|v2|t8", "b\"|t1", "c|v2|t4"] {
+            let Some(entry) = loaded.lookup(k) else {
+                continue;
+            };
+            let mut file = TuneCache::new();
+            file.insert(&key, entry.clone());
+            file.save(&real).unwrap();
+            let (_, report) = tune().unwrap_or_else(|e| panic!("round {round}, {k}: {e}"));
+            if report.cache_hit {
+                hits += 1;
+                assert_eq!(report.config, entry.config, "round {round}");
+            } else {
+                searches += 1;
+                assert_eq!(report.config, searched.config, "round {round}");
+            }
+        }
+    }
+    // Every outcome was reached, and surviving entries went both ways.
+    assert_eq!(seen.len(), 3, "{seen:?}");
+    assert!(hits > 0 && searches > 0, "hits {hits}, searches {searches}");
+    for p in [&path, &corrupt, &real] {
+        let _ = std::fs::remove_file(p);
+    }
 }

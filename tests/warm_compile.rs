@@ -130,6 +130,8 @@ fn model_tuner() -> TuneOptions {
 /// nothing, so the 3-D star's transformation, its default schedule and a
 /// tuner cache hit each fit an allocation budget: 1 196 / 1 341 / 1 345
 /// as recorded, 2 615 / 2 738 / 2 872 while an `Idx` was a `BTreeMap`.
+/// The cache hit's budget is its count since the work key stopped
+/// printing the nests, 1 131 (1 161 before), plus a small margin.
 #[test]
 fn the_star_compiles_within_its_allocation_budget() {
     let _guard = obs_test();
@@ -159,7 +161,7 @@ fn the_star_compiles_within_its_allocation_budget() {
         let (_, warm) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &tuner).unwrap();
         assert!(warm.cache_hit);
     });
-    assert!(hit <= 1_500, "tuner cache hit: {hit} allocations");
+    assert!(hit <= 1_175, "tuner cache hit: {hit} allocations");
 }
 
 /// No copies of the nest list: every schedule compiled from an adjoint —
@@ -191,16 +193,16 @@ fn schedules_share_the_adjoints_nest_list() {
     assert!(Arc::ptr_eq(&searched.source, &adj.nests));
 }
 
-/// The work key formats each distinct right-hand side once: 7 for the
+/// The work key hashes each distinct right-hand side once: 7 for the
 /// 161 statements of the star's split nests, one per nest once `merged()`
 /// has summed each nest's terms into an expression of its own.
 #[test]
-fn the_work_fingerprint_renders_once_per_adjoint_term() {
+fn the_work_key_hashes_once_per_adjoint_term() {
     let _guard = obs_test();
     let (star, act) = (star3d(), star_activity());
     let bind = Binding::new().size("n", 16);
-    let rendered = |adj: &Adjoint| {
-        let counter = perforad::obs::counter("tune.rhs_rendered");
+    let hashed = |adj: &Adjoint| {
+        let counter = perforad::obs::counter("tune.rhs_hashed");
         let before = counter.get();
         perforad::obs::set_enabled(true);
         let id = fingerprint_nests(&adj.nests, false, &bind);
@@ -211,11 +213,11 @@ fn the_work_fingerprint_renders_once_per_adjoint_term() {
     let adj = star.adjoint(&act, &AdjointOptions::default()).unwrap();
     let statements: usize = adj.nests.iter().map(|n| n.body.len()).sum();
     assert_eq!((adj.terms.len(), statements), (7, 161));
-    assert_eq!(rendered(&adj), 7);
+    assert_eq!(hashed(&adj), 7);
     let merged = star
         .adjoint(&act, &AdjointOptions::default().merged())
         .unwrap();
-    assert_eq!(rendered(&merged), 53);
+    assert_eq!(hashed(&merged), 53);
 }
 
 /// CI's two-process guard that a warm start needs no compiler (`jit` job):
