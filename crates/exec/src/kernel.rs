@@ -8,7 +8,7 @@
 //! unchecked loads. The compiled plan is that proof; nothing re-checks it.
 
 use crate::error::ExecError;
-use crate::regir::{reuse_registers, Layout, Lowerer, RegProgram, Rhs};
+use crate::regir::{reuse_registers, Layout, Lowerer, RegProgram};
 use crate::workspace::{Binding, Workspace};
 use perforad_core::{Adjoint, AssignOp, BoundaryStrategy, LoopNest};
 use perforad_symbolic::visit::{self, NodeMemo};
@@ -303,9 +303,6 @@ fn resolve_idx(ix: &Idx, sizes: &BTreeMap<Symbol, i64>) -> Result<i64, ExecError
 pub struct PlanOptions {
     /// Zero-padding load semantics (the Padded boundary strategy).
     pub padded: bool,
-    /// Apply common-subexpression elimination per statement (closes the
-    /// redundant-computation gap §4 of the paper attributes to PerforAD).
-    pub cse: bool,
     /// Accumulate mode, given the arrays that carry state (`None`: plain
     /// mode). A nest's `+=` updates to one array at one point are summed
     /// in statement order starting from `+0.0` — one compiled statement
@@ -368,7 +365,7 @@ fn increment_groups(writes: &[(usize, bool)]) -> Vec<Vec<usize>> {
 /// list is lowered once per plan, through `cache`.
 fn sum_increments(
     stmts: Vec<StmtPlan>,
-    sources: &[Arc<Rhs>],
+    sources: &[Expr],
     layout: &Layout<'_>,
     assigned: &[bool],
     cache: &mut ProgCache,
@@ -405,7 +402,7 @@ fn sum_increments(
         let prog = match cache.sums.get(&ids) {
             Some(prog) => prog.clone(),
             None => {
-                let sum = Lowerer::sum(layout, group.iter().map(|&k| &*sources[k]))?;
+                let sum = Lowerer::sum(layout, group.iter().map(|&k| &sources[k]))?;
                 // A nest's worth of statements, one statement's live values.
                 let prog = cache.share(sum, reuse_registers);
                 cache.sums.entry(ids).or_insert(prog).clone()
@@ -457,7 +454,7 @@ struct RhsPlan {
     reads: Vec<(Access, Vec<Option<i64>>)>,
     /// The compiled program and what it was lowered from, from the first
     /// statement that got that far.
-    compiled: Option<(Arc<RegProgram>, Arc<Rhs>)>,
+    compiled: Option<(Arc<RegProgram>, Expr)>,
 }
 
 /// Compile with full [`PlanOptions`].
@@ -663,15 +660,7 @@ pub fn compile_nests_opts(
                 Some(pair) => pair.clone(),
                 None => {
                     compiled += 1;
-                    let body = subst::subst_sym(&s.rhs, &sub);
-                    let rhs = Arc::new(if opts.cse {
-                        let (bindings, body) =
-                            perforad_symbolic::cse::eliminate_one(&body, "__cse");
-                        Rhs { bindings, body }
-                    } else {
-                        let bindings = Vec::new();
-                        Rhs { bindings, body }
-                    });
+                    let rhs = subst::subst_sym(&s.rhs, &sub);
                     let prog = cache.share(Lowerer::statement(&layout, &rhs)?, |p| p);
                     rhs_plan.compiled.insert((prog, rhs)).clone()
                 }
@@ -750,7 +739,9 @@ pub fn compile_adjoint(
     ws: &Workspace,
     binding: &Binding,
 ) -> Result<Plan, ExecError> {
-    compile_adjoint_opts(adj, ws, binding, false)
+    check_adjoint_extents(adj, binding)?;
+    let padded = adj.strategy == BoundaryStrategy::Padded;
+    compile_nests(&adj.nests, ws, binding, padded)
 }
 
 /// Check the minimum-extent requirement of a disjoint adjoint
@@ -771,23 +762,6 @@ pub fn check_adjoint_extents(adj: &Adjoint, binding: &Binding) -> Result<(), Exe
         }
     }
     Ok(())
-}
-
-/// Compile a full adjoint with optional per-statement CSE.
-pub fn compile_adjoint_opts(
-    adj: &Adjoint,
-    ws: &Workspace,
-    binding: &Binding,
-    cse: bool,
-) -> Result<Plan, ExecError> {
-    check_adjoint_extents(adj, binding)?;
-    let padded = adj.strategy == BoundaryStrategy::Padded;
-    let opts = PlanOptions {
-        padded,
-        cse,
-        ..PlanOptions::default()
-    };
-    compile_nests_opts(&adj.nests, ws, binding, opts)
 }
 
 #[cfg(test)]
@@ -883,79 +857,6 @@ mod tests {
         w.insert("r_b", Grid::zeros(&[11]));
         let plan = compile_nest(&sc, &w, &Binding::new().size("n", 10)).unwrap();
         assert!(!plan.gather_only);
-    }
-
-    #[test]
-    fn cse_plan_matches_plain_plan() {
-        use crate::regir::RegOp;
-        use crate::run::{run, ExecMode};
-        // Nonlinear body with shared subexpressions: r = sin(u[i]*u[i+1])
-        //   + sin(u[i]*u[i+1]) * u[i-1].
-        let i = Symbol::new("i");
-        let n = Symbol::new("n");
-        let u = perforad_symbolic::Array::new("u");
-        use perforad_symbolic::ix;
-        let shared = (u.at(ix![&i]) * u.at(ix![&i + 1])).sin();
-        let nest = make_loop_nest(
-            &perforad_symbolic::Array::new("r").at(ix![&i]),
-            &shared + &shared * u.at(ix![&i - 1]),
-            vec![i.clone()],
-            vec![(Idx::constant(1), Idx::sym(n) - 1)],
-        )
-        .unwrap();
-        let build = || {
-            Workspace::new()
-                .with(
-                    "u",
-                    crate::grid::Grid::from_fn(&[34], |ix| (ix[0] as f64 * 0.31).sin()),
-                )
-                .with("r", crate::grid::Grid::zeros(&[34]))
-        };
-        let bind = Binding::new().size("n", 33);
-        let mut ws1 = build();
-        let plain = compile_nest(&nest, &ws1, &bind).unwrap();
-        run(&plain, &mut ws1, ExecMode::serial()).unwrap();
-        let mut ws2 = build();
-        let cse = compile_nests_opts(
-            std::slice::from_ref(&nest),
-            &ws2,
-            &bind,
-            PlanOptions {
-                cse: true,
-                ..PlanOptions::default()
-            },
-        )
-        .unwrap();
-        // The CSE plan must actually share the sine through a temporary...
-        let sines = |plan: &Plan| {
-            let ops = &plan.nests[0].stmts[0].prog.ops;
-            ops.iter()
-                .filter(|op| matches!(op, RegOp::Call1 { .. }))
-                .count()
-        };
-        assert_eq!((sines(&plain), sines(&cse)), (2, 1));
-        run(&cse, &mut ws2, ExecMode::serial()).unwrap();
-        // ...and produce identical results.
-        assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
-    }
-
-    #[test]
-    fn cse_adjoint_matches_plain_adjoint() {
-        use crate::run::{run, ExecMode};
-        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
-        let adj = paper_nest()
-            .adjoint(&act, &AdjointOptions::default())
-            .unwrap();
-        let bind = Binding::new().size("n", 10);
-        let mut w1 = ws(10);
-        w1.insert("u_b", Grid::zeros(&[11]));
-        w1.insert("r_b", Grid::from_fn(&[11], |ix| ix[0] as f64));
-        let mut w2 = w1.clone();
-        let p1 = compile_adjoint(&adj, &w1, &bind).unwrap();
-        run(&p1, &mut w1, ExecMode::serial()).unwrap();
-        let p2 = compile_adjoint_opts(&adj, &w2, &bind, true).unwrap();
-        run(&p2, &mut w2, ExecMode::serial()).unwrap();
-        assert_eq!(w1.grid("u_b").max_abs_diff(w2.grid("u_b")), 0.0);
     }
 
     /// `w(i) += rhs` over `[lo, hi]`, optionally guarded to `i ∈ guard`.

@@ -98,8 +98,8 @@ pub use atomic::AtomicF64;
 pub use error::ExecError;
 pub use grid::Grid;
 pub use kernel::{
-    check_adjoint_extents, compile_adjoint, compile_adjoint_opts, compile_nest, compile_nests,
-    compile_nests_opts, Plan, PlanOptions,
+    check_adjoint_extents, compile_adjoint, compile_nest, compile_nests, compile_nests_opts, Plan,
+    PlanOptions,
 };
 pub use native::{fnv1a64, native_lookup, register_native, NativeGroup, NativeTileFn};
 pub use pool::{default_pool, ThreadPool};

@@ -9,10 +9,9 @@
 //! executor one op across a lane chunk of consecutive grid points, and
 //! `perforad-jit` prints it as Rust.
 //!
-//! The walk is post-order — a statement's CSE bindings in order, then its
-//! body; an accumulate-mode sum is `0.0` plus each member in statement
-//! order — and optimises as it emits. Every rewrite is **bitwise-neutral**
-//! with respect to evaluating the expression tree:
+//! The walk is post-order — an accumulate-mode sum is `0.0` plus each
+//! member in statement order — and optimises as it emits. Every rewrite
+//! is **bitwise-neutral** with respect to evaluating the expression tree:
 //!
 //! * **constant folding** — an op whose inputs are all constants is
 //!   evaluated at lowering time with the f64 arithmetic the op would use
@@ -28,7 +27,7 @@
 //!   `Neg` flips it;
 //! * **dead-register elimination** — ops whose destination is never read
 //!   on any path to the result are dropped and registers renumbered
-//!   compactly (CSE temporaries frequently die once their uses fold).
+//!   compactly (operands of folded ops die).
 //!
 //! Additions with a `0.0` operand are deliberately *not* folded:
 //! `-0.0 + 0.0` is `+0.0`, so the rewrite would not be bitwise-neutral.
@@ -171,12 +170,10 @@ pub struct RegProgram {
     /// The structural words of the program, recorded by the walk in
     /// post-order: a tag per node (`0` constant, `1` counter, `2` load, `3`
     /// padded load, `4` add, `5` multiply, `6` negate, `7` integer power,
-    /// `8` power, `9` function, `10` max, `11` min, `12` select, `13` CSE
-    /// binding stored, `14` CSE binding read), then its operands: constants
-    /// by bit pattern, a load as slot and relative offset, a padded load as
-    /// slot, length and offsets, a CSE temporary by its index, numbered
-    /// past the earlier members' in a sum. Programs with equal keys
-    /// evaluate identically at every point.
+    /// `8` power, `9` function, `10` max, `11` min, `12` select), then its
+    /// operands: constants by bit pattern, a load as slot and relative
+    /// offset, a padded load as slot, length and offsets. Programs with
+    /// equal keys evaluate identically at every point.
     pub(crate) key: Vec<u64>,
     /// The key's length and words through one [`WordHash`], hashed once
     /// when the program is built: what [`crate::Plan::fingerprint`] hashes
@@ -327,14 +324,6 @@ pub(crate) struct Layout<'a> {
     pub(crate) padded: bool,
 }
 
-/// A statement body to lower: CSE bindings, each of which may read the
-/// earlier ones, then the expression that reads them. Parameters and sizes
-/// are substituted away; the symbols left are loop counters.
-pub(crate) struct Rhs {
-    pub(crate) bindings: Vec<(Symbol, Expr)>,
-    pub(crate) body: Expr,
-}
-
 /// A value-numbered op that reads no register: equal leaves share one.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 enum Leaf {
@@ -353,10 +342,6 @@ pub(crate) struct Lowerer<'a> {
     pads: Vec<PadLoad>,
     /// The key of the program walked.
     pub(crate) key: Vec<u64>,
-    /// The walked member's CSE temporaries, by binding index.
-    tmps: Vec<Reg>,
-    /// CSE temporaries of the earlier members of a sum.
-    tmp_base: u64,
     /// The register of each leaf emitted.
     leaves: BTreeMap<Leaf, Reg>,
     result: Reg,
@@ -369,32 +354,30 @@ impl<'a> Lowerer<'a> {
             ops: Vec::new(),
             pads: Vec::new(),
             key: Vec::new(),
-            tmps: Vec::new(),
-            tmp_base: 0,
             leaves: BTreeMap::new(),
             result: 0,
         }
     }
 
-    /// Walk one statement body.
-    pub(crate) fn statement(layout: &'a Layout<'a>, rhs: &Rhs) -> Result<Self, ExecError> {
+    /// Walk one statement body. Parameters and sizes are substituted
+    /// away; the symbols left are loop counters.
+    pub(crate) fn statement(layout: &'a Layout<'a>, rhs: &Expr) -> Result<Self, ExecError> {
         let mut lw = Lowerer::new(layout);
-        lw.result = lw.member(rhs)?;
+        lw.result = lw.walk(rhs)?;
         Ok(lw)
     }
 
     /// Walk `0.0 + m1 + m2 + …`, left to right: the increments one nest
     /// adds to one point of an accumulated array, summed from `+0.0` as a
-    /// zeroed scratch point would sum them. Each member keeps its own CSE
-    /// temporaries.
+    /// zeroed scratch point would sum them.
     pub(crate) fn sum<'r>(
         layout: &'a Layout<'a>,
-        members: impl IntoIterator<Item = &'r Rhs>,
+        members: impl IntoIterator<Item = &'r Expr>,
     ) -> Result<Self, ExecError> {
         let mut lw = Lowerer::new(layout);
         let mut acc = lw.num(0.0);
         for member in members {
-            let r = lw.member(member)?;
+            let r = lw.walk(member)?;
             lw.key.push(4);
             acc = lw.add(acc, r);
         }
@@ -407,26 +390,10 @@ impl<'a> Lowerer<'a> {
         eliminate_dead(self.ops, self.pads, self.result, self.key)
     }
 
-    fn member(&mut self, rhs: &Rhs) -> Result<Reg, ExecError> {
-        self.tmps.clear();
-        for (k, (_, e)) in rhs.bindings.iter().enumerate() {
-            let r = self.walk(&rhs.bindings, e)?;
-            self.key.extend([13, self.tmp_base + k as u64]);
-            self.tmps.push(r);
-        }
-        let r = self.walk(&rhs.bindings, &rhs.body)?;
-        self.tmp_base += rhs.bindings.len() as u64;
-        Ok(r)
-    }
-
-    fn walk(&mut self, temps: &[(Symbol, Expr)], e: &Expr) -> Result<Reg, ExecError> {
+    fn walk(&mut self, e: &Expr) -> Result<Reg, ExecError> {
         Ok(match e.node() {
             Node::Num(n) => self.num(n.to_f64()),
             Node::Sym(s) => {
-                if let Some(k) = temps.iter().position(|(t, _)| t == s) {
-                    self.key.extend([14, self.tmp_base + k as u64]);
-                    return Ok(*self.tmps.get(k).expect("a binding reads earlier ones only"));
-                }
                 let d = (self.layout.counters.iter().position(|c| c == s))
                     .ok_or_else(|| ExecError::UnboundParam(s.name().to_string()))?;
                 self.key.extend([1, d as u64]);
@@ -434,9 +401,9 @@ impl<'a> Lowerer<'a> {
             }
             Node::Access(a) => self.access(a)?,
             Node::Add(ts) => {
-                let mut acc = self.walk(temps, &ts[0])?;
+                let mut acc = self.walk(&ts[0])?;
                 for t in &ts[1..] {
-                    let r = self.walk(temps, t)?;
+                    let r = self.walk(t)?;
                     self.key.push(4);
                     acc = self.add(acc, r);
                 }
@@ -446,9 +413,9 @@ impl<'a> Lowerer<'a> {
                 // A leading `-1` factor lowers to a negation, not a multiply.
                 let negate = matches!(fs[0].as_num(), Some(n) if n.to_f64() == -1.0);
                 let rest = if negate { &fs[1..] } else { &fs[..] };
-                let mut acc = self.walk(temps, &rest[0])?;
+                let mut acc = self.walk(&rest[0])?;
                 for t in &rest[1..] {
-                    let r = self.walk(temps, t)?;
+                    let r = self.walk(t)?;
                     self.key.push(5);
                     acc = self.mul(acc, r);
                 }
@@ -459,7 +426,7 @@ impl<'a> Lowerer<'a> {
                 acc
             }
             Node::Pow(b, x) => {
-                let a = self.walk(temps, b)?;
+                let a = self.walk(b)?;
                 if let Some(k) = x.as_int().and_then(|k| i32::try_from(k).ok()) {
                     self.key.extend([7, k as u32 as u64]);
                     match self.cval(a) {
@@ -469,14 +436,14 @@ impl<'a> Lowerer<'a> {
                         None => self.emit(|dst| RegOp::Powi { dst, a, k }),
                     }
                 } else {
-                    let y = self.walk(temps, x)?;
+                    let y = self.walk(x)?;
                     self.key.push(8);
                     self.binary(a, y, |dst, a, b| RegOp::Powf { dst, a, b }, f64::powf)
                 }
             }
             Node::Call(f @ (Func::Max | Func::Min), args) => {
-                let a = self.walk(temps, &args[0])?;
-                let b = self.walk(temps, &args[1])?;
+                let a = self.walk(&args[0])?;
+                let b = self.walk(&args[1])?;
                 if *f == Func::Max {
                     self.key.push(10);
                     self.binary(a, b, |dst, a, b| RegOp::Max { dst, a, b }, max)
@@ -486,7 +453,7 @@ impl<'a> Lowerer<'a> {
                 }
             }
             Node::Call(f, args) => {
-                let a = self.walk(temps, &args[0])?;
+                let a = self.walk(&args[0])?;
                 self.key.extend([9, *f as u64]);
                 match self.cval(a) {
                     Some(v) => self.konst(call1(*f, v)),
@@ -494,8 +461,8 @@ impl<'a> Lowerer<'a> {
                 }
             }
             Node::Select(c, a, b) => {
-                let (lhs, rhs) = (self.walk(temps, &c.lhs)?, self.walk(temps, &c.rhs)?);
-                let (then_v, else_v) = (self.walk(temps, a)?, self.walk(temps, b)?);
+                let (lhs, rhs) = (self.walk(&c.lhs)?, self.walk(&c.rhs)?);
+                let (then_v, else_v) = (self.walk(a)?, self.walk(b)?);
                 let rel = c.rel;
                 self.key.extend([12, rel as u64]);
                 match (self.cval(lhs), self.cval(rhs)) {
@@ -750,13 +717,8 @@ mod tests {
     use super::*;
     use perforad_symbolic::{ix, Array, Cond};
 
-    /// `body` after `bindings`, lowered over one array `u` and one counter
-    /// `i` (stride 1).
-    fn lower_with(
-        bindings: &[(Symbol, Expr)],
-        body: &Expr,
-        padded: bool,
-    ) -> Result<RegProgram, ExecError> {
+    /// `body` lowered over one array `u` and one counter `i` (stride 1).
+    fn lower(body: &Expr, padded: bool) -> Result<RegProgram, ExecError> {
         let (arrays, counters) = ([Symbol::new("u")], [Symbol::new("i")]);
         let layout = Layout {
             arrays: &arrays,
@@ -764,15 +726,11 @@ mod tests {
             strides: &[1],
             padded,
         };
-        let rhs = Rhs {
-            bindings: bindings.to_vec(),
-            body: body.clone(),
-        };
-        Ok(Lowerer::statement(&layout, &rhs)?.finish())
+        Ok(Lowerer::statement(&layout, body)?.finish())
     }
 
     fn lower_1d(e: &Expr, padded: bool) -> RegProgram {
-        lower_with(&[], e, padded).unwrap()
+        lower(e, padded).unwrap()
     }
 
     /// `prog` at `i = center` over `u = data`, on the per-point evaluator.
@@ -850,7 +808,7 @@ mod tests {
         let i = Symbol::new("i");
         let e = Expr::sym(Symbol::new("D")) * Expr::sym(i);
         assert_eq!(
-            lower_with(&[], &e, false).unwrap_err(),
+            lower(&e, false).unwrap_err(),
             ExecError::UnboundParam("D".into())
         );
     }
@@ -908,11 +866,19 @@ mod tests {
 
     #[test]
     fn dead_registers_are_eliminated() {
-        // A CSE binding that is never used must vanish entirely.
+        // `2^(1/2)` stays a `Pow` node in the expression (both operands
+        // are exact) and folds only when lowered, so the select is built
+        // whole and the lowerer emits the condition's constants and both
+        // branches before folding it. The dead branch's load and `sin`,
+        // and the constants, must vanish entirely.
         let i = Symbol::new("i");
         let u = Array::new("u");
-        let dead = (Symbol::new("t0"), u.at(ix![&i + 1]).sin());
-        let p = lower_with(&[dead], &u.at(ix![&i]), false).unwrap();
+        let root2 = Expr::int(2).pow(Expr::rational(1, 2));
+        assert!(matches!(root2.node(), Node::Pow(..)), "{root2}");
+        let cond = Cond::new(root2, Rel::Ge, Expr::zero());
+        let e = Expr::select(cond, u.at(ix![&i]), u.at(ix![&i + 1]).sin());
+        assert!(matches!(e.node(), Node::Select(..)), "{e}");
+        let p = lower_1d(&e, false);
         assert_eq!(p.ops.len(), 1, "{:?}", p.ops);
         assert!(matches!(p.ops[0], RegOp::Load { .. }));
         assert_eq!(p.n_regs, 1);
@@ -950,11 +916,10 @@ mod tests {
         assert_eq!(p.result as usize, p.n_regs - 1);
     }
 
-    /// A sum's key is `0.0`, then each member's words and an add; each
-    /// member's CSE temporaries are numbered past the earlier members'.
+    /// A sum's key is `0.0`, then each member's words and an add.
     #[test]
-    fn a_sum_numbers_each_members_temporaries_past_the_earlier_ones() {
-        let (i, t) = (Symbol::new("i"), Symbol::new("t0"));
+    fn a_sums_key_is_zero_then_each_member_and_an_add() {
+        let i = Symbol::new("i");
         let u = Array::new("u");
         let (arrays, counters) = ([Symbol::new("u")], [i.clone()]);
         let layout = Layout {
@@ -963,18 +928,14 @@ mod tests {
             strides: &[1],
             padded: false,
         };
-        let member = Rhs {
-            bindings: vec![(t.clone(), u.at(ix![&i + 1]).sin())],
-            // `t·t`, which the expression keeps as `t^2`.
-            body: Expr::sym(t.clone()) * Expr::sym(t),
-        };
+        // `s·s` for `s = sin(u[i+1])`, which the expression keeps as `s^2`.
+        let member = u.at(ix![&i + 1]).sin() * u.at(ix![&i + 1]).sin();
         let one = Lowerer::statement(&layout, &member).unwrap();
-        let rel = |r: i64| r as i32 as u32 as u64;
-        let words = |k: u64| vec![2, 0, rel(1), 9, Func::Sin as u64, 13, k, 14, k, 7, 2];
-        assert_eq!(one.key, words(0));
+        let words = vec![2, 0, 1, 9, Func::Sin as u64, 7, 2];
+        assert_eq!(one.key, words);
         let sum = Lowerer::sum(&layout, [&member, &member]).unwrap();
         let zero = vec![0, 0.0f64.to_bits()];
-        let want = [zero, words(0), vec![4], words(1), vec![4]].concat();
+        let want = [zero, words.clone(), vec![4], words, vec![4]].concat();
         assert_eq!(sum.key, want);
         // Value numbering spans the members: the second member reuses the
         // first one's load, and computes its own sine and square.

@@ -390,7 +390,7 @@ fn lpt_assign(tiles: &[Tile], workers: usize) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::grid::Grid;
-    use crate::kernel::{compile_adjoint, compile_adjoint_opts, compile_nest};
+    use crate::kernel::{compile_adjoint, compile_nest};
     use crate::workspace::Binding;
     use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions, LoopNest};
     use perforad_symbolic::{ix, Array, Idx, Symbol};
@@ -503,20 +503,6 @@ mod tests {
                 "{strategy:?}"
             );
         }
-    }
-
-    #[test]
-    fn rows_match_interpreter_with_cse_temporaries() {
-        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
-        let adj = paper_nest()
-            .adjoint(&act, &AdjointOptions::default())
-            .unwrap();
-        let (mut ws1, bind) = setup(64);
-        let plan = compile_adjoint_opts(&adj, &ws1, &bind, true).unwrap();
-        let mut ws2 = ws1.clone();
-        run(&plan, &mut ws1, ExecMode::serial()).unwrap();
-        run(&plan, &mut ws2, ExecMode::serial().rows()).unwrap();
-        assert_eq!(ws1.grid("u_b").max_abs_diff(ws2.grid("u_b")), 0.0);
     }
 
     #[test]

@@ -455,8 +455,8 @@ pub(crate) mod tests {
         Statement,
     };
     use perforad_exec::{
-        compile_adjoint, compile_adjoint_opts, compile_nest, compile_nests, compile_nests_opts,
-        Binding, ExecError, Grid, PlanOptions, Workspace,
+        compile_adjoint, compile_nest, compile_nests, compile_nests_opts, Binding, ExecError, Grid,
+        PlanOptions, Workspace,
     };
     use perforad_symbolic::{ix, Access, Array, Expr, Idx, Symbol};
 
@@ -550,7 +550,7 @@ pub(crate) mod tests {
 
     /// The paper's 3-D wave adjoint (`c` passive) at `n = 16` as one
     /// group module; slots in name order: `c`, `u_1_b`, `u_2_b`, `u_b`.
-    fn wave_module(strategy: BoundaryStrategy, cse: bool) -> String {
+    fn wave_module(strategy: BoundaryStrategy) -> String {
         let act = ActivityMap::new()
             .with_suffixed("u")
             .with_suffixed("u_1")
@@ -560,7 +560,7 @@ pub(crate) mod tests {
             .unwrap();
         let ws = ws_of(&["c", "u_1_b", "u_2_b", "u_b"], &[16, 16, 16]);
         let bind = Binding::new().size("n", 16).param("D", 0.1);
-        group_module(&compile_adjoint_opts(&adj, &ws, &bind, cse).unwrap()).unwrap()
+        group_module(&compile_adjoint(&adj, &ws, &bind).unwrap()).unwrap()
     }
 
     /// The row bodies of a module, as (name, source) pairs in order.
@@ -581,7 +581,7 @@ pub(crate) mod tests {
 
     #[test]
     fn wave_adjoint_is_one_entry_with_one_loop_per_nest_and_register_accumulators() {
-        let module = wave_module(BoundaryStrategy::Disjoint, false);
+        let module = wave_module(BoundaryStrategy::Disjoint);
         assert_eq!(module.matches("extern \"C\" fn").count(), 1, "{module}");
         assert!(module.contains("pub unsafe extern \"C\" fn pf_g("));
         let rows = row_bodies(&module);
@@ -620,7 +620,7 @@ pub(crate) mod tests {
     /// lengths when the tile spans k, clamped once per tile otherwise.
     #[test]
     fn wave_adjoint_runs_each_rows_boundary_points_inside_the_core_row_loop() {
-        let module = wave_module(BoundaryStrategy::Disjoint, false);
+        let module = wave_module(BoundaryStrategy::Disjoint);
         let entry = entry_of(&module);
         // Nine families of five (k = 0, 1, the core, 14, 15 beside each
         // other), eight nests on their own. Every run has its clamped
@@ -657,7 +657,7 @@ pub(crate) mod tests {
 
     #[test]
     fn row_body_takes_written_arrays_as_mut_slices_and_read_arrays_as_const_ptrs() {
-        let module = wave_module(BoundaryStrategy::Disjoint, false);
+        let module = wave_module(BoundaryStrategy::Disjoint);
         // `u_1_b`, `u_2_b` written; `c`, `u_b` read.
         assert!(
             module.contains(
@@ -697,7 +697,7 @@ pub(crate) mod tests {
 
     #[test]
     fn guarded_statements_with_different_boxes_keep_their_own_loops() {
-        let module = wave_module(BoundaryStrategy::Guarded, false);
+        let module = wave_module(BoundaryStrategy::Guarded);
         let rows = row_bodies(&module);
         let entry = entry_of(&module);
         // The core nest plus six boundary slabs. A slab's guarded
@@ -800,10 +800,9 @@ pub(crate) mod tests {
     }
 
     /// Each statement's registers live in a block of its own, so one body
-    /// holds any number of programs; the plan's CSE is what reaches the
-    /// native code.
+    /// holds any number of programs.
     #[test]
-    fn cse_temporaries_of_one_body_do_not_collide() {
+    fn registers_of_one_body_do_not_collide() {
         let i = Symbol::new("i");
         let u = Array::new("u");
         let shared = |o: i64| (u.at(vec![&i + o]) * u.at(ix![&i])).sin();
@@ -813,19 +812,13 @@ pub(crate) mod tests {
                 Statement::add_assign(Access::new("r", ix![&i]), shared(1) + shared(1).cos()),
             ]
         };
-        let cse = PlanOptions {
-            cse: true,
-            ..PlanOptions::default()
-        };
-        let code = module_1d(body(), cse).unwrap();
+        let code = module_1d(body(), PlanOptions::default()).unwrap();
         // One body, one block per statement, each numbering from `__r0`.
         assert_eq!(code.matches("for __x in").count(), 1, "{code}");
         assert_eq!(code.matches("__w0 += {").count(), 2, "{code}");
         assert_eq!(code.matches("let __r0: f64 = ").count(), 2, "{code}");
-        // One `sin` per statement under CSE, two without.
-        assert_eq!(code.matches(".sin()").count(), 2, "{code}");
-        let plain = module_1d(body(), PlanOptions::default()).unwrap();
-        assert_eq!(plain.matches(".sin()").count(), 4, "{plain}");
+        // Each statement computes both of its sines.
+        assert_eq!(code.matches(".sin()").count(), 4, "{code}");
     }
 
     #[test]

@@ -68,15 +68,15 @@ use perforad_ckpt::{
     checkpointed_adjoint_plan, CheckpointPlan, CkptError, CkptReport, DiskStore, FallbackStore,
     MemStore, Snapshot, SnapshotStore,
 };
-use perforad_core::{Adjoint, AdjointOptions, BoundaryStrategy};
+use perforad_core::{Adjoint, AdjointOptions};
 use perforad_exec::{default_pool, Binding, Grid, GridId, Lowering, ThreadPool, Workspace};
 use perforad_sched::{
     compile_schedule, BoundSchedule, IntBox, SchedOptions, Schedule, TunedConfig, TunedStrategy,
 };
 use perforad_symbolic::Symbol;
 use perforad_tune::{
-    autotune_adjoint, compile_tuned, fingerprint_nests, host, pick_batch_strategy, profile,
-    BatchShape, BatchStrategy, KernelProfile, Machine, TimeLoop, TuneOptions,
+    autotune_adjoint, compile_tuned, host, pick_batch_strategy, profile, BatchShape, BatchStrategy,
+    KernelProfile, Machine, TimeLoop, TuneOptions,
 };
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -182,10 +182,7 @@ impl<'p> Stepper<'p> {
         let ws = workspace(c, &["u"])
             .with_shared("u_1", Arc::clone(&zero))
             .with_shared("u_2", Arc::clone(&zero));
-        let mut tuned = TunedConfig {
-            cse: false,
-            ..tuned.clone()
-        };
+        let mut tuned = tuned.clone();
         let (mut schedule, native) =
             compile_tuned(&[wave3d::nest()], &ws, &bind, false, &tuned).expect("primal schedules");
         if !native {
@@ -766,7 +763,6 @@ pub struct BatchPlan<'p> {
     machine: Machine,
     prof: KernelProfile,
     nest_count: usize,
-    fingerprint: u64,
     budget: usize,
     checkpointed: bool,
     opts: BatchOptions,
@@ -790,9 +786,6 @@ impl<'p> BatchPlan<'p> {
         let dims = [cfg.n, cfg.n, cfg.n];
         let state_bytes = (Grid::zeros(&dims), Grid::zeros(&dims)).mem_bytes();
         let adj = wave_adjoint();
-        let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
-        let fingerprint =
-            fingerprint_nests(&adj.nests, adj.strategy == BoundaryStrategy::Padded, &bind);
         let time_loop = checkpointed.then(|| TimeLoop::new(cfg.steps, state_bytes));
         let sweep = ReverseSweep::new(cfg, c, time_loop, pool, &adj);
         let budget = opts
@@ -811,18 +804,10 @@ impl<'p> BatchPlan<'p> {
             nest_count: adj.nests.len(),
             machine: host(pool.size()),
             prof,
-            fingerprint,
             budget,
             checkpointed,
             opts: opts.clone(),
         }
-    }
-
-    /// The adjoint nest fingerprint this plan was tuned under — the same
-    /// value `perforad-tune` keys its persistent cache by, and the unit of
-    /// multi-request reuse for a serving layer.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// The number of adjoint loop nests behind this plan's schedule.

@@ -34,8 +34,6 @@ pub struct SchedOptions {
     pub tile: Option<Vec<i64>>,
     /// Tile-to-worker assignment policy.
     pub policy: TilePolicy,
-    /// Apply per-statement common-subexpression elimination when lowering.
-    pub cse: bool,
     /// Statement lowering tiles run with: the per-point evaluator
     /// (default, reference), the vectorized register-IR row executor, or
     /// JIT-compiled native code (rows when no module is registered).
@@ -60,7 +58,6 @@ impl Default for SchedOptions {
         SchedOptions {
             tile: None,
             policy: TilePolicy::default(),
-            cse: false,
             lowering: Lowering::default(),
             fuse: true,
             accumulate: None,
@@ -76,11 +73,6 @@ impl SchedOptions {
 
     pub fn with_policy(mut self, policy: TilePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    pub fn with_cse(mut self, cse: bool) -> Self {
-        self.cse = cse;
         self
     }
 
@@ -120,7 +112,6 @@ impl SchedOptions {
             // An empty tile vector means "rank default".
             tile: (!cfg.tile.is_empty()).then(|| cfg.tile.clone()),
             policy: cfg.policy,
-            cse: cfg.cse,
             lowering: cfg.lowering,
             fuse: cfg.fuse,
             accumulate: None,
@@ -186,8 +177,6 @@ pub struct Schedule {
     pub lowering: Lowering,
     /// Whether conflict-free nests were merged into shared groups.
     pub fused: bool,
-    /// Whether per-statement CSE was applied when lowering.
-    pub cse: bool,
     /// The arrays that carry state when the groups were compiled in
     /// accumulate mode; `None` in plain mode.
     pub accumulate: Option<BTreeSet<Symbol>>,
@@ -382,7 +371,6 @@ pub fn compile_schedule_source(
     let tile = resolve_tile(opts, nests[0].rank())?;
     let plan_opts = PlanOptions {
         padded,
-        cse: opts.cse,
         accumulate: opts.accumulate.clone(),
     };
     let members = if opts.fuse {
@@ -425,7 +413,6 @@ pub fn compile_schedule_source(
         policy: opts.policy,
         lowering: opts.lowering,
         fused: opts.fuse,
-        cse: opts.cse,
         accumulate: opts.accumulate.clone(),
         source: source.clone(),
         padded,

@@ -38,10 +38,6 @@ pub struct TunedConfig {
     pub tile: Vec<i64>,
     /// Whether conflict-free nests share parallel regions.
     pub fuse: bool,
-    /// Apply per-statement common-subexpression elimination when
-    /// compiling. Not searched by the tuner (it is a plan-level knob set
-    /// by the caller); carried so retuning preserves it.
-    pub cse: bool,
     /// Worker count the configuration was tuned for (1 when serial).
     pub threads: usize,
     /// Snapshot budget for checkpointed time loops driving this
@@ -63,7 +59,6 @@ impl Default for TunedConfig {
             policy: TilePolicy::default(),
             tile: Vec::new(),
             fuse: true,
-            cse: false,
             threads: 1,
             checkpoint: None,
         }
@@ -78,8 +73,8 @@ impl TunedConfig {
             None => String::new(),
         };
         format!(
-            "{:?}/{:?}/{:?} tile {:?} fuse {} cse {}{ckpt} ({} threads)",
-            self.strategy, self.lowering, self.policy, self.tile, self.fuse, self.cse, self.threads
+            "{:?}/{:?}/{:?} tile {:?} fuse {}{ckpt} ({} threads)",
+            self.strategy, self.lowering, self.policy, self.tile, self.fuse, self.threads
         )
     }
 
@@ -125,7 +120,6 @@ mod tests {
             policy: TilePolicy::Static,
             tile: vec![8, 128],
             fuse: false,
-            cse: true,
             threads: 4,
             checkpoint: Some(16),
         };
@@ -134,7 +128,6 @@ mod tests {
         assert_eq!(opts.policy, TilePolicy::Static);
         assert_eq!(opts.lowering, Lowering::Rows);
         assert!(!opts.fuse);
-        assert!(opts.cse, "CSE must survive the from_tuned mapping");
         assert_eq!(cfg.sched_options().tile, opts.tile);
     }
 

@@ -29,13 +29,11 @@ use crate::proto::{
     BatchReply, BatchRequest, CompileRequest, CompiledReply, GradientReply, GradientRequest, Reply,
     Request, MAX_FRAME, MAX_FRAME_VALUES,
 };
-use perforad_codegen::parse_stencil;
-use perforad_core::{ActivityMap, AdjointOptions, BoundaryStrategy};
-use perforad_exec::native::Fnv;
-use perforad_exec::{default_pool, fnv1a64, Binding, Grid};
+use perforad_exec::native::{Fnv, WordHash};
+use perforad_exec::{default_pool, Grid};
 use perforad_obs::json::Value;
 use perforad_pde::seismic::{BatchOptions, BatchPlan, BatchResult, SeismicConfig, ShotBatch};
-use perforad_tune::{cache, fingerprint_nests};
+use perforad_tune::cache;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -88,29 +86,12 @@ struct KernelEntry {
     requests: u64,
 }
 
-/// A compiled raw-DSL kernel: fingerprinted and cached, no gradient
-/// driver attached (only the seismic kernel has a time-loop driver).
-struct DslEntry {
-    nests: usize,
-    requests: u64,
-}
-
-#[derive(Default)]
-struct Registry {
-    /// Serve fingerprint → warm kernel.
-    kernels: HashMap<u64, Arc<Mutex<KernelEntry>>>,
-    /// Request-parameter digest → serve fingerprint (the pre-transform
-    /// dedup index; hit = skip the build entirely).
-    by_params: HashMap<u64, u64>,
-    dsl: HashMap<u64, DslEntry>,
-    dsl_by_src: HashMap<u64, u64>,
-}
-
 /// The shared state behind every connection: compile caches and request
 /// accounting for `Stats`.
 pub struct Engine {
     started: Instant,
-    registry: Mutex<Registry>,
+    /// Serve fingerprint ([`kernel_id`]) → warm kernel.
+    registry: Mutex<HashMap<u64, Arc<Mutex<KernelEntry>>>>,
     /// Admitted requests, queued or running.
     in_flight: AtomicU64,
     /// Admission cap on `in_flight` for gradient requests (0 = unlimited).
@@ -155,7 +136,7 @@ impl Engine {
         perforad_obs::set_enabled(true);
         Engine {
             started: Instant::now(),
-            registry: Mutex::new(Registry::default()),
+            registry: Mutex::new(HashMap::new()),
             in_flight: AtomicU64::new(0),
             max_queue,
         }
@@ -228,22 +209,15 @@ impl Engine {
 
     fn compile(&self, req: &CompileRequest) -> Result<CompiledReply, String> {
         let _span = perforad_obs::span!("serve.compile", "serve");
-        match req {
-            CompileRequest::Seismic {
-                n,
-                steps,
-                d,
-                c,
-                budget,
-                checkpointed,
-            } => self.compile_seismic(*n, *steps, *d, c.as_deref(), *budget, *checkpointed),
-            CompileRequest::Stencil {
-                stencil,
-                sizes,
-                params,
-                active,
-            } => self.compile_stencil(stencil, sizes, params, active),
-        }
+        let CompileRequest::Seismic {
+            n,
+            steps,
+            d,
+            c,
+            budget,
+            checkpointed,
+        } = req;
+        self.compile_seismic(*n, *steps, *d, c.as_deref(), *budget, *checkpointed)
     }
 
     fn compile_seismic(
@@ -285,28 +259,11 @@ impl Engine {
             }
         }
 
-        // Identity of the *compiled artifact*: shape, step count, d bits,
-        // and the checkpointing knobs (they select the plan's sweep).
-        // The velocity model is deliberately excluded — same-shape
-        // requests share the schedule and swap models in place. Hashed
-        // from the request fields alone: the real nest fingerprint needs
-        // the adjoint transform, which is exactly what a hit must avoid.
-        let mut key = format!("seismic|n={n}|steps={steps}|d={:016x}", d.to_bits());
-        key.push_str(&format!(
-            "|b={}|ck={:?}",
-            budget.map_or(-1i64, |b| b as i64),
-            checkpointed
-        ));
-        let param_key = fnv1a64(key.as_bytes());
+        let id = kernel_id(n, steps, d, budget, checkpointed);
         let c_digest = c.map(digest_f64);
 
-        let hit = {
-            let reg = lock_any(&self.registry);
-            reg.by_params
-                .get(&param_key)
-                .and_then(|id| reg.kernels.get(id).map(|e| (*id, Arc::clone(e))))
-        };
-        if let Some((id, entry)) = hit {
+        let hit = lock_any(&self.registry).get(&id).map(Arc::clone);
+        if let Some(entry) = hit {
             perforad_obs::counter("serve.compile_cache_hits").inc();
             let mut entry = lock_any(&entry);
             if let (Some(c), Some(dig)) = (c, c_digest) {
@@ -345,20 +302,6 @@ impl Engine {
             let _slot = Admission::enter(self);
             BatchPlan::new(&cfg, &model, &opts, default_pool())
         };
-        // The serve fingerprint extends the nest fingerprint (the tuning
-        // cache's key, shape-only by design) with the time-loop length
-        // and d bits, because the service caches compiled *drivers*, not
-        // just schedules.
-        let id = fnv1a64(
-            format!(
-                "{:016x}|steps={steps}|d={:016x}|b={:?}|ck={:?}",
-                plan.fingerprint(),
-                d.to_bits(),
-                budget,
-                checkpointed
-            )
-            .as_bytes(),
-        );
         let reply = CompiledReply {
             fingerprint: format!("{id:016x}"),
             cached: false,
@@ -373,95 +316,22 @@ impl Engine {
             c_digest: c_digest.unwrap_or_else(|| digest_f64(model.as_slice())),
             requests: 0,
         };
-        let mut reg = lock_any(&self.registry);
-        reg.kernels.insert(id, Arc::new(Mutex::new(entry)));
-        reg.by_params.insert(param_key, id);
+        lock_any(&self.registry).insert(id, Arc::new(Mutex::new(entry)));
         Ok(reply)
-    }
-
-    fn compile_stencil(
-        &self,
-        stencil: &str,
-        sizes: &[(String, i64)],
-        params: &[(String, f64)],
-        active: &[String],
-    ) -> Result<CompiledReply, String> {
-        let mut key = format!("dsl|{stencil}|");
-        for (k, v) in sizes {
-            key.push_str(&format!("{k}={v};"));
-        }
-        for (k, v) in params {
-            key.push_str(&format!("{k}={:016x};", v.to_bits()));
-        }
-        for a in active {
-            key.push_str(&format!("@{a}"));
-        }
-        let src_key = fnv1a64(key.as_bytes());
-        {
-            let mut reg = lock_any(&self.registry);
-            if let Some(&id) = reg.dsl_by_src.get(&src_key) {
-                if let Some(entry) = reg.dsl.get_mut(&id) {
-                    perforad_obs::counter("serve.compile_cache_hits").inc();
-                    entry.requests += 1;
-                    return Ok(CompiledReply {
-                        fingerprint: format!("{id:016x}"),
-                        cached: true,
-                        nests: entry.nests,
-                        config: None,
-                        checkpointed: None,
-                        budget: None,
-                    });
-                }
-            }
-        }
-        perforad_obs::counter("serve.compile_cache_misses").inc();
-        let nest = parse_stencil(stencil).map_err(|e| format!("stencil parse error: {e}"))?;
-        let mut activity = ActivityMap::new();
-        for a in active {
-            activity = activity.with_suffixed(a.as_str());
-        }
-        let adj = nest
-            .adjoint(&activity, &AdjointOptions::default())
-            .map_err(|e| format!("adjoint transform failed: {e}"))?;
-        let mut bind = Binding::new();
-        for (k, v) in sizes {
-            bind = bind.size(k.as_str(), *v);
-        }
-        for (k, v) in params {
-            bind = bind.param(k.as_str(), *v);
-        }
-        let id = fingerprint_nests(&adj.nests, adj.strategy == BoundaryStrategy::Padded, &bind);
-        let nests = adj.nests.len();
-        let mut reg = lock_any(&self.registry);
-        reg.dsl.insert(id, DslEntry { nests, requests: 1 });
-        reg.dsl_by_src.insert(src_key, id);
-        Ok(CompiledReply {
-            fingerprint: format!("{id:016x}"),
-            cached: false,
-            nests,
-            config: None,
-            checkpointed: None,
-            budget: None,
-        })
     }
 
     /// Look up a warm kernel by hex fingerprint.
     fn kernel(&self, fingerprint: &str) -> Result<Arc<Mutex<KernelEntry>>, String> {
         let id = u64::from_str_radix(fingerprint, 16)
             .map_err(|_| format!("fingerprint {fingerprint:?} is not a hex id"))?;
-        let reg = lock_any(&self.registry);
-        if let Some(e) = reg.kernels.get(&id) {
-            return Ok(Arc::clone(e));
-        }
-        if reg.dsl.contains_key(&id) {
-            return Err(format!(
-                "fingerprint {fingerprint} was compiled from raw stencil DSL — it has no \
-                 gradient driver; only seismic kernels serve gradients"
-            ));
-        }
-        Err(format!(
-            "unknown fingerprint {fingerprint}; Compile it first (the cache is per-process)"
-        ))
+        lock_any(&self.registry)
+            .get(&id)
+            .map(Arc::clone)
+            .ok_or_else(|| {
+                format!(
+                "unknown fingerprint {fingerprint}; Compile it first (the cache is per-process)"
+            )
+            })
     }
 
     /// The gradient path of both request kinds: admission, the kernel
@@ -590,17 +460,9 @@ impl Engine {
         // Entries are locked after the registry is released: a running
         // gradient holds its entry for a whole sweep, and every lookup and
         // `Compile` needs the registry meanwhile.
-        let (entries, dsl): (Vec<_>, Vec<_>) = {
+        let entries: Vec<_> = {
             let reg = lock_any(&self.registry);
-            let entries = reg.kernels.iter().map(|(id, e)| (*id, Arc::clone(e)));
-            let dsl = reg.dsl.iter().map(|(id, entry)| {
-                Value::obj([
-                    ("fingerprint", format!("{id:016x}").into()),
-                    ("nests", entry.nests.into()),
-                    ("requests", entry.requests.into()),
-                ])
-            });
-            (entries.collect(), dsl.collect())
+            reg.iter().map(|(id, e)| (*id, Arc::clone(e))).collect()
         };
         let kernels = entries
             .iter()
@@ -638,7 +500,6 @@ impl Engine {
             ("faults", Value::obj(faults.map(|(k, n)| (k, n.into())))),
             ("latency_ns", latency.to_value()),
             ("kernels", Value::Arr(kernels)),
-            ("dsl_kernels", Value::Arr(dsl)),
             ("metrics", metrics.to_value()),
         ])
     }
@@ -695,6 +556,28 @@ fn validate_shot(
         return Err(format!("shot {k}: non-finite values in source/observed"));
     }
     Ok(())
+}
+
+/// The serve fingerprint: what identifies a compiled *driver* — shape,
+/// step count, d bits and the checkpointing knobs, which select the
+/// plan's sweep. The velocity model is deliberately excluded: same-shape
+/// requests share the schedule and swap models in place. Hashed from the
+/// request fields alone, so a hit runs no adjoint transform.
+fn kernel_id(
+    n: usize,
+    steps: usize,
+    d: f64,
+    budget: Option<usize>,
+    checkpointed: Option<bool>,
+) -> u64 {
+    let mut h = WordHash::new();
+    h.word(n as u64);
+    h.word(steps as u64);
+    h.word(d.to_bits());
+    h.word(budget.is_some() as u64);
+    h.word(budget.unwrap_or(0) as u64);
+    h.word(checkpointed.map_or(0, |ck| 1 + ck as u64));
+    h.finish()
 }
 
 fn digest_f64(xs: &[f64]) -> u64 {

@@ -21,11 +21,10 @@
 //!                    entry lock ──► exec::default_pool() ──► shots
 //! ```
 //!
-//! Request types: `Compile` (seismic driver or raw stencil DSL →
-//! fingerprint), `Gradient` / `GradientBatch` (shot data against a
-//! cached fingerprint), `Stats` (cache hit rates, queue depth,
-//! per-fingerprint request counts, full obs metrics snapshot),
-//! `Shutdown`. The serving guarantee, pinned by `tests/serve.rs`: a
+//! Request types: `Compile` (seismic driver → fingerprint), `Gradient`
+//! / `GradientBatch` (shot data against a cached fingerprint), `Stats`
+//! (cache hit rates, queue depth, per-fingerprint request counts, full
+//! obs metrics snapshot), `Shutdown`. The serving guarantee, pinned by `tests/serve.rs`: a
 //! served gradient is **bitwise-identical** to the in-process
 //! [`perforad_pde::seismic::BatchPlan::run`] call, and a second `Compile` of
 //! the same fingerprint performs zero adjoint transforms, zero tuner

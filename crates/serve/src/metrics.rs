@@ -203,7 +203,7 @@ mod tests {
         assert_eq!(
             keys(at(&[])).join(","),
             "uptime_ns,queue_depth,tune_cache_entries,requests_total,degraded_total,\
-             rejected_total,deadline_exceeded_total,faults,latency_ns,kernels,dsl_kernels,metrics"
+             rejected_total,deadline_exceeded_total,faults,latency_ns,kernels,metrics"
         );
         assert_eq!(keys(at(&["faults"]))[0], "injected_total");
         let histogram = ["count", "sum", "mean", "p50", "p95", "p99", "max"];

@@ -18,9 +18,9 @@
 //! was 15 and 17). The reader also accepts the plain JSON number array a
 //! hand-written client sends (`[1.0]`); there is no version field and no
 //! negotiation, the two forms are told apart by their JSON type. A
-//! *scalar* (`misfit`, `d`, a stencil parameter) is a JSON number printed
-//! with Rust's `Display`, the shortest string that parses back to the
-//! same bits. Non-finite values are rejected in either form.
+//! *scalar* (`misfit`, `d`) is a JSON number printed with Rust's
+//! `Display`, the shortest string that parses back to the same bits.
+//! Non-finite values are rejected in either form.
 //!
 //! Malformed input never panics the peer: an oversized or non-UTF-8
 //! frame is an `io::Error` (the server drops the connection), and a
@@ -109,11 +109,10 @@ pub enum Request {
     Shutdown,
 }
 
-/// `Compile` payload: either the full seismic driver (warm up a
+/// `Compile` payload: the seismic driver (warm up a
 /// [`perforad_pde::seismic::BatchPlan`] — adjoint transform, autotune,
-/// JIT, checkpoint budget — and keep it keyed by fingerprint) or a raw
-/// stencil-DSL kernel (parse → adjoint → fingerprint, cached, no
-/// gradient driver attached).
+/// JIT, checkpoint budget — and keep it keyed by fingerprint). Any other
+/// `"kernel"` on the wire is refused by name.
 #[derive(Clone, Debug)]
 pub enum CompileRequest {
     Seismic {
@@ -133,16 +132,6 @@ pub enum CompileRequest {
         /// Force checkpointed (`true`) / store-all (`false`) sweeps;
         /// absent applies the step-count threshold rule.
         checkpointed: Option<bool>,
-    },
-    Stencil {
-        /// Stencil DSL source, e.g. `"for i in 1 .. n-1 { r[i] = ... }"`.
-        stencil: String,
-        /// Size bindings for the symbols in the bounds.
-        sizes: Vec<(String, i64)>,
-        /// Scalar parameter bindings.
-        params: Vec<(String, f64)>,
-        /// Arrays to differentiate with respect to.
-        active: Vec<String>,
     },
 }
 
@@ -280,7 +269,7 @@ fn push_f64_array(out: &mut String, xs: &[f64]) {
 
 /// A frame buffer sized up front — one allocation per frame — for bulk
 /// arrays of the given lengths plus an envelope of field names and scalars
-/// (a long stencil source or trace rollup may still grow it).
+/// (a trace rollup may still grow it).
 fn frame_buffer(array_lens: impl IntoIterator<Item = usize>) -> String {
     let arrays: usize = array_lens
         .into_iter()
@@ -323,26 +312,6 @@ impl Request {
                     o.push_str(&format!(",\"checkpointed\":{ck}"));
                 }
                 o.push('}');
-            }
-            Request::Compile(CompileRequest::Stencil {
-                stencil,
-                sizes,
-                params,
-                active,
-            }) => {
-                // No bulk array: the whole frame is a `Value`.
-                let sizes = sizes.iter().map(|(k, v)| (k.as_str(), (*v).into()));
-                let params = params.iter().map(|(k, v)| (k.as_str(), (*v).into()));
-                let active = active.iter().map(|a| a.as_str().into()).collect();
-                let stencil = Value::obj([
-                    ("type", "compile".into()),
-                    ("kernel", "stencil".into()),
-                    ("stencil", stencil.as_str().into()),
-                    ("sizes", Value::obj(sizes)),
-                    ("params", Value::obj(params)),
-                    ("active", Value::Arr(active)),
-                ]);
-                let _ = write!(o, "{stencil}");
             }
             Request::Gradient(g) => {
                 o.push_str("{\"type\":\"gradient\",\"fingerprint\":");
@@ -451,40 +420,6 @@ fn decode_compile(v: &Value) -> Result<CompileRequest, String> {
                 Some(b) => Some(b.as_bool().ok_or("\"checkpointed\" must be a bool")?),
             },
         }),
-        "stencil" => {
-            let pairs = |key: &str| -> Result<Vec<(String, Value)>, String> {
-                match v.get(key) {
-                    None | Some(Value::Null) => Ok(Vec::new()),
-                    Some(Value::Obj(fields)) => Ok(fields.clone()),
-                    Some(_) => Err(format!("\"{key}\" must be an object")),
-                }
-            };
-            let mut sizes = Vec::new();
-            for (k, val) in pairs("sizes")? {
-                sizes.push((k, val.as_i64().ok_or("sizes values must be integers")?));
-            }
-            let mut params = Vec::new();
-            for (k, val) in pairs("params")? {
-                params.push((
-                    k,
-                    finite(&val).ok_or("params values must be finite numbers")?,
-                ));
-            }
-            let active = match v.get("active").and_then(Value::as_array) {
-                Some(items) => items
-                    .iter()
-                    .map(|a| a.as_str().map(str::to_string))
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or("\"active\" must be an array of strings")?,
-                None => Vec::new(),
-            };
-            Ok(CompileRequest::Stencil {
-                stencil: req_str(v, "stencil")?,
-                sizes,
-                params,
-                active,
-            })
-        }
         other => Err(format!("unknown compile kernel {other:?}")),
     }
 }
@@ -1082,12 +1017,6 @@ mod tests {
             );
             let err = Request::from_json(&seismic).expect_err("non-finite d");
             assert!(err.contains("finite number \"d\""), "{err}");
-            let stencil = format!(
-                "{{\"type\":\"compile\",\"kernel\":\"stencil\",\"stencil\":\"\",\
-                 \"params\":{{\"D\":{huge}}}}}"
-            );
-            let err = Request::from_json(&stencil).expect_err("non-finite param");
-            assert!(err.contains("finite numbers"), "{err}");
         }
     }
 

@@ -26,7 +26,6 @@
 //! assert_eq!(body.to_string(), "c(i)*(2.0*u(i - 1) - 3.0*u(i) + 4.0*u(i + 1))");
 //! ```
 
-pub mod cse;
 pub mod diff;
 pub mod display;
 pub mod error;
@@ -40,7 +39,6 @@ pub mod subst;
 pub mod symbol;
 pub mod visit;
 
-pub use cse::{eliminate, eliminate_one, Bindings};
 pub use diff::{diff, DiffVar};
 pub use error::SymError;
 pub use eval::{eval, EvalContext, MapCtx, Scalar};

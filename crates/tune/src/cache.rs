@@ -30,8 +30,9 @@ use std::sync::{Mutex, OnceLock};
 
 /// Bump when the key derivation or entry layout changes: old files then
 /// miss cleanly instead of deserialising garbage. 2 since the work key is
-/// hashed from the nests' structure instead of their printed text.
-pub const CACHE_VERSION: u32 = 2;
+/// hashed from the nests' structure instead of their printed text; 3
+/// since an entry carries no CSE flag (every plan compiles without CSE).
+pub const CACHE_VERSION: u32 = 3;
 
 /// FNV-1a over a byte stream — deterministic across runs and platforms.
 /// (The canonical implementation lives in `perforad_exec::native`, beside
@@ -272,7 +273,6 @@ impl TuneCache {
                 ("policy", policy_name(c.policy).into()),
                 ("tile", Value::Arr(tile)),
                 ("fuse", c.fuse.into()),
-                ("cse", c.cse.into()),
                 ("threads", c.threads.into()),
                 ("checkpoint", c.checkpoint.map_or(Value::Null, Value::from)),
                 ("seconds", e.seconds.into()),
@@ -303,7 +303,6 @@ impl TuneCache {
                 policy: named(e, "policy", &[Static, Dynamic], policy_name)?,
                 tile: tile.collect::<Option<_>>().ok_or("non-integer tile edge")?,
                 fuse: field(e, "fuse", Value::as_bool)?,
-                cse: field(e, "cse", Value::as_bool)?,
                 threads: field(e, "threads", Value::as_uint)?,
                 // Absent (pre-checkpoint cache files) and explicit null
                 // both mean "no checkpointed time loop was tuned".
@@ -491,7 +490,6 @@ mod tests {
                 policy: TilePolicy::Static,
                 tile: vec![16, 32, 512],
                 fuse: true,
-                cse: true,
                 threads: 8,
                 checkpoint: None,
             },
@@ -551,17 +549,18 @@ mod tests {
     }
 
     /// A cache file as the hand-formatted writer before `perforad_obs::json`
-    /// wrote it: every enum name, `null` and numeric budgets, an empty tile,
-    /// a key that needs escaping, fractional seconds.
+    /// wrote it, less the per-entry CSE flag that version 3 dropped: every
+    /// enum name, `null` and numeric budgets, an empty tile, a key that
+    /// needs escaping, fractional seconds.
     const PINNED_FILE: &str = concat!(
         r#"{"version":1,"entries":[{"key":"00ab12cd34ef5678|v1|x86_64|linux|t8","#,
         r#""strategy":"Parallel","lowering":"Rows","policy":"Static","tile":[16,32,512],"#,
-        r#""fuse":true,"cse":true,"threads":8,"checkpoint":null,"seconds":0.00125},"#,
+        r#""fuse":true,"threads":8,"checkpoint":null,"seconds":0.00125},"#,
         r#"{"key":"k\"2\\|t1","strategy":"Serial","lowering":"Jit","policy":"Dynamic","#,
-        r#""tile":[],"fuse":false,"cse":false,"threads":1,"checkpoint":12,"#,
+        r#""tile":[],"fuse":false,"threads":1,"checkpoint":12,"#,
         r#""seconds":0.30000000000000004},{"key":"ffffffffffffffff|v1|x86_64|linux|t4","#,
         r#""strategy":"Parallel","lowering":"PerPoint","policy":"Static","tile":[8,4096],"#,
-        r#""fuse":true,"cse":false,"threads":4,"checkpoint":0,"seconds":0.0000000035}]}"#,
+        r#""fuse":true,"threads":4,"checkpoint":0,"seconds":0.0000000035}]}"#,
     );
 
     fn pinned_cache() -> TuneCache {
@@ -594,8 +593,9 @@ mod tests {
         cache
     }
 
-    /// [`PINNED_FILE`] at today's [`CACHE_VERSION`]: the layout has not
-    /// moved since, only the key derivation the version stands for.
+    /// [`PINNED_FILE`] at today's [`CACHE_VERSION`]: the layout has moved
+    /// since only by the dropped CSE flag, and the key derivation by what
+    /// version 2 stands for.
     fn current_file() -> String {
         let version = format!(r#"{{"version":{CACHE_VERSION},"#);
         PINNED_FILE.replacen(r#"{"version":1,"#, &version, 1)

@@ -66,7 +66,6 @@ pub fn search_space_full(rank: usize, threads: usize, jit: bool) -> Vec<TunedCon
                         policy,
                         tile: tile.clone(),
                         fuse,
-                        cse: false,
                         threads: threads.max(1),
                         checkpoint: None,
                     });
@@ -77,7 +76,6 @@ pub fn search_space_full(rank: usize, threads: usize, jit: bool) -> Vec<TunedCon
                     policy: TilePolicy::Dynamic,
                     tile: tile.clone(),
                     fuse,
-                    cse: false,
                     threads: 1,
                     checkpoint: None,
                 });

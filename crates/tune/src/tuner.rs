@@ -105,14 +105,10 @@ pub struct TuneOptions {
     pub cache_path: Option<PathBuf>,
     /// Consult/fill the process-wide in-memory cache (default on).
     pub memory_cache: bool,
-    /// Compile every candidate with per-statement CSE. Not a searched
-    /// axis — it is the caller's plan-level choice, applied uniformly
-    /// (and preserved by `Schedule::autotune`).
-    pub cse: bool,
     /// Compile every candidate, and the winner, in accumulate mode,
     /// carrying state in these arrays (`SchedOptions::accumulate`; `None`:
-    /// plain mode). Like `cse` the caller's plan-level choice, but not
-    /// part of the cache key: the mode drops a scratch pass and a fill, it
+    /// plain mode). Not a searched axis — the caller's plan-level choice,
+    /// preserved by `Schedule::autotune` — and not part of the cache key: the mode drops a scratch pass and a fill, it
     /// does not change which configuration wins.
     pub accumulate: Option<BTreeSet<Symbol>>,
     /// Include the JIT lowering in the search space (effective only when
@@ -149,7 +145,6 @@ impl Default for TuneOptions {
             machine: host(threads),
             cache_path: std::env::var_os("PERFORAD_TUNE_CACHE").map(PathBuf::from),
             memory_cache: true,
-            cse: false,
             accumulate: None,
             jit: true,
             refine_rounds: 1,
@@ -193,11 +188,6 @@ impl TuneOptions {
     pub fn without_cache(mut self) -> Self {
         self.cache_path = None;
         self.memory_cache = false;
-        self
-    }
-
-    pub fn with_cse(mut self, cse: bool) -> Self {
-        self.cse = cse;
         self
     }
 
@@ -315,11 +305,6 @@ fn autotune_source(
     let _span = perforad_obs::span!("tune.search", "tune", "nests" => nests.len() as u64);
     let threads = pool.size().max(1);
     let mut key = cache_key(fingerprint_nests(nests, padded, bind), threads);
-    if opts.cse {
-        // CSE changes the compiled programs, so tunings must not be
-        // shared across the setting.
-        key.push_str("|cse");
-    }
     if let Some(tl) = &opts.time_loop {
         // The winning snapshot budget depends on the sweep shape AND on
         // what it was priced against — a budget cached under a roomy
@@ -381,8 +366,7 @@ fn autotune_source(
     let prof = profile(nests, &bind.sizes);
     let mut ranked: Vec<(TunedConfig, f64)> = space
         .into_iter()
-        .map(|mut cfg| {
-            cfg.cse = opts.cse;
+        .map(|cfg| {
             let pred = predict_schedule(&opts.machine, &prof, &shape_of(&cfg, nests.len(), &prof));
             (cfg, pred)
         })
@@ -703,11 +687,11 @@ impl ScheduleAutotune for Schedule {
         opts: &TuneOptions,
     ) -> Result<TuneReport, TuneError> {
         let source = self.source.clone();
-        // Retuning preserves the schedule's own CSE and accumulate
-        // settings — the caller's plan-level choices, not searched axes.
+        // Retuning preserves the schedule's own accumulate setting — the
+        // caller's plan-level choice, not a searched axis.
         let opts = TuneOptions {
             accumulate: self.accumulate.clone(),
-            ..opts.clone().with_cse(self.cse)
+            ..opts.clone()
         };
         let (schedule, report) = autotune_source(&source, ws, bind, self.padded, pool, &opts)?;
         *self = schedule;

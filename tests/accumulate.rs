@@ -5,7 +5,7 @@
 //! writes that is bit for bit "zero a scratch grid, run in plain mode, add
 //! the scratch into the target" — for an assigned array, into a zeroed
 //! target; every other point keeps its value, `-0.0` and NaN included.
-//! Checked over random stencils on every lowering, with and without CSE;
+//! Checked over random stencils on every lowering;
 //! increments that summing first would round differently, and two writes
 //! to one point of an assigned array, are refused; and plans that differ
 //! in mode or in their assigned arrays never share a fingerprint, so their
@@ -120,7 +120,7 @@ fn bits(g: &Grid) -> Vec<u64> {
 }
 
 /// The contract on random 1-D and 2-D stencils, `Disjoint` and `Padded`
-/// decompositions, CSE on and off: `PerPoint`, `Rows` and (with a
+/// decompositions: `PerPoint`, `Rows` and (with a
 /// toolchain) `Jit` in accumulate mode against the scratch-then-add
 /// reference, at every point of both targets — carrying both, or
 /// assigning one at its first touch: then that one holds `+0.0 + sum` on
@@ -154,58 +154,55 @@ fn accumulate_mode_adds_the_scratch_sum_once_and_leaves_unwritten_points_alone()
             let seed = rng.next();
             let inputs = || workspace(&mut Rng::new(seed), &dims, false);
             let zeroed = || workspace(&mut Rng::new(seed), &dims, true);
-            for cse in [false, true] {
-                let plain = SchedOptions::default().with_cse(cse);
-                let mut scratch = zeroed();
-                let s = compile_schedule(&adj, &scratch, &bind, &plain).unwrap();
-                run_schedule_serial(&s, &mut scratch).unwrap();
-                // Carry both targets, or assign one of them.
-                let modes: [&[&str]; 3] = [&TARGETS, &TARGETS[1..], &TARGETS[..1]];
-                for (&lowering, carried) in lowerings.iter().flat_map(|l| modes.map(|m| (l, m))) {
-                    // Native code for the first cases only: a build each,
-                    // and an assigned target on the first case alone.
-                    let assigns = carried.len() < TARGETS.len();
-                    if lowering == Lowering::Jit && (case >= 4 || assigns && case > 0) {
-                        continue;
-                    }
-                    let tag = format!(
-                        "case {case} {strategy:?} cse={cse} {lowering:?} carrying {carried:?}: \
-                         {nest}"
-                    );
-                    let opts = SchedOptions {
-                        accumulate: carrying(carried),
-                        ..plain.clone().with_lowering(lowering)
-                    };
-                    let mut ws = inputs();
-                    let acc = compile_schedule(&adj, &ws, &bind, &opts)
-                        .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                    if lowering == Lowering::Jit {
-                        prepare_schedule(&acc, &bind, &jit)
-                            .unwrap_or_else(|e| panic!("{tag}: {e}"));
-                    }
-                    run_schedule_serial(&acc, &mut ws).unwrap();
-                    let seeded = inputs();
-                    for name in TARGETS {
-                        let mut mask = vec![false; dims.iter().product()];
-                        s.groups
-                            .iter()
-                            .for_each(|g| written(&g.plan, name, &mut mask));
-                        assert!(mask.contains(&true), "{tag}");
-                        unwritten += mask.iter().filter(|&&w| !w).count();
-                        let (seed, sum) = (seeded.grid(name), scratch.grid(name));
-                        let assigned = !carried.contains(&name);
-                        let want = (mask.iter().enumerate()).map(|(k, &w)| {
-                            let s = seed.as_slice()[k];
-                            match (w, assigned) {
-                                (true, false) => (s + sum.as_slice()[k]).to_bits(),
-                                (true, true) => (0.0 + sum.as_slice()[k]).to_bits(),
-                                (false, _) => s.to_bits(),
-                            }
-                        });
-                        let got = bits(ws.grid(name));
-                        for (k, (g, w)) in got.iter().zip(want).enumerate() {
-                            assert_eq!(*g, w, "{tag}: {name}[{k}] (written: {})", mask[k]);
+            let plain = SchedOptions::default();
+            let mut scratch = zeroed();
+            let s = compile_schedule(&adj, &scratch, &bind, &plain).unwrap();
+            run_schedule_serial(&s, &mut scratch).unwrap();
+            // Carry both targets, or assign one of them.
+            let modes: [&[&str]; 3] = [&TARGETS, &TARGETS[1..], &TARGETS[..1]];
+            for (&lowering, carried) in lowerings.iter().flat_map(|l| modes.map(|m| (l, m))) {
+                // Native code for the first cases only: a build each,
+                // and an assigned target on the first case alone.
+                let assigns = carried.len() < TARGETS.len();
+                if lowering == Lowering::Jit && (case >= 4 || assigns && case > 0) {
+                    continue;
+                }
+                let tag = format!(
+                    "case {case} {strategy:?} {lowering:?} carrying {carried:?}: \
+                     {nest}"
+                );
+                let opts = SchedOptions {
+                    accumulate: carrying(carried),
+                    ..plain.clone().with_lowering(lowering)
+                };
+                let mut ws = inputs();
+                let acc = compile_schedule(&adj, &ws, &bind, &opts)
+                    .unwrap_or_else(|e| panic!("{tag}: {e}"));
+                if lowering == Lowering::Jit {
+                    prepare_schedule(&acc, &bind, &jit).unwrap_or_else(|e| panic!("{tag}: {e}"));
+                }
+                run_schedule_serial(&acc, &mut ws).unwrap();
+                let seeded = inputs();
+                for name in TARGETS {
+                    let mut mask = vec![false; dims.iter().product()];
+                    s.groups
+                        .iter()
+                        .for_each(|g| written(&g.plan, name, &mut mask));
+                    assert!(mask.contains(&true), "{tag}");
+                    unwritten += mask.iter().filter(|&&w| !w).count();
+                    let (seed, sum) = (seeded.grid(name), scratch.grid(name));
+                    let assigned = !carried.contains(&name);
+                    let want = (mask.iter().enumerate()).map(|(k, &w)| {
+                        let s = seed.as_slice()[k];
+                        match (w, assigned) {
+                            (true, false) => (s + sum.as_slice()[k]).to_bits(),
+                            (true, true) => (0.0 + sum.as_slice()[k]).to_bits(),
+                            (false, _) => s.to_bits(),
                         }
+                    });
+                    let got = bits(ws.grid(name));
+                    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+                        assert_eq!(*g, w, "{tag}: {name}[{k}] (written: {})", mask[k]);
                     }
                 }
             }

@@ -2,8 +2,8 @@
 //! and adjoint decompositions compiled three ways — the stack
 //! interpreter, the register-IR row executor, and `perforad-jit`'s
 //! natively compiled fused groups — must agree **bitwise** across random
-//! shapes, boundary strategies (guards, zero padding), CSE temporaries,
-//! fusion on/off, and parallel execution. A tuner test asserts that a
+//! shapes, boundary strategies (guards, zero padding), fusion on/off, and
+//! parallel execution. A tuner test asserts that a
 //! Jit winner round-trips through the persistent `TunedConfig` cache.
 //!
 //! The same compiler builds `print_module`'s standalone wave3d and
@@ -13,7 +13,7 @@
 //! printed reason instead of failing — exactly like the runtime, which
 //! falls back to the row executor.
 
-use perforad::exec::{compile_adjoint_opts, compile_nests, run, ExecMode};
+use perforad::exec::{compile_adjoint, compile_nests, run, ExecMode};
 use perforad::jit::{available, emit::group_module, prepare_schedule, JitOptions};
 use perforad::prelude::*;
 use perforad::sched::{compile_schedule_nests, run_schedule_serial};
@@ -199,8 +199,8 @@ fn stencil_1d(offsets: &[i64], coeffs: &[i64], nonlinear: bool) -> LoopNest {
 }
 
 /// Every boundary strategy (disjoint fusion groups, hoisted guards, zero
-/// padding), with and without CSE, serial and parallel: the native
-/// lowering agrees bitwise with the interpreter.
+/// padding), serial and parallel: the native lowering agrees bitwise with
+/// the interpreter.
 #[test]
 fn adjoint_strategies_jit_bitwise_identical() {
     require_toolchain!();
@@ -247,19 +247,18 @@ fn adjoint_strategies_jit_bitwise_identical() {
             let adj = nest
                 .adjoint(&act, &AdjointOptions::default().with_strategy(strategy))
                 .unwrap();
-            let cse = case % 2 == 1;
             let mut ws_ref = build();
-            let plan = compile_adjoint_opts(&adj, &ws_ref, &bind, cse).unwrap();
+            let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
             run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
             let padded = strategy == BoundaryStrategy::Padded;
-            let sopts = SchedOptions::default().with_jit().with_cse(cse);
+            let sopts = SchedOptions::default().with_jit();
             let mut ws_jit = build();
             let s = compile_schedule_nests(&adj.nests, &ws_jit, &bind, padded, &sopts).unwrap();
             prepare_schedule(&s, &bind, &opts).expect("prepare");
             run_schedule_serial(&s, &mut ws_jit).unwrap();
             assert_bitwise(
-                &format!("case {case} {strategy:?} cse={cse} serial jit"),
+                &format!("case {case} {strategy:?} serial jit"),
                 &ws_jit,
                 &ws_ref,
                 &["u_b"],
@@ -269,7 +268,7 @@ fn adjoint_strategies_jit_bitwise_identical() {
             let mut ws_par = build();
             run_schedule(&s, &mut ws_par, &pool).unwrap();
             assert_bitwise(
-                &format!("case {case} {strategy:?} cse={cse} parallel jit"),
+                &format!("case {case} {strategy:?} parallel jit"),
                 &ws_par,
                 &ws_ref,
                 &["u_b"],
@@ -284,7 +283,7 @@ fn adjoint_strategies_jit_bitwise_identical() {
                 prepare_schedule(&s, &bind, &opts).expect("prepare");
                 run_schedule(&s, &mut ws_t, &pool2).unwrap();
                 assert_bitwise(
-                    &format!("case {case} {strategy:?} cse={cse} tile edge {edge}"),
+                    &format!("case {case} {strategy:?} tile edge {edge}"),
                     &ws_t,
                     &ws_ref,
                     &["u_b"],
@@ -583,13 +582,15 @@ fn wave_ws(n: usize, seed: u64) -> Workspace {
     ws
 }
 
-/// Recorded at PR 14's tree (one loop nest per statement). The emitter
-/// may fuse loops and keep increments in registers; it may never change
-/// a bit.
+/// Recorded while the emitter still printed one loop nest per statement,
+/// over every configuration below run twice, with per-statement CSE off and on —
+/// which wrote the same bits, so each run's bytes are hashed twice now
+/// that plans compile one way. The emitter may fuse loops and keep
+/// increments in registers; it may never change a bit.
 const GOLDEN_WAVE_DIGEST: u64 = 0xfb0d_a396_20f9_9095;
 
 /// The paper's headline kernel through the native lowering: both activity
-/// maps, `Disjoint` and `Guarded`, CSE on and off, serially and on a
+/// maps, `Disjoint` and `Guarded`, serially and on a
 /// 2-thread pool with a tile shape that clips every nest — each
 /// bitwise-equal to `Lowering::PerPoint`, and all of them together equal
 /// to the digest recorded before the emitter fused its loops.
@@ -611,39 +612,37 @@ fn wave3d_adjoint_jit_bitwise_identical_and_golden() {
             let adj = wave3d::nest()
                 .adjoint(&act, &AdjointOptions::default().with_strategy(strategy))
                 .unwrap();
-            for cse in [false, true] {
-                let mut ws_ref = wave_ws(n, 0x51ED_2005);
-                let plan = compile_adjoint_opts(&adj, &ws_ref, &bind, cse).unwrap();
-                run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
+            let mut ws_ref = wave_ws(n, 0x51ED_2005);
+            let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
+            run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
-                let sopts = SchedOptions::default()
-                    .with_jit()
-                    .with_cse(cse)
-                    .with_tile(&[3, 5, 7]);
-                let mut ws_ser = wave_ws(n, 0x51ED_2005);
-                let s = compile_schedule_nests(&adj.nests, &ws_ser, &bind, false, &sopts).unwrap();
-                let report = prepare_schedule(&s, &bind, &opts).expect("prepare");
-                assert_eq!(
-                    report.compiled + report.loaded + report.registered,
-                    s.group_count()
-                );
-                run_schedule_serial(&s, &mut ws_ser).unwrap();
-                let mut ws_par = wave_ws(n, 0x51ED_2005);
-                run_schedule(&s, &mut ws_par, &pool).unwrap();
-                for name in outputs {
-                    for (ws, how) in [(&ws_ser, "serial"), (&ws_par, "2 threads")] {
-                        assert_bitwise(
-                            &format!("{tag} {strategy:?} cse={cse} {how}: {name}"),
-                            ws,
-                            &ws_ref,
-                            &[name],
-                        );
-                    }
-                    for v in ws_par.grid(name).as_slice() {
-                        bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-                    }
+            let sopts = SchedOptions::default().with_jit().with_tile(&[3, 5, 7]);
+            let mut ws_ser = wave_ws(n, 0x51ED_2005);
+            let s = compile_schedule_nests(&adj.nests, &ws_ser, &bind, false, &sopts).unwrap();
+            let report = prepare_schedule(&s, &bind, &opts).expect("prepare");
+            assert_eq!(
+                report.compiled + report.loaded + report.registered,
+                s.group_count()
+            );
+            run_schedule_serial(&s, &mut ws_ser).unwrap();
+            let mut ws_par = wave_ws(n, 0x51ED_2005);
+            run_schedule(&s, &mut ws_par, &pool).unwrap();
+            let mut run_bytes = Vec::new();
+            for name in outputs {
+                for (ws, how) in [(&ws_ser, "serial"), (&ws_par, "2 threads")] {
+                    assert_bitwise(
+                        &format!("{tag} {strategy:?} {how}: {name}"),
+                        ws,
+                        &ws_ref,
+                        &[name],
+                    );
+                }
+                for v in ws_par.grid(name).as_slice() {
+                    run_bytes.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
             }
+            bytes.extend_from_slice(&run_bytes);
+            bytes.extend_from_slice(&run_bytes);
         }
     }
     let got = perforad::exec::fnv1a64(&bytes);

@@ -10,19 +10,23 @@
 //! modules at PR 20's tree, before `Idx` stopped being a `BTreeMap`.
 //! The paper-kernel set was recorded while wave3d, Burgers and heat2d
 //! were still built term by term in Rust, before each became one DSL text.
-//! The emitted group modules and the CSE plans were recorded while every
-//! statement was still compiled to stack bytecode first and lowered to its
-//! register program from that, before `regir` lowered straight from the
+//! The emitted group modules were recorded while every statement was
+//! still compiled to stack bytecode first and lowered to its register
+//! program from that, before `regir` lowered straight from the
 //! expression: the same programs, under the same names, op for op.
 //!
-//! The work keys and plan fingerprints — `GOLDEN_*_NESTS`, the two plan
-//! constants and the first half of each `GOLDEN_CSE_PLANS` pair — were
-//! re-recorded once, deliberately, when both names went from hashing
-//! bytes (the printed nests; each program's key byte by byte) to hashing
-//! structure a word at a time, with the tuning cache's format at 2 and the
-//! JIT's at 7 so that no older entry or artifact can match. Every printed
-//! and emitted module held. `printed_work` keeps the old key's text, and
-//! `equal_work_keys_print_equal_nests` holds the new key to it.
+//! The work keys and plan fingerprints — `GOLDEN_*_NESTS` and the two plan
+//! constants — were re-recorded once, deliberately, when both names went
+//! from hashing bytes (the printed nests; each program's key byte by byte)
+//! to hashing structure a word at a time, with the tuning cache's format
+//! at 2 and the JIT's at 7 so that no older entry or artifact can match.
+//! Every printed and emitted module held. `printed_work` keeps the old
+//! key's text, and `equal_work_keys_print_equal_nests` holds the new key
+//! to it.
+//!
+//! `GOLDEN_SIN_PLANS` was recorded while plans could still be compiled
+//! with per-statement CSE, before that switch was deleted: the plain
+//! plans it names, which every served path compiled, did not move.
 
 use perforad::codegen::rust::print_module;
 use perforad::core::nest::{AssignOp, Bound, Statement};
@@ -279,17 +283,17 @@ fn emitted_group_modules_are_golden() {
     assert_eq!(got, GOLDEN_GROUP_MODULES, "{got:#018x?}");
 }
 
-/// `r[i] = sin(u[i]*u[i+1]) + sin(u[i]*u[i+1])*u[i-1]` at n = 33, compiled
-/// with CSE: the primal's plan fingerprint and module, then the adjoint's,
-/// in accumulate mode carrying `u_b` — a sum whose members' six CSE
-/// temporaries are numbered one after another.
-const GOLDEN_CSE_PLANS: [(u64, u64); 2] = [
-    (0xf8be_527a_6ed2_4797, 0xc43c_e9c3_e1f8_530d),
-    (0x6b6a_2b92_06a6_794a, 0x06ee_9a8d_ae24_7321),
+/// `r[i] = sin(u[i]*u[i+1]) + sin(u[i]*u[i+1])*u[i-1]` at n = 33: the
+/// primal's plan fingerprint and module, then the adjoint's, in
+/// accumulate mode carrying `u_b` — a sum whose members each compute their
+/// own sines.
+const GOLDEN_SIN_PLANS: [(u64, u64); 2] = [
+    (0x8f72_d793_4a03_ccf3, 0xdc26_cb11_90bd_fc26),
+    (0x372f_f2e1_0f1d_5eb1, 0xed10_89c8_eb24_b5c7),
 ];
 
 #[test]
-fn cse_plans_are_golden() {
+fn sin_plans_are_golden() {
     let text = "for i in 1 .. n-2 { r[i] = sin(u[i]*u[i+1]) + sin(u[i]*u[i+1])*u[i-1]; }";
     let nest = parse_stencil(text).expect("stencil parses");
     let mut ws = Workspace::new();
@@ -298,15 +302,15 @@ fn cse_plans_are_golden() {
     }
     let bind = Binding::new().size("n", 33);
     let named = |schedule: &Schedule| (schedule.groups[0].plan.fingerprint(), module_of(schedule));
-    let cse = SchedOptions::default().with_cse(true);
+    let plain = SchedOptions::default();
     let primal =
-        compile_schedule_nests(std::slice::from_ref(&nest), &ws, &bind, false, &cse).unwrap();
+        compile_schedule_nests(std::slice::from_ref(&nest), &ws, &bind, false, &plain).unwrap();
     let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
     let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
-    let accumulate = cse.with_accumulate(["u_b"]);
+    let accumulate = plain.with_accumulate(["u_b"]);
     let adjoint = compile_schedule(&adj, &ws, &bind, &accumulate).unwrap();
     let got = [named(&primal), named(&adjoint)];
-    assert_eq!(got, GOLDEN_CSE_PLANS, "{got:#018x?}");
+    assert_eq!(got, GOLDEN_SIN_PLANS, "{got:#018x?}");
 }
 
 /// The text the work key hashed before it was re-keyed to structure: each

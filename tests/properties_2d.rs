@@ -96,7 +96,7 @@ fn gather_equals_scatter_random_2d() {
 }
 
 /// Nonlinear piecewise random bodies: gather adjoint vs independent tape
-/// reference (and CSE on vs off).
+/// reference.
 #[test]
 fn nonlinear_piecewise_matches_tape() {
     let mut rng = Rng::new(0x5EED_2002);
@@ -135,14 +135,14 @@ fn nonlinear_piecewise_matches_tape() {
             .collect();
         let seed: Vec<f64> = (0..n).map(|k| ((k * 3 + 1) % 5) as f64 - 2.0).collect();
 
-        // Gather adjoint, CSE on.
+        // Gather adjoint.
         let mut ws = Workspace::new()
             .with("u", Grid::from_vec(&[n], u_vals.clone()))
             .with("r", Grid::zeros(&[n]))
             .with("u_b", Grid::zeros(&[n]))
             .with("r_b", Grid::from_vec(&[n], seed.clone()));
         let adj = nest.adjoint(&act, &AdjointOptions::default()).unwrap();
-        let plan = perforad::exec::compile_adjoint_opts(&adj, &ws, &bind, true).unwrap();
+        let plan = perforad::exec::compile_adjoint(&adj, &ws, &bind).unwrap();
         run(&plan, &mut ws, ExecMode::serial()).unwrap();
 
         // Tape reference.

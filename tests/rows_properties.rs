@@ -3,13 +3,13 @@
 //! and the row executor — must agree **bitwise** with each other and with
 //! the expression oracle (`perforad::symbolic::eval` at every point, no
 //! lowering at all) across random shapes, boundary strategies (guards,
-//! zero padding), parallel execution, and CSE temporaries. The data are
-//! non-NaN, where `-1·x` (the oracle) and a negation (the lowering) agree.
+//! zero padding) and parallel execution. The data are non-NaN, where
+//! `-1·x` (the oracle) and a negation (the lowering) agree.
 //!
 //! Randomness comes from the repo's deterministic xorshift generator, so
 //! every failure reproduces exactly.
 
-use perforad::exec::{compile_adjoint_opts, compile_nests_opts, run, ExecMode, PlanOptions};
+use perforad::exec::{compile_adjoint, compile_nest, run, ExecMode};
 use perforad::prelude::*;
 use perforad::symbolic::{Cond, Rel};
 
@@ -64,8 +64,8 @@ fn ws_1d(n: usize, seed_pattern: u64) -> Workspace {
         .with("r", Grid::zeros(&[n]))
 }
 
-/// Random expression trees, lowered with and without CSE: the per-point
-/// evaluator, the row executor and the oracle agree bitwise.
+/// Random expression trees: the per-point evaluator, the row executor and
+/// the oracle agree bitwise.
 #[test]
 fn random_trees_eval_bitwise_identical() {
     let mut rng = Rng::new(0x5EED_1001);
@@ -86,18 +86,12 @@ fn random_trees_eval_bitwise_identical() {
         let bind = Binding::new().size("n", n as i64);
         let mut want = ws_1d(n, 3 + case as u64);
         eval_nests(std::slice::from_ref(&nest), &mut want, &bind, false);
-        for cse in [false, true] {
-            let opts = PlanOptions {
-                cse,
-                ..PlanOptions::default()
-            };
-            let plan = compile_nests_opts(std::slice::from_ref(&nest), &want, &bind, opts).unwrap();
-            for mode in [ExecMode::serial(), ExecMode::serial().rows()] {
-                let mut ws = ws_1d(n, 3 + case as u64);
-                run(&plan, &mut ws, mode).unwrap();
-                let tag = format!("case {case}, n {n}, cse {cse}, {:?}: {nest}", mode.lowering);
-                assert_bitwise(&tag, &ws, &want, &["r"]);
-            }
+        let plan = compile_nest(&nest, &want, &bind).unwrap();
+        for mode in [ExecMode::serial(), ExecMode::serial().rows()] {
+            let mut ws = ws_1d(n, 3 + case as u64);
+            run(&plan, &mut ws, mode).unwrap();
+            let tag = format!("case {case}, n {n}, {:?}: {nest}", mode.lowering);
+            assert_bitwise(&tag, &ws, &want, &["r"]);
         }
     }
 }
@@ -128,8 +122,8 @@ fn stencil_1d(offsets: &[i64], coeffs: &[i64], nonlinear: bool) -> LoopNest {
 }
 
 /// Every boundary strategy (disjoint, guarded, padded) evaluates bitwise
-/// identically under both lowerings, serial and parallel, with and without
-/// CSE, and as the oracle — guards and padded edges are exactly where the
+/// identically under both lowerings, serial and parallel, and as the
+/// oracle — guards and padded edges are exactly where the
 /// row executor splits rows into segments.
 #[test]
 fn adjoint_strategies_bitwise_identical_across_lowerings() {
@@ -175,19 +169,18 @@ fn adjoint_strategies_bitwise_identical_across_lowerings() {
             let adj = nest
                 .adjoint(&act, &AdjointOptions::default().with_strategy(strategy))
                 .unwrap();
-            let cse = case % 2 == 1;
             let mut ws_ref = build();
-            let plan = compile_adjoint_opts(&adj, &ws_ref, &bind, cse).unwrap();
+            let plan = compile_adjoint(&adj, &ws_ref, &bind).unwrap();
             run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
             let mut ws_oracle = build();
             eval_nests(&adj.nests, &mut ws_oracle, &bind, plan.padded());
-            let tag = format!("case {case} {strategy:?} cse={cse} oracle");
+            let tag = format!("case {case} {strategy:?} oracle");
             assert_bitwise(&tag, &ws_ref, &ws_oracle, &["u_b"]);
 
             let mut ws_rows = build();
             run(&plan, &mut ws_rows, ExecMode::serial().rows()).unwrap();
             assert_bitwise(
-                &format!("case {case} {strategy:?} cse={cse} serial rows"),
+                &format!("case {case} {strategy:?} serial rows"),
                 &ws_rows,
                 &ws_ref,
                 &["u_b"],
@@ -196,7 +189,7 @@ fn adjoint_strategies_bitwise_identical_across_lowerings() {
             let mut ws_par = build();
             run(&plan, &mut ws_par, ExecMode::parallel(&pool).rows()).unwrap();
             assert_bitwise(
-                &format!("case {case} {strategy:?} cse={cse} parallel rows"),
+                &format!("case {case} {strategy:?} parallel rows"),
                 &ws_par,
                 &ws_ref,
                 &["u_b"],

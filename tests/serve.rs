@@ -9,7 +9,8 @@
 //! 3. malformed wire input (unknown request type, garbage JSON, a
 //!    truncated frame, bad fingerprints, wrong shot shapes) produces
 //!    error replies or dropped connections, never a dead server;
-//! 4. raw stencil-DSL kernels fingerprint deterministically and cache.
+//! 4. a `Compile` of any kernel but `seismic` is refused by name, and the
+//!    connection it came on is served on.
 //!
 //! Every test spawns its own in-process server on a private socket, but
 //! all of them share the process-wide metrics registry — the suite
@@ -301,33 +302,33 @@ fn malformed_input_gets_error_replies_not_a_dead_server() {
     handle.join().expect("server thread").expect("server run");
 }
 
+/// The raw stencil-DSL `Compile` is gone: its frame, as clients sent it,
+/// earns an error reply naming the kernel, and the next request on the
+/// same connection is served.
 #[test]
-fn dsl_kernels_fingerprint_and_cache() {
+fn a_stencil_compile_is_refused_and_the_connection_served_on() {
     let _guard = suite_lock();
     let (endpoint, handle) = start_server();
-    let mut client = Client::connect(&endpoint).expect("connect");
-
-    let req = CompileRequest::Stencil {
-        stencil: "for i in 1 .. n-1 { r[i] = c[i]*(2.0*u[i-1] - 3.0*u[i] + 4.0*u[i+1]); }"
-            .to_string(),
-        sizes: vec![("n".to_string(), 64)],
-        params: vec![],
-        active: vec!["u".to_string(), "r".to_string()],
+    let mut conn = perforad::serve::connect(&endpoint).expect("raw connect");
+    let stencil = concat!(
+        r#"{"type":"compile","kernel":"stencil","#,
+        r#""stencil":"for i in 1 .. n-1 { r[i] = c[i]*(2.0*u[i-1] - 3.0*u[i] + 4.0*u[i+1]); }","#,
+        r#""sizes":{"n":64},"params":{},"active":["u","r"]}"#,
+    );
+    proto::write_frame(&mut conn, stencil).expect("send");
+    let reply = proto::read_frame(&mut conn).expect("reply frame");
+    match Reply::from_json(&reply).expect("parse reply") {
+        Reply::Error(msg) => assert_eq!(msg, r#"unknown compile kernel "stencil""#),
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    proto::write_frame(&mut conn, &Request::Stats.to_json()).expect("send stats");
+    let reply = proto::read_frame(&mut conn).expect("stats frame");
+    let Reply::Stats(stats) = Reply::from_json(&reply).expect("parse stats") else {
+        panic!("expected a stats reply, got {reply}");
     };
-    let first = client.compile(req.clone()).expect("dsl compile");
-    assert!(!first.cached);
-    assert_eq!(first.nests, 5, "1-D 3-point adjoint is five nests");
+    assert!(stats.get("uptime_ns").and_then(Value::as_f64).is_some());
 
-    let again = client.compile(req).expect("dsl recompile");
-    assert!(again.cached);
-    assert_eq!(again.fingerprint, first.fingerprint);
-
-    // DSL kernels have no gradient driver; asking is an error, not a hang.
-    let err = client
-        .gradient(&first.fingerprint, vec![0.0; 6], vec![0.0; 512])
-        .expect_err("DSL fingerprints must not serve gradients");
-    assert!(err.to_string().contains("DSL"));
-
+    let mut client = Client::connect(&endpoint).expect("connect");
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("server run");
 }

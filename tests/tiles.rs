@@ -187,7 +187,6 @@ fn hull_tiles_are_bitwise_the_nest_by_nest_order() {
                 let popts = PlanOptions {
                     padded,
                     accumulate: carried.clone(),
-                    ..PlanOptions::default()
                 };
                 let want = nest_by_nest(&adj.nests, &inputs, &bind, popts);
                 if strategy == BoundaryStrategy::Disjoint && !accumulate {

@@ -23,7 +23,6 @@ fn tuning_cache_round_trips_an_identical_config() {
         policy: TilePolicy::Static,
         tile: vec![16, 32, 512],
         fuse: false,
-        cse: true,
         threads: 1,
         checkpoint: Some(8),
     };
@@ -241,7 +240,6 @@ fn json_round_trips_every_tuned_config_combination() {
                         policy,
                         tile: vec![1 + i as i64, 64, 100_000],
                         fuse: i % 2 == 0,
-                        cse: i % 3 == 0,
                         threads: 1 + i % 8,
                         checkpoint,
                     };
@@ -282,7 +280,7 @@ fn json_checkpoint_null_and_absent_both_mean_none() {
         format!(
             "{{\"version\":{version},\"entries\":[{{\"key\":\"k\",\
              \"strategy\":\"Parallel\",\"lowering\":\"Jit\",\"policy\":\"Dynamic\",\
-             \"tile\":[8,8],\"fuse\":true,\"cse\":false,\"threads\":4{checkpoint_field},\
+             \"tile\":[8,8],\"fuse\":true,\"threads\":4{checkpoint_field},\
              \"seconds\":0.001}}]}}"
         )
     };
@@ -318,7 +316,7 @@ fn json_malformed_cache_input_is_an_error_or_clean_miss_never_a_panic() {
     let doc = format!(
         "{{\"version\":{version},\"entries\":[{{\"key\":\"k\",\
          \"strategy\":\"Quantum\",\"lowering\":\"Rows\",\"policy\":\"Static\",\
-         \"tile\":[8],\"fuse\":true,\"cse\":false,\"threads\":1,\
+         \"tile\":[8],\"fuse\":true,\"threads\":1,\
          \"checkpoint\":null,\"seconds\":0.1}}]}}"
     );
     assert!(TuneCache::from_json(&doc).is_err());
@@ -348,6 +346,49 @@ fn written_key(path: &std::path::Path) -> String {
     assert_eq!(entries.len(), 1);
     let key = entries[0].get("key").and_then(|k| k.as_str()).unwrap();
     key.to_string()
+}
+
+/// A tuning file as the version-2 writer left it, each entry still
+/// carrying a `"cse"` flag.
+const V2_FILE: &str = concat!(
+    r#"{"version":2,"entries":[{"key":"00ab12cd34ef5678|v2|x86_64|linux|t1","#,
+    r#""strategy":"Serial","lowering":"Rows","policy":"Dynamic","tile":[64,1024],"#,
+    r#""fuse":true,"cse":false,"threads":1,"checkpoint":null,"seconds":0.00125}]}"#,
+);
+
+/// A version-2 file is a clean version miss — not a quarantine — and the
+/// tuner's next save replaces it with a current file, which writes no
+/// `"cse"` and round-trips.
+#[test]
+fn a_version_2_file_is_a_clean_miss_that_the_next_save_replaces() {
+    assert_eq!(CACHE_VERSION, 3);
+    let path = tmp_path("itest_v2_file");
+    let corrupt = path.with_extension("json.corrupt");
+    let _ = std::fs::remove_file(&corrupt);
+    std::fs::write(&path, V2_FILE).unwrap();
+    assert!(TuneCache::load(&path).unwrap().is_empty(), "a version miss");
+    assert!(path.exists(), "a version miss is not a quarantine");
+    assert!(!corrupt.exists(), "and leaves no .corrupt file");
+    let (ws, bind) = heat2d::workspace(20, 0.2);
+    let adj = heat2d::nest()
+        .adjoint(&heat2d::activity(), &AdjointOptions::default())
+        .unwrap();
+    let pool = ThreadPool::new(1);
+    let tune = || autotune_adjoint(&adj, &mut ws.clone(), &bind, &pool, &file_tuner(&path));
+    let (_, searched) = tune().unwrap();
+    assert!(!searched.cache_hit);
+    assert!(!corrupt.exists());
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert!(text.starts_with(r#"{"version":3,"#), "{text}");
+    assert!(!text.contains(r#""cse""#), "{text}");
+    let written = written_key(&path);
+    assert!(written.contains("|v3|"), "{written}");
+    let reloaded = TuneCache::load(&path).unwrap();
+    assert_eq!(reloaded.to_json(), text, "a v3 file round-trips");
+    assert_eq!(reloaded.lookup(&written).unwrap().config, searched.config);
+    let (_, hit) = tune().unwrap();
+    assert!(hit.cache_hit, "the v3 entry is hit");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A cached entry that parses but no longer compiles — a tile edge

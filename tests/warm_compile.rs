@@ -92,9 +92,6 @@ fn plans_compile_once_per_adjoint_term() {
         planned(&adj, &ws, &bind, &SchedOptions::default()),
         (215, 9)
     );
-    // CSE rewrites each term before compiling it — still once per term.
-    let cse = SchedOptions::default().with_cse(true);
-    assert_eq!(planned(&adj, &ws, &bind, &cse), (215, 9));
     // Unfused, every nest is a plan of its own and compiles the terms it
     // holds: one compile per statement, as the memo is per plan.
     let unfused = SchedOptions::default().with_fuse(false);
