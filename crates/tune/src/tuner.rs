@@ -1133,4 +1133,32 @@ mod tests {
         let (pick, _) = pick_batch_strategy(&m, &prof, 3, &cfg, &shape(1));
         assert_eq!(pick, BatchStrategy::GridParallel);
     }
+
+    /// The whole search pinned on a host-independent score: recorded
+    /// before stage 2 and the refinement shared one scoring function, it
+    /// proves the shared loop times the same candidates in the same order
+    /// and keeps the same winner. Seed 1 is one where the refinement
+    /// replaces stage 2's winner (tile 4096 → 2048).
+    #[test]
+    fn synthetic_search_is_golden() {
+        let adj = adjoint();
+        let (mut ws, bind) = setup(200);
+        let pool = ThreadPool::new(2);
+        let opts = TuneOptions::default()
+            .without_cache()
+            .with_top_k(4)
+            .with_jit(false)
+            .with_refine_rounds(1)
+            .with_measure(Measure::Synthetic { seed: 1 });
+        let (_, report) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &opts).unwrap();
+        assert_eq!(
+            report.config.describe(),
+            "Serial/Rows/Dynamic tile [2048] fuse true (1 threads)"
+        );
+        assert_eq!(report.seconds.to_bits(), 0x3fb3_508a_548c_9fe0);
+        assert_eq!(
+            (report.candidates, report.timed, report.refined),
+            (18, 4, 2)
+        );
+    }
 }
