@@ -8,14 +8,13 @@
 //!   implements the symbolic crate's `Scalar`, so a whole stencil loop can
 //!   be executed over the tape;
 //! * [`reverse`] — [`tape_adjoint`]: run a primal nest on the tape, reverse
-//!   once, and read back adjoints of every active input;
-//! * [`stack`] — Tapenade's intermediate-value stack mode for piecewise
-//!   bodies (the sequential Burgers baseline of Fig. 15).
+//!   once, and read back adjoints of every active input.
+//!
+//! Fig. 15's Tapenade stack-mode series is a cost model
+//! (`perforad_perfmodel::with_stack`), not an executor here.
 
 pub mod reverse;
-pub mod stack;
 pub mod tape;
 
 pub use reverse::tape_adjoint;
-pub use stack::{stack_mode_adjoint, StackModeResult};
 pub use tape::{Tape, Var};

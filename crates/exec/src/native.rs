@@ -101,10 +101,6 @@ impl Fnv {
         self.write(&v.to_le_bytes());
     }
 
-    pub fn write_i64(&mut self, v: i64) {
-        self.write(&v.to_le_bytes());
-    }
-
     pub fn finish(&self) -> u64 {
         self.0
     }

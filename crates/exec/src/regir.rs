@@ -856,9 +856,14 @@ mod tests {
 
     #[test]
     fn mul_by_one_is_forwarded() {
+        // A literal `1.0`, or `cos(0)`, folds away when the product is
+        // built. `sign(2^(1/2))` stays a call and is exactly `1.0` only
+        // once lowered, so the multiply reaches the lowerer's peephole.
         let i = Symbol::new("i");
         let u = Array::new("u");
-        let e = u.at(ix![&i]) * Expr::float(1.0);
+        let one = Expr::int(2).pow(Expr::rational(1, 2)).sign();
+        let e = u.at(ix![&i]) * one;
+        assert!(matches!(e.node(), Node::Mul(..)), "{e}");
         let p = lower_1d(&e, false);
         assert_eq!(p.ops.len(), 1, "{:?}", p.ops);
         assert!(matches!(p.ops[0], RegOp::Load { .. }));

@@ -148,12 +148,6 @@ impl Workspace {
         self.grid_at_mut(self.expect_id(name))
     }
 
-    /// The shared binding named `name`, to swap another `Arc` in or out
-    /// without allocating; panics on an owned one.
-    pub fn shared_mut(&mut self, name: &str) -> &mut Arc<Grid> {
-        self.shared_at_mut(self.expect_id(name))
-    }
-
     /// The grid at `id`, owned or shared.
     pub fn grid_at(&self, id: GridId) -> &Grid {
         self.slots[id.0].grid()
@@ -240,7 +234,8 @@ mod tests {
         assert!(ws.get_mut(&Symbol::new("u")).is_none());
         // Swapping another `Arc` in hands the first one back untouched.
         let mut other = Arc::new(Grid::zeros(&[3]));
-        std::mem::swap(ws.shared_mut("u"), &mut other);
+        let u = ws.id("u").unwrap();
+        std::mem::swap(ws.shared_at_mut(u), &mut other);
         assert!(Arc::ptr_eq(&other, &shared));
         assert_eq!(ws.grid("u").sum(), 0.0);
         // A clone of the workspace shares the grid; it does not copy it.

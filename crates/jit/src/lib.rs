@@ -253,8 +253,6 @@ pub struct JitOptions {
     /// `PERFORAD_JIT_RUSTC` environment variable, then `RUSTC`, then
     /// `rustc` from `PATH`.
     pub rustc: Option<PathBuf>,
-    /// Keep the generated `.rs` next to the artifact (debugging aid).
-    pub keep_sources: bool,
 }
 
 impl Default for JitOptions {
@@ -264,7 +262,6 @@ impl Default for JitOptions {
             rustc: std::env::var_os("PERFORAD_JIT_RUSTC")
                 .or_else(|| std::env::var_os("RUSTC"))
                 .map(PathBuf::from),
-            keep_sources: false,
         }
     }
 }
@@ -594,9 +591,7 @@ fn prepare_group(plan: &Plan, opts: &JitOptions, report: &mut JitReport) -> Resu
         compile_cdylib(opts, &src_path, &artifact, report.avx2)
     };
     report.compile_ms += t0.elapsed().as_secs_f64() * 1e3;
-    if !opts.keep_sources {
-        let _ = std::fs::remove_file(&src_path);
-    }
+    let _ = std::fs::remove_file(&src_path);
     built?;
     let group = {
         let _span = perforad_obs::span!("jit.load", "jit", "nests" => plan.nests().len() as u64);

@@ -184,7 +184,7 @@ impl<'p> Stepper<'p> {
             .with_shared("u_2", Arc::clone(&zero));
         let mut tuned = tuned.clone();
         let (mut schedule, native) =
-            compile_tuned(&[wave3d::nest()], &ws, &bind, false, &tuned).expect("primal schedules");
+            compile_tuned(&[wave3d::nest()], &ws, &bind, &tuned).expect("primal schedules");
         if !native {
             // Plain rows, not an unprepared `Jit` (the same tiles on the
             // same executor, but counted as a degraded execution).

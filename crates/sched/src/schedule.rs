@@ -177,17 +177,11 @@ pub struct Schedule {
     pub lowering: Lowering,
     /// Whether conflict-free nests were merged into shared groups.
     pub fused: bool,
-    /// The arrays that carry state when the groups were compiled in
-    /// accumulate mode; `None` in plain mode.
-    pub accumulate: Option<BTreeSet<Symbol>>,
     /// The source nests the schedule was compiled from, in original order
-    /// — kept so the autotuner can recompile the same work under other
-    /// configurations (`perforad-tune`'s `Schedule::autotune`). Behind an
-    /// `Arc` so cloning a schedule does not deep-copy the nest IR.
+    /// — [`Schedule::unassigned_reads`] reads their statements. Shared with
+    /// the adjoint (behind an `Arc`), so cloning a schedule or compiling
+    /// the same work under many configurations never copies the nest IR.
     pub source: Arc<[LoopNest]>,
-    /// Whether out-of-range reads resolve to zero padding (the adjoint's
-    /// `BoundaryStrategy::Padded`), needed alongside `source` to recompile.
-    pub padded: bool,
 }
 
 impl Schedule {
@@ -413,9 +407,7 @@ pub fn compile_schedule_source(
         policy: opts.policy,
         lowering: opts.lowering,
         fused: opts.fuse,
-        accumulate: opts.accumulate.clone(),
         source: source.clone(),
-        padded,
     })
 }
 

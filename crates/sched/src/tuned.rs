@@ -3,17 +3,19 @@
 //! A [`TunedConfig`] is the pure-data description of one point in the
 //! adjoint schedule space — parallel strategy × lowering × tile policy ×
 //! tile edges × fusion on/off — as produced by the `perforad-tune`
-//! autotuner and consumed by [`SchedOptions::from_tuned`] (compile-time
-//! half) and [`run_tuned`] (run-time half). It lives here rather than in
-//! the tuner crate so the scheduler can accept it without a dependency
-//! cycle.
+//! autotuner and consumed by
+//! [`SchedOptions::from_tuned`](crate::SchedOptions::from_tuned)
+//! (compile-time half) and [`run_tuned`] (run-time half). It lives here
+//! rather than in the tuner crate so the scheduler can accept it without
+//! a dependency cycle.
 
 use crate::error::SchedError;
-use crate::schedule::{BoundSchedule, SchedOptions, Schedule, TilePolicy};
+use crate::schedule::{BoundSchedule, Schedule, TilePolicy};
 use perforad_exec::{ExecStats, Lowering, Strategy, ThreadPool, Workspace};
 
 /// Run-time half of a tuned configuration: how the compiled schedule is
-/// driven (the compile-time half lives in [`SchedOptions`]).
+/// driven (the compile-time half lives in
+/// [`SchedOptions`](crate::SchedOptions)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum TunedStrategy {
     /// Single thread, tile order — wins on problems too small to amortise
@@ -47,7 +49,8 @@ pub struct TunedConfig {
     /// (`TuneOptions::with_time_loop`), `None` for plain single-sweep
     /// tunings. Like `threads`, it is advice to the *driver* of the
     /// schedule (the checkpointed time loop), not a compile-time knob:
-    /// [`SchedOptions::from_tuned`] ignores it.
+    /// [`SchedOptions::from_tuned`](crate::SchedOptions::from_tuned)
+    /// ignores it.
     pub checkpoint: Option<usize>,
 }
 
@@ -78,12 +81,6 @@ impl TunedConfig {
         )
     }
 
-    /// The scheduler options matching this configuration
-    /// (alias of [`SchedOptions::from_tuned`]).
-    pub fn sched_options(&self) -> SchedOptions {
-        SchedOptions::from_tuned(self)
-    }
-
     /// The executor strategy this configuration's run-time half asks for:
     /// the calling thread alone, or `pool`.
     pub fn exec_strategy<'p>(&self, pool: &'p ThreadPool) -> Strategy<'p> {
@@ -96,9 +93,10 @@ impl TunedConfig {
 
 /// Execute a schedule the way its tuned configuration asks: serially for
 /// [`TunedStrategy::Serial`], on the pool otherwise. The schedule itself
-/// must already have been compiled with [`SchedOptions::from_tuned`] for
-/// the tile/lowering/policy/fusion half of `cfg` to be in effect. Binds
-/// and runs once; a time loop keeps a [`BoundSchedule`] instead.
+/// must already have been compiled with
+/// [`SchedOptions::from_tuned`](crate::SchedOptions::from_tuned) for the
+/// tile/lowering/policy/fusion half of `cfg` to be in effect. Binds and
+/// runs once; a time loop keeps a [`BoundSchedule`] instead.
 pub fn run_tuned(
     schedule: &Schedule,
     cfg: &TunedConfig,
@@ -111,6 +109,7 @@ pub fn run_tuned(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::SchedOptions;
 
     #[test]
     fn from_tuned_maps_every_compile_time_knob() {
@@ -128,7 +127,6 @@ mod tests {
         assert_eq!(opts.policy, TilePolicy::Static);
         assert_eq!(opts.lowering, Lowering::Rows);
         assert!(!opts.fuse);
-        assert_eq!(cfg.sched_options().tile, opts.tile);
     }
 
     #[test]

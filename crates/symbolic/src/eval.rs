@@ -272,10 +272,6 @@ impl MapCtx {
         self.arrays.insert(Symbol::new(name), (dims, data));
         self
     }
-
-    pub fn set_index(&mut self, name: &str, v: i64) {
-        self.indices.insert(Symbol::new(name), v);
-    }
 }
 
 impl EvalContext<f64> for MapCtx {

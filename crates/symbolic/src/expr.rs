@@ -381,10 +381,6 @@ impl Expr {
         self.as_num().map(|n| n.is_one()).unwrap_or(false)
     }
 
-    pub fn is_num(&self) -> bool {
-        matches!(self.node(), Node::Num(_))
-    }
-
     /// Rank used for canonical ordering of terms and factors.
     pub(crate) fn rank(&self) -> u8 {
         match self.node() {

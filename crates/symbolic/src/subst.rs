@@ -105,34 +105,6 @@ pub fn subst_sym(e: &Expr, map: &BTreeMap<Symbol, Expr>) -> Expr {
     })
 }
 
-/// Replace whole array accesses by expressions (used to inline primal values
-/// during verification and testing).
-pub fn subst_access(e: &Expr, map: &BTreeMap<Access, Expr>) -> Expr {
-    rebuild(
-        e,
-        &|a| match map.get(a) {
-            Some(rep) => rep.clone(),
-            None => Expr::access(a.clone()),
-        },
-        &|s| Expr::sym(s.clone()),
-    )
-}
-
-/// Rename arrays wholesale (e.g. `u ↦ u_b` when building adjoint accesses).
-pub fn rename_arrays(e: &Expr, map: &BTreeMap<Symbol, Symbol>) -> Expr {
-    rebuild(
-        e,
-        &|a| {
-            let name = map
-                .get(&a.array)
-                .cloned()
-                .unwrap_or_else(|| a.array.clone());
-            Expr::access(Access::new(name, a.indices.to_vec()))
-        },
-        &|s| Expr::sym(s.clone()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,30 +142,6 @@ mod tests {
         map.insert(d, Expr::float(0.25));
         let bound = subst_sym(&e, &map);
         assert_eq!(bound, 0.25 * u.at(ix![&i]));
-    }
-
-    #[test]
-    fn subst_access_inlines_values() {
-        let i = Symbol::new("i");
-        let u = Array::new("u");
-        let acc = match u.at(ix![&i]).node().clone() {
-            Node::Access(a) => a,
-            _ => unreachable!(),
-        };
-        let e = u.at(ix![&i]).powi(2);
-        let mut map = BTreeMap::new();
-        map.insert(acc, Expr::float(3.0));
-        assert_eq!(subst_access(&e, &map), Expr::float(9.0));
-    }
-
-    #[test]
-    fn rename_arrays_renames() {
-        let i = Symbol::new("i");
-        let u = Array::new("u");
-        let e = u.at(ix![&i]);
-        let mut map = BTreeMap::new();
-        map.insert(Symbol::new("u"), Symbol::new("u_b"));
-        assert_eq!(rename_arrays(&e, &map), Array::new("u_b").at(ix![&i]));
     }
 
     #[test]

@@ -117,21 +117,6 @@ pub fn scalar_symbols(e: &Expr) -> BTreeSet<Symbol> {
     set
 }
 
-/// Symbols appearing inside array index expressions (counters, extents).
-pub fn index_symbols(e: &Expr) -> BTreeSet<Symbol> {
-    let mut set = BTreeSet::new();
-    for_each(e, &mut |x| {
-        if let Node::Access(a) = x.node() {
-            for ix in a.indices.iter() {
-                for s in ix.symbols() {
-                    set.insert(s.clone());
-                }
-            }
-        }
-    });
-    set
-}
-
 /// Does any sub-expression satisfy the predicate?
 pub fn contains(e: &Expr, pred: &mut impl FnMut(&Expr) -> bool) -> bool {
     let mut found = false;
@@ -172,14 +157,11 @@ mod tests {
     }
 
     #[test]
-    fn index_symbols_sees_counters() {
+    fn scalar_symbols_skip_indices() {
         let i = Symbol::new("i");
         let n = Symbol::new("n");
         let u = Array::new("u");
         let e = u.at(vec![(&i + 1) + crate::Idx::sym(n.clone())]);
-        let syms = index_symbols(&e);
-        assert!(syms.contains(&i));
-        assert!(syms.contains(&n));
         assert!(scalar_symbols(&e).is_empty());
     }
 

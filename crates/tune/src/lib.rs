@@ -29,8 +29,8 @@
 //! ```
 //! use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};
 //! use perforad_exec::{Binding, Grid, ThreadPool, Workspace};
-//! use perforad_sched::{compile_schedule, run_tuned, SchedOptions};
-//! use perforad_tune::{Measure, ScheduleAutotune, TuneOptions};
+//! use perforad_sched::run_tuned;
+//! use perforad_tune::{autotune_adjoint, Measure, TuneOptions};
 //! use perforad_symbolic::{ix, Array, Idx, Symbol};
 //!
 //! let (i, n) = (Symbol::new("i"), Symbol::new("n"));
@@ -50,11 +50,11 @@
 //! let bind = Binding::new().size("n", 256);
 //! let pool = ThreadPool::new(2);
 //!
-//! // Compile with any starting options, then let the tuner replace it.
-//! let mut schedule = compile_schedule(&adj, &ws, &bind, &SchedOptions::default()).unwrap();
+//! // The tuner returns the winner compiled, with the configuration that
+//! // tells `run_tuned` how to drive it.
 //! let opts = TuneOptions::default().without_cache().with_measure(Measure::Model);
-//! let cfg = schedule.autotune(&mut ws, &bind, &pool, &opts).unwrap();
-//! run_tuned(&schedule, &cfg, &mut ws, &pool).unwrap();
+//! let (schedule, report) = autotune_adjoint(&adj, &mut ws, &bind, &pool, &opts).unwrap();
+//! run_tuned(&schedule, &report.config, &mut ws, &pool).unwrap();
 //! assert!(ws.grid("u_b").sum() != 0.0);
 //! ```
 //!
@@ -77,9 +77,9 @@ pub use perforad_perfmodel::{
     host, predict_batch, profile, BatchShape, BatchStrategy, KernelProfile, Machine,
 };
 pub use perforad_sched::{run_tuned, TunedConfig, TunedStrategy};
-pub use space::{budget_palette, search_space, search_space_full, tile_palette};
+pub use space::{budget_palette, search_space, tile_palette};
 pub use timing::time_best;
 pub use tuner::{
-    autotune_adjoint, autotune_nests, compile_tuned, pick_batch_strategy, Measure,
-    ScheduleAutotune, TimeLoop, TuneError, TuneOptions, TuneReport,
+    autotune_adjoint, compile_tuned, pick_batch_strategy, Measure, TimeLoop, TuneError,
+    TuneOptions, TuneReport, PRIMAL_FACTOR,
 };

@@ -33,23 +33,15 @@ pub fn tile_palette(rank: usize) -> Vec<Vec<i64>> {
 /// workers) but collapse the policy axis — tile order is policy-free with
 /// one worker.
 ///
-/// This base enumeration excludes the JIT lowering;
-/// [`search_space_full`] adds it when the host can actually build or
-/// load native code.
-pub fn search_space(rank: usize, threads: usize) -> Vec<TunedConfig> {
-    search_space_full(rank, threads, false)
-}
-
-/// [`search_space`] with the JIT lowering optionally included as a second
-/// point on the lowering axis. Callers gate `jit` on
-/// `perforad_jit::available()` (or a warm artifact cache) so the tuner
-/// never times candidates that would silently fall back to rows.
+/// `jit` adds the JIT lowering as a second point on the lowering axis.
+/// The tuner gates it on `perforad_jit::available()` so it never times
+/// candidates that would silently fall back to rows.
 ///
 /// [`Lowering::PerPoint`] is never offered: the interpreter is the
 /// reference the property suites compare against, 3–8× slower than rows
 /// in every measurement, so no tuned config should carry it into the
 /// serving path. (A cached entry naming it still parses and runs.)
-pub fn search_space_full(rank: usize, threads: usize, jit: bool) -> Vec<TunedConfig> {
+pub fn search_space(rank: usize, threads: usize, jit: bool) -> Vec<TunedConfig> {
     let lowerings: &[Lowering] = if jit {
         &[Lowering::Jit, Lowering::Rows]
     } else {
@@ -133,7 +125,7 @@ mod tests {
 
     #[test]
     fn space_covers_every_axis() {
-        let space = search_space(3, 8);
+        let space = search_space(3, 8, false);
         // 3 tiles × 1 lowering × 2 fuse × (2 parallel policies + serial).
         assert_eq!(space.len(), 3 * 2 * 3);
         assert!(space.iter().any(|c| c.strategy == TunedStrategy::Serial));
@@ -149,9 +141,9 @@ mod tests {
 
     #[test]
     fn jit_axis_is_opt_in() {
-        let base = search_space_full(2, 4, false);
+        let base = search_space(2, 4, false);
         assert!(base.iter().all(|c| c.lowering != Lowering::Jit));
-        let with_jit = search_space_full(2, 4, true);
+        let with_jit = search_space(2, 4, true);
         // One extra lowering point doubles the base space; the
         // interpreter is on neither.
         assert_eq!(with_jit.len(), base.len() * 2);
@@ -182,7 +174,7 @@ mod tests {
 
     #[test]
     fn serial_candidates_do_not_duplicate_policies() {
-        let space = search_space(1, 4);
+        let space = search_space(1, 4, false);
         let serial: Vec<_> = space
             .iter()
             .filter(|c| c.strategy == TunedStrategy::Serial)

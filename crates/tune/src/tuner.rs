@@ -1,8 +1,8 @@
 //! The two-stage tuner: model-guided pruning, then empirical timing.
 //!
-//! Stage 1 ranks the whole [`search_space`](crate::search_space) (plus
-//! the JIT lowering axis when the host can build or load native code)
-//! with [`perforad_perfmodel::predict_schedule`] — pure arithmetic, no
+//! Stage 1 ranks the whole [`search_space`] (plus the JIT lowering axis
+//! when the host can build or load native code) with
+//! [`perforad_perfmodel::predict_schedule`] — pure arithmetic, no
 //! execution — and keeps the top-K candidates. Stage 2 compiles each
 //! survivor into a real [`Schedule`] — JIT candidates are natively
 //! prepared first, reusing `perforad-jit`'s persistent artifact cache so
@@ -10,14 +10,14 @@
 //! it (best-of-N wall clock, one warm-up sweep first). A hill-climbing
 //! refinement stage then walks the winner's tile vector (±1
 //! doubling/halving step per rank, the palette's step size) until no
-//! neighbour improves. The final winner is returned, installed, and
-//! recorded in the tuning cache so the next identical (work, machine)
-//! pair skips every stage.
+//! neighbour improves, scoring each neighbour the way stage 2 scores a
+//! survivor. The final winner is returned and recorded in the tuning
+//! cache so the next identical (work, machine) pair skips every stage.
 
 use crate::cache::{
     cache_key, fingerprint_nests, fnv1a64, memory_lookup, memory_store, CacheEntry, TuneCache,
 };
-use crate::space::{budget_palette, search_space_full};
+use crate::space::{budget_palette, search_space};
 use crate::timing::time_best;
 use perforad_ckpt::CheckpointPlan;
 use perforad_core::{Adjoint, BoundaryStrategy, LoopNest};
@@ -34,7 +34,7 @@ use perforad_symbolic::Symbol;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// How stage 2 scores the surviving candidates.
 #[derive(Clone, Copy, Debug)]
@@ -55,6 +55,14 @@ pub enum Measure {
     Model,
 }
 
+/// One primal step's cost as a fraction of one adjoint sweep (the
+/// quantity the tuner measures). The adjoint of a stencil step does
+/// strictly more work than the step itself, so this is below 1. Both the
+/// snapshot budget ([`TimeLoop`]) and the batch strategy
+/// ([`pick_batch_strategy`]) price recomputed and forward steps with it,
+/// and a time-loop cache key records it.
+pub const PRIMAL_FACTOR: f64 = 0.5;
+
 /// A checkpointed time loop the tuned schedule will drive, described to
 /// the tuner so it can search the snapshot-count axis jointly with the
 /// stencil schedule. The axis is *separable*: the budget never changes
@@ -68,26 +76,12 @@ pub struct TimeLoop {
     pub steps: usize,
     /// Bytes per trajectory snapshot (the full time-loop state).
     pub state_bytes: usize,
-    /// One primal step's cost as a fraction of one adjoint sweep (the
-    /// quantity the tuner actually measures). The adjoint of a stencil
-    /// step does strictly more work than the step itself, so this is
-    /// below 1; recompute cost scales with it.
-    pub primal_factor: f64,
 }
 
 impl TimeLoop {
-    /// Describe a sweep; the primal/adjoint cost ratio defaults to 0.5.
+    /// Describe a sweep.
     pub fn new(steps: usize, state_bytes: usize) -> Self {
-        TimeLoop {
-            steps,
-            state_bytes,
-            primal_factor: 0.5,
-        }
-    }
-
-    pub fn with_primal_factor(mut self, f: f64) -> Self {
-        self.primal_factor = f.max(0.0);
-        self
+        TimeLoop { steps, state_bytes }
     }
 }
 
@@ -107,9 +101,9 @@ pub struct TuneOptions {
     pub memory_cache: bool,
     /// Compile every candidate, and the winner, in accumulate mode,
     /// carrying state in these arrays (`SchedOptions::accumulate`; `None`:
-    /// plain mode). Not a searched axis — the caller's plan-level choice,
-    /// preserved by `Schedule::autotune` — and not part of the cache key: the mode drops a scratch pass and a fill, it
-    /// does not change which configuration wins.
+    /// plain mode). Not a searched axis — the caller's plan-level choice —
+    /// and not part of the cache key: the mode drops a scratch pass and a
+    /// fill, it does not change which configuration wins.
     pub accumulate: Option<BTreeSet<Symbol>>,
     /// Include the JIT lowering in the search space (effective only when
     /// `perforad_jit::available()` — no toolchain, no Jit candidates, so
@@ -271,29 +265,21 @@ pub struct TuneReport {
     pub checkpoint_candidates: Vec<(usize, f64)>,
 }
 
-/// Tune a nest list: enumerate, model-prune, time, cache, and return the
-/// winning configuration together with the schedule compiled under it.
-pub fn autotune_nests(
-    nests: &[LoopNest],
+/// Tune a full adjoint: enumerate, model-prune, time, cache, and return
+/// the winning configuration together with the schedule compiled under
+/// it. Extent-checks like `compile_schedule` and honours the padded
+/// boundary strategy; every schedule compiled here, a cache hit's
+/// included, shares the adjoint's nest list and copies it never.
+pub fn autotune_adjoint(
+    adj: &Adjoint,
     ws: &mut Workspace,
     bind: &Binding,
-    padded: bool,
     pool: &ThreadPool,
     opts: &TuneOptions,
 ) -> Result<(Schedule, TuneReport), TuneError> {
-    autotune_source(&nests.into(), ws, bind, padded, pool, opts)
-}
-
-/// [`autotune_nests`] over a list that is already shared: every schedule
-/// compiled here, a cache hit's included, references it and copies it never.
-fn autotune_source(
-    source: &Arc<[LoopNest]>,
-    ws: &mut Workspace,
-    bind: &Binding,
-    padded: bool,
-    pool: &ThreadPool,
-    opts: &TuneOptions,
-) -> Result<(Schedule, TuneReport), TuneError> {
+    perforad_exec::check_adjoint_extents(adj, bind).map_err(SchedError::from)?;
+    let padded = adj.strategy == BoundaryStrategy::Padded;
+    let source = &adj.nests;
     let nests: &[LoopNest] = source;
     if nests.is_empty() {
         return Err(SchedError::BadInput("no nests to autotune".into()).into());
@@ -313,7 +299,7 @@ fn autotune_source(
         // carries the full pricing context, not just the sweep.
         key.push_str(&format!(
             "|tl{}x{}m{}p{}",
-            tl.steps, tl.state_bytes, opts.machine.mem_budget_bytes, tl.primal_factor
+            tl.steps, tl.state_bytes, opts.machine.mem_budget_bytes, PRIMAL_FACTOR
         ));
     }
 
@@ -359,7 +345,7 @@ fn autotune_source(
     // Stage 1: rank the whole space analytically. The JIT axis joins
     // only when this host can actually build (or has cached) native code.
     let rank = nests[0].rank();
-    let space = search_space_full(rank, threads, opts.jit && perforad_jit::available());
+    let space = search_space(rank, threads, opts.jit && perforad_jit::available());
     if space.is_empty() {
         return Err(TuneError::EmptySpace);
     }
@@ -376,40 +362,53 @@ fn autotune_source(
     let k = opts.top_k.clamp(1, candidates);
     perforad_obs::counter("tune.pruned").add((candidates - k) as u64);
 
-    // Stage 2: score the survivors.
+    // Compile a candidate and score it: under wall-clock timing, JIT
+    // candidates are natively prepared first (the artifact cache makes
+    // this once-per-fingerprint) and one untimed warm-up run (page-in,
+    // pool wake) precedes the timed ones. A candidate that cannot be
+    // prepared is dropped rather than timed as a silent rows fallback.
+    // Model and synthetic modes never execute, so they stay build-free —
+    // their Jit winner is prepared lazily by the caller (or falls back to
+    // the bitwise-identical rows lowering).
+    let mut score = |cfg: &TunedConfig, pred: f64| {
+        let schedule = match compile_schedule_source(source, ws, bind, padded, &sched_options(cfg))
+        {
+            Ok(s) => s,
+            Err(e) => return Scored::NoCompile(e),
+        };
+        let secs = match opts.measure {
+            Measure::Model => pred,
+            Measure::Synthetic { seed } => synthetic_time(seed, cfg),
+            Measure::Wall { samples } => {
+                if !prepare_if_jit(&schedule, cfg, bind) {
+                    return Scored::Unprepared;
+                }
+                if let Err(e) = run_tuned(&schedule, cfg, ws, pool) {
+                    return Scored::NoWarmUp(e);
+                }
+                time_best(samples.max(1), || {
+                    run_tuned(&schedule, cfg, ws, pool).expect("timed candidate run");
+                })
+            }
+        };
+        Scored::Time(schedule, secs)
+    };
+
+    // Stage 2: score the survivors. A compile error is kept for the
+    // report should no candidate compile; a failed warm-up ends the search.
     let mut best: Option<(Schedule, TunedConfig, f64)> = None;
     let mut last_err: Option<SchedError> = None;
     let mut timed = 0usize;
     for (ci, (cfg, pred)) in ranked.iter().take(k).enumerate() {
         let _cand_span = perforad_obs::span!("tune.candidate", "tune", "rank" => ci as u64);
-        let schedule = match compile_schedule_source(source, ws, bind, padded, &sched_options(cfg))
-        {
-            Ok(s) => s,
-            Err(e) => {
+        let (schedule, secs) = match score(cfg, *pred) {
+            Scored::Time(schedule, secs) => (schedule, secs),
+            Scored::NoCompile(e) => {
                 last_err = Some(e);
                 continue;
             }
-        };
-        // Under wall-clock timing, JIT candidates must be natively
-        // prepared before measuring (the artifact cache makes this
-        // once-per-fingerprint); a candidate that cannot be prepared is
-        // dropped rather than timed as a silent rows fallback. Model and
-        // synthetic modes never execute, so they stay build-free — their
-        // Jit winner is prepared lazily by the caller (or falls back to
-        // the bitwise-identical rows lowering).
-        if matches!(opts.measure, Measure::Wall { .. }) && !prepare_if_jit(&schedule, cfg, bind) {
-            continue;
-        }
-        let secs = match opts.measure {
-            Measure::Model => *pred,
-            Measure::Synthetic { seed } => synthetic_time(seed, cfg),
-            Measure::Wall { samples } => {
-                // Warm-up run (page-in, pool wake) before the timed reps.
-                run_tuned(&schedule, cfg, ws, pool)?;
-                time_best(samples.max(1), || {
-                    run_tuned(&schedule, cfg, ws, pool).expect("timed schedule run");
-                })
-            }
+            Scored::Unprepared => continue,
+            Scored::NoWarmUp(e) => return Err(e.into()),
         };
         timed += 1;
         perforad_obs::counter("tune.timed").inc();
@@ -420,7 +419,8 @@ fn autotune_source(
 
     // Refinement: hill-climb the winner's tile vector, one
     // doubling/halving step per rank and direction, re-basing on every
-    // improvement. Model mode has no empirical signal to climb.
+    // improvement; a neighbour that fails to compile or run is skipped.
+    // Model mode has no empirical signal to climb.
     let mut refined = 0usize;
     if best.is_some() && !matches!(opts.measure, Measure::Model) {
         let mut tried: BTreeSet<Vec<i64>> = BTreeSet::new();
@@ -445,27 +445,9 @@ fn autotune_source(
                     let _refine_span = perforad_obs::span!("tune.refine", "tune");
                     let mut cfg = base_cfg.clone();
                     cfg.tile = tile;
-                    let Ok(schedule) =
-                        compile_schedule_source(source, ws, bind, padded, &sched_options(&cfg))
-                    else {
+                    // No prediction: Model mode never refines.
+                    let Scored::Time(schedule, secs) = score(&cfg, f64::NAN) else {
                         continue;
-                    };
-                    if matches!(opts.measure, Measure::Wall { .. })
-                        && !prepare_if_jit(&schedule, &cfg, bind)
-                    {
-                        continue;
-                    }
-                    let secs = match opts.measure {
-                        Measure::Model => unreachable!("refinement skips Model mode"),
-                        Measure::Synthetic { seed } => synthetic_time(seed, &cfg),
-                        Measure::Wall { samples } => {
-                            if run_tuned(&schedule, &cfg, ws, pool).is_err() {
-                                continue;
-                            }
-                            time_best(samples.max(1), || {
-                                run_tuned(&schedule, &cfg, ws, pool).expect("timed refine run");
-                            })
-                        }
                     };
                     refined += 1;
                     perforad_obs::counter("tune.refined").inc();
@@ -540,7 +522,7 @@ fn pick_budget(
     tl: &TimeLoop,
     adjoint_step_s: f64,
 ) -> (usize, Vec<(usize, f64)>) {
-    let primal_step_s = adjoint_step_s * tl.primal_factor;
+    let primal_step_s = adjoint_step_s * PRIMAL_FACTOR;
     let scored: Vec<(usize, f64)> =
         budget_palette(tl.steps, tl.state_bytes, machine.mem_budget_bytes)
             .into_iter()
@@ -566,7 +548,7 @@ fn pick_budget(
 /// from the tuned configuration's analytic sweep times (the serial
 /// variant for shot-parallel workers, the configured parallel variant
 /// for grid-parallel round-robin; the primal stepper runs serially in
-/// both at [`TimeLoop`]'s default half-an-adjoint-sweep factor). Returns
+/// both at [`PRIMAL_FACTOR`] of a serial sweep). Returns
 /// the winner plus the scored axis; ties go to shot-parallel when the
 /// batch can fill the pool, grid-parallel otherwise. The bitwise-identity
 /// invariant makes this a pure performance choice — every strategy
@@ -588,7 +570,7 @@ pub fn pick_batch_strategy(
     let serial_sweep = sweep_s(TunedStrategy::Serial);
     let parallel_sweep = sweep_s(TunedStrategy::Parallel);
     let steps = shape.steps.max(1) as f64;
-    let primal_s = 0.5 * serial_sweep;
+    let primal_s = PRIMAL_FACTOR * serial_sweep;
     let serial_shot_s = steps * (primal_s + serial_sweep);
     let parallel_shot_s = steps * (primal_s + parallel_sweep);
     let scored: Vec<(BatchStrategy, f64)> =
@@ -620,83 +602,35 @@ fn prepare_if_jit(schedule: &Schedule, cfg: &TunedConfig, bind: &Binding) -> boo
             .is_ok()
 }
 
-/// Compile `nests` the way a tuned configuration asks and, when it asks
-/// for the JIT lowering, natively prepare the result in this process
-/// (`prepare_if_jit`'s route; a warm artifact cache makes it a `dlopen`,
-/// not a compile). The flag is `false` only for a `Jit` schedule that
-/// could not be prepared: it still runs — on the bitwise-identical rows
-/// lowering, each execution counted in `jit.degraded_fallbacks` — so a
-/// caller with its own fallback sets the schedule's lowering to `Rows`.
+/// Compile `nests` (unpadded) the way a tuned configuration asks and,
+/// when it asks for the JIT lowering, natively prepare the result in this
+/// process (`prepare_if_jit`'s route; a warm artifact cache makes it a
+/// `dlopen`, not a compile). The flag is `false` only for a `Jit`
+/// schedule that could not be prepared: it still runs — on the
+/// bitwise-identical rows lowering, each execution counted in
+/// `jit.degraded_fallbacks` — so a caller with its own fallback sets the
+/// schedule's lowering to `Rows`.
 pub fn compile_tuned(
     nests: &[LoopNest],
     ws: &Workspace,
     bind: &Binding,
-    padded: bool,
     cfg: &TunedConfig,
 ) -> Result<(Schedule, bool), SchedError> {
-    let schedule = compile_schedule_nests(nests, ws, bind, padded, &SchedOptions::from_tuned(cfg))?;
+    let schedule = compile_schedule_nests(nests, ws, bind, false, &SchedOptions::from_tuned(cfg))?;
     let native = prepare_if_jit(&schedule, cfg, bind);
     Ok((schedule, native))
 }
 
-/// Tune a full adjoint (extent-checks like `compile_schedule`, honours
-/// the padded boundary strategy).
-pub fn autotune_adjoint(
-    adj: &Adjoint,
-    ws: &mut Workspace,
-    bind: &Binding,
-    pool: &ThreadPool,
-    opts: &TuneOptions,
-) -> Result<(Schedule, TuneReport), TuneError> {
-    perforad_exec::check_adjoint_extents(adj, bind).map_err(SchedError::from)?;
-    let padded = adj.strategy == BoundaryStrategy::Padded;
-    autotune_source(&adj.nests, ws, bind, padded, pool, opts)
-}
-
-/// `Schedule::autotune` — the closed loop on an already-compiled
-/// schedule: re-search its retained source nests, replace `self` with the
-/// winning compilation, return the winning configuration.
-pub trait ScheduleAutotune {
-    /// Full outcome, including the model ranking and cache provenance.
-    fn autotune_report(
-        &mut self,
-        ws: &mut Workspace,
-        bind: &Binding,
-        pool: &ThreadPool,
-        opts: &TuneOptions,
-    ) -> Result<TuneReport, TuneError>;
-
-    /// Tune and return just the winning configuration.
-    fn autotune(
-        &mut self,
-        ws: &mut Workspace,
-        bind: &Binding,
-        pool: &ThreadPool,
-        opts: &TuneOptions,
-    ) -> Result<TunedConfig, TuneError> {
-        self.autotune_report(ws, bind, pool, opts).map(|r| r.config)
-    }
-}
-
-impl ScheduleAutotune for Schedule {
-    fn autotune_report(
-        &mut self,
-        ws: &mut Workspace,
-        bind: &Binding,
-        pool: &ThreadPool,
-        opts: &TuneOptions,
-    ) -> Result<TuneReport, TuneError> {
-        let source = self.source.clone();
-        // Retuning preserves the schedule's own accumulate setting — the
-        // caller's plan-level choice, not a searched axis.
-        let opts = TuneOptions {
-            accumulate: self.accumulate.clone(),
-            ..opts.clone()
-        };
-        let (schedule, report) = autotune_source(&source, ws, bind, self.padded, pool, &opts)?;
-        *self = schedule;
-        Ok(report)
-    }
+/// How scoring one candidate ended.
+enum Scored {
+    /// Compiled and scored, seconds.
+    Time(Schedule, f64),
+    /// The candidate did not compile.
+    NoCompile(SchedError),
+    /// A JIT candidate that could not be natively prepared.
+    Unprepared,
+    /// The untimed warm-up run failed.
+    NoWarmUp(SchedError),
 }
 
 /// The [`ScheduleShape`] a candidate would execute with, estimated
@@ -887,31 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_autotune_installs_the_winner_in_place() {
-        use perforad_sched::compile_schedule;
-        let adj = adjoint();
-        let (mut ws, bind) = setup(400);
-        let accumulate = SchedOptions::default().with_accumulate(["u_b"]);
-        let mut schedule = compile_schedule(&adj, &ws, &bind, &accumulate).unwrap();
-        let pool = ThreadPool::new(2);
-        let opts = TuneOptions::default()
-            .without_cache()
-            .with_measure(Measure::Synthetic { seed: 3 });
-        let cfg = schedule.autotune(&mut ws, &bind, &pool, &opts).unwrap();
-        // The schedule now reflects the winning compile-time knobs, and
-        // keeps the plan-level mode it was compiled in.
-        assert_eq!(schedule.lowering, cfg.lowering);
-        assert_eq!(schedule.policy, cfg.policy);
-        assert_eq!(schedule.fused, cfg.fuse);
-        assert_eq!(schedule.tile, cfg.tile);
-        assert!(
-            schedule.accumulate.is_some() && schedule.groups.iter().all(|g| g.plan.accumulate())
-        );
-        assert_eq!(schedule.source.len(), 5, "source nests are retained");
-        run_tuned(&schedule, &cfg, &mut ws, &pool).unwrap();
-    }
-
-    #[test]
     fn refinement_walks_tile_neighbours_and_never_worsens_the_winner() {
         let adj = adjoint();
         let pool = ThreadPool::new(2);
@@ -1077,8 +986,12 @@ mod tests {
     fn empty_nest_lists_error_cleanly() {
         let (mut ws, bind) = setup(32);
         let pool = ThreadPool::new(1);
+        let empty = Adjoint {
+            nests: Vec::new().into(),
+            ..adjoint()
+        };
         let err =
-            autotune_nests(&[], &mut ws, &bind, false, &pool, &TuneOptions::default()).unwrap_err();
+            autotune_adjoint(&empty, &mut ws, &bind, &pool, &TuneOptions::default()).unwrap_err();
         assert!(matches!(err, TuneError::Sched(SchedError::BadInput(_))));
     }
 

@@ -167,8 +167,8 @@
 //! // `Measure::Model` trusts the analytic ranking (no timing runs) —
 //! // production callers use the default wall-clock measure instead.
 //! let opts = TuneOptions::default().without_cache().with_measure(Measure::Model);
-//! let mut schedule = compile_schedule(&adjoint, &ws, &bind, &SchedOptions::default()).unwrap();
-//! let cfg: TunedConfig = schedule.autotune(&mut ws, &bind, &pool, &opts).unwrap();
+//! let (schedule, report) = autotune_adjoint(&adjoint, &mut ws, &bind, &pool, &opts).unwrap();
+//! let cfg: TunedConfig = report.config;
 //! run_tuned(&schedule, &cfg, &mut ws, &pool).unwrap();
 //! assert!(ws.grid("u_b").sum() != 0.0);
 //! ```
@@ -396,7 +396,7 @@ pub mod prelude {
     };
     pub use perforad_symbolic::{ix, Array, Expr, Idx, Symbol};
     pub use perforad_tune::{
-        autotune_adjoint, autotune_nests, pick_batch_strategy, BatchStrategy, Measure,
-        ScheduleAutotune, TimeLoop, TuneError, TuneOptions, TuneReport,
+        autotune_adjoint, pick_batch_strategy, BatchStrategy, Measure, TimeLoop, TuneError,
+        TuneOptions, TuneReport,
     };
 }

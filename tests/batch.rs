@@ -16,7 +16,9 @@ use perforad::pde::seismic::{
     CKPT_THRESHOLD_STEPS,
 };
 use perforad::pde::{wave3d, BatchStrategy};
-use perforad::sched::{compile_schedule, compile_schedule_nests, run_tuned, Schedule, TunedConfig};
+use perforad::sched::{
+    compile_schedule, compile_schedule_nests, run_tuned, SchedOptions, Schedule, TunedConfig,
+};
 
 #[global_allocator]
 static GLOBAL: common::CountingAlloc = common::CountingAlloc;
@@ -317,7 +319,7 @@ fn back_step(cfg: &SeismicConfig, tuned: &TunedConfig) -> (Schedule, Workspace, 
     for name in ["c", "u", "u_1", "u_2", "u_b", "u_1_b", "u_2_b", "c_b"] {
         ws.insert(name, Grid::zeros(&[cfg.n; 3]));
     }
-    let opts = tuned.sched_options().with_accumulate(["u_1_b", "c_b"]);
+    let opts = SchedOptions::from_tuned(tuned).with_accumulate(["u_1_b", "c_b"]);
     let back = compile_schedule(&adj, &ws, &bind, &opts).unwrap();
     (back, ws, bind)
 }
@@ -326,7 +328,7 @@ fn back_step(cfg: &SeismicConfig, tuned: &TunedConfig) -> (Schedule, Workspace, 
 /// what each moves its lowering's tile counter by.
 fn tiles_per_step(cfg: &SeismicConfig, tuned: &TunedConfig) -> (usize, usize) {
     let (back, ws, bind) = back_step(cfg, tuned);
-    let opts = tuned.sched_options().with_accumulate(["u_1_b", "c_b"]);
+    let opts = SchedOptions::from_tuned(tuned).with_accumulate(["u_1_b", "c_b"]);
     let primal = compile_schedule_nests(&[wave3d::nest()], &ws, &bind, false, &opts).unwrap();
     (back.tile_count(), primal.tile_count())
 }

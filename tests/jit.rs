@@ -19,7 +19,7 @@ use perforad::prelude::*;
 use perforad::sched::{compile_schedule_nests, run_schedule_serial};
 use perforad::symbolic::{Cond, Rel};
 use perforad::tune::{
-    autotune_nests, cache_key, fingerprint_nests, CacheEntry, Measure, TuneCache, TuneOptions,
+    autotune_adjoint, cache_key, fingerprint_nests, CacheEntry, Measure, TuneCache, TuneOptions,
 };
 
 mod common;
@@ -531,7 +531,7 @@ fn jit_candidate_round_trips_through_tuned_config_cache() {
         .with_measure(Measure::Wall { samples: 1 });
     topts.memory_cache = false;
     let (schedule, report) =
-        autotune_nests(&adj.nests, &mut ws, &bind, false, &pool, &topts).expect("cached tune");
+        autotune_adjoint(&adj, &mut ws, &bind, &pool, &topts).expect("cached tune");
     assert!(report.cache_hit, "file cache must hit");
     assert_eq!(report.config, jit_config);
     assert_eq!(report.config.lowering, Lowering::Jit);

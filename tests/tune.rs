@@ -186,7 +186,7 @@ fn property_tuned_gradient_is_bitwise_identical_on_heat2d() {
 
 #[test]
 fn schedule_autotune_through_the_prelude() {
-    // The facade exposes the whole loop: compile, autotune in place
+    // The facade exposes the whole loop: autotune the adjoint
     // (wall-clock measure — the production path), run tuned.
     let nest =
         parse_stencil("for i in 1 .. n-1 { r[i] = c[i]*(2.0*u[i-1] - 3.0*u[i] + 4.0*u[i+1]); }")
@@ -209,12 +209,12 @@ fn schedule_autotune_through_the_prelude() {
     run(&plan, &mut ws_ref, ExecMode::serial()).unwrap();
 
     let mut ws = build();
-    let mut schedule = compile_schedule(&adjoint, &ws, &bind, &SchedOptions::default()).unwrap();
     let opts = TuneOptions::default()
         .without_cache()
         .with_top_k(3)
         .with_measure(Measure::Wall { samples: 1 });
-    let cfg = schedule.autotune(&mut ws, &bind, &pool, &opts).unwrap();
+    let (schedule, report) = autotune_adjoint(&adjoint, &mut ws, &bind, &pool, &opts).unwrap();
+    let cfg = report.config;
     assert_eq!(schedule.lowering, cfg.lowering);
 
     let mut ws_run = build();
