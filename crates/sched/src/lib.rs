@@ -19,11 +19,14 @@
 //! 2. **Fusion** ([`fuse`]): conflict-free nests merge into groups — the
 //!    disjoint decomposition's nests always form a *single* group, so the
 //!    53 nests of the 3-D wave adjoint run in one parallel region.
-//! 3. **Tiling** ([`schedule`]): each group's iteration hull — the
-//!    bounding box of its nests — is cut into cache-blocked [`Tile`]s
-//!    (1-D/2-D/3-D, configurable edges), and a tile runs every nest's part
-//!    of its box, so the small boundary nests ride inside the core loop's
-//!    tiles instead of streaming the arrays again on their own.
+//! 3. **Tiling** ([`schedule`]): the graph, the groups and one compiled
+//!    plan per group are a [`CompiledWork`] ([`compile_work`]), which no
+//!    tiling choice changes; [`tile_work`] cuts each group's iteration
+//!    hull — the bounding box of its nests — into cache-blocked [`Tile`]s
+//!    (1-D/2-D/3-D, configurable edges) without compiling or copying a
+//!    plan, and a tile runs every nest's part of its box, so the small
+//!    boundary nests ride inside the core loop's tiles instead of
+//!    streaming the arrays again on their own.
 //! 4. **Execution** ([`run_schedule`]): each group's tiling goes to
 //!    `perforad_exec::BoundPlan::run`, the one tile driver, which assigns
 //!    tiles to [`ThreadPool`] workers statically (LPT pre-assignment) or
@@ -83,7 +86,8 @@ pub use fuse::fuse_groups;
 pub use graph::{dependence_graph, uncovered, DepGraph, IntBox};
 pub use perforad_exec::Lowering;
 pub use schedule::{
-    compile_schedule, compile_schedule_nests, compile_schedule_source, default_tile, run_schedule,
-    run_schedule_serial, BoundSchedule, FusedGroup, SchedOptions, Schedule, TilePolicy,
+    compile_schedule, compile_schedule_nests, compile_schedule_source, compile_work, default_tile,
+    run_schedule, run_schedule_serial, tile_work, BoundSchedule, CompiledWork, FusedGroup,
+    SchedOptions, Schedule, TilePolicy,
 };
 pub use tuned::{run_tuned, TunedConfig, TunedStrategy};

@@ -1,14 +1,16 @@
 //! Schedule compilation and execution.
 //!
 //! [`compile_schedule`] turns an [`Adjoint`] (or any list of loop nests
-//! sharing counters) into a [`Schedule`]: the nests are partitioned into
-//! fusion groups by the dependence graph, each group is compiled into an
-//! executable [`Plan`], and the group's iteration hull — the bounding box
-//! of its nests — is cut into a [`Tiling`] of cache-blocked tiles, each
-//! running every nest's part of its box. [`run_schedule`] then hands each
-//! group to [`BoundPlan::run`] as a *single* parallel region — core and
-//! boundary nests together in every tile — paying one barrier per group
-//! instead of one per nest.
+//! sharing counters) into a [`Schedule`] in two phases. [`compile_work`]
+//! partitions the nests into fusion groups by the dependence graph and
+//! compiles each group into an executable [`Plan`]: a [`CompiledWork`],
+//! the expensive part, which no tile edge, tile policy or lowering
+//! changes. [`tile_work`] then cuts each group's iteration hull — the
+//! bounding box of its nests — into a [`Tiling`] of cache-blocked tiles,
+//! each running every nest's part of its box, sharing the work's plans.
+//! [`run_schedule`] hands each group to [`BoundPlan::run`] as a *single*
+//! parallel region — core and boundary nests together in every tile —
+//! paying one barrier per group instead of one per nest.
 
 use crate::error::SchedError;
 use crate::fuse::fuse_groups;
@@ -23,10 +25,12 @@ use perforad_exec::{
 use perforad_symbolic::visit::{self, NodeMemo};
 use perforad_symbolic::{Expr, Node, Symbol};
 use std::borrow::Cow;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Options for [`compile_schedule`].
+/// Options for [`compile_schedule`]. `fuse` and `accumulate` are the
+/// compile half ([`compile_work`]); `tile`, `policy` and `lowering` the
+/// tiling half ([`tile_work`]).
 #[derive(Clone, Debug)]
 pub struct SchedOptions {
     /// Per-dimension tile edges. `None` picks a rank-based default; a
@@ -143,15 +147,34 @@ pub fn default_tile(rank: usize) -> Vec<i64> {
 /// plan the executor forbids write/read aliasing — precisely the
 /// single-region race condition — while across groups the barrier makes
 /// the flow safe.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FusedGroup {
     /// Indices into the source nest list, aligned with `plan.nests`.
     pub nests: Vec<usize>,
-    /// The group's compiled nests.
-    pub plan: Plan,
+    /// The group's compiled nests, shared with the [`CompiledWork`] the
+    /// schedule was tiled from and with every other tiling of it (a
+    /// cloned group copies it).
+    pub plan: Arc<Plan>,
     /// The group's tiles — disjoint boxes of the plan's iteration hull, in
     /// LPT order. Read-only: only `tile_plan` builds a tiling.
     pub tiles: Tiling,
+}
+
+/// A cloned group owns a copy of its plan, as a cloned shot state owns its
+/// grids; tilings of one [`CompiledWork`] share its plans. Copying keeps
+/// what a time loop's cloned shot state allocates where it was: with the
+/// plan shared, the seismic store-all sweep's per-sweep grid pool sat at
+/// the top of the heap, was trimmed off it when it dropped, and every run
+/// faulted it back in (≈ 500 minor faults, +60 % on a 64-step n = 16 shot
+/// on a 2-vCPU x86-64 host with glibc's default trim threshold).
+impl Clone for FusedGroup {
+    fn clone(&self) -> Self {
+        FusedGroup {
+            nests: self.nests.clone(),
+            plan: Arc::new(Plan::clone(&self.plan)),
+            tiles: self.tiles.clone(),
+        }
+    }
 }
 
 impl FusedGroup {
@@ -161,22 +184,71 @@ impl FusedGroup {
     }
 }
 
+/// Phase 1 of schedule compilation ([`compile_work`]): the dependence
+/// graph, the fusion groups and one compiled [`Plan`] per group —
+/// everything of a [`Schedule`] that its tile edges, tile policy and
+/// lowering leave alone. It depends on the nests, the dims of the arrays
+/// they touch, the binding's sizes and parameter bits, `padded`, the
+/// accumulate set and `fuse`, and on nothing else: [`CompiledWork::matches`]
+/// checks all of them but the nests. Phase 2, [`tile_work`], builds a
+/// schedule from it for any tiling, sharing its plans.
+#[derive(Debug)]
+pub struct CompiledWork {
+    graph: DepGraph,
+    /// Each group's members (indices into the nest list) and plan.
+    groups: Vec<(Vec<usize>, Arc<Plan>)>,
+    padded: bool,
+    fuse: bool,
+    accumulate: Option<BTreeSet<Symbol>>,
+    sizes: BTreeMap<Symbol, i64>,
+    /// The binding's parameters, by bits.
+    params: Vec<(Symbol, u64)>,
+}
+
+impl CompiledWork {
+    /// Whether compiling the same nests against `ws` and `binding` with
+    /// `padded`, `accumulate` and `fuse` would compile this work: equal
+    /// flags, accumulate set, sizes and parameter bits, and every array a
+    /// plan touches bound in `ws` with the extents it was compiled for.
+    /// The nests themselves are the caller's to vouch for.
+    pub fn matches(
+        &self,
+        ws: &Workspace,
+        binding: &Binding,
+        padded: bool,
+        accumulate: Option<&BTreeSet<Symbol>>,
+        fuse: bool,
+    ) -> bool {
+        let same_params = self.params.len() == binding.params.len()
+            && (self.params.iter().zip(&binding.params))
+                .all(|((a, bits), (b, v))| a == b && *bits == v.to_bits());
+        let same_dims = self.groups.iter().all(|(_, plan)| {
+            (plan.arrays().iter()).all(|a| ws.get(a).is_some_and(|g| g.dims() == plan.dims()))
+        });
+        self.fuse == fuse
+            && self.padded == padded
+            && self.accumulate.as_ref() == accumulate
+            && self.sizes == binding.sizes
+            && same_params
+            && same_dims
+    }
+}
+
 /// A fused, tiled, dependence-checked execution schedule.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     /// Fusion groups in execution order; a barrier separates consecutive
     /// groups, no synchronisation happens within one.
     pub groups: Vec<FusedGroup>,
-    /// The dependence graph the grouping was derived from.
-    pub graph: DepGraph,
+    /// The compiled work the groups were tiled from: [`tile_work`] builds
+    /// another tiling of it without compiling anything.
+    pub work: Arc<CompiledWork>,
     /// Tile edges used, aligned with the nest rank.
     pub tile: Vec<i64>,
     /// Worker-assignment policy.
     pub policy: TilePolicy,
     /// Statement lowering tiles run with.
     pub lowering: Lowering,
-    /// Whether conflict-free nests were merged into shared groups.
-    pub fused: bool,
     /// The source nests the schedule was compiled from, in original order
     /// — [`Schedule::unassigned_reads`] reads their statements. Shared with
     /// the adjoint (behind an `Arc`), so cloning a schedule or compiling
@@ -185,6 +257,16 @@ pub struct Schedule {
 }
 
 impl Schedule {
+    /// The dependence graph the grouping was derived from.
+    pub fn graph(&self) -> &DepGraph {
+        &self.work.graph
+    }
+
+    /// Whether conflict-free nests were merged into shared groups.
+    pub fn fused(&self) -> bool {
+        self.work.fuse
+    }
+
     /// Number of barrier-separated parallel regions.
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -267,13 +349,13 @@ impl Schedule {
     pub fn describe(&self) -> String {
         format!(
             "{} nests -> {} group(s), {} tiles (tile {:?}, {:?}, {:?}, {} conflict edges)",
-            self.graph.len(),
+            self.graph().len(),
             self.group_count(),
             self.tile_count(),
             self.tile,
             self.policy,
             self.lowering,
-            self.graph.edge_count(),
+            self.graph().edge_count(),
         )
     }
 }
@@ -340,8 +422,7 @@ fn group_nests<'a>(source: &'a [LoopNest], members: &[usize]) -> Cow<'a, [LoopNe
 
 /// [`compile_schedule_nests`] for a caller that already shares the nest
 /// list: the schedule keeps a reference to `source` instead of a copy of
-/// its own, so compiling the same work under many configurations — the
-/// autotuner's candidates, its cache hits — copies the IR never.
+/// its own. [`compile_work`], then [`tile_work`].
 pub fn compile_schedule_source(
     source: &Arc<[LoopNest]>,
     ws: &Workspace,
@@ -349,7 +430,24 @@ pub fn compile_schedule_source(
     padded: bool,
     opts: &SchedOptions,
 ) -> Result<Schedule, SchedError> {
-    let nests: &[LoopNest] = source;
+    tile_work(
+        &compile_work(source, ws, binding, padded, opts)?,
+        source,
+        opts,
+    )
+}
+
+/// Phase 1: build the dependence graph of `nests`, group them (fused when
+/// `opts.fuse`, one nest per group otherwise) and compile every group's
+/// plan, in accumulate mode when `opts.accumulate` names carried arrays.
+/// Reads only the compile half of `opts`.
+pub fn compile_work(
+    nests: &[LoopNest],
+    ws: &Workspace,
+    binding: &Binding,
+    padded: bool,
+    opts: &SchedOptions,
+) -> Result<Arc<CompiledWork>, SchedError> {
     if nests.is_empty() {
         return Err(SchedError::BadInput("no nests to schedule".into()));
     }
@@ -362,7 +460,6 @@ pub fn compile_schedule_source(
     }
     let _span = perforad_obs::span!("sched.compile", "sched", "nests" => nests.len() as u64);
     let graph = dependence_graph(nests, &binding.sizes)?;
-    let tile = resolve_tile(opts, nests[0].rank())?;
     let plan_opts = PlanOptions {
         padded,
         accumulate: opts.accumulate.clone(),
@@ -377,19 +474,9 @@ pub fn compile_schedule_source(
     let groups = members
         .into_iter()
         .map(|members| {
-            let nests = &group_nests(nests, &members);
-            let plan = compile_nests_opts(nests, ws, binding, plan_opts.clone())?;
-            let group = FusedGroup {
-                nests: members,
-                tiles: tile_plan(&plan, &tile),
-                plan,
-            };
-            debug_assert_eq!(
-                group.points(),
-                group.plan.points(),
-                "tiles must cover the group's iteration space exactly"
-            );
-            Ok(group)
+            let group = &group_nests(nests, &members);
+            let plan = compile_nests_opts(group, ws, binding, plan_opts.clone())?;
+            Ok((members, Arc::new(plan)))
         })
         .collect::<Result<Vec<_>, SchedError>>()?;
     if perforad_obs::enabled() {
@@ -400,13 +487,55 @@ pub fn compile_schedule_source(
         perforad_obs::counter("sched.fused_nests").add(nests.len() as u64);
         perforad_obs::counter("sched.conflict_edges").add(graph.edge_count() as u64);
     }
+    Ok(Arc::new(CompiledWork {
+        graph,
+        groups,
+        padded,
+        fuse: opts.fuse,
+        accumulate: plan_opts.accumulate,
+        sizes: binding.sizes.clone(),
+        params: (binding.params.iter())
+            .map(|(s, v)| (s.clone(), v.to_bits()))
+            .collect(),
+    }))
+}
+
+/// Phase 2: tile every group of `work` with the tiling half of `opts`
+/// (`tile`, `policy`, `lowering`) into a schedule over `source`, the nest
+/// list the work was compiled from. Compiles nothing and copies no plan:
+/// the groups share the work's.
+pub fn tile_work(
+    work: &Arc<CompiledWork>,
+    source: &Arc<[LoopNest]>,
+    opts: &SchedOptions,
+) -> Result<Schedule, SchedError> {
+    assert_eq!(source.len(), work.graph.len(), "the work's own nest list");
+    debug_assert!(
+        opts.fuse == work.fuse && opts.accumulate == work.accumulate,
+        "the compile half of the options is the work's"
+    );
+    let tile = resolve_tile(opts, source[0].rank())?;
+    let groups = (work.groups.iter())
+        .map(|(members, plan)| {
+            let group = FusedGroup {
+                nests: members.clone(),
+                tiles: tile_plan(plan, &tile),
+                plan: plan.clone(),
+            };
+            debug_assert_eq!(
+                group.points(),
+                group.plan.points(),
+                "tiles must cover the group's iteration space exactly"
+            );
+            group
+        })
+        .collect();
     Ok(Schedule {
         groups,
-        graph,
+        work: work.clone(),
         tile,
         policy: opts.policy,
         lowering: opts.lowering,
-        fused: opts.fuse,
         source: source.clone(),
     })
 }
@@ -615,7 +744,7 @@ mod tests {
             .unwrap();
         let (mut ws_f, bind) = setup(129);
         let fused = compile_schedule(&adj, &ws_f, &bind, &SchedOptions::default()).unwrap();
-        assert!(fused.fused);
+        assert!(fused.fused());
         assert_eq!(fused.source.len(), 5);
         assert!(
             matches!(group_nests(&fused.source, &fused.groups[0].nests), Cow::Borrowed(all) if all.len() == 5)
@@ -627,7 +756,7 @@ mod tests {
         let opts = SchedOptions::default().with_fuse(false);
         let unfused = compile_schedule(&adj, &ws_u, &bind, &opts).unwrap();
         assert_eq!(unfused.group_count(), 5, "{}", unfused.describe());
-        assert!(!unfused.fused);
+        assert!(!unfused.fused());
         assert!(
             matches!(group_nests(&unfused.source, &unfused.groups[3].nests), Cow::Borrowed([one]) if *one == adj.nests[3])
         );
@@ -658,7 +787,7 @@ mod tests {
         let s =
             compile_schedule_nests(&nests, &ws, &bind, false, &SchedOptions::default()).unwrap();
         assert_eq!(s.group_count(), 2, "{}", s.describe());
-        assert!(s.graph.conflicts(0, 1));
+        assert!(s.graph().conflicts(0, 1));
 
         // Disjoint variants fuse.
         let nests = [mk(1, 20), mk(21, 30)];

@@ -11,9 +11,13 @@
 //!
 //! * a process-wide in-memory map, always on by default, so repeated
 //!   `autotune` calls in one process (e.g. every time step of a seismic
-//!   sweep, or a second benchmark run) skip the search entirely;
+//!   sweep, or a second benchmark run) skip the search entirely. Beside
+//!   each outcome it keeps the winner's [`CompiledWork`], so a hit whose
+//!   parameters, dims, accumulate set and fusion still match re-tiles
+//!   those plans instead of compiling them again;
 //! * an optional JSON file (written and read with `perforad_obs::json`,
-//!   the workspace's one codec), so separate processes share tunings. Set
+//!   the workspace's one codec), so separate processes share tunings —
+//!   configurations only: a process compiles its own plans. Set
 //!   [`crate::TuneOptions::cache_path`] or the `PERFORAD_TUNE_CACHE`
 //!   environment variable.
 
@@ -21,12 +25,12 @@ use perforad_core::{AssignOp, Bound, LoopNest};
 use perforad_exec::native::WordHash;
 use perforad_exec::{Binding, Lowering};
 use perforad_obs::json::{self, Value};
-use perforad_sched::{TilePolicy, TunedConfig, TunedStrategy};
+use perforad_sched::{CompiledWork, TilePolicy, TunedConfig, TunedStrategy};
 use perforad_symbolic::visit::NodeMemo;
 use perforad_symbolic::{Access, Expr, Idx, Node, Number, UFunApp};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Bump when the key derivation or entry layout changes: old files then
 /// miss cleanly instead of deserialising garbage. 2 since the work key is
@@ -434,22 +438,40 @@ fn policy_name(p: TilePolicy) -> &'static str {
     }
 }
 
-fn memory() -> &'static Mutex<HashMap<String, CacheEntry>> {
-    static MEM: OnceLock<Mutex<HashMap<String, CacheEntry>>> = OnceLock::new();
+/// The memory layer: each outcome beside its winner's compiled work (none
+/// once a lookup has dropped it as stale, until the next store).
+type MemoryMap = HashMap<String, (CacheEntry, Option<Arc<CompiledWork>>)>;
+
+fn memory() -> &'static Mutex<MemoryMap> {
+    static MEM: OnceLock<Mutex<MemoryMap>> = OnceLock::new();
     MEM.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Look up the process-wide in-memory cache.
-pub fn memory_lookup(key: &str) -> Option<CacheEntry> {
-    memory().lock().expect("tune cache lock").get(key).cloned()
+/// Look up the process-wide in-memory cache: the outcome, and the compiled
+/// work its winning schedule was tiled from when `fits` accepts it for
+/// this call. A work `fits` refuses is dropped from the layer here, before
+/// the caller compiles its replacement: the stale plans are freed first,
+/// and the new ones reuse their memory instead of landing beside them.
+pub fn memory_lookup(
+    key: &str,
+    fits: impl FnOnce(&CacheEntry, &CompiledWork) -> bool,
+) -> Option<(CacheEntry, Option<Arc<CompiledWork>>)> {
+    let mut memory = memory().lock().expect("tune cache lock");
+    let (entry, work) = memory.get_mut(key)?;
+    let stale = work.take_if(|work| !fits(entry, work));
+    let hit = (entry.clone(), work.clone());
+    drop(memory);
+    drop(stale);
+    Some(hit)
 }
 
-/// Store into the process-wide in-memory cache.
-pub fn memory_store(key: &str, entry: CacheEntry) {
+/// Store into the process-wide in-memory cache, replacing the outcome and
+/// the compiled work kept under `key`.
+pub fn memory_store(key: &str, entry: CacheEntry, work: Arc<CompiledWork>) {
     memory()
         .lock()
         .expect("tune cache lock")
-        .insert(key.to_string(), entry);
+        .insert(key.to_string(), (entry, Some(work)));
 }
 
 /// Number of entries in the process-wide in-memory cache — a cheap

@@ -18,13 +18,15 @@
 //!    candidate for a nest list — a few dozen points.
 //! 2. **Prune** ([`perforad_perfmodel::predict_schedule`]): the analytic
 //!    model ranks the whole space for free; only the top-K survive.
-//! 3. **Time** ([`Measure::Wall`]): each survivor is compiled into a real
+//! 3. **Time** ([`Measure::Wall`]): the nests are compiled once per
+//!    fusion choice and each survivor is tiled from that into a real
 //!    [`Schedule`] and wall-clock timed (warm-up + best-of-N, the same
 //!    timer `examples/figures.rs` reports with); the fastest wins.
 //! 4. **Cache** ([`cache`]): the win is recorded under a schedule
 //!    fingerprint + machine signature, in a process-wide memory layer and
 //!    an optional JSON file (`PERFORAD_TUNE_CACHE`, read and written with
-//!    `perforad_obs::json`), so repeated runs skip the search.
+//!    `perforad_obs::json`), so repeated runs skip the search. The memory
+//!    layer keeps the winner's compiled plans too: a hit re-tiles them.
 //!
 //! ```
 //! use perforad_core::{make_loop_nest, ActivityMap, AdjointOptions};

@@ -3,8 +3,10 @@
 //! Stage 1 ranks the whole [`search_space`] (plus the JIT lowering axis
 //! when the host can build or load native code) with
 //! [`perforad_perfmodel::predict_schedule`] — pure arithmetic, no
-//! execution — and keeps the top-K candidates. Stage 2 compiles each
-//! survivor into a real [`Schedule`] — JIT candidates are natively
+//! execution — and keeps the top-K candidates. Stage 2 compiles the work
+//! once per fusion choice ([`compile_work`]: the candidates differ in
+//! tiling, policy and lowering, which compile nothing) and tiles each
+//! survivor from it into a real [`Schedule`] — JIT candidates are natively
 //! prepared first, reusing `perforad-jit`'s persistent artifact cache so
 //! the out-of-process compile is paid once per fingerprint — and times
 //! it (best-of-N wall clock, one warm-up sweep first). A hill-climbing
@@ -12,7 +14,8 @@
 //! doubling/halving step per rank, the palette's step size) until no
 //! neighbour improves, scoring each neighbour the way stage 2 scores a
 //! survivor. The final winner is returned and recorded in the tuning
-//! cache so the next identical (work, machine) pair skips every stage.
+//! cache so the next identical (work, machine) pair skips every stage;
+//! the memory layer keeps its compiled work too, so that hit re-tiles.
 
 use crate::cache::{
     cache_key, fingerprint_nests, fnv1a64, memory_lookup, memory_store, CacheEntry, TuneCache,
@@ -27,14 +30,14 @@ use perforad_perfmodel::{
     KernelProfile, Machine, ScheduleShape,
 };
 use perforad_sched::{
-    compile_schedule_nests, compile_schedule_source, run_tuned, SchedError, SchedOptions, Schedule,
-    TilePolicy, TunedConfig, TunedStrategy,
+    compile_schedule_nests, compile_work, run_tuned, tile_work, CompiledWork, SchedError,
+    SchedOptions, Schedule, TilePolicy, TunedConfig, TunedStrategy,
 };
 use perforad_symbolic::Symbol;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// How stage 2 scores the surviving candidates.
 #[derive(Clone, Copy, Debug)]
@@ -269,7 +272,10 @@ pub struct TuneReport {
 /// the winning configuration together with the schedule compiled under
 /// it. Extent-checks like `compile_schedule` and honours the padded
 /// boundary strategy; every schedule compiled here, a cache hit's
-/// included, shares the adjoint's nest list and copies it never.
+/// included, shares the adjoint's nest list and copies it never. A memory
+/// hit re-tiles the compiled work it kept when that work still
+/// [`matches`](CompiledWork::matches) this call, and compiles (and keeps)
+/// a new one when it does not.
 pub fn autotune_adjoint(
     adj: &Adjoint,
     ws: &mut Workspace,
@@ -305,24 +311,35 @@ pub fn autotune_adjoint(
 
     // Cache layers first: memory, then file. An unreadable or corrupt
     // file is a clean miss, not a failure — the tuner can always fall
-    // back to searching.
-    let memory_hit = opts.memory_cache.then(|| memory_lookup(&key)).flatten();
-    let cached = memory_hit.map(|hit| (hit, false)).or_else(|| {
-        let file = TuneCache::load(opts.cache_path.as_ref()?).unwrap_or_default();
-        file.lookup(&key).map(|hit| (hit.clone(), true))
+    // back to searching. The work key leaves out what a memory hit's
+    // compiled work may differ in — parameter bits, dims, the accumulate
+    // set — so the work is checked before it is re-tiled, and compiled
+    // again when it does not fit.
+    let memory_hit = opts.memory_cache.then(|| {
+        memory_lookup(&key, |hit, work| {
+            let fuse = hit.config.fuse;
+            work.matches(ws, bind, padded, opts.accumulate.as_ref(), fuse)
+        })
     });
-    if let Some((hit, from_file)) = cached {
+    let cached = memory_hit.flatten().or_else(|| {
+        let file = TuneCache::load(opts.cache_path.as_ref()?).unwrap_or_default();
+        file.lookup(&key).map(|hit| (hit.clone(), None))
+    });
+    if let Some((hit, kept)) = cached {
         // An entry that parses but no longer compiles — a tile edge below
         // 1 or a tile of another rank, from a damaged or hand-edited file
         // — is a miss: the search below replaces it in both layers.
-        match compile_schedule_source(source, ws, bind, padded, &sched_options(&hit.config)) {
+        let sched_opts = sched_options(&hit.config);
+        let retiled = kept.is_some();
+        let work = kept.map_or_else(|| compile_work(nests, ws, bind, padded, &sched_opts), Ok);
+        match work.and_then(|work| tile_work(&work, source, &sched_opts)) {
             Ok(schedule) => {
                 // A cached JIT winner still needs its native module in this
                 // process: best effort — on failure execution falls back to
                 // the bitwise-identical rows lowering.
                 prepare_if_jit(&schedule, &hit.config, bind);
-                if from_file && opts.memory_cache {
-                    memory_store(&key, hit.clone());
+                if !retiled && opts.memory_cache {
+                    memory_store(&key, hit.clone(), schedule.work.clone());
                 }
                 perforad_obs::counter("tune.cache_hits").inc();
                 let report = TuneReport {
@@ -362,19 +379,26 @@ pub fn autotune_adjoint(
     let k = opts.top_k.clamp(1, candidates);
     perforad_obs::counter("tune.pruned").add((candidates - k) as u64);
 
-    // Compile a candidate and score it: under wall-clock timing, JIT
-    // candidates are natively prepared first (the artifact cache makes
-    // this once-per-fingerprint) and one untimed warm-up run (page-in,
-    // pool wake) precedes the timed ones. A candidate that cannot be
-    // prepared is dropped rather than timed as a silent rows fallback.
-    // Model and synthetic modes never execute, so they stay build-free —
-    // their Jit winner is prepared lazily by the caller (or falls back to
-    // the bitwise-identical rows lowering).
+    // Tile a candidate and score it. The work is compiled once per
+    // fusion choice, on first use, and every candidate of that choice is
+    // tiled from it. Under wall-clock timing, JIT candidates are natively
+    // prepared first (the artifact cache makes this once-per-fingerprint)
+    // and one untimed warm-up run (page-in, pool wake) precedes the timed
+    // ones. A candidate that cannot be prepared is dropped rather than
+    // timed as a silent rows fallback. Model and synthetic modes never
+    // execute, so they stay build-free — their Jit winner is prepared
+    // lazily by the caller (or falls back to the bitwise-identical rows
+    // lowering).
+    let mut works: [Option<Result<Arc<CompiledWork>, SchedError>>; 2] = [None, None];
     let mut score = |cfg: &TunedConfig, pred: f64| {
-        let schedule = match compile_schedule_source(source, ws, bind, padded, &sched_options(cfg))
-        {
+        let sched_opts = sched_options(cfg);
+        let work = works[cfg.fuse as usize]
+            .get_or_insert_with(|| compile_work(nests, ws, bind, padded, &sched_opts));
+        let tiled = (work.as_ref().map_err(Clone::clone))
+            .and_then(|work| tile_work(work, source, &sched_opts));
+        let schedule = match tiled {
             Ok(s) => s,
-            Err(e) => return Scored::NoCompile(e),
+            Err(e) => return Scored::Failed(e),
         };
         let secs = match opts.measure {
             Measure::Model => pred,
@@ -384,7 +408,7 @@ pub fn autotune_adjoint(
                     return Scored::Unprepared;
                 }
                 if let Err(e) = run_tuned(&schedule, cfg, ws, pool) {
-                    return Scored::NoWarmUp(e);
+                    return Scored::Failed(e);
                 }
                 time_best(samples.max(1), || {
                     run_tuned(&schedule, cfg, ws, pool).expect("timed candidate run");
@@ -394,8 +418,9 @@ pub fn autotune_adjoint(
         Scored::Time(schedule, secs)
     };
 
-    // Stage 2: score the survivors. A compile error is kept for the
-    // report should no candidate compile; a failed warm-up ends the search.
+    // Stage 2: score the survivors. A candidate that does not compile or
+    // whose warm-up fails is skipped, as the refinement skips one; its
+    // error is kept for the report should no candidate survive.
     let mut best: Option<(Schedule, TunedConfig, f64)> = None;
     let mut last_err: Option<SchedError> = None;
     let mut timed = 0usize;
@@ -403,12 +428,11 @@ pub fn autotune_adjoint(
         let _cand_span = perforad_obs::span!("tune.candidate", "tune", "rank" => ci as u64);
         let (schedule, secs) = match score(cfg, *pred) {
             Scored::Time(schedule, secs) => (schedule, secs),
-            Scored::NoCompile(e) => {
+            Scored::Failed(e) => {
                 last_err = Some(e);
                 continue;
             }
             Scored::Unprepared => continue,
-            Scored::NoWarmUp(e) => return Err(e.into()),
         };
         timed += 1;
         perforad_obs::counter("tune.timed").inc();
@@ -483,13 +507,14 @@ pub fn autotune_adjoint(
         checkpoint_candidates = scored;
     }
 
-    // Record the win in both cache layers.
+    // Record the win in both cache layers, and its compiled work in the
+    // memory layer.
     let entry = CacheEntry {
         config: config.clone(),
         seconds,
     };
     if opts.memory_cache {
-        memory_store(&key, entry.clone());
+        memory_store(&key, entry.clone(), schedule.work.clone());
     }
     if let Some(path) = &opts.cache_path {
         // Best effort: an unwritable cache file loses persistence, never
@@ -625,12 +650,10 @@ pub fn compile_tuned(
 enum Scored {
     /// Compiled and scored, seconds.
     Time(Schedule, f64),
-    /// The candidate did not compile.
-    NoCompile(SchedError),
+    /// The candidate did not compile, or its untimed warm-up run failed.
+    Failed(SchedError),
     /// A JIT candidate that could not be natively prepared.
     Unprepared,
-    /// The untimed warm-up run failed.
-    NoWarmUp(SchedError),
 }
 
 /// The [`ScheduleShape`] a candidate would execute with, estimated
@@ -737,6 +760,36 @@ mod tests {
         assert_eq!(report.predictions.len(), report.candidates);
         assert!(report.predictions.windows(2).all(|w| w[0].1 <= w[1].1));
         run_tuned(&schedule, &report.config, &mut ws, &pool).unwrap();
+    }
+
+    /// Stage 2 skips a candidate whose warm-up fails, as the refinement
+    /// does, instead of ending the search. A scatter nest is not
+    /// gather-only, so it runs only as one serial tile: every Parallel
+    /// candidate fails its warm-up (`ScatterNeedsAtomics`), while at
+    /// n = 64 every Serial candidate is a single tile and runs.
+    #[test]
+    fn a_failed_warm_up_skips_the_candidate() {
+        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+        let scatter = Adjoint {
+            nests: vec![paper_nest().scatter_adjoint(&act).unwrap()].into(),
+            ..adjoint()
+        };
+        let (mut ws, bind) = setup(64);
+        let pool = ThreadPool::new(2);
+        let opts = TuneOptions::default()
+            .without_cache()
+            .with_jit(false)
+            .with_top_k(64)
+            .with_measure(Measure::Wall { samples: 1 });
+        let (schedule, report) = autotune_adjoint(&scatter, &mut ws, &bind, &pool, &opts)
+            .expect("a runnable Serial candidate wins");
+        assert_eq!(report.config.strategy, TunedStrategy::Serial);
+        assert!(!schedule.gather_only() && schedule.tile_count() == 1);
+        // Three tiles × two fusion choices are Serial; the other 12 failed.
+        assert_eq!((report.candidates, report.timed), (18, 6));
+        ws.grid_mut("u_b").fill(0.0);
+        run_tuned(&schedule, &report.config, &mut ws, &pool).unwrap();
+        assert!(ws.grid("u_b").sum() != 0.0);
     }
 
     #[test]

@@ -183,7 +183,7 @@ fn overlapping_write_regions_are_never_fused() {
     let s =
         compile_schedule_nests(&overlapping, &ws, &bind, false, &SchedOptions::default()).unwrap();
     assert_eq!(s.group_count(), 2, "{}", s.describe());
-    assert!(s.graph.conflicts(0, 1));
+    assert!(s.graph().conflicts(0, 1));
 
     let disjoint = [mk(1, 30), mk(31, 50)];
     let s = compile_schedule_nests(&disjoint, &ws, &bind, false, &SchedOptions::default()).unwrap();
