@@ -21,9 +21,10 @@
 //!   [`MetricsSnapshot::collect`] turns the registry into a plain struct
 //!   with a [`json::Value`] form.
 //! * **Exporters**: [`chrome_trace_json`] writes the recorded spans in
-//!   Chrome `chrome://tracing` / Perfetto format (`PERFORAD_TRACE_OUT`
-//!   names the file), and [`TraceReport`] rolls them up into per-phase
-//!   self/total times plus the top-N spans by self time.
+//!   Chrome `chrome://tracing` / Perfetto format ([`write_chrome_trace`]
+//!   writes it to a path its caller names), and [`TraceReport`] rolls
+//!   them up into per-phase self/total times plus the top-N spans by
+//!   self time.
 //!
 //! The crate also owns the workspace's one JSON codec, [`json`]: every
 //! layer builds a [`json::Value`] and one writer prints it.
@@ -83,8 +84,7 @@ pub use recorder::{
 };
 pub use span::SpanGuard;
 pub use trace::{
-    chrome_trace_json, trace_out_path, write_chrome_trace, write_trace_if_configured, PhaseStat,
-    SpanStat, TraceReport, TRACE_ENV, TRACE_OUT_ENV,
+    chrome_trace_json, write_chrome_trace, PhaseStat, SpanStat, TraceReport, TRACE_ENV,
 };
 
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -3,25 +3,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::json::Value;
 use crate::recorder::SpanEvent;
 
 /// Environment variable that enables recording (`1`/`true`/`on`).
 pub const TRACE_ENV: &str = "PERFORAD_TRACE";
-
-/// Environment variable naming the Chrome-trace output file. Only
-/// consulted by [`write_trace_if_configured`]; the library never writes
-/// a file on its own.
-pub const TRACE_OUT_ENV: &str = "PERFORAD_TRACE_OUT";
-
-/// The trace output path configured via `PERFORAD_TRACE_OUT`, if any.
-pub fn trace_out_path() -> Option<PathBuf> {
-    std::env::var_os(TRACE_OUT_ENV)
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-}
 
 /// Encode spans in Chrome `chrome://tracing` / Perfetto JSON format:
 /// one complete (`"ph":"X"`) event per span, timestamps in microseconds.
@@ -60,22 +48,11 @@ pub(crate) fn chrome_trace(events: &[SpanEvent]) -> Value {
     ])
 }
 
-/// Write `events` as Chrome-trace JSON to `path`.
+/// Write `events` as Chrome-trace JSON to `path`; the library never
+/// writes a trace file on its own.
 pub fn write_chrome_trace(path: &Path, events: &[SpanEvent]) -> std::io::Result<()> {
     let mut f = std::fs::File::create(path)?;
     f.write_all(chrome_trace_json(events).as_bytes())
-}
-
-/// If `PERFORAD_TRACE_OUT` is set, write the trace there and return the
-/// path. Called by binaries (bench, examples) after collecting events.
-pub fn write_trace_if_configured(events: &[SpanEvent]) -> std::io::Result<Option<PathBuf>> {
-    match trace_out_path() {
-        Some(path) => {
-            write_chrome_trace(&path, events)?;
-            Ok(Some(path))
-        }
-        None => Ok(None),
-    }
 }
 
 /// Aggregate times for one pipeline phase (`"sched"`, `"tune"`, `"jit"`,

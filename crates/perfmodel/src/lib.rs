@@ -8,8 +8,8 @@
 //! the runtime executes, so "who wins and where the curves bend" in the
 //! projected figures is driven by the measured code structure.
 //!
-//! See DESIGN.md §4 for the substitution rationale and EXPERIMENTS.md for
-//! projected-vs-paper numbers.
+//! See `docs/ARCHITECTURE.md`, "Layer 4", for the substitution rationale;
+//! `examples/figures.rs` prints the projected figures.
 
 pub mod machine;
 pub mod model;

@@ -5,7 +5,8 @@
 //! calibrated against the paper's *serial* numbers (wave primal ≈ 4.1 s at
 //! 1000³, atomics ≈ 91 s single-threaded, KNL serial ≈ 3× slower than
 //! Broadwell) so that the projected thread-scaling curves reproduce the
-//! figures' shapes. See DESIGN.md §4 for the substitution rationale.
+//! figures' shapes. See `docs/ARCHITECTURE.md`, "Layer 4", for the
+//! substitution rationale.
 
 /// A simple analytic machine: roofline (compute vs bandwidth) plus an
 /// atomic-contention term.

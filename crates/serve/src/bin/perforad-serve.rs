@@ -1,40 +1,32 @@
-//! The gradient daemon. Binds per `PERFORAD_SERVE_SOCKET` /
-//! `PERFORAD_SERVE_TCP` (default: a per-process socket under the temp
-//! dir), prints the endpoint, and serves until a `Shutdown` request.
-//! `--metrics <addr>` (or `PERFORAD_SERVE_METRICS`) additionally binds
-//! a localhost HTTP endpoint serving Prometheus text at `/metrics` and
+//! The gradient daemon. Binds per its flags (default: a per-process
+//! socket under the temp dir), prints the endpoint, and serves until a
+//! `Shutdown` request. `--metrics <addr>` additionally binds a
+//! localhost HTTP endpoint serving Prometheus text at `/metrics` and
 //! JSON liveness at `/healthz`.
 
 use perforad_serve::{ServeOptions, Server};
 use std::io::Write;
 
+const USAGE: &str = "usage: perforad-serve [--socket PATH | --tcp ADDR] [--metrics ADDR]
+                     [--timeout-ms N] [--max-conns N] [--max-queue N]
+  --socket PATH     Unix socket to listen on (default: $TMPDIR/perforad-serve-<pid>.sock)
+  --tcp ADDR        listen on TCP instead (e.g. 127.0.0.1:7070); wins over --socket
+  --metrics ADDR    also serve Prometheus /metrics and /healthz at this TCP address
+  --timeout-ms N    per-connection read/write timeout (0 or absent: none)
+  --max-conns N     cap on open connections; one past it gets Busy (0 or absent: none)
+  --max-queue N     cap on gradients queued or running; one past it gets Busy (0 or absent: none)
+Env: PERFORAD_FLIGHT_DIR, PERFORAD_FAULT, and the cache and trace variables in docs/OPERATIONS.md";
+
 fn main() {
-    let mut opts = ServeOptions::from_env();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--metrics" => match args.next() {
-                Some(addr) => opts.metrics = Some(addr),
-                None => {
-                    eprintln!("perforad-serve: --metrics needs an address (e.g. 127.0.0.1:9464)");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "usage: perforad-serve [--metrics ADDR]\n\
-                     Env: PERFORAD_SERVE_SOCKET, PERFORAD_SERVE_TCP, PERFORAD_SERVE_METRICS,\n\
-                     PERFORAD_SERVE_TIMEOUT_MS, PERFORAD_SERVE_MAX_CONNS, PERFORAD_SERVE_MAX_QUEUE,\n\
-                     PERFORAD_FLIGHT_DIR, PERFORAD_FAULT"
-                );
-                return;
-            }
-            other => {
-                eprintln!("perforad-serve: unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return;
     }
+    let opts = ServeOptions::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("perforad-serve: {e} (try --help)");
+        std::process::exit(2);
+    });
     let server = match Server::bind(&opts) {
         Ok(s) => s,
         Err(e) => {

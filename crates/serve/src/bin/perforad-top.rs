@@ -9,7 +9,7 @@
 //! fault tallies, and a per-fingerprint traffic table.
 //!
 //! ```text
-//! perforad-top [--endpoint EP] [--interval-ms N] [--once] [--iterations N]
+//! perforad-top --endpoint EP [--interval-ms N] [--once] [--iterations N]
 //! perforad-top --scrape ADDR [--path /metrics]
 //! ```
 //!
@@ -51,23 +51,18 @@ fn parse_args() -> Args {
         };
         match arg.as_str() {
             "--endpoint" => args.endpoint = Some(value_of("--endpoint")),
-            "--interval-ms" => {
-                args.interval_ms = value_of("--interval-ms").parse().unwrap_or_else(|_| {
-                    eprintln!("perforad-top: --interval-ms needs an integer");
-                    std::process::exit(2);
-                })
-            }
+            "--interval-ms" => args.interval_ms = count("--interval-ms", value_of("--interval-ms")),
             "--once" => args.once = true,
             "--iterations" => {
-                args.iterations = value_of("--iterations").parse().ok();
+                args.iterations = Some(count("--iterations", value_of("--iterations")))
             }
             "--scrape" => args.scrape = Some(value_of("--scrape")),
             "--path" => args.path = value_of("--path"),
             "--help" | "-h" => {
                 println!(
-                    "usage: perforad-top [--endpoint EP] [--interval-ms N] [--once] \
+                    "usage: perforad-top --endpoint EP [--interval-ms N] [--once] \
                      [--iterations N]\n       perforad-top --scrape ADDR [--path /metrics]\n\
-                     EP defaults to PERFORAD_SERVE_ENDPOINT."
+                     EP is a socket path, host:port, or unix:/tcp:-prefixed."
                 );
                 std::process::exit(0);
             }
@@ -78,6 +73,14 @@ fn parse_args() -> Args {
         }
     }
     args
+}
+
+/// A whole-number flag value; anything else exits 2 naming the flag.
+fn count(flag: &str, value: String) -> u64 {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("perforad-top: {flag} needs a whole number, got {value:?}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -96,15 +99,11 @@ fn main() {
         return;
     }
 
-    let endpoint = args
-        .endpoint
-        .clone()
-        .or_else(|| std::env::var("PERFORAD_SERVE_ENDPOINT").ok())
-        .unwrap_or_else(|| {
-            eprintln!("perforad-top: no endpoint (use --endpoint or PERFORAD_SERVE_ENDPOINT)");
-            std::process::exit(2);
-        });
-    let endpoint = Endpoint::parse(&endpoint);
+    let Some(endpoint) = &args.endpoint else {
+        eprintln!("perforad-top: no endpoint (use --endpoint EP, or --scrape ADDR)");
+        std::process::exit(2);
+    };
+    let endpoint = Endpoint::parse(endpoint);
     let mut client = Client::connect(&endpoint).unwrap_or_else(|e| {
         eprintln!("perforad-top: cannot connect to {endpoint}: {e}");
         std::process::exit(1);

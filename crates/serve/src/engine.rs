@@ -16,7 +16,7 @@
 //! admitted population — waiting or running — is exported as the
 //! `serve.queue_depth` gauge. Gradient admission is bounded by
 //! [`ServeOptions::max_queue`](crate::ServeOptions::max_queue) (unset/0 =
-//! unlimited; `PERFORAD_SERVE_MAX_QUEUE` at the daemon): a request that
+//! unlimited; `perforad-serve --max-queue` at the daemon): a request that
 //! would push the population past the cap is turned away with a
 //! [`Reply::Busy`] carrying a `retry_after_ms` hint instead of piling
 //! onto the queue, and a request that is still queued when its

@@ -8,8 +8,9 @@
 //! (`perforad-pde`). What a production deployment needs on top is a
 //! process that pays all of that **once per kernel fingerprint** and
 //! then answers gradient requests from the warm path. That process is
-//! [`serve`]: an accept loop over a Unix-domain socket (localhost TCP
-//! fallback) speaking a length-prefixed JSON protocol.
+//! `perforad-serve` ([`Server`]): an accept loop over a Unix-domain
+//! socket (localhost TCP fallback) speaking a length-prefixed JSON
+//! protocol, configured by its flags ([`ServeOptions::from_args`]).
 //!
 //! ```text
 //! client ──frame──►  Server (accept loop, thread per connection)
@@ -31,23 +32,22 @@
 //! timings, and zero out-of-process rustc invocations.
 //!
 //! Production hardening (pinned by `tests/fault.rs`): gradient admission
-//! is bounded ([`ServeOptions::max_queue`], `PERFORAD_SERVE_MAX_QUEUE`
-//! at the daemon → [`Reply::Busy`] with a
-//! `retry_after_ms` hint), requests carry optional queue-side deadlines
-//! (`deadline_ms`), sockets get read/write timeouts
-//! (`PERFORAD_SERVE_TIMEOUT_MS`), open connections are capped
-//! (`PERFORAD_SERVE_MAX_CONNS`), `Shutdown` drains in-flight work, and
-//! the typed client retries Busy/transport failures with bounded
-//! jittered exponential backoff ([`RetryPolicy`]). Fault injection for
+//! is bounded ([`ServeOptions::max_queue`], `--max-queue` at the
+//! daemon → [`Reply::Busy`] with a `retry_after_ms` hint), requests
+//! carry optional queue-side deadlines (`deadline_ms`), sockets get
+//! read/write timeouts (`--timeout-ms`), open connections are capped
+//! (`--max-conns`), `Shutdown` drains in-flight work, and the typed
+//! client retries Busy/transport failures with bounded jittered
+//! exponential backoff ([`RetryPolicy`]). Fault injection for
 //! all of it lives in `perforad_obs::fault` (`PERFORAD_FAULT`).
 //!
 //! The live telemetry plane (pinned by `tests/telemetry.rs`): every
 //! gradient reply carries a `request_id`, and a request sent with
 //! `trace: true` comes back with a per-request span rollup — without
-//! changing a bit of the gradient. `--metrics`/`PERFORAD_SERVE_METRICS`
-//! binds a localhost HTTP endpoint serving Prometheus text at
-//! `/metrics` (per-fingerprint latency quantiles included) and a JSON
-//! `/healthz`; `perforad-top` renders the same numbers as a live
+//! changing a bit of the gradient. `perforad-serve --metrics` binds a
+//! localhost HTTP endpoint serving Prometheus text at `/metrics`
+//! (per-fingerprint latency quantiles included) and a JSON `/healthz`;
+//! `perforad-top` renders the same numbers as a live
 //! terminal dashboard over the `Stats` request. When something gives
 //! way mid-flight — panic, injected-fault degradation, deadline breach
 //! — the flight recorder dumps the recent span ring to
@@ -70,9 +70,9 @@ pub mod server;
 
 pub use client::{stats_counter, Client, ClientError, RetryPolicy};
 pub use engine::Engine;
-pub use metrics::{scrape, MetricsServer, METRICS_ENV};
+pub use metrics::{scrape, MetricsServer};
 pub use proto::{
     BatchReply, BatchRequest, CompileRequest, CompiledReply, GradientReply, GradientRequest, Reply,
     Request,
 };
-pub use server::{connect, serve, Conn, Endpoint, ServeOptions, Server};
+pub use server::{connect, Conn, Endpoint, ServeOptions, Server};

@@ -15,10 +15,9 @@
 //! * `GET /healthz` — a small JSON body with queue depth, degradation
 //!   totals, and uptime; status `"ok"` while the daemon can answer.
 //!
-//! Bind it with `perforad-serve --metrics 127.0.0.1:9464` or
-//! `PERFORAD_SERVE_METRICS`. The listener serves until the process
-//! exits; it holds only an `Arc<Engine>` and takes no lock a gradient
-//! holds, so a scrape can never delay one.
+//! Bind it with `perforad-serve --metrics 127.0.0.1:9464`. The listener
+//! serves until the process exits; it holds only an `Arc<Engine>` and
+//! takes no lock a gradient holds, so a scrape can never delay one.
 
 use crate::engine::{serve_total, Engine};
 use perforad_obs::json::Value;
@@ -26,10 +25,6 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Env knob naming the metrics endpoint bind address (e.g.
-/// `127.0.0.1:9464`); the `--metrics` flag takes precedence.
-pub const METRICS_ENV: &str = "PERFORAD_SERVE_METRICS";
 
 /// A running metrics endpoint. The accept thread is detached — dropping
 /// this handle does not stop serving; it lives as long as the process.

@@ -40,9 +40,10 @@ impl std::fmt::Display for Endpoint {
 }
 
 impl Endpoint {
-    /// Parse the `PERFORAD_SERVE_ENDPOINT` notation: `host:port` is TCP,
-    /// anything else (optionally prefixed `unix:`/`tcp:`) is a socket
-    /// path.
+    /// Parse the `--endpoint` notation: an explicit `unix:`/`tcp:` prefix
+    /// wins; otherwise a string with no `/` that ends in `:<port>` after
+    /// a non-empty host (`localhost:7070`, `127.0.0.1:7070`,
+    /// `[::1]:7070`) is TCP, and anything else is a socket path.
     pub fn parse(s: &str) -> Endpoint {
         if let Some(addr) = s.strip_prefix("tcp:") {
             return Endpoint::Tcp(addr.to_string());
@@ -50,15 +51,19 @@ impl Endpoint {
         if let Some(path) = s.strip_prefix("unix:") {
             return Endpoint::Unix(PathBuf::from(path));
         }
-        if s.parse::<std::net::SocketAddr>().is_ok() {
-            return Endpoint::Tcp(s.to_string());
+        let host_port = !s.contains('/')
+            && s.rsplit_once(':')
+                .is_some_and(|(host, port)| !host.is_empty() && port.parse::<u16>().is_ok());
+        if host_port {
+            Endpoint::Tcp(s.to_string())
+        } else {
+            Endpoint::Unix(PathBuf::from(s))
         }
-        Endpoint::Unix(PathBuf::from(s))
     }
 }
 
-/// How to bind. [`ServeOptions::from_env`] reads the `PERFORAD_SERVE_*`
-/// knobs; the plain default derives a per-process socket path under the
+/// How to bind. [`ServeOptions::from_args`] reads `perforad-serve`'s
+/// flags; the plain default derives a per-process socket path under the
 /// system temp dir.
 #[derive(Clone, Debug, Default)]
 pub struct ServeOptions {
@@ -86,27 +91,43 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// `PERFORAD_SERVE_SOCKET` (path), `PERFORAD_SERVE_TCP` (address;
-    /// takes precedence when both are set), `PERFORAD_SERVE_TIMEOUT_MS`
-    /// (per-socket read/write timeout), `PERFORAD_SERVE_MAX_CONNS`
-    /// (open-connection cap), `PERFORAD_SERVE_METRICS` (metrics endpoint
-    /// bind address), and `PERFORAD_SERVE_MAX_QUEUE` (gradient queue cap).
-    pub fn from_env() -> ServeOptions {
-        ServeOptions {
-            socket: std::env::var_os("PERFORAD_SERVE_SOCKET").map(PathBuf::from),
-            tcp: std::env::var("PERFORAD_SERVE_TCP").ok(),
-            timeout_ms: env_u64("PERFORAD_SERVE_TIMEOUT_MS"),
-            max_conns: env_u64("PERFORAD_SERVE_MAX_CONNS"),
-            metrics: std::env::var(crate::metrics::METRICS_ENV)
-                .ok()
-                .filter(|v| !v.is_empty()),
-            max_queue: env_u64("PERFORAD_SERVE_MAX_QUEUE"),
+    /// Parse `perforad-serve`'s flags (program name excluded): `--socket
+    /// PATH`, `--tcp ADDR` (wins over `--socket`), `--timeout-ms N`,
+    /// `--max-conns N`, `--max-queue N` and `--metrics ADDR`. An unknown
+    /// flag, a missing or empty value, or a count that is not a `u64` is
+    /// an error naming the flag.
+    pub fn from_args<I, S>(args: I) -> Result<ServeOptions, String>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let mut opts = ServeOptions::default();
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let flag = flag.as_ref();
+            let mut value = || {
+                let next = args.next();
+                match next.as_ref().map(AsRef::as_ref) {
+                    Some(v) if !v.is_empty() && !v.starts_with("--") => Ok(v.to_string()),
+                    _ => Err(format!("{flag} needs a value")),
+                }
+            };
+            let count = |v: String| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("{flag} needs a whole number, got {v:?}"))
+            };
+            match flag {
+                "--socket" => opts.socket = Some(PathBuf::from(value()?)),
+                "--tcp" => opts.tcp = Some(value()?),
+                "--timeout-ms" => opts.timeout_ms = Some(count(value()?)?),
+                "--max-conns" => opts.max_conns = Some(count(value()?)?),
+                "--max-queue" => opts.max_queue = Some(count(value()?)?),
+                "--metrics" => opts.metrics = Some(value()?),
+                _ => return Err(format!("unknown flag {flag:?}")),
+            }
         }
+        Ok(opts)
     }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.trim().parse().ok()
 }
 
 fn default_socket_path() -> PathBuf {
@@ -360,11 +381,6 @@ fn bind_unix(path: &PathBuf) -> io::Result<Listener> {
     }
 }
 
-/// Bind and run in one call — the daemon entry point.
-pub fn serve(opts: &ServeOptions) -> io::Result<()> {
-    Server::bind(opts)?.run()
-}
-
 /// The wire's share of a request, beside the engine's `serve.request_ns`:
 /// `serve.decode_ns` / `serve.encode_ns` time `Request::from_json` /
 /// `Reply::to_json`, `serve.frame_bytes_in` / `_out` count whole frames,
@@ -439,5 +455,116 @@ fn panic_msg(p: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_flag_sets_its_field() {
+        let opts = ServeOptions::from_args([
+            "--socket",
+            "/tmp/d.sock",
+            "--tcp",
+            "127.0.0.1:7070",
+            "--timeout-ms",
+            "300",
+            "--max-conns",
+            "4",
+            "--max-queue",
+            "16",
+            "--metrics",
+            "127.0.0.1:9464",
+        ])
+        .unwrap();
+        assert_eq!(opts.socket, Some(PathBuf::from("/tmp/d.sock")));
+        assert_eq!(opts.tcp.as_deref(), Some("127.0.0.1:7070"));
+        assert_eq!(opts.timeout_ms, Some(300));
+        assert_eq!(opts.max_conns, Some(4));
+        assert_eq!(opts.max_queue, Some(16));
+        assert_eq!(opts.metrics.as_deref(), Some("127.0.0.1:9464"));
+
+        let none = ServeOptions::from_args(std::iter::empty::<&str>()).unwrap();
+        assert_eq!(none.socket, None);
+        assert_eq!(none.tcp, None);
+        assert_eq!(none.timeout_ms, None);
+        assert_eq!(none.max_conns, None);
+        assert_eq!(none.max_queue, None);
+        assert_eq!(none.metrics, None);
+    }
+
+    #[test]
+    fn tcp_wins_over_socket() {
+        let socket = std::env::temp_dir().join(format!(
+            "perforad-serve-tcp-wins-{}.sock",
+            std::process::id()
+        ));
+        let path = socket.to_str().unwrap();
+        let opts = ServeOptions::from_args(["--socket", path, "--tcp", "127.0.0.1:0"]).unwrap();
+        let server = Server::bind(&opts).unwrap();
+        assert!(matches!(server.endpoint(), Endpoint::Tcp(_)));
+        assert!(
+            !socket.exists(),
+            "no Unix socket is bound when --tcp is given"
+        );
+    }
+
+    #[test]
+    fn an_unknown_flag_is_refused() {
+        let err = ServeOptions::from_args(["--max-conns", "1", "--bogus", "2"]).unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        let err = ServeOptions::from_args(["-h"]).unwrap_err();
+        assert!(err.contains("-h"), "{err}");
+    }
+
+    #[test]
+    fn a_missing_value_names_its_flag() {
+        for args in [
+            &["--max-conns"][..],
+            &["--metrics", "--tcp", "127.0.0.1:0"],
+            &["--socket", ""],
+        ] {
+            let err = ServeOptions::from_args(args).unwrap_err();
+            assert!(
+                err.contains(args[0]) && err.contains("needs a value"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_non_numeric_count_names_its_flag() {
+        for (flag, value) in [
+            ("--timeout-ms", "10s"),
+            ("--max-conns", "-1"),
+            ("--max-queue", "abc"),
+        ] {
+            let err = ServeOptions::from_args([flag, value]).unwrap_err();
+            assert!(err.contains(flag) && err.contains(value), "{err}");
+        }
+    }
+
+    #[test]
+    fn endpoint_forms() {
+        let tcp = |s: &str| Endpoint::Tcp(s.to_string());
+        let unix = |s: &str| Endpoint::Unix(PathBuf::from(s));
+        for (text, want) in [
+            ("localhost:7070", tcp("localhost:7070")),
+            ("127.0.0.1:7070", tcp("127.0.0.1:7070")),
+            ("[::1]:7070", tcp("[::1]:7070")),
+            ("tcp:localhost:7070", tcp("localhost:7070")),
+            ("unix:localhost:7070", unix("localhost:7070")),
+            ("unix:/tmp/p.sock", unix("/tmp/p.sock")),
+            ("/tmp/p.sock", unix("/tmp/p.sock")),
+            ("p.sock", unix("p.sock")),
+            ("dir/host:7070", unix("dir/host:7070")),
+            (":7070", unix(":7070")),
+            ("host:70000", unix("host:70000")),
+            ("host:port", unix("host:port")),
+        ] {
+            assert_eq!(Endpoint::parse(text), want, "{text}");
+        }
     }
 }

@@ -4,12 +4,13 @@
 //! second `Compile` of the same fingerprint is a pure cache hit.
 //!
 //! Two modes:
-//! * `PERFORAD_SERVE_ENDPOINT` set — connect to a running daemon at that
-//!   endpoint (socket path or `host:port`; what the CI serve job does
-//!   after starting `perforad-serve` in the background). Set
-//!   `PERFORAD_SERVE_SHUTDOWN=1` to also stop the daemon at the end.
-//! * unset — spawn the server in-process on a private socket, drive it,
-//!   and shut it down. No setup needed: `cargo run --release --example serve`.
+//! * `--endpoint EP` — connect to a running daemon at that endpoint
+//!   (socket path or `host:port`; what the CI serve job does after
+//!   starting `perforad-serve` in the background). Add `--shutdown` to
+//!   also stop the daemon at the end.
+//! * no flags — spawn the server in-process on a private socket, drive
+//!   it, and shut it down. No setup needed:
+//!   `cargo run --release --example serve`.
 
 use perforad::exec::Grid;
 use perforad::pde::seismic::{forward, ricker, SeismicConfig};
@@ -18,9 +19,19 @@ use perforad::serve::{
 };
 
 fn main() {
-    let (endpoint, external) = match std::env::var("PERFORAD_SERVE_ENDPOINT") {
-        Ok(e) => (Endpoint::parse(&e), true),
-        Err(_) => {
+    let mut endpoint_arg = None;
+    let mut shutdown = false;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--endpoint" => endpoint_arg = Some(args.next().unwrap_or_else(|| usage())),
+            "--shutdown" => shutdown = true,
+            _ => usage(),
+        }
+    }
+    let (endpoint, external) = match endpoint_arg {
+        Some(e) => (Endpoint::parse(&e), true),
+        None => {
             let opts = ServeOptions {
                 socket: Some(std::env::temp_dir().join(format!(
                     "perforad-serve-example-{}.sock",
@@ -152,9 +163,13 @@ fn main() {
         );
     }
 
-    let stop = !external || std::env::var_os("PERFORAD_SERVE_SHUTDOWN").is_some();
-    if stop {
+    if !external || shutdown {
         client.shutdown().expect("shutdown");
         println!("daemon shut down");
     }
+}
+
+fn usage() -> ! {
+    eprintln!("usage: serve [--endpoint EP [--shutdown]]");
+    std::process::exit(2)
 }

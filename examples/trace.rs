@@ -4,8 +4,8 @@
 //! plus the metrics registry — the same spans `examples/benchmark`
 //! reads its per-layer busy shares from.
 //!
-//! Run with: `cargo run --release --example trace`
-//! (set `PERFORAD_TRACE_OUT=somewhere.trace.json` to pick the path).
+//! Run with: `cargo run --release --example trace [-- OUT]` — the trace
+//! goes to `OUT` (default `seismic.trace.json`).
 
 use perforad::exec::Grid;
 use perforad::pde::seismic::{
@@ -53,8 +53,9 @@ fn main() {
     let events = collect_events();
     assert!(!events.is_empty(), "tracing was enabled — spans expected");
 
-    let out = perforad::obs::trace_out_path()
-        .unwrap_or_else(|| std::path::PathBuf::from("seismic.trace.json"));
+    let out = std::env::args_os()
+        .nth(1)
+        .map_or_else(|| "seismic.trace.json".into(), std::path::PathBuf::from);
     write_chrome_trace(&out, &events).expect("write Chrome trace");
     println!(
         "\nwrote {} ({} spans) — load it in chrome://tracing or ui.perfetto.dev",

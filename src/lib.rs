@@ -267,8 +267,8 @@
 //! is disabled, via `PERFORAD_TRACE` unset, the whole round trip is one
 //! relaxed atomic load), typed counters/gauges/histograms accumulate in
 //! a process-wide registry, and a finished trace exports as Chrome-trace
-//! JSON (open in `chrome://tracing` or Perfetto; written automatically
-//! when `PERFORAD_TRACE_OUT` names a path) or rolls up into an
+//! JSON (open in `chrome://tracing` or Perfetto; [`obs::write_chrome_trace`]
+//! writes it to a path the caller names) or rolls up into an
 //! [`obs::TraceReport`] of per-phase self/total times. Spans recorded
 //! inside an [`obs::RequestScope`] — on its thread, and on the pool
 //! workers running its regions — carry that request's id (it shows up
@@ -314,7 +314,7 @@
 //! with the zero-recompile warm path, via the obs counters).
 //!
 //! The daemon is hardened for unattended operation: bounded admission
-//! (`PERFORAD_SERVE_MAX_QUEUE` → `Busy` pushback with a retry hint,
+//! (`perforad-serve --max-queue` → `Busy` pushback with a retry hint,
 //! absorbed by the client's [`serve::RetryPolicy`]), per-request
 //! deadlines, socket timeouts, a connection cap, and graceful
 //! shutdown draining. Every risky I/O site (disk spill, rustc spawn,
@@ -391,7 +391,7 @@ pub mod prelude {
         TunedStrategy,
     };
     pub use perforad_serve::{
-        serve, Client as ServeClient, CompileRequest, Endpoint as ServeEndpoint, ServeOptions,
+        Client as ServeClient, CompileRequest, Endpoint as ServeEndpoint, ServeOptions,
         Server as ServeServer,
     };
     pub use perforad_symbolic::{ix, Array, Expr, Idx, Symbol};

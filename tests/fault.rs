@@ -17,12 +17,12 @@
 //!   client's jittered-backoff retry eventually lands the request;
 //! * deadlines: a request still queued past its `deadline_ms` is refused
 //!   with a clean error, counted in `serve.deadline_exceeded_total`;
-//! * `PERFORAD_SERVE_MAX_CONNS` / `PERFORAD_SERVE_TIMEOUT_MS` shed and
-//!   reap connections without touching other clients.
+//! * `--max-conns` / `--timeout-ms` shed and reap connections without
+//!   touching other clients.
 //!
-//! Fault-injection state and the serve env knobs are process-global, so
-//! the suite serializes behind one lock (same pattern as `tests/serve.rs`;
-//! cargo runs the two binaries sequentially).
+//! Fault-injection state is process-global, so the suite serializes
+//! behind one lock (same pattern as `tests/serve.rs`; cargo runs the two
+//! binaries sequentially).
 
 mod common;
 
@@ -583,15 +583,12 @@ fn expired_deadline_is_a_clean_error_not_a_stale_gradient() {
 }
 
 /// Connection cap and socket timeouts: the accept loop sheds connections
-/// past `PERFORAD_SERVE_MAX_CONNS` with one `Busy` frame, and a peer
-/// idle past `PERFORAD_SERVE_TIMEOUT_MS` is reaped — both without
-/// touching other clients.
+/// past `--max-conns` with one `Busy` frame, and a peer idle past
+/// `--timeout-ms` is reaped — both without touching other clients.
 #[test]
 fn connection_cap_sheds_and_timeout_reaps_without_collateral() {
     let _guard = suite_lock();
     fault::disarm();
-    std::env::set_var("PERFORAD_SERVE_MAX_CONNS", "1");
-    std::env::set_var("PERFORAD_SERVE_TIMEOUT_MS", "300");
     let path = std::env::temp_dir().join(format!(
         "perforad-fault-cap-{}-{}.sock",
         std::process::id(),
@@ -599,10 +596,8 @@ fn connection_cap_sheds_and_timeout_reaps_without_collateral() {
     ));
     let opts = ServeOptions {
         socket: Some(path),
-        ..ServeOptions::from_env()
+        ..ServeOptions::from_args(["--max-conns", "1", "--timeout-ms", "300"]).expect("serve flags")
     };
-    std::env::remove_var("PERFORAD_SERVE_MAX_CONNS");
-    std::env::remove_var("PERFORAD_SERVE_TIMEOUT_MS");
     let server = Server::bind(&opts).expect("bind capped server");
     let endpoint = server.endpoint();
     let handle = std::thread::spawn(move || server.run());
