@@ -30,9 +30,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    /// A name, borrowed from the source.
+    Ident(&'a str),
     Int(i64),
     Float(f64),
     Plus,
@@ -58,10 +59,10 @@ enum Tok {
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,
-    toks: Vec<(usize, Tok)>,
+    toks: Vec<(usize, Tok<'a>)>,
 }
 
-fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
+fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
     let mut lx = Lexer {
         src: src.as_bytes(),
         pos: 0,
@@ -196,11 +197,12 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
                         break;
                     }
                 }
-                let text = std::str::from_utf8(&lx.src[lx.pos..end]).unwrap();
+                // ASCII throughout, so a char boundary of `src`.
+                let text = &src[lx.pos..end];
                 let tok = match text {
                     "for" => Tok::KwFor,
                     "in" => Tok::KwIn,
-                    _ => Tok::Ident(text.to_string()),
+                    _ => Tok::Ident(text),
                 };
                 lx.toks.push((start, tok));
                 lx.pos = end;
@@ -216,29 +218,50 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     Ok(lx.toks)
 }
 
-struct Parser {
-    toks: Vec<(usize, Tok)>,
+struct Parser<'a> {
+    toks: Vec<(usize, Tok<'a>)>,
     k: usize,
     /// Length of the source: where an error at end of input points.
     end: usize,
+    /// Every name met so far, one shared symbol each.
+    symbols: Vec<Symbol>,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Self, ParseError> {
+        Ok(Parser {
+            toks: lex(src)?,
+            k: 0,
+            end: src.len(),
+            symbols: Vec::new(),
+        })
+    }
+
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.toks.get(self.k).map(|(_, t)| t)
+    }
+
+    /// The symbol named `name`: every occurrence shares one.
+    fn symbol(&mut self, name: &str) -> Symbol {
+        if let Some(s) = self.symbols.iter().find(|s| s.name() == name) {
+            return s.clone();
+        }
+        let s = Symbol::new(name);
+        self.symbols.push(s.clone());
+        s
     }
 
     fn pos(&self) -> usize {
         self.toks.get(self.k).map_or(self.end, |(p, _)| *p)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.k).map(|(_, t)| t.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek().copied();
         self.k += 1;
         t
     }
 
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, t: &Tok<'_>, what: &str) -> Result<(), ParseError> {
         if self.peek() == Some(t) {
             self.k += 1;
             Ok(())
@@ -328,7 +351,7 @@ impl Parser {
                         args.push(self.expr()?);
                     }
                     self.expect(&Tok::RParen, "`)`")?;
-                    let f = match name.as_str() {
+                    let f = match name {
                         "sin" => Func::Sin,
                         "cos" => Func::Cos,
                         "tan" => Func::Tan,
@@ -355,16 +378,60 @@ impl Parser {
                     let mut indices = Vec::new();
                     while self.peek() == Some(&Tok::LBracket) {
                         self.k += 1;
-                        let e = self.expr()?;
-                        self.expect(&Tok::RBracket, "`]`")?;
-                        indices.push(self.to_idx(&e)?);
+                        indices.push(self.index(Some((&Tok::RBracket, "`]`")))?);
                     }
-                    Ok(Expr::access(Access::new(name, indices)))
+                    Ok(Expr::access(Access::new(self.symbol(name), indices)))
                 }
-                _ => Ok(Expr::sym(name)),
+                _ => Ok(Expr::sym(self.symbol(name))),
             },
             _ => Err(self.err("expected expression".into())),
         }
+    }
+
+    /// An affine index expression, then its closing token if it has one.
+    /// The forms nearly every stencil writes — `name`, `int`, either
+    /// `± int` — are read straight off the tokens into the [`Idx`] that
+    /// parsing them as an expression would give; anything else is parsed
+    /// as an expression and converted.
+    fn index(&mut self, close: Option<(&Tok<'_>, &str)>) -> Result<Idx, ParseError> {
+        let toks = &self.toks[self.k.min(self.toks.len())..];
+        let (head, shift, len) = match toks {
+            [(_, head), (_, Tok::Plus), (_, Tok::Int(c)), ..] => (head, Some(*c), 3),
+            [(_, head), (_, Tok::Minus), (_, Tok::Int(c)), ..] => (head, c.checked_neg(), 3),
+            [(_, head), ..] => (head, Some(0), 1),
+            [] => (&Tok::Semi, None, 0),
+        };
+        let continues = matches!(
+            toks.get(len),
+            Some((
+                _,
+                Tok::Plus
+                    | Tok::Minus
+                    | Tok::Star
+                    | Tok::Slash
+                    | Tok::Caret
+                    | Tok::LParen
+                    | Tok::LBracket
+            ))
+        );
+        let direct = match (head, shift) {
+            (_, None) => None,
+            _ if continues => None,
+            (Tok::Ident(name), Some(c)) => Some(Idx::sym(self.symbol(name)) + c),
+            (Tok::Int(v), Some(c)) => v.checked_add(c).map(Idx::constant),
+            _ => None,
+        };
+        let parsed = match direct {
+            Some(ix) => {
+                self.k += len;
+                Ok(ix)
+            }
+            None => Err(self.expr()?),
+        };
+        if let Some((t, what)) = close {
+            self.expect(t, what)?;
+        }
+        parsed.or_else(|e| self.to_idx(&e))
     }
 
     /// Convert a parsed expression to an affine index.
@@ -401,9 +468,7 @@ pub fn expr_to_idx(e: &Expr) -> Option<Idx> {
 
 /// Parse a standalone expression.
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let toks = lex(src)?;
-    let end = src.len();
-    let mut p = Parser { toks, k: 0, end };
+    let mut p = Parser::new(src)?;
     let e = p.expr()?;
     if p.k != p.toks.len() {
         return Err(p.err("trailing input after expression".into()));
@@ -419,9 +484,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 /// }
 /// ```
 pub fn parse_stencil(src: &str) -> Result<LoopNest, ParseError> {
-    let toks = lex(src)?;
-    let end = src.len();
-    let mut p = Parser { toks, k: 0, end };
+    let mut p = Parser::new(src)?;
     p.expect(&Tok::KwFor, "`for`")?;
     let mut counters: Vec<Symbol> = Vec::new();
     let mut bounds: Vec<Bound> = Vec::new();
@@ -431,12 +494,10 @@ pub fn parse_stencil(src: &str) -> Result<LoopNest, ParseError> {
             _ => return Err(p.err("expected counter name".into())),
         };
         p.expect(&Tok::KwIn, "`in`")?;
-        let lo = p.expr()?;
-        let lo = p.to_idx(&lo)?;
+        let lo = p.index(None)?;
         p.expect(&Tok::DotDot, "`..`")?;
-        let hi = p.expr()?;
-        let hi = p.to_idx(&hi)?;
-        counters.push(Symbol::new(name));
+        let hi = p.index(None)?;
+        counters.push(p.symbol(name));
         bounds.push(Bound { lo, hi });
         if p.peek() == Some(&Tok::Comma) {
             p.k += 1;
@@ -502,6 +563,62 @@ mod tests {
         let expect = c.at(ix![&i])
             * (2.0 * u.at(ix![&i - 1]) - 3.0 * u.at(ix![&i]) + 4.0 * u.at(ix![&i + 1]));
         assert_eq!(nest.body[0].rhs, expect);
+    }
+
+    /// Indices read straight off the tokens are the ones the expression
+    /// route gives: a name, an integer, either `± int`, and every form
+    /// that only starts like one.
+    #[test]
+    fn direct_indices_match_the_expression_route() {
+        let forms = [
+            "i",
+            "n",
+            "7",
+            "0",
+            "i+1",
+            "i-1",
+            "i + 0",
+            "i - 0",
+            "n-2",
+            "3+4",
+            "3-5",
+            "i+1-2",
+            "i-9223372036854775807",
+            "9223372036854775807+1",
+            "0-9223372036854775807",
+            "i*2",
+            "2*i",
+            "i-1*2",
+            "i+2^2",
+            "i^2",
+            "-i",
+            "-1",
+            "i-(1)",
+            "(i)+1",
+            "i+n",
+            "n-i",
+            "1-i",
+            "i+1.5",
+            "i-1.0",
+            "2.0",
+            "i/2",
+            "u[i]",
+            "sin(i)",
+        ];
+        for form in forms {
+            let access = parse_expr(&format!("u[{form}][{form}]")).map(|e| match e.node() {
+                Node::Access(a) => a.indices.to_vec(),
+                _ => panic!("{form}: not an access"),
+            });
+            let index = parse_expr(form).ok().and_then(|e| expr_to_idx(&e));
+            match (access, index) {
+                (Ok(got), Some(want)) => assert_eq!(got, [want.clone(), want], "{form}"),
+                (Err(_), None) => {}
+                (got, want) => panic!("{form}: {got:?} against {want:?}"),
+            }
+        }
+        let nest = parse_stencil("for i in 2 .. n-3 { r[i] = u[i-2] + u[i+3]; }").unwrap();
+        assert_eq!(nest.bounds[0], Bound::new(2, Idx::sym("n") - 3));
     }
 
     #[test]

@@ -21,6 +21,7 @@ use crate::nest::{Bound, LoopNest};
 use crate::validate::access_offsets;
 use perforad_symbolic::{visit, Symbol};
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// One region of the decomposed adjoint iteration space.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -159,81 +160,105 @@ pub fn required_extent(offsets: &[Vec<i64>], rank: usize) -> Vec<i64> {
 /// `offsets[t]` is the primal access offset vector of statement `t`; the
 /// shifted statement `t` is valid on `Π_d [lo_d + o_d(t), hi_d + o_d(t)]`.
 pub fn split_disjoint(primal: &[Bound], offsets: &[Vec<i64>]) -> Vec<Region> {
-    let rank = primal.len();
-    let all: Vec<usize> = (0..offsets.len()).collect();
-    let mut out = Vec::new();
     if offsets.is_empty() {
-        return out;
+        return Vec::new();
     }
-    rec(primal, offsets, 0, rank, &all, Vec::new(), true, &mut out);
-    out
+    let mut split = Splitter {
+        primal,
+        offsets,
+        prefix: Vec::with_capacity(primal.len()),
+        terms: (0..offsets.len()).collect(),
+        offs: Vec::new(),
+        out: Vec::new(),
+    };
+    split.rec(0, 0..offsets.len(), true);
+    split.out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rec(
-    primal: &[Bound],
-    offsets: &[Vec<i64>],
-    d: usize,
-    rank: usize,
-    active: &[usize],
+/// The walk of [`split_disjoint`]. Its buffers are stacks: a level pushes
+/// its segment onto `prefix`, its distinct offsets onto `offs` and each
+/// segment's statement subset onto `terms`, and pops them when done, so
+/// a region's bounds and terms are the only lists it allocates.
+struct Splitter<'a> {
+    primal: &'a [Bound],
+    offsets: &'a [Vec<i64>],
     prefix: Vec<Bound>,
-    core_path: bool,
-    out: &mut Vec<Region>,
-) {
-    if d == rank {
-        out.push(Region {
-            bounds: prefix,
-            terms: active.to_vec(),
-            is_core: core_path,
+    terms: Vec<usize>,
+    offs: Vec<i64>,
+    out: Vec<Region>,
+}
+
+impl Splitter<'_> {
+    /// Split dimension `d` for the statements `terms[active]`.
+    fn rec(&mut self, d: usize, active: Range<usize>, core_path: bool) {
+        if d == self.primal.len() {
+            self.out.push(Region {
+                bounds: self.prefix.clone(),
+                terms: self.terms[active].to_vec(),
+                is_core: core_path,
+            });
+            return;
+        }
+        let base = self.offs.len();
+        for k in active.clone() {
+            self.offs.push(self.offsets[self.terms[k]][d]);
+        }
+        self.offs[base..].sort_unstable();
+        let mut m = 1;
+        for k in base + 1..self.offs.len() {
+            if self.offs[k] != self.offs[base + m - 1] {
+                self.offs[base + m] = self.offs[k];
+                m += 1;
+            }
+        }
+        self.offs.truncate(base + m);
+        let os = |s: &Self, k: usize| s.offs[base + k];
+        let (lo, hi) = (&self.primal[d].lo, &self.primal[d].hi);
+
+        // Left remainders: [lo+o_k, lo+o_{k+1} - 1] admits offsets <= o_k.
+        for k in 0..m - 1 {
+            let (ok, next) = (os(self, k), os(self, k + 1));
+            let seg = Bound {
+                lo: lo.shift(ok),
+                hi: lo.shift(next - 1),
+            };
+            self.subset(d, seg, active.clone(), |o| o <= ok);
+        }
+
+        // Core segment: [lo + o_max, hi + o_min] admits every active statement.
+        self.prefix.push(Bound {
+            lo: lo.shift(os(self, m - 1)),
+            hi: hi.shift(os(self, 0)),
         });
-        return;
-    }
-    let distinct: BTreeSet<i64> = active.iter().map(|&t| offsets[t][d]).collect();
-    let os: Vec<i64> = distinct.into_iter().collect();
-    let m = os.len();
-    let (lo, hi) = (&primal[d].lo, &primal[d].hi);
+        self.rec(d + 1, active.clone(), core_path);
+        self.prefix.pop();
 
-    // Left remainders: [lo+o_k, lo+o_{k+1} - 1] admits offsets <= o_k.
-    for k in 0..m - 1 {
-        let seg = Bound {
-            lo: lo.shift(os[k]),
-            hi: lo.shift(os[k + 1] - 1),
-        };
-        let subset: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&t| offsets[t][d] <= os[k])
-            .collect();
-        let mut p = prefix.clone();
-        p.push(seg);
-        rec(primal, offsets, d + 1, rank, &subset, p, false, out);
+        // Right remainders: [hi+o_k + 1, hi+o_{k+1}] admits offsets >= o_{k+1}.
+        for k in 0..m - 1 {
+            let (ok, next) = (os(self, k), os(self, k + 1));
+            let seg = Bound {
+                lo: hi.shift(ok + 1),
+                hi: hi.shift(next),
+            };
+            self.subset(d, seg, active.clone(), |o| o >= next);
+        }
+        self.offs.truncate(base);
     }
 
-    // Core segment: [lo + o_max, hi + o_min] admits every active statement.
-    {
-        let seg = Bound {
-            lo: lo.shift(os[m - 1]),
-            hi: hi.shift(os[0]),
-        };
-        let mut p = prefix.clone();
-        p.push(seg);
-        rec(primal, offsets, d + 1, rank, active, p, core_path, out);
-    }
-
-    // Right remainders: [hi+o_k + 1, hi+o_{k+1}] admits offsets >= o_{k+1}.
-    for k in 0..m - 1 {
-        let seg = Bound {
-            lo: hi.shift(os[k] + 1),
-            hi: hi.shift(os[k + 1]),
-        };
-        let subset: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&t| offsets[t][d] >= os[k + 1])
-            .collect();
-        let mut p = prefix.clone();
-        p.push(seg);
-        rec(primal, offsets, d + 1, rank, &subset, p, false, out);
+    /// Recurse into segment `seg` of dimension `d` with the statements of
+    /// `terms[active]` whose offset there `keep` admits.
+    fn subset(&mut self, d: usize, seg: Bound, active: Range<usize>, keep: impl Fn(i64) -> bool) {
+        let start = self.terms.len();
+        for k in active {
+            let t = self.terms[k];
+            if keep(self.offsets[t][d]) {
+                self.terms.push(t);
+            }
+        }
+        self.prefix.push(seg);
+        self.rec(d + 1, start..self.terms.len(), false);
+        self.prefix.pop();
+        self.terms.truncate(start);
     }
 }
 

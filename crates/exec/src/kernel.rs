@@ -27,8 +27,9 @@ pub struct StmtPlan {
     pub out_slot: usize,
     /// Linear offset of the write relative to the centre point.
     pub write_rel: isize,
-    /// Per-dimension write offsets (zero for gather statements).
-    pub write_offsets: Vec<i64>,
+    /// Per-dimension write offsets (zero for gather statements), shared
+    /// by every statement of the plan that writes at the same offsets.
+    pub write_offsets: Arc<[i64]>,
     /// True for `=`, false for `+=`.
     pub overwrite: bool,
     /// Optional per-dimension inclusive counter ranges (guarded strategy).
@@ -567,6 +568,9 @@ pub fn compile_nests_opts(
     // one compiled copy — smaller plans, better icache behavior.
     let mut cache = ProgCache::default();
     let mut compiled = 0u64;
+    // The distinct write offsets met, and the one being read.
+    let mut offsets: Vec<Arc<[i64]>> = Vec::new();
+    let mut write_offsets = Vec::with_capacity(rank);
     for nest in nests {
         debug_assert_eq!(nest.counters, counters, "nests must share counters");
         let mut lo = Vec::with_capacity(rank);
@@ -578,14 +582,15 @@ pub fn compile_nests_opts(
         let empty = lo.iter().zip(&hi).any(|(l, h)| l > h);
 
         let mut stmts = Vec::with_capacity(nest.body.len());
-        let mut sources = Vec::with_capacity(nest.body.len());
+        // What each statement was lowered from, for summing increments.
+        let mut sources = Vec::new();
         for s in &nest.body {
             // F1: every write index is `counter + c`.
             if s.lhs.indices.len() != rank {
                 let what = format!("write `{}` in a rank-{rank} nest", s.lhs);
                 return Err(ExecError::Unsupported(what));
             }
-            let mut write_offsets = Vec::with_capacity(rank);
+            write_offsets.clear();
             for (d, ix) in s.lhs.indices.iter().enumerate() {
                 let o = ix.is_offset_of(&counters[d]).ok_or_else(|| {
                     ExecError::Unsupported(format!("non-constant write index `{ix}`"))
@@ -665,7 +670,16 @@ pub fn compile_nests_opts(
                     rhs_plan.compiled.insert((prog, rhs)).clone()
                 }
             };
-            sources.push(source);
+            if opts.accumulate.is_some() {
+                sources.push(source);
+            }
+            let write_offsets = match offsets.iter().find(|o| o[..] == write_offsets[..]) {
+                Some(o) => o.clone(),
+                None => {
+                    offsets.push(Arc::from(&write_offsets[..]));
+                    offsets[offsets.len() - 1].clone()
+                }
+            };
 
             stmts.push(StmtPlan {
                 out_slot,
@@ -1084,7 +1098,7 @@ mod tests {
         let moved = [
             edited(&|p| p.nests[0].stmts[0].out_slot ^= 1),
             edited(&|p| p.nests[0].stmts[0].write_rel += 1),
-            edited(&|p| p.nests[0].stmts[0].write_offsets = vec![1]),
+            edited(&|p| p.nests[0].stmts[0].write_offsets = [1].into()),
             edited(&|p| p.nests[0].stmts[0].guard = Some(vec![(1, 9)])),
             edited(&|p| p.nests[0].stmts[0].guard = Some(vec![(1, 8)])),
             edited(&|p| p.nests[0].hi[0] -= 1),

@@ -17,17 +17,17 @@ use crate::graph::DepGraph;
 /// concurrently.
 pub fn fuse_groups(graph: &DepGraph) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of = Vec::with_capacity(graph.len());
     for j in 0..graph.len() {
-        // Last group containing a nest that conflicts with `j`.
-        let last_conflict = groups
-            .iter()
-            .rposition(|g| g.iter().any(|&k| graph.conflicts(k, j)));
-        let target = last_conflict.map_or(0, |l| l + 1);
+        // One past the last group holding a nest that conflicts with `j`.
+        let earlier = graph.conflicting(j).iter().take_while(|&&k| k < j);
+        let target = earlier.map(|&k| group_of[k] + 1).max().unwrap_or(0);
         if target == groups.len() {
             groups.push(vec![j]);
         } else {
             groups[target].push(j);
         }
+        group_of.push(target);
     }
     groups
 }

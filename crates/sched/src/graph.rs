@@ -41,36 +41,68 @@ fn resolve(ix: &Idx, sizes: &BTreeMap<Symbol, i64>) -> Result<i64, SchedError> {
     })
 }
 
-/// The pairwise conflict relation over a list of nests.
+/// The pairwise conflict relation over a list of nests, as each nest's
+/// ascending list of the nests it conflicts with: memory in proportion to
+/// the conflicts, not to the pairs.
 #[derive(Clone, Debug)]
 pub struct DepGraph {
-    n: usize,
-    /// Row-major upper-triangular conflict matrix (`a < b` at `a*n + b`).
-    conflict: Vec<bool>,
+    /// Nest `a`'s conflicts are `adjacent[start[a]..start[a + 1]]`.
+    start: Vec<usize>,
+    adjacent: Vec<usize>,
 }
 
 impl DepGraph {
+    /// The graph over `n` nests with the conflicting pairs `edges`, each
+    /// pair `(a, b)` with `a < b`, in any order, repeats allowed.
+    fn from_edges(n: usize, mut edges: Vec<(usize, usize)>) -> DepGraph {
+        edges.sort_unstable();
+        edges.dedup();
+        let mut start = vec![0; n + 1];
+        for &(a, b) in &edges {
+            start[a + 1] += 1;
+            start[b + 1] += 1;
+        }
+        for k in 0..n {
+            start[k + 1] += start[k];
+        }
+        // Sorted by `(a, b)`, each `a` gets its `b`s ascending; each `b`
+        // gets its `a`s ascending too, and every `a` of `b` is below every
+        // `b` of `b`, which `a`'s turn as the lower end fills later.
+        let mut fill = start.clone();
+        let mut adjacent = vec![0; 2 * edges.len()];
+        for &(a, b) in &edges {
+            adjacent[fill[b]] = a;
+            fill[b] += 1;
+        }
+        for &(a, b) in &edges {
+            adjacent[fill[a]] = b;
+            fill[a] += 1;
+        }
+        DepGraph { start, adjacent }
+    }
+
     /// Number of nests.
     pub fn len(&self) -> usize {
-        self.n
+        self.start.len() - 1
     }
 
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.len() == 0
+    }
+
+    /// The nests `a` may not run concurrently with, ascending.
+    pub fn conflicting(&self, a: usize) -> &[usize] {
+        &self.adjacent[self.start[a]..self.start[a + 1]]
     }
 
     /// True when nests `a` and `b` may not run concurrently.
     pub fn conflicts(&self, a: usize, b: usize) -> bool {
-        if a == b {
-            return false;
-        }
-        let (a, b) = if a < b { (a, b) } else { (b, a) };
-        self.conflict[a * self.n + b]
+        self.conflicting(a).binary_search(&b).is_ok()
     }
 
     /// Number of conflicting pairs.
     pub fn edge_count(&self) -> usize {
-        self.conflict.iter().filter(|&&c| c).count()
+        self.adjacent.len() / 2
     }
 }
 
@@ -82,137 +114,216 @@ fn intern<'a>(ids: &mut ArrayIds<'a>, array: &'a Symbol) -> usize {
     *ids.entry(array.name()).or_insert(next)
 }
 
-/// One nest's footprints under the size bindings: its own resolved box,
-/// the distinct `(array, offset)` pairs it writes — a write footprint is
-/// the box translated by the offset — and the arrays it reads as a sorted
-/// set (where a read lands never matters to the relation). A nest whose
-/// box is empty touches nothing: every field stays empty.
-#[derive(Default)]
-struct Footprint {
-    lo: Vec<i64>,
-    hi: Vec<i64>,
-    writes: Vec<(usize, Vec<i64>)>,
-    read: Vec<usize>,
+/// The offsets of `indices` from `counters` into `out`; false unless
+/// every index is its dimension's counter plus a constant.
+fn offsets_into(indices: &[Idx], counters: &[Symbol], out: &mut Vec<i64>) -> bool {
+    indices.len() == counters.len()
+        && (indices.iter().zip(counters)).all(|(ix, c)| match ix.is_offset_of(c) {
+            Some(o) => {
+                out.push(o);
+                true
+            }
+            None => false,
+        })
 }
 
-/// The offsets of `indices` from `counters`; `None` unless every index is
-/// its dimension's counter plus a constant.
-fn offsets_of(indices: &[Idx], counters: &[Symbol]) -> Option<Vec<i64>> {
-    if indices.len() != counters.len() {
-        return None;
-    }
-    indices
-        .iter()
-        .zip(counters)
-        .map(|(ix, c)| ix.is_offset_of(c))
-        .collect()
-}
-
-/// The arrays `rhs` reads (sorted, distinct); `None` when some access is
-/// not stencil-shaped.
-fn reads_of<'a>(rhs: &'a Expr, counters: &[Symbol], ids: &mut ArrayIds<'a>) -> Option<Vec<usize>> {
-    let mut out = Vec::new();
+/// The arrays `rhs` reads, appended to `out` (distinct); false when some
+/// access is not stencil-shaped.
+fn reads_into<'a>(
+    rhs: &'a Expr,
+    counters: &[Symbol],
+    ids: &mut ArrayIds<'a>,
+    out: &mut Vec<usize>,
+    scratch: &mut Vec<i64>,
+) -> bool {
+    let start = out.len();
     let mut shaped = true;
     visit::for_each(rhs, &mut |e: &'a Expr| {
         if let Node::Access(a) = e.node() {
-            shaped &= offsets_of(&a.indices, counters).is_some();
+            scratch.clear();
+            shaped &= offsets_into(&a.indices, counters, scratch);
             out.push(intern(ids, &a.array));
         }
     });
-    out.sort_unstable();
-    out.dedup();
-    shaped.then_some(out)
+    out[start..].sort_unstable();
+    let mut m = start;
+    for k in start..out.len() {
+        if m == start || out[k] != out[m - 1] {
+            out[m] = out[k];
+            m += 1;
+        }
+    }
+    out.truncate(m);
+    shaped
 }
 
-fn footprint<'a>(
-    nest: &'a LoopNest,
-    sizes: &BTreeMap<Symbol, i64>,
-    ids: &mut ArrayIds<'a>,
-    // What `reads_of` said of each right-hand side under these counters.
-    memo: &mut NodeMemo<'a, Option<Vec<usize>>>,
-) -> Result<Footprint, SchedError> {
-    // An access that is not `counter + constant`: the region metadata
-    // meets it first too (same statement order, write before reads) and
-    // words the refusal.
-    let misshapen = || match access_boxes(nest) {
-        Err(e) => SchedError::from(e),
-        Ok(_) => unreachable!("access_boxes accepts what offsets_of refused"),
-    };
-    let mut fp = Footprint::default();
-    for s in &nest.body {
-        let woff = offsets_of(&s.lhs.indices, &nest.counters).ok_or_else(misshapen)?;
-        fp.writes.push((intern(ids, &s.lhs.array), woff));
-        let reads = memo.get_or_insert_with(&s.rhs, || reads_of(&s.rhs, &nest.counters, ids));
-        fp.read
-            .extend_from_slice(reads.as_deref().ok_or_else(misshapen)?);
-    }
-    if nest.body.is_empty() {
-        return Ok(fp);
-    }
-    for b in nest.bounds.iter().take(nest.counters.len()) {
-        fp.lo.push(resolve(&b.lo, sizes)?);
-        fp.hi.push(resolve(&b.hi, sizes)?);
-    }
-    if fp.lo.iter().zip(&fp.hi).any(|(l, h)| l > h) {
-        return Ok(Footprint::default());
-    }
-    fp.writes.sort_unstable();
-    fp.writes.dedup();
-    fp.read.sort_unstable();
-    fp.read.dedup();
-    Ok(fp)
+/// A write footprint: nest `nest` writes `array` over the box at
+/// `boxes[at..at + 2 * rank]` (`rank` lower bounds, then `rank` upper).
+struct Write {
+    array: usize,
+    nest: usize,
+    at: usize,
+    rank: usize,
 }
 
-/// Write/write races only on overlapping boxes (the disjoint adjoint
-/// decomposition must fuse). A write paired with a read of the same array
-/// conflicts even when the boxes are disjoint: the executor refuses to
-/// alias a written array with a read one within a single plan, so such
-/// nests must land in separate groups.
-fn clash(x: &Footprint, y: &Footprint) -> bool {
-    let overlap = |xo: &[i64], yo: &[i64]| {
-        let xs = x.lo.iter().zip(&x.hi).zip(xo);
-        let ys = y.lo.iter().zip(&y.hi).zip(yo);
-        xs.zip(ys)
-            .all(|(((xl, xh), xo), ((yl, yh), yo))| xl + xo <= yh + yo && yl + yo <= xh + xo)
-    };
-    let reads = |r: &Footprint, w: &Footprint| {
-        let mut written = w.writes.iter().map(|(array, _)| array);
-        written.any(|array| r.read.binary_search(array).is_ok())
-    };
-    reads(x, y)
-        || reads(y, x)
-        || x.writes
-            .iter()
-            .any(|(xa, xo)| y.writes.iter().any(|(ya, yo)| xa == ya && overlap(xo, yo)))
+/// Every nest's footprints under the size bindings, flat: its resolved
+/// box translated by each distinct `(array, offset)` it writes, and the
+/// arrays it reads (where a read lands never matters to the relation).
+/// A nest whose box is empty touches nothing.
+#[derive(Default)]
+struct Footprints<'a> {
+    writes: Vec<Write>,
+    boxes: Vec<i64>,
+    /// `(array, nest)`, one per array a nest reads.
+    reads: Vec<(usize, usize)>,
+    ids: ArrayIds<'a>,
+    /// The arrays each distinct right-hand side reads, one run each.
+    read_ids: Vec<usize>,
+    offset: Vec<i64>,
+}
+
+impl<'a> Footprints<'a> {
+    /// Add nest `k`'s footprints. `memo` holds what `reads_into` said of
+    /// each right-hand side under this nest's counters: its run of
+    /// `read_ids`, if stencil-shaped.
+    fn add(
+        &mut self,
+        k: usize,
+        nest: &'a LoopNest,
+        sizes: &BTreeMap<Symbol, i64>,
+        memo: &mut NodeMemo<'a, Option<(usize, usize)>>,
+    ) -> Result<(), SchedError> {
+        let (ids, read_ids, offset) = (&mut self.ids, &mut self.read_ids, &mut self.offset);
+        // An access that is not `counter + constant`: the region metadata
+        // meets it first too (same statement order, write before reads)
+        // and words the refusal.
+        let misshapen = || match access_boxes(nest) {
+            Err(e) => SchedError::from(e),
+            Ok(_) => unreachable!("access_boxes accepts what offsets_into refused"),
+        };
+        // A box has a dimension per counter that has a bound.
+        let rank = nest.counters.len().min(nest.bounds.len());
+        let (first_write, first_read) = (self.writes.len(), self.reads.len());
+        for s in &nest.body {
+            offset.clear();
+            if !offsets_into(&s.lhs.indices, &nest.counters, offset) {
+                return Err(misshapen());
+            }
+            let array = intern(ids, &s.lhs.array);
+            let woff = &offset[..rank];
+            let met = self.writes[first_write..]
+                .iter()
+                .any(|w| w.array == array && self.boxes[w.at..w.at + rank] == *woff);
+            if !met {
+                // The offset for now; the box once the bounds resolve.
+                let at = self.boxes.len();
+                self.boxes.extend_from_slice(woff);
+                self.boxes.extend_from_slice(woff);
+                self.writes.push(Write {
+                    array,
+                    nest: k,
+                    at,
+                    rank,
+                });
+            }
+            let range = *memo.get_or_insert_with(&s.rhs, || {
+                let start = read_ids.len();
+                let shaped = reads_into(&s.rhs, &nest.counters, ids, read_ids, offset);
+                shaped.then_some((start, read_ids.len()))
+            });
+            let (lo, hi) = range.ok_or_else(misshapen)?;
+            self.reads.extend(read_ids[lo..hi].iter().map(|&a| (a, k)));
+        }
+        if nest.body.is_empty() {
+            return Ok(());
+        }
+        let mut empty = false;
+        for (d, b) in nest.bounds.iter().take(rank).enumerate() {
+            let (lo, hi) = (resolve(&b.lo, sizes)?, resolve(&b.hi, sizes)?);
+            empty |= lo > hi;
+            for w in &self.writes[first_write..] {
+                self.boxes[w.at + d] += lo;
+                self.boxes[w.at + rank + d] += hi;
+            }
+        }
+        if empty {
+            self.writes.truncate(first_write);
+            self.reads.truncate(first_read);
+        }
+        Ok(())
+    }
 }
 
 /// Build the dependence graph for `nests` under the given size bindings.
+///
+/// Write/write races only on overlapping boxes (the disjoint adjoint
+/// decomposition must fuse): each array's write boxes are swept in order
+/// of their outermost lower bound, so only boxes that overlap there are
+/// compared. A write paired with a read of the same array conflicts even
+/// when the boxes are disjoint: the executor refuses to alias a written
+/// array with a read one within a single plan, so such nests must land in
+/// separate groups.
 pub fn dependence_graph(
     nests: &[LoopNest],
     sizes: &BTreeMap<Symbol, i64>,
 ) -> Result<DepGraph, SchedError> {
-    let n = nests.len();
-    let mut ids = ArrayIds::new();
-    let mut memo = NodeMemo::default();
-    let prints = nests
-        .iter()
-        .map(|nest| {
-            // A verdict holds for the counters it was reached under: a
-            // nest with other counters gets a memo of its own.
-            if nest.counters == nests[0].counters {
-                footprint(nest, sizes, &mut ids, &mut memo)
-            } else {
-                footprint(nest, sizes, &mut ids, &mut NodeMemo::default())
-            }
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut conflict = vec![false; n * n];
-    for a in 0..n {
-        for b in a + 1..n {
-            conflict[a * n + b] = clash(&prints[a], &prints[b]);
+    let mut shared = NodeMemo::default();
+    let mut fp = Footprints::default();
+    for (k, nest) in nests.iter().enumerate() {
+        // A verdict holds for the counters it was reached under: a nest
+        // with other counters gets a memo of its own.
+        let mut own = NodeMemo::default();
+        let memo = match nest.counters == nests[0].counters {
+            true => &mut shared,
+            false => &mut own,
+        };
+        fp.add(k, nest, sizes, memo)?;
+    }
+    let mut edges = Vec::new();
+    let pair = |a: usize, b: usize| (a.min(b), a.max(b));
+
+    // Every writer of an array against every reader of it.
+    let mut writers: Vec<(usize, usize)> = fp.writes.iter().map(|w| (w.array, w.nest)).collect();
+    writers.sort_unstable();
+    writers.dedup();
+    fp.reads.sort_unstable();
+    fp.reads.dedup();
+    for run in writers.chunk_by(|x, y| x.0 == y.0) {
+        let array = run[0].0;
+        let from = fp.reads.partition_point(|r| r.0 < array);
+        let to = fp.reads.partition_point(|r| r.0 <= array);
+        for &(_, w) in run {
+            let readers = fp.reads[from..to].iter().filter(|r| r.1 != w);
+            edges.extend(readers.map(|r| pair(w, r.1)));
         }
     }
-    Ok(DepGraph { n, conflict })
+
+    // Write boxes of one array against each other, swept along the
+    // outermost dimension: `active` holds the boxes met so far that still
+    // reach the current lower bound there.
+    let boxes = &fp.boxes;
+    let outer = |w: &Write| match w.rank {
+        0 => (i64::MIN, i64::MAX),
+        r => (boxes[w.at], boxes[w.at + r]),
+    };
+    let overlap = |x: &Write, y: &Write| {
+        let (xlo, xhi) = (&boxes[x.at..], &boxes[x.at + x.rank..]);
+        let (ylo, yhi) = (&boxes[y.at..], &boxes[y.at + y.rank..]);
+        (0..x.rank.min(y.rank)).all(|d| xlo[d] <= yhi[d] && ylo[d] <= xhi[d])
+    };
+    fp.writes.sort_unstable_by_key(|w| (w.array, outer(w).0));
+    let mut active: Vec<&Write> = Vec::new();
+    for run in fp.writes.chunk_by(|x, y| x.array == y.array) {
+        active.clear();
+        for w in run {
+            let lo = outer(w).0;
+            active.retain(|v| outer(v).1 >= lo);
+            let clashing = active.iter().filter(|v| v.nest != w.nest && overlap(v, w));
+            edges.extend(clashing.map(|v| pair(v.nest, w.nest)));
+            active.push(w);
+        }
+    }
+    Ok(DepGraph::from_edges(nests.len(), edges))
 }
 
 /// An inclusive integer box, outermost dimension first.
@@ -431,10 +542,10 @@ mod tests {
             boxes.push(out);
         }
         let n = nests.len();
-        let mut conflict = vec![false; n * n];
+        let mut edges = Vec::new();
         for a in 0..n {
             for b in a + 1..n {
-                conflict[a * n + b] = boxes[a].iter().any(|x| {
+                let conflict = boxes[a].iter().any(|x| {
                     boxes[b].iter().any(|y| {
                         x.array == y.array
                             && match (x.write, y.write) {
@@ -444,9 +555,12 @@ mod tests {
                             }
                     })
                 });
+                if conflict {
+                    edges.push((a, b));
+                }
             }
         }
-        Ok(DepGraph { n, conflict })
+        Ok(DepGraph::from_edges(n, edges))
     }
 
     fn assert_matches_reference(nests: &[LoopNest], sizes: &BTreeMap<Symbol, i64>, what: &str) {
@@ -625,6 +739,108 @@ mod tests {
                     assert_matches_reference(&with_primal, &sizes(16), &what);
                 }
             }
+        }
+    }
+
+    /// Random box sets over a few shared arrays in a small domain, so that
+    /// boxes overlap, touch at an edge, miss by one or are empty: the
+    /// sweep finds exactly the pairs the reference does.
+    #[test]
+    fn swept_boxes_match_the_pairwise_reference() {
+        let mut rng = Rng(0xB0C5_5EE9);
+        let (mut conflicts, mut touching) = (0, 0);
+        for case in 0..300 {
+            let rank = rng.range(1, 3) as usize;
+            let counters: Vec<Symbol> = ["i", "j", "k"][..rank]
+                .iter()
+                .map(|&c| Symbol::new(c))
+                .collect();
+            let arrays = rng.range(1, 4);
+            let nests: Vec<LoopNest> = (0..rng.range(2, 60))
+                .map(|_| {
+                    let bounds = (0..rank)
+                        .map(|_| {
+                            let lo = rng.range(0, 6);
+                            // Now and then empty; often a single plane.
+                            let hi = lo + rng.range(-1, 3);
+                            perforad_core::Bound::new(lo, hi)
+                        })
+                        .collect();
+                    let at = counters.iter().map(|c| Idx::sym(c.clone()));
+                    let lhs = perforad_symbolic::Access::new(
+                        format!("w{}", rng.range(0, arrays - 1)),
+                        at.collect(),
+                    );
+                    let rhs = Array::new(format!("u{}", rng.range(0, 2)))
+                        .at(counters.iter().map(|c| Idx::sym(c.clone())).collect());
+                    let body = vec![perforad_core::Statement::add_assign(lhs, rhs)];
+                    LoopNest::new(counters.clone(), bounds, body)
+                })
+                .collect();
+            assert_matches_reference(&nests, &sizes(8), &format!("case {case}"));
+            let g = dependence_graph(&nests, &sizes(8)).unwrap();
+            conflicts += g.edge_count();
+            // Pairs of one array whose boxes share exactly a face.
+            let lo_hi = |n: &LoopNest, d: usize| {
+                let b = &n.bounds[d];
+                (b.lo.offset(), b.hi.offset())
+            };
+            for a in 0..nests.len() {
+                for b in a + 1..nests.len() {
+                    let same = nests[a].body[0].lhs.array == nests[b].body[0].lhs.array;
+                    let faces = (0..rank).filter(|&d| {
+                        let ((al, ah), (bl, bh)) = (lo_hi(&nests[a], d), lo_hi(&nests[b], d));
+                        al <= ah && bl <= bh && (ah == bl || bh == al)
+                    });
+                    touching += (same && faces.count() > 0 && g.conflicts(a, b)) as usize;
+                }
+            }
+        }
+        assert!(conflicts > 2000 && touching > 200, "{conflicts} {touching}");
+    }
+
+    /// The radius-`r` 3-D star over `[r, n-r-1]^3`: `c` times `u` at every
+    /// offset `±1 ..= ±r` along each axis, minus the centre.
+    fn radius_star(r: i64) -> LoopNest {
+        let counters: Vec<Symbol> = ["i", "j", "k"].iter().map(|&c| Symbol::new(c)).collect();
+        let at = |d: usize, o: i64| -> Vec<Idx> {
+            let at = counters.iter().enumerate();
+            at.map(|(k, c)| Idx::sym(c.clone()) + if k == d { o } else { 0 })
+                .collect()
+        };
+        let (u, c) = (Array::new("u"), Array::new("c"));
+        let mut sum = -1.25 * u.at(at(0, 0));
+        for d in 0..3 {
+            for o in 1..=r {
+                sum = sum + 0.5 * u.at(at(d, -o)) + 0.75 * u.at(at(d, o));
+            }
+        }
+        make_loop_nest(
+            &Array::new("r").at(at(0, 0)),
+            c.at(at(0, 0)) * sum,
+            counters.clone(),
+            vec![(Idx::constant(r), Idx::sym(Symbol::new("n")) - (r + 1)); 3],
+        )
+        .unwrap()
+    }
+
+    /// The swept graph of the radius-1 … 4 star adjoints is the pairwise
+    /// reference's: conflict-free lists of 53 to 1 457 nests.
+    #[test]
+    fn radius_star_adjoints_match_the_pairwise_reference() {
+        let act = ActivityMap::new().with_suffixed("u").with_suffixed("r");
+        for (r, nests) in [(1, 53), (2, 249), (3, 685), (4, 1457)] {
+            let adj = radius_star(r)
+                .adjoint(&act, &AdjointOptions::default())
+                .unwrap();
+            assert_eq!(adj.nest_count(), nests, "r = {r}");
+            assert_matches_reference(&adj.nests, &sizes(32), &format!("r = {r}"));
+            assert_eq!(
+                dependence_graph(&adj.nests, &sizes(32))
+                    .unwrap()
+                    .edge_count(),
+                0
+            );
         }
     }
 

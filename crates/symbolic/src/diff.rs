@@ -59,8 +59,9 @@ pub fn diff(e: &Expr, v: &DiffVar) -> Result<Expr, SymError> {
             Expr::add_all(parts)
         }
         Node::Mul(fs) => {
-            // Product rule: sum over factors of (d factor) * rest.
-            let mut terms = Vec::with_capacity(fs.len());
+            // Product rule: sum over factors of (d factor) * rest. Most
+            // factors do not depend on `v`: the list grows as needed.
+            let mut terms = Vec::new();
             for (k, fk) in fs.iter().enumerate() {
                 let dk = diff(fk, v)?;
                 if dk.is_zero() {

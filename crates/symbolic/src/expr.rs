@@ -11,7 +11,7 @@ use crate::number::Number;
 use crate::symbol::Symbol;
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An access to an array element at affine indices, e.g. `u[i-1][j]`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -244,8 +244,19 @@ impl Expr {
 
     // ----- leaf constructors (already canonical) -----
 
+    /// A constant. The integers −1 … 2 are shared process-wide, one node
+    /// each; every other constant, every `Float` included, is a node of
+    /// its own (`-0.0` and `+0.0` stay distinct).
     pub fn num(n: Number) -> Expr {
-        Expr::raw(Node::Num(n))
+        static SMALL: OnceLock<[Expr; 4]> = OnceLock::new();
+        match n {
+            Number::Int(i @ -1..=2) => {
+                let small = SMALL
+                    .get_or_init(|| [-1, 0, 1, 2].map(|i| Expr::raw(Node::Num(Number::Int(i)))));
+                small[(i + 1) as usize].clone()
+            }
+            _ => Expr::raw(Node::Num(n)),
+        }
     }
 
     pub fn int(i: i64) -> Expr {
@@ -388,7 +399,7 @@ impl Expr {
             Node::Sym(_) => 1,
             Node::Access(_) => 2,
             Node::Pow(..) => 3,
-            Node::Mul(_) => 4,
+            Node::Mul(_) => MUL_RANK,
             Node::Add(_) => 5,
             Node::Call(..) => 6,
             Node::Select(..) => 7,
@@ -397,6 +408,9 @@ impl Expr {
         }
     }
 }
+
+/// The rank of a product in the canonical order.
+const MUL_RANK: u8 = 4;
 
 impl PartialOrd for Expr {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -436,7 +450,7 @@ impl Ord for Expr {
     }
 }
 
-fn cmp_slices(a: &[Expr], b: &[Expr]) -> Ordering {
+pub(crate) fn cmp_slices(a: &[Expr], b: &[Expr]) -> Ordering {
     for (x, y) in a.iter().zip(b.iter()) {
         let c = x.cmp(y);
         if c != Ordering::Equal {
@@ -444,6 +458,15 @@ fn cmp_slices(a: &[Expr], b: &[Expr]) -> Ordering {
         }
     }
     a.len().cmp(&b.len())
+}
+
+/// How the product of `factors` (two or more) would compare with `e`,
+/// without building it.
+pub(crate) fn cmp_product(factors: &[Expr], e: &Expr) -> Ordering {
+    match e.node() {
+        Node::Mul(fs) => cmp_slices(factors, fs),
+        _ => MUL_RANK.cmp(&e.rank()),
+    }
 }
 
 fn cmp_ufun(a: &UFunApp, b: &UFunApp) -> Ordering {

@@ -99,6 +99,12 @@ pub fn shift(e: &Expr, counters: &[Symbol], delta: &[i64]) -> Expr {
 
 /// Substitute scalar expressions for scalar symbols (array indices untouched).
 pub fn subst_sym(e: &Expr, map: &BTreeMap<Symbol, Expr>) -> Expr {
+    // A canonical expression rebuilt unchanged is itself: with no symbol
+    // to replace, there is nothing to build.
+    let mapped = |x: &Expr| matches!(x.node(), Node::Sym(s) if map.contains_key(s));
+    if !crate::visit::contains(e, &mut |x| mapped(x)) {
+        return e.clone();
+    }
     rebuild(e, &|a| Expr::access(a.clone()), &|s| match map.get(s) {
         Some(rep) => rep.clone(),
         None => Expr::sym(s.clone()),

@@ -350,7 +350,10 @@ fn write_set(plan: &Plan, tile: &Tile) -> BTreeSet<(usize, Vec<i64>)> {
                     .as_ref()
                     .is_some_and(|g| g.iter().zip(&point).any(|(&(l, h), &p)| p < l || p > h));
                 if !guarded {
-                    let at = point.iter().zip(&st.write_offsets).map(|(p, o)| p + o);
+                    let at = point
+                        .iter()
+                        .zip(st.write_offsets.iter())
+                        .map(|(p, o)| p + o);
                     writes.insert((st.out_slot, at.collect()));
                 }
             }
