@@ -146,15 +146,21 @@ fn reads_into<'a>(
         }
     });
     out[start..].sort_unstable();
-    let mut m = start;
-    for k in start..out.len() {
-        if m == start || out[k] != out[m - 1] {
-            out[m] = out[k];
+    let distinct = dedup_sorted(&mut out[start..]);
+    out.truncate(start + distinct);
+    shaped
+}
+
+/// Move the distinct values of the sorted `xs` to its front; their count.
+fn dedup_sorted<T: PartialEq + Copy>(xs: &mut [T]) -> usize {
+    let mut m = 0;
+    for k in 0..xs.len() {
+        if m == 0 || xs[k] != xs[m - 1] {
+            xs[m] = xs[k];
             m += 1;
         }
     }
-    out.truncate(m);
-    shaped
+    m
 }
 
 /// A write footprint: nest `nest` writes `array` over the box at
@@ -204,12 +210,18 @@ impl<'a> Footprints<'a> {
         // A box has a dimension per counter that has a bound.
         let rank = nest.counters.len().min(nest.bounds.len());
         let (first_write, first_read) = (self.writes.len(), self.reads.len());
+        let mut last: Option<(&Symbol, usize)> = None;
         for s in &nest.body {
             offset.clear();
             if !offsets_into(&s.lhs.indices, &nest.counters, offset) {
                 return Err(misshapen());
             }
-            let array = intern(ids, &s.lhs.array);
+            // A nest's statements mostly write one array: ask the map once.
+            let array = match last {
+                Some((written, id)) if *written == s.lhs.array => id,
+                _ => intern(ids, &s.lhs.array),
+            };
+            last = Some((&s.lhs.array, array));
             let woff = &offset[..rank];
             let met = self.writes[first_write..]
                 .iter()
@@ -250,6 +262,10 @@ impl<'a> Footprints<'a> {
             self.writes.truncate(first_write);
             self.reads.truncate(first_read);
         }
+        let reads = &mut self.reads[first_read..];
+        reads.sort_unstable();
+        let distinct = dedup_sorted(reads);
+        self.reads.truncate(first_read + distinct);
         Ok(())
     }
 }
