@@ -71,6 +71,27 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
     while lx.pos < lx.src.len() {
         let c = lx.src[lx.pos] as char;
         let start = lx.pos;
+        let single = match c {
+            '-' => Some(Tok::Minus),
+            '*' => Some(Tok::Star),
+            '/' => Some(Tok::Slash),
+            '^' => Some(Tok::Caret),
+            '(' => Some(Tok::LParen),
+            ')' => Some(Tok::RParen),
+            '[' => Some(Tok::LBracket),
+            ']' => Some(Tok::RBracket),
+            '{' => Some(Tok::LBrace),
+            '}' => Some(Tok::RBrace),
+            ',' => Some(Tok::Comma),
+            ';' => Some(Tok::Semi),
+            '=' => Some(Tok::Assign),
+            _ => None,
+        };
+        if let Some(tok) = single {
+            lx.toks.push((start, tok));
+            lx.pos += 1;
+            continue;
+        }
         match c {
             ' ' | '\t' | '\n' | '\r' => {
                 lx.pos += 1;
@@ -89,58 +110,6 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
                     lx.toks.push((start, Tok::Plus));
                     lx.pos += 1;
                 }
-            }
-            '-' => {
-                lx.toks.push((start, Tok::Minus));
-                lx.pos += 1;
-            }
-            '*' => {
-                lx.toks.push((start, Tok::Star));
-                lx.pos += 1;
-            }
-            '/' => {
-                lx.toks.push((start, Tok::Slash));
-                lx.pos += 1;
-            }
-            '^' => {
-                lx.toks.push((start, Tok::Caret));
-                lx.pos += 1;
-            }
-            '(' => {
-                lx.toks.push((start, Tok::LParen));
-                lx.pos += 1;
-            }
-            ')' => {
-                lx.toks.push((start, Tok::RParen));
-                lx.pos += 1;
-            }
-            '[' => {
-                lx.toks.push((start, Tok::LBracket));
-                lx.pos += 1;
-            }
-            ']' => {
-                lx.toks.push((start, Tok::RBracket));
-                lx.pos += 1;
-            }
-            '{' => {
-                lx.toks.push((start, Tok::LBrace));
-                lx.pos += 1;
-            }
-            '}' => {
-                lx.toks.push((start, Tok::RBrace));
-                lx.pos += 1;
-            }
-            ',' => {
-                lx.toks.push((start, Tok::Comma));
-                lx.pos += 1;
-            }
-            ';' => {
-                lx.toks.push((start, Tok::Semi));
-                lx.pos += 1;
-            }
-            '=' => {
-                lx.toks.push((start, Tok::Assign));
-                lx.pos += 1;
             }
             '.' => {
                 if lx.src.get(lx.pos + 1) == Some(&b'.') {
@@ -167,36 +136,21 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
                         break;
                     }
                 }
-                let text = std::str::from_utf8(&lx.src[lx.pos..end]).unwrap();
-                if is_float {
-                    lx.toks.push((
-                        start,
-                        Tok::Float(text.parse().map_err(|_| ParseError {
-                            pos: start,
-                            message: format!("bad float `{text}`"),
-                        })?),
-                    ));
-                } else {
-                    lx.toks.push((
-                        start,
-                        Tok::Int(text.parse().map_err(|_| ParseError {
-                            pos: start,
-                            message: format!("bad integer `{text}`"),
-                        })?),
-                    ));
-                }
+                let text = &src[lx.pos..end];
+                let bad = |what| ParseError {
+                    pos: start,
+                    message: format!("bad {what} `{text}`"),
+                };
+                let tok = match is_float {
+                    true => Tok::Float(text.parse().map_err(|_| bad("float"))?),
+                    false => Tok::Int(text.parse().map_err(|_| bad("integer"))?),
+                };
+                lx.toks.push((start, tok));
                 lx.pos = end;
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut end = lx.pos;
-                while end < lx.src.len() {
-                    let ch = lx.src[end] as char;
-                    if ch.is_ascii_alphanumeric() || ch == '_' {
-                        end += 1;
-                    } else {
-                        break;
-                    }
-                }
+                let name = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
+                let end = lx.pos + lx.src[lx.pos..].iter().take_while(|b| name(b)).count();
                 // ASCII throughout, so a char boundary of `src`.
                 let text = &src[lx.pos..end];
                 let tok = match text {

@@ -20,7 +20,10 @@
 //! per term: a nest's box is resolved once and a footprint is an integer
 //! translate of it, a right-hand side's reads are collected once per
 //! distinct expression ([`NodeMemo`]), and over interned array ids only
-//! same-array write/write pairs ever compare boxes.
+//! same-array write/write pairs ever compare boxes — and of those only
+//! the ones a sweep along the outermost dimension finds overlapping
+//! there. The conflicts are kept per nest, so a conflict-free list of
+//! 1 457 nests costs no 1 457² matrix.
 //!
 //! [`access_boxes`]: perforad_core::regions::access_boxes
 
@@ -52,32 +55,19 @@ pub struct DepGraph {
 }
 
 impl DepGraph {
-    /// The graph over `n` nests with the conflicting pairs `edges`, each
-    /// pair `(a, b)` with `a < b`, in any order, repeats allowed.
-    fn from_edges(n: usize, mut edges: Vec<(usize, usize)>) -> DepGraph {
-        edges.sort_unstable();
-        edges.dedup();
+    /// The graph over `n` nests whose conflicts are the pairs `arcs`, each
+    /// given both ways round, in any order, repeats allowed.
+    fn from_arcs(n: usize, mut arcs: Vec<(usize, usize)>) -> DepGraph {
+        arcs.sort_unstable();
+        arcs.dedup();
         let mut start = vec![0; n + 1];
-        for &(a, b) in &edges {
+        for &(a, _) in &arcs {
             start[a + 1] += 1;
-            start[b + 1] += 1;
         }
         for k in 0..n {
             start[k + 1] += start[k];
         }
-        // Sorted by `(a, b)`, each `a` gets its `b`s ascending; each `b`
-        // gets its `a`s ascending too, and every `a` of `b` is below every
-        // `b` of `b`, which `a`'s turn as the lower end fills later.
-        let mut fill = start.clone();
-        let mut adjacent = vec![0; 2 * edges.len()];
-        for &(a, b) in &edges {
-            adjacent[fill[b]] = a;
-            fill[b] += 1;
-        }
-        for &(a, b) in &edges {
-            adjacent[fill[a]] = b;
-            fill[a] += 1;
-        }
+        let adjacent = arcs.into_iter().map(|(_, b)| b).collect();
         DepGraph { start, adjacent }
     }
 
@@ -117,50 +107,12 @@ fn intern<'a>(ids: &mut ArrayIds<'a>, array: &'a Symbol) -> usize {
 /// The offsets of `indices` from `counters` into `out`; false unless
 /// every index is its dimension's counter plus a constant.
 fn offsets_into(indices: &[Idx], counters: &[Symbol], out: &mut Vec<i64>) -> bool {
-    indices.len() == counters.len()
-        && (indices.iter().zip(counters)).all(|(ix, c)| match ix.is_offset_of(c) {
-            Some(o) => {
-                out.push(o);
-                true
-            }
-            None => false,
-        })
-}
-
-/// The arrays `rhs` reads, appended to `out` (distinct); false when some
-/// access is not stencil-shaped.
-fn reads_into<'a>(
-    rhs: &'a Expr,
-    counters: &[Symbol],
-    ids: &mut ArrayIds<'a>,
-    out: &mut Vec<usize>,
-    scratch: &mut Vec<i64>,
-) -> bool {
-    let start = out.len();
-    let mut shaped = true;
-    visit::for_each(rhs, &mut |e: &'a Expr| {
-        if let Node::Access(a) = e.node() {
-            scratch.clear();
-            shaped &= offsets_into(&a.indices, counters, scratch);
-            out.push(intern(ids, &a.array));
-        }
-    });
-    out[start..].sort_unstable();
-    let distinct = dedup_sorted(&mut out[start..]);
-    out.truncate(start + distinct);
-    shaped
-}
-
-/// Move the distinct values of the sorted `xs` to its front; their count.
-fn dedup_sorted<T: PartialEq + Copy>(xs: &mut [T]) -> usize {
-    let mut m = 0;
-    for k in 0..xs.len() {
-        if m == 0 || xs[k] != xs[m - 1] {
-            xs[m] = xs[k];
-            m += 1;
-        }
-    }
-    m
+    out.clear();
+    let mut offsets = indices
+        .iter()
+        .zip(counters)
+        .map(|(ix, c)| ix.is_offset_of(c));
+    indices.len() == counters.len() && offsets.all(|o| o.map(|o| out.push(o)).is_some())
 }
 
 /// A write footprint: nest `nest` writes `array` over the box at
@@ -189,9 +141,9 @@ struct Footprints<'a> {
 }
 
 impl<'a> Footprints<'a> {
-    /// Add nest `k`'s footprints. `memo` holds what `reads_into` said of
-    /// each right-hand side under this nest's counters: its run of
-    /// `read_ids`, if stencil-shaped.
+    /// Add nest `k`'s footprints. `memo` holds, for each right-hand side
+    /// met under this nest's counters, its run of `read_ids` if every
+    /// access in it is stencil-shaped.
     fn add(
         &mut self,
         k: usize,
@@ -212,7 +164,6 @@ impl<'a> Footprints<'a> {
         let (first_write, first_read) = (self.writes.len(), self.reads.len());
         let mut last: Option<(&Symbol, usize)> = None;
         for s in &nest.body {
-            offset.clear();
             if !offsets_into(&s.lhs.indices, &nest.counters, offset) {
                 return Err(misshapen());
             }
@@ -223,28 +174,37 @@ impl<'a> Footprints<'a> {
             };
             last = Some((&s.lhs.array, array));
             let woff = &offset[..rank];
-            let met = self.writes[first_write..]
-                .iter()
-                .any(|w| w.array == array && self.boxes[w.at..w.at + rank] == *woff);
-            if !met {
+            let mut written = self.writes[first_write..].iter();
+            if !written.any(|w| w.array == array && self.boxes[w.at..w.at + rank] == *woff) {
                 // The offset for now; the box once the bounds resolve.
                 let at = self.boxes.len();
                 self.boxes.extend_from_slice(woff);
                 self.boxes.extend_from_slice(woff);
+                let (nest, array) = (k, array);
                 self.writes.push(Write {
                     array,
-                    nest: k,
+                    nest,
                     at,
                     rank,
                 });
             }
-            let range = *memo.get_or_insert_with(&s.rhs, || {
+            let run = *memo.get_or_insert_with(&s.rhs, || {
                 let start = read_ids.len();
-                let shaped = reads_into(&s.rhs, &nest.counters, ids, read_ids, offset);
+                let mut shaped = true;
+                visit::for_each(&s.rhs, &mut |e: &'a Expr| {
+                    if let Node::Access(a) = e.node() {
+                        shaped &= offsets_into(&a.indices, &nest.counters, offset);
+                        read_ids.push(intern(ids, &a.array));
+                    }
+                });
                 shaped.then_some((start, read_ids.len()))
             });
-            let (lo, hi) = range.ok_or_else(misshapen)?;
-            self.reads.extend(read_ids[lo..hi].iter().map(|&a| (a, k)));
+            let (lo, hi) = run.ok_or_else(misshapen)?;
+            for &array in &read_ids[lo..hi] {
+                if !self.reads[first_read..].iter().any(|r| r.0 == array) {
+                    self.reads.push((array, k));
+                }
+            }
         }
         if nest.body.is_empty() {
             return Ok(());
@@ -262,10 +222,6 @@ impl<'a> Footprints<'a> {
             self.writes.truncate(first_write);
             self.reads.truncate(first_read);
         }
-        let reads = &mut self.reads[first_read..];
-        reads.sort_unstable();
-        let distinct = dedup_sorted(reads);
-        self.reads.truncate(first_read + distinct);
         Ok(())
     }
 }
@@ -295,22 +251,17 @@ pub fn dependence_graph(
         };
         fp.add(k, nest, sizes, memo)?;
     }
-    let mut edges = Vec::new();
-    let pair = |a: usize, b: usize| (a.min(b), a.max(b));
+    let mut arcs = Vec::new();
 
     // Every writer of an array against every reader of it.
     let mut writers: Vec<(usize, usize)> = fp.writes.iter().map(|w| (w.array, w.nest)).collect();
     writers.sort_unstable();
-    writers.dedup();
     fp.reads.sort_unstable();
-    fp.reads.dedup();
-    for run in writers.chunk_by(|x, y| x.0 == y.0) {
-        let array = run[0].0;
+    for &(array, w) in &writers {
         let from = fp.reads.partition_point(|r| r.0 < array);
-        let to = fp.reads.partition_point(|r| r.0 <= array);
-        for &(_, w) in run {
-            let readers = fp.reads[from..to].iter().filter(|r| r.1 != w);
-            edges.extend(readers.map(|r| pair(w, r.1)));
+        let readers = fp.reads[from..].iter().take_while(|r| r.0 == array);
+        for &(_, r) in readers.filter(|r| r.1 != w) {
+            arcs.extend([(w, r), (r, w)]);
         }
     }
 
@@ -334,12 +285,13 @@ pub fn dependence_graph(
         for w in run {
             let lo = outer(w).0;
             active.retain(|v| outer(v).1 >= lo);
-            let clashing = active.iter().filter(|v| v.nest != w.nest && overlap(v, w));
-            edges.extend(clashing.map(|v| pair(v.nest, w.nest)));
+            for v in active.iter().filter(|v| v.nest != w.nest && overlap(v, w)) {
+                arcs.extend([(v.nest, w.nest), (w.nest, v.nest)]);
+            }
             active.push(w);
         }
     }
-    Ok(DepGraph::from_edges(nests.len(), edges))
+    Ok(DepGraph::from_arcs(nests.len(), arcs))
 }
 
 /// An inclusive integer box, outermost dimension first.
@@ -572,11 +524,11 @@ mod tests {
                     })
                 });
                 if conflict {
-                    edges.push((a, b));
+                    edges.extend([(a, b), (b, a)]);
                 }
             }
         }
-        Ok(DepGraph::from_edges(n, edges))
+        Ok(DepGraph::from_arcs(n, edges))
     }
 
     fn assert_matches_reference(nests: &[LoopNest], sizes: &BTreeMap<Symbol, i64>, what: &str) {

@@ -7,7 +7,10 @@
 //! symbolic computation the stencil transformation needs, from scratch:
 //!
 //! * canonical expression trees ([`Expr`]) with exact rational constants,
-//!   flattening/collecting simplification and deterministic ordering;
+//!   flattening/collecting simplification and deterministic ordering —
+//!   built with little heap traffic: the integers −1 … 2 are one shared
+//!   node each (a `Float` never is), and a sum or product collects into
+//!   one `Vec` without building the residuals it orders its terms by;
 //! * affine index expressions ([`Idx`]) and array accesses ([`Access`]);
 //! * symbolic differentiation with respect to individual array accesses
 //!   ([`mod@diff`]), including piecewise `max`/`min` → ternary [`Node::Select`]
@@ -45,5 +48,5 @@ pub use eval::{eval, EvalContext, MapCtx, Scalar};
 pub use expr::{Access, Array, Cond, Expr, Func, Node, Rel, UFunApp};
 pub use idx::Idx;
 pub use number::{Number, Rational};
-pub use simplify::{expand, simplify};
+pub use simplify::simplify;
 pub use symbol::{symbols, Symbol};

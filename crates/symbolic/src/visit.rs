@@ -3,7 +3,6 @@
 use crate::expr::{Access, Expr, Node};
 use crate::symbol::Symbol;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::marker::PhantomData;
 
 /// A memo over *distinct expression nodes*: what was computed for an
@@ -17,43 +16,16 @@ use std::marker::PhantomData;
 /// stay borrowed for `'a`, so no address can be freed and reused by
 /// another expression while its entry is reachable.
 pub struct NodeMemo<'a, T> {
-    map: HashMap<*const Node, T, BuildHasherDefault<AddressHasher>>,
+    map: HashMap<*const Node, T>,
     live: PhantomData<&'a Expr>,
 }
 
 impl<T> Default for NodeMemo<'_, T> {
     fn default() -> Self {
         NodeMemo {
-            map: HashMap::default(),
+            map: HashMap::new(),
             live: PhantomData,
         }
-    }
-}
-
-/// Hashes a node's address in one multiply: keys are addresses the
-/// process allocated, not input an adversary chooses. The product's high
-/// half is folded down, as aligned addresses share their low bits.
-#[derive(Default)]
-struct AddressHasher(u64);
-
-impl Hasher for AddressHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_usize(&mut self, address: usize) {
-        self.write_u64(address as u64);
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let h = (self.0 ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
     }
 }
 
