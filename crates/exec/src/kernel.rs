@@ -676,8 +676,9 @@ pub fn compile_nests_opts(
             let write_offsets = match offsets.iter().find(|o| o[..] == write_offsets[..]) {
                 Some(o) => o.clone(),
                 None => {
-                    offsets.push(Arc::from(&write_offsets[..]));
-                    offsets[offsets.len() - 1].clone()
+                    let o: Arc<[i64]> = write_offsets[..].into();
+                    offsets.push(o.clone());
+                    o
                 }
             };
 

@@ -101,8 +101,8 @@ pub fn shift(e: &Expr, counters: &[Symbol], delta: &[i64]) -> Expr {
 pub fn subst_sym(e: &Expr, map: &BTreeMap<Symbol, Expr>) -> Expr {
     // A canonical expression rebuilt unchanged is itself: with no symbol
     // to replace, there is nothing to build.
-    let mapped = |x: &Expr| matches!(x.node(), Node::Sym(s) if map.contains_key(s));
-    if !crate::visit::contains(e, &mut |x| mapped(x)) {
+    let mut mapped = |x: &Expr| matches!(x.node(), Node::Sym(s) if map.contains_key(s));
+    if !crate::visit::contains(e, &mut mapped) {
         return e.clone();
     }
     rebuild(e, &|a| Expr::access(a.clone()), &|s| match map.get(s) {
