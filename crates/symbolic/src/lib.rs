@@ -48,5 +48,5 @@ pub use eval::{eval, EvalContext, MapCtx, Scalar};
 pub use expr::{Access, Array, Cond, Expr, Func, Node, Rel, UFunApp};
 pub use idx::Idx;
 pub use number::{Number, Rational};
-pub use simplify::simplify;
+pub use simplify::{expand, simplify};
 pub use symbol::{symbols, Symbol};

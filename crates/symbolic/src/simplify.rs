@@ -9,7 +9,8 @@
 //! * `0`/`1` identities are applied; `Select` with equal branches or a
 //!   constant-decidable condition collapses.
 //!
-//! Products are *not* auto-expanded.
+//! Products are *not* auto-expanded; use [`expand`] where distribution is
+//! wanted (e.g. before merging adjoint statements).
 
 use crate::expr::{cmp_product, cmp_slices, Cond, Expr, Func, Node};
 use crate::number::Number;
@@ -413,6 +414,70 @@ pub fn simplify(e: &Expr) -> Expr {
     }
 }
 
+/// Distribute products over sums (and small integer powers of sums).
+pub fn expand(e: &Expr) -> Expr {
+    match e.node() {
+        Node::Num(_) | Node::Sym(_) | Node::Access(_) => e.clone(),
+        Node::Add(ts) => add_vec(ts.iter().map(expand).collect()),
+        Node::Mul(fs) => {
+            let fs: Vec<Expr> = fs.iter().map(expand).collect();
+            // Cartesian distribution over Add factors.
+            let mut sums: Vec<Vec<Expr>> = vec![vec![]];
+            for f in fs {
+                let choices: Vec<Expr> = match f.node() {
+                    Node::Add(ts) => ts.clone(),
+                    _ => vec![f.clone()],
+                };
+                if choices.len() == 1 {
+                    for s in &mut sums {
+                        s.push(choices[0].clone());
+                    }
+                } else {
+                    let mut next = Vec::with_capacity(sums.len() * choices.len());
+                    for s in &sums {
+                        for c in &choices {
+                            let mut s2 = s.clone();
+                            s2.push(c.clone());
+                            next.push(s2);
+                        }
+                    }
+                    sums = next;
+                }
+            }
+            add_vec(sums.into_iter().map(mul_vec).collect())
+        }
+        Node::Pow(b, x) => {
+            let b = expand(b);
+            let x = expand(x);
+            if let (Node::Add(bs), Some(k)) = (b.node(), x.as_int()) {
+                if (2..=4).contains(&k) {
+                    // Distribute term lists directly; going through `mul_vec`
+                    // would just re-collect the identical sums into a power.
+                    let mut acc: Vec<Expr> = bs.clone();
+                    for _ in 1..k {
+                        let mut next = Vec::with_capacity(acc.len() * bs.len());
+                        for t in &acc {
+                            for s in bs {
+                                next.push(mul_vec(vec![t.clone(), s.clone()]));
+                            }
+                        }
+                        acc = next;
+                    }
+                    return add_vec(acc);
+                }
+            }
+            pow(b, x)
+        }
+        Node::Call(f, args) => call(*f, args.iter().map(expand).collect()),
+        Node::Select(c, a, b) => select(
+            Cond::new(expand(&c.lhs), c.rel, expand(&c.rhs)),
+            expand(a),
+            expand(b),
+        ),
+        Node::UFun(_) | Node::UDeriv(..) => simplify(e),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,6 +707,31 @@ mod tests {
         assert_eq!(select(c, x.clone(), y.clone()), x);
         let c2 = Cond::new(x.clone(), crate::expr::Rel::Ge, Expr::zero());
         assert_eq!(select(c2, y.clone(), y.clone()), y);
+    }
+
+    #[test]
+    fn expand_distributes() {
+        let x = u_at(0);
+        let y = u_at(1);
+        // 2*(x + y) -> 2x + 2y
+        let e = Expr::mul_all(vec![
+            Expr::int(2),
+            Expr::add_all(vec![x.clone(), y.clone()]),
+        ]);
+        let ex = expand(&e);
+        let expected = Expr::add_all(vec![
+            Expr::mul_all(vec![Expr::int(2), x.clone()]),
+            Expr::mul_all(vec![Expr::int(2), y.clone()]),
+        ]);
+        assert_eq!(ex, expected);
+        // (x + y)^2 -> x^2 + 2xy + y^2
+        let sq = expand(&Expr::add_all(vec![x.clone(), y.clone()]).powi(2));
+        let expected = Expr::add_all(vec![
+            x.clone().powi(2),
+            Expr::mul_all(vec![Expr::int(2), x.clone(), y.clone()]),
+            y.clone().powi(2),
+        ]);
+        assert_eq!(sq, expected);
     }
 
     #[test]
