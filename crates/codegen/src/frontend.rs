@@ -71,27 +71,6 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
     while lx.pos < lx.src.len() {
         let c = lx.src[lx.pos] as char;
         let start = lx.pos;
-        let single = match c {
-            '-' => Some(Tok::Minus),
-            '*' => Some(Tok::Star),
-            '/' => Some(Tok::Slash),
-            '^' => Some(Tok::Caret),
-            '(' => Some(Tok::LParen),
-            ')' => Some(Tok::RParen),
-            '[' => Some(Tok::LBracket),
-            ']' => Some(Tok::RBracket),
-            '{' => Some(Tok::LBrace),
-            '}' => Some(Tok::RBrace),
-            ',' => Some(Tok::Comma),
-            ';' => Some(Tok::Semi),
-            '=' => Some(Tok::Assign),
-            _ => None,
-        };
-        if let Some(tok) = single {
-            lx.toks.push((start, tok));
-            lx.pos += 1;
-            continue;
-        }
         match c {
             ' ' | '\t' | '\n' | '\r' => {
                 lx.pos += 1;
@@ -110,6 +89,58 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
                     lx.toks.push((start, Tok::Plus));
                     lx.pos += 1;
                 }
+            }
+            '-' => {
+                lx.toks.push((start, Tok::Minus));
+                lx.pos += 1;
+            }
+            '*' => {
+                lx.toks.push((start, Tok::Star));
+                lx.pos += 1;
+            }
+            '/' => {
+                lx.toks.push((start, Tok::Slash));
+                lx.pos += 1;
+            }
+            '^' => {
+                lx.toks.push((start, Tok::Caret));
+                lx.pos += 1;
+            }
+            '(' => {
+                lx.toks.push((start, Tok::LParen));
+                lx.pos += 1;
+            }
+            ')' => {
+                lx.toks.push((start, Tok::RParen));
+                lx.pos += 1;
+            }
+            '[' => {
+                lx.toks.push((start, Tok::LBracket));
+                lx.pos += 1;
+            }
+            ']' => {
+                lx.toks.push((start, Tok::RBracket));
+                lx.pos += 1;
+            }
+            '{' => {
+                lx.toks.push((start, Tok::LBrace));
+                lx.pos += 1;
+            }
+            '}' => {
+                lx.toks.push((start, Tok::RBrace));
+                lx.pos += 1;
+            }
+            ',' => {
+                lx.toks.push((start, Tok::Comma));
+                lx.pos += 1;
+            }
+            ';' => {
+                lx.toks.push((start, Tok::Semi));
+                lx.pos += 1;
+            }
+            '=' => {
+                lx.toks.push((start, Tok::Assign));
+                lx.pos += 1;
             }
             '.' => {
                 if lx.src.get(lx.pos + 1) == Some(&b'.') {
@@ -136,23 +167,37 @@ fn lex(src: &str) -> Result<Vec<(usize, Tok<'_>)>, ParseError> {
                         break;
                     }
                 }
-                let text = &src[lx.pos..end];
-                let bad = |what| ParseError {
-                    pos: start,
-                    message: format!("bad {what} `{text}`"),
-                };
-                let tok = match is_float {
-                    true => Tok::Float(text.parse().map_err(|_| bad("float"))?),
-                    false => Tok::Int(text.parse().map_err(|_| bad("integer"))?),
-                };
-                lx.toks.push((start, tok));
+                let text = std::str::from_utf8(&lx.src[lx.pos..end]).unwrap();
+                if is_float {
+                    lx.toks.push((
+                        start,
+                        Tok::Float(text.parse().map_err(|_| ParseError {
+                            pos: start,
+                            message: format!("bad float `{text}`"),
+                        })?),
+                    ));
+                } else {
+                    lx.toks.push((
+                        start,
+                        Tok::Int(text.parse().map_err(|_| ParseError {
+                            pos: start,
+                            message: format!("bad integer `{text}`"),
+                        })?),
+                    ));
+                }
                 lx.pos = end;
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let name = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_';
-                let end = lx.pos + lx.src[lx.pos..].iter().take_while(|b| name(b)).count();
-                // ASCII throughout, so a char boundary of `src`.
-                let text = &src[lx.pos..end];
+                let mut end = lx.pos;
+                while end < lx.src.len() {
+                    let ch = lx.src[end] as char;
+                    if ch.is_ascii_alphanumeric() || ch == '_' {
+                        end += 1;
+                    } else {
+                        break;
+                    }
+                }
+                let text = std::str::from_utf8(&lx.src[lx.pos..end]).unwrap();
                 let tok = match text {
                     "for" => Tok::KwFor,
                     "in" => Tok::KwIn,
@@ -332,7 +377,9 @@ impl<'a> Parser<'a> {
                     let mut indices = Vec::new();
                     while self.peek() == Some(&Tok::LBracket) {
                         self.k += 1;
-                        indices.push(self.index(Some((&Tok::RBracket, "`]`")))?);
+                        let e = self.expr()?;
+                        self.expect(&Tok::RBracket, "`]`")?;
+                        indices.push(self.to_idx(&e)?);
                     }
                     Ok(Expr::access(Access::new(self.symbol(name), indices)))
                 }
@@ -340,52 +387,6 @@ impl<'a> Parser<'a> {
             },
             _ => Err(self.err("expected expression".into())),
         }
-    }
-
-    /// An affine index expression, then its closing token if it has one.
-    /// The forms nearly every stencil writes — `name`, `int`, either
-    /// `± int` — are read straight off the tokens into the [`Idx`] that
-    /// parsing them as an expression would give; anything else is parsed
-    /// as an expression and converted.
-    fn index(&mut self, close: Option<(&Tok<'_>, &str)>) -> Result<Idx, ParseError> {
-        let toks = &self.toks[self.k.min(self.toks.len())..];
-        let (head, shift, len) = match toks {
-            [(_, head), (_, Tok::Plus), (_, Tok::Int(c)), ..] => (head, Some(*c), 3),
-            [(_, head), (_, Tok::Minus), (_, Tok::Int(c)), ..] => (head, c.checked_neg(), 3),
-            [(_, head), ..] => (head, Some(0), 1),
-            [] => (&Tok::Semi, None, 0),
-        };
-        let continues = matches!(
-            toks.get(len),
-            Some((
-                _,
-                Tok::Plus
-                    | Tok::Minus
-                    | Tok::Star
-                    | Tok::Slash
-                    | Tok::Caret
-                    | Tok::LParen
-                    | Tok::LBracket
-            ))
-        );
-        let direct = match (head, shift) {
-            (_, None) => None,
-            _ if continues => None,
-            (Tok::Ident(name), Some(c)) => Some(Idx::sym(self.symbol(name)) + c),
-            (Tok::Int(v), Some(c)) => v.checked_add(c).map(Idx::constant),
-            _ => None,
-        };
-        let parsed = match direct {
-            Some(ix) => {
-                self.k += len;
-                Ok(ix)
-            }
-            None => Err(self.expr()?),
-        };
-        if let Some((t, what)) = close {
-            self.expect(t, what)?;
-        }
-        parsed.or_else(|e| self.to_idx(&e))
     }
 
     /// Convert a parsed expression to an affine index.
@@ -448,9 +449,11 @@ pub fn parse_stencil(src: &str) -> Result<LoopNest, ParseError> {
             _ => return Err(p.err("expected counter name".into())),
         };
         p.expect(&Tok::KwIn, "`in`")?;
-        let lo = p.index(None)?;
+        let lo = p.expr()?;
+        let lo = p.to_idx(&lo)?;
         p.expect(&Tok::DotDot, "`..`")?;
-        let hi = p.index(None)?;
+        let hi = p.expr()?;
+        let hi = p.to_idx(&hi)?;
         counters.push(p.symbol(name));
         bounds.push(Bound { lo, hi });
         if p.peek() == Some(&Tok::Comma) {
@@ -517,62 +520,6 @@ mod tests {
         let expect = c.at(ix![&i])
             * (2.0 * u.at(ix![&i - 1]) - 3.0 * u.at(ix![&i]) + 4.0 * u.at(ix![&i + 1]));
         assert_eq!(nest.body[0].rhs, expect);
-    }
-
-    /// Indices read straight off the tokens are the ones the expression
-    /// route gives: a name, an integer, either `± int`, and every form
-    /// that only starts like one.
-    #[test]
-    fn direct_indices_match_the_expression_route() {
-        let forms = [
-            "i",
-            "n",
-            "7",
-            "0",
-            "i+1",
-            "i-1",
-            "i + 0",
-            "i - 0",
-            "n-2",
-            "3+4",
-            "3-5",
-            "i+1-2",
-            "i-9223372036854775807",
-            "9223372036854775807+1",
-            "0-9223372036854775807",
-            "i*2",
-            "2*i",
-            "i-1*2",
-            "i+2^2",
-            "i^2",
-            "-i",
-            "-1",
-            "i-(1)",
-            "(i)+1",
-            "i+n",
-            "n-i",
-            "1-i",
-            "i+1.5",
-            "i-1.0",
-            "2.0",
-            "i/2",
-            "u[i]",
-            "sin(i)",
-        ];
-        for form in forms {
-            let access = parse_expr(&format!("u[{form}][{form}]")).map(|e| match e.node() {
-                Node::Access(a) => a.indices.to_vec(),
-                _ => panic!("{form}: not an access"),
-            });
-            let index = parse_expr(form).ok().and_then(|e| expr_to_idx(&e));
-            match (access, index) {
-                (Ok(got), Some(want)) => assert_eq!(got, [want.clone(), want], "{form}"),
-                (Err(_), None) => {}
-                (got, want) => panic!("{form}: {got:?} against {want:?}"),
-            }
-        }
-        let nest = parse_stencil("for i in 2 .. n-3 { r[i] = u[i-2] + u[i+3]; }").unwrap();
-        assert_eq!(nest.bounds[0], Bound::new(2, Idx::sym("n") - 3));
     }
 
     #[test]
