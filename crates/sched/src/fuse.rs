@@ -20,8 +20,8 @@ pub fn fuse_groups(graph: &DepGraph) -> Vec<Vec<usize>> {
     let mut group_of = Vec::with_capacity(graph.len());
     for j in 0..graph.len() {
         // One past the last group holding a nest that conflicts with `j`.
-        let earlier = graph.conflicting(j).iter().take_while(|&&k| k < j);
-        let target = earlier.map(|&k| group_of[k] + 1).max().unwrap_or(0);
+        let earlier = graph.conflicting(j).take_while(|&k| k < j);
+        let target = earlier.map(|k| group_of[k] + 1).max().unwrap_or(0);
         if target == groups.len() {
             groups.push(vec![j]);
         } else {

@@ -22,8 +22,10 @@
 //! distinct expression ([`NodeMemo`]), and over interned array ids only
 //! same-array write/write pairs ever compare boxes — and of those only
 //! the ones a sweep along the outermost dimension finds overlapping
-//! there. The conflicts are kept per nest, so a conflict-free list of
-//! 1 457 nests costs no 1 457² matrix.
+//! there. The conflicts are one bit per ordered pair, set as they are
+//! found: 265 KiB for the 1 457 nests of the radius-4 star, and a list
+//! where most pairs conflict (every nest reading what every other
+//! writes) costs no sort and no more memory than a conflict-free one.
 //!
 //! [`access_boxes`]: perforad_core::regions::access_boxes
 
@@ -44,55 +46,71 @@ fn resolve(ix: &Idx, sizes: &BTreeMap<Symbol, i64>) -> Result<i64, SchedError> {
     })
 }
 
-/// The pairwise conflict relation over a list of nests, as each nest's
-/// ascending list of the nests it conflicts with: memory in proportion to
-/// the conflicts, not to the pairs.
+/// The pairwise conflict relation over a list of nests, one bit per
+/// ordered pair: an eighth of a byte-per-pair matrix, and setting a
+/// conflict found twice costs nothing more.
 #[derive(Clone, Debug)]
 pub struct DepGraph {
-    /// Nest `a`'s conflicts are `adjacent[start[a]..start[a + 1]]`.
-    start: Vec<usize>,
-    adjacent: Vec<usize>,
+    n: usize,
+    /// Nest `a`'s row is `bits[a * words..][..words]`, bit `b` set when
+    /// `a` and `b` conflict.
+    bits: Vec<u64>,
 }
 
 impl DepGraph {
-    /// The graph over `n` nests whose conflicts are the pairs `arcs`, each
-    /// given both ways round, in any order, repeats allowed.
-    fn from_arcs(n: usize, mut arcs: Vec<(usize, usize)>) -> DepGraph {
-        arcs.sort_unstable();
-        arcs.dedup();
-        let mut start = vec![0; n + 1];
-        for &(a, _) in &arcs {
-            start[a + 1] += 1;
+    /// `n` nests, no conflicts yet.
+    fn new(n: usize) -> DepGraph {
+        DepGraph {
+            n,
+            bits: vec![0; n * n.div_ceil(64)],
         }
-        for k in 0..n {
-            start[k + 1] += start[k];
-        }
-        let adjacent = arcs.into_iter().map(|(_, b)| b).collect();
-        DepGraph { start, adjacent }
+    }
+
+    fn row(&self, a: usize) -> &[u64] {
+        let words = self.n.div_ceil(64);
+        &self.bits[a * words..][..words]
+    }
+
+    /// Mark nests `a` and `b` (distinct) as conflicting.
+    fn add(&mut self, a: usize, b: usize) {
+        let words = self.n.div_ceil(64);
+        self.bits[a * words + b / 64] |= 1 << (b % 64);
+        self.bits[b * words + a / 64] |= 1 << (a % 64);
     }
 
     /// Number of nests.
     pub fn len(&self) -> usize {
-        self.start.len() - 1
+        self.n
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.n == 0
     }
 
     /// The nests `a` may not run concurrently with, ascending.
-    pub fn conflicting(&self, a: usize) -> &[usize] {
-        &self.adjacent[self.start[a]..self.start[a + 1]]
+    pub fn conflicting(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(a).iter().enumerate().flat_map(|(w, &word)| {
+            let mut left = word;
+            std::iter::from_fn(move || {
+                let bit = (left != 0).then(|| left.trailing_zeros() as usize)?;
+                left &= left - 1;
+                Some(w * 64 + bit)
+            })
+        })
     }
 
     /// True when nests `a` and `b` may not run concurrently.
     pub fn conflicts(&self, a: usize, b: usize) -> bool {
-        self.conflicting(a).binary_search(&b).is_ok()
+        (self.row(a)[b / 64] >> (b % 64)) & 1 == 1
     }
 
     /// Number of conflicting pairs.
     pub fn edge_count(&self) -> usize {
-        self.adjacent.len() / 2
+        self.bits
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>()
+            / 2
     }
 }
 
@@ -251,17 +269,18 @@ pub fn dependence_graph(
         };
         fp.add(k, nest, sizes, memo)?;
     }
-    let mut arcs = Vec::new();
+    let mut graph = DepGraph::new(nests.len());
 
     // Every writer of an array against every reader of it.
     let mut writers: Vec<(usize, usize)> = fp.writes.iter().map(|w| (w.array, w.nest)).collect();
     writers.sort_unstable();
+    writers.dedup();
     fp.reads.sort_unstable();
     for &(array, w) in &writers {
         let from = fp.reads.partition_point(|r| r.0 < array);
         let readers = fp.reads[from..].iter().take_while(|r| r.0 == array);
         for &(_, r) in readers.filter(|r| r.1 != w) {
-            arcs.extend([(w, r), (r, w)]);
+            graph.add(w, r);
         }
     }
 
@@ -286,12 +305,12 @@ pub fn dependence_graph(
             let lo = outer(w).0;
             active.retain(|v| outer(v).1 >= lo);
             for v in active.iter().filter(|v| v.nest != w.nest && overlap(v, w)) {
-                arcs.extend([(v.nest, w.nest), (w.nest, v.nest)]);
+                graph.add(v.nest, w.nest);
             }
             active.push(w);
         }
     }
-    Ok(DepGraph::from_arcs(nests.len(), arcs))
+    Ok(graph)
 }
 
 /// An inclusive integer box, outermost dimension first.
@@ -510,7 +529,7 @@ mod tests {
             boxes.push(out);
         }
         let n = nests.len();
-        let mut edges = Vec::new();
+        let mut graph = DepGraph::new(n);
         for a in 0..n {
             for b in a + 1..n {
                 let conflict = boxes[a].iter().any(|x| {
@@ -524,11 +543,11 @@ mod tests {
                     })
                 });
                 if conflict {
-                    edges.extend([(a, b), (b, a)]);
+                    graph.add(a, b);
                 }
             }
         }
-        Ok(DepGraph::from_arcs(n, edges))
+        Ok(graph)
     }
 
     fn assert_matches_reference(nests: &[LoopNest], sizes: &BTreeMap<Symbol, i64>, what: &str) {

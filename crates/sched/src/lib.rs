@@ -17,8 +17,8 @@
 //!    the same array over overlapping boxes, or when one writes an array
 //!    the other reads at all. Write boxes are swept in order of their
 //!    outermost lower bound, so only boxes that overlap there are
-//!    compared, and a [`DepGraph`] keeps each nest's list of conflicts:
-//!    the cost follows the overlaps, not the pairs of nests.
+//!    compared: the comparisons follow the overlaps, not the pairs of
+//!    nests. A [`DepGraph`] is one bit per pair of nests.
 //! 2. **Fusion** ([`fuse`]): conflict-free nests merge into groups — the
 //!    disjoint decomposition's nests always form a *single* group, so the
 //!    53 nests of the 3-D wave adjoint run in one parallel region.
