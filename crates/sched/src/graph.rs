@@ -46,9 +46,8 @@ fn resolve(ix: &Idx, sizes: &BTreeMap<Symbol, i64>) -> Result<i64, SchedError> {
     })
 }
 
-/// The pairwise conflict relation over a list of nests, one bit per
-/// ordered pair: an eighth of a byte-per-pair matrix, and setting a
-/// conflict found twice costs nothing more.
+/// The pairwise conflict relation over a list of nests: one bit per
+/// ordered pair, so a conflict found twice needs no dedup.
 #[derive(Clone, Debug)]
 pub struct DepGraph {
     n: usize,
@@ -731,7 +730,8 @@ mod tests {
 
     /// Random box sets over a few shared arrays in a small domain, so that
     /// boxes overlap, touch at an edge, miss by one or are empty: the
-    /// sweep finds exactly the pairs the reference does.
+    /// sweep finds exactly the pairs the reference does. Lists run past
+    /// 64 and 128 nests, so rows of the bit matrix span words.
     #[test]
     fn swept_boxes_match_the_pairwise_reference() {
         let mut rng = Rng(0xB0C5_5EE9);
@@ -743,7 +743,7 @@ mod tests {
                 .map(|&c| Symbol::new(c))
                 .collect();
             let arrays = rng.range(1, 4);
-            let nests: Vec<LoopNest> = (0..rng.range(2, 60))
+            let nests: Vec<LoopNest> = (0..rng.range(2, 150))
                 .map(|_| {
                     let bounds = (0..rank)
                         .map(|_| {
