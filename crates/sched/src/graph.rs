@@ -23,7 +23,7 @@
 //! same-array write/write pairs ever compare boxes — and of those only
 //! the ones a sweep along the outermost dimension finds overlapping
 //! there. The conflicts are one bit per ordered pair, set as they are
-//! found: 265 KiB for the 1 457 nests of the radius-4 star, and a list
+//! found: 262 KiB for the 1 457 nests of the radius-4 star, and a list
 //! where most pairs conflict (every nest reading what every other
 //! writes) costs no sort and no more memory than a conflict-free one.
 //!
