@@ -122,29 +122,6 @@ fn slot_write_boxes(nests: &[NestPlan], slot: usize) -> Vec<(Vec<i64>, Vec<i64>)
     boxes
 }
 
-/// Whether two of `boxes` share a point. Sorted by their outermost lower
-/// bound and swept, as `sched::graph` sweeps write boxes: `active` holds
-/// the boxes met so far that still reach the current lower bound there.
-fn any_boxes_meet(boxes: &mut [(Vec<i64>, Vec<i64>)]) -> bool {
-    let lo = |b: &(Vec<i64>, Vec<i64>)| b.0.first().copied().unwrap_or(i64::MIN);
-    let hi = |b: &(Vec<i64>, Vec<i64>)| b.1.first().copied().unwrap_or(i64::MAX);
-    boxes.sort_unstable_by_key(lo);
-    let mut active: Vec<usize> = Vec::new();
-    for (i, b) in boxes.iter().enumerate() {
-        active.retain(|&a| hi(&boxes[a]) >= lo(b));
-        if active.iter().any(|&a| boxes_meet(&boxes[a], b)) {
-            return true;
-        }
-        active.push(i);
-    }
-    false
-}
-
-/// Whether two boxes of one rank share a point.
-fn boxes_meet((alo, ahi): &(Vec<i64>, Vec<i64>), (blo, bhi): &(Vec<i64>, Vec<i64>)) -> bool {
-    (0..alo.len()).all(|d| alo[d] <= bhi[d] && blo[d] <= ahi[d])
-}
-
 /// The bounding box of the non-empty nests.
 fn bounding_box(nests: &[NestPlan]) -> Option<(Vec<i64>, Vec<i64>)> {
     let mut live = nests.iter().filter(|n| !n.empty);
@@ -725,7 +702,11 @@ pub fn compile_nests_opts(
         });
     }
     for slot in (0..arrays.len()).filter(|&k| assigned[k]) {
-        if any_boxes_meet(&mut slot_write_boxes(&nest_plans, slot)) {
+        let boxes = slot_write_boxes(&nest_plans, slot);
+        let meet = |(alo, ahi): &(Vec<i64>, Vec<i64>), (blo, bhi): &(Vec<i64>, Vec<i64>)| {
+            (0..rank).all(|d| alo[d] <= bhi[d] && blo[d] <= ahi[d])
+        };
+        if (0..boxes.len()).any(|i| boxes[i + 1..].iter().any(|b| meet(&boxes[i], b))) {
             let array = arrays[slot].name();
             return Err(ExecError::Unsupported(format!(
                 "assigned `{array}` is written twice at one point"
@@ -1128,42 +1109,5 @@ mod tests {
         assert_eq!(plan.hash_structure(), base);
         let distinct: BTreeSet<u64> = moved.iter().copied().chain([base]).collect();
         assert_eq!(distinct.len(), moved.len() + 1, "{moved:#018x?}");
-    }
-
-    /// The pairwise form [`any_boxes_meet`] replaced: every pair compared.
-    fn any_pair_meets(boxes: &[(Vec<i64>, Vec<i64>)]) -> bool {
-        (0..boxes.len()).any(|i| boxes[i + 1..].iter().any(|b| boxes_meet(&boxes[i], b)))
-    }
-
-    /// The swept write-once check gives the pairwise verdict on seeded
-    /// random box lists: rank 0 to 3, sparse lists that mostly miss and
-    /// dense ones that mostly meet, boxes that touch at one face.
-    #[test]
-    fn swept_boxes_meet_exactly_when_a_pair_does() {
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = |bound: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % bound) as i64
-        };
-        let mut verdicts = [0usize; 2];
-        for case in 0..4000 {
-            let rank = (case % 4) as usize;
-            let span = 4 + next(60);
-            let edge = 1 + next(8);
-            let boxes: Vec<(Vec<i64>, Vec<i64>)> = (0..next(24))
-                .map(|_| {
-                    let lo: Vec<i64> = (0..rank).map(|_| next(span as u64)).collect();
-                    let hi = lo.iter().map(|&l| l + next(edge as u64)).collect();
-                    (lo, hi)
-                })
-                .collect();
-            let want = any_pair_meets(&boxes);
-            let mut swept = boxes.clone();
-            assert_eq!(any_boxes_meet(&mut swept), want, "case {case}: {boxes:?}");
-            verdicts[want as usize] += 1;
-        }
-        assert!(verdicts[0] > 500 && verdicts[1] > 500, "{verdicts:?}");
     }
 }

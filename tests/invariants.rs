@@ -10,8 +10,9 @@
 //! - **Pinned tests.** [`PINNED`] names the tests that goldens, CI steps
 //!   and recorded measurements rely on, each with the target that holds
 //!   it. Each must be defined there exactly once as a `#[test]` fn and
-//!   must run: a pinned test that is renamed, deleted, duplicated or
-//!   `#[ignore]`d fails [`pinned_tests_are_defined_once_and_run`].
+//!   must run: a pinned test that is renamed, deleted, duplicated,
+//!   gated by a `#[cfg(…)]` other than `cfg(test)` or `#[ignore]`d fails
+//!   [`pinned_tests_are_defined_once_and_run`].
 //! - **The CI workflow.** Every test name a `cargo test` in
 //!   `.github/workflows/ci.yml` passes must be pinned, and every
 //!   `#[ignore]`d test must be run by a CI step with `--ignored`.
@@ -694,8 +695,6 @@ const PINNED: &[(&str, &[&str])] = &[
             // One sweep: a kernel is bound once, a swapped grid rechecked.
             "a_bound_plan_rechecks_a_swapped_grid_at_the_next_run",
             "a_bound_jit_plan_degrades_once_per_run_until_a_module_is_registered",
-            // Accumulate mode's write-once check against the pairwise form.
-            "swept_boxes_meet_exactly_when_a_pair_does",
             // Telemetry at region grain.
             "a_pooled_run_counts_every_slab_exactly_once",
             // Names from structure.
@@ -874,24 +873,41 @@ const PINNED: &[(&str, &[&str])] = &[
     ("tests/jit.rs", &["printed_modules_compile_and_match_the_executors"]),
 ];
 
-/// A `#[test]` fn: the file that defines it, its name, and whether it is
-/// `#[ignore]`d.
+/// A `#[test]` fn: the file that defines it, its name, whether it is
+/// `#[ignore]`d, and the `#[cfg(…)]` other than `cfg(test)` that gates
+/// it (on the fn, on a module around it or on the whole file), if any.
 struct TestFn<'a> {
     path: &'a str,
     name: &'a str,
     ignored: bool,
+    gate: Option<&'a str>,
 }
 
 /// The `#[test]` fns of a file: a `fn` line whose attributes (comments
-/// may sit between them) include `#[test]`.
+/// may sit between them) include `#[test]`. A gated module ends at the
+/// first `}` line at its own indentation, as rustfmt lays it out.
 fn test_fns<'a>(path: &'a str, text: &'a str) -> Vec<TestFn<'a>> {
-    let (mut test, mut ignored) = (false, false);
+    let (mut test, mut ignored, mut cfg) = (false, false, None);
+    // The gates in force, innermost last, each with the line that ends
+    // it (none for the file's own).
+    let mut gates: Vec<(Option<String>, &str)> = Vec::new();
     let mut out = Vec::new();
-    for line in text.lines().map(str::trim_start) {
-        if line.starts_with("#[test]") {
+    for raw in text.lines() {
+        let line = raw.trim_start();
+        if gates
+            .last()
+            .is_some_and(|(end, _)| end.as_deref() == Some(raw.trim_end()))
+        {
+            gates.pop();
+        }
+        if line.starts_with("#![cfg(") {
+            gates.push((None, line));
+        } else if line.starts_with("#[test]") {
             test = true;
         } else if line.starts_with("#[ignore") {
             ignored = true;
+        } else if line.starts_with("#[cfg(") && !line.starts_with("#[cfg(test)]") {
+            cfg = Some(line);
         } else if !line.starts_with("#[") && !line.starts_with("//") {
             let name = line
                 .strip_prefix("fn ")
@@ -901,9 +917,15 @@ fn test_fns<'a>(path: &'a str, text: &'a str) -> Vec<TestFn<'a>> {
                     path,
                     name,
                     ignored,
+                    gate: cfg.or(gates.last().map(|g| g.1)),
                 });
             }
-            (test, ignored) = (false, false);
+            let module = line.starts_with("mod ") || line.contains(" mod ");
+            if let Some(gate) = cfg.filter(|_| module && line.ends_with('{')) {
+                let indent = &raw[..raw.len() - line.len()];
+                gates.push((Some(format!("{indent}}}")), gate));
+            }
+            (test, ignored, cfg) = (false, false, None);
         }
     }
     out
@@ -920,8 +942,8 @@ fn in_target(target: &str, path: &str) -> bool {
 }
 
 /// What is wrong with each pin of `pins`: no definition in its target,
-/// more than one, or an `#[ignore]` that no CI step's `--ignored` run
-/// names.
+/// more than one, a `#[cfg(…)]` gate (`cargo test -q` may never build
+/// it), or an `#[ignore]` that no CI step's `--ignored` run names.
 fn pin_faults(files: &[File], pins: &[(&str, &[&str])], yaml: &str) -> Vec<String> {
     let tests: Vec<TestFn> = files.iter().flat_map(|&(p, t)| test_fns(p, t)).collect();
     let runs = ci_runs(yaml);
@@ -943,6 +965,11 @@ fn pin_faults(files: &[File], pins: &[(&str, &[&str])], yaml: &str) -> Vec<Strin
                 .collect();
             match defs[..] {
                 [] => faults.push(format!("{pin}: no #[test] fn of that name in {target}")),
+                [TestFn {
+                    gate: Some(gate),
+                    path,
+                    ..
+                }] => faults.push(format!("{pin}: behind {gate} in {path}")),
                 [def] if def.ignored && !runs.iter().any(|r| r.ignored && r.names_test(name)) => {
                     faults.push(format!(
                         "{pin}: #[ignore]d in {} and no CI step runs it with --ignored",
@@ -1011,9 +1038,8 @@ const VALUE_FLAGS: [&str; 14] = [
     "--skip",
 ];
 
-/// The test runs in a CI workflow. A run is a `cargo test`, a shell
-/// function that wraps one (`one() { cargo test -q "$@" …; }`), or a
-/// variable holding a test binary that `cargo test --no-run` built. A
+/// The test runs in a CI workflow. A run is a `cargo test` or a variable
+/// holding a test binary that `cargo test --no-run` built. A
 /// `$VAR` of an enclosing `for VAR in …; do` stands for each item of its
 /// list. Comments are skipped; a trailing `\` continues a line.
 fn ci_runs(yaml: &str) -> Vec<CiRun> {
@@ -1040,9 +1066,6 @@ fn ci_runs(yaml: &str) -> Vec<CiRun> {
         .collect();
     let mut runners = Vec::new();
     for line in lines.iter().filter(|l| l.contains("cargo test")) {
-        if let Some((f, _)) = line.split_once("() {") {
-            runners.push(f.trim().to_string());
-        }
         if let Some((var, _)) = line.split_once("=\"$(cargo test") {
             runners.push(format!("${}", var.trim()));
         }
@@ -1066,9 +1089,6 @@ fn ci_runs(yaml: &str) -> Vec<CiRun> {
             .flat_map(|c| c.split([';', '|']))
             .flat_map(|s| s.split("&&"))
         {
-            if segment.contains("() {") {
-                continue;
-            }
             let words: Vec<&str> = segment
                 .split_whitespace()
                 .map(|w| w.trim_matches(['"', '\'', '(', ')', '{', '}']))
@@ -1656,6 +1676,44 @@ mod planted {
     }
 
     #[test]
+    fn a_gated_pin_is_named() {
+        let pins: &[(&str, &[&str])] = &[("crates/tune/src/", &["synthetic_search_is_golden"])];
+        let path = "crates/tune/src/tuner.rs";
+        let gates = [
+            (
+                "    fn synthetic_search_is_golden",
+                "#[cfg(feature = \"slow\")]",
+            ),
+            ("mod tests {", "#[cfg(not(debug_assertions))]"),
+            ("//!", "#![cfg(target_arch = \"x86_64\")]"),
+        ];
+        for (from, gate) in gates {
+            let gated = edited(path, from, &format!("{gate}\n{from}"));
+            let mut files: Vec<File> = tree();
+            files.iter_mut().find(|f| f.0 == path).unwrap().1 = &gated;
+            let faults = pin_faults(&files, pins, "");
+            assert_eq!(
+                faults,
+                [format!(
+                    "synthetic_search_is_golden: behind {gate} in {path}"
+                )]
+            );
+        }
+        // A module's gate ends with the module, and `cfg(test)` gates
+        // nothing that `cargo test` leaves out.
+        let text = "\
+            #[cfg(unix)]\n\
+            mod unix {\n    #[test]\n    fn inside() {}\n}\n\n\
+            #[cfg(test)]\n\
+            mod tests {\n    #[test]\n    fn after() {}\n}\n";
+        let found: Vec<_> = test_fns("tests/x.rs", text)
+            .iter()
+            .map(|t| (t.name, t.gate))
+            .collect();
+        assert_eq!(found, [("inside", Some("#[cfg(unix)]")), ("after", None)]);
+    }
+
+    #[test]
     fn a_misspelled_ci_name_is_refused() {
         let yaml = ci_yaml();
         let typos = [
@@ -1677,16 +1735,15 @@ mod planted {
             );
         }
         // Every form that passes a name: a filter after flags, an
-        // `--exact` list after `--`, a `for` list, a wrapper function, a
-        // test binary built by `--no-run`.
+        // `--exact` list after `--`, a `for` list, a test binary built by
+        // `--no-run`.
         let forms = "\
             run: |\n\
-              one() { cargo test -q \"$@\" | tee one.log; grep -q \"1 passed\" one.log; }\n\
-              one --test batch golden_digest_pins_the_gradient_bits_acros_sweeps\n\
+              cargo test -q --test batch golden_digest_pins_the_gradient_bits_acros_sweeps\n\
               cargo test -q -p perforad-ckpt -- --exact \\\n\
                 plan::tests::golden_stream_profile_at_64_steps_budget_9 | tee s.log\n\
               for t in select_branches powers_and_fnctions; do\n\
-                one -p perforad-exec --lib \"regir::tests::$t\"\n\
+                cargo test -q -p perforad-exec --lib \"regir::tests::$t\"\n\
               done\n\
               BIN=\"$(cargo test --test warm_compile --no-run 2>&1 \\\n\
                 | sed -n 's/x/y/p')\"\n\
