@@ -134,14 +134,15 @@ impl fmt::Display for Value {
     }
 }
 
-/// Append `v` as a JSON number, `null` when it is not finite.
-pub fn push_num(out: &mut String, v: f64) {
-    // Writing into a `String` cannot fail.
+/// Append `v` as a JSON number, `null` when it is not finite. `out` is a
+/// `String` or another writer that cannot fail (a frame buffer).
+pub fn push_num(out: &mut impl fmt::Write, v: f64) {
     let _ = write_num(out, v);
 }
 
-/// Append `s` as a quoted JSON string literal.
-pub fn push_str(out: &mut String, s: &str) {
+/// Append `s` as a quoted JSON string literal, into a writer that cannot
+/// fail, as [`push_num`].
+pub fn push_str(out: &mut impl fmt::Write, s: &str) {
     let _ = write_str(out, s);
 }
 

@@ -98,6 +98,9 @@ impl RetryPolicy {
 pub struct Client {
     conn: Conn,
     endpoint: Endpoint,
+    /// Every request frame is written in `out`, every reply read into `buf`.
+    out: Vec<u8>,
+    buf: Vec<u8>,
 }
 
 impl Client {
@@ -105,6 +108,8 @@ impl Client {
         Ok(Client {
             conn: connect(endpoint)?,
             endpoint: endpoint.clone(),
+            out: Vec::new(),
+            buf: Vec::new(),
         })
     }
 
@@ -112,9 +117,13 @@ impl Client {
     /// as `Ok(Reply::Error(..))` here; the typed helpers below convert it
     /// to [`ClientError::Server`].
     pub fn roundtrip(&mut self, req: &Request) -> Result<Reply, ClientError> {
-        proto::write_frame(&mut self.conn, &req.to_json())?;
-        let payload = proto::read_frame(&mut self.conn)?;
-        Reply::from_json(&payload).map_err(ClientError::Protocol)
+        req.frame_into(&mut self.out)?;
+        proto::send_frame(&mut self.conn, &self.out)?;
+        let payload = proto::read_payload(&mut self.conn, &mut self.buf)?;
+        let reply = Reply::from_json(payload).map_err(ClientError::Protocol);
+        proto::release_if_long(&mut self.out);
+        proto::release_if_long(&mut self.buf);
+        reply
     }
 
     /// [`Client::roundtrip`], retried per `policy`. Retryable outcomes:

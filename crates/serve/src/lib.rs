@@ -62,6 +62,10 @@
 //! let mut client = perforad_serve::Client::connect(&endpoint).unwrap();
 //! ```
 
+// The wire codec's SSE2 path is the crate's only `unsafe`; each block
+// states the invariant it relies on (`tests/invariants.rs` checks it too).
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+
 pub mod client;
 pub mod engine;
 pub mod metrics;

@@ -1,23 +1,26 @@
 //! The wire protocol: length-prefixed JSON frames.
 //!
 //! Each message is one frame — a big-endian `u32` byte count followed by
-//! that many bytes of UTF-8 JSON — and leaves in **one** write, prefix and
-//! payload together ([`write_frame`]). The JSON side is the workspace's one
-//! codec, `perforad_obs::json`: it parses every frame and prints every
-//! scalar and string, and the typed writers here lay the envelope out
-//! around the hex bulk arrays only this module writes.
+//! that many bytes of UTF-8 JSON — written once, prefix and payload, into
+//! a buffer its connection keeps, and sent in **one** write. The JSON side
+//! is the workspace's one codec, `perforad_obs::json`: it parses every
+//! frame and prints every scalar and string, and the typed writers here
+//! lay the envelope out around the hex bulk arrays only this module
+//! writes.
 //!
 //! Floats cross the wire **bitwise-intact**, the property `tests/serve.rs`
 //! pins, in one of two forms. A *bulk array* (a source trace, a grid, a
 //! gradient) is written as one JSON string of 16 lowercase hex digits per
 //! value — the IEEE-754 bits, `"3ff0000000000000"` is `[1.0]` — which is
-//! 16 bytes per value and costs little more than copying them: a byte →
-//! two-digit table on the way out; on the way in the closing quote found
-//! eight bytes at a time, then eight digits per `u64` decoded in registers
-//! and checked by re-encoding (≈ 3 and ≈ 7 ns a value; a digit at a time
-//! was 15 and 17). The reader also accepts the plain JSON number array a
-//! hand-written client sends (`[1.0]`); there is no version field and no
-//! negotiation, the two forms are told apart by their JSON type. A
+//! 16 bytes per value and costs little more than copying them. On x86-64
+//! one SSE2 register holds a value's 16 digits: nibbles split and
+//! interleaved on the way out; on the way in nibbles computed, written
+//! back as digits and compared with the input, then packed (`to_json` ≈ 2
+//! and `from_json` ≈ 5 ns a value on a 2.1 GHz core, parsing included;
+//! the scalar codec, the path on other targets, 3 and 7; a digit at a
+//! time was 15 and 17). The reader also accepts the plain JSON number
+//! array a hand-written client sends (`[1.0]`); there is no version field
+//! and no negotiation, the two forms are told apart by their JSON type. A
 //! *scalar* (`misfit`, `d`) is a JSON number printed with Rust's
 //! `Display`, the shortest string that parses back to the same bits.
 //! Non-finite values are rejected in either form.
@@ -25,37 +28,49 @@
 //! Malformed input never panics the peer: an oversized or non-UTF-8
 //! frame is an `io::Error` (the server drops the connection), and a
 //! well-framed but unparseable or unknown-typed payload earns a
-//! [`Reply::Error`] on the same connection.
+//! [`Reply::Error`] on the same connection. A frame's buffer grows as its
+//! bytes arrive, never on the length prefix alone.
 
 use perforad_obs::json::{self, push_num, push_str, Value};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, Read, Write};
 
 /// Hard cap on one frame (64 MiB); a longer length prefix is corrupt or
-/// hostile and is rejected before allocation. At 16 wire bytes per value
-/// a frame holds one bulk array of about 161³ values
+/// hostile and is rejected before anything is read. At 16 wire bytes per
+/// value a frame holds one bulk array of about 161³ values
 /// (`MAX_FRAME_VALUES`) — a 512³ grid would be 2 GiB — so the engine
 /// refuses at `Compile` any grid whose gradient reply could not be framed.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Bytes of a frame's length prefix.
+const PREFIX: usize = 4;
 
 /// Wire bytes per bulk-array value: 16 hex digits.
 const HEX_PER_VALUE: usize = 16;
 const DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-/// `HEX[b]` is byte `b` as two lowercase hex digits.
-const HEX: [[u8; 2]; 256] = {
-    let mut table = [[0_u8; 2]; 256];
-    let mut b = 0;
-    while b < 256 {
-        table[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
-        b += 1;
-    }
-    table
-};
-
 /// The longest bulk `f64` array one frame carries, leaving 64 KiB for the
 /// envelope around it (field names, scalars, a trace rollup).
 pub(crate) const MAX_FRAME_VALUES: usize = (MAX_FRAME - (64 << 10)) / HEX_PER_VALUE;
+
+/// What a frame's payload buffer holds before any byte of it has arrived;
+/// past that it grows no faster than the payload does (at most twice what
+/// has come), so a peer that announces `MAX_FRAME` and stalls costs this,
+/// not 64 MiB.
+const FIRST_READ: usize = 64 << 10;
+
+/// The most a connection keeps between frames in each of its buffers: one
+/// that grew past it for a longer frame is freed once that frame is
+/// handled, so an idle connection holds no grid-sized reply.
+const KEEP: usize = 1 << 20;
+
+/// Free `buf` if a frame grew it past [`KEEP`]; a connection calls this
+/// when it is done with a frame.
+pub(crate) fn release_if_long(buf: &mut Vec<u8>) {
+    if buf.capacity() > KEEP {
+        *buf = Vec::new();
+    }
+}
 
 fn oversize(len: usize) -> String {
     format!(
@@ -64,37 +79,81 @@ fn oversize(len: usize) -> String {
     )
 }
 
-/// Write one `u32`-BE length-prefixed frame and flush. Prefix and payload
-/// leave in one `write_all`: on a stream socket two writes wake the peer
-/// for four bytes, and on TCP the second waits out the first's delayed ACK.
-pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
-    let bytes = payload.as_bytes();
-    if bytes.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            oversize(bytes.len()),
-        ));
+/// Fill in the length prefix of `frame` — `PREFIX` placeholder bytes,
+/// then the payload; an oversized payload is refused before anything is
+/// written.
+fn framed(frame: &mut [u8]) -> io::Result<()> {
+    let len = frame.len() - PREFIX;
+    if len > MAX_FRAME {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, oversize(len)));
     }
-    let mut frame = Vec::with_capacity(4 + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-    frame.extend_from_slice(bytes);
-    w.write_all(&frame)?;
+    // `MAX_FRAME` fits a `u32`.
+    frame[..PREFIX].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
+}
+
+/// Send a whole frame and flush. Prefix and payload leave in one
+/// `write_all`: on a stream socket two writes wake the peer for four
+/// bytes, and on TCP the second waits out the first's delayed ACK.
+pub(crate) fn send_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
+    w.write_all(frame)?;
     w.flush()
 }
 
-/// Read one frame; errors on EOF mid-frame (truncation), an oversized
-/// length prefix, or non-UTF-8 payload.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<String> {
-    let mut len = [0u8; 4];
+/// Write one `u32`-BE length-prefixed frame around `payload` and flush,
+/// in one write. The typed messages frame themselves (`frame_into`); this
+/// is for a payload written by hand.
+pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(PREFIX + payload.len());
+    frame.extend_from_slice(&[0; PREFIX]);
+    frame.extend_from_slice(payload.as_bytes());
+    framed(&mut frame)?;
+    send_frame(w, &frame)
+}
+
+/// Read one frame's length prefix and its payload into `buf[..len]`, and
+/// return `len`. `buf` only grows, so a connection that keeps one reads a
+/// frame in place once it has held one as long. It grows as the payload
+/// arrives, from [`FIRST_READ`] bytes: a truncated frame holds at most
+/// that or twice what it sent. Errors on EOF mid-frame (truncation) or an
+/// oversized length prefix.
+fn read_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<usize> {
+    let mut len = [0u8; PREFIX];
     r.read_exact(&mut len)?;
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidData, oversize(len)));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))
+    let mut filled = 0;
+    while filled < len {
+        if buf.len() == filled {
+            buf.resize(len.min(FIRST_READ.max(2 * filled)), 0);
+        }
+        let end = len.min(buf.len());
+        r.read_exact(&mut buf[filled..end])?;
+        filled = end;
+    }
+    Ok(len)
+}
+
+fn not_utf8() -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8")
+}
+
+/// Read one frame into `buf`, a buffer the connection owns and reuses,
+/// and return its payload; errors as [`read_frame`].
+pub(crate) fn read_payload<'b, R: Read>(r: &mut R, buf: &'b mut Vec<u8>) -> io::Result<&'b str> {
+    let len = read_into(r, buf)?;
+    std::str::from_utf8(&buf[..len]).map_err(|_| not_utf8())
+}
+
+/// Read one frame; errors on EOF mid-frame (truncation), an oversized
+/// length prefix, or non-UTF-8 payload.
+pub fn read_frame<R: Read>(r: &mut R) -> io::Result<String> {
+    let mut buf = Vec::new();
+    let len = read_into(r, &mut buf)?;
+    buf.truncate(len);
+    String::from_utf8(buf).map_err(|_| not_utf8())
 }
 
 /// A client request. On the wire: an object whose `"type"` field selects
@@ -243,50 +302,95 @@ pub struct BatchReply {
 // JSON writing. Scalar f64s go through `json::push_num`: Display's
 // shortest round-trip form, so finite values survive the wire bit-for-bit;
 // a non-finite scalar becomes null (the reader rejects it). Bulk arrays go
-// out as hex bits.
+// out as hex bits, written as bytes into the frame itself.
 
-/// One JSON string, 16 lowercase hex digits (the IEEE-754 bits, most
-/// significant first) per value. Non-finite values are written as they
-/// are; [`f64_array`] refuses them on the way in. Digits are looked up a
-/// byte at a time and appended a block at a time: one ASCII check and one
-/// copy per block, not per value.
-fn push_f64_array(out: &mut String, xs: &[f64]) {
-    const BLOCK: usize = 64;
-    out.reserve(HEX_PER_VALUE * xs.len() + 2);
-    out.push('"');
-    let mut block = [0_u8; HEX_PER_VALUE * BLOCK];
-    for values in xs.chunks(BLOCK) {
-        let run = &mut block[..HEX_PER_VALUE * values.len()];
-        for (digits, v) in run.chunks_exact_mut(HEX_PER_VALUE).zip(values) {
-            for (pair, byte) in digits.chunks_exact_mut(2).zip(v.to_bits().to_be_bytes()) {
-                pair.copy_from_slice(&HEX[byte as usize]);
-            }
-        }
-        out.push_str(std::str::from_utf8(run).expect("hex digits are ASCII"));
+/// A payload as it is written, into the buffer that becomes the frame:
+/// the envelope through `fmt::Write` (scalars and strings by
+/// `perforad_obs::json`), bulk arrays as hex digits straight into the
+/// bytes. Every byte it writes is ASCII or comes from a `&str`.
+struct Payload(Vec<u8>);
+
+impl fmt::Write for Payload {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.push(s);
+        Ok(())
     }
-    out.push('"');
 }
 
-/// A frame buffer sized up front — one allocation per frame — for bulk
-/// arrays of the given lengths plus an envelope of field names and scalars
-/// (a trace rollup may still grow it).
-fn frame_buffer(array_lens: impl IntoIterator<Item = usize>) -> String {
-    let arrays: usize = array_lens
-        .into_iter()
-        .map(|values| HEX_PER_VALUE * values + 32)
-        .sum();
-    String::with_capacity(256 + arrays)
+impl Payload {
+    /// `buf`, emptied, holding `prefix` placeholder bytes and sized up
+    /// front — at most one allocation per frame, none when a kept buffer
+    /// is long enough — for bulk arrays of the given lengths plus an
+    /// envelope of field names and scalars (a trace rollup may still grow
+    /// it).
+    fn new(
+        mut buf: Vec<u8>,
+        prefix: usize,
+        array_lens: impl IntoIterator<Item = usize>,
+    ) -> Payload {
+        let arrays: usize = array_lens
+            .into_iter()
+            .map(|values| HEX_PER_VALUE * values + 32)
+            .sum();
+        buf.clear();
+        buf.reserve(prefix + 256 + arrays);
+        buf.resize(prefix, 0);
+        Payload(buf)
+    }
+
+    fn push(&mut self, s: &str) {
+        self.0.extend_from_slice(s.as_bytes());
+    }
+
+    /// `key` (the field's name and colon, written as is), then `v` as its
+    /// `Display` prints it: an integer, a bool, a JSON `Value`.
+    fn field(&mut self, key: &str, v: impl fmt::Display) {
+        self.push(key);
+        let _ = write!(self, "{v}");
+    }
+
+    /// One JSON string, 16 lowercase hex digits (the IEEE-754 bits, most
+    /// significant first) per value. Non-finite values are written as
+    /// they are; [`f64_array`] refuses them on the way in.
+    fn hex_array(&mut self, xs: &[f64]) {
+        self.0.push(b'"');
+        hex::push_digits(&mut self.0, xs);
+        self.0.push(b'"');
+    }
+}
+
+/// The payload bytes `write` lays out, as the text `to_json` returns.
+fn text(payload: Payload) -> String {
+    String::from_utf8(payload.0).expect("a payload is ASCII and copied `&str`s")
 }
 
 impl Request {
+    /// The JSON payload: exactly the bytes its frame carries behind the
+    /// length prefix.
     pub fn to_json(&self) -> String {
+        text(self.write(Vec::new(), 0))
+    }
+
+    /// Write the whole frame, prefix and payload, as it goes on the wire
+    /// into `buf` (a buffer the connection keeps), over what it held;
+    /// refused when the payload is over `MAX_FRAME`.
+    pub(crate) fn frame_into(&self, buf: &mut Vec<u8>) -> io::Result<()> {
+        *buf = self.write(std::mem::take(buf), PREFIX).0;
+        framed(buf)
+    }
+
+    fn write(&self, buf: Vec<u8>, prefix: usize) -> Payload {
         let mut o = match self {
-            Request::Compile(CompileRequest::Seismic { c: Some(c), .. }) => frame_buffer([c.len()]),
-            Request::Gradient(g) => frame_buffer([g.source.len(), g.observed.len()]),
-            Request::GradientBatch(b) => {
-                frame_buffer(b.shots.iter().flat_map(|(s, o)| [s.len(), o.len()]))
+            Request::Compile(CompileRequest::Seismic { c: Some(c), .. }) => {
+                Payload::new(buf, prefix, [c.len()])
             }
-            _ => frame_buffer([]),
+            Request::Gradient(g) => Payload::new(buf, prefix, [g.source.len(), g.observed.len()]),
+            Request::GradientBatch(b) => Payload::new(
+                buf,
+                prefix,
+                b.shots.iter().flat_map(|(s, o)| [s.len(), o.len()]),
+            ),
+            _ => Payload::new(buf, prefix, []),
         };
         match self {
             Request::Compile(CompileRequest::Seismic {
@@ -297,62 +401,62 @@ impl Request {
                 budget,
                 checkpointed,
             }) => {
-                o.push_str(&format!(
-                    "{{\"type\":\"compile\",\"kernel\":\"seismic\",\"n\":{n},\"steps\":{steps},\"d\":"
-                ));
+                o.field("{\"type\":\"compile\",\"kernel\":\"seismic\",\"n\":", n);
+                o.field(",\"steps\":", steps);
+                o.push(",\"d\":");
                 push_num(&mut o, *d);
                 if let Some(c) = c {
-                    o.push_str(",\"c\":");
-                    push_f64_array(&mut o, c);
+                    o.push(",\"c\":");
+                    o.hex_array(c);
                 }
                 if let Some(b) = budget {
-                    o.push_str(&format!(",\"budget\":{b}"));
+                    o.field(",\"budget\":", b);
                 }
                 if let Some(ck) = checkpointed {
-                    o.push_str(&format!(",\"checkpointed\":{ck}"));
+                    o.field(",\"checkpointed\":", ck);
                 }
-                o.push('}');
+                o.push("}");
             }
             Request::Gradient(g) => {
-                o.push_str("{\"type\":\"gradient\",\"fingerprint\":");
+                o.push("{\"type\":\"gradient\",\"fingerprint\":");
                 push_str(&mut o, &g.fingerprint);
-                o.push_str(",\"source\":");
-                push_f64_array(&mut o, &g.source);
-                o.push_str(",\"observed\":");
-                push_f64_array(&mut o, &g.observed);
+                o.push(",\"source\":");
+                o.hex_array(&g.source);
+                o.push(",\"observed\":");
+                o.hex_array(&g.observed);
                 if let Some(ms) = g.deadline_ms {
-                    o.push_str(&format!(",\"deadline_ms\":{ms}"));
+                    o.field(",\"deadline_ms\":", ms);
                 }
                 if g.trace {
-                    o.push_str(",\"trace\":true");
+                    o.push(",\"trace\":true");
                 }
-                o.push('}');
+                o.push("}");
             }
             Request::GradientBatch(b) => {
-                o.push_str("{\"type\":\"gradient_batch\",\"fingerprint\":");
+                o.push("{\"type\":\"gradient_batch\",\"fingerprint\":");
                 push_str(&mut o, &b.fingerprint);
-                o.push_str(",\"shots\":[");
+                o.push(",\"shots\":[");
                 for (i, (src, obs)) in b.shots.iter().enumerate() {
                     if i > 0 {
-                        o.push(',');
+                        o.push(",");
                     }
-                    o.push_str("{\"source\":");
-                    push_f64_array(&mut o, src);
-                    o.push_str(",\"observed\":");
-                    push_f64_array(&mut o, obs);
-                    o.push('}');
+                    o.push("{\"source\":");
+                    o.hex_array(src);
+                    o.push(",\"observed\":");
+                    o.hex_array(obs);
+                    o.push("}");
                 }
-                o.push(']');
+                o.push("]");
                 if let Some(ms) = b.deadline_ms {
-                    o.push_str(&format!(",\"deadline_ms\":{ms}"));
+                    o.field(",\"deadline_ms\":", ms);
                 }
                 if b.trace {
-                    o.push_str(",\"trace\":true");
+                    o.push(",\"trace\":true");
                 }
-                o.push('}');
+                o.push("}");
             }
-            Request::Stats => o.push_str("{\"type\":\"stats\"}"),
-            Request::Shutdown => o.push_str("{\"type\":\"shutdown\"}"),
+            Request::Stats => o.push("{\"type\":\"stats\"}"),
+            Request::Shutdown => o.push("{\"type\":\"shutdown\"}"),
         }
         o
     }
@@ -459,30 +563,152 @@ fn opt_value(v: &Value, key: &str) -> Option<Value> {
     }
 }
 
-/// The value of eight hex digits at once (`word` holds them, the first in
-/// its top byte); `None` unless each is in `0-9a-f`. A digit's value is its
-/// low nibble, plus 9 for a letter (bit 6). Every byte yields *some* nibble
-/// that way, so the nibbles are written back as digits and compared with
-/// the input — only what this codec writes survives — before three
-/// shift-and-mask rounds close the gaps between them. No sum leaves its byte.
-fn hex_word(word: u64) -> Option<u64> {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    let letters = (word >> 6) & ONES;
-    let nibbles = ((word & (0x0f * ONES)) + 9 * letters) & (0x0f * ONES);
-    let past_nine = ((nibbles + 6 * ONES) >> 4) & ONES;
-    if nibbles + u64::from(b'0') * ONES + u64::from(b'a' - b'9' - 1) * past_nine != word {
-        return None;
-    }
-    let bytes = (nibbles | nibbles >> 4) & 0x00ff_00ff_00ff_00ff;
-    let halves = (bytes | bytes >> 8) & 0x0000_ffff_0000_ffff;
-    Some((halves | halves >> 16) & 0xffff_ffff)
-}
-
 /// The bits 16 digits spell, `None` for any digit outside `0-9a-f`.
 fn hex_value(digits: &[u8; HEX_PER_VALUE]) -> Option<u64> {
-    let (hi, lo) = digits.split_at(8);
-    let word = |half: &[u8]| u64::from_be_bytes(half.try_into().expect("eight digits"));
-    Some(hex_word(word(hi))? << 32 | hex_word(word(lo))?)
+    hex::value(digits)
+}
+
+// ---------------------------------------------------------------------
+// The bulk-array codec, one per target: SSE2, which every x86-64 target
+// has, and the scalar codec everywhere else. `hex` is the one this target
+// runs. The scalar codec is compiled on every target, so the tests hold
+// the two to each other and to a digit-at-a-time reference.
+
+#[cfg(not(target_arch = "x86_64"))]
+use portable as hex;
+#[cfg(target_arch = "x86_64")]
+use sse2 as hex;
+
+/// The scalar codec: a byte → two-digit table on the way out, eight
+/// digits per `u64` decoded in registers on the way in.
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+mod portable {
+    use super::{DIGITS, HEX_PER_VALUE};
+
+    /// `HEX[b]` is byte `b` as two lowercase hex digits.
+    const HEX: [[u8; 2]; 256] = {
+        let mut table = [[0_u8; 2]; 256];
+        let mut b = 0;
+        while b < 256 {
+            table[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
+            b += 1;
+        }
+        table
+    };
+
+    /// Append 16 digits per value of `xs` to `out`.
+    pub(super) fn push_digits(out: &mut Vec<u8>, xs: &[f64]) {
+        let start = out.len();
+        out.resize(start + HEX_PER_VALUE * xs.len(), 0);
+        for (digits, v) in out[start..].chunks_exact_mut(HEX_PER_VALUE).zip(xs) {
+            for (pair, byte) in digits.chunks_exact_mut(2).zip(v.to_bits().to_be_bytes()) {
+                pair.copy_from_slice(&HEX[byte as usize]);
+            }
+        }
+    }
+
+    /// The value of eight hex digits at once (`word` holds them, the first
+    /// in its top byte); `None` unless each is in `0-9a-f`. A digit's value
+    /// is its low nibble, plus 9 for a letter (bit 6). Every byte yields
+    /// *some* nibble that way, so the nibbles are written back as digits
+    /// and compared with the input — only what this codec writes survives
+    /// — before three shift-and-mask rounds close the gaps between them.
+    /// No sum leaves its byte.
+    fn word(word: u64) -> Option<u64> {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        let letters = (word >> 6) & ONES;
+        let nibbles = ((word & (0x0f * ONES)) + 9 * letters) & (0x0f * ONES);
+        let past_nine = ((nibbles + 6 * ONES) >> 4) & ONES;
+        if nibbles + u64::from(b'0') * ONES + u64::from(b'a' - b'9' - 1) * past_nine != word {
+            return None;
+        }
+        let bytes = (nibbles | nibbles >> 4) & 0x00ff_00ff_00ff_00ff;
+        let halves = (bytes | bytes >> 8) & 0x0000_ffff_0000_ffff;
+        Some((halves | halves >> 16) & 0xffff_ffff)
+    }
+
+    /// The bits 16 digits spell, `None` for any digit outside `0-9a-f`.
+    pub(super) fn value(digits: &[u8; HEX_PER_VALUE]) -> Option<u64> {
+        let (hi, lo) = digits.split_at(8);
+        let half = |half: &[u8]| u64::from_be_bytes(half.try_into().expect("eight digits"));
+        Some(word(half(hi))? << 32 | word(half(lo))?)
+    }
+}
+
+/// The SSE2 codec: one value's 16 digits are one register, written with
+/// one store and read with one load.
+#[cfg(target_arch = "x86_64")]
+mod sse2 {
+    use super::HEX_PER_VALUE;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi8, _mm_and_si128, _mm_cmpeq_epi8, _mm_cmpgt_epi8, _mm_cvtsi128_si64,
+        _mm_cvtsi64_si128, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128, _mm_packus_epi16,
+        _mm_set1_epi16, _mm_set1_epi8, _mm_slli_epi16, _mm_srli_epi16, _mm_storeu_si128,
+        _mm_unpacklo_epi8,
+    };
+
+    /// Each byte of `nibbles` (each 0–15) as its lowercase hex digit:
+    /// `'0'` plus the nibble, plus `'a' − '0' − 10` past nine.
+    #[inline(always)]
+    fn ascii(nibbles: __m128i) -> __m128i {
+        // SAFETY: SSE2 is part of every x86-64 target, and no operand is memory.
+        unsafe {
+            let past_nine = _mm_cmpgt_epi8(nibbles, _mm_set1_epi8(9));
+            let letters = _mm_and_si128(past_nine, _mm_set1_epi8((b'a' - b'0' - 10) as i8));
+            _mm_add_epi8(_mm_add_epi8(nibbles, _mm_set1_epi8(b'0' as i8)), letters)
+        }
+    }
+
+    /// The 16 digits of `bits`, most significant first: its bytes in
+    /// big-endian order, each split into its high and low nibble, the
+    /// nibbles interleaved.
+    #[inline(always)]
+    fn digits(bits: u64) -> __m128i {
+        // SAFETY: SSE2 is part of every x86-64 target, and no operand is memory.
+        unsafe {
+            let bytes = _mm_cvtsi64_si128(bits.swap_bytes() as i64);
+            let low = _mm_set1_epi8(0x0f);
+            let high = _mm_and_si128(_mm_srli_epi16(bytes, 4), low);
+            ascii(_mm_unpacklo_epi8(high, _mm_and_si128(bytes, low)))
+        }
+    }
+
+    /// Append 16 digits per value of `xs` to `out`.
+    pub(super) fn push_digits(out: &mut Vec<u8>, xs: &[f64]) {
+        let start = out.len();
+        out.resize(start + HEX_PER_VALUE * xs.len(), 0);
+        for (dst, v) in out[start..].chunks_exact_mut(HEX_PER_VALUE).zip(xs) {
+            let d = digits(v.to_bits());
+            // SAFETY: `dst` is 16 writable bytes, the width of one unaligned store.
+            unsafe { _mm_storeu_si128(dst.as_mut_ptr().cast(), d) };
+        }
+    }
+
+    /// The bits 16 digits spell, `None` for any digit outside `0-9a-f`. A
+    /// digit's nibble is its low four bits, after adding 9 to a byte past
+    /// `'9'` (a letter). Every byte yields *some* nibble that way, so the
+    /// nibbles are written back as digits and compared with the input —
+    /// only what this codec writes gets through — before each pair is
+    /// packed into its byte.
+    pub(super) fn value(hex: &[u8; HEX_PER_VALUE]) -> Option<u64> {
+        // SAFETY: `hex` is 16 readable bytes, the width of one unaligned load.
+        let x = unsafe { _mm_loadu_si128(hex.as_ptr().cast()) };
+        // SAFETY: SSE2 is part of every x86-64 target, and no operand is memory.
+        unsafe {
+            let letters = _mm_cmpgt_epi8(x, _mm_set1_epi8(b'9' as i8));
+            let nine = _mm_and_si128(letters, _mm_set1_epi8(9));
+            let nibbles = _mm_and_si128(_mm_add_epi8(x, nine), _mm_set1_epi8(0x0f));
+            if _mm_movemask_epi8(_mm_cmpeq_epi8(ascii(nibbles), x)) != 0xffff {
+                return None;
+            }
+            // Lane k of 16 bits holds digit 2k low, digit 2k + 1 high:
+            // digit 2k moves up a nibble, 2k + 1 down a byte.
+            let pairs = _mm_or_si128(_mm_slli_epi16(nibbles, 4), _mm_srli_epi16(nibbles, 8));
+            let pairs = _mm_and_si128(pairs, _mm_set1_epi16(0xff));
+            let bytes = _mm_packus_epi16(pairs, pairs);
+            Some((_mm_cvtsi128_si64(bytes) as u64).swap_bytes())
+        }
+    }
 }
 
 /// A scalar as the wire admits it: a JSON number that is finite (`1e999`
@@ -491,10 +717,11 @@ fn finite(v: &Value) -> Option<f64> {
     v.as_f64().filter(|x| x.is_finite())
 }
 
-/// A bulk array in either wire form: the hex string [`push_f64_array`]
-/// writes, or a plain array of JSON numbers. `None` for anything else —
-/// a hex string of a length not a multiple of 16, a digit outside
-/// `0-9a-f` (upper case included), a non-finite value, a non-number item.
+/// A bulk array in either wire form: the hex string
+/// [`Payload::hex_array`] writes, or a plain array of JSON numbers. `None`
+/// for anything else — a hex string of a length not a multiple of 16, a
+/// digit outside `0-9a-f` (upper case included), a non-finite value, a
+/// non-number item.
 fn f64_array(v: &Value) -> Option<Vec<f64>> {
     let hex = match v {
         Value::Str(hex) => hex.as_bytes(),
@@ -519,78 +746,91 @@ fn req_f64_array(v: &Value, key: &str) -> Result<Vec<f64>, String> {
 }
 
 impl Reply {
+    /// The JSON payload: exactly the bytes its frame carries behind the
+    /// length prefix.
     pub fn to_json(&self) -> String {
+        text(self.write(Vec::new(), 0))
+    }
+
+    /// Write the whole frame, prefix and payload, as it goes on the wire
+    /// into `buf` (a buffer the connection keeps), over what it held;
+    /// refused when the payload is over `MAX_FRAME`.
+    pub(crate) fn frame_into(&self, buf: &mut Vec<u8>) -> io::Result<()> {
+        *buf = self.write(std::mem::take(buf), PREFIX).0;
+        framed(buf)
+    }
+
+    fn write(&self, buf: Vec<u8>, prefix: usize) -> Payload {
         let mut o = match self {
-            Reply::Gradient(g) => frame_buffer([g.gradient.len()]),
-            Reply::GradientBatch(b) => {
-                frame_buffer(b.gradients.iter().map(Vec::len).chain([b.misfits.len()]))
-            }
-            _ => frame_buffer([]),
+            Reply::Gradient(g) => Payload::new(buf, prefix, [g.gradient.len()]),
+            Reply::GradientBatch(b) => Payload::new(
+                buf,
+                prefix,
+                b.gradients.iter().map(Vec::len).chain([b.misfits.len()]),
+            ),
+            _ => Payload::new(buf, prefix, []),
         };
         match self {
             Reply::Compiled(c) => {
-                o.push_str("{\"type\":\"compiled\",\"fingerprint\":");
+                o.push("{\"type\":\"compiled\",\"fingerprint\":");
                 push_str(&mut o, &c.fingerprint);
-                o.push_str(&format!(",\"cached\":{},\"nests\":{}", c.cached, c.nests));
+                o.field(",\"cached\":", c.cached);
+                o.field(",\"nests\":", c.nests);
                 if let Some(cfg) = &c.config {
-                    o.push_str(",\"config\":");
+                    o.push(",\"config\":");
                     push_str(&mut o, cfg);
                 }
                 if let Some(ck) = c.checkpointed {
-                    o.push_str(&format!(",\"checkpointed\":{ck}"));
+                    o.field(",\"checkpointed\":", ck);
                 }
                 if let Some(b) = c.budget {
-                    o.push_str(&format!(",\"budget\":{b}"));
+                    o.field(",\"budget\":", b);
                 }
-                o.push('}');
+                o.push("}");
             }
             Reply::Gradient(g) => {
-                o.push_str("{\"type\":\"gradient\",\"misfit\":");
+                o.push("{\"type\":\"gradient\",\"misfit\":");
                 push_num(&mut o, g.misfit);
-                o.push_str(",\"gradient\":");
-                push_f64_array(&mut o, &g.gradient);
-                o.push_str(&format!(",\"checkpointed\":{}", g.checkpointed));
-                o.push_str(&format!(",\"request_id\":{}", g.request_id));
+                o.push(",\"gradient\":");
+                o.hex_array(&g.gradient);
+                o.field(",\"checkpointed\":", g.checkpointed);
+                o.field(",\"request_id\":", g.request_id);
                 if let Some(t) = &g.trace {
-                    o.push_str(",\"trace\":");
-                    let _ = write!(o, "{t}");
+                    o.field(",\"trace\":", t);
                 }
-                o.push('}');
+                o.push("}");
             }
             Reply::GradientBatch(b) => {
-                o.push_str("{\"type\":\"gradient_batch\",\"misfits\":");
-                push_f64_array(&mut o, &b.misfits);
-                o.push_str(",\"gradients\":[");
+                o.push("{\"type\":\"gradient_batch\",\"misfits\":");
+                o.hex_array(&b.misfits);
+                o.push(",\"gradients\":[");
                 for (i, g) in b.gradients.iter().enumerate() {
                     if i > 0 {
-                        o.push(',');
+                        o.push(",");
                     }
-                    push_f64_array(&mut o, g);
+                    o.hex_array(g);
                 }
-                o.push_str("],\"strategy\":");
+                o.push("],\"strategy\":");
                 push_str(&mut o, &b.strategy);
-                o.push_str(&format!(",\"request_id\":{}", b.request_id));
+                o.field(",\"request_id\":", b.request_id);
                 if let Some(t) = &b.trace {
-                    o.push_str(",\"trace\":");
-                    let _ = write!(o, "{t}");
+                    o.field(",\"trace\":", t);
                 }
-                o.push('}');
+                o.push("}");
             }
             Reply::Stats(v) => {
-                o.push_str("{\"type\":\"stats\",\"stats\":");
-                let _ = write!(o, "{v}");
-                o.push('}');
+                o.field("{\"type\":\"stats\",\"stats\":", v);
+                o.push("}");
             }
-            Reply::Ok => o.push_str("{\"type\":\"ok\"}"),
+            Reply::Ok => o.push("{\"type\":\"ok\"}"),
             Reply::Busy { retry_after_ms } => {
-                o.push_str(&format!(
-                    "{{\"type\":\"busy\",\"retry_after_ms\":{retry_after_ms}}}"
-                ));
+                o.field("{\"type\":\"busy\",\"retry_after_ms\":", retry_after_ms);
+                o.push("}");
             }
             Reply::Error(msg) => {
-                o.push_str("{\"type\":\"error\",\"message\":");
+                o.push("{\"type\":\"error\",\"message\":");
                 push_str(&mut o, msg);
-                o.push('}');
+                o.push("}");
             }
         }
         o
@@ -682,6 +922,13 @@ mod tests {
 
     fn bits(xs: &[f64]) -> Vec<u64> {
         xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The bulk-array writer's bytes (quotes and digits), as text.
+    fn push_f64_array(out: &mut String, xs: &[f64]) {
+        let mut o = Payload(Vec::new());
+        o.hex_array(xs);
+        out.push_str(&text(o));
     }
 
     #[test]
@@ -945,6 +1192,281 @@ mod tests {
         let err = write_frame(&mut refused, &" ".repeat(MAX_FRAME + 1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(refused.calls.is_empty());
+    }
+
+    /// A peer that announces the largest frame and sends ten bytes costs
+    /// the reader what arrived, rounded up to the first reservation — not
+    /// `MAX_FRAME` of address space per connection.
+    #[test]
+    fn a_stalled_frame_holds_a_small_buffer() {
+        let mut wire = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(&[b'x'; 10]);
+        let mut buf = Vec::new();
+        let err = read_payload(&mut &wire[..], &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(buf.capacity() < 1 << 20, "{} bytes held", buf.capacity());
+        let err = read_frame(&mut &wire[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A reader that hands out at most `step` bytes per call.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// One connection buffer reads frames longer and shorter than any
+    /// before them, whole or a few bytes per read, and each payload is
+    /// exactly what was sent — nothing of a longer frame before it.
+    #[test]
+    fn a_connection_buffer_reads_each_frame_whole() {
+        let lens = [10, 0, 3 * FIRST_READ + 7, 5, FIRST_READ, 1];
+        let payloads: Vec<String> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| {
+                (0..n)
+                    .map(|j| char::from(b'a' + ((i + j) % 26) as u8))
+                    .collect()
+            })
+            .collect();
+        let mut wire = Vec::new();
+        for p in &payloads {
+            write_frame(&mut wire, p).unwrap();
+        }
+        for step in [usize::MAX, 4093] {
+            let mut r = Trickle { bytes: &wire, step };
+            let mut buf = Vec::new();
+            for p in &payloads {
+                assert_eq!(read_payload(&mut r, &mut buf).unwrap(), p, "step {step}");
+            }
+            assert!(
+                buf.len() < 2 * (3 * FIRST_READ + 7),
+                "grown to {}",
+                buf.len()
+            );
+            let err = read_payload(&mut r, &mut buf).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+            release_if_long(&mut buf);
+            assert!(buf.capacity() >= 3 * FIRST_READ + 7, "kept");
+        }
+        // A frame past `KEEP` is read whole, and its buffer is not kept.
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &"x".repeat(KEEP + 1)).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(
+            read_payload(&mut &wire[..], &mut buf).unwrap().len(),
+            KEEP + 1
+        );
+        release_if_long(&mut buf);
+        assert_eq!(buf.capacity(), 0);
+        // Not UTF-8: refused, and the next frame still reads.
+        let mut wire = vec![0, 0, 0, 2, 0xc3, 0x28];
+        write_frame(&mut wire, "ok").unwrap();
+        let (mut r, mut buf) = (&wire[..], Vec::new());
+        let err = read_payload(&mut r, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(read_payload(&mut r, &mut buf).unwrap(), "ok");
+    }
+
+    /// Every message, one of each variant and optional field: the frame
+    /// is the length prefix and exactly the bytes `to_json` returns.
+    #[test]
+    fn to_json_is_the_frame_payload_for_every_variant() {
+        let (gradient_request, gradient_reply) = fixed_exchange();
+        let seismic = |c: Option<Vec<f64>>, budget, checkpointed| {
+            Request::Compile(CompileRequest::Seismic {
+                n: 8,
+                steps: 24,
+                d: 0.1,
+                c,
+                budget,
+                checkpointed,
+            })
+        };
+        let requests = [
+            seismic(None, None, None),
+            seismic(Some(AWKWARD.to_vec()), Some(6), Some(true)),
+            gradient_request,
+            Request::GradientBatch(BatchRequest {
+                fingerprint: "f\"p\\".into(),
+                shots: vec![(vec![1.0], AWKWARD.to_vec()), (vec![], vec![-0.0])],
+                deadline_ms: Some(9),
+                trace: true,
+            }),
+            Request::Stats,
+            Request::Shutdown,
+        ];
+        let trace = json::parse("{\"wall_ns\":12,\"phases\":[{\"name\":\"é\"}]}").unwrap();
+        let replies = [
+            Reply::Compiled(CompiledReply {
+                fingerprint: "00ab".into(),
+                cached: true,
+                nests: 75,
+                config: Some("tile 8x8\n".into()),
+                checkpointed: Some(false),
+                budget: Some(8),
+            }),
+            gradient_reply,
+            Reply::Gradient(GradientReply {
+                misfit: -0.0,
+                gradient: AWKWARD.to_vec(),
+                checkpointed: true,
+                request_id: 1 << 53,
+                trace: Some(trace.clone()),
+            }),
+            Reply::GradientBatch(BatchReply {
+                misfits: vec![0.5, 0.25],
+                gradients: vec![AWKWARD.to_vec(), vec![]],
+                strategy: "ShotParallel".into(),
+                request_id: 3,
+                trace: Some(trace.clone()),
+            }),
+            Reply::Stats(trace),
+            Reply::Ok,
+            Reply::Busy { retry_after_ms: 40 },
+            Reply::Error("bad \"kernel\"\u{1b}".into()),
+        ];
+        // One kept buffer for every frame, longer and shorter in turn.
+        let mut frame = Vec::new();
+        let framed_as = |frame: &[u8], json: &str| {
+            assert_eq!(&frame[PREFIX..], json.as_bytes());
+            assert_eq!(frame[..PREFIX], (json.len() as u32).to_be_bytes());
+            assert_eq!(read_frame(&mut &frame[..]).unwrap(), json);
+        };
+        for r in &requests {
+            r.frame_into(&mut frame).unwrap();
+            framed_as(&frame, &r.to_json());
+            let back = Request::from_json(&r.to_json()).unwrap();
+            assert_eq!(back.to_json(), r.to_json());
+        }
+        for r in &replies {
+            r.frame_into(&mut frame).unwrap();
+            framed_as(&frame, &r.to_json());
+            let back = Reply::from_json(&r.to_json()).unwrap();
+            assert_eq!(back.to_json(), r.to_json());
+        }
+    }
+
+    type Encode = fn(&mut Vec<u8>, &[f64]);
+    type Decode = fn(&[u8; HEX_PER_VALUE]) -> Option<u64>;
+
+    /// The codecs this target compiles: the scalar one everywhere, SSE2 on
+    /// x86-64 (the one `hex` selects there).
+    fn codecs() -> Vec<(&'static str, Encode, Decode)> {
+        let mut codecs = vec![(
+            "portable",
+            portable::push_digits as Encode,
+            portable::value as Decode,
+        )];
+        #[cfg(target_arch = "x86_64")]
+        codecs.push(("sse2", sse2::push_digits, sse2::value));
+        codecs
+    }
+
+    /// Values whose bits cover the encoder's cases: `AWKWARD`, every
+    /// exponent with each sign, every byte at each of the eight places,
+    /// and random bits.
+    fn covering_values() -> Vec<f64> {
+        let mut state = 0x5EED_E4C0_u64;
+        let mut values = AWKWARD.to_vec();
+        for exponent in 0..2048_u64 {
+            for sign in [0, 1_u64 << 63] {
+                let mantissa = xorshift64(&mut state) & ((1 << 52) - 1);
+                values.push(f64::from_bits(sign | exponent << 52 | mantissa));
+            }
+        }
+        for place in 0..8 {
+            for byte in 0..=255_u64 {
+                let base = xorshift64(&mut state) & !(0xff << (8 * place));
+                values.push(f64::from_bits(base | byte << (8 * place)));
+            }
+        }
+        values.extend(bit_patterns(10_000));
+        values
+    }
+
+    #[test]
+    fn both_encoders_write_the_reference_digits_at_every_offset() {
+        let values = covering_values();
+        let mut want = String::new();
+        reference_push_f64_array(&mut want, &values);
+        let want = &want.as_bytes()[1..want.len() - 1];
+        for (name, encode, _) in codecs() {
+            // After 0..16 bytes already in the buffer: every store alignment.
+            for offset in 0..HEX_PER_VALUE {
+                let mut out = vec![b'x'; offset];
+                encode(&mut out, &values);
+                assert!(out[offset..] == *want, "{name} at offset {offset}");
+                assert!(out[..offset].iter().all(|&b| b == b'x'), "{name}");
+            }
+            // Lengths around a pair and nothing at all.
+            for n in [0, 1, 2, 3] {
+                let mut out = Vec::new();
+                encode(&mut out, &values[..n]);
+                assert!(out == want[..HEX_PER_VALUE * n], "{name}: {n} values");
+            }
+        }
+    }
+
+    #[test]
+    fn both_decoders_agree_with_the_reference_on_every_byte_and_value() {
+        let mut state = 0x5EED_D5C0_u64;
+        let agree = |digits: &[u8; HEX_PER_VALUE]| {
+            let want = reference_hex_value(digits);
+            for (name, _, decode) in codecs() {
+                let got = decode(digits);
+                assert_eq!(got, want, "{name}: {:?}", String::from_utf8_lossy(digits));
+            }
+            want
+        };
+        for v in covering_values() {
+            assert_eq!(agree(&hex_digits(v.to_bits())), Some(v.to_bits()));
+        }
+        // Every byte at each of the 16 places, around valid digits of
+        // every kind: exactly `0-9a-f` is accepted at each place.
+        for base in [0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210, 0, u64::MAX] {
+            let mut accepted = 0;
+            for at in 0..HEX_PER_VALUE {
+                for byte in 0..=255_u8 {
+                    let mut digits = hex_digits(base);
+                    digits[at] = byte;
+                    accepted += agree(&digits).is_some() as usize;
+                }
+            }
+            assert_eq!(accepted, 16 * HEX_PER_VALUE, "{base:#x}");
+        }
+        // Random bytes, and several mutations of a valid value at once.
+        for round in 0..20_000 {
+            let mut digits = hex_digits(xorshift64(&mut state));
+            if round % 4 == 0 {
+                digits = std::array::from_fn(|_| xorshift64(&mut state) as u8);
+            }
+            for _ in 0..round % 4 {
+                let r = xorshift64(&mut state);
+                digits[r as usize % HEX_PER_VALUE] = (r >> 8) as u8;
+            }
+            agree(&digits);
+        }
+        // Loads at every alignment of the array they sit in.
+        let mut text = Vec::new();
+        portable::push_digits(&mut text, &AWKWARD);
+        for offset in 0..HEX_PER_VALUE {
+            let mut shifted = vec![b' '; offset];
+            shifted.extend_from_slice(&text);
+            for (digits, v) in shifted[offset..].chunks_exact(HEX_PER_VALUE).zip(AWKWARD) {
+                assert_eq!(agree(digits.try_into().unwrap()), Some(v.to_bits()));
+            }
+        }
     }
 
     /// Every bulk value a decoded `Gradient` frame carries (a mutated one

@@ -383,7 +383,7 @@ fn bind_unix(path: &PathBuf) -> io::Result<Listener> {
 
 /// The wire's share of a request, beside the engine's `serve.request_ns`:
 /// `serve.decode_ns` / `serve.encode_ns` time `Request::from_json` /
-/// `Reply::to_json`, `serve.frame_bytes_in` / `_out` count whole frames,
+/// `Reply::frame_into`, `serve.frame_bytes_in` / `_out` count whole frames,
 /// prefix included — all recorded before the reply is written, so a client
 /// holding a reply can read its request's cost. Resolved once per process.
 type WireMetrics = ([perforad_obs::Histogram; 2], [perforad_obs::Counter; 2]);
@@ -400,6 +400,8 @@ fn wire_metrics() -> &'static WireMetrics {
 
 fn handle_conn(engine: Arc<Engine>, stop: Arc<AtomicBool>, endpoint: Endpoint, mut conn: Conn) {
     let ([decode_ns, encode_ns], [bytes_in, bytes_out]) = wire_metrics();
+    // Every request frame is read into `buf`, every reply written in `out`.
+    let (mut buf, mut out) = (Vec::new(), Vec::new());
     loop {
         // Injected frame faults take the exact same exits as the real
         // failures they stand in for: a read fault is a truncated frame
@@ -408,7 +410,7 @@ fn handle_conn(engine: Arc<Engine>, stop: Arc<AtomicBool>, endpoint: Endpoint, m
         if fault::should_fail("serve.frame.read") {
             return;
         }
-        let payload = match proto::read_frame(&mut conn) {
+        let payload = match proto::read_payload(&mut conn, &mut buf) {
             Ok(p) => p,
             // EOF, truncated frame, hostile length prefix: this
             // connection is done; the server is not.
@@ -416,7 +418,7 @@ fn handle_conn(engine: Arc<Engine>, stop: Arc<AtomicBool>, endpoint: Endpoint, m
         };
         bytes_in.add(4 + payload.len() as u64);
         let t = Instant::now();
-        let decoded = Request::from_json(&payload);
+        let decoded = Request::from_json(payload);
         decode_ns.record(t.elapsed().as_nanos() as u64);
         let (reply, is_shutdown) = match decoded {
             Err(msg) => (Reply::Error(msg), false),
@@ -432,13 +434,17 @@ fn handle_conn(engine: Arc<Engine>, stop: Arc<AtomicBool>, endpoint: Endpoint, m
             }
         };
         let t = Instant::now();
-        let reply = reply.to_json();
+        let framed = reply.frame_into(&mut out);
         encode_ns.record(t.elapsed().as_nanos() as u64);
-        bytes_out.add(4 + reply.len() as u64);
-        if fault::should_fail("serve.frame.write") || proto::write_frame(&mut conn, &reply).is_err()
+        bytes_out.add(out.len() as u64);
+        if framed.is_err()
+            || fault::should_fail("serve.frame.write")
+            || proto::send_frame(&mut conn, &out).is_err()
         {
             return;
         }
+        proto::release_if_long(&mut buf);
+        proto::release_if_long(&mut out);
         if is_shutdown {
             stop.store(true, Ordering::Release);
             // Self-connect to unblock the accept loop.

@@ -598,6 +598,57 @@ mod rule {
         },
         count: None,
     };
+
+    /// Where the program reaches past safe Rust for speed: `core::arch` /
+    /// `std::arch` only in the wire codec (`serve::proto`, SSE2) and the
+    /// JIT (its artifacts' footer, its ISA probe), and every `unsafe` in
+    /// the serve crate states its invariant in a `// SAFETY:` comment
+    /// directly above it (the comment may run on over several lines).
+    pub const UNSAFE_IN_TWO_PLACES: Rule = Rule {
+        why: "core::arch / std::arch outside serve::proto and the JIT, \
+              or an unsafe in crates/serve/ without a // SAFETY: comment above it",
+        lines: |path, text| {
+            let mut v = Vec::new();
+            if !path.ends_with(".rs") {
+                return v;
+            }
+            let owners = ["crates/serve/src/proto.rs", "crates/jit/src/lib.rs"];
+            if !owners.contains(&path)
+                && (text.contains("core::arch") || text.contains("std::arch"))
+            {
+                v.extend(hits(path, text, |l| {
+                    !l.trim_start().starts_with("//")
+                        && (l.contains("core::arch") || l.contains("std::arch"))
+                }));
+            }
+            if under(path, &["crates/serve/"]) && text.contains("unsafe") {
+                v.extend(undocumented_unsafe(path, text));
+            }
+            v
+        },
+        count: None,
+    };
+
+    /// The code lines of `text` holding the word `unsafe` whose run of
+    /// `//` comment lines directly above holds no `// SAFETY:` line.
+    pub fn undocumented_unsafe(path: &str, text: &str) -> Vec<String> {
+        let lines: Vec<&str> = text.lines().collect();
+        let comment = |l: &str| l.trim_start().starts_with("//");
+        let mut v = Vec::new();
+        for (n, l) in lines.iter().enumerate() {
+            if comment(l) || !has_word(l, "unsafe") {
+                continue;
+            }
+            let above = lines[..n].iter().rev().take_while(|a| comment(a));
+            if !above
+                .clone()
+                .any(|a| a.trim_start().starts_with("// SAFETY:"))
+            {
+                v.push(format!("{path}:{}: {l}", n + 1));
+            }
+        }
+        v
+    }
 }
 
 #[test]
@@ -663,6 +714,11 @@ fn docs_links_resolve() {
 #[test]
 fn compile_fail_doctests_keep_their_edits() {
     assert_holds(&rule::COMPILE_FAIL_DOCTESTS_KEEP_THEIR_EDITS);
+}
+
+#[test]
+fn unsafe_in_two_places() {
+    assert_holds(&rule::UNSAFE_IN_TWO_PLACES);
 }
 
 // ---------------------------------------------------------------------
@@ -784,6 +840,14 @@ const PINNED: &[(&str, &[&str])] = &[
             "decoder_agrees_with_the_reference_on_every_byte_and_on_mutations",
             "a_frame_leaves_in_one_write",
             "mutated_frames_never_panic_and_never_decode_to_a_non_finite_value",
+            // The SSE2 codec against the scalar one and the reference, and
+            // frames written once and read into a buffer that grows as
+            // the bytes arrive.
+            "both_encoders_write_the_reference_digits_at_every_offset",
+            "both_decoders_agree_with_the_reference_on_every_byte_and_value",
+            "to_json_is_the_frame_payload_for_every_variant",
+            "a_stalled_frame_holds_a_small_buffer",
+            "a_connection_buffer_reads_each_frame_whole",
         ],
     ),
     ("crates/symbolic/src/", &["inline_forms_agree_with_the_map_they_replaced"]),
@@ -1612,6 +1676,54 @@ mod planted {
             "src/lib.rs",
             moved,
         );
+    }
+
+    #[test]
+    fn simd_elsewhere_or_an_unstated_unsafe_fires() {
+        let rule = &rule::UNSAFE_IN_TWO_PLACES;
+        let simd = "use std::arch::x86_64::_mm_add_epi8;\n";
+        fires(rule, "crates/exec/src/simd.rs", simd);
+        fires(
+            rule,
+            "examples/benchmark/src/x.rs",
+            "let v = core::arch::x86_64::_mm_setzero_si128();\n",
+        );
+        let proto = "crates/serve/src/proto.rs";
+        let stated = "// SAFETY: SSE2 is part of every x86-64 target, and no operand is memory.\n";
+        let unstated = stated.replace("SAFETY: ", "");
+        fires(rule, proto, &edited(proto, stated, &unstated));
+        // A blank line between the comment and the block breaks the run.
+        fires(rule, proto, &edited(proto, stated, &format!("{stated}\n")));
+        fires(
+            rule,
+            "crates/serve/src/server.rs",
+            "    let fd = unsafe { raw(&conn) };\n",
+        );
+        fires(
+            rule,
+            "crates/serve/src/x.rs",
+            "/// # Safety\n/// `p` is valid.\nunsafe fn f(p: *const u8) {}\n",
+        );
+        // The two homes; a comment naming the module; a SAFETY run over
+        // several lines; a lint's name; unsafe outside the serve crate.
+        silent(rule, proto, simd);
+        silent(
+            rule,
+            "crates/jit/src/lib.rs",
+            "    let avx2 = std::arch::is_x86_feature_detected!(\"avx2\");\n",
+        );
+        silent(
+            rule,
+            "crates/exec/src/x.rs",
+            "// std::arch stays in two files\n",
+        );
+        silent(rule, "crates/serve/src/x.rs", "    // SAFETY: `dst` is 16 bytes long,\n    // one store's width.\n    unsafe { store(dst) };\n");
+        silent(
+            rule,
+            "crates/serve/src/lib.rs",
+            "#![deny(clippy::undocumented_unsafe_blocks)]\n",
+        );
+        silent(rule, "crates/exec/src/x.rs", "let y = unsafe { f() };\n");
     }
 
     /// The pins as the parent of this registry had them: the ckpt stream
