@@ -28,6 +28,13 @@ pub struct CkptReport {
     pub recomputed_steps: usize,
     /// Maximum simultaneously live snapshots.
     pub peak_snapshots: usize,
+    /// Snapshot saves the stream executed.
+    pub saves: usize,
+    /// Snapshot loads (the snapshot stays live) the stream executed.
+    pub loads: usize,
+    /// Snapshot takes (moved out, the snapshot's last read) the stream
+    /// executed.
+    pub moves: usize,
     /// High-water mark of snapshot bytes (resident for the memory store,
     /// spilled for the disk store).
     pub peak_snapshot_bytes: usize,
@@ -75,12 +82,15 @@ fn counters() -> &'static [perforad_obs::Counter; 4] {
 /// * `seed(s_T)` is called exactly once with the final state, between
 ///   the (streaming) forward pass and the reverse phase — evaluate the
 ///   objective and seed the adjoint here;
-/// * `back(s, t)` reverses step `t` given the state *before* it; called
-///   exactly once per `t`, in strictly descending order, so rolling
-///   adjoint buffers work unchanged from a store-all sweep. It gets the
-///   state mutably so it can lend the buffers to a kernel workspace
-///   (swap in, run, swap out) instead of copying them; it must hand the
-///   state back with the value it had.
+/// * `back(s, t, at)` reverses step `t` given the cursor's state `s_at`:
+///   `at = t`, the state *before* the step, or — in a
+///   [`CheckpointPlan::two_level`] stream — `at = t + 1`, the state after
+///   it, whose older level is what step `t` reads. Called exactly once
+///   per `t`, in strictly descending order, so rolling adjoint buffers
+///   work unchanged from a store-all sweep. It gets the state mutably so
+///   it can lend the buffers to a kernel workspace (swap in, run, swap
+///   out) instead of copying them; it must hand the state back with the
+///   value it had.
 ///
 /// The trajectory is never materialized beyond the budget: at most
 /// `plan.budget()` snapshots are live in `store` at any moment, plus the
@@ -93,11 +103,12 @@ pub fn checkpointed_adjoint_plan<S>(
     store: &mut impl SnapshotStore<S>,
     step: &mut impl FnMut(&mut S, usize),
     seed: &mut impl FnMut(&S),
-    back: &mut impl FnMut(&mut S, usize),
+    back: &mut impl FnMut(&mut S, usize, usize),
 ) -> Result<CkptReport, CkptError> {
     let mut cursor = s0;
     let mut recomputed = 0usize;
     let mut peak_live = 0usize;
+    let [mut n_saves, mut n_loads, mut n_moves] = [0usize; 3];
     // The observed ratio is accumulated locally (not read back from the
     // process-wide counters) so concurrent sweeps in one process cannot
     // contaminate each other's reports; `obs_on` is latched once so a
@@ -139,21 +150,25 @@ pub fn checkpointed_adjoint_plan<S>(
             CkptAction::Save { t } => {
                 store.save(t, &cursor)?;
                 saves.inc();
+                n_saves += 1;
                 peak_live = peak_live.max(store.live());
             }
             CkptAction::Load { t } => {
                 store.restore(t, &mut cursor)?;
                 loads.inc();
+                n_loads += 1;
             }
             CkptAction::Take { t } => {
                 store.take(t, &mut cursor)?;
                 moves.inc();
+                n_moves += 1;
             }
             CkptAction::Seed => {
                 drop(forward.take());
                 seed(&cursor);
             }
-            CkptAction::Back { t } => back(&mut cursor, t),
+            CkptAction::Back { t } => back(&mut cursor, t, t),
+            CkptAction::BackOlder { t } => back(&mut cursor, t, t + 1),
         }
     }
     perforad_obs::gauge("ckpt.peak_snapshot_bytes").set_max(store.peak_bytes() as u64);
@@ -163,6 +178,9 @@ pub fn checkpointed_adjoint_plan<S>(
         budget: plan.budget(),
         recomputed_steps: recomputed,
         peak_snapshots: peak_live,
+        saves: n_saves,
+        loads: n_loads,
+        moves: n_moves,
         peak_snapshot_bytes: store.peak_bytes(),
         store: store.label(),
         recompute_ratio_observed: obs_on.then(|| {
@@ -211,10 +229,105 @@ mod tests {
             store,
             &mut |x, t| *x = step(x, t),
             &mut |x| xt = *x,
-            &mut |x, _t| lambda *= 1.0 + 0.02 * *x,
+            &mut |x, t, at| {
+                assert_eq!(at, t, "a one-level stream reverses from s_t");
+                lambda *= 1.0 + 0.02 * *x
+            },
         )
         .unwrap();
         (xt, lambda, report)
+    }
+
+    /// A two-level toy recurrence, leapfrog like the wave equation: the
+    /// state is `(x_{t−1}, x_t)`, `x_{t+1} = 2x_t − x_{t−1} − h·sin x_t`,
+    /// `J = x_T`, and reversing step `t` reads `x_t` alone:
+    /// `μ_t += μ_{t+1}(2 − h·cos x_t)`, `μ_{t−1} −= μ_{t+1}`.
+    fn leap(s: &(f64, f64)) -> (f64, f64) {
+        (s.1, 2.0 * s.1 - s.0 - 0.05 * s.1.sin())
+    }
+
+    /// Back step `t` on the rolling window `[μ_{t+1}, μ_t, μ_{t−1}]`.
+    fn leap_back(mu: &mut [f64; 3], x_t: f64) {
+        mu[1] += mu[0] * (2.0 - 0.05 * x_t.cos());
+        mu[2] -= mu[0];
+        *mu = [mu[1], mu[2], 0.0];
+    }
+
+    /// `x_T` and the window `[μ_0, μ_{−1}, 0]` the store-all sweep ends
+    /// with.
+    fn leap_reference(steps: usize) -> (f64, [f64; 3]) {
+        let mut traj = vec![(0.3f64, 0.5f64)];
+        for t in 0..steps {
+            traj.push(leap(&traj[t]));
+        }
+        let mut mu = [1.0, 0.0, 0.0];
+        for t in (0..steps).rev() {
+            leap_back(&mut mu, traj[t].1);
+        }
+        (traj[steps].1, mu)
+    }
+
+    fn leap_with(
+        plan: &CheckpointPlan,
+        store: &mut impl SnapshotStore<(f64, f64)>,
+    ) -> (f64, [f64; 3], CkptReport) {
+        let (mut xt, mut mu) = (f64::NAN, [1.0, 0.0, 0.0]);
+        let report = checkpointed_adjoint_plan(
+            plan,
+            (0.3f64, 0.5f64),
+            store,
+            &mut |s, _t| *s = leap(s),
+            &mut |s| xt = s.1,
+            &mut |s, t, at| leap_back(&mut mu, if at == t { s.1 } else { s.0 }),
+        )
+        .unwrap();
+        (xt, mu, report)
+    }
+
+    #[test]
+    fn a_two_level_sweep_matches_store_all_bitwise_on_both_backends() {
+        let _g = crate::store::disk_test_lock();
+        let dir = std::env::temp_dir().join(format!("perforad_drv_two_{}", std::process::id()));
+        for steps in 0usize..=40 {
+            let (x_ref, mu_ref) = leap_reference(steps);
+            for budget in 1usize..=9 {
+                let plan = CheckpointPlan::two_level(steps, budget);
+                let stats = plan.stats();
+                for disk in [false, true] {
+                    let (x, mu, rep) = match disk {
+                        false => leap_with(&plan, &mut MemStore::new()),
+                        true => leap_with(&plan, &mut DiskStore::new(&dir).unwrap()),
+                    };
+                    let what = format!("steps {steps} budget {budget} disk {disk}");
+                    assert_eq!(x.to_bits(), x_ref.to_bits(), "{what}");
+                    assert_eq!(mu.map(f64::to_bits), mu_ref.map(f64::to_bits), "{what}");
+                    assert_eq!(rep.recomputed_steps, stats.recomputed_steps, "{what}");
+                    assert_eq!(rep.peak_snapshots, stats.peak_snapshots, "{what}");
+                    assert_eq!(
+                        (rep.saves, rep.loads, rep.moves),
+                        (stats.saves, stats.loads, stats.moves),
+                        "{what}"
+                    );
+                }
+            }
+        }
+        let left = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+        assert_eq!(left, 0, "spill files outlived their stores");
+        let _ = std::fs::remove_dir_all(&dir);
+        // Reading the wrong level is caught: the same plan with the newer
+        // level read for every back changes the bits.
+        let plan = CheckpointPlan::two_level(12, 3);
+        let mut mu = [1.0, 0.0, 0.0];
+        checkpointed_adjoint_plan(
+            &plan,
+            (0.3f64, 0.5f64),
+            &mut MemStore::new(),
+            &mut |s, _t| *s = leap(s),
+            &mut |_| {},
+            &mut |s, _t, _at| leap_back(&mut mu, s.1),
+        )
+        .unwrap();
+        assert_ne!(mu.map(f64::to_bits), leap_reference(12).1.map(f64::to_bits));
     }
 
     #[test]
@@ -255,6 +368,10 @@ mod tests {
             let (_, _, rep) = run_with(&mut MemStore::new(), steps, budget);
             assert_eq!(rep.recomputed_steps, stats.recomputed_steps);
             assert_eq!(rep.peak_snapshots, stats.peak_snapshots);
+            assert_eq!(
+                (rep.saves, rep.loads, rep.moves),
+                (stats.saves, stats.loads, stats.moves)
+            );
             assert_eq!(rep.recompute_ratio(), stats.recompute_ratio(steps));
             // 8 bytes per f64 snapshot.
             assert_eq!(rep.peak_snapshot_bytes, 8 * stats.peak_snapshots);
@@ -274,7 +391,7 @@ mod tests {
                 assert_eq!(*x, 1.5);
                 seeded += 1;
             },
-            &mut |_, _| panic!("no steps to reverse"),
+            &mut |_, _, _| panic!("no steps to reverse"),
         )
         .unwrap();
         assert_eq!(seeded, 1);

@@ -18,7 +18,10 @@
 //!   budget covers the sweep and to recompute-from-start at budget 1.
 //!   Plans compile to a stream of [`CkptAction`]s and can be *simulated*
 //!   ([`CheckpointPlan::stats`]) without running anything — which is how
-//!   the autotuner prices a budget before committing to it.
+//!   the autotuner prices a budget before committing to it. For a state
+//!   of two time levels whose reverse step reads one,
+//!   [`CheckpointPlan::two_level`] runs the same stream over two-step
+//!   units, and each state it reaches reverses two steps.
 //! * [`Snapshot`] / [`SnapshotStore`] — where states live:
 //!   [`MemStore`] (clones in RAM — a copy for owned grids, a reference
 //!   for an `Arc`; a freed or taken snapshot is dropped, so the store

@@ -27,6 +27,20 @@
 //! every sweep of up to 100 steps and every budget up to 10. The
 //! recomputation the stats report is pure reverse-sweep overhead on top
 //! of one primal and one adjoint sweep.
+//!
+//! A [`CheckpointPlan::two_level`] plan is for a state of two time
+//! levels, `s_t = (u_{t−1}, u_t)`, whose reverse step `t` reads only
+//! `u_t`. The state after a step carries that level too, so one reached
+//! state reverses two steps: `Back { t }` from its newer level and
+//! [`CkptAction::BackOlder`] `{ t − 1 }` from its older one. The stream is
+//! the same revolve stream over `steps / 2` units of two steps each, unit
+//! `k` the state `s_{2k}` (or `s_{2k+1}` for odd `steps`, whose stream
+//! advances one step before its first save). At 64 steps and budget 8 it
+//! recomputes 48 steps with 25 saves where the one-level plan recomputes
+//! 76 with 46, at the same peak of 8 snapshots. It is not exact over
+//! two-level placements — a search over every one finds 47 there — but
+//! recomputes no more than the one-level plan on every shape the tests
+//! sweep.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -52,15 +66,21 @@ pub enum CkptAction {
     /// shared state). Never emitted for the state the cursor already holds.
     Load { t: usize },
     /// Move the stored state at time `t` into the cursor and drop it from
-    /// the store: a snapshot's last read, always followed by `Back { t }`.
+    /// the store: a snapshot's last read, always followed by `Back { t }`
+    /// (and, in a two-level stream, by `BackOlder { t − 1 }` after it).
     Take { t: usize },
     /// The cursor holds the final state `s_T`; the driver hands it to the
     /// caller's `seed` closure (misfit + adjoint seeding) exactly once,
     /// between the forward and reverse phases.
     Seed,
     /// Reverse step `t`: the cursor holds the state *before* step `t`.
-    /// Emitted exactly once per `t`, in strictly descending order.
+    /// Each step is reversed exactly once, by this or by `BackOlder`, in
+    /// strictly descending order.
     Back { t: usize },
+    /// Reverse step `t` from the older level of the state *after* it,
+    /// `s_{t+1}`, which the cursor holds: a two-level stream's second back
+    /// at a reached state, right after its `Back { t: t + 1 }` or `Seed`.
+    BackOlder { t: usize },
 }
 
 /// Memory/recompute profile of a plan, simulated from its action stream.
@@ -156,8 +176,8 @@ fn reverse_segment(acts: &mut Vec<CkptAction>, lo: usize, hi: usize, avail: usiz
     reverse_segment(acts, lo, mid, avail);
 }
 
-/// Distinct `(steps, budget)` shapes the [`CheckpointPlan::actions_cached`]
-/// memo holds before resetting.
+/// Distinct `(steps, budget, two_level)` shapes the
+/// [`CheckpointPlan::actions_cached`] memo holds before resetting.
 const ACTION_CACHE_CAP: usize = 256;
 
 /// A memory-budgeted checkpoint schedule for a `steps`-long time loop.
@@ -165,6 +185,9 @@ const ACTION_CACHE_CAP: usize = 256;
 pub struct CheckpointPlan {
     steps: usize,
     budget: usize,
+    /// Whether a reached state reverses two steps
+    /// ([`CheckpointPlan::two_level`]).
+    two_level: bool,
 }
 
 impl CheckpointPlan {
@@ -176,6 +199,19 @@ impl CheckpointPlan {
         CheckpointPlan {
             steps,
             budget: budget.clamp(1, steps.max(1)),
+            two_level: false,
+        }
+    }
+
+    /// Budgeted plan for a state of two time levels, `s_t = (u_{t−1},
+    /// u_t)`, whose reverse step `t` reads only `u_t`: each state the
+    /// stream reaches reverses step `t` and, from its older level, step
+    /// `t − 1` ([`CkptAction::BackOlder`]). The budget is clamped as in
+    /// [`CheckpointPlan::with_budget`].
+    pub fn two_level(steps: usize, budget: usize) -> Self {
+        CheckpointPlan {
+            two_level: true,
+            ..Self::with_budget(steps, budget)
         }
     }
 
@@ -202,6 +238,56 @@ impl CheckpointPlan {
     /// right-most checkpoint chain), `Seed`, then the recursive reverse
     /// phase. `steps == 0` degenerates to `[Seed]`.
     pub fn actions(&self) -> Vec<CkptAction> {
+        if !self.two_level {
+            return self.one_level_actions();
+        }
+        // The one-level stream over units of two steps, unit `k` the state
+        // at `base + 2k`; an odd sweep streams its first step unsaved.
+        let base = self.steps % 2;
+        let at = |k: usize| base + 2 * k;
+        let units = Self::with_budget(self.steps / 2, self.budget).one_level_actions();
+        let mut acts = Vec::with_capacity(2 * units.len() + 1);
+        if base == 1 {
+            acts.push(CkptAction::Advance {
+                from: 0,
+                to: 1,
+                recompute: false,
+            });
+        }
+        for act in units {
+            acts.push(match act {
+                CkptAction::Advance {
+                    from,
+                    to,
+                    recompute,
+                } => CkptAction::Advance {
+                    from: at(from),
+                    to: at(to),
+                    recompute,
+                },
+                CkptAction::Save { t } => CkptAction::Save { t: at(t) },
+                CkptAction::Load { t } => CkptAction::Load { t: at(t) },
+                CkptAction::Take { t } => CkptAction::Take { t: at(t) },
+                CkptAction::Back { t } => CkptAction::Back { t: at(t) },
+                CkptAction::Seed | CkptAction::BackOlder { .. } => act,
+            });
+            // A reached state reverses the step before it from its older
+            // level.
+            let reached = match act {
+                CkptAction::Seed => Some(self.steps),
+                CkptAction::Back { t } => Some(at(t)),
+                _ => None,
+            };
+            if let Some(t) = reached.and_then(|c| c.checked_sub(1)) {
+                acts.push(CkptAction::BackOlder { t });
+            }
+        }
+        acts
+    }
+
+    /// The one-level stream [`CheckpointPlan::actions`] returns for a plan
+    /// built by [`CheckpointPlan::with_budget`].
+    fn one_level_actions(&self) -> Vec<CkptAction> {
         let mut acts = Vec::new();
         if self.steps == 0 {
             acts.push(CkptAction::Seed);
@@ -250,7 +336,7 @@ impl CheckpointPlan {
     }
 
     /// [`CheckpointPlan::actions`] behind a process-wide memo keyed on
-    /// `(steps, budget)`: the stream is derived once and shared via
+    /// `(steps, budget, two_level)`: the stream is derived once and shared via
     /// `Arc`, so drivers that replay the same plan shape — every shot of
     /// a batched seismic gradient, every iteration of an inversion loop —
     /// skip the recursive construction. The cache is bounded (it resets
@@ -258,13 +344,13 @@ impl CheckpointPlan {
     /// workload sweeps) and the entries are immutable, so sharing across
     /// threads is free.
     pub fn actions_cached(&self) -> Arc<Vec<CkptAction>> {
-        type ActionCache = Mutex<HashMap<(usize, usize), Arc<Vec<CkptAction>>>>;
+        type ActionCache = Mutex<HashMap<(usize, usize, bool), Arc<Vec<CkptAction>>>>;
         static CACHE: OnceLock<ActionCache> = OnceLock::new();
         let mut map = CACHE
             .get_or_init(|| Mutex::new(HashMap::new()))
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let key = (self.steps, self.budget);
+        let key = (self.steps, self.budget, self.two_level);
         if map.len() >= ACTION_CACHE_CAP && !map.contains_key(&key) {
             map.clear();
         }
@@ -297,7 +383,7 @@ impl CheckpointPlan {
                     stats.moves += 1;
                     live -= 1;
                 }
-                CkptAction::Seed | CkptAction::Back { .. } => {}
+                CkptAction::Seed | CkptAction::Back { .. } | CkptAction::BackOlder { .. } => {}
             }
         }
         stats
@@ -373,6 +459,14 @@ mod tests {
                 }
                 CkptAction::Back { t } => {
                     check(seeded && cursor == t, format!("back {t} at {cursor}"))?;
+                    backs.push(t);
+                }
+                CkptAction::BackOlder { t } => {
+                    check(plan.two_level, format!("older back {t}, one level"))?;
+                    check(
+                        seeded && cursor == t + 1,
+                        format!("older back {t} at {cursor}"),
+                    )?;
                     backs.push(t);
                 }
             }
@@ -544,6 +638,133 @@ mod tests {
         }
     }
 
+    /// `(recomputed, backs)` of a stream, counted from its actions.
+    fn recomputed_and_backs(acts: &[CkptAction]) -> (usize, usize) {
+        acts.iter().fold((0, 0), |(rec, backs), act| match *act {
+            CkptAction::Advance {
+                from,
+                to,
+                recompute: true,
+            } => (rec + to - from, backs),
+            CkptAction::Back { .. } | CkptAction::BackOlder { .. } => (rec, backs + 1),
+            _ => (rec, backs),
+        })
+    }
+
+    #[test]
+    fn two_level_plans_are_valid_and_never_recompute_more_than_one_level() {
+        for steps in [0usize, 1, 2, 3, 5, 7, 8, 16, 17, 33, 64, 100, 255] {
+            for budget in [1usize, 2, 3, 5, 7, 8, 1000] {
+                let plan = CheckpointPlan::two_level(steps, budget);
+                let two = validate(&plan);
+                let one = CheckpointPlan::with_budget(steps, budget).stats();
+                assert!(two.recomputed_steps <= one.recomputed_steps, "{plan:?}");
+                // Two steps per unit of the one-level plan over the units.
+                assert_eq!(two.recomputed_steps, 2 * fewest(steps / 2, budget));
+            }
+        }
+    }
+
+    #[test]
+    fn golden_two_level_profile_at_64_steps_budget_8() {
+        let stats = validate(&CheckpointPlan::two_level(64, 8));
+        let want = PlanStats {
+            recomputed_steps: 48,
+            peak_snapshots: 8,
+            saves: 25,
+            loads: 7,
+            moves: 25,
+        };
+        assert_eq!(stats, want);
+    }
+
+    /// An odd sweep streams its first step unsaved and anchors the
+    /// reversal at `s_1`, whose older level reverses step 0.
+    #[test]
+    fn an_odd_two_level_sweep_saves_s1_first() {
+        let advance = |from, to| CkptAction::Advance {
+            from,
+            to,
+            recompute: false,
+        };
+        let one = CheckpointPlan::two_level(1, 4).actions();
+        let want = [
+            advance(0, 1),
+            CkptAction::Seed,
+            CkptAction::BackOlder { t: 0 },
+        ];
+        assert_eq!(one, want);
+        let acts = CheckpointPlan::two_level(9, 2).actions();
+        assert_eq!(acts[..2], [advance(0, 1), CkptAction::Save { t: 1 }]);
+        let tail = [
+            CkptAction::Take { t: 1 },
+            CkptAction::Back { t: 1 },
+            CkptAction::BackOlder { t: 0 },
+        ];
+        assert!(acts.ends_with(&tail), "{acts:?}");
+    }
+
+    /// Every two-level placement, searched by dynamic programming. A
+    /// state `s_a` reverses step `a` and, from its older level, `a − 1`.
+    /// `rev[l][c]` reverses steps `[a, a + l)` from a snapshot at `s_a`
+    /// with `c` slots counting it: advance `m`, save `s_{a+m}`, reverse
+    /// `[a + m, a + l)` from it with a slot fewer — its older level takes
+    /// step `a + m − 1` too — then `[a, a + m − 1)`; with one slot, reach
+    /// `s_{a+l−1}` for the top two steps and go on. `stream[l][c]` is the
+    /// same with the forward pass to the end free, where the seed state
+    /// reverses the last step. The sweep anchors at `s_0` or `s_1` (step
+    /// 0 needs one of them). The plan cannot beat the search, and the gap
+    /// it leaves is what the unit stream gives up for being revolve over
+    /// units: at most 2 steps from budget 6 on, 47 against 48 at (64, 8).
+    #[test]
+    fn the_two_level_stream_against_every_two_level_placement() {
+        const STEPS: usize = 100;
+        const BUDGET: usize = 10;
+        let mut rev = vec![[0usize; BUDGET + 1]; STEPS + 1];
+        let mut stream = rev.clone();
+        for l in 1..=STEPS {
+            for c in 1..=BUDGET {
+                let top = match l {
+                    1 => 0,
+                    _ => l - 1 + rev[l - 2][c],
+                };
+                rev[l][c] = match c {
+                    1 => top,
+                    _ => (1..l)
+                        .map(|m| m + rev[l - m][c - 1] + rev[m - 1][c])
+                        .fold(top, usize::min),
+                };
+                stream[l][c] = match c {
+                    1 => rev[l - 1][1],
+                    _ => (1..l)
+                        .map(|m| stream[l - m][c - 1] + rev[m - 1][c])
+                        .fold(rev[l - 1][c], usize::min),
+                };
+            }
+        }
+        let mut worst = Vec::new();
+        for steps in 0..=STEPS {
+            for budget in 1..=BUDGET {
+                let best = match steps {
+                    0 => 0,
+                    _ => stream[steps][budget].min(stream[steps - 1][budget]),
+                };
+                let plan = CheckpointPlan::two_level(steps, budget);
+                let got = validate(&plan).recomputed_steps;
+                assert!(got >= best, "{plan:?}: {got} beats the search's {best}");
+                if budget >= 6 {
+                    assert!(got - best <= 2, "{plan:?}: {got} vs {best}");
+                }
+                if worst.len() < budget {
+                    worst.push((0, 0));
+                }
+                worst[budget - 1] = worst[budget - 1].max((got - best, steps));
+            }
+        }
+        assert_eq!(stream[64][8].min(stream[63][8]), 47);
+        println!("largest gap to the search by budget (gap, steps): {worst:?}");
+    }
+
     /// No table: a long plan costs `O(r)` per split. The shape of the
     /// ignored memory-cap test and the longest sweep a served `Compile`
     /// accepts both build in a fraction of a second; a steps² table at
@@ -572,6 +793,20 @@ mod tests {
         }
         let secs = t.elapsed().as_secs_f64();
         assert!(secs < 20.0, "two long plans took {secs:.1} s");
+    }
+
+    /// The two-level stream is the unit stream expanded: no table either.
+    #[test]
+    fn long_two_level_plans_build_without_a_steps_squared_table() {
+        let t = std::time::Instant::now();
+        let (steps, budget) = (1usize << 20, 64);
+        let acts = CheckpointPlan::two_level(steps, budget).actions();
+        let (recomputed, backs) = recomputed_and_backs(&acts);
+        assert_eq!(backs, steps);
+        assert_eq!(recomputed, 2 * fewest(steps / 2, budget));
+        assert!(recomputed < fewest(steps, budget));
+        let secs = t.elapsed().as_secs_f64();
+        assert!(secs < 20.0, "a long two-level plan took {secs:.1} s");
     }
 
     #[test]
@@ -725,10 +960,17 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &second), "memo must share the stream");
         // Structural reuse: the cached stream is the fresh construction.
         assert_eq!(*first, plan.actions());
-        // A different shape gets its own stream.
+        // A different shape gets its own stream, and so does the other
+        // level of the same shape.
         let other = CheckpointPlan::with_budget(97, 7).actions_cached();
         assert!(!Arc::ptr_eq(&first, &other));
         assert_ne!(*first, *other);
+        let two = CheckpointPlan::two_level(97, 6);
+        let two_cached = two.actions_cached();
+        assert!(!Arc::ptr_eq(&first, &two_cached));
+        assert_eq!(*two_cached, two.actions());
+        assert_ne!(*first, *two_cached);
+        assert_eq!(*CheckpointPlan::with_budget(97, 6).actions_cached(), *first);
     }
 
     #[test]

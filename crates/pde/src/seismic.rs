@@ -25,11 +25,16 @@
 //! memory store: every state is saved on the way forward and nothing is
 //! recomputed. A checkpointed shot streams the forward pass under a
 //! snapshot budget chosen by the autotuner (jointly with the stencil
-//! schedule, via `TuneOptions::with_time_loop`), which bounds live memory;
-//! the plan recomputes the fewest steps any placement can under it
-//! (revolve's exact split), through the same tuned fused/JIT schedule.
-//! Every budget gives the **bitwise-identical** gradient: checkpointing
-//! changes where states come from, never how steps execute.
+//! schedule, via `TuneOptions::with_time_loop`), which bounds live memory.
+//! Its plan is [`CheckpointPlan::two_level`]: a state holds two time
+//! levels and a back step reads only `u_t`, so each state the sweep
+//! reaches reverses two steps — step `t` from `s_t`'s newer level, step
+//! `t − 1` from its older one — and revolve's exact split places the
+//! reached states over units of two steps (48 recomputed steps at 64
+//! steps and budget 8, where a one-level plan's fewest are 76), through
+//! the same tuned fused/JIT schedule. Every budget gives the
+//! **bitwise-identical** gradient: checkpointing changes where states
+//! come from, never how steps execute.
 //!
 //! A time step costs what its kernel costs. The primal step is a
 //! one-nest [`Schedule`] tiled, lowered and driven like the tuned adjoint
@@ -598,8 +603,12 @@ fn replay(
     let rolling = RefCell::new(Rolling::new(stepper.zero.dims()));
     let mut step = |s: &mut SharedState, t: usize| stepper.step(s, t);
     let mut seed = |s: &SharedState| rolling.borrow_mut().seed(&s.1, data);
-    // Step t produced u_{t+1} from u_1 = u_t (= s.1).
-    let mut back = |s: &mut SharedState, _t: usize| rolling.borrow_mut().back(sweep, &mut s.1);
+    // Step t produced u_{t+1} from u_1 = u_t: `s_t.1`, or the older level
+    // `s_{t+1}.0` when the cursor holds the state after the step.
+    let mut back = |s: &mut SharedState, t: usize, at: usize| {
+        let u_t = if at == t { &mut s.1 } else { &mut s.0 };
+        rolling.borrow_mut().back(sweep, u_t)
+    };
     let report = checkpointed_adjoint_plan(plan, s0, store, &mut step, &mut seed, &mut back)?;
     let st = rolling.into_inner();
     Ok((st.j, st.c_b, report))
@@ -946,9 +955,10 @@ impl<'p> BatchPlan<'p> {
         sweep.tuned.strategy = drive;
         stepper.set_source(&batch.sources[k]);
         // Store-all is the plan whose budget covers every step, on a
-        // memory store whatever `budget` and `backend` say.
+        // memory store whatever `budget` and `backend` say. A budgeted
+        // plan reverses two steps per reached state.
         let (plan, spill) = if self.checkpointed {
-            let plan = CheckpointPlan::with_budget(self.cfg.steps, self.budget);
+            let plan = CheckpointPlan::two_level(self.cfg.steps, self.budget);
             (plan, spill_dir(&self.opts.backend))
         } else {
             (CheckpointPlan::store_all(self.cfg.steps), None)
@@ -1030,14 +1040,15 @@ mod tests {
         let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.05);
         let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
 
-        // Store-all, and a budget of 2 that recomputes: one driver either way.
-        let budget_2 = BatchOptions {
-            budget: Some(2),
+        // Store-all, and a budget of 1 that recomputes (two units of two
+        // steps fit a budget of 2): one driver either way.
+        let budget_1 = BatchOptions {
+            budget: Some(1),
             backend: SnapshotBackend::Memory,
             checkpointed: Some(true),
             ..BatchOptions::default()
         };
-        for opts in [BatchOptions::default(), budget_2] {
+        for opts in [BatchOptions::default(), budget_1] {
             let (j0, grad, report) = one_shot(&cfg, &c0, &data, &src, &opts);
             assert!(j0 > 0.0);
             let recomputed = report.map_or(0, |r| r.recomputed_steps);
@@ -1110,6 +1121,56 @@ mod tests {
             assert!(report.peak_snapshots <= budget);
             assert_eq!(report.budget, budget.min(cfg.steps));
         }
+    }
+
+    /// A budgeted shot runs the two-level stream, whose backs read the
+    /// older level of the state after a step as often as the newer level
+    /// of the one before it. Over steps 1–40 and budgets 1–9, on the
+    /// memory store and the disk store, its gradient keeps every bit of
+    /// the store-all sweep's, and no spill file outlives its sweep.
+    #[test]
+    fn two_level_gradients_are_bitwise_store_all_for_every_small_shape() {
+        let long = SeismicConfig {
+            n: 6,
+            steps: 40,
+            d: 0.1,
+        };
+        let c0 = velocity(long.n);
+        let data = Grid::from_fn(&[long.n; 3], |ix| 1e-3 * (ix[0] as f64 - ix[2] as f64));
+        let pool = ThreadPool::new(1);
+        let opts = BatchOptions {
+            checkpointed: Some(false),
+            ..BatchOptions::default()
+        };
+        let plan = BatchPlan::new(&long, &c0, &opts, &pool);
+        let mut state = plan.proto.clone();
+        // A sweep of `steps` reads the first `steps` samples.
+        state.0.set_source(&ricker(long.steps));
+        let dir = std::env::temp_dir().join(format!("perforad_two_level_{}", std::process::id()));
+        for steps in 1..=long.steps {
+            let cfg = SeismicConfig { steps, ..long };
+            let all = CheckpointPlan::store_all(steps);
+            let (j_ref, g_ref, _) = adjoint_sweep(&cfg, &data, &all, None, &mut state);
+            // One step reads only `u_0 = 0`: its gradient is zero.
+            assert!(j_ref > 0.0 && (steps == 1 || g_ref.norm2() > 0.0));
+            for budget in 1..=9 {
+                let ckpt = CheckpointPlan::two_level(steps, budget);
+                for spill in [None, Some(dir.clone())] {
+                    let store = if spill.is_some() { "disk" } else { "memory" };
+                    let (j, g, rep) = adjoint_sweep(&cfg, &data, &ckpt, spill, &mut state);
+                    assert_eq!(rep.store, store);
+                    let what = format!("steps {steps}, budget {budget}, {store}");
+                    assert_eq!(j.to_bits(), j_ref.to_bits(), "{what}");
+                    for (a, b) in g.as_slice().iter().zip(g_ref.as_slice()) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what}");
+                    }
+                    assert_eq!(rep.recomputed_steps, ckpt.stats().recomputed_steps);
+                }
+            }
+            let left = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+            assert_eq!(left, 0, "steps {steps}: spill files outlived their sweeps");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// NaN at every interior point of `g`, its boundary left as it is.
@@ -1296,9 +1357,9 @@ mod tests {
         let s0 = (Arc::clone(&stepper.zero), Arc::clone(&stepper.zero));
         let mut step = |s: &mut SharedState, t: usize| stepper.step(s, t);
         let mut seed = |s: &SharedState| rolling.borrow_mut().seed(&s.1, data);
-        let mut back = |s: &mut SharedState, _t: usize| {
+        let mut back = |s: &mut SharedState, t: usize, at: usize| {
             let mut rolling = rolling.borrow_mut();
-            rolling.back(sweep, &mut s.1);
+            rolling.back(sweep, if at == t { &mut s.1 } else { &mut s.0 });
             poison(&mut rolling.lam[2]);
         };
         let mut store = MemStore::new();
@@ -1349,7 +1410,7 @@ mod tests {
             assert_eq!(sweep.schedule.read_box("u_b"), Some(interior));
 
             let ckpt = match checkpointed {
-                true => CheckpointPlan::with_budget(cfg.steps, 3),
+                true => CheckpointPlan::two_level(cfg.steps, 3),
                 false => CheckpointPlan::store_all(cfg.steps),
             };
             for lowering in [plan.tuned().lowering, Lowering::Rows] {

@@ -49,7 +49,7 @@ fn main() {
             println!("final kinetic energy after {steps} steps: {energy:.6}");
             *lambda.borrow_mut() = u_t.clone(); // dE/du_T = u_T
         },
-        &mut |s: &mut Grid, _t| {
+        &mut |s: &mut Grid, _t, _at| {
             let mut w = ws.borrow_mut();
             let mut lambda = lambda.borrow_mut();
             std::mem::swap(w.grid_mut("u_1"), s); // primal state before this step

@@ -202,7 +202,7 @@
 //!     &mut MemStore::new(),
 //!     &mut |x, t| *x = step(x, t),              // advance in place
 //!     &mut |x| x_t = *x,                        // objective: J = x_T
-//!     &mut |x, _t| lambda *= 1.0 + 0.02 * *x,   // reverse step
+//!     &mut |x, _t, _at| lambda *= 1.0 + 0.02 * *x, // reverse step t from s_t
 //! ).unwrap();
 //!
 //! // Bitwise-identical to the dense reference...

@@ -129,7 +129,8 @@ fn checkpointed_batches_are_bitwise_sequential_across_shots_threads_strategies()
         steps: 6,
         d: 0.1,
     };
-    let budget = 3usize;
+    // Three units of two steps under two snapshots: a plan that recomputes.
+    let budget = 2usize;
     let c0 = velocity(cfg.n);
     let ckpt = checkpointed(Some(budget), SnapshotBackend::Memory);
     for shots in [1usize, 2, 7] {
@@ -169,9 +170,10 @@ fn checkpointed_batches_are_bitwise_sequential_across_shots_threads_strategies()
 #[test]
 fn disk_backed_shot_parallel_batch_spills_without_collisions() {
     let _guard = suite_lock();
+    // An odd step count: the two-level stream's first snapshot is `s_1`.
     let cfg = SeismicConfig {
         n: 8,
-        steps: 6,
+        steps: 7,
         d: 0.1,
     };
     let c0 = velocity(cfg.n);
@@ -189,13 +191,15 @@ fn disk_backed_shot_parallel_batch_spills_without_collisions() {
     };
     let res = BatchPlan::new(&cfg, &c0, &opts, &pool).run(&batch);
 
-    for (k, (j, g)) in sequential(&cfg, &c0, &batch, &disk).iter().enumerate() {
-        assert_bitwise(
-            &format!("disk shot {k}"),
-            (&res.misfits[k], &res.gradients[k]),
-            (j, g),
-        );
-        assert_eq!(res.reports[k].as_ref().unwrap().store, "disk");
+    let dense = sequential(&cfg, &c0, &batch, &store_all());
+    let refs = sequential(&cfg, &c0, &batch, &disk);
+    for (k, ((j, g), want)) in refs.iter().zip(&dense).enumerate() {
+        let tag = format!("disk shot {k}");
+        assert_bitwise(&tag, (&res.misfits[k], &res.gradients[k]), (j, g));
+        assert_bitwise(&tag, (j, g), (&want.0, &want.1));
+        let rep = res.reports[k].as_ref().unwrap();
+        assert_eq!(rep.store, "disk");
+        assert!(rep.recomputed_steps > 0, "{tag}: {rep:?}");
     }
     // Every store dropped ⇒ every spill file cleaned up; leftovers would
     // mean two stores fought over one file name.

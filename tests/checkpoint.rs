@@ -13,7 +13,7 @@
 mod common;
 
 use common::{checkpointed, store_all, Rng};
-use perforad::ckpt::CkptReport;
+use perforad::ckpt::{CheckpointPlan, CkptReport};
 use perforad::exec::{default_pool, Grid};
 use perforad::pde::seismic::{
     forward, ricker, BatchOptions, SeismicConfig, SnapshotBackend, CKPT_THRESHOLD_STEPS,
@@ -132,6 +132,33 @@ fn long_sweeps_route_through_the_checkpointed_path() {
     let (j_ref, g_ref, _) = one_shot(&case, &store_all());
     assert_eq!(j_auto.to_bits(), j_ref.to_bits());
     assert_bitwise(&g_auto, &g_ref, "threshold dispatch");
+}
+
+/// A checkpointed shot reports the stream it ran, not a sibling plan's:
+/// at 64 steps and budget 8 the two-level stream saves 25 snapshots and
+/// recomputes 48 steps, where a one-level plan saves 46 and recomputes
+/// 76 — and the gradient keeps every bit of store-all's.
+#[test]
+fn a_shot_reports_the_two_level_stream_it_ran() {
+    let case = setup(6, 64);
+    let (j, g, report) = checkpointed_shot(&case, Some(8), SnapshotBackend::Memory);
+    let counts = |r: &CkptReport| (r.saves, r.loads, r.moves, r.recomputed_steps);
+    assert_eq!(counts(&report), (25, 7, 25, 48), "{report:?}");
+    assert_eq!(report.peak_snapshots, 8);
+    assert_eq!(report.recompute_ratio(), 0.75);
+    let stats = CheckpointPlan::two_level(64, 8).stats();
+    let want = (
+        stats.saves,
+        stats.loads,
+        stats.moves,
+        stats.recomputed_steps,
+    );
+    assert_eq!(counts(&report), want);
+    let one_level = CheckpointPlan::with_budget(64, 8).stats();
+    assert_eq!((one_level.saves, one_level.recomputed_steps), (46, 76));
+    let (j_ref, g_ref, _) = one_shot(&case, &store_all());
+    assert_eq!(j.to_bits(), j_ref.to_bits());
+    assert_bitwise(&g, &g_ref, "two-level stream at (64, 8)");
 }
 
 /// The memory-cap proof. Run by CI's `ckpt` job as

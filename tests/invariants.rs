@@ -796,6 +796,15 @@ const PINNED: &[(&str, &[&str])] = &[
             "plan::tests::the_exact_split_recomputes_the_fewest_steps_any_placement_can",
             "plan::tests::long_plans_build_without_a_steps_squared_table",
             "plan::tests::a_redundant_load_or_a_dropped_save_fails_validation",
+            // The two-level stream a checkpointed seismic shot runs: its
+            // (64, 8) golden (CI's traced ratio 0.75), no worse than one
+            // level, its gap to every two-level placement, no table, and
+            // the bitwise sweep of a two-level recurrence.
+            "plan::tests::golden_two_level_profile_at_64_steps_budget_8",
+            "plan::tests::two_level_plans_are_valid_and_never_recompute_more_than_one_level",
+            "plan::tests::the_two_level_stream_against_every_two_level_placement",
+            "plan::tests::long_two_level_plans_build_without_a_steps_squared_table",
+            "driver::tests::a_two_level_sweep_matches_store_all_bitwise_on_both_backends",
             "driver::tests::matches_store_all_bitwise_across_budgets_and_backends",
             "store::tests::restore_and_take_are_bitwise",
             "a_mem_store_holds_no_reference_to_a_freed_or_taken_snapshot",
@@ -807,6 +816,7 @@ const PINNED: &[(&str, &[&str])] = &[
         &[
             "a_poisoned_kept_pool_changes_no_bit_of_the_next_run",
             "a_poisoned_lambda_face_changes_no_bit_of_the_gradient",
+            "two_level_gradients_are_bitwise_store_all_for_every_small_shape",
         ],
     ),
     (
@@ -869,6 +879,8 @@ const PINNED: &[(&str, &[&str])] = &[
             "primal_step_runs_native_when_prepared_and_plain_rows_when_not",
         ],
     ),
+    // The stream a shot ran, from its report: 25 saves at (64, 8).
+    ("tests/checkpoint.rs", &["a_shot_reports_the_two_level_stream_it_ran"]),
     (
         "tests/names.rs",
         &[
