@@ -446,17 +446,21 @@ mod tests {
     #[test]
     fn worker_spans_carry_their_callers_request_id() {
         let _lock = crate::obs_lock();
-        const CALLERS: [(u64, &str); 2] = [(9001, "pool.caller_a"), (9002, "pool.caller_b")];
+        static SITES: [perforad_obs::SpanSite; 2] = [
+            perforad_obs::SpanSite::new("pool.caller_a", "test"),
+            perforad_obs::SpanSite::new("pool.caller_b", "test"),
+        ];
+        let callers = [(9001, &SITES[0]), (9002, &SITES[1])];
         let (pool, rounds) = (ThreadPool::new(3), 50);
         perforad_obs::set_enabled(true);
         std::thread::scope(|s| {
-            for (id, name) in CALLERS {
+            for (id, site) in callers {
                 let pool = &pool;
                 s.spawn(move || {
                     let _scope = perforad_obs::RequestScope::enter(id);
                     for _ in 0..rounds {
                         pool.run(&|_| {
-                            let _span = perforad_obs::span!(name, "test");
+                            let _span = perforad_obs::SpanGuard::enter(site, [0, 0]);
                         });
                     }
                 });
@@ -465,13 +469,14 @@ mod tests {
         pool.run(&|_| {
             let _span = perforad_obs::span!("pool.unscoped", "test");
         });
-        let taken = CALLERS.map(|(id, _)| perforad_obs::take_request_events(id));
+        let taken = callers.map(|(id, _)| perforad_obs::take_request_events(id));
         let unscoped: Vec<_> = perforad_obs::collect_events()
             .into_iter()
             .filter(|e| e.name == "pool.unscoped")
             .collect();
         perforad_obs::set_enabled(false);
-        for (events, (_, name)) in taken.iter().zip(CALLERS) {
+        for (events, (_, site)) in taken.iter().zip(callers) {
+            let name = site.name;
             // Per region and worker: the caller's span and `exec.worker`.
             let named = |n: &str| events.iter().filter(|e| e.name == n).count();
             assert_eq!(named(name), 3 * rounds, "{name}");

@@ -6,6 +6,9 @@
 //! to the same bits, and a non-finite one as `null`. Integer accessors
 //! refuse anything past 2⁵³ instead of saturating. `serve::proto`'s frame
 //! writers print scalars and strings with [`push_num`] and [`push_str`].
+//! The writer lays objects and arrays out through `ObjWriter` and `Arr`,
+//! which the crate's exporters also use to stream a document too large
+//! to build as a `Value` (a flight dump's trace) in the same bytes.
 
 use std::fmt::{self, Write as _};
 
@@ -114,23 +117,82 @@ impl fmt::Display for Value {
             Value::Bool(b) => write!(f, "{b}"),
             Value::Num(n) => write_num(f, *n),
             Value::Str(s) => write_str(f, s),
-            Value::Arr(items) => {
-                f.write_char('[')?;
-                for (i, item) in items.iter().enumerate() {
-                    write!(f, "{}{item}", if i > 0 { "," } else { "" })?;
-                }
-                f.write_char(']')
-            }
+            Value::Arr(items) => fmt::Display::fmt(&Arr(items.iter()), f),
             Value::Obj(fields) => {
-                f.write_char('{')?;
-                for (i, (key, val)) in fields.iter().enumerate() {
-                    f.write_str(if i > 0 { "," } else { "" })?;
-                    write_str(f, key)?;
-                    write!(f, ":{val}")?;
+                let mut obj = ObjWriter::new(f)?;
+                for (key, val) in fields {
+                    obj.field(key, val)?;
                 }
-                f.write_char('}')
+                obj.finish()
             }
         }
+    }
+}
+
+/// Writes one object a field at a time, in the bytes [`Value`] prints:
+/// for a document streamed to its reader instead of built (a flight
+/// dump). `out` is a `String`, a `Formatter`, or any other `fmt::Write`.
+pub(crate) struct ObjWriter<'w, W: fmt::Write> {
+    out: &'w mut W,
+    empty: bool,
+}
+
+impl<'w, W: fmt::Write> ObjWriter<'w, W> {
+    /// Open the object.
+    pub(crate) fn new(out: &'w mut W) -> Result<Self, fmt::Error> {
+        out.write_char('{')?;
+        Ok(ObjWriter { out, empty: true })
+    }
+
+    fn key(&mut self, key: &str) -> fmt::Result {
+        if !std::mem::take(&mut self.empty) {
+            self.out.write_char(',')?;
+        }
+        write_str(self.out, key)?;
+        self.out.write_char(':')
+    }
+
+    /// A field whose value prints itself as JSON (a [`Value`], an
+    /// [`Arr`], another streamed document).
+    pub(crate) fn field(&mut self, key: &str, value: impl fmt::Display) -> fmt::Result {
+        self.key(key)?;
+        write!(self.out, "{value}")
+    }
+
+    /// A string field.
+    pub(crate) fn str(&mut self, key: &str, s: &str) -> fmt::Result {
+        self.key(key)?;
+        write_str(self.out, s)
+    }
+
+    /// A number field, as [`push_num`] writes it.
+    pub(crate) fn num(&mut self, key: &str, v: f64) -> fmt::Result {
+        self.key(key)?;
+        write_num(self.out, v)
+    }
+
+    /// Close the object.
+    pub(crate) fn finish(self) -> fmt::Result {
+        self.out.write_char('}')
+    }
+}
+
+/// An array of the items an iterator yields, each printing itself as
+/// JSON, in the bytes [`Value::Arr`] prints. The iterator is cloned for
+/// each print and never collected.
+pub(crate) struct Arr<I>(pub(crate) I);
+
+impl<I> fmt::Display for Arr<I>
+where
+    I: Iterator + Clone,
+    I::Item: fmt::Display,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('[')?;
+        for (i, item) in self.0.clone().enumerate() {
+            write!(f, "{}{item}", if i > 0 { "," } else { "" })?;
+        }
+        f.write_char(']')
     }
 }
 

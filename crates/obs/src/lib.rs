@@ -11,9 +11,10 @@
 //! Three pieces, all std-only:
 //!
 //! * **Tracing spans** ([`span!`], [`SpanGuard`]): RAII guards with
-//!   `&'static str` names and up to two `u64` args. Each thread records
-//!   into its own buffer (registered once, then touched only by its owner
-//!   — uncontended), so parallel adjoint sweeps get per-worker accounting.
+//!   `&'static str` names and up to two `u64` args; each call site is one
+//!   `static` [`SpanSite`]. Each thread records into its own buffer
+//!   (registered once, then touched only by its owner — uncontended), so
+//!   parallel adjoint sweeps get per-worker accounting.
 //!   When tracing is disabled the guard is a single relaxed atomic load
 //!   and a branch: no allocation, no clock read.
 //! * **Metrics registry** ([`counter`], [`gauge`], [`histogram`]): typed
@@ -48,7 +49,13 @@
 //!   per-thread buffers are bounded rings of recent spans, snapshotted
 //!   together with the metrics registry and fault tallies to
 //!   `PERFORAD_FLIGHT_DIR` on panic, injected-fault degradation, or
-//!   deadline breach.
+//!   deadline breach. Its memory is fixed: a span is a
+//!   [`RECORD_BYTES`]-byte (48) record, a thread that exits hands its
+//!   ring to one retired ring of the same capacity, so the recorder holds
+//!   at most `RECORD_BYTES × capacity × (live recording threads + 1)`
+//!   bytes (3 MiB per ring at [`DEFAULT_RING_CAPACITY`]), reported as the
+//!   `obs.ring_bytes` gauge. A dump streams its JSON to the file; what it
+//!   allocates is the records it writes and a fixed buffer.
 //!
 //! Tracing is off by default. Enable it with `PERFORAD_TRACE=1` in the
 //! environment or programmatically with [`set_enabled`]:
@@ -80,9 +87,9 @@ pub use metrics::{
 pub use recorder::{
     clear_events, collect_events, current_request, overwritten_total, ring_capacity,
     set_ring_capacity, snapshot_events, take_request_events, RequestScope, SpanEvent,
-    DEFAULT_RING_CAPACITY, SPAN_ARGS,
+    DEFAULT_RING_CAPACITY, RECORD_BYTES, SPAN_ARGS,
 };
-pub use span::SpanGuard;
+pub use span::{SpanGuard, SpanSite};
 pub use trace::{
     chrome_trace_json, write_chrome_trace, PhaseStat, SpanStat, TraceReport, TRACE_ENV,
 };
@@ -277,19 +284,54 @@ mod tests {
 
     #[test]
     fn a_wrapped_ring_keeps_overwriting_its_oldest_span_after_a_request_is_taken() {
-        const NAMES: [&str; 7] = ["a0", "a1", "a2", "a3", "a4", "a5", "a6"];
+        static SITES: [SpanSite; 7] = [
+            SpanSite::new("a0", "test"),
+            SpanSite::new("a1", "test"),
+            SpanSite::new("a2", "test"),
+            SpanSite::new("a3", "test"),
+            SpanSite::new("a4", "test"),
+            SpanSite::new("a5", "test"),
+            SpanSite::new("a6", "test"),
+        ];
         with_clean_state(|| {
             set_ring_capacity(4);
-            for &name in &NAMES[..6] {
-                let _s = span!(name, "test");
+            for site in &SITES[..6] {
+                let _s = SpanGuard::enter(site, [0; SPAN_ARGS]);
             }
             assert!(take_request_events(999).is_empty());
             {
-                let _s = span!(NAMES[6], "test");
+                let _s = SpanGuard::enter(&SITES[6], [0; SPAN_ARGS]);
             }
             let kept: Vec<&str> = snapshot_events().iter().map(|e| e.name).collect();
             set_ring_capacity(DEFAULT_RING_CAPACITY);
             assert_eq!(kept, ["a3", "a4", "a5", "a6"]);
+        });
+    }
+
+    #[test]
+    fn ring_bytes_counts_the_records_held() {
+        let ring_bytes = || {
+            let snap = MetricsSnapshot::collect();
+            let gauge = snap
+                .gauges
+                .iter()
+                .find(|(name, _)| name == "obs.ring_bytes");
+            gauge.expect("obs.ring_bytes is registered").1
+        };
+        with_clean_state(|| {
+            assert_eq!(ring_bytes(), 0);
+            for _ in 0..5 {
+                let _s = span!("bytes.span", "test");
+            }
+            std::thread::spawn(|| drop(span!("bytes.retired", "test")))
+                .join()
+                .unwrap();
+            assert_eq!(ring_bytes(), 6 * RECORD_BYTES as u64);
+            assert!(MetricsSnapshot::collect()
+                .to_prometheus()
+                .contains(&format!("obs_ring_bytes {}", 6 * RECORD_BYTES)));
+            collect_events();
+            assert_eq!(ring_bytes(), 0);
         });
     }
 

@@ -340,8 +340,13 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Snapshot every registered metric.
+    /// Snapshot every registered metric, after setting the
+    /// `obs.ring_bytes` gauge to the bytes of span records the recorder
+    /// holds (records × [`crate::RECORD_BYTES`]).
     pub fn collect() -> Self {
+        // The span recorder's memory, as of this snapshot.
+        let ring_bytes = crate::recorder::held_records() * crate::recorder::RECORD_BYTES;
+        gauge("obs.ring_bytes").set(ring_bytes as u64);
         let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
         let mut snap = MetricsSnapshot::default();
         for (name, metric) in reg.iter() {

@@ -1,47 +1,55 @@
-//! RAII span guards and the [`span!`] macro.
+//! RAII span guards, their call sites and the [`span!`] macro.
 
-use crate::recorder::{self, SpanEvent, SPAN_ARGS};
+use crate::recorder::{self, Record, SPAN_ARGS};
 use crate::{enabled, now_ns};
 
+/// What every span recorded at one call site shares: its name, phase and
+/// argument keys. [`crate::span!`] makes one `static` per call site, so a
+/// recorded span holds a pointer to its site instead of three strings.
+#[derive(Debug)]
+pub struct SpanSite {
+    /// Static span name, e.g. `"exec.group"`.
+    pub name: &'static str,
+    /// Coarse pipeline phase, e.g. `"exec"`.
+    pub phase: &'static str,
+    /// Argument keys; an unused slot is `""`.
+    pub keys: [&'static str; SPAN_ARGS],
+}
+
+impl SpanSite {
+    /// A site whose spans carry no arguments.
+    pub const fn new(name: &'static str, phase: &'static str) -> Self {
+        SpanSite {
+            name,
+            phase,
+            keys: [""; SPAN_ARGS],
+        }
+    }
+}
+
 /// An in-flight span. Created by [`crate::span!`] (or [`SpanGuard::enter`]);
-/// records a [`SpanEvent`] when dropped. When recording is disabled the
-/// guard holds nothing and drop is free — the whole round trip is one
-/// relaxed atomic load and a branch.
+/// records one span when dropped. When recording is disabled the guard
+/// holds nothing and drop is free — the whole round trip is one relaxed
+/// atomic load and a branch.
 ///
 /// Bind it to a named variable (`let _span = ...`, not `let _ = ...`) so
 /// it lives to the end of the scope being measured.
 #[must_use = "a span guard measures the scope it is bound in; dropping it immediately records an empty span"]
-pub struct SpanGuard(Option<ActiveSpan>);
-
-struct ActiveSpan {
-    name: &'static str,
-    phase: &'static str,
-    start_ns: u64,
-    args: [(&'static str, u64); SPAN_ARGS],
-}
+pub struct SpanGuard(Option<Record>);
 
 impl SpanGuard {
-    /// Start a span with no arguments.
+    /// Start a span of `site` carrying the values of its argument keys
+    /// (0 in an unused slot).
     #[inline]
-    pub fn enter(name: &'static str, phase: &'static str) -> Self {
-        Self::enter_args(name, phase, [("", 0); SPAN_ARGS])
-    }
-
-    /// Start a span carrying up to [`SPAN_ARGS`] integer arguments;
-    /// unused slots are `("", 0)`.
-    #[inline]
-    pub fn enter_args(
-        name: &'static str,
-        phase: &'static str,
-        args: [(&'static str, u64); SPAN_ARGS],
-    ) -> Self {
+    pub fn enter(site: &'static SpanSite, args: [u64; SPAN_ARGS]) -> Self {
         if !enabled() {
             return SpanGuard(None);
         }
-        SpanGuard(Some(ActiveSpan {
-            name,
-            phase,
+        SpanGuard(Some(Record {
+            site,
             start_ns: now_ns(),
+            dur_ns: 0,
+            req: 0, // stamped by the recorder
             args,
         }))
     }
@@ -50,16 +58,9 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
-        if let Some(active) = self.0.take() {
-            recorder::record(SpanEvent {
-                name: active.name,
-                phase: active.phase,
-                start_ns: active.start_ns,
-                dur_ns: now_ns().saturating_sub(active.start_ns),
-                tid: 0, // stamped by the recorder
-                req: 0, // stamped by the recorder
-                args: active.args,
-            });
+        if let Some(mut rec) = self.0.take() {
+            rec.dur_ns = now_ns().saturating_sub(rec.start_ns);
+            recorder::record(rec);
         }
     }
 }
@@ -67,8 +68,9 @@ impl Drop for SpanGuard {
 /// Open a trace span over the enclosing scope.
 ///
 /// `span!(name, phase)` or `span!(name, phase, "key" => value, ...)` with
-/// up to two `u64`-convertible values. Both `name` and `phase` (and the
-/// keys) must be `&'static str`. Returns a [`SpanGuard`] — bind it:
+/// up to two `u64`-convertible values. `name`, `phase` and the keys must
+/// be constant `&'static str`s: they make the call site's [`SpanSite`].
+/// Returns a [`SpanGuard`] — bind it:
 ///
 /// ```
 /// perforad_obs::set_enabled(true);
@@ -79,13 +81,21 @@ impl Drop for SpanGuard {
 /// ```
 #[macro_export]
 macro_rules! span {
+    (@site $name:expr, $phase:expr, $keys:expr, $args:expr) => {{
+        static SITE: $crate::SpanSite = $crate::SpanSite {
+            name: $name,
+            phase: $phase,
+            keys: $keys,
+        };
+        $crate::SpanGuard::enter(&SITE, $args)
+    }};
     ($name:expr, $phase:expr $(,)?) => {
-        $crate::SpanGuard::enter($name, $phase)
+        $crate::span!(@site $name, $phase, ["", ""], [0, 0])
     };
     ($name:expr, $phase:expr, $k0:expr => $v0:expr $(,)?) => {
-        $crate::SpanGuard::enter_args($name, $phase, [($k0, $v0 as u64), ("", 0)])
+        $crate::span!(@site $name, $phase, [$k0, ""], [$v0 as u64, 0])
     };
     ($name:expr, $phase:expr, $k0:expr => $v0:expr, $k1:expr => $v1:expr $(,)?) => {
-        $crate::SpanGuard::enter_args($name, $phase, [($k0, $v0 as u64), ($k1, $v1 as u64)])
+        $crate::span!(@site $name, $phase, [$k0, $k1], [$v0 as u64, $v1 as u64])
     };
 }

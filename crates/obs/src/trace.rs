@@ -5,7 +5,7 @@ use std::fmt;
 use std::io::Write;
 use std::path::Path;
 
-use crate::json::Value;
+use crate::json::{Arr, ObjWriter, Value};
 use crate::recorder::SpanEvent;
 
 /// Environment variable that enables recording (`1`/`true`/`on`).
@@ -15,44 +15,66 @@ pub const TRACE_ENV: &str = "PERFORAD_TRACE";
 /// one complete (`"ph":"X"`) event per span, timestamps in microseconds.
 /// Load the file via `chrome://tracing` or <https://ui.perfetto.dev>.
 pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
-    chrome_trace(events).to_string()
+    ChromeTrace(events.iter().copied()).to_string()
 }
 
-/// [`chrome_trace_json`]'s document, for embedding (the flight dump).
-pub(crate) fn chrome_trace(events: &[SpanEvent]) -> Value {
-    let event = |ev: &SpanEvent| {
-        let mut fields = vec![
-            ("name", ev.name.into()),
-            ("cat", ev.phase.into()),
-            ("ph", "X".into()),
-            ("ts", (ev.start_ns as f64 / 1e3).into()),
-            ("dur", (ev.dur_ns as f64 / 1e3).into()),
-            ("pid", 1_u64.into()),
-            ("tid", ev.tid.into()),
-        ];
-        // The request id (when a request scope was open) rides along as
-        // an arg, so per-request spans group and interleave legibly
-        // across worker threads in the Perfetto UI.
+/// [`chrome_trace_json`]'s document over the spans an iterator yields,
+/// printed as it is read: a flight dump streams it to its file.
+pub(crate) struct ChromeTrace<I>(pub(crate) I);
+
+impl<I: Iterator<Item = SpanEvent> + Clone> fmt::Display for ChromeTrace<I> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut doc = ObjWriter::new(f)?;
+        doc.field("traceEvents", Arr(self.0.clone().map(ChromeEvent)))?;
+        doc.str("displayTimeUnit", "ms")?;
+        doc.finish()
+    }
+}
+
+struct ChromeEvent(SpanEvent);
+
+impl fmt::Display for ChromeEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ev = &self.0;
+        let mut obj = ObjWriter::new(f)?;
+        obj.str("name", ev.name)?;
+        obj.str("cat", ev.phase)?;
+        obj.str("ph", "X")?;
+        obj.num("ts", ev.start_ns as f64 / 1e3)?;
+        obj.num("dur", ev.dur_ns as f64 / 1e3)?;
+        obj.num("pid", 1.0)?;
+        obj.num("tid", ev.tid as f64)?;
+        if ev.req != 0 || ev.args.iter().any(|(k, _)| !k.is_empty()) {
+            obj.field("args", ChromeArgs(ev))?;
+        }
+        obj.finish()
+    }
+}
+
+/// An event's named arguments, then the request id (when a request scope
+/// was open), so per-request spans group and interleave legibly across
+/// worker threads in the Perfetto UI.
+struct ChromeArgs<'a>(&'a SpanEvent);
+
+impl fmt::Display for ChromeArgs<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ev = self.0;
         let named = ev.args.iter().filter(|(k, _)| !k.is_empty()).copied();
         let request = (ev.req != 0).then_some(("request_id", ev.req));
-        let args: Vec<(&str, Value)> = named.chain(request).map(|(k, v)| (k, v.into())).collect();
-        if !args.is_empty() {
-            fields.push(("args", Value::obj(args)));
+        let mut obj = ObjWriter::new(f)?;
+        for (k, v) in named.chain(request) {
+            obj.num(k, v as f64)?;
         }
-        Value::obj(fields)
-    };
-    let events = events.iter().map(event).collect();
-    Value::obj([
-        ("traceEvents", Value::Arr(events)),
-        ("displayTimeUnit", "ms".into()),
-    ])
+        obj.finish()
+    }
 }
 
 /// Write `events` as Chrome-trace JSON to `path`; the library never
 /// writes a trace file on its own.
 pub fn write_chrome_trace(path: &Path, events: &[SpanEvent]) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(chrome_trace_json(events).as_bytes())
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    write!(out, "{}", ChromeTrace(events.iter().copied()))?;
+    out.flush()
 }
 
 /// Aggregate times for one pipeline phase (`"sched"`, `"tune"`, `"jit"`,
@@ -273,7 +295,7 @@ impl fmt::Display for TraceReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::recorder::SPAN_ARGS;
 
@@ -292,6 +314,180 @@ mod tests {
             tid,
             req: 0,
             args: [("", 0); SPAN_ARGS],
+        }
+    }
+
+    /// The whole-[`Value`] Chrome trace the exporters wrote before they
+    /// streamed: the oracle the streamed bytes are held to.
+    pub(crate) fn chrome_trace_value(events: &[SpanEvent]) -> Value {
+        let event = |ev: &SpanEvent| {
+            let mut fields = vec![
+                ("name", ev.name.into()),
+                ("cat", ev.phase.into()),
+                ("ph", "X".into()),
+                ("ts", (ev.start_ns as f64 / 1e3).into()),
+                ("dur", (ev.dur_ns as f64 / 1e3).into()),
+                ("pid", 1_u64.into()),
+                ("tid", ev.tid.into()),
+            ];
+            let named = ev.args.iter().filter(|(k, _)| !k.is_empty()).copied();
+            let request = (ev.req != 0).then_some(("request_id", ev.req));
+            let args: Vec<(&str, Value)> =
+                named.chain(request).map(|(k, v)| (k, v.into())).collect();
+            if !args.is_empty() {
+                fields.push(("args", Value::obj(args)));
+            }
+            Value::obj(fields)
+        };
+        let events = events.iter().map(event).collect();
+        Value::obj([
+            ("traceEvents", Value::Arr(events)),
+            ("displayTimeUnit", "ms".into()),
+        ])
+    }
+
+    /// Spans with chosen times: nested, on three threads, under request
+    /// ids 0, 7 and 42, with 0, 1 and 2 args (the engine's
+    /// `"request_id"` arg too). Sorted as the recorder's readers sort.
+    pub(crate) fn golden_events() -> Vec<SpanEvent> {
+        let ev = |name, phase, tid, req, start_ns, dur_ns, args| SpanEvent {
+            name,
+            phase,
+            start_ns,
+            dur_ns,
+            tid,
+            req,
+            args,
+        };
+        vec![
+            ev(
+                "serve.gradient",
+                "serve",
+                0,
+                42,
+                1_000,
+                9_000_500,
+                [("shots", 1), ("request_id", 42)],
+            ),
+            ev(
+                "exec.group",
+                "exec",
+                0,
+                42,
+                2_500,
+                3_000,
+                [("group", 0), ("tiles", 5)],
+            ),
+            ev(
+                "exec.worker",
+                "exec",
+                1,
+                42,
+                2_600,
+                2_999,
+                [("worker", 1), ("", 0)],
+            ),
+            ev(
+                "exec.worker",
+                "exec",
+                0,
+                42,
+                6_000,
+                1_250,
+                [("worker", 0), ("", 0)],
+            ),
+            ev(
+                "ckpt.forward",
+                "ckpt",
+                1,
+                7,
+                20_000,
+                50,
+                [("steps", 24), ("", 0)],
+            ),
+            ev(
+                "ckpt.recompute",
+                "ckpt",
+                1,
+                7,
+                20_010,
+                10,
+                [("from", 3), ("to", 9)],
+            ),
+            ev(
+                "tune.search",
+                "tune",
+                2,
+                0,
+                12_345_678_901,
+                777,
+                [("nests", 3), ("", 0)],
+            ),
+            ev(
+                "tune.refine",
+                "tune",
+                2,
+                0,
+                12_345_679_000,
+                100,
+                [("", 0), ("", 0)],
+            ),
+        ]
+    }
+
+    /// [`chrome_trace_json`] of [`golden_events`], recorded from the
+    /// exporter that built a whole `Value` tree.
+    pub(crate) const GOLDEN_CHROME: &str = concat!(
+        r#"{"traceEvents":[{"name":"serve.gradient","cat":"serve","ph":"X","ts":1,"dur":9000.5,"#,
+        r#""pid":1,"tid":0,"args":{"shots":1,"request_id":42,"request_id":42}},"#,
+        r#"{"name":"exec.group","cat":"exec","ph":"X","ts":2.5,"dur":3,"pid":1,"tid":0,"#,
+        r#""args":{"group":0,"tiles":5,"request_id":42}},"#,
+        r#"{"name":"exec.worker","cat":"exec","ph":"X","ts":2.6,"dur":2.999,"pid":1,"tid":1,"#,
+        r#""args":{"worker":1,"request_id":42}},"#,
+        r#"{"name":"exec.worker","cat":"exec","ph":"X","ts":6,"dur":1.25,"pid":1,"tid":0,"#,
+        r#""args":{"worker":0,"request_id":42}},"#,
+        r#"{"name":"ckpt.forward","cat":"ckpt","ph":"X","ts":20,"dur":0.05,"pid":1,"tid":1,"#,
+        r#""args":{"steps":24,"request_id":7}},"#,
+        r#"{"name":"ckpt.recompute","cat":"ckpt","ph":"X","ts":20.01,"dur":0.01,"pid":1,"tid":1,"#,
+        r#""args":{"from":3,"to":9,"request_id":7}},"#,
+        r#"{"name":"tune.search","cat":"tune","ph":"X","ts":12345678.901,"dur":0.777,"pid":1,"#,
+        r#""tid":2,"args":{"nests":3}},"#,
+        r#"{"name":"tune.refine","cat":"tune","ph":"X","ts":12345679,"dur":0.1,"pid":1,"tid":2}],"#,
+        r#""displayTimeUnit":"ms"}"#,
+    );
+
+    /// The exporters' bytes for a fixed set of spans, recorded before
+    /// the recorder stored compact records and the exporters streamed:
+    /// the streamed Chrome trace, its whole-`Value` oracle and the
+    /// rollup all reproduce them.
+    #[test]
+    fn exporters_write_their_golden_bytes() {
+        let events = golden_events();
+        assert_eq!(chrome_trace_json(&events), GOLDEN_CHROME);
+        assert_eq!(chrome_trace_value(&events).to_string(), GOLDEN_CHROME);
+        assert_eq!(
+            TraceReport::build(&events, 10).to_value().to_string(),
+            concat!(
+                r#"{"wall_ns":12345678678,"spans":8,"phases":["#,
+                r#"{"phase":"serve","spans":1,"total_ns":9000500,"self_ns":8996250},"#,
+                r#"{"phase":"exec","spans":3,"total_ns":7249,"self_ns":7249},"#,
+                r#"{"phase":"tune","spans":2,"total_ns":777,"self_ns":777},"#,
+                r#"{"phase":"ckpt","spans":2,"total_ns":50,"self_ns":50}],"top_spans":["#,
+                r#"{"name":"serve.gradient","count":1,"total_ns":9000500,"self_ns":8996250},"#,
+                r#"{"name":"exec.worker","count":2,"total_ns":4249,"self_ns":4249},"#,
+                r#"{"name":"exec.group","count":1,"total_ns":3000,"self_ns":3000},"#,
+                r#"{"name":"tune.search","count":1,"total_ns":777,"self_ns":677},"#,
+                r#"{"name":"tune.refine","count":1,"total_ns":100,"self_ns":100},"#,
+                r#"{"name":"ckpt.forward","count":1,"total_ns":50,"self_ns":40},"#,
+                r#"{"name":"ckpt.recompute","count":1,"total_ns":10,"self_ns":10}]}"#,
+            )
+        );
+        // Empty, and one span on its own: the streamed bytes and the oracle's.
+        for events in [&[][..], &events[7..]] {
+            assert_eq!(
+                chrome_trace_json(events),
+                chrome_trace_value(events).to_string()
+            );
         }
     }
 

@@ -354,7 +354,9 @@ impl Engine {
     /// slower) counts in `serve.degraded_total`; it, or a checkpoint spill
     /// fallback, also dumps the flight recorder: the request still
     /// answered, but something in the pipeline gave way mid-flight and the
-    /// recent spans say what.
+    /// recent spans say what. A dump, a deadline breach's too, is written
+    /// after the entry is let go, so the next request on the fingerprint
+    /// runs meanwhile.
     fn serve_shots(
         &self,
         fingerprint: &str,
@@ -385,8 +387,9 @@ impl Engine {
         }
         if let Some(ms) = deadline_ms.filter(|&ms| received.elapsed() >= Duration::from_millis(ms))
         {
+            drop(entry);
             perforad_obs::counter("serve.deadline_exceeded_total").inc();
-            let _ = perforad_obs::flight::dump("deadline", request_id);
+            dump_flight("deadline", request_id);
             return Err(Refusal::Error(format!(
                 "deadline of {ms}ms exceeded after {}ms in queue; nothing was executed",
                 received.elapsed().as_millis()
@@ -399,11 +402,14 @@ impl Engine {
             let _root = perforad_obs::span!("serve.run", "serve", "request_id" => request_id);
             entry.plan.run(&batch)
         };
+        entry.requests += shots.len() as u64;
+        let checkpointed = entry.plan.checkpointed();
+        drop(entry);
         if result.degraded {
             perforad_obs::counter("serve.degraded_total").inc();
         }
         if result.degraded || result.spill_fallback {
-            let _ = perforad_obs::flight::dump("degraded", request_id);
+            dump_flight("degraded", request_id);
         }
         let rollup = trace.then(|| {
             let events = perforad_obs::take_request_events(request_id);
@@ -413,9 +419,8 @@ impl Engine {
             }
             v
         });
-        entry.requests += shots.len() as u64;
         record_request_latency(fingerprint, received);
-        Ok((result, rollup, request_id, entry.plan.checkpointed()))
+        Ok((result, rollup, request_id, checkpointed))
     }
 
     fn gradient(&self, req: &GradientRequest) -> Result<GradientReply, Refusal> {
@@ -588,18 +593,41 @@ fn digest_f64(xs: &[f64]) -> u64 {
     h.finish()
 }
 
+/// Dump the flight recorder for `request_id`. Called with no kernel entry
+/// held: a dump of full rings takes a while to write, and the next
+/// request on the fingerprint must not wait for it.
+fn dump_flight(reason: &str, request_id: u64) {
+    #[cfg(test)]
+    tests::at_dump();
+    let _ = perforad_obs::flight::dump(reason, request_id);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::CompileRequest;
+    use std::cell::RefCell;
     use std::sync::mpsc;
 
-    /// A `Stats` poll that meets a busy kernel entry waits for that entry
-    /// alone: lookups of other kernels, and so `Compile`s and gradients on
-    /// them, go on meanwhile.
-    #[test]
-    fn stats_waits_on_a_busy_entry_without_holding_the_registry() {
-        let engine = Engine::new();
+    thread_local! {
+        /// A gate [`at_dump`] stops at on this thread: it says it arrived,
+        /// then waits to be released.
+        static DUMP_GATE: RefCell<Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>> =
+            const { RefCell::new(None) };
+    }
+
+    /// Where a flight dump starts: held at the calling thread's gate, if
+    /// a test set one.
+    pub(super) fn at_dump() {
+        DUMP_GATE.with(|gate| {
+            if let Some((arrived, release)) = &*gate.borrow() {
+                let _ = arrived.send(());
+                let _ = release.recv();
+            }
+        });
+    }
+
+    fn compile_small(engine: &Engine) -> String {
         let compile = Request::Compile(CompileRequest::Seismic {
             n: 4,
             steps: 2,
@@ -611,7 +639,62 @@ mod tests {
         let Reply::Compiled(a) = engine.handle(&compile) else {
             panic!("compile failed");
         };
-        let entry = engine.kernel(&a.fingerprint).expect("kernel A");
+        a.fingerprint
+    }
+
+    /// A request whose deadline ran out dumps the flight recorder; a
+    /// second request on the same fingerprint is served while that dump
+    /// is held at its start, so the dump does not hold the kernel entry.
+    #[test]
+    fn a_dump_runs_after_the_kernel_entry_is_released() {
+        let engine = Engine::new();
+        let fingerprint = compile_small(&engine);
+        let gradient = |deadline_ms| {
+            Request::Gradient(GradientRequest {
+                fingerprint: fingerprint.clone(),
+                source: vec![1.0, 0.5],
+                observed: vec![0.0; 64],
+                deadline_ms,
+                trace: false,
+            })
+        };
+        let (arrived_tx, arrived) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            // A deadline of 0 ms has run out when the entry is taken.
+            let late = gradient(Some(0));
+            let engine = &engine;
+            let first = s.spawn(move || {
+                DUMP_GATE.with(|gate| *gate.borrow_mut() = Some((arrived_tx, release_rx)));
+                engine.handle(&late)
+            });
+            arrived.recv().expect("the first request reaches its dump");
+            let (tx, rx) = mpsc::channel();
+            let next = gradient(None);
+            s.spawn(move || tx.send(engine.handle(&next)));
+            // A timeout only bounds a failing run; a passing one does not wait.
+            let second = rx.recv_timeout(Duration::from_secs(60));
+            release.send(()).unwrap();
+            assert!(
+                matches!(second, Ok(Reply::Gradient(_))),
+                "the second request waited on the first one's dump: {second:?}"
+            );
+            let first = first.join().unwrap();
+            assert!(
+                matches!(&first, Reply::Error(m) if m.contains("deadline")),
+                "{first:?}"
+            );
+        });
+    }
+
+    /// A `Stats` poll that meets a busy kernel entry waits for that entry
+    /// alone: lookups of other kernels, and so `Compile`s and gradients on
+    /// them, go on meanwhile.
+    #[test]
+    fn stats_waits_on_a_busy_entry_without_holding_the_registry() {
+        let engine = Engine::new();
+        let fingerprint = compile_small(&engine);
+        let entry = engine.kernel(&fingerprint).expect("kernel A");
         std::thread::scope(|s| {
             // As a gradient on A does for its whole sweep.
             let busy = lock_any(&entry);

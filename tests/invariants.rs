@@ -836,6 +836,15 @@ const PINNED: &[(&str, &[&str])] = &[
             "a_wrapped_ring_keeps_overwriting_its_oldest_span_after_a_request_is_taken",
             "plain_run_stops_where_the_byte_scan_does_at_every_offset_and_alignment",
             "strings_with_multibyte_characters_and_escapes_parse_at_every_offset",
+            // The recorder's fixed memory: 48-byte records, rings that stop
+            // at their capacity, one retired ring for exited threads, the
+            // bytes it holds on the live plane, and exporters and dumps
+            // that write the bytes recorded before records were compact.
+            "a_record_is_at_most_48_bytes_and_a_ring_holds_at_most_its_capacity",
+            "exited_threads_share_one_retired_ring",
+            "ring_bytes_counts_the_records_held",
+            "exporters_write_their_golden_bytes",
+            "a_dump_streams_the_golden_trace_and_the_whole_value_bytes",
         ],
     ),
     (
@@ -844,6 +853,7 @@ const PINNED: &[(&str, &[&str])] = &[
             "an_out_of_range_integer_is_refused_at_decode_by_field_name",
             "stats_and_healthz_keys_are_pinned",
             "stats_waits_on_a_busy_entry_without_holding_the_registry",
+            "a_dump_runs_after_the_kernel_entry_is_released",
             // The wire's oracles.
             "wire_bytes_of_a_gradient_exchange_are_pinned",
             "encoder_writes_the_reference_bytes_for_every_bit_pattern",
@@ -929,6 +939,7 @@ const PINNED: &[(&str, &[&str])] = &[
         &[
             "a_recorded_gradient_is_traced_per_region_not_per_tile",
             "a_pooled_group_records_one_worker_span_per_worker",
+            "a_dump_allocates_its_records_and_a_fixed_buffer",
         ],
     ),
     (

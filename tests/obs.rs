@@ -314,3 +314,44 @@ fn traced_batch_run_populates_shot_metrics_and_rollup() {
     perforad::obs::clear_events();
     perforad::obs::reset_metrics();
 }
+
+/// A flight dump streams its JSON to the file: what it allocates is the
+/// records it writes (`RECORD_BYTES` and a thread id each) and a fixed
+/// part — the file buffer, the metrics head — never a tree of every
+/// span. Half the spans come from a thread that exited.
+#[test]
+fn a_dump_allocates_its_records_and_a_fixed_buffer() {
+    const SPANS: usize = 20_000;
+    let _guard = obs_test();
+    perforad::obs::set_enabled(true);
+    let record = || {
+        for i in 0..SPANS / 2 {
+            let _span = perforad::obs::span!("obs_test.dumped", "test", "i" => i, "k" => 1u64);
+        }
+    };
+    std::thread::spawn(record).join().unwrap();
+    record();
+    let dir = std::env::temp_dir().join(format!("perforad-obs-dump-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::env::set_var(perforad::obs::FLIGHT_DIR_ENV, &dir);
+    let before = common::thread_alloc_bytes();
+    let path = perforad::obs::flight::dump("alloc", 0);
+    let bytes = common::thread_alloc_bytes() - before;
+    std::env::remove_var(perforad::obs::FLIGHT_DIR_ENV);
+    perforad::obs::set_enabled(false);
+    perforad::obs::clear_events();
+    let text = std::fs::read_to_string(path.unwrap().expect("a dump")).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let doc = perforad::obs::json::parse(&text).expect("a dump is JSON");
+    let events = doc.get("trace").and_then(|t| t.get("traceEvents"));
+    assert_eq!(
+        events.and_then(|e| e.as_array()).map(<[_]>::len),
+        Some(SPANS)
+    );
+    let records = (SPANS * (perforad::obs::RECORD_BYTES + 8)) as u64;
+    let fixed = (perforad::obs::flight::DUMP_BUFFER + (64 << 10)) as u64;
+    assert!(
+        bytes <= records + fixed,
+        "a dump of {SPANS} spans allocated {bytes} B: {records} B of records + {fixed} B fixed"
+    );
+}
