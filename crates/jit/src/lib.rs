@@ -97,6 +97,7 @@ use perforad_exec::native::{native_lookup, register_native, Fnv, NativeGroup, Na
 use perforad_exec::{Binding, Plan};
 use perforad_sched::Schedule;
 use std::collections::HashMap;
+use std::ffi::OsStr;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -286,6 +287,16 @@ impl JitOptions {
     fn resolved_rustc(&self) -> PathBuf {
         self.rustc.clone().unwrap_or_else(|| PathBuf::from("rustc"))
     }
+
+    /// The compiler a build would run, found on disk without running it
+    /// ([`locate_compiler`] against this process's `PATH`). `None` on a
+    /// target without `dlopen` too, where nothing built could be loaded.
+    pub fn compiler(&self) -> Option<PathBuf> {
+        if !cfg!(unix) {
+            return None;
+        }
+        locate_compiler(&self.resolved_rustc(), std::env::var_os("PATH").as_deref())
+    }
 }
 
 /// Why JIT preparation failed. All variants are recoverable: callers
@@ -345,8 +356,9 @@ impl JitReport {
 }
 
 /// The probed `rustc --version` line for a compiler path, memoized per
-/// path for the life of the process. `None` means the probe failed.
-pub fn toolchain_version(opts: &JitOptions) -> Option<String> {
+/// path for the life of the process. `None` means the probe failed, and
+/// stays `None` until the process restarts.
+fn toolchain_version(opts: &JitOptions) -> Option<String> {
     static PROBES: OnceLock<Mutex<HashMap<PathBuf, Option<String>>>> = OnceLock::new();
     let rustc = opts.resolved_rustc();
     let probes = PROBES.get_or_init(|| Mutex::new(HashMap::new()));
@@ -366,12 +378,37 @@ pub fn toolchain_version(opts: &JitOptions) -> Option<String> {
 }
 
 /// True when this process can *build* new JIT artifacts: a unix target
-/// (for `dlopen`) with a working compiler. Note that running previously
-/// cached artifacts needs no toolchain — [`prepare_schedule`] loads them
-/// regardless, so `available() == false` does not preclude warm-cache
-/// JIT execution.
+/// (for `dlopen`) with a working compiler. It spawns the compiler (`rustc
+/// --version`, once per process) to find out, so it is for callers that
+/// must know before building — the library's own paths, warm or cold,
+/// never call it. Running previously cached artifacts needs no toolchain:
+/// [`prepare_schedule`] loads them regardless, so `available() == false`
+/// does not preclude warm-cache JIT execution.
 pub fn available() -> bool {
     cfg!(unix) && toolchain_version(&JitOptions::default()).is_some()
+}
+
+/// Where the compiler `rustc` names is, found without running it: a name
+/// with a path separator is that path; a bare name is looked up in each
+/// directory of `path` (a `PATH` value) in turn, as a spawn would. The
+/// hit must be a file with an execute bit. One `stat` per candidate and
+/// no process: whether that compiler *works* is learned only by building.
+pub fn locate_compiler(rustc: &Path, path: Option<&OsStr>) -> Option<PathBuf> {
+    let runnable = |p: &Path| {
+        std::fs::metadata(p).is_ok_and(|m| {
+            #[cfg(unix)]
+            let exec = std::os::unix::fs::PermissionsExt::mode(&m.permissions()) & 0o111 != 0;
+            #[cfg(not(unix))]
+            let exec = true;
+            m.is_file() && exec
+        })
+    };
+    if rustc.components().count() > 1 {
+        return runnable(rustc).then(|| rustc.to_path_buf());
+    }
+    std::env::split_paths(path?)
+        .map(|dir| dir.join(rustc))
+        .find(|p| runnable(p))
 }
 
 /// A pid × sequence suffix unique per call, so concurrent threads (not
@@ -565,19 +602,20 @@ fn prepare_group(plan: &Plan, opts: &JitOptions, report: &mut JitReport) -> Resu
     }
 
     // On the way to a build: now the compiler's version matters, as part
-    // of the name the new artifact gets.
+    // of the name the new artifact gets. A compiler that is not on disk is
+    // not spawned, not even to ask its version.
+    if opts.compiler().is_none() || toolchain_version(opts).is_none() {
+        return Err(JitError::Toolchain(format!(
+            "`{}` not runnable and no cached artifact of plan {fp:016x} in {}",
+            opts.resolved_rustc().display(),
+            dir.display()
+        )));
+    }
     let stem = format!(
         "pfjit_v{JIT_FORMAT_VERSION}_{}_{fp:016x}",
         machine_signature(opts)
     );
     let artifact = dir.join(format!("{stem}.so"));
-    if toolchain_version(opts).is_none() {
-        return Err(JitError::Toolchain(format!(
-            "`{}` not runnable and no cached artifact at {}",
-            opts.resolved_rustc().display(),
-            artifact.display()
-        )));
-    }
     let source = artifact_source(plan)?;
     // Invocation-unique source name: concurrent preparers of one
     // fingerprint must not truncate each other's in-flight source.
@@ -874,7 +912,8 @@ mod tests {
         assert_eq!(probed, 0, "a warm start must not spawn the compiler");
         run_schedule(&schedule, &mut ws, &ThreadPool::new(2)).unwrap();
         assert_eq!(bits(ws.grid("u_b")), bits(ws_ref.grid("u_b")));
-        // The same options, nothing cached: now the probe runs, and fails.
+        // The same options, nothing cached: no compiler is on disk at that
+        // path, so nothing is spawned and the prepare fails.
         let (ws_cold, bind_cold) = setup(131);
         let cold = compile_schedule(
             &adj,

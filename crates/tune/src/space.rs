@@ -34,8 +34,10 @@ pub fn tile_palette(rank: usize) -> Vec<Vec<i64>> {
 /// one worker.
 ///
 /// `jit` adds the JIT lowering as a second point on the lowering axis.
-/// The tuner gates it on `perforad_jit::available()` so it never times
-/// candidates that would silently fall back to rows.
+/// The tuner sets it whenever a wall-clock search may offer Jit (preparing
+/// each candidate decides whether it is timed), and for the searches that
+/// prepare nothing only when a compiler is on disk — it never asks the
+/// compiler itself.
 ///
 /// [`Lowering::PerPoint`] is never offered: the interpreter is the
 /// reference the property suites compare against, 3–8× slower than rows

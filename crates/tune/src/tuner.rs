@@ -1,21 +1,22 @@
 //! The two-stage tuner: model-guided pruning, then empirical timing.
 //!
-//! Stage 1 ranks the whole [`search_space`] (plus the JIT lowering axis
-//! when the host can build or load native code) with
-//! [`perforad_perfmodel::predict_schedule`] — pure arithmetic, no
-//! execution — and keeps the top-K candidates. Stage 2 compiles the work
-//! once per fusion choice ([`compile_work`]: the candidates differ in
-//! tiling, policy and lowering, which compile nothing) and tiles each
-//! survivor from it into a real [`Schedule`] — JIT candidates are natively
-//! prepared first, reusing `perforad-jit`'s persistent artifact cache so
-//! the out-of-process compile is paid once per fingerprint — and times
-//! it (best-of-N wall clock, one warm-up sweep first). A hill-climbing
-//! refinement stage then walks the winner's tile vector (±1
-//! doubling/halving step per rank, the palette's step size) until no
-//! neighbour improves, scoring each neighbour the way stage 2 scores a
-//! survivor. The final winner is returned and recorded in the tuning
-//! cache so the next identical (work, machine) pair skips every stage;
-//! the memory layer keeps its compiled work too, so that hit re-tiles.
+//! Stage 1 ranks the whole [`search_space`] (plus the JIT lowering axis)
+//! with [`perforad_perfmodel::predict_schedule`] — pure arithmetic, no
+//! execution. Stage 2 compiles the work once per fusion choice
+//! ([`compile_work`]: the candidates differ in tiling, policy and
+//! lowering, which compile nothing) and tiles the best-ranked candidates
+//! from it into real [`Schedule`]s — JIT candidates are natively prepared
+//! first (registry, then `perforad-jit`'s persistent artifact cache, then
+//! a build), and one that cannot be prepared gives its place to the next —
+//! and times the top K (best-of-N wall clock, one warm-up sweep first).
+//! The compiler runs only on the way to a Jit candidate's build, never to
+//! ask whether it is there. A hill-climbing refinement stage then walks
+//! the winner's tile vector (±1 doubling/halving step per rank, the
+//! palette's step size) until no neighbour improves, scoring each
+//! neighbour the way stage 2 scores a survivor. The final winner is
+//! returned and recorded in the tuning cache so the next identical (work,
+//! machine) pair skips every stage; the memory layer keeps its compiled
+//! work too, so that hit re-tiles.
 
 use crate::cache::{
     cache_key, fingerprint_nests, fnv1a64, memory_lookup, memory_store, CacheEntry, TuneCache,
@@ -108,10 +109,14 @@ pub struct TuneOptions {
     /// and not part of the cache key: the mode drops a scratch pass and a
     /// fill, it does not change which configuration wins.
     pub accumulate: Option<BTreeSet<Symbol>>,
-    /// Include the JIT lowering in the search space (effective only when
-    /// `perforad_jit::available()` — no toolchain, no Jit candidates, so
-    /// the tuner never times configurations that would silently fall
-    /// back to rows).
+    /// Include the JIT lowering in the search space. Under
+    /// [`Measure::Wall`] each Jit candidate is prepared before it is
+    /// timed, and one that cannot be (no module, no artifact, no
+    /// compiler) is skipped without taking a top-K place, so the tuner
+    /// never times a silent rows fallback. [`Measure::Model`] and
+    /// [`Measure::Synthetic`] prepare nothing: there the axis joins only
+    /// when [`perforad_jit::JitOptions::compiler`] finds a compiler on
+    /// disk — a `stat`, no process.
     pub jit: bool,
     /// Maximum hill-climbing rounds around the empirical winner: each
     /// round times every ±1 doubling/halving neighbour of the winning
@@ -359,10 +364,14 @@ pub fn autotune_adjoint(
     }
     perforad_obs::counter("tune.cache_misses").inc();
 
-    // Stage 1: rank the whole space analytically. The JIT axis joins
-    // only when this host can actually build (or has cached) native code.
+    // Stage 1: rank the whole space analytically. A wall-clock search
+    // offers every Jit candidate and lets preparing it decide; the modes
+    // that prepare nothing offer them only when a compiler is on disk.
     let rank = nests[0].rank();
-    let space = search_space(rank, threads, opts.jit && perforad_jit::available());
+    let jit = opts.jit
+        && (matches!(opts.measure, Measure::Wall { .. })
+            || perforad_jit::JitOptions::default().compiler().is_some());
+    let space = search_space(rank, threads, jit);
     if space.is_empty() {
         return Err(TuneError::EmptySpace);
     }
@@ -377,7 +386,6 @@ pub fn autotune_adjoint(
     ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
     let candidates = ranked.len();
     let k = opts.top_k.clamp(1, candidates);
-    perforad_obs::counter("tune.pruned").add((candidates - k) as u64);
 
     // Tile a candidate and score it. The work is compiled once per
     // fusion choice, on first use, and every candidate of that choice is
@@ -388,9 +396,15 @@ pub fn autotune_adjoint(
     // timed as a silent rows fallback. Model and synthetic modes never
     // execute, so they stay build-free — their Jit winner is prepared
     // lazily by the caller (or falls back to the bitwise-identical rows
-    // lowering).
+    // lowering). Preparing reads the plans alone, and a fusion choice has
+    // one set of plans: once a Jit candidate of a choice fails to prepare,
+    // the choice's other Jit candidates are not tried.
     let mut works: [Option<Result<Arc<CompiledWork>, SchedError>>; 2] = [None, None];
+    let mut unprepared = [false; 2];
     let mut score = |cfg: &TunedConfig, pred: f64| {
+        if cfg.lowering == Lowering::Jit && unprepared[cfg.fuse as usize] {
+            return Scored::Unprepared;
+        }
         let sched_opts = sched_options(cfg);
         let work = works[cfg.fuse as usize]
             .get_or_insert_with(|| compile_work(nests, ws, bind, padded, &sched_opts));
@@ -405,6 +419,7 @@ pub fn autotune_adjoint(
             Measure::Synthetic { seed } => synthetic_time(seed, cfg),
             Measure::Wall { samples } => {
                 if !prepare_if_jit(&schedule, cfg, bind) {
+                    unprepared[cfg.fuse as usize] = true;
                     return Scored::Unprepared;
                 }
                 if let Err(e) = run_tuned(&schedule, cfg, ws, pool) {
@@ -418,28 +433,36 @@ pub fn autotune_adjoint(
         Scored::Time(schedule, secs)
     };
 
-    // Stage 2: score the survivors. A candidate that does not compile or
-    // whose warm-up fails is skipped, as the refinement skips one; its
-    // error is kept for the report should no candidate survive.
+    // Stage 2: score the best-ranked K, in rank order. A candidate that
+    // does not compile or whose warm-up fails is skipped, as the
+    // refinement skips one, and still takes its place; its error is kept
+    // for the report should no candidate survive. A Jit candidate that
+    // cannot be prepared takes none: the next in rank order has it.
     let mut best: Option<(Schedule, TunedConfig, f64)> = None;
     let mut last_err: Option<SchedError> = None;
-    let mut timed = 0usize;
-    for (ci, (cfg, pred)) in ranked.iter().take(k).enumerate() {
+    let (mut timed, mut places) = (0usize, 0usize);
+    for (ci, (cfg, pred)) in ranked.iter().enumerate() {
+        if places == k {
+            break;
+        }
         let _cand_span = perforad_obs::span!("tune.candidate", "tune", "rank" => ci as u64);
         let (schedule, secs) = match score(cfg, *pred) {
             Scored::Time(schedule, secs) => (schedule, secs),
             Scored::Failed(e) => {
+                places += 1;
                 last_err = Some(e);
                 continue;
             }
             Scored::Unprepared => continue,
         };
+        places += 1;
         timed += 1;
         perforad_obs::counter("tune.timed").inc();
         if best.as_ref().is_none_or(|(_, _, b)| secs < *b) {
             best = Some((schedule, cfg.clone(), secs));
         }
     }
+    perforad_obs::counter("tune.pruned").add((candidates - places) as u64);
 
     // Refinement: hill-climb the winner's tile vector, one
     // doubling/halving step per rank and direction, re-basing on every
@@ -756,8 +779,13 @@ mod tests {
         assert_eq!(report.timed, 3);
         assert!(report.candidates >= report.timed);
         assert!(report.seconds > 0.0);
-        // Model ranking covers the whole space, best first.
+        // Model ranking covers the whole space, best first; a wall-clock
+        // search offers Jit whatever the host, and preparing decides.
         assert_eq!(report.predictions.len(), report.candidates);
+        assert!(report
+            .predictions
+            .iter()
+            .any(|(c, _)| c.lowering == Lowering::Jit));
         assert!(report.predictions.windows(2).all(|w| w[0].1 <= w[1].1));
         run_tuned(&schedule, &report.config, &mut ws, &pool).unwrap();
     }
@@ -909,8 +937,39 @@ mod tests {
         assert_eq!(r.refined, 0);
     }
 
+    /// A search that prepares nothing offers the Jit axis exactly when the
+    /// compiler a build would run is on disk: a `stat`, never a spawn.
     #[test]
     fn jit_axis_joins_the_space_only_when_available() {
+        use perforad_jit::locate_compiler;
+        use std::path::Path;
+        let dir = std::env::temp_dir().join(format!("perforad_tuner_rustc_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (plain, exe, missing) = (dir.join("plain"), dir.join("rustc"), dir.join("gone"));
+        std::fs::write(&plain, "").unwrap();
+        std::fs::write(&exe, "#!/bin/sh\n").unwrap();
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::PermissionsExt;
+            let mode = std::fs::Permissions::from_mode;
+            std::fs::set_permissions(&plain, mode(0o644)).unwrap();
+            std::fs::set_permissions(&exe, mode(0o755)).unwrap();
+            assert_eq!(locate_compiler(&plain, None), None, "not executable");
+        }
+        assert_eq!(locate_compiler(&missing, None), None);
+        assert_eq!(locate_compiler(&dir, None), None, "a directory");
+        assert_eq!(locate_compiler(&exe, None), Some(exe.clone()));
+        // A bare name is looked up in each directory of the given `PATH`
+        // value in turn; without one it is found nowhere.
+        let path = std::env::join_paths([missing.clone(), dir.clone()]).unwrap();
+        let rustc = Path::new("rustc");
+        assert_eq!(locate_compiler(rustc, Some(&path)), Some(exe.clone()));
+        assert_eq!(locate_compiler(Path::new("gone"), Some(&path)), None);
+        let elsewhere = std::env::join_paths([&missing]).unwrap();
+        assert_eq!(locate_compiler(rustc, Some(&elsewhere)), None);
+        assert_eq!(locate_compiler(rustc, None), None);
+        let _ = std::fs::remove_dir_all(&dir);
+
         let adj = adjoint();
         let pool = ThreadPool::new(2);
         let (mut ws, bind) = setup(256);
@@ -925,7 +984,8 @@ mod tests {
             .predictions
             .iter()
             .all(|(c, _)| c.lowering != Lowering::Jit));
-        // Enabled: candidates appear exactly when the host can build.
+        // Enabled: candidates appear exactly when this process's compiler
+        // is on disk.
         let opts = TuneOptions::default()
             .without_cache()
             .with_refine_rounds(0)
@@ -936,7 +996,8 @@ mod tests {
             .predictions
             .iter()
             .any(|(c, _)| c.lowering == Lowering::Jit);
-        assert_eq!(has_jit, perforad_jit::available());
+        let on_disk = perforad_jit::JitOptions::default().compiler().is_some();
+        assert_eq!(has_jit, on_disk);
         if has_jit {
             // The model must rank warm JIT ahead of the row executor for
             // the same knobs.

@@ -239,7 +239,8 @@ pub fn reference_gradient(
 /// Put the analytic model's pick for `cfg`'s c-active wave adjoint on
 /// `pool` into the tuner's memory cache, under the key `BatchPlan::new`'s
 /// own tuner call looks up — so the plan comes up on that configuration (a
-/// `Jit` one wherever a toolchain is found) rather than on the wall-clock
+/// `Jit` one wherever the compiler is on disk: the model search looks for
+/// it with a `stat` and runs nothing) rather than on the wall-clock
 /// tuner's run-to-run pick. Returns the lowering pinned.
 pub fn pin_model_config(cfg: &SeismicConfig, checkpointed: bool, pool: &ThreadPool) -> Lowering {
     let dims = [cfg.n; 3];
